@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X osap/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build test verify vet lint fmt-check race ci bench bench-hot serve-bench chaos rollout-selftest recovery-selftest learn-selftest
+.PHONY: all build build-cross test verify vet lint fmt-check race ci bench bench-hot bench-e2e bench-compare serve-bench chaos rollout-selftest recovery-selftest learn-selftest
 
 all: build
 
@@ -18,8 +18,15 @@ build:
 test:
 	$(GO) test ./...
 
+# The assembly kernels are amd64-only; every other architecture runs
+# the portable loops, and 32-bit ones also test the atomic-alignment
+# layout. Building for one of each keeps both compiling.
+build-cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) build ./...
+
 # Tier-1 verify (ROADMAP.md).
-verify: build test
+verify: build build-cross test
 
 vet:
 	$(GO) vet ./...
@@ -56,6 +63,17 @@ bench:
 # measurements).
 bench-hot:
 	$(GO) test -run xxx -bench 'BenchmarkDecisionUS$$|BenchmarkDecisionUPi$$|BenchmarkDecisionUV$$|BenchmarkAgentInference$$|BenchmarkTrainOCSVM$$|BenchmarkFigure1$$' -benchmem .
+
+# The repository's benchmark (BENCHMARK.json, bench/README.md): four
+# workloads, end-to-end and per-layer metrics, every decision checked.
+# For a before/after, write a result set on each commit
+# (`go run ./bench -runs 3 -out A.json`) and compare them:
+#   make bench-compare A=A.json B=B.json
+bench-e2e:
+	$(GO) run ./bench
+
+bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)
 
 # Guard-server load benchmark: 1000 concurrent sessions against a
 # loopback osap-serve, graceful drain under load, results in

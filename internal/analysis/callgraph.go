@@ -52,6 +52,11 @@ type FuncNode struct {
 	Decl *ast.FuncDecl
 	// Hotpath records an //osap:hotpath annotation (closure root).
 	Hotpath bool
+	// NoBody marks a declaration whose body is assembly: a leaf the
+	// engine cannot look into. NoEscape records its //go:noescape
+	// pragma, without which the compiler assumes every pointer handed
+	// to it escapes.
+	NoBody, NoEscape bool
 	// Calls are the statically resolved out-edges in source order.
 	Calls []CallSite
 	// Dynamic are the unresolvable call sites in source order.
@@ -94,6 +99,20 @@ func buildCallGraph(prog *Program) *CallGraph {
 			collectCalls(pkg, fd, node)
 			cg.Nodes[node.Name] = node
 		})
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body != nil {
+					continue
+				}
+				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					cg.Nodes[obj.FullName()] = &FuncNode{
+						Name: obj.FullName(), Pkg: pkg, Decl: fd,
+						NoBody: true, NoEscape: hasPragma(fd, "//go:noescape"),
+					}
+				}
+			}
+		}
 	}
 	for name := range cg.Nodes {
 		cg.names = append(cg.names, name)
@@ -109,8 +128,13 @@ func (cg *CallGraph) Dump(w io.Writer, fset *token.FileSet) {
 	for _, name := range cg.names {
 		n := cg.Nodes[name]
 		mark := ""
-		if n.Hotpath {
+		switch {
+		case n.Hotpath:
 			mark = " [hotpath]"
+		case n.NoEscape:
+			mark = " [asm noescape]"
+		case n.NoBody:
+			mark = " [asm]"
 		}
 		fmt.Fprintf(w, "%s%s\n", name, mark)
 		for _, cs := range n.Calls {

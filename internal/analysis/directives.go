@@ -137,6 +137,20 @@ func isHotpath(fd *ast.FuncDecl) bool {
 	return false
 }
 
+// hasPragma reports whether fd's doc comment carries the compiler
+// pragma line (e.g. "//go:noescape").
+func hasPragma(fd *ast.FuncDecl, pragma string) bool {
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if c.Text == pragma {
+			return true
+		}
+	}
+	return false
+}
+
 // parseGuardedBy extracts the mutex field name from an
 // //osap:guardedby comment ("" if the comment is not a well-formed
 // guardedby directive).

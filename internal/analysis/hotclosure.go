@@ -23,7 +23,11 @@ import (
 //   - reports every dynamic call site — interface dispatch, func-typed
 //     fields, parameters, multiply-assigned locals — inside the
 //     closure: the engine cannot see behind them, so they are holes in
-//     the allocation proof until a human vouches for them.
+//     the allocation proof until a human vouches for them;
+//   - requires //go:noescape on every body-less (assembly) function in
+//     the closure. The assembly itself cannot allocate, but without
+//     the pragma the compiler assumes its pointer arguments escape and
+//     moves what callers pass it to the heap.
 //
 // //osap:hotpath-stop <reason> on a call site's line (or the line
 // above) suppresses both: taint does not propagate through the edge,
@@ -89,6 +93,14 @@ func runHotpathClosure(pass *ProgramPass) {
 			pass.Reportf(d.Pos,
 				"%s inside the hot-path closure (%s): the call graph cannot prove it allocation-free; annotate a concrete callee //osap:hotpath or mark a deliberate exit with //osap:hotpath-stop <reason>",
 				d.Desc, chain[name])
+		}
+		if node.NoBody {
+			if !node.NoEscape {
+				pass.Reportf(node.Decl.Pos(),
+					"assembly function %s is on the hot path (%s) without //go:noescape: the compiler assumes its pointer arguments escape and heap-allocates what callers pass it",
+					shortFuncName(name), chain[name])
+			}
+			continue
 		}
 		if node.Hotpath {
 			continue // hotpath-alloc already checks annotated bodies

@@ -1,7 +1,8 @@
 // Package hotclosure seeds the call-graph taint analyzer: an
 // allocation two call-hops below the annotated root, dynamic-dispatch
 // holes, a stop-suppressed cold exit, an ignore-suppressed dynamic
-// call, and a malformed stop that must NOT halt propagation.
+// call, a malformed stop that must NOT halt propagation, and two
+// assembly leaves — one with //go:noescape, one without.
 package hotclosure
 
 type handler struct {
@@ -31,8 +32,20 @@ func mid(h *handler, n int) int {
 	h.onStep(n) // dynamic call inside the closure → finding
 	//osap:ignore hotpath-closure the metrics callback is nil in production builds
 	h.onDone(n)
+	var x [4]float64
+	sumNoEscape(&x[0], len(x)) // clean: the pragma keeps x on the stack
+	sumEscapes(&x[0], len(x))  // finding: x is heap-forced
 	return leaf(h, n) + badStop(n)
 }
+
+// sumNoEscape and sumEscapes stand for kernels written in assembly
+// (stub.s is only there so that the compiler accepts a declaration
+// without a body).
+//
+//go:noescape
+func sumNoEscape(p *float64, n int) float64
+
+func sumEscapes(p *float64, n int) float64
 
 // leaf is hop two: its allocations must be reported with the chain
 // Root → mid → leaf.

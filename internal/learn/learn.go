@@ -218,6 +218,9 @@ type Learner struct {
 	counters Counters
 	ring     *ring
 	base     *ocsvm.Model
+	// frozen is the boot baseline's networks packed for inference,
+	// once; every session's gate reads this copy.
+	frozen *rl.Frozen
 
 	mu sync.Mutex
 	//osap:guardedby mu
@@ -270,12 +273,17 @@ func New(cfg Config) (*Learner, error) {
 		return nil, fmt.Errorf("learn: Now clock seam is required when publishing proposals")
 	}
 	cfg = cfg.withDefaults()
+	frozen, err := rl.Freeze(cfg.Artifacts.Agents, cfg.Artifacts.ValueNets)
+	if err != nil {
+		return nil, err
+	}
 
 	dim := cfg.SignalConfig.FeatureDim()
 	l := &Learner{
 		cfg:       cfg,
 		ring:      newRing(dim, cfg.RingSize),
 		base:      cfg.Artifacts.OCSVM,
+		frozen:    frozen,
 		window:    newWindow(dim, cfg.WindowSize),
 		polSketch: sketch.New(100),
 		valSketch: sketch.New(100),
@@ -303,18 +311,19 @@ func New(cfg Config) (*Learner, error) {
 }
 
 // NewGate builds the trust gate for one session. Each gate gets
-// private ensemble inference sessions and feature windows, mirroring
-// the serving guard's isolation model.
+// private ensemble inference sessions (over the learner's one packed
+// copy of the baseline networks) and feature windows, mirroring the
+// serving guard's isolation model.
 func (l *Learner) NewGate(sessionIdx uint64) (*Gate, error) {
 	feats, err := core.NewStateFeaturizer(l.cfg.SignalConfig)
 	if err != nil {
 		return nil, err
 	}
-	pol, err := core.NewPolicySignal(rl.InferencePolicyEnsemble(l.cfg.Artifacts.Agents), l.cfg.Trim)
+	pol, err := core.NewPolicySignal(l.frozen.Policies(), l.cfg.Trim)
 	if err != nil {
 		return nil, err
 	}
-	val, err := core.NewValueSignal(rl.InferenceValueEnsemble(l.cfg.Artifacts.ValueNets), l.cfg.Trim)
+	val, err := core.NewValueSignal(l.frozen.Values(), l.cfg.Trim)
 	if err != nil {
 		return nil, err
 	}

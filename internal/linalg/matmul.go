@@ -2,72 +2,6 @@ package linalg
 
 import "fmt"
 
-// Cache-blocked dense matrix products for the batched serving path.
-//
-// The kernels tile the output so a tile of B (or of the weight matrix)
-// stays resident in L1/L2 while it is applied to a block of A rows —
-// the whole point of batching many sessions' feature vectors into one
-// GEMM instead of issuing one GEMV per session. The tile sizes are
-// fixed: at 64 columns × 64 rows of float64 a tile is 32 KiB, half a
-// typical L1d.
-//
-// Bit-identity contract: for every output element the reduction runs
-// over k (or j) in strictly ascending order with a single scalar
-// accumulator, exactly like Matrix.MulVec and DenseLayer.Forward.
-// Tiling the reduction dimension only stores and reloads the partial
-// sum — float64 round-trips through memory exactly — so every result
-// element is bit-identical to the unblocked row-at-a-time product.
-// nn.ForwardBatchWS and the serve collector rely on this.
-const (
-	matmulRowBlock = 64  // rows of A per tile
-	matmulColBlock = 64  // columns of dst per tile
-	matmulRedBlock = 256 // reduction-dimension slab per pass
-)
-
-// MatMul computes dst = a·b with a cache-blocked kernel. dst must be
-// a.Rows×b.Cols, a.Cols must equal b.Rows; it panics otherwise. dst
-// may not alias a or b. Each dst element accumulates over k in
-// ascending order, so the result is bit-identical to the naive triple
-// loop (and to MulVec applied row by row).
-//
-//osap:hotpath
-func MatMul(dst, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: MatMul inner dim mismatch %d vs %d", a.Cols, b.Rows))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: MatMul dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	m, n, kk := a.Rows, b.Cols, a.Cols
-	dst.Zero()
-	for k0 := 0; k0 < kk; k0 += matmulRedBlock {
-		k1 := k0 + matmulRedBlock
-		if k1 > kk {
-			k1 = kk
-		}
-		for i0 := 0; i0 < m; i0 += matmulRowBlock {
-			i1 := i0 + matmulRowBlock
-			if i1 > m {
-				i1 = m
-			}
-			for i := i0; i < i1; i++ {
-				arow := a.Data[i*kk : (i+1)*kk]
-				drow := dst.Data[i*n : (i+1)*n]
-				// ikj order: each dst element's reduction proceeds in
-				// ascending k with a plain load-add-store, preserving
-				// the exact accumulation order while streaming b rows.
-				for k := k0; k < k1; k++ {
-					aik := arow[k]
-					brow := b.Data[k*n : (k+1)*n]
-					for j, bv := range brow {
-						drow[j] += aik * bv
-					}
-				}
-			}
-		}
-	}
-}
-
 // MatMulTBias computes dst = bias·1ᵀ + a·bᵀ: dst[i][j] = bias[j] +
 // Σ_k a[i][k]·b[j][k], the batched form of an affine layer with weight
 // rows b (row-major out×in, as DenseLayer stores them). bias may be
@@ -77,7 +11,9 @@ func MatMul(dst, a, b *Matrix) {
 //
 // Every output element is a single dot product of two contiguous rows
 // seeded with its bias, accumulated in ascending k — bit-identical to
-// DenseLayer.Forward on each row of a.
+// DenseLayer.Forward on each row of a. This is the plain statement of
+// the arithmetic that Packed.Apply must reproduce, and the loop its
+// tests compare against; inference itself runs on Packed.
 //
 //osap:hotpath
 func MatMulTBias(dst, a, b *Matrix, bias Vector) {
@@ -90,57 +26,20 @@ func MatMulTBias(dst, a, b *Matrix, bias Vector) {
 	if bias != nil && len(bias) != b.Rows {
 		panic(fmt.Sprintf("linalg: MatMulTBias bias len %d, want %d", len(bias), b.Rows))
 	}
-	m, n, kk := a.Rows, b.Rows, a.Cols
-	for i0 := 0; i0 < m; i0 += matmulRowBlock {
-		i1 := i0 + matmulRowBlock
-		if i1 > m {
-			i1 = m
-		}
-		for j0 := 0; j0 < n; j0 += matmulColBlock {
-			j1 := j0 + matmulColBlock
-			if j1 > n {
-				j1 = n
+	n, kk := b.Rows, a.Cols
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*kk : (i+1)*kk]
+		drow := dst.Data[i*n : (i+1)*n]
+		for j := range drow {
+			brow := b.Data[j*kk : (j+1)*kk]
+			var s float64
+			if bias != nil {
+				s = bias[j]
 			}
-			// The b tile (j1-j0 weight rows) stays hot across the whole
-			// block of a rows. Four weight rows are swept per pass so
-			// the four independent accumulators pipeline; each output
-			// element still owns a single accumulator reducing over
-			// ascending k, so bit-identity is unaffected. (Wider sweeps
-			// were measured slower: more than four hot slice bases plus
-			// accumulators spill out of registers on amd64.)
-			for i := i0; i < i1; i++ {
-				arow := a.Data[i*kk : (i+1)*kk]
-				drow := dst.Data[i*n : (i+1)*n]
-				j := j0
-				for ; j+3 < j1; j += 4 {
-					b0 := b.Data[j*kk : (j+1)*kk]
-					b1 := b.Data[(j+1)*kk : (j+2)*kk]
-					b2 := b.Data[(j+2)*kk : (j+3)*kk]
-					b3 := b.Data[(j+3)*kk : (j+4)*kk]
-					var s0, s1, s2, s3 float64
-					if bias != nil {
-						s0, s1, s2, s3 = bias[j], bias[j+1], bias[j+2], bias[j+3]
-					}
-					for k, av := range arow {
-						s0 += av * b0[k]
-						s1 += av * b1[k]
-						s2 += av * b2[k]
-						s3 += av * b3[k]
-					}
-					drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-				}
-				for ; j < j1; j++ {
-					brow := b.Data[j*kk : (j+1)*kk]
-					var s float64
-					if bias != nil {
-						s = bias[j]
-					}
-					for k, av := range arow {
-						s += av * brow[k]
-					}
-					drow[j] = s
-				}
+			for k, av := range arow {
+				s += av * brow[k]
 			}
+			drow[j] = s
 		}
 	}
 }

@@ -6,200 +6,217 @@ import (
 	"osap/internal/linalg"
 )
 
-// Batched inference: one forward pass over a [batch, in] matrix of
-// observations instead of `batch` separate GEMVs. This is the engine
-// behind cross-session micro-batching in internal/serve — every
-// session that steps inside the same collector window shares one GEMM
-// per dense layer.
+// Packed inference: a frozen copy of a network laid out for
+// linalg.Packed's kernel, and the workspaces that run batches — or a
+// single row — through it. Training never comes here: Network, its
+// layers' Forward/Backward and Workspace stay as they are, and are
+// what the tests compare this file against.
 //
-// Bit-identity contract: row r of ForwardBatchWS's output is
-// bit-identical to ForwardWS on row r alone. Dense layers go through
-// linalg.MatMulTBias (ascending-k accumulation, see its contract) and
-// conv layers through im2col into the same kernel; every other layer
-// type falls back to its per-row Forward, which is trivially
-// identical. TestForwardBatchMatchesForwardWS asserts this property
-// over random architectures and batch sizes.
+// Bit-identity contract: row r of a batched forward is bit-identical
+// to Network.ForwardWS on row r alone. Dense and conv layers go
+// through linalg.Packed.Apply (one accumulator per output, ascending
+// k, product and sum rounded separately, exactly the layers' own
+// Forward loops); a ReLU is linalg.ReLU applied in place to the layer
+// before it; every other layer falls back to its per-row Forward,
+// which is trivially identical.
+// TestForwardBatchMatchesForwardWS asserts this over random
+// architectures and batch sizes.
 
-// batchForwarder is implemented by layers with a dedicated batched
-// kernel; all other layers are applied row by row.
-type batchForwarder interface {
-	// ForwardBatch maps in [n, InDim] to out [n, OutDim]. scratch is
-	// workspace memory of at least BatchScratch(n) float64s, owned by
-	// the call; its contents are undefined on entry and exit.
-	ForwardBatch(in, out *linalg.Matrix, scratch []float64)
-	// BatchScratch returns the scratch length ForwardBatch needs for a
-	// batch of n rows.
-	BatchScratch(n int) int
+// PackedNetwork is the inference-only form of a Network whose weights
+// will not change again. It is immutable and holds no scratch, so one
+// PackedNetwork serves every goroutine that has a workspace of its
+// own: a server packs each network of a generation once, at load, and
+// every session and every collector shard of that generation shares
+// the copy.
+type PackedNetwork struct {
+	src    *Network
+	stages []packedStage
+	inDim  int
+	outDim int
+	// width is what one row needs for the outputs of every stage but
+	// the last, side by side; stage i's starts at stages[i].at.
+	width int
 }
 
-// ForwardBatch implements batchForwarder: one GEMM over the whole
-// batch against the layer's weight rows.
-//
-//osap:hotpath
-func (d *DenseLayer) ForwardBatch(in, out *linalg.Matrix, _ []float64) {
-	w := linalg.Matrix{Rows: d.Out, Cols: d.In, Data: d.Weight.W}
-	linalg.MatMulTBias(out, in, &w, d.Bias.W)
+// packedStage is one layer with, possibly, the ReLU that follows it
+// applied in place. Exactly one of affine and rowwise is set.
+type packedStage struct {
+	in, out int
+	at      int // offset of the output within a workspace row
+	// affine is a dense layer or, when positions > 0, a convolution:
+	// the map is then applied at `positions` consecutive offsets of the
+	// input row and output j of position p lands at out[j*positions+p].
+	affine    *linalg.Packed
+	positions int
+	// rowwise is any other layer, run one row at a time through its own
+	// Forward. The layers this catches (tanh, softmax, a ReLU with no
+	// layer before it) hold no weights, so sharing them with the source
+	// network is harmless.
+	rowwise Layer
+	relu    bool
 }
 
-// BatchScratch implements batchForwarder: the dense GEMM works in
-// place, no scratch.
-func (d *DenseLayer) BatchScratch(int) int { return 0 }
-
-// ForwardBatch implements batchForwarder for the convolution via
-// im2col: every (row, position) patch is gathered into a contiguous
-// [n·OutLen, Channels·Kernel] matrix, multiplied against the weight
-// rows with the same fused GEMM the dense layers use, and the product
-// scattered back to the filter-major per-row layout Forward emits.
-//
-// Bit-identity: Forward computes out[f·OutLen+p] as Bias[f] plus the
-// ascending-(ch,k) dot of weight row f with the patch at p — exactly
-// the seeded ascending-k reduction MatMulTBias performs on the
-// gathered patch row. The gather and scatter are pure copies.
-//
-//osap:hotpath
-func (c *Conv1DLayer) ForwardBatch(in, out *linalg.Matrix, scratch []float64) {
-	outLen := c.OutLen()
-	patch := c.Channels * c.Kernel
-	rows := in.Rows * outLen
-	patches := linalg.Matrix{Rows: rows, Cols: patch, Data: scratch[:rows*patch]}
-	prod := linalg.Matrix{Rows: rows, Cols: c.Filters, Data: scratch[rows*patch : rows*patch+rows*c.Filters]}
-	for r := 0; r < in.Rows; r++ {
-		src := in.Data[r*in.Cols : (r+1)*in.Cols]
-		base := r * outLen * patch
-		for p := 0; p < outLen; p++ {
-			dst := patches.Data[base+p*patch : base+(p+1)*patch]
-			for ch := 0; ch < c.Channels; ch++ {
-				copy(dst[ch*c.Kernel:(ch+1)*c.Kernel], src[ch*c.Length+p:ch*c.Length+p+c.Kernel])
+// Pack builds the packed form of n from the weights n has now. Later
+// changes to n's weights do not reach it.
+func Pack(n *Network) *PackedNetwork {
+	p := &PackedNetwork{src: n, inDim: n.InDim(), outDim: n.OutDim()}
+	for _, l := range n.layers {
+		st := packedStage{in: l.InDim(), out: l.OutDim()}
+		switch v := l.(type) {
+		case *DenseLayer:
+			st.affine = linalg.Pack(&linalg.Matrix{Rows: v.Out, Cols: v.In, Data: v.Weight.W}, v.Bias.W, nil)
+		case *Conv1DLayer:
+			// The patch under output position 0, as offsets into the
+			// channel-major input row; position p is the same patch p
+			// elements on.
+			off := make([]int, 0, v.Channels*v.Kernel)
+			for ch := 0; ch < v.Channels; ch++ {
+				for k := 0; k < v.Kernel; k++ {
+					off = append(off, ch*v.Length+k)
+				}
 			}
-		}
-	}
-	w := linalg.Matrix{Rows: c.Filters, Cols: patch, Data: c.Weight.W}
-	linalg.MatMulTBias(&prod, &patches, &w, c.Bias.W)
-	for r := 0; r < in.Rows; r++ {
-		orow := out.Data[r*out.Cols : (r+1)*out.Cols]
-		pbase := r * outLen * c.Filters
-		for p := 0; p < outLen; p++ {
-			prow := prod.Data[pbase+p*c.Filters : pbase+(p+1)*c.Filters]
-			for f, v := range prow {
-				orow[f*outLen+p] = v
+			st.affine = linalg.Pack(&linalg.Matrix{Rows: v.Filters, Cols: len(off), Data: v.Weight.W}, v.Bias.W, off)
+			st.positions = v.OutLen()
+		case *ReLULayer:
+			if len(p.stages) > 0 {
+				p.stages[len(p.stages)-1].relu = true
+				continue
 			}
+			st.rowwise = l
+		default:
+			st.rowwise = l
 		}
+		p.stages = append(p.stages, st)
 	}
+	for i := range p.stages[:len(p.stages)-1] {
+		p.stages[i].at = p.width
+		p.width += p.stages[i].out
+	}
+	return p
 }
 
-// BatchScratch implements batchForwarder: room for the im2col patch
-// matrix plus the pre-scatter GEMM product.
-func (c *Conv1DLayer) BatchScratch(n int) int {
-	return n * c.OutLen() * (c.Channels*c.Kernel + c.Filters)
-}
+// InDim returns the network input length.
+func (p *PackedNetwork) InDim() int { return p.inDim }
 
-// ForwardBatch implements batchForwarder: one flat max(0,x) sweep over
-// the whole activation matrix instead of a per-row interface call.
+// OutDim returns the network output length.
+func (p *PackedNetwork) OutDim() int { return p.outDim }
+
+// forward maps rows input rows, srcRow apart in src, to rows output
+// rows, dstRow apart in dst. A dense layer takes every row in one call
+// of the kernel; a convolution, a fallback layer and the ReLU go row
+// by row.
 //
 //osap:hotpath
-func (r *ReLULayer) ForwardBatch(in, out *linalg.Matrix, _ []float64) {
-	dst := out.Data[:in.Rows*in.Cols]
-	for i, x := range in.Data[:in.Rows*in.Cols] {
-		if x > 0 {
-			dst[i] = x
-		} else {
-			dst[i] = 0
+func (st *packedStage) forward(dst []float64, dstRow int, src []float64, srcRow, rows int) {
+	if st.affine != nil && st.positions == 0 {
+		st.affine.Apply(dst, dstRow, 1, src, srcRow, rows)
+		if !st.relu {
+			return
+		}
+	}
+	for r := 0; r < rows; r++ {
+		in, out := src[r*srcRow:r*srcRow+st.in], dst[r*dstRow:r*dstRow+st.out]
+		switch {
+		case st.positions > 0:
+			st.affine.Apply(out, 1, st.positions, in, 1, st.positions)
+		case st.rowwise != nil:
+			st.rowwise.Forward(in, out) //osap:hotpath-stop per-row fallback; Layer.Forward implementations write into the buffers they are handed
+		}
+		if st.relu {
+			linalg.ReLU(out, out)
 		}
 	}
 }
 
-// BatchScratch implements batchForwarder.
-func (r *ReLULayer) BatchScratch(int) int { return 0 }
-
-// BatchWorkspace holds preallocated per-layer activation matrices for
-// batched inference on one architecture, sized for a maximum batch.
-// Like Workspace, it belongs to exactly one goroutine at a time; the
-// matrices returned by ForwardBatchWS alias workspace memory and are
-// valid only until the workspace's next use.
+// BatchWorkspace holds the activation buffers for running one packed
+// network over up to a fixed number of rows; with a capacity of one it
+// is a session's private inference scratch. A row's intermediate
+// activations lie side by side, so a batch of one — what every flush
+// is until the server saturates — touches one short run of memory
+// whatever the capacity; only the last stage's outputs are gathered
+// into a matrix of their own. Like Workspace, it belongs to exactly
+// one goroutine at a time; what Forward and ForwardRow return aliases
+// workspace memory and is valid only until the workspace's next use.
 type BatchWorkspace struct {
+	net      *PackedNetwork
 	maxBatch int
-	inDim    int
-	acts     []linalg.Matrix // acts[i]: [maxBatch, layer i OutDim]
-	views    []linalg.Matrix // row-limited aliases handed out per call
-	scratch  [][]float64     // scratch[i]: layer i's BatchScratch(maxBatch), nil if none
-	inView   linalg.Matrix
+	last     []float64 // maxBatch rows of net.outDim
+	body     []float64 // maxBatch rows of net.width
+	out      linalg.Matrix
 }
 
-// NewBatchWorkspace allocates batched activation buffers for n's
-// architecture with capacity for maxBatch rows. The workspace is
-// usable with any network whose layer dimensions match n's.
-func NewBatchWorkspace(n *Network, maxBatch int) *BatchWorkspace {
+// NewBatchWorkspace allocates activation buffers for up to maxBatch
+// rows through p.
+func (p *PackedNetwork) NewBatchWorkspace(maxBatch int) *BatchWorkspace {
 	if maxBatch <= 0 {
 		panic(fmt.Sprintf("nn: NewBatchWorkspace maxBatch %d", maxBatch))
 	}
-	ws := &BatchWorkspace{
-		maxBatch: maxBatch,
-		inDim:    n.InDim(),
-		acts:     make([]linalg.Matrix, len(n.layers)),
-		views:    make([]linalg.Matrix, len(n.layers)),
-		scratch:  make([][]float64, len(n.layers)),
-	}
-	for i, l := range n.layers {
-		ws.acts[i] = linalg.Matrix{Rows: maxBatch, Cols: l.OutDim(), Data: make([]float64, maxBatch*l.OutDim())}
-		if bf, ok := l.(batchForwarder); ok {
-			if sz := bf.BatchScratch(maxBatch); sz > 0 {
-				ws.scratch[i] = make([]float64, sz)
-			}
-		}
-	}
-	return ws
+	// The outputs first: row 0 of both parts, all a batch of one
+	// touches, then sits at the head of the allocation.
+	buf := make([]float64, maxBatch*(p.outDim+p.width))
+	return &BatchWorkspace{net: p, maxBatch: maxBatch, last: buf[:maxBatch*p.outDim], body: buf[maxBatch*p.outDim:]}
 }
 
-// MaxBatch returns the row capacity the workspace was built with.
-func (ws *BatchWorkspace) MaxBatch() int { return ws.maxBatch }
-
-// checkBatch panics unless the workspace matches n and the batch fits.
-func (ws *BatchWorkspace) checkBatch(n *Network, batch int) {
-	if len(ws.acts) != len(n.layers) || ws.inDim != n.InDim() {
-		panic(fmt.Sprintf("nn: batch workspace shape mismatch: %d layers/in %d vs %d layers/in %d",
-			len(ws.acts), ws.inDim, len(n.layers), n.InDim()))
-	}
-	if batch <= 0 || batch > ws.maxBatch {
-		panic(fmt.Sprintf("nn: batch %d outside workspace capacity %d", batch, ws.maxBatch))
-	}
-	for i, l := range n.layers {
-		if ws.acts[i].Cols != l.OutDim() {
-			panic(fmt.Sprintf("nn: batch workspace layer %d cols %d != out dim %d",
-				i, ws.acts[i].Cols, l.OutDim()))
-		}
-	}
+// NewBatchWorkspace packs n as it is now and allocates a workspace for
+// up to maxBatch rows through that copy: the one-call form for a
+// caller with a single workspace. Callers with many (a server's
+// sessions and shards) Pack once and share the result.
+func NewBatchWorkspace(n *Network, maxBatch int) *BatchWorkspace {
+	return Pack(n).NewBatchWorkspace(maxBatch)
 }
 
-// ForwardBatchWS runs inference for in.Rows observations at once: each
-// layer maps the [batch, in] activation matrix to [batch, out], with
-// dense layers fused into a single blocked GEMM across the batch. The
+// Forward runs inference for in.Rows observations at once. The
 // returned matrix aliases workspace memory (valid until the next use
-// of ws) and its row r is bit-identical to ForwardWS(row r). Zero heap
-// allocation.
+// of ws) and its row r is bit-identical to Network.ForwardWS on row r.
+// It panics when in has the wrong width or more rows than the
+// workspace holds. Zero heap allocation.
+//
+//osap:hotpath
+func (ws *BatchWorkspace) Forward(in *linalg.Matrix) *linalg.Matrix {
+	if in.Cols != ws.net.inDim {
+		panic(fmt.Sprintf("nn: batched forward input dim %d, want %d", in.Cols, ws.net.inDim))
+	}
+	ws.out = linalg.Matrix{Rows: in.Rows, Cols: ws.net.outDim, Data: ws.forward(in.Data, in.Rows)}
+	return &ws.out
+}
+
+// ForwardRow is Forward for a single observation: a batch of one.
+//
+//osap:hotpath
+func (ws *BatchWorkspace) ForwardRow(in linalg.Vector) linalg.Vector {
+	if len(in) != ws.net.inDim {
+		panic(fmt.Sprintf("nn: forward input dim %d, want %d", len(in), ws.net.inDim))
+	}
+	return ws.forward(in, 1)
+}
+
+//osap:hotpath
+func (ws *BatchWorkspace) forward(in []float64, rows int) []float64 {
+	if rows <= 0 || rows > ws.maxBatch {
+		panic(fmt.Sprintf("nn: batch %d outside workspace capacity %d", rows, ws.maxBatch))
+	}
+	p := ws.net
+	src, srcRow := in[:rows*p.inDim], p.inDim
+	for i := range p.stages {
+		st := &p.stages[i]
+		dst, dstRow := ws.body[st.at:], p.width
+		if i == len(p.stages)-1 {
+			dst, dstRow = ws.last, p.outDim
+		}
+		st.forward(dst, dstRow, src, srcRow, rows)
+		src, srcRow = dst, dstRow
+	}
+	return src[:rows*p.outDim]
+}
+
+// ForwardBatchWS is ws.Forward(in) for a workspace that was built from
+// n by NewBatchWorkspace; it panics for any other. The weights are the
+// ones n had when the workspace was built.
 //
 //osap:hotpath
 func (n *Network) ForwardBatchWS(ws *BatchWorkspace, in *linalg.Matrix) *linalg.Matrix {
-	if in.Cols != n.InDim() {
-		panic(fmt.Sprintf("nn: ForwardBatchWS input dim %d, want %d", in.Cols, n.InDim()))
+	if ws.net.src != n {
+		panic("nn: batch workspace was built from another network")
 	}
-	ws.checkBatch(n, in.Rows)
-	batch := in.Rows
-	cur := in
-	for i, l := range n.layers {
-		// Row-limited view over the full-capacity buffer: same backing
-		// array, first `batch` rows.
-		out := &ws.views[i]
-		out.Rows = batch
-		out.Cols = ws.acts[i].Cols
-		out.Data = ws.acts[i].Data[:batch*ws.acts[i].Cols]
-		if bf, ok := l.(batchForwarder); ok {
-			bf.ForwardBatch(cur, out, ws.scratch[i]) //osap:hotpath-stop batch-capable layers (Dense, Conv1D) forward into caller workspace, alloc-tested
-		} else {
-			for r := 0; r < batch; r++ {
-				l.Forward(cur.Row(r), out.Row(r)) //osap:hotpath-stop per-row fallback; Layer.Forward implementations are workspace-backed
-			}
-		}
-		cur = out
-	}
-	return cur
+	return ws.Forward(in)
 }

@@ -185,3 +185,111 @@ func BenchmarkForwardSingle256(b *testing.B) {
 		}
 	}
 }
+
+// TestForwardRowMatchesForwardWS: a one-row workspace — what every
+// inference session holds — gives ForwardWS's bits, and a workspace
+// sized for more rows gives the same for a batch of one.
+func TestForwardRowMatchesForwardWS(t *testing.T) {
+	rng := stats.NewRNG(20200714)
+	for trial := 0; trial < 40; trial++ {
+		net := randomBatchNet(rng)
+		p := Pack(net)
+		one, wide := p.NewBatchWorkspace(1), p.NewBatchWorkspace(7)
+		ws := NewWorkspace(net)
+		in := linalg.NewMatrix(1, net.InDim())
+		for rep := 0; rep < 3; rep++ {
+			for i := range in.Data {
+				in.Data[i] = 3 * rng.NormFloat64()
+			}
+			want := net.ForwardWS(ws, in.Row(0))
+			for name, got := range map[string]linalg.Vector{
+				"row":   one.ForwardRow(in.Row(0)),
+				"batch": wide.Forward(in).Row(0),
+			} {
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("trial %d %s col %d: %g vs %g — not bit-identical", trial, name, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPackIsASnapshot: the packed copy keeps the weights the network
+// had when it was packed, and a workspace answers only for the network
+// it was built from.
+func TestPackIsASnapshot(t *testing.T) {
+	rng := stats.NewRNG(21)
+	net := randomBatchNet(rng)
+	bws := NewBatchWorkspace(net, 2)
+	in := linalg.NewMatrix(2, net.InDim())
+	for i := range in.Data {
+		in.Data[i] = rng.NormFloat64()
+	}
+	before := append([]float64(nil), net.ForwardBatchWS(bws, in).Data...)
+	for _, p := range net.Params() {
+		for i := range p.W {
+			p.W[i] += 1
+		}
+	}
+	after := net.ForwardBatchWS(bws, in).Data
+	for i := range before {
+		if math.Float64bits(before[i]) != math.Float64bits(after[i]) {
+			t.Fatalf("output %d moved with the source network's weights: %g → %g", i, before[i], after[i])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ForwardBatchWS accepted a workspace built from another network")
+		}
+	}()
+	net.Clone().ForwardBatchWS(bws, in)
+}
+
+// TestPackedNetworkShared: one packed network, a workspace per
+// goroutine. Run under -race, it is the proof that forwards only read
+// the shared copy.
+func TestPackedNetworkShared(t *testing.T) {
+	rng := stats.NewRNG(22)
+	net := randomBatchNet(rng)
+	p := Pack(net)
+	in := linalg.NewMatrix(5, net.InDim())
+	for i := range in.Data {
+		in.Data[i] = rng.NormFloat64()
+	}
+	want := append([]float64(nil), p.NewBatchWorkspace(5).Forward(in).Data...)
+	errs := make(chan string, 4)
+	for g := 0; g < cap(errs); g++ {
+		go func() {
+			ws := p.NewBatchWorkspace(5)
+			for rep := 0; rep < 50; rep++ {
+				for i, v := range ws.Forward(in).Data {
+					if math.Float64bits(v) != math.Float64bits(want[i]) {
+						errs <- "shared packed network gave different bits on another goroutine"
+						return
+					}
+				}
+			}
+			errs <- ""
+		}()
+	}
+	for g := 0; g < cap(errs); g++ {
+		if msg := <-errs; msg != "" {
+			t.Error(msg)
+		}
+	}
+}
+
+func TestForwardRowZeroAlloc(t *testing.T) {
+	rng := stats.NewRNG(23)
+	net := randomBatchNet(rng)
+	ws := Pack(net).NewBatchWorkspace(1)
+	in := make(linalg.Vector, net.InDim())
+	for i := range in {
+		in[i] = rng.NormFloat64()
+	}
+	if allocs := testing.AllocsPerRun(50, func() { ws.ForwardRow(in) }); allocs != 0 {
+		t.Fatalf("ForwardRow allocates %.1f/op, want 0", allocs)
+	}
+}

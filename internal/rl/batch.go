@@ -3,16 +3,15 @@ package rl
 // Cross-session batched inference. A serving process hosts thousands
 // of sessions that all share one trained artifact set, so the forward
 // passes of every session stepping inside the same micro-batch window
-// can be fused: one GEMM chain for the deployed actor, one per
+// can be fused: one pass over the batch for the deployed actor, one per
 // ensemble member. BatchScorer owns the batch workspaces; like every
 // inference session it is single-goroutine — internal/serve gives each
-// collector shard its own.
+// collector shard its own, all over one shared Frozen.
 
 import (
 	"fmt"
 
 	"osap/internal/linalg"
-	"osap/internal/mdp"
 	"osap/internal/nn"
 )
 
@@ -22,75 +21,78 @@ import (
 // the corresponding single-session inference (PolicyInference /
 // ValueInference) on row r alone — the property the serve collector's
 // equivalence tests pin down.
+//
+// Invariant: member 0 of the policy ensemble is the deployed agent —
+// the same packed network — so PolicyDists(obs)[0] is, bit for bit,
+// what Deployed(obs) returns. A caller that needs both for the same
+// rows calls PolicyDists alone and reads member 0; the serve collector
+// runs Deployed only over rows no ensemble pass covers.
 type BatchScorer struct {
-	deployed   *nn.Network
+	obsDim int
+
 	deployedWS *nn.BatchWorkspace
+	memberWS   []*nn.BatchWorkspace // policy ensemble (nil if < 2 agents)
+	valueWS    []*nn.BatchWorkspace // value ensemble (nil if < 2 nets)
 
-	members  []*nn.Network // policy-ensemble actors (nil if < 2 agents)
-	memberWS []*nn.BatchWorkspace
-
-	valueNets []*nn.Network // value-ensemble critics (nil if < 2 nets)
-	valueWS   []*nn.BatchWorkspace
-
-	maxBatch int
-	dists    []*linalg.Matrix // per-member result views (PolicyDists)
-	vals     [][]float64      // per-member value columns (Values)
+	dists []*linalg.Matrix // per-member result views (PolicyDists)
+	vals  [][]float64      // per-member value columns (Values)
 }
 
-// NewBatchScorer builds a batched scorer over one artifact set: the
-// deployed agent (agents[0]), the policy ensemble (all agents, when
-// ≥ 2) and the value ensemble (valueNets, when ≥ 2). maxBatch caps the
-// rows a single call may carry.
-func NewBatchScorer(agents []*ActorCritic, valueNets []*nn.Network, maxBatch int) (*BatchScorer, error) {
-	if len(agents) == 0 {
-		return nil, fmt.Errorf("rl: BatchScorer needs at least the deployed agent")
-	}
+// NewBatchScorer builds a batched scorer over f: the deployed agent,
+// the policy ensemble (all agents, when ≥ 2) and the value ensemble
+// (when ≥ 2 networks). maxBatch caps the rows a single call may carry.
+// Only activation buffers are allocated; the weights are f's.
+func (f *Frozen) NewBatchScorer(maxBatch int) (*BatchScorer, error) {
 	if maxBatch <= 0 {
 		return nil, fmt.Errorf("rl: BatchScorer maxBatch %d", maxBatch)
 	}
 	b := &BatchScorer{
-		deployed:   agents[0].Actor,
-		deployedWS: nn.NewBatchWorkspace(agents[0].Actor, maxBatch),
-		maxBatch:   maxBatch,
+		obsDim:     f.ObsDim(),
+		deployedWS: f.actors[0].NewBatchWorkspace(maxBatch),
 	}
-	if len(agents) >= 2 {
-		b.members = make([]*nn.Network, len(agents))
-		b.memberWS = make([]*nn.BatchWorkspace, len(agents))
-		b.dists = make([]*linalg.Matrix, len(agents))
-		for i, a := range agents {
-			b.members[i] = a.Actor
-			b.memberWS[i] = nn.NewBatchWorkspace(a.Actor, maxBatch)
+	if len(f.actors) >= 2 {
+		b.memberWS = make([]*nn.BatchWorkspace, len(f.actors))
+		b.dists = make([]*linalg.Matrix, len(f.actors))
+		for i, p := range f.actors {
+			b.memberWS[i] = p.NewBatchWorkspace(maxBatch)
 		}
 	}
-	if len(valueNets) >= 2 {
-		b.valueNets = valueNets
-		b.valueWS = make([]*nn.BatchWorkspace, len(valueNets))
-		b.vals = make([][]float64, len(valueNets))
-		for i, n := range valueNets {
-			b.valueWS[i] = nn.NewBatchWorkspace(n, maxBatch)
+	if len(f.values) >= 2 {
+		b.valueWS = make([]*nn.BatchWorkspace, len(f.values))
+		b.vals = make([][]float64, len(f.values))
+		for i, p := range f.values {
+			b.valueWS[i] = p.NewBatchWorkspace(maxBatch)
 			b.vals[i] = make([]float64, maxBatch)
 		}
 	}
 	return b, nil
 }
 
-// MaxBatch returns the row capacity.
-func (b *BatchScorer) MaxBatch() int { return b.maxBatch }
+// NewBatchScorer freezes one artifact set — the deployed agent
+// (agents[0]), the policy ensemble, the value ensemble — and builds a
+// scorer over it: the one-call form for a caller with a single scorer.
+func NewBatchScorer(agents []*ActorCritic, valueNets []*nn.Network, maxBatch int) (*BatchScorer, error) {
+	f, err := Freeze(agents, valueNets)
+	if err != nil {
+		return nil, err
+	}
+	return f.NewBatchScorer(maxBatch)
+}
 
 // NumMembers returns the policy-ensemble size (0 without an ensemble).
-func (b *BatchScorer) NumMembers() int { return len(b.members) }
+func (b *BatchScorer) NumMembers() int { return len(b.memberWS) }
 
 // NumValueNets returns the value-ensemble size (0 without an ensemble).
-func (b *BatchScorer) NumValueNets() int { return len(b.valueNets) }
+func (b *BatchScorer) NumValueNets() int { return len(b.valueWS) }
 
 // ObsDim returns the observation length every row must have.
-func (b *BatchScorer) ObsDim() int { return b.deployed.InDim() }
+func (b *BatchScorer) ObsDim() int { return b.obsDim }
 
 // HasPolicyEnsemble reports whether PolicyDists is available.
-func (b *BatchScorer) HasPolicyEnsemble() bool { return b.members != nil }
+func (b *BatchScorer) HasPolicyEnsemble() bool { return b.memberWS != nil }
 
 // HasValueEnsemble reports whether Values is available.
-func (b *BatchScorer) HasValueEnsemble() bool { return b.valueNets != nil }
+func (b *BatchScorer) HasValueEnsemble() bool { return b.valueWS != nil }
 
 // Deployed runs the deployed agent's actor over obs: row r of the
 // result is bit-identical to PolicyInference.Probs(obs.Row(r)). The
@@ -99,25 +101,25 @@ func (b *BatchScorer) HasValueEnsemble() bool { return b.valueNets != nil }
 //
 //osap:hotpath
 func (b *BatchScorer) Deployed(obs *linalg.Matrix) *linalg.Matrix {
-	return b.deployed.ForwardBatchWS(b.deployedWS, obs)
+	return b.deployedWS.Forward(obs)
 }
 
 // PolicyDists runs every policy-ensemble member over obs; element m is
 // the member's [batch, actions] distribution matrix, row-identical to
-// that member's PolicyInference. The slice and matrices alias
+// that member's PolicyInference, and element 0 is the deployed agent's
+// (see the invariant on BatchScorer). The slice and matrices alias
 // scorer-owned memory, valid until the next PolicyDists call. Zero
 // heap allocation. Panics if the scorer has no policy ensemble.
 //
 //osap:hotpath
 func (b *BatchScorer) PolicyDists(obs *linalg.Matrix) []*linalg.Matrix {
-	if b.members == nil {
+	if b.memberWS == nil {
 		panic("rl: BatchScorer has no policy ensemble")
 	}
-	dists := b.dists[:len(b.members)]
-	for m, net := range b.members {
-		dists[m] = net.ForwardBatchWS(b.memberWS[m], obs)
+	for m, ws := range b.memberWS {
+		b.dists[m] = ws.Forward(obs)
 	}
-	return dists
+	return b.dists
 }
 
 // Values runs every value-ensemble member over obs; element m is the
@@ -128,12 +130,12 @@ func (b *BatchScorer) PolicyDists(obs *linalg.Matrix) []*linalg.Matrix {
 //
 //osap:hotpath
 func (b *BatchScorer) Values(obs *linalg.Matrix) [][]float64 {
-	if b.valueNets == nil {
+	if b.valueWS == nil {
 		panic("rl: BatchScorer has no value ensemble")
 	}
-	vals := b.vals[:len(b.valueNets)]
-	for m, net := range b.valueNets {
-		out := net.ForwardBatchWS(b.valueWS[m], obs)
+	vals := b.vals[:len(b.valueWS)]
+	for m, ws := range b.valueWS {
+		out := ws.Forward(obs)
 		col := b.vals[m][:obs.Rows]
 		for r := 0; r < obs.Rows; r++ {
 			col[r] = out.At(r, 0)
@@ -141,19 +143,4 @@ func (b *BatchScorer) Values(obs *linalg.Matrix) [][]float64 {
 		vals[m] = col
 	}
 	return vals
-}
-
-// OneHot writes the greedy one-hot for an externally computed action
-// distribution into the session-owned buffer — the batched counterpart
-// of Probs, bit-identical to it given an identical distribution (same
-// argmax, same buffer discipline). Valid until the next Probs/OneHot
-// call on g.
-//
-//osap:hotpath
-func (g *GreedyInference) OneHot(probs []float64) []float64 {
-	for i := range g.onehot {
-		g.onehot[i] = 0
-	}
-	g.onehot[mdp.ArgmaxAction(probs)] = 1
-	return g.onehot
 }

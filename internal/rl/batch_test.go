@@ -156,3 +156,77 @@ func TestBatchScorerZeroAlloc(t *testing.T) {
 		t.Fatalf("batched scoring allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestDeployedIsMemberZero pins the invariant the serve collector
+// relies on to skip a forward: member 0 of the policy ensemble is the
+// deployed agent, so its PolicyDists rows equal Deployed's bit for bit.
+func TestDeployedIsMemberZero(t *testing.T) {
+	agents := batchTestEnsemble(t, 5)
+	scorer, err := NewBatchScorer(agents, nil, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(5)
+	for _, rows := range []int{1, 2, 31, 32} {
+		obs := randObs(rng, rows, scorer.ObsDim())
+		deployed := scorer.Deployed(obs)
+		member0 := scorer.PolicyDists(obs)[0]
+		for r := 0; r < rows; r++ {
+			d, m := deployed.Row(r), member0.Row(r)
+			for j := range d {
+				if math.Float64bits(d[j]) != math.Float64bits(m[j]) {
+					t.Fatalf("batch %d row %d col %d: deployed %g vs member 0 %g", rows, r, j, d[j], m[j])
+				}
+			}
+		}
+	}
+}
+
+// TestFrozenSessionsMatchStandalone: sessions handed out by a shared
+// Frozen answer exactly as the ones that pack privately, and keep the
+// weights of the moment Freeze was called.
+func TestFrozenSessionsMatchStandalone(t *testing.T) {
+	agents := batchTestEnsemble(t, 3)
+	f, err := Freeze(agents, criticNets(agents))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Freeze(nil, nil); err == nil {
+		t.Fatal("Freeze accepted an artifact set without a deployed agent")
+	}
+	greedy, pols, vals := f.Greedy(), f.Policies(), f.Values()
+	wantGreedy := NewGreedyInference(agents[0])
+	wantPols := InferencePolicyEnsemble(agents)
+	wantVals := InferenceValueEnsemble(criticNets(agents))
+	// From here on the source networks drift; nothing above may notice.
+	frozenRef := make([]*ActorCritic, len(agents))
+	for i, a := range agents {
+		frozenRef[i] = a.Clone()
+		for _, p := range a.Actor.Params() {
+			p.W[0] += 1
+		}
+	}
+	rng := stats.NewRNG(6)
+	obs := randObs(rng, 10, f.ObsDim())
+	for r := 0; r < obs.Rows; r++ {
+		row := obs.Row(r)
+		for j, want := range wantGreedy.Probs(row) {
+			if got := greedy.Probs(row); got[j] != want {
+				t.Fatalf("row %d: greedy one-hot %v differs at %d", r, got, j)
+			}
+		}
+		for m := range pols {
+			got, want, ref := pols[m].Probs(row), wantPols[m].Probs(row), frozenRef[m].Probs(row)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) || math.Float64bits(got[j]) != math.Float64bits(ref[j]) {
+					t.Fatalf("row %d member %d col %d: frozen %g, standalone %g, scalar %g", r, m, j, got[j], want[j], ref[j])
+				}
+			}
+		}
+		for m := range vals {
+			if got, want := vals[m].Value(row), wantVals[m].Value(row); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("row %d value member %d: %g vs %g", r, m, got, want)
+			}
+		}
+	}
+}

@@ -4,26 +4,96 @@ package rl
 // once per video chunk per viewer (§2.5), so the serving hot path —
 // ensemble forward passes feeding U_π/U_V plus the deployed agent's own
 // decision — must not put pressure on the allocator. Each session binds
-// a network to a private nn.Workspace; one session per goroutine, never
-// shared (see the Workspace ownership model in internal/nn).
+// a packed network (nn.PackedNetwork: immutable, shared) to a private
+// one-row nn.BatchWorkspace, so sequential inference is the batched
+// path at a batch of one; one session per goroutine, never shared.
 
 import (
+	"fmt"
+
 	"osap/internal/mdp"
 	"osap/internal/nn"
 )
+
+// Frozen is the packed, read-only inference form of one artifact set:
+// the agents' actors (member 0 is the deployed agent) and the value
+// ensemble's critics, each packed once. Build it where the artifacts
+// are loaded — a server does so once per generation — and hand out
+// sessions and batch scorers from it: they share the packed weights
+// and own only their activation buffers. Safe for concurrent use.
+type Frozen struct {
+	actors []*nn.PackedNetwork
+	values []*nn.PackedNetwork
+}
+
+// Freeze packs the agents' actors and the value networks as they are
+// now; later weight changes do not reach the result. At least the
+// deployed agent is required.
+func Freeze(agents []*ActorCritic, valueNets []*nn.Network) (*Frozen, error) {
+	if len(agents) == 0 {
+		return nil, fmt.Errorf("rl: Freeze needs at least the deployed agent")
+	}
+	f := &Frozen{
+		actors: make([]*nn.PackedNetwork, len(agents)),
+		values: make([]*nn.PackedNetwork, len(valueNets)),
+	}
+	for i, a := range agents {
+		f.actors[i] = nn.Pack(a.Actor)
+	}
+	for i, n := range valueNets {
+		f.values[i] = nn.Pack(n)
+	}
+	return f, nil
+}
+
+// ObsDim returns the observation length the deployed agent expects.
+func (f *Frozen) ObsDim() int { return f.actors[0].InDim() }
+
+// NumActions returns the deployed agent's action-space size.
+func (f *Frozen) NumActions() int { return f.actors[0].OutDim() }
+
+// Greedy returns a fresh greedy serving session for the deployed agent.
+func (f *Frozen) Greedy() *GreedyInference {
+	return &GreedyInference{
+		p:      &PolicyInference{ws: f.actors[0].NewBatchWorkspace(1)},
+		onehot: make([]float64, f.NumActions()),
+	}
+}
+
+// Policies returns one fresh session per agent: the U_π ensemble. The
+// returned policies are single-goroutine as a set — one set per
+// Guard/Signal instance.
+func (f *Frozen) Policies() []mdp.Policy {
+	ps := make([]mdp.Policy, len(f.actors))
+	for i, p := range f.actors {
+		ps[i] = &PolicyInference{ws: p.NewBatchWorkspace(1)}
+	}
+	return ps
+}
+
+// Values returns one fresh session per value network: the U_V
+// ensemble, mirroring Policies.
+func (f *Frozen) Values() []mdp.ValueFn {
+	vs := make([]mdp.ValueFn, len(f.values))
+	for i, p := range f.values {
+		vs[i] = &ValueInference{ws: p.NewBatchWorkspace(1)}
+	}
+	return vs
+}
 
 // PolicyInference is a single-goroutine, allocation-free policy handle
 // for one agent. Probs returns a buffer owned by the session, valid
 // until the next call; callers that retain the distribution must copy
 // it (mdp.Rollout does).
 type PolicyInference struct {
-	ac *ActorCritic
-	ws *nn.Workspace
+	ws *nn.BatchWorkspace
 }
 
-// NewPolicyInference binds an agent to a fresh private workspace.
+// NewPolicyInference packs the agent's actor as it is now and binds it
+// to a fresh private workspace. Callers building many sessions over
+// the same agents Freeze once instead.
 func NewPolicyInference(ac *ActorCritic) *PolicyInference {
-	return &PolicyInference{ac: ac, ws: nn.NewWorkspace(ac.Actor)}
+	return &PolicyInference{ws: nn.NewBatchWorkspace(ac.Actor, 1)}
 }
 
 // Probs implements mdp.Policy without heap allocation. The result is
@@ -31,19 +101,19 @@ func NewPolicyInference(ac *ActorCritic) *PolicyInference {
 //
 //osap:hotpath
 func (p *PolicyInference) Probs(obs []float64) []float64 {
-	return p.ac.Actor.ForwardWS(p.ws, obs)
+	return p.ws.ForwardRow(obs)
 }
 
 // ValueInference is a single-goroutine, allocation-free value-function
 // handle for one critic network.
 type ValueInference struct {
-	net *nn.Network
-	ws  *nn.Workspace
+	ws *nn.BatchWorkspace
 }
 
-// NewValueInference binds a critic network to a fresh private workspace.
+// NewValueInference packs a critic network as it is now and binds it
+// to a fresh private workspace.
 func NewValueInference(net *nn.Network) *ValueInference {
-	return &ValueInference{net: net, ws: nn.NewWorkspace(net)}
+	return &ValueInference{ws: nn.NewBatchWorkspace(net, 1)}
 }
 
 // Value implements mdp.ValueFn without heap allocation. The result is
@@ -51,7 +121,7 @@ func NewValueInference(net *nn.Network) *ValueInference {
 //
 //osap:hotpath
 func (v *ValueInference) Value(obs []float64) float64 {
-	return v.net.ForwardWS(v.ws, obs)[0]
+	return v.ws.ForwardRow(obs)[0]
 }
 
 // GreedyInference is the allocation-free counterpart of GreedyPolicy: a
@@ -78,11 +148,26 @@ func (g *GreedyInference) Probs(obs []float64) []float64 {
 	return g.OneHot(g.p.Probs(obs))
 }
 
-// InferencePolicyEnsemble is the workspace-backed entry point for the
-// U_π signal: every member gets a private workspace, so one ensemble
-// evaluation (5 forward passes per chunk) does no heap allocation. The
-// returned policies are single-goroutine as a set — build one ensemble
-// per Guard/Signal instance.
+// OneHot writes the greedy one-hot for an externally computed action
+// distribution into the session-owned buffer — the batched counterpart
+// of Probs, bit-identical to it given an identical distribution (same
+// argmax, same buffer discipline). Valid until the next Probs/OneHot
+// call on g.
+//
+//osap:hotpath
+func (g *GreedyInference) OneHot(probs []float64) []float64 {
+	for i := range g.onehot {
+		g.onehot[i] = 0
+	}
+	g.onehot[mdp.ArgmaxAction(probs)] = 1
+	return g.onehot
+}
+
+// InferencePolicyEnsemble is the one-call entry point for the U_π
+// signal: every member packed and given a private workspace, so one
+// ensemble evaluation (5 forward passes per chunk) does no heap
+// allocation. The returned policies are single-goroutine as a set —
+// build one ensemble per Guard/Signal instance.
 func InferencePolicyEnsemble(agents []*ActorCritic) []mdp.Policy {
 	ps := make([]mdp.Policy, len(agents))
 	for i, a := range agents {
@@ -91,8 +176,8 @@ func InferencePolicyEnsemble(agents []*ActorCritic) []mdp.Policy {
 	return ps
 }
 
-// InferenceValueEnsemble is the workspace-backed entry point for the
-// U_V signal, mirroring InferencePolicyEnsemble.
+// InferenceValueEnsemble is the one-call entry point for the U_V
+// signal, mirroring InferencePolicyEnsemble.
 func InferenceValueEnsemble(nets []*nn.Network) []mdp.ValueFn {
 	vs := make([]mdp.ValueFn, len(nets))
 	for i, n := range nets {

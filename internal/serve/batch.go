@@ -3,8 +3,14 @@ package serve
 // Cross-session micro-batching. Every session shares one trained
 // artifact set, so the expensive part of a step — the deployed actor's
 // forward pass and, for the ensemble schemes, the member forwards — is
-// the same GEMM chain repeated per session. The Batcher parks
-// concurrent steps for a sub-millisecond window, fuses the parked
+// the same chain of layers repeated per session. A step that finds its
+// collector idle is flushed then and there, on the goroutine that
+// brought it: a batch of one that pays no park and no wake. A step
+// that finds the collector at work parks, and the collector's own
+// goroutine flushes everything that parked as soon as the flush in
+// progress is done, so the steps that arrive while one flush computes
+// are the next batch (BatchConfig.Window can make every step park and
+// wait for company; the default does not). A flush fuses the parked
 // sessions' observations into one matrix, runs each network once over
 // the whole batch (rl.BatchScorer), and completes every parked call
 // with inputs bit-identical to what its private guard would have
@@ -126,7 +132,7 @@ func newBatcher(f *GuardFactory, m *Metrics, cfg BatchConfig) (*Batcher, error) 
 	cfg = cfg.withDefaults()
 	b := &Batcher{cfg: cfg, collectors: make([]*collector, cfg.Collectors)}
 	for i := range b.collectors {
-		scorer, err := rl.NewBatchScorer(f.arts.Agents, f.arts.ValueNets, cfg.MaxBatch)
+		scorer, err := f.frozen.NewBatchScorer(cfg.MaxBatch)
 		if err != nil {
 			return nil, err
 		}
@@ -150,8 +156,10 @@ func (b *Batcher) do(sess *Session, obs []float64, now time.Time) (StepResult, e
 	call := callPool.Get().(*stepCall)
 	call.sess, call.obs, call.now = sess, obs, now
 	call.enq = time.Now()
-	b.collectors[sess.shard].park(call)
-	<-call.done
+	if c := b.collectors[sess.shard]; !c.flushAlone(call) {
+		c.park(call)
+	}
+	<-call.done // buffered: already there after flushAlone
 	res, err := call.res, call.err
 	call.sess, call.obs, call.err = nil, nil, nil
 	call.res = StepResult{}
@@ -173,8 +181,9 @@ func (b *Batcher) Stop() {
 
 // collector is one batching shard: a parked-call queue, a goroutine
 // that flushes it on a window/size trigger, and private scoring
-// scratch. All scratch below the mutex section is touched only by the
-// collector goroutine.
+// scratch. The scratch below the mutex section belongs to whoever set
+// busy: the collector goroutine, or a caller flushing its own step
+// because it found the shard idle.
 type collector struct {
 	cfg     BatchConfig
 	scorer  *rl.BatchScorer
@@ -183,19 +192,21 @@ type collector struct {
 	mu     sync.Mutex
 	parked []*stepCall
 	spare  []*stepCall // flushed-side buffer; ping-pongs with parked
+	busy   bool        // a flush is in progress
 
 	wake chan struct{} // buffered 1: batch went non-empty
 	full chan struct{} // buffered 1: batch reached MaxBatch
 	stop chan struct{}
 	done chan struct{}
 
-	// Flush scratch (collector goroutine only).
+	// Flush scratch (whoever holds busy).
+	lone        [1]*stepCall  // flushAlone's batch of one
 	order       []*stepCall   // calls reordered [policy | value | state | seq]
 	obs         linalg.Matrix // fused observations, MaxBatch×obsDim capacity
 	deplView    linalg.Matrix // row-limited views into obs for the scorer
 	polObsView  linalg.Matrix
 	valObsView  linalg.Matrix
-	deployedOut *linalg.Matrix
+	deployedOut *linalg.Matrix // deployed rows of [value | state]; policy rows read polDists[0]
 	polDists    []*linalg.Matrix
 	valCols     [][]float64
 	ev          batchEval
@@ -224,6 +235,46 @@ func newCollector(scorer *rl.BatchScorer, m *Metrics, cfg BatchConfig) *collecto
 	c.polObsView = linalg.Matrix{Rows: 0, Cols: dim}
 	c.valObsView = linalg.Matrix{Rows: 0, Cols: dim}
 	return c
+}
+
+// flushAlone serves call on the caller's goroutine if nothing is
+// parked and no flush is running, and says whether it did. At the
+// rates a server is normally run at that is almost every step, and it
+// saves the step two goroutine switches: to the collector and back.
+//
+//osap:hotpath
+func (c *collector) flushAlone(call *stepCall) bool {
+	if c.cfg.Window > 0 {
+		return false
+	}
+	c.mu.Lock()
+	if c.busy || len(c.parked) > 0 {
+		c.mu.Unlock()
+		return false
+	}
+	c.busy = true
+	c.mu.Unlock()
+	c.lone[0] = call
+	c.flush(c.lone[:])
+	c.lone[0] = nil
+	c.release()
+	return true
+}
+
+// release ends a flush, and wakes the run loop if steps parked while
+// it ran: the loop may have woken for them already and found the
+// scratch taken.
+func (c *collector) release() {
+	c.mu.Lock()
+	c.busy = false
+	waiting := len(c.parked) > 0
+	c.mu.Unlock()
+	if waiting {
+		select {
+		case c.wake <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // park enqueues a call and signals the collector. The first call of a
@@ -290,9 +341,15 @@ func (c *collector) run() {
 }
 
 // flushAll swaps out the parked queue and flushes it in MaxBatch
-// chunks.
+// chunks — unless a caller is flushing alone right now, whose release
+// will wake the loop again.
 func (c *collector) flushAll() {
 	c.mu.Lock()
+	if c.busy {
+		c.mu.Unlock()
+		return
+	}
+	c.busy = true
 	batch := c.parked
 	c.parked = c.spare[:0]
 	c.spare = batch
@@ -308,6 +365,7 @@ func (c *collector) flushAll() {
 	for i := range batch {
 		batch[i] = nil // drop session/obs refs until the next swap
 	}
+	c.release()
 }
 
 // flush serves one micro-batch: fused forward passes, then per-call
@@ -340,9 +398,11 @@ func (c *collector) flush(calls []*stepCall) {
 	for idx, call := range c.order {
 		if idx < nb {
 			ev := &c.ev
-			ev.deployed = c.deployedOut.Row(idx)
 			ev.dists = nil
 			ev.vals = nil
+			if idx >= nPol {
+				ev.deployed = c.deployedOut.Row(idx - nPol)
+			}
 			switch {
 			case idx < nPol:
 				ev.class = classBatchPolicy
@@ -351,6 +411,7 @@ func (c *collector) flush(calls []*stepCall) {
 					dists[m] = c.polDists[m].Row(idx)
 				}
 				ev.dists = dists
+				ev.deployed = dists[0] // member 0 is the deployed agent (rl.BatchScorer)
 			case idx < nPol+nVal:
 				ev.class = classBatchValue
 				vals := c.evVals[:len(c.valCols)]
@@ -372,9 +433,11 @@ func (c *collector) flush(calls []*stepCall) {
 
 // prepare partitions the batch as [policy | value | state | seq],
 // copies the batchable observations into the fused matrix and runs the
-// shared forward passes. Panic-contained: a fault anywhere in the
-// fused scoring reports ok=false and the caller falls back to
-// sequential serving. Like Session.decide, it is deliberately not
+// shared forward passes: every ensemble member over its rows, and the
+// deployed actor over the value and state rows only — on a policy row
+// it is member 0 of the ensemble pass. Panic-contained: a fault
+// anywhere in the fused scoring reports ok=false and the caller falls
+// back to sequential serving. Like Session.decide, it is deliberately not
 // //osap:hotpath-annotated — the deferred recover is the point, and
 // the clean path's zero-alloc guarantee is asserted empirically by
 // TestBatchedStepZeroAlloc.
@@ -417,9 +480,12 @@ func (c *collector) prepare(calls []*stepCall) (nPol, nVal, nSt int, ok bool) {
 	for r := 0; r < nb; r++ {
 		copy(c.obs.Data[r*dim:(r+1)*dim], order[r].obs)
 	}
-	c.deplView.Rows = nb
-	c.deplView.Data = c.obs.Data[:nb*dim]
-	c.deployedOut = c.scorer.Deployed(&c.deplView)
+	c.deployedOut = nil
+	if nb > nPol {
+		c.deplView.Rows = nb - nPol
+		c.deplView.Data = c.obs.Data[nPol*dim : nb*dim]
+		c.deployedOut = c.scorer.Deployed(&c.deplView)
+	}
 	c.polDists = nil
 	if nPol > 0 {
 		c.polObsView.Rows = nPol

@@ -11,6 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"osap/internal/abr"
+	"osap/internal/chaos"
+	"osap/internal/core"
+	"osap/internal/rl"
 	"osap/internal/stats"
 )
 
@@ -55,7 +59,19 @@ func obsStream(seed uint64, dim, steps int) [][]float64 {
 // produce, step for step, bit-identical results to a reference session
 // built from the same factory and stepped alone — for every scheme.
 func TestBatchedMatchesSequential(t *testing.T) {
-	s := batchTestServer(t, BatchConfig{Window: 2 * time.Millisecond, MaxBatch: 64, Collectors: 1})
+	testBatchedMatchesSequential(t, BatchConfig{Window: 2 * time.Millisecond, MaxBatch: 64, Collectors: 1})
+}
+
+// TestFlushAloneMatchesSequential is the same property with the
+// default window: a step that finds its collector idle is flushed on
+// its own goroutine, one that finds it busy parks, and twelve lanes on
+// one shard make both happen all the time.
+func TestFlushAloneMatchesSequential(t *testing.T) {
+	testBatchedMatchesSequential(t, BatchConfig{MaxBatch: 64, Collectors: 1})
+}
+
+func testBatchedMatchesSequential(t *testing.T, batch BatchConfig) {
+	s := batchTestServer(t, batch)
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 
 	schemes := s.factory.Schemes()
@@ -297,6 +313,116 @@ func TestClassifyGuard(t *testing.T) {
 		}
 		if got := classifyGuard(g); got != cls {
 			t.Errorf("%s: class %d, want %d", scheme, got, cls)
+		}
+	}
+}
+
+// TestCollectorFlushZeroAlloc calls flush itself — the body of both
+// the collector's loop and a caller's lone flush — on a singleton of
+// every scheme and on a mixed batch, and requires zero allocations.
+func TestCollectorFlushZeroAlloc(t *testing.T) {
+	s := batchTestServer(t, BatchConfig{MaxBatch: 8, Collectors: 1})
+	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
+	obs := obsStream(10, s.factory.ObsDim(), 1)[0]
+	var c *collector
+	var calls []*stepCall
+	for _, scheme := range s.factory.Schemes() {
+		sess, err := s.createSession(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = sess.gen.batcher.collectors[sess.shard]
+		calls = append(calls, &stepCall{sess: sess, obs: obs, done: make(chan struct{}, 1)})
+	}
+	flush := func(batch []*stepCall) {
+		now := time.Now()
+		for _, call := range batch {
+			call.now, call.enq = now, now
+		}
+		c.flush(batch)
+		for _, call := range batch {
+			<-call.done
+			if call.err != nil {
+				t.Fatal(call.err)
+			}
+		}
+	}
+	for _, batch := range [][]*stepCall{calls[:1], calls[1:2], calls[2:], calls} {
+		for i := 0; i < 20; i++ { // warm the scratch
+			flush(batch)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { flush(batch) }); allocs != 0 {
+			t.Errorf("flush of %d call(s) starting with %s allocates %.2f/op, want 0",
+				len(batch), batch[0].sess.scheme, allocs)
+		}
+	}
+}
+
+// TestPoisonedArtifactDemotesOnTheSameStep: a MaxFloat64-poisoned
+// artifact (chaos.PoisonNetworks) overflows in the first dense product
+// and the session must demote on the step where the non-finite score
+// surfaces — the same step whether the forwards run through the packed
+// kernel (a server session, batched) or through the layers' own
+// Forward (a guard assembled here from the allocating policies).
+func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
+	arts, err := SyntheticArtifacts("poisoned", 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ag := range arts.Agents {
+		chaos.PoisonNetworks(ag.Actor, ag.Critic) // the value ensemble is these critics
+	}
+	f, err := NewGuardFactory(arts, GuardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(f, Config{Batch: BatchConfig{Collectors: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
+
+	firstDemotion := func(step func(obs []float64) (StepResult, error)) int {
+		for i, obs := range obsStream(12, f.ObsDim(), 10) {
+			res, err := step(obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Demotion {
+				return i
+			}
+		}
+		return -1
+	}
+	for _, scheme := range []string{SchemeAEns, SchemeVEns} {
+		sess, err := s.createSession(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed := firstDemotion(func(obs []float64) (StepResult, error) { return s.stepSession(sess, obs) })
+
+		var sig core.Signal
+		alpha := arts.AlphaPi
+		if scheme == SchemeAEns {
+			sig, err = core.NewPolicySignal(rl.PolicyEnsemble(arts.Agents), f.cfg.Trim)
+		} else {
+			sig, err = core.NewValueSignal(rl.ValueEnsemble(arts.ValueNets), f.cfg.Trim)
+			alpha = arts.AlphaV
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		def := &defaultPolicy{bb: abr.NewBBPolicy(f.NumActions()), onehot: make([]float64, f.NumActions())}
+		g, err := core.NewGuard(rl.GreedyPolicy{P: arts.Agents[0]}, def, sig,
+			core.NewTrigger(core.VarianceTriggerConfig(alpha, f.cfg.TriggerL)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newSession("scalar", scheme, g, time.Now())
+		scalar := firstDemotion(func(obs []float64) (StepResult, error) { return ref.Step(obs, time.Now()) })
+
+		if packed < 0 || packed != scalar {
+			t.Errorf("%s: demoted at step %d through the packed kernel, %d through Layer.Forward", scheme, packed, scalar)
 		}
 	}
 }

@@ -70,12 +70,15 @@ func (c GuardConfig) withDefaults() GuardConfig {
 // GuardFactory builds per-session guards from one shared, read-only set
 // of trained artifacts. The artifacts (networks, OC-SVM support
 // vectors, calibrated thresholds) are never mutated after construction;
-// every NewGuard call creates private inference workspaces and signal
+// the networks are packed for inference once, here, and every session
+// and collector shard of the factory's generation reads that one copy.
+// Every NewGuard call creates private activation buffers and signal
 // state, so each returned guard is single-goroutine as usual but any
 // number of guards can run concurrently.
 type GuardFactory struct {
-	arts *experiments.Artifacts
-	cfg  GuardConfig
+	arts   *experiments.Artifacts
+	frozen *rl.Frozen
+	cfg    GuardConfig
 }
 
 // NewGuardFactory validates the artifacts against the config. The
@@ -93,14 +96,18 @@ func NewGuardFactory(arts *experiments.Artifacts, cfg GuardConfig) (*GuardFactor
 		return nil, fmt.Errorf("serve: OC-SVM dim %d != U_S feature dim %d",
 			arts.OCSVM.Dim, cfg.StateSignal.FeatureDim())
 	}
-	return &GuardFactory{arts: arts, cfg: cfg}, nil
+	frozen, err := rl.Freeze(arts.Agents, arts.ValueNets)
+	if err != nil {
+		return nil, err
+	}
+	return &GuardFactory{arts: arts, frozen: frozen, cfg: cfg}, nil
 }
 
 // ObsDim returns the observation length the deployed agent expects.
-func (f *GuardFactory) ObsDim() int { return f.arts.Agents[0].Actor.InDim() }
+func (f *GuardFactory) ObsDim() int { return f.frozen.ObsDim() }
 
 // NumActions returns the action-space size of the deployed agent.
-func (f *GuardFactory) NumActions() int { return f.arts.Agents[0].Actor.OutDim() }
+func (f *GuardFactory) NumActions() int { return f.frozen.NumActions() }
 
 // Dataset names the training distribution behind the artifacts.
 func (f *GuardFactory) Dataset() string { return f.arts.Dataset }
@@ -148,12 +155,13 @@ func (p *defaultPolicy) Probs(obs []float64) []float64 {
 }
 
 // NewGuard assembles a fresh guard for one session: the deployed agent
-// served greedily through a private workspace, the buffer-based policy
-// as the safe default, and the scheme's signal + trigger using the
-// calibrated thresholds stored in the artifacts. The returned guard is
+// served greedily through a private one-row workspace over the
+// factory's packed networks, the buffer-based policy as the safe
+// default, and the scheme's signal + trigger using the calibrated
+// thresholds stored in the artifacts. The returned guard is
 // single-goroutine; never share it across sessions.
 func (f *GuardFactory) NewGuard(scheme string) (*core.Guard, error) {
-	learned := rl.NewGreedyInference(f.arts.Agents[0])
+	learned := f.frozen.Greedy()
 	def := &defaultPolicy{bb: abr.NewBBPolicy(f.NumActions()), onehot: make([]float64, f.NumActions())}
 
 	var sig core.Signal
@@ -177,7 +185,7 @@ func (f *GuardFactory) NewGuard(scheme string) (*core.Guard, error) {
 		if len(f.arts.Agents) < 2 {
 			return nil, fmt.Errorf("serve: %s needs an agent ensemble (have %d)", SchemeAEns, len(f.arts.Agents))
 		}
-		s, err := core.NewPolicySignal(rl.InferencePolicyEnsemble(f.arts.Agents), f.cfg.Trim)
+		s, err := core.NewPolicySignal(f.frozen.Policies(), f.cfg.Trim)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +198,7 @@ func (f *GuardFactory) NewGuard(scheme string) (*core.Guard, error) {
 		if len(f.arts.ValueNets) < 2 {
 			return nil, fmt.Errorf("serve: %s needs a value ensemble (have %d)", SchemeVEns, len(f.arts.ValueNets))
 		}
-		s, err := core.NewValueSignal(rl.InferenceValueEnsemble(f.arts.ValueNets), f.cfg.Trim)
+		s, err := core.NewValueSignal(f.frozen.Values(), f.cfg.Trim)
 		if err != nil {
 			return nil, err
 		}
