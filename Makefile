@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X osap/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build build-cross test verify vet lint fmt-check race ci bench bench-hot bench-e2e bench-compare serve-bench chaos rollout-selftest recovery-selftest learn-selftest
+.PHONY: all build build-cross test verify vet lint fmt-check race ci loc bench bench-e2e bench-compare chaos rollout-selftest recovery-selftest learn-selftest
 
 all: build
 
@@ -55,14 +55,17 @@ race:
 
 ci: verify vet lint fmt-check race rollout-selftest recovery-selftest learn-selftest
 
+# Non-test lines of Go and assembly per package and in total — the size
+# ROADMAP.md tracks. Counts every line of each .go and .s file that is
+# not a _test.go file and not under a testdata/ directory.
+loc:
+	@find . -name testdata -prune -o -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' -print \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
 # Full benchmark suite (figures, ablations, latency).
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Serving hot path + OC-SVM training only (the BENCH_inference.json
-# measurements).
-bench-hot:
-	$(GO) test -run xxx -bench 'BenchmarkDecisionUS$$|BenchmarkDecisionUPi$$|BenchmarkDecisionUV$$|BenchmarkAgentInference$$|BenchmarkTrainOCSVM$$|BenchmarkFigure1$$' -benchmem .
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): four
 # workloads, end-to-end and per-layer metrics, every decision checked.
@@ -74,12 +77,6 @@ bench-e2e:
 
 bench-compare:
 	$(GO) run ./bench -compare $(A) $(B)
-
-# Guard-server load benchmark: 1000 concurrent sessions against a
-# loopback osap-serve, graceful drain under load, results in
-# BENCH_serve.json.
-serve-bench:
-	$(GO) run $(LDFLAGS) ./cmd/osap-serve -selftest -bench-out BENCH_serve.json
 
 # Fault-injection selftest (DESIGN.md §9): 1000 concurrent sessions
 # with scripted inference panics, NaN/Inf scores, injected overload,

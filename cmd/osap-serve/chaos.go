@@ -3,9 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -14,8 +11,6 @@ import (
 	"osap/internal/chaos"
 	"osap/internal/serve"
 	"osap/internal/serve/loadgen"
-	"osap/internal/stats"
-	"osap/internal/trace"
 )
 
 // runChaos is the fault-injection selftest behind -chaos: it boots the
@@ -58,55 +53,27 @@ func runChaos(cfg serve.Config, dataset string, clients, stepsPerClient int, see
 	if err != nil {
 		return err
 	}
-	if cfg.MaxSessions > 0 && cfg.MaxSessions < clients {
-		cfg.MaxSessions = clients
-	}
 	cfg.WrapGuard = sched.WrapGuard
 	binary := transport == loadgen.ProtocolBinary
 	if binary {
 		cfg.FrameFault = sched.FrameFaults()
 	}
-	srv, err := serve.NewServer(factory, cfg)
+	h, err := bootLoopback(factory, cfg, clients, binary, sched.Middleware)
 	if err != nil {
 		return err
 	}
-	srv.StartSweeper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv := h.srv
+	traces, err := tracePool(dataset, seed)
 	if err != nil {
 		return err
-	}
-	httpSrv := &http.Server{Handler: sched.Middleware(srv)}
-	go httpSrv.Serve(ln) //nolint:errcheck // Serve returns on Shutdown
-	baseURL := "http://" + ln.Addr().String()
-	var binLn net.Listener
-	if binary {
-		if binLn, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
-			return err
-		}
-		go srv.ServeBinary(binLn) //nolint:errcheck // returns on drain + close
-	}
-
-	gen, err := trace.GeneratorFor(dataset)
-	if err != nil {
-		return err
-	}
-	rng := stats.NewRNG(seed)
-	traces := make([]*trace.Trace, 16)
-	for i := range traces {
-		traces[i] = gen.Generate(rng, 200)
 	}
 
 	faulted := sched.FaultedSessions(clients)
 	wantSteps := sched.ExpectedSteps(clients, stepsPerClient)
-	stepTarget := baseURL
-	if binary {
-		stepTarget = "binary://" + binLn.Addr().String()
-	}
 	fmt.Fprintf(os.Stderr, "chaos: %d clients × %d steps against %s (seed %d): %d faulted sessions scheduled, %d total steps expected\n",
-		clients, stepsPerClient, stepTarget, seed, faulted, wantSteps)
+		clients, stepsPerClient, h.stepTarget(), seed, faulted, wantSteps)
 
-	lgCfg := loadgen.Config{
-		BaseURL:        baseURL,
+	lgCfg := h.target(loadgen.Config{
 		Clients:        clients,
 		StepsPerClient: stepsPerClient,
 		Schemes:        factory.Schemes(),
@@ -116,12 +83,7 @@ func runChaos(cfg serve.Config, dataset string, clients, stepsPerClient int, see
 		Backoff:        &loadgen.Backoff{Retries: 8},
 		ClientDelay:    func(i int) time.Duration { return sched.ClientPlan(i).SlowDelay },
 		AbortStep:      func(i int) int { return sched.ClientPlan(i).AbortStep },
-	}
-	if binary {
-		lgCfg.Protocol = loadgen.ProtocolBinary
-		lgCfg.Addr = binLn.Addr().String()
-		lgCfg.SessionsPerConn = selftestSessionsPerConn
-	}
+	})
 	start := time.Now()
 	res, err := loadgen.Run(context.Background(), lgCfg)
 	if err != nil {
@@ -130,10 +92,8 @@ func runChaos(cfg serve.Config, dataset string, clients, stepsPerClient int, see
 
 	// The fleet is quiescent but not yet drained: this is the degraded
 	// steady state the health and metrics endpoints must report.
-	var failures []string
-	fail := func(format string, args ...any) {
-		failures = append(failures, fmt.Sprintf(format, args...))
-	}
+	failed := failures{name: "chaos"}
+	fail := failed.fail
 	if res.SessionsCreated != int64(clients) {
 		fail("created %d of %d sessions", res.SessionsCreated, clients)
 	}
@@ -163,28 +123,20 @@ func runChaos(cfg serve.Config, dataset string, clients, stepsPerClient int, see
 		fail("demoted-live gauge %d before drain, want %d", got, faulted)
 	}
 
-	if body, err := scrape(baseURL + "/healthz"); err != nil {
+	if body, err := h.scrape("/healthz"); err != nil {
 		fail("healthz: %v", err)
 	} else if faulted > 0 && !strings.Contains(body, `"status":"degraded"`) {
 		fail("healthz did not report degraded: %s", strings.TrimSpace(body))
 	}
 	wantLine := fmt.Sprintf("osap_sessions_demoted_total %d", faulted)
-	if body, err := scrape(baseURL + "/metrics"); err != nil {
+	if body, err := h.scrape("/metrics"); err != nil {
 		fail("metrics: %v", err)
 	} else if !strings.Contains(body, wantLine+"\n") {
 		fail("metrics missing %q", wantLine)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx, io.Discard); err != nil {
-		fail("drain: %v", err)
-	}
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		fail("http shutdown: %v", err)
-	}
-	if binLn != nil {
-		binLn.Close() //nolint:errcheck // stops the accept loop
+	if err := h.drain(); err != nil {
+		fail("%v", err)
 	}
 	if got := srv.DemotedLive(); got != 0 {
 		fail("demoted-live gauge %d after drain, want 0", got)
@@ -196,32 +148,9 @@ func runChaos(cfg serve.Config, dataset string, clients, stepsPerClient int, see
 	fmt.Printf("chaos: %d steps ok, %d dropped, %d retries, %d/%d sessions demoted (%d panics, %d non-finite), %d degraded decisions, drained clean in %v\n",
 		res.StepsOK, res.StepsDropped, res.Retries, m.SessionsDemoted.Load(), clients,
 		m.PanicsRecovered.Load(), m.NonFiniteScores.Load(), m.DegradedSteps.Load(), time.Since(start).Round(time.Millisecond))
-	if len(failures) > 0 {
-		return fmt.Errorf("chaos: %d assertion(s) failed:\n  %s", len(failures), strings.Join(failures, "\n  "))
+	if err := failed.err(); err != nil {
+		return err
 	}
 	fmt.Println("chaos: all assertions passed")
 	return nil
-}
-
-// scrape GETs a URL, retrying rejections the chaos middleware itself
-// injects (it wraps every endpoint, including the ones we assert on).
-func scrape(url string) (string, error) {
-	var lastStatus int
-	for attempt := 0; attempt < 10; attempt++ {
-		resp, err := http.Get(url)
-		if err != nil {
-			return "", err
-		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		if err != nil {
-			return "", err
-		}
-		if resp.StatusCode == http.StatusOK {
-			return string(body), nil
-		}
-		lastStatus = resp.StatusCode
-		time.Sleep(10 * time.Millisecond)
-	}
-	return "", fmt.Errorf("GET %s: status %d after retries", url, lastStatus)
 }

@@ -25,7 +25,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -173,9 +172,6 @@ func calibAlpha(scores []float64) float64 {
 func bootLearnHarness(base serve.Config, root, dataset string, clients int,
 	opts learnConfig) (*rolloutHarness, *learn.Learner, *registry.Registry, error) {
 	cfg := base
-	if cfg.MaxSessions > 0 && cfg.MaxSessions < clients+8 {
-		cfg.MaxSessions = clients + 8
-	}
 	reg, factory, err := bootFromRegistry(&cfg, root, dataset, opts.Parent)
 	if err != nil {
 		return nil, nil, nil, err
@@ -185,34 +181,19 @@ func bootLearnHarness(base serve.Config, root, dataset string, clients int,
 		return nil, nil, nil, err
 	}
 	cfg.Learner = learner
-	srv, err := serve.NewServer(factory, cfg)
+	h, err := bootLoopback(factory, cfg, clients+probeSessions, false, nil)
 	if err != nil {
 		learner.Stop() //nolint:errcheck // construction failed; log close error is secondary
 		return nil, nil, nil, err
 	}
-	srv.StartSweeper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		learner.Stop() //nolint:errcheck // construction failed; log close error is secondary
-		return nil, nil, nil, err
-	}
-	httpSrv := &http.Server{Handler: srv}
-	go httpSrv.Serve(ln) //nolint:errcheck // Serve returns on Shutdown
-	return &rolloutHarness{
-		srv:     srv,
-		httpSrv: httpSrv,
-		ln:      ln,
-		baseURL: "http://" + ln.Addr().String(),
-		scores:  make(map[string][]float64),
-	}, learner, reg, nil
+	return &rolloutHarness{harness: h, scores: make(map[string][]float64)}, learner, reg, nil
 }
 
 // learnWave drives one fleet wave where drift(i) configures client i's
 // misreported per-step throughput factor (0 = honest).
 func (h *rolloutHarness) learnWave(clients int, seed uint64, video *abr.Video, traces []*trace.Trace,
 	drift func(i int) float64) (*loadgen.Result, error) {
-	return loadgen.Run(context.Background(), loadgen.Config{
-		BaseURL:        h.baseURL,
+	return loadgen.Run(context.Background(), h.target(loadgen.Config{
 		Clients:        clients,
 		StepsPerClient: learnSteps,
 		Schemes:        []string{serve.SchemeND},
@@ -221,7 +202,7 @@ func (h *rolloutHarness) learnWave(clients int, seed uint64, video *abr.Video, t
 		Seed:           seed,
 		Backoff:        &loadgen.Backoff{Retries: 8},
 		Adversary:      drift,
-	})
+	}))
 }
 
 // adminRefit POSTs /admin/learn {"action":"refit"} and decodes the
@@ -252,7 +233,7 @@ type learnDashDoc struct {
 }
 
 func (h *rolloutHarness) learnDashboard() (*learnDashDoc, error) {
-	body, err := scrape(h.baseURL + "/dashboard")
+	body, err := h.scrape("/dashboard")
 	if err != nil {
 		return nil, err
 	}
@@ -274,14 +255,9 @@ func runLearnSelfTest(cfg serve.Config, dataset string, clients int, seed uint64
 	logA := tmp + "/xplog-a"
 	logB := tmp + "/xplog-b"
 
-	gen, err := trace.GeneratorFor(dataset)
+	traces, err := tracePool(dataset, seed)
 	if err != nil {
 		return err
-	}
-	rng := stats.NewRNG(seed)
-	traces := make([]*trace.Trace, 16)
-	for i := range traces {
-		traces[i] = gen.Generate(rng, 200)
 	}
 	video := abr.SyntheticVideo(seed, 24, 4)
 
@@ -298,32 +274,18 @@ func runLearnSelfTest(cfg serve.Config, dataset string, clients int, seed uint64
 		return err
 	}
 
-	var failures []string
-	fail := func(format string, args ...any) {
-		failures = append(failures, fmt.Sprintf(format, args...))
-	}
-	if err := learnPhaseA(cfg, root, logA, dataset, clients, seed, video, traces, arts, grid, fail); err != nil {
+	failed := failures{name: "learn"}
+	if err := learnPhaseA(cfg, root, logA, dataset, clients, seed, video, traces, arts, grid, failed.fail); err != nil {
 		return err
 	}
-	if err := learnPhaseB(cfg, root, logB, dataset, clients, seed, video, traces, arts, grid, fail); err != nil {
+	if err := learnPhaseB(cfg, root, logB, dataset, clients, seed, video, traces, arts, grid, failed.fail); err != nil {
 		return err
 	}
-	if len(failures) > 0 {
-		return fmt.Errorf("learn: %d assertion(s) failed:\n  %s", len(failures), joinLines(failures))
+	if err := failed.err(); err != nil {
+		return err
 	}
 	fmt.Printf("learn: all assertions passed in %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
-	}
-	return out
 }
 
 // learnPhaseA is the poisoning-resistance scenario.
@@ -487,9 +449,7 @@ func learnPhaseA(cfg serve.Config, root, logDir, dataset string, clients int, se
 		fail("phase A fresh default boot chose %q, want promoted v1", bootCfg.Version)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := h.close(ctx); err != nil {
+	if err := h.drain(); err != nil {
 		fail("phase A shutdown: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "learn phase A: admitted %d of %d checked (%d state rejections), adversary %.1f vs honest %.1f per client, grid drift ok\n",
@@ -554,9 +514,7 @@ func learnPhaseB(cfg serve.Config, root, logDir, dataset string, clients int, se
 		fail("phase B proposal thresholds identical to baseline (AlphaPi=%v AlphaV=%v): no recalibration", prop.AlphaPi, prop.AlphaV)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := h.close(ctx); err != nil {
+	if err := h.drain(); err != nil {
 		fail("phase B shutdown: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "learn phase B: admitted %d cooperative steps, proposal %s on %d samples (alphaPi %.4g→%.4g)\n",

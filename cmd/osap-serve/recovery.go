@@ -4,9 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -15,8 +12,6 @@ import (
 	"osap/internal/chaos"
 	"osap/internal/serve"
 	"osap/internal/serve/loadgen"
-	"osap/internal/stats"
-	"osap/internal/trace"
 )
 
 // Defaults for the -recovery harness when -readmit-l / -readmit-cap
@@ -69,47 +64,22 @@ func runRecoveryChaos(cfg serve.Config, dataset string, clients, stepsPerClient 
 	if err != nil {
 		return err
 	}
-	if cfg.MaxSessions > 0 && cfg.MaxSessions < clients {
-		cfg.MaxSessions = clients
-	}
 	cfg.WrapGuard = sched.WrapGuard
-	srv, err := serve.NewServer(factory, cfg)
+	h, err := bootLoopback(factory, cfg, clients, transport == loadgen.ProtocolBinary, nil)
 	if err != nil {
 		return err
 	}
-	srv.StartSweeper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv := h.srv
+	traces, err := tracePool(dataset, seed)
 	if err != nil {
 		return err
-	}
-	httpSrv := &http.Server{Handler: srv}
-	go httpSrv.Serve(ln) //nolint:errcheck // Serve returns on Shutdown
-	baseURL := "http://" + ln.Addr().String()
-	binary := transport == loadgen.ProtocolBinary
-	var binLn net.Listener
-	if binary {
-		if binLn, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
-			return err
-		}
-		go srv.ServeBinary(binLn) //nolint:errcheck // returns on drain + close
-	}
-
-	gen, err := trace.GeneratorFor(dataset)
-	if err != nil {
-		return err
-	}
-	rng := stats.NewRNG(seed)
-	traces := make([]*trace.Trace, 16)
-	for i := range traces {
-		traces[i] = gen.Generate(rng, 200)
 	}
 
 	ex := sched.Expected(clients)
 	fmt.Fprintf(os.Stderr, "recovery: %d clients × %d steps (l′=%d cap=%d): expecting %d demotions (%d repeat), %d recoveries, %d permanent latches\n",
 		clients, steps, cfg.ReadmitL, cfg.ReadmitCap, ex.Demotions, ex.Redemotions, ex.Recoveries, ex.Latched)
 
-	lgCfg := loadgen.Config{
-		BaseURL:        baseURL,
+	lgCfg := h.target(loadgen.Config{
 		Clients:        clients,
 		StepsPerClient: steps,
 		Schemes:        factory.Schemes(),
@@ -118,27 +88,15 @@ func runRecoveryChaos(cfg serve.Config, dataset string, clients, stepsPerClient 
 		Seed:           seed,
 		Probation:      true,
 		ExpectDemoted:  sched.DemotedAt,
-	}
-	if binary {
-		lgCfg.Protocol = loadgen.ProtocolBinary
-		lgCfg.Addr = binLn.Addr().String()
-		lgCfg.SessionsPerConn = selftestSessionsPerConn
-	}
+	})
 	start := time.Now()
 	res, err := loadgen.Run(context.Background(), lgCfg)
 	if err != nil {
 		return fmt.Errorf("recovery: loadgen: %w", err)
 	}
 
-	var failures []string
-	fail := func(format string, args ...any) {
-		failures = append(failures, fmt.Sprintf(format, args...))
-	}
-	check := func(name string, got, want int64) {
-		if got != want {
-			fail("%s = %d, schedule requires exactly %d", name, got, want)
-		}
-	}
+	failed := failures{name: "recovery"}
+	fail, check := failed.fail, failed.check
 	check("sessions created", res.SessionsCreated, int64(clients))
 	check("steps dropped", res.StepsDropped, 0)
 	check("steps served", res.StepsOK, int64(clients)*int64(steps))
@@ -161,7 +119,7 @@ func runRecoveryChaos(cfg serve.Config, dataset string, clients, stepsPerClient 
 	check("demoted-live gauge before drain", srv.DemotedLive(), int64(ex.EndDemoted))
 	check("probation-live gauge before drain", srv.ProbationLive(), int64(ex.EndProbation))
 
-	if body, err := scrape(baseURL + "/healthz"); err != nil {
+	if body, err := h.scrape("/healthz"); err != nil {
 		fail("healthz: %v", err)
 	} else {
 		if ex.EndDemoted > 0 && !strings.Contains(body, `"status":"degraded"`) {
@@ -171,7 +129,7 @@ func runRecoveryChaos(cfg serve.Config, dataset string, clients, stepsPerClient 
 			fail("healthz missing %s", want)
 		}
 	}
-	if body, err := scrape(baseURL + "/metrics"); err != nil {
+	if body, err := h.scrape("/metrics"); err != nil {
 		fail("metrics: %v", err)
 	} else {
 		for _, want := range []string{
@@ -185,7 +143,7 @@ func runRecoveryChaos(cfg serve.Config, dataset string, clients, stepsPerClient 
 			}
 		}
 	}
-	if got, err := dashboardRecoveryTotals(baseURL); err != nil {
+	if got, err := dashboardRecoveryTotals(h); err != nil {
 		fail("dashboard: %v", err)
 	} else {
 		check("dashboard recovered_total", int64(got.recovered), int64(ex.Recoveries))
@@ -193,16 +151,8 @@ func runRecoveryChaos(cfg serve.Config, dataset string, clients, stepsPerClient 
 		check("dashboard latched_total", int64(got.latched), int64(ex.Latched))
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx, io.Discard); err != nil {
-		fail("drain: %v", err)
-	}
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		fail("http shutdown: %v", err)
-	}
-	if binLn != nil {
-		binLn.Close() //nolint:errcheck // stops the accept loop
+	if err := h.drain(); err != nil {
+		fail("%v", err)
 	}
 	check("demoted-live gauge after drain", srv.DemotedLive(), 0)
 	check("probation-live gauge after drain", srv.ProbationLive(), 0)
@@ -211,8 +161,8 @@ func runRecoveryChaos(cfg serve.Config, dataset string, clients, stepsPerClient 
 	fmt.Printf("recovery: %d steps ok, %d dropped, %d/%d sessions demoted (%d re-demotions), %d recovered, %d latched permanently, 0 flag mismatches across %d flips, drained clean in %v\n",
 		res.StepsOK, res.StepsDropped, m.SessionsDemoted.Load(), clients, m.SessionsRedemoted.Load(),
 		m.SessionsRecovered.Load(), m.SessionsLatched.Load(), ex.Demotions+ex.Recoveries, time.Since(start).Round(time.Millisecond))
-	if len(failures) > 0 {
-		return fmt.Errorf("recovery: %d assertion(s) failed:\n  %s", len(failures), strings.Join(failures, "\n  "))
+	if err := failed.err(); err != nil {
+		return err
 	}
 	fmt.Println("recovery: all assertions passed")
 	return nil
@@ -227,9 +177,9 @@ type recoveryTotals struct {
 // dashboardRecoveryTotals scrapes /dashboard and sums the recovery
 // counters across artifact versions (a -recovery run has one, but the
 // sum is the honest fleet total either way).
-func dashboardRecoveryTotals(baseURL string) (recoveryTotals, error) {
+func dashboardRecoveryTotals(h *harness) (recoveryTotals, error) {
 	var t recoveryTotals
-	body, err := scrape(baseURL + "/dashboard")
+	body, err := h.scrape("/dashboard")
 	if err != nil {
 		return t, err
 	}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -111,23 +110,14 @@ func bootFromRegistry(cfg *serve.Config, root, dataset, version string) (*regist
 const (
 	rolloutSteps      = 30 // decisions per load-wave client
 	rolloutProbeSteps = 40 // decisions per pinned probe session
+	probeSessions     = 8  // table headroom for hand-stepped probe sessions beside a wave
 )
 
 // rolloutHarness is one booted server plus the client-side state the
 // selftest accumulates against it.
 type rolloutHarness struct {
-	srv     *serve.Server
-	httpSrv *http.Server
-	ln      net.Listener
-	baseURL string
-	scores  map[string][]float64 // version → every score clients observed
-}
-
-func (h *rolloutHarness) close(ctx context.Context) error {
-	if err := h.srv.Drain(ctx, io.Discard); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	return h.httpSrv.Shutdown(ctx)
+	*harness
+	scores map[string][]float64 // version → every score clients observed
 }
 
 // bootHarness starts a loopback server from the registry with the
@@ -138,9 +128,6 @@ func (h *rolloutHarness) close(ctx context.Context) error {
 // wave.
 func bootHarness(base serve.Config, root, dataset, incumbent string, clients int) (*rolloutHarness, error) {
 	cfg := base
-	if cfg.MaxSessions > 0 && cfg.MaxSessions < clients+8 {
-		cfg.MaxSessions = clients + 8
-	}
 	cfg.Rollout = serve.RolloutConfig{
 		CanaryFraction: 0.10,
 		RollbackMargin: 0.05,
@@ -152,32 +139,18 @@ func bootHarness(base serve.Config, root, dataset, incumbent string, clients int
 	if err != nil {
 		return nil, err
 	}
-	srv, err := serve.NewServer(factory, cfg)
+	h, err := bootLoopback(factory, cfg, clients+probeSessions, false, nil)
 	if err != nil {
 		return nil, err
 	}
-	srv.StartSweeper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	httpSrv := &http.Server{Handler: srv}
-	go httpSrv.Serve(ln) //nolint:errcheck // Serve returns on Shutdown
-	return &rolloutHarness{
-		srv:     srv,
-		httpSrv: httpSrv,
-		ln:      ln,
-		baseURL: "http://" + ln.Addr().String(),
-		scores:  make(map[string][]float64),
-	}, nil
+	return &rolloutHarness{harness: h, scores: make(map[string][]float64)}, nil
 }
 
 // wave drives one load wave of `clients` synthetic viewers under one
 // uncertainty scheme (so all scores land on one drift signal) and
 // folds every observed score into the harness's per-version reference.
 func (h *rolloutHarness) wave(clients int, seed uint64, scheme string, video *abr.Video, traces []*trace.Trace) (*loadgen.Result, error) {
-	return loadgen.Run(context.Background(), loadgen.Config{
-		BaseURL:        h.baseURL,
+	return loadgen.Run(context.Background(), h.target(loadgen.Config{
 		Clients:        clients,
 		StepsPerClient: rolloutSteps,
 		Schemes:        []string{scheme},
@@ -188,7 +161,7 @@ func (h *rolloutHarness) wave(clients int, seed uint64, scheme string, video *ab
 		ScoreSink: func(version string, scores []float64) {
 			h.scores[version] = append(h.scores[version], scores...)
 		},
-	})
+	}))
 }
 
 // probeDecision is one decision of a pinned probe session, kept
@@ -325,7 +298,7 @@ type dashboardDoc struct {
 }
 
 func (h *rolloutHarness) dashboard() (*dashboardDoc, error) {
-	body, err := scrape(h.baseURL + "/dashboard")
+	body, err := h.scrape("/dashboard")
 	if err != nil {
 		return nil, err
 	}
@@ -385,31 +358,21 @@ func runRolloutSelfTest(cfg serve.Config, dataset string, clients int, seed uint
 	if err := publish("v1", "", "rollout selftest incumbent", nil); err != nil {
 		return err
 	}
-	gen, err := trace.GeneratorFor(dataset)
+	traces, err := tracePool(dataset, seed)
 	if err != nil {
 		return err
 	}
-	rng := stats.NewRNG(seed)
-	traces := make([]*trace.Trace, 16)
-	for i := range traces {
-		traces[i] = gen.Generate(rng, 200)
-	}
 	video := abr.SyntheticVideo(seed, 24, 4)
 
-	var failures []string
-	fail := func(format string, args ...any) {
-		failures = append(failures, fmt.Sprintf(format, args...))
-	}
-
-	if err := rolloutPhaseA(cfg, root, dataset, clients, seed, video, traces, publish, fail); err != nil {
+	failed := failures{name: "rollout"}
+	if err := rolloutPhaseA(cfg, root, dataset, clients, seed, video, traces, publish, failed.fail); err != nil {
 		return err
 	}
-	if err := rolloutPhaseBC(cfg, root, dataset, clients, seed, video, traces, publish, fail); err != nil {
+	if err := rolloutPhaseBC(cfg, root, dataset, clients, seed, video, traces, publish, failed.fail); err != nil {
 		return err
 	}
-
-	if len(failures) > 0 {
-		return fmt.Errorf("rollout: %d assertion(s) failed:\n  %s", len(failures), strings.Join(failures, "\n  "))
+	if err := failed.err(); err != nil {
+		return err
 	}
 	fmt.Printf("rollout: all assertions passed in %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
@@ -543,9 +506,7 @@ func rolloutPhaseA(cfg serve.Config, root, dataset string, clients int, seed uin
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := h.close(ctx); err != nil {
+	if err := h.drain(); err != nil {
 		fail("phase A shutdown: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "rollout phase A: promoted v2 with %.1f%% canary share, %d+%d steps, 0 dropped\n",
@@ -669,15 +630,13 @@ func rolloutPhaseBC(cfg serve.Config, root, dataset string, clients int, seed ui
 	if status != http.StatusConflict {
 		fail("phase C: staging corrupt version returned %d (%s), want 409", status, body)
 	}
-	if hb, err := scrape(h.baseURL + "/healthz"); err != nil {
+	if hb, err := h.scrape("/healthz"); err != nil {
 		fail("phase C healthz: %v", err)
 	} else if !strings.Contains(hb, `"status":"`) {
 		fail("phase C healthz unparseable: %s", hb)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := h.close(ctx); err != nil {
+	if err := h.drain(); err != nil {
 		fail("phase B/C shutdown: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "rollout phase B/C: auto-rollback after %d demoted canary sessions, corrupt stage refused, 0 dropped\n",

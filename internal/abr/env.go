@@ -240,14 +240,6 @@ func (e *Env) BufferSec() float64 { return e.bufferSec }
 // ChunkIndex returns the index of the next chunk to download.
 func (e *Env) ChunkIndex() int { return e.chunk }
 
-// TraceName returns the active trace's name (empty before Reset).
-func (e *Env) TraceName() string {
-	if e.trace == nil {
-		return ""
-	}
-	return e.trace.Name
-}
-
 // observation builds the Pensieve 6×8 state matrix.
 func (e *Env) observation() []float64 {
 	return BuildObservation(e.cfg.Video, e.lastLevel, e.bufferSec, e.chunk, e.thrHist, e.dlHist)

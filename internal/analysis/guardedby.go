@@ -20,7 +20,7 @@ import (
 //     not some other shard's lock — or
 //   - inside a method of the owning struct whose name ends in
 //     "Locked", the repo's caller-holds-the-lock convention
-//     (serveSafeLocked, finishLocked, promoteLocked, ...).
+//     (serveSafeLocked, settleLocked, promoteLocked, ...).
 //
 // The named mutex must be a sibling field of sync.Mutex or
 // sync.RWMutex type (directly or behind a pointer); a directive naming

@@ -61,12 +61,3 @@ func (RandomPolicy) Probs([]float64) []float64 {
 	}
 	return out
 }
-
-// FixedRatePolicy always holds the current rate — useful as a
-// do-nothing reference in tests.
-type FixedRatePolicy struct{}
-
-// Probs implements mdp.Policy.
-func (FixedRatePolicy) Probs([]float64) []float64 {
-	return mdp.OneHot(len(RateFactors), actHold)
-}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"osap/internal/core"
-	"osap/internal/mdp"
 )
 
 // faultSignal wraps a session's uncertainty signal with its scheduled
@@ -58,40 +57,3 @@ func (f *faultSignal) Reset() { f.inner.Reset() }
 
 // Name implements core.Signal.
 func (f *faultSignal) Name() string { return f.inner.Name() }
-
-// PoisonPolicy wraps a policy so its action distribution carries a NaN
-// from call After onward — the "NaN leaks out of nn.ForwardWS" fault
-// shape, for unit tests of non-finite-probs handling. The inner
-// policy's buffer is never mutated; the poison lives in a private
-// copy.
-type PoisonPolicy struct {
-	Inner mdp.Policy
-	After int
-
-	calls int
-	buf   []float64
-}
-
-// Probs implements mdp.Policy.
-func (p *PoisonPolicy) Probs(obs []float64) []float64 {
-	probs := p.Inner.Probs(obs)
-	call := p.calls
-	p.calls++
-	if call < p.After {
-		return probs
-	}
-	if cap(p.buf) < len(probs) {
-		p.buf = make([]float64, len(probs))
-	}
-	buf := p.buf[:len(probs)]
-	copy(buf, probs)
-	buf[0] = math.NaN()
-	return buf
-}
-
-// PanicPolicy is a policy that panics on every call — the bluntest
-// inference fault, for unit tests.
-type PanicPolicy struct{}
-
-// Probs implements mdp.Policy.
-func (PanicPolicy) Probs([]float64) []float64 { panic("chaos: injected policy panic") }

@@ -78,6 +78,23 @@ func (d Decision) Policy() string {
 //osap:hotpath
 func (g *Guard) Decide(obs []float64) Decision {
 	score := g.Signal.Observe(obs) //osap:hotpath-stop production Signal implementations are annotated and alloc-tested
+	return g.DecideWith(obs, score, nil)
+}
+
+// DecideWith is the body of every decision — bookkeeping, the
+// non-finite rule, the trigger, the acting distribution — with the
+// uncertainty score supplied by the caller, and the learned policy's
+// distribution too unless learned is nil, in which case the policy is
+// evaluated here, and only on a step it acts on (that is Decide). A
+// cross-session batch engine that evaluated the signal's ensemble and
+// the deployed actor in fused forward passes supplies both: given a
+// score bit-identical to g.Signal.Observe(obs) and learned
+// bit-identical to g.Learned.Probs(obs), the returned Decision is
+// identical to Decide's. The learned slice is passed through into
+// Decision.Probs on the learned path — callers own its lifetime.
+//
+//osap:hotpath
+func (g *Guard) DecideWith(obs []float64, score float64, learned []float64) Decision {
 	if g.record {
 		//osap:ignore hotpath-alloc diagnostics-only recording, off in serving (RecordScores)
 		g.scores = append(g.scores, score)
@@ -99,44 +116,9 @@ func (g *Guard) Decide(obs []float64) Decision {
 		d.UsedDefault = true
 		d.Probs = g.Default.Probs(obs) //osap:hotpath-stop the fallback policy (serve defaultPolicy over abr BB) is annotated
 	} else {
-		d.Probs = g.Learned.Probs(obs) //osap:hotpath-stop learned members are annotated rl inference sessions
-	}
-	d.Fired = g.Trigger.Fired() //osap:hotpath-stop core.Trigger is annotated; the interface is a test seam
-	return d
-}
-
-// DecideWith is the batched form of Decide: the uncertainty score and
-// the learned policy's distribution are supplied by the caller (a
-// cross-session batch engine that evaluated the signal's ensemble and
-// the deployed actor in fused forward passes), while the trigger
-// advance, defaulting rules and episode bookkeeping stay here. Given a
-// score bit-identical to g.Signal.Observe(obs) and learned
-// bit-identical to g.Learned.Probs(obs), the returned Decision is
-// identical to Decide's. The learned slice is passed through into
-// Decision.Probs on the learned path — callers own its lifetime.
-//
-//osap:hotpath
-func (g *Guard) DecideWith(obs []float64, score float64, learned []float64) Decision {
-	if g.record {
-		//osap:ignore hotpath-alloc diagnostics-only recording, off in serving (RecordScores)
-		g.scores = append(g.scores, score)
-	}
-	d := Decision{Score: score, Step: g.steps}
-	g.steps++
-	if math.IsNaN(score) || math.IsInf(score, 0) {
-		// Same rule as Decide: non-finite means maximal uncertainty, act
-		// with the default policy but keep the trigger unpoisoned.
-		g.defaulted++
-		d.UsedDefault = true
-		d.Fired = g.Trigger.Fired()    //osap:hotpath-stop core.Trigger is annotated; the interface is a test seam
-		d.Probs = g.Default.Probs(obs) //osap:hotpath-stop the fallback policy (serve defaultPolicy over abr BB) is annotated
-		return d
-	}
-	if g.Trigger.Step(score) { //osap:hotpath-stop core.Trigger is annotated; the interface is a test seam
-		g.defaulted++
-		d.UsedDefault = true
-		d.Probs = g.Default.Probs(obs) //osap:hotpath-stop the fallback policy (serve defaultPolicy over abr BB) is annotated
-	} else {
+		if learned == nil {
+			learned = g.Learned.Probs(obs) //osap:hotpath-stop learned members are annotated rl inference sessions
+		}
 		d.Probs = learned
 	}
 	d.Fired = g.Trigger.Fired() //osap:hotpath-stop core.Trigger is annotated; the interface is a test seam

@@ -6,11 +6,10 @@ import (
 	"osap/internal/stats"
 )
 
-// An Initializer fills a network's parameters with random starting
+// The initializers fill a network's parameters with random starting
 // values. The paper's ensemble uncertainty signals (U_π, U_V) rest on
 // exactly this degree of freedom: ensemble members are identical except
 // for the random initialization of their network variables (§2.4).
-type Initializer func(net *Network, rng *stats.RNG)
 
 // fanDims returns (fanIn, fanOut) for a weight tensor of a layer.
 func fanDims(l Layer) (int, int) {

@@ -15,7 +15,7 @@ type DenseLayer struct {
 }
 
 // Dense returns an uninitialized fully connected layer; apply an
-// Initializer (or deserialize weights) before use.
+// initializer (HeInit, XavierInit) or deserialize weights before use.
 func Dense(in, out int) *DenseLayer {
 	if in <= 0 || out <= 0 {
 		panic(fmt.Sprintf("nn: Dense(%d,%d) invalid dims", in, out))

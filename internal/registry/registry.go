@@ -44,9 +44,6 @@ func Open(root string) (*Registry, error) {
 	return &Registry{root: root}, nil
 }
 
-// Root returns the registry's root directory.
-func (r *Registry) Root() string { return r.root }
-
 // Versions lists published version names in sorted order. Staging
 // temp dirs (dot-prefixed) and stray files are skipped.
 func (r *Registry) Versions() ([]string, error) {

@@ -88,12 +88,6 @@ func (b *BatchScorer) NumValueNets() int { return len(b.valueWS) }
 // ObsDim returns the observation length every row must have.
 func (b *BatchScorer) ObsDim() int { return b.obsDim }
 
-// HasPolicyEnsemble reports whether PolicyDists is available.
-func (b *BatchScorer) HasPolicyEnsemble() bool { return b.memberWS != nil }
-
-// HasValueEnsemble reports whether Values is available.
-func (b *BatchScorer) HasValueEnsemble() bool { return b.valueWS != nil }
-
 // Deployed runs the deployed agent's actor over obs: row r of the
 // result is bit-identical to PolicyInference.Probs(obs.Row(r)). The
 // matrix aliases scorer-owned memory, valid until the next Deployed

@@ -97,7 +97,7 @@ func TestBatchScorerSingleAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scorer.HasPolicyEnsemble() || scorer.HasValueEnsemble() {
+	if scorer.NumMembers() != 0 || scorer.NumValueNets() != 0 {
 		t.Fatal("single-agent scorer must not report ensembles")
 	}
 	rng := stats.NewRNG(2)

@@ -299,7 +299,11 @@ func TestValueFunctionLearnsReturns(t *testing.T) {
 	cfg.LR = 5e-3
 	cfg.Seed = 11
 	cfg.InitSeed = 11
-	net, err := TrainValueFunction(toyFactory, optimal, cfg)
+	ds, err := CollectValueDataset(toyFactory, optimal, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := TrainValueOnDataset(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,113 +485,5 @@ func TestCollectObservations(t *testing.T) {
 		if len(o) != 8 {
 			t.Fatal("bad observation length")
 		}
-	}
-}
-
-func toyPPOConfig() PPOConfig {
-	return PPOConfig{
-		Net:             toyNetConfig(),
-		Gamma:           0.9,
-		Lambda:          0.95,
-		Iterations:      40,
-		RolloutsPerIter: 8,
-		OptEpochs:       3,
-		BatchSize:       64,
-		ClipEps:         0.2,
-		LRActor:         3e-3,
-		LRCritic:        1e-2,
-		EntropyCoef:     0.01,
-		GradClip:        5,
-		Seed:            5,
-		Workers:         2,
-	}
-}
-
-func TestPPOLearnsCueTask(t *testing.T) {
-	agent, st, err := TrainPPO(toyFactory, toyPPOConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	early := stats.Mean(st.MeanReward[:5])
-	late := stats.Mean(st.MeanReward[len(st.MeanReward)-5:])
-	if late < early+2 {
-		t.Errorf("PPO did not learn: early %.2f late %.2f", early, late)
-	}
-	scores := EvaluateAgent(toyFactory, agent, 7, 20)
-	if m := stats.Mean(scores); m < 8 {
-		t.Errorf("PPO greedy mean reward %.2f, want > 8/10", m)
-	}
-}
-
-func TestPPODeterministic(t *testing.T) {
-	cfg := toyPPOConfig()
-	cfg.Iterations = 4
-	run := func() []float64 {
-		agent, _, err := TrainPPO(toyFactory, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ws []float64
-		for _, p := range agent.Actor.Params() {
-			ws = append(ws, p.W...)
-		}
-		return ws
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("PPO training not deterministic")
-		}
-	}
-}
-
-func TestPPOConfigValidation(t *testing.T) {
-	bad := []func(*PPOConfig){
-		func(c *PPOConfig) { c.Gamma = 0 },
-		func(c *PPOConfig) { c.Lambda = 1.5 },
-		func(c *PPOConfig) { c.Iterations = 0 },
-		func(c *PPOConfig) { c.ClipEps = 0 },
-		func(c *PPOConfig) { c.ClipEps = 1 },
-		func(c *PPOConfig) { c.LRCritic = 0 },
-	}
-	for i, mutate := range bad {
-		cfg := toyPPOConfig()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: expected validation error", i)
-		}
-	}
-	if err := DefaultPPOConfig().Validate(); err != nil {
-		t.Errorf("default PPO config invalid: %v", err)
-	}
-}
-
-func TestPPOValidatesEnvShape(t *testing.T) {
-	cfg := toyPPOConfig()
-	cfg.Net.Actions = 7
-	if _, _, err := TrainPPO(toyFactory, cfg); err == nil {
-		t.Error("expected env shape mismatch error")
-	}
-}
-
-func TestPPOAgentWorksWithValueEnsemble(t *testing.T) {
-	// The PPO artifact must be a drop-in ActorCritic: train a value
-	// ensemble against it, as the U_V pipeline does.
-	cfg := toyPPOConfig()
-	cfg.Iterations = 3
-	agent, _, err := TrainPPO(toyFactory, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vcfg := DefaultValueTrainConfig()
-	vcfg.Net = toyNetConfig()
-	vcfg.Episodes = 2
-	vcfg.Passes = 1
-	nets, err := TrainValueEnsemble(toyFactory, agent, vcfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nets) != 2 {
-		t.Fatal("value ensemble incomplete")
 	}
 }

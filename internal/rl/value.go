@@ -151,16 +151,6 @@ func TrainValueOnDataset(ds []valueSample, cfg ValueTrainConfig) (*nn.Network, e
 	return net, nil
 }
 
-// TrainValueFunction collects a dataset from the frozen policy and fits
-// one value network to it.
-func TrainValueFunction(factory EnvFactory, policy mdp.Policy, cfg ValueTrainConfig) (*nn.Network, error) {
-	ds, err := CollectValueDataset(factory, policy, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return TrainValueOnDataset(ds, cfg)
-}
-
 // NetValueFn adapts a critic network to mdp.ValueFn.
 type NetValueFn struct{ Net *nn.Network }
 

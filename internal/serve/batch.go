@@ -14,9 +14,14 @@ package serve
 // sessions' observations into one matrix, runs each network once over
 // the whole batch (rl.BatchScorer), and completes every parked call
 // with inputs bit-identical to what its private guard would have
-// computed alone. Per-session state (signal scratch, trigger, episode
-// bookkeeping) is still advanced under the session's own lock, so the
-// sequential and batched paths are observably identical.
+// computed alone.
+//
+// There is one step path: Session.step(obs, ev, now). The collector
+// passes in ev what the fused forwards computed for the session; ev ==
+// nil (Session.Step) makes the guard run its own forwards and is the
+// sequential reference the batched path is tested against. Per-session
+// state (signal scratch, trigger, mode, episode bookkeeping) advances
+// in that one function under the session's own lock either way.
 //
 // Sharding: sessions are assigned round-robin to one of N collectors
 // at creation (N defaults to GOMAXPROCS); a session's steps always
@@ -41,12 +46,9 @@ import (
 type batchClass uint8
 
 const (
-	// classSeq: the learned policy is not the stock greedy inference —
-	// the step runs entirely on the sequential path.
-	classSeq batchClass = iota
 	// classBatchState: deployed forward is batched; the signal (U_S, or
 	// any wrapped/custom signal) is evaluated sequentially via Observe.
-	classBatchState
+	classBatchState batchClass = iota
 	// classBatchPolicy: deployed forward and U_π member forwards batched.
 	classBatchPolicy
 	// classBatchValue: deployed forward and U_V member forwards batched.
@@ -54,13 +56,12 @@ const (
 )
 
 // classifyGuard inspects a freshly built guard and picks the widest
-// batch class its concrete types support. Anything unrecognized —
-// chaos-wrapped signals, custom policies — degrades gracefully to a
-// narrower class, never to an error.
+// batch class its signal's concrete type supports. Anything
+// unrecognized — a chaos-wrapped signal — degrades to classBatchState,
+// never to an error. The deployed forward is batched for every class:
+// the learned policy is always the factory's rl.GreedyInference
+// (Config.WrapGuard may replace only the signal).
 func classifyGuard(g *core.Guard) batchClass {
-	if _, ok := g.Learned.(*rl.GreedyInference); !ok {
-		return classSeq
-	}
 	switch g.Signal.(type) {
 	case *core.PolicySignal:
 		return classBatchPolicy
@@ -73,9 +74,6 @@ func classifyGuard(g *core.Guard) batchClass {
 
 // BatchConfig sizes the micro-batching engine.
 type BatchConfig struct {
-	// Disable turns cross-session batching off; every step runs on the
-	// sequential per-session path.
-	Disable bool
 	// Window is how long a collector waits after the first parked step
 	// before flushing. Zero or negative — the default — flushes as soon
 	// as the collector wakes: under light load a lone step never waits,
@@ -120,8 +118,8 @@ type stepCall struct {
 
 var callPool = sync.Pool{New: func() any { return &stepCall{done: make(chan struct{}, 1)} }}
 
-// Batcher owns the collector shards. Built by NewServer unless
-// BatchConfig.Disable is set.
+// Batcher owns the collector shards; every Generation a Server serves
+// has one.
 type Batcher struct {
 	cfg        BatchConfig
 	collectors []*collector
@@ -201,7 +199,7 @@ type collector struct {
 
 	// Flush scratch (whoever holds busy).
 	lone        [1]*stepCall  // flushAlone's batch of one
-	order       []*stepCall   // calls reordered [policy | value | state | seq]
+	order       []*stepCall   // calls reordered [policy | value | state]
 	obs         linalg.Matrix // fused observations, MaxBatch×obsDim capacity
 	deplView    linalg.Matrix // row-limited views into obs for the scorer
 	polObsView  linalg.Matrix
@@ -382,7 +380,7 @@ func (c *collector) flush(calls []*stepCall) {
 		qh.Observe(start.Sub(call.enq).Seconds())
 	}
 	dh := c.metrics.DecisionLatency
-	nPol, nVal, nSt, ok := c.prepare(calls) //osap:hotpath-stop prepare is panic containment by design; clean path asserted by TestBatchedStepZeroAlloc
+	nPol, nVal, ok := c.prepare(calls) //osap:hotpath-stop prepare is panic containment by design; clean path asserted by TestBatchedStepZeroAlloc
 	if !ok {
 		// The fused scoring faulted. Serve every call sequentially so
 		// the fault surfaces on (and demotes) the session that owns it,
@@ -394,54 +392,48 @@ func (c *collector) flush(calls []*stepCall) {
 		}
 		return
 	}
-	nb := nPol + nVal + nSt
 	for idx, call := range c.order {
-		if idx < nb {
-			ev := &c.ev
-			ev.dists = nil
-			ev.vals = nil
-			if idx >= nPol {
-				ev.deployed = c.deployedOut.Row(idx - nPol)
+		ev := &c.ev
+		ev.dists = nil
+		ev.vals = nil
+		switch {
+		case idx < nPol:
+			ev.class = classBatchPolicy
+			dists := c.evDists[:len(c.polDists)]
+			for m := range c.polDists {
+				dists[m] = c.polDists[m].Row(idx)
 			}
-			switch {
-			case idx < nPol:
-				ev.class = classBatchPolicy
-				dists := c.evDists[:len(c.polDists)]
-				for m := range c.polDists {
-					dists[m] = c.polDists[m].Row(idx)
-				}
-				ev.dists = dists
-				ev.deployed = dists[0] // member 0 is the deployed agent (rl.BatchScorer)
-			case idx < nPol+nVal:
-				ev.class = classBatchValue
-				vals := c.evVals[:len(c.valCols)]
-				for m := range c.valCols {
-					vals[m] = c.valCols[m][idx-nPol]
-				}
-				ev.vals = vals
-			default:
-				ev.class = classBatchState
+			ev.dists = dists
+			ev.deployed = dists[0] // member 0 is the deployed agent (rl.BatchScorer)
+		case idx < nPol+nVal:
+			ev.class = classBatchValue
+			ev.deployed = c.deployedOut.Row(idx - nPol)
+			vals := c.evVals[:len(c.valCols)]
+			for m := range c.valCols {
+				vals[m] = c.valCols[m][idx-nPol]
 			}
-			call.res, call.err = call.sess.stepBatched(call.obs, ev, call.now)
-		} else {
-			call.res, call.err = call.sess.Step(call.obs, call.now)
+			ev.vals = vals
+		default:
+			ev.class = classBatchState
+			ev.deployed = c.deployedOut.Row(idx - nPol)
 		}
+		call.res, call.err = call.sess.step(call.obs, ev, call.now)
 		dh.Observe(time.Since(start).Seconds())
 		call.done <- struct{}{}
 	}
 }
 
-// prepare partitions the batch as [policy | value | state | seq],
-// copies the batchable observations into the fused matrix and runs the
-// shared forward passes: every ensemble member over its rows, and the
-// deployed actor over the value and state rows only — on a policy row
-// it is member 0 of the ensemble pass. Panic-contained: a fault
-// anywhere in the fused scoring reports ok=false and the caller falls
-// back to sequential serving. Like Session.decide, it is deliberately not
+// prepare partitions the batch as [policy | value | state], copies the
+// observations into the fused matrix and runs the shared forward
+// passes: every ensemble member over its rows, and the deployed actor
+// over the value and state rows only — on a policy row it is member 0
+// of the ensemble pass. Panic-contained: a fault anywhere in the fused
+// scoring reports ok=false and the caller falls back to sequential
+// serving. Like Session.decide, it is deliberately not
 // //osap:hotpath-annotated — the deferred recover is the point, and
 // the clean path's zero-alloc guarantee is asserted empirically by
 // TestBatchedStepZeroAlloc.
-func (c *collector) prepare(calls []*stepCall) (nPol, nVal, nSt int, ok bool) {
+func (c *collector) prepare(calls []*stepCall) (nPol, nVal int, ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false
@@ -465,17 +457,8 @@ func (c *collector) prepare(calls []*stepCall) (nPol, nVal, nSt int, ok bool) {
 			order = append(order, call)
 		}
 	}
-	nSt = len(order) - nPol - nVal
-	for _, call := range calls {
-		if call.sess.class == classSeq {
-			order = append(order, call)
-		}
-	}
 	c.order = order
-	nb := nPol + nVal + nSt
-	if nb == 0 {
-		return nPol, nVal, nSt, true
-	}
+	nb := len(order)
 	dim := c.scorer.ObsDim()
 	for r := 0; r < nb; r++ {
 		copy(c.obs.Data[r*dim:(r+1)*dim], order[r].obs)
@@ -498,5 +481,5 @@ func (c *collector) prepare(calls []*stepCall) (nPol, nVal, nSt int, ok bool) {
 		c.valObsView.Data = c.obs.Data[nPol*dim : (nPol+nVal)*dim]
 		c.valCols = c.scorer.Values(&c.valObsView)
 	}
-	return nPol, nVal, nSt, true
+	return nPol, nVal, true
 }

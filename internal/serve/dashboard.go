@@ -259,21 +259,16 @@ func (s *Server) stageVersion(version string, fraction float64) (*Generation, er
 		return nil, fmt.Errorf("serve: version %s serves dataset %q, server is bound to %q",
 			version, f.Dataset(), s.factory.Dataset())
 	}
-	gen := newGeneration(version, checksum, f, nil)
-	if !s.cfg.Batch.Disable {
-		b, err := newBatcher(f, s.metrics, s.cfg.Batch)
-		if err != nil {
-			return nil, err
-		}
-		gen.batcher = b
+	b, err := newBatcher(f, s.metrics, s.cfg.Batch)
+	if err != nil {
+		return nil, err
 	}
+	gen := newGeneration(version, checksum, f, b)
 	staged, err := s.rollout.Stage(gen, fraction, s.cfg.Now())
 	if err != nil || staged != gen {
 		// Either the stage was refused or a concurrent stage of the same
 		// version won with a cached generation; this one never served.
-		if gen.batcher != nil {
-			gen.batcher.Stop()
-		}
+		b.Stop()
 	}
 	return staged, err
 }

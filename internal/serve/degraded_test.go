@@ -309,12 +309,9 @@ func TestTableChurnRacingSweeper(t *testing.T) {
 	close(stop)
 	sweeps.Wait()
 
-	n := 0
-	tb.Range(func(*Session) { n++ })
-	if n != tb.Len() {
-		t.Fatalf("Range saw %d sessions, Len reports %d", n, tb.Len())
+	if n, cleared := tb.Len(), tb.Clear(); cleared != n {
+		t.Fatalf("Clear removed %d sessions, Len reported %d", cleared, n)
 	}
-	tb.Clear()
 	if tb.Len() != 0 {
 		t.Fatalf("Len = %d after Clear, want 0", tb.Len())
 	}

@@ -280,7 +280,6 @@ func (c *client) classifyMuxDeath(ctx context.Context) {
 // binary analogue of the HTTP create path. The returned status reuses
 // HTTP codes so Run's classification is transport-agnostic.
 func (c *client) createBinary(ctx context.Context) (int, error) {
-	start := time.Now()
 	if err := c.mux.ensureDial(ctx); err != nil {
 		if errors.Is(err, errDraining) {
 			return http.StatusServiceUnavailable, err
@@ -301,7 +300,6 @@ func (c *client) createBinary(ctx context.Context) (int, error) {
 		switch rep.typ {
 		case proto.TypeOpened:
 			c.sessionID = rep.id
-			c.connSetup = time.Since(start)
 			return http.StatusCreated, nil
 		case proto.TypeError:
 			retryable := rep.code == proto.CodeTooMany ||

@@ -2,8 +2,8 @@
 // clients: each client runs a private chunk-level ABR environment
 // (internal/abr) over the trace pool and asks a remote osap-serve
 // instance for every bitrate decision, exactly the round trip a real
-// player would make. It backs `osap-serve -selftest`, the serve
-// benchmarks and BENCH_serve.json.
+// player would make. It backs `osap-serve -selftest` and the chaos,
+// recovery, rollout and learn selftests.
 package loadgen
 
 import (
@@ -161,7 +161,6 @@ type Result struct {
 	// version, so binary runs leave this empty).
 	VersionCounts map[string]int64
 	latencies     []time.Duration
-	connSetups    []time.Duration
 }
 
 // Throughput returns served steps per second over the run.
@@ -175,15 +174,6 @@ func (r *Result) Throughput() float64 {
 // LatencyQuantile returns the q-th (0..1) client-observed step latency.
 func (r *Result) LatencyQuantile(q float64) time.Duration {
 	return quantile(r.latencies, q)
-}
-
-// ConnSetupQuantile returns the q-th (0..1) session-establishment
-// cost: for the binary protocol, dial + Hello/Welcome + Open/Opened;
-// for HTTP, the session-create request. Reported separately from step
-// latency so the persistent protocol's amortized advantage is visible
-// next to its up-front cost.
-func (r *Result) ConnSetupQuantile(q float64) time.Duration {
-	return quantile(r.connSetups, q)
 }
 
 func quantile(sorted []time.Duration, q float64) time.Duration {
@@ -211,7 +201,6 @@ type client struct {
 	mux       *binMux // shared binary connection (Protocol binary only)
 	slot      uint32  // this session's channel id on the mux
 	seq       uint32
-	connSetup time.Duration
 
 	drift    float64   // adversary per-step drift factor (0 = honest)
 	driftAcc float64   // compounded drift applied to the reported obs
@@ -360,12 +349,10 @@ func (c *client) step(ctx context.Context) bool {
 
 func (c *client) createHTTP(ctx context.Context) (int, error) {
 	body, _ := json.Marshal(map[string]string{"scheme": c.scheme})
-	start := time.Now()
 	resp, _, err := c.do(ctx, c.cfg.BaseURL+"/v1/sessions", body)
 	if err != nil {
 		return 0, err
 	}
-	c.connSetup = time.Since(start)
 	defer drainBody(resp)
 	if resp.StatusCode != http.StatusCreated {
 		return resp.StatusCode, fmt.Errorf("create: status %s", resp.Status)
@@ -663,7 +650,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				cfg.ScoreSink(c.version, c.scores)
 			}
 			res.latencies = append(res.latencies, c.latencies...)
-			res.connSetups = append(res.connSetups, c.connSetup)
 			mu.Unlock()
 		}(i)
 	}
@@ -675,6 +661,5 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res.SessionsCreated = created.Load()
 	res.SessionsRejected = rejected.Load()
 	sort.Slice(res.latencies, func(a, b int) bool { return res.latencies[a] < res.latencies[b] })
-	sort.Slice(res.connSetups, func(a, b int) bool { return res.connSetups[a] < res.connSetups[b] })
 	return res, nil
 }

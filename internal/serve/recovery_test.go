@@ -7,6 +7,7 @@ import (
 
 	"osap/internal/abr"
 	"osap/internal/core"
+	"osap/internal/learn"
 	"osap/internal/stats"
 )
 
@@ -356,12 +357,8 @@ func TestShadowStepZeroAlloc(t *testing.T) {
 		obs := make([]float64, abr.ObsDim)
 		now := time.Now()
 		s.mu.Lock()
-		s.demoteLocked(demoteScore, "test: pre-demoted")
-		latched := s.demoteLatch
+		s.mode = modeProbation
 		s.mu.Unlock()
-		if latched {
-			t.Fatalf("%s: pre-demoted session latched, want probation", scheme)
-		}
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := s.Step(obs, now); err != nil {
 				t.Fatal(err)
@@ -373,7 +370,7 @@ func TestShadowStepZeroAlloc(t *testing.T) {
 
 		// The permanently-latched path (safe policy only, no shadow).
 		s.mu.Lock()
-		s.demoteLatch = true
+		s.mode = modeLatchedScore
 		s.mu.Unlock()
 		allocs = testing.AllocsPerRun(200, func() {
 			if _, err := s.Step(obs, now); err != nil {
@@ -383,5 +380,254 @@ func TestShadowStepZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: latched Step allocates %.1f/op, want 0", scheme, allocs)
 		}
+	}
+}
+
+// modeFlag names one StepResult flag (or, on a reset row, one
+// ResetOutcome field) so a table row can state the exact set it expects.
+type modeFlag uint16
+
+const (
+	fFirstFiring modeFlag = 1 << iota
+	fDemoted
+	fDemotion
+	fFirstDemotion
+	fRedemotion
+	fPanic
+	fProbation
+	fRecovered
+	fLatched
+	fGate
+	fCleared      // ResetOutcome.ClearedDemotion
+	fWasProbation // ResetOutcome.WasProbation
+)
+
+func stepModeFlags(r StepResult) modeFlag {
+	var f modeFlag
+	for _, b := range []struct {
+		on  bool
+		bit modeFlag
+	}{
+		{r.FirstFiring, fFirstFiring}, {r.Demoted, fDemoted}, {r.Demotion, fDemotion},
+		{r.FirstDemotion, fFirstDemotion}, {r.Redemotion, fRedemotion}, {r.PanicRecovered, fPanic},
+		{r.Probation, fProbation}, {r.Recovered, fRecovered}, {r.Latched, fLatched}, {r.GateChecked, fGate},
+	} {
+		if b.on {
+			f |= b.bit
+		}
+	}
+	return f
+}
+
+// modeScript is the table test's signal: it returns the score the
+// current row set, panics where the row says so, and counts its calls
+// so a row can tell whether the guard ran.
+type modeScript struct {
+	next  float64
+	calls int
+}
+
+// Script entries that are not scores.
+var (
+	doPanic = math.Float64frombits(0x7ff8_0000_0000_0bad) // a NaN payload no score carries
+	doReset = math.Float64frombits(0x7ff8_0000_0000_0b0b)
+)
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func (m *modeScript) Observe([]float64) float64 {
+	m.calls++
+	if sameBits(m.next, doPanic) {
+		panic("test: scripted panic")
+	}
+	return m.next
+}
+func (m *modeScript) Reset()       {}
+func (m *modeScript) Name() string { return "mode-script" }
+
+// nanPolicy is a learned policy whose distribution is not finite.
+type nanPolicy struct{ probs []float64 }
+
+func (p nanPolicy) Probs([]float64) []float64 { return p.probs }
+
+// TestSessionModeTable walks every row of the session mode table
+// (DESIGN.md §13) on a scripted signal: for each input it checks the
+// mode the one transition function left the session in, the complete
+// flag set on the result, and whether the guard was run at all. The ND
+// trigger (three consecutive scores above 0.5, latched) supplies the
+// "trigger demands the default" inputs. Every session carries a trust
+// gate, so "gate checked on clean live steps only" is part of each row.
+func TestSessionModeTable(t *testing.T) {
+	arts := sharedArtifacts(t)
+	f, err := NewGuardFactory(arts, GuardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	learner, err := learn.New(learn.Config{
+		Artifacts:     arts,
+		SignalConfig:  core.DefaultStateSignalConfig(),
+		Trim:          core.DefaultEnsembleConfig(),
+		Extract:       abr.LastThroughputMbps,
+		FlushInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer learner.Stop() //nolint:errcheck // no log configured
+
+	nan, inf := math.NaN(), math.Inf(1)
+	const (
+		demoteFirst = fDemoted | fDemotion | fFirstDemotion
+		demoteAgain = fDemoted | fDemotion | fRedemotion
+		shadow      = fDemoted | fProbation
+	)
+	type row struct {
+		in   float64 // score, doPanic, or doReset
+		mode sessionMode
+		want modeFlag
+	}
+	cases := []struct {
+		name     string
+		l, cap   int
+		nanProbs bool // the learned policy returns a NaN distribution
+		rows     []row
+	}{
+		// live, finite: clean result, FirstFiring once, gate checked.
+		{"live-finite", 2, 1, false, []row{
+			{0, modeLive, fGate},
+			{1, modeLive, fGate}, {1, modeLive, fGate},
+			{1, modeLive, fGate | fFirstFiring},
+			{1, modeLive, fGate},
+		}},
+		// live, non-finite score → probation; streak < l stays; streak == l
+		// → live, served live with no gate and no FirstFiring.
+		{"live-nan-then-recover", 2, 1, false, []row{
+			{0, modeLive, fGate},
+			{nan, modeProbation, demoteFirst | fProbation},
+			{0, modeProbation, shadow},
+			{0, modeLive, fRecovered},
+			{0, modeLive, fGate},
+		}},
+		// live, non-finite distribution → probation, and never confident.
+		{"live-nan-distribution", 2, 1, true, []row{
+			{0, modeProbation, demoteFirst | fProbation},
+			{0, modeProbation, shadow},
+		}},
+		// readmitL 0 → latchedScore; the guard is not run afterwards.
+		{"live-inf-probation-off", 0, 1, false, []row{
+			{inf, modeLatchedScore, demoteFirst | fLatched},
+			{0, modeLatchedScore, fDemoted},
+		}},
+		// readmitCap 0 → latchedScore.
+		{"live-nan-cap-zero", 2, 0, false, []row{
+			{nan, modeLatchedScore, demoteFirst | fLatched},
+		}},
+		// Budget spent → latchedScore with Redemotion; Reset from
+		// latchedScore and from probation clears it and refills the budget.
+		{"live-nan-budget-spent-then-reset", 1, 1, false, []row{
+			{nan, modeProbation, demoteFirst | fProbation},
+			{0, modeLive, fRecovered},
+			{nan, modeLatchedScore, demoteAgain | fLatched},
+			{0, modeLatchedScore, fDemoted},
+			{doReset, modeLive, fCleared},
+			{nan, modeProbation, demoteAgain | fProbation},
+			{doReset, modeLive, fCleared | fWasProbation},
+			{0, modeLive, fGate},
+		}},
+		// A negative cap never latches.
+		{"live-nan-unlimited-cap", 1, -1, false, []row{
+			{nan, modeProbation, demoteFirst | fProbation}, {0, modeLive, fRecovered},
+			{nan, modeProbation, demoteAgain | fProbation}, {0, modeLive, fRecovered},
+			{nan, modeProbation, demoteAgain | fProbation},
+		}},
+		// live, panic → latchedFault; Reset keeps it and keeps FirstFiring
+		// suppressed.
+		{"live-panic-then-reset", 2, 1, false, []row{
+			{doPanic, modeLatchedFault, demoteFirst | fPanic | fLatched},
+			{0, modeLatchedFault, fDemoted},
+			{doReset, modeLatchedFault, 0},
+			{0, modeLatchedFault, fDemoted},
+		}},
+		// A non-finite shadow score resets the streak: recovery comes one
+		// full streak after it, not one step.
+		{"probation-nan-resets-streak", 2, 1, false, []row{
+			{nan, modeProbation, demoteFirst | fProbation},
+			{0, modeProbation, shadow},
+			{nan, modeProbation, shadow},
+			{0, modeProbation, shadow},
+			{0, modeLive, fRecovered},
+		}},
+		// A shadow step on which the (latched) trigger demands the default
+		// is not confident, however calm the scores after it.
+		{"probation-trigger-fired", 4, 1, false, []row{
+			{nan, modeProbation, demoteFirst | fProbation},
+			{1, modeProbation, shadow}, {1, modeProbation, shadow}, {1, modeProbation, shadow},
+			{0, modeProbation, shadow}, {0, modeProbation, shadow}, {0, modeProbation, shadow}, {0, modeProbation, shadow},
+		}},
+		// probation, panic → latchedFault: Latched and PanicRecovered, not a
+		// Demotion.
+		{"probation-panic", 2, 1, false, []row{
+			{nan, modeProbation, demoteFirst | fProbation},
+			{doPanic, modeLatchedFault, fDemoted | fPanic | fLatched},
+			{0, modeLatchedFault, fDemoted},
+			{doReset, modeLatchedFault, 0},
+		}},
+	}
+	obs := make([]float64, abr.ObsDim)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := f.NewGuard(SchemeND)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sig := &modeScript{}
+			g.Signal = sig
+			if tc.nanProbs {
+				g.Learned = nanPolicy{probs: make([]float64, f.NumActions())}
+				g.Learned.(nanPolicy).probs[0] = math.NaN()
+			}
+			s := newSession("mode-table", SchemeND, g, time.Now())
+			s.readmitL, s.readmitCap = tc.l, tc.cap
+			if s.gate, err = learner.NewGate(0); err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range tc.rows {
+				before, calls := s.mode, sig.calls
+				if sameBits(r.in, doReset) {
+					out, err := s.Reset(time.Now())
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got modeFlag
+					if out.ClearedDemotion {
+						got |= fCleared
+					}
+					if out.WasProbation {
+						got |= fWasProbation
+					}
+					if got != r.want || s.mode != r.mode {
+						t.Fatalf("row %d: Reset from mode %d = flags %b mode %d, want flags %b mode %d", i, before, got, s.mode, r.want, r.mode)
+					}
+					if info := s.Snapshot(time.Now()); info.Fired != (r.mode == modeLatchedFault) || info.Recovered != 0 {
+						t.Fatalf("row %d: after Reset snapshot = %+v, want fired only under a fault latch and a refilled budget", i, info)
+					}
+					continue
+				}
+				sig.next = r.in
+				res, err := s.Step(obs, time.Now())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := stepModeFlags(res); got != r.want || s.mode != r.mode {
+					t.Fatalf("row %d: step from mode %d = flags %b mode %d, want flags %b mode %d (%+v)", i, before, got, s.mode, r.want, r.mode, res)
+				}
+				if ran, want := sig.calls > calls, before == modeLive || before == modeProbation; ran != want {
+					t.Fatalf("row %d: guard ran = %v in mode %d, want %v", i, ran, before, want)
+				}
+				if res.Demoted && (!res.Decision.UsedDefault || !res.Decision.Fired || res.Decision.Score != 0) {
+					t.Fatalf("row %d: degraded step %+v not answered by the safe policy with score 0", i, res.Decision)
+				}
+			}
+		})
 	}
 }

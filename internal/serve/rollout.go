@@ -59,7 +59,7 @@ type Generation struct {
 	version  string
 	checksum string
 	factory  *GuardFactory
-	batcher  *Batcher // nil when batching is disabled
+	batcher  *Batcher // nil only for generations built outside a Server (rollout tests)
 	stats    *VersionStats
 	drift    *DriftSet
 }

@@ -40,7 +40,8 @@ type Config struct {
 	// session's 0-based creation index before the session goes live.
 	// This is the fault-injection seam used by internal/chaos; in
 	// production wiring it is nil and costs one pointer check per
-	// session creation (nothing per step).
+	// session creation (nothing per step). It may replace g.Signal only:
+	// the batch engine computes the learned policy's forward itself.
 	WrapGuard func(idx uint64, g *core.Guard)
 	// Batch configures cross-session micro-batching (see BatchConfig);
 	// the zero value enables it with defaults.
@@ -185,15 +186,11 @@ func NewServer(f *GuardFactory, cfg Config) (*Server, error) {
 	if version == "" {
 		version = "unversioned"
 	}
-	base := newGeneration(version, cfg.Checksum, f, nil)
-	if !cfg.Batch.Disable {
-		b, err := newBatcher(f, s.metrics, cfg.Batch)
-		if err != nil {
-			return nil, err
-		}
-		base.batcher = b
+	b, err := newBatcher(f, s.metrics, cfg.Batch)
+	if err != nil {
+		return nil, err
 	}
-	s.rollout = newRollout(base, cfg.Rollout)
+	s.rollout = newRollout(newGeneration(version, cfg.Checksum, f, b), cfg.Rollout)
 	s.table.SetOnClose(func(sess *Session) {
 		if demoted, probation := sess.DemotionState(); demoted {
 			s.demotedLive.Add(-1)
@@ -282,9 +279,6 @@ func (s *Server) timed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// Draining reports whether graceful shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain performs graceful shutdown of the session layer: stop the
 // sweeper, refuse new sessions and new steps (503 + Retry-After), wait
 // for in-flight steps to finish (bounded by ctx), close every session,
@@ -324,9 +318,7 @@ func (s *Server) Drain(ctx context.Context, w io.Writer) error {
 	// generations' batchers stay alive until this point because sessions
 	// pinned to them may step right up to the barrier.
 	for _, g := range s.rollout.generations() {
-		if g.batcher != nil {
-			g.batcher.Stop()
-		}
+		g.batcher.Stop()
 	}
 
 	// Force-close binary connections: every pre-drain step has been
@@ -475,9 +467,7 @@ func (s *Server) createSession(scheme string) (*Session, error) {
 	sess.readmitCap = s.cfg.ReadmitCap
 	sess.sigIdx = driftSignalIndex(scheme)
 	sess.driftShard = uint32(idx)
-	if gen.batcher != nil {
-		sess.shard = gen.batcher.assignShard()
-	}
+	sess.shard = gen.batcher.assignShard()
 	if err := s.table.Put(sess); err != nil {
 		return nil, err
 	}
@@ -487,21 +477,14 @@ func (s *Server) createSession(scheme string) (*Session, error) {
 	return sess, nil
 }
 
-// stepSession routes one validated step: through the session
-// generation's collector shard when batching is on and the session is
-// batchable, directly otherwise. The step latency lands in the
-// generation's histogram so canary and incumbent are comparable.
+// stepSession routes one validated step through the collector shard of
+// the session's generation. The step latency lands in the generation's
+// histogram so canary and incumbent are comparable.
 //
 //osap:hotpath
 func (s *Server) stepSession(sess *Session, obs []float64) (StepResult, error) {
 	start := time.Now()
-	var res StepResult
-	var err error
-	if b := sess.gen.batcher; b != nil && sess.class != classSeq {
-		res, err = b.do(sess, obs, s.cfg.Now()) //osap:hotpath-stop clock seam: production Now is time.Now, non-allocating
-	} else {
-		res, err = sess.Step(obs, s.cfg.Now()) //osap:hotpath-stop clock seam: production Now is time.Now, non-allocating
-	}
+	res, err := sess.gen.batcher.do(sess, obs, s.cfg.Now()) //osap:hotpath-stop clock seam: production Now is time.Now, non-allocating
 	if err == nil {
 		sess.gen.stats.Latency.Observe(time.Since(start).Seconds())
 	}

@@ -31,24 +31,15 @@ type Session struct {
 	guard  *core.Guard
 	closed bool
 	steps  uint64
-	fired  bool
+	// fired suppresses FirstFiring: set by the trigger's first firing and
+	// by any demotion, cleared by Reset.
+	fired bool
 
-	// demoted latches when a step panics or yields a non-finite score:
-	// from then on the session serves the safe default policy (the
-	// Simplex move, applied to infrastructure faults instead of model
-	// uncertainty). The demotion taxonomy (DESIGN.md §13) splits by
-	// cause: a fault demotion (recovered panic) is permanent for the
-	// session's lifetime — an inference stack that has panicked once is
-	// not trusted again — while an uncertainty demotion (non-finite
-	// score) is recoverable when probation is configured: the session
-	// keeps scoring its guard in shadow and re-admits after readmitL
-	// consecutive confident shadow steps, at most readmitCap times.
-	demoted bool //osap:guardedby mu
-	// demoteKind records the cause; demoteLatch is true when the
-	// demotion is permanent (fault, probation disabled, or cap spent).
-	demoteKind   demoteKind //osap:guardedby mu
-	demoteLatch  bool       //osap:guardedby mu
-	demoteReason string     //osap:guardedby mu
+	// mode is the session's place in the demotion state machine
+	// (DESIGN.md §13): which policy answers a step and whether the guard
+	// still runs. Assigned only by settleLocked and Reset.
+	mode         sessionMode //osap:guardedby mu
+	demoteReason string      //osap:guardedby mu
 	// calm counts consecutive confident shadow steps; readmits the
 	// re-admissions granted so far this episode; everDemoted persists
 	// across episodes so FirstDemotion fires once per session lifetime.
@@ -150,136 +141,151 @@ type StepResult struct {
 	GateAdmitted bool
 }
 
-// demoteKind is the demotion taxonomy (DESIGN.md §13).
-type demoteKind uint8
+// sessionMode is the demotion state machine's state (DESIGN.md §13). A
+// step panic or a non-finite score moves the session off its learned
+// stack onto the safe default policy — the Simplex move, applied to
+// infrastructure faults instead of model uncertainty.
+type sessionMode uint8
 
 const (
-	// demoteFault: the inference stack panicked. Permanent — a stack
-	// that has panicked once is not trusted again.
-	demoteFault demoteKind = iota
-	// demoteScore: the guard produced a non-finite score or
-	// distribution. Recoverable under probation.
-	demoteScore
+	// modeLive: the guard's decision is served.
+	modeLive sessionMode = iota
+	// modeProbation: a non-finite score or distribution demoted the
+	// session. The safe policy answers while the guard keeps scoring in
+	// shadow; readmitL consecutive confident shadow steps re-admit it.
+	modeProbation
+	// modeLatchedScore: an uncertainty demotion with probation off or the
+	// episode's re-admission budget spent. The guard no longer runs; only
+	// Reset clears it.
+	modeLatchedScore
+	// modeLatchedFault: the inference stack panicked. Permanent for the
+	// session's lifetime — a stack that has panicked once is not trusted
+	// again, and the panic indicts the stack, not the episode.
+	modeLatchedFault
 )
 
-// Step runs one guarded decision. now stamps the idle clock.
-//
-// The guard call is panic-contained: a panic anywhere in the inference
-// stack, or a non-finite uncertainty score escaping it, permanently
-// demotes the session to the safe default policy instead of killing
-// the serving goroutine or poisoning downstream JSON. The step that
-// hits the fault is still answered — from the safe policy — so no
-// client-visible decision is ever dropped.
+// Step runs one guarded decision with the session's private inference:
+// step with nothing supplied by the batch engine. It is the sequential
+// reference the batched path is tested against, and what the collector
+// falls back to when a fused forward faults.
 //
 //osap:hotpath
 func (s *Session) Step(obs []float64, now time.Time) (StepResult, error) {
+	return s.step(obs, nil, now)
+}
+
+// step is the one step path. ev carries what the batch engine already
+// computed for this observation (nil: nothing, the guard runs its own
+// forwards); now stamps the idle clock.
+//
+// The guard call is panic-contained: a panic anywhere in the inference
+// stack, or a non-finite uncertainty score escaping it, demotes the
+// session to the safe default policy instead of killing the serving
+// goroutine or poisoning downstream JSON. The step that hits the fault
+// is still answered — from the safe policy — so no client-visible
+// decision is ever dropped.
+//
+//osap:hotpath
+func (s *Session) step(obs []float64, ev *batchEval, now time.Time) (StepResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return StepResult{}, ErrSessionClosed
 	}
-	if s.demoted {
-		if !s.demoteLatch {
-			d, pv := s.decide(obs) //osap:hotpath-stop decide is panic containment by design; clean path asserted by TestShadowStepZeroAlloc
-			return s.shadowFinishLocked(obs, d, pv, now), nil
-		}
-		res := s.serveSafeLocked(obs)
-		s.steps++
-		s.lastUsed.Store(now.UnixNano())
-		return res, nil
+	var d core.Decision
+	var pv any
+	if s.mode < modeLatchedScore { // live or probation: the guard runs
+		d, pv = s.decide(obs, ev) //osap:hotpath-stop decide is panic containment by design; clean paths asserted by TestSessionStepZeroAlloc, TestBatchedStepZeroAlloc and TestShadowStepZeroAlloc
 	}
-	d, pv := s.decide(obs) //osap:hotpath-stop decide is panic containment by design; clean path asserted by TestSessionStepZeroAlloc
-	return s.finishLocked(obs, d, pv, now)
-}
-
-// stepBatched is Step with the expensive inference inputs supplied by
-// the batch engine (see internal/serve batch.go): the uncertainty
-// score comes from the signal's batched entry point and the learned
-// distribution from the fused deployed forward. Demotion rules, fault
-// containment and bookkeeping are shared with Step via finishLocked,
-// so a batched step is observably identical to a sequential one.
-//
-//osap:hotpath
-func (s *Session) stepBatched(obs []float64, ev *batchEval, now time.Time) (StepResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return StepResult{}, ErrSessionClosed
-	}
-	if s.demoted {
-		if !s.demoteLatch {
-			// Shadow row: the collector computed this session's GEMM rows
-			// in the same fused forward as live sessions; route the result
-			// into the probation evaluator instead of the client.
-			d, pv := s.decideBatched(obs, ev) //osap:hotpath-stop decideBatched is panic containment by design; clean path asserted by TestShadowStepZeroAlloc
-			return s.shadowFinishLocked(obs, d, pv, now), nil
-		}
-		res := s.serveSafeLocked(obs)
-		s.steps++
-		s.lastUsed.Store(now.UnixNano())
-		return res, nil
-	}
-	d, pv := s.decideBatched(obs, ev) //osap:hotpath-stop decideBatched is panic containment by design; clean path asserted by TestBatchedStepZeroAlloc
-	return s.finishLocked(obs, d, pv, now)
-}
-
-// finishLocked is the shared tail of Step/stepBatched: demote on a
-// fault, otherwise surface the decision metadata and advance the
-// bookkeeping.
-//
-//osap:hotpath
-func (s *Session) finishLocked(obs []float64, d core.Decision, pv any, now time.Time) (StepResult, error) {
-	if pv != nil || !finiteDecision(&d) {
-		kind := demoteScore
-		if pv != nil {
-			kind = demoteFault
-		}
-		//osap:ignore hotpath-alloc demotion slow path, runs at most a few (readmit-cap) times per session
-		s.demoteLocked(kind, fmt.Sprintf("step %d: panic=%v score=%g", s.steps, pv, d.Score))
-		res := s.serveSafeLocked(obs)
-		res.Demotion = true
-		res.FirstDemotion = !s.everDemoted
-		res.Redemotion = s.everDemoted
-		res.PanicRecovered = pv != nil
-		res.Latched = s.demoteLatch
-		res.Probation = !s.demoteLatch
-		s.everDemoted = true
-		s.steps++
-		s.lastUsed.Store(now.UnixNano())
-		return res, nil
-	}
-	res := StepResult{Action: mdp.ArgmaxAction(d.Probs), Decision: d}
-	res.Decision.Probs = nil
-	if d.Fired && !s.fired {
-		s.fired = true
-		res.FirstFiring = true
-	}
-	if s.gate != nil {
-		res.GateChecked = true
-		res.GateAdmitted = s.gate.Check(obs) == learn.VerdictAdmit
-	}
+	res := s.settleLocked(obs, d, pv)
 	s.steps++
 	s.lastUsed.Store(now.UnixNano())
 	return res, nil
 }
 
-// decide runs the guard with panic containment. It is deliberately not
-// //osap:hotpath-annotated: the deferred recover is the whole point,
-// and the clean path's zero-alloc guarantee is asserted empirically by
-// TestSessionStepZeroAlloc instead.
-func (s *Session) decide(obs []float64) (d core.Decision, panicked any) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = r
+// settleLocked is the mode switch: given what the guard produced this
+// step (d, or the panic pv; neither when a latched mode skipped the
+// guard) it picks the next mode and builds every StepResult flag from
+// (mode before, mode after, panicked). DESIGN.md §13 has the table.
+//
+// In probation the guard scored the real observation in shadow, so its
+// signal, trigger and episode bookkeeping advanced exactly as a live
+// guard's would — which is what makes a recovered session bit-identical
+// to a fresh guard fast-forwarded through the same observations.
+//
+//osap:hotpath
+func (s *Session) settleLocked(obs []float64, d core.Decision, pv any) StepResult {
+	before, after := s.mode, s.mode
+	switch {
+	case before >= modeLatchedScore:
+		// The guard was not run; a latch leaves only through Reset.
+	case pv != nil:
+		after = modeLatchedFault
+	case before == modeLive:
+		if !finiteDecision(&d) {
+			after = modeProbation
+			if s.readmitL <= 0 || s.readmitCap == 0 || (s.readmitCap > 0 && s.readmits >= s.readmitCap) {
+				after = modeLatchedScore
+			}
 		}
-	}()
-	d = s.guard.Decide(obs)
-	return d, nil
+	case finiteDecision(&d) && !d.UsedDefault:
+		// Confident shadow step: finite, and the trigger not demanding
+		// the default. The step that completes the streak is served live.
+		s.calm++
+		if s.calm >= s.readmitL {
+			after = modeLive
+			s.readmits++
+		}
+	default:
+		s.calm = 0
+	}
+	s.mode = after
+
+	if after == modeLive {
+		res := StepResult{Action: mdp.ArgmaxAction(d.Probs), Decision: d}
+		res.Decision.Probs = nil
+		if before == modeProbation {
+			res.Recovered = true
+			s.calm = 0
+			s.demoteReason = ""
+			return res
+		}
+		if d.Fired && !s.fired {
+			s.fired = true
+			res.FirstFiring = true
+		}
+		if s.gate != nil {
+			res.GateChecked = true
+			res.GateAdmitted = s.gate.Check(obs) == learn.VerdictAdmit
+		}
+		return res
+	}
+
+	res := s.serveSafeLocked(obs)
+	res.PanicRecovered = pv != nil
+	res.Probation = after == modeProbation
+	res.Latched = after != before && after != modeProbation
+	if before == modeLive {
+		res.Demotion = true
+		res.FirstDemotion = !s.everDemoted
+		res.Redemotion = s.everDemoted
+		s.everDemoted = true
+		// The trigger-firings counter tracks genuine uncertainty
+		// triggers, not infrastructure faults.
+		s.fired = true
+		s.calm = 0
+		//osap:ignore hotpath-alloc demotion slow path, runs at most a few (readmit-cap) times per session
+		s.demoteReason = fmt.Sprintf("step %d: panic=%v score=%g", s.steps, pv, d.Score)
+	} else if pv != nil {
+		//osap:ignore hotpath-alloc latch escalation slow path, runs at most once per session
+		s.demoteReason = fmt.Sprintf("%s; shadow step %d: panic=%v", s.demoteReason, s.steps, pv)
+	}
+	return res
 }
 
 // batchEval carries the batch-computed inputs for one session's step.
 // The slices alias collector-owned scratch and are valid only for the
-// duration of the stepBatched call.
+// duration of the step call.
 type batchEval struct {
 	class    batchClass
 	deployed []float64   // deployed actor's distribution row
@@ -287,17 +293,24 @@ type batchEval struct {
 	vals     []float64   // U_V member values (classBatchValue)
 }
 
-// decideBatched mirrors decide for the batched path: score the signal
-// from the batch-computed inputs, derive the learned one-hot from the
-// fused deployed forward, and advance the guard via DecideWith — all
-// under the same panic containment as decide. The type assertions are
-// safe by construction: classifyGuard proved them at session creation.
-func (s *Session) decideBatched(obs []float64, ev *batchEval) (d core.Decision, panicked any) {
+// decide runs the guard and is the step's only panic container. With
+// ev nil the guard evaluates its own signal and learned policy;
+// otherwise the signal is scored from the batch-computed inputs and the
+// learned one-hot derived from the fused deployed forward. The type
+// assertions are safe by construction: GuardFactory.NewGuard installs
+// the greedy inference and classifyGuard proved the signal's type at
+// session creation. It is deliberately not //osap:hotpath-annotated:
+// the deferred recover is the whole point, and the clean path's
+// zero-alloc guarantee is asserted empirically instead.
+func (s *Session) decide(obs []float64, ev *batchEval) (d core.Decision, panicked any) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = r
 		}
 	}()
+	if ev == nil {
+		return s.guard.Decide(obs), nil
+	}
 	var score float64
 	switch ev.class {
 	case classBatchPolicy:
@@ -308,8 +321,7 @@ func (s *Session) decideBatched(obs []float64, ev *batchEval) (d core.Decision, 
 		score = s.guard.Signal.Observe(obs)
 	}
 	learned := s.guard.Learned.(*rl.GreedyInference).OneHot(ev.deployed)
-	d = s.guard.DecideWith(obs, score, learned)
-	return d, nil
+	return s.guard.DecideWith(obs, score, learned), nil
 }
 
 // finiteDecision reports whether the decision is safe to serve: a
@@ -325,75 +337,6 @@ func finiteDecision(d *core.Decision) bool {
 		}
 	}
 	return true
-}
-
-// shadowFinishLocked is the tail of a probation step (DESIGN.md §13):
-// the guard already scored the real observation in shadow, so its
-// signal, trigger and episode bookkeeping advanced exactly as a live
-// guard's would — which is what makes a recovered session bit-identical
-// to a fresh guard fast-forwarded through the same observations. A
-// confident shadow decision (finite, and the trigger not demanding the
-// default) advances the hysteresis; anything else restarts it. After
-// readmitL consecutive confident steps the session re-admits and serves
-// this very decision live. A panic during shadow scoring escalates the
-// demotion to a permanent fault latch.
-//
-//osap:hotpath
-func (s *Session) shadowFinishLocked(obs []float64, d core.Decision, pv any, now time.Time) StepResult {
-	if pv != nil {
-		//osap:ignore hotpath-alloc latch escalation slow path, runs at most once per session
-		s.demoteReason = fmt.Sprintf("%s; shadow step %d: panic=%v", s.demoteReason, s.steps, pv)
-		s.demoteKind = demoteFault
-		s.demoteLatch = true
-		res := s.serveSafeLocked(obs)
-		res.PanicRecovered = true
-		res.Latched = true
-		s.steps++
-		s.lastUsed.Store(now.UnixNano())
-		return res
-	}
-	confident := finiteDecision(&d) && !d.UsedDefault
-	if confident {
-		s.calm++
-	} else {
-		s.calm = 0
-	}
-	if confident && s.calm >= s.readmitL {
-		// Hysteresis satisfied: re-admit and serve the shadow decision.
-		s.demoted = false
-		s.demoteLatch = false
-		s.demoteReason = ""
-		s.demoteKind = demoteScore
-		s.readmits++
-		s.calm = 0
-		res := StepResult{Action: mdp.ArgmaxAction(d.Probs), Decision: d, Recovered: true}
-		res.Decision.Probs = nil
-		s.steps++
-		s.lastUsed.Store(now.UnixNano())
-		return res
-	}
-	res := s.serveSafeLocked(obs)
-	res.Probation = true
-	s.steps++
-	s.lastUsed.Store(now.UnixNano())
-	return res
-}
-
-// demoteLocked latches degraded mode. Setting fired suppresses any
-// later FirstFiring: the trigger-firings counter tracks genuine
-// uncertainty triggers, not infrastructure faults. The latch is
-// permanent (demoteLatch) for fault demotions, when probation is not
-// configured, or once the re-admission budget is spent; otherwise the
-// session enters probation and may recover.
-func (s *Session) demoteLocked(kind demoteKind, reason string) {
-	s.demoted = true
-	s.demoteKind = kind
-	s.demoteReason = reason
-	s.fired = true
-	s.calm = 0
-	s.demoteLatch = kind == demoteFault ||
-		s.readmitL <= 0 || s.readmitCap == 0 ||
-		(s.readmitCap > 0 && s.readmits >= s.readmitCap)
 }
 
 // serveSafeLocked answers one step purely from the safe default
@@ -416,7 +359,7 @@ func (s *Session) serveSafeLocked(obs []float64) StepResult {
 func (s *Session) Demoted() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.demoted
+	return s.mode != modeLive
 }
 
 // DemotionState reports the session's demotion status in one snapshot:
@@ -425,7 +368,7 @@ func (s *Session) Demoted() bool {
 func (s *Session) DemotionState() (demoted, probation bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.demoted, s.demoted && !s.demoteLatch
+	return s.mode != modeLive, s.mode == modeProbation
 }
 
 // ResetOutcome reports what a Reset did beyond restarting the episode,
@@ -456,11 +399,9 @@ func (s *Session) Reset(now time.Time) (ResetOutcome, error) {
 		return ResetOutcome{}, ErrSessionClosed
 	}
 	var out ResetOutcome
-	if s.demoted && s.demoteKind == demoteScore {
-		out.ClearedDemotion = true
-		out.WasProbation = !s.demoteLatch
-		s.demoted = false
-		s.demoteLatch = false
+	if s.mode == modeProbation || s.mode == modeLatchedScore {
+		out = ResetOutcome{ClearedDemotion: true, WasProbation: s.mode == modeProbation}
+		s.mode = modeLive
 		s.demoteReason = ""
 	}
 	s.calm = 0
@@ -469,7 +410,7 @@ func (s *Session) Reset(now time.Time) (ResetOutcome, error) {
 	if s.gate != nil {
 		s.gate.Reset()
 	}
-	s.fired = s.demoted // a surviving fault demotion keeps FirstFiring suppressed
+	s.fired = s.mode == modeLatchedFault // a surviving fault demotion keeps FirstFiring suppressed
 	s.lastUsed.Store(now.UnixNano())
 	return out, nil
 }
@@ -524,10 +465,10 @@ func (s *Session) Snapshot(now time.Time) Info {
 		Steps:        s.steps,
 		Fired:        s.fired,
 		IdleMsec:     idle.Milliseconds(),
-		Demoted:      s.demoted,
+		Demoted:      s.mode != modeLive,
 		DemoteReason: s.demoteReason,
-		Probation:    s.demoted && !s.demoteLatch,
-		Latched:      s.demoted && s.demoteLatch,
+		Probation:    s.mode == modeProbation,
+		Latched:      s.mode >= modeLatchedScore,
 		Recovered:    s.readmits,
 	}
 }

@@ -171,23 +171,6 @@ func (t *Table) Sweep(cutoff time.Time) int {
 	return evicted
 }
 
-// Range calls f on every live session (used by drain). f must not call
-// back into the table.
-func (t *Table) Range(f func(*Session)) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		ss := make([]*Session, 0, len(sh.m))
-		for _, s := range sh.m {
-			ss = append(ss, s)
-		}
-		sh.mu.RUnlock()
-		for _, s := range ss {
-			f(s)
-		}
-	}
-}
-
 // Clear closes and removes every session, returning how many were
 // live (used by drain).
 func (t *Table) Clear() int {

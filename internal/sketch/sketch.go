@@ -74,9 +74,6 @@ func New(compression float64) *Sketch {
 	}
 }
 
-// Compression returns the δ parameter.
-func (s *Sketch) Compression() float64 { return s.comp }
-
 // Count returns how many observations the sketch has accepted.
 func (s *Sketch) Count() uint64 { return s.n }
 

@@ -39,15 +39,6 @@ func Split(name string, traces []*Trace) *Dataset {
 	return &Dataset{Name: name, Train: train, Val: val, Test: test}
 }
 
-// SampleTrain returns a uniformly random training trace.
-func (d *Dataset) SampleTrain(rng *stats.RNG) *Trace { return d.Train[rng.Intn(len(d.Train))] }
-
-// SampleTest returns a uniformly random test trace.
-func (d *Dataset) SampleTest(rng *stats.RNG) *Trace { return d.Test[rng.Intn(len(d.Test))] }
-
-// SampleVal returns a uniformly random validation trace.
-func (d *Dataset) SampleVal(rng *stats.RNG) *Trace { return d.Val[rng.Intn(len(d.Val))] }
-
 // GenerateDataset builds a dataset of n traces of the given duration from
 // gen, deterministically from seed, and splits it 70/30.
 func GenerateDataset(gen Generator, seed uint64, n, durationSec int) *Dataset {

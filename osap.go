@@ -196,19 +196,3 @@ func NewCUSUMTrigger(cfg core.CUSUMTriggerConfig) *CUSUMTrigger { return core.Ne
 func CalibrateCUSUM(inDistScores []float64, hSigmas float64, latched bool) core.CUSUMTriggerConfig {
 	return core.CalibrateCUSUM(inDistScores, hSigmas, latched)
 }
-
-// RefittingSignal is a U_S variant whose OC-SVM is periodically refit in
-// situ on trusted deployment data (the paper's in-situ future-work
-// direction).
-type RefittingSignal = core.RefittingSignal
-
-// RefittingSignalConfig parameterizes in-situ refitting.
-type RefittingSignalConfig = core.RefittingSignalConfig
-
-// NewRefittingSignal builds an in-situ-adapting U_S signal from an
-// offline-trained initial model. Wire its Trusted callback to the
-// guard's trigger (e.g. func() bool { return !trig.Fired() }) so the
-// detector never learns from data observed after a safety default.
-func NewRefittingSignal(initial *OCSVM, extract func([]float64) float64, cfg RefittingSignalConfig) (*RefittingSignal, error) {
-	return core.NewRefittingSignal(initial, extract, cfg)
-}
