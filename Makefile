@@ -91,9 +91,11 @@ chaos:
 # every step against a closed-form oracle (zero mismatches), exact
 # recovery counter totals on /metrics, /healthz and /dashboard,
 # permanent latches for fault-demoted and cap-exhausted sessions, and
-# a clean drain.
+# a clean drain — once over each transport: the totals are the same,
+# the step path to them (HTTP handler, binary connection reader) is not.
 recovery-selftest:
-	$(GO) run $(LDFLAGS) ./cmd/osap-serve -recovery
+	$(GO) run $(LDFLAGS) ./cmd/osap-serve -recovery -transport http
+	$(GO) run $(LDFLAGS) ./cmd/osap-serve -recovery -transport binary
 
 # Hot-reload/canary selftest (DESIGN.md §11): publish versions into a
 # throwaway registry, stage a 10% canary under a 1000-client wave and

@@ -1,27 +1,33 @@
 package serve
 
 // Cross-session micro-batching. Every session shares one trained
-// artifact set, so the expensive part of a step — the deployed actor's
-// forward pass and, for the ensemble schemes, the member forwards — is
-// the same chain of layers repeated per session. A step that finds its
-// collector idle is flushed then and there, on the goroutine that
-// brought it: a batch of one that pays no park and no wake. A step
-// that finds the collector at work parks, and the collector's own
-// goroutine flushes everything that parked as soon as the flush in
-// progress is done, so the steps that arrive while one flush computes
-// are the next batch (BatchConfig.Window can make every step park and
-// wait for company; the default does not). A flush fuses the parked
-// sessions' observations into one matrix, runs each network once over
-// the whole batch (rl.BatchScorer), and completes every parked call
-// with inputs bit-identical to what its private guard would have
-// computed alone.
+// artifact set, so the expensive part of an ensemble step — the member
+// forwards, and with them the deployed actor's — is the same chain of
+// layers repeated per session. Two classes of session have such a part
+// and are fused: U_π (policy ensemble) and U_V (value ensemble). A
+// fused step that finds its collector idle is flushed then and there,
+// on the goroutine that brought it: a batch of one that pays no park
+// and no wake. One that finds the collector at work parks, and the
+// collector's own goroutine flushes everything that parked as soon as
+// the flush in progress is done, so the steps that arrive while one
+// flush computes are the next batch. A flush fuses the parked sessions'
+// observations into one matrix, runs each network once over the whole
+// batch (rl.BatchScorer), and completes every parked call with inputs
+// bit-identical to what its private guard would have computed alone.
+//
+// The third class, U_S and any wrapped signal, has nothing to fuse: its
+// score is a sequential Observe, and the one forward a fused flush
+// could run for it — the deployed actor's — is wasted on every step the
+// default policy answers. Such a step is served by Session.step on the
+// caller's goroutine and never touches a collector.
 //
 // There is one step path: Session.step(obs, ev, now). The collector
 // passes in ev what the fused forwards computed for the session; ev ==
-// nil (Session.Step) makes the guard run its own forwards and is the
-// sequential reference the batched path is tested against. Per-session
-// state (signal scratch, trigger, mode, episode bookkeeping) advances
-// in that one function under the session's own lock either way.
+// nil (Session.Step) makes the guard run its own forwards — the deployed
+// one only when the learned policy acts — and is the sequential
+// reference the batched path is tested against. Per-session state
+// (signal scratch, trigger, mode, episode bookkeeping) advances in that
+// one function under the session's own lock either way.
 //
 // Sharding: sessions are assigned round-robin to one of N collectors
 // at creation (N defaults to GOMAXPROCS); a session's steps always
@@ -46,10 +52,12 @@ import (
 type batchClass uint8
 
 const (
-	// classBatchState: deployed forward is batched; the signal (U_S, or
-	// any wrapped/custom signal) is evaluated sequentially via Observe.
+	// classBatchState: nothing is batched; the signal (U_S, or any
+	// wrapped/custom signal) is evaluated sequentially via Observe and
+	// the step is served without a collector.
 	classBatchState batchClass = iota
-	// classBatchPolicy: deployed forward and U_π member forwards batched.
+	// classBatchPolicy: U_π member forwards batched; the deployed actor
+	// is member 0.
 	classBatchPolicy
 	// classBatchValue: deployed forward and U_V member forwards batched.
 	classBatchValue
@@ -58,9 +66,9 @@ const (
 // classifyGuard inspects a freshly built guard and picks the widest
 // batch class its signal's concrete type supports. Anything
 // unrecognized — a chaos-wrapped signal — degrades to classBatchState,
-// never to an error. The deployed forward is batched for every class:
-// the learned policy is always the factory's rl.GreedyInference
-// (Config.WrapGuard may replace only the signal).
+// never to an error. The fused classes take the deployed forward from
+// the batch: the learned policy is always the factory's
+// rl.GreedyInference (Config.WrapGuard may replace only the signal).
 func classifyGuard(g *core.Guard) batchClass {
 	switch g.Signal.(type) {
 	case *core.PolicySignal:
@@ -74,20 +82,13 @@ func classifyGuard(g *core.Guard) batchClass {
 
 // BatchConfig sizes the micro-batching engine.
 type BatchConfig struct {
-	// Window is how long a collector waits after the first parked step
-	// before flushing. Zero or negative — the default — flushes as soon
-	// as the collector wakes: under light load a lone step never waits,
-	// and under heavy load the queue that accumulates while one flush
-	// computes becomes the next batch, so batch size adapts to load
-	// without an artificial delay. A positive window trades latency for
-	// fuller batches.
-	Window time.Duration
 	// MaxBatch caps sessions fused into one GEMM (0 → 32). The cap
 	// bounds per-flush decision latency — a flush costs roughly
-	// batch-size × per-row inference — and a window's overflow is
-	// flushed as successive chunks, never dropped. GEMM amortization
+	// batch-size × per-row inference — and the overflow of a long queue
+	// is flushed as successive chunks, never dropped. GEMM amortization
 	// saturates well before 32 rows, so larger caps buy little
-	// throughput and cost tail latency.
+	// throughput and cost tail latency. A binary connection's read
+	// buffer holds this many step frames.
 	MaxBatch int
 	// Collectors is the shard count (0 → GOMAXPROCS).
 	Collectors int
@@ -121,14 +122,15 @@ var callPool = sync.Pool{New: func() any { return &stepCall{done: make(chan stru
 // Batcher owns the collector shards; every Generation a Server serves
 // has one.
 type Batcher struct {
-	cfg        BatchConfig
+	metrics    *Metrics
 	collectors []*collector
 	assign     atomic.Uint64
 }
 
+// newBatcher starts cfg.Collectors shards; cfg has its defaults filled
+// in (Config.withDefaults).
 func newBatcher(f *GuardFactory, m *Metrics, cfg BatchConfig) (*Batcher, error) {
-	cfg = cfg.withDefaults()
-	b := &Batcher{cfg: cfg, collectors: make([]*collector, cfg.Collectors)}
+	b := &Batcher{metrics: m, collectors: make([]*collector, cfg.Collectors)}
 	for i := range b.collectors {
 		scorer, err := f.frozen.NewBatchScorer(cfg.MaxBatch)
 		if err != nil {
@@ -145,12 +147,24 @@ func (b *Batcher) assignShard() int {
 	return int(b.assign.Add(1) % uint64(len(b.collectors)))
 }
 
-// do parks one step on the session's collector and blocks until the
-// flush completes it. Callers must have validated the observation
-// length already (the matrix copy trusts it).
+// do serves one step and blocks until it is decided. A session whose
+// step has nothing to fuse is stepped here, sequentially; it is still
+// observed as a batch of one that did not queue, so the three
+// histograms count every decision whatever its class. A fused session
+// goes to its collector: flushed alone if the shard is idle, parked
+// otherwise. Callers must have validated the observation length
+// already (the matrix copy trusts it).
 //
 //osap:hotpath
 func (b *Batcher) do(sess *Session, obs []float64, now time.Time) (StepResult, error) {
+	if sess.class == classBatchState {
+		start := time.Now()
+		b.metrics.BatchSize.Observe(1)
+		b.metrics.QueueLatency.Observe(0)
+		res, err := sess.step(obs, nil, now)
+		b.metrics.DecisionLatency.Observe(time.Since(start).Seconds())
+		return res, err
+	}
 	call := callPool.Get().(*stepCall)
 	call.sess, call.obs, call.now = sess, obs, now
 	call.enq = time.Now()
@@ -178,7 +192,7 @@ func (b *Batcher) Stop() {
 }
 
 // collector is one batching shard: a parked-call queue, a goroutine
-// that flushes it on a window/size trigger, and private scoring
+// that flushes it whenever it is non-empty, and private scoring
 // scratch. The scratch below the mutex section belongs to whoever set
 // busy: the collector goroutine, or a caller flushing its own step
 // because it found the shard idle.
@@ -193,18 +207,16 @@ type collector struct {
 	busy   bool        // a flush is in progress
 
 	wake chan struct{} // buffered 1: batch went non-empty
-	full chan struct{} // buffered 1: batch reached MaxBatch
 	stop chan struct{}
 	done chan struct{}
 
 	// Flush scratch (whoever holds busy).
 	lone        [1]*stepCall  // flushAlone's batch of one
-	order       []*stepCall   // calls reordered [policy | value | state]
+	order       []*stepCall   // calls reordered [policy | value]
 	obs         linalg.Matrix // fused observations, MaxBatch×obsDim capacity
-	deplView    linalg.Matrix // row-limited views into obs for the scorer
-	polObsView  linalg.Matrix
+	polObsView  linalg.Matrix // row-limited views into obs for the scorer
 	valObsView  linalg.Matrix
-	deployedOut *linalg.Matrix // deployed rows of [value | state]; policy rows read polDists[0]
+	deployedOut *linalg.Matrix // deployed rows of the value partition; policy rows read polDists[0]
 	polDists    []*linalg.Matrix
 	valCols     [][]float64
 	ev          batchEval
@@ -221,7 +233,6 @@ func newCollector(scorer *rl.BatchScorer, m *Metrics, cfg BatchConfig) *collecto
 		parked:  make([]*stepCall, 0, cfg.MaxBatch),
 		spare:   make([]*stepCall, 0, cfg.MaxBatch),
 		wake:    make(chan struct{}, 1),
-		full:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		order:   make([]*stepCall, 0, cfg.MaxBatch),
@@ -229,7 +240,6 @@ func newCollector(scorer *rl.BatchScorer, m *Metrics, cfg BatchConfig) *collecto
 		evVals:  make([]float64, scorer.NumValueNets()),
 	}
 	c.obs = *linalg.NewMatrix(cfg.MaxBatch, dim)
-	c.deplView = linalg.Matrix{Rows: 0, Cols: dim}
 	c.polObsView = linalg.Matrix{Rows: 0, Cols: dim}
 	c.valObsView = linalg.Matrix{Rows: 0, Cols: dim}
 	return c
@@ -242,9 +252,6 @@ func newCollector(scorer *rl.BatchScorer, m *Metrics, cfg BatchConfig) *collecto
 //
 //osap:hotpath
 func (c *collector) flushAlone(call *stepCall) bool {
-	if c.cfg.Window > 0 {
-		return false
-	}
 	c.mu.Lock()
 	if c.busy || len(c.parked) > 0 {
 		c.mu.Unlock()
@@ -275,8 +282,7 @@ func (c *collector) release() {
 	}
 }
 
-// park enqueues a call and signals the collector. The first call of a
-// batch wakes the run loop; hitting MaxBatch cuts the window short.
+// park enqueues a call; the first call of a batch wakes the run loop.
 func (c *collector) park(call *stepCall) {
 	c.mu.Lock()
 	//osap:ignore hotpath-closure parked is presized to MaxBatch and recycled via the spare swap; growth only absorbs transient overshoot
@@ -289,51 +295,18 @@ func (c *collector) park(call *stepCall) {
 		default:
 		}
 	}
-	if n >= c.cfg.MaxBatch {
-		select {
-		case c.full <- struct{}{}:
-		default:
-		}
-	}
 }
 
-// run is the collector loop: sleep until a batch opens, give it the
-// micro-batch window (or until it fills), flush, repeat.
+// run is the collector loop: sleep until a batch opens, flush, repeat.
 func (c *collector) run() {
 	defer close(c.done)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		select {
 		case <-c.stop:
 			c.flushAll()
 			return
 		case <-c.wake:
-		}
-		if c.cfg.Window > 0 {
-			timer.Reset(c.cfg.Window)
-			select {
-			case <-c.stop:
-				if !timer.Stop() {
-					<-timer.C
-				}
-				c.flushAll()
-				return
-			case <-c.full:
-				if !timer.Stop() {
-					<-timer.C
-				}
-			case <-timer.C:
-			}
-		}
-		c.flushAll()
-		// A full signal raised by calls that landed mid-flush is stale
-		// now; the wake channel re-arms the next round.
-		select {
-		case <-c.full:
-		default:
+			c.flushAll()
 		}
 	}
 }
@@ -380,7 +353,7 @@ func (c *collector) flush(calls []*stepCall) {
 		qh.Observe(start.Sub(call.enq).Seconds())
 	}
 	dh := c.metrics.DecisionLatency
-	nPol, nVal, ok := c.prepare(calls) //osap:hotpath-stop prepare is panic containment by design; clean path asserted by TestBatchedStepZeroAlloc
+	nPol, ok := c.prepare(calls) //osap:hotpath-stop prepare is panic containment by design; clean path asserted by TestBatchedStepZeroAlloc
 	if !ok {
 		// The fused scoring faulted. Serve every call sequentially so
 		// the fault surfaces on (and demotes) the session that owns it,
@@ -396,8 +369,7 @@ func (c *collector) flush(calls []*stepCall) {
 		ev := &c.ev
 		ev.dists = nil
 		ev.vals = nil
-		switch {
-		case idx < nPol:
+		if idx < nPol {
 			ev.class = classBatchPolicy
 			dists := c.evDists[:len(c.polDists)]
 			for m := range c.polDists {
@@ -405,7 +377,7 @@ func (c *collector) flush(calls []*stepCall) {
 			}
 			ev.dists = dists
 			ev.deployed = dists[0] // member 0 is the deployed agent (rl.BatchScorer)
-		case idx < nPol+nVal:
+		} else {
 			ev.class = classBatchValue
 			ev.deployed = c.deployedOut.Row(idx - nPol)
 			vals := c.evVals[:len(c.valCols)]
@@ -413,9 +385,6 @@ func (c *collector) flush(calls []*stepCall) {
 				vals[m] = c.valCols[m][idx-nPol]
 			}
 			ev.vals = vals
-		default:
-			ev.class = classBatchState
-			ev.deployed = c.deployedOut.Row(idx - nPol)
 		}
 		call.res, call.err = call.sess.step(call.obs, ev, call.now)
 		dh.Observe(time.Since(start).Seconds())
@@ -423,17 +392,16 @@ func (c *collector) flush(calls []*stepCall) {
 	}
 }
 
-// prepare partitions the batch as [policy | value | state], copies the
+// prepare partitions the batch as [policy | value], copies the
 // observations into the fused matrix and runs the shared forward
 // passes: every ensemble member over its rows, and the deployed actor
-// over the value and state rows only — on a policy row it is member 0
-// of the ensemble pass. Panic-contained: a fault anywhere in the fused
-// scoring reports ok=false and the caller falls back to sequential
-// serving. Like Session.decide, it is deliberately not
-// //osap:hotpath-annotated — the deferred recover is the point, and
-// the clean path's zero-alloc guarantee is asserted empirically by
-// TestBatchedStepZeroAlloc.
-func (c *collector) prepare(calls []*stepCall) (nPol, nVal int, ok bool) {
+// over the value rows only — on a policy row it is member 0 of the
+// ensemble pass. Panic-contained: a fault anywhere in the fused scoring
+// reports ok=false and the caller falls back to sequential serving.
+// Like Session.decide, it is deliberately not //osap:hotpath-annotated
+// — the deferred recover is the point, and the clean path's zero-alloc
+// guarantee is asserted empirically by TestBatchedStepZeroAlloc.
+func (c *collector) prepare(calls []*stepCall) (nPol int, ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false
@@ -451,23 +419,11 @@ func (c *collector) prepare(calls []*stepCall) (nPol, nVal int, ok bool) {
 			order = append(order, call)
 		}
 	}
-	nVal = len(order) - nPol
-	for _, call := range calls {
-		if call.sess.class == classBatchState {
-			order = append(order, call)
-		}
-	}
 	c.order = order
 	nb := len(order)
 	dim := c.scorer.ObsDim()
 	for r := 0; r < nb; r++ {
 		copy(c.obs.Data[r*dim:(r+1)*dim], order[r].obs)
-	}
-	c.deployedOut = nil
-	if nb > nPol {
-		c.deplView.Rows = nb - nPol
-		c.deplView.Data = c.obs.Data[nPol*dim : nb*dim]
-		c.deployedOut = c.scorer.Deployed(&c.deplView)
 	}
 	c.polDists = nil
 	if nPol > 0 {
@@ -475,11 +431,12 @@ func (c *collector) prepare(calls []*stepCall) (nPol, nVal int, ok bool) {
 		c.polObsView.Data = c.obs.Data[:nPol*dim]
 		c.polDists = c.scorer.PolicyDists(&c.polObsView)
 	}
-	c.valCols = nil
-	if nVal > 0 {
-		c.valObsView.Rows = nVal
-		c.valObsView.Data = c.obs.Data[nPol*dim : (nPol+nVal)*dim]
+	c.deployedOut, c.valCols = nil, nil
+	if nb > nPol {
+		c.valObsView.Rows = nb - nPol
+		c.valObsView.Data = c.obs.Data[nPol*dim : nb*dim]
+		c.deployedOut = c.scorer.Deployed(&c.valObsView)
 		c.valCols = c.scorer.Values(&c.valObsView)
 	}
-	return nPol, nVal, true
+	return nPol, true
 }

@@ -18,9 +18,8 @@ import (
 	"osap/internal/stats"
 )
 
-// batchTestServer builds a server with batching tuned for tests: a
-// real window so concurrent steps genuinely fuse, one collector so
-// batch composition is deterministic under load.
+// batchTestServer builds a server with the given batching shape (one
+// collector makes batch composition deterministic under load).
 func batchTestServer(t *testing.T, batch BatchConfig) *Server {
 	t.Helper()
 	f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})
@@ -54,24 +53,49 @@ func obsStream(seed uint64, dim, steps int) [][]float64 {
 	return out
 }
 
+// fuse makes n fused steps one batch: it takes the idle shard the way a
+// flush does, so each of them parks; runs start, which launches them on
+// goroutines of its own; waits until all n are parked; and releases the
+// shard, whose run loop then flushes them together.
+func (c *collector) fuse(n int, start func()) {
+	c.mu.Lock()
+	for c.busy {
+		c.mu.Unlock()
+		runtime.Gosched()
+		c.mu.Lock()
+	}
+	c.busy = true
+	c.mu.Unlock()
+	start()
+	for parked := 0; parked != n; {
+		runtime.Gosched()
+		c.mu.Lock()
+		parked = len(c.parked)
+		c.mu.Unlock()
+	}
+	c.release()
+}
+
 // TestBatchedMatchesSequential is the end-to-end equivalence property:
 // sessions stepped concurrently through the micro-batching collector
 // produce, step for step, bit-identical results to a reference session
 // built from the same factory and stepped alone — for every scheme.
+// Every round's fused steps are held until all have parked, so each is
+// decided in a batch of eight.
 func TestBatchedMatchesSequential(t *testing.T) {
-	testBatchedMatchesSequential(t, BatchConfig{Window: 2 * time.Millisecond, MaxBatch: 64, Collectors: 1})
+	testBatchedMatchesSequential(t, true)
 }
 
-// TestFlushAloneMatchesSequential is the same property with the
-// default window: a step that finds its collector idle is flushed on
-// its own goroutine, one that finds it busy parks, and twelve lanes on
+// TestFlushAloneMatchesSequential is the same property with the lanes
+// running free: a step that finds its collector idle is flushed on its
+// own goroutine, one that finds it busy parks, and eight fused lanes on
 // one shard make both happen all the time.
 func TestFlushAloneMatchesSequential(t *testing.T) {
-	testBatchedMatchesSequential(t, BatchConfig{MaxBatch: 64, Collectors: 1})
+	testBatchedMatchesSequential(t, false)
 }
 
-func testBatchedMatchesSequential(t *testing.T, batch BatchConfig) {
-	s := batchTestServer(t, batch)
+func testBatchedMatchesSequential(t *testing.T, fused bool) {
+	s := batchTestServer(t, BatchConfig{MaxBatch: 64, Collectors: 1})
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 
 	schemes := s.factory.Schemes()
@@ -83,44 +107,66 @@ func testBatchedMatchesSequential(t *testing.T, batch BatchConfig) {
 
 	type lane struct {
 		scheme string
-		seed   uint64
+		sess   *Session
 		stream [][]float64
 		got    []StepResult
 	}
 	var lanes []*lane
+	nFused := 0
 	for si, scheme := range schemes {
 		for k := 0; k < perScheme; k++ {
+			sess, err := s.createSession(scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sess.class != classBatchState {
+				nFused++
+			}
 			lanes = append(lanes, &lane{
 				scheme: scheme,
-				seed:   uint64(1000 + si*100 + k),
+				sess:   sess,
 				stream: obsStream(uint64(1000+si*100+k), dim, steps),
 			})
 		}
 	}
 
-	// Drive every lane concurrently through the batched server.
+	// Drive every lane concurrently through the batched server: steps
+	// [from, to) of each, on a goroutine per lane.
 	var wg sync.WaitGroup
-	for _, ln := range lanes {
-		sess, err := s.createSession(ln.scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(ln *lane, sess *Session) {
-			defer wg.Done()
-			for _, obs := range ln.stream {
-				res, err := s.stepSession(sess, obs)
-				if err != nil {
-					t.Errorf("%s: step: %v", ln.scheme, err)
-					return
+	drive := func(from, to int) {
+		for _, ln := range lanes {
+			wg.Add(1)
+			go func(ln *lane) {
+				defer wg.Done()
+				for _, obs := range ln.stream[from:to] {
+					res, err := s.stepSession(ln.sess, obs)
+					if err != nil {
+						t.Errorf("%s: step: %v", ln.scheme, err)
+						return
+					}
+					ln.got = append(ln.got, res)
 				}
-				ln.got = append(ln.got, res)
-			}
-		}(ln, sess)
+			}(ln)
+		}
 	}
-	wg.Wait()
-	if s.metrics.BatchSize.Count() == 0 {
-		t.Fatal("no batches flushed — collector never engaged")
+	if fused {
+		c := s.rollout.Active().batcher.collectors[0]
+		for i := 0; i < steps; i++ {
+			c.fuse(nFused, func() { drive(i, i+1) })
+			wg.Wait()
+		}
+		// Per round: one flush of nFused, and a batch of one for each
+		// session that has nothing to fuse.
+		flushes, rows := uint64(steps*(1+len(lanes)-nFused)), float64(steps*len(lanes))
+		if got := s.metrics.BatchSize; got.Count() != flushes || got.Sum() != rows {
+			t.Fatalf("%d flushes of %g rows, want %d of %g", got.Count(), got.Sum(), flushes, rows)
+		}
+	} else {
+		drive(0, steps)
+		wg.Wait()
+		if s.metrics.BatchSize.Count() == 0 {
+			t.Fatal("no batches flushed — collector never engaged")
+		}
 	}
 
 	// Replay each lane on a private sequential guard and compare.
@@ -161,7 +207,7 @@ func testBatchedMatchesSequential(t *testing.T, batch BatchConfig) {
 // scoring and completion must not allocate — on the caller's
 // goroutine or the collector's.
 func TestBatchedStepZeroAlloc(t *testing.T) {
-	s := batchTestServer(t, BatchConfig{Window: -1, MaxBatch: 16, Collectors: 1})
+	s := batchTestServer(t, BatchConfig{MaxBatch: 16, Collectors: 1})
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 	for _, scheme := range s.factory.Schemes() {
 		sess, err := s.createSession(scheme)
@@ -190,7 +236,7 @@ func TestBatchedStepZeroAlloc(t *testing.T) {
 // lands mid-flush. Steppers follow the handler discipline (inflight +
 // draining check) exactly like the HTTP/binary front ends.
 func TestBatcherRaceHammer(t *testing.T) {
-	s := batchTestServer(t, BatchConfig{Window: 200 * time.Microsecond, MaxBatch: 8, Collectors: 2})
+	s := batchTestServer(t, BatchConfig{MaxBatch: 8, Collectors: 2})
 	schemes := s.factory.Schemes()
 	dim := s.factory.ObsDim()
 
@@ -263,7 +309,7 @@ func BenchmarkBatchedStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := NewServer(f, Config{Batch: BatchConfig{Window: time.Millisecond, MaxBatch: 256}})
+	s, err := NewServer(f, Config{Batch: BatchConfig{MaxBatch: 256}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -316,19 +362,18 @@ func TestClassifyGuard(t *testing.T) {
 
 // TestCollectorFlushZeroAlloc calls flush itself — the body of both
 // the collector's loop and a caller's lone flush — on a singleton of
-// every scheme and on a mixed batch, and requires zero allocations.
+// each fused scheme and on a mixed batch, and requires zero allocations.
 func TestCollectorFlushZeroAlloc(t *testing.T) {
 	s := batchTestServer(t, BatchConfig{MaxBatch: 8, Collectors: 1})
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 	obs := obsStream(10, s.factory.ObsDim(), 1)[0]
-	var c *collector
+	c := s.rollout.Active().batcher.collectors[0]
 	var calls []*stepCall
-	for _, scheme := range s.factory.Schemes() {
+	for _, scheme := range []string{SchemeAEns, SchemeVEns} {
 		sess, err := s.createSession(scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c = sess.gen.batcher.collectors[sess.shard]
 		calls = append(calls, &stepCall{sess: sess, obs: obs, done: make(chan struct{}, 1)})
 	}
 	flush := func(batch []*stepCall) {
@@ -344,7 +389,7 @@ func TestCollectorFlushZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	for _, batch := range [][]*stepCall{calls[:1], calls[1:2], calls[2:], calls} {
+	for _, batch := range [][]*stepCall{calls[:1], calls[1:], calls} {
 		for i := 0; i < 20; i++ { // warm the scratch
 			flush(batch)
 		}

@@ -3,29 +3,25 @@ package serve
 import (
 	"errors"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"osap/internal/serve/proto"
 )
 
 // Binary front end: persistent multiplexed connections speaking
-// internal/serve/proto. Each connection is split into three kinds of
-// goroutines so that many sessions share each syscall:
+// internal/serve/proto, served run to completion. After the handshake
+// one goroutine owns the connection. It reads, and for every complete
+// frame its read buffer already holds it decodes the frame, runs the
+// step under the same opGate/batcher discipline as an HTTP handler
+// goroutine, and encodes the reply into the connection's write buffer;
+// it flushes only when no complete frame is left buffered. A burst of
+// frames that one read(2) brought in is answered by one write(2), and a
+// step costs no goroutine switch and no channel operation.
 //
-//   - a reader (serveConn) that decodes frames and routes them to
-//     per-session workers;
-//   - one worker per open session, which runs the step through the
-//     shared opGate/batcher discipline exactly like an HTTP handler
-//     goroutine would;
-//   - a writer that encodes queued replies and flushes only when its
-//     queue goes momentarily idle, coalescing the decisions of every
-//     session that stepped in the same window into one write.
-//
-// The reader hands a worker at most one command at a time (a per
-// session busy flag), so a session's observation decode buffer is
-// never written while its worker reads it; a client that pipelines two
-// steps on one cid gets a BadRequest error for the second.
+// Frames are served in the order they arrive and replies leave in that
+// order: a client may pipeline any number of steps on one cid, and no
+// Decision follows a GoAway. A connection is served by one core at a
+// time; parallelism comes from connections (DESIGN.md §7).
 
 // ServeBinary accepts persistent binary-protocol connections (see
 // internal/serve/proto) on ln and serves them until the listener
@@ -73,10 +69,9 @@ func (s *Server) untrackConn(nc net.Conn) {
 // closeConns shuts down every tracked binary connection's read side.
 // Called by Drain after the in-flight barrier: readers blocked in a
 // frame read would otherwise wait forever for clients that have
-// nothing more to say. Closing only the read half lets each
-// connection's writer flush decisions that were completed by the final
-// batch flush before the connection tears down; the teardown path then
-// closes the socket fully.
+// nothing more to say. Closing only the read half lets each reader
+// answer the frames it had already received (with GoAway) and flush
+// before it closes the socket fully.
 func (s *Server) closeConns() {
 	s.connMu.Lock()
 	for nc := range s.conns {
@@ -89,389 +84,279 @@ func (s *Server) closeConns() {
 	s.connMu.Unlock()
 }
 
-// binCmd is one routed command for a session worker.
-type binCmd struct {
-	typ proto.Type // TypeStep or TypeReset
-	seq uint32
+// binConn is one connection's state. Its reader goroutine owns all of
+// it, so nothing here is locked.
+type binConn struct {
+	s        *Server
+	pc       *proto.Conn
+	sessions map[uint32]*Session // by channel id
+	// obs is the step decode buffer. One suffices for every session: a
+	// step runs to completion before the next frame is decoded.
+	obs  []float64
+	hist *Histogram // the "step" endpoint's latency
 }
 
-// binMsg is one queued reply for the connection writer.
-type binMsg struct {
-	typ  proto.Type // Decision, Opened, Error, OK, Pong, GoAway
-	dec  proto.Decision
-	cid  uint32
-	code uint16
-	str  string
-}
-
-// binSession is one multiplexed session's server-side channel state.
-// The reader owns the map entry and the decode buffer hand-off; the
-// worker owns the step itself.
-type binSession struct {
-	cid  uint32
-	sess *Session
-	obs  []float64 // decode buffer; reader writes only while busy is clear
-	in   chan binCmd
-	// busy is set by the reader before it decodes into obs and cleared
-	// by the worker once the command is fully served — the
-	// one-outstanding-step-per-channel discipline, as a single atomic
-	// instead of a token channel round trip per step.
-	busy atomic.Bool
-}
-
-// serveConn is the per-connection reader: Hello/Welcome handshake,
-// then a frame-routing loop. Sessions outlive a disconnect (TTL
-// eviction collects them later, mirroring an abandoned HTTP session)
-// unless the client closes them explicitly.
+// serveConn serves one connection on the calling goroutine:
+// Hello/Welcome handshake, then the frame loop. Sessions outlive a
+// disconnect (TTL eviction collects them later, mirroring an abandoned
+// HTTP session) unless the client closes them explicitly.
 func (s *Server) serveConn(nc net.Conn) {
-	pc := proto.NewConn(nc)
+	defer nc.Close() //nolint:errcheck // what there was to send has been flushed
+	// The read buffer holds the largest burst worth answering with one
+	// write: as many step frames as a collector fuses into one batch.
+	dim := s.factory.ObsDim()
+	pc := proto.NewConnSize(nc, s.cfg.Batch.MaxBatch*proto.StepFrameSize(dim))
 	if !s.trackConn(nc) {
 		pc.WriteGoAway("draining") //nolint:errcheck // best-effort farewell
-		nc.Close()                 //nolint:errcheck
 		return
 	}
 	defer s.untrackConn(nc)
 
 	t, payload, err := pc.ReadFrame()
 	if err != nil || t != proto.TypeHello {
-		nc.Close() //nolint:errcheck
 		return
 	}
 	if err := proto.DecodeHello(payload); err != nil {
 		pc.WriteError(proto.CidConn, proto.CodeBadRequest, err.Error()) //nolint:errcheck
-		nc.Close()                                                      //nolint:errcheck
 		return
 	}
 	if pc.WriteWelcome(proto.Welcome{
 		Version:    proto.Version,
-		ObsDim:     s.factory.ObsDim(),
+		ObsDim:     dim,
 		NumActions: s.factory.NumActions(),
 		Dataset:    s.factory.Dataset(),
 		Schemes:    s.factory.Schemes(),
 	}) != nil {
-		nc.Close() //nolint:errcheck
 		return
 	}
 
-	// Post-handshake the write side belongs to the writer goroutine;
-	// the reader communicates only through out.
 	pc.ManualFlush()
-	out := make(chan binMsg, 256)
-	writerDone := make(chan struct{})
-	go binWriter(nc, pc, out, writerDone)
+	c := &binConn{
+		s:        s,
+		pc:       pc,
+		sessions: make(map[uint32]*Session),
+		obs:      make([]float64, dim),
+		hist:     s.metrics.Latency("step"),
+	}
+	c.run()
+	// Whatever exit run took, the replies it had encoded still leave.
+	c.flush() //nolint:errcheck // the connection is closing either way
+}
 
-	sessions := make(map[uint32]*binSession)
-	workers := 0
-	workerDone := make(chan struct{}, 16)
-	defer func() {
-		for _, bs := range sessions {
-			close(bs.in)
-		}
-		for ; workers > 0; workers-- {
-			<-workerDone
-		}
-		close(out)
-		<-writerDone
-		nc.Close() //nolint:errcheck
-	}()
-
+// run is the frame loop: serve every frame the read buffer holds, flush
+// when it holds no complete one, read again. Replies are only appended
+// to the write buffer in between — a failed write is sticky in the
+// buffer and the burst's flush reports it — so ReadFrame is the one
+// place the loop blocks on the peer.
+//
+//osap:hotpath
+func (c *binConn) run() {
+	m := c.s.metrics
 	for {
-		t, payload, err := pc.ReadFrame()
+		t, payload, err := c.pc.ReadFrame()
 		if err != nil {
 			return
 		}
-		if s.cfg.FrameFault != nil {
-			if reject, delay := s.cfg.FrameFault(); reject {
-				// Injected overload: a retryable 503, deliberately without
-				// "draining" in the message (see chaos), addressed to the
-				// frame's session so only that step retries.
-				cid, ok := proto.StepCid(payload)
-				if !ok {
-					cid = proto.CidConn
-				}
-				out <- binMsg{typ: proto.TypeError, cid: cid, code: proto.CodeDraining, str: "injected overload"}
-				continue
-			} else if delay > 0 {
-				time.Sleep(delay)
-			}
-		}
-		switch t {
-		case proto.TypeStep:
-			s.routeStep(sessions, out, payload)
-		case proto.TypePing:
-			out <- binMsg{typ: proto.TypePong}
-		case proto.TypeOpen:
-			if bs, reply, keep := s.binaryOpen(sessions, payload); keep {
-				if bs != nil {
-					sessions[bs.cid] = bs
-					workers++
-					go s.binWorker(bs, out, workerDone)
-				}
-				out <- reply
-			} else {
-				out <- reply
-				return
-			}
-		case proto.TypeReset:
-			s.routeReset(sessions, out, payload)
-		case proto.TypeClose:
-			cid, err := proto.DecodeCid(payload)
-			if err != nil {
-				out <- binMsg{typ: proto.TypeError, cid: proto.CidConn, code: proto.CodeBadRequest, str: "bad close frame"}
-				continue
-			}
-			bs := sessions[cid]
-			if bs == nil {
-				out <- binMsg{typ: proto.TypeError, cid: cid, code: proto.CodeBadRequest, str: "no session on this channel"}
-				continue
-			}
-			if _, ok := s.table.Delete(bs.sess.ID()); ok {
-				s.metrics.SessionsDeleted.Add(1)
-			}
-			close(bs.in)
-			delete(sessions, cid)
-			workers--
-			<-workerDone
-			out <- binMsg{typ: proto.TypeOK, cid: cid}
-		default:
-			out <- binMsg{typ: proto.TypeError, cid: proto.CidConn, code: proto.CodeBadRequest, str: "unexpected frame type"}
+		m.BinaryFrames.Add(1)
+		if c.s.cfg.FrameFault != nil && c.fault(payload) { //osap:hotpath-stop fault injection seam, nil in production wiring
+			// Rejected; the retryable Error is in the write buffer.
+		} else if t == proto.TypeStep {
+			c.step(payload)
+		} else if !c.control(t, payload) { //osap:hotpath-stop control frames are per session or per connection, not per step
 			return
 		}
+		if !c.pc.FrameBuffered() {
+			m.BinaryReadBursts.Add(1)
+			if c.flush() != nil {
+				return
+			}
+		}
 	}
 }
 
-// routeStep decodes a step frame into the session's buffer and hands
-// it to the worker. The busy flag guarantees the worker is not still
-// reading the buffer from the previous step.
+//osap:hotpath
+func (c *binConn) flush() error {
+	c.s.metrics.BinaryFlushes.Add(1)
+	return c.pc.Flush()
+}
+
+// fault runs the injected-fault seam before a frame is served (chaos;
+// nil in production) and says whether the frame was rejected: a
+// retryable 503, deliberately without "draining" in the message,
+// addressed to the frame's session so only that step retries.
+func (c *binConn) fault(payload []byte) bool {
+	reject, delay := c.s.cfg.FrameFault()
+	if reject {
+		cid, ok := proto.StepCid(payload)
+		if !ok {
+			cid = proto.CidConn
+		}
+		c.fail(cid, proto.CodeDraining, "injected overload")
+		return true
+	}
+	if delay > 0 {
+		time.Sleep(delay)
+	}
+	return false
+}
+
+// fail queues an Error frame; the connection stays usable.
+func (c *binConn) fail(cid uint32, code uint16, msg string) {
+	c.pc.WriteError(cid, code, msg) //nolint:errcheck // sticky in the write buffer; the flush reports it
+}
+
+// step serves one Step frame start to finish: the binary analogue of
+// handleStep.
 //
 //osap:hotpath
-func (s *Server) routeStep(sessions map[uint32]*binSession, out chan binMsg, payload []byte) {
+func (c *binConn) step(payload []byte) {
+	s := c.s
 	cid, ok := proto.StepCid(payload)
 	if !ok {
-		out <- binMsg{typ: proto.TypeError, cid: proto.CidConn, code: proto.CodeBadRequest, str: "bad step frame"}
+		c.fail(proto.CidConn, proto.CodeBadRequest, "bad step frame") //osap:hotpath-stop Error frames are failure paths, not per-step traffic
 		return
 	}
-	bs := sessions[cid]
-	if bs == nil {
-		out <- binMsg{typ: proto.TypeError, cid: cid, code: proto.CodeBadRequest, str: "no session on this channel"}
+	sess := c.sessions[cid]
+	if sess == nil {
+		c.fail(cid, proto.CodeBadRequest, "no session on this channel") //osap:hotpath-stop Error frames are failure paths, not per-step traffic
 		return
 	}
-	if !bs.busy.CompareAndSwap(false, true) {
-		out <- binMsg{typ: proto.TypeError, cid: cid, code: proto.CodeBadRequest, str: "step already in flight"}
-		return
-	}
-	_, seq, err := proto.DecodeStep(payload, bs.obs)
+	_, seq, err := proto.DecodeStep(payload, c.obs)
 	if err != nil {
-		bs.busy.Store(false)
-		out <- binMsg{typ: proto.TypeError, cid: cid, code: proto.CodeBadRequest, str: "bad step frame"}
+		c.fail(cid, proto.CodeBadRequest, "bad step frame") //osap:hotpath-stop Error frames are failure paths, not per-step traffic
 		return
 	}
-	bs.in <- binCmd{typ: proto.TypeStep, seq: seq}
-}
-
-// routeReset hands a reset to the session's worker under the same busy
-// discipline as a step.
-func (s *Server) routeReset(sessions map[uint32]*binSession, out chan binMsg, payload []byte) {
-	cid, err := proto.DecodeCid(payload)
-	if err != nil {
-		out <- binMsg{typ: proto.TypeError, cid: proto.CidConn, code: proto.CodeBadRequest, str: "bad reset frame"}
-		return
-	}
-	bs := sessions[cid]
-	if bs == nil {
-		out <- binMsg{typ: proto.TypeError, cid: cid, code: proto.CodeBadRequest, str: "no session on this channel"}
-		return
-	}
-	if !bs.busy.CompareAndSwap(false, true) {
-		out <- binMsg{typ: proto.TypeError, cid: cid, code: proto.CodeBadRequest, str: "step already in flight"}
-		return
-	}
-	bs.in <- binCmd{typ: proto.TypeReset}
-}
-
-// binaryOpen serves one TypeOpen frame: the binary analogue of
-// handleCreate. keep=false ends the connection (drain).
-func (s *Server) binaryOpen(sessions map[uint32]*binSession, payload []byte) (*binSession, binMsg, bool) {
+	start := time.Now()
 	s.opGate.RLock()
 	if s.draining.Load() {
 		s.opGate.RUnlock()
 		s.metrics.DrainRejected.Add(1)
-		return nil, binMsg{typ: proto.TypeGoAway, str: "draining"}, false
+		//osap:hotpath-stop GoAway is a per-connection shutdown frame
+		c.pc.WriteGoAway("draining") //nolint:errcheck // sticky in the write buffer; the flush reports it
+		return
 	}
-	cid, scheme, err := proto.DecodeOpen(payload)
+	res, err := s.stepSession(sess, c.obs)
 	if err != nil {
 		s.opGate.RUnlock()
-		return nil, binMsg{typ: proto.TypeError, cid: proto.CidConn, code: proto.CodeBadRequest, str: "bad open frame"}, true
+		c.fail(cid, proto.CodeGone, "session closed") //osap:hotpath-stop Error frames are failure paths, not per-step traffic
+		return
 	}
-	if cid == proto.CidConn {
-		s.opGate.RUnlock()
-		return nil, binMsg{typ: proto.TypeError, cid: cid, code: proto.CodeBadRequest, str: "reserved channel id"}, true
+	s.recordStep(sess, res)
+	s.opGate.RUnlock()
+
+	d := proto.Decision{
+		Cid:    cid,
+		Seq:    seq,
+		Action: uint16(res.Action),
+		Step:   uint32(res.Decision.Step),
+		Score:  res.Decision.Score,
 	}
-	if sessions[cid] != nil {
+	if res.Decision.UsedDefault {
+		d.Flags |= proto.FlagFallback
+	}
+	if res.Decision.Fired {
+		d.Flags |= proto.FlagFired
+	}
+	if res.Demoted {
+		d.Flags |= proto.FlagDemoted
+	}
+	c.hist.Observe(time.Since(start).Seconds())
+	c.pc.WriteDecision(d) //nolint:errcheck // sticky in the write buffer; the flush reports it
+}
+
+// control serves every frame that is not a Step. false ends the
+// connection.
+func (c *binConn) control(t proto.Type, payload []byte) bool {
+	s := c.s
+	switch t {
+	case proto.TypePing:
+		c.pc.WriteControl(proto.TypePong, nil) //nolint:errcheck // sticky; the flush reports it
+	case proto.TypeOpen:
+		return c.open(payload)
+	case proto.TypeReset:
+		cid, sess := c.lookup(payload, "bad reset frame")
+		if sess == nil {
+			break
+		}
+		s.opGate.RLock()
+		out, err := sess.Reset(s.cfg.Now())
+		if err == nil {
+			s.noteResetOutcome(out)
+		}
 		s.opGate.RUnlock()
-		return nil, binMsg{typ: proto.TypeError, cid: cid, code: proto.CodeBadRequest, str: "channel id already open"}, true
+		if err != nil {
+			c.fail(cid, proto.CodeGone, "session closed")
+			break
+		}
+		c.pc.WriteSessionControl(proto.TypeOK, cid) //nolint:errcheck // sticky; the flush reports it
+	case proto.TypeClose:
+		cid, sess := c.lookup(payload, "bad close frame")
+		if sess == nil {
+			break
+		}
+		if _, ok := s.table.Delete(sess.ID()); ok {
+			s.metrics.SessionsDeleted.Add(1)
+		}
+		delete(c.sessions, cid)
+		c.pc.WriteSessionControl(proto.TypeOK, cid) //nolint:errcheck // sticky; the flush reports it
+	default:
+		c.fail(proto.CidConn, proto.CodeBadRequest, "unexpected frame type")
+		return false
+	}
+	return true
+}
+
+// lookup resolves a cid-only frame (Reset, Close) to its session,
+// answering the error itself when there is none.
+func (c *binConn) lookup(payload []byte, badFrame string) (uint32, *Session) {
+	cid, err := proto.DecodeCid(payload)
+	if err != nil {
+		c.fail(proto.CidConn, proto.CodeBadRequest, badFrame)
+		return 0, nil
+	}
+	sess := c.sessions[cid]
+	if sess == nil {
+		c.fail(cid, proto.CodeBadRequest, "no session on this channel")
+	}
+	return cid, sess
+}
+
+// open serves one Open frame: the binary analogue of handleCreate.
+// false ends the connection (drain).
+func (c *binConn) open(payload []byte) bool {
+	s := c.s
+	s.opGate.RLock()
+	defer s.opGate.RUnlock()
+	if s.draining.Load() {
+		s.metrics.DrainRejected.Add(1)
+		c.pc.WriteGoAway("draining") //nolint:errcheck // the connection ends here
+		return false
+	}
+	cid, scheme, err := proto.DecodeOpen(payload)
+	switch {
+	case err != nil:
+		c.fail(proto.CidConn, proto.CodeBadRequest, "bad open frame")
+		return true
+	case cid == proto.CidConn:
+		c.fail(cid, proto.CodeBadRequest, "reserved channel id")
+		return true
+	case c.sessions[cid] != nil:
+		c.fail(cid, proto.CodeBadRequest, "channel id already open")
+		return true
 	}
 	if scheme == "" {
 		scheme = SchemeND
 	}
-	ns, err := s.createSession(scheme)
-	s.opGate.RUnlock()
-	if err != nil {
-		if errors.Is(err, ErrTableFull) {
-			s.metrics.SessionsRejected.Add(1)
-			return nil, binMsg{typ: proto.TypeError, cid: cid, code: proto.CodeTooMany, str: "session table full"}, true
-		}
-		return nil, binMsg{typ: proto.TypeError, cid: cid, code: proto.CodeBadRequest, str: err.Error()}, true
+	sess, err := s.createSession(scheme)
+	switch {
+	case errors.Is(err, ErrTableFull):
+		s.metrics.SessionsRejected.Add(1)
+		c.fail(cid, proto.CodeTooMany, "session table full")
+	case err != nil:
+		c.fail(cid, proto.CodeBadRequest, err.Error())
+	default:
+		c.sessions[cid] = sess
+		c.pc.WriteOpened(cid, sess.ID()) //nolint:errcheck // sticky; the flush reports it
 	}
-	bs := &binSession{
-		cid:  cid,
-		sess: ns,
-		obs:  make([]float64, s.factory.ObsDim()),
-		in:   make(chan binCmd, 1),
-	}
-	return bs, binMsg{typ: proto.TypeOpened, cid: cid, str: ns.ID()}, true
-}
-
-// binWorker serves one multiplexed session's commands: the binary
-// analogue of an HTTP handler goroutine, under the same
-// opGate/draining discipline. It exits when the reader closes its
-// command channel (session closed or connection gone).
-//
-//osap:hotpath
-func (s *Server) binWorker(bs *binSession, out chan binMsg, done chan struct{}) {
-	hist := s.metrics.Latency("step") //osap:hotpath-stop per-worker setup: the endpoint histogram is resolved once, before the command loop
-	for cmd := range bs.in {
-		// In every arm below, busy is cleared BEFORE the reply is
-		// queued: the client only learns the step finished through the
-		// reply, so the store→send→flush chain guarantees the flag is
-		// clear by the time its next step frame can reach the reader. A
-		// clear after the send would race a fast client into a spurious
-		// "step already in flight" rejection.
-		if cmd.typ == proto.TypeReset {
-			s.opGate.RLock()
-			rout, err := bs.sess.Reset(s.cfg.Now()) //osap:hotpath-stop Reset is per-episode, not per-step; the clock seam is injected for tests
-			if err == nil {
-				s.noteResetOutcome(rout)
-			}
-			s.opGate.RUnlock()
-			bs.busy.Store(false)
-			if err != nil {
-				out <- binMsg{typ: proto.TypeError, cid: bs.cid, code: proto.CodeGone, str: "session closed"}
-			} else {
-				out <- binMsg{typ: proto.TypeOK, cid: bs.cid}
-			}
-			continue
-		}
-		start := time.Now()
-		s.opGate.RLock()
-		if s.draining.Load() {
-			s.opGate.RUnlock()
-			s.metrics.DrainRejected.Add(1)
-			bs.busy.Store(false)
-			out <- binMsg{typ: proto.TypeGoAway, str: "draining"}
-			continue
-		}
-		res, err := s.stepSession(bs.sess, bs.obs)
-		if err != nil {
-			s.opGate.RUnlock()
-			bs.busy.Store(false)
-			out <- binMsg{typ: proto.TypeError, cid: bs.cid, code: proto.CodeGone, str: "session closed"}
-			continue
-		}
-		s.recordStep(bs.sess, res)
-		s.opGate.RUnlock()
-
-		var m binMsg
-		m.typ = proto.TypeDecision
-		m.dec.Cid = bs.cid
-		m.dec.Seq = cmd.seq
-		m.dec.Action = uint16(res.Action)
-		if res.Decision.UsedDefault {
-			m.dec.Flags |= proto.FlagFallback
-		}
-		if res.Decision.Fired {
-			m.dec.Flags |= proto.FlagFired
-		}
-		if res.Demoted {
-			m.dec.Flags |= proto.FlagDemoted
-		}
-		m.dec.Step = uint32(res.Decision.Step)
-		m.dec.Score = res.Decision.Score
-		hist.Observe(time.Since(start).Seconds())
-		bs.busy.Store(false)
-		out <- m
-	}
-	done <- struct{}{}
-}
-
-// binWriter encodes queued replies and flushes whenever the queue goes
-// momentarily idle: decisions completed by one batch flush (or several)
-// leave in a single write syscall. On a write error it closes the
-// socket — which unblocks the reader — and keeps draining the queue so
-// workers never block on a dead connection.
-//
-//osap:hotpath
-func binWriter(nc net.Conn, pc *proto.Conn, out chan binMsg, done chan struct{}) {
-	failed := false
-	open := true
-	for open {
-		m, ok := <-out
-		if !ok {
-			break
-		}
-		failed = writeBinMsg(nc, pc, m, failed)
-		for more := true; more; {
-			select {
-			case m, ok := <-out:
-				if !ok {
-					open = false
-					more = false
-					break
-				}
-				failed = writeBinMsg(nc, pc, m, failed)
-			default:
-				more = false
-			}
-		}
-		if !failed && pc.Flush() != nil {
-			failed = true
-			//osap:hotpath-stop write-failure teardown closes the socket once, then the queue drains
-			nc.Close() //nolint:errcheck
-		}
-	}
-	if !failed {
-		pc.Flush() //nolint:errcheck // final frames; socket may be gone
-	}
-	close(done)
-}
-
-// writeBinMsg encodes one queued reply; once a write fails the
-// connection is closed and the rest of the queue is discarded.
-//
-//osap:hotpath
-func writeBinMsg(nc net.Conn, pc *proto.Conn, m binMsg, failed bool) bool {
-	if failed {
-		return true
-	}
-	var err error
-	switch m.typ {
-	case proto.TypeDecision:
-		err = pc.WriteDecision(m.dec)
-	case proto.TypeOpened:
-		err = pc.WriteOpened(m.cid, m.str) //osap:hotpath-stop Opened is a per-session control frame, not per-step traffic
-	case proto.TypeError:
-		err = pc.WriteError(m.cid, m.code, m.str) //osap:hotpath-stop Error frames are failure paths, not per-step traffic
-	case proto.TypeOK:
-		err = pc.WriteSessionControl(proto.TypeOK, m.cid) //osap:hotpath-stop OK is a per-reset control frame
-	case proto.TypePong:
-		err = pc.WriteControl(proto.TypePong, nil) //osap:hotpath-stop Pong is a keepalive control frame
-	case proto.TypeGoAway:
-		err = pc.WriteGoAway(m.str) //osap:hotpath-stop GoAway is a per-connection shutdown frame
-	}
-	if err != nil {
-		//osap:hotpath-stop write-failure teardown closes the socket once
-		nc.Close() //nolint:errcheck
-		return true
-	}
-	return false
+	return true
 }

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,6 +31,29 @@ func dialBinary(t *testing.T, addr string) *binClient {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return handshake(t, nc)
+}
+
+// pipeBinary serves one end of an in-memory pipe with serveConn and
+// returns a client on the other. net.Pipe has no buffer of its own, so
+// one Write here is one Read there and every server flush is one Write.
+func pipeBinary(t *testing.T, s *Server) *binClient {
+	t.Helper()
+	srv, cli := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.serveConn(srv)
+	}()
+	t.Cleanup(func() {
+		cli.Close() //nolint:errcheck
+		<-done
+	})
+	return handshake(t, cli)
+}
+
+func handshake(t *testing.T, nc net.Conn) *binClient {
+	t.Helper()
 	c := &binClient{t: t, nc: nc, pc: proto.NewConn(nc)}
 	if err := c.pc.WriteHello(); err != nil {
 		t.Fatal(err)
@@ -148,6 +175,94 @@ func (c *binClient) ping() {
 	}
 }
 
+// writeSteps sends one Step frame per (cid, seq, obs) triple in a
+// single Write on the transport.
+func (c *binClient) writeSteps(cids, seqs []uint32, obs [][]float64) {
+	c.t.Helper()
+	var buf bytes.Buffer
+	enc := proto.NewConn(&buf)
+	for i, cid := range cids {
+		if err := enc.WriteStep(cid, seqs[i], obs[i]); err != nil {
+			c.t.Fatal(err)
+		}
+	}
+	if _, err := c.nc.Write(buf.Bytes()); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+// readDecision reads one frame that must be a Decision. It reports
+// failures with Error so that client goroutines may call it.
+func (c *binClient) readDecision() (proto.Decision, bool) {
+	typ, payload, err := c.pc.ReadFrame()
+	if err != nil {
+		c.t.Error(err)
+		return proto.Decision{}, false
+	}
+	if typ != proto.TypeDecision {
+		_, code, msg, _ := proto.DecodeError(payload)
+		c.t.Errorf("frame type %d (%s), want Decision", typ, proto.ErrorString(code, msg))
+		return proto.Decision{}, false
+	}
+	d, err := proto.DecodeDecision(payload)
+	if err != nil {
+		c.t.Error(err)
+	}
+	return d, err == nil
+}
+
+// checkAgainstSequential replays stream on a private guard stepped
+// alone and requires got to match it decision for decision, bit for
+// bit.
+func checkAgainstSequential(t *testing.T, s *Server, scheme string, stream [][]float64, got []proto.Decision) {
+	t.Helper()
+	if len(got) != len(stream) {
+		t.Fatalf("%s: lane finished %d/%d steps", scheme, len(got), len(stream))
+	}
+	g, err := s.factory.NewGuard(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newSession("ref", scheme, g, time.Now())
+	for i, obs := range stream {
+		want, err := ref.Step(obs, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := got[i]
+		if int(got.Action) != want.Action {
+			t.Fatalf("%s step %d: action %d != %d", scheme, i, got.Action, want.Action)
+		}
+		if math.Float64bits(got.Score) != math.Float64bits(want.Decision.Score) {
+			t.Fatalf("%s step %d: score %g != %g (not bit-identical)", scheme, i, got.Score, want.Decision.Score)
+		}
+		if got.Flags&proto.FlagFallback != 0 != want.Decision.UsedDefault ||
+			got.Flags&proto.FlagFired != 0 != want.Decision.Fired ||
+			got.Flags&proto.FlagDemoted != 0 != want.Demoted ||
+			int(got.Step) != want.Decision.Step {
+			t.Fatalf("%s step %d: flags/step %+v != %+v", scheme, i, got, want)
+		}
+	}
+}
+
+// promCounter reads one counter the way an operator would: off the
+// Prometheus text the server renders.
+func promCounter(t *testing.T, s *Server, name string) uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.metrics.WriteProm(&buf, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		var v uint64
+		if n, _ := fmt.Sscanf(line, name+" %d", &v); n == 1 {
+			return v
+		}
+	}
+	t.Fatalf("no %s in the metrics text", name)
+	return 0
+}
+
 func binaryTestServer(t *testing.T, batch BatchConfig) (*Server, string) {
 	t.Helper()
 	s := batchTestServer(t, batch)
@@ -161,12 +276,12 @@ func binaryTestServer(t *testing.T, batch BatchConfig) (*Server, string) {
 }
 
 // TestBinaryEndToEnd multiplexes sessions across all three schemes on
-// ONE connection, pipelines every lane's step per round so the batching
-// collector sees them together, and checks every decision is
-// bit-identical to a sequential reference replay — the same equivalence
-// property as the HTTP path, over the multiplexed wire format.
+// ONE connection, pipelines every lane's step per round, and checks
+// every decision is bit-identical to a sequential reference replay —
+// the same equivalence property as the HTTP path, over the multiplexed
+// wire format.
 func TestBinaryEndToEnd(t *testing.T) {
-	s, addr := binaryTestServer(t, BatchConfig{Window: time.Millisecond, MaxBatch: 64, Collectors: 1})
+	s, addr := binaryTestServer(t, BatchConfig{MaxBatch: 64, Collectors: 1})
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 
 	schemes := s.factory.Schemes()
@@ -200,8 +315,7 @@ func TestBinaryEndToEnd(t *testing.T) {
 		t.Fatalf("%d sessions open, want %d", got, len(lanes))
 	}
 
-	// Pipeline one step per lane, then collect the round's decisions in
-	// whatever order the coalescing writer emits them.
+	// Pipeline one step per lane, then collect the round's decisions.
 	for i := 0; i < steps; i++ {
 		for ci, ln := range lanes {
 			if err := c.pc.WriteStep(uint32(ci), uint32(i), ln.stream[i]); err != nil {
@@ -209,17 +323,9 @@ func TestBinaryEndToEnd(t *testing.T) {
 			}
 		}
 		for range lanes {
-			typ, payload, err := c.pc.ReadFrame()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if typ != proto.TypeDecision {
-				_, code, msg, _ := proto.DecodeError(payload)
-				t.Fatalf("round %d: frame type %d (%s)", i, typ, proto.ErrorString(code, msg))
-			}
-			d, err := proto.DecodeDecision(payload)
-			if err != nil {
-				t.Fatal(err)
+			d, ok := c.readDecision()
+			if !ok {
+				t.FailNow()
 			}
 			if int(d.Cid) >= len(lanes) || d.Seq != uint32(i) {
 				t.Fatalf("round %d: decision cid %d seq %d", i, d.Cid, d.Seq)
@@ -230,35 +336,8 @@ func TestBinaryEndToEnd(t *testing.T) {
 	if s.metrics.BatchSize.Count() == 0 {
 		t.Fatal("no batches flushed over the binary transport")
 	}
-
 	for _, ln := range lanes {
-		if len(ln.got) != steps {
-			t.Fatalf("%s: lane finished %d/%d steps", ln.scheme, len(ln.got), steps)
-		}
-		g, err := s.factory.NewGuard(ln.scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := newSession("ref", ln.scheme, g, time.Now())
-		for i, obs := range ln.stream {
-			want, err := ref.Step(obs, time.Now())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := ln.got[i]
-			if int(got.Action) != want.Action {
-				t.Fatalf("%s step %d: action %d != %d", ln.scheme, i, got.Action, want.Action)
-			}
-			if math.Float64bits(got.Score) != math.Float64bits(want.Decision.Score) {
-				t.Fatalf("%s step %d: score %g != %g (not bit-identical)", ln.scheme, i, got.Score, want.Decision.Score)
-			}
-			if got.Flags&proto.FlagFallback != 0 != want.Decision.UsedDefault ||
-				got.Flags&proto.FlagFired != 0 != want.Decision.Fired ||
-				got.Flags&proto.FlagDemoted != 0 != want.Demoted ||
-				int(got.Step) != want.Decision.Step {
-				t.Fatalf("%s step %d: flags/step %+v != %+v", ln.scheme, i, got, want)
-			}
-		}
+		checkAgainstSequential(t, s, ln.scheme, ln.stream, ln.got)
 	}
 }
 
@@ -334,54 +413,186 @@ func TestBinarySessionLifecycle(t *testing.T) {
 	}
 }
 
-// TestBinaryPipelineRejected pins the one-outstanding-step-per-channel
-// rule: a second step pipelined on the same cid while the first is
-// still in the (deliberately slow) batch window gets a BadRequest, the
-// first still completes, and the channel remains usable.
-func TestBinaryPipelineRejected(t *testing.T) {
-	s, addr := binaryTestServer(t, BatchConfig{Window: 50 * time.Millisecond, MaxBatch: 64, Collectors: 1})
+// TestBinaryPipelineInOrder pins the ordering contract: steps
+// pipelined on one cid — two frames in one Write — are both served, in
+// the order they arrived, as consecutive steps of the session.
+func TestBinaryPipelineInOrder(t *testing.T) {
+	s, addr := binaryTestServer(t, BatchConfig{})
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 
 	c := dialBinary(t, addr)
 	defer c.nc.Close()
-	c.open(0, SchemeND)
-	obs := obsStream(9, s.factory.ObsDim(), 1)[0]
+	c.open(0, SchemeAEns)
+	stream := obsStream(9, s.factory.ObsDim(), 2)
+	c.writeSteps([]uint32{0, 0}, []uint32{1, 2}, stream)
+	var got []proto.Decision
+	for i := uint32(0); i < 2; i++ {
+		d, ok := c.readDecision()
+		if !ok {
+			t.FailNow()
+		}
+		if d.Cid != 0 || d.Seq != i+1 || d.Step != i {
+			t.Fatalf("reply %d: cid %d seq %d step %d, want cid 0 seq %d step %d", i, d.Cid, d.Seq, d.Step, i+1, i)
+		}
+		got = append(got, d)
+	}
+	checkAgainstSequential(t, s, SchemeAEns, stream, got)
+}
 
-	if err := c.pc.WriteStep(0, 1, obs); err != nil {
-		t.Fatal(err)
+// TestBinaryBurstOneFlush: eight Step frames for eight sessions arriving
+// in one read are answered by eight Decisions in one write — asserted
+// through the counters on /metrics.
+func TestBinaryBurstOneFlush(t *testing.T) {
+	s := batchTestServer(t, BatchConfig{})
+	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
+	c := pipeBinary(t, s)
+	const n = 8
+	schemes := s.factory.Schemes()
+	cids, seqs := make([]uint32, n), make([]uint32, n)
+	for i := range cids {
+		cids[i], seqs[i] = uint32(i), 7
+		c.open(cids[i], schemes[i%len(schemes)])
 	}
-	if err := c.pc.WriteStep(0, 2, obs); err != nil {
-		t.Fatal(err)
-	}
-	var decisions, rejections int
-	for i := 0; i < 2; i++ {
-		typ, payload, err := c.pc.ReadFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch typ {
-		case proto.TypeDecision:
-			d, err := proto.DecodeDecision(payload)
-			if err != nil || d.Seq != 1 {
-				t.Fatalf("decision %+v err %v, want seq 1", d, err)
-			}
-			decisions++
-		case proto.TypeError:
-			cid, code, msg, err := proto.DecodeError(payload)
-			if err != nil || cid != 0 || code != proto.CodeBadRequest || !strings.Contains(msg, "in flight") {
-				t.Fatalf("error cid %d code %d %q %v", cid, code, msg, err)
-			}
-			rejections++
-		default:
-			t.Fatalf("unexpected frame type %d", typ)
+	counts := func() [3]uint64 {
+		return [3]uint64{
+			promCounter(t, s, "osap_binary_frames_total"),
+			promCounter(t, s, "osap_binary_read_bursts_total"),
+			promCounter(t, s, "osap_binary_flushes_total"),
 		}
 	}
-	if decisions != 1 || rejections != 1 {
-		t.Fatalf("%d decisions, %d rejections; want 1 and 1", decisions, rejections)
+	before := counts()
+	c.writeSteps(cids, seqs, obsStream(21, s.factory.ObsDim(), n))
+	for i := uint32(0); i < n; i++ {
+		d, ok := c.readDecision()
+		if !ok {
+			t.FailNow()
+		}
+		if d.Cid != i || d.Seq != 7 {
+			t.Fatalf("reply %d: cid %d seq %d", i, d.Cid, d.Seq)
+		}
 	}
-	// The channel survived the rejection.
-	if d, err := c.step(0, 2, obs); err != nil || d.Seq != 2 {
-		t.Fatalf("step after rejection: %+v %v", d, err)
+	after := counts()
+	if got := [3]uint64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}; got != [3]uint64{n, 1, 1} {
+		t.Fatalf("frames, bursts, flushes = %v; want [%d 1 1]", got, n)
+	}
+}
+
+// TestBinaryStepZeroAlloc is the allocation gate for the whole binary
+// step path — read, decode, step, encode, flush — and the client half
+// of the round trip with it: a steady step of a session served inline
+// (ND) and of a fused one (A-ensemble) allocates nothing.
+func TestBinaryStepZeroAlloc(t *testing.T) {
+	s := batchTestServer(t, BatchConfig{})
+	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
+	c := pipeBinary(t, s)
+	obs := obsStream(9, s.factory.ObsDim(), 1)[0]
+	for cid, scheme := range []string{SchemeND, SchemeAEns} {
+		c.open(uint32(cid), scheme)
+		seq := uint32(0)
+		step := func() {
+			seq++
+			if _, err := c.step(uint32(cid), seq, obs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 50; i++ { // warm scratch, pool and histograms
+			step()
+		}
+		if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+			t.Errorf("%s: binary step round trip allocates %.2f/op, want 0", scheme, allocs)
+		}
+	}
+}
+
+// TestBinarySessionsCostNoGoroutines: a connection is one goroutine
+// however many sessions it carries.
+func TestBinarySessionsCostNoGoroutines(t *testing.T) {
+	s := batchTestServer(t, BatchConfig{})
+	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
+	c := pipeBinary(t, s)
+	schemes := s.factory.Schemes()
+	before := runtime.NumGoroutine()
+	for cid := uint32(0); cid < 256; cid++ {
+		c.open(cid, schemes[int(cid)%len(schemes)])
+	}
+	obs := obsStream(4, s.factory.ObsDim(), 1)[0]
+	if _, err := c.step(255, 1, obs); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines with 256 sessions open, %d with none", after, before)
+	}
+}
+
+// TestBinaryConnsShareShard pins the multi-core rule (DESIGN.md §7): a
+// connection is served by one goroutine, parallelism comes from
+// connections, and two connections whose fused sessions sit on one
+// collector neither corrupt nor starve each other. Both pipeline a step
+// for each of their sessions per round, so the shard is found idle by
+// some steps and busy by others; every decision must equal the
+// sequential reference, and the batch-size histogram must account for
+// every decision exactly once.
+func TestBinaryConnsShareShard(t *testing.T) {
+	s, addr := binaryTestServer(t, BatchConfig{Collectors: 1})
+	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
+	const conns, perConn, steps = 2, 4, 60
+	dim := s.factory.ObsDim()
+	fused := []string{SchemeAEns, SchemeVEns}
+
+	type lane struct {
+		scheme string
+		stream [][]float64
+		got    []proto.Decision
+	}
+	lanes := make([][]*lane, conns)
+	clients := make([]*binClient, conns)
+	for k := range clients {
+		clients[k] = dialBinary(t, addr)
+		defer clients[k].nc.Close()
+		for ci := 0; ci < perConn; ci++ {
+			ln := &lane{scheme: fused[ci%2], stream: obsStream(uint64(70+10*k+ci), dim, steps)}
+			lanes[k] = append(lanes[k], ln)
+			clients[k].open(uint32(ci), ln.scheme)
+		}
+	}
+	var wg sync.WaitGroup
+	for k, c := range clients {
+		wg.Add(1)
+		go func(c *binClient, lanes []*lane) {
+			defer wg.Done()
+			for i := 0; i < steps; i++ {
+				for ci, ln := range lanes {
+					if err := c.pc.WriteStep(uint32(ci), uint32(i), ln.stream[i]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				for ci, ln := range lanes {
+					d, ok := c.readDecision()
+					if !ok {
+						return
+					}
+					if d.Cid != uint32(ci) || d.Seq != uint32(i) {
+						t.Errorf("round %d: decision cid %d seq %d, want cid %d", i, d.Cid, d.Seq, ci)
+						return
+					}
+					ln.got = append(ln.got, d)
+				}
+			}
+		}(c, lanes[k])
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for k := range lanes {
+		for _, ln := range lanes[k] {
+			checkAgainstSequential(t, s, ln.scheme, ln.stream, ln.got)
+		}
+	}
+	decisions := s.metrics.Decisions.Load()
+	if rows := s.metrics.BatchSize.Sum(); decisions != conns*perConn*steps || rows != float64(decisions) {
+		t.Fatalf("%d decisions, batch sizes sum to %g, want %d both", decisions, rows, conns*perConn*steps)
 	}
 }
 

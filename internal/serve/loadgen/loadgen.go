@@ -244,8 +244,10 @@ type stepResponse struct {
 // isDrainSignal classifies request failures that a graceful shutdown
 // legitimately produces: the server's explicit 503/410, a connection
 // refused/reset once the listener is gone, or an idle keep-alive
-// connection closed under us. Timeouts and other errors are NOT drain
-// signals — they count as dropped steps.
+// connection closed under us. A reset reaches a connection's reader
+// and writer as different errors — the first to touch the socket gets
+// ECONNRESET, a later write gets EPIPE — so both are classed. Timeouts
+// and other errors are NOT drain signals — they count as dropped steps.
 func isDrainSignal(status int, err error) bool {
 	if status == http.StatusServiceUnavailable || status == http.StatusGone {
 		return true
@@ -255,7 +257,8 @@ func isDrainSignal(status int, err error) bool {
 	}
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
 		errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) {
+		errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) ||
+		errors.Is(err, syscall.EPIPE) {
 		return true
 	}
 	msg := err.Error()

@@ -130,6 +130,14 @@ type Metrics struct {
 	DecisionLatency *Histogram
 	BatchSize       *Histogram
 
+	// Binary transport counts (see binary.go): frames served, read bursts
+	// (runs of frames served between two waits on the socket) and
+	// write-buffer flushes. Frames per burst is the coalescing a
+	// connection gets; flushes per decision is its write(2) cost.
+	BinaryFrames     atomic.Uint64
+	BinaryReadBursts atomic.Uint64
+	BinaryFlushes    atomic.Uint64
+
 	mu        sync.Mutex
 	latencies map[string]*Histogram
 }
@@ -196,6 +204,10 @@ func (m *Metrics) WriteProm(w io.Writer, liveSessions, demotedLive, probationLiv
 	counter("osap_sessions_recovered_total", "Probation re-admissions of demoted sessions.", m.SessionsRecovered.Load())
 	counter("osap_sessions_redemoted_total", "Repeat demotions of previously demoted sessions.", m.SessionsRedemoted.Load())
 	counter("osap_sessions_latched_total", "Demotions latched permanently (fault or cap spent).", m.SessionsLatched.Load())
+
+	counter("osap_binary_frames_total", "Binary-protocol frames served after the handshake.", m.BinaryFrames.Load())
+	counter("osap_binary_read_bursts_total", "Runs of binary frames served between two waits on the socket.", m.BinaryReadBursts.Load())
+	counter("osap_binary_flushes_total", "Binary connection write-buffer flushes.", m.BinaryFlushes.Load())
 
 	hist := func(name, help string, h *Histogram) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)

@@ -16,13 +16,14 @@
 // Reset, Close, OK, Error — leads its payload with a client-assigned
 // channel id (cid), unique per live session on its connection. A
 // client may run one connection per session (cid 0 throughout) or park
-// hundreds of sessions on one connection; with at most one outstanding
-// step per cid the frames of concurrent sessions coalesce into shared
-// reads and writes, which is where the persistent protocol's syscall
-// advantage over HTTP comes from. Ping/Pong and GoAway are
-// connection-scoped. When the server drains it answers further frames
-// with GoAway — the binary analogue of 503 + Retry-After — and the
-// connection winds down after in-flight decisions are flushed.
+// hundreds of sessions on one connection; the frames of concurrent
+// sessions coalesce into shared reads and writes, which is where the
+// persistent protocol's syscall advantage over HTTP comes from. Frames
+// are served, and answered, in the order they arrive. Ping/Pong and
+// GoAway are connection-scoped. When the server drains it answers
+// further frames with GoAway — the binary analogue of 503 +
+// Retry-After — and the connection winds down; every Decision it
+// carries precedes the first GoAway.
 package proto
 
 import (
@@ -114,9 +115,10 @@ type Welcome struct {
 
 // Conn frames one side of a protocol connection. Read payloads and
 // write scratch live in connection-owned buffers, reused across
-// frames. The read side (ReadFrame) and the write side (the Write*
-// methods and Flush) may be owned by different goroutines — a mux
-// splits them into a reader and a coalescing writer — but each side is
+// frames. The read side (ReadFrame, FrameBuffered) and the write side
+// (the Write* methods and Flush) may be owned by different goroutines —
+// the load generator's mux splits them into a reader and a coalescing
+// writer; the server runs both from one — but each side is
 // single-goroutine.
 type Conn struct {
 	br     *bufio.Reader
@@ -128,15 +130,24 @@ type Conn struct {
 }
 
 // NewConn wraps a transport (usually a net.Conn).
-func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{br: bufio.NewReader(rw), bw: bufio.NewWriter(rw)}
+func NewConn(rw io.ReadWriter) *Conn { return NewConnSize(rw, 4096) }
+
+// NewConnSize is NewConn with a read buffer of at least readBuf bytes:
+// one read(2) can bring in that many bytes of frames, and FrameBuffered
+// sees all of them. A server sizes it to the burst it wants to answer
+// with one write.
+func NewConnSize(rw io.ReadWriter, readBuf int) *Conn {
+	return &Conn{br: bufio.NewReaderSize(rw, readBuf), bw: bufio.NewWriter(rw)}
 }
+
+// StepFrameSize is the wire size of one Step frame, header included,
+// for observations of dimension obsDim.
+func StepFrameSize(obsDim int) int { return headerLen + 1 + 4 + 4 + 8*obsDim }
 
 // ManualFlush switches the write side from flush-per-frame to
 // caller-controlled flushing: Write* methods only append to the write
-// buffer and the owner calls Flush when its outbound queue goes idle.
-// This is how a mux writer coalesces many sessions' frames into one
-// syscall.
+// buffer and the owner calls Flush when it has nothing more to encode.
+// This is how many sessions' frames leave in one syscall.
 func (c *Conn) ManualFlush() { c.manual = true }
 
 // Flush writes out any buffered frames.
@@ -166,6 +177,22 @@ func (c *Conn) ReadFrame() (Type, []byte, error) {
 		return 0, nil, err
 	}
 	return Type(b[0]), b[1:], nil
+}
+
+// FrameBuffered reports whether the next ReadFrame will return without
+// reading from the transport: the read buffer already holds a complete
+// frame, or a header ReadFrame rejects. It peeks the header and reads
+// nothing.
+//
+//osap:hotpath
+func (c *Conn) FrameBuffered() bool {
+	have := c.br.Buffered()
+	if have < headerLen {
+		return false
+	}
+	hdr, _ := c.br.Peek(headerLen) // buffered already: no read, no error
+	n := int(binary.LittleEndian.Uint32(hdr))
+	return n < 1 || n > MaxFrame || have-headerLen >= n
 }
 
 // frame reserves the write buffer for a body of n bytes (type byte

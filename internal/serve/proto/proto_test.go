@@ -321,3 +321,153 @@ func TestManualFlushCoalesces(t *testing.T) {
 		}
 	}
 }
+
+// chunkReader is a transport that hands out data in reads of at most
+// chunk bytes and counts them; writes vanish.
+type chunkReader struct {
+	data  []byte
+	chunk int
+	reads int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	r.reads++
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), r.chunk, len(r.data))
+	copy(p, r.data[:n])
+	r.data = r.data[n:]
+	return n, nil
+}
+
+func (r *chunkReader) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestFrameBuffered walks the burst rule a server relies on: frames
+// that arrived in one read are all reported buffered, a frame cut short
+// is not, and a header ReadFrame rejects counts as buffered because
+// ReadFrame answers it without reading.
+func TestFrameBuffered(t *testing.T) {
+	var enc bytes.Buffer
+	w := NewConn(&enc)
+	obs := make([]float64, 3)
+	for cid := uint32(0); cid < 3; cid++ {
+		if err := w.WriteStep(cid, 1, obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := StepFrameSize(len(obs))
+	if enc.Len() != 3*frame {
+		t.Fatalf("three step frames take %d bytes, StepFrameSize says %d each", enc.Len(), frame)
+	}
+	// Two and a half frames, then the rest.
+	rd := &chunkReader{data: enc.Bytes(), chunk: 2*frame + frame/2}
+	c := NewConnSize(rd, 4*frame)
+	if c.FrameBuffered() {
+		t.Fatal("a frame is buffered before anything was read")
+	}
+	for i, want := range []bool{true, false, false} {
+		if _, _, err := c.ReadFrame(); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.FrameBuffered(); got != want {
+			t.Fatalf("after frame %d: FrameBuffered = %v, want %v", i, got, want)
+		}
+	}
+	if rd.reads != 2 {
+		t.Fatalf("three frames took %d reads, want 2", rd.reads)
+	}
+
+	bad := binary.LittleEndian.AppendUint32(nil, MaxFrame+1)
+	c = NewConn(&chunkReader{data: append(bad, enc.Bytes()[:frame]...), chunk: 1 << 20})
+	if _, _, err := c.ReadFrame(); err != ErrFrameTooLarge {
+		t.Fatalf("oversized frame: err %v", err)
+	}
+}
+
+// FuzzFrame feeds arbitrary bytes, arriving in arbitrary pieces, to the
+// read side: ReadFrame, FrameBuffered and every Decode* must never
+// panic, a payload must be exactly the bytes that were sent, and
+// FrameBuffered must imply that the next ReadFrame leaves the transport
+// alone. The seed corpus is one frame of every type plus the malformed
+// headers of TestFrameErrors, so plain `go test` runs it.
+func FuzzFrame(f *testing.F) {
+	var enc bytes.Buffer
+	w := NewConn(&enc)
+	obs := []float64{1.5, math.Copysign(0, -1), math.Inf(1), math.NaN()}
+	for _, write := range []func() error{
+		w.WriteHello,
+		func() error {
+			return w.WriteWelcome(Welcome{Version: Version, ObsDim: 4, NumActions: 6, Dataset: "d", Schemes: []string{"ND", "A-ens"}})
+		},
+		func() error { return w.WriteOpen(3, "ND") },
+		func() error { return w.WriteOpened(3, "abc-1") },
+		func() error { return w.WriteStep(3, 9, obs) },
+		func() error {
+			return w.WriteDecision(Decision{Cid: 3, Seq: 9, Action: 2, Flags: FlagFired, Step: 8, Score: 0.25})
+		},
+		func() error { return w.WriteSessionControl(TypeReset, 3) },
+		func() error { return w.WriteError(3, CodeGone, "session closed") },
+		func() error { return w.WriteControl(TypePing, nil) },
+		func() error { return w.WriteGoAway("draining") },
+	} {
+		enc.Reset()
+		if err := write(); err != nil {
+			f.Fatal(err)
+		}
+		one := bytes.Clone(enc.Bytes())
+		f.Add(one, uint8(255))
+		f.Add(append(one, one...), uint8(7))
+		f.Add(one[:len(one)-1], uint8(3))
+	}
+	f.Add(binary.LittleEndian.AppendUint32(nil, MaxFrame+1), uint8(4))
+	f.Add(binary.LittleEndian.AppendUint32(nil, 0), uint8(1))
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, 100), byte(TypeStep)), uint8(2))
+
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		rd := &chunkReader{data: data, chunk: int(chunk) + 1}
+		c := NewConnSize(rd, 64) // small, so frames also outgrow the buffer
+		var re bytes.Buffer
+		rew := NewConn(&re)
+		for off := 0; ; {
+			buffered, reads := c.FrameBuffered(), rd.reads
+			typ, payload, err := c.ReadFrame()
+			if buffered && rd.reads != reads {
+				t.Fatalf("offset %d: FrameBuffered, yet ReadFrame read from the transport", off)
+			}
+			if err != nil {
+				return
+			}
+			end := off + headerLen + 1 + len(payload)
+			if end > len(data) || data[off+headerLen] != byte(typ) || !bytes.Equal(payload, data[off+headerLen+1:end]) {
+				t.Fatalf("offset %d: frame type %d with %d payload bytes is not what was sent", off, typ, len(payload))
+			}
+
+			// Every decoder on every payload: the type byte is the peer's
+			// claim, not a guarantee.
+			DecodeHello(payload)   //nolint:errcheck
+			DecodeWelcome(payload) //nolint:errcheck
+			DecodeOpen(payload)    //nolint:errcheck
+			DecodeOpened(payload)  //nolint:errcheck
+			DecodeCid(payload)     //nolint:errcheck
+			DecodeError(payload)   //nolint:errcheck
+			StepCid(payload)
+			re.Reset()
+			if d, err := DecodeDecision(payload); err == nil {
+				rew.WriteDecision(d) //nolint:errcheck // bytes.Buffer
+			} else if n := len(payload) - 8; n >= 0 && n%8 == 0 {
+				got := make([]float64, n/8)
+				cid, seq, err := DecodeStep(payload, got)
+				if err != nil {
+					t.Fatalf("offset %d: DecodeStep refused %d observations in %d bytes: %v", off, len(got), len(payload), err)
+				}
+				rew.WriteStep(cid, seq, got)          //nolint:errcheck // bytes.Buffer
+				DecodeStep(payload, got[:len(got)/2]) //nolint:errcheck // wrong dimension: an error, not a panic
+			}
+			if re.Len() > 0 && !bytes.Equal(re.Bytes()[headerLen+1:], payload) {
+				t.Fatalf("offset %d: decode then encode changed the payload", off)
+			}
+			off = end
+		}
+	})
+}

@@ -114,6 +114,7 @@ func (c Config) withDefaults() Config {
 	if c.Now == nil {
 		c.Now = time.Now
 	}
+	c.Batch = c.Batch.withDefaults()
 	return c
 }
 
