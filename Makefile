@@ -8,7 +8,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X osap/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build build-cross test verify vet lint fmt-check race ci loc bench bench-e2e bench-compare chaos rollout-selftest recovery-selftest learn-selftest
+.PHONY: all build build-cross test verify vet lint fmt-check race fuzz-smoke ci loc bench bench-e2e bench-compare chaos rollout-selftest recovery-selftest learn-selftest
 
 all: build
 
@@ -52,6 +52,18 @@ fmt-check:
 # package, the command smoke tests, and the internals.
 race:
 	$(GO) test -race . ./cmd/... ./internal/...
+
+# Every fuzz target in the tree, 10 s each: FuzzStepRequest (the HTTP
+# step decoder against encoding/json), FuzzFrame, FuzzExperienceLog,
+# FuzzManifest, FuzzReadCooked, FuzzReadMahiMahi. A target is found by
+# its declaration, so a new one is run without being listed here.
+fuzz-smoke:
+	@grep -rl --include='*_test.go' '^func Fuzz' . | sort | while read f; do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "== $$(dirname $$f) $$t"; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s $$(dirname $$f) || exit 1; \
+		done; \
+	done
 
 ci: verify vet lint fmt-check race rollout-selftest recovery-selftest learn-selftest
 

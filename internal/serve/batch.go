@@ -152,22 +152,23 @@ func (b *Batcher) assignShard() int {
 // observed as a batch of one that did not queue, so the three
 // histograms count every decision whatever its class. A fused session
 // goes to its collector: flushed alone if the shard is idle, parked
-// otherwise. Callers must have validated the observation length
-// already (the matrix copy trusts it).
+// otherwise. enq is the caller's reading of the clock when the step
+// entered the server (queue and decision latency are measured from it,
+// so the step is not charged a second reading); now stamps the
+// session's idle clock. Callers must have validated the observation
+// length already (the matrix copy trusts it).
 //
 //osap:hotpath
-func (b *Batcher) do(sess *Session, obs []float64, now time.Time) (StepResult, error) {
+func (b *Batcher) do(sess *Session, obs []float64, enq, now time.Time) (StepResult, error) {
 	if sess.class == classBatchState {
-		start := time.Now()
 		b.metrics.BatchSize.Observe(1)
 		b.metrics.QueueLatency.Observe(0)
 		res, err := sess.step(obs, nil, now)
-		b.metrics.DecisionLatency.Observe(time.Since(start).Seconds())
+		b.metrics.DecisionLatency.Observe(time.Since(enq).Seconds())
 		return res, err
 	}
 	call := callPool.Get().(*stepCall)
-	call.sess, call.obs, call.now = sess, obs, now
-	call.enq = time.Now()
+	call.sess, call.obs, call.now, call.enq = sess, obs, now, enq
 	if c := b.collectors[sess.shard]; !c.flushAlone(call) {
 		c.park(call)
 	}

@@ -33,6 +33,19 @@ func batchTestServer(t *testing.T, batch BatchConfig) *Server {
 	return s
 }
 
+// stepErr is Server.step for tests that only care whether the step was
+// served: its status as an error.
+func (s *Server) stepErr(sess *Session, obs []float64) (StepResult, error) {
+	res, st := s.step(sess, obs)
+	switch st {
+	case stepDraining:
+		return res, errors.New("server is draining")
+	case stepGone:
+		return res, ErrSessionClosed
+	}
+	return res, nil
+}
+
 // obsStream generates a deterministic per-session observation
 // sequence: a throughput-like positive random walk.
 func obsStream(seed uint64, dim, steps int) [][]float64 {
@@ -139,7 +152,7 @@ func testBatchedMatchesSequential(t *testing.T, fused bool) {
 			go func(ln *lane) {
 				defer wg.Done()
 				for _, obs := range ln.stream[from:to] {
-					res, err := s.stepSession(ln.sess, obs)
+					res, err := s.stepErr(ln.sess, obs)
 					if err != nil {
 						t.Errorf("%s: step: %v", ln.scheme, err)
 						return
@@ -216,12 +229,12 @@ func TestBatchedStepZeroAlloc(t *testing.T) {
 		}
 		obs := obsStream(9, s.factory.ObsDim(), 1)[0]
 		for i := 0; i < 50; i++ { // warm scratch, pool and histograms
-			if _, err := s.stepSession(sess, obs); err != nil {
+			if _, err := s.stepErr(sess, obs); err != nil {
 				t.Fatal(err)
 			}
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := s.stepSession(sess, obs); err != nil {
+			if _, err := s.stepErr(sess, obs); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -233,8 +246,8 @@ func TestBatchedStepZeroAlloc(t *testing.T) {
 
 // TestBatcherRaceHammer runs under -race in `make race`: concurrent
 // steps across schemes, session deletion mid-flight, and a drain that
-// lands mid-flush. Steppers follow the handler discipline (inflight +
-// draining check) exactly like the HTTP/binary front ends.
+// lands mid-flush. Steppers go through Server.step, gate and draining
+// check included, exactly like the HTTP/binary front ends.
 func TestBatcherRaceHammer(t *testing.T) {
 	s := batchTestServer(t, BatchConfig{MaxBatch: 8, Collectors: 2})
 	schemes := s.factory.Schemes()
@@ -259,19 +272,8 @@ func TestBatcherRaceHammer(t *testing.T) {
 			stream := obsStream(uint64(i), dim, 16)
 			for !stop.Load() {
 				for _, obs := range stream {
-					s.opGate.RLock()
-					if s.draining.Load() {
-						s.opGate.RUnlock()
-						return
-					}
-					_, err := s.stepSession(sess, obs)
-					s.opGate.RUnlock()
-					if err != nil {
-						if errors.Is(err, ErrSessionClosed) {
-							return // deleted or drained under us
-						}
-						t.Errorf("step: %v", err)
-						return
+					if _, st := s.step(sess, obs); st != stepOK {
+						return // draining, or the session deleted or drained under us
 					}
 				}
 			}
@@ -330,7 +332,7 @@ func BenchmarkBatchedStep(b *testing.B) {
 		sess := sessions[next.Add(1)%fleet]
 		i := 0
 		for pb.Next() {
-			if _, err := s.stepSession(sess, obs[i&63]); err != nil {
+			if _, err := s.stepErr(sess, obs[i&63]); err != nil {
 				b.Error(err)
 				return
 			}
@@ -441,7 +443,7 @@ func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed := firstDemotion(func(obs []float64) (StepResult, error) { return s.stepSession(sess, obs) })
+		packed := firstDemotion(func(obs []float64) (StepResult, error) { return s.stepErr(sess, obs) })
 
 		var sig core.Signal
 		alpha := arts.AlphaPi

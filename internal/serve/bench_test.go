@@ -30,16 +30,12 @@ func BenchmarkStepHandler(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			guard, err := f.NewGuard(scheme)
+			sess, err := s.createSession(scheme)
 			if err != nil {
 				b.Fatal(err)
 			}
-			sess := newSession("bench", scheme, guard, s.cfg.Now())
-			if err := s.table.Put(sess); err != nil {
-				b.Fatal(err)
-			}
 			body, _ := json.Marshal(map[string][]float64{"obs": make([]float64, abr.ObsDim)})
-			url := "/v1/sessions/bench/step"
+			url := "/v1/sessions/" + sess.ID() + "/step"
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -12,8 +12,8 @@ import (
 // internal/serve/proto, served run to completion. After the handshake
 // one goroutine owns the connection. It reads, and for every complete
 // frame its read buffer already holds it decodes the frame, runs the
-// step under the same opGate/batcher discipline as an HTTP handler
-// goroutine, and encodes the reply into the connection's write buffer;
+// step through Server.step — the function the HTTP handler calls — and
+// encodes the reply into the connection's write buffer;
 // it flushes only when no complete frame is left buffered. A burst of
 // frames that one read(2) brought in is answered by one write(2), and a
 // step costs no goroutine switch and no channel operation.
@@ -92,8 +92,7 @@ type binConn struct {
 	sessions map[uint32]*Session // by channel id
 	// obs is the step decode buffer. One suffices for every session: a
 	// step runs to completion before the next frame is decoded.
-	obs  []float64
-	hist *Histogram // the "step" endpoint's latency
+	obs []float64
 }
 
 // serveConn serves one connection on the calling goroutine:
@@ -136,7 +135,6 @@ func (s *Server) serveConn(nc net.Conn) {
 		pc:       pc,
 		sessions: make(map[uint32]*Session),
 		obs:      make([]float64, dim),
-		hist:     s.metrics.Latency("step"),
 	}
 	c.run()
 	// Whatever exit run took, the replies it had encoded still leave.
@@ -202,48 +200,40 @@ func (c *binConn) fault(payload []byte) bool {
 
 // fail queues an Error frame; the connection stays usable.
 func (c *binConn) fail(cid uint32, code uint16, msg string) {
+	//osap:hotpath-stop Error frames are failure paths, not per-step traffic
 	c.pc.WriteError(cid, code, msg) //nolint:errcheck // sticky in the write buffer; the flush reports it
 }
 
-// step serves one Step frame start to finish: the binary analogue of
-// handleStep.
+// step is the binary step codec: Step frame in, Server.step, Decision
+// frame out.
 //
 //osap:hotpath
 func (c *binConn) step(payload []byte) {
-	s := c.s
 	cid, ok := proto.StepCid(payload)
 	if !ok {
-		c.fail(proto.CidConn, proto.CodeBadRequest, "bad step frame") //osap:hotpath-stop Error frames are failure paths, not per-step traffic
+		c.fail(proto.CidConn, proto.CodeBadRequest, "bad step frame")
 		return
 	}
 	sess := c.sessions[cid]
 	if sess == nil {
-		c.fail(cid, proto.CodeBadRequest, "no session on this channel") //osap:hotpath-stop Error frames are failure paths, not per-step traffic
+		c.fail(cid, proto.CodeBadRequest, "no session on this channel")
 		return
 	}
 	_, seq, err := proto.DecodeStep(payload, c.obs)
 	if err != nil {
-		c.fail(cid, proto.CodeBadRequest, "bad step frame") //osap:hotpath-stop Error frames are failure paths, not per-step traffic
+		c.fail(cid, proto.CodeBadRequest, "bad step frame")
 		return
 	}
-	start := time.Now()
-	s.opGate.RLock()
-	if s.draining.Load() {
-		s.opGate.RUnlock()
-		s.metrics.DrainRejected.Add(1)
+	res, st := c.s.step(sess, c.obs)
+	switch st {
+	case stepDraining:
 		//osap:hotpath-stop GoAway is a per-connection shutdown frame
 		c.pc.WriteGoAway("draining") //nolint:errcheck // sticky in the write buffer; the flush reports it
 		return
-	}
-	res, err := s.stepSession(sess, c.obs)
-	if err != nil {
-		s.opGate.RUnlock()
-		c.fail(cid, proto.CodeGone, "session closed") //osap:hotpath-stop Error frames are failure paths, not per-step traffic
+	case stepGone:
+		c.fail(cid, proto.CodeGone, "session closed")
 		return
 	}
-	s.recordStep(sess, res)
-	s.opGate.RUnlock()
-
 	d := proto.Decision{
 		Cid:    cid,
 		Seq:    seq,
@@ -260,7 +250,6 @@ func (c *binConn) step(payload []byte) {
 	if res.Demoted {
 		d.Flags |= proto.FlagDemoted
 	}
-	c.hist.Observe(time.Since(start).Seconds())
 	c.pc.WriteDecision(d) //nolint:errcheck // sticky in the write buffer; the flush reports it
 }
 

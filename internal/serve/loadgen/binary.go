@@ -51,6 +51,12 @@ type muxReply struct {
 // reader goroutine routes replies to slot-indexed channels. Sessions
 // have at most one outstanding request each, so every reply channel is
 // buffered one deep and the reader never blocks on a slot.
+//
+// Only the reader (or the run's cancellation) ends the mux. A writer
+// that fails stops writing and half-closes, and the reader goes on to
+// deliver every reply the server had already sent before it reports
+// the connection dead: closing the socket from the write side would
+// throw those away.
 type binMux struct {
 	cfg     *Config
 	once    sync.Once
@@ -61,6 +67,9 @@ type binMux struct {
 	out     chan muxReq
 	replies []chan muxReply
 
+	writeErr  error // written before writeDone closes; read after observing it
+	writeDone chan struct{}
+
 	failOnce sync.Once
 	deadErr  error // written before dead closes; read after observing it
 	dead     chan struct{}
@@ -68,10 +77,11 @@ type binMux struct {
 
 func newBinMux(cfg *Config, slots int) *binMux {
 	m := &binMux{
-		cfg:     cfg,
-		out:     make(chan muxReq, slots),
-		replies: make([]chan muxReply, slots),
-		dead:    make(chan struct{}),
+		cfg:       cfg,
+		out:       make(chan muxReq, slots),
+		replies:   make([]chan muxReply, slots),
+		writeDone: make(chan struct{}),
+		dead:      make(chan struct{}),
 	}
 	for i := range m.replies {
 		m.replies[i] = make(chan muxReply, 1)
@@ -161,10 +171,25 @@ func (m *binMux) writer() {
 			}
 		}
 		if err := m.pc.Flush(); err != nil {
-			m.fail(err)
+			m.writeFailed(err)
 			return
 		}
 	}
+}
+
+// writeFailed ends the writer and leaves the connection to the reader:
+// it records why, and half-closes, so that the server reads the end of
+// the stream, flushes what it owes and closes — which is what ends the
+// reader, after the last reply.
+func (m *binMux) writeFailed(err error) {
+	tc, ok := m.nc.(*net.TCPConn)
+	if !ok {
+		m.fail(err)
+		return
+	}
+	m.writeErr = err
+	close(m.writeDone)
+	tc.CloseWrite() //nolint:errcheck // a reset connection is shut already
 }
 
 func (m *binMux) writeReq(req muxReq) bool {
@@ -176,19 +201,25 @@ func (m *binMux) writeReq(req muxReq) bool {
 		err = m.pc.WriteStep(req.cid, req.seq, req.obs)
 	}
 	if err != nil {
-		m.fail(err)
+		m.writeFailed(err)
 		return false
 	}
 	return true
 }
 
 // reader decodes server frames and routes session-scoped replies to
-// their slot. GoAway and connection-scoped errors kill the mux; every
-// parked session observes the death through the dead channel.
+// their slot. GoAway, connection-scoped errors and the end of the
+// stream kill the mux; every parked session observes the death through
+// the dead channel.
 func (m *binMux) reader() {
 	for {
 		typ, payload, err := m.pc.ReadFrame()
 		if err != nil {
+			select {
+			case <-m.writeDone:
+				err = m.writeErr // the stream ended because the writer gave up
+			default:
+			}
 			m.fail(err)
 			return
 		}

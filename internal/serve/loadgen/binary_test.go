@@ -3,8 +3,10 @@ package loadgen
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"syscall"
 	"testing"
 
 	"osap/internal/serve/proto"
@@ -24,22 +26,19 @@ func rawFrame(nc net.Conn) (proto.Type, []byte, error) {
 	return proto.Type(body[0]), body[1:], nil
 }
 
-// TestWriteAfterResetIsADrain: a draining server closes a connection
-// while client frames sit unread in its socket, and the kernel turns
-// that close into a reset. The reset is reported once, as ECONNRESET,
-// to whichever of the mux's two goroutines touches the socket first;
-// the other gets EPIPE (writer) or EOF (reader). Here the read side
-// takes the ECONNRESET, so the writer is the one left holding EPIPE —
-// the order that used to book every step in flight on the connection
-// as dropped.
-func TestWriteAfterResetIsADrain(t *testing.T) {
+// resetMux dials a fake server with a real mux and walks both through
+// the handshake, one Open and two Steps on channels 0 and 1. The server
+// writes both Decisions and then closes with all but one byte of a third
+// Step unread, which the kernel turns into a reset. The mux's writer
+// runs; its reader does not, so that the test decides which of the two
+// meets the reset first. The returned channel reports the server's exit.
+func resetMux(t *testing.T) (*binMux, <-chan error) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	// The fake server: handshake, open, answer one step, then close with
-	// all but one byte of the next step unread.
+	t.Cleanup(func() { ln.Close() })
 	srvErr := make(chan error, 1)
 	go func() {
 		srvErr <- func() error {
@@ -66,62 +65,127 @@ func TestWriteAfterResetIsADrain(t *testing.T) {
 			if err := pc.WriteOpened(cid, "fake-1"); err != nil {
 				return err
 			}
-			if _, _, err := rawFrame(nc); err != nil { // Step 1
-				return err
+			for i := 0; i < 2; i++ { // the two Steps
+				if _, _, err := rawFrame(nc); err != nil {
+					return err
+				}
 			}
-			if err := pc.WriteDecision(proto.Decision{Cid: cid, Seq: 1}); err != nil {
-				return err
+			for cid := uint32(0); cid < 2; cid++ {
+				if err := pc.WriteDecision(proto.Decision{Cid: cid, Seq: 1}); err != nil {
+					return err
+				}
 			}
-			_, err = io.ReadFull(nc, make([]byte, 1)) // Step 2 has arrived; leave it there
+			_, err = io.ReadFull(nc, make([]byte, 1)) // the third Step has arrived; leave it there
 			return err
 		}()
 	}()
 
-	// The client: a real mux writer over a real socket, with this
-	// goroutine standing in for the mux reader so that the order in which
-	// the two sides meet the reset is fixed.
 	nc, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := &Config{}
-	m := newBinMux(cfg, 1)
+	m := newBinMux(&Config{}, 2)
 	m.nc, m.pc = nc, proto.NewConn(nc)
-	defer m.close()
+	t.Cleanup(m.close)
 	if err := m.pc.WriteHello(); err != nil {
 		t.Fatal(err)
 	}
-	expect := func(want proto.Type) {
-		t.Helper()
-		if typ, _, err := m.pc.ReadFrame(); err != nil || typ != want {
-			t.Fatalf("frame type %d, err %v; want type %d", typ, err, want)
-		}
-	}
-	expect(proto.TypeWelcome)
+	expectFrame(t, m, proto.TypeWelcome)
 	m.pc.ManualFlush()
 	go m.writer()
-
-	obs := []float64{1}
 	m.send(muxReq{typ: proto.TypeOpen, cid: 0, scheme: "ND"})
-	expect(proto.TypeOpened)
-	m.send(muxReq{typ: proto.TypeStep, cid: 0, seq: 1, obs: obs})
-	expect(proto.TypeDecision)
-	m.send(muxReq{typ: proto.TypeStep, cid: 0, seq: 2, obs: obs})
-	if err := <-srvErr; err != nil {
-		t.Fatalf("fake server: %v", err)
+	expectFrame(t, m, proto.TypeOpened)
+	m.send(muxReq{typ: proto.TypeStep, cid: 0, seq: 1, obs: resetObs})
+	m.send(muxReq{typ: proto.TypeStep, cid: 1, seq: 1, obs: resetObs})
+	return m, srvErr
+}
+
+var resetObs = []float64{1}
+
+func expectFrame(t *testing.T, m *binMux, want proto.Type) {
+	t.Helper()
+	if typ, _, err := m.pc.ReadFrame(); err != nil || typ != want {
+		t.Fatalf("frame type %d, err %v; want type %d", typ, err, want)
 	}
-	if _, _, err := m.pc.ReadFrame(); err == nil {
-		t.Fatal("read a frame from a connection the server had reset")
-	} else if !isDrainSignal(0, err) {
-		t.Fatalf("read side: %v is not a drain signal", err)
+}
+
+// TestWriteAfterResetIsADrain: a draining server closes a connection
+// while client frames sit unread in its socket, and the kernel turns
+// that close into a reset. The reset is reported once, as ECONNRESET,
+// to whichever of the mux's two goroutines touches the socket first;
+// the other gets EPIPE (writer) or EOF (reader). Whichever order they
+// meet it in, the steps in flight are drained, not dropped, and every
+// Decision the server sent before it closed is delivered.
+func TestWriteAfterResetIsADrain(t *testing.T) {
+	// readToEnd runs the mux reader, once the writer has failed, to the
+	// end of the stream; stepOnDead then books one more step.
+	readToEnd := func(t *testing.T, m *binMux) {
+		t.Helper()
+		<-m.writeDone
+		m.reader()
+		if !isDrainSignal(0, m.deadErr) {
+			t.Fatalf("the mux died of %v, which is not a drain signal", m.deadErr)
+		}
+	}
+	stepOnDead := func(t *testing.T, m *binMux) {
+		t.Helper()
+		c := &client{cfg: m.cfg, mux: m, seq: 2, obs: resetObs}
+		if c.stepBinary(context.Background()) {
+			t.Fatal("step succeeded on a reset connection")
+		}
+		if c.dropped != 0 || c.drained != 1 {
+			t.Fatalf("write side failed with %v: booked %d dropped, %d drained; want 0 and 1", m.deadErr, c.dropped, c.drained)
+		}
 	}
 
-	// The step that finds out through the writer.
-	c := &client{cfg: cfg, mux: m, seq: 2, obs: obs}
-	if c.stepBinary(context.Background()) {
-		t.Fatal("step succeeded on a reset connection")
-	}
-	if c.dropped != 0 || c.drained != 1 {
-		t.Fatalf("write side failed with %v: booked %d dropped, %d drained; want 0 and 1", m.deadErr, c.dropped, c.drained)
-	}
+	// The read side takes the ECONNRESET, so the writer is the one left
+	// holding EPIPE — the order that used to book every step in flight
+	// on the connection as dropped.
+	t.Run("reader first", func(t *testing.T) {
+		m, srvErr := resetMux(t)
+		expectFrame(t, m, proto.TypeDecision)
+		expectFrame(t, m, proto.TypeDecision)
+		m.send(muxReq{typ: proto.TypeStep, cid: 0, seq: 2, obs: resetObs})
+		if err := <-srvErr; err != nil {
+			t.Fatalf("fake server: %v", err)
+		}
+		if _, _, err := m.pc.ReadFrame(); err == nil {
+			t.Fatal("read a frame from a connection the server had reset")
+		} else if !isDrainSignal(0, err) {
+			t.Fatalf("read side: %v is not a drain signal", err)
+		}
+		m.send(muxReq{typ: proto.TypeStep, cid: 0, seq: 3, obs: resetObs})
+		readToEnd(t, m)
+		if !errors.Is(m.deadErr, syscall.EPIPE) {
+			t.Errorf("the writer failed with %v, want EPIPE", m.deadErr)
+		}
+		stepOnDead(t, m)
+	})
+
+	// The writer meets the reset while both Decisions are still unread
+	// in the socket. It must not take the socket from under the reader:
+	// the reader delivers both and only then finds the stream ended.
+	t.Run("writer first", func(t *testing.T) {
+		m, srvErr := resetMux(t)
+		m.send(muxReq{typ: proto.TypeStep, cid: 0, seq: 2, obs: resetObs})
+		if err := <-srvErr; err != nil {
+			t.Fatalf("fake server: %v", err)
+		}
+		// Keep the writer writing until a write finds the reset.
+		for failed := false; !failed; {
+			select {
+			case m.out <- muxReq{typ: proto.TypeStep, cid: 0, seq: 3, obs: resetObs}:
+			case <-m.writeDone:
+				failed = true
+			}
+		}
+		readToEnd(t, m)
+		for slot := uint32(0); slot < 2; slot++ {
+			rep, ok := m.recv(slot)
+			if !ok || rep.typ != proto.TypeDecision || rep.dec.Seq != 1 {
+				t.Errorf("slot %d: reply %+v, delivered %v; the server had flushed its Decision before it closed", slot, rep, ok)
+			}
+		}
+		stepOnDead(t, m)
+	})
 }

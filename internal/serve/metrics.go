@@ -138,9 +138,25 @@ type Metrics struct {
 	BinaryReadBursts atomic.Uint64
 	BinaryFlushes    atomic.Uint64
 
+	// HTTP step counts (see stepcodec.go): request-body bytes read by the
+	// step endpoint, and the bodies it refused with a 400, by reason.
+	// Bytes per decision is what an HTTP step costs on the wire; the
+	// rejects are the malformed-client rate.
+	HTTPStepBodyBytes atomic.Uint64
+	HTTPStepRejects   [len(httpStepRejectReasons)]atomic.Uint64
+
 	mu        sync.Mutex
 	latencies map[string]*Histogram
 }
+
+// Indices into Metrics.HTTPStepRejects, and their reason labels.
+const (
+	rejectSyntax = iota // the body is not a JSON value
+	rejectType          // it is, but not {"obs":[numbers]}
+	rejectDim           // obs has the wrong number of values
+)
+
+var httpStepRejectReasons = [...]string{rejectSyntax: "syntax", rejectType: "type", rejectDim: "dim"}
 
 // NewMetrics returns a zeroed metrics registry.
 func NewMetrics() *Metrics {
@@ -208,6 +224,13 @@ func (m *Metrics) WriteProm(w io.Writer, liveSessions, demotedLive, probationLiv
 	counter("osap_binary_frames_total", "Binary-protocol frames served after the handshake.", m.BinaryFrames.Load())
 	counter("osap_binary_read_bursts_total", "Runs of binary frames served between two waits on the socket.", m.BinaryReadBursts.Load())
 	counter("osap_binary_flushes_total", "Binary connection write-buffer flushes.", m.BinaryFlushes.Load())
+
+	counter("osap_http_step_body_bytes_total", "Request-body bytes read by the HTTP step endpoint.", m.HTTPStepBodyBytes.Load())
+	fmt.Fprintf(w, "# HELP osap_http_step_rejects_total HTTP step bodies refused with a 400, by reason.\n")
+	fmt.Fprintf(w, "# TYPE osap_http_step_rejects_total counter\n")
+	for i, reason := range httpStepRejectReasons {
+		fmt.Fprintf(w, "osap_http_step_rejects_total{reason=%q} %d\n", reason, m.HTTPStepRejects[i].Load())
+	}
 
 	hist := func(name, help string, h *Histogram) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)

@@ -136,6 +136,9 @@ type Server struct {
 	metrics *Metrics
 	mux     *http.ServeMux
 	rollout *Rollout // versioned generations + canary router
+	// stepLatency is the "step" endpoint's histogram: Server.step feeds
+	// it, so a step is timed the same way on either transport.
+	stepLatency *Histogram
 
 	draining atomic.Bool
 	// opGate tracks in-flight mutating handlers (create/step/reset) as
@@ -183,6 +186,7 @@ func NewServer(f *GuardFactory, cfg Config) (*Server, error) {
 		sweepDone: make(chan struct{}),
 		idSalt:    rand.Uint64() | 1,
 	}
+	s.stepLatency = s.metrics.Latency("step")
 	version := cfg.Version
 	if version == "" {
 		version = "unversioned"
@@ -205,7 +209,7 @@ func NewServer(f *GuardFactory, cfg Config) (*Server, error) {
 	})
 	s.mux.HandleFunc("POST /v1/sessions", s.timed("create", s.handleCreate))
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.timed("info", s.handleInfo))
-	s.mux.HandleFunc("POST /v1/sessions/{id}/step", s.timed("step", s.handleStep))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/step", s.handleStep) // timed by Server.step
 	s.mux.HandleFunc("POST /v1/sessions/{id}/reset", s.timed("reset", s.handleReset))
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.timed("delete", s.handleDelete))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -356,29 +360,6 @@ type createResponse struct {
 	Version string `json:"version"`
 }
 
-type stepRequest struct {
-	Obs []float64 `json:"obs"`
-}
-
-type stepResponse struct {
-	Action   int     `json:"action"`
-	Score    float64 `json:"score"`
-	Fallback bool    `json:"fallback"`
-	Fired    bool    `json:"fired"`
-	Policy   string  `json:"policy"`
-	Step     int     `json:"step"`
-	Demoted  bool    `json:"demoted"`
-	// Probation marks a demoted step whose session is still
-	// recoverable; Recovered marks the step where probation re-admitted
-	// the session (served live again).
-	Probation bool `json:"probation,omitempty"`
-	Recovered bool `json:"recovered,omitempty"`
-	// Learned is true when the online-learning trust gate admitted
-	// this step into the experience window (always false with
-	// learning disabled).
-	Learned bool `json:"learned,omitempty"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -478,23 +459,56 @@ func (s *Server) createSession(scheme string) (*Session, error) {
 	return sess, nil
 }
 
-// stepSession routes one validated step through the collector shard of
-// the session's generation. The step latency lands in the generation's
-// histogram so canary and incumbent are comparable.
+// stepStatus is how a step ended. Server.step returns one of the first
+// three; the rest are the HTTP codec's own refusals, kept in the same
+// type so that handleStep has one thing to map to a status code.
+type stepStatus uint8
+
+const (
+	stepOK        stepStatus = iota
+	stepDraining             // the server is draining: 503 + Retry-After / GoAway
+	stepGone                 // the session was closed under the step: 410 / CodeGone
+	stepUnknown              // no such session: 404
+	stepBadSyntax            // the body is not JSON: 400
+	stepBadType              // the body is JSON but not {"obs":[numbers]}: 400
+	stepBadDim               // obs has the wrong length: 400
+)
+
+// step serves one validated observation on sess: everything a step is
+// apart from its wire format, for both front ends. It is the only place
+// a step takes opGate, and it takes it around the step alone — never
+// around socket I/O, so a stalled client cannot hold Drain's barrier.
+// The collector shard of the session's generation decides; the outcome
+// is folded into the counters before the gate is released, so a drain
+// that has passed its barrier sees every step it let through. The
+// endpoint's histogram and the generation's (which makes canary and
+// incumbent comparable) share one pair of clock readings.
 //
 //osap:hotpath
-func (s *Server) stepSession(sess *Session, obs []float64) (StepResult, error) {
+func (s *Server) step(sess *Session, obs []float64) (StepResult, stepStatus) {
 	start := time.Now()
-	res, err := sess.gen.batcher.do(sess, obs, s.cfg.Now()) //osap:hotpath-stop clock seam: production Now is time.Now, non-allocating
-	if err == nil {
-		sess.gen.stats.Latency.Observe(time.Since(start).Seconds())
+	s.opGate.RLock()
+	if s.draining.Load() {
+		s.opGate.RUnlock()
+		s.metrics.DrainRejected.Add(1)
+		return StepResult{}, stepDraining
 	}
-	return res, err
+	res, err := sess.gen.batcher.do(sess, obs, start, s.cfg.Now()) //osap:hotpath-stop clock seam: production Now is time.Now, non-allocating
+	if err != nil {
+		s.opGate.RUnlock()
+		return StepResult{}, stepGone
+	}
+	s.recordStep(sess, res)
+	sec := time.Since(start).Seconds()
+	sess.gen.stats.Latency.Observe(sec)
+	s.stepLatency.Observe(sec)
+	s.opGate.RUnlock()
+	return res, stepOK
 }
 
 // recordStep folds one step outcome into the global and per-version
 // counters, feeds the drift sketches, and gives the canary controller
-// a periodic pass — shared by the HTTP and binary step paths.
+// a periodic pass.
 //
 //osap:hotpath
 func (s *Server) recordStep(sess *Session, res StepResult) {
@@ -574,46 +588,81 @@ func (s *Server) recordStep(sess *Session, res StepResult) {
 	}
 }
 
+// handleStep is the HTTP step codec: JSON in, Server.step, JSON out, on
+// pooled scratch (stepcodec.go).
+//
+//osap:hotpath
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
-	s.opGate.RLock()
-	defer s.opGate.RUnlock()
+	sc := stepScratchPool.Get().(*stepScratch)
+	if st := s.httpStep(w, r, sc); st != stepOK {
+		s.refuseStep(w, st, sc) //osap:hotpath-stop refusals are failure paths, not per-step traffic
+	}
+	sc.release()
+}
+
+// httpStep serves one step request and writes its reply, or says why it
+// could not. The draining check up front takes no lock: it lets a
+// draining server answer 503 before it looks the session up (so before
+// a 404) and before it reads a body; Server.step checks again under the
+// gate.
+//
+//osap:hotpath
+func (s *Server) httpStep(w http.ResponseWriter, r *http.Request, sc *stepScratch) stepStatus {
 	if s.draining.Load() {
 		s.metrics.DrainRejected.Add(1)
-		s.rejectBusy(w, http.StatusServiceUnavailable, "server is draining")
-		return
+		return stepDraining
 	}
 	sess, ok := s.table.Get(r.PathValue("id"))
 	if !ok {
+		return stepUnknown
+	}
+	sc.readBody(r.Body)
+	s.metrics.HTTPStepBodyBytes.Add(uint64(len(sc.body)))
+	if st := sc.dec.decode(sc.body); st != stepOK {
+		return st
+	}
+	obs := sc.dec.obs[:sc.dec.n]
+	if len(obs) != s.factory.ObsDim() {
+		return stepBadDim
+	}
+	res, st := s.step(sess, obs)
+	if st != stepOK {
+		return st
+	}
+	writeStepReply(w, sc.encode(&res)) //osap:hotpath-stop the ResponseWriter is net/http's; TestHTTPStepZeroAlloc holds the handler's side
+	return stepOK
+}
+
+var jsonContentType = []string{"application/json"}
+
+// writeStepReply hands an encoded 200 to net/http: the header value is
+// a shared slice (Header.Set would allocate one per reply) and the body
+// is one Write.
+func writeStepReply(w http.ResponseWriter, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.Write(body) //nolint:errcheck // client went away
+}
+
+// refuseStep answers a step that was not served: the status-code table
+// of the step endpoint.
+func (s *Server) refuseStep(w http.ResponseWriter, st stepStatus, sc *stepScratch) {
+	switch st {
+	case stepDraining:
+		s.rejectBusy(w, http.StatusServiceUnavailable, "server is draining")
+	case stepGone:
+		s.writeError(w, http.StatusGone, "%v", ErrSessionClosed)
+	case stepUnknown:
 		s.writeError(w, http.StatusNotFound, "unknown session")
-		return
+	case stepBadSyntax:
+		s.metrics.HTTPStepRejects[rejectSyntax].Add(1)
+		s.writeError(w, http.StatusBadRequest, "decode request: body is not a JSON value")
+	case stepBadType:
+		s.metrics.HTTPStepRejects[rejectType].Add(1)
+		s.writeError(w, http.StatusBadRequest, `decode request: body is not {"obs":[numbers]}`)
+	case stepBadDim:
+		s.metrics.HTTPStepRejects[rejectDim].Add(1)
+		s.writeError(w, http.StatusBadRequest, "obs has %d values, want %d", sc.dec.n, s.factory.ObsDim())
 	}
-	var req stepRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decode request: %v", err)
-		return
-	}
-	if len(req.Obs) != s.factory.ObsDim() {
-		s.writeError(w, http.StatusBadRequest, "obs has %d values, want %d", len(req.Obs), s.factory.ObsDim())
-		return
-	}
-	res, err := s.stepSession(sess, req.Obs)
-	if err != nil {
-		s.writeError(w, http.StatusGone, "%v", err)
-		return
-	}
-	s.recordStep(sess, res)
-	writeJSON(w, http.StatusOK, stepResponse{
-		Action:    res.Action,
-		Score:     res.Decision.Score,
-		Fallback:  res.Decision.UsedDefault,
-		Fired:     res.Decision.Fired,
-		Policy:    res.Decision.Policy(),
-		Step:      res.Decision.Step,
-		Demoted:   res.Demoted,
-		Probation: res.Probation,
-		Recovered: res.Recovered,
-		Learned:   res.GateAdmitted,
-	})
 }
 
 func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
