@@ -3,8 +3,8 @@
 // OC-SVM, calibrated thresholds) and serves the paper's per-step
 // safety decision to thousands of concurrent client sessions — over
 // HTTP/JSON and over the persistent binary step protocol
-// (internal/serve/proto), with cross-session micro-batched inference
-// on the hot path.
+// (internal/serve/proto), with every session's ensemble forwards run on
+// one of a few shared inference shards.
 //
 // Serving a pre-trained model directory (written by osap-train):
 //
@@ -31,8 +31,9 @@
 // traces as -clients concurrent synthetic viewers, draining gracefully
 // under load — and verifies that the whole fleet was admitted at once,
 // no in-flight step was dropped, the server's decision count equals the
-// clients' acknowledgements, and the collector flushed batches. It
-// measures nothing: numbers come from `make bench-e2e` (bench/README.md).
+// clients' acknowledgements, and osap_batch_size counted every decision
+// exactly once. It measures nothing: numbers come from `make bench-e2e`
+// (bench/README.md).
 package main
 
 import (
@@ -302,13 +303,15 @@ type selftestCell struct {
 	res        *loadgen.Result
 	concurrent int     // sessions live at once before the measured window
 	decisions  uint64  // server-side decision counter after the drain
-	batches    uint64  // collector flushes
+	batches    uint64  // osap_batch_size observations
+	batchRows  float64 // and the rows they sum to
 	stepsPerS  float64 // server decisions per second in the steady-state window
 }
 
 // verify is the cell's contract: the whole fleet admitted at once, no
 // step dropped by the drain under load, every decision the server
-// counted acknowledged by a client, and the collector engaged.
+// counted acknowledged by a client, and each of them observed once by
+// osap_batch_size, as a batch of one.
 func (c *selftestCell) verify(clients int) error {
 	if c.concurrent < clients {
 		return fmt.Errorf("only %d of %d clients were concurrently admitted", c.concurrent, clients)
@@ -317,8 +320,9 @@ func (c *selftestCell) verify(clients int) error {
 		return fmt.Errorf("cell dropped %d steps (server served %d, clients saw %d ok)",
 			c.res.StepsDropped, c.decisions, c.res.StepsOK)
 	}
-	if c.batches == 0 {
-		return fmt.Errorf("no batches flushed — collector never engaged")
+	if c.batches != c.decisions || c.batchRows != float64(c.decisions) {
+		return fmt.Errorf("osap_batch_size counted %d batches of %g rows for %d decisions, want one row per decision",
+			c.batches, c.batchRows, c.decisions)
 	}
 	return nil
 }
@@ -421,17 +425,14 @@ func runSelfTestCell(cfg serve.Config, factory *serve.GuardFactory, video *abr.V
 	if lgErr != nil {
 		return cell, lgErr
 	}
-	cell.res, cell.decisions, cell.batches = res, m.Decisions.Load(), m.BatchSize.Count()
+	cell.res, cell.decisions = res, m.Decisions.Load()
+	cell.batches, cell.batchRows = m.BatchSize.Count(), m.BatchSize.Sum()
 
-	batchMean := 0.0
-	if cell.batches > 0 {
-		batchMean = m.BatchSize.Sum() / float64(cell.batches)
-	}
-	fmt.Printf("selftest [%s, %d procs]: %.0f steps/s steady state, rtt p50 %dµs p99 %dµs, decision p99 %.0fµs, queue p99 %.0fµs, batch mean %.1f, dropped %d, demoted %d (recovered %d, re-demoted %d, latched %d)\n",
+	fmt.Printf("selftest [%s, %d procs]: %.0f steps/s steady state, rtt p50 %dµs p99 %dµs, decision p99 %.0fµs, queue p99 %.0fµs, dropped %d, demoted %d (recovered %d, re-demoted %d, latched %d)\n",
 		transport, procs, cell.stepsPerS,
 		res.LatencyQuantile(0.5).Microseconds(), res.LatencyQuantile(0.99).Microseconds(),
 		m.DecisionLatency.Quantile(0.99)*1e6, m.QueueLatency.Quantile(0.99)*1e6,
-		batchMean, res.StepsDropped,
+		res.StepsDropped,
 		res.SessionsDemoted, res.Recoveries, res.Redemotions, m.SessionsLatched.Load())
 	return cell, nil
 }

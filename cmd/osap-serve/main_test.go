@@ -42,8 +42,9 @@ func TestSelfTestSmallScale(t *testing.T) {
 		if p50, p99 := c.res.LatencyQuantile(0.5), c.res.LatencyQuantile(0.99); p99 < p50 {
 			t.Errorf("[%s/%d] p99 %v < p50 %v", c.transport, c.procs, p99, p50)
 		}
-		if c.batches == 0 {
-			t.Errorf("[%s/%d] no batches flushed — collector never engaged", c.transport, c.procs)
+		if c.batches != c.decisions || c.batchRows != float64(c.decisions) {
+			t.Errorf("[%s/%d] osap_batch_size counted %d batches of %g rows for %d decisions, want one row per decision",
+				c.transport, c.procs, c.batches, c.batchRows, c.decisions)
 		}
 	}
 	if !seen["http"] || !seen["binary"] {

@@ -107,11 +107,11 @@ func (p *PolicySignal) Observe(obs []float64) float64 {
 }
 
 // ObserveDists scores externally computed member distributions — the
-// batched entry point: a cross-session engine runs every member's
-// forward pass for a whole micro-batch in one GEMM chain, then feeds
-// each session's rows here. dists[i] must be member i's distribution
-// for the observation; given rows bit-identical to Members[i].Probs,
-// the score is bit-identical to Observe (same scoring tail).
+// entry point for a caller that runs every member's forward pass
+// itself (a serve shard, on rl.BatchScorer), then feeds a session's
+// rows here. dists[i] must be member i's distribution for the
+// observation; given rows bit-identical to Members[i].Probs, the score
+// is bit-identical to Observe (same scoring tail).
 //
 //osap:hotpath
 func (p *PolicySignal) ObserveDists(dists [][]float64) float64 {

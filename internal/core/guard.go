@@ -86,12 +86,12 @@ func (g *Guard) Decide(obs []float64) Decision {
 // uncertainty score supplied by the caller, and the learned policy's
 // distribution too unless learned is nil, in which case the policy is
 // evaluated here, and only on a step it acts on (that is Decide). A
-// cross-session batch engine that evaluated the signal's ensemble and
-// the deployed actor in fused forward passes supplies both: given a
-// score bit-identical to g.Signal.Observe(obs) and learned
-// bit-identical to g.Learned.Probs(obs), the returned Decision is
-// identical to Decide's. The learned slice is passed through into
-// Decision.Probs on the learned path — callers own its lifetime.
+// caller that ran the signal's ensemble and the deployed actor itself
+// (a serve shard) supplies both: given a score bit-identical to
+// g.Signal.Observe(obs) and learned bit-identical to
+// g.Learned.Probs(obs), the returned Decision is identical to Decide's.
+// The learned slice is passed through into Decision.Probs on the
+// learned path — callers own its lifetime.
 //
 //osap:hotpath
 func (g *Guard) DecideWith(obs []float64, score float64, learned []float64) Decision {

@@ -22,12 +22,11 @@ import "fmt"
 // The k-major layout puts the weights of adjacent output columns side
 // by side, so on amd64 with AVX2 four columns ride the four lanes of
 // one register (kernel_amd64.s): lanes are outputs, never partial sums
-// of one output, and a single row — every flush at the rates the
-// server is run at is a singleton — is as fast per row as a full
-// batch. Everywhere else the portable loop below does the same
-// arithmetic in the same order. The choice is made once, at package
-// initialisation, from what the processor and the operating system
-// report.
+// of one output, and a single row — every forward the server runs is
+// one — is as fast per row as a full batch. Everywhere else the
+// portable loop below does the same arithmetic in the same order. The
+// choice is made once, at package initialisation, from what the
+// processor and the operating system report.
 //
 // off lets a convolution walk its Channels×Kernel patch where it lies:
 // input k of the map sits off[k] elements past the row's base, and the

@@ -26,8 +26,7 @@ import (
 // will not change again. It is immutable and holds no scratch, so one
 // PackedNetwork serves every goroutine that has a workspace of its
 // own: a server packs each network of a generation once, at load, and
-// every session and every collector shard of that generation shares
-// the copy.
+// every session and every shard of that generation shares the copy.
 type PackedNetwork struct {
 	src    *Network
 	stages []packedStage
@@ -131,10 +130,10 @@ func (st *packedStage) forward(dst []float64, dstRow int, src []float64, srcRow,
 // BatchWorkspace holds the activation buffers for running one packed
 // network over up to a fixed number of rows; with a capacity of one it
 // is a session's private inference scratch. A row's intermediate
-// activations lie side by side, so a batch of one — what every flush
-// is until the server saturates — touches one short run of memory
-// whatever the capacity; only the last stage's outputs are gathered
-// into a matrix of their own. Like Workspace, it belongs to exactly
+// activations lie side by side, so a batch of one — every forward the
+// server runs — touches one short run of memory whatever the capacity;
+// only the last stage's outputs are gathered into a matrix of their
+// own. Like Workspace, it belongs to exactly
 // one goroutine at a time; what Forward and ForwardRow return aliases
 // workspace memory and is valid only until the workspace's next use.
 type BatchWorkspace struct {

@@ -1,12 +1,12 @@
 package rl
 
-// Cross-session batched inference. A serving process hosts thousands
-// of sessions that all share one trained artifact set, so the forward
-// passes of every session stepping inside the same micro-batch window
-// can be fused: one pass over the batch for the deployed actor, one per
-// ensemble member. BatchScorer owns the batch workspaces; like every
-// inference session it is single-goroutine — internal/serve gives each
-// collector shard its own, all over one shared Frozen.
+// Batched inference. A serving process hosts thousands of sessions
+// that all share one trained artifact set, so the forward passes of
+// any number of observations can run together: one pass over the batch
+// for the deployed actor, one per ensemble member. BatchScorer owns the
+// batch workspaces; like every inference session it is single-goroutine
+// — internal/serve gives each shard its own, built for one row, all
+// over one shared Frozen.
 
 import (
 	"fmt"
@@ -19,14 +19,14 @@ import (
 // the value ensemble over a [batch, obsDim] observation matrix in one
 // batched forward pass each. Row r of every result is bit-identical to
 // the corresponding single-session inference (PolicyInference /
-// ValueInference) on row r alone — the property the serve collector's
+// ValueInference) on row r alone — the property the serve shard's
 // equivalence tests pin down.
 //
 // Invariant: member 0 of the policy ensemble is the deployed agent —
 // the same packed network — so PolicyDists(obs)[0] is, bit for bit,
 // what Deployed(obs) returns. A caller that needs both for the same
-// rows calls PolicyDists alone and reads member 0; the serve collector
-// runs Deployed only over rows no ensemble pass covers.
+// rows calls PolicyDists alone and reads member 0; a serve shard runs
+// Deployed only for a session no ensemble pass covers.
 type BatchScorer struct {
 	obsDim int
 

@@ -157,7 +157,7 @@ func TestBatchScorerZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDeployedIsMemberZero pins the invariant the serve collector
+// TestDeployedIsMemberZero pins the invariant the serve shard
 // relies on to skip a forward: member 0 of the policy ensemble is the
 // deployed agent, so its PolicyDists rows equal Deployed's bit for bit.
 func TestDeployedIsMemberZero(t *testing.T) {

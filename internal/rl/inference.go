@@ -6,7 +6,9 @@ package rl
 // decision — must not put pressure on the allocator. Each session binds
 // a packed network (nn.PackedNetwork: immutable, shared) to a private
 // one-row nn.BatchWorkspace, so sequential inference is the batched
-// path at a batch of one; one session per goroutine, never shared.
+// path at a batch of one; one session per goroutine, never shared. The
+// workspace is built on the session's first forward: a server session
+// whose forwards its shard runs never calls one, and holds none.
 
 import (
 	"fmt"
@@ -55,7 +57,7 @@ func (f *Frozen) NumActions() int { return f.actors[0].OutDim() }
 // Greedy returns a fresh greedy serving session for the deployed agent.
 func (f *Frozen) Greedy() *GreedyInference {
 	return &GreedyInference{
-		p:      &PolicyInference{ws: f.actors[0].NewBatchWorkspace(1)},
+		p:      &PolicyInference{row: rowForward{net: f.actors[0]}},
 		onehot: make([]float64, f.NumActions()),
 	}
 }
@@ -66,7 +68,7 @@ func (f *Frozen) Greedy() *GreedyInference {
 func (f *Frozen) Policies() []mdp.Policy {
 	ps := make([]mdp.Policy, len(f.actors))
 	for i, p := range f.actors {
-		ps[i] = &PolicyInference{ws: p.NewBatchWorkspace(1)}
+		ps[i] = &PolicyInference{row: rowForward{net: p}}
 	}
 	return ps
 }
@@ -76,9 +78,24 @@ func (f *Frozen) Policies() []mdp.Policy {
 func (f *Frozen) Values() []mdp.ValueFn {
 	vs := make([]mdp.ValueFn, len(f.values))
 	for i, p := range f.values {
-		vs[i] = &ValueInference{ws: p.NewBatchWorkspace(1)}
+		vs[i] = &ValueInference{row: rowForward{net: p}}
 	}
 	return vs
+}
+
+// rowForward runs one row through a packed network on a private
+// workspace that it builds on first use.
+type rowForward struct {
+	net *nn.PackedNetwork
+	ws  *nn.BatchWorkspace
+}
+
+//osap:hotpath
+func (r *rowForward) forward(obs []float64) []float64 {
+	if r.ws == nil {
+		r.ws = r.net.NewBatchWorkspace(1) //osap:hotpath-stop built once, on the handle's first forward; later forwards are alloc-tested
+	}
+	return r.ws.ForwardRow(obs)
 }
 
 // PolicyInference is a single-goroutine, allocation-free policy handle
@@ -86,42 +103,40 @@ func (f *Frozen) Values() []mdp.ValueFn {
 // until the next call; callers that retain the distribution must copy
 // it (mdp.Rollout does).
 type PolicyInference struct {
-	ws *nn.BatchWorkspace
+	row rowForward
 }
 
-// NewPolicyInference packs the agent's actor as it is now and binds it
-// to a fresh private workspace. Callers building many sessions over
-// the same agents Freeze once instead.
+// NewPolicyInference packs the agent's actor as it is now. Callers
+// building many sessions over the same agents Freeze once instead.
 func NewPolicyInference(ac *ActorCritic) *PolicyInference {
-	return &PolicyInference{ws: nn.NewBatchWorkspace(ac.Actor, 1)}
+	return &PolicyInference{row: rowForward{net: nn.Pack(ac.Actor)}}
 }
 
-// Probs implements mdp.Policy without heap allocation. The result is
-// bit-identical to ac.Probs.
+// Probs implements mdp.Policy without heap allocation after the first
+// call. The result is bit-identical to ac.Probs.
 //
 //osap:hotpath
 func (p *PolicyInference) Probs(obs []float64) []float64 {
-	return p.ws.ForwardRow(obs)
+	return p.row.forward(obs)
 }
 
 // ValueInference is a single-goroutine, allocation-free value-function
 // handle for one critic network.
 type ValueInference struct {
-	ws *nn.BatchWorkspace
+	row rowForward
 }
 
-// NewValueInference packs a critic network as it is now and binds it
-// to a fresh private workspace.
+// NewValueInference packs a critic network as it is now.
 func NewValueInference(net *nn.Network) *ValueInference {
-	return &ValueInference{ws: nn.NewBatchWorkspace(net, 1)}
+	return &ValueInference{row: rowForward{net: nn.Pack(net)}}
 }
 
-// Value implements mdp.ValueFn without heap allocation. The result is
-// bit-identical to NetValueFn.Value.
+// Value implements mdp.ValueFn without heap allocation after the first
+// call. The result is bit-identical to NetValueFn.Value.
 //
 //osap:hotpath
 func (v *ValueInference) Value(obs []float64) float64 {
-	return v.ws.ForwardRow(obs)[0]
+	return v.row.forward(obs)[0]
 }
 
 // GreedyInference is the allocation-free counterpart of GreedyPolicy: a
@@ -164,10 +179,10 @@ func (g *GreedyInference) OneHot(probs []float64) []float64 {
 }
 
 // InferencePolicyEnsemble is the one-call entry point for the U_π
-// signal: every member packed and given a private workspace, so one
-// ensemble evaluation (5 forward passes per chunk) does no heap
-// allocation. The returned policies are single-goroutine as a set —
-// build one ensemble per Guard/Signal instance.
+// signal: every member packed and given a private workspace, so an
+// ensemble evaluation (5 forward passes per chunk) after the first
+// does no heap allocation. The returned policies are single-goroutine
+// as a set — build one ensemble per Guard/Signal instance.
 func InferencePolicyEnsemble(agents []*ActorCritic) []mdp.Policy {
 	ps := make([]mdp.Policy, len(agents))
 	for i, a := range agents {

@@ -14,19 +14,19 @@ import (
 	"osap/internal/abr"
 	"osap/internal/chaos"
 	"osap/internal/core"
+	"osap/internal/nn"
 	"osap/internal/rl"
 	"osap/internal/stats"
 )
 
-// batchTestServer builds a server with the given batching shape (one
-// collector makes batch composition deterministic under load).
-func batchTestServer(t *testing.T, batch BatchConfig) *Server {
+// batchTestServer builds a server over the shared synthetic artifacts.
+func batchTestServer(t *testing.T) *Server {
 	t.Helper()
 	f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServer(f, Config{Batch: batch})
+	s, err := NewServer(f, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,49 +66,31 @@ func obsStream(seed uint64, dim, steps int) [][]float64 {
 	return out
 }
 
-// fuse makes n fused steps one batch: it takes the idle shard the way a
-// flush does, so each of them parks; runs start, which launches them on
-// goroutines of its own; waits until all n are parked; and releases the
-// shard, whose run loop then flushes them together.
-func (c *collector) fuse(n int, start func()) {
-	c.mu.Lock()
-	for c.busy {
-		c.mu.Unlock()
-		runtime.Gosched()
-		c.mu.Lock()
+// checkSameResult requires got to be want, down to the score's bits.
+func checkSameResult(t *testing.T, label string, i int, got, want StepResult) {
+	t.Helper()
+	if got.Action != want.Action {
+		t.Fatalf("%s step %d: action %d != %d", label, i, got.Action, want.Action)
 	}
-	c.busy = true
-	c.mu.Unlock()
-	start()
-	for parked := 0; parked != n; {
-		runtime.Gosched()
-		c.mu.Lock()
-		parked = len(c.parked)
-		c.mu.Unlock()
+	if math.Float64bits(got.Decision.Score) != math.Float64bits(want.Decision.Score) {
+		t.Fatalf("%s step %d: score %g != %g (not bit-identical)", label, i, got.Decision.Score, want.Decision.Score)
 	}
-	c.release()
+	if got.Decision.UsedDefault != want.Decision.UsedDefault ||
+		got.Decision.Fired != want.Decision.Fired ||
+		got.Decision.Step != want.Decision.Step ||
+		got.Demoted != want.Demoted {
+		t.Fatalf("%s step %d: metadata %+v != %+v", label, i, got, want)
+	}
 }
 
 // TestBatchedMatchesSequential is the end-to-end equivalence property:
-// sessions stepped concurrently through the micro-batching collector
+// sessions of every scheme, stepped concurrently on a goroutine each —
+// so a fused step often finds its shard held by another session's —
 // produce, step for step, bit-identical results to a reference session
-// built from the same factory and stepped alone — for every scheme.
-// Every round's fused steps are held until all have parked, so each is
-// decided in a batch of eight.
+// built from the same factory and stepped alone; and osap_batch_size
+// counts every decision exactly once, as a batch of one.
 func TestBatchedMatchesSequential(t *testing.T) {
-	testBatchedMatchesSequential(t, true)
-}
-
-// TestFlushAloneMatchesSequential is the same property with the lanes
-// running free: a step that finds its collector idle is flushed on its
-// own goroutine, one that finds it busy parks, and eight fused lanes on
-// one shard make both happen all the time.
-func TestFlushAloneMatchesSequential(t *testing.T) {
-	testBatchedMatchesSequential(t, false)
-}
-
-func testBatchedMatchesSequential(t *testing.T, fused bool) {
-	s := batchTestServer(t, BatchConfig{MaxBatch: 64, Collectors: 1})
+	s := batchTestServer(t)
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 
 	schemes := s.factory.Schemes()
@@ -125,15 +107,11 @@ func testBatchedMatchesSequential(t *testing.T, fused bool) {
 		got    []StepResult
 	}
 	var lanes []*lane
-	nFused := 0
 	for si, scheme := range schemes {
 		for k := 0; k < perScheme; k++ {
 			sess, err := s.createSession(scheme)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if sess.class != classBatchState {
-				nFused++
 			}
 			lanes = append(lanes, &lane{
 				scheme: scheme,
@@ -143,43 +121,25 @@ func testBatchedMatchesSequential(t *testing.T, fused bool) {
 		}
 	}
 
-	// Drive every lane concurrently through the batched server: steps
-	// [from, to) of each, on a goroutine per lane.
 	var wg sync.WaitGroup
-	drive := func(from, to int) {
-		for _, ln := range lanes {
-			wg.Add(1)
-			go func(ln *lane) {
-				defer wg.Done()
-				for _, obs := range ln.stream[from:to] {
-					res, err := s.stepErr(ln.sess, obs)
-					if err != nil {
-						t.Errorf("%s: step: %v", ln.scheme, err)
-						return
-					}
-					ln.got = append(ln.got, res)
+	for _, ln := range lanes {
+		wg.Add(1)
+		go func(ln *lane) {
+			defer wg.Done()
+			for _, obs := range ln.stream {
+				res, err := s.stepErr(ln.sess, obs)
+				if err != nil {
+					t.Errorf("%s: step: %v", ln.scheme, err)
+					return
 				}
-			}(ln)
-		}
+				ln.got = append(ln.got, res)
+			}
+		}(ln)
 	}
-	if fused {
-		c := s.rollout.Active().batcher.collectors[0]
-		for i := 0; i < steps; i++ {
-			c.fuse(nFused, func() { drive(i, i+1) })
-			wg.Wait()
-		}
-		// Per round: one flush of nFused, and a batch of one for each
-		// session that has nothing to fuse.
-		flushes, rows := uint64(steps*(1+len(lanes)-nFused)), float64(steps*len(lanes))
-		if got := s.metrics.BatchSize; got.Count() != flushes || got.Sum() != rows {
-			t.Fatalf("%d flushes of %g rows, want %d of %g", got.Count(), got.Sum(), flushes, rows)
-		}
-	} else {
-		drive(0, steps)
-		wg.Wait()
-		if s.metrics.BatchSize.Count() == 0 {
-			t.Fatal("no batches flushed — collector never engaged")
-		}
+	wg.Wait()
+	decisions, sizes := s.metrics.Decisions.Load(), s.metrics.BatchSize
+	if decisions != uint64(len(lanes)*steps) || sizes.Count() != decisions || sizes.Sum() != float64(decisions) {
+		t.Fatalf("%d decisions, %d batches of %g rows; want %d of each", decisions, sizes.Count(), sizes.Sum(), len(lanes)*steps)
 	}
 
 	// Replay each lane on a private sequential guard and compare.
@@ -189,38 +149,21 @@ func testBatchedMatchesSequential(t *testing.T, fused bool) {
 			t.Fatal(err)
 		}
 		ref := newSession("ref", ln.scheme, g, time.Now())
-		if len(ln.got) != steps {
-			t.Fatalf("%s: lane finished %d/%d steps", ln.scheme, len(ln.got), steps)
-		}
 		for i, obs := range ln.stream {
 			want, err := ref.Step(obs, time.Now())
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := ln.got[i]
-			if got.Action != want.Action {
-				t.Fatalf("%s step %d: action %d != %d", ln.scheme, i, got.Action, want.Action)
-			}
-			if math.Float64bits(got.Decision.Score) != math.Float64bits(want.Decision.Score) {
-				t.Fatalf("%s step %d: score %g != %g (not bit-identical)",
-					ln.scheme, i, got.Decision.Score, want.Decision.Score)
-			}
-			if got.Decision.UsedDefault != want.Decision.UsedDefault ||
-				got.Decision.Fired != want.Decision.Fired ||
-				got.Decision.Step != want.Decision.Step ||
-				got.Demoted != want.Demoted {
-				t.Fatalf("%s step %d: metadata %+v != %+v", ln.scheme, i, got, want)
-			}
+			checkSameResult(t, ln.scheme, i, ln.got[i], want)
 		}
 	}
 }
 
-// TestBatchedStepZeroAlloc is the CI allocation gate for the batched
-// decision path: a steady-state step through collector parking, fused
-// scoring and completion must not allocate — on the caller's
-// goroutine or the collector's.
+// TestBatchedStepZeroAlloc is the CI allocation gate for the decision
+// path: a steady-state step through its shard's lock, the shard's
+// forwards and the session's step must not allocate.
 func TestBatchedStepZeroAlloc(t *testing.T) {
-	s := batchTestServer(t, BatchConfig{MaxBatch: 16, Collectors: 1})
+	s := batchTestServer(t)
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 	for _, scheme := range s.factory.Schemes() {
 		sess, err := s.createSession(scheme)
@@ -228,7 +171,7 @@ func TestBatchedStepZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		obs := obsStream(9, s.factory.ObsDim(), 1)[0]
-		for i := 0; i < 50; i++ { // warm scratch, pool and histograms
+		for i := 0; i < 50; i++ { // warm scratch and histograms
 			if _, err := s.stepErr(sess, obs); err != nil {
 				t.Fatal(err)
 			}
@@ -239,17 +182,18 @@ func TestBatchedStepZeroAlloc(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s: batched step allocates %.2f/op, want 0", scheme, allocs)
+			t.Errorf("%s: step allocates %.2f/op, want 0", scheme, allocs)
 		}
 	}
 }
 
 // TestBatcherRaceHammer runs under -race in `make race`: concurrent
-// steps across schemes, session deletion mid-flight, and a drain that
-// lands mid-flush. Steppers go through Server.step, gate and draining
-// check included, exactly like the HTTP/binary front ends.
+// steps across schemes on shared shards, session deletion mid-flight,
+// and a drain that lands mid-step. Steppers go through Server.step,
+// gate and draining check included, exactly like the HTTP/binary front
+// ends.
 func TestBatcherRaceHammer(t *testing.T) {
-	s := batchTestServer(t, BatchConfig{MaxBatch: 8, Collectors: 2})
+	s := batchTestServer(t)
 	schemes := s.factory.Schemes()
 	dim := s.factory.ObsDim()
 
@@ -302,16 +246,16 @@ func TestBatcherRaceHammer(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchedStep measures steady-state decision throughput
-// through the micro-batching collector with a fleet of concurrent
-// sessions — the server-side cost floor of the batched serving path,
-// without transport. b.N counts individual session steps.
+// BenchmarkBatchedStep measures steady-state decision throughput of a
+// fleet of concurrent sessions on shared shards — the server-side cost
+// floor of the serving path, without transport. b.N counts individual
+// session steps.
 func BenchmarkBatchedStep(b *testing.B) {
 	f, err := NewGuardFactory(sharedArtifacts(b), GuardConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := NewServer(f, Config{Batch: BatchConfig{MaxBatch: 256}})
+	s, err := NewServer(f, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -362,51 +306,11 @@ func TestClassifyGuard(t *testing.T) {
 	}
 }
 
-// TestCollectorFlushZeroAlloc calls flush itself — the body of both
-// the collector's loop and a caller's lone flush — on a singleton of
-// each fused scheme and on a mixed batch, and requires zero allocations.
-func TestCollectorFlushZeroAlloc(t *testing.T) {
-	s := batchTestServer(t, BatchConfig{MaxBatch: 8, Collectors: 1})
-	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
-	obs := obsStream(10, s.factory.ObsDim(), 1)[0]
-	c := s.rollout.Active().batcher.collectors[0]
-	var calls []*stepCall
-	for _, scheme := range []string{SchemeAEns, SchemeVEns} {
-		sess, err := s.createSession(scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls = append(calls, &stepCall{sess: sess, obs: obs, done: make(chan struct{}, 1)})
-	}
-	flush := func(batch []*stepCall) {
-		now := time.Now()
-		for _, call := range batch {
-			call.now, call.enq = now, now
-		}
-		c.flush(batch)
-		for _, call := range batch {
-			<-call.done
-			if call.err != nil {
-				t.Fatal(call.err)
-			}
-		}
-	}
-	for _, batch := range [][]*stepCall{calls[:1], calls[1:], calls} {
-		for i := 0; i < 20; i++ { // warm the scratch
-			flush(batch)
-		}
-		if allocs := testing.AllocsPerRun(100, func() { flush(batch) }); allocs != 0 {
-			t.Errorf("flush of %d call(s) starting with %s allocates %.2f/op, want 0",
-				len(batch), batch[0].sess.scheme, allocs)
-		}
-	}
-}
-
 // TestPoisonedArtifactDemotesOnTheSameStep: a MaxFloat64-poisoned
 // artifact (chaos.PoisonNetworks) overflows in the first dense product
 // and the session must demote on the step where the non-finite score
 // surfaces — the same step whether the forwards run through the packed
-// kernel (a server session, batched) or through the layers' own
+// kernel (a server session, on its shard) or through the layers' own
 // Forward (a guard assembled here from the allocating policies).
 func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
 	arts, err := SyntheticArtifacts("poisoned", 3, 11)
@@ -420,7 +324,7 @@ func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServer(f, Config{Batch: BatchConfig{Collectors: 1}})
+	s, err := NewServer(f, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,5 +372,116 @@ func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
 		if packed < 0 || packed != scalar {
 			t.Errorf("%s: demoted at step %d through the packed kernel, %d through Layer.Forward", scheme, packed, scalar)
 		}
+	}
+}
+
+// TestShardFaultFallsBackToSequential: a shard whose forwards panic —
+// its scorer swapped for one built over artifacts of another
+// observation length — hands the step to the session's own sequential
+// step. Every decision is a fresh guard's, bit for bit, and the session
+// is not demoted: the fault was the shard's, not the session's.
+func TestShardFaultFallsBackToSequential(t *testing.T) {
+	s := batchTestServer(t)
+	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
+	cfg := rl.DefaultNetConfig()
+	cfg.HistoryLen--
+	agents := make([]*rl.ActorCritic, 2)
+	for i := range agents {
+		ac, err := rl.NewActorCritic(cfg, uint64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents[i] = ac
+	}
+	wrong, err := rl.NewBatchScorer(agents, []*nn.Network{agents[0].Critic, agents[1].Critic}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrong.ObsDim() == s.factory.ObsDim() {
+		t.Fatalf("the swapped scorer takes obs of %d, like the server's", wrong.ObsDim())
+	}
+	for _, scheme := range []string{SchemeAEns, SchemeVEns} {
+		sess, err := s.createSession(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := s.rollout.Active().batcher.shards[sess.shard]
+		good := sh.scorer
+		sh.scorer = wrong
+		g, err := s.factory.NewGuard(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newSession("ref", scheme, g, time.Now())
+		for i, obs := range obsStream(31, s.factory.ObsDim(), 20) {
+			got, err := s.stepErr(sess, obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Step(obs, time.Now())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSameResult(t, scheme, i, got, want)
+		}
+		if sess.Demoted() || s.metrics.PanicsRecovered.Load() != 0 {
+			t.Fatalf("%s: a fault of the shard's demoted the session (panics recovered: %d)", scheme, s.metrics.PanicsRecovered.Load())
+		}
+		sh.scorer = good
+	}
+}
+
+// TestSessionFootprint: the heap a server retains per session, by
+// scheme. An ensemble session's forwards run on its shard, so it holds
+// no inference workspace; an ND session holds one once its learned
+// policy first acts. A session's first sequential step builds its
+// workspaces and still equals a fresh guard's, bit for bit.
+func TestSessionFootprint(t *testing.T) {
+	s := batchTestServer(t)
+	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	const n = 512
+	obs := obsStream(41, s.factory.ObsDim(), 1)[0]
+	for _, tc := range []struct {
+		scheme string
+		max    int64 // bytes per session
+	}{
+		{SchemeND, 2048},
+		{SchemeAEns, 1536},
+		{SchemeVEns, 1536},
+	} {
+		sessions := make([]*Session, n)
+		before := heap()
+		for i := range sessions {
+			sess, err := s.createSession(tc.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessions[i] = sess
+		}
+		per := (heap() - before) / n
+		t.Logf("%s: %d B retained per session", tc.scheme, per)
+		if per > tc.max {
+			t.Errorf("%s: %d B retained per session, want ≤ %d", tc.scheme, per, tc.max)
+		}
+
+		g, err := s.factory.NewGuard(tc.scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := newSession("ref", tc.scheme, g, time.Now()).Step(obs, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sessions[0].Step(obs, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSameResult(t, tc.scheme, 0, got, want)
 	}
 }

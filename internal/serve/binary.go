@@ -28,7 +28,7 @@ import (
 // closes. It is the hot-path alternative to the HTTP front door: many
 // sessions multiplexed per connection, length-prefixed binary frames,
 // zero steady-state allocation per step. Both front ends share the
-// same session table, batcher, metrics, and drain discipline, so they
+// same session table, shards, metrics, and drain discipline, so they
 // can run side by side in one process.
 //
 // Accept errors after drain has begun are a normal shutdown and return
@@ -84,6 +84,10 @@ func (s *Server) closeConns() {
 	s.connMu.Unlock()
 }
 
+// binReadFrames sizes a connection's read buffer in step frames: the
+// largest burst worth answering with one write.
+const binReadFrames = 32
+
 // binConn is one connection's state. Its reader goroutine owns all of
 // it, so nothing here is locked.
 type binConn struct {
@@ -101,10 +105,8 @@ type binConn struct {
 // HTTP session) unless the client closes them explicitly.
 func (s *Server) serveConn(nc net.Conn) {
 	defer nc.Close() //nolint:errcheck // what there was to send has been flushed
-	// The read buffer holds the largest burst worth answering with one
-	// write: as many step frames as a collector fuses into one batch.
 	dim := s.factory.ObsDim()
-	pc := proto.NewConnSize(nc, s.cfg.Batch.MaxBatch*proto.StepFrameSize(dim))
+	pc := proto.NewConnSize(nc, binReadFrames*proto.StepFrameSize(dim))
 	if !s.trackConn(nc) {
 		pc.WriteGoAway("draining") //nolint:errcheck // best-effort farewell
 		return

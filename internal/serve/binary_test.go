@@ -263,9 +263,9 @@ func promCounter(t *testing.T, s *Server, name string) uint64 {
 	return 0
 }
 
-func binaryTestServer(t *testing.T, batch BatchConfig) (*Server, string) {
+func binaryTestServer(t *testing.T) (*Server, string) {
 	t.Helper()
-	s := batchTestServer(t, batch)
+	s := batchTestServer(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func binaryTestServer(t *testing.T, batch BatchConfig) (*Server, string) {
 // the same equivalence property as the HTTP path, over the multiplexed
 // wire format.
 func TestBinaryEndToEnd(t *testing.T) {
-	s, addr := binaryTestServer(t, BatchConfig{MaxBatch: 64, Collectors: 1})
+	s, addr := binaryTestServer(t)
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 
 	schemes := s.factory.Schemes()
@@ -346,7 +346,7 @@ func TestBinaryEndToEnd(t *testing.T) {
 // the session server-side but keeps the connection usable), channel
 // reuse, and the cid-scoped error cases.
 func TestBinarySessionLifecycle(t *testing.T) {
-	s, addr := binaryTestServer(t, BatchConfig{})
+	s, addr := binaryTestServer(t)
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 
 	c := dialBinary(t, addr)
@@ -417,7 +417,7 @@ func TestBinarySessionLifecycle(t *testing.T) {
 // pipelined on one cid — two frames in one Write — are both served, in
 // the order they arrived, as consecutive steps of the session.
 func TestBinaryPipelineInOrder(t *testing.T) {
-	s, addr := binaryTestServer(t, BatchConfig{})
+	s, addr := binaryTestServer(t)
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 
 	c := dialBinary(t, addr)
@@ -443,7 +443,7 @@ func TestBinaryPipelineInOrder(t *testing.T) {
 // in one read are answered by eight Decisions in one write — asserted
 // through the counters on /metrics.
 func TestBinaryBurstOneFlush(t *testing.T) {
-	s := batchTestServer(t, BatchConfig{})
+	s := batchTestServer(t)
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 	c := pipeBinary(t, s)
 	const n = 8
@@ -482,7 +482,7 @@ func TestBinaryBurstOneFlush(t *testing.T) {
 // of the round trip with it: a steady step of a session served inline
 // (ND) and of a fused one (A-ensemble) allocates nothing.
 func TestBinaryStepZeroAlloc(t *testing.T) {
-	s := batchTestServer(t, BatchConfig{})
+	s := batchTestServer(t)
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 	c := pipeBinary(t, s)
 	obs := obsStream(9, s.factory.ObsDim(), 1)[0]
@@ -507,7 +507,7 @@ func TestBinaryStepZeroAlloc(t *testing.T) {
 // TestBinarySessionsCostNoGoroutines: a connection is one goroutine
 // however many sessions it carries.
 func TestBinarySessionsCostNoGoroutines(t *testing.T) {
-	s := batchTestServer(t, BatchConfig{})
+	s := batchTestServer(t)
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 	c := pipeBinary(t, s)
 	schemes := s.factory.Schemes()
@@ -526,16 +526,18 @@ func TestBinarySessionsCostNoGoroutines(t *testing.T) {
 
 // TestBinaryConnsShareShard pins the multi-core rule (DESIGN.md §7): a
 // connection is served by one goroutine, parallelism comes from
-// connections, and two connections whose fused sessions sit on one
-// collector neither corrupt nor starve each other. Both pipeline a step
-// for each of their sessions per round, so the shard is found idle by
-// some steps and busy by others; every decision must equal the
-// sequential reference, and the batch-size histogram must account for
-// every decision exactly once.
+// connections, and two connections whose fused sessions share a shard
+// neither corrupt nor starve each other — a step that finds the shard
+// taken waits on its mutex. Each connection opens a session per shard
+// or more, so at least one shard carries sessions of both, whatever
+// GOMAXPROCS is; both pipeline a step for each of their sessions per
+// round. Every decision must equal the sequential reference, and the
+// batch-size histogram must account for every decision exactly once.
 func TestBinaryConnsShareShard(t *testing.T) {
-	s, addr := binaryTestServer(t, BatchConfig{Collectors: 1})
+	s, addr := binaryTestServer(t)
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
-	const conns, perConn, steps = 2, 4, 60
+	const conns, steps = 2, 60
+	perConn := max(4, len(s.rollout.Active().batcher.shards))
 	dim := s.factory.ObsDim()
 	fused := []string{SchemeAEns, SchemeVEns}
 
@@ -546,14 +548,31 @@ func TestBinaryConnsShareShard(t *testing.T) {
 	}
 	lanes := make([][]*lane, conns)
 	clients := make([]*binClient, conns)
+	connsOnShard := map[int]map[int]bool{}
 	for k := range clients {
 		clients[k] = dialBinary(t, addr)
 		defer clients[k].nc.Close()
 		for ci := 0; ci < perConn; ci++ {
-			ln := &lane{scheme: fused[ci%2], stream: obsStream(uint64(70+10*k+ci), dim, steps)}
+			ln := &lane{scheme: fused[ci%2], stream: obsStream(uint64(70+100*k+ci), dim, steps)}
 			lanes[k] = append(lanes[k], ln)
-			clients[k].open(uint32(ci), ln.scheme)
+			sess, ok := s.table.Get(clients[k].open(uint32(ci), ln.scheme))
+			if !ok {
+				t.Fatal("an opened session is not in the table")
+			}
+			if connsOnShard[sess.shard] == nil {
+				connsOnShard[sess.shard] = map[int]bool{}
+			}
+			connsOnShard[sess.shard][k] = true
 		}
+	}
+	shared := 0
+	for _, ks := range connsOnShard {
+		if len(ks) == conns {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatalf("no shard carries sessions of both connections: %v", connsOnShard)
 	}
 	var wg sync.WaitGroup
 	for k, c := range clients {
@@ -590,9 +609,9 @@ func TestBinaryConnsShareShard(t *testing.T) {
 			checkAgainstSequential(t, s, ln.scheme, ln.stream, ln.got)
 		}
 	}
-	decisions := s.metrics.Decisions.Load()
-	if rows := s.metrics.BatchSize.Sum(); decisions != conns*perConn*steps || rows != float64(decisions) {
-		t.Fatalf("%d decisions, batch sizes sum to %g, want %d both", decisions, rows, conns*perConn*steps)
+	decisions, sizes := s.metrics.Decisions.Load(), s.metrics.BatchSize
+	if want := uint64(conns * perConn * steps); decisions != want || sizes.Count() != want || sizes.Sum() != float64(want) {
+		t.Fatalf("%d decisions, %d batches of %g rows; want %d of each", decisions, sizes.Count(), sizes.Sum(), want)
 	}
 }
 
@@ -600,7 +619,7 @@ func TestBinaryConnsShareShard(t *testing.T) {
 // transport: an in-flight connection is told to go away (or closed)
 // rather than left hanging, and new connections are refused.
 func TestBinaryDrainGoAway(t *testing.T) {
-	s, addr := binaryTestServer(t, BatchConfig{})
+	s, addr := binaryTestServer(t)
 	c := dialBinary(t, addr)
 	defer c.nc.Close()
 	c.open(0, SchemeAEns)

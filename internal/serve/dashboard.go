@@ -236,7 +236,7 @@ func (s *Server) stageVersion(version string, fraction float64) (*Generation, er
 		return nil, fmt.Errorf("serve: no artifact registry configured; staging unavailable")
 	}
 	// A version staged before (then promoted away from or rolled back)
-	// is reused with its stats and batcher intact.
+	// is reused with its stats and shards intact.
 	if existing := s.rollout.lookup(version); existing != nil {
 		return s.rollout.Stage(existing, fraction, s.cfg.Now())
 	}
@@ -259,18 +259,11 @@ func (s *Server) stageVersion(version string, fraction float64) (*Generation, er
 		return nil, fmt.Errorf("serve: version %s serves dataset %q, server is bound to %q",
 			version, f.Dataset(), s.factory.Dataset())
 	}
-	b, err := newBatcher(f, s.metrics, s.cfg.Batch)
+	b, err := newBatcher(f, s.metrics)
 	if err != nil {
 		return nil, err
 	}
-	gen := newGeneration(version, checksum, f, b)
-	staged, err := s.rollout.Stage(gen, fraction, s.cfg.Now())
-	if err != nil || staged != gen {
-		// Either the stage was refused or a concurrent stage of the same
-		// version won with a cached generation; this one never served.
-		b.Stop()
-	}
-	return staged, err
+	return s.rollout.Stage(newGeneration(version, checksum, f, b), fraction, s.cfg.Now())
 }
 
 // writeExtendedProm appends the rollout/version/drift families after

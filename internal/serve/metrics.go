@@ -18,8 +18,9 @@ var latencyBuckets = []float64{
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 5e-1, 1,
 }
 
-// batchSizeBuckets bound the batch-size histogram: powers of two up to
-// the largest plausible MaxBatch.
+// batchSizeBuckets bound the batch-size histogram: powers of two. Every
+// observation is 1 since steps stopped being fused; the bounds stay so
+// that /metrics keeps its shape.
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // Histogram is a lock-free fixed-bucket histogram in the Prometheus
@@ -122,10 +123,10 @@ type Metrics struct {
 	SessionsRedemoted atomic.Uint64
 	SessionsLatched   atomic.Uint64
 
-	// Micro-batching instrumentation (see batch.go). QueueLatency is
-	// enqueue→flush-start, DecisionLatency is flush-start→completion —
-	// together they decompose a batched step's server-side latency.
-	// BatchSize records sessions fused per flush.
+	// Shard instrumentation (see batch.go). QueueLatency is the wait for
+	// the session's shard (0 for a step that needs none), DecisionLatency
+	// runs from holding it to decided — together they decompose a step's
+	// server-side latency. BatchSize observes 1 per step.
 	QueueLatency    *Histogram
 	DecisionLatency *Histogram
 	BatchSize       *Histogram
@@ -245,9 +246,9 @@ func (m *Metrics) WriteProm(w io.Writer, liveSessions, demotedLive, probationLiv
 		}
 		fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", name, promFloat(h.Sum()), name, cum)
 	}
-	hist("osap_step_queue_seconds", "Batched step wait from enqueue to flush start.", m.QueueLatency)
-	hist("osap_step_decision_seconds", "Batched step time from flush start to completion.", m.DecisionLatency)
-	hist("osap_batch_size", "Sessions fused per micro-batch flush.", m.BatchSize)
+	hist("osap_step_queue_seconds", "Step wait for its inference shard.", m.QueueLatency)
+	hist("osap_step_decision_seconds", "Step time from holding its shard to decided.", m.DecisionLatency)
+	hist("osap_batch_size", "Rows per inference call (1 per step).", m.BatchSize)
 
 	// Stable endpoint order for deterministic output.
 	m.mu.Lock()

@@ -2,7 +2,7 @@ package serve
 
 // Canary rollout control plane (DESIGN.md §11). The server holds a set
 // of Generations — one per loaded artifact version, each with its own
-// GuardFactory, micro-batcher, per-version counters and drift sketches
+// GuardFactory, inference shards, per-version counters and drift sketches
 // — and a Rollout router that picks which generation a NEW session
 // binds at admission. Live sessions keep their pinned generation until
 // they end, so staging, promoting or rolling back a version never
@@ -51,10 +51,10 @@ type VersionStats struct {
 }
 
 // Generation is one loaded artifact version inside the server: the
-// immutable artifacts behind a factory, the version's own batcher (the
-// batch engine fuses observations across sessions of ONE artifact set
-// only — fusing across versions would feed session A's step through
-// session B's weights), and its observability state.
+// immutable artifacts behind a factory, the version's own shards (a
+// shard runs the forwards of ONE artifact set's sessions only — one
+// shared across versions would feed session A's step through session
+// B's weights), and its observability state.
 type Generation struct {
 	version  string
 	checksum string

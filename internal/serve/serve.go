@@ -71,7 +71,7 @@ func (c GuardConfig) withDefaults() GuardConfig {
 // of trained artifacts. The artifacts (networks, OC-SVM support
 // vectors, calibrated thresholds) are never mutated after construction;
 // the networks are packed for inference once, here, and every session
-// and collector shard of the factory's generation reads that one copy.
+// and shard of the factory's generation reads that one copy.
 // Every NewGuard call creates private activation buffers and signal
 // state, so each returned guard is single-goroutine as usual but any
 // number of guards can run concurrently.

@@ -41,11 +41,8 @@ type Config struct {
 	// This is the fault-injection seam used by internal/chaos; in
 	// production wiring it is nil and costs one pointer check per
 	// session creation (nothing per step). It may replace g.Signal only:
-	// the batch engine computes the learned policy's forward itself.
+	// a shard computes the learned policy's forward itself.
 	WrapGuard func(idx uint64, g *core.Guard)
-	// Batch configures cross-session micro-batching (see BatchConfig);
-	// the zero value enables it with defaults.
-	Batch BatchConfig
 	// FrameFault, if set, runs before each binary-protocol frame is
 	// served and may inject a transient rejection (answered with an
 	// Error frame the client retries, never a drain) and/or a stall —
@@ -114,7 +111,6 @@ func (c Config) withDefaults() Config {
 	if c.Now == nil {
 		c.Now = time.Now
 	}
-	c.Batch = c.Batch.withDefaults()
 	return c
 }
 
@@ -191,7 +187,7 @@ func NewServer(f *GuardFactory, cfg Config) (*Server, error) {
 	if version == "" {
 		version = "unversioned"
 	}
-	b, err := newBatcher(f, s.metrics, cfg.Batch)
+	b, err := newBatcher(f, s.metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -317,15 +313,6 @@ func (s *Server) Drain(ctx context.Context, w io.Writer) error {
 		err = fmt.Errorf("serve: drain: %w", ctx.Err())
 	}
 
-	// Stop every generation's collectors after the in-flight steps have
-	// completed; Stop flushes anything still parked, so even a
-	// deadline-expired drain leaves no step waiting forever. Retired
-	// generations' batchers stay alive until this point because sessions
-	// pinned to them may step right up to the barrier.
-	for _, g := range s.rollout.generations() {
-		g.batcher.Stop()
-	}
-
 	// Force-close binary connections: every pre-drain step has been
 	// answered, and a handler parked in a frame read has no further
 	// traffic coming (the client sees EOF, its drain signal).
@@ -381,17 +368,32 @@ func (s *Server) rejectBusy(w http.ResponseWriter, code int, msg string) {
 
 // ---- handlers ----
 
+// refuseDraining answers 503 + Retry-After if the server is draining,
+// and says whether it did.
+func (s *Server) refuseDraining(w http.ResponseWriter) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	s.metrics.DrainRejected.Add(1)
+	s.rejectBusy(w, http.StatusServiceUnavailable, "server is draining")
+	return true
+}
+
+// handleCreate reads its body before it takes opGate, like handleStep:
+// a client that stalls mid-body holds nothing Drain waits for. The
+// draining check up front answers 503 without reading the body at all.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	s.opGate.RLock()
-	defer s.opGate.RUnlock()
-	if s.draining.Load() {
-		s.metrics.DrainRejected.Add(1)
-		s.rejectBusy(w, http.StatusServiceUnavailable, "server is draining")
+	if s.refuseDraining(w) {
 		return
 	}
 	var req createRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil && err != io.EOF {
 		s.writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		return
+	}
+	s.opGate.RLock()
+	defer s.opGate.RUnlock()
+	if s.refuseDraining(w) {
 		return
 	}
 	if req.Scheme == "" {
@@ -478,9 +480,9 @@ const (
 // apart from its wire format, for both front ends. It is the only place
 // a step takes opGate, and it takes it around the step alone — never
 // around socket I/O, so a stalled client cannot hold Drain's barrier.
-// The collector shard of the session's generation decides; the outcome
-// is folded into the counters before the gate is released, so a drain
-// that has passed its barrier sees every step it let through. The
+// The session's generation decides (Batcher.do); the outcome is folded
+// into the counters before the gate is released, so a drain that has
+// passed its barrier sees every step it let through. The
 // endpoint's histogram and the generation's (which makes canary and
 // incumbent comparable) share one pair of clock readings.
 //

@@ -18,11 +18,12 @@ import (
 // been deleted, evicted or drained.
 var ErrSessionClosed = errors.New("serve: session closed")
 
-// Session is one client's live guard: a private core.Guard (and thus
-// private inference workspaces and signal state) plus bookkeeping for
-// eviction and metrics. Steps on one session are serialized by its
-// mutex, matching the guard's single-goroutine contract; different
-// sessions are fully independent.
+// Session is one client's live guard: a private core.Guard (its signal
+// and trigger state, and inference handles whose workspaces exist only
+// once the sequential path has run) plus bookkeeping for eviction and
+// metrics. Steps on one session are serialized by its mutex, matching
+// the guard's single-goroutine contract; different sessions are fully
+// independent.
 type Session struct {
 	id     string
 	scheme string
@@ -59,9 +60,9 @@ type Session struct {
 	lastUsed atomic.Int64
 
 	// Batch routing, written once before the session is published to
-	// the table and read-only afterwards: which collector shard owns
-	// this session's steps and how much of a step the batch engine can
-	// compute for it (see classifyGuard).
+	// the table and read-only afterwards: which shard runs this
+	// session's forwards and how much of a step a shard can compute for
+	// it (see classifyGuard).
 	shard int
 	class batchClass
 
@@ -165,17 +166,18 @@ const (
 )
 
 // Step runs one guarded decision with the session's private inference:
-// step with nothing supplied by the batch engine. It is the sequential
-// reference the batched path is tested against, and what the collector
-// falls back to when a fused forward faults.
+// step with nothing supplied by a shard. It is the sequential reference
+// the shard path is tested against, and what a shard falls back to when
+// its forwards fault. A session's inference workspaces are built on its
+// first sequential step.
 //
 //osap:hotpath
 func (s *Session) Step(obs []float64, now time.Time) (StepResult, error) {
 	return s.step(obs, nil, now)
 }
 
-// step is the one step path. ev carries what the batch engine already
-// computed for this observation (nil: nothing, the guard runs its own
+// step is the one step path. ev carries what a shard already computed
+// for this observation (nil: nothing, the guard runs its own
 // forwards); now stamps the idle clock.
 //
 // The guard call is panic-contained: a panic anywhere in the inference
@@ -283,8 +285,8 @@ func (s *Session) settleLocked(obs []float64, d core.Decision, pv any) StepResul
 	return res
 }
 
-// batchEval carries the batch-computed inputs for one session's step.
-// The slices alias collector-owned scratch and are valid only for the
+// batchEval carries the shard-computed inputs for one session's step.
+// The slices alias shard-owned scratch and are valid only for the
 // duration of the step call.
 type batchEval struct {
 	class    batchClass
@@ -295,8 +297,8 @@ type batchEval struct {
 
 // decide runs the guard and is the step's only panic container. With
 // ev nil the guard evaluates its own signal and learned policy;
-// otherwise the signal is scored from the batch-computed inputs and the
-// learned one-hot derived from the fused deployed forward. The type
+// otherwise the signal is scored from the shard-computed inputs and the
+// learned one-hot derived from the shard's deployed forward. The type
 // assertions are safe by construction: GuardFactory.NewGuard installs
 // the greedy inference and classifyGuard proved the signal's type at
 // session creation. It is deliberately not //osap:hotpath-annotated:

@@ -322,7 +322,7 @@ func (w *replyStub) Write(b []byte) (int, error) {
 // net/http handing handleStep the request and handleStep handing back
 // the reply.
 func TestHTTPStepZeroAlloc(t *testing.T) {
-	s := batchTestServer(t, BatchConfig{})
+	s := batchTestServer(t)
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
 	raw := benchBody(t)
 	for _, scheme := range []string{SchemeND, SchemeAEns} {
@@ -542,55 +542,66 @@ func TestStepStatusTable(t *testing.T) {
 }
 
 // TestDrainNotHostageToStalledBody: a client that stops half way
-// through a step body holds nothing Drain waits for. The drain finishes
-// at once, and the request, when its body does arrive, is told the
-// server is draining.
+// through a step or a create body holds nothing Drain waits for. The
+// drain finishes at once, and the request, when its body does arrive,
+// is told the server is draining.
 func TestDrainNotHostageToStalledBody(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	cr := createSession(t, ts.URL, SchemeND)
-	body := benchBody(t)
-	nc, err := net.Dial("tcp", ts.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	head := fmt.Sprintf("POST /v1/sessions/%s/step HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", cr.ID, len(body))
-	if _, err := nc.Write(append([]byte(head), body[:len(body)/2]...)); err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the handler is past its checks and blocked on the
-	// missing half: its goroutine is then inside readBody.
-	stacks := make([]byte, 1<<20)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if bytes.Contains(stacks[:runtime.Stack(stacks, true)], []byte("(*stepScratch).readBody")) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the step handler never reached its body read")
-		}
-	}
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+		reading    string // a frame on the handler's stack while it waits for the rest of the body
+	}{
+		{"step", "/v1/sessions/{id}/step", benchBody(t), "(*stepScratch).readBody"},
+		{"create", "/v1/sessions", []byte(`{"scheme":"` + SchemeAEns + `"}`), "encoding/json.(*Decoder).refill"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			cr := createSession(t, ts.URL, SchemeND)
+			nc, err := net.Dial("tcp", ts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			head := fmt.Sprintf("POST %s HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n",
+				strings.ReplaceAll(tc.path, "{id}", cr.ID), len(tc.body))
+			if _, err := nc.Write(append([]byte(head), tc.body[:len(tc.body)/2]...)); err != nil {
+				t.Fatal(err)
+			}
+			// Wait until the handler is past its checks and blocked on the
+			// missing half.
+			stacks := make([]byte, 1<<20)
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				if bytes.Contains(stacks[:runtime.Stack(stacks, true)], []byte(tc.reading)) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the handler never reached its body read")
+				}
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	start := time.Now()
-	if err := s.Drain(ctx, nil); err != nil {
-		t.Fatalf("drain with a stalled step body in flight: %v", err)
-	}
-	if took := time.Since(start); took > time.Second {
-		t.Fatalf("drain took %v with a stalled step body in flight", took)
-	}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			start := time.Now()
+			if err := s.Drain(ctx, nil); err != nil {
+				t.Fatalf("drain with a stalled body in flight: %v", err)
+			}
+			if took := time.Since(start); took > time.Second {
+				t.Fatalf("drain took %v with a stalled body in flight", took)
+			}
 
-	if _, err := nc.Write(body[len(body)/2:]); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.ReadResponse(bufio.NewReader(nc), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("stalled request completed after drain: status %d, Retry-After %q, body %s; want 503 with Retry-After",
-			resp.StatusCode, resp.Header.Get("Retry-After"), out)
+			if _, err := nc.Write(tc.body[len(tc.body)/2:]); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.ReadResponse(bufio.NewReader(nc), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			out, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+				t.Fatalf("stalled request completed after drain: status %d, Retry-After %q, body %s; want 503 with Retry-After",
+					resp.StatusCode, resp.Header.Get("Retry-After"), out)
+			}
+		})
 	}
 }
