@@ -94,9 +94,12 @@ bench-compare:
 # Fault-injection selftest (DESIGN.md §9): 1000 concurrent sessions
 # with scripted inference panics, NaN/Inf scores, injected overload,
 # slow and aborting clients — run under the race detector. Asserts no
-# crash, no dropped step, exactly the scheduled demotions, clean drain.
+# crash, no dropped step, exactly the scheduled demotions, clean drain
+# — once over each transport: overload is injected by HTTP middleware
+# on one and per frame on the other, and the totals are the same.
 chaos:
-	$(GO) run -race $(LDFLAGS) ./cmd/osap-serve -chaos
+	$(GO) run -race $(LDFLAGS) ./cmd/osap-serve -chaos -transport http
+	$(GO) run -race $(LDFLAGS) ./cmd/osap-serve -chaos -transport binary
 
 # Probation/recovery selftest (DESIGN.md §13): 1000 sessions whose
 # uncertainty streams are fully scripted through demote → recover →

@@ -62,7 +62,6 @@ func runChaos(cfg serve.Config, dataset string, clients, stepsPerClient int, see
 	if err != nil {
 		return err
 	}
-	srv := h.srv
 	traces, err := tracePool(dataset, seed)
 	if err != nil {
 		return err
@@ -109,45 +108,46 @@ func runChaos(cfg serve.Config, dataset string, clients, stepsPerClient int, see
 	if res.SessionsDemoted != int64(faulted) {
 		fail("clients observed %d demoted sessions, schedule faulted exactly %d", res.SessionsDemoted, faulted)
 	}
-	m := srv.Metrics()
-	if got := m.SessionsDemoted.Load(); got != uint64(faulted) {
-		fail("server demoted %d sessions, schedule faulted exactly %d", got, faulted)
-	}
-	if got := m.PanicsRecovered.Load() + m.NonFiniteScores.Load(); got != uint64(faulted) {
-		fail("demotion causes sum to %d, want %d", got, faulted)
-	}
-	if got := int64(m.Decisions.Load()); got != res.StepsOK {
-		fail("server counted %d decisions, clients saw %d", got, res.StepsOK)
-	}
-	if got := srv.DemotedLive(); got != int64(faulted) {
-		fail("demoted-live gauge %d before drain, want %d", got, faulted)
-	}
-
 	if body, err := h.scrape("/healthz"); err != nil {
 		fail("healthz: %v", err)
 	} else if faulted > 0 && !strings.Contains(body, `"status":"degraded"`) {
 		fail("healthz did not report degraded: %s", strings.TrimSpace(body))
 	}
-	wantLine := fmt.Sprintf("osap_sessions_demoted_total %d", faulted)
-	if body, err := h.scrape("/metrics"); err != nil {
+	// Every server-side count comes from one /metrics scrape, the
+	// surface an operator reads.
+	body, err := h.scrape("/metrics")
+	if err != nil {
 		fail("metrics: %v", err)
-	} else if !strings.Contains(body, wantLine+"\n") {
-		fail("metrics missing %q", wantLine)
+	}
+	prom := func(name string) int64 { return failed.sample(body, name) }
+	demoted := prom("osap_sessions_demoted_total")
+	panics, nonFinite := prom("osap_step_panics_recovered_total"), prom("osap_step_nonfinite_total")
+	if demoted != int64(faulted) {
+		fail("server demoted %d sessions, schedule faulted exactly %d", demoted, faulted)
+	}
+	if panics+nonFinite != int64(faulted) {
+		fail("demotion causes sum to %d, want %d", panics+nonFinite, faulted)
+	}
+	if got := prom("osap_decisions_total"); got != res.StepsOK {
+		fail("server counted %d decisions, clients saw %d", got, res.StepsOK)
+	}
+	if got := prom("osap_sessions_demoted_live"); got != int64(faulted) {
+		fail("demoted-live gauge %d before drain, want %d", got, faulted)
 	}
 
 	if err := h.drain(); err != nil {
 		fail("%v", err)
 	}
-	if got := srv.DemotedLive(); got != 0 {
+	if got := failed.sample(h.final, "osap_sessions_demoted_live"); got != 0 {
 		fail("demoted-live gauge %d after drain, want 0", got)
 	}
-	if got := m.SessionsDrained.Load(); got != uint64(clients) {
+	if got := failed.sample(h.final, "osap_sessions_drained_total"); got != int64(clients) {
 		fail("drained %d sessions, want %d", got, clients)
 	}
 
 	fmt.Printf("chaos: %d steps ok, %d dropped, %d retries, %d/%d sessions demoted (%d panics, %d non-finite), %d degraded decisions, drained clean in %v\n",
-		res.StepsOK, res.StepsDropped, res.Retries, m.SessionsDemoted.Load(), clients,
-		m.PanicsRecovered.Load(), m.NonFiniteScores.Load(), m.DegradedSteps.Load(), time.Since(start).Round(time.Millisecond))
+		res.StepsOK, res.StepsDropped, res.Retries, demoted, clients,
+		panics, nonFinite, prom("osap_decisions_degraded_total"), time.Since(start).Round(time.Millisecond))
 	if err := failed.err(); err != nil {
 		return err
 	}

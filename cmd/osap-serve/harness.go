@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -23,6 +24,9 @@ type harness struct {
 	httpSrv *http.Server
 	binLn   net.Listener // nil unless booted with binary
 	baseURL string
+	// final is the metrics snapshot Drain flushed: /metrics as of the
+	// drained, empty fleet, when the listener is already gone.
+	final string
 }
 
 // bootLoopback builds a server from factory and cfg — its session cap
@@ -83,7 +87,10 @@ func (h *harness) target(c loadgen.Config) loadgen.Config {
 func (h *harness) drain() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := h.srv.Drain(ctx, io.Discard); err != nil {
+	var snap strings.Builder
+	err := h.srv.Drain(ctx, &snap)
+	h.final = snap.String()
+	if err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}
 	if h.binLn != nil {
@@ -120,6 +127,17 @@ func (h *harness) scrape(path string) (string, error) {
 	return "", fmt.Errorf("GET %s: status %d after retries", url, lastStatus)
 }
 
+// promValue reads one sample from a Prometheus text body: the line
+// `name value`, where name includes any labels exactly as rendered.
+func promValue(body, name string) (int64, error) {
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return strconv.ParseInt(v, 10, 64)
+		}
+	}
+	return 0, fmt.Errorf("metrics have no sample %s", name)
+}
+
 // tracePool generates the 16 throughput traces the synthetic viewers
 // replay, from the served dataset's generator.
 func tracePool(dataset string, seed uint64) ([]*trace.Trace, error) {
@@ -151,6 +169,16 @@ func (f *failures) check(name string, got, want int64) {
 	if got != want {
 		f.fail("%s = %d, schedule requires exactly %d", name, got, want)
 	}
+}
+
+// sample reads one sample from a Prometheus text body, recording a
+// failure (and reading 0) when the body has none.
+func (f *failures) sample(body, name string) int64 {
+	v, err := promValue(body, name)
+	if err != nil {
+		f.fail("%v", err)
+	}
+	return v
 }
 
 // err is nil when every assertion held.

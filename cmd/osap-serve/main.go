@@ -427,12 +427,16 @@ func runSelfTestCell(cfg serve.Config, factory *serve.GuardFactory, video *abr.V
 	}
 	cell.res, cell.decisions = res, m.Decisions.Load()
 	cell.batches, cell.batchRows = m.BatchSize.Count(), m.BatchSize.Sum()
+	latched, err := promValue(h.final, "osap_sessions_latched_total")
+	if err != nil {
+		return cell, err
+	}
 
 	fmt.Printf("selftest [%s, %d procs]: %.0f steps/s steady state, rtt p50 %dµs p99 %dµs, decision p99 %.0fµs, queue p99 %.0fµs, dropped %d, demoted %d (recovered %d, re-demoted %d, latched %d)\n",
 		transport, procs, cell.stepsPerS,
 		res.LatencyQuantile(0.5).Microseconds(), res.LatencyQuantile(0.99).Microseconds(),
 		m.DecisionLatency.Quantile(0.99)*1e6, m.QueueLatency.Quantile(0.99)*1e6,
 		res.StepsDropped,
-		res.SessionsDemoted, res.Recoveries, res.Redemotions, m.SessionsLatched.Load())
+		res.SessionsDemoted, res.Recoveries, res.Redemotions, latched)
 	return cell, nil
 }

@@ -69,7 +69,6 @@ func runRecoveryChaos(cfg serve.Config, dataset string, clients, stepsPerClient 
 	if err != nil {
 		return err
 	}
-	srv := h.srv
 	traces, err := tracePool(dataset, seed)
 	if err != nil {
 		return err
@@ -108,17 +107,6 @@ func runRecoveryChaos(cfg serve.Config, dataset string, clients, stepsPerClient 
 	check("client sessions ending demoted", res.SessionsEndDemoted, int64(ex.EndDemoted))
 	check("client-observed degraded steps", res.StepsDemoted, ex.DemotedSteps)
 
-	m := srv.Metrics()
-	check("server sessions demoted", int64(m.SessionsDemoted.Load()), int64(ex.FirstDemotions))
-	check("server re-demotions", int64(m.SessionsRedemoted.Load()), int64(ex.Redemotions))
-	check("server recoveries", int64(m.SessionsRecovered.Load()), int64(ex.Recoveries))
-	check("server permanent latches", int64(m.SessionsLatched.Load()), int64(ex.Latched))
-	check("server panics recovered", int64(m.PanicsRecovered.Load()), int64(ex.Panics))
-	check("server non-finite scores", int64(m.NonFiniteScores.Load()), int64(ex.NonFinite))
-	check("server decisions", int64(m.Decisions.Load()), res.StepsOK)
-	check("demoted-live gauge before drain", srv.DemotedLive(), int64(ex.EndDemoted))
-	check("probation-live gauge before drain", srv.ProbationLive(), int64(ex.EndProbation))
-
 	if body, err := h.scrape("/healthz"); err != nil {
 		fail("healthz: %v", err)
 	} else {
@@ -129,20 +117,24 @@ func runRecoveryChaos(cfg serve.Config, dataset string, clients, stepsPerClient 
 			fail("healthz missing %s", want)
 		}
 	}
-	if body, err := h.scrape("/metrics"); err != nil {
+	// Every server-side count comes from one /metrics scrape, the
+	// surface an operator reads.
+	body, err := h.scrape("/metrics")
+	if err != nil {
 		fail("metrics: %v", err)
-	} else {
-		for _, want := range []string{
-			fmt.Sprintf("osap_sessions_recovered_total %d", ex.Recoveries),
-			fmt.Sprintf("osap_sessions_redemoted_total %d", ex.Redemotions),
-			fmt.Sprintf("osap_sessions_latched_total %d", ex.Latched),
-			fmt.Sprintf("osap_sessions_probation_live %d", ex.EndProbation),
-		} {
-			if !strings.Contains(body, want+"\n") {
-				fail("metrics missing %q", want)
-			}
-		}
 	}
+	prom := func(name string) int64 { return failed.sample(body, name) }
+	demoted, redemoted := prom("osap_sessions_demoted_total"), prom("osap_sessions_redemoted_total")
+	recovered, latched := prom("osap_sessions_recovered_total"), prom("osap_sessions_latched_total")
+	check("server sessions demoted", demoted, int64(ex.FirstDemotions))
+	check("server re-demotions", redemoted, int64(ex.Redemotions))
+	check("server recoveries", recovered, int64(ex.Recoveries))
+	check("server permanent latches", latched, int64(ex.Latched))
+	check("server panics recovered", prom("osap_step_panics_recovered_total"), int64(ex.Panics))
+	check("server non-finite scores", prom("osap_step_nonfinite_total"), int64(ex.NonFinite))
+	check("server decisions", prom("osap_decisions_total"), res.StepsOK)
+	check("demoted-live gauge before drain", prom("osap_sessions_demoted_live"), int64(ex.EndDemoted))
+	check("probation-live gauge before drain", prom("osap_sessions_probation_live"), int64(ex.EndProbation))
 	if got, err := dashboardRecoveryTotals(h); err != nil {
 		fail("dashboard: %v", err)
 	} else {
@@ -154,13 +146,13 @@ func runRecoveryChaos(cfg serve.Config, dataset string, clients, stepsPerClient 
 	if err := h.drain(); err != nil {
 		fail("%v", err)
 	}
-	check("demoted-live gauge after drain", srv.DemotedLive(), 0)
-	check("probation-live gauge after drain", srv.ProbationLive(), 0)
-	check("drained sessions", int64(m.SessionsDrained.Load()), int64(clients))
+	check("demoted-live gauge after drain", failed.sample(h.final, "osap_sessions_demoted_live"), 0)
+	check("probation-live gauge after drain", failed.sample(h.final, "osap_sessions_probation_live"), 0)
+	check("drained sessions", failed.sample(h.final, "osap_sessions_drained_total"), int64(clients))
 
 	fmt.Printf("recovery: %d steps ok, %d dropped, %d/%d sessions demoted (%d re-demotions), %d recovered, %d latched permanently, 0 flag mismatches across %d flips, drained clean in %v\n",
-		res.StepsOK, res.StepsDropped, m.SessionsDemoted.Load(), clients, m.SessionsRedemoted.Load(),
-		m.SessionsRecovered.Load(), m.SessionsLatched.Load(), ex.Demotions+ex.Recoveries, time.Since(start).Round(time.Millisecond))
+		res.StepsOK, res.StepsDropped, demoted, clients, redemoted,
+		recovered, latched, ex.Demotions+ex.Recoveries, time.Since(start).Round(time.Millisecond))
 	if err := failed.err(); err != nil {
 		return err
 	}

@@ -249,7 +249,7 @@ func (c *binConn) step(payload []byte) {
 	if res.Decision.Fired {
 		d.Flags |= proto.FlagFired
 	}
-	if res.Demoted {
+	if res.Demoted() {
 		d.Flags |= proto.FlagDemoted
 	}
 	c.pc.WriteDecision(d) //nolint:errcheck // sticky in the write buffer; the flush reports it
@@ -269,11 +269,16 @@ func (c *binConn) control(t proto.Type, payload []byte) bool {
 		if sess == nil {
 			break
 		}
+		// Draining is re-checked under the gate, as for a step: a reset
+		// Drain did not wait for must not touch a session it closes.
 		s.opGate.RLock()
-		out, err := sess.Reset(s.cfg.Now())
-		if err == nil {
-			s.noteResetOutcome(out)
+		if s.draining.Load() {
+			s.opGate.RUnlock()
+			s.metrics.DrainRejected.Add(1)
+			c.pc.WriteGoAway("draining") //nolint:errcheck // sticky; the flush reports it
+			break
 		}
+		err := sess.Reset(s.cfg.Now())
 		s.opGate.RUnlock()
 		if err != nil {
 			c.fail(cid, proto.CodeGone, "session closed")

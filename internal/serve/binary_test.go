@@ -238,19 +238,19 @@ func checkAgainstSequential(t *testing.T, s *Server, scheme string, stream [][]f
 		}
 		if got.Flags&proto.FlagFallback != 0 != want.Decision.UsedDefault ||
 			got.Flags&proto.FlagFired != 0 != want.Decision.Fired ||
-			got.Flags&proto.FlagDemoted != 0 != want.Demoted ||
+			got.Flags&proto.FlagDemoted != 0 != want.Demoted() ||
 			int(got.Step) != want.Decision.Step {
 			t.Fatalf("%s step %d: flags/step %+v != %+v", scheme, i, got, want)
 		}
 	}
 }
 
-// promCounter reads one counter the way an operator would: off the
-// Prometheus text the server renders.
+// promCounter reads one sample the way an operator would: off the
+// /metrics text the server renders.
 func promCounter(t *testing.T, s *Server, name string) uint64 {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.metrics.WriteProm(&buf, 0, 0, 0); err != nil {
+	if err := s.writeProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(buf.String(), "\n") {

@@ -5,9 +5,9 @@ package serve
 //	GET  /dashboard      JSON: versions, canary state, drift quantiles
 //	POST /admin/rollout  {"action":"stage|promote|rollback", ...}
 //
-// plus the extended Prometheus families appended after the base
-// metrics: osap_build_info, per-version counters, rollout gauges and
-// drift-score quantiles.
+// plus the whole /metrics document (Server.writeProm): the registry's
+// own families, fleet totals summed over generations, osap_build_info,
+// per-version counters, rollout gauges and drift-score quantiles.
 
 import (
 	"encoding/json"
@@ -68,14 +68,14 @@ type dashboardVersion struct {
 	Drift        map[string]driftQuantiles `json:"drift"`
 }
 
-func (s *Server) versionRow(g *Generation, role string) dashboardVersion {
+func (s *Server) versionRow(g *Generation, role string, live int) dashboardVersion {
 	st := g.stats
 	row := dashboardVersion{
 		Version:      g.version,
 		Checksum:     g.checksum,
 		Role:         role,
 		Sessions:     st.Sessions.Load(),
-		SessionsLive: st.Live.Load(),
+		SessionsLive: int64(live),
 		Decisions:    st.Decisions.Load(),
 		Fallbacks:    st.Fallbacks.Load(),
 		Demotions:    st.Demotions.Load(),
@@ -117,9 +117,10 @@ func (s *Server) handleDashboard(w http.ResponseWriter, _ *http.Request) {
 	s.rollout.evaluate(s.cfg.Now())
 
 	gens := s.rollout.generations()
+	live := s.countLive()
 	rows := make([]dashboardVersion, 0, len(gens))
 	for _, g := range gens {
-		rows = append(rows, s.versionRow(g, s.roleOf(g)))
+		rows = append(rows, s.versionRow(g, s.roleOf(g), live.byGen[g]))
 	}
 	doc := map[string]any{
 		"build_version": buildinfo.Version,
@@ -262,9 +263,34 @@ func (s *Server) stageVersion(version string, fraction float64) (*Generation, er
 	return s.rollout.Stage(newGeneration(version, checksum, f), fraction, s.cfg.Now())
 }
 
-// writeExtendedProm appends the rollout/version/drift families after
-// the base metrics.
-func (s *Server) writeExtendedProm(w io.Writer) {
+// writeProm renders the /metrics document, which is also the drain
+// snapshot: the registry's families with the gauges read from one table
+// walk, the fleet counters summed over generations, then the build,
+// rollout, per-version and drift families.
+func (s *Server) writeProm(w io.Writer) error {
+	gens := s.rollout.generations()
+	live := s.countLive()
+	err := s.metrics.WriteProm(w, s.table.Len(), live.demoted, live.probation)
+
+	tot := fleetTotals(gens)
+	for _, c := range [...]struct {
+		name, help string
+		v          uint64
+	}{
+		{"osap_sessions_created_total", "Sessions admitted.", tot.Sessions.Load()},
+		{"osap_decisions_fallback_total", "Decisions acted by the default policy.", tot.Fallbacks.Load()},
+		{"osap_trigger_firings_total", "Sessions whose safety trigger fired.", tot.TriggerFirings.Load()},
+		{"osap_sessions_demoted_total", "Sessions demoted to the safe default policy.", tot.FirstDemotions.Load()},
+		{"osap_step_panics_recovered_total", "Inference panics recovered during steps.", tot.Panics.Load()},
+		{"osap_step_nonfinite_total", "Steps whose guard produced a non-finite result.", tot.NonFinite.Load()},
+		{"osap_decisions_degraded_total", "Decisions served by demoted sessions.", tot.Degraded.Load()},
+		{"osap_sessions_recovered_total", "Probation re-admissions of demoted sessions.", tot.Recovered.Load()},
+		{"osap_sessions_redemoted_total", "Repeat demotions of previously demoted sessions.", tot.Redemoted.Load()},
+		{"osap_sessions_latched_total", "Demotions latched permanently (fault or cap spent).", tot.Latched.Load()},
+	} {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.v)
+	}
+
 	act := s.rollout.Active()
 	fmt.Fprintf(w, "# HELP osap_build_info Build and active artifact identity (value is always 1).\n")
 	fmt.Fprintf(w, "# TYPE osap_build_info gauge\n")
@@ -281,7 +307,6 @@ func (s *Server) writeExtendedProm(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE osap_rollout_rollbacks_total counter\nosap_rollout_rollbacks_total %d\n",
 		s.rollout.rollbacks.Load())
 
-	gens := s.rollout.generations()
 	fmt.Fprintf(w, "# HELP osap_version_info Loaded artifact versions and their rollout role.\n")
 	fmt.Fprintf(w, "# TYPE osap_version_info gauge\n")
 	for _, g := range gens {
@@ -297,7 +322,7 @@ func (s *Server) writeExtendedProm(w io.Writer) {
 	family("osap_version_sessions_total", "Sessions admitted per artifact version.", "counter",
 		func(g *Generation) uint64 { return g.stats.Sessions.Load() })
 	family("osap_version_sessions_live", "Live sessions pinned per artifact version.", "gauge",
-		func(g *Generation) uint64 { return uint64(max64(g.stats.Live.Load(), 0)) })
+		func(g *Generation) uint64 { return uint64(live.byGen[g]) })
 	family("osap_version_decisions_total", "Decisions served per artifact version.", "counter",
 		func(g *Generation) uint64 { return g.stats.Decisions.Load() })
 	family("osap_version_fallbacks_total", "Default-policy decisions per artifact version.", "counter",
@@ -335,11 +360,5 @@ func (s *Server) writeExtendedProm(w io.Writer) {
 	if s.cfg.Learner != nil {
 		s.writeLearnProm(w)
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return err
 }

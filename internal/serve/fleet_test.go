@@ -1,0 +1,299 @@
+package serve
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"osap/internal/abr"
+	"osap/internal/chaos"
+	"osap/internal/core"
+	"osap/internal/serve/proto"
+)
+
+// latchOnFirstStep makes every session's first guard decision
+// non-finite: with probation off, the session latches (modeLatchedScore)
+// on that step, the demotion a Reset clears.
+func latchOnFirstStep(_ uint64, g *core.Guard) {
+	g.Signal = chaos.WrapSignal(g.Signal, chaos.SessionPlan{
+		Fault: chaos.SessionFault{Kind: chaos.NaNScore, Step: 0},
+	})
+}
+
+// checkUntouched requires the session to still be where one step left
+// it: one step taken, latched, not closed.
+func checkUntouched(t *testing.T, sess *Session) {
+	t.Helper()
+	if info := sess.Snapshot(time.Now()); info.Steps != 1 || !info.Latched {
+		t.Fatalf("session after a refused reset = %+v, want 1 step and still latched", info)
+	}
+	if _, open := sess.liveMode(); !open {
+		t.Fatal("a refused reset closed the session")
+	}
+}
+
+// TestResetRefusedWhileDraining: once Drain has raised its flag, a
+// reset is refused on either transport, like a step or a create, and
+// leaves the session alone. The flag is raised by hand so the session
+// is still in the table for the reset to find, as it is in the window
+// before Drain's barrier and Clear.
+func TestResetRefusedWhileDraining(t *testing.T) {
+	obs := make([]float64, abr.ObsDim)
+	t.Run("http", func(t *testing.T) {
+		srv, ts := newTestServer(t, Config{WrapGuard: latchOnFirstStep})
+		cr := createSession(t, ts.URL, SchemeND)
+		if resp, body := postJSON(t, ts.URL+"/v1/sessions/"+cr.ID+"/step", map[string][]float64{"obs": obs}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("step: status %d: %s", resp.StatusCode, body)
+		}
+		srv.draining.Store(true)
+		resp, _ := postJSON(t, ts.URL+"/v1/sessions/"+cr.ID+"/reset", nil)
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("reset while draining: status %d, Retry-After %q; want 503 with a hint",
+				resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+		sess, _ := srv.table.Get(cr.ID)
+		checkUntouched(t, sess)
+		if got := promCounter(t, srv, "osap_drain_rejected_total"); got != 1 {
+			t.Fatalf("osap_drain_rejected_total = %d, want 1", got)
+		}
+	})
+	t.Run("binary", func(t *testing.T) {
+		f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(f, Config{WrapGuard: latchOnFirstStep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := pipeBinary(t, srv)
+		id := c.open(0, SchemeND)
+		if _, err := c.step(0, 0, obs); err != nil {
+			t.Fatal(err)
+		}
+		srv.draining.Store(true)
+		if err := c.pc.WriteSessionControl(proto.TypeReset, 0); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := c.pc.ReadFrame(); err != nil || typ != proto.TypeGoAway {
+			t.Fatalf("reset while draining answered with frame type %d (%v), want GoAway", typ, err)
+		}
+		sess, _ := srv.table.Get(id)
+		checkUntouched(t, sess)
+		if got := promCounter(t, srv, "osap_drain_rejected_total"); got != 1 {
+			t.Fatalf("osap_drain_rejected_total = %d, want 1", got)
+		}
+	})
+}
+
+// parseProm reads every sample of a Prometheus text body into a map
+// keyed by the sample's name and labels as rendered.
+func parseProm(t *testing.T, body string) map[string]uint64 {
+	t.Helper()
+	out := make(map[string]uint64)
+	sc := bufio.NewScanner(strings.NewReader(body))
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if v, err := strconv.ParseUint(line[i+1:], 10, 64); err == nil {
+			out[line[:i]] = v
+		}
+	}
+	return out
+}
+
+// family sums a labelled family's samples over every label set.
+func family(samples map[string]uint64, name string) uint64 {
+	var sum uint64
+	for k, v := range samples {
+		if strings.HasPrefix(k, name+"{") {
+			sum += v
+		}
+	}
+	return sum
+}
+
+// TestFleetTotalsAcrossGenerations checks that the fleet counters are
+// the generations' sums and that the live gauges are what the sessions
+// themselves report. A candidate takes half of the new sessions; each
+// session follows one of six scripted uncertainty streams (clean,
+// probation recovery, re-demotion that spends the cap, fault, shadow-
+// step panic escalating a probation, ending in probation), so both
+// generations see every kind of outcome. Some sessions are then
+// deleted, reset or left to age out through Sweep before one scrape.
+func TestFleetTotalsAcrossGenerations(t *testing.T) {
+	patterns := []struct{ nanAt, panicAt map[int]bool }{
+		{},
+		{nanAt: map[int]bool{1: true}},
+		{nanAt: map[int]bool{1: true, 5: true}},
+		{panicAt: map[int]bool{1: true}},
+		{nanAt: map[int]bool{1: true}, panicAt: map[int]bool{2: true}},
+		{nanAt: map[int]bool{6: true}},
+	}
+	const sessions, steps = 24, 8
+	var clock atomic.Int64
+	t0 := time.Unix(1_700_000_000, 0)
+	clock.Store(t0.UnixNano())
+	srv, _ := testRolloutServer(t, Config{
+		ReadmitL:   2,
+		ReadmitCap: 1,
+		Now:        func() time.Time { return time.Unix(0, clock.Load()) },
+		WrapGuard: func(idx uint64, g *core.Guard) {
+			p := patterns[idx%uint64(len(patterns))]
+			g.Signal = &scriptedSignal{nanAt: p.nanAt, panicAt: p.panicAt}
+		},
+	})
+	if _, err := srv.stageVersion("v2", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	ids := make([]string, sessions)
+	for i := range ids {
+		ids[i] = createSession(t, ts.URL, SchemeND).ID
+	}
+	const aging = 17 // ends in probation, then ages out
+	obs := map[string][]float64{"obs": make([]float64, srv.factory.ObsDim())}
+	stepAll := func(i int) {
+		for n := 0; n < steps; n++ {
+			if resp, body := postJSON(t, ts.URL+"/v1/sessions/"+ids[i]+"/step", obs); resp.StatusCode != http.StatusOK {
+				t.Fatalf("session %d step %d: status %d: %s", i, n, resp.StatusCode, body)
+			}
+		}
+	}
+	stepAll(aging)
+	clock.Store(t0.Add(time.Hour).UnixNano())
+	for i := range ids {
+		if i != aging {
+			stepAll(i)
+		}
+	}
+
+	gone := map[int]bool{aging: true}
+	for _, i := range []int{6, 7, 9} { // clean, recovered, fault
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+ids[i], nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		gone[i] = true
+	}
+	for _, i := range []int{8, 11, 15} { // cap-latched and in probation: cleared; fault: survives
+		if resp, body := postJSON(t, ts.URL+"/v1/sessions/"+ids[i]+"/reset", nil); resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("reset %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	if n := srv.table.Sweep(t0.Add(30 * time.Minute)); n != 1 {
+		t.Fatalf("Sweep evicted %d sessions, want the one aging session", n)
+	}
+
+	_, body := get(t, ts.URL+"/metrics")
+	m := parseProm(t, string(body))
+
+	// Fleet counters are the sums of their per-version families.
+	for fleet, version := range map[string]string{
+		"osap_sessions_created_total":   "osap_version_sessions_total",
+		"osap_decisions_total":          "osap_version_decisions_total",
+		"osap_decisions_fallback_total": "osap_version_fallbacks_total",
+		"osap_decisions_degraded_total": "osap_version_degraded_steps_total",
+		"osap_sessions_recovered_total": "osap_version_recovered_total",
+		"osap_sessions_redemoted_total": "osap_version_redemoted_total",
+		"osap_sessions_latched_total":   "osap_version_latched_total",
+		"osap_sessions_live":            "osap_version_sessions_live",
+	} {
+		if got, want := m[fleet], family(m, version); got != want {
+			t.Errorf("%s = %d, want the sum of %s = %d", fleet, got, version, want)
+		}
+	}
+	if got, want := m["osap_sessions_demoted_total"]+m["osap_sessions_redemoted_total"], family(m, "osap_version_demotions_total"); got != want {
+		t.Errorf("first demotions + re-demotions = %d, want the sum of osap_version_demotions_total = %d", got, want)
+	}
+	// And they are the scripted totals: 4 sessions per pattern.
+	for name, want := range map[string]uint64{
+		"osap_sessions_created_total":      sessions,
+		"osap_decisions_total":             sessions * steps,
+		"osap_sessions_demoted_total":      20,
+		"osap_sessions_recovered_total":    8,
+		"osap_sessions_redemoted_total":    4,
+		"osap_sessions_latched_total":      12,
+		"osap_step_panics_recovered_total": 8,
+		"osap_step_nonfinite_total":        20,
+	} {
+		if m[name] != want {
+			t.Errorf("%s = %d, want %d", name, m[name], want)
+		}
+	}
+	for _, v := range []string{"v1", "v2"} {
+		if m[fmt.Sprintf("osap_version_latched_total{version=%q}", v)] == 0 ||
+			m[fmt.Sprintf("osap_version_recovered_total{version=%q}", v)] == 0 {
+			t.Errorf("version %s saw no latch or no recovery; the split does not exercise both generations", v)
+		}
+	}
+
+	// The gauges are what the sessions report about themselves.
+	var demoted, probation uint64
+	perVersion := map[string]uint64{}
+	for i, id := range ids {
+		resp, body := get(t, ts.URL+"/v1/sessions/"+id)
+		if gone[i] {
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("session %d: status %d after it left, want 404", i, resp.StatusCode)
+			}
+			continue
+		}
+		var info Info
+		if err := json.Unmarshal(body, &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.Demoted {
+			demoted++
+		}
+		if info.Probation {
+			probation++
+		}
+		perVersion[info.Version]++
+	}
+	if demoted == 0 || probation == 0 {
+		t.Fatalf("%d demoted and %d on probation: the script leaves both nonzero", demoted, probation)
+	}
+	if m["osap_sessions_demoted_live"] != demoted || m["osap_sessions_probation_live"] != probation {
+		t.Errorf("gauges demoted %d probation %d, sessions report %d and %d",
+			m["osap_sessions_demoted_live"], m["osap_sessions_probation_live"], demoted, probation)
+	}
+	for v, n := range perVersion {
+		if got := m[fmt.Sprintf("osap_version_sessions_live{version=%q}", v)]; got != n {
+			t.Errorf("osap_version_sessions_live{version=%q} = %d, sessions report %d", v, got, n)
+		}
+	}
+
+	// After Drain every live gauge reads 0.
+	var snap bytes.Buffer
+	if err := srv.Drain(t.Context(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	after := parseProm(t, snap.String())
+	for _, name := range []string{"osap_sessions_live", "osap_sessions_demoted_live", "osap_sessions_probation_live"} {
+		if v, ok := after[name]; !ok || v != 0 {
+			t.Errorf("%s after drain = %d (present %v), want 0", name, v, ok)
+		}
+	}
+	if n := family(after, "osap_version_sessions_live"); n != 0 {
+		t.Errorf("osap_version_sessions_live sums to %d after drain, want 0", n)
+	}
+	if after["osap_sessions_created_total"] != sessions {
+		t.Errorf("drain snapshot osap_sessions_created_total = %d, want %d", after["osap_sessions_created_total"], sessions)
+	}
+}

@@ -4,8 +4,8 @@ package serve
 //
 //	POST /admin/learn  {"action":"refit"}  → synchronous gated refit
 //
-// plus the osap_learn_* Prometheus families appended by
-// writeExtendedProm when a Learner is configured. The server never
+// plus the osap_learn_* Prometheus families appended by writeProm
+// when a Learner is configured. The server never
 // promotes a refit: proposals land in the registry as Proposed
 // versions and only the rollout machinery (POST /admin/rollout) can
 // ever serve one.

@@ -97,31 +97,19 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// Metrics aggregates the server's counters and per-endpoint latency
-// histograms. All fields are updated atomically; WriteProm renders the
-// Prometheus text exposition format (version 0.0.4).
+// Metrics aggregates the server's own counters and per-endpoint
+// latency histograms. All fields are updated atomically; WriteProm
+// renders them in the Prometheus text exposition format (version
+// 0.0.4). The step-outcome counters live on each generation
+// (VersionStats); Server.writeProm renders their fleet sums beside
+// these.
 type Metrics struct {
-	SessionsCreated  atomic.Uint64
 	SessionsRejected atomic.Uint64 // admission-control 429s
 	SessionsEvicted  atomic.Uint64 // TTL sweeper
 	SessionsDeleted  atomic.Uint64 // explicit client DELETEs
 	SessionsDrained  atomic.Uint64 // closed by graceful shutdown
 	Decisions        atomic.Uint64 // steps served
-	Fallbacks        atomic.Uint64 // steps acted by the default policy
-	TriggerFirings   atomic.Uint64 // sessions whose trigger first fired
 	DrainRejected    atomic.Uint64 // requests refused while draining
-	SessionsDemoted  atomic.Uint64 // sessions first demoted to degraded mode
-	PanicsRecovered  atomic.Uint64 // recovered inference panics
-	NonFiniteScores  atomic.Uint64 // demotions caused by a NaN/Inf score
-	DegradedSteps    atomic.Uint64 // steps served by demoted sessions
-
-	// Probation accounting (DESIGN.md §13): re-admissions of demoted
-	// sessions, repeat demotions of previously demoted sessions, and
-	// demotions that latched permanently (fault, probation off, or
-	// re-admission cap spent).
-	SessionsRecovered atomic.Uint64
-	SessionsRedemoted atomic.Uint64
-	SessionsLatched   atomic.Uint64
 
 	// Shard instrumentation (see shard.go). QueueLatency is the wait for
 	// the session's shard lock, DecisionLatency runs from holding it to
@@ -192,9 +180,9 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteProm renders all metrics in Prometheus text exposition format.
+// WriteProm renders the registry in Prometheus text exposition format.
 // liveSessions, demotedLive and probationLive are passed in because
-// the session table and server own those gauges.
+// they are read from the session table.
 func (m *Metrics) WriteProm(w io.Writer, liveSessions, demotedLive, probationLive int) error {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -206,22 +194,12 @@ func (m *Metrics) WriteProm(w io.Writer, liveSessions, demotedLive, probationLiv
 	fmt.Fprintf(w, "# HELP osap_sessions_probation_live Live demoted sessions still recoverable (shadow scoring).\n")
 	fmt.Fprintf(w, "# TYPE osap_sessions_probation_live gauge\nosap_sessions_probation_live %d\n", probationLive)
 
-	counter("osap_sessions_created_total", "Sessions admitted.", m.SessionsCreated.Load())
 	counter("osap_sessions_rejected_total", "Sessions refused by admission control.", m.SessionsRejected.Load())
 	counter("osap_sessions_evicted_total", "Sessions evicted by the idle-TTL sweeper.", m.SessionsEvicted.Load())
 	counter("osap_sessions_deleted_total", "Sessions deleted by clients.", m.SessionsDeleted.Load())
 	counter("osap_sessions_drained_total", "Sessions closed by graceful shutdown.", m.SessionsDrained.Load())
 	counter("osap_decisions_total", "Guarded decisions served.", m.Decisions.Load())
-	counter("osap_decisions_fallback_total", "Decisions acted by the default policy.", m.Fallbacks.Load())
-	counter("osap_trigger_firings_total", "Sessions whose safety trigger fired.", m.TriggerFirings.Load())
 	counter("osap_drain_rejected_total", "Requests refused while draining.", m.DrainRejected.Load())
-	counter("osap_sessions_demoted_total", "Sessions demoted to the safe default policy.", m.SessionsDemoted.Load())
-	counter("osap_step_panics_recovered_total", "Inference panics recovered during steps.", m.PanicsRecovered.Load())
-	counter("osap_step_nonfinite_total", "Steps whose guard produced a non-finite result.", m.NonFiniteScores.Load())
-	counter("osap_decisions_degraded_total", "Decisions served by demoted sessions.", m.DegradedSteps.Load())
-	counter("osap_sessions_recovered_total", "Probation re-admissions of demoted sessions.", m.SessionsRecovered.Load())
-	counter("osap_sessions_redemoted_total", "Repeat demotions of previously demoted sessions.", m.SessionsRedemoted.Load())
-	counter("osap_sessions_latched_total", "Demotions latched permanently (fault or cap spent).", m.SessionsLatched.Load())
 
 	counter("osap_binary_frames_total", "Binary-protocol frames served after the handshake.", m.BinaryFrames.Load())
 	counter("osap_binary_read_bursts_total", "Runs of binary frames served between two waits on the socket.", m.BinaryReadBursts.Load())

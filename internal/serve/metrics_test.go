@@ -52,11 +52,8 @@ var promLine = regexp.MustCompile(
 // bucket.
 func TestWritePromParsesAsPrometheusText(t *testing.T) {
 	m := NewMetrics()
-	m.SessionsCreated.Add(7)
 	m.SessionsRejected.Add(2)
 	m.Decisions.Add(100)
-	m.Fallbacks.Add(13)
-	m.TriggerFirings.Add(3)
 	for i := 0; i < 50; i++ {
 		m.Latency("step").Observe(float64(i+1) * 1e-4)
 	}

@@ -99,7 +99,8 @@ func stepFlags(t *testing.T, s *Session, n int) []StepResult {
 // (DESIGN.md §13): a demotion at step f keeps the demoted flag on for
 // exactly readmitL steps — f .. f+readmitL-1 — and the re-admission at
 // f+readmitL serves the shadow decision live. A second fault re-demotes
-// with Redemotion set; under a spent cap it latches permanently instead.
+// (a Demotion without FirstDemotion); under a spent cap it latches
+// permanently instead.
 func TestShadowRecoveryIndex(t *testing.T) {
 	const l = 4
 	t.Run("recover-then-redemote", func(t *testing.T) {
@@ -107,26 +108,26 @@ func TestShadowRecoveryIndex(t *testing.T) {
 		res := stepFlags(t, s, 24)
 		for i, r := range res {
 			wantDem := (i >= 6 && i < 10) || (i >= 14 && i < 18)
-			if r.Demoted != wantDem {
-				t.Fatalf("step %d: Demoted = %v, want %v", i, r.Demoted, wantDem)
+			if r.Demoted() != wantDem {
+				t.Fatalf("step %d: Demoted = %v, want %v", i, r.Demoted(), wantDem)
 			}
-			if got, want := r.Recovered, i == 10 || i == 18; got != want {
+			if got, want := r.Recovered(), i == 10 || i == 18; got != want {
 				t.Fatalf("step %d: Recovered = %v, want %v", i, got, want)
 			}
-			if got, want := r.Probation, wantDem; got != want {
+			if got, want := r.Probation(), wantDem; got != want {
 				t.Fatalf("step %d: Probation = %v, want %v", i, got, want)
 			}
-			if r.Latched {
+			if r.Latched() {
 				t.Fatalf("step %d: Latched under an unspent cap", i)
 			}
-			if r.Demoted && !r.Decision.UsedDefault {
+			if r.Demoted() && !r.Decision.UsedDefault {
 				t.Fatalf("step %d: degraded step not served by the safe policy", i)
 			}
 		}
-		if !res[6].FirstDemotion || !res[6].Demotion || res[6].Redemotion {
+		if !res[6].FirstDemotion || !res[6].Demotion() {
 			t.Fatalf("step 6 = %+v, want the first demotion", res[6])
 		}
-		if res[14].FirstDemotion || !res[14].Demotion || !res[14].Redemotion {
+		if res[14].FirstDemotion || !res[14].Demotion() {
 			t.Fatalf("step 14 = %+v, want a re-demotion", res[14])
 		}
 		if info := s.Snapshot(time.Now()); info.Recovered != 2 || info.Demoted {
@@ -138,34 +139,34 @@ func TestShadowRecoveryIndex(t *testing.T) {
 		res := stepFlags(t, s, 24)
 		for i, r := range res {
 			wantDem := (i >= 6 && i < 10) || i >= 14
-			if r.Demoted != wantDem {
-				t.Fatalf("step %d: Demoted = %v, want %v", i, r.Demoted, wantDem)
+			if r.Demoted() != wantDem {
+				t.Fatalf("step %d: Demoted = %v, want %v", i, r.Demoted(), wantDem)
 			}
-			if got, want := r.Probation, i >= 6 && i < 10; got != want {
+			if got, want := r.Probation(), i >= 6 && i < 10; got != want {
 				t.Fatalf("step %d: Probation = %v, want %v", i, got, want)
 			}
 		}
-		if !res[14].Latched || !res[14].Redemotion {
+		if !res[14].Latched() || !res[14].Demotion() || res[14].FirstDemotion {
 			t.Fatalf("step 14 = %+v, want a permanently latching re-demotion", res[14])
 		}
-		if dem, prob := s.DemotionState(); !dem || prob {
-			t.Fatalf("DemotionState = (%v, %v), want latched (true, false)", dem, prob)
+		if info := s.Snapshot(time.Now()); !info.Demoted || !info.Latched || info.Probation {
+			t.Fatalf("end snapshot = %+v, want latched", info)
 		}
 	})
 	t.Run("shadow-panic-escalates", func(t *testing.T) {
 		s := probationSession(t, l, 2, map[int]bool{6: true}, map[int]bool{8: true})
 		res := stepFlags(t, s, 16)
 		for i, r := range res {
-			if got, want := r.Demoted, i >= 6; got != want {
+			if got, want := r.Demoted(), i >= 6; got != want {
 				t.Fatalf("step %d: Demoted = %v, want %v", i, got, want)
 			}
-			if got, want := r.Probation, i == 6 || i == 7; got != want {
+			if got, want := r.Probation(), i == 6 || i == 7; got != want {
 				t.Fatalf("step %d: Probation = %v, want %v", i, got, want)
 			}
-			if got, want := r.Latched, i == 8; got != want {
+			if got, want := r.Latched(), i == 8; got != want {
 				t.Fatalf("step %d: Latched = %v, want %v", i, got, want)
 			}
-			if i == 8 && (!r.PanicRecovered || r.Demotion) {
+			if i == 8 && (!r.Panicked || r.Demotion()) {
 				t.Fatalf("step 8 = %+v, want a panic escalation, not a fresh demotion", res[8])
 			}
 		}
@@ -184,14 +185,13 @@ func TestSessionResetDemotionContract(t *testing.T) {
 	t.Run("uncertainty-in-probation-clears", func(t *testing.T) {
 		s := probationSession(t, 4, 1, map[int]bool{2: true}, nil)
 		stepFlags(t, s, 4) // demote at 2, still in probation
-		out, err := s.Reset(time.Now())
-		if err != nil {
+		if err := s.Reset(time.Now()); err != nil {
 			t.Fatal(err)
 		}
-		if !out.ClearedDemotion || !out.WasProbation {
-			t.Fatalf("Reset outcome = %+v, want cleared probation", out)
+		if info := s.Snapshot(time.Now()); info.Demoted {
+			t.Fatalf("after Reset %+v, want the probation cleared", info)
 		}
-		if res := stepFlags(t, s, 1)[0]; res.Demoted {
+		if res := stepFlags(t, s, 1)[0]; res.Demoted() {
 			t.Fatal("session still demoted after a clearing reset")
 		}
 	})
@@ -199,34 +199,32 @@ func TestSessionResetDemotionContract(t *testing.T) {
 		// cap 0: the very first uncertainty demotion latches.
 		s := probationSession(t, 4, 0, map[int]bool{2: true}, nil)
 		res := stepFlags(t, s, 4)
-		if !res[2].Latched {
+		if !res[2].Latched() {
 			t.Fatalf("step 2 = %+v, want an immediately latching demotion under cap 0", res[2])
 		}
-		out, err := s.Reset(time.Now())
-		if err != nil {
+		if err := s.Reset(time.Now()); err != nil {
 			t.Fatal(err)
 		}
-		if !out.ClearedDemotion || out.WasProbation {
-			t.Fatalf("Reset outcome = %+v, want a cleared (non-probation) latch", out)
+		if info := s.Snapshot(time.Now()); info.Demoted {
+			t.Fatalf("after Reset %+v, want the latch cleared", info)
 		}
-		if res := stepFlags(t, s, 1)[0]; res.Demoted {
+		if res := stepFlags(t, s, 1)[0]; res.Demoted() {
 			t.Fatal("session still demoted after a clearing reset")
 		}
 	})
 	t.Run("fault-survives", func(t *testing.T) {
 		s := probationSession(t, 4, 2, nil, map[int]bool{2: true})
 		res := stepFlags(t, s, 4)
-		if !res[2].Latched || !res[2].PanicRecovered {
+		if !res[2].Latched() || !res[2].Panicked {
 			t.Fatalf("step 2 = %+v, want a latching fault demotion", res[2])
 		}
-		out, err := s.Reset(time.Now())
-		if err != nil {
+		if err := s.Reset(time.Now()); err != nil {
 			t.Fatal(err)
 		}
-		if out.ClearedDemotion || out.WasProbation {
-			t.Fatalf("Reset outcome = %+v, want the fault latch to survive", out)
+		if info := s.Snapshot(time.Now()); !info.Latched {
+			t.Fatalf("after Reset %+v, want the fault latch to survive", info)
 		}
-		if res := stepFlags(t, s, 1)[0]; !res.Demoted {
+		if res := stepFlags(t, s, 1)[0]; !res.Demoted() {
 			t.Fatal("fault-demoted session served live after reset")
 		}
 	})
@@ -236,17 +234,17 @@ func TestSessionResetDemotionContract(t *testing.T) {
 		if info := s.Snapshot(time.Now()); info.Recovered != 1 {
 			t.Fatalf("re-admissions before reset = %d, want 1", info.Recovered)
 		}
-		if _, err := s.Reset(time.Now()); err != nil {
+		if err := s.Reset(time.Now()); err != nil {
 			t.Fatal(err)
 		}
 		// The script keeps counting session steps across the episode
 		// boundary: the fault at step 10 must enter probation again, not
 		// latch, because Reset refilled the per-episode budget.
 		res := stepFlags(t, s, 6) // steps 8..13
-		if r := res[2]; !r.Demotion || r.Latched || !r.Probation {
+		if r := res[2]; !r.Demotion() || r.Latched() || !r.Probation() {
 			t.Fatalf("post-reset demotion = %+v, want recoverable", r)
 		}
-		if r := res[4]; !r.Recovered {
+		if r := res[4]; !r.Recovered() {
 			t.Fatalf("step 12 = %+v, want a re-admission from the refilled budget", r)
 		}
 	})
@@ -302,10 +300,10 @@ func TestRecoveredSessionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := res.Demoted, i >= faultAt && i < recoverAt; got != want {
+		if got, want := res.Demoted(), i >= faultAt && i < recoverAt; got != want {
 			t.Fatalf("step %d: Demoted = %v, want %v", i, got, want)
 		}
-		if res.Demoted {
+		if res.Demoted() {
 			continue // degraded steps serve the safe policy by design
 		}
 		if res.Action != ref[i].Action ||
@@ -315,7 +313,7 @@ func TestRecoveredSessionEquivalence(t *testing.T) {
 				i, res.Action, math.Float64bits(res.Decision.Score), res.Decision.Step,
 				ref[i].Action, math.Float64bits(ref[i].Decision.Score), ref[i].Decision.Step)
 		}
-		if i == recoverAt && !res.Recovered {
+		if i == recoverAt && !res.Recovered() {
 			t.Fatalf("step %d: Recovered not set at the re-admission index", i)
 		}
 	}
@@ -385,41 +383,16 @@ func TestShadowStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// modeFlag names one StepResult flag (or, on a reset row, one
-// ResetOutcome field) so a table row can state the exact set it expects.
-type modeFlag uint16
+// modeFlag names one StepResult flag that the transition (From, To)
+// does not determine, so a table row can state the exact set it expects.
+type modeFlag uint8
 
 const (
 	fFirstFiring modeFlag = 1 << iota
-	fDemoted
-	fDemotion
 	fFirstDemotion
-	fRedemotion
 	fPanic
-	fProbation
-	fRecovered
-	fLatched
-	fGate
-	fCleared      // ResetOutcome.ClearedDemotion
-	fWasProbation // ResetOutcome.WasProbation
+	fGate // the trust gate judged the step (GateAdmitted is its verdict)
 )
-
-func stepModeFlags(r StepResult) modeFlag {
-	var f modeFlag
-	for _, b := range []struct {
-		on  bool
-		bit modeFlag
-	}{
-		{r.FirstFiring, fFirstFiring}, {r.Demoted, fDemoted}, {r.Demotion, fDemotion},
-		{r.FirstDemotion, fFirstDemotion}, {r.Redemotion, fRedemotion}, {r.PanicRecovered, fPanic},
-		{r.Probation, fProbation}, {r.Recovered, fRecovered}, {r.Latched, fLatched}, {r.GateChecked, fGate},
-	} {
-		if b.on {
-			f |= b.bit
-		}
-	}
-	return f
-}
 
 // modeScript is the table test's signal: it returns the score the
 // current row set, panics where the row says so, and counts its calls
@@ -454,11 +427,12 @@ func (p nanPolicy) Probs([]float64) []float64 { return p.probs }
 
 // TestSessionModeTable walks every row of the session mode table
 // (DESIGN.md §13) on a scripted signal: for each input it checks the
-// mode the one transition function left the session in, the complete
-// flag set on the result, and whether the guard was run at all. The ND
-// trigger (three consecutive scores above 0.5, latched) supplies the
-// "trigger demands the default" inputs. Every session carries a trust
-// gate, so "gate checked on clean live steps only" is part of each row.
+// transition (From, To) the one transition function recorded, the
+// flags the transition does not determine, and whether the guard was
+// run at all. The ND trigger (three consecutive scores above 0.5,
+// latched) supplies the "trigger demands the default" inputs. Every
+// session carries a trust gate, so "gate checked on clean live steps
+// only" is part of each row. A reset row asserts the mode alone.
 func TestSessionModeTable(t *testing.T) {
 	arts := sharedArtifacts(t)
 	f, err := NewGuardFactory(arts, GuardConfig{})
@@ -478,14 +452,9 @@ func TestSessionModeTable(t *testing.T) {
 	defer learner.Stop() //nolint:errcheck // no log configured
 
 	nan, inf := math.NaN(), math.Inf(1)
-	const (
-		demoteFirst = fDemoted | fDemotion | fFirstDemotion
-		demoteAgain = fDemoted | fDemotion | fRedemotion
-		shadow      = fDemoted | fProbation
-	)
 	type row struct {
 		in   float64 // score, doPanic, or doReset
-		mode sessionMode
+		to   sessionMode
 		want modeFlag
 	}
 	// A learned forward that panics: the deployed actor of another
@@ -496,6 +465,12 @@ func TestSessionModeTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const (
+		live      = modeLive
+		probation = modeProbation
+		score     = modeLatchedScore
+		fault     = modeLatchedFault
+	)
 	cases := []struct {
 		name    string
 		l, cap  int
@@ -504,93 +479,94 @@ func TestSessionModeTable(t *testing.T) {
 	}{
 		// live, finite: clean result, FirstFiring once, gate checked.
 		{"live-finite", 2, 1, nil, []row{
-			{0, modeLive, fGate},
-			{1, modeLive, fGate}, {1, modeLive, fGate},
-			{1, modeLive, fGate | fFirstFiring},
-			{1, modeLive, fGate},
+			{0, live, fGate},
+			{1, live, fGate}, {1, live, fGate},
+			{1, live, fGate | fFirstFiring},
+			{1, live, fGate},
 		}},
 		// live, non-finite score → probation; streak < l stays; streak == l
 		// → live, served live with no gate and no FirstFiring.
 		{"live-nan-then-recover", 2, 1, nil, []row{
-			{0, modeLive, fGate},
-			{nan, modeProbation, demoteFirst | fProbation},
-			{0, modeProbation, shadow},
-			{0, modeLive, fRecovered},
-			{0, modeLive, fGate},
+			{0, live, fGate},
+			{nan, probation, fFirstDemotion},
+			{0, probation, 0},
+			{0, live, 0},
+			{0, live, fGate},
 		}},
 		// live, non-finite distribution → probation, and never confident.
 		{"live-nan-distribution", 2, 1, nanPolicy{probs: []float64{math.NaN()}}, []row{
-			{0, modeProbation, demoteFirst | fProbation},
-			{0, modeProbation, shadow},
+			{0, probation, fFirstDemotion},
+			{0, probation, 0},
 		}},
 		// readmitL 0 → latchedScore; the guard is not run afterwards.
 		{"live-inf-probation-off", 0, 1, nil, []row{
-			{inf, modeLatchedScore, demoteFirst | fLatched},
-			{0, modeLatchedScore, fDemoted},
+			{inf, score, fFirstDemotion},
+			{0, score, 0},
 		}},
 		// readmitCap 0 → latchedScore.
 		{"live-nan-cap-zero", 2, 0, nil, []row{
-			{nan, modeLatchedScore, demoteFirst | fLatched},
+			{nan, score, fFirstDemotion},
 		}},
-		// Budget spent → latchedScore with Redemotion; Reset from
+		// Budget spent → latchedScore on a re-demotion; Reset from
 		// latchedScore and from probation clears it and refills the budget.
 		{"live-nan-budget-spent-then-reset", 1, 1, nil, []row{
-			{nan, modeProbation, demoteFirst | fProbation},
-			{0, modeLive, fRecovered},
-			{nan, modeLatchedScore, demoteAgain | fLatched},
-			{0, modeLatchedScore, fDemoted},
-			{doReset, modeLive, fCleared},
-			{nan, modeProbation, demoteAgain | fProbation},
-			{doReset, modeLive, fCleared | fWasProbation},
-			{0, modeLive, fGate},
+			{nan, probation, fFirstDemotion},
+			{0, live, 0},
+			{nan, score, 0},
+			{0, score, 0},
+			{doReset, live, 0},
+			{nan, probation, 0},
+			{doReset, live, 0},
+			{0, live, fGate},
 		}},
 		// A negative cap never latches.
 		{"live-nan-unlimited-cap", 1, -1, nil, []row{
-			{nan, modeProbation, demoteFirst | fProbation}, {0, modeLive, fRecovered},
-			{nan, modeProbation, demoteAgain | fProbation}, {0, modeLive, fRecovered},
-			{nan, modeProbation, demoteAgain | fProbation},
+			{nan, probation, fFirstDemotion}, {0, live, 0},
+			{nan, probation, 0}, {0, live, 0},
+			{nan, probation, 0},
 		}},
 		// live, panic → latchedFault; Reset keeps it and keeps FirstFiring
 		// suppressed.
 		{"live-panic-then-reset", 2, 1, nil, []row{
-			{doPanic, modeLatchedFault, demoteFirst | fPanic | fLatched},
-			{0, modeLatchedFault, fDemoted},
-			{doReset, modeLatchedFault, 0},
-			{0, modeLatchedFault, fDemoted},
+			{doPanic, fault, fFirstDemotion | fPanic},
+			{0, fault, 0},
+			{doReset, fault, 0},
+			{0, fault, 0},
 		}},
 		// live, the learned forward panics → latchedFault on that step,
 		// answered by the default; Reset keeps it.
 		{"live-forward-panic", 2, 1, rl.NewGreedyInference(wrongDim), []row{
-			{0, modeLatchedFault, demoteFirst | fPanic | fLatched},
-			{0, modeLatchedFault, fDemoted},
-			{doReset, modeLatchedFault, 0},
+			{0, fault, fFirstDemotion | fPanic},
+			{0, fault, 0},
+			{doReset, fault, 0},
 		}},
 		// A non-finite shadow score resets the streak: recovery comes one
 		// full streak after it, not one step.
 		{"probation-nan-resets-streak", 2, 1, nil, []row{
-			{nan, modeProbation, demoteFirst | fProbation},
-			{0, modeProbation, shadow},
-			{nan, modeProbation, shadow},
-			{0, modeProbation, shadow},
-			{0, modeLive, fRecovered},
+			{nan, probation, fFirstDemotion},
+			{0, probation, 0},
+			{nan, probation, 0},
+			{0, probation, 0},
+			{0, live, 0},
 		}},
 		// A shadow step on which the (latched) trigger demands the default
 		// is not confident, however calm the scores after it.
 		{"probation-trigger-fired", 4, 1, nil, []row{
-			{nan, modeProbation, demoteFirst | fProbation},
-			{1, modeProbation, shadow}, {1, modeProbation, shadow}, {1, modeProbation, shadow},
-			{0, modeProbation, shadow}, {0, modeProbation, shadow}, {0, modeProbation, shadow}, {0, modeProbation, shadow},
+			{nan, probation, fFirstDemotion},
+			{1, probation, 0}, {1, probation, 0}, {1, probation, 0},
+			{0, probation, 0}, {0, probation, 0}, {0, probation, 0}, {0, probation, 0},
 		}},
-		// probation, panic → latchedFault: Latched and PanicRecovered, not a
-		// Demotion.
+		// probation, panic → latchedFault: a latch with Panicked, not a
+		// demotion.
 		{"probation-panic", 2, 1, nil, []row{
-			{nan, modeProbation, demoteFirst | fProbation},
-			{doPanic, modeLatchedFault, fDemoted | fPanic | fLatched},
-			{0, modeLatchedFault, fDemoted},
-			{doReset, modeLatchedFault, 0},
+			{nan, probation, fFirstDemotion},
+			{doPanic, fault, fPanic},
+			{0, fault, 0},
+			{doReset, fault, 0},
 		}},
 	}
 	obs := make([]float64, abr.ObsDim)
+	checked := &learner.Counters().Checked
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := f.NewGuard(SchemeND)
@@ -608,23 +584,15 @@ func TestSessionModeTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, r := range tc.rows {
-				before, calls := s.mode, sig.calls
+				before, calls, gated := s.mode, sig.calls, checked.Load()
 				if sameBits(r.in, doReset) {
-					out, err := s.Reset(time.Now())
-					if err != nil {
+					if err := s.Reset(time.Now()); err != nil {
 						t.Fatal(err)
 					}
-					var got modeFlag
-					if out.ClearedDemotion {
-						got |= fCleared
+					if s.mode != r.to {
+						t.Fatalf("row %d: Reset from mode %d left mode %d, want %d", i, before, s.mode, r.to)
 					}
-					if out.WasProbation {
-						got |= fWasProbation
-					}
-					if got != r.want || s.mode != r.mode {
-						t.Fatalf("row %d: Reset from mode %d = flags %b mode %d, want flags %b mode %d", i, before, got, s.mode, r.want, r.mode)
-					}
-					if info := s.Snapshot(time.Now()); info.Fired != (r.mode == modeLatchedFault) || info.Recovered != 0 {
+					if info := s.Snapshot(time.Now()); info.Fired != (r.to == modeLatchedFault) || info.Recovered != 0 {
 						t.Fatalf("row %d: after Reset snapshot = %+v, want fired only under a fault latch and a refilled budget", i, info)
 					}
 					continue
@@ -634,13 +602,29 @@ func TestSessionModeTable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := stepModeFlags(res); got != r.want || s.mode != r.mode {
-					t.Fatalf("row %d: step from mode %d = flags %b mode %d, want flags %b mode %d (%+v)", i, before, got, s.mode, r.want, r.mode, res)
+				var got modeFlag
+				for _, b := range []struct {
+					on  bool
+					bit modeFlag
+				}{
+					{res.FirstFiring, fFirstFiring}, {res.FirstDemotion, fFirstDemotion},
+					{res.Panicked, fPanic}, {checked.Load() > gated, fGate},
+				} {
+					if b.on {
+						got |= b.bit
+					}
+				}
+				if res.From != before || res.To != r.to || s.mode != r.to || got != r.want {
+					t.Fatalf("row %d: step from mode %d = (%d→%d) flags %b, session in mode %d; want (%d→%d) flags %b (%+v)",
+						i, before, res.From, res.To, got, s.mode, before, r.to, r.want, res)
+				}
+				if res.GateAdmitted && got&fGate == 0 {
+					t.Fatalf("row %d: GateAdmitted on a step the gate did not judge", i)
 				}
 				if ran, want := sig.calls > calls, before == modeLive || before == modeProbation; ran != want {
 					t.Fatalf("row %d: guard ran = %v in mode %d, want %v", i, ran, before, want)
 				}
-				if res.Demoted && (!res.Decision.UsedDefault || !res.Decision.Fired || res.Decision.Score != 0) {
+				if res.Demoted() && (!res.Decision.UsedDefault || !res.Decision.Fired || res.Decision.Score != 0) {
 					t.Fatalf("row %d: degraded step %+v not answered by the safe policy with score 0", i, res.Decision)
 				}
 			}

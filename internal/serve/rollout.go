@@ -36,18 +36,45 @@ import (
 
 // VersionStats are one generation's serving counters, updated lock-free
 // on the step path and read by the rollout controller, /dashboard and
-// /metrics.
+// /metrics. Every step outcome is counted here once, on the generation
+// of the session that stepped; the fleet-wide counters on /metrics and
+// /healthz are sums over the generations, which are never dropped.
 type VersionStats struct {
-	Sessions  atomic.Uint64 // sessions admitted on this version
-	Live      atomic.Int64  // sessions currently pinned to this version
-	Decisions atomic.Uint64 // steps served
-	Fallbacks atomic.Uint64 // steps acted by the default policy
-	Demotions atomic.Uint64 // demotion events while on this version
-	Degraded  atomic.Uint64 // steps served in degraded mode
-	Recovered atomic.Uint64 // probation re-admissions (DESIGN.md §13)
-	Redemoted atomic.Uint64 // repeat demotions after a first one
-	Latched   atomic.Uint64 // demotions that latched permanently
-	Latency   *Histogram    // server-side step latency
+	Sessions       atomic.Uint64 // sessions admitted on this version
+	Decisions      atomic.Uint64 // steps served
+	Fallbacks      atomic.Uint64 // steps acted by the default policy
+	TriggerFirings atomic.Uint64 // sessions whose trigger first fired
+	Demotions      atomic.Uint64 // demotion events while on this version
+	FirstDemotions atomic.Uint64 // sessions demoted for the first time
+	Panics         atomic.Uint64 // recovered inference panics
+	NonFinite      atomic.Uint64 // demotions caused by a NaN/Inf result
+	Degraded       atomic.Uint64 // steps served in degraded mode
+	Recovered      atomic.Uint64 // probation re-admissions (DESIGN.md §13)
+	Redemoted      atomic.Uint64 // repeat demotions after a first one
+	Latched        atomic.Uint64 // demotions that latched permanently
+	Latency        *Histogram    // server-side step latency
+}
+
+// fleetTotals sums every counter over gens: the fleet-wide value of
+// each, as /metrics and /healthz report it.
+func fleetTotals(gens []*Generation) *VersionStats {
+	t := &VersionStats{}
+	for _, g := range gens {
+		st := g.stats
+		t.Sessions.Add(st.Sessions.Load())
+		t.Decisions.Add(st.Decisions.Load())
+		t.Fallbacks.Add(st.Fallbacks.Load())
+		t.TriggerFirings.Add(st.TriggerFirings.Load())
+		t.Demotions.Add(st.Demotions.Load())
+		t.FirstDemotions.Add(st.FirstDemotions.Load())
+		t.Panics.Add(st.Panics.Load())
+		t.NonFinite.Add(st.NonFinite.Load())
+		t.Degraded.Add(st.Degraded.Load())
+		t.Recovered.Add(st.Recovered.Load())
+		t.Redemoted.Add(st.Redemoted.Load())
+		t.Latched.Add(st.Latched.Load())
+	}
+	return t
 }
 
 // Generation is one loaded artifact version inside the server: the
@@ -90,9 +117,6 @@ func (g *Generation) Version() string { return g.version }
 // Checksum returns the artifact envelope SHA-256 ("" when booted from
 // a bare artifact file with no registry).
 func (g *Generation) Checksum() string { return g.checksum }
-
-// Stats exposes the generation's counters (tests, dashboard).
-func (g *Generation) Stats() *VersionStats { return g.stats }
 
 // RolloutConfig tunes the canary controller. The zero value selects
 // the defaults noted per field.

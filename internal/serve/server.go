@@ -150,14 +150,6 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
-	// demotedLive tracks live sessions serving in degraded mode:
-	// incremented by the step handler on each demotion, decremented on
-	// recovery, on a demotion-clearing reset, and by the table's close
-	// hook as demoted sessions depart. probationLive is the recoverable
-	// subset — demoted sessions still scoring their guard in shadow.
-	demotedLive   atomic.Int64
-	probationLive atomic.Int64
-
 	sweepOnce sync.Once
 	sweepStop chan struct{}
 	sweepDone chan struct{}
@@ -189,17 +181,6 @@ func NewServer(f *GuardFactory, cfg Config) (*Server, error) {
 		version = "unversioned"
 	}
 	s.rollout = newRollout(newGeneration(version, cfg.Checksum, f), cfg.Rollout)
-	s.table.SetOnClose(func(sess *Session) {
-		if demoted, probation := sess.DemotionState(); demoted {
-			s.demotedLive.Add(-1)
-			if probation {
-				s.probationLive.Add(-1)
-			}
-		}
-		if sess.gen != nil {
-			sess.gen.stats.Live.Add(-1)
-		}
-	})
 	s.mux.HandleFunc("POST /v1/sessions", s.timed("create", s.handleCreate))
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.timed("info", s.handleInfo))
 	s.mux.HandleFunc("POST /v1/sessions/{id}/step", s.handleStep) // timed by Server.step
@@ -222,26 +203,6 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Sessions returns the live-session count.
 func (s *Server) Sessions() int { return s.table.Len() }
-
-// DemotedLive returns how many live sessions are serving in degraded
-// mode (clamped at 0: the gauge can transiently undershoot while a
-// demoting step and a concurrent close race).
-func (s *Server) DemotedLive() int64 {
-	if n := s.demotedLive.Load(); n > 0 {
-		return n
-	}
-	return 0
-}
-
-// ProbationLive returns how many live demoted sessions are still
-// recoverable (scoring their guard in shadow), clamped at 0 like
-// DemotedLive.
-func (s *Server) ProbationLive() int64 {
-	if n := s.probationLive.Load(); n > 0 {
-		return n
-	}
-	return 0
-}
 
 // StartSweeper launches the background idle-eviction loop. Safe to
 // call once; Drain stops it.
@@ -319,10 +280,9 @@ func (s *Server) Drain(ctx context.Context, w io.Writer) error {
 	s.metrics.SessionsDrained.Add(uint64(drained))
 	if w != nil {
 		fmt.Fprintf(w, "# osap-serve final metrics snapshot (drained %d sessions)\n", drained)
-		if werr := s.metrics.WriteProm(w, s.table.Len(), int(s.DemotedLive()), int(s.ProbationLive())); err == nil {
+		if werr := s.writeProm(w); err == nil {
 			err = werr
 		}
-		s.writeExtendedProm(w)
 	}
 	return err
 }
@@ -456,9 +416,7 @@ func (s *Server) createSession(scheme string) (*Session, error) {
 	if err := s.table.Put(sess); err != nil {
 		return nil, err
 	}
-	s.metrics.SessionsCreated.Add(1)
 	gen.stats.Sessions.Add(1)
-	gen.stats.Live.Add(1)
 	return sess, nil
 }
 
@@ -518,77 +476,52 @@ func (s *Server) step(sess *Session, obs []float64) (StepResult, stepStatus) {
 	return res, stepOK
 }
 
-// recordStep folds one step outcome into the global and per-version
-// counters, feeds the drift sketches, and gives the canary controller
-// a periodic pass.
+// recordStep counts one step outcome once, on the session's generation
+// (the fleet totals are sums over generations, taken at read time),
+// feeds the drift sketches, and gives the canary controller a periodic
+// pass.
 //
 //osap:hotpath
 func (s *Server) recordStep(sess *Session, res StepResult) {
+	// Metrics.Decisions is the generations' sum counted a second time,
+	// only because the benchmark reads it from the registry.
 	s.metrics.Decisions.Add(1)
-	if res.Decision.UsedDefault {
-		s.metrics.Fallbacks.Add(1)
-	}
-	if res.FirstFiring {
-		s.metrics.TriggerFirings.Add(1)
-	}
-	if res.Demotion {
-		if res.FirstDemotion {
-			s.metrics.SessionsDemoted.Add(1)
-		}
-		if res.Redemotion {
-			s.metrics.SessionsRedemoted.Add(1)
-		}
-		if res.PanicRecovered {
-			s.metrics.PanicsRecovered.Add(1)
-		} else {
-			s.metrics.NonFiniteScores.Add(1)
-		}
-		s.demotedLive.Add(1)
-		if !res.Latched {
-			s.probationLive.Add(1)
-		}
-	} else if res.Latched {
-		// A shadow-step panic escalated an open probation to a permanent
-		// latch: the session stays demoted but leaves the probation pool.
-		s.metrics.PanicsRecovered.Add(1)
-		s.probationLive.Add(-1)
-	}
-	if res.Latched {
-		s.metrics.SessionsLatched.Add(1)
-	}
-	if res.Recovered {
-		s.metrics.SessionsRecovered.Add(1)
-		s.demotedLive.Add(-1)
-		s.probationLive.Add(-1)
-	}
-	if res.Demoted {
-		s.metrics.DegradedSteps.Add(1)
-	}
-	if l := s.cfg.Learner; l != nil && !res.GateChecked {
-		// Demoted, probation and recovery steps never reach the gate;
-		// tallying them here keeps the conservation law exact:
-		// decisions_total == gate_checked + rejected_demoted.
-		l.Counters().RejectedDemoted.Add(1)
-	}
 	gen := sess.gen
 	st := gen.stats
 	d := st.Decisions.Add(1)
 	if res.Decision.UsedDefault {
 		st.Fallbacks.Add(1)
 	}
-	if res.Demotion {
-		st.Demotions.Add(1)
+	if res.FirstFiring {
+		st.TriggerFirings.Add(1)
 	}
-	if res.Latched {
+	if res.Demotion() {
+		st.Demotions.Add(1)
+		if res.FirstDemotion {
+			st.FirstDemotions.Add(1)
+		} else {
+			st.Redemoted.Add(1)
+		}
+		if !res.Panicked {
+			st.NonFinite.Add(1)
+		}
+	}
+	if res.Panicked {
+		st.Panics.Add(1)
+	}
+	if res.Latched() {
 		st.Latched.Add(1)
 	}
-	if res.Recovered {
+	if res.Recovered() {
 		st.Recovered.Add(1)
 	}
-	if res.Redemotion {
-		st.Redemoted.Add(1)
+	if l := s.cfg.Learner; l != nil && (res.From != modeLive || res.To != modeLive) {
+		// The gate judges clean live steps only. Demoted, probation and
+		// recovery steps are tallied here, which keeps the conservation
+		// law exact: decisions_total == gate_checked + rejected_demoted.
+		l.Counters().RejectedDemoted.Add(1)
 	}
-	if res.Demoted {
+	if res.Demoted() {
 		// Degraded steps carry a synthetic zero score; keep them out of
 		// the drift sketches, which track the live guard signal.
 		st.Degraded.Add(1)
@@ -677,33 +610,25 @@ func (s *Server) refuseStep(w http.ResponseWriter, st stepStatus, sc *stepScratc
 	}
 }
 
+// handleReset re-checks draining under opGate, like every other
+// mutating handler: a reset that slips in after Drain raised the flag
+// must not touch a session Drain is about to close.
 func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	s.opGate.RLock()
 	defer s.opGate.RUnlock()
+	if s.refuseDraining(w) {
+		return
+	}
 	sess, ok := s.table.Get(r.PathValue("id"))
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "unknown session")
 		return
 	}
-	out, err := sess.Reset(s.cfg.Now())
-	if err != nil {
+	if err := sess.Reset(s.cfg.Now()); err != nil {
 		s.writeError(w, http.StatusGone, "%v", err)
 		return
 	}
-	s.noteResetOutcome(out)
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// noteResetOutcome folds a demotion-clearing reset into the gauges —
-// shared by the HTTP and binary reset paths.
-func (s *Server) noteResetOutcome(out ResetOutcome) {
-	if !out.ClearedDemotion {
-		return
-	}
-	s.demotedLive.Add(-1)
-	if out.WasProbation {
-		s.probationLive.Add(-1)
-	}
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -724,11 +649,40 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// liveCounts is one walk of the session table: the live sessions
+// serving in degraded mode, the recoverable subset on probation, and
+// how many sessions each generation pins.
+type liveCounts struct {
+	demoted, probation int
+	byGen              map[*Generation]int
+}
+
+// countLive reads every live session's (generation, mode) — the gauges
+// on /metrics, /healthz and /dashboard come from here, not from
+// counters kept beside the table.
+func (s *Server) countLive() liveCounts {
+	c := liveCounts{byGen: make(map[*Generation]int)}
+	s.table.each(func(sess *Session) {
+		mode, ok := sess.liveMode()
+		if !ok {
+			return
+		}
+		c.byGen[sess.gen]++
+		if mode != modeLive {
+			c.demoted++
+		}
+		if mode == modeProbation {
+			c.probation++
+		}
+	})
+	return c
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	status := "ok"
 	code := http.StatusOK
-	demoted := s.DemotedLive()
-	if demoted > 0 {
+	live := s.countLive()
+	if live.demoted > 0 {
 		// Degraded is still HTTP 200: demoted sessions serve safe
 		// decisions, the fleet is impaired but not unavailable.
 		status = "degraded"
@@ -737,18 +691,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
+	tot := fleetTotals(s.rollout.generations())
 	doc := map[string]any{
 		"status":          status,
 		"dataset":         s.factory.Dataset(),
 		"schemes":         s.factory.Schemes(),
 		"live_sessions":   s.table.Len(),
 		"shards":          s.table.Shards(),
-		"demoted_live":    demoted,
-		"probation_live":  s.ProbationLive(),
-		"demotions_total": s.metrics.SessionsDemoted.Load(),
-		"recovered_total": s.metrics.SessionsRecovered.Load(),
-		"redemoted_total": s.metrics.SessionsRedemoted.Load(),
-		"latched_total":   s.metrics.SessionsLatched.Load(),
+		"demoted_live":    live.demoted,
+		"probation_live":  live.probation,
+		"demotions_total": tot.FirstDemotions.Load(),
+		"recovered_total": tot.Recovered.Load(),
+		"redemoted_total": tot.Redemoted.Load(),
+		"latched_total":   tot.Latched.Load(),
 		"active_version":  s.rollout.Active().Version(),
 		"candidate":       candidateVersion(s.rollout),
 	}
@@ -760,6 +715,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WriteProm(w, s.table.Len(), int(s.DemotedLive()), int(s.ProbationLive())) //nolint:errcheck // client went away
-	s.writeExtendedProm(w)
+	s.writeProm(w) //nolint:errcheck // client went away
 }

@@ -84,7 +84,11 @@ func (s *Session) ID() string { return s.id }
 // Scheme returns the uncertainty scheme the session was created with.
 func (s *Session) Scheme() string { return s.scheme }
 
-// StepResult is the outcome of one served decision.
+// StepResult is the outcome of one served decision: the action, the
+// guard's decision, and the session's mode transition (From, To). Every
+// other outcome of the step — demoted, probation, recovered, a demotion
+// or re-demotion, a latch — is a function of the transition (the
+// methods below); the four flags that are not are carried beside it.
 type StepResult struct {
 	// Action is the argmax of the acting policy's distribution — the
 	// level the client should fetch next.
@@ -93,43 +97,45 @@ type StepResult struct {
 	// and the trigger state. Decision.Probs is cleared (it aliases the
 	// session's internal buffers and must not escape the step lock).
 	Decision core.Decision
+	// From and To are the session's mode before and after the step
+	// (DESIGN.md §13).
+	From, To sessionMode
+	// Panicked is true when the guard panicked on this step: the cause
+	// of a fault latch, as opposed to a non-finite result.
+	Panicked bool
 	// FirstFiring is true on the step where this session's trigger
 	// first fired (for the trigger-firings counter).
 	FirstFiring bool
-	// Demoted reports that the session is serving in degraded mode:
-	// this decision came from the safe default policy because inference
-	// faulted earlier (or on this step).
-	Demoted bool
 	// FirstDemotion is true on the step of the session's first-ever
-	// demotion (for the sessions-demoted counter — incremented exactly
-	// once per session).
+	// demotion (for the sessions-demoted counter — counted exactly once
+	// per session).
 	FirstDemotion bool
-	// PanicRecovered distinguishes a recovered inference panic from a
-	// non-finite score on the demoting step.
-	PanicRecovered bool
-	// Demotion is true on any demoting step, first or repeat;
-	// Redemotion marks a demotion of a previously recovered session.
-	Demotion   bool
-	Redemotion bool
-	// Probation is true while the session is demoted but recoverable:
-	// the guard keeps scoring in shadow and the session may re-admit.
-	Probation bool
-	// Recovered is true on the step where probation re-admitted the
-	// session; the decision was served live from the guard again.
-	Recovered bool
-	// Latched is true on the step where the demotion became permanent:
-	// a fault demotion, an uncertainty demotion with probation off or
-	// the re-admission cap spent, or a shadow-step panic escalating an
-	// open probation.
-	Latched bool
-	// GateChecked is true when the online-learning trust gate judged
-	// this step (learning enabled and the step served cleanly —
-	// demoted, probation and recovery steps are never gate-checked);
-	// GateAdmitted is true when the gate admitted the step's features
-	// to the experience window.
-	GateChecked  bool
+	// GateAdmitted is true when the online-learning trust gate admitted
+	// the step's features to the experience window. The gate judges only
+	// clean live steps (From and To both live) of sessions that have one.
 	GateAdmitted bool
 }
+
+// Demoted reports that the decision came from the safe default policy
+// because the session is serving in degraded mode.
+func (r *StepResult) Demoted() bool { return r.To != modeLive }
+
+// Probation reports that the session is demoted but recoverable: the
+// guard keeps scoring in shadow and the session may re-admit.
+func (r *StepResult) Probation() bool { return r.To == modeProbation }
+
+// Recovered reports the step on which probation re-admitted the
+// session; the decision was served live from the guard again.
+func (r *StepResult) Recovered() bool { return r.From == modeProbation && r.To == modeLive }
+
+// Demotion reports a demoting step, first or repeat (a re-demotion is
+// one without FirstDemotion).
+func (r *StepResult) Demotion() bool { return r.From == modeLive && r.To != modeLive }
+
+// Latched reports the step on which a demotion became permanent: a
+// fault, an uncertainty demotion with probation off or the re-admission
+// cap spent, or a shadow-step panic escalating an open probation.
+func (r *StepResult) Latched() bool { return r.To >= modeLatchedScore && r.To != r.From }
 
 // sessionMode is the demotion state machine's state (DESIGN.md §13). A
 // step panic or a non-finite score moves the session off its learned
@@ -184,8 +190,8 @@ func (s *Session) step(obs []float64, now time.Time) (StepResult, error) {
 
 // settleLocked is the mode switch: given what the guard produced this
 // step (d, or the panic pv; neither when a latched mode skipped the
-// guard) it picks the next mode and builds every StepResult flag from
-// (mode before, mode after, panicked). DESIGN.md §13 has the table.
+// guard) it picks the next mode and records the transition on the
+// StepResult. DESIGN.md §13 has the table.
 //
 // In probation the guard scored the real observation in shadow, so its
 // signal, trigger and episode bookkeeping advanced exactly as a live
@@ -220,34 +226,28 @@ func (s *Session) settleLocked(obs []float64, d core.Decision, pv any) StepResul
 	}
 	s.mode = after
 
+	var res StepResult
 	if after == modeLive {
-		res := StepResult{Action: mdp.ArgmaxAction(d.Probs), Decision: d}
+		res = StepResult{Action: mdp.ArgmaxAction(d.Probs), Decision: d}
 		res.Decision.Probs = nil
-		if before == modeProbation {
-			res.Recovered = true
-			s.calm = 0
-			s.demoteReason = ""
-			return res
-		}
+	} else {
+		res = s.serveSafeLocked(obs)
+	}
+	res.From, res.To, res.Panicked = before, after, pv != nil
+	switch {
+	case before == modeProbation && after == modeLive:
+		s.calm = 0
+		s.demoteReason = ""
+	case after == modeLive:
 		if d.Fired && !s.fired {
 			s.fired = true
 			res.FirstFiring = true
 		}
 		if s.gate != nil {
-			res.GateChecked = true
 			res.GateAdmitted = s.gate.Check(obs) == learn.VerdictAdmit
 		}
-		return res
-	}
-
-	res := s.serveSafeLocked(obs)
-	res.PanicRecovered = pv != nil
-	res.Probation = after == modeProbation
-	res.Latched = after != before && after != modeProbation
-	if before == modeLive {
-		res.Demotion = true
+	case before == modeLive:
 		res.FirstDemotion = !s.everDemoted
-		res.Redemotion = s.everDemoted
 		s.everDemoted = true
 		// The trigger-firings counter tracks genuine uncertainty
 		// triggers, not infrastructure faults.
@@ -255,7 +255,7 @@ func (s *Session) settleLocked(obs []float64, d core.Decision, pv any) StepResul
 		s.calm = 0
 		//osap:ignore hotpath-alloc demotion slow path, runs at most a few (readmit-cap) times per session
 		s.demoteReason = fmt.Sprintf("step %d: panic=%v score=%g", s.steps, pv, d.Score)
-	} else if pv != nil {
+	case pv != nil:
 		//osap:ignore hotpath-alloc latch escalation slow path, runs at most once per session
 		s.demoteReason = fmt.Sprintf("%s; shadow step %d: panic=%v", s.demoteReason, s.steps, pv)
 	}
@@ -304,35 +304,7 @@ func (s *Session) serveSafeLocked(obs []float64) StepResult {
 			Fired:       true,
 			Step:        int(s.steps),
 		},
-		Demoted: true,
 	}
-}
-
-// Demoted reports whether the session is serving in degraded mode.
-func (s *Session) Demoted() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mode != modeLive
-}
-
-// DemotionState reports the session's demotion status in one snapshot:
-// whether it is demoted and whether that demotion is still recoverable
-// (probation). Used by the server's gauge accounting.
-func (s *Session) DemotionState() (demoted, probation bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mode != modeLive, s.mode == modeProbation
-}
-
-// ResetOutcome reports what a Reset did beyond restarting the episode,
-// so the server can keep its demotion gauges honest.
-type ResetOutcome struct {
-	// ClearedDemotion is true when the reset cleared an uncertainty
-	// demotion (the session serves live again).
-	ClearedDemotion bool
-	// WasProbation is true when the cleared demotion was still
-	// recoverable (the session was occupying the probation gauge).
-	WasProbation bool
 }
 
 // Reset starts a new episode on the session's guard (e.g. the client
@@ -345,15 +317,13 @@ type ResetOutcome struct {
 // state that produced the bad score is discarded wholesale, which is
 // strictly stronger evidence than the shadow hysteresis. The
 // re-admission budget is per-episode and refills.
-func (s *Session) Reset(now time.Time) (ResetOutcome, error) {
+func (s *Session) Reset(now time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ResetOutcome{}, ErrSessionClosed
+		return ErrSessionClosed
 	}
-	var out ResetOutcome
 	if s.mode == modeProbation || s.mode == modeLatchedScore {
-		out = ResetOutcome{ClearedDemotion: true, WasProbation: s.mode == modeProbation}
 		s.mode = modeLive
 		s.demoteReason = ""
 	}
@@ -365,17 +335,22 @@ func (s *Session) Reset(now time.Time) (ResetOutcome, error) {
 	}
 	s.fired = s.mode == modeLatchedFault // a surviving fault demotion keeps FirstFiring suppressed
 	s.lastUsed.Store(now.UnixNano())
-	return out, nil
+	return nil
 }
 
-// close marks the session unusable. Idempotent; reports whether this
-// call performed the close.
-func (s *Session) close() bool {
+// close marks the session unusable. Idempotent.
+func (s *Session) close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+}
+
+// liveMode reads the session's mode for the server's gauges; ok is
+// false once the session is closed.
+func (s *Session) liveMode() (mode sessionMode, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	was := s.closed
-	s.closed = true
-	return !was
+	return s.mode, !s.closed
 }
 
 // idleSince reports the last-touch time.

@@ -95,7 +95,7 @@ func checkSameResult(t *testing.T, label string, i int, got, want StepResult) {
 	if got.Decision.UsedDefault != want.Decision.UsedDefault ||
 		got.Decision.Fired != want.Decision.Fired ||
 		got.Decision.Step != want.Decision.Step ||
-		got.Demoted != want.Demoted {
+		got.From != want.From || got.To != want.To {
 		t.Fatalf("%s step %d: metadata %+v != %+v", label, i, got, want)
 	}
 }
@@ -332,7 +332,7 @@ func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Demotion {
+			if res.Demotion() {
 				return i
 			}
 		}
@@ -417,7 +417,7 @@ func TestForwardFaultLeavesShardClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Demotion || !res.PanicRecovered || !res.Latched || !res.Decision.UsedDefault {
+		if !res.Demotion() || !res.Panicked || !res.Latched() || !res.Decision.UsedDefault {
 			t.Fatalf("%s: faulting step %+v, want a latching panic demotion answered by the default", scheme, res)
 		}
 		next := bad

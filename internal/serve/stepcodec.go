@@ -500,11 +500,11 @@ func (sc *stepScratch) encode(res *StepResult) []byte {
 	b = append(b, `","step":`...)
 	b = strconv.AppendInt(b, int64(res.Decision.Step), 10)
 	b = append(b, `,"demoted":`...)
-	b = strconv.AppendBool(b, res.Demoted)
-	if res.Probation {
+	b = strconv.AppendBool(b, res.Demoted())
+	if res.Probation() {
 		b = append(b, `,"probation":true`...)
 	}
-	if res.Recovered {
+	if res.Recovered() {
 		b = append(b, `,"recovered":true`...)
 	}
 	if res.GateAdmitted {

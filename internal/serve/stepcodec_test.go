@@ -227,15 +227,15 @@ func TestStepResponseBytes(t *testing.T) {
 	sc := stepScratchPool.New().(*stepScratch)
 	var want bytes.Buffer
 	for _, score := range scores {
-		for flags := 0; flags < 1<<6; flags++ {
+		for flags := 0; flags < 1<<7; flags++ {
 			bit := func(i int) bool { return flags>>i&1 == 1 }
+			// Bits 3..6 pick the transition: every (from, to) pair.
 			res := StepResult{
 				Action:       flags % 7,
 				Decision:     core.Decision{Score: score, UsedDefault: bit(0), Fired: bit(1), Step: 1000 * flags},
-				Demoted:      bit(2),
-				Probation:    bit(3),
-				Recovered:    bit(4),
-				GateAdmitted: bit(5),
+				From:         sessionMode(flags >> 3 & 3),
+				To:           sessionMode(flags >> 5 & 3),
+				GateAdmitted: bit(2),
 			}
 			want.Reset()
 			if err := json.NewEncoder(&want).Encode(stepResponse{
@@ -245,15 +245,15 @@ func TestStepResponseBytes(t *testing.T) {
 				Fired:     res.Decision.Fired,
 				Policy:    res.Decision.Policy(),
 				Step:      res.Decision.Step,
-				Demoted:   res.Demoted,
-				Probation: res.Probation,
-				Recovered: res.Recovered,
+				Demoted:   res.Demoted(),
+				Probation: res.Probation(),
+				Recovered: res.Recovered(),
 				Learned:   res.GateAdmitted,
 			}); err != nil {
 				t.Fatal(err)
 			}
 			if got := sc.encode(&res); !bytes.Equal(got, want.Bytes()) {
-				t.Fatalf("score %v flags %06b:\n got %s\nwant %s", score, flags, got, want.Bytes())
+				t.Fatalf("score %v flags %07b:\n got %s\nwant %s", score, flags, got, want.Bytes())
 			}
 		}
 	}
@@ -444,9 +444,11 @@ func TestStepStatusTable(t *testing.T) {
 	closed := createSession(t, ts.URL, SchemeND)
 	// A session closed under a step that had already looked it up: close
 	// it but leave it in the table, which no API call can do.
-	if sess, ok := s.table.Get(closed.ID); !ok || !sess.close() {
+	sess, ok := s.table.Get(closed.ID)
+	if !ok {
 		t.Fatal("could not close the session")
 	}
+	sess.close()
 	good := string(benchBody(t))
 	post := func(id, body string) (*http.Response, string) {
 		t.Helper()

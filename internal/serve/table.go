@@ -17,11 +17,10 @@ var ErrTableFull = errors.New("serve: session table full")
 // contend on a global lock. The live count is a single atomic used for
 // admission control.
 type Table struct {
-	shards  []tableShard
-	mask    uint64
-	live    atomic.Int64
-	max     int64
-	onClose func(*Session)
+	shards []tableShard
+	mask   uint64
+	live   atomic.Int64
+	max    int64
 }
 
 type tableShard struct {
@@ -62,19 +61,6 @@ func fnv1a(s string) uint64 {
 
 func (t *Table) shard(id string) *tableShard {
 	return &t.shards[fnv1a(id)&t.mask]
-}
-
-// SetOnClose registers a callback invoked (outside shard locks) each
-// time the table closes a session — delete, sweep or clear. The server
-// uses it to keep the demoted-live gauge honest as demoted sessions
-// depart. Must be set before the table is shared; the callback must
-// not call back into the table.
-func (t *Table) SetOnClose(f func(*Session)) { t.onClose = f }
-
-func (t *Table) closed(s *Session) {
-	if t.onClose != nil {
-		t.onClose(s)
-	}
 }
 
 // Len returns the number of live sessions.
@@ -124,9 +110,7 @@ func (t *Table) Delete(id string) (*Session, bool) {
 	if !ok {
 		return nil, false
 	}
-	if s.close() {
-		t.closed(s)
-	}
+	s.close()
 	t.live.Add(-1)
 	return s, true
 }
@@ -160,9 +144,7 @@ func (t *Table) Sweep(cutoff time.Time) int {
 			}
 			sh.mu.Unlock()
 			if ok {
-				if s.close() {
-					t.closed(s)
-				}
+				s.close()
 				t.live.Add(-1)
 				evicted++
 			}
@@ -187,12 +169,29 @@ func (t *Table) Clear() int {
 		sh.mu.Unlock()
 		// Close outside the shard lock, matching Delete/Sweep.
 		for _, s := range ss {
-			if s.close() {
-				t.closed(s)
-			}
+			s.close()
 			n++
 		}
 	}
 	t.live.Add(int64(-n))
 	return n
+}
+
+// each calls f on every session in the table. The sessions are
+// collected under each shard's read lock and visited after it is
+// released, as Sweep and Clear do, so f may take a session's lock.
+func (t *Table) each(f func(*Session)) {
+	var ss []*Session
+	for i := range t.shards {
+		sh := &t.shards[i]
+		ss = ss[:0]
+		sh.mu.RLock()
+		for _, s := range sh.m {
+			ss = append(ss, s)
+		}
+		sh.mu.RUnlock()
+		for _, s := range ss {
+			f(s)
+		}
+	}
 }
