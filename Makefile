@@ -1,7 +1,7 @@
 # Developer entry points. `make ci` is the full gate: tier-1 verify
 # (build + all tests), vet, formatting, the osap-vet static analyzers
-# (DESIGN.md §8), the race-detector sweep, and the chaos, rollout,
-# recovery and learn selftests — the same steps CI runs.
+# (DESIGN.md §8), the race-detector sweep, and the chaos (both fault
+# scripts), rollout and learn selftests — the same steps CI runs.
 
 GO ?= go
 
@@ -9,7 +9,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X osap/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build build-cross test verify vet lint fmt-check race fuzz-smoke ci loc bench bench-e2e bench-compare chaos rollout-selftest recovery-selftest learn-selftest
+.PHONY: all build build-cross test verify vet lint fmt-check race fuzz-smoke ci loc bench bench-e2e bench-compare chaos rollout-selftest learn-selftest
 
 all: build
 
@@ -66,7 +66,7 @@ fuzz-smoke:
 		done; \
 	done
 
-ci: verify vet lint fmt-check race chaos rollout-selftest recovery-selftest learn-selftest
+ci: verify vet lint fmt-check race chaos rollout-selftest learn-selftest
 
 # Non-test lines of Go and assembly per package and in total — the size
 # ROADMAP.md tracks. Counts every line of each .go and .s file that is
@@ -91,27 +91,21 @@ bench-e2e:
 bench-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
-# Fault-injection selftest (DESIGN.md §9): 1000 concurrent sessions
-# with scripted inference panics, NaN/Inf scores, injected overload,
-# slow and aborting clients — run under the race detector. Asserts no
-# crash, no dropped step, exactly the scheduled demotions, clean drain
-# — once over each transport: overload is injected by HTTP middleware
-# on one and per frame on the other, and the totals are the same.
+# Fault-injection selftest (DESIGN.md §9, §13) under the race detector:
+# 1000 concurrent sessions, once per fault script and transport. -chaos
+# plays seeded inference panics, NaN/Inf scores, injected overload,
+# slow and aborting clients; -recovery plays the demote → recover →
+# re-demote → latch pattern cycle under probation. Both assert no
+# crash, no dropped step, every session's demoted flag at every step
+# against the schedule's replay of the session state machine, the
+# replay's exact totals on /metrics, /healthz and /dashboard, and a
+# clean drain. Overload is injected by HTTP middleware on one transport
+# and per frame on the other; the totals are the same.
 chaos:
 	$(GO) run -race $(LDFLAGS) ./cmd/osap-serve -chaos -transport http
 	$(GO) run -race $(LDFLAGS) ./cmd/osap-serve -chaos -transport binary
-
-# Probation/recovery selftest (DESIGN.md §13): 1000 sessions whose
-# uncertainty streams are fully scripted through demote → recover →
-# re-demote → latch patterns. Asserts every session's demoted flag at
-# every step against a closed-form oracle (zero mismatches), exact
-# recovery counter totals on /metrics, /healthz and /dashboard,
-# permanent latches for fault-demoted and cap-exhausted sessions, and
-# a clean drain — once over each transport: the totals are the same,
-# the step path to them (HTTP handler, binary connection reader) is not.
-recovery-selftest:
-	$(GO) run $(LDFLAGS) ./cmd/osap-serve -recovery -transport http
-	$(GO) run $(LDFLAGS) ./cmd/osap-serve -recovery -transport binary
+	$(GO) run -race $(LDFLAGS) ./cmd/osap-serve -recovery -transport http
+	$(GO) run -race $(LDFLAGS) ./cmd/osap-serve -recovery -transport binary
 
 # Hot-reload/canary selftest (DESIGN.md §11): publish versions into a
 # throwaway registry, stage a 10% canary under a 1000-client wave and

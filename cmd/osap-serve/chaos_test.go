@@ -9,29 +9,33 @@ import (
 	"osap/internal/trace"
 )
 
-// TestChaosSmallScale runs the full fault-injection harness — scripted
-// inference panics, NaN/Inf scores, injected 503s and delays, slow and
-// aborting clients, degraded-mode assertions, clean drain — at a
-// CI-friendly scale. The full-scale run is `make chaos`.
+// TestChaosSmallScale runs the full fault-injection harness at a
+// CI-friendly scale, for both scripts over both transports: scripted
+// inference panics and NaN/Inf scores, injected 503s and delays, slow
+// and aborting clients, the recovery pattern cycle, the seeded script
+// under probation, every demoted flag against the replay, exact totals
+// on /metrics, /healthz and /dashboard, and a clean drain. The
+// full-scale run is `make chaos`.
 func TestChaosSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a loopback viewer fleet")
 	}
-	cfg := serve.Config{MaxSessions: 100, Shards: 16, SessionTTL: time.Minute}
-	if err := runChaos(cfg, trace.DatasetGamma22, 60, 24, 7, loadgen.ProtocolHTTP); err != nil {
-		t.Fatalf("chaos selftest: %v", err)
-	}
-}
-
-// TestChaosSmallScaleBinary runs the same harness over the persistent
-// binary protocol: frame-level fault injection, demotion flags on the
-// wire, GoAway on drain.
-func TestChaosSmallScaleBinary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives a loopback viewer fleet")
-	}
-	cfg := serve.Config{MaxSessions: 100, Shards: 16, SessionTTL: time.Minute}
-	if err := runChaos(cfg, trace.DatasetGamma22, 60, 24, 7, loadgen.ProtocolBinary); err != nil {
-		t.Fatalf("binary chaos selftest: %v", err)
+	for _, tc := range []struct {
+		name, script         string
+		readmitL, readmitCap int
+	}{
+		{"chaos", scriptChaos, 0, 0},
+		{"chaos-probation", scriptChaos, 4, 2},
+		{"recovery", scriptRecovery, 0, 0},
+	} {
+		for _, transport := range []string{loadgen.ProtocolHTTP, loadgen.ProtocolBinary} {
+			t.Run(tc.name+"-"+transport, func(t *testing.T) {
+				cfg := serve.Config{MaxSessions: 100, Shards: 16, SessionTTL: time.Minute,
+					ReadmitL: tc.readmitL, ReadmitCap: tc.readmitCap}
+				if err := runChaos(cfg, trace.DatasetGamma22, 60, 24, 7, tc.script, transport); err != nil {
+					t.Fatalf("%s selftest: %v", tc.name, err)
+				}
+			})
+		}
 	}
 }

@@ -115,9 +115,9 @@ func main() {
 	case *rolloutTest:
 		err = runRolloutSelfTest(cfg, *dataset, *clients, *chaosSeed)
 	case *recoveryTest:
-		err = runRecoveryChaos(cfg, *dataset, *clients, *chaosSteps, *chaosSeed, *transport)
+		err = runChaos(cfg, *dataset, *clients, *chaosSteps, *chaosSeed, scriptRecovery, *transport)
 	case *chaosTest:
-		err = runChaos(cfg, *dataset, *clients, *chaosSteps, *chaosSeed, *transport)
+		err = runChaos(cfg, *dataset, *clients, *chaosSteps, *chaosSeed, scriptChaos, *transport)
 	case *selftest:
 		_, err = runSelfTest(cfg, *dataset, *models, *clients, *warmup, *measure)
 	default:
@@ -386,10 +386,6 @@ func runSelfTestCell(cfg serve.Config, factory *serve.GuardFactory, video *abr.V
 		Video:   video,
 		Traces:  traces,
 		Seed:    1,
-		// With probation enabled (-readmit-l), demoted sessions may
-		// legitimately recover; count the flips instead of flagging them
-		// as permanence violations.
-		Probation: flagReadmitL > 0,
 	})
 	fmt.Fprintf(os.Stderr, "selftest: %d clients over %s on %d procs (%s)\n",
 		clients, transport, procs, h.stepTarget())

@@ -5,19 +5,24 @@
 // serving stack itself — what happens when inference panics, a NaN
 // leaks out of a workspace, an artifact file loses a bit, the server
 // is overloaded, or a client stalls mid-transfer — and lets the
-// selftest harness (`osap-serve -chaos`) prove the answer is "degrade
-// to the safe policy, never crash, never drop a step".
+// selftest harness (`osap-serve -chaos`, `-recovery`) prove the answer
+// is "degrade to the safe policy, recover exactly when the state
+// machine says, never crash, never drop a step".
 //
-// Everything is derived from a seed by stateless hashing, so a fault
-// schedule is a pure function of (seed, index): two runs with the same
-// seed inject exactly the same faults, and assertions can be computed
-// in closed form (FaultedSessions, ExpectedSteps) instead of sampled.
+// One Schedule drives both selftests; ServeScript and RecoveryScript
+// are its two constructors. Every decision is a pure function of the
+// schedule's config and an index — seeded draws by stateless hashing,
+// or a fixed pattern cycle — so two runs inject exactly the same
+// faults, and one replay of the session state machine (DESIGN.md §13)
+// over each session's plan yields every expected value in closed form:
+// the demoted flag of each (session, step) pair (DemotedAt) and the
+// fleet totals (Expected).
 //
 // Production builds pay zero cost: the serving stack never imports
-// this package. Injection happens behind two small seams — the
-// serve.Config.WrapGuard hook (one nil check at session creation) and
-// an optional http.Handler middleware — both absent from production
-// wiring.
+// this package. Injection happens behind small seams — the
+// serve.Config.WrapGuard hook (one nil check at session creation), the
+// serve.Config.FrameFault hook and an optional http.Handler middleware
+// — all absent from production wiring.
 package chaos
 
 import (
@@ -31,7 +36,7 @@ import (
 type Kind uint8
 
 const (
-	// None marks a clean session.
+	// None marks no fault.
 	None Kind = iota
 	// PanicObserve panics inside Signal.Observe — a crash anywhere in
 	// the per-step inference stack (nn workspaces, OC-SVM kernels,
@@ -59,25 +64,25 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// SessionFault schedules one demoting fault within a session's step
-// stream. Step is the 0-based guard decision at which it fires.
-type SessionFault struct {
-	Kind Kind
+// Fault schedules one inference fault: Kind injected at the session's
+// Step-th guard decision (0-based, counted over the session's life).
+type Fault struct {
 	Step int
+	Kind Kind
 }
 
-// SessionPlan is everything the schedule injects into one session:
-// at most one demoting fault, plus optional recurring latency spikes
-// (sleep SpikeDelay on every step ≡ SpikePhase mod SpikeEvery).
+// SessionPlan is everything the schedule injects into one session: its
+// faults in ascending step order, plus optional recurring latency
+// spikes (sleep SpikeDelay on every step ≡ SpikePhase mod SpikeEvery).
 type SessionPlan struct {
-	Fault      SessionFault
+	Faults     []Fault
 	SpikeEvery int
 	SpikePhase int
 	SpikeDelay time.Duration
 }
 
 // Clean reports whether the plan injects nothing.
-func (p SessionPlan) Clean() bool { return p.Fault.Kind == None && p.SpikeEvery == 0 }
+func (p SessionPlan) Clean() bool { return len(p.Faults) == 0 && p.SpikeEvery == 0 }
 
 // ClientPlan is the client-side misbehavior assigned to one loadgen
 // client: an artificial pause before every request (slow client), and
@@ -91,11 +96,19 @@ type ClientPlan struct {
 // Config parameterizes a Schedule. All "Every" knobs are 1-in-N rates
 // (0 disables that fault class); step bounds are inclusive.
 type Config struct {
-	// Seed derives the entire schedule.
+	// Seed derives every seeded draw.
 	Seed uint64
+	// Steps is each client's decision budget: the length of every
+	// replay, and the step at which a client that never aborts stops.
+	Steps int
+	// ReadmitL and ReadmitCap are the server's probation knobs
+	// (serve.Config): the replay models the session state machine under
+	// them, so the server must run with the same values.
+	ReadmitL   int
+	ReadmitCap int
 
-	// FaultEvery gives 1 in N sessions a demoting inference fault
-	// (kind cycled among panic/NaN/Inf) at a step drawn uniformly from
+	// FaultEvery gives 1 in N sessions one inference fault (kind cycled
+	// among panic/NaN/Inf) at a step drawn uniformly from
 	// [FaultStepMin, FaultStepMax].
 	FaultEvery   int
 	FaultStepMin int
@@ -107,32 +120,45 @@ type Config struct {
 	SpikeStepEvery    int
 	SpikeDelay        time.Duration
 
-	// RejectEvery makes the HTTP middleware reject 1 in N requests
-	// with an injected 503 + Retry-After (overload); DelayEvery makes
-	// it stall 1 in N requests by Delay before forwarding.
+	// RejectEvery makes the HTTP middleware (or the binary frame hook)
+	// reject 1 in N requests with an injected 503 + Retry-After
+	// (overload); DelayEvery makes it stall 1 in N requests by Delay
+	// before forwarding.
 	RejectEvery int
 	DelayEvery  int
 	Delay       time.Duration
 
 	// SlowClientEvery marks 1 in N clients slow (SlowClientDelay pause
 	// before every request); AbortEvery makes 1 in N clients abandon
-	// their session after a step drawn from [AbortStepMin,
-	// AbortStepMax].
+	// their session after a step drawn from [AbortStepMin, Steps].
 	SlowClientEvery int
 	SlowClientDelay time.Duration
 	AbortEvery      int
 	AbortStepMin    int
-	AbortStepMax    int
+}
+
+// settle is how many steps after a non-finite fault its last
+// transition lands: ReadmitL when probation can re-admit, 0 when every
+// demotion latches on the fault's own step.
+func (c Config) settle() int {
+	if c.ReadmitL > 0 && c.ReadmitCap != 0 {
+		return c.ReadmitL
+	}
+	return 0
 }
 
 // Validate checks rate/bound consistency. Beyond well-formedness it
-// enforces the invariant the exact-demotion assertion rests on: every
-// demoting fault must fire before any client can abort, so a faulted
-// session is always demoted before its client stops stepping.
+// enforces the invariant every exact total rests on: each transition a
+// seeded fault schedules — the demotion, and under probation the
+// re-admission ReadmitL steps later — lands before any client can
+// abort, so whichever client draws a session sees all of it.
 func (c Config) Validate() error {
 	if c.FaultEvery < 0 || c.SpikeSessionEvery < 0 || c.RejectEvery < 0 ||
 		c.DelayEvery < 0 || c.SlowClientEvery < 0 || c.AbortEvery < 0 {
 		return fmt.Errorf("chaos: negative 1-in-N rate")
+	}
+	if c.Steps < 0 {
+		return fmt.Errorf("chaos: negative step budget %d", c.Steps)
 	}
 	if c.FaultEvery > 0 {
 		if c.FaultStepMin < 0 || c.FaultStepMax < c.FaultStepMin {
@@ -143,54 +169,24 @@ func (c Config) Validate() error {
 		return fmt.Errorf("chaos: SpikeStepEvery %d < 1", c.SpikeStepEvery)
 	}
 	if c.AbortEvery > 0 {
-		if c.AbortStepMin < 1 || c.AbortStepMax < c.AbortStepMin {
-			return fmt.Errorf("chaos: abort step range [%d, %d] invalid", c.AbortStepMin, c.AbortStepMax)
+		if c.AbortStepMin < 1 || c.Steps < c.AbortStepMin {
+			return fmt.Errorf("chaos: abort step range [%d, %d] invalid", c.AbortStepMin, c.Steps)
 		}
-		if c.FaultEvery > 0 && c.FaultStepMax >= c.AbortStepMin {
-			return fmt.Errorf("chaos: fault steps reach %d but clients may abort at %d; faults must fire first",
-				c.FaultStepMax, c.AbortStepMin)
+		if c.FaultEvery > 0 && c.FaultStepMax+c.settle() >= c.AbortStepMin {
+			return fmt.Errorf("chaos: faults settle by step %d but clients may abort at %d; faults must settle first",
+				c.FaultStepMax+c.settle(), c.AbortStepMin)
 		}
 	}
 	return nil
 }
 
-// ServeScript is the scripted schedule behind `osap-serve -chaos`:
-// 1 in 8 sessions suffers a demoting inference fault in the first half
-// of its life, 1 in 5 gets periodic latency spikes, roughly 2% of
-// requests are rejected with an injected 503 and 2% are delayed, 1 in
-// 7 clients is slow, and 1 in 9 abandons its session in the final
-// quarter of the run. Fault steps stay strictly below every abort
-// step, so a clean run demotes exactly the faulted sessions.
-func ServeScript(seed uint64, stepsPerClient int) Config {
-	if stepsPerClient < 8 {
-		stepsPerClient = 8
-	}
-	return Config{
-		Seed:         seed,
-		FaultEvery:   8,
-		FaultStepMin: 2,
-		FaultStepMax: stepsPerClient / 2,
-
-		SpikeSessionEvery: 5,
-		SpikeStepEvery:    8,
-		SpikeDelay:        2 * time.Millisecond,
-
-		RejectEvery: 53,
-		DelayEvery:  47,
-		Delay:       3 * time.Millisecond,
-
-		SlowClientEvery: 7,
-		SlowClientDelay: time.Millisecond,
-		AbortEvery:      9,
-		AbortStepMin:    stepsPerClient/2 + 1,
-		AbortStepMax:    stepsPerClient,
-	}
-}
-
 // Schedule is a validated, immutable fault schedule. Safe for
-// concurrent use: every lookup is a pure hash of (seed, index).
+// concurrent use: every lookup is a pure function of (config, index).
 type Schedule struct {
 	cfg Config
+	// cycle replaces the seeded fault draws with RecoveryScript's
+	// six-pattern cycle.
+	cycle bool
 }
 
 // NewSchedule validates cfg and wraps it.
@@ -203,6 +199,99 @@ func NewSchedule(cfg Config) (*Schedule, error) {
 
 // Config returns the schedule's configuration.
 func (s *Schedule) Config() Config { return s.cfg }
+
+// ServeScript is the schedule behind `osap-serve -chaos`: 1 in 8
+// sessions suffers one inference fault in the first half of its life,
+// 1 in 5 gets periodic latency spikes, roughly 2% of requests are
+// rejected with an injected 503 and 2% are delayed, 1 in 7 clients is
+// slow, and 1 in 9 abandons its session in the second half of the run.
+// Fault steps stay below AbortStepMin − ReadmitL, so every demotion and
+// every re-admission lands before any abort; with probation off that
+// is the whole first half.
+func ServeScript(seed uint64, steps, readmitL, readmitCap int) (*Schedule, error) {
+	c := Config{Seed: seed, ReadmitL: readmitL, ReadmitCap: readmitCap}
+	if min := 2 * (c.settle() + 4); steps < min {
+		steps = min
+	}
+	c.Steps = steps
+	c.FaultEvery, c.FaultStepMin, c.FaultStepMax = 8, 2, steps/2-c.settle()
+	c.SpikeSessionEvery, c.SpikeStepEvery, c.SpikeDelay = 5, 8, 2*time.Millisecond
+	c.RejectEvery, c.DelayEvery, c.Delay = 53, 47, 3*time.Millisecond
+	c.SlowClientEvery, c.SlowClientDelay = 7, time.Millisecond
+	c.AbortEvery, c.AbortStepMin = 9, steps/2+1
+	return NewSchedule(c)
+}
+
+// recoveryFaultBase is the step of the first fault in RecoveryScript's
+// patterns, and recoveryFaultGap the number of live steps a recovered
+// session serves before its next fault. Both are fixed: the script's
+// value is exactness, not variety.
+const (
+	recoveryFaultBase = 6
+	recoveryFaultGap  = 4
+)
+
+// The six recovery patterns, assigned round-robin by session creation
+// index (idx % recoveryPatterns).
+const (
+	patClean     = 0 // no faults; serves live end to end
+	patRecover   = 1 // one NaN: demote, shadow, re-admit
+	patExhaust   = 2 // ReadmitCap+1 NaNs: recover cap times, then latch
+	patPanic     = 3 // one panic: fault demotion, permanent from step one
+	patRecoverIn = 4 // one +Inf: same shape as patRecover, Inf flavor
+	patTail      = 5 // NaN near the end: the run finishes mid-probation
+
+	recoveryPatterns = 6
+)
+
+// RecoveryScript is the schedule behind `osap-serve -recovery`: the
+// scripted demote → recover → re-demote exercise. Every session's
+// faults are a pure function of its creation index — clean,
+// recover-once (NaN and +Inf flavors), cap-exhaustion, permanent panic
+// and end-in-probation, round-robin — with no seeded draws and no
+// client-side faults, so the run exercises every probation transition
+// at a known step. The step budget is raised to the minimum the
+// cap-exhaustion chain needs; seed only names the run.
+func RecoveryScript(seed uint64, steps, readmitL, readmitCap int) (*Schedule, error) {
+	if readmitL < 2 {
+		return nil, fmt.Errorf("chaos: recovery ReadmitL %d < 2 (the tail pattern must end inside probation)", readmitL)
+	}
+	if readmitCap < 1 {
+		return nil, fmt.Errorf("chaos: recovery ReadmitCap %d < 1 (the chain pattern needs at least one re-admission)", readmitCap)
+	}
+	chainEnd := recoveryFaultBase + readmitCap*(readmitL+recoveryFaultGap)
+	if min := chainEnd + 4; steps < min {
+		steps = min
+	}
+	s, err := NewSchedule(Config{Seed: seed, Steps: steps, ReadmitL: readmitL, ReadmitCap: readmitCap})
+	if err != nil {
+		return nil, err
+	}
+	s.cycle = true
+	return s, nil
+}
+
+// cycleFaults returns RecoveryScript's faults for the idx-th session.
+func (s *Schedule) cycleFaults(idx uint64) []Fault {
+	c := s.cfg
+	switch idx % recoveryPatterns {
+	case patRecover:
+		return []Fault{{recoveryFaultBase, NaNScore}}
+	case patExhaust:
+		f := make([]Fault, c.ReadmitCap+1)
+		for i := range f {
+			f[i] = Fault{recoveryFaultBase + i*(c.ReadmitL+recoveryFaultGap), NaNScore}
+		}
+		return f
+	case patPanic:
+		return []Fault{{recoveryFaultBase, PanicObserve}}
+	case patRecoverIn:
+		return []Fault{{recoveryFaultBase, InfScore}}
+	case patTail:
+		return []Fault{{c.Steps - 2, NaNScore}}
+	}
+	return nil
+}
 
 // splitmix64 is the finalizer of the SplitMix64 generator — a cheap,
 // well-distributed bijection used to derive every schedule decision
@@ -243,11 +332,15 @@ func oneIn(n int, draw uint64) bool {
 func (s *Schedule) SessionPlan(idx uint64) SessionPlan {
 	c := s.cfg
 	var p SessionPlan
-	if oneIn(c.FaultEvery, s.draw(saltFault, idx)) {
+	if s.cycle {
+		p.Faults = s.cycleFaults(idx)
+	} else if oneIn(c.FaultEvery, s.draw(saltFault, idx)) {
 		kinds := [3]Kind{PanicObserve, NaNScore, InfScore}
-		p.Fault.Kind = kinds[s.draw(saltKind, idx)%3]
 		span := uint64(c.FaultStepMax - c.FaultStepMin + 1)
-		p.Fault.Step = c.FaultStepMin + int(s.draw(saltStep, idx)%span)
+		p.Faults = []Fault{{
+			Step: c.FaultStepMin + int(s.draw(saltStep, idx)%span),
+			Kind: kinds[s.draw(saltKind, idx)%3],
+		}}
 	}
 	if oneIn(c.SpikeSessionEvery, s.draw(saltSpike, idx)) {
 		p.SpikeEvery = c.SpikeStepEvery
@@ -266,7 +359,7 @@ func (s *Schedule) ClientPlan(i int) ClientPlan {
 		p.SlowDelay = c.SlowClientDelay
 	}
 	if oneIn(c.AbortEvery, s.draw(saltAbort, idx)) {
-		span := uint64(c.AbortStepMax - c.AbortStepMin + 1)
+		span := uint64(c.Steps - c.AbortStepMin + 1)
 		p.AbortStep = c.AbortStepMin + int(s.draw(saltAbortStep, idx)%span)
 	}
 	return p
@@ -277,38 +370,7 @@ func (s *Schedule) ClientPlan(i int) ClientPlan {
 // sessions are left untouched — their guards run the exact production
 // path with no wrapper in the call chain.
 func (s *Schedule) WrapGuard(idx uint64, g *core.Guard) {
-	plan := s.SessionPlan(idx)
-	if plan.Clean() {
-		return
+	if plan := s.SessionPlan(idx); !plan.Clean() {
+		g.Signal = WrapSignal(g.Signal, plan)
 	}
-	g.Signal = WrapSignal(g.Signal, plan)
-}
-
-// FaultedSessions returns how many of the first n created sessions
-// carry a demoting fault — the exact demotion count a clean chaos run
-// must report, provided every client steps past FaultStepMax (the
-// Validate invariant guarantees aborts cannot preempt faults).
-func (s *Schedule) FaultedSessions(n int) int {
-	count := 0
-	for i := 0; i < n; i++ {
-		if s.SessionPlan(uint64(i)).Fault.Kind != None {
-			count++
-		}
-	}
-	return count
-}
-
-// ExpectedSteps returns the exact number of decisions a clean run of
-// `clients` clients with the given per-client step budget must serve:
-// each client steps to its abort point or the full budget.
-func (s *Schedule) ExpectedSteps(clients, stepsPerClient int) int64 {
-	var total int64
-	for i := 0; i < clients; i++ {
-		steps := stepsPerClient
-		if p := s.ClientPlan(i); p.AbortStep > 0 && p.AbortStep < steps {
-			steps = p.AbortStep
-		}
-		total += int64(steps)
-	}
-	return total
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -28,12 +29,20 @@ func testSchedule(t *testing.T, cfg Config) *Schedule {
 	return s
 }
 
+func serveScript(t *testing.T, seed uint64, steps, readmitL, readmitCap int) *Schedule {
+	t.Helper()
+	s, err := ServeScript(seed, steps, readmitL, readmitCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestScheduleDeterminism(t *testing.T) {
-	cfg := ServeScript(42, 48)
-	a := testSchedule(t, cfg)
-	b := testSchedule(t, cfg)
+	a := serveScript(t, 42, 48, 0, 0)
+	b := serveScript(t, 42, 48, 0, 0)
 	for i := 0; i < 500; i++ {
-		if a.SessionPlan(uint64(i)) != b.SessionPlan(uint64(i)) {
+		if !reflect.DeepEqual(a.SessionPlan(uint64(i)), b.SessionPlan(uint64(i))) {
 			t.Fatalf("session plan %d differs between identical schedules", i)
 		}
 		if a.ClientPlan(i) != b.ClientPlan(i) {
@@ -41,12 +50,10 @@ func TestScheduleDeterminism(t *testing.T) {
 		}
 	}
 	// A different seed must produce a different schedule.
-	cfg2 := cfg
-	cfg2.Seed = 43
-	c := testSchedule(t, cfg2)
+	c := serveScript(t, 43, 48, 0, 0)
 	same := 0
 	for i := 0; i < 500; i++ {
-		if a.SessionPlan(uint64(i)) == c.SessionPlan(uint64(i)) {
+		if reflect.DeepEqual(a.SessionPlan(uint64(i)), c.SessionPlan(uint64(i))) {
 			same++
 		}
 	}
@@ -56,25 +63,33 @@ func TestScheduleDeterminism(t *testing.T) {
 }
 
 func TestScheduleBoundsAndCounts(t *testing.T) {
-	cfg := ServeScript(7, 48)
-	s := testSchedule(t, cfg)
+	s := serveScript(t, 7, 48, 0, 0)
+	cfg := s.Config()
 	const n = 1000
 	faulted := 0
 	for i := 0; i < n; i++ {
 		p := s.SessionPlan(uint64(i))
-		if p.Fault.Kind != None {
+		if len(p.Faults) > 1 {
+			t.Fatalf("session %d has %d faults, the seeded script plans at most one", i, len(p.Faults))
+		}
+		for _, f := range p.Faults {
 			faulted++
-			if p.Fault.Step < cfg.FaultStepMin || p.Fault.Step > cfg.FaultStepMax {
-				t.Fatalf("fault step %d outside [%d, %d]", p.Fault.Step, cfg.FaultStepMin, cfg.FaultStepMax)
+			if f.Kind == None || f.Step < cfg.FaultStepMin || f.Step > cfg.FaultStepMax {
+				t.Fatalf("fault %+v outside [%d, %d]", f, cfg.FaultStepMin, cfg.FaultStepMax)
 			}
 		}
 		cp := s.ClientPlan(i)
-		if cp.AbortStep != 0 && (cp.AbortStep < cfg.AbortStepMin || cp.AbortStep > cfg.AbortStepMax) {
-			t.Fatalf("abort step %d outside [%d, %d]", cp.AbortStep, cfg.AbortStepMin, cfg.AbortStepMax)
+		if cp.AbortStep != 0 && (cp.AbortStep < cfg.AbortStepMin || cp.AbortStep > cfg.Steps) {
+			t.Fatalf("abort step %d outside [%d, %d]", cp.AbortStep, cfg.AbortStepMin, cfg.Steps)
 		}
 	}
-	if got := s.FaultedSessions(n); got != faulted {
-		t.Fatalf("FaultedSessions = %d, counted %d", got, faulted)
+	// With probation off every fault demotes its session once, for good.
+	ex := s.Expected(n)
+	if ex.FirstDemotions != faulted || ex.Demotions != faulted || ex.Latched != faulted || ex.EndDemoted != faulted {
+		t.Fatalf("Expected = %+v, counted %d faulted sessions", ex, faulted)
+	}
+	if ex.Panics+ex.NonFinite != faulted || ex.Recoveries != 0 || ex.EndProbation != 0 {
+		t.Fatalf("Expected = %+v: causes must sum to the %d faults, with nothing recovering", ex, faulted)
 	}
 	// ~1 in 8 sessions faulted; allow wide slack around the rate.
 	if faulted < n/16 || faulted > n/4 {
@@ -88,8 +103,42 @@ func TestScheduleBoundsAndCounts(t *testing.T) {
 		}
 		manual += int64(steps)
 	}
-	if got := s.ExpectedSteps(n, 48); got != manual {
-		t.Fatalf("ExpectedSteps = %d, manual sum %d", got, manual)
+	if ex.Steps != manual {
+		t.Fatalf("Expected.Steps = %d, manual sum %d", ex.Steps, manual)
+	}
+}
+
+// TestServeScriptUnderProbation: the seeded script under l′ = 4 keeps
+// its faulted sessions but draws their fault steps low enough that
+// every non-finite demotion re-admits before the first client abort,
+// and the oracle says so — each recovers exactly once, ReadmitL steps
+// after its fault, and only the panics end demoted.
+func TestServeScriptUnderProbation(t *testing.T) {
+	const n = 1000
+	off := serveScript(t, 7, 48, 0, 0)
+	on := serveScript(t, 7, 48, 4, 2)
+	cfg := on.Config()
+	if cfg.FaultStepMax+cfg.ReadmitL >= cfg.AbortStepMin {
+		t.Fatalf("fault steps reach %d, recoveries %d steps later, aborts from %d", cfg.FaultStepMax, cfg.ReadmitL, cfg.AbortStepMin)
+	}
+	exOff, exOn := off.Expected(n), on.Expected(n)
+	if exOn.FirstDemotions != exOff.FirstDemotions || exOn.Panics != exOff.Panics || exOn.NonFinite != exOff.NonFinite {
+		t.Fatalf("probation changed which sessions fault: off %+v, on %+v", exOff, exOn)
+	}
+	if exOn.Recoveries != exOn.NonFinite || exOn.Latched != exOn.Panics || exOn.EndDemoted != exOn.Panics || exOn.EndProbation != 0 {
+		t.Fatalf("Expected under probation = %+v, want every non-finite demotion recovered and every panic latched", exOn)
+	}
+	for i := uint64(0); i < n; i++ {
+		p := on.SessionPlan(i)
+		if len(p.Faults) == 0 || p.Faults[0].Kind == PanicObserve {
+			continue
+		}
+		f := p.Faults[0].Step
+		for step := 0; step < cfg.Steps; step++ {
+			if got, want := on.DemotedAt(i, step), step >= f && step < f+cfg.ReadmitL; got != want {
+				t.Fatalf("session %d (fault at %d): DemotedAt(%d) = %v, want %v", i, f, step, got, want)
+			}
+		}
 	}
 }
 
@@ -97,50 +146,64 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{FaultEvery: 2, FaultStepMin: 5, FaultStepMax: 3},
 		{SpikeSessionEvery: 2},
-		{AbortEvery: 2, AbortStepMin: 0, AbortStepMax: 4},
+		{Steps: 4, AbortEvery: 2, AbortStepMin: 0},
+		{Steps: 4, AbortEvery: 2, AbortStepMin: 5},
 		// Faults may fire after aborts begin: the exactness invariant breaks.
-		{FaultEvery: 2, FaultStepMin: 1, FaultStepMax: 10, AbortEvery: 3, AbortStepMin: 8, AbortStepMax: 12},
+		{Steps: 12, FaultEvery: 2, FaultStepMin: 1, FaultStepMax: 10, AbortEvery: 3, AbortStepMin: 8},
+		// The faults land first, but their re-admissions may not.
+		{Steps: 12, ReadmitL: 4, ReadmitCap: 1, FaultEvery: 2, FaultStepMin: 1, FaultStepMax: 5, AbortEvery: 3, AbortStepMin: 8},
 		{RejectEvery: -1},
+		{Steps: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewSchedule(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
-	if _, err := NewSchedule(ServeScript(1, 48)); err != nil {
-		t.Errorf("ServeScript rejected: %v", err)
+	// With the re-admission budget at 0 nothing recovers, so only the
+	// demotion itself must precede the aborts.
+	if _, err := NewSchedule(Config{Steps: 12, ReadmitL: 4, FaultEvery: 2, FaultStepMin: 1, FaultStepMax: 5, AbortEvery: 3, AbortStepMin: 8}); err != nil {
+		t.Errorf("cap-0 config rejected: %v", err)
+	}
+	for _, l := range []int{0, 4, 30} {
+		if _, err := ServeScript(1, 48, l, 2); err != nil {
+			t.Errorf("ServeScript under l′ = %d rejected: %v", l, err)
+		}
 	}
 }
 
+// TestWrapSignalInjectsNonFinite: the wrapper answers every step of a
+// plan from the plan — the planned value at each fault step, a confident
+// 0 everywhere else — and never the inner signal's score.
 func TestWrapSignalInjectsNonFinite(t *testing.T) {
-	for _, tc := range []struct {
-		kind Kind
-		want func(float64) bool
-	}{
-		{NaNScore, func(v float64) bool { return math.IsNaN(v) }},
-		{InfScore, func(v float64) bool { return math.IsInf(v, 1) }},
-	} {
-		sig := WrapSignal(constSignal{0.5}, SessionPlan{Fault: SessionFault{Kind: tc.kind, Step: 2}})
-		for step := 0; step < 2; step++ {
-			if v := sig.Observe(nil); v != 0.5 {
-				t.Fatalf("%v: step %d score = %v before fault, want 0.5", tc.kind, step, v)
+	sig := WrapSignal(constSignal{0.5}, SessionPlan{Faults: []Fault{{2, NaNScore}, {5, InfScore}, {6, NaNScore}}})
+	for step := 0; step < 9; step++ {
+		v := sig.Observe(nil)
+		switch step {
+		case 2, 6:
+			if !math.IsNaN(v) {
+				t.Fatalf("step %d: score %v, want NaN", step, v)
+			}
+		case 5:
+			if !math.IsInf(v, 1) {
+				t.Fatalf("step %d: score %v, want +Inf", step, v)
+			}
+		default:
+			if v != 0 {
+				t.Fatalf("step %d: score %v, want a confident 0 (never the inner signal)", step, v)
 			}
 		}
-		if v := sig.Observe(nil); !tc.want(v) {
-			t.Fatalf("%v: fault step score = %v", tc.kind, v)
-		}
-		// One-shot: passthrough afterwards.
-		if v := sig.Observe(nil); v != 0.5 {
-			t.Fatalf("%v: post-fault score = %v, want passthrough 0.5", tc.kind, v)
-		}
-		if sig.Name() != "const" {
-			t.Fatalf("wrapper changed signal name to %q", sig.Name())
-		}
+	}
+	if sig.Name() != "const" {
+		t.Fatalf("wrapper changed signal name to %q", sig.Name())
 	}
 }
 
 func TestWrapSignalPanics(t *testing.T) {
-	sig := WrapSignal(constSignal{0}, SessionPlan{Fault: SessionFault{Kind: PanicObserve, Step: 0}})
+	sig := WrapSignal(constSignal{0}, SessionPlan{Faults: []Fault{{1, PanicObserve}}})
+	if v := sig.Observe(nil); v != 0 {
+		t.Fatalf("score before the panic = %v, want 0", v)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("PanicObserve did not panic")

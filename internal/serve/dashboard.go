@@ -166,10 +166,13 @@ type rolloutRequest struct {
 	Reason   string  `json:"reason,omitempty"`
 }
 
+// handleRollout follows handleCreate's pattern: a stage loads and
+// builds its generation before it takes opGate — a slow LoadVersion
+// holds nothing Drain waits for — and every rollout transition runs
+// under the gate after a second draining check, so none lands after
+// Drain's final snapshot.
 func (s *Server) handleRollout(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.metrics.DrainRejected.Add(1)
-		s.rejectBusy(w, http.StatusServiceUnavailable, "server is draining")
+	if s.refuseDraining(w) {
 		return
 	}
 	var req rolloutRequest
@@ -177,20 +180,33 @@ func (s *Server) handleRollout(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	now := s.cfg.Now()
-	switch req.Action {
-	case "stage":
+	var staged *Generation
+	if req.Action == "stage" {
 		if req.Version == "" {
 			s.writeError(w, http.StatusBadRequest, "stage requires a version")
 			return
 		}
-		gen, err := s.stageVersion(req.Version, req.Fraction)
-		if err != nil {
+		var err error
+		if staged, err = s.loadGeneration(req.Version); err != nil {
 			code := http.StatusConflict
 			if s.cfg.LoadVersion == nil {
 				code = http.StatusNotImplemented
 			}
 			s.writeError(w, code, "%v", err)
+			return
+		}
+	}
+	s.opGate.RLock()
+	defer s.opGate.RUnlock()
+	if s.refuseDraining(w) {
+		return
+	}
+	now := s.cfg.Now()
+	switch req.Action {
+	case "stage":
+		gen, err := s.rollout.Stage(staged, req.Fraction, now)
+		if err != nil {
+			s.writeError(w, http.StatusConflict, "%v", err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
@@ -228,18 +244,18 @@ func orDefault(s, def string) string {
 	return def
 }
 
-// stageVersion loads, validates and stages a named artifact version as
-// the canary candidate. Requires Config.LoadVersion (the registry
-// binding); without it the server is a fixed-artifact deployment and
-// staging is unsupported.
-func (s *Server) stageVersion(version string, fraction float64) (*Generation, error) {
+// loadGeneration loads and validates a named artifact version as a
+// generation Rollout.Stage can install. Requires Config.LoadVersion
+// (the registry binding); without it the server is a fixed-artifact
+// deployment and staging is unsupported.
+func (s *Server) loadGeneration(version string) (*Generation, error) {
 	if s.cfg.LoadVersion == nil {
 		return nil, fmt.Errorf("serve: no artifact registry configured; staging unavailable")
 	}
 	// A version staged before (then promoted away from or rolled back)
 	// is reused with its stats and shards intact.
 	if existing := s.rollout.lookup(version); existing != nil {
-		return s.rollout.Stage(existing, fraction, s.cfg.Now())
+		return existing, nil
 	}
 	arts, checksum, err := s.cfg.LoadVersion(version)
 	if err != nil {
@@ -260,7 +276,7 @@ func (s *Server) stageVersion(version string, fraction float64) (*Generation, er
 		return nil, fmt.Errorf("serve: version %s serves dataset %q, server is bound to %q",
 			version, f.Dataset(), s.factory.Dataset())
 	}
-	return s.rollout.Stage(newGeneration(version, checksum, f), fraction, s.cfg.Now())
+	return newGeneration(version, checksum, f), nil
 }
 
 // writeProm renders the /metrics document, which is also the drain

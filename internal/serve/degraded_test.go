@@ -28,9 +28,7 @@ func faultedSession(t *testing.T, kind chaos.Kind, step int) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Signal = chaos.WrapSignal(g.Signal, chaos.SessionPlan{
-		Fault: chaos.SessionFault{Kind: kind, Step: step},
-	})
+	script(g, chaos.Fault{Step: step, Kind: kind})
 	return newSession("faulted", SchemeND, g, time.Now())
 }
 
@@ -99,9 +97,7 @@ func TestDegradedModeHTTP(t *testing.T) {
 		// Fault only the first session created; the second stays clean.
 		WrapGuard: func(idx uint64, g *core.Guard) {
 			if idx == 0 {
-				g.Signal = chaos.WrapSignal(g.Signal, chaos.SessionPlan{
-					Fault: chaos.SessionFault{Kind: chaos.NaNScore, Step: faultStep},
-				})
+				script(g, nanAt(faultStep))
 			}
 		},
 	})

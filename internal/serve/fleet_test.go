@@ -22,11 +22,7 @@ import (
 // latchOnFirstStep makes every session's first guard decision
 // non-finite: with probation off, the session latches (modeLatchedScore)
 // on that step, the demotion a Reset clears.
-func latchOnFirstStep(_ uint64, g *core.Guard) {
-	g.Signal = chaos.WrapSignal(g.Signal, chaos.SessionPlan{
-		Fault: chaos.SessionFault{Kind: chaos.NaNScore, Step: 0},
-	})
-}
+func latchOnFirstStep(_ uint64, g *core.Guard) { script(g, nanAt(0)) }
 
 // checkUntouched requires the session to still be where one step left
 // it: one step taken, latched, not closed.
@@ -133,13 +129,13 @@ func family(samples map[string]uint64, name string) uint64 {
 // generations see every kind of outcome. Some sessions are then
 // deleted, reset or left to age out through Sweep before one scrape.
 func TestFleetTotalsAcrossGenerations(t *testing.T) {
-	patterns := []struct{ nanAt, panicAt map[int]bool }{
-		{},
-		{nanAt: map[int]bool{1: true}},
-		{nanAt: map[int]bool{1: true, 5: true}},
-		{panicAt: map[int]bool{1: true}},
-		{nanAt: map[int]bool{1: true}, panicAt: map[int]bool{2: true}},
-		{nanAt: map[int]bool{6: true}},
+	patterns := [][]chaos.Fault{
+		nil,
+		{nanAt(1)},
+		{nanAt(1), nanAt(5)},
+		{panicAt(1)},
+		{nanAt(1), panicAt(2)},
+		{nanAt(6)},
 	}
 	const sessions, steps = 24, 8
 	var clock atomic.Int64
@@ -150,11 +146,14 @@ func TestFleetTotalsAcrossGenerations(t *testing.T) {
 		ReadmitCap: 1,
 		Now:        func() time.Time { return time.Unix(0, clock.Load()) },
 		WrapGuard: func(idx uint64, g *core.Guard) {
-			p := patterns[idx%uint64(len(patterns))]
-			g.Signal = &scriptedSignal{nanAt: p.nanAt, panicAt: p.panicAt}
+			script(g, patterns[idx%uint64(len(patterns))]...)
 		},
 	})
-	if _, err := srv.stageVersion("v2", 0.5); err != nil {
+	v2, err := srv.loadGeneration("v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.rollout.Stage(v2, 0.5, t0); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)

@@ -347,18 +347,17 @@ func (c *client) createBinary(ctx context.Context) (int, error) {
 	}
 }
 
-// stepBinary sends one step frame through the mux and advances the
-// local env with the returned action — the binary analogue of the HTTP
-// step path, including the demotion-permanence contract check and
-// backoff on injected overload.
+// stepBinary sends the reported observation as one step frame through
+// the mux, with backoff on injected overload, and books the reply.
 func (c *client) stepBinary(ctx context.Context) bool {
+	obs := c.report()
 	for attempt := 0; ; attempt++ {
 		if c.delay > 0 {
 			time.Sleep(c.delay)
 		}
 		c.seq++
 		start := time.Now()
-		if !c.mux.send(muxReq{typ: proto.TypeStep, cid: c.slot, seq: c.seq, obs: c.obs}) {
+		if !c.mux.send(muxReq{typ: proto.TypeStep, cid: c.slot, seq: c.seq, obs: obs}) {
 			c.classifyMuxDeath(ctx)
 			return false
 		}
@@ -375,21 +374,12 @@ func (c *client) stepBinary(ctx context.Context) bool {
 				c.dropped++
 				return false
 			}
-			stepIdx := c.stepsOK
-			c.stepsOK++
-			c.latencies = append(c.latencies, lat)
-			fallback := d.Flags&proto.FlagFallback != 0
-			demoted := d.Flags&proto.FlagDemoted != 0
-			if fallback {
-				c.fallbacks++
-			}
-			c.noteStepFlags(demoted, fallback, stepIdx)
-			next, _, done := c.env.Step(int(d.Action))
-			if done {
-				c.obs = c.env.Reset(c.rng)
-			} else {
-				c.obs = next
-			}
+			c.book(stepReply{
+				Action:   int(d.Action),
+				Fallback: d.Flags&proto.FlagFallback != 0,
+				Demoted:  d.Flags&proto.FlagDemoted != 0,
+				Score:    d.Score,
+			}, lat)
 			return true
 		case proto.TypeError:
 			// Injected overload (503 without "draining") is retried just

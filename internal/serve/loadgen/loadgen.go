@@ -72,32 +72,27 @@ type Config struct {
 	// full budget) — the viewer who closes the tab.
 	AbortStep func(i int) int
 	// ScoreSink, when non-nil, receives each client's uncertainty
-	// scores (successful, non-demoted HTTP steps only) once, keyed by
-	// the artifact version the session bound at admission. Calls are
+	// scores (successful, non-demoted steps only) once, keyed by the
+	// artifact version the session bound at admission ("" over the
+	// binary protocol, whose Opened frame carries no version). Calls are
 	// serialized; the slice is owned by the callee. Used by the rollout
 	// selftest to build a sequential drift reference per version.
 	ScoreSink func(version string, scores []float64)
-	// Probation relaxes the demotion-permanence contract check: the
-	// server runs with probation enabled, so a demoted session's flag
-	// may flip off (recovery) and on again (re-demotion). Transitions
-	// are tallied in Result instead of counted as violations; degraded
-	// steps must still come from the safe policy.
-	Probation bool
-	// ExpectDemoted, when non-nil (requires Probation), is the
-	// closed-form oracle for the demoted flag: it is consulted after
-	// every successful step with the session's 0-based creation index
-	// (parsed from the session ID) and the 0-based step index, and any
-	// disagreement with the server's reported flag counts as a
-	// FlagMismatch. This is the deterministic-recovery-index assertion
-	// of the -recovery chaos harness.
+	// ExpectDemoted, when non-nil, is the closed-form oracle for the
+	// demoted flag: it is consulted after every successful step with the
+	// session's 0-based creation index (parsed from the session ID) and
+	// the 0-based step index, and any disagreement with the server's
+	// reported flag counts as a FlagMismatch — the chaos selftests'
+	// per-step assertion. When nil, demotion is permanent by contract: a
+	// session that reported demoted and later reports live is a
+	// DemotionViolation.
 	ExpectDemoted func(sessionIdx uint64, step int) bool
 	// Adversary, when non-nil, returns client i's multiplicative
 	// per-step throughput drift factor: before each step the client
 	// scales the throughput history in the observation it REPORTS by
 	// the compounded factor (1.001 = +0.1%/step, the slow-poisoning
 	// attacker of DESIGN.md §14) while its local environment keeps
-	// evolving honestly. Return 0 or 1 for an honest client. HTTP
-	// protocol only.
+	// evolving honestly. Return 0 or 1 for an honest client.
 	Adversary func(i int) float64
 }
 
@@ -131,18 +126,16 @@ type Result struct {
 	Retries          int64 // requests retried after a 429/503
 	StepsDemoted     int64 // steps answered in degraded mode
 	SessionsDemoted  int64 // clients that observed their session demote
-	// DemotionViolations counts steps where a session that had reported
-	// demoted later served a learned or non-demoted decision. Demotion
-	// is permanent by contract, so this must be 0. Under Probation the
-	// flag may legitimately flip; the violation then is a degraded step
-	// not served by the safe policy.
+	// DemotionViolations counts degraded steps not served by the safe
+	// policy and, without Config.ExpectDemoted, steps where a session
+	// that had reported demoted reported live again. Must be 0.
 	DemotionViolations int64
-	// Probation-mode recovery stats, tallied from demoted-flag flips:
-	// Recoveries counts demoted→live transitions, Redemotions counts
-	// repeat live→demoted transitions, SessionsEndDemoted counts
-	// sessions whose final step was still demoted, and FlagMismatches
-	// counts steps whose demoted flag contradicted Config.ExpectDemoted
-	// (must be 0 in a clean -recovery run).
+	// Recovery stats, tallied from demoted-flag flips: Recoveries
+	// counts demoted→live transitions, Redemotions counts repeat
+	// live→demoted transitions, SessionsEndDemoted counts sessions
+	// whose final step was still demoted, and FlagMismatches counts
+	// steps whose demoted flag contradicted Config.ExpectDemoted (must
+	// be 0 in a clean chaos run).
 	Recoveries         int64
 	Redemotions        int64
 	SessionsEndDemoted int64
@@ -233,7 +226,10 @@ type createResponse struct {
 	Version    string `json:"version"`
 }
 
-type stepResponse struct {
+// stepReply is one served decision as either transport decodes it: the
+// HTTP step response, or the binary Decision frame (which carries no
+// learned flag).
+type stepReply struct {
 	Action   int     `json:"action"`
 	Fallback bool    `json:"fallback"`
 	Demoted  bool    `json:"demoted"`
@@ -369,19 +365,23 @@ func (c *client) createHTTP(ctx context.Context) (int, error) {
 	return resp.StatusCode, nil
 }
 
-// stepHTTP posts the current observation and advances the local env
-// with the returned action.
-func (c *client) stepHTTP(ctx context.Context) (ok bool) {
-	obs := c.obs
-	if c.drift != 0 {
-		// Adversarial drift: compound the factor and misreport the
-		// throughput history, leaving the honest local env untouched.
-		c.driftAcc *= c.drift
-		c.obsBuf = append(c.obsBuf[:0], c.obs...)
-		abr.ScaleThroughputHistory(c.obsBuf, c.driftAcc)
-		obs = c.obsBuf
+// report returns the observation the client reports for this step: its
+// env's, or for an adversary the env's with the throughput history
+// scaled by the compounded drift, the honest local env untouched. Call
+// it once per step; retries resend the same observation.
+func (c *client) report() []float64 {
+	if c.drift == 0 {
+		return c.obs
 	}
-	body, err := json.Marshal(map[string][]float64{"obs": obs})
+	c.driftAcc *= c.drift
+	c.obsBuf = append(c.obsBuf[:0], c.obs...)
+	abr.ScaleThroughputHistory(c.obsBuf, c.driftAcc)
+	return c.obsBuf
+}
+
+// stepHTTP posts the reported observation and books the reply.
+func (c *client) stepHTTP(ctx context.Context) (ok bool) {
+	body, err := json.Marshal(map[string][]float64{"obs": c.report()})
 	if err != nil {
 		c.dropped++
 		return false
@@ -400,57 +400,56 @@ func (c *client) stepHTTP(ctx context.Context) (ok bool) {
 		}
 		return false
 	}
-	var sr stepResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	var r stepReply
+	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
 		c.dropped++
 		return false
 	}
+	c.book(r, lat)
+	return true
+}
+
+// book records one served decision, whichever transport carried it:
+// the tallies, the latency, the demotion contract, the score sink, and
+// the local env advanced by the returned action.
+func (c *client) book(r stepReply, lat time.Duration) {
 	stepIdx := c.stepsOK
 	c.stepsOK++
 	c.latencies = append(c.latencies, lat)
-	if sr.Fallback {
+	if r.Fallback {
 		c.fallbacks++
 	}
-	if sr.Learned {
+	if r.Learned {
 		c.learned++
 	}
-	c.noteStepFlags(sr.Demoted, sr.Fallback, stepIdx)
-	if !sr.Demoted && c.cfg.ScoreSink != nil {
-		c.scores = append(c.scores, sr.Score)
+	c.noteStepFlags(r.Demoted, r.Fallback, stepIdx)
+	if !r.Demoted && c.cfg.ScoreSink != nil {
+		c.scores = append(c.scores, r.Score)
 	}
-	next, _, done := c.env.Step(sr.Action)
+	next, _, done := c.env.Step(r.Action)
 	if done {
 		c.obs = c.env.Reset(c.rng)
 	} else {
 		c.obs = next
 	}
-	return true
 }
 
-// noteStepFlags applies the demotion-contract bookkeeping shared by
-// both transports to one successful step's demoted/fallback flags.
-//
-// Without Probation, demotion is permanent by contract: once the
-// server reports this session demoted, every later decision must still
-// be demoted and from the safe policy. With Probation the flag may
-// flip — off at a re-admission, on again at a re-demotion — so the
-// transitions become the recovery tallies, the remaining invariant is
-// that degraded steps come from the safe policy, and (when configured)
-// every flag value is checked against the ExpectDemoted oracle.
+// noteStepFlags applies the demotion contract to one successful step's
+// demoted/fallback flags. A degraded step must come from the safe
+// policy. The flag's flips — off at a re-admission, on again at a
+// re-demotion — become the recovery tallies. With an ExpectDemoted
+// oracle every flag value is checked against it; without one, demotion
+// is permanent by contract and a flip off is a violation.
 func (c *client) noteStepFlags(demoted, fallback bool, stepIdx int64) {
-	if !c.cfg.Probation {
-		if c.demoted && (!demoted || !fallback) {
-			c.violations++
-		}
-		if demoted {
-			c.demoted = true
-			c.everDemoted = true
-			c.demotedSteps++
-		}
-		return
-	}
 	if demoted && !fallback {
 		c.violations++
+	}
+	if c.cfg.ExpectDemoted == nil {
+		if c.demoted && !demoted {
+			c.violations++
+		}
+	} else if c.sessIdxOK && demoted != c.cfg.ExpectDemoted(c.sessIdx, int(stepIdx)) {
+		c.mismatches++
 	}
 	switch {
 	case demoted && !c.demoted:
@@ -463,10 +462,6 @@ func (c *client) noteStepFlags(demoted, fallback bool, stepIdx int64) {
 	}
 	if demoted {
 		c.demotedSteps++
-	}
-	if c.cfg.ExpectDemoted != nil && c.sessIdxOK &&
-		demoted != c.cfg.ExpectDemoted(c.sessIdx, int(stepIdx)) {
-		c.mismatches++
 	}
 	c.demoted = demoted
 }
@@ -515,11 +510,16 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	rt := cfg.Transport
 	if rt == nil {
-		rt = &http.Transport{
+		tr := &http.Transport{
 			MaxIdleConns:        cfg.Clients + 16,
 			MaxIdleConnsPerHost: cfg.Clients + 16,
 			IdleConnTimeout:     30 * time.Second,
 		}
+		// A connection the transport dialed but never sent a request on
+		// holds the server's http.Server.Shutdown for 5 s; close them all
+		// once the run is over.
+		defer tr.CloseIdleConnections()
+		rt = tr
 	}
 	httpClient := &http.Client{Transport: rt, Timeout: 30 * time.Second}
 	schemes := cfg.Schemes

@@ -3,6 +3,7 @@ package loadgen_test
 import (
 	"context"
 	"io"
+	"net"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -76,6 +77,43 @@ func TestLoadgenBoundedRun(t *testing.T) {
 	}
 	if p50, p99 := res.LatencyQuantile(0.5), res.LatencyQuantile(0.99); p50 <= 0 || p99 < p50 {
 		t.Errorf("latency quantiles inconsistent: p50=%v p99=%v", p50, p99)
+	}
+}
+
+// TestLoadgenBinaryScoreSink: a binary reply is booked by the same code
+// as an HTTP one, so the score sink hears one score per non-demoted step
+// over the binary protocol too.
+func TestLoadgenBinaryScoreSink(t *testing.T) {
+	s, _ := startServer(t, serve.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.ServeBinary(ln) //nolint:errcheck // returns on drain + close
+	t.Cleanup(func() {
+		s.Drain(context.Background(), io.Discard) //nolint:errcheck // the run is over
+		ln.Close()
+	})
+	scores := 0 // ScoreSink calls are serialized
+	res, err := loadgen.Run(t.Context(), loadgen.Config{
+		Protocol:       loadgen.ProtocolBinary,
+		Addr:           ln.Addr().String(),
+		Clients:        8,
+		StepsPerClient: 10,
+		Schemes:        []string{serve.SchemeND, serve.SchemeAEns},
+		Video:          abr.SyntheticVideo(1, 24, 4),
+		Traces:         testTraces(t, 2),
+		Seed:           3,
+		ScoreSink:      func(_ string, got []float64) { scores += len(got) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StepsOK != 80 || res.StepsDropped != 0 {
+		t.Fatalf("steps ok %d dropped %d, want 80 and 0", res.StepsOK, res.StepsDropped)
+	}
+	if want := res.StepsOK - res.StepsDemoted; int64(scores) != want || want == 0 {
+		t.Fatalf("score sink heard %d scores, want one per non-demoted step: %d", scores, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"osap/internal/abr"
+	"osap/internal/chaos"
 	"osap/internal/core"
 	"osap/internal/learn"
 	"osap/internal/mdp"
@@ -13,30 +14,17 @@ import (
 	"osap/internal/stats"
 )
 
-// scriptedSignal pins the uncertainty stream to a script: a confident 0
-// on every step except the scheduled NaN faults and panics. Unlike
-// overrideSignal it never consults the wrapped guard's real signal, so
-// session-level state transitions are exactly the scheduled ones.
-type scriptedSignal struct {
-	nanAt   map[int]bool
-	panicAt map[int]bool
-	step    int
+// script pins g's uncertainty stream with the chaos fault wrapper the
+// selftests use: each fault at its step, a confident 0 on every other
+// step. Unlike overrideSignal it never consults the guard's real
+// signal, so session-level state transitions are exactly the scheduled
+// ones.
+func script(g *core.Guard, faults ...chaos.Fault) {
+	g.Signal = chaos.WrapSignal(g.Signal, chaos.SessionPlan{Faults: faults})
 }
 
-func (s *scriptedSignal) Observe([]float64) float64 {
-	step := s.step
-	s.step++
-	if s.panicAt[step] {
-		panic("test: scripted panic")
-	}
-	if s.nanAt[step] {
-		return math.NaN()
-	}
-	return 0
-}
-
-func (s *scriptedSignal) Reset()       {}
-func (s *scriptedSignal) Name() string { return "scripted" }
+func nanAt(step int) chaos.Fault   { return chaos.Fault{Step: step, Kind: chaos.NaNScore} }
+func panicAt(step int) chaos.Fault { return chaos.Fault{Step: step, Kind: chaos.PanicObserve} }
 
 // overrideSignal delegates every observation to the real signal —
 // keeping its internal state bit-identical to an unwrapped run — but
@@ -63,7 +51,7 @@ func (o *overrideSignal) Name() string { return o.inner.Name() }
 
 // probationSession builds a session whose probation knobs are set and
 // whose uncertainty stream follows the given script.
-func probationSession(t *testing.T, readmitL, readmitCap int, nanAt, panicAt map[int]bool) *Session {
+func probationSession(t *testing.T, readmitL, readmitCap int, faults ...chaos.Fault) *Session {
 	t.Helper()
 	f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})
 	if err != nil {
@@ -73,7 +61,7 @@ func probationSession(t *testing.T, readmitL, readmitCap int, nanAt, panicAt map
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Signal = &scriptedSignal{nanAt: nanAt, panicAt: panicAt}
+	script(g, faults...)
 	s := newSession("probation", SchemeND, g, time.Now())
 	s.readmitL = readmitL
 	s.readmitCap = readmitCap
@@ -104,7 +92,7 @@ func stepFlags(t *testing.T, s *Session, n int) []StepResult {
 func TestShadowRecoveryIndex(t *testing.T) {
 	const l = 4
 	t.Run("recover-then-redemote", func(t *testing.T) {
-		s := probationSession(t, l, 2, map[int]bool{6: true, 14: true}, nil)
+		s := probationSession(t, l, 2, nanAt(6), nanAt(14))
 		res := stepFlags(t, s, 24)
 		for i, r := range res {
 			wantDem := (i >= 6 && i < 10) || (i >= 14 && i < 18)
@@ -135,7 +123,7 @@ func TestShadowRecoveryIndex(t *testing.T) {
 		}
 	})
 	t.Run("cap-exhaustion-latches", func(t *testing.T) {
-		s := probationSession(t, l, 1, map[int]bool{6: true, 14: true}, nil)
+		s := probationSession(t, l, 1, nanAt(6), nanAt(14))
 		res := stepFlags(t, s, 24)
 		for i, r := range res {
 			wantDem := (i >= 6 && i < 10) || i >= 14
@@ -154,7 +142,7 @@ func TestShadowRecoveryIndex(t *testing.T) {
 		}
 	})
 	t.Run("shadow-panic-escalates", func(t *testing.T) {
-		s := probationSession(t, l, 2, map[int]bool{6: true}, map[int]bool{8: true})
+		s := probationSession(t, l, 2, nanAt(6), panicAt(8))
 		res := stepFlags(t, s, 16)
 		for i, r := range res {
 			if got, want := r.Demoted(), i >= 6; got != want {
@@ -183,7 +171,7 @@ func TestShadowRecoveryIndex(t *testing.T) {
 // re-admission budget refills.
 func TestSessionResetDemotionContract(t *testing.T) {
 	t.Run("uncertainty-in-probation-clears", func(t *testing.T) {
-		s := probationSession(t, 4, 1, map[int]bool{2: true}, nil)
+		s := probationSession(t, 4, 1, nanAt(2))
 		stepFlags(t, s, 4) // demote at 2, still in probation
 		if err := s.Reset(time.Now()); err != nil {
 			t.Fatal(err)
@@ -197,7 +185,7 @@ func TestSessionResetDemotionContract(t *testing.T) {
 	})
 	t.Run("uncertainty-cap-latched-clears", func(t *testing.T) {
 		// cap 0: the very first uncertainty demotion latches.
-		s := probationSession(t, 4, 0, map[int]bool{2: true}, nil)
+		s := probationSession(t, 4, 0, nanAt(2))
 		res := stepFlags(t, s, 4)
 		if !res[2].Latched() {
 			t.Fatalf("step 2 = %+v, want an immediately latching demotion under cap 0", res[2])
@@ -213,7 +201,7 @@ func TestSessionResetDemotionContract(t *testing.T) {
 		}
 	})
 	t.Run("fault-survives", func(t *testing.T) {
-		s := probationSession(t, 4, 2, nil, map[int]bool{2: true})
+		s := probationSession(t, 4, 2, panicAt(2))
 		res := stepFlags(t, s, 4)
 		if !res[2].Latched() || !res[2].Panicked {
 			t.Fatalf("step 2 = %+v, want a latching fault demotion", res[2])
@@ -229,7 +217,7 @@ func TestSessionResetDemotionContract(t *testing.T) {
 		}
 	})
 	t.Run("budget-refills", func(t *testing.T) {
-		s := probationSession(t, 2, 1, map[int]bool{2: true, 10: true}, nil)
+		s := probationSession(t, 2, 1, nanAt(2), nanAt(10))
 		stepFlags(t, s, 8) // demote at 2, recover at 4: budget spent
 		if info := s.Snapshot(time.Now()); info.Recovered != 1 {
 			t.Fatalf("re-admissions before reset = %d, want 1", info.Recovered)

@@ -338,6 +338,61 @@ func TestServerStagePromoteHTTP(t *testing.T) {
 	}
 }
 
+// TestStageRacingDrain: a stage whose LoadVersion is still running when
+// Drain begins loads outside opGate, then finds the server draining
+// under it — refused with 503 + Retry-After and counted as a drain
+// rejection — instead of staging a candidate after Drain's final
+// snapshot.
+func TestStageRacingDrain(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv, _ := testRolloutServer(t, Config{LoadVersion: func(string) (*experiments.Artifacts, string, error) {
+		close(entered)
+		<-release
+		a, err := SyntheticArtifacts("synthetic", 3, 12)
+		return a, "feedc0de", err
+	}})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	type reply struct {
+		status int
+		retry  string
+		err    error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/admin/rollout", "application/json",
+			strings.NewReader(`{"action":"stage","version":"v2","fraction":1.0}`))
+		if err != nil {
+			done <- reply{err: err}
+			return
+		}
+		resp.Body.Close()
+		done <- reply{status: resp.StatusCode, retry: resp.Header.Get("Retry-After")}
+	}()
+	<-entered
+	var snap strings.Builder
+	if err := srv.Drain(t.Context(), &snap); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	close(release)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.status != http.StatusServiceUnavailable || r.retry == "" {
+		t.Fatalf("stage released after the drain: status %d, Retry-After %q; want 503 with a hint", r.status, r.retry)
+	}
+	if c := srv.Rollout().Candidate(); c != nil {
+		t.Fatalf("candidate %s staged after the drain", c.Version())
+	}
+	if !strings.Contains(snap.String(), "\nosap_rollout_canary_fraction 0\n") {
+		t.Fatalf("drain snapshot has a canary fraction:\n%s", snap.String())
+	}
+	if got := srv.Metrics().DrainRejected.Load(); got != 1 {
+		t.Fatalf("osap_drain_rejected_total = %d, want 1", got)
+	}
+}
+
 func TestStageWithoutRegistry(t *testing.T) {
 	arts, err := SyntheticArtifacts("synthetic", 2, 5)
 	if err != nil {

@@ -463,11 +463,11 @@ func (s *Server) step(sess *Session, obs []float64) (StepResult, stepStatus) {
 	res, err := sess.step(obs, s.cfg.Now()) //osap:hotpath-stop clock seam: production Now is time.Now, non-allocating
 	m.DecisionLatency.Observe(time.Since(held).Seconds())
 	sh.mu.Unlock()
-	m.BatchSize.Observe(1)
 	if err != nil {
 		s.opGate.RUnlock()
 		return StepResult{}, stepGone
 	}
+	m.BatchSize.Observe(1)
 	s.recordStep(sess, res)
 	sec := time.Since(start).Seconds()
 	sess.gen.stats.Latency.Observe(sec)

@@ -329,6 +329,34 @@ func TestDrainStopsAdmissionsAndFlushesSnapshot(t *testing.T) {
 	}
 }
 
+// TestStepOnClosedSessionIsNotObserved: a step holding a session that a
+// DELETE closed under it is answered stepGone and served nothing, so
+// neither osap_batch_size nor the decision counter may see it — the
+// "one observation per decision" invariant -selftest asserts.
+func TestStepOnClosedSessionIsNotObserved(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	sess, err := s.createSession(SchemeND)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := make([]float64, abr.ObsDim)
+	if _, st := s.step(sess, obs); st != stepOK {
+		t.Fatalf("first step: status %d, want stepOK", st)
+	}
+	if _, ok := s.table.Delete(sess.ID()); !ok {
+		t.Fatal("delete found no session")
+	}
+	m := s.Metrics()
+	batches, decisions := m.BatchSize.Count(), m.Decisions.Load()
+	if _, st := s.step(sess, obs); st != stepGone {
+		t.Fatalf("step on a deleted session: status %d, want stepGone", st)
+	}
+	if m.BatchSize.Count() != batches || m.Decisions.Load() != decisions {
+		t.Fatalf("a refused step was observed: osap_batch_size count %d → %d, decisions %d → %d",
+			batches, m.BatchSize.Count(), decisions, m.Decisions.Load())
+	}
+}
+
 // TestConcurrentSessionsRace hammers the server from many goroutines —
 // creates, steps, deletes, info, metrics — while the sweeper runs.
 // Under -race this is the server's memory-safety proof.

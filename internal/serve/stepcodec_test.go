@@ -277,7 +277,7 @@ func TestServedScoreIsFinite(t *testing.T) {
 			_, ts := newTestServer(t, Config{
 				ReadmitL: readmitL, ReadmitCap: -1,
 				WrapGuard: func(_ uint64, g *core.Guard) {
-					g.Signal = chaos.WrapSignal(g.Signal, chaos.SessionPlan{Fault: chaos.SessionFault{Kind: kind, Step: faultStep}})
+					script(g, chaos.Fault{Step: faultStep, Kind: kind})
 				},
 			})
 			cr := createSession(t, ts.URL, SchemeND)
