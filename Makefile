@@ -56,8 +56,9 @@ race:
 
 # Every fuzz target in the tree, 10 s each: FuzzStepRequest (the HTTP
 # step decoder against encoding/json), FuzzFrame, FuzzExperienceLog,
-# FuzzManifest, FuzzReadCooked, FuzzReadMahiMahi. A target is found by
-# its declaration, so a new one is run without being listed here.
+# FuzzManifest, FuzzArtifactPayload, FuzzReadCooked, FuzzReadMahiMahi.
+# A target is found by its declaration, so a new one is run without
+# being listed here.
 fuzz-smoke:
 	@grep -rl --include='*_test.go' '^func Fuzz' . | sort | while read f; do \
 		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
@@ -76,7 +77,8 @@ loc:
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-# Full benchmark suite (figures, ablations, latency).
+# Full benchmark suite (figures, ablations, latency, and the set-up
+# layer: BenchmarkArtifactsTrain/Save/Load on the bench's recipe).
 bench:
 	$(GO) test -bench=. -benchmem .
 

@@ -15,6 +15,7 @@
 package osap_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -277,6 +278,91 @@ func BenchmarkAgentInference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		session.Probs(obs)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Set-up cost: what the repository's benchmark pays before it serves —
+// train the served artifact set, save it, and load it in the child —
+// on its recipe (quick scale, 5 members, the paper's trim, Norway) at
+// GOMAXPROCS 1, so one core's time is what is measured.
+
+func setupLabConfig() experiments.Config {
+	cfg := experiments.QuickConfig()
+	cfg.EnsembleSize = 5
+	cfg.Trim = core.DefaultEnsembleConfig()
+	return cfg
+}
+
+var (
+	setupOnce sync.Once
+	setupArts *experiments.Artifacts
+	setupErr  error
+)
+
+// setupArtifacts trains the recipe once per test binary.
+func setupArtifacts(b *testing.B) *experiments.Artifacts {
+	b.Helper()
+	setupOnce.Do(func() {
+		var lab *experiments.Lab
+		if lab, setupErr = experiments.NewLab(setupLabConfig()); setupErr == nil {
+			setupArts, setupErr = lab.Artifacts(trace.DatasetNorway)
+		}
+	})
+	if setupErr != nil {
+		b.Fatal(setupErr)
+	}
+	return setupArts
+}
+
+func oneProc(b *testing.B) {
+	b.Helper()
+	prev := runtime.GOMAXPROCS(1)
+	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// BenchmarkArtifactsTrain trains the served artifact set from scratch:
+// agent and value ensembles, OC-SVM, threshold calibration.
+func BenchmarkArtifactsTrain(b *testing.B) {
+	oneProc(b)
+	for i := 0; i < b.N; i++ {
+		lab, err := experiments.NewLab(setupLabConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := lab.Artifacts(trace.DatasetNorway); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkArtifactsSave writes the served artifact set to disk.
+func BenchmarkArtifactsSave(b *testing.B) {
+	arts := setupArtifacts(b)
+	dir := b.TempDir()
+	oneProc(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.SaveArtifacts(dir, arts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkArtifactsLoad reads and verifies the served artifact set.
+func BenchmarkArtifactsLoad(b *testing.B) {
+	path, err := experiments.SaveArtifacts(b.TempDir(), setupArtifacts(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	oneProc(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.LoadArtifacts(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ var (
 	labErr  error
 )
 
-func quickLab(t *testing.T) *Lab {
+func quickLab(t testing.TB) *Lab {
 	t.Helper()
 	labOnce.Do(func() {
 		lab, labErr = NewLab(QuickConfig())

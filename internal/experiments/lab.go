@@ -171,7 +171,7 @@ func (l *Lab) train(dataset string) (*Artifacts, error) {
 	}
 	// Feature collection is sequential, so the workspace-backed greedy
 	// session applies. (Value-ensemble training below rolls out across
-	// goroutines and therefore keeps the concurrent-safe agent itself.)
+	// goroutines and therefore takes a policy they can share.)
 	deployed := rl.NewGreedyInference(agents[0])
 
 	// 2. Value-function ensemble, trained on the deployed agent's own
@@ -182,7 +182,7 @@ func (l *Lab) train(dataset string) (*Artifacts, error) {
 	valueCfg.Gamma = l.cfg.Train.Gamma
 	valueCfg.Seed = seed ^ 0xBEEF
 	valueCfg.InitSeed = seed ^ 0xFACE
-	valueNets, err := rl.TrainValueEnsemble(factory, agents[0], valueCfg, l.cfg.EnsembleSize)
+	valueNets, err := rl.TrainValueEnsemble(factory, rl.NewSharedPolicy(agents[0]), valueCfg, l.cfg.EnsembleSize)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: value ensemble: %w", dataset, err)
 	}

@@ -33,8 +33,9 @@ import "fmt"
 // row stride of a may be a single element. A dense layer's off is the
 // identity.
 //
-// A Packed is immutable once built and safe to share between any
-// number of goroutines.
+// A Packed from Pack is immutable once built and safe to share between
+// any number of goroutines. One from View reads memory its caller owns
+// and may rewrite between calls.
 type Packed struct {
 	n, k   int
 	stride int       // n rounded up to a whole vector
@@ -65,29 +66,46 @@ func Pack(w *Matrix, bias Vector, off []int) *Packed {
 	if off != nil && len(off) != k {
 		panic(fmt.Sprintf("linalg: Pack offsets len %d, want %d", len(off), k))
 	}
-	stride := (n + lanes - 1) / lanes * lanes
+	stride := Stride(n)
 	buf := make([]float64, (k+1)*stride) // the bias right behind the weights: one run of memory per map
-	p := &Packed{
-		n: n, k: k, stride: stride,
-		w:    buf[:k*stride],
-		bias: buf[k*stride:],
-		off:  make([]int, k),
-	}
 	for j := 0; j < n; j++ {
 		for kk, v := range w.Data[j*k : (j+1)*k] {
-			p.w[kk*stride+j] = v
+			buf[kk*stride+j] = v
 		}
 	}
-	copy(p.bias, bias)
-	for kk := range p.off {
-		o := kk
+	copy(buf[k*stride:], bias)
+	o := make([]int, k)
+	for kk := range o {
+		o[kk] = kk
 		if off != nil {
-			o = off[kk]
+			o[kk] = off[kk]
 		}
+	}
+	p := View(buf[:k*stride], buf[k*stride:], o, n)
+	return &p
+}
+
+// Stride is the padded width of a map with n outputs: n rounded up to
+// a whole vector. Its weights are K rows of Stride(n), its bias one.
+func Stride(n int) int { return (n + lanes - 1) / lanes * lanes }
+
+// View is a map over weights its caller already holds in the packed
+// layout: w is K rows of Stride(n) (w[k*Stride(n)+j] = W[j][k]), bias
+// is at least Stride(n) long, and off holds the K input offsets. Nothing
+// is copied: each Apply reads the slices as they are then, so their
+// owner may rewrite them between calls — a trainer repacking its
+// weights, or a batch of activations standing in for the weights of a
+// gradient. It panics on a shape mismatch or a negative offset.
+func View(w, bias []float64, off []int, n int) Packed {
+	k, stride := len(off), Stride(n)
+	if n <= 0 || k <= 0 || len(w) < k*stride || len(bias) < stride {
+		panic(fmt.Sprintf("linalg: View %d outputs over %d offsets, %d weights, %d biases", n, k, len(w), len(bias)))
+	}
+	p := Packed{n: n, k: k, stride: stride, w: w, bias: bias, off: off}
+	for kk, o := range off {
 		if o < 0 {
-			panic(fmt.Sprintf("linalg: Pack offset %d at %d", o, kk))
+			panic(fmt.Sprintf("linalg: View offset %d at %d", o, kk))
 		}
-		p.off[kk] = o
 		if o >= p.span {
 			p.span = o + 1
 		}

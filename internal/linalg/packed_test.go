@@ -104,6 +104,54 @@ func TestApplyGatherScatter(t *testing.T) {
 	}
 }
 
+// TestApplyGradientGather drives the shape a weight gradient has: a
+// View over a batch of K activation rows as the weights, the batch as
+// k, and output gradients gathered a row apart (aRow 1, off[k] = k·n),
+// one map row per output of the layer. Reference: the scalar loop a
+// per-row backward runs, G[i][j] += g[k][i]·x[k][j] for k ascending,
+// starting from zero.
+func TestApplyGradientGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 300; trial++ {
+		batch, in, out := 1+rng.Intn(150), 1+rng.Intn(90), 1+rng.Intn(70)
+		if trial%3 == 0 {
+			batch = 1
+		}
+		stride := Stride(in)
+		x := make([]float64, batch*stride)
+		for r := 0; r < batch; r++ {
+			for j := 0; j < in; j++ {
+				x[r*stride+j] = rng.NormFloat64()
+			}
+		}
+		g := randMatrix(rng, batch, out)
+		for i := range g.Data {
+			if rng.Intn(4) == 0 {
+				g.Data[i] = 0 // what a ReLU leaves behind
+			}
+		}
+		off := make([]int, batch)
+		for r := range off {
+			off[r] = r * out
+		}
+		want := make([]float64, out*in)
+		for r := 0; r < batch; r++ {
+			for i := 0; i < out; i++ {
+				for j := 0; j < in; j++ {
+					want[i*in+j] += g.At(r, i) * x[r*stride+j]
+				}
+			}
+		}
+		p := View(x, make([]float64, stride), off, in)
+		got := make([]float64, out*in)
+		p.Apply(got, in, 1, g.Data, 1, out)
+		sameBits(t, "dispatch", got, want)
+		clear(got)
+		p.applyPortable(got, in, 1, g.Data, 1, out)
+		sameBits(t, "portable", got, want)
+	}
+}
+
 // TestApplyNonFinite: infinities and NaNs in inputs and weights come
 // out where the scalar loop puts them.
 func TestApplyNonFinite(t *testing.T) {
@@ -182,6 +230,8 @@ func TestApplyPanics(t *testing.T) {
 		"pack-bias":  func() { Pack(NewMatrix(3, 4), NewVector(2), nil) },
 		"pack-off":   func() { Pack(NewMatrix(3, 4), nil, []int{0, 1, 2}) },
 		"pack-neg":   func() { Pack(NewMatrix(3, 4), nil, []int{0, 1, 2, -1}) },
+		"view-w":     func() { View(make([]float64, 7), make([]float64, 4), []int{0, 1}, 3) },
+		"view-bias":  func() { View(make([]float64, 8), make([]float64, 3), []int{0, 1}, 3) },
 		"relu":       func() { ReLU(dst, a) },
 	} {
 		func() {

@@ -8,9 +8,10 @@ import (
 
 // Packed inference: a frozen copy of a network laid out for
 // linalg.Packed's kernel, and the workspaces that run batches — or a
-// single row — through it. Training never comes here: Network, its
-// layers' Forward/Backward and Workspace stay as they are, and are
-// what the tests compare this file against.
+// single row — through it. Training's forward runs the same stages over
+// weights a TrainWorkspace repacks each optimizer step (train.go). The
+// layers' own Forward/Backward stay the reference the tests compare
+// both against.
 //
 // Bit-identity contract: row r of a batched forward is bit-identical
 // to Network.ForwardWS on row r alone. Dense and conv layers go

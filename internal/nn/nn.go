@@ -8,13 +8,16 @@
 // Design notes: networks are feed-forward chains. Forward is pure with
 // respect to the network (intermediate activations come from a pooled
 // Workspace; only the returned output is allocated), so a trained
-// network can serve concurrent inference from multiple goroutines. The
-// allocation-free hot path is the *WS method family (ForwardWS,
-// ForwardTapeWS, BackwardTapeWS) operating on an explicitly owned
-// Workspace — one workspace per goroutine, never shared. Training
-// (ForwardTape/BackwardTape + optimizer steps) mutates parameter
-// gradients and must be externally synchronized — the A2C trainer in
-// internal/rl performs all updates from a single goroutine.
+// network can serve concurrent inference from multiple goroutines.
+// Inference that must not allocate runs on a packed copy
+// (PackedNetwork, batch.go) through a BatchWorkspace of its own.
+// Training runs on the same packed kernel: a TrainWorkspace (train.go)
+// repacks the weights once per optimizer step, then one batched
+// forward and one batched backward set every parameter gradient. It
+// mutates the gradients and must be externally synchronized — the
+// trainers in internal/rl update each network from a single goroutine.
+// The layers' own per-row Backward is the reference the tests hold the
+// batched gradient to.
 //
 // Given a seed, training and inference are bitwise deterministic;
 // cmd/osap-vet's nondeterminism analyzer enforces that.
@@ -64,9 +67,8 @@ type Layer interface {
 // Network is a feed-forward chain of layers.
 type Network struct {
 	layers []Layer
-	// wsPool recycles workspaces for the allocating compatibility APIs
-	// (Forward, BackwardTape), keeping them concurrency-safe without
-	// per-layer allocation.
+	// wsPool recycles workspaces for the allocating Forward, keeping it
+	// concurrency-safe without per-layer allocation.
 	wsPool sync.Pool
 }
 
@@ -108,46 +110,6 @@ func (n *Network) Forward(in linalg.Vector) linalg.Vector {
 	out := n.ForwardWS(ws, in).Clone()
 	n.putWS(ws)
 	return out
-}
-
-// Tape holds the activations of one forward pass, for use by
-// BackwardTape. acts[0] is the input; acts[i] is the output of layer i-1.
-type Tape struct {
-	acts []linalg.Vector
-}
-
-// Output returns the final activation of the pass.
-func (t *Tape) Output() linalg.Vector { return t.acts[len(t.acts)-1] }
-
-// ForwardTape runs a forward pass recording activations for backprop.
-func (n *Network) ForwardTape(in linalg.Vector) *Tape {
-	if len(in) != n.InDim() {
-		panic(fmt.Sprintf("nn: ForwardTape input dim %d, want %d", len(in), n.InDim()))
-	}
-	acts := make([]linalg.Vector, len(n.layers)+1)
-	acts[0] = in.Clone()
-	for i, l := range n.layers {
-		out := linalg.NewVector(l.OutDim())
-		l.Forward(acts[i], out)
-		acts[i+1] = out
-	}
-	return &Tape{acts: acts}
-}
-
-// BackwardTape backpropagates gradOut (the gradient of the loss with
-// respect to the network output) through the recorded pass, accumulating
-// parameter gradients, and returns the gradient with respect to the
-// input. Intermediate gradient buffers come from a pooled workspace, so
-// the only allocation is the returned vector; the allocation-free
-// variant is BackwardTapeWS.
-func (n *Network) BackwardTape(tape *Tape, gradOut linalg.Vector) linalg.Vector {
-	if len(gradOut) != n.OutDim() {
-		panic(fmt.Sprintf("nn: BackwardTape grad dim %d, want %d", len(gradOut), n.OutDim()))
-	}
-	ws := n.getWS()
-	grad := n.BackwardTapeWS(ws, tape, gradOut).Clone()
-	n.putWS(ws)
-	return grad
 }
 
 // Params returns all trainable tensors in layer order.

@@ -279,15 +279,29 @@ func TestCopyWeightsFrom(t *testing.T) {
 	}
 }
 
+// decodeNetwork is how a holder of a NetworkJSON reads one: unmarshal,
+// then build.
+func decodeNetwork(data []byte) (*Network, error) {
+	var nj NetworkJSON
+	if err := json.Unmarshal(data, &nj); err != nil {
+		return nil, err
+	}
+	return nj.Network()
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	rng := stats.NewRNG(11)
 	net := testNet(rng)
-	data, err := json.Marshal(net)
+	nj, err := net.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Network
-	if err := json.Unmarshal(data, &back); err != nil {
+	data, err := json.Marshal(nj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := decodeNetwork(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 	in := make(linalg.Vector, 16)
@@ -310,10 +324,13 @@ func TestUnmarshalErrors(t *testing.T) {
 		"bad dense":    `{"layers":[{"kind":"dense","in":2,"out":2,"weight":[1],"bias":[0,0]}]}`,
 		"dim mismatch": `{"layers":[{"kind":"relu","dim":3},{"kind":"relu","dim":4}]}`,
 		"invalid json": `{`,
+		"zero dim":     `{"layers":[{"kind":"dense","in":0,"out":3}]}`,
+		"long kernel":  `{"layers":[{"kind":"conv1d","channels":1,"length":2,"filters":1,"kernel":3}]}`,
+		"overflow":     `{"layers":[{"kind":"dense","in":4000000000,"out":4000000000}]}`,
+		"not a number": `{"layers":[{"kind":"dense","in":1,"out":1,"weight":["1"],"bias":[0]}]}`,
 	}
 	for name, data := range cases {
-		var net Network
-		if err := json.Unmarshal([]byte(data), &net); err == nil {
+		if _, err := decodeNetwork([]byte(data)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}

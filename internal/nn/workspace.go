@@ -6,52 +6,43 @@ import (
 	"osap/internal/linalg"
 )
 
-// Workspace holds the preallocated activation and gradient buffers for
-// one network architecture, so the inference and training hot paths can
-// run without any per-call heap allocation.
+// Workspace holds the preallocated activation buffers for one network
+// architecture, so a per-row forward through the layers' own Forward
+// runs without any per-call heap allocation. It backs the allocating
+// Network.Forward (through a pool) and the benchmark's per-layer
+// ladder; serving runs on a PackedNetwork instead.
 //
 // Ownership model: a workspace belongs to exactly one goroutine at a
 // time — it is the caller's analogue of a thread-local scratch arena.
-// Give every concurrent user (rollout worker, Guard, ensemble member)
-// its own workspace; never share one across goroutines. The vectors
-// returned by the *WS methods alias workspace memory and remain valid
-// only until the workspace's next use.
+// Never share one across goroutines. The vector ForwardWS returns
+// aliases workspace memory and remains valid only until the
+// workspace's next use.
 type Workspace struct {
-	in    linalg.Vector   // copy of the input for tape recording
-	acts  []linalg.Vector // acts[i] is the output buffer of layer i
-	grads []linalg.Vector // grads[i] is the input-gradient buffer of layer i
-	tape  Tape            // reusable tape aliasing in/acts
+	in   int             // the input length the buffers were sized for
+	acts []linalg.Vector // acts[i] is the output buffer of layer i
 }
 
 // NewWorkspace allocates buffers sized for n's architecture. The
 // workspace is usable with any network whose layer dimensions match n's
 // (e.g. every member of an ensemble built from the same NetConfig).
 func NewWorkspace(n *Network) *Workspace {
-	ws := &Workspace{
-		in:    linalg.NewVector(n.InDim()),
-		acts:  make([]linalg.Vector, len(n.layers)),
-		grads: make([]linalg.Vector, len(n.layers)),
-	}
+	ws := &Workspace{in: n.InDim(), acts: make([]linalg.Vector, len(n.layers))}
 	for i, l := range n.layers {
 		ws.acts[i] = linalg.NewVector(l.OutDim())
-		ws.grads[i] = linalg.NewVector(l.InDim())
 	}
-	ws.tape.acts = make([]linalg.Vector, len(n.layers)+1)
-	ws.tape.acts[0] = ws.in
-	copy(ws.tape.acts[1:], ws.acts)
 	return ws
 }
 
 // check panics unless the workspace buffers match n's architecture.
 func (ws *Workspace) check(n *Network) {
-	if len(ws.acts) != len(n.layers) || len(ws.in) != n.InDim() {
+	if len(ws.acts) != len(n.layers) || ws.in != n.InDim() {
 		panic(fmt.Sprintf("nn: workspace shape mismatch: %d layers/in %d vs %d layers/in %d",
-			len(ws.acts), len(ws.in), len(n.layers), n.InDim()))
+			len(ws.acts), ws.in, len(n.layers), n.InDim()))
 	}
 	for i, l := range n.layers {
-		if len(ws.acts[i]) != l.OutDim() || len(ws.grads[i]) != l.InDim() {
-			panic(fmt.Sprintf("nn: workspace layer %d buffers (%d,%d) != layer dims (%d,%d)",
-				i, len(ws.acts[i]), len(ws.grads[i]), l.OutDim(), l.InDim()))
+		if len(ws.acts[i]) != l.OutDim() {
+			panic(fmt.Sprintf("nn: workspace layer %d buffer %d != layer out dim %d",
+				i, len(ws.acts[i]), l.OutDim()))
 		}
 	}
 }
@@ -74,47 +65,8 @@ func (n *Network) ForwardWS(ws *Workspace, in linalg.Vector) linalg.Vector {
 	return cur
 }
 
-// ForwardTapeWS runs a forward pass recording activations into ws for a
-// subsequent BackwardTapeWS, with zero heap allocation. The returned
-// tape aliases workspace memory: it is valid until the next ForwardWS /
-// ForwardTapeWS on ws, so backpropagate before reusing the workspace
-// (batched trainers that retain many tapes at once need the allocating
-// ForwardTape instead).
-func (n *Network) ForwardTapeWS(ws *Workspace, in linalg.Vector) *Tape {
-	if len(in) != n.InDim() {
-		panic(fmt.Sprintf("nn: ForwardTapeWS input dim %d, want %d", len(in), n.InDim()))
-	}
-	ws.check(n)
-	copy(ws.in, in)
-	cur := linalg.Vector(ws.in)
-	for i, l := range n.layers {
-		l.Forward(cur, ws.acts[i])
-		cur = ws.acts[i]
-	}
-	return &ws.tape
-}
-
-// BackwardTapeWS backpropagates gradOut through the recorded pass using
-// ws's gradient buffers, accumulating parameter gradients, with zero
-// heap allocation. The tape may be ws's own (from ForwardTapeWS) or an
-// allocating ForwardTape's. The returned input gradient aliases
-// workspace memory and is valid until the next use of ws.
-func (n *Network) BackwardTapeWS(ws *Workspace, tape *Tape, gradOut linalg.Vector) linalg.Vector {
-	if len(gradOut) != n.OutDim() {
-		panic(fmt.Sprintf("nn: BackwardTapeWS grad dim %d, want %d", len(gradOut), n.OutDim()))
-	}
-	ws.check(n)
-	grad := gradOut
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		l := n.layers[i]
-		l.Backward(tape.acts[i], tape.acts[i+1], grad, ws.grads[i])
-		grad = ws.grads[i]
-	}
-	return grad
-}
-
 // getWS borrows a workspace from the network's internal pool (for the
-// allocating compatibility APIs). Pair with putWS.
+// allocating Forward). Pair with putWS.
 func (n *Network) getWS() *Workspace {
 	if ws, ok := n.wsPool.Get().(*Workspace); ok {
 		return ws

@@ -49,12 +49,12 @@ func TestForwardWSMatchesForward(t *testing.T) {
 }
 
 // TestBackwardWSMatchesBackward checks tape recording and
-// backpropagation through a workspace produce bit-identical input
-// gradients and parameter gradients.
+// backpropagation through a preallocated tape workspace produce
+// bit-identical input gradients and parameter gradients.
 func TestBackwardWSMatchesBackward(t *testing.T) {
 	netA := wsTestNet(7)
 	netB := wsTestNet(7) // identical weights, independent gradients
-	ws := NewWorkspace(netB)
+	ws := newTapeWorkspace(netB)
 
 	for trial := 0; trial < 3; trial++ {
 		in := wsTestInput(netA.InDim(), uint64(200+trial))
@@ -91,21 +91,25 @@ func TestBackwardWSMatchesBackward(t *testing.T) {
 	}
 }
 
-// TestWorkspaceZeroAlloc verifies the *WS family does not allocate.
+// TestWorkspaceZeroAlloc verifies ForwardWS and a training step on a
+// warm TrainWorkspace do not allocate.
 func TestWorkspaceZeroAlloc(t *testing.T) {
 	net := wsTestNet(3)
 	ws := NewWorkspace(net)
 	in := wsTestInput(net.InDim(), 42)
-	gradOut := wsTestInput(net.OutDim(), 43)
 
 	if n := testing.AllocsPerRun(100, func() { net.ForwardWS(ws, in) }); n != 0 {
 		t.Errorf("ForwardWS allocs/op = %v, want 0", n)
 	}
+	tw := NewTrainWorkspace(net)
+	batch := &linalg.Matrix{Rows: 8, Cols: net.InDim(), Data: wsTestInput(8*net.InDim(), 44)}
+	gradOut := &linalg.Matrix{Rows: 8, Cols: net.OutDim(), Data: wsTestInput(8*net.OutDim(), 43)}
+	tw.Forward(batch)
 	if n := testing.AllocsPerRun(100, func() {
-		tape := net.ForwardTapeWS(ws, in)
-		net.BackwardTapeWS(ws, tape, gradOut)
+		tw.Forward(batch)
+		tw.Backward(gradOut)
 	}); n != 0 {
-		t.Errorf("ForwardTapeWS+BackwardTapeWS allocs/op = %v, want 0", n)
+		t.Errorf("TrainWorkspace Forward+Backward allocs/op = %v, want 0", n)
 	}
 }
 

@@ -128,6 +128,7 @@ func Train(factory EnvFactory, cfg TrainConfig) (*ActorCritic, *TrainStats, erro
 
 	actorOpt := nn.NewAdam(cfg.LRActor, 0, 0, 0)
 	criticOpt := nn.NewAdam(cfg.LRCritic, 0, 0, 0)
+	actorWS, criticWS := nn.NewTrainWorkspace(agent.Actor), nn.NewTrainWorkspace(agent.Critic)
 	stats_ := &TrainStats{}
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -138,7 +139,9 @@ func Train(factory EnvFactory, cfg TrainConfig) (*ActorCritic, *TrainStats, erro
 		}
 		beta := cfg.EntropyInit + (cfg.EntropyFinal-cfg.EntropyInit)*frac
 
-		// Gather rollouts in parallel with the policy frozen.
+		// Gather rollouts in parallel with the policy frozen: one packed
+		// copy of the actor, a one-row workspace per rollout.
+		actor := nn.Pack(agent.Actor)
 		trajs := make([]*mdp.Trajectory, cfg.RolloutsPerEpoch)
 		rngs := make([]*stats.RNG, cfg.RolloutsPerEpoch)
 		for i := range rngs {
@@ -152,14 +155,14 @@ func Train(factory EnvFactory, cfg TrainConfig) (*ActorCritic, *TrainStats, erro
 			go func(i int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				trajs[i] = mdp.Rollout(envs[i], agent, rngs[i], mdp.RolloutOptions{
+				trajs[i] = mdp.Rollout(envs[i], &PolicyInference{ws: actor.NewBatchWorkspace(1)}, rngs[i], mdp.RolloutOptions{
 					MaxSteps: cfg.MaxStepsPerEpisode,
 				})
 			}(i)
 		}
 		wg.Wait()
 
-		meanReward, meanEntropy := update(agent, trajs, cfg, beta, actorOpt, criticOpt)
+		meanReward, meanEntropy := update(agent, trajs, cfg, beta, actorOpt, criticOpt, actorWS, criticWS)
 		stats_.MeanReward = append(stats_.MeanReward, meanReward)
 		stats_.Entropy = append(stats_.Entropy, meanEntropy)
 	}
@@ -167,87 +170,95 @@ func Train(factory EnvFactory, cfg TrainConfig) (*ActorCritic, *TrainStats, erro
 }
 
 // update applies one A2C gradient step from the gathered trajectories
-// and returns the mean episode reward and mean policy entropy.
+// and returns the mean episode reward and mean policy entropy. Each
+// network takes one batched forward and one batched backward; the
+// critic's forward also values the final observation of every
+// truncated episode, for its bootstrap.
 func update(agent *ActorCritic, trajs []*mdp.Trajectory, cfg TrainConfig, beta float64,
-	actorOpt, criticOpt nn.Optimizer) (meanReward, meanEntropy float64) {
+	actorOpt, criticOpt nn.Optimizer, actorWS, criticWS *nn.TrainWorkspace) (meanReward, meanEntropy float64) {
 
-	agent.Actor.ZeroGrad()
-	agent.Critic.ZeroGrad()
-
-	// First pass: critic values, returns and advantages for the whole
-	// batch (so advantages can be standardized before the policy
-	// update).
-	type stepData struct {
-		ctape *nn.Tape
-		obs   []float64
-		act   int
-		ret   float64
-		adv   float64
+	truncated := func(traj *mdp.Trajectory) bool {
+		return cfg.MaxStepsPerEpisode > 0 && traj.Len() >= cfg.MaxStepsPerEpisode
 	}
-	var steps []stepData
+	totalSteps, boots := 0, 0
 	for _, traj := range trajs {
 		meanReward += traj.TotalReward()
-		// Bootstrap truncated episodes with the critic's estimate.
-		bootstrap := 0.0
-		if cfg.MaxStepsPerEpisode > 0 && traj.Len() >= cfg.MaxStepsPerEpisode {
-			bootstrap = agent.Critic.Forward(traj.FinalObs)[0]
-		}
-		returns := traj.DiscountedReturns(cfg.Gamma, bootstrap)
-		for t, step := range traj.Steps {
-			ctape := agent.Critic.ForwardTape(step.Obs)
-			v := ctape.Output()[0]
-			steps = append(steps, stepData{
-				ctape: ctape, obs: step.Obs, act: step.Action,
-				ret: returns[t], adv: returns[t] - v,
-			})
+		totalSteps += traj.Len()
+		if truncated(traj) {
+			boots++
 		}
 	}
-	totalSteps := len(steps)
 	if totalSteps == 0 {
 		return 0, 0
 	}
 
-	if cfg.NormalizeAdv {
-		advs := make([]float64, totalSteps)
-		for i, s := range steps {
-			advs[i] = s.adv
+	// Rows: every step's observation in order, then the final
+	// observations to bootstrap from.
+	obsDim := cfg.Net.ObsDim()
+	obs := linalg.NewMatrix(totalSteps+boots, obsDim)
+	actions := make([]int, totalSteps)
+	row, boot := 0, totalSteps
+	for _, traj := range trajs {
+		for _, step := range traj.Steps {
+			copy(obs.Row(row), step.Obs)
+			actions[row] = step.Action
+			row++
 		}
+		if truncated(traj) {
+			copy(obs.Row(boot), traj.FinalObs)
+			boot++
+		}
+	}
+	values := criticWS.Forward(obs)
+
+	// Returns and advantages for the whole batch, so advantages can be
+	// standardized before the policy update.
+	rets, advs := make([]float64, totalSteps), make([]float64, totalSteps)
+	row, boot = 0, totalSteps
+	for _, traj := range trajs {
+		bootstrap := 0.0
+		if truncated(traj) {
+			bootstrap = values.At(boot, 0)
+			boot++
+		}
+		for _, ret := range traj.DiscountedReturns(cfg.Gamma, bootstrap) {
+			rets[row], advs[row] = ret, ret-values.At(row, 0)
+			row++
+		}
+	}
+	if cfg.NormalizeAdv {
 		mean := stats.Mean(advs)
 		std := stats.Std(advs)
 		if std < 1e-8 {
 			std = 1
 		}
-		for i := range steps {
-			steps[i].adv = (steps[i].adv - mean) / std
+		for i := range advs {
+			advs[i] = (advs[i] - mean) / std
 		}
 	}
 
-	// The actor's tape is consumed immediately after each forward pass,
-	// so one workspace and one gradient buffer serve the whole batch.
-	actorWS := nn.NewWorkspace(agent.Actor)
-	criticGrad := linalg.NewVector(1)
-	actorGrad := linalg.NewVector(agent.Actor.OutDim())
+	// Critic: L = (V - G)².
+	criticGrad := linalg.NewMatrix(totalSteps, 1)
+	for r, ret := range rets {
+		criticGrad.Data[r] = 2 * (values.At(r, 0) - ret)
+	}
+	criticWS.Backward(criticGrad)
 
+	// Actor: L = -log π(a|s)·A − β·H(π(·|s)). Gradient w.r.t. the
+	// softmax output p: −A·1{i=a}/p_a + β(ln p_i + 1).
+	probs := actorWS.Forward(&linalg.Matrix{Rows: totalSteps, Cols: obsDim, Data: obs.Data[:totalSteps*obsDim]})
+	actorGrad := linalg.NewMatrix(totalSteps, probs.Cols)
 	var entropySum float64
-	for _, s := range steps {
-		// Critic: L = (V - G)².
-		v := s.ctape.Output()[0]
-		criticGrad[0] = 2 * (v - s.ret)
-		agent.Critic.BackwardTape(s.ctape, criticGrad)
-
-		// Actor: L = -log π(a|s)·A − β·H(π(·|s)). Gradient w.r.t. the
-		// softmax output p: −A·1{i=a}/p_a + β(ln p_i + 1).
-		atape := agent.Actor.ForwardTapeWS(actorWS, s.obs)
-		probs := atape.Output()
-		for i, p := range probs {
+	for r, a := range actions {
+		g := actorGrad.Row(r)
+		for i, p := range probs.Row(r) {
 			pc := math.Max(p, 1e-10)
-			actorGrad[i] = beta * (math.Log(pc) + 1)
+			g[i] = beta * (math.Log(pc) + 1)
 			entropySum -= p * math.Log(pc)
 		}
-		pa := math.Max(probs[s.act], 1e-10)
-		actorGrad[s.act] -= s.adv / pa
-		agent.Actor.BackwardTapeWS(actorWS, atape, actorGrad)
+		g[a] -= advs[r] / math.Max(probs.At(r, a), 1e-10)
 	}
+	actorWS.Backward(actorGrad)
 
 	inv := 1 / float64(totalSteps)
 	for _, p := range agent.Actor.Params() {

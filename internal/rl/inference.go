@@ -13,6 +13,7 @@ package rl
 
 import (
 	"fmt"
+	"sync"
 
 	"osap/internal/mdp"
 	"osap/internal/nn"
@@ -169,6 +170,26 @@ func (g *GreedyInference) Probs(obs []float64) []float64 {
 		probs[i] = 0
 	}
 	probs[a] = 1
+	return probs
+}
+
+// SharedPolicy is a packed copy of an agent's actor that any number of
+// goroutines may query at once, for rolling out a frozen agent in
+// parallel. Each Probs borrows a one-row workspace from a pool and
+// returns a fresh copy of the distribution, bit-identical to ac.Probs.
+type SharedPolicy struct{ pool sync.Pool }
+
+// NewSharedPolicy packs the agent's actor as it is now.
+func NewSharedPolicy(ac *ActorCritic) *SharedPolicy {
+	p := nn.Pack(ac.Actor)
+	return &SharedPolicy{pool: sync.Pool{New: func() any { return p.NewBatchWorkspace(1) }}}
+}
+
+// Probs implements mdp.Policy.
+func (s *SharedPolicy) Probs(obs []float64) []float64 {
+	ws := s.pool.Get().(*nn.BatchWorkspace)
+	probs := append([]float64(nil), ws.ForwardRow(obs)...)
+	s.pool.Put(ws)
 	return probs
 }
 

@@ -13,7 +13,6 @@
 package rl
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"osap/internal/mdp"
@@ -133,43 +132,40 @@ func (ac *ActorCritic) Clone() *ActorCritic {
 	return &ActorCritic{Cfg: ac.Cfg, Actor: ac.Actor.Clone(), Critic: ac.Critic.Clone()}
 }
 
-// actorCriticJSON is the serialized form.
-type actorCriticJSON struct {
-	Cfg    NetConfig       `json:"cfg"`
-	Actor  json.RawMessage `json:"actor"`
-	Critic json.RawMessage `json:"critic"`
+// AgentJSON is the serialized form of an agent (architecture +
+// weights), a plain value that encodes and decodes in one pass.
+type AgentJSON struct {
+	Cfg    NetConfig      `json:"cfg"`
+	Actor  nn.NetworkJSON `json:"actor"`
+	Critic nn.NetworkJSON `json:"critic"`
 }
 
-// MarshalJSON serializes the agent (architecture + weights).
-func (ac *ActorCritic) MarshalJSON() ([]byte, error) {
-	actor, err := json.Marshal(ac.Actor)
+// JSON returns the agent's serialized form; its weights alias the
+// agent's.
+func (ac *ActorCritic) JSON() (AgentJSON, error) {
+	actor, err := ac.Actor.JSON()
 	if err != nil {
-		return nil, err
+		return AgentJSON{}, err
 	}
-	critic, err := json.Marshal(ac.Critic)
+	critic, err := ac.Critic.JSON()
 	if err != nil {
-		return nil, err
+		return AgentJSON{}, err
 	}
-	return json.Marshal(actorCriticJSON{Cfg: ac.Cfg, Actor: actor, Critic: critic})
+	return AgentJSON{Cfg: ac.Cfg, Actor: actor, Critic: critic}, nil
 }
 
-// UnmarshalJSON restores an agent serialized by MarshalJSON.
-func (ac *ActorCritic) UnmarshalJSON(data []byte) error {
-	var raw actorCriticJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("rl: decode agent: %w", err)
+// Agent builds the agent aj describes, checking every layer's shape
+// first (nn.NetworkJSON.Network).
+func (aj AgentJSON) Agent() (*ActorCritic, error) {
+	actor, err := aj.Actor.Network()
+	if err != nil {
+		return nil, fmt.Errorf("rl: decode actor: %w", err)
 	}
-	var actor, critic nn.Network
-	if err := json.Unmarshal(raw.Actor, &actor); err != nil {
-		return fmt.Errorf("rl: decode actor: %w", err)
+	critic, err := aj.Critic.Network()
+	if err != nil {
+		return nil, fmt.Errorf("rl: decode critic: %w", err)
 	}
-	if err := json.Unmarshal(raw.Critic, &critic); err != nil {
-		return fmt.Errorf("rl: decode critic: %w", err)
-	}
-	ac.Cfg = raw.Cfg
-	ac.Actor = &actor
-	ac.Critic = &critic
-	return nil
+	return &ActorCritic{Cfg: aj.Cfg, Actor: actor, Critic: critic}, nil
 }
 
 // GreedyPolicy wraps a policy so rollouts take its argmax action while

@@ -191,12 +191,20 @@ func TestNewActorCriticDifferentSeedsDiffer(t *testing.T) {
 
 func TestActorCriticJSONRoundTrip(t *testing.T) {
 	ac, _ := NewActorCritic(toyNetConfig(), 5)
-	data, err := json.Marshal(ac)
+	aj, err := ac.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back ActorCritic
-	if err := json.Unmarshal(data, &back); err != nil {
+	data, err := json.Marshal(aj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded AgentJSON
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	back, err := decoded.Agent()
+	if err != nil {
 		t.Fatal(err)
 	}
 	obs := make([]float64, 8)

@@ -2,8 +2,6 @@ package rl
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"osap/internal/linalg"
 	"osap/internal/mdp"
@@ -101,41 +99,45 @@ func TrainRND(observations [][]float64, cfg RNDConfig) (*RND, error) {
 	target := buildEmbedNet(cfg, stats.NewRNG(cfg.Seed^0x7a96e7))
 	pred := buildEmbedNet(cfg, stats.NewRNG(cfg.Seed^0x9ed1c7))
 
-	// Precompute target embeddings (the target is frozen).
-	embeds := make([][]float64, len(observations))
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	sem := make(chan struct{}, workers)
-	for i := range observations {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			embeds[i] = target.Forward(observations[i])
-		}(i)
+	// The observations as one matrix; a batch is a run of its rows.
+	obsDim := cfg.Net.ObsDim()
+	all := linalg.NewMatrix(len(observations), obsDim)
+	for i, o := range observations {
+		copy(all.Row(i), o)
 	}
-	wg.Wait()
+	rows := func(start, end int) *linalg.Matrix {
+		return &linalg.Matrix{Rows: end - start, Cols: obsDim, Data: all.Data[start*obsDim : end*obsDim]}
+	}
+
+	// Precompute target embeddings (the target is frozen).
+	embeds := linalg.NewMatrix(len(observations), cfg.EmbedDim)
+	frozen := nn.Pack(target).NewBatchWorkspace(cfg.BatchSize)
+	for start := 0; start < len(observations); start += cfg.BatchSize {
+		end := min(start+cfg.BatchSize, len(observations))
+		copy(embeds.Data[start*cfg.EmbedDim:], frozen.Forward(rows(start, end)).Data)
+	}
 
 	opt := nn.NewAdam(cfg.LR, 0, 0, 0)
 	shuffle := stats.NewRNG(cfg.Seed ^ 0x5f1e)
-	grad := make(linalg.Vector, cfg.EmbedDim)
+	ws := nn.NewTrainWorkspace(pred)
+	in := linalg.NewMatrix(cfg.BatchSize, obsDim)
+	grad := linalg.NewMatrix(cfg.BatchSize, cfg.EmbedDim)
 	for pass := 0; pass < cfg.Passes; pass++ {
 		order := shuffle.Perm(len(observations))
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
+			end := min(start+cfg.BatchSize, len(order))
+			batch := order[start:end]
+			in.Rows, grad.Rows = len(batch), len(batch)
+			for r, idx := range batch {
+				copy(in.Row(r), all.Row(idx))
 			}
-			pred.ZeroGrad()
-			for _, idx := range order[start:end] {
-				tape := pred.ForwardTape(observations[idx])
-				out := tape.Output()
-				for j := range grad {
-					grad[j] = 2 * (out[j] - embeds[idx][j])
+			out := ws.Forward(in)
+			for r, idx := range batch {
+				for j, e := range embeds.Row(idx) {
+					grad.Row(r)[j] = 2 * (out.At(r, j) - e)
 				}
-				pred.BackwardTape(tape, grad)
 			}
+			ws.Backward(grad)
 			inv := 1 / float64(end-start)
 			for _, p := range pred.Params() {
 				for j := range p.G {
@@ -149,8 +151,13 @@ func TrainRND(observations [][]float64, cfg RNDConfig) (*RND, error) {
 	rnd := &RND{Target: target, Predictor: pred, Scale: 1}
 	// Calibrate Scale to the mean post-training error.
 	var sum float64
-	for i, obs := range observations {
-		sum += rnd.rawError(obs, embeds[i])
+	trained := nn.Pack(pred).NewBatchWorkspace(cfg.BatchSize)
+	for start := 0; start < len(observations); start += cfg.BatchSize {
+		end := min(start+cfg.BatchSize, len(observations))
+		out := trained.Forward(rows(start, end))
+		for r := 0; r < out.Rows; r++ {
+			sum += sqDist(out.Row(r), embeds.Row(start+r))
+		}
 	}
 	mean := sum / float64(len(observations))
 	if mean > 1e-12 {
@@ -159,12 +166,11 @@ func TrainRND(observations [][]float64, cfg RNDConfig) (*RND, error) {
 	return rnd, nil
 }
 
-// rawError computes ‖pred(obs) − targetEmbed‖².
-func (r *RND) rawError(obs []float64, targetEmbed []float64) float64 {
-	out := r.Predictor.Forward(obs)
+// sqDist is ‖a − b‖².
+func sqDist(a, b []float64) float64 {
 	var s float64
-	for j := range out {
-		d := out[j] - targetEmbed[j]
+	for j := range a {
+		d := a[j] - b[j]
 		s += d * d
 	}
 	return s
@@ -173,7 +179,7 @@ func (r *RND) rawError(obs []float64, targetEmbed []float64) float64 {
 // Error returns the normalized distillation error for an observation:
 // ≈1 on training-like states, larger on novel ones.
 func (r *RND) Error(obs []float64) float64 {
-	return r.rawError(obs, r.Target.Forward(obs)) / r.Scale
+	return sqDist(r.Predictor.Forward(obs), r.Target.Forward(obs)) / r.Scale
 }
 
 // CollectObservations gathers the observations visited by a policy over

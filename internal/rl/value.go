@@ -115,14 +115,19 @@ func TrainValueOnDataset(ds []valueSample, cfg ValueTrainConfig) (*nn.Network, e
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
 	}
+	obsDim := cfg.Net.ObsDim()
+	for i, s := range ds {
+		if len(s.obs) != obsDim {
+			return nil, fmt.Errorf("rl: value sample %d has dim %d, want %d", i, len(s.obs), obsDim)
+		}
+	}
 	net := BuildCritic(cfg.Net, stats.NewRNG(cfg.InitSeed))
 	opt := nn.NewAdam(cfg.LR, 0, 0, 0)
 	shuffleRNG := stats.NewRNG(cfg.Seed ^ 0x5ff1e)
 
-	// Each sample's tape is consumed immediately, so one workspace
-	// serves the whole regression without per-step allocation.
-	ws := nn.NewWorkspace(net)
-	gradOut := linalg.NewVector(1)
+	ws := nn.NewTrainWorkspace(net)
+	in := linalg.NewMatrix(cfg.BatchSize, obsDim)
+	gradOut := linalg.NewMatrix(cfg.BatchSize, 1)
 
 	for pass := 0; pass < cfg.Passes; pass++ {
 		order := shuffleRNG.Perm(len(ds))
@@ -131,14 +136,16 @@ func TrainValueOnDataset(ds []valueSample, cfg ValueTrainConfig) (*nn.Network, e
 			if end > len(order) {
 				end = len(order)
 			}
-			net.ZeroGrad()
-			for _, idx := range order[start:end] {
-				s := ds[idx]
-				tape := net.ForwardTapeWS(ws, s.obs)
-				v := tape.Output()[0]
-				gradOut[0] = 2 * (v - s.ret)
-				net.BackwardTapeWS(ws, tape, gradOut)
+			batch := order[start:end]
+			in.Rows, gradOut.Rows = len(batch), len(batch)
+			for r, idx := range batch {
+				copy(in.Row(r), ds[idx].obs)
 			}
+			v := ws.Forward(in)
+			for r, idx := range batch {
+				gradOut.Data[r] = 2 * (v.Data[r] - ds[idx].ret)
+			}
+			ws.Backward(gradOut)
 			inv := 1 / float64(end-start)
 			for _, p := range net.Params() {
 				for j := range p.G {
