@@ -1,7 +1,8 @@
 # Developer entry points. `make ci` is the full gate: tier-1 verify
 # (build + all tests), vet, formatting, the osap-vet static analyzers
-# (DESIGN.md §8), the race-detector sweep, and the chaos (both fault
-# scripts), rollout and learn selftests — the same steps CI runs.
+# (DESIGN.md §8), the race-detector sweep, the figures' run-to-run
+# identity, and the chaos (both fault scripts), rollout and learn
+# selftests — the same steps CI runs.
 
 GO ?= go
 
@@ -9,7 +10,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X osap/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build build-cross test verify vet lint fmt-check race fuzz-smoke ci loc bench bench-e2e bench-compare chaos rollout-selftest learn-selftest
+.PHONY: all build build-cross test verify vet lint fmt-check race fuzz-smoke figures-check ci loc bench bench-e2e bench-compare chaos rollout-selftest learn-selftest
 
 all: build
 
@@ -67,7 +68,17 @@ fuzz-smoke:
 		done; \
 	done
 
-ci: verify vet lint fmt-check race chaos rollout-selftest learn-selftest
+# The figures are a pure function of their seeds (DESIGN.md §5): three
+# runs of the quick-scale reproduction must print the same bytes, so
+# nondeterminism anywhere from training to rendering fails here.
+figures-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/osap-repro" ./cmd/osap-repro && \
+	for i in 1 2 3; do "$$dir/osap-repro" -scale quick -fig all > "$$dir/run$$i.txt" || exit 1; done && \
+	cmp "$$dir/run1.txt" "$$dir/run2.txt" && cmp "$$dir/run1.txt" "$$dir/run3.txt" && \
+	echo "figures-check: 3 runs byte-identical, sha256 $$(sha256sum < "$$dir/run1.txt" | cut -d' ' -f1)"
+
+ci: verify vet lint fmt-check race figures-check chaos rollout-selftest learn-selftest
 
 # Non-test lines of Go and assembly per package and in total — the size
 # ROADMAP.md tracks. Counts every line of each .go and .s file that is

@@ -216,7 +216,7 @@ func BenchmarkDecisionUS(b *testing.B) {
 func BenchmarkDecisionUPi(b *testing.B) {
 	arts := trainedArtifacts(b)
 	a := arts[trace.DatasetGamma22]
-	sig, err := core.NewPolicySignal(rl.InferencePolicyEnsemble(a.Agents), core.EnsembleConfig{Discard: 1})
+	sig, err := core.NewPolicySignal(benchScratch(b, a).Policies(), core.EnsembleConfig{Discard: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func BenchmarkDecisionUPi(b *testing.B) {
 func BenchmarkDecisionUV(b *testing.B) {
 	arts := trainedArtifacts(b)
 	a := arts[trace.DatasetGamma22]
-	sig, err := core.NewValueSignal(rl.InferenceValueEnsemble(a.ValueNets), core.EnsembleConfig{Discard: 1})
+	sig, err := core.NewValueSignal(benchScratch(b, a).Values(), core.EnsembleConfig{Discard: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -267,12 +267,23 @@ func BenchmarkTrainOCSVM(b *testing.B) {
 	}
 }
 
+// benchScratch packs an artifact set and returns forward scratch of it,
+// the handles a served step runs on.
+func benchScratch(b *testing.B, a *experiments.Artifacts) *rl.Scratch {
+	b.Helper()
+	f, err := rl.Freeze(a.Agents, a.ValueNets)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return f.NewScratch()
+}
+
 // BenchmarkAgentInference measures one Pensieve actor forward pass (the
 // baseline cost every scheme pays per chunk) through a workspace-backed
-// inference session, the serving configuration.
+// inference handle, the serving configuration.
 func BenchmarkAgentInference(b *testing.B) {
 	arts := trainedArtifacts(b)
-	session := rl.NewPolicyInference(arts[trace.DatasetGamma22].Agents[0])
+	session := benchScratch(b, arts[trace.DatasetGamma22]).Policies()[0]
 	obs := benchObs(b)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,0 +1,57 @@
+package main
+
+import (
+	"testing"
+	"time"
+
+	"osap/internal/registry"
+	"osap/internal/serve"
+	"osap/internal/trace"
+)
+
+// TestBootSyntheticVersionFromRegistry: the U_S window is read off the
+// served artifact, so a synthetic-dataset version whose OC-SVM was fit
+// with the default k = 5 boots and serves ND through the production
+// -registry path, whatever window the quick-scale lab would pick for
+// the dataset's name.
+func TestBootSyntheticVersionFromRegistry(t *testing.T) {
+	root := t.TempDir()
+	arts, err := serve.SyntheticArtifacts(trace.DatasetGamma22, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := registry.WriteVersion(root, registry.Meta{Version: "v1"}, arts); err != nil {
+		t.Fatal(err)
+	}
+	var cfg serve.Config
+	_, factory, err := bootFromRegistry(&cfg, root, trace.DatasetGamma22, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := factory.Config().StateSignal.FeatureDim(), arts.OCSVM.Dim; got != want {
+		t.Errorf("served U_S feature dim %d, OC-SVM dim %d", got, want)
+	}
+	for _, scheme := range factory.Schemes() {
+		if _, err := factory.NewGuard(scheme); err != nil {
+			t.Errorf("%s: %v", scheme, err)
+		}
+	}
+}
+
+// TestLearnSmallScale runs the -learn selftest (both phases, every
+// conservation law and the dashboard's agreement with the counters) at
+// a CI-friendly fleet size on an empirical and a synthetic dataset.
+// The full-scale run is `make learn-selftest`.
+func TestLearnSmallScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives a loopback viewer fleet")
+	}
+	for _, dataset := range []string{trace.DatasetNorway, trace.DatasetGamma22} {
+		t.Run(dataset, func(t *testing.T) {
+			cfg := serve.Config{MaxSessions: 200, Shards: 16, SessionTTL: time.Minute}
+			if err := runLearnSelfTest(cfg, dataset, 50, 20200713); err != nil {
+				t.Fatalf("learn selftest: %v", err)
+			}
+		})
+	}
+}

@@ -72,18 +72,17 @@ func chaosSchedule(script string, seed uint64, steps, readmitL, readmitCap int) 
 // frame through the server's FrameFault seam, while the health and
 // metrics scrapes — and their injected faults — stay on the HTTP
 // listener.
-func runChaos(cfg serve.Config, dataset string, clients, steps int, seed uint64, script, transport string) error {
-	sched, err := chaosSchedule(script, seed, steps, cfg.ReadmitL, cfg.ReadmitCap)
+func runChaos(cfg serve.Config, readmitL, readmitCap int, dataset string, clients, steps int, seed uint64, script, transport string) error {
+	sched, err := chaosSchedule(script, seed, steps, readmitL, readmitCap)
 	if err != nil {
 		return err
 	}
 	sc := sched.Config()
-	cfg.ReadmitL, cfg.ReadmitCap = sc.ReadmitL, sc.ReadmitCap
 	arts, err := serve.SyntheticArtifacts(dataset, 3, seed)
 	if err != nil {
 		return err
 	}
-	factory, err := serve.NewGuardFactory(arts, serve.GuardConfig{ReadmitL: cfg.ReadmitL, ReadmitCap: cfg.ReadmitCap})
+	factory, err := serve.NewGuardFactory(arts, serve.GuardConfig{ReadmitL: sc.ReadmitL, ReadmitCap: sc.ReadmitCap})
 	if err != nil {
 		return err
 	}

@@ -30,9 +30,8 @@ func TestChaosSmallScale(t *testing.T) {
 	} {
 		for _, transport := range []string{loadgen.ProtocolHTTP, loadgen.ProtocolBinary} {
 			t.Run(tc.name+"-"+transport, func(t *testing.T) {
-				cfg := serve.Config{MaxSessions: 100, Shards: 16, SessionTTL: time.Minute,
-					ReadmitL: tc.readmitL, ReadmitCap: tc.readmitCap}
-				if err := runChaos(cfg, trace.DatasetGamma22, 60, 24, 7, tc.script, transport); err != nil {
+				cfg := serve.Config{MaxSessions: 100, Shards: 16, SessionTTL: time.Minute}
+				if err := runChaos(cfg, tc.readmitL, tc.readmitCap, trace.DatasetGamma22, 60, 24, 7, tc.script, transport); err != nil {
 					t.Fatalf("%s selftest: %v", tc.name, err)
 				}
 			})

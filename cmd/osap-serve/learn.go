@@ -56,9 +56,9 @@ type learnConfig struct {
 
 // buildLearner constructs the Learner judged against the factory's
 // frozen artifacts, with the same signal windowing and ensemble
-// trimming as the serving guard.
-func buildLearner(factory *serve.GuardFactory, dataset string, opts learnConfig) (*learn.Learner, error) {
-	gcfg := guardConfigFor(dataset)
+// trimming as the serving guard (the factory's resolved config).
+func buildLearner(factory *serve.GuardFactory, opts learnConfig) (*learn.Learner, error) {
+	gcfg := factory.Config()
 	cfg := learn.Config{
 		Artifacts:      factory.Artifacts(),
 		SignalConfig:   gcfg.StateSignal,
@@ -96,17 +96,22 @@ const (
 // rejection beyond the nu-fraction boundary noise is caused by the
 // drift the phases inject. Also returns a held-out reference grid of
 // observed feature vectors for the boundary-stability assertion.
-func calibrateArtifacts(dataset string, seed uint64, video *abr.Video, traces []*trace.Trace,
-	gcfg serve.GuardConfig) (*experiments.Artifacts, [][]float64, error) {
+func calibrateArtifacts(dataset string, seed uint64, video *abr.Video, traces []*trace.Trace) (*experiments.Artifacts, [][]float64, error) {
+	gcfg := experiments.QuickConfig().GuardConfig(dataset)
 	arts, err := serve.SyntheticArtifacts(dataset, 3, seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	pol, err := core.NewPolicySignal(rl.InferencePolicyEnsemble(arts.Agents), gcfg.Trim)
+	frozen, err := rl.Freeze(arts.Agents, arts.ValueNets)
 	if err != nil {
 		return nil, nil, err
 	}
-	val, err := core.NewValueSignal(rl.InferenceValueEnsemble(arts.ValueNets), gcfg.Trim)
+	sc := frozen.NewScratch()
+	pol, err := core.NewPolicySignal(sc.Policies(), gcfg.Trim)
+	if err != nil {
+		return nil, nil, err
+	}
+	val, err := core.NewValueSignal(sc.Values(), gcfg.Trim)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -114,7 +119,7 @@ func calibrateArtifacts(dataset string, seed uint64, video *abr.Video, traces []
 	if err != nil {
 		return nil, nil, err
 	}
-	greedy := rl.NewGreedyInference(arts.Agents[0])
+	greedy := sc.Greedy()
 	rng := stats.NewRNG(seed ^ 0xCA11B)
 	const calibSteps = 4000
 	thrs := make([]float64, 0, calibSteps)
@@ -176,7 +181,7 @@ func bootLearnHarness(base serve.Config, root, dataset string, clients int,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	learner, err := buildLearner(factory, dataset, opts)
+	learner, err := buildLearner(factory, opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -262,7 +267,7 @@ func runLearnSelfTest(cfg serve.Config, dataset string, clients int, seed uint64
 	video := abr.SyntheticVideo(seed, 24, 4)
 
 	fmt.Fprintf(os.Stderr, "learn: calibrating baseline on honest %s traffic...\n", dataset)
-	arts, grid, err := calibrateArtifacts(dataset, seed, video, traces, guardConfigFor(dataset))
+	arts, grid, err := calibrateArtifacts(dataset, seed, video, traces)
 	if err != nil {
 		return err
 	}
@@ -429,8 +434,11 @@ func learnPhaseA(cfg serve.Config, root, logDir, dataset string, clients int, se
 	if !containsString(dash.RegistryProposed, prop.Version) {
 		fail("phase A dashboard registry_proposed %v does not list %s", dash.RegistryProposed, prop.Version)
 	}
-	if dash.Learn.GateAdmitted != admitted {
-		fail("phase A dashboard learn block reports %d admitted, counters say %d", dash.Learn.GateAdmitted, admitted)
+	// Probe B stepped since admitted was read, and its steps may be
+	// admitted too: compare with the counter as it stands now, when
+	// nothing is stepping.
+	if now := c.Admitted.Load(); dash.Learn.GateAdmitted != now {
+		fail("phase A dashboard learn block reports %d admitted, counters say %d", dash.Learn.GateAdmitted, now)
 	}
 	man, err := reg.Manifest(prop.Version)
 	if err != nil {

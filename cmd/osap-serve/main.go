@@ -52,6 +52,7 @@ import (
 
 	"osap/internal/abr"
 	"osap/internal/buildinfo"
+	"osap/internal/core"
 	"osap/internal/experiments"
 	"osap/internal/registry"
 	"osap/internal/serve"
@@ -101,8 +102,6 @@ func main() {
 		MaxSessions: *maxSessions,
 		Shards:      *shards,
 		SessionTTL:  *ttl,
-		ReadmitL:    flagReadmitL,
-		ReadmitCap:  flagReadmitCap,
 		Rollout: serve.RolloutConfig{
 			CanaryFraction: *canaryFraction,
 			RollbackMargin: *rollbackMargin,
@@ -115,9 +114,9 @@ func main() {
 	case *rolloutTest:
 		err = runRolloutSelfTest(cfg, *dataset, *clients, *chaosSeed)
 	case *recoveryTest:
-		err = runChaos(cfg, *dataset, *clients, *chaosSteps, *chaosSeed, scriptRecovery, *transport)
+		err = runChaos(cfg, flagReadmitL, flagReadmitCap, *dataset, *clients, *chaosSteps, *chaosSeed, scriptRecovery, *transport)
 	case *chaosTest:
-		err = runChaos(cfg, *dataset, *clients, *chaosSteps, *chaosSeed, scriptChaos, *transport)
+		err = runChaos(cfg, flagReadmitL, flagReadmitCap, *dataset, *clients, *chaosSteps, *chaosSeed, scriptChaos, *transport)
 	case *selftest:
 		_, err = runSelfTest(cfg, *dataset, *models, *clients, *warmup, *measure)
 	default:
@@ -130,33 +129,29 @@ func main() {
 }
 
 // flagReadmitL / flagReadmitCap are the -readmit-l / -readmit-cap
-// probation knobs, threaded into both layers of the recovery state
-// machine: the serve-side session probation (serve.Config) and the
-// core trigger hysteresis (serve.GuardConfig via guardConfigFor). Both
-// default to 0 — demotions and latched triggers are permanent, the
-// paper's behavior.
+// probation knobs (serve.GuardConfig via guardConfig): they set both
+// layers of the recovery state machine, the session's probation and the
+// trigger's hysteresis. Both default to 0 — demotions and latched
+// triggers are permanent, the paper's behavior.
 var (
 	flagReadmitL   int
 	flagReadmitCap int
 )
 
-// guardConfigFor derives the serving guard configuration for a dataset
-// from the quick-scale lab defaults — shared by every way of obtaining
-// artifacts (-models, -registry, in-process training) so a given
-// artifact set always serves identically.
-func guardConfigFor(dataset string) serve.GuardConfig {
-	labCfg := experiments.QuickConfig()
-	k := labCfg.StateKSynthetic
-	if trace.IsEmpirical(dataset) {
-		k = labCfg.StateKEmpirical
+// guardConfig is the serving guard configuration, shared by every way
+// of obtaining artifacts (-models, -registry, in-process training) so a
+// given artifact set always serves identically: the quick-scale lab's
+// trigger l and ensemble trim, the U_S window read off the served
+// artifact's OC-SVM (K unset), and the probation flags.
+func guardConfig() serve.GuardConfig {
+	q := experiments.QuickConfig()
+	return serve.GuardConfig{
+		StateSignal: core.StateSignalConfig{ThroughputWindow: q.ThroughputWindow},
+		TriggerL:    q.TriggerL,
+		Trim:        q.Trim,
+		ReadmitL:    flagReadmitL,
+		ReadmitCap:  flagReadmitCap,
 	}
-	gcfg := serve.GuardConfig{
-		TriggerL: labCfg.TriggerL, Trim: labCfg.Trim,
-		ReadmitL: flagReadmitL, ReadmitCap: flagReadmitCap,
-	}
-	gcfg.StateSignal.ThroughputWindow = labCfg.ThroughputWindow
-	gcfg.StateSignal.K = k
-	return gcfg
 }
 
 // loadFactory builds the guard factory: from a model directory when
@@ -183,7 +178,7 @@ func loadFactory(dataset, models string) (*serve.GuardFactory, error) {
 			return nil, err2
 		}
 	}
-	return serve.NewGuardFactory(arts, guardConfigFor(dataset))
+	return serve.NewGuardFactory(arts, guardConfig())
 }
 
 func runServer(addr, binAddr string, cfg serve.Config, dataset, models, registryDir string, registryPoll time.Duration, learnLog string, learnRefitEvery int) error {
@@ -201,7 +196,7 @@ func runServer(addr, binAddr string, cfg serve.Config, dataset, models, registry
 		}
 	}
 	if learnLog != "" {
-		learner, err := buildLearner(factory, dataset, learnConfig{
+		learner, err := buildLearner(factory, learnConfig{
 			LogDir:       learnLog,
 			RefitEvery:   learnRefitEvery,
 			RegistryRoot: registryDir,

@@ -75,7 +75,7 @@ func bootFromRegistry(cfg *serve.Config, root, dataset, version string) (*regist
 	if err != nil {
 		return nil, nil, err
 	}
-	factory, err := serve.NewGuardFactory(gen.Artifacts, guardConfigFor(dataset))
+	factory, err := serve.NewGuardFactory(gen.Artifacts, guardConfig())
 	if err != nil {
 		return nil, nil, err
 	}

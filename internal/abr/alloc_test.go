@@ -4,8 +4,8 @@ import "testing"
 
 // TestFallbackPathZeroAlloc pins the //osap:hotpath contracts of the
 // observation accessors and the BB level rule — together they are the
-// guard's per-step fallback decision (serve's defaultPolicy writes the
-// one-hot into a session-owned buffer around them).
+// guard's per-step fallback decision (experiments' bbDefault writes the
+// one-hot into a guard-owned buffer around them).
 func TestFallbackPathZeroAlloc(t *testing.T) {
 	obs := make([]float64, ObsDim)
 	obs[obsIndex(rowBuffer, HistoryLen-1)] = 0.7

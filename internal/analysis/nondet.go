@@ -17,7 +17,11 @@ import (
 //     rand.NewSource stay legal, as does the repo's own stats.RNG;
 //   - map iteration whose order can leak into output: a range over a
 //     map whose body appends to an outer slice or formats/writes —
-//     collect the keys and sort them first.
+//     collect the keys and sort them first;
+//   - map iteration whose order picks the random numbers: a range over
+//     a map whose body calls, or passes along, a *stats.RNG declared
+//     outside the loop — each key then draws whatever the keys before
+//     it left.
 var Nondeterminism = &Analyzer{
 	Name: "nondeterminism",
 	Doc:  "deterministic packages must not read wall clocks, global RNGs, or map order",
@@ -97,14 +101,36 @@ func checkNondetCall(pass *Pass, call *ast.CallExpr) {
 }
 
 // checkMapRange flags a map range whose body has order-sensitive
-// effects: appending to a slice declared outside the loop, or
-// formatting/printing.
+// effects: appending to a slice declared outside the loop,
+// formatting/printing, or drawing from a *stats.RNG declared outside
+// the loop.
 func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 	info := pass.Pkg.Info
+	// outerRNG reports whether e names a *stats.RNG declared outside the
+	// range: one generator shared by every iteration hands its draws out
+	// in map order.
+	outerRNG := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		if !ok {
+			return false
+		}
+		v, ok := info.ObjectOf(id).(*types.Var)
+		return ok && isStatsRNG(v.Type()) && (v.Pos() < rng.Pos() || v.Pos() >= rng.End())
+	}
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
+		}
+		drawn := false
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && outerRNG(sel.X) {
+			drawn = true
+		}
+		for _, arg := range call.Args {
+			drawn = drawn || outerRNG(arg)
+		}
+		if drawn {
+			pass.Reportf(call.Pos(), "a *stats.RNG declared outside a map range is drawn in nondeterministic order; iterate the keys in a fixed order or derive a generator per key")
 		}
 		switch fun := call.Fun.(type) {
 		case *ast.Ident:
@@ -136,4 +162,15 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 		}
 		return true
 	})
+}
+
+// isStatsRNG reports whether t is *stats.RNG, the repo's seeded
+// generator.
+func isStatsRNG(t types.Type) bool {
+	p, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	n, ok := p.Elem().(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "osap/internal/stats" && n.Obj().Name() == "RNG"
 }

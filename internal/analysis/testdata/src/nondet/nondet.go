@@ -11,6 +11,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"osap/internal/stats"
 )
 
 // stamp reads the wall clock.
@@ -58,3 +60,37 @@ func dump(m map[string]int) {
 		fmt.Println(k, v)
 	}
 }
+
+// resample draws one shared generator in map order, calling it and
+// passing it along.
+func resample(m map[string][]float64, rng *stats.RNG) map[string]float64 {
+	out := map[string]float64{}
+	for k, xs := range m {
+		out[k] = xs[rng.Intn(len(xs))]
+		out[k] += stats.Mean(shuffled(xs, rng))
+	}
+	return out
+}
+
+// pickOne ranges over a map the caller guarantees holds one key, so
+// there is no order to leak; the finding is suppressed with a reason.
+func pickOne(m map[string][]float64, rng *stats.RNG) float64 {
+	for _, xs := range m {
+		//osap:ignore nondeterminism the map holds exactly one key
+		return xs[rng.Intn(len(xs))]
+	}
+	return 0
+}
+
+// resamplePerKey derives a generator inside the loop from the key:
+// clean.
+func resamplePerKey(m map[string][]float64, seed uint64) map[string]float64 {
+	out := map[string]float64{}
+	for k, xs := range m {
+		r := stats.NewRNG(seed ^ uint64(len(k)))
+		out[k] = xs[r.Intn(len(xs))]
+	}
+	return out
+}
+
+func shuffled(xs []float64, rng *stats.RNG) []float64 { return xs }

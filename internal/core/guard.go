@@ -93,13 +93,13 @@ func (g *Guard) Decide(obs []float64) Decision {
 		g.defaulted++
 		d.UsedDefault = true
 		d.Fired = g.Trigger.Fired()    //osap:hotpath-stop core.Trigger is annotated; the interface is a test seam
-		d.Probs = g.Default.Probs(obs) //osap:hotpath-stop the fallback policy (serve defaultPolicy over abr BB) is annotated
+		d.Probs = g.Default.Probs(obs) //osap:hotpath-stop the fallback policy (experiments bbDefault over abr BB) is annotated
 		return d
 	}
 	if g.Trigger.Step(score) { //osap:hotpath-stop core.Trigger is annotated; the interface is a test seam
 		g.defaulted++
 		d.UsedDefault = true
-		d.Probs = g.Default.Probs(obs) //osap:hotpath-stop the fallback policy (serve defaultPolicy over abr BB) is annotated
+		d.Probs = g.Default.Probs(obs) //osap:hotpath-stop the fallback policy (experiments bbDefault over abr BB) is annotated
 	} else {
 		d.Probs = g.Learned.Probs(obs) //osap:hotpath-stop learned members are annotated rl inference sessions
 	}

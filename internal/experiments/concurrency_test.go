@@ -117,10 +117,11 @@ func sameMap(a, b map[string]float64) bool {
 // TestConcurrentGuardsIndependent runs one guard per goroutine over
 // shared artifacts — the supported concurrency model (workspaces are
 // per-guard, artifacts immutable) — and checks every goroutine
-// reproduces the sequential result.
+// reproduces the sequential result. Each guard runs on a scratch of
+// its own over the one packed copy of the artifacts.
 func TestConcurrentGuardsIndependent(t *testing.T) {
 	l := quickLab(t)
-	a, err := l.Artifacts("gamma22")
+	a, frozen, err := l.trained("gamma22")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +130,8 @@ func TestConcurrentGuardsIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(scheme string, alpha float64) float64 {
-		g, err := l.buildGuard(a, scheme, alpha)
+	run := func(scheme string) float64 {
+		g, err := NewGuard(a, scheme, frozen.NewScratch(), l.Config().GuardConfig(a.Dataset))
 		if err != nil {
 			t.Error(err)
 			return 0
@@ -140,16 +141,8 @@ func TestConcurrentGuardsIndependent(t *testing.T) {
 		return core.MeanQoE(core.EvaluateGuard(env, g, rng, 2))
 	}
 
-	schemes := []struct {
-		name  string
-		alpha float64
-	}{
-		{SchemeND, 0},
-		{SchemeAEns, a.AlphaPi},
-		{SchemeVEns, a.AlphaV},
-	}
-	for _, sc := range schemes {
-		want := run(sc.name, sc.alpha)
+	for _, scheme := range GuardSchemes() {
+		want := run(scheme)
 		const workers = 4
 		got := make([]float64, workers)
 		var wg sync.WaitGroup
@@ -157,13 +150,13 @@ func TestConcurrentGuardsIndependent(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got[i] = run(sc.name, sc.alpha)
+				got[i] = run(scheme)
 			}(i)
 		}
 		wg.Wait()
 		for i, q := range got {
 			if q != want {
-				t.Errorf("%s guard %d: QoE %v, sequential %v", sc.name, i, q, want)
+				t.Errorf("%s guard %d: QoE %v, sequential %v", scheme, i, q, want)
 			}
 		}
 	}

@@ -152,13 +152,21 @@ func (c Config) Validate() error {
 	return c.Train.Validate()
 }
 
-// stateCfgFor returns the U_S windowing for a training dataset.
-func (c Config) stateCfgFor(dataset string) core.StateSignalConfig {
+// GuardConfig returns the guard configuration of the paper's scheme
+// for a training dataset: the U_S window k (StateKEmpirical for the
+// empirical datasets, StateKSynthetic for the synthetic ones), the
+// trigger's l and the ensemble trim. It is the one dataset→window rule;
+// the OC-SVM trained for the dataset has dimension 2k.
+func (c Config) GuardConfig(dataset string) GuardConfig {
 	k := c.StateKSynthetic
 	if trace.IsEmpirical(dataset) {
 		k = c.StateKEmpirical
 	}
-	return core.StateSignalConfig{ThroughputWindow: c.ThroughputWindow, K: k}
+	return GuardConfig{
+		StateSignal: core.StateSignalConfig{ThroughputWindow: c.ThroughputWindow, K: k},
+		TriggerL:    c.TriggerL,
+		Trim:        c.Trim,
+	}
 }
 
 // Scheme names, as presented in the paper's figures.

@@ -7,7 +7,6 @@ import (
 
 	"osap/internal/abr"
 	"osap/internal/core"
-	"osap/internal/rl"
 	"osap/internal/stats"
 )
 
@@ -42,7 +41,7 @@ func (l *Lab) EvaluatePair(trainDS, testDS string) (map[string]float64, error) {
 // guard, env and RNG is constructed fresh here, so concurrent pairs
 // share nothing but the (immutable) artifacts.
 func (l *Lab) evaluatePair(key, trainDS, testDS string) (map[string]float64, error) {
-	a, err := l.Artifacts(trainDS)
+	a, frozen, err := l.trained(trainDS)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +59,7 @@ func (l *Lab) evaluatePair(key, trainDS, testDS string) (map[string]float64, err
 	plain := map[string]interface {
 		Probs([]float64) []float64
 	}{
-		SchemePensieve: rl.NewGreedyInference(a.Agents[0]),
+		SchemePensieve: frozen.NewScratch().Greedy(),
 		SchemeBB:       abr.NewBBPolicy(levels),
 		SchemeRandom:   abr.RandomPolicy{Levels: levels},
 	}
@@ -71,9 +70,9 @@ func (l *Lab) evaluatePair(key, trainDS, testDS string) (map[string]float64, err
 	}
 
 	// The three guarded schemes.
-	alphas := map[string]float64{SchemeND: 0, SchemeAEns: a.AlphaPi, SchemeVEns: a.AlphaV}
+	gc := l.cfg.GuardConfig(trainDS)
 	for _, name := range GuardSchemes() {
-		g, err := l.buildGuard(a, name, alphas[name])
+		g, err := NewGuard(a, name, frozen.NewScratch(), gc)
 		if err != nil {
 			return nil, err
 		}

@@ -52,10 +52,10 @@ func TestConfigValidation(t *testing.T) {
 
 func TestStateCfgSelection(t *testing.T) {
 	cfg := PaperConfig()
-	if k := cfg.stateCfgFor("norway").K; k != 5 {
+	if k := cfg.GuardConfig("norway").StateSignal.K; k != 5 {
 		t.Errorf("norway K = %d, want 5", k)
 	}
-	if k := cfg.stateCfgFor("gamma22").K; k != 30 {
+	if k := cfg.GuardConfig("gamma22").StateSignal.K; k != 30 {
 		t.Errorf("gamma22 K = %d, want 30", k)
 	}
 }
@@ -178,11 +178,11 @@ func TestEvaluatePairCompleteAndCached(t *testing.T) {
 
 func TestBuildGuardUnknownScheme(t *testing.T) {
 	l := quickLab(t)
-	a, err := l.Artifacts("gamma22")
+	a, frozen, err := l.trained("gamma22")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.buildGuard(a, "Pensieve", 0); err == nil {
+	if _, err := NewGuard(a, SchemePensieve, frozen.NewScratch(), l.Config().GuardConfig("gamma22")); err == nil {
 		t.Error("non-guard scheme accepted")
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"osap/internal/abr"
 	"osap/internal/core"
-	"osap/internal/rl"
 	"osap/internal/stats"
 )
 
@@ -67,7 +65,7 @@ type ExtensionRecoveryResult struct {
 // the latch over-commits to the default policy, and what does it cost
 // where the latch was right?
 func (l *Lab) ExtensionRecovery(trainDS string) (*ExtensionRecoveryResult, error) {
-	a, err := l.Artifacts(trainDS)
+	a, frozen, err := l.trained(trainDS)
 	if err != nil {
 		return nil, err
 	}
@@ -78,16 +76,9 @@ func (l *Lab) ExtensionRecovery(trainDS string) (*ExtensionRecoveryResult, error
 	seed := l.cfg.Seed ^ hashString(trainDS) ^ 0x53C4
 
 	build := func(v recoveryVariant, alpha float64) (*core.Guard, error) {
-		sig, err := core.NewValueSignal(rl.ValueEnsemble(a.ValueNets), l.cfg.Trim)
-		if err != nil {
-			return nil, err
-		}
-		tc := core.VarianceTriggerConfig(alpha, l.cfg.TriggerL)
-		tc.ReadmitL = v.ReadmitL
-		tc.ReadmitCap = v.ReadmitCap
-		return core.NewGuard(rl.GreedyPolicy{P: a.Agents[0]},
-			abr.NewBBPolicy(l.cfg.EvalVideo.NumLevels()), sig,
-			core.NewTrigger(tc))
+		gc := l.cfg.GuardConfig(trainDS)
+		gc.ReadmitL, gc.ReadmitCap = v.ReadmitL, v.ReadmitCap
+		return NewGuard(a.withAlpha(SchemeVEns, alpha), SchemeVEns, frozen.NewScratch(), gc)
 	}
 
 	res := &ExtensionRecoveryResult{

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"osap/internal/abr"
 	"osap/internal/core"
 	"osap/internal/mdp"
-	"osap/internal/rl"
 	"osap/internal/stats"
+	"osap/internal/trace"
 )
 
 // TriggerStrategyNames lists the thresholding strategies compared by
@@ -27,22 +26,18 @@ type ExtensionTriggersResult struct {
 	Params map[string]float64
 }
 
-// collectSignalScores runs the deployed agent on validation traces and
-// records the given signal's per-step scores.
-func (l *Lab) collectSignalScores(a *Artifacts, sig core.Signal, episodes int, seed uint64) []float64 {
-	d, err := l.Dataset(a.Dataset)
-	if err != nil {
-		panic(err) // artifacts always carry a known dataset
-	}
+// collectSignalScores runs the guard's learned policy on validation
+// traces and records its signal's per-step scores; the trigger never
+// acts.
+func (l *Lab) collectSignalScores(d *trace.Dataset, g *core.Guard, episodes int, seed uint64) []float64 {
 	env := l.newEnv(l.cfg.EvalVideo, d.Val)
 	rng := stats.NewRNG(seed)
 	var scores []float64
-	policy := rl.GreedyPolicy{P: a.Agents[0]}
 	for ep := 0; ep < episodes; ep++ {
-		sig.Reset()
-		mdp.Rollout(env, policy, rng, mdp.RolloutOptions{
+		g.Signal.Reset()
+		mdp.Rollout(env, g.Learned, rng, mdp.RolloutOptions{
 			OnStep: func(_ int, tr mdp.Transition) {
-				scores = append(scores, sig.Observe(tr.Obs))
+				scores = append(scores, g.Signal.Observe(tr.Obs))
 			},
 		})
 	}
@@ -53,7 +48,7 @@ func (l *Lab) collectSignalScores(a *Artifacts, sig core.Signal, episodes int, s
 // signal to ND's in-distribution QoE (the paper's fair-comparison rule)
 // and evaluates it across the OOD test datasets.
 func (l *Lab) ExtensionTriggers(trainDS string) (*ExtensionTriggersResult, error) {
-	a, err := l.Artifacts(trainDS)
+	a, frozen, err := l.trained(trainDS)
 	if err != nil {
 		return nil, err
 	}
@@ -63,48 +58,39 @@ func (l *Lab) ExtensionTriggers(trainDS string) (*ExtensionTriggersResult, error
 	}
 	seed := l.cfg.Seed ^ hashString(trainDS) ^ 0x7716
 
-	newSignal := func() (core.Signal, error) {
-		return core.NewValueSignal(rl.ValueEnsemble(a.ValueNets), l.cfg.Trim)
+	// Every strategy's guard is the V-ensemble guard; Variance is the
+	// paper's trigger with α = param, the others replace it.
+	gc := l.cfg.GuardConfig(trainDS)
+	newGuard := func(alpha float64) (*core.Guard, error) {
+		return NewGuard(a.withAlpha(SchemeVEns, alpha), SchemeVEns, frozen.NewScratch(), gc)
 	}
 
 	// In-distribution U_V scores for the CUSUM reference.
-	refSig, err := newSignal()
+	ref, err := newGuard(a.AlphaV)
 	if err != nil {
 		return nil, err
 	}
-	inScores := l.collectSignalScores(a, refSig, l.cfg.CalibEpisodes, seed)
+	inScores := l.collectSignalScores(d, ref, l.cfg.CalibEpisodes, seed)
 
 	// Guard builders per strategy, parameterized by the calibration
 	// knob.
 	builders := map[string]func(param float64) (*core.Guard, error){
-		"Variance": func(alpha float64) (*core.Guard, error) {
-			sig, err := newSignal()
-			if err != nil {
-				return nil, err
-			}
-			return core.NewGuard(rl.GreedyPolicy{P: a.Agents[0]},
-				abr.NewBBPolicy(l.cfg.EvalVideo.NumLevels()), sig,
-				core.NewTrigger(core.VarianceTriggerConfig(alpha, l.cfg.TriggerL)))
-		},
+		"Variance": newGuard,
 		"EWMA": func(threshold float64) (*core.Guard, error) {
-			sig, err := newSignal()
-			if err != nil {
-				return nil, err
-			}
-			return core.NewGuard(rl.GreedyPolicy{P: a.Agents[0]},
-				abr.NewBBPolicy(l.cfg.EvalVideo.NumLevels()), sig,
-				core.NewEWMATrigger(core.EWMATriggerConfig{
+			g, err := newGuard(threshold)
+			if err == nil {
+				g.Trigger = core.NewEWMATrigger(core.EWMATriggerConfig{
 					Alpha: 0.2, Threshold: threshold, Warmup: 5, Latched: true,
-				}))
+				})
+			}
+			return g, err
 		},
 		"CUSUM": func(hSigmas float64) (*core.Guard, error) {
-			sig, err := newSignal()
-			if err != nil {
-				return nil, err
+			g, err := newGuard(hSigmas)
+			if err == nil {
+				g.Trigger = core.NewCUSUMTrigger(core.CalibrateCUSUM(inScores, hSigmas, true))
 			}
-			return core.NewGuard(rl.GreedyPolicy{P: a.Agents[0]},
-				abr.NewBBPolicy(l.cfg.EvalVideo.NumLevels()), sig,
-				core.NewCUSUMTrigger(core.CalibrateCUSUM(inScores, hSigmas, true)))
+			return g, err
 		},
 	}
 

@@ -40,17 +40,6 @@ func (l *Lab) defaultPolicy(name string) (mdp.Policy, error) {
 	}
 }
 
-// guardWithDefault builds a guard for a paper scheme with an arbitrary
-// default policy.
-func (l *Lab) guardWithDefault(a *Artifacts, scheme string, alpha float64, def mdp.Policy) (*core.Guard, error) {
-	g, err := l.buildGuard(a, scheme, alpha)
-	if err != nil {
-		return nil, err
-	}
-	g.Default = def
-	return g, nil
-}
-
 // ExtensionDefaultsResult compares default policies under the ND guard.
 type ExtensionDefaultsResult struct {
 	TrainDataset string
@@ -66,10 +55,11 @@ type ExtensionDefaultsResult struct {
 // ExtensionDefaults evaluates ND-guarded Pensieve with each default
 // policy across all OOD test datasets for one training distribution.
 func (l *Lab) ExtensionDefaults(trainDS string) (*ExtensionDefaultsResult, error) {
-	a, err := l.Artifacts(trainDS)
+	a, frozen, err := l.trained(trainDS)
 	if err != nil {
 		return nil, err
 	}
+	gc := l.cfg.GuardConfig(trainDS)
 	res := &ExtensionDefaultsResult{
 		TrainDataset: trainDS,
 		Norm:         map[string]map[string]float64{},
@@ -99,10 +89,11 @@ func (l *Lab) ExtensionDefaults(trainDS string) (*ExtensionDefaultsResult, error
 			seed := l.cfg.Seed ^ hashString(trainDS+"→"+te+"/def/"+defName)
 
 			// Guarded QoE.
-			g, err := l.guardWithDefault(a, SchemeND, 0, def)
+			g, err := NewGuard(a, SchemeND, frozen.NewScratch(), gc)
 			if err != nil {
 				return nil, err
 			}
+			g.Default = def
 			env := l.newEnv(l.cfg.EvalVideo, d.Test)
 			guarded := core.MeanQoE(core.EvaluateGuard(env, g, stats.NewRNG(seed), l.cfg.EvalEpisodes))
 			res.Norm[defName][te] = Normalize(guarded, base[SchemeRandom], base[SchemeBB])
@@ -202,7 +193,7 @@ type ExtensionSignalsResult struct {
 // and is calibrated to ND's in-distribution QoE, exactly as the paper
 // calibrates its continuous signals (§2.5).
 func (l *Lab) ExtensionSignals(trainDS string) (*ExtensionSignalsResult, error) {
-	a, err := l.Artifacts(trainDS)
+	a, frozen, err := l.trained(trainDS)
 	if err != nil {
 		return nil, err
 	}
@@ -216,13 +207,15 @@ func (l *Lab) ExtensionSignals(trainDS string) (*ExtensionSignalsResult, error) 
 	}
 	seed := l.cfg.Seed ^ hashString(trainDS) ^ 0x516
 
+	// The RND guard is the V-ensemble guard with RND as its signal.
+	gc := l.cfg.GuardConfig(trainDS)
 	buildRNDGuard := func(alpha float64) (*core.Guard, error) {
-		sig := core.FuncSignal{F: rnd.Error, SignalName: "RND"}
-		trig := core.NewTrigger(core.VarianceTriggerConfig(alpha, l.cfg.TriggerL))
-		return core.NewGuard(
-			rl.GreedyPolicy{P: a.Agents[0]},
-			abr.NewBBPolicy(l.cfg.EvalVideo.NumLevels()),
-			sig, trig)
+		g, err := NewGuard(a.withAlpha(SchemeVEns, alpha), SchemeVEns, frozen.NewScratch(), gc)
+		if err != nil {
+			return nil, err
+		}
+		g.Signal = core.FuncSignal{F: rnd.Error, SignalName: "RND"}
+		return g, nil
 	}
 
 	calib, err := core.Calibrate(func(alpha float64) float64 {

@@ -171,8 +171,11 @@ func (l *Lab) Figure4() (*Figure4Result, error) {
 		MeanCI: map[string][2]float64{},
 		Raw:    raw,
 	}
+	// One RNG draws every scheme's resamples, so the schemes take it in
+	// presentation order, never map order.
 	rng := stats.NewRNG(l.cfg.Seed ^ 0xB007)
-	for s, xs := range raw {
+	for _, s := range ood4Schemes() {
+		xs := raw[s]
 		res.Stats[s] = stats.Summarize(xs)
 		lo, hi := stats.BootstrapCI(xs, stats.Mean, 2000, 0.95, rng)
 		res.MeanCI[s] = [2]float64{lo, hi}

@@ -8,37 +8,21 @@ import (
 	"osap/internal/abr"
 	"osap/internal/core"
 	"osap/internal/mdp"
-	"osap/internal/nn"
 	"osap/internal/ocsvm"
 	"osap/internal/rl"
 	"osap/internal/stats"
 	"osap/internal/trace"
 )
 
-// Artifacts holds everything trained for one training distribution: the
-// agent ensemble (member 0 is the deployed Pensieve), the external
-// value-function ensemble, the OC-SVM novelty detector, and the
-// calibrated U_π/U_V thresholds.
-type Artifacts struct {
-	Dataset   string
-	Agents    []*rl.ActorCritic
-	ValueNets []*nn.Network
-	OCSVM     *ocsvm.Model
-	// NDValQoE is the ND-guarded system's mean QoE on the validation
-	// traces — the calibration target for the other two schemes (§2.5).
-	NDValQoE float64
-	// AlphaPi and AlphaV are the calibrated variance thresholds.
-	AlphaPi float64
-	AlphaV  float64
-}
-
 // artifactEntry is a single-flight cache slot: the first goroutine to
 // claim a dataset trains it inside once; concurrent callers block on
-// once.Do and observe the same result.
+// once.Do and observe the same result. frozen is a's networks packed
+// once; every offline guard over a runs on a Scratch of it.
 type artifactEntry struct {
-	once sync.Once
-	a    *Artifacts
-	err  error
+	once   sync.Once
+	a      *Artifacts
+	frozen *rl.Frozen
+	err    error
 }
 
 // pairEntry is the single-flight slot for one "train→test" evaluation.
@@ -126,6 +110,12 @@ func (l *Lab) newEnv(video *abr.Video, traces []*trace.Trace) *abr.Env {
 // dataset. Concurrent callers for the same dataset share one training
 // run: the first claims the cache slot, the rest wait for its result.
 func (l *Lab) Artifacts(dataset string) (*Artifacts, error) {
+	a, _, err := l.trained(dataset)
+	return a, err
+}
+
+// trained is Artifacts with the artifacts' packed networks.
+func (l *Lab) trained(dataset string) (*Artifacts, *rl.Frozen, error) {
 	l.mu.Lock()
 	e, ok := l.artifacts[dataset]
 	if !ok {
@@ -135,7 +125,7 @@ func (l *Lab) Artifacts(dataset string) (*Artifacts, error) {
 	l.mu.Unlock()
 
 	e.once.Do(func() {
-		e.a, e.err = l.train(dataset)
+		e.a, e.frozen, e.err = l.train(dataset)
 		if e.err != nil {
 			// Don't pin the failure: waiters on this entry see the
 			// error, but a fresh call may retry training.
@@ -146,14 +136,14 @@ func (l *Lab) Artifacts(dataset string) (*Artifacts, error) {
 			l.mu.Unlock()
 		}
 	})
-	return e.a, e.err
+	return e.a, e.frozen, e.err
 }
 
 // train runs the full per-dataset pipeline.
-func (l *Lab) train(dataset string) (*Artifacts, error) {
+func (l *Lab) train(dataset string) (*Artifacts, *rl.Frozen, error) {
 	d, err := l.Dataset(dataset)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	seed := l.cfg.Seed ^ hashString(dataset)
 	factory := l.envFactory(l.cfg.TrainVideo, d.Train)
@@ -164,18 +154,15 @@ func (l *Lab) train(dataset string) (*Artifacts, error) {
 	trainCfg.Seed = seed
 	agents, err := rl.TrainEnsemble(factory, trainCfg, l.cfg.EnsembleSize)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: agent ensemble: %w", dataset, err)
+		return nil, nil, fmt.Errorf("experiments: %s: agent ensemble: %w", dataset, err)
 	}
 	if l.cfg.SelectBestAgent {
 		l.selectBestAgent(agents, d, seed)
 	}
-	// Feature collection is sequential, so the workspace-backed greedy
-	// session applies. (Value-ensemble training below rolls out across
-	// goroutines and therefore takes a policy they can share.)
-	deployed := rl.NewGreedyInference(agents[0])
 
 	// 2. Value-function ensemble, trained on the deployed agent's own
-	// interaction data (§2.4).
+	// interaction data (§2.4). Its rollouts run across goroutines, so
+	// they take a policy those can share.
 	l.logf("[%s] training %d-member value ensemble", dataset, l.cfg.EnsembleSize)
 	valueCfg := l.cfg.Value
 	valueCfg.Net = l.cfg.Train.Net
@@ -184,19 +171,25 @@ func (l *Lab) train(dataset string) (*Artifacts, error) {
 	valueCfg.InitSeed = seed ^ 0xFACE
 	valueNets, err := rl.TrainValueEnsemble(factory, rl.NewSharedPolicy(agents[0]), valueCfg, l.cfg.EnsembleSize)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: value ensemble: %w", dataset, err)
+		return nil, nil, fmt.Errorf("experiments: %s: value ensemble: %w", dataset, err)
+	}
+	// The networks are final: pack them once for everything below and
+	// every guard built over them later.
+	frozen, err := rl.Freeze(agents, valueNets)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// 3. OC-SVM on windowed throughput features of the deployed agent's
 	// training-trace rollouts.
 	l.logf("[%s] training OC-SVM novelty detector", dataset)
-	stateCfg := l.cfg.stateCfgFor(dataset)
-	feats := l.collectStateFeatures(d, deployed, stateCfg, seed)
+	gc := l.cfg.GuardConfig(dataset)
+	feats := l.collectStateFeatures(d, frozen.NewScratch().Greedy(), gc.StateSignal, seed)
 	ocsvmCfg := l.cfg.OCSVM
 	ocsvmCfg.Seed = seed
 	model, err := ocsvm.Train(feats, ocsvmCfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: ocsvm: %w", dataset, err)
+		return nil, nil, fmt.Errorf("experiments: %s: ocsvm: %w", dataset, err)
 	}
 
 	a := &Artifacts{
@@ -206,40 +199,39 @@ func (l *Lab) train(dataset string) (*Artifacts, error) {
 		OCSVM:     model,
 	}
 
-	// 4. ND's validation QoE is the calibration target.
-	ndGuard, err := l.buildGuard(a, SchemeND, 0)
-	if err != nil {
-		return nil, err
-	}
-	valEnv := l.newEnv(l.cfg.EvalVideo, d.Val)
-	rng := stats.NewRNG(seed ^ 0xCA11B)
-	a.NDValQoE = core.MeanQoE(core.EvaluateGuard(valEnv, ndGuard, rng, l.cfg.CalibEpisodes))
-	l.logf("[%s] ND validation QoE = %.2f (calibration target)", dataset, a.NDValQoE)
-
-	// 5. Calibrate α for U_π and U_V to match ND in-distribution (§2.5).
-	calibrate := func(scheme string) (float64, error) {
-		res, err := core.Calibrate(func(alpha float64) float64 {
-			g, err := l.buildGuard(a, scheme, alpha)
-			if err != nil {
-				panic(err) // inputs fixed; cannot fail after first success
-			}
-			env := l.newEnv(l.cfg.EvalVideo, d.Val)
-			r := stats.NewRNG(seed ^ 0xCA11B)
-			return core.MeanQoE(core.EvaluateGuard(env, g, r, l.cfg.CalibEpisodes))
-		}, a.NDValQoE, 1e-6, 1e2, l.cfg.CalibIters)
+	// 4. ND's validation QoE is the calibration target; 5. α for U_π and
+	// U_V is calibrated to match it in-distribution (§2.5), each
+	// candidate a copy of a carrying it.
+	valQoE := func(c *Artifacts, scheme string) (float64, error) {
+		g, err := NewGuard(c, scheme, frozen.NewScratch(), gc)
 		if err != nil {
 			return 0, err
 		}
-		return res.Threshold, nil
+		env := l.newEnv(l.cfg.EvalVideo, d.Val)
+		return core.MeanQoE(core.EvaluateGuard(env, g, stats.NewRNG(seed^0xCA11B), l.cfg.CalibEpisodes)), nil
+	}
+	if a.NDValQoE, err = valQoE(a, SchemeND); err != nil {
+		return nil, nil, err
+	}
+	l.logf("[%s] ND validation QoE = %.2f (calibration target)", dataset, a.NDValQoE)
+	calibrate := func(scheme string) (float64, error) {
+		res, err := core.Calibrate(func(alpha float64) float64 {
+			q, err := valQoE(a.withAlpha(scheme, alpha), scheme)
+			if err != nil {
+				panic(err) // inputs fixed; cannot fail after ND's success
+			}
+			return q
+		}, a.NDValQoE, 1e-6, 1e2, l.cfg.CalibIters)
+		return res.Threshold, err
 	}
 	if a.AlphaPi, err = calibrate(SchemeAEns); err != nil {
-		return nil, fmt.Errorf("experiments: %s: calibrate U_pi: %w", dataset, err)
+		return nil, nil, fmt.Errorf("experiments: %s: calibrate U_pi: %w", dataset, err)
 	}
 	if a.AlphaV, err = calibrate(SchemeVEns); err != nil {
-		return nil, fmt.Errorf("experiments: %s: calibrate U_V: %w", dataset, err)
+		return nil, nil, fmt.Errorf("experiments: %s: calibrate U_V: %w", dataset, err)
 	}
 	l.logf("[%s] calibrated thresholds: alpha_pi=%.3g alpha_V=%.3g", dataset, a.AlphaPi, a.AlphaV)
-	return a, nil
+	return a, frozen, nil
 }
 
 // selectBestAgent reorders the ensemble so that the member with the
@@ -295,52 +287,5 @@ func (l *Lab) StateFeatures(a *Artifacts) ([][]float64, error) {
 	}
 	seed := l.cfg.Seed ^ hashString(a.Dataset)
 	deployed := rl.NewGreedyInference(a.Agents[0])
-	return l.collectStateFeatures(d, deployed, l.cfg.stateCfgFor(a.Dataset), seed), nil
-}
-
-// buildGuard assembles the safety-enhanced policy for a scheme. alpha is
-// only used by the variance-triggered schemes (pass the calibrated value
-// or a candidate during calibration).
-//
-// Guards run episodes on one goroutine, so the learned policy and the
-// ensemble signals use workspace-backed inference sessions: the whole
-// per-chunk safety decision — deployed policy plus the 5-member
-// ensemble forward passes behind U_π/U_V — does no heap allocation.
-// Each buildGuard call creates private sessions; build one guard per
-// goroutine, never share one.
-func (l *Lab) buildGuard(a *Artifacts, scheme string, alpha float64) (*core.Guard, error) {
-	learned := rl.NewGreedyInference(a.Agents[0])
-	def := abr.NewBBPolicy(l.cfg.EvalVideo.NumLevels())
-
-	var sig core.Signal
-	var trig *core.Trigger
-	switch scheme {
-	case SchemeND:
-		stateCfg := l.cfg.stateCfgFor(a.Dataset)
-		s, err := core.NewStateSignal(a.OCSVM, abr.LastThroughputMbps, stateCfg)
-		if err != nil {
-			return nil, err
-		}
-		sig = s
-		tc := core.StateTriggerConfig()
-		tc.L = l.cfg.TriggerL
-		trig = core.NewTrigger(tc)
-	case SchemeAEns:
-		s, err := core.NewPolicySignal(rl.InferencePolicyEnsemble(a.Agents), l.cfg.Trim)
-		if err != nil {
-			return nil, err
-		}
-		sig = s
-		trig = core.NewTrigger(core.VarianceTriggerConfig(alpha, l.cfg.TriggerL))
-	case SchemeVEns:
-		s, err := core.NewValueSignal(rl.InferenceValueEnsemble(a.ValueNets), l.cfg.Trim)
-		if err != nil {
-			return nil, err
-		}
-		sig = s
-		trig = core.NewTrigger(core.VarianceTriggerConfig(alpha, l.cfg.TriggerL))
-	default:
-		return nil, fmt.Errorf("experiments: %q is not a guard scheme", scheme)
-	}
-	return core.NewGuard(learned, def, sig, trig)
+	return l.collectStateFeatures(d, deployed, l.cfg.GuardConfig(a.Dataset).StateSignal, seed), nil
 }

@@ -266,7 +266,11 @@ func (l *Lab) InstallArtifacts(a *Artifacts) error {
 	if _, err := l.Dataset(a.Dataset); err != nil {
 		return err
 	}
-	e := &artifactEntry{a: a}
+	frozen, err := rl.Freeze(a.Agents, a.ValueNets)
+	if err != nil {
+		return err
+	}
+	e := &artifactEntry{a: a, frozen: frozen}
 	e.once.Do(func() {}) // mark completed so callers never train
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -43,8 +43,7 @@ func randObs(rng *stats.RNG, rows, dim int) *linalg.Matrix {
 // TestBatchScorerMatchesInferenceSessions is the cross-layer
 // equivalence property: every row the scorer produces — deployed
 // distribution, per-member ensemble distributions, per-member values —
-// is bit-identical to the single-session inference handles the serve
-// path used before batching.
+// is bit-identical to the one-row handles a served step runs on.
 func TestBatchScorerMatchesInferenceSessions(t *testing.T) {
 	agents := batchTestEnsemble(t, 3)
 	scorer, err := NewBatchScorer(agents, criticNets(agents), 64)
@@ -54,7 +53,13 @@ func TestBatchScorerMatchesInferenceSessions(t *testing.T) {
 	rng := stats.NewRNG(1)
 	obs := randObs(rng, 33, agents[0].Actor.InDim())
 
-	single := NewPolicyInference(agents[0])
+	f, err := Freeze(agents, criticNets(agents))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := f.NewScratch()
+	pols, vals := sc.Policies(), sc.Values()
+	single := pols[0]
 	probs := scorer.Deployed(obs)
 	for r := 0; r < obs.Rows; r++ {
 		want := single.Probs(obs.Row(r))
@@ -67,8 +72,7 @@ func TestBatchScorerMatchesInferenceSessions(t *testing.T) {
 	}
 
 	dists := scorer.PolicyDists(obs)
-	for m, a := range agents {
-		pi := NewPolicyInference(a)
+	for m, pi := range pols {
 		for r := 0; r < obs.Rows; r++ {
 			want := pi.Probs(obs.Row(r))
 			got := dists[m].Row(r)
@@ -81,8 +85,7 @@ func TestBatchScorerMatchesInferenceSessions(t *testing.T) {
 	}
 
 	cols := scorer.Values(obs)
-	for m, net := range criticNets(agents) {
-		vi := NewValueInference(net)
+	for m, vi := range vals {
 		for r := 0; r < obs.Rows; r++ {
 			want := vi.Value(obs.Row(r))
 			if math.Float64bits(cols[m][r]) != math.Float64bits(want) {
@@ -170,8 +173,8 @@ func TestDeployedIsMemberZero(t *testing.T) {
 }
 
 // TestFrozenSessionsMatchStandalone: handles over a shared Frozen's
-// scratch answer exactly as the ones that pack privately, and keep the
-// weights of the moment Freeze was called.
+// scratch answer exactly as the ones over each member packed by itself,
+// and keep the weights of the moment Freeze was called.
 func TestFrozenSessionsMatchStandalone(t *testing.T) {
 	agents := batchTestEnsemble(t, 3)
 	f, err := Freeze(agents, criticNets(agents))
@@ -184,8 +187,12 @@ func TestFrozenSessionsMatchStandalone(t *testing.T) {
 	sc := f.NewScratch()
 	greedy, pols, vals := sc.Greedy(), sc.Policies(), sc.Values()
 	wantGreedy := NewGreedyInference(agents[0])
-	wantPols := InferencePolicyEnsemble(agents)
-	wantVals := InferenceValueEnsemble(criticNets(agents))
+	wantPols := make([]mdp.Policy, len(agents))
+	wantVals := make([]mdp.ValueFn, len(agents))
+	for i, a := range agents {
+		alone := packAlone(t, a, a.Critic)
+		wantPols[i], wantVals[i] = alone.Policies()[0], alone.Values()[0]
+	}
 	// From here on the source networks drift; nothing above may notice.
 	frozenRef := make([]*ActorCritic, len(agents))
 	for i, a := range agents {

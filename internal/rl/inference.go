@@ -8,8 +8,10 @@ package rl
 // nn.BatchWorkspace it is given and owns no other scratch. Whoever lends
 // the workspace keeps its forwards apart: a server shard lends its
 // Scratch to the guards of every session assigned to it and steps them
-// one at a time under its lock; the standalone constructors below lend
-// each handle a workspace of its own.
+// one at a time under its lock, and an offline guard runs on a Scratch
+// of its own. Handles come from a Frozen's Scratch — the one way to get
+// them over an artifact set — or, for a lone deployed agent,
+// NewGreedyInference.
 
 import (
 	"fmt"
@@ -111,13 +113,6 @@ type PolicyInference struct {
 	ws *nn.BatchWorkspace
 }
 
-// NewPolicyInference packs the agent's actor as it is now and lends
-// the handle a workspace of its own. Callers building many handles
-// over the same agents Freeze once instead.
-func NewPolicyInference(ac *ActorCritic) *PolicyInference {
-	return &PolicyInference{ws: nn.Pack(ac.Actor).NewBatchWorkspace(1)}
-}
-
 // Probs implements mdp.Policy without heap allocation. The result is
 // bit-identical to ac.Probs.
 //
@@ -130,12 +125,6 @@ func (p *PolicyInference) Probs(obs []float64) []float64 {
 // critic network.
 type ValueInference struct {
 	ws *nn.BatchWorkspace
-}
-
-// NewValueInference packs a critic network as it is now and lends the
-// handle a workspace of its own.
-func NewValueInference(net *nn.Network) *ValueInference {
-	return &ValueInference{ws: nn.Pack(net).NewBatchWorkspace(1)}
 }
 
 // Value implements mdp.ValueFn without heap allocation. The result is
@@ -191,27 +180,4 @@ func (s *SharedPolicy) Probs(obs []float64) []float64 {
 	probs := append([]float64(nil), ws.ForwardRow(obs)...)
 	s.pool.Put(ws)
 	return probs
-}
-
-// InferencePolicyEnsemble is the one-call entry point for the U_π
-// signal: every member packed and lent a workspace of its own, so an
-// ensemble evaluation (5 forward passes per chunk) does no heap
-// allocation. The returned policies are single-goroutine as a set —
-// build one ensemble per Guard/Signal instance.
-func InferencePolicyEnsemble(agents []*ActorCritic) []mdp.Policy {
-	ps := make([]mdp.Policy, len(agents))
-	for i, a := range agents {
-		ps[i] = NewPolicyInference(a)
-	}
-	return ps
-}
-
-// InferenceValueEnsemble is the one-call entry point for the U_V
-// signal, mirroring InferencePolicyEnsemble.
-func InferenceValueEnsemble(nets []*nn.Network) []mdp.ValueFn {
-	vs := make([]mdp.ValueFn, len(nets))
-	for i, n := range nets {
-		vs[i] = NewValueInference(n)
-	}
-	return vs
 }

@@ -3,8 +3,20 @@ package rl
 import (
 	"testing"
 
+	"osap/internal/nn"
 	"osap/internal/stats"
 )
+
+// packAlone packs one agent and one critic by themselves and returns
+// forward scratch of that artifact set.
+func packAlone(t *testing.T, ac *ActorCritic, critic *nn.Network) *Scratch {
+	t.Helper()
+	f, err := Freeze([]*ActorCritic{ac}, []*nn.Network{critic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.NewScratch()
+}
 
 func infTestObs(n int, seed uint64) []float64 {
 	rng := stats.NewRNG(seed)
@@ -15,7 +27,7 @@ func infTestObs(n int, seed uint64) []float64 {
 	return obs
 }
 
-// TestPolicyInferenceMatchesProbs checks the workspace-backed session is
+// TestPolicyInferenceMatchesProbs checks the workspace-backed handle is
 // bit-identical to the allocating ActorCritic.Probs, including across
 // repeated buffer reuse.
 func TestPolicyInferenceMatchesProbs(t *testing.T) {
@@ -23,7 +35,7 @@ func TestPolicyInferenceMatchesProbs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi := NewPolicyInference(ac)
+	pi := packAlone(t, ac, ac.Critic).Policies()[0]
 	for trial := 0; trial < 5; trial++ {
 		obs := infTestObs(ac.Actor.InDim(), uint64(40+trial))
 		want := ac.Probs(obs)
@@ -37,13 +49,13 @@ func TestPolicyInferenceMatchesProbs(t *testing.T) {
 }
 
 // TestValueInferenceMatchesValue checks the workspace-backed value
-// session is bit-identical to NetValueFn.
+// handle is bit-identical to NetValueFn.
 func TestValueInferenceMatchesValue(t *testing.T) {
 	ac, err := NewActorCritic(toyNetConfig(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vi := NewValueInference(ac.Critic)
+	vi := packAlone(t, ac, ac.Critic).Values()[0]
 	for trial := 0; trial < 5; trial++ {
 		obs := infTestObs(ac.Critic.InDim(), uint64(50+trial))
 		want := NetValueFn{Net: ac.Critic}.Value(obs)
@@ -74,16 +86,15 @@ func TestGreedyInferenceMatchesGreedyPolicy(t *testing.T) {
 	}
 }
 
-// TestInferenceZeroAlloc verifies the sessions never touch the heap in
+// TestInferenceZeroAlloc verifies the handles never touch the heap in
 // steady state.
 func TestInferenceZeroAlloc(t *testing.T) {
 	ac, err := NewActorCritic(toyNetConfig(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi := NewPolicyInference(ac)
-	vi := NewValueInference(ac.Critic)
-	gi := NewGreedyInference(ac)
+	sc := packAlone(t, ac, ac.Critic)
+	pi, vi, gi := sc.Policies()[0], sc.Values()[0], sc.Greedy()
 	obs := infTestObs(ac.Actor.InDim(), 70)
 
 	if n := testing.AllocsPerRun(100, func() { pi.Probs(obs) }); n != 0 {

@@ -18,13 +18,13 @@ import (
 // LoadVersion hook that serves a healthy differently-seeded build for
 // any requested version (poisoned-candidate behavior is exercised by
 // the cmd/osap-serve rollout selftest, which owns chaos tooling).
-func testRolloutServer(t *testing.T, cfg Config) (*Server, *experiments.Artifacts) {
+func testRolloutServer(t *testing.T, gcfg GuardConfig, cfg Config) (*Server, *experiments.Artifacts) {
 	t.Helper()
 	arts, err := SyntheticArtifacts("synthetic", 3, 11)
 	if err != nil {
 		t.Fatalf("synthetic artifacts: %v", err)
 	}
-	f, err := NewGuardFactory(arts, GuardConfig{})
+	f, err := NewGuardFactory(arts, gcfg)
 	if err != nil {
 		t.Fatalf("factory: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestDriftSetMergeDeterministic(t *testing.T) {
 }
 
 func TestServerStagePromoteHTTP(t *testing.T) {
-	srv, _ := testRolloutServer(t, Config{})
+	srv, _ := testRolloutServer(t, GuardConfig{}, Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -345,7 +345,7 @@ func TestServerStagePromoteHTTP(t *testing.T) {
 // snapshot.
 func TestStageRacingDrain(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
-	srv, _ := testRolloutServer(t, Config{LoadVersion: func(string) (*experiments.Artifacts, string, error) {
+	srv, _ := testRolloutServer(t, GuardConfig{}, Config{LoadVersion: func(string) (*experiments.Artifacts, string, error) {
 		close(entered)
 		<-release
 		a, err := SyntheticArtifacts("synthetic", 3, 12)

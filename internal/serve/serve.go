@@ -21,7 +21,6 @@ package serve
 import (
 	"fmt"
 
-	"osap/internal/abr"
 	"osap/internal/core"
 	"osap/internal/experiments"
 	"osap/internal/rl"
@@ -36,37 +35,10 @@ const (
 )
 
 // GuardConfig carries the per-deployment knobs a GuardFactory needs
-// beyond the trained artifacts themselves.
-type GuardConfig struct {
-	// StateSignal windows the U_S features; zero value is replaced by
-	// core.DefaultStateSignalConfig().
-	StateSignal core.StateSignalConfig
-	// TriggerL is the consecutive-steps requirement (0 → paper's 3).
-	TriggerL int
-	// Trim is the ensemble trimming rule; zero value is replaced by
-	// core.DefaultEnsembleConfig().
-	Trim core.EnsembleConfig
-	// ReadmitL and ReadmitCap configure trigger probation (DESIGN.md
-	// §13): after firing, the guard re-admits the learned policy once
-	// the signal has been confident for ReadmitL consecutive steps, at
-	// most ReadmitCap times per episode. The zero values keep the
-	// paper's permanent latch.
-	ReadmitL   int
-	ReadmitCap int
-}
-
-func (c GuardConfig) withDefaults() GuardConfig {
-	if c.StateSignal == (core.StateSignalConfig{}) {
-		c.StateSignal = core.DefaultStateSignalConfig()
-	}
-	if c.TriggerL == 0 {
-		c.TriggerL = 3
-	}
-	if c.Trim == (core.EnsembleConfig{}) {
-		c.Trim = core.DefaultEnsembleConfig()
-	}
-	return c
-}
+// beyond the trained artifacts themselves; NewGuardFactory resolves its
+// zero knobs against the artifacts (experiments.GuardConfig.Resolve), so
+// the U_S window is read off the artifact's OC-SVM unless set.
+type GuardConfig = experiments.GuardConfig
 
 // GuardFactory builds per-session guards from one shared, read-only set
 // of trained artifacts. The artifacts (networks, OC-SVM support
@@ -81,20 +53,16 @@ type GuardFactory struct {
 	cfg    GuardConfig
 }
 
-// NewGuardFactory validates the artifacts against the config. The
+// NewGuardFactory resolves the config against the artifacts: the
 // OC-SVM dimension must match the U_S windowing, exactly as in
 // training.
 func NewGuardFactory(arts *experiments.Artifacts, cfg GuardConfig) (*GuardFactory, error) {
 	if arts == nil || len(arts.Agents) == 0 {
 		return nil, fmt.Errorf("serve: artifacts with at least one agent are required")
 	}
-	cfg = cfg.withDefaults()
-	if err := cfg.StateSignal.Validate(); err != nil {
+	cfg, err := cfg.Resolve(arts)
+	if err != nil {
 		return nil, err
-	}
-	if arts.OCSVM != nil && arts.OCSVM.Dim != cfg.StateSignal.FeatureDim() {
-		return nil, fmt.Errorf("serve: OC-SVM dim %d != U_S feature dim %d",
-			arts.OCSVM.Dim, cfg.StateSignal.FeatureDim())
 	}
 	frozen, err := rl.Freeze(arts.Agents, arts.ValueNets)
 	if err != nil {
@@ -116,6 +84,10 @@ func (f *GuardFactory) Dataset() string { return f.arts.Dataset }
 // frozen baseline an online learner judges against.
 func (f *GuardFactory) Artifacts() *experiments.Artifacts { return f.arts }
 
+// Config returns the factory's guard configuration with every zero
+// knob resolved against its artifacts.
+func (f *GuardFactory) Config() GuardConfig { return f.cfg }
+
 // Schemes lists the guard schemes this factory can build, given which
 // artifacts are present.
 func (f *GuardFactory) Schemes() []string {
@@ -132,89 +104,10 @@ func (f *GuardFactory) Schemes() []string {
 	return out
 }
 
-// defaultPolicy adapts the safe BB policy for serving: abr.BBPolicy
-// emits a fresh one-hot per call (fine in experiment loops), but a
-// served session's defaulted steps are hot-path too, so the one-hot is
-// written into a session-owned buffer instead. Single-goroutine, like
-// every per-session component.
-type defaultPolicy struct {
-	bb     *abr.BBPolicy
-	onehot []float64
-}
-
-// Probs implements mdp.Policy without heap allocation; the result is
-// valid until the next call.
-//
-//osap:hotpath
-func (p *defaultPolicy) Probs(obs []float64) []float64 {
-	for i := range p.onehot {
-		p.onehot[i] = 0
-	}
-	p.onehot[p.bb.Level(abr.BufferSecFromObs(obs))] = 1
-	return p.onehot
-}
-
-// NewGuard assembles a fresh, standalone guard: newGuard on forward
-// scratch of its own. The returned guard is single-goroutine; never
-// share it across sessions.
+// NewGuard assembles a fresh, standalone guard — experiments.NewGuard
+// over the factory's artifacts and config — on forward scratch of its
+// own. The returned guard is single-goroutine; never share it across
+// sessions.
 func (f *GuardFactory) NewGuard(scheme string) (*core.Guard, error) {
-	return f.newGuard(scheme, f.frozen.NewScratch())
-}
-
-// newGuard assembles a guard whose forwards run on sc: the deployed
-// agent served greedily, the buffer-based policy as the safe default,
-// and the scheme's signal + trigger using the calibrated thresholds
-// stored in the artifacts. Guards that share sc must not decide
-// concurrently (a server shard's lock keeps them apart).
-func (f *GuardFactory) newGuard(scheme string, sc *rl.Scratch) (*core.Guard, error) {
-	learned := sc.Greedy()
-	def := &defaultPolicy{bb: abr.NewBBPolicy(f.NumActions()), onehot: make([]float64, f.NumActions())}
-
-	var sig core.Signal
-	var trig *core.Trigger
-	switch scheme {
-	case SchemeND:
-		if f.arts.OCSVM == nil {
-			return nil, fmt.Errorf("serve: artifacts carry no OC-SVM model for %s", SchemeND)
-		}
-		s, err := core.NewStateSignal(f.arts.OCSVM, abr.LastThroughputMbps, f.cfg.StateSignal)
-		if err != nil {
-			return nil, err
-		}
-		sig = s
-		tc := core.StateTriggerConfig()
-		tc.L = f.cfg.TriggerL
-		tc.ReadmitL = f.cfg.ReadmitL
-		tc.ReadmitCap = f.cfg.ReadmitCap
-		trig = core.NewTrigger(tc)
-	case SchemeAEns:
-		if len(f.arts.Agents) < 2 {
-			return nil, fmt.Errorf("serve: %s needs an agent ensemble (have %d)", SchemeAEns, len(f.arts.Agents))
-		}
-		s, err := core.NewPolicySignal(sc.Policies(), f.cfg.Trim)
-		if err != nil {
-			return nil, err
-		}
-		sig = s
-		tc := core.VarianceTriggerConfig(f.arts.AlphaPi, f.cfg.TriggerL)
-		tc.ReadmitL = f.cfg.ReadmitL
-		tc.ReadmitCap = f.cfg.ReadmitCap
-		trig = core.NewTrigger(tc)
-	case SchemeVEns:
-		if len(f.arts.ValueNets) < 2 {
-			return nil, fmt.Errorf("serve: %s needs a value ensemble (have %d)", SchemeVEns, len(f.arts.ValueNets))
-		}
-		s, err := core.NewValueSignal(sc.Values(), f.cfg.Trim)
-		if err != nil {
-			return nil, err
-		}
-		sig = s
-		tc := core.VarianceTriggerConfig(f.arts.AlphaV, f.cfg.TriggerL)
-		tc.ReadmitL = f.cfg.ReadmitL
-		tc.ReadmitCap = f.cfg.ReadmitCap
-		trig = core.NewTrigger(tc)
-	default:
-		return nil, fmt.Errorf("serve: unknown scheme %q (want one of %v)", scheme, f.Schemes())
-	}
-	return core.NewGuard(learned, def, sig, trig)
+	return experiments.NewGuard(f.arts, scheme, f.frozen.NewScratch(), f.cfg)
 }

@@ -27,13 +27,9 @@ type Config struct {
 	// Shards is the session-table shard count, rounded up to a power
 	// of two (0 → 64).
 	Shards int
-	// SessionTTL evicts sessions idle longer than this (0 → 5 min).
+	// SessionTTL evicts sessions idle longer than this (0 → 5 min). The
+	// background sweeper runs every TTL/4, at most every 30s.
 	SessionTTL time.Duration
-	// SweepInterval paces the background eviction sweeper (0 → TTL/4,
-	// clamped to [100ms, 30s]).
-	SweepInterval time.Duration
-	// RetryAfter is the Retry-After hint on 429/503 (0 → 1s).
-	RetryAfter time.Duration
 	// Now injects a clock for tests (nil → time.Now).
 	Now func() time.Time
 	// WrapGuard, if set, is called with each newly built guard and the
@@ -80,15 +76,10 @@ type Config struct {
 	// disables learning — zero cost on the step path beyond one
 	// pointer check.
 	Learner *learn.Learner
-	// ReadmitL and ReadmitCap configure session probation (DESIGN.md
-	// §13): an uncertainty-demoted session keeps scoring its guard in
-	// shadow and re-admits after ReadmitL consecutive confident shadow
-	// steps, at most ReadmitCap times per episode (< 0 = unlimited).
-	// The zero values keep demotion permanent — the pre-probation
-	// behavior. Fault (panic) demotions never recover regardless.
-	ReadmitL   int
-	ReadmitCap int
 }
+
+// retryAfter is the Retry-After hint on 429/503.
+const retryAfter = time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
@@ -96,18 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionTTL == 0 {
 		c.SessionTTL = 5 * time.Minute
-	}
-	if c.SweepInterval == 0 {
-		c.SweepInterval = c.SessionTTL / 4
-		if c.SweepInterval < 100*time.Millisecond {
-			c.SweepInterval = 100 * time.Millisecond
-		}
-		if c.SweepInterval > 30*time.Second {
-			c.SweepInterval = 30 * time.Second
-		}
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -210,7 +189,8 @@ func (s *Server) StartSweeper() {
 	s.sweepOnce.Do(func() {
 		go func() {
 			defer close(s.sweepDone)
-			tick := time.NewTicker(s.cfg.SweepInterval)
+			every := min(max(s.cfg.SessionTTL/4, time.Millisecond), 30*time.Second)
+			tick := time.NewTicker(every)
 			defer tick.Stop()
 			for {
 				select {
@@ -319,7 +299,7 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 }
 
 func (s *Server) rejectBusy(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 	s.writeError(w, code, "%s", msg)
 }
 
@@ -379,15 +359,17 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // createSession builds, wraps and publishes one session — the shared
 // core of the HTTP and binary create paths. The session binds an
 // artifact generation and one of its shards here, at admission, and
-// keeps both for life: its guard is built on the shard's scratch, and
-// the canary router only ever shifts NEW sessions. A returned
+// keeps both for life: its guard is built on the shard's scratch under
+// the generation's guard config, whose probation pair the session
+// follows too, and the canary router only ever shifts NEW sessions. A returned
 // ErrTableFull means admission control refused the session; any other
 // error is a bad scheme.
 func (s *Server) createSession(scheme string) (*Session, error) {
 	idx := s.idCtr.Add(1)
 	gen := s.rollout.pick(idx - 1)
 	sh := gen.assignShard()
-	guard, err := gen.factory.newGuard(scheme, sh.scratch)
+	f := gen.factory
+	guard, err := experiments.NewGuard(f.arts, scheme, sh.scratch, f.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -399,8 +381,8 @@ func (s *Server) createSession(scheme string) (*Session, error) {
 		scheme:     scheme,
 		guard:      guard,
 		shard:      sh,
-		readmitL:   s.cfg.ReadmitL,
-		readmitCap: s.cfg.ReadmitCap,
+		readmitL:   f.cfg.ReadmitL,
+		readmitCap: f.cfg.ReadmitCap,
 		gen:        gen,
 		driftShard: uint32(idx),
 		sigIdx:     driftSignalIndex(scheme),

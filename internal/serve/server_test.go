@@ -14,6 +14,7 @@ import (
 	"osap/internal/abr"
 	"osap/internal/core"
 	"osap/internal/experiments"
+	"osap/internal/ocsvm"
 )
 
 var (
@@ -40,7 +41,13 @@ func sharedArtifacts(t testing.TB) *experiments.Artifacts {
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})
+	return newTestServerGuard(t, GuardConfig{}, cfg)
+}
+
+// newTestServerGuard is newTestServer with guards built under gcfg.
+func newTestServerGuard(t *testing.T, gcfg GuardConfig, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	f, err := NewGuardFactory(sharedArtifacts(t), gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +368,9 @@ func TestStepOnClosedSessionIsNotObserved(t *testing.T) {
 // creates, steps, deletes, info, metrics — while the sweeper runs.
 // Under -race this is the server's memory-safety proof.
 func TestConcurrentSessionsRace(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxSessions: 64, Shards: 8, SessionTTL: time.Hour, SweepInterval: 5 * time.Millisecond})
+	// A 20 ms TTL sweeps every 5 ms, so sessions are evicted under the
+	// traffic as well as deleted.
+	s, ts := newTestServer(t, Config{MaxSessions: 64, Shards: 8, SessionTTL: 20 * time.Millisecond})
 	s.StartSweeper()
 	obs := make([]float64, abr.ObsDim)
 	schemes := []string{SchemeND, SchemeAEns, SchemeVEns}
@@ -444,5 +453,27 @@ func TestGuardFactoryValidation(t *testing.T) {
 	bad := GuardConfig{StateSignal: core.StateSignalConfig{ThroughputWindow: 10, K: 20}}
 	if _, err := NewGuardFactory(arts, bad); err == nil {
 		t.Error("OC-SVM/window dim mismatch accepted")
+	}
+	// An unset window is read off the OC-SVM: a k = 10 model (the
+	// quick-scale synthetic datasets') serves under the zero config.
+	series := make([]float64, 200)
+	for i := range series {
+		series[i] = 3 + float64(i%7)/10
+	}
+	model, err := ocsvm.Train(core.BuildStateFeatures(series, core.StateSignalConfig{ThroughputWindow: 10, K: 10}), ocsvm.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := *arts
+	wide.OCSVM = model
+	fw, err := NewGuardFactory(&wide, GuardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := fw.Config().StateSignal.K; k != 10 {
+		t.Errorf("resolved K = %d, want 10 from a %d-dim OC-SVM", k, model.Dim)
+	}
+	if _, err := fw.NewGuard(SchemeND); err != nil {
+		t.Error(err)
 	}
 }

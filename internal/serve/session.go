@@ -296,7 +296,7 @@ func finiteDecision(d *core.Decision) bool {
 // policy, bypassing the demoted guard entirely. Score stays 0 — never
 // the poisoned value — so the response always JSON-encodes.
 func (s *Session) serveSafeLocked(obs []float64) StepResult {
-	probs := s.guard.Default.Probs(obs) //osap:hotpath-stop the fallback policy (serve defaultPolicy over abr BB) is annotated and alloc-tested
+	probs := s.guard.Default.Probs(obs) //osap:hotpath-stop the fallback policy (experiments bbDefault over abr BB) is annotated and alloc-tested
 	return StepResult{
 		Action: mdp.ArgmaxAction(probs),
 		Decision: core.Decision{

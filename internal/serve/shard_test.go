@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"osap/internal/abr"
 	"osap/internal/chaos"
 	"osap/internal/core"
 	"osap/internal/mdp"
@@ -345,20 +344,18 @@ func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
 		}
 		packed := firstDemotion(func(obs []float64) (StepResult, error) { return s.stepErr(sess, obs) })
 
-		var sig core.Signal
-		alpha := arts.AlphaPi
-		if scheme == SchemeAEns {
-			sig, err = core.NewPolicySignal(rl.PolicyEnsemble(arts.Agents), f.cfg.Trim)
-		} else {
-			sig, err = core.NewValueSignal(rl.ValueEnsemble(arts.ValueNets), f.cfg.Trim)
-			alpha = arts.AlphaV
-		}
+		// The factory's guard, its learned policy and signal swapped for
+		// the layers' own Forward.
+		g, err := f.NewGuard(scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
-		def := &defaultPolicy{bb: abr.NewBBPolicy(f.NumActions()), onehot: make([]float64, f.NumActions())}
-		g, err := core.NewGuard(rl.GreedyPolicy{P: arts.Agents[0]}, def, sig,
-			core.NewTrigger(core.VarianceTriggerConfig(alpha, f.cfg.TriggerL)))
+		g.Learned = rl.GreedyPolicy{P: arts.Agents[0]}
+		if scheme == SchemeAEns {
+			g.Signal, err = core.NewPolicySignal(rl.PolicyEnsemble(arts.Agents), f.cfg.Trim)
+		} else {
+			g.Signal, err = core.NewValueSignal(rl.ValueEnsemble(arts.ValueNets), f.cfg.Trim)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -274,8 +274,7 @@ func TestServedScoreIsFinite(t *testing.T) {
 	for _, kind := range []chaos.Kind{chaos.NaNScore, chaos.InfScore} {
 		for _, readmitL := range []int{0, 3} {
 			const faultStep = 2
-			_, ts := newTestServer(t, Config{
-				ReadmitL: readmitL, ReadmitCap: -1,
+			_, ts := newTestServerGuard(t, GuardConfig{ReadmitL: readmitL, ReadmitCap: -1}, Config{
 				WrapGuard: func(_ uint64, g *core.Guard) {
 					script(g, chaos.Fault{Step: faultStep, Kind: kind})
 				},
