@@ -1,8 +1,8 @@
 # Developer entry points. `make ci` is the full gate: tier-1 verify
 # (build + all tests), vet, formatting, the osap-vet static analyzers
 # (DESIGN.md §8), the race-detector sweep, the figures' run-to-run
-# identity, and the chaos (both fault scripts), rollout and learn
-# selftests — the same steps CI runs.
+# identity, the train → file → serve round trip, and the chaos (both
+# fault scripts), rollout and learn selftests — the same steps CI runs.
 
 GO ?= go
 
@@ -10,7 +10,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X osap/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build build-cross test verify vet lint fmt-check race fuzz-smoke figures-check ci loc bench bench-e2e bench-compare chaos rollout-selftest learn-selftest
+.PHONY: all build build-cross test verify vet lint fmt-check race fuzz-smoke figures-check models-check ci loc bench bench-e2e bench-compare chaos rollout-selftest learn-selftest
 
 all: build
 
@@ -78,7 +78,15 @@ figures-check:
 	cmp "$$dir/run1.txt" "$$dir/run2.txt" && cmp "$$dir/run1.txt" "$$dir/run3.txt" && \
 	echo "figures-check: 3 runs byte-identical, sha256 $$(sha256sum < "$$dir/run1.txt" | cut -d' ' -f1)"
 
-ci: verify vet lint fmt-check race figures-check chaos rollout-selftest learn-selftest
+# The train → file → serve round trip through the binaries: osap-train
+# writes a quick gamma22 artifact file, and osap-serve serves it under
+# the record inside it through the selftest matrix (~5 s).
+models-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run $(LDFLAGS) ./cmd/osap-train -scale quick -dataset gamma22 -out "$$dir" && \
+	$(GO) run $(LDFLAGS) ./cmd/osap-serve -models "$$dir" -dataset gamma22 -selftest -clients 40 -warmup 150ms -measure 250ms
+
+ci: verify vet lint fmt-check race figures-check models-check chaos rollout-selftest learn-selftest
 
 # Non-test lines of Go and assembly per package and in total — the size
 # ROADMAP.md tracks. Counts every line of each .go and .s file that is

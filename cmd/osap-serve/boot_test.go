@@ -9,9 +9,9 @@ import (
 	"osap/internal/trace"
 )
 
-// TestBootSyntheticVersionFromRegistry: the U_S window is read off the
-// served artifact, so a synthetic-dataset version whose OC-SVM was fit
-// with the default k = 5 boots and serves ND through the production
+// TestBootSyntheticVersionFromRegistry: the U_S window is the served
+// artifact's record, so a synthetic-dataset version whose OC-SVM was
+// fit with the default k = 5 boots and serves ND through the production
 // -registry path, whatever window the quick-scale lab would pick for
 // the dataset's name.
 func TestBootSyntheticVersionFromRegistry(t *testing.T) {
@@ -28,7 +28,7 @@ func TestBootSyntheticVersionFromRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := factory.Config().StateSignal.FeatureDim(), arts.OCSVM.Dim; got != want {
+	if got, want := factory.Artifacts().Record.StateSignal().FeatureDim(), arts.OCSVM.Dim; got != want {
 		t.Errorf("served U_S feature dim %d, OC-SVM dim %d", got, want)
 	}
 	for _, scheme := range factory.Schemes() {

@@ -10,6 +10,7 @@ import (
 
 	"osap/internal/abr"
 	"osap/internal/chaos"
+	"osap/internal/experiments"
 	"osap/internal/serve"
 	"osap/internal/serve/loadgen"
 )
@@ -82,7 +83,7 @@ func runChaos(cfg serve.Config, readmitL, readmitCap int, dataset string, client
 	if err != nil {
 		return err
 	}
-	factory, err := serve.NewGuardFactory(arts, serve.GuardConfig{ReadmitL: sc.ReadmitL, ReadmitCap: sc.ReadmitCap})
+	factory, err := serve.NewGuardFactory(arts, serve.GuardConfig{Probation: experiments.Probation{ReadmitL: sc.ReadmitL, ReadmitCap: sc.ReadmitCap}})
 	if err != nil {
 		return err
 	}

@@ -55,14 +55,11 @@ type learnConfig struct {
 }
 
 // buildLearner constructs the Learner judged against the factory's
-// frozen artifacts, with the same signal windowing and ensemble
-// trimming as the serving guard (the factory's resolved config).
+// frozen artifacts, whose record builds the gate's signals as it builds
+// the serving guard's.
 func buildLearner(factory *serve.GuardFactory, opts learnConfig) (*learn.Learner, error) {
-	gcfg := factory.Config()
 	cfg := learn.Config{
 		Artifacts:      factory.Artifacts(),
-		SignalConfig:   gcfg.StateSignal,
-		Trim:           gcfg.Trim,
 		Extract:        abr.LastThroughputMbps,
 		RefitEvery:     opts.RefitEvery,
 		LogDir:         opts.LogDir,
@@ -91,13 +88,13 @@ const (
 // (decision quality is irrelevant) with an OC-SVM trained on the
 // traffic the selftest itself will generate — a rollout of the served
 // greedy policy over the same trace pool — and U_π/U_V thresholds set
-// generously above the observed ensemble-disagreement quantiles. By
+// generously above the observed ensemble-disagreement quantiles, every
+// signal windowed and trimmed as the synthetic set's record says. By
 // construction honest fleet traffic is in-distribution, so any gate
 // rejection beyond the nu-fraction boundary noise is caused by the
 // drift the phases inject. Also returns a held-out reference grid of
 // observed feature vectors for the boundary-stability assertion.
 func calibrateArtifacts(dataset string, seed uint64, video *abr.Video, traces []*trace.Trace) (*experiments.Artifacts, [][]float64, error) {
-	gcfg := experiments.QuickConfig().GuardConfig(dataset)
 	arts, err := serve.SyntheticArtifacts(dataset, 3, seed)
 	if err != nil {
 		return nil, nil, err
@@ -107,11 +104,11 @@ func calibrateArtifacts(dataset string, seed uint64, video *abr.Video, traces []
 		return nil, nil, err
 	}
 	sc := frozen.NewScratch()
-	pol, err := core.NewPolicySignal(sc.Policies(), gcfg.Trim)
+	pol, _, err := experiments.Signal(arts, experiments.SchemeAEns, sc)
 	if err != nil {
 		return nil, nil, err
 	}
-	val, err := core.NewValueSignal(sc.Values(), gcfg.Trim)
+	val, _, err := experiments.Signal(arts, experiments.SchemeVEns, sc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -141,7 +138,7 @@ func calibrateArtifacts(dataset string, seed uint64, video *abr.Video, traces []
 			obs = next
 		}
 	}
-	feats := core.BuildStateFeatures(thrs, gcfg.StateSignal)
+	feats := core.BuildStateFeatures(thrs, arts.Record.StateSignal())
 	if len(feats) < 512 {
 		return nil, nil, fmt.Errorf("learn selftest: calibration yielded only %d features", len(feats))
 	}

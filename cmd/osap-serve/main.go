@@ -52,7 +52,6 @@ import (
 
 	"osap/internal/abr"
 	"osap/internal/buildinfo"
-	"osap/internal/core"
 	"osap/internal/experiments"
 	"osap/internal/registry"
 	"osap/internal/serve"
@@ -139,19 +138,11 @@ var (
 )
 
 // guardConfig is the serving guard configuration, shared by every way
-// of obtaining artifacts (-models, -registry, in-process training) so a
-// given artifact set always serves identically: the quick-scale lab's
-// trigger l and ensemble trim, the U_S window read off the served
-// artifact's OC-SVM (K unset), and the probation flags.
+// of obtaining artifacts (-models, -registry, in-process training): the
+// probation flags. Everything else a guard is built from is the served
+// artifact's record.
 func guardConfig() serve.GuardConfig {
-	q := experiments.QuickConfig()
-	return serve.GuardConfig{
-		StateSignal: core.StateSignalConfig{ThroughputWindow: q.ThroughputWindow},
-		TriggerL:    q.TriggerL,
-		Trim:        q.Trim,
-		ReadmitL:    flagReadmitL,
-		ReadmitCap:  flagReadmitCap,
-	}
+	return serve.GuardConfig{Probation: experiments.Probation{ReadmitL: flagReadmitL, ReadmitCap: flagReadmitCap}}
 }
 
 // loadFactory builds the guard factory: from a model directory when

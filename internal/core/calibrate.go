@@ -11,6 +11,9 @@ type CalibrationResult struct {
 	Threshold   float64
 	AchievedQoE float64
 	Evaluations int
+	// Bound names the end of the range, "lo" or "hi", that a target
+	// out of reach pinned Threshold to ("" when bracketed).
+	Bound string
 }
 
 // Calibrate chooses the defaulting threshold α for a variance-mode
@@ -25,8 +28,8 @@ type CalibrationResult struct {
 // which dominates in-distribution), eval is assumed monotonically
 // non-decreasing in α; Calibrate first brackets targetQoE on a geometric
 // grid over [lo, hi] and then bisects. It returns the smallest bracketed
-// α whose QoE reaches targetQoE, or the best endpoint if the target is
-// out of range.
+// α whose QoE reaches targetQoE, or the best endpoint, named in Bound,
+// if the target is out of range.
 func Calibrate(eval func(alpha float64) float64, targetQoE, lo, hi float64, iters int) (CalibrationResult, error) {
 	if lo <= 0 || hi <= lo {
 		return CalibrationResult{}, fmt.Errorf("core: calibration range [%v, %v] invalid (need 0 < lo < hi)", lo, hi)
@@ -44,13 +47,13 @@ func Calibrate(eval func(alpha float64) float64, targetQoE, lo, hi float64, iter
 	if qLo >= targetQoE {
 		// Even the most trigger-happy threshold meets the target; take
 		// it (safest choice).
-		return CalibrationResult{Threshold: lo, AchievedQoE: qLo, Evaluations: evals}, nil
+		return CalibrationResult{Threshold: lo, AchievedQoE: qLo, Evaluations: evals, Bound: "lo"}, nil
 	}
 	qHi := call(hi)
 	if qHi < targetQoE {
 		// Even never-defaulting misses the target; α = hi is as close
 		// as this signal gets.
-		return CalibrationResult{Threshold: hi, AchievedQoE: qHi, Evaluations: evals}, nil
+		return CalibrationResult{Threshold: hi, AchievedQoE: qHi, Evaluations: evals, Bound: "hi"}, nil
 	}
 
 	// Bisect on log(α): smallest α with eval(α) ≥ target.

@@ -468,24 +468,31 @@ func TestCalibrateFindsThreshold(t *testing.T) {
 	if res.AchievedQoE < 5 {
 		t.Errorf("achieved %v < target", res.AchievedQoE)
 	}
+	if res.Bound != "" {
+		t.Errorf("bracketed target reported pinned to %q", res.Bound)
+	}
 }
 
+// TestCalibrateEndpoints: a target out of the range's reach settles
+// for the nearer end, and says which one it pinned to.
 func TestCalibrateEndpoints(t *testing.T) {
-	// Target below the whole range: the lowest α already qualifies.
-	res, err := Calibrate(func(a float64) float64 { return 100 }, 5, 0.01, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Threshold != 0.01 {
-		t.Errorf("threshold = %v, want lo", res.Threshold)
-	}
-	// Target above the range: settle for hi.
-	res, err = Calibrate(func(a float64) float64 { return 1 }, 5, 0.01, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Threshold != 10 {
-		t.Errorf("threshold = %v, want hi", res.Threshold)
+	for _, tc := range []struct {
+		bound string
+		qoe   float64 // the constant eval
+		want  float64
+	}{
+		{"lo", 100, 0.01}, // target below the whole range: the lowest α already qualifies
+		{"hi", 1, 10},     // target above it: even never defaulting misses
+	} {
+		t.Run(tc.bound, func(t *testing.T) {
+			res, err := Calibrate(func(a float64) float64 { return tc.qoe }, 5, 0.01, 10, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Threshold != tc.want || res.Bound != tc.bound {
+				t.Errorf("threshold %v bound %q, want %v %q", res.Threshold, res.Bound, tc.want, tc.bound)
+			}
+		})
 	}
 }
 

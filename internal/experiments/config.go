@@ -152,21 +152,15 @@ func (c Config) Validate() error {
 	return c.Train.Validate()
 }
 
-// GuardConfig returns the guard configuration of the paper's scheme
-// for a training dataset: the U_S window k (StateKEmpirical for the
-// empirical datasets, StateKSynthetic for the synthetic ones), the
-// trigger's l and the ensemble trim. It is the one dataset→window rule;
-// the OC-SVM trained for the dataset has dimension 2k.
-func (c Config) GuardConfig(dataset string) GuardConfig {
+// guardRecord is the record the lab calibrates a dataset's thresholds
+// under. It is the one dataset→window rule: k is StateKEmpirical for
+// the empirical datasets and StateKSynthetic for the synthetic ones.
+func (c Config) guardRecord(dataset string) Record {
 	k := c.StateKSynthetic
 	if trace.IsEmpirical(dataset) {
 		k = c.StateKEmpirical
 	}
-	return GuardConfig{
-		StateSignal: core.StateSignalConfig{ThroughputWindow: c.ThroughputWindow, K: k},
-		TriggerL:    c.TriggerL,
-		Trim:        c.Trim,
-	}
+	return Record{ThroughputWindow: c.ThroughputWindow, K: k, TriggerL: c.TriggerL, Discard: c.Trim.Discard}
 }
 
 // Scheme names, as presented in the paper's figures.

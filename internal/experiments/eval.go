@@ -70,9 +70,8 @@ func (l *Lab) evaluatePair(key, trainDS, testDS string) (map[string]float64, err
 	}
 
 	// The three guarded schemes.
-	gc := l.cfg.GuardConfig(trainDS)
 	for _, name := range GuardSchemes() {
-		g, err := NewGuard(a, name, frozen.NewScratch(), gc)
+		g, err := NewGuard(a, name, frozen.NewScratch(), Probation{})
 		if err != nil {
 			return nil, err
 		}

@@ -52,10 +52,10 @@ func TestConfigValidation(t *testing.T) {
 
 func TestStateCfgSelection(t *testing.T) {
 	cfg := PaperConfig()
-	if k := cfg.GuardConfig("norway").StateSignal.K; k != 5 {
+	if k := cfg.guardRecord("norway").K; k != 5 {
 		t.Errorf("norway K = %d, want 5", k)
 	}
-	if k := cfg.GuardConfig("gamma22").StateSignal.K; k != 30 {
+	if k := cfg.guardRecord("gamma22").K; k != 30 {
 		t.Errorf("gamma22 K = %d, want 30", k)
 	}
 }
@@ -182,7 +182,7 @@ func TestBuildGuardUnknownScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewGuard(a, SchemePensieve, frozen.NewScratch(), l.Config().GuardConfig("gamma22")); err == nil {
+	if _, err := NewGuard(a, SchemePensieve, frozen.NewScratch(), Probation{}); err == nil {
 		t.Error("non-guard scheme accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"osap/internal/core"
-	"osap/internal/stats"
 )
 
 // recoveryVariant is one probation configuration of the U_V trigger:
@@ -69,73 +68,32 @@ func (l *Lab) ExtensionRecovery(trainDS string) (*ExtensionRecoveryResult, error
 	if err != nil {
 		return nil, err
 	}
-	d, err := l.Dataset(trainDS)
-	if err != nil {
-		return nil, err
-	}
 	seed := l.cfg.Seed ^ hashString(trainDS) ^ 0x53C4
-
-	build := func(v recoveryVariant, alpha float64) (*core.Guard, error) {
-		gc := l.cfg.GuardConfig(trainDS)
-		gc.ReadmitL, gc.ReadmitCap = v.ReadmitL, v.ReadmitCap
-		return NewGuard(a.withAlpha(SchemeVEns, alpha), SchemeVEns, frozen.NewScratch(), gc)
-	}
-
 	res := &ExtensionRecoveryResult{
 		TrainDataset: trainDS,
+		Tests:        oodTests(trainDS),
 		Norm:         map[string]map[string]float64{},
 		Defaulted:    map[string]map[string]float64{},
 		Readmits:     map[string]map[string]float64{},
 		Params:       map[string]float64{},
 	}
-	for _, te := range datasetOrder() {
-		if te != trainDS {
-			res.Tests = append(res.Tests, te)
+	for _, v := range recoveryVariants(a.Record.TriggerL) {
+		norm, defaulted, readmits := map[string]float64{}, map[string]float64{}, map[string]float64{}
+		res.Norm[v.Name], res.Defaulted[v.Name], res.Readmits[v.Name] = norm, defaulted, readmits
+		build := func(alpha float64) (*core.Guard, error) {
+			return NewGuard(a.withAlpha(SchemeVEns, alpha), SchemeVEns, frozen.NewScratch(), Probation{v.ReadmitL, v.ReadmitCap})
 		}
-	}
-
-	for _, v := range recoveryVariants(l.cfg.TriggerL) {
-		calib, err := core.Calibrate(func(alpha float64) float64 {
-			g, err := build(v, alpha)
-			if err != nil {
-				panic(err)
-			}
-			env := l.newEnv(l.cfg.EvalVideo, d.Val)
-			return core.MeanQoE(core.EvaluateGuard(env, g, stats.NewRNG(seed^1), l.cfg.CalibEpisodes))
-		}, a.NDValQoE, 1e-6, 1e4, l.cfg.CalibIters)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: calibrate recovery variant %q: %w", v.Name, err)
-		}
-		res.Params[v.Name] = calib.Threshold
-
-		res.Norm[v.Name] = map[string]float64{}
-		res.Defaulted[v.Name] = map[string]float64{}
-		res.Readmits[v.Name] = map[string]float64{}
-		for _, te := range res.Tests {
-			base, err := l.EvaluatePair(trainDS, te)
-			if err != nil {
-				return nil, err
-			}
-			dt, err := l.Dataset(te)
-			if err != nil {
-				return nil, err
-			}
-			g, err := build(v, calib.Threshold)
-			if err != nil {
-				return nil, err
-			}
-			env := l.newEnv(l.cfg.EvalVideo, dt.Test)
-			rng := stats.NewRNG(l.cfg.Seed ^ hashString(trainDS+"→"+te+"/recov/"+v.Name))
-			eps := core.EvaluateGuard(env, g, rng, l.cfg.EvalEpisodes)
-			var defaulted, readmits float64
+		res.Params[v.Name], err = l.calibratedOOD(a, seed^1, "/recov/"+v.Name, build, func(te string, q float64, eps []core.EpisodeResult) {
+			var d, r float64
 			for _, ep := range eps {
-				defaulted += ep.DefaultedFraction
-				readmits += float64(ep.Readmissions)
+				d += ep.DefaultedFraction
+				r += float64(ep.Readmissions)
 			}
 			n := float64(len(eps))
-			res.Norm[v.Name][te] = Normalize(core.MeanQoE(eps), base[SchemeRandom], base[SchemeBB])
-			res.Defaulted[v.Name][te] = defaulted / n
-			res.Readmits[v.Name][te] = readmits / n
+			norm[te], defaulted[te], readmits[te] = q, d/n, r/n
+		})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: calibrate recovery variant %q: %w", v.Name, err)
 		}
 	}
 	return res, nil

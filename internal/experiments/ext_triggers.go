@@ -60,9 +60,8 @@ func (l *Lab) ExtensionTriggers(trainDS string) (*ExtensionTriggersResult, error
 
 	// Every strategy's guard is the V-ensemble guard; Variance is the
 	// paper's trigger with α = param, the others replace it.
-	gc := l.cfg.GuardConfig(trainDS)
 	newGuard := func(alpha float64) (*core.Guard, error) {
-		return NewGuard(a.withAlpha(SchemeVEns, alpha), SchemeVEns, frozen.NewScratch(), gc)
+		return NewGuard(a.withAlpha(SchemeVEns, alpha), SchemeVEns, frozen.NewScratch(), Probation{})
 	}
 
 	// In-distribution U_V scores for the CUSUM reference.
@@ -98,46 +97,15 @@ func (l *Lab) ExtensionTriggers(trainDS string) (*ExtensionTriggersResult, error
 		TrainDataset: trainDS,
 		Norm:         map[string]map[string]float64{},
 		Params:       map[string]float64{},
+		Tests:        oodTests(trainDS),
 	}
-	for _, te := range datasetOrder() {
-		if te != trainDS {
-			res.Tests = append(res.Tests, te)
-		}
-	}
-
 	for _, strategy := range TriggerStrategyNames() {
-		build := builders[strategy]
-		calib, err := core.Calibrate(func(param float64) float64 {
-			g, err := build(param)
-			if err != nil {
-				panic(err)
-			}
-			env := l.newEnv(l.cfg.EvalVideo, d.Val)
-			return core.MeanQoE(core.EvaluateGuard(env, g, stats.NewRNG(seed^1), l.cfg.CalibEpisodes))
-		}, a.NDValQoE, 1e-6, 1e4, l.cfg.CalibIters)
+		norm := map[string]float64{}
+		res.Norm[strategy] = norm
+		res.Params[strategy], err = l.calibratedOOD(a, seed^1, "/trig/"+strategy, builders[strategy],
+			func(te string, q float64, _ []core.EpisodeResult) { norm[te] = q })
 		if err != nil {
 			return nil, fmt.Errorf("experiments: calibrate %s trigger: %w", strategy, err)
-		}
-		res.Params[strategy] = calib.Threshold
-
-		res.Norm[strategy] = map[string]float64{}
-		for _, te := range res.Tests {
-			base, err := l.EvaluatePair(trainDS, te)
-			if err != nil {
-				return nil, err
-			}
-			dt, err := l.Dataset(te)
-			if err != nil {
-				return nil, err
-			}
-			g, err := build(calib.Threshold)
-			if err != nil {
-				return nil, err
-			}
-			env := l.newEnv(l.cfg.EvalVideo, dt.Test)
-			rng := stats.NewRNG(l.cfg.Seed ^ hashString(trainDS+"→"+te+"/trig/"+strategy))
-			qoe := core.MeanQoE(core.EvaluateGuard(env, g, rng, l.cfg.EvalEpisodes))
-			res.Norm[strategy][te] = Normalize(qoe, base[SchemeRandom], base[SchemeBB])
 		}
 	}
 	return res, nil

@@ -59,16 +59,11 @@ func (l *Lab) ExtensionDefaults(trainDS string) (*ExtensionDefaultsResult, error
 	if err != nil {
 		return nil, err
 	}
-	gc := l.cfg.GuardConfig(trainDS)
 	res := &ExtensionDefaultsResult{
 		TrainDataset: trainDS,
 		Norm:         map[string]map[string]float64{},
 		RawDefault:   map[string]map[string]float64{},
-	}
-	for _, te := range datasetOrder() {
-		if te != trainDS {
-			res.Tests = append(res.Tests, te)
-		}
+		Tests:        oodTests(trainDS),
 	}
 	for _, defName := range DefaultPolicyNames() {
 		res.Norm[defName] = map[string]float64{}
@@ -89,7 +84,7 @@ func (l *Lab) ExtensionDefaults(trainDS string) (*ExtensionDefaultsResult, error
 			seed := l.cfg.Seed ^ hashString(trainDS+"→"+te+"/def/"+defName)
 
 			// Guarded QoE.
-			g, err := NewGuard(a, SchemeND, frozen.NewScratch(), gc)
+			g, err := NewGuard(a, SchemeND, frozen.NewScratch(), Probation{})
 			if err != nil {
 				return nil, err
 			}
@@ -201,16 +196,11 @@ func (l *Lab) ExtensionSignals(trainDS string) (*ExtensionSignalsResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	d, err := l.Dataset(trainDS)
-	if err != nil {
-		return nil, err
-	}
 	seed := l.cfg.Seed ^ hashString(trainDS) ^ 0x516
 
 	// The RND guard is the V-ensemble guard with RND as its signal.
-	gc := l.cfg.GuardConfig(trainDS)
 	buildRNDGuard := func(alpha float64) (*core.Guard, error) {
-		g, err := NewGuard(a.withAlpha(SchemeVEns, alpha), SchemeVEns, frozen.NewScratch(), gc)
+		g, err := NewGuard(a.withAlpha(SchemeVEns, alpha), SchemeVEns, frozen.NewScratch(), Probation{})
 		if err != nil {
 			return nil, err
 		}
@@ -218,49 +208,79 @@ func (l *Lab) ExtensionSignals(trainDS string) (*ExtensionSignalsResult, error) 
 		return g, nil
 	}
 
-	calib, err := core.Calibrate(func(alpha float64) float64 {
-		g, err := buildRNDGuard(alpha)
-		if err != nil {
-			panic(err)
-		}
-		env := l.newEnv(l.cfg.EvalVideo, d.Val)
-		return core.MeanQoE(core.EvaluateGuard(env, g, stats.NewRNG(seed), l.cfg.CalibEpisodes))
-	}, a.NDValQoE, 1e-6, 1e4, l.cfg.CalibIters)
-	if err != nil {
-		return nil, err
-	}
-
 	res := &ExtensionSignalsResult{
 		TrainDataset: trainDS,
 		Norm:         map[string]map[string]float64{"ND": {}, "RND": {}, "Pensieve": {}},
-		AlphaRND:     calib.Threshold,
+		Tests:        oodTests(trainDS),
 	}
-	for _, te := range datasetOrder() {
-		if te == trainDS {
-			continue
-		}
-		res.Tests = append(res.Tests, te)
+	res.AlphaRND, err = l.calibratedOOD(a, seed, "/rnd", buildRNDGuard,
+		func(te string, q float64, _ []core.EpisodeResult) { res.Norm["RND"][te] = q })
+	if err != nil {
+		return nil, err
+	}
+	for _, te := range res.Tests {
 		base, err := l.EvaluatePair(trainDS, te)
 		if err != nil {
 			return nil, err
 		}
 		res.Norm["ND"][te] = NormalizedScore(base, SchemeND)
 		res.Norm["Pensieve"][te] = NormalizedScore(base, SchemePensieve)
+	}
+	return res, nil
+}
 
-		g, err := buildRNDGuard(calib.Threshold)
+// calibratedOOD measures a guard family as every extension does:
+// build's parameter is calibrated to ND's in-distribution QoE on the
+// validation traces of a's dataset (the paper's fair-comparison rule,
+// §2.5; calibration RNG calibSeed), then the calibrated guard runs on
+// every OOD test set under the RNG the pair and tag name, and each gets
+// the test set, the guard's normalized score and its episodes.
+func (l *Lab) calibratedOOD(a *Artifacts, calibSeed uint64, tag string, build func(param float64) (*core.Guard, error),
+	each func(te string, norm float64, eps []core.EpisodeResult)) (float64, error) {
+	d, err := l.Dataset(a.Dataset)
+	if err != nil {
+		return 0, err
+	}
+	calib, err := core.Calibrate(func(param float64) float64 {
+		g, err := build(param)
 		if err != nil {
-			return nil, err
+			panic(err)
+		}
+		env := l.newEnv(l.cfg.EvalVideo, d.Val)
+		return core.MeanQoE(core.EvaluateGuard(env, g, stats.NewRNG(calibSeed), l.cfg.CalibEpisodes))
+	}, a.NDValQoE, 1e-6, 1e4, l.cfg.CalibIters)
+	if err != nil {
+		return 0, err
+	}
+	for _, te := range oodTests(a.Dataset) {
+		base, err := l.EvaluatePair(a.Dataset, te)
+		if err != nil {
+			return 0, err
 		}
 		dt, err := l.Dataset(te)
 		if err != nil {
-			return nil, err
+			return 0, err
+		}
+		g, err := build(calib.Threshold)
+		if err != nil {
+			return 0, err
 		}
 		env := l.newEnv(l.cfg.EvalVideo, dt.Test)
-		rng := stats.NewRNG(l.cfg.Seed ^ hashString(trainDS+"→"+te+"/rnd"))
-		qoe := core.MeanQoE(core.EvaluateGuard(env, g, rng, l.cfg.EvalEpisodes))
-		res.Norm["RND"][te] = Normalize(qoe, base[SchemeRandom], base[SchemeBB])
+		eps := core.EvaluateGuard(env, g, stats.NewRNG(l.cfg.Seed^hashString(a.Dataset+"→"+te+tag)), l.cfg.EvalEpisodes)
+		each(te, Normalize(core.MeanQoE(eps), base[SchemeRandom], base[SchemeBB]), eps)
 	}
-	return res, nil
+	return calib.Threshold, nil
+}
+
+// oodTests lists the test datasets out of trainDS's distribution.
+func oodTests(trainDS string) []string {
+	var out []string
+	for _, te := range datasetOrder() {
+		if te != trainDS {
+			out = append(out, te)
+		}
+	}
+	return out
 }
 
 // Render formats the extension as a text table.

@@ -12,8 +12,8 @@ import (
 
 // Artifacts holds everything trained for one training distribution: the
 // agent ensemble (member 0 is the deployed Pensieve), the external
-// value-function ensemble, the OC-SVM novelty detector, and the
-// calibrated U_π/U_V thresholds.
+// value-function ensemble, the OC-SVM novelty detector, the calibrated
+// U_π/U_V thresholds and the record of what they were calibrated under.
 type Artifacts struct {
 	Dataset   string
 	Agents    []*rl.ActorCritic
@@ -25,6 +25,9 @@ type Artifacts struct {
 	// AlphaPi and AlphaV are the calibrated variance thresholds.
 	AlphaPi float64
 	AlphaV  float64
+	// Record is the guard the thresholds hold for; every guard over the
+	// set is built from it.
+	Record Record
 }
 
 // withAlpha returns a shallow copy of a whose variance threshold for
@@ -40,91 +43,130 @@ func (a *Artifacts) withAlpha(scheme string, alpha float64) *Artifacts {
 	return &c
 }
 
-// GuardConfig carries the knobs of a guard beyond the trained
-// artifacts themselves. A lab's are Config.GuardConfig; a server's are
-// what it was given, with Resolve filling the zero ones.
-type GuardConfig struct {
-	// StateSignal windows the U_S features. A zero K is read off the
-	// OC-SVM (its dimension is 2K), a zero ThroughputWindow is the
-	// paper's 10.
-	StateSignal core.StateSignalConfig
-	// TriggerL is the consecutive-steps requirement (0 → paper's 3).
-	TriggerL int
-	// Trim is the ensemble trimming rule; the zero value is replaced by
-	// core.DefaultEnsembleConfig() on Resolve.
-	Trim core.EnsembleConfig
-	// ReadmitL and ReadmitCap configure probation (DESIGN.md §13): the
-	// trigger re-admits the learned policy once the signal has been
-	// confident for ReadmitL consecutive steps, at most ReadmitCap times
-	// per episode, and a served session demoted by a non-finite score
-	// recovers by the same rule. The zero values keep the paper's
-	// permanent latch.
-	ReadmitL   int
-	ReadmitCap int
+// Record is what an artifact set's thresholds were calibrated under —
+// α_π and α_V match ND's QoE (§2.5) only for the U_S window, trigger l
+// and ensemble trim they were searched with — and where each came from.
+// The lab writes it, the file carries it, and every guard, trust gate
+// and served session over the set is built from it.
+type Record struct {
+	ThroughputWindow int        `json:"throughput_window"`
+	K                int        `json:"k"` // the OC-SVM's dimension is 2K
+	TriggerL         int        `json:"trigger_l"`
+	Discard          int        `json:"discard"`           // members trimmed before U_π/U_V
+	Assumed          bool       `json:"assumed,omitempty"` // written by AssumedRecord, not by a calibration
+	AlphaPi          Provenance `json:"alpha_pi"`
+	AlphaV           Provenance `json:"alpha_v"`
 }
 
-// Resolve fills c's zero knobs for the artifacts a (see the fields) and
-// checks the U_S window against a's OC-SVM.
-func (c GuardConfig) Resolve(a *Artifacts) (GuardConfig, error) {
-	def := core.DefaultStateSignalConfig()
-	if c.StateSignal.ThroughputWindow == 0 {
-		c.StateSignal.ThroughputWindow = def.ThroughputWindow
+// Threshold rules a Provenance names.
+const (
+	RuleQoEMatched = "qoe-matched" // core.Calibrate to ND's validation QoE (§2.5)
+	RuleQuantile   = "quantile"    // a quantile of gate-admitted scores (a learn refit)
+)
+
+// Provenance is where one threshold came from (zero: unknown). Target
+// is what its rule aimed at — a QoE, or a score quantile — and Evals
+// the evaluations or scores it took; Bound is the end of core.Calibrate's
+// range ("lo", "hi") a target out of reach pinned it to.
+type Provenance struct {
+	Rule   string  `json:"rule,omitempty"`
+	Target float64 `json:"target,omitempty"`
+	Evals  int     `json:"evals,omitempty"`
+	Bound  string  `json:"bound,omitempty"`
+}
+
+// StateSignal is the record's U_S windowing.
+func (r Record) StateSignal() core.StateSignalConfig {
+	return core.StateSignalConfig{ThroughputWindow: r.ThroughputWindow, K: r.K}
+}
+
+// Trim is the record's ensemble trim.
+func (r Record) Trim() core.EnsembleConfig { return core.EnsembleConfig{Discard: r.Discard} }
+
+// AssumedRecord is the one rule for a set that carries no record (a v2
+// file, serve.SyntheticArtifacts): the paper's l and throughput window,
+// K read off the OC-SVM, and (n−1)/2 of n members discarded — the trim
+// of every config in the tree (3→1, 5→2, 2→0).
+func AssumedRecord(a *Artifacts) Record {
+	r := Record{ThroughputWindow: 10, TriggerL: 3, Discard: (len(a.Agents) - 1) / 2, Assumed: true}
+	if a.OCSVM != nil {
+		r.K = a.OCSVM.Dim / 2
 	}
-	if c.StateSignal.K == 0 {
-		c.StateSignal.K = def.K
-		if a.OCSVM != nil {
-			c.StateSignal.K = a.OCSVM.Dim / 2
+	return r
+}
+
+// check reports a record a's guards cannot be built under; decoding
+// runs it, so such a file does not load.
+func (r Record) check(a *Artifacts) error {
+	if err := r.StateSignal().Validate(); err != nil {
+		return err
+	}
+	if a.OCSVM.Dim != 2*r.K || r.Discard < 0 || r.Discard >= len(a.Agents) || r.TriggerL < 1 {
+		return fmt.Errorf("%+v does not fit a %d-dim OC-SVM and %d members", r, a.OCSVM.Dim, len(a.Agents))
+	}
+	return nil
+}
+
+// Expect checks the calibration knobs a caller pinned — what is left of
+// serve.GuardConfig's and learn.Config's — against the record: zero
+// takes the record's value, any other must equal it.
+func (r Record) Expect(ss core.StateSignalConfig, l int, trim core.EnsembleConfig) error {
+	want := [...]int{r.ThroughputWindow, r.K, r.TriggerL, r.Discard}
+	for i, got := range [...]int{ss.ThroughputWindow, ss.K, l, trim.Discard} {
+		if got != 0 && got != want[i] {
+			return fmt.Errorf("experiments: %s %d asked for, but the artifacts were calibrated under %d",
+				[...]string{"ThroughputWindow", "K", "TriggerL", "Trim.Discard"}[i], got, want[i])
 		}
 	}
-	if c.TriggerL == 0 {
-		c.TriggerL = 3
+	return nil
+}
+
+// Probation is a guard's serving policy beyond its record (DESIGN.md
+// §13): re-admit the learned policy after ReadmitL confident steps, at
+// most ReadmitCap times per episode. Zero is the paper's permanent
+// latch.
+type Probation struct{ ReadmitL, ReadmitCap int }
+
+// Signal returns scheme's signal over the forward scratch sc of a's
+// packed networks, and the trigger its threshold belongs to, both as
+// a's record says. It is the one place a scheme picks its signal:
+// NewGuard wraps it, and the learn trust gate and the -learn selftest's
+// calibration read U_π and U_V from it bare.
+func Signal(a *Artifacts, scheme string, sc *rl.Scratch) (core.Signal, core.TriggerConfig, error) {
+	r := a.Record
+	switch scheme {
+	case SchemeND:
+		tc := core.StateTriggerConfig()
+		tc.L = r.TriggerL
+		sig, err := core.NewStateSignal(a.OCSVM, abr.LastThroughputMbps, r.StateSignal())
+		return sig, tc, err
+	case SchemeAEns:
+		sig, err := core.NewPolicySignal(sc.Policies(), r.Trim())
+		return sig, core.VarianceTriggerConfig(a.AlphaPi, r.TriggerL), err
+	case SchemeVEns:
+		sig, err := core.NewValueSignal(sc.Values(), r.Trim())
+		return sig, core.VarianceTriggerConfig(a.AlphaV, r.TriggerL), err
 	}
-	if c.Trim == (core.EnsembleConfig{}) {
-		c.Trim = core.DefaultEnsembleConfig()
-	}
-	if err := c.StateSignal.Validate(); err != nil {
-		return c, err
-	}
-	if a.OCSVM != nil && a.OCSVM.Dim != c.StateSignal.FeatureDim() {
-		return c, fmt.Errorf("experiments: OC-SVM dim %d != U_S feature dim %d", a.OCSVM.Dim, c.StateSignal.FeatureDim())
-	}
-	return c, nil
+	return nil, core.TriggerConfig{}, fmt.Errorf("experiments: %q is not a guard scheme", scheme)
 }
 
 // NewGuard builds a scheme's guard over the artifacts a, with every
 // forward on the scratch sc of a's packed networks: the deployed agent
-// served greedily, the buffer-based policy as the safe default, and the
-// scheme's signal and trigger with the thresholds a carries. It is the
-// one place a scheme picks its signal and trigger; the figures, α
-// calibration (a copy of a with a candidate AlphaPi or AlphaV), the
-// extensions (which may then swap Guard.Signal, Trigger or Default) and
-// every served session call it. cfg is used as given.
+// served greedily, the buffer-based policy as the safe default, and
+// Signal's signal and trigger under the probation policy p. The
+// figures, α calibration (a copy of a with a candidate AlphaPi or
+// AlphaV), the extensions (which may then swap Guard.Signal, Trigger or
+// Default) and every served session call it.
 //
 // Guards built on one scratch share its buffers and must not decide
 // concurrently; a guard built on a scratch of its own is
 // single-goroutine like any other.
-func NewGuard(a *Artifacts, scheme string, sc *rl.Scratch, cfg GuardConfig) (*core.Guard, error) {
-	var sig core.Signal
-	var tc core.TriggerConfig
-	var err error
-	switch scheme {
-	case SchemeND:
-		sig, err = core.NewStateSignal(a.OCSVM, abr.LastThroughputMbps, cfg.StateSignal)
-		tc = core.StateTriggerConfig()
-		tc.L = cfg.TriggerL
-	case SchemeAEns:
-		sig, err = core.NewPolicySignal(sc.Policies(), cfg.Trim)
-		tc = core.VarianceTriggerConfig(a.AlphaPi, cfg.TriggerL)
-	case SchemeVEns:
-		sig, err = core.NewValueSignal(sc.Values(), cfg.Trim)
-		tc = core.VarianceTriggerConfig(a.AlphaV, cfg.TriggerL)
-	default:
-		return nil, fmt.Errorf("experiments: %q is not a guard scheme", scheme)
-	}
+func NewGuard(a *Artifacts, scheme string, sc *rl.Scratch, p Probation) (*core.Guard, error) {
+	sig, tc, err := Signal(a, scheme, sc)
 	if err != nil {
 		return nil, err
 	}
-	tc.ReadmitL, tc.ReadmitCap = cfg.ReadmitL, cfg.ReadmitCap
+	tc.ReadmitL, tc.ReadmitCap = p.ReadmitL, p.ReadmitCap
 	levels := a.Agents[0].Actor.OutDim()
 	def := &bbDefault{bb: abr.NewBBPolicy(levels), onehot: make([]float64, levels)}
 	return core.NewGuard(sc.Greedy(), def, sig, core.NewTrigger(tc))

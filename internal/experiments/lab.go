@@ -183,8 +183,8 @@ func (l *Lab) train(dataset string) (*Artifacts, *rl.Frozen, error) {
 	// 3. OC-SVM on windowed throughput features of the deployed agent's
 	// training-trace rollouts.
 	l.logf("[%s] training OC-SVM novelty detector", dataset)
-	gc := l.cfg.GuardConfig(dataset)
-	feats := l.collectStateFeatures(d, frozen.NewScratch().Greedy(), gc.StateSignal, seed)
+	rec := l.cfg.guardRecord(dataset)
+	feats := l.collectStateFeatures(d, frozen.NewScratch().Greedy(), rec.StateSignal(), seed)
 	ocsvmCfg := l.cfg.OCSVM
 	ocsvmCfg.Seed = seed
 	model, err := ocsvm.Train(feats, ocsvmCfg)
@@ -197,13 +197,14 @@ func (l *Lab) train(dataset string) (*Artifacts, *rl.Frozen, error) {
 		Agents:    agents,
 		ValueNets: valueNets,
 		OCSVM:     model,
+		Record:    rec,
 	}
 
 	// 4. ND's validation QoE is the calibration target; 5. α for U_π and
 	// U_V is calibrated to match it in-distribution (§2.5), each
 	// candidate a copy of a carrying it.
 	valQoE := func(c *Artifacts, scheme string) (float64, error) {
-		g, err := NewGuard(c, scheme, frozen.NewScratch(), gc)
+		g, err := NewGuard(c, scheme, frozen.NewScratch(), Probation{})
 		if err != nil {
 			return 0, err
 		}
@@ -214,7 +215,7 @@ func (l *Lab) train(dataset string) (*Artifacts, *rl.Frozen, error) {
 		return nil, nil, err
 	}
 	l.logf("[%s] ND validation QoE = %.2f (calibration target)", dataset, a.NDValQoE)
-	calibrate := func(scheme string) (float64, error) {
+	calibrate := func(scheme string) (float64, Provenance, error) {
 		res, err := core.Calibrate(func(alpha float64) float64 {
 			q, err := valQoE(a.withAlpha(scheme, alpha), scheme)
 			if err != nil {
@@ -222,15 +223,16 @@ func (l *Lab) train(dataset string) (*Artifacts, *rl.Frozen, error) {
 			}
 			return q
 		}, a.NDValQoE, 1e-6, 1e2, l.cfg.CalibIters)
-		return res.Threshold, err
+		return res.Threshold, Provenance{Rule: RuleQoEMatched, Target: a.NDValQoE, Evals: res.Evaluations, Bound: res.Bound}, err
 	}
-	if a.AlphaPi, err = calibrate(SchemeAEns); err != nil {
+	if a.AlphaPi, a.Record.AlphaPi, err = calibrate(SchemeAEns); err != nil {
 		return nil, nil, fmt.Errorf("experiments: %s: calibrate U_pi: %w", dataset, err)
 	}
-	if a.AlphaV, err = calibrate(SchemeVEns); err != nil {
+	if a.AlphaV, a.Record.AlphaV, err = calibrate(SchemeVEns); err != nil {
 		return nil, nil, fmt.Errorf("experiments: %s: calibrate U_V: %w", dataset, err)
 	}
-	l.logf("[%s] calibrated thresholds: alpha_pi=%.3g alpha_V=%.3g", dataset, a.AlphaPi, a.AlphaV)
+	l.logf("[%s] calibrated thresholds: alpha_pi=%.3g %+v alpha_V=%.3g %+v", dataset,
+		a.AlphaPi, a.Record.AlphaPi, a.AlphaV, a.Record.AlphaV)
 	return a, frozen, nil
 }
 
@@ -277,9 +279,9 @@ func (l *Lab) collectStateFeatures(d *trace.Dataset, policy mdp.Policy, stateCfg
 // StateFeatures re-runs the U_S training-feature collection for a
 // trained artifact set: the deployed member rolled over the dataset's
 // training traces with the same seed derivation as train(), yielding
-// exactly the features the OC-SVM was fit on. osap-train -learn-log
-// uses it to export an experience-log bootstrap for the serving-side
-// online learner.
+// exactly the features the OC-SVM was fit on, under a's record.
+// osap-train -learn-log uses it to export an experience-log bootstrap
+// for the serving-side online learner.
 func (l *Lab) StateFeatures(a *Artifacts) ([][]float64, error) {
 	d, err := l.Dataset(a.Dataset)
 	if err != nil {
@@ -287,5 +289,5 @@ func (l *Lab) StateFeatures(a *Artifacts) ([][]float64, error) {
 	}
 	seed := l.cfg.Seed ^ hashString(a.Dataset)
 	deployed := rl.NewGreedyInference(a.Agents[0])
-	return l.collectStateFeatures(d, deployed, l.cfg.GuardConfig(a.Dataset).StateSignal, seed), nil
+	return l.collectStateFeatures(d, deployed, a.Record.StateSignal(), seed), nil
 }

@@ -28,11 +28,13 @@ type artifactsJSON struct {
 	NDValQoE  float64          `json:"nd_val_qoe"`
 	AlphaPi   float64          `json:"alpha_pi"`
 	AlphaV    float64          `json:"alpha_v"`
+	// Record is absent only from a v2 (or older) payload.
+	Record *Record `json:"record,omitempty"`
 }
 
 // artifactsFormat names the checksummed envelope; bump on layout
-// changes.
-const artifactsFormat = "osap-artifacts/v2"
+// changes. v3 added the record; a v2 file loads under AssumedRecord.
+const artifactsFormat, artifactsFormatV2 = "osap-artifacts/v3", "osap-artifacts/v2"
 
 // artifactsEnvelope wraps the artifact payload with an integrity
 // checksum. Artifacts is kept as raw bytes so the SHA-256 is computed
@@ -56,6 +58,7 @@ func encodeArtifacts(a *Artifacts) ([]byte, error) {
 		NDValQoE:  a.NDValQoE,
 		AlphaPi:   a.AlphaPi,
 		AlphaV:    a.AlphaV,
+		Record:    &a.Record,
 	}
 	var err error
 	for i, ag := range a.Agents {
@@ -75,9 +78,9 @@ func encodeArtifacts(a *Artifacts) ([]byte, error) {
 	return payload, nil
 }
 
-// decodeArtifacts parses an artifact payload. Every network's shape is
-// checked before it is built, so a payload that parses but describes
-// an impossible layer is an error, not a panic.
+// decodeArtifacts parses an artifact payload. Every network's shape and
+// the record are checked, so a payload that parses but describes an
+// impossible layer or record is an error, not a panic.
 func decodeArtifacts(payload []byte) (*Artifacts, error) {
 	var aj artifactsJSON
 	if err := json.Unmarshal(payload, &aj); err != nil {
@@ -110,6 +113,13 @@ func (aj *artifactsJSON) build() (*Artifacts, error) {
 		if a.ValueNets[i], err = nj.Network(); err != nil {
 			return nil, fmt.Errorf("value net %d: %w", i, err)
 		}
+	}
+	a.Record = AssumedRecord(a)
+	if aj.Record != nil {
+		a.Record = *aj.Record
+	}
+	if err := a.Record.check(a); err != nil {
+		return nil, fmt.Errorf("record: %w", err)
 	}
 	return a, nil
 }
@@ -167,8 +177,8 @@ func writeSynced(path string, data []byte) error {
 // LoadArtifacts reads artifacts saved by SaveArtifacts, verifying the
 // envelope checksum: a corrupted or truncated file fails fast here,
 // before any bad weight can reach a serving guard. Legacy files (bare
-// payload, no envelope) load with a warning on stderr — they predate
-// checksumming, and refusing them would strand every trained model.
+// payload, no envelope) and v2 files load under AssumedRecord with a
+// warning on stderr — refusing them would strand every trained model.
 func LoadArtifacts(path string) (*Artifacts, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -187,7 +197,7 @@ func LoadArtifacts(path string) (*Artifacts, error) {
 		}
 		return a, nil
 	}
-	if env.Format != artifactsFormat {
+	if env.Format != artifactsFormat && env.Format != artifactsFormatV2 {
 		return nil, fmt.Errorf("experiments: artifacts %s: unknown format %q, want %q",
 			path, env.Format, artifactsFormat)
 	}
@@ -198,6 +208,13 @@ func LoadArtifacts(path string) (*Artifacts, error) {
 	}
 	if payloadErr != nil {
 		return nil, fmt.Errorf("experiments: decode artifacts %s: %w", path, payloadErr)
+	}
+	if (aj.Record == nil) != (env.Format == artifactsFormatV2) {
+		return nil, fmt.Errorf("experiments: artifacts %s: format %s does not match the payload (record present: %t)",
+			path, env.Format, aj.Record != nil)
+	}
+	if aj.Record == nil {
+		fmt.Fprintf(os.Stderr, "experiments: artifacts %s predate the guard record (%s); loading them under an assumed one\n", path, env.Format)
 	}
 	a, err := aj.build()
 	if err != nil {

@@ -136,7 +136,7 @@ func TestLoadArtifactsChecksumMismatchIsDescriptive(t *testing.T) {
 	if err := json.Unmarshal(data, &env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Format != "osap-artifacts/v2" || env.SHA256 == "" {
+	if env.Format != "osap-artifacts/v3" || env.SHA256 == "" {
 		t.Fatalf("saved envelope malformed: format %q sha %q", env.Format, env.SHA256)
 	}
 	// Tamper inside the payload while keeping it valid JSON: swap one
@@ -208,8 +208,10 @@ func TestLoadArtifactsLegacyNoChecksum(t *testing.T) {
 // TestSaveArtifactsPinnedBytes pins the artifact file byte for byte:
 // training runs on the packed kernels and the codec is one pass, and
 // neither may move a bit of what a quick-scale run writes. The digest
-// was recorded before either existed. Bits are per platform (DESIGN
-// §10), so it is checked where it was recorded: amd64.
+// was re-recorded once, when the record joined the payload (v3);
+// TestLoadArtifactsV2 shows the same set without it is the v2 file of
+// before, bit for bit. Bits are per platform (DESIGN §10), so both are
+// checked where they were recorded: amd64.
 func TestSaveArtifactsPinnedBytes(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("artifact bits are pinned on amd64")
@@ -219,9 +221,101 @@ func TestSaveArtifactsPinnedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "4e4abc571012c4f317e1b82bf05258f1c50b525e4e7431da1b3ae6de1a795646"
+	const want = "e89daa84392ae60a40aaef01a8a93ed245886f79700cca209700bbcd179a2518"
 	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != want {
 		t.Fatalf("quick gamma22 artifacts sha256 %x, want %s", sum, want)
+	}
+}
+
+// writeV2 writes a as an osap-artifacts/v2 file: the payload without
+// its record, in the envelope that format had.
+func writeV2(t *testing.T, a *Artifacts) string {
+	t.Helper()
+	payload, err := encodeArtifacts(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := bytes.LastIndex(payload, []byte(`,"record":`))
+	payload = append(payload[:cut:cut], '}')
+	sum := sha256.Sum256(payload)
+	path := filepath.Join(t.TempDir(), a.Dataset+".json")
+	file := `{"format":"osap-artifacts/v2","sha256":"` + hex.EncodeToString(sum[:]) + `","artifacts":` + string(payload) + `}`
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLoadArtifactsV2: the quick set written without its record in the
+// v2 envelope is the file v2 wrote — training moved no bit when the
+// record arrived — and it loads under the assumed record, whose knobs
+// are the ones its thresholds were calibrated under.
+func TestLoadArtifactsV2(t *testing.T) {
+	a, err := quickLab(t).Artifacts("gamma22")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeV2(t, a)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v2 = "4e4abc571012c4f317e1b82bf05258f1c50b525e4e7431da1b3ae6de1a795646"
+	if sum := sha256.Sum256(data); runtime.GOARCH == "amd64" && hex.EncodeToString(sum[:]) != v2 {
+		t.Errorf("quick gamma22 artifacts without the record sha256 %x, want the v2 file's %s", sum, v2)
+	}
+	back, err := LoadArtifacts(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := a.Record
+	want.Assumed, want.AlphaPi, want.AlphaV = true, Provenance{}, Provenance{}
+	if back.Record != want {
+		t.Errorf("v2 file loaded under %+v, want %+v", back.Record, want)
+	}
+	// A record and a format that disagree do not load.
+	v3 := saveQuickArtifacts(t)
+	raw, err := os.ReadFile(v3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(v3, bytes.Replace(raw, []byte("osap-artifacts/v3"), []byte("osap-artifacts/v2"), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadArtifacts(v3); err == nil {
+		t.Error("a v2 envelope around a payload with a record loaded")
+	}
+}
+
+// badRecords are records no artifact set of the template payload below
+// (one agent, a 2-dimensional OC-SVM) can be guarded under.
+var badRecords = map[string]string{
+	"window < 2":    `{"throughput_window":1,"k":1,"trigger_l":3,"discard":0}`,
+	"K < 1":         `{"throughput_window":10,"k":0,"trigger_l":3,"discard":0}`,
+	"dim != 2K":     `{"throughput_window":10,"k":5,"trigger_l":3,"discard":0}`,
+	"discard ≥ n":   `{"throughput_window":10,"k":1,"trigger_l":3,"discard":1}`,
+	"discard < 0":   `{"throughput_window":10,"k":1,"trigger_l":3,"discard":-1}`,
+	"l < 1":         `{"throughput_window":10,"k":1,"trigger_l":0,"discard":0}`,
+	"not an object": `[1]`,
+}
+
+// TestLoadArtifactsBadRecord: a checksum-valid v3 file whose record
+// disagrees with its payload is an error.
+func TestLoadArtifactsBadRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.json")
+	for name, rec := range badRecords {
+		payload := payloadWithRecord(goodLayer, rec)
+		sum := sha256.Sum256(payload)
+		file := `{"format":"osap-artifacts/v3","sha256":"` + hex.EncodeToString(sum[:]) + `","artifacts":` + string(payload) + `}`
+		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadArtifacts(path); err == nil {
+			t.Errorf("%s: loaded without error", name)
+		}
+	}
+	if _, err := decodeArtifacts(payloadWithRecord(goodLayer, `{"throughput_window":10,"k":1,"trigger_l":3,"discard":0}`)); err != nil {
+		t.Fatalf("template record rejected: %v", err)
 	}
 }
 
@@ -282,14 +376,24 @@ var badLayerPayloads = map[string]string{
 	"product overflow": `{"kind":"dense","in":4000000000,"out":4000000000}`,
 }
 
-// payloadWithActorLayer is a minimal payload whose one agent's actor is
-// the given layer.
-func payloadWithActorLayer(layer string) []byte {
+// goodLayer is a layer the template payload's actor can have.
+const goodLayer = `{"kind":"dense","in":1,"out":1,"weight":[2],"bias":[0]}`
+
+// payloadWithActorLayer is a minimal v2 payload whose one agent's actor
+// is the given layer.
+func payloadWithActorLayer(layer string) []byte { return payloadWithRecord(layer, "") }
+
+// payloadWithRecord is payloadWithActorLayer carrying the given record
+// ("" for none).
+func payloadWithRecord(layer, record string) []byte {
+	if record != "" {
+		record = `,"record":` + record
+	}
 	return []byte(`{"dataset":"gamma22","agents":[{"cfg":{"ObsChannels":1,"HistoryLen":1,"ConvFilters":1,"ConvKernel":1,"Hidden":1,"Actions":1},` +
 		`"actor":{"layers":[` + layer + `]},` +
 		`"critic":{"layers":[{"kind":"dense","in":1,"out":1,"weight":[0.5],"bias":[0]}]}}],` +
-		`"value_nets":[],"ocsvm":{"svs":[[1]],"alpha":[1],"rho":0,"gamma":1,"dim":1},` +
-		`"nd_val_qoe":0,"alpha_pi":0,"alpha_v":0}`)
+		`"value_nets":[],"ocsvm":{"svs":[[1,1]],"alpha":[1],"rho":0,"gamma":1,"dim":2},` +
+		`"nd_val_qoe":0,"alpha_pi":0,"alpha_v":0` + record + `}`)
 }
 
 // TestLoadArtifactsBadLayerDims: a checksum-valid file with impossible
@@ -309,14 +413,14 @@ func TestLoadArtifactsBadLayerDims(t *testing.T) {
 		}
 	}
 	// The template itself, with a real layer, loads.
-	if _, err := decodeArtifacts(payloadWithActorLayer(`{"kind":"dense","in":1,"out":1,"weight":[2],"bias":[0]}`)); err != nil {
+	if _, err := decodeArtifacts(payloadWithActorLayer(goodLayer)); err != nil {
 		t.Fatalf("template payload rejected: %v", err)
 	}
 }
 
-// FuzzArtifactPayload: the payload decoder never panics, and whatever
-// it accepts re-encodes to bytes that decode and re-encode to
-// themselves.
+// FuzzArtifactPayload: the payload decoder never panics — not on a bad
+// layer, not on a bad record — and whatever it accepts re-encodes to
+// bytes that decode and re-encode to themselves.
 func FuzzArtifactPayload(f *testing.F) {
 	a, err := quickLab(f).Artifacts("gamma22")
 	if err != nil {
@@ -329,6 +433,9 @@ func FuzzArtifactPayload(f *testing.F) {
 	f.Add(quick)
 	for _, layer := range badLayerPayloads {
 		f.Add(payloadWithActorLayer(layer))
+	}
+	for _, rec := range badRecords {
+		f.Add(payloadWithRecord(goodLayer, rec))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		a, err := decodeArtifacts(payload)

@@ -85,16 +85,14 @@ func (c *Counters) RejectedTotal() uint64 {
 // Config parameterizes a Learner.
 type Config struct {
 	// Artifacts is the frozen baseline the gate judges against: its
-	// OCSVM, agent and value ensembles, and AlphaPi/AlphaV thresholds.
-	// Required; the ensembles must have ≥ 2 members each (all three
-	// signals are mandatory — there is no reduced-signal gate).
+	// OCSVM, ensembles and thresholds, under its record. Required; the
+	// ensembles must have ≥ 2 members each (all three signals are
+	// mandatory — there is no reduced-signal gate).
 	Artifacts *experiments.Artifacts
-	// SignalConfig is the U_S feature windowing; must match the
-	// baseline OC-SVM's dimension.
+	// SignalConfig and Trim are checks against the record, not
+	// settings (experiments.Record.Expect).
 	SignalConfig core.StateSignalConfig
-	// Trim is the ensemble trimming config (same as the serving
-	// guard's).
-	Trim core.EnsembleConfig
+	Trim         core.EnsembleConfig
 	// Extract pulls the throughput sample out of an observation
 	// (abr.LastThroughputMbps for the ABR case study). Required.
 	Extract func(obs []float64) float64
@@ -201,9 +199,11 @@ type Proposal struct {
 	// NumSVs and Rho summarize the refit boundary.
 	NumSVs int     `json:"num_svs"`
 	Rho    float64 `json:"rho"`
-	// AlphaPi/AlphaV are the recalibrated thresholds.
-	AlphaPi float64 `json:"alpha_pi"`
-	AlphaV  float64 `json:"alpha_v"`
+	// AlphaPi/AlphaV are the recalibrated thresholds; Record says where
+	// they came from.
+	AlphaPi float64            `json:"alpha_pi"`
+	AlphaV  float64            `json:"alpha_v"`
+	Record  experiments.Record `json:"record"`
 	// Published reports whether the proposal reached the registry.
 	Published bool `json:"published"`
 }
@@ -259,11 +259,8 @@ func New(cfg Config) (*Learner, error) {
 	if cfg.Extract == nil {
 		return nil, fmt.Errorf("learn: Extract is required")
 	}
-	if err := cfg.SignalConfig.Validate(); err != nil {
+	if err := cfg.Artifacts.Record.Expect(cfg.SignalConfig, 0, cfg.Trim); err != nil {
 		return nil, err
-	}
-	if d := cfg.SignalConfig.FeatureDim(); cfg.Artifacts.OCSVM.Dim != d {
-		return nil, fmt.Errorf("learn: baseline OC-SVM dim %d != feature dim %d", cfg.Artifacts.OCSVM.Dim, d)
 	}
 	if !(cfg.Artifacts.AlphaPi > 0) || !(cfg.Artifacts.AlphaV > 0) {
 		return nil, fmt.Errorf("learn: baseline thresholds must be positive (AlphaPi=%v AlphaV=%v)",
@@ -278,7 +275,7 @@ func New(cfg Config) (*Learner, error) {
 		return nil, err
 	}
 
-	dim := cfg.SignalConfig.FeatureDim()
+	dim := cfg.Artifacts.OCSVM.Dim
 	l := &Learner{
 		cfg:       cfg,
 		ring:      newRing(dim, cfg.RingSize),
@@ -313,18 +310,20 @@ func New(cfg Config) (*Learner, error) {
 // NewGate builds the trust gate for one session. Each gate gets
 // forward scratch of its own over the learner's one packed copy of the
 // baseline networks — a serving shard's scratch runs its generation's
-// networks, not the baseline — and private feature windows.
+// networks, not the baseline — and private feature windows, all built
+// from the baseline's record.
 func (l *Learner) NewGate(sessionIdx uint64) (*Gate, error) {
-	feats, err := core.NewStateFeaturizer(l.cfg.SignalConfig)
+	base := l.cfg.Artifacts
+	feats, err := core.NewStateFeaturizer(base.Record.StateSignal())
 	if err != nil {
 		return nil, err
 	}
 	sc := l.frozen.NewScratch()
-	pol, err := core.NewPolicySignal(sc.Policies(), l.cfg.Trim)
+	pol, _, err := experiments.Signal(base, experiments.SchemeAEns, sc)
 	if err != nil {
 		return nil, err
 	}
-	val, err := core.NewValueSignal(sc.Values(), l.cfg.Trim)
+	val, _, err := experiments.Signal(base, experiments.SchemeVEns, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -333,11 +332,11 @@ func (l *Learner) NewGate(sessionIdx uint64) (*Gate, error) {
 		sessIdx:   sessionIdx,
 		feats:     feats,
 		model:     l.base,
-		pol:       pol,
-		val:       val,
+		pol:       pol.(*core.PolicySignal), // the concrete signals keep Check statically checked
+		val:       val.(*core.ValueSignal),
 		extract:   l.cfg.Extract,
-		alphaPi:   l.cfg.Artifacts.AlphaPi,
-		alphaV:    l.cfg.Artifacts.AlphaV,
+		alphaPi:   base.AlphaPi,
+		alphaV:    base.AlphaV,
 		rateEvery: uint64(l.cfg.RateEvery),
 		rateBurst: uint64(l.cfg.RateBurst),
 	}, nil
@@ -418,18 +417,18 @@ func (l *Learner) refitLocked() (*Proposal, error) {
 		l.counters.RefitFailures.Add(1)
 		return nil, err
 	}
-	alphaPi := l.cfg.Artifacts.AlphaPi
-	alphaV := l.cfg.Artifacts.AlphaV
-	if int(l.polSketch.Count()) >= l.cfg.MinCalibSamples {
-		if a := l.polSketch.Quantile(l.cfg.AlphaQuantile); a > 0 {
-			alphaPi = a
+	rec := l.cfg.Artifacts.Record // a recalibrated threshold records its own rule
+	alphaPi, alphaV := l.cfg.Artifacts.AlphaPi, l.cfg.Artifacts.AlphaV
+	requantile := func(sk *sketch.Sketch, alpha *float64, prov *experiments.Provenance) {
+		if n := int(sk.Count()); n >= l.cfg.MinCalibSamples {
+			if a := sk.Quantile(l.cfg.AlphaQuantile); a > 0 {
+				*alpha = a
+				*prov = experiments.Provenance{Rule: experiments.RuleQuantile, Target: l.cfg.AlphaQuantile, Evals: n}
+			}
 		}
 	}
-	if int(l.valSketch.Count()) >= l.cfg.MinCalibSamples {
-		if a := l.valSketch.Quantile(l.cfg.AlphaQuantile); a > 0 {
-			alphaV = a
-		}
-	}
+	requantile(l.polSketch, &alphaPi, &rec.AlphaPi)
+	requantile(l.valSketch, &alphaV, &rec.AlphaV)
 	l.refitSeq++
 	l.sinceRefit = 0
 	l.counters.Refits.Add(1)
@@ -440,6 +439,7 @@ func (l *Learner) refitLocked() (*Proposal, error) {
 		Rho:     model.Rho,
 		AlphaPi: alphaPi,
 		AlphaV:  alphaV,
+		Record:  rec,
 	}
 	if l.cfg.RegistryRoot != "" {
 		if err := l.publishLocked(model, prop); err != nil {
@@ -458,7 +458,7 @@ func (l *Learner) refitLocked() (*Proposal, error) {
 // publishLocked writes the refit artifacts to the registry as a
 // proposed version. The baseline artifact struct is copied shallowly —
 // the networks are shared read-only, exactly as in serving — with only
-// the OC-SVM and thresholds replaced.
+// the OC-SVM, thresholds and their provenance replaced.
 func (l *Learner) publishLocked(model *ocsvm.Model, prop *Proposal) error {
 	if l.log != nil {
 		// Durability point: the samples behind the proposal are on
@@ -471,6 +471,7 @@ func (l *Learner) publishLocked(model *ocsvm.Model, prop *Proposal) error {
 	arts.OCSVM = model
 	arts.AlphaPi = prop.AlphaPi
 	arts.AlphaV = prop.AlphaV
+	arts.Record = prop.Record
 	version := fmt.Sprintf("%s-refit-%03d", l.cfg.ProposalPrefix, l.refitSeq)
 	meta := registry.Meta{
 		Version:   version,

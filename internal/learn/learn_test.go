@@ -22,7 +22,8 @@ const thrSlot = 3*abr.HistoryLen - 1
 // learnArtifacts builds a baseline artifact set on an OC-SVM trained
 // from a stationary 3±0.5 Mbps series, with freshly initialized
 // (untrained) ensembles — inference cost and disagreement behavior are
-// realistic, decision quality is irrelevant here.
+// realistic, decision quality is irrelevant here — recorded under the
+// paper's knobs (discard 2 of however many members).
 func learnArtifacts(t testing.TB, ensemble int, alphaPi, alphaV float64) *experiments.Artifacts {
 	t.Helper()
 	netCfg := rl.DefaultNetConfig()
@@ -55,6 +56,7 @@ func learnArtifacts(t testing.TB, ensemble int, alphaPi, alphaV float64) *experi
 		OCSVM:     model,
 		AlphaPi:   alphaPi,
 		AlphaV:    alphaV,
+		Record:    experiments.Record{ThroughputWindow: 10, K: 5, TriggerL: 3, Discard: 2},
 	}
 }
 
@@ -426,6 +428,32 @@ func TestRefitRecalibratesThresholds(t *testing.T) {
 	if !(prop.AlphaV > 0) || prop.AlphaV >= 1e9 {
 		t.Errorf("AlphaV not recalibrated: %v", prop.AlphaV)
 	}
+	// Each recalibrated threshold records its own rule, not the
+	// baseline's; the knobs it holds under are the baseline's.
+	for _, p := range []experiments.Provenance{prop.Record.AlphaPi, prop.Record.AlphaV} {
+		if p.Rule != experiments.RuleQuantile || p.Target != 0.95 || p.Evals < 64 {
+			t.Errorf("recalibrated threshold's provenance %+v, want the 0.95 quantile of ≥ 64 samples", p)
+		}
+	}
+	if want := arts.Record; prop.Record.K != want.K || prop.Record.Discard != want.Discard {
+		t.Errorf("refit record %+v, want the baseline's knobs %+v", prop.Record, want)
+	}
+}
+
+// TestLearnerPinsTheRecord: the gate's calibration knobs are the
+// baseline's record; a config asking for others is refused.
+func TestLearnerPinsTheRecord(t *testing.T) {
+	arts := learnArtifacts(t, 4, 1e9, 1e9)
+	for _, cfg := range []Config{
+		{SignalConfig: core.StateSignalConfig{ThroughputWindow: 10, K: 10}},
+		{Trim: core.EnsembleConfig{Discard: 1}},
+	} {
+		cfg.Artifacts, cfg.Extract = arts, abr.LastThroughputMbps
+		if l, err := New(cfg); err == nil {
+			l.Stop() //nolint:errcheck
+			t.Errorf("%+v %+v accepted against the record %+v", cfg.SignalConfig, cfg.Trim, arts.Record)
+		}
+	}
 }
 
 // newTestLearner builds a learner over the shared test substrate with
@@ -435,8 +463,6 @@ func newTestLearner(t testing.TB, arts *experiments.Artifacts, mut func(*Config)
 	t.Helper()
 	cfg := Config{
 		Artifacts:     arts,
-		SignalConfig:  core.DefaultStateSignalConfig(),
-		Trim:          core.DefaultEnsembleConfig(),
 		Extract:       abr.LastThroughputMbps,
 		FlushInterval: time.Hour,
 	}

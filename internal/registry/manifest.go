@@ -1,9 +1,10 @@
 // Package registry is the versioned artifact store behind hot-reload
 // and canary rollout (DESIGN.md §11). Each version is a directory
 // `<root>/<version>/` holding a manifest.json plus the checksummed
-// osap-artifacts/v2 file(s) it names; the manifest records per-file
-// SHA-256s and lineage (parent version), so a registry is a
-// content-verified, append-only history of trained artifact sets.
+// osap-artifacts/v3 file(s) it names (v2 files still load); the
+// manifest records per-file SHA-256s and lineage (parent version), so a
+// registry is a content-verified, append-only history of trained
+// artifact sets.
 //
 // Publication is atomic: WriteVersion stages into a dot-prefixed temp
 // directory and renames it into place, so a Watcher polling the root

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"osap/internal/abr"
-	"osap/internal/core"
 	"osap/internal/learn"
 	"osap/internal/stats"
 )
@@ -81,8 +80,6 @@ func TestGateStepZeroAlloc(t *testing.T) {
 	}
 	learner, err := learn.New(learn.Config{
 		Artifacts:     arts,
-		SignalConfig:  core.DefaultStateSignalConfig(),
-		Trim:          core.DefaultEnsembleConfig(),
 		Extract:       abr.LastThroughputMbps,
 		RateBurst:     1 << 30, // never rate-limit: keep the admission path hot
 		FlushInterval: time.Hour,

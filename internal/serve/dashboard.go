@@ -16,6 +16,7 @@ import (
 	"net/http"
 
 	"osap/internal/buildinfo"
+	"osap/internal/experiments"
 	"osap/internal/sketch"
 )
 
@@ -66,6 +67,7 @@ type dashboardVersion struct {
 	LatencyP50Us float64                   `json:"latency_p50_us"`
 	LatencyP99Us float64                   `json:"latency_p99_us"`
 	Drift        map[string]driftQuantiles `json:"drift"`
+	Record       experiments.Record        `json:"record"` // what the version's guards are built from
 }
 
 func (s *Server) versionRow(g *Generation, role string, live int) dashboardVersion {
@@ -86,6 +88,7 @@ func (s *Server) versionRow(g *Generation, role string, live int) dashboardVersi
 		LatencyP50Us: st.Latency.Quantile(0.50) * 1e6,
 		LatencyP99Us: st.Latency.Quantile(0.99) * 1e6,
 		Drift:        make(map[string]driftQuantiles, driftSignals),
+		Record:       g.factory.arts.Record,
 	}
 	if row.Decisions > 0 {
 		row.FallbackRate = float64(row.Fallbacks) / float64(row.Decisions)
@@ -261,7 +264,8 @@ func (s *Server) loadGeneration(version string) (*Generation, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := NewGuardFactory(arts, s.factory.cfg)
+	// Its guards are built from its own record: only probation carries over.
+	f, err := NewGuardFactory(arts, GuardConfig{Probation: s.factory.probation})
 	if err != nil {
 		return nil, err
 	}

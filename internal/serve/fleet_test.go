@@ -16,6 +16,7 @@ import (
 	"osap/internal/abr"
 	"osap/internal/chaos"
 	"osap/internal/core"
+	"osap/internal/experiments"
 	"osap/internal/serve/proto"
 )
 
@@ -141,7 +142,7 @@ func TestFleetTotalsAcrossGenerations(t *testing.T) {
 	var clock atomic.Int64
 	t0 := time.Unix(1_700_000_000, 0)
 	clock.Store(t0.UnixNano())
-	srv, _ := testRolloutServer(t, GuardConfig{ReadmitL: 2, ReadmitCap: 1}, Config{
+	srv, _ := testRolloutServer(t, GuardConfig{Probation: experiments.Probation{ReadmitL: 2, ReadmitCap: 1}}, Config{
 		Now: func() time.Time { return time.Unix(0, clock.Load()) },
 		WrapGuard: func(idx uint64, g *core.Guard) {
 			script(g, patterns[idx%uint64(len(patterns))]...)

@@ -429,8 +429,6 @@ func TestSessionModeTable(t *testing.T) {
 	}
 	learner, err := learn.New(learn.Config{
 		Artifacts:     arts,
-		SignalConfig:  core.DefaultStateSignalConfig(),
-		Trim:          core.DefaultEnsembleConfig(),
 		Extract:       abr.LastThroughputMbps,
 		FlushInterval: time.Hour,
 	})

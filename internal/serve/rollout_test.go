@@ -284,8 +284,9 @@ func TestServerStagePromoteHTTP(t *testing.T) {
 	}
 	var dash struct {
 		Versions []struct {
-			Version string `json:"version"`
-			Role    string `json:"role"`
+			Version string              `json:"version"`
+			Role    string              `json:"role"`
+			Record  *experiments.Record `json:"record"`
 		} `json:"versions"`
 		Rollout struct {
 			Active    string `json:"active"`
@@ -298,6 +299,13 @@ func TestServerStagePromoteHTTP(t *testing.T) {
 	resp.Body.Close()
 	if dash.Rollout.Active != "v1" || dash.Rollout.Candidate != "v2" || len(dash.Versions) != 2 {
 		t.Fatalf("dashboard state: %+v", dash)
+	}
+	// Each version shows the record its guards are built from: a
+	// synthetic set's, assumed, 3 members trimmed by 1.
+	for _, v := range dash.Versions {
+		if r := v.Record; r == nil || !r.Assumed || r.Discard != 1 || r.K != 5 || r.TriggerL != 3 {
+			t.Errorf("dashboard %s record %+v, want the assumed K 5, l 3, discard 1", v.Version, r)
+		}
 	}
 
 	// Manual promote flips the active pointer.
@@ -390,6 +398,44 @@ func TestStageRacingDrain(t *testing.T) {
 	}
 	if got := srv.Metrics().DrainRejected.Load(); got != 1 {
 		t.Fatalf("osap_drain_rejected_total = %d, want 1", got)
+	}
+}
+
+// TestStageVersionWithItsOwnRecord: a staged version's guards are
+// built from its own record, not the boot version's — a 5-member,
+// K = 10 candidate stages beside a 3-member, K = 5 active version, and
+// its sessions step with its window and trim.
+func TestStageVersionWithItsOwnRecord(t *testing.T) {
+	srv, _ := testRolloutServer(t, GuardConfig{}, Config{LoadVersion: func(string) (*experiments.Artifacts, string, error) {
+		a, err := SyntheticArtifacts("synthetic", 5, 12)
+		if err != nil {
+			return nil, "", err
+		}
+		return withWindow(t, a, 10), "feedc0de", nil
+	}})
+	v2, err := srv.loadGeneration("v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := v2.factory.arts.Record; r.K != 10 || r.Discard != 2 {
+		t.Fatalf("candidate record %+v, want K 10 and discard 2", r)
+	}
+	if _, err := srv.rollout.Stage(v2, 1, time.Unix(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []string{SchemeND, SchemeAEns, SchemeVEns} {
+		sess, err := srv.createSession(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sess.gen != v2 {
+			t.Fatalf("%s session bound %s, want the candidate", scheme, sess.gen.Version())
+		}
+		for i, obs := range obsStream(5, srv.factory.ObsDim(), 30) {
+			if _, err := srv.stepErr(sess, obs); err != nil {
+				t.Fatalf("%s step %d: %v", scheme, i, err)
+			}
+		}
 	}
 }
 

@@ -34,41 +34,44 @@ const (
 	SchemeVEns = experiments.SchemeVEns // U_V: value-ensemble disagreement
 )
 
-// GuardConfig carries the per-deployment knobs a GuardFactory needs
-// beyond the trained artifacts themselves; NewGuardFactory resolves its
-// zero knobs against the artifacts (experiments.GuardConfig.Resolve), so
-// the U_S window is read off the artifact's OC-SVM unless set.
-type GuardConfig = experiments.GuardConfig
+// GuardConfig is a deployment's serving policy for its guards, the
+// probation pair; every other knob is the artifacts' record, which each
+// generation builds from. StateSignal, TriggerL and Trim are checks:
+// zero takes the record's value, any other must equal it
+// (experiments.Record.Expect).
+type GuardConfig struct {
+	experiments.Probation
+	StateSignal core.StateSignalConfig
+	TriggerL    int
+	Trim        core.EnsembleConfig
+}
 
 // GuardFactory builds per-session guards from one shared, read-only set
 // of trained artifacts. The artifacts (networks, OC-SVM support
-// vectors, calibrated thresholds) are never mutated after construction;
-// the networks are packed for inference once, here, and every guard
-// and shard of the factory's generation reads that one copy. Every
-// guard has private signal and trigger state; its activation buffers
-// are the scratch it is built on.
+// vectors, calibrated thresholds, record) are never mutated after
+// construction; the networks are packed for inference once, here, and
+// every guard and shard of the factory's generation reads that one
+// copy. Every guard has private signal and trigger state; its
+// activation buffers are the scratch it is built on.
 type GuardFactory struct {
-	arts   *experiments.Artifacts
-	frozen *rl.Frozen
-	cfg    GuardConfig
+	arts      *experiments.Artifacts
+	frozen    *rl.Frozen
+	probation experiments.Probation
 }
 
-// NewGuardFactory resolves the config against the artifacts: the
-// OC-SVM dimension must match the U_S windowing, exactly as in
-// training.
+// NewGuardFactory checks the config against the artifacts' record.
 func NewGuardFactory(arts *experiments.Artifacts, cfg GuardConfig) (*GuardFactory, error) {
 	if arts == nil || len(arts.Agents) == 0 {
 		return nil, fmt.Errorf("serve: artifacts with at least one agent are required")
 	}
-	cfg, err := cfg.Resolve(arts)
-	if err != nil {
+	if err := arts.Record.Expect(cfg.StateSignal, cfg.TriggerL, cfg.Trim); err != nil {
 		return nil, err
 	}
 	frozen, err := rl.Freeze(arts.Agents, arts.ValueNets)
 	if err != nil {
 		return nil, err
 	}
-	return &GuardFactory{arts: arts, frozen: frozen, cfg: cfg}, nil
+	return &GuardFactory{arts: arts, frozen: frozen, probation: cfg.Probation}, nil
 }
 
 // ObsDim returns the observation length the deployed agent expects.
@@ -83,10 +86,6 @@ func (f *GuardFactory) Dataset() string { return f.arts.Dataset }
 // Artifacts exposes the factory's (read-only) artifact set — the
 // frozen baseline an online learner judges against.
 func (f *GuardFactory) Artifacts() *experiments.Artifacts { return f.arts }
-
-// Config returns the factory's guard configuration with every zero
-// knob resolved against its artifacts.
-func (f *GuardFactory) Config() GuardConfig { return f.cfg }
 
 // Schemes lists the guard schemes this factory can build, given which
 // artifacts are present.
@@ -105,9 +104,9 @@ func (f *GuardFactory) Schemes() []string {
 }
 
 // NewGuard assembles a fresh, standalone guard — experiments.NewGuard
-// over the factory's artifacts and config — on forward scratch of its
-// own. The returned guard is single-goroutine; never share it across
-// sessions.
+// over the factory's artifacts and probation policy — on forward
+// scratch of its own. The returned guard is single-goroutine; never
+// share it across sessions.
 func (f *GuardFactory) NewGuard(scheme string) (*core.Guard, error) {
-	return experiments.NewGuard(f.arts, scheme, f.frozen.NewScratch(), f.cfg)
+	return experiments.NewGuard(f.arts, scheme, f.frozen.NewScratch(), f.probation)
 }

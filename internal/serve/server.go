@@ -359,8 +359,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // createSession builds, wraps and publishes one session — the shared
 // core of the HTTP and binary create paths. The session binds an
 // artifact generation and one of its shards here, at admission, and
-// keeps both for life: its guard is built on the shard's scratch under
-// the generation's guard config, whose probation pair the session
+// keeps both for life: its guard is built on the shard's scratch from
+// the generation's record, under the probation pair the session
 // follows too, and the canary router only ever shifts NEW sessions. A returned
 // ErrTableFull means admission control refused the session; any other
 // error is a bad scheme.
@@ -369,7 +369,7 @@ func (s *Server) createSession(scheme string) (*Session, error) {
 	gen := s.rollout.pick(idx - 1)
 	sh := gen.assignShard()
 	f := gen.factory
-	guard, err := experiments.NewGuard(f.arts, scheme, sh.scratch, f.cfg)
+	guard, err := experiments.NewGuard(f.arts, scheme, sh.scratch, f.probation)
 	if err != nil {
 		return nil, err
 	}
@@ -381,8 +381,8 @@ func (s *Server) createSession(scheme string) (*Session, error) {
 		scheme:     scheme,
 		guard:      guard,
 		shard:      sh,
-		readmitL:   f.cfg.ReadmitL,
-		readmitCap: f.cfg.ReadmitCap,
+		readmitL:   f.probation.ReadmitL,
+		readmitCap: f.probation.ReadmitCap,
 		gen:        gen,
 		driftShard: uint32(idx),
 		sigIdx:     driftSignalIndex(scheme),

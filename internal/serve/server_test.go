@@ -449,31 +449,64 @@ func TestGuardFactoryValidation(t *testing.T) {
 	if _, err := f.NewGuard("nope"); err == nil {
 		t.Error("unknown scheme accepted")
 	}
-	// Mismatched U_S windowing is rejected up front.
-	bad := GuardConfig{StateSignal: core.StateSignalConfig{ThroughputWindow: 10, K: 20}}
-	if _, err := NewGuardFactory(arts, bad); err == nil {
-		t.Error("OC-SVM/window dim mismatch accepted")
+	// A calibration knob is a check against the record: its own value
+	// passes, any other is refused naming both.
+	if _, err := NewGuardFactory(arts, GuardConfig{TriggerL: 3, Trim: core.EnsembleConfig{Discard: 1}}); err != nil {
+		t.Errorf("the record's own knobs refused: %v", err)
 	}
-	// An unset window is read off the OC-SVM: a k = 10 model (the
-	// quick-scale synthetic datasets') serves under the zero config.
+	bad := GuardConfig{StateSignal: core.StateSignalConfig{ThroughputWindow: 10, K: 20}}
+	if _, err := NewGuardFactory(arts, bad); err == nil || !strings.Contains(err.Error(), "K 20") || !strings.Contains(err.Error(), "under 5") {
+		t.Errorf("a window other than the record's: err %v, want one naming K 20 and 5", err)
+	}
+	// A set with no record windows U_S as its OC-SVM was fit: a k = 10
+	// model (the quick-scale synthetic datasets') serves ND.
+	wide := withWindow(t, arts, 10)
+	fw, err := NewGuardFactory(wide, GuardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := fw.Artifacts().Record.K; k != 10 {
+		t.Errorf("assumed K = %d, want 10 from a %d-dim OC-SVM", k, wide.OCSVM.Dim)
+	}
+	if _, err := fw.NewGuard(SchemeND); err != nil {
+		t.Error(err)
+	}
+}
+
+// withWindow is a copy of arts whose OC-SVM was fit on U_S features of
+// window k, under the record a set with no record of its own gets.
+func withWindow(t *testing.T, arts *experiments.Artifacts, k int) *experiments.Artifacts {
+	t.Helper()
 	series := make([]float64, 200)
 	for i := range series {
 		series[i] = 3 + float64(i%7)/10
 	}
-	model, err := ocsvm.Train(core.BuildStateFeatures(series, core.StateSignalConfig{ThroughputWindow: 10, K: 10}), ocsvm.DefaultConfig())
+	model, err := ocsvm.Train(core.BuildStateFeatures(series, core.StateSignalConfig{ThroughputWindow: 10, K: k}), ocsvm.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	wide := *arts
 	wide.OCSVM = model
-	fw, err := NewGuardFactory(&wide, GuardConfig{})
+	wide.Record = experiments.AssumedRecord(&wide)
+	return &wide
+}
+
+// TestSyntheticEnsembleScores: a 3-member synthetic set keeps 2 members
+// under its record, so its A-ensemble guard scores disagreement instead
+// of the constant 0 one surviving member gives.
+func TestSyntheticEnsembleScores(t *testing.T) {
+	f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := fw.Config().StateSignal.K; k != 10 {
-		t.Errorf("resolved K = %d, want 10 from a %d-dim OC-SVM", k, model.Dim)
+	g, err := f.NewGuard(SchemeAEns)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := fw.NewGuard(SchemeND); err != nil {
-		t.Error(err)
+	for _, obs := range obsStream(3, f.ObsDim(), 20) {
+		if g.Decide(obs).Score != 0 {
+			return
+		}
 	}
+	t.Fatal("a 3-member A-ensemble scored 0 on every step of the tape")
 }

@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"osap/internal/abr"
 	"osap/internal/chaos"
 	"osap/internal/core"
+	"osap/internal/learn"
 	"osap/internal/mdp"
 	"osap/internal/rl"
 	"osap/internal/stats"
@@ -352,9 +354,9 @@ func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
 		}
 		g.Learned = rl.GreedyPolicy{P: arts.Agents[0]}
 		if scheme == SchemeAEns {
-			g.Signal, err = core.NewPolicySignal(rl.PolicyEnsemble(arts.Agents), f.cfg.Trim)
+			g.Signal, err = core.NewPolicySignal(rl.PolicyEnsemble(arts.Agents), arts.Record.Trim())
 		} else {
-			g.Signal, err = core.NewValueSignal(rl.ValueEnsemble(arts.ValueNets), f.cfg.Trim)
+			g.Signal, err = core.NewValueSignal(rl.ValueEnsemble(arts.ValueNets), arts.Record.Trim())
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -446,7 +448,9 @@ func TestForwardFaultLeavesShardClean(t *testing.T) {
 // once on the learned policy, the forward an ND session used to build
 // a workspace of its own for. Every session's forwards run on its
 // shard's scratch, so none holds an inference workspace. The sessions
-// still decide as a fresh standalone guard does, bit for bit.
+// still decide as a fresh standalone guard does, bit for bit. A
+// learning session's trust gate keeps forward scratch of its own over
+// the baseline; its bytes are logged, not bounded.
 func TestSessionFootprint(t *testing.T) {
 	s := batchTestServer(t)
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
@@ -458,7 +462,7 @@ func TestSessionFootprint(t *testing.T) {
 	}
 	const n, steps, max = 512, 3, 1536 // max: bytes per session
 	obs := obsStream(41, s.factory.ObsDim(), steps+1)
-	for _, scheme := range []string{SchemeND, SchemeAEns, SchemeVEns} {
+	retained := func(s *Server, scheme, kind string) ([]*Session, int64) {
 		sessions := make([]*Session, n)
 		before := heap()
 		for i := range sessions {
@@ -480,7 +484,24 @@ func TestSessionFootprint(t *testing.T) {
 			sessions[i] = sess
 		}
 		per := (heap() - before) / n
-		t.Logf("%s: %d B retained per session", scheme, per)
+		t.Logf("%s%s: %d B retained per session", kind, scheme, per)
+		return sessions, per
+	}
+	learner, err := learn.New(learn.Config{Artifacts: s.factory.Artifacts(), Extract: abr.LastThroughputMbps, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer learner.Stop() //nolint:errcheck // no log configured
+	ls, err := NewServer(s.factory, Config{Learner: learner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Drain(context.Background(), io.Discard) //nolint:errcheck
+	if _, per := retained(ls, SchemeAEns, "learning "); per <= max {
+		t.Errorf("a learning session retains %d B, no more than a plain one's bound: is its gate built?", per)
+	}
+	for _, scheme := range []string{SchemeND, SchemeAEns, SchemeVEns} {
+		sessions, per := retained(s, scheme, "")
 		if per > max {
 			t.Errorf("%s: %d B retained per session, want ≤ %d", scheme, per, max)
 		}

@@ -21,6 +21,7 @@ import (
 	"osap/internal/abr"
 	"osap/internal/chaos"
 	"osap/internal/core"
+	"osap/internal/experiments"
 	"osap/internal/mdp"
 	"osap/internal/serve/proto"
 	"osap/internal/stats"
@@ -274,7 +275,7 @@ func TestServedScoreIsFinite(t *testing.T) {
 	for _, kind := range []chaos.Kind{chaos.NaNScore, chaos.InfScore} {
 		for _, readmitL := range []int{0, 3} {
 			const faultStep = 2
-			_, ts := newTestServerGuard(t, GuardConfig{ReadmitL: readmitL, ReadmitCap: -1}, Config{
+			_, ts := newTestServerGuard(t, GuardConfig{Probation: experiments.Probation{ReadmitL: readmitL, ReadmitCap: -1}}, Config{
 				WrapGuard: func(_ uint64, g *core.Guard) {
 					script(g, chaos.Fault{Step: faultStep, Kind: kind})
 				},

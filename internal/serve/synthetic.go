@@ -17,7 +17,7 @@ import (
 // trained artifacts — the weights just encode no policy — so this is
 // the cheap substrate for serve tests and load benchmarks where
 // decision quality is irrelevant. ensemble ≥ 2 enables all three
-// schemes.
+// schemes. Nothing was calibrated: the record is AssumedRecord's.
 func SyntheticArtifacts(dataset string, ensemble int, seed uint64) (*experiments.Artifacts, error) {
 	if ensemble < 2 {
 		return nil, fmt.Errorf("serve: synthetic artifacts need ensemble ≥ 2, got %d", ensemble)
@@ -53,12 +53,14 @@ func SyntheticArtifacts(dataset string, ensemble int, seed uint64) (*experiments
 		return nil, err
 	}
 
-	return &experiments.Artifacts{
+	a := &experiments.Artifacts{
 		Dataset:   dataset,
 		Agents:    agents,
 		ValueNets: valueNets,
 		OCSVM:     model,
 		AlphaPi:   0.05,
 		AlphaV:    0.05,
-	}, nil
+	}
+	a.Record = experiments.AssumedRecord(a)
+	return a, nil
 }
