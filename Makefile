@@ -79,12 +79,13 @@ figures-check:
 	echo "figures-check: 3 runs byte-identical, sha256 $$(sha256sum < "$$dir/run1.txt" | cut -d' ' -f1)"
 
 # The train → file → serve round trip through the binaries: osap-train
-# writes a quick gamma22 artifact file, and osap-serve serves it under
-# the record inside it through the selftest matrix (~5 s).
+# writes a quick gamma22 artifact file, and the load selftest
+# (TestSelfTestSmallScale) serves it under the record inside it through
+# its transport × procs matrix (~5 s).
 models-check:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) run $(LDFLAGS) ./cmd/osap-train -scale quick -dataset gamma22 -out "$$dir" && \
-	$(GO) run $(LDFLAGS) ./cmd/osap-serve -models "$$dir" -dataset gamma22 -selftest -clients 40 -warmup 150ms -measure 250ms
+	$(GO) test -count=1 -v -run '^TestSelfTestSmallScale$$' ./cmd/osap-serve -args -models "$$dir" -dataset gamma22
 
 ci: verify vet lint fmt-check race figures-check models-check chaos rollout-selftest learn-selftest
 
@@ -112,21 +113,24 @@ bench-e2e:
 bench-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
+# The selftests are cmd/osap-serve's tests, small scale by default
+# (`go test ./cmd/osap-serve`); these targets run them at full scale
+# through the test flags in cmd/osap-serve/harness_test.go.
+#
 # Fault-injection selftest (DESIGN.md §9, §13) under the race detector:
-# 1000 concurrent sessions, once per fault script and transport. -chaos
-# plays seeded inference panics, NaN/Inf scores, injected overload,
-# slow and aborting clients; -recovery plays the demote → recover →
-# re-demote → latch pattern cycle under probation. Both assert no
-# crash, no dropped step, every session's demoted flag at every step
-# against the schedule's replay of the session state machine, the
-# replay's exact totals on /metrics, /healthz and /dashboard, and a
-# clean drain. Overload is injected by HTTP middleware on one transport
-# and per frame on the other; the totals are the same.
+# 1000 concurrent sessions, once per fault script and transport. The
+# chaos script plays seeded inference panics, NaN/Inf scores, injected
+# overload, slow and aborting clients; the recovery script plays the
+# demote → recover → re-demote → latch pattern cycle under probation.
+# Both assert no crash, no dropped step, every session's demoted flag
+# at every step against the schedule's replay of the session state
+# machine, the replay's exact totals on /metrics, /healthz and
+# /dashboard, and a clean drain. Overload is injected by HTTP
+# middleware on one transport and per frame on the other; the totals
+# are the same.
 chaos:
-	$(GO) run -race $(LDFLAGS) ./cmd/osap-serve -chaos -transport http
-	$(GO) run -race $(LDFLAGS) ./cmd/osap-serve -chaos -transport binary
-	$(GO) run -race $(LDFLAGS) ./cmd/osap-serve -recovery -transport http
-	$(GO) run -race $(LDFLAGS) ./cmd/osap-serve -recovery -transport binary
+	$(GO) test -race -count=1 -v -run '^TestChaosSmallScale$$/^(chaos|recovery)-(http|binary)$$' ./cmd/osap-serve \
+		-args -clients 1000 -steps 48 -seed 20200713 -dataset norway
 
 # Hot-reload/canary selftest (DESIGN.md §11): publish versions into a
 # throwaway registry, stage a 10% canary under a 1000-client wave and
@@ -135,7 +139,7 @@ chaos:
 # reference), then auto-roll-back a poisoned candidate and refuse a
 # bit-flipped one — zero dropped steps throughout.
 rollout-selftest:
-	$(GO) run $(LDFLAGS) ./cmd/osap-serve -rollout
+	$(GO) test -count=1 -v -run '^TestRolloutSmallScale$$' ./cmd/osap-serve -args -clients 1000 -dataset norway
 
 # Gated online-learning selftest (DESIGN.md §14): an adversarial fleet
 # drifts its reported throughput 0.1%/step against a frozen-baseline
@@ -147,4 +151,4 @@ rollout-selftest:
 # registry as PROPOSED versions (never served), and that serving
 # decisions are bit-identical before and after a refit.
 learn-selftest:
-	$(GO) run $(LDFLAGS) ./cmd/osap-serve -learn
+	$(GO) test -count=1 -v -run '^TestLearnSmallScale$$' ./cmd/osap-serve -args -clients 1000 -dataset norway

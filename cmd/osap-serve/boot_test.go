@@ -2,8 +2,8 @@ package main
 
 import (
 	"testing"
-	"time"
 
+	"osap/internal/experiments"
 	"osap/internal/registry"
 	"osap/internal/serve"
 	"osap/internal/trace"
@@ -24,7 +24,7 @@ func TestBootSyntheticVersionFromRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cfg serve.Config
-	_, factory, err := bootFromRegistry(&cfg, root, trace.DatasetGamma22, "")
+	_, factory, err := bootFromRegistry(&cfg, root, trace.DatasetGamma22, "", experiments.Probation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,23 +35,5 @@ func TestBootSyntheticVersionFromRegistry(t *testing.T) {
 		if _, err := factory.NewGuard(scheme); err != nil {
 			t.Errorf("%s: %v", scheme, err)
 		}
-	}
-}
-
-// TestLearnSmallScale runs the -learn selftest (both phases, every
-// conservation law and the dashboard's agreement with the counters) at
-// a CI-friendly fleet size on an empirical and a synthetic dataset.
-// The full-scale run is `make learn-selftest`.
-func TestLearnSmallScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives a loopback viewer fleet")
-	}
-	for _, dataset := range []string{trace.DatasetNorway, trace.DatasetGamma22} {
-		t.Run(dataset, func(t *testing.T) {
-			cfg := serve.Config{MaxSessions: 200, Shards: 16, SessionTTL: time.Minute}
-			if err := runLearnSelfTest(cfg, dataset, 50, 20200713); err != nil {
-				t.Fatalf("learn selftest: %v", err)
-			}
-		})
 	}
 }

@@ -1,21 +1,35 @@
 package main
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"osap/internal/abr"
+	"osap/internal/chaos"
+	"osap/internal/experiments"
 	"osap/internal/serve"
 	"osap/internal/serve/loadgen"
 	"osap/internal/trace"
 )
 
-// TestChaosSmallScale runs the full fault-injection harness at a
-// CI-friendly scale, for both scripts over both transports: scripted
-// inference panics and NaN/Inf scores, injected 503s and delays, slow
-// and aborting clients, the recovery pattern cycle, the seeded script
-// under probation, every demoted flag against the replay, exact totals
-// on /metrics, /healthz and /dashboard, and a clean drain. The
-// full-scale run is `make chaos`.
+// The fault scripts runChaos plays.
+const (
+	scriptChaos    = "chaos"
+	scriptRecovery = "recovery"
+)
+
+// TestChaosSmallScale is the fault-injection selftest, for both scripts
+// over both transports: chaos.ServeScript (seeded inference panics and
+// NaN/Inf scores, injected 503s and delays, slow and aborting clients),
+// the same script under probation, and chaos.RecoveryScript (the
+// demote → recover → re-demote → latch pattern cycle). Each run asserts
+// every demoted flag against the schedule's replay, exact totals on
+// /metrics, /healthz and /dashboard, and a clean drain. By default it
+// runs 60 clients × 24 steps; `make chaos` runs the chaos and recovery
+// cells at 1000 clients × 48 steps under the race detector.
 func TestChaosSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a loopback viewer fleet")
@@ -26,15 +40,159 @@ func TestChaosSmallScale(t *testing.T) {
 	}{
 		{"chaos", scriptChaos, 0, 0},
 		{"chaos-probation", scriptChaos, 4, 2},
-		{"recovery", scriptRecovery, 0, 0},
+		{"recovery", scriptRecovery, 4, 2},
 	} {
 		for _, transport := range []string{loadgen.ProtocolHTTP, loadgen.ProtocolBinary} {
 			t.Run(tc.name+"-"+transport, func(t *testing.T) {
 				cfg := serve.Config{MaxSessions: 100, Shards: 16, SessionTTL: time.Minute}
-				if err := runChaos(cfg, tc.readmitL, tc.readmitCap, trace.DatasetGamma22, 60, 24, 7, tc.script, transport); err != nil {
-					t.Fatalf("%s selftest: %v", tc.name, err)
-				}
+				runChaos(t, cfg, tc.script, transport, tc.readmitL, tc.readmitCap)
 			})
 		}
 	}
+}
+
+// runChaos plays one fault script against a loopback server with the
+// schedule wired into every injection seam — the guard hook, and the
+// HTTP middleware or the binary frame hook — drives the synthetic
+// viewers through the schedule's step budget, and asserts the run's
+// safety contract exactly, every expected value taken from the
+// schedule's replay of the session state machine
+// (chaos.Schedule.Expected, DemotedAt):
+//
+//   - the process never crashes (a panic escaping a handler kills the
+//     test binary), and no step is dropped: every client receives
+//     exactly its scheduled decisions despite injected 503s and delays,
+//   - every session's demoted flag matches the replay at every step,
+//     and no degraded step is served by a learned policy,
+//   - the client tallies, one /metrics scrape, /healthz and /dashboard
+//     report the replay's demotions, recoveries, latches and causes,
+//   - the fleet drains cleanly to zero.
+//
+// Chaos runs always use synthetic artifacts: the harness tests the
+// serving fabric, not model quality, and must boot in milliseconds.
+//
+// With transport "binary" the step traffic rides the persistent binary
+// protocol instead of HTTP: request-level faults are injected per
+// frame through the server's FrameFault seam, while the health and
+// metrics scrapes — and their injected faults — stay on the HTTP
+// listener.
+func runChaos(t *testing.T, cfg serve.Config, script, transport string, readmitL, readmitCap int) {
+	clients, steps, seed := scaled(*flagClients, 60), scaled(*flagSteps, 24), scaled(*flagSeed, 7)
+	dataset := scaled(*flagDataset, trace.DatasetGamma22)
+	var sched *chaos.Schedule
+	var err error
+	if script == scriptRecovery {
+		sched, err = chaos.RecoveryScript(seed, steps, readmitL, readmitCap)
+	} else {
+		sched, err = chaos.ServeScript(seed, steps, readmitL, readmitCap)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := sched.Config()
+	arts, err := serve.SyntheticArtifacts(dataset, 3, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := serve.NewGuardFactory(arts, serve.GuardConfig{Probation: experiments.Probation{ReadmitL: sc.ReadmitL, ReadmitCap: sc.ReadmitCap}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.WrapGuard = sched.WrapGuard
+	binary := transport == loadgen.ProtocolBinary
+	if binary {
+		cfg.FrameFault = sched.FrameFaults()
+	}
+	h := bootLoopback(t, factory, cfg, clients, binary, sched.Middleware)
+
+	ex := sched.Expected(clients)
+	t.Logf("%s: %d clients × %d steps against %s (seed %d, l′=%d cap=%d): expecting %d steps, %d demotions (%d repeat), %d recoveries, %d permanent latches",
+		script, clients, sc.Steps, h.stepTarget(), seed, sc.ReadmitL, sc.ReadmitCap,
+		ex.Steps, ex.Demotions, ex.Redemotions, ex.Recoveries, ex.Latched)
+
+	lgCfg := h.target(loadgen.Config{
+		Clients:        clients,
+		StepsPerClient: sc.Steps,
+		Schemes:        factory.Schemes(),
+		Video:          abr.SyntheticVideo(seed, 24, 4),
+		Traces:         tracePool(t, dataset, seed),
+		Seed:           seed,
+		Backoff:        &loadgen.Backoff{Retries: 8},
+		ClientDelay:    func(i int) time.Duration { return sched.ClientPlan(i).SlowDelay },
+		AbortStep:      func(i int) int { return sched.ClientPlan(i).AbortStep },
+		ExpectDemoted:  sched.DemotedAt,
+	})
+	start := time.Now()
+	res, err := loadgen.Run(context.Background(), lgCfg)
+	if err != nil {
+		t.Fatalf("loadgen: %v", err)
+	}
+
+	// The fleet is quiescent but not yet drained: the steady state the
+	// health and metrics endpoints must report.
+	checkCount(t, "sessions created", res.SessionsCreated, int64(clients))
+	checkCount(t, "steps dropped", res.StepsDropped, 0)
+	checkCount(t, "steps served", res.StepsOK, ex.Steps)
+	checkCount(t, "demoted-flag mismatches", res.FlagMismatches, 0)
+	checkCount(t, "degraded decisions not from the safe policy", res.DemotionViolations, 0)
+	checkCount(t, "client-observed demoted sessions", res.SessionsDemoted, int64(ex.FirstDemotions))
+	checkCount(t, "client-observed recoveries", res.Recoveries, int64(ex.Recoveries))
+	checkCount(t, "client-observed re-demotions", res.Redemotions, int64(ex.Redemotions))
+	checkCount(t, "client sessions ending demoted", res.SessionsEndDemoted, int64(ex.EndDemoted))
+	if sc.AbortEvery == 0 {
+		checkCount(t, "client-observed degraded steps", res.StepsDemoted, ex.DemotedSteps)
+	}
+
+	if body, err := h.scrape("/healthz"); err != nil {
+		t.Errorf("healthz: %v", err)
+	} else {
+		if ex.EndDemoted > 0 && !strings.Contains(body, `"status":"degraded"`) {
+			t.Errorf("healthz did not report degraded: %s", strings.TrimSpace(body))
+		}
+		if want := fmt.Sprintf(`"recovered_total":%d`, ex.Recoveries); !strings.Contains(body, want) {
+			t.Errorf("healthz missing %s", want)
+		}
+	}
+	// Every server-side count comes from one /metrics scrape, the
+	// surface an operator reads.
+	body, err := h.scrape("/metrics")
+	if err != nil {
+		t.Errorf("metrics: %v", err)
+	}
+	prom := func(name string) int64 { return promValue(t, body, name) }
+	demoted, redemoted := prom("osap_sessions_demoted_total"), prom("osap_sessions_redemoted_total")
+	recovered, latched := prom("osap_sessions_recovered_total"), prom("osap_sessions_latched_total")
+	panics, nonFinite := prom("osap_step_panics_recovered_total"), prom("osap_step_nonfinite_total")
+	checkCount(t, "server sessions demoted", demoted, int64(ex.FirstDemotions))
+	checkCount(t, "server re-demotions", redemoted, int64(ex.Redemotions))
+	checkCount(t, "server recoveries", recovered, int64(ex.Recoveries))
+	checkCount(t, "server permanent latches", latched, int64(ex.Latched))
+	checkCount(t, "server panics recovered", panics, int64(ex.Panics))
+	checkCount(t, "server non-finite scores", nonFinite, int64(ex.NonFinite))
+	checkCount(t, "server decisions", prom("osap_decisions_total"), res.StepsOK)
+	checkCount(t, "demoted-live gauge before drain", prom("osap_sessions_demoted_live"), int64(ex.EndDemoted))
+	checkCount(t, "probation-live gauge before drain", prom("osap_sessions_probation_live"), int64(ex.EndProbation))
+	// The per-version recovery counters summed across versions (a chaos
+	// run has one, but the sum is the honest fleet total either way).
+	var dashRecovered, dashRedemoted, dashLatched int64
+	for _, v := range h.dashboard(t).Versions {
+		dashRecovered += int64(v.Recovered)
+		dashRedemoted += int64(v.Redemoted)
+		dashLatched += int64(v.Latched)
+	}
+	checkCount(t, "dashboard recovered_total", dashRecovered, int64(ex.Recoveries))
+	checkCount(t, "dashboard redemoted_total", dashRedemoted, int64(ex.Redemotions))
+	checkCount(t, "dashboard latched_total", dashLatched, int64(ex.Latched))
+
+	if err := h.drain(); err != nil {
+		t.Error(err)
+	}
+	checkCount(t, "demoted-live gauge after drain", promValue(t, h.final, "osap_sessions_demoted_live"), 0)
+	checkCount(t, "probation-live gauge after drain", promValue(t, h.final, "osap_sessions_probation_live"), 0)
+	checkCount(t, "drained sessions", promValue(t, h.final, "osap_sessions_drained_total"), int64(clients))
+
+	t.Logf("%s: %d steps ok, %d dropped, %d retries, %d/%d sessions demoted (%d panics, %d non-finite, %d re-demotions), %d recovered, %d latched permanently, %d degraded decisions, %d flag mismatches across %d flips, drained clean in %v",
+		script, res.StepsOK, res.StepsDropped, res.Retries, demoted, clients, panics, nonFinite, redemoted,
+		recovered, latched, prom("osap_decisions_degraded_total"), res.FlagMismatches,
+		ex.Demotions+ex.Recoveries, time.Since(start).Round(time.Millisecond))
 }

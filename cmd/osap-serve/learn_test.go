@@ -1,0 +1,417 @@
+package main
+
+// The learn selftest: an end-to-end proof of gated selective online
+// learning (DESIGN.md §14). It calibrates a baseline on its own honest
+// traffic, publishes it as v1, and drives two scripted phases:
+//
+//	A. poisoning resistance — a 25% adversarial fleet misreports
+//	   throughput drifting 0.1% per step while the honest majority
+//	   serves normally. Asserts the exact gate-counter conservation
+//	   laws (server decisions = checked + demoted-rejected; checked =
+//	   admitted + Σ rejections; client-observed learned flags =
+//	   admitted), that adversaries are admitted at a strictly lower
+//	   rate than honest clients with state-gate rejections recorded,
+//	   that a refit's decision boundary stays within tolerance of the
+//	   frozen baseline on a held-out reference grid, that a session
+//	   pinned across the refit makes bit-identical decisions, and that
+//	   the proposal lands in the registry as Proposed — visible on
+//	   /dashboard, never the boot default, never auto-served;
+//	B. cooperative drift — the whole fleet drifts slowly and honestly;
+//	   the gate admits it, a bootstrap log seeds the window, and the
+//	   refit publishes a measurably recalibrated proposal.
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"osap/internal/abr"
+	"osap/internal/core"
+	"osap/internal/experiments"
+	"osap/internal/learn"
+	"osap/internal/mdp"
+	"osap/internal/ocsvm"
+	"osap/internal/registry"
+	"osap/internal/rl"
+	"osap/internal/serve"
+	"osap/internal/serve/loadgen"
+	"osap/internal/stats"
+	"osap/internal/trace"
+)
+
+const (
+	learnSteps     = 320   // decisions per fleet client
+	learnAdvEvery  = 4     // every 4th client is adversarial in phase A
+	learnAdvDrift  = 1.001 // adversary: +0.1% misreported throughput per step
+	learnCoopDrift = 1.0003
+	learnGridTol   = 0.10 // max refit-vs-baseline disagreement on the reference grid
+)
+
+// TestLearnSmallScale runs the learn selftest (both phases, every
+// conservation law and the dashboard's agreement with the counters) on
+// an empirical and a synthetic dataset, 50 clients by default; `make
+// learn-selftest` runs it on Norway at 1000.
+func TestLearnSmallScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives a loopback viewer fleet")
+	}
+	for _, dataset := range datasets(trace.DatasetNorway, trace.DatasetGamma22) {
+		t.Run(dataset, func(t *testing.T) {
+			cfg := serve.Config{MaxSessions: 200, Shards: 16, SessionTTL: time.Minute}
+			runLearn(t, cfg, dataset, scaled(*flagClients, 50), scaled(*flagSeed, 20200713))
+		})
+	}
+}
+
+// calibrateArtifacts builds the selftest baseline: synthetic networks
+// (decision quality is irrelevant) with an OC-SVM trained on the
+// traffic the selftest itself will generate — a rollout of the served
+// greedy policy over the same trace pool — and U_π/U_V thresholds set
+// generously above the observed ensemble-disagreement quantiles, every
+// signal windowed and trimmed as the synthetic set's record says. By
+// construction honest fleet traffic is in-distribution, so any gate
+// rejection beyond the nu-fraction boundary noise is caused by the
+// drift the phases inject. Also returns a held-out reference grid of
+// observed feature vectors for the boundary-stability assertion.
+func calibrateArtifacts(t *testing.T, dataset string, seed uint64, video *abr.Video, traces []*trace.Trace) (*experiments.Artifacts, [][]float64) {
+	t.Helper()
+	arts, err := serve.SyntheticArtifacts(dataset, 3, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := rl.Freeze(arts.Agents, arts.ValueNets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := frozen.NewScratch()
+	pol, _, err := experiments.Signal(arts, experiments.SchemeAEns, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, _, err := experiments.Signal(arts, experiments.SchemeVEns, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := abr.NewEnv(abr.DefaultEnvConfig(video, traces))
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedy := sc.Greedy()
+	rng := stats.NewRNG(seed ^ 0xCA11B)
+	const calibSteps = 4000
+	thrs := make([]float64, 0, calibSteps)
+	polScores := make([]float64, 0, calibSteps)
+	valScores := make([]float64, 0, calibSteps)
+	obs := env.Reset(rng)
+	for i := 0; i < calibSteps; i++ {
+		thrs = append(thrs, abr.LastThroughputMbps(obs))
+		polScores = append(polScores, pol.Observe(obs))
+		valScores = append(valScores, val.Observe(obs))
+		action := mdp.ArgmaxAction(greedy.Probs(obs))
+		next, _, done := env.Step(action)
+		if done {
+			// Fleet clients never reset their server sessions across
+			// episodes, so the featurizer streams across the boundary
+			// too — keep calibration identical.
+			obs = env.Reset(rng)
+		} else {
+			obs = next
+		}
+	}
+	feats := core.BuildStateFeatures(thrs, arts.Record.StateSignal())
+	if len(feats) < 512 {
+		t.Fatalf("calibration yielded only %d features", len(feats))
+	}
+	ocfg := ocsvm.DefaultConfig()
+	ocfg.Seed = seed
+	model, err := ocsvm.Train(feats, ocfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arts.OCSVM = model
+	arts.AlphaPi = calibAlpha(polScores)
+	arts.AlphaV = calibAlpha(valScores)
+	return arts, feats[len(feats)-256:]
+}
+
+// calibAlpha sets a gate threshold to twice the q0.99 of the observed
+// honest scores: generous enough that honest ensemble disagreement
+// never rejects, tight enough that the signal stays live.
+func calibAlpha(scores []float64) float64 {
+	sorted := append([]float64(nil), scores...)
+	sort.Float64s(sorted)
+	a := 2 * sorted[int(0.99*float64(len(sorted)-1))]
+	if !(a > 0) {
+		a = 0.05
+	}
+	return a
+}
+
+// learnRun is one learn selftest's registry, calibrated baseline and
+// shared load inputs.
+type learnRun struct {
+	cfg     serve.Config
+	root    string
+	dataset string
+	clients int
+	seed    uint64
+	video   *abr.Video
+	traces  []*trace.Trace
+	base    *experiments.Artifacts
+	grid    [][]float64
+}
+
+func runLearn(t *testing.T, cfg serve.Config, dataset string, clients int, seed uint64) {
+	tmp := t.TempDir()
+	r := &learnRun{cfg: cfg, root: tmp + "/registry", dataset: dataset, clients: clients, seed: seed,
+		video: abr.SyntheticVideo(seed, 24, 4), traces: tracePool(t, dataset, seed)}
+	t.Logf("calibrating baseline on honest %s traffic...", dataset)
+	r.base, r.grid = calibrateArtifacts(t, dataset, seed, r.video, r.traces)
+	if _, err := registry.WriteVersion(r.root, registry.Meta{
+		Version:   "v1",
+		CreatedAt: time.Now().UTC().Format(time.RFC3339),
+		Notes:     "learn selftest calibrated baseline",
+	}, r.base); err != nil {
+		t.Fatal(err)
+	}
+	r.phaseA(t, tmp+"/xplog-a")
+	r.phaseB(t, tmp+"/xplog-b")
+}
+
+// boot starts one loopback server from the registry with an online
+// learner attached, reusing the rollout harness's probe and dashboard
+// helpers. The caller stops the learner.
+func (r *learnRun) boot(t *testing.T, opts learn.Config) (*rolloutHarness, *learn.Learner, *registry.Registry) {
+	t.Helper()
+	cfg := r.cfg
+	reg, factory, err := bootFromRegistry(&cfg, r.root, r.dataset, opts.ParentVersion, experiments.Probation{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	learner, err := buildLearner(factory, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Learner = learner
+	h := bootLoopback(t, factory, cfg, r.clients+probeSessions, false, nil)
+	return &rolloutHarness{harness: h, scores: make(map[string][]float64)}, learner, reg
+}
+
+// wave drives one fleet wave where drift(i) configures client i's
+// misreported per-step throughput factor (0 = honest).
+func (r *learnRun) wave(t *testing.T, h *rolloutHarness, seed uint64, drift func(i int) float64) *loadgen.Result {
+	t.Helper()
+	res, err := loadgen.Run(context.Background(), h.target(loadgen.Config{
+		Clients:        r.clients,
+		StepsPerClient: learnSteps,
+		Schemes:        []string{serve.SchemeND},
+		Video:          r.video,
+		Traces:         r.traces,
+		Seed:           seed,
+		Backoff:        &loadgen.Backoff{Retries: 8},
+		Adversary:      drift,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCount(t, "wave sessions created", res.SessionsCreated, int64(r.clients))
+	return res
+}
+
+// adminRefit POSTs /admin/learn {"action":"refit"} and decodes the
+// proposal.
+func adminRefit(t *testing.T, h *rolloutHarness) *learn.Proposal {
+	t.Helper()
+	status, body := postJSON(t, h.baseURL+"/admin/learn", map[string]string{"action": "refit"})
+	if status != http.StatusOK {
+		t.Fatalf("refit: status %d: %s", status, body)
+	}
+	var prop learn.Proposal
+	if err := json.Unmarshal([]byte(body), &prop); err != nil {
+		t.Fatalf("decode proposal: %v", err)
+	}
+	return &prop
+}
+
+// phaseA is the poisoning-resistance scenario.
+func (r *learnRun) phaseA(t *testing.T, logDir string) {
+	h, learner, reg := r.boot(t, learn.Config{LogDir: logDir, RegistryRoot: r.root, ParentVersion: "v1"})
+	defer learner.Stop() //nolint:errcheck // selftest exit path
+	t.Logf("phase A: %d clients × %d steps, every %dth drifting ×%g/step on %s",
+		r.clients, learnSteps, learnAdvEvery, learnAdvDrift, h.baseURL)
+
+	// Probe A replays the full reference sequence before the refit;
+	// probe B takes half now and half after, to prove the refit never
+	// touches serving.
+	probeA, probeB := h.newProbe(t), h.newProbe(t)
+	obsSeq := probeObsSequence(r.seed, rolloutProbeSteps, probeA.obsDim)
+	h.stepProbe(t, probeA, obsSeq, rolloutProbeSteps)
+	h.stepProbe(t, probeB, obsSeq, rolloutProbeSteps/2)
+
+	res := r.wave(t, h, r.seed, func(i int) float64 {
+		if i%learnAdvEvery == 0 {
+			return learnAdvDrift
+		}
+		return 0
+	})
+	checkCount(t, "phase A steps dropped", res.StepsDropped, 0)
+
+	// Exact counter conservation: every server decision was either
+	// gate-checked or tallied as demoted-rejected, every check either
+	// admitted or rejected with a reason, and every admission was
+	// reported to exactly one client as learned=true.
+	c := learner.Counters()
+	decisions := h.srv.Metrics().Decisions.Load()
+	checked := c.Checked.Load()
+	admitted := c.Admitted.Load()
+	if got := checked + c.RejectedDemoted.Load(); got != decisions {
+		t.Errorf("phase A conservation: checked %d + demoted-rejected %d = %d, want decisions %d",
+			checked, c.RejectedDemoted.Load(), got, decisions)
+	}
+	if got := admitted + c.RejectedTotal(); got != checked {
+		t.Errorf("phase A conservation: admitted %d + rejected %d = %d, want checked %d",
+			admitted, c.RejectedTotal(), got, checked)
+	}
+	wantLearned := uint64(res.StepsLearned) + uint64(probeA.learned+probeB.learned)
+	if admitted != wantLearned {
+		t.Errorf("phase A admitted %d, clients saw %d learned flags", admitted, wantLearned)
+	}
+	checkCount(t, "phase A admitted samples the ring dropped", int64(c.RingDropped.Load()), 0)
+
+	// Adversary containment: the drifting quarter of the fleet must be
+	// admitted at a strictly lower per-client rate than the honest
+	// majority, with state-gate rejections on record.
+	advClients := (r.clients + learnAdvEvery - 1) / learnAdvEvery
+	honestClients := r.clients - advClients
+	honestLearned := res.StepsLearned - res.AdversaryLearned
+	if honestLearned <= 0 {
+		t.Errorf("phase A honest fleet learned %d steps, want > 0", honestLearned)
+	}
+	advRate := float64(res.AdversaryLearned) / float64(advClients)
+	honestRate := float64(honestLearned) / float64(honestClients)
+	if advRate >= honestRate {
+		t.Errorf("phase A adversary admission %.2f/client not below honest %.2f/client", advRate, honestRate)
+	}
+	if c.Rejected(learn.VerdictState) == 0 {
+		t.Errorf("phase A recorded no state-gate rejections despite %d adversary steps", res.AdversarySteps)
+	}
+
+	// Refit on the (partially poisoned) window. Nothing is stepping, so
+	// the synchronous drain makes the log total exact.
+	prop := adminRefit(t, h)
+	if !prop.Published || prop.Version != "v1-refit-001" {
+		t.Errorf("phase A proposal %+v, want published v1-refit-001", prop)
+	}
+	if got := c.LogRecords.Load(); got != c.Admitted.Load() {
+		t.Errorf("phase A experience log holds %d records, want every admission (%d)", got, c.Admitted.Load())
+	}
+
+	// The frozen-baseline ratchet: despite the adversarial admissions,
+	// the refit boundary must agree with the baseline on the held-out
+	// honest reference grid within tolerance.
+	refit, err := reg.Load(prop.Version, r.dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dis := ocsvm.GridDisagreement(r.base.OCSVM, refit.Artifacts.OCSVM, r.grid); dis > learnGridTol {
+		t.Errorf("phase A refit disagrees with baseline on %.1f%% of the reference grid (tol %.0f%%)",
+			100*dis, 100*learnGridTol)
+	}
+	if !(refit.Artifacts.AlphaPi > 0) || !(refit.Artifacts.AlphaV > 0) {
+		t.Errorf("phase A refit thresholds not positive: AlphaPi=%v AlphaV=%v",
+			refit.Artifacts.AlphaPi, refit.Artifacts.AlphaV)
+	}
+
+	// Serving is untouched by the refit: probe B's post-refit half must
+	// be bit-identical to probe A's pre-refit decisions, and v1 stays
+	// active with the proposal surfaced separately.
+	h.stepProbe(t, probeB, obsSeq, rolloutProbeSteps/2)
+	sameProbeDecisions(t, "across the refit", probeA, probeB)
+	dash := h.dashboard(t)
+	if dash.Rollout.Active != "v1" || dash.Rollout.Candidate != "" {
+		t.Errorf("phase A serving moved to active=%s candidate=%q, want v1 with no candidate",
+			dash.Rollout.Active, dash.Rollout.Candidate)
+	}
+	if !slices.Contains(dash.RegistryProposed, prop.Version) {
+		t.Errorf("phase A dashboard registry_proposed %v does not list %s", dash.RegistryProposed, prop.Version)
+	}
+	// Probe B stepped since admitted was read, and its steps may be
+	// admitted too: compare with the counter as it stands now, when
+	// nothing is stepping.
+	if now := c.Admitted.Load(); dash.Learn.GateAdmitted != now {
+		t.Errorf("phase A dashboard learn block reports %d admitted, counters say %d", dash.Learn.GateAdmitted, now)
+	}
+	man, err := reg.Manifest(prop.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !man.Proposed {
+		t.Errorf("phase A proposal manifest not marked proposed")
+	}
+	// A fresh default boot must pick the promoted v1, never the
+	// proposal.
+	var bootCfg serve.Config
+	if _, _, err := bootFromRegistry(&bootCfg, r.root, r.dataset, "", experiments.Probation{}); err != nil {
+		t.Fatal(err)
+	}
+	if bootCfg.Version != "v1" {
+		t.Errorf("phase A fresh default boot chose %q, want promoted v1", bootCfg.Version)
+	}
+
+	if err := h.drain(); err != nil {
+		t.Errorf("phase A shutdown: %v", err)
+	}
+	t.Logf("phase A: admitted %d of %d checked (%d state rejections), adversary %.1f vs honest %.1f per client, grid drift ok",
+		admitted, checked, c.Rejected(learn.VerdictState), advRate, honestRate)
+}
+
+// phaseB is the cooperative-drift scenario: the gate must admit a
+// slowly, honestly drifting fleet, seed its window from a bootstrap
+// log, and publish a recalibrated proposal.
+func (r *learnRun) phaseB(t *testing.T, logDir string) {
+	boot, err := learn.ExportBootstrap(logDir, r.grid, learn.LogConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, learner, _ := r.boot(t, learn.Config{LogDir: logDir, RegistryRoot: r.root, ParentVersion: "v1", ProposalPrefix: "coop"})
+	defer learner.Stop() //nolint:errcheck // selftest exit path
+	t.Logf("phase B: cooperative fleet drifting ×%g/step, %d bootstrap records", learnCoopDrift, boot)
+	c := learner.Counters()
+	checkCount(t, "phase B bootstrap records replayed", int64(c.BootstrapRecords.Load()), int64(boot))
+
+	res := r.wave(t, h, r.seed+1, func(int) float64 { return learnCoopDrift })
+	checkCount(t, "phase B steps dropped", res.StepsDropped, 0)
+	if got := c.Checked.Load() + c.RejectedDemoted.Load(); got != h.srv.Metrics().Decisions.Load() {
+		t.Errorf("phase B conservation: checked+demoted %d != decisions %d", got, h.srv.Metrics().Decisions.Load())
+	}
+	if uint64(res.StepsLearned) != c.Admitted.Load() {
+		t.Errorf("phase B admitted %d, clients saw %d learned flags", c.Admitted.Load(), res.StepsLearned)
+	}
+	// The cooperative fleet must be genuinely learned from: well beyond
+	// what the per-session burst alone would admit.
+	if res.StepsLearned <= int64(r.clients)*2 {
+		t.Errorf("phase B learned only %d steps from %d cooperative clients", res.StepsLearned, r.clients)
+	}
+
+	prop := adminRefit(t, h)
+	if !prop.Published || prop.Version != "coop-refit-001" {
+		t.Errorf("phase B proposal %+v, want published coop-refit-001", prop)
+	}
+	if prop.Samples < int(c.Admitted.Load()/2) && prop.Samples < 4096 {
+		t.Errorf("phase B refit trained on %d samples of %d admitted", prop.Samples, c.Admitted.Load())
+	}
+	// Thresholds recalibrated from admitted traffic, not carried over.
+	if prop.AlphaPi == r.base.AlphaPi && prop.AlphaV == r.base.AlphaV {
+		t.Errorf("phase B proposal thresholds identical to baseline (AlphaPi=%v AlphaV=%v): no recalibration", prop.AlphaPi, prop.AlphaV)
+	}
+
+	if err := h.drain(); err != nil {
+		t.Errorf("phase B shutdown: %v", err)
+	}
+	t.Logf("phase B: admitted %d cooperative steps, proposal %s on %d samples (alphaPi %.4g→%.4g)",
+		res.StepsLearned, prop.Version, prop.Samples, r.base.AlphaPi, prop.AlphaPi)
+}

@@ -25,15 +25,10 @@
 // away, sessions close, and a final metrics snapshot is written to
 // stderr before exit.
 //
-// -selftest runs the built-in load harness instead of serving: it
-// sweeps 1 core and all cores, HTTP and binary transport — each cell
-// booting the server on a loopback listener, replaying throughput
-// traces as -clients concurrent synthetic viewers, draining gracefully
-// under load — and verifies that the whole fleet was admitted at once,
-// no in-flight step was dropped, the server's decision count equals the
-// clients' acknowledgements, and osap_batch_size counted every decision
-// exactly once. It measures nothing: numbers come from `make bench-e2e`
-// (bench/README.md).
+// Every flag configures serving. The load, fault-injection, canary and
+// online-learning selftests are this package's tests (`go test
+// ./cmd/osap-serve`, small scale; `make chaos`, `make rollout-selftest`
+// and `make learn-selftest` run them at full scale).
 package main
 
 import (
@@ -46,112 +41,80 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"syscall"
 	"time"
 
 	"osap/internal/abr"
 	"osap/internal/buildinfo"
 	"osap/internal/experiments"
+	"osap/internal/learn"
 	"osap/internal/registry"
 	"osap/internal/serve"
-	"osap/internal/serve/loadgen"
 	"osap/internal/trace"
 )
 
-func main() {
-	addr := flag.String("addr", ":8080", "HTTP listen address")
-	binAddr := flag.String("binary-addr", "", "binary-protocol listen address (empty = HTTP only)")
-	models := flag.String("models", "", "directory of pre-trained artifacts (osap-train output)")
-	registryDir := flag.String("registry", "", "versioned artifact registry root (osap-train -registry output); overrides -models")
-	registryPoll := flag.Duration("registry-poll", 5*time.Second, "registry poll interval for new versions (0 disables polling; SIGHUP still rescans)")
-	canaryFraction := flag.Float64("canary-fraction", 0, "fraction of new sessions routed to a staged candidate (0 = default 0.10)")
-	rollbackMargin := flag.Float64("rollback-margin", 0, "excess candidate demotion/fallback rate that triggers auto-rollback (0 = default 0.05)")
-	dataset := flag.String("dataset", trace.DatasetNorway, "training distribution to serve")
-	maxSessions := flag.Int("max-sessions", 10000, "admission-control cap on live sessions (0 = unlimited)")
-	shards := flag.Int("shards", 64, "session-table shard count (rounded up to a power of two)")
-	ttl := flag.Duration("session-ttl", 5*time.Minute, "evict sessions idle longer than this")
-	selftest := flag.Bool("selftest", false, "run the load-generator matrix instead of serving")
-	chaosTest := flag.Bool("chaos", false, "run the fault-injection self-test instead of serving")
-	rolloutTest := flag.Bool("rollout", false, "run the hot-reload/canary self-test instead of serving")
-	recoveryTest := flag.Bool("recovery", false, "run the probation/recovery chaos self-test instead of serving")
-	learnTest := flag.Bool("learn", false, "run the online-learning poisoning-resistance self-test instead of serving")
-	learnLog := flag.String("learn-log", "", "experience-log directory; non-empty enables gated online learning")
-	learnRefitEvery := flag.Int("learn-refit-every", 0, "auto-refit after this many gate-admitted samples (0 = manual POST /admin/learn only)")
-	chaosSeed := flag.Uint64("chaos-seed", 20200713, "chaos: fault-schedule seed")
-	chaosSteps := flag.Int("chaos-steps", 48, "chaos: decisions per client")
-	transport := flag.String("transport", loadgen.ProtocolHTTP, `chaos: wire protocol ("http" or "binary")`)
-	clients := flag.Int("clients", 1000, "selftest/chaos: concurrent synthetic viewers")
-	warmup := flag.Duration("warmup", 2*time.Second, "selftest: load duration before the steady-state window (per cell)")
-	measure := flag.Duration("measure", 3*time.Second, "selftest: steady-state window before the drain under load (per cell)")
-	flag.IntVar(&selftestSessionsPerConn, "sessions-per-conn", 0,
-		"selftest/chaos: viewers multiplexed per binary connection (0 = loadgen default)")
-	flag.IntVar(&flagReadmitL, "readmit-l", 0,
-		"probation hysteresis l′: re-admit a demoted session after this many consecutive confident shadow steps (0 = demotion latches for good, the paper's behavior)")
-	flag.IntVar(&flagReadmitCap, "readmit-cap", 0,
-		"re-admissions allowed per session episode before the latch becomes permanent (0 = never re-admit; negative = unlimited)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+// options is the command line.
+type options struct {
+	addr, binAddr   string
+	models          string
+	registry        string
+	registryPoll    time.Duration
+	dataset         string
+	learnLog        string
+	learnRefitEvery int
+	// probation is -readmit-l / -readmit-cap: both layers of the
+	// recovery state machine, the session's probation and the trigger's
+	// hysteresis. Both default to 0 — demotions and latched triggers
+	// are permanent, the paper's behavior.
+	probation experiments.Probation
+	cfg       serve.Config
+	version   bool
+}
 
-	if *version {
+// newOptions registers the flags on fs.
+func newOptions(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
+	fs.StringVar(&o.binAddr, "binary-addr", "", "binary-protocol listen address (empty = HTTP only)")
+	fs.StringVar(&o.models, "models", "", "directory of pre-trained artifacts (osap-train output)")
+	fs.StringVar(&o.registry, "registry", "", "versioned artifact registry root (osap-train -registry output); overrides -models")
+	fs.DurationVar(&o.registryPoll, "registry-poll", 5*time.Second, "registry poll interval for new versions (0 disables polling; SIGHUP still rescans)")
+	fs.Float64Var(&o.cfg.Rollout.CanaryFraction, "canary-fraction", 0, "fraction of new sessions routed to a staged candidate (0 = default 0.10)")
+	fs.Float64Var(&o.cfg.Rollout.RollbackMargin, "rollback-margin", 0, "excess candidate demotion/fallback rate that triggers auto-rollback (0 = default 0.05)")
+	fs.StringVar(&o.dataset, "dataset", trace.DatasetNorway, "training distribution to serve")
+	fs.IntVar(&o.cfg.MaxSessions, "max-sessions", 10000, "admission-control cap on live sessions (0 = unlimited)")
+	fs.IntVar(&o.cfg.Shards, "shards", 64, "session-table shard count (rounded up to a power of two)")
+	fs.DurationVar(&o.cfg.SessionTTL, "session-ttl", 5*time.Minute, "evict sessions idle longer than this")
+	fs.StringVar(&o.learnLog, "learn-log", "", "experience-log directory; non-empty enables gated online learning")
+	fs.IntVar(&o.learnRefitEvery, "learn-refit-every", 0, "auto-refit after this many gate-admitted samples (0 = manual POST /admin/learn only)")
+	fs.IntVar(&o.probation.ReadmitL, "readmit-l", 0,
+		"probation hysteresis l′: re-admit a demoted session after this many consecutive confident shadow steps (0 = demotion latches for good, the paper's behavior)")
+	fs.IntVar(&o.probation.ReadmitCap, "readmit-cap", 0,
+		"re-admissions allowed per session episode before the latch becomes permanent (0 = never re-admit; negative = unlimited)")
+	fs.BoolVar(&o.version, "version", false, "print version and exit")
+	return o
+}
+
+func main() {
+	o := newOptions(flag.CommandLine)
+	flag.Parse()
+	if o.version {
 		buildinfo.Print(os.Stdout, "osap-serve")
 		return
 	}
-	cfg := serve.Config{
-		MaxSessions: *maxSessions,
-		Shards:      *shards,
-		SessionTTL:  *ttl,
-		Rollout: serve.RolloutConfig{
-			CanaryFraction: *canaryFraction,
-			RollbackMargin: *rollbackMargin,
-		},
-	}
-	var err error
-	switch {
-	case *learnTest:
-		err = runLearnSelfTest(cfg, *dataset, *clients, *chaosSeed)
-	case *rolloutTest:
-		err = runRolloutSelfTest(cfg, *dataset, *clients, *chaosSeed)
-	case *recoveryTest:
-		err = runChaos(cfg, flagReadmitL, flagReadmitCap, *dataset, *clients, *chaosSteps, *chaosSeed, scriptRecovery, *transport)
-	case *chaosTest:
-		err = runChaos(cfg, flagReadmitL, flagReadmitCap, *dataset, *clients, *chaosSteps, *chaosSeed, scriptChaos, *transport)
-	case *selftest:
-		_, err = runSelfTest(cfg, *dataset, *models, *clients, *warmup, *measure)
-	default:
-		err = runServer(*addr, *binAddr, cfg, *dataset, *models, *registryDir, *registryPoll, *learnLog, *learnRefitEvery)
-	}
-	if err != nil {
+	if err := runServer(o); err != nil {
 		fmt.Fprintln(os.Stderr, "osap-serve:", err)
 		os.Exit(1)
 	}
 }
 
-// flagReadmitL / flagReadmitCap are the -readmit-l / -readmit-cap
-// probation knobs (serve.GuardConfig via guardConfig): they set both
-// layers of the recovery state machine, the session's probation and the
-// trigger's hysteresis. Both default to 0 — demotions and latched
-// triggers are permanent, the paper's behavior.
-var (
-	flagReadmitL   int
-	flagReadmitCap int
-)
-
-// guardConfig is the serving guard configuration, shared by every way
-// of obtaining artifacts (-models, -registry, in-process training): the
-// probation flags. Everything else a guard is built from is the served
-// artifact's record.
-func guardConfig() serve.GuardConfig {
-	return serve.GuardConfig{Probation: experiments.Probation{ReadmitL: flagReadmitL, ReadmitCap: flagReadmitCap}}
-}
-
 // loadFactory builds the guard factory: from a model directory when
-// given, otherwise by training quick-scale artifacts in process.
-func loadFactory(dataset, models string) (*serve.GuardFactory, error) {
+// given, otherwise by training quick-scale artifacts in process. Every
+// guard is built from the artifact's record under the probation knobs.
+func loadFactory(dataset, models string, probation experiments.Probation) (*serve.GuardFactory, error) {
 	var arts *experiments.Artifacts
 	if models != "" {
-		path := filepath.Join(models, dataset+".json")
-		a, err := experiments.LoadArtifacts(path)
+		a, err := experiments.LoadArtifacts(filepath.Join(models, dataset+".json"))
 		if err != nil {
 			return nil, err
 		}
@@ -163,42 +126,120 @@ func loadFactory(dataset, models string) (*serve.GuardFactory, error) {
 			return nil, err
 		}
 		lab.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  "+s) }
-		var err2 error
-		arts, err2 = lab.Artifacts(dataset)
-		if err2 != nil {
-			return nil, err2
+		if arts, err = lab.Artifacts(dataset); err != nil {
+			return nil, err
 		}
 	}
-	return serve.NewGuardFactory(arts, guardConfig())
+	return serve.NewGuardFactory(arts, serve.GuardConfig{Probation: probation})
 }
 
-func runServer(addr, binAddr string, cfg serve.Config, dataset, models, registryDir string, registryPoll time.Duration, learnLog string, learnRefitEvery int) error {
+// bootFromRegistry opens the registry, loads the named version (or the
+// newest promoted one when version is empty) and wires the
+// version-aware serve.Config hooks (LoadVersion for staging,
+// ListVersions and ListProposed for the dashboard) — the `-registry`
+// path.
+func bootFromRegistry(cfg *serve.Config, root, dataset, version string, probation experiments.Probation) (*registry.Registry, *serve.GuardFactory, error) {
+	reg, err := registry.Open(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	versions, err := reg.Versions()
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(versions) == 0 {
+		return nil, nil, fmt.Errorf("registry %s has no versions (publish one with osap-train -registry)", root)
+	}
+	if version == "" {
+		// Default to the newest PROMOTED version: online-refit proposals
+		// live in the same registry but must never become a boot default —
+		// staging via POST /admin/rollout is their only path to serving.
+		promoted, _, err := reg.Partition()
+		if err != nil {
+			return nil, nil, err
+		}
+		if len(promoted) == 0 {
+			return nil, nil, fmt.Errorf("registry %s holds only proposed versions; promote one before serving", root)
+		}
+		version = promoted[len(promoted)-1]
+	}
+	gen, err := reg.Load(version, dataset)
+	if err != nil {
+		return nil, nil, err
+	}
+	factory, err := serve.NewGuardFactory(gen.Artifacts, serve.GuardConfig{Probation: probation})
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.Version = gen.Version
+	cfg.Checksum = gen.ArtifactSHA256
+	cfg.LoadVersion = func(version string) (*experiments.Artifacts, string, error) {
+		g, err := reg.Load(version, dataset)
+		if err != nil {
+			return nil, "", err
+		}
+		return g.Artifacts, g.ArtifactSHA256, nil
+	}
+	cfg.ListVersions = func() []string {
+		vs, err := reg.Versions()
+		if err != nil {
+			return nil
+		}
+		return vs
+	}
+	cfg.ListProposed = func() []string {
+		_, proposed, err := reg.Partition()
+		if err != nil {
+			return nil
+		}
+		return proposed
+	}
+	fmt.Fprintf(os.Stderr, "registry %s: serving version %s (sha256 %.12s…) of %d available\n",
+		root, gen.Version, gen.ArtifactSHA256, len(versions))
+	return reg, factory, nil
+}
+
+// buildLearner constructs the Learner judged against the factory's
+// frozen artifacts, whose record builds the gate's signals as it builds
+// the serving guard's. cfg carries the log, refit and registry wiring.
+func buildLearner(factory *serve.GuardFactory, cfg learn.Config) (*learn.Learner, error) {
+	cfg.Artifacts = factory.Artifacts()
+	cfg.Extract = abr.LastThroughputMbps
+	cfg.Logf = func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+	}
+	if cfg.RegistryRoot != "" {
+		cfg.Now = time.Now
+	}
+	return learn.New(cfg)
+}
+
+func runServer(o *options) error {
+	cfg := o.cfg
 	var factory *serve.GuardFactory
 	var reg *registry.Registry
-	if registryDir != "" {
-		var err error
-		if reg, factory, err = bootFromRegistry(&cfg, registryDir, dataset, ""); err != nil {
-			return err
-		}
+	var err error
+	if o.registry != "" {
+		reg, factory, err = bootFromRegistry(&cfg, o.registry, o.dataset, "", o.probation)
 	} else {
-		var err error
-		if factory, err = loadFactory(dataset, models); err != nil {
-			return err
-		}
+		factory, err = loadFactory(o.dataset, o.models, o.probation)
 	}
-	if learnLog != "" {
-		learner, err := buildLearner(factory, learnConfig{
-			LogDir:       learnLog,
-			RefitEvery:   learnRefitEvery,
-			RegistryRoot: registryDir,
-			Parent:       cfg.Version,
+	if err != nil {
+		return err
+	}
+	if o.learnLog != "" {
+		learner, err := buildLearner(factory, learn.Config{
+			LogDir:        o.learnLog,
+			RefitEvery:    o.learnRefitEvery,
+			RegistryRoot:  o.registry,
+			ParentVersion: cfg.Version,
 		})
 		if err != nil {
 			return err
 		}
 		defer learner.Stop() //nolint:errcheck // exit path; log close error is cosmetic
 		cfg.Learner = learner
-		fmt.Fprintf(os.Stderr, "online learning enabled: experience log %s (refit-every %d)\n", learnLog, learnRefitEvery)
+		fmt.Fprintf(os.Stderr, "online learning enabled: experience log %s (refit-every %d)\n", o.learnLog, o.learnRefitEvery)
 	}
 	srv, err := serve.NewServer(factory, cfg)
 	if err != nil {
@@ -212,7 +253,7 @@ func runServer(addr, binAddr string, cfg serve.Config, dataset, models, registry
 	var watcher *registry.Watcher
 	sighup := make(chan os.Signal, 1)
 	if reg != nil {
-		watcher, err = registry.NewWatcher(reg, registryPoll, func(added, all, proposed []string) {
+		watcher, err = registry.NewWatcher(reg, o.registryPoll, func(added, all, proposed []string) {
 			fmt.Fprintf(os.Stderr, "registry: new versions %v published (available: %v); stage via POST /admin/rollout\n", added, all)
 			if len(proposed) > 0 {
 				fmt.Fprintf(os.Stderr, "registry: %d proposed version(s) awaiting promotion: %v\n", len(proposed), proposed)
@@ -225,7 +266,7 @@ func runServer(addr, binAddr string, cfg serve.Config, dataset, models, registry
 		signal.Notify(sighup, syscall.SIGHUP)
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: srv}
+	httpSrv := &http.Server{Addr: o.addr, Handler: srv}
 	errc := make(chan error, 2)
 	go func() {
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
@@ -233,8 +274,8 @@ func runServer(addr, binAddr string, cfg serve.Config, dataset, models, registry
 		}
 	}()
 	var binLn net.Listener
-	if binAddr != "" {
-		binLn, err = net.Listen("tcp", binAddr)
+	if o.binAddr != "" {
+		binLn, err = net.Listen("tcp", o.binAddr)
 		if err != nil {
 			return err
 		}
@@ -243,10 +284,10 @@ func runServer(addr, binAddr string, cfg serve.Config, dataset, models, registry
 				errc <- err
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "osap-serve %s: binary protocol on %s\n", buildinfo.Version, binAddr)
+		fmt.Fprintf(os.Stderr, "osap-serve %s: binary protocol on %s\n", buildinfo.Version, o.binAddr)
 	}
 	fmt.Fprintf(os.Stderr, "osap-serve %s: serving %s artifacts on %s (schemes %v)\n",
-		buildinfo.Version, factory.Dataset(), addr, factory.Schemes())
+		buildinfo.Version, factory.Dataset(), o.addr, factory.Schemes())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -279,146 +320,4 @@ wait:
 		binLn.Close() //nolint:errcheck // drain already closed the conns
 	}
 	return httpSrv.Shutdown(ctx)
-}
-
-// selftestCell is what one (gomaxprocs × transport) cell of -selftest
-// observed: the load generator's tallies beside the server's own.
-type selftestCell struct {
-	transport  string
-	procs      int
-	res        *loadgen.Result
-	concurrent int     // sessions live at once before the measured window
-	decisions  uint64  // server-side decision counter after the drain
-	batches    uint64  // osap_batch_size observations
-	batchRows  float64 // and the rows they sum to
-	stepsPerS  float64 // server decisions per second in the steady-state window
-}
-
-// verify is the cell's contract: the whole fleet admitted at once, no
-// step dropped by the drain under load, every decision the server
-// counted acknowledged by a client, and each of them observed once by
-// osap_batch_size, as a batch of one.
-func (c *selftestCell) verify(clients int) error {
-	if c.concurrent < clients {
-		return fmt.Errorf("only %d of %d clients were concurrently admitted", c.concurrent, clients)
-	}
-	if c.res.StepsDropped != 0 || int64(c.decisions) != c.res.StepsOK {
-		return fmt.Errorf("cell dropped %d steps (server served %d, clients saw %d ok)",
-			c.res.StepsDropped, c.decisions, c.res.StepsOK)
-	}
-	if c.batches != c.decisions || c.batchRows != float64(c.decisions) {
-		return fmt.Errorf("osap_batch_size counted %d batches of %g rows for %d decisions, want one row per decision",
-			c.batches, c.batchRows, c.decisions)
-	}
-	return nil
-}
-
-// selftestSessionsPerConn is the -sessions-per-conn flag: how many
-// synthetic viewers share one multiplexed binary connection in the
-// selftest and chaos harnesses (0 = loadgen.DefaultSessionsPerConn).
-var selftestSessionsPerConn int
-
-// runSelfTest runs the load harness over the matrix — HTTP and binary
-// transport, at one proc and (on a multi-core machine) at all of them —
-// and returns every cell with the first contract violation.
-func runSelfTest(cfg serve.Config, dataset, models string, clients int, warmup, measure time.Duration) ([]selftestCell, error) {
-	factory, err := loadFactory(dataset, models)
-	if err != nil {
-		return nil, err
-	}
-	// The synthetic viewers stream the quick-scale evaluation video over
-	// the served dataset's generator.
-	video := experiments.QuickConfig().EvalVideo
-	traces, err := tracePool(dataset, 20200713)
-	if err != nil {
-		return nil, err
-	}
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	procs := []int{1}
-	if all := runtime.NumCPU(); all > 1 {
-		procs = append(procs, all)
-	}
-	var cells []selftestCell
-	var firstErr error
-	for _, p := range procs {
-		for _, transport := range []string{loadgen.ProtocolHTTP, loadgen.ProtocolBinary} {
-			cell, err := runSelfTestCell(cfg, factory, video, traces, clients, p, transport, warmup, measure)
-			if err == nil {
-				err = cell.verify(clients)
-			}
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("cell %s/%d procs: %w", transport, p, err)
-			}
-			cells = append(cells, cell)
-		}
-	}
-	return cells, firstErr
-}
-
-func runSelfTestCell(cfg serve.Config, factory *serve.GuardFactory, video *abr.Video, traces []*trace.Trace,
-	clients, procs int, transport string, warmup, measure time.Duration) (selftestCell, error) {
-	runtime.GOMAXPROCS(procs)
-	cell := selftestCell{transport: transport, procs: procs}
-	h, err := bootLoopback(factory, cfg, clients, transport == loadgen.ProtocolBinary, nil)
-	if err != nil {
-		return cell, err
-	}
-	srv := h.srv
-	lgCfg := h.target(loadgen.Config{
-		Clients: clients,
-		Schemes: factory.Schemes(),
-		Video:   video,
-		Traces:  traces,
-		Seed:    1,
-	})
-	fmt.Fprintf(os.Stderr, "selftest: %d clients over %s on %d procs (%s)\n",
-		clients, transport, procs, h.stepTarget())
-
-	var res *loadgen.Result
-	var lgErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		res, lgErr = loadgen.Run(context.Background(), lgCfg)
-	}()
-
-	// Warm up until the full fleet is admitted and stepping.
-	deadline := time.Now().Add(warmup + 30*time.Second)
-	for srv.Sessions() < clients && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	cell.concurrent = srv.Sessions()
-	time.Sleep(warmup)
-
-	// Steady-state window measured by the server-side decision counter.
-	m := srv.Metrics()
-	before := m.Decisions.Load()
-	winStart := time.Now()
-	time.Sleep(measure)
-	cell.stepsPerS = float64(m.Decisions.Load()-before) / time.Since(winStart).Seconds()
-
-	// Drain gracefully while the fleet is still at full blast.
-	if err := h.drain(); err != nil {
-		return cell, fmt.Errorf("under load: %w", err)
-	}
-	<-done
-	if lgErr != nil {
-		return cell, lgErr
-	}
-	cell.res, cell.decisions = res, m.Decisions.Load()
-	cell.batches, cell.batchRows = m.BatchSize.Count(), m.BatchSize.Sum()
-	latched, err := promValue(h.final, "osap_sessions_latched_total")
-	if err != nil {
-		return cell, err
-	}
-
-	fmt.Printf("selftest [%s, %d procs]: %.0f steps/s steady state, rtt p50 %dµs p99 %dµs, decision p99 %.0fµs, queue p99 %.0fµs, dropped %d, demoted %d (recovered %d, re-demoted %d, latched %d)\n",
-		transport, procs, cell.stepsPerS,
-		res.LatencyQuantile(0.5).Microseconds(), res.LatencyQuantile(0.99).Microseconds(),
-		m.DecisionLatency.Quantile(0.99)*1e6, m.QueueLatency.Quantile(0.99)*1e6,
-		res.StepsDropped,
-		res.SessionsDemoted, res.Recoveries, res.Redemotions, latched)
-	return cell, nil
 }

@@ -111,7 +111,7 @@ func sameDecisions(t *testing.T, scheme string, want, got *core.Guard, tape [][]
 // guard over it, for every scheme.
 func TestModelsServeTheLabsGuard(t *testing.T) {
 	lab, a, dir := savedMicroSet(t)
-	factory, err := loadFactory(trace.DatasetNorway, dir)
+	factory, err := loadFactory(trace.DatasetNorway, dir, experiments.Probation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestModelsServeV2File(t *testing.T) {
 	if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	factory, err := loadFactory(trace.DatasetNorway, dir)
+	factory, err := loadFactory(trace.DatasetNorway, dir, experiments.Probation{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 // serving stack itself — what happens when inference panics, a NaN
 // leaks out of a workspace, an artifact file loses a bit, the server
 // is overloaded, or a client stalls mid-transfer — and lets the
-// selftest harness (`osap-serve -chaos`, `-recovery`) prove the answer
+// selftest harness (cmd/osap-serve's TestChaosSmallScale) prove the answer
 // is "degrade to the safe policy, recover exactly when the state
 // machine says, never crash, never drop a step".
 //
@@ -200,7 +200,7 @@ func NewSchedule(cfg Config) (*Schedule, error) {
 // Config returns the schedule's configuration.
 func (s *Schedule) Config() Config { return s.cfg }
 
-// ServeScript is the schedule behind `osap-serve -chaos`: 1 in 8
+// ServeScript is the schedule behind the chaos selftest: 1 in 8
 // sessions suffers one inference fault in the first half of its life,
 // 1 in 5 gets periodic latency spikes, roughly 2% of requests are
 // rejected with an injected 503 and 2% are delayed, 1 in 7 clients is
@@ -244,7 +244,7 @@ const (
 	recoveryPatterns = 6
 )
 
-// RecoveryScript is the schedule behind `osap-serve -recovery`: the
+// RecoveryScript is the schedule behind the recovery selftest: the
 // scripted demote → recover → re-demote exercise. Every session's
 // faults are a pure function of its creation index — clean,
 // recover-once (NaN and +Inf flavors), cap-exhaustion, permanent panic

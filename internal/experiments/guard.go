@@ -130,7 +130,7 @@ type Probation struct{ ReadmitL, ReadmitCap int }
 // Signal returns scheme's signal over the forward scratch sc of a's
 // packed networks, and the trigger its threshold belongs to, both as
 // a's record says. It is the one place a scheme picks its signal:
-// NewGuard wraps it, and the learn trust gate and the -learn selftest's
+// NewGuard wraps it, and the learn trust gate and the learn selftest's
 // calibration read U_π and U_V from it bare.
 func Signal(a *Artifacts, scheme string, sc *rl.Scratch) (core.Signal, core.TriggerConfig, error) {
 	r := a.Record

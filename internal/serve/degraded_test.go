@@ -17,7 +17,7 @@ import (
 
 // faultedSession builds a session whose inference stack is scripted to
 // fault at the given step via the chaos signal wrapper — the same seam
-// the -chaos harness uses, driven deterministically here.
+// the chaos selftest uses, driven deterministically here.
 func faultedSession(t *testing.T, kind chaos.Kind, step int) *Session {
 	t.Helper()
 	f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})

@@ -2,8 +2,8 @@
 // clients: each client runs a private chunk-level ABR environment
 // (internal/abr) over the trace pool and asks a remote osap-serve
 // instance for every bitrate decision, exactly the round trip a real
-// player would make. It backs `osap-serve -selftest` and the chaos,
-// recovery, rollout and learn selftests.
+// player would make. It backs cmd/osap-serve's load, chaos, recovery,
+// rollout and learn selftests.
 package loadgen
 
 import (

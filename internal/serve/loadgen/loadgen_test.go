@@ -142,7 +142,7 @@ func TestLoadgenAdmissionRejection(t *testing.T) {
 }
 
 // TestLoadgenGracefulDrainDropsNothing is the small-scale version of
-// the -selftest acceptance gate: clients step in an unbounded loop,
+// the load selftest's acceptance gate: clients step in an unbounded loop,
 // the server drains mid-flight, and every step must either succeed or
 // be refused by an explicit drain signal — never dropped.
 func TestLoadgenGracefulDrainDropsNothing(t *testing.T) {

@@ -339,7 +339,7 @@ func TestDrainStopsAdmissionsAndFlushesSnapshot(t *testing.T) {
 // TestStepOnClosedSessionIsNotObserved: a step holding a session that a
 // DELETE closed under it is answered stepGone and served nothing, so
 // neither osap_batch_size nor the decision counter may see it — the
-// "one observation per decision" invariant -selftest asserts.
+// "one observation per decision" invariant the load selftest asserts.
 func TestStepOnClosedSessionIsNotObserved(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	sess, err := s.createSession(SchemeND)
