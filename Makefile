@@ -33,12 +33,13 @@ verify: build build-cross test
 vet:
 	$(GO) vet ./...
 
-# Static analysis gate: the stock go vet suite plus the seven
+# Static analysis gate: the stock go vet suite plus the eight
 # project-specific analyzers — zero-alloc hot paths and their
 # call-graph closure, 32-bit atomic alignment, atomic mixed access,
-# lock-copy hygiene, //osap:guardedby lock discipline, determinism
-# (DESIGN.md §8, §12). Fixture packages under testdata/ are excluded
-# by ./... expansion.
+# lock-copy hygiene, //osap:guardedby lock discipline, determinism,
+# and no function without a caller (DESIGN.md §8, §12). Fixture
+# packages under testdata/ are excluded by ./... expansion; deadcode
+# needs the whole module, so lint always runs ./... at the root.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/osap-vet ./...

@@ -513,12 +513,16 @@ func BenchmarkAblationTrim(b *testing.B) {
 	inObs := collectObs(trace.DatasetGamma22)
 	oodObs := collectObs(trace.DatasetExponential)
 
+	members := make([]mdp.Policy, len(a.Agents))
+	for i, agent := range a.Agents {
+		members[i] = agent
+	}
 	for _, variant := range []struct {
 		name    string
 		discard int
 	}{{"Trimmed", 1}, {"All", 0}} {
 		b.Run(variant.name, func(b *testing.B) {
-			sig, err := core.NewPolicySignal(rl.PolicyEnsemble(a.Agents), core.EnsembleConfig{Discard: variant.discard})
+			sig, err := core.NewPolicySignal(members, core.EnsembleConfig{Discard: variant.discard})
 			if err != nil {
 				b.Fatal(err)
 			}

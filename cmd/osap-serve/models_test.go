@@ -63,7 +63,7 @@ func savedMicroSet(t *testing.T) (*experiments.Lab, *experiments.Artifacts, stri
 // out-of-distribution steps for the Norway-trained guards.
 func guardTape(t *testing.T, lab *experiments.Lab) [][]float64 {
 	t.Helper()
-	video := lab.Config().EvalVideo
+	video := microRecipe().EvalVideo
 	bb := abr.NewBBPolicy(video.NumLevels())
 	rng := stats.NewRNG(0x7a9e)
 	var tape [][]float64

@@ -2,7 +2,9 @@
 // internal/analysis over the module: the zero-allocation hot-path
 // check and its call-graph closure, 32-bit atomic alignment, atomic
 // mixed-access, lock-copy hygiene, //osap:guardedby lock discipline,
-// and the determinism rules for the training/eval packages. It is the
+// the determinism rules for the training/eval packages, and deadcode
+// (no function without a caller), which reports only when the load is
+// the whole module: ./... from the module root, the default. It is the
 // `make lint` gate — any finding fails the build.
 //
 // Usage:

@@ -18,7 +18,8 @@ import (
 // simulator they were trained on). The guard must function and default
 // under a distribution shift.
 func TestGuardOverPacketEmulator(t *testing.T) {
-	lab, err := experiments.NewLab(experiments.QuickConfig())
+	cfg := experiments.QuickConfig()
+	lab, err := experiments.NewLab(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,6 @@ func TestGuardOverPacketEmulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := lab.Config()
 
 	sigCfg := osap.StateSignalConfig{ThroughputWindow: cfg.ThroughputWindow, K: a.OCSVM.Dim / 2}
 	sig, err := osap.NewStateSignal(a.OCSVM, abr.LastThroughputMbps, sigCfg)

@@ -113,9 +113,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	return &Env{cfg: cfg}, nil
 }
 
-// Config returns the environment configuration.
-func (e *Env) Config() EnvConfig { return e.cfg }
-
 // NumActions implements mdp.Env.
 func (e *Env) NumActions() int { return e.cfg.Video.NumLevels() }
 
@@ -233,12 +230,6 @@ func DownloadTime(tr *trace.Trace, start, size, payloadEff float64) (dl, end flo
 
 // LastChunk returns details of the most recent chunk download.
 func (e *Env) LastChunk() ChunkResult { return e.lastResult }
-
-// BufferSec returns the current playback buffer.
-func (e *Env) BufferSec() float64 { return e.bufferSec }
-
-// ChunkIndex returns the index of the next chunk to download.
-func (e *Env) ChunkIndex() int { return e.chunk }
 
 // observation builds the Pensieve 6×8 state matrix.
 func (e *Env) observation() []float64 {

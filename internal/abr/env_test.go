@@ -189,8 +189,8 @@ func TestBufferCapIdles(t *testing.T) {
 	env.Reset(stats.NewRNG(1))
 	for i := 0; i < 100; i++ {
 		_, _, done := env.Step(0)
-		if env.BufferSec() > env.Config().BufferCapSec+1e-9 {
-			t.Fatalf("buffer %v exceeds cap", env.BufferSec())
+		if env.bufferSec > env.cfg.BufferCapSec+1e-9 {
+			t.Fatalf("buffer %v exceeds cap", env.bufferSec)
 		}
 		if done {
 			break
@@ -211,8 +211,8 @@ func TestObservationEncodingRoundTrip(t *testing.T) {
 		t.Errorf("initial throughput decode = %v", LastThroughputMbps(obs))
 	}
 	obs, _, _ = env.Step(2)
-	if got := BufferSecFromObs(obs); math.Abs(got-env.BufferSec()) > 1e-9 {
-		t.Errorf("buffer decode %v, want %v", got, env.BufferSec())
+	if got := BufferSecFromObs(obs); math.Abs(got-env.bufferSec) > 1e-9 {
+		t.Errorf("buffer decode %v, want %v", got, env.bufferSec)
 	}
 	if got := LastThroughputMbps(obs); math.Abs(got-env.LastChunk().ThroughputMbps) > 1e-9 {
 		t.Errorf("throughput decode %v, want %v", got, env.LastChunk().ThroughputMbps)
@@ -343,8 +343,8 @@ func TestEnvInvariantsProperty(t *testing.T) {
 			if c.RebufferSec < 0 {
 				t.Fatalf("seed %d: negative rebuffer", seed)
 			}
-			if env.BufferSec() < 0 || env.BufferSec() > cfg.BufferCapSec+1e-9 {
-				t.Fatalf("seed %d: buffer %v out of range", seed, env.BufferSec())
+			if env.bufferSec < 0 || env.bufferSec > cfg.BufferCapSec+1e-9 {
+				t.Fatalf("seed %d: buffer %v out of range", seed, env.bufferSec)
 			}
 			if c.ChunkIndex != step {
 				t.Fatalf("seed %d: chunk index %d at step %d", seed, c.ChunkIndex, step)

@@ -35,12 +35,6 @@ func NewMPCPolicy(video *Video, qoe QoEConfig) *MPCPolicy {
 	return &MPCPolicy{Video: video, QoE: qoe, Horizon: 5, Robust: true}
 }
 
-// Reset clears the prediction-error state.
-func (m *MPCPolicy) Reset() {
-	m.lastErr = 0
-	m.lastPred = 0
-}
-
 // predictThroughput returns the discounted harmonic-mean prediction in
 // Mbps from the observation's throughput history.
 func (m *MPCPolicy) predictThroughput(obs []float64) float64 {

@@ -58,7 +58,6 @@ func TestMPCEmptyHistoryPicksLowest(t *testing.T) {
 func TestMPCRobustDiscountsAfterError(t *testing.T) {
 	v := flatVideo(48)
 	mpc := NewMPCPolicy(v, DefaultQoE())
-	mpc.Reset()
 	// Prime a prediction at 4 Mbps, then reveal reality at 1 Mbps: the
 	// next prediction must be discounted below the plain harmonic mean.
 	mpc.predictThroughput(obsWithThroughput(4.0))

@@ -4,8 +4,8 @@
 // only spot-check — the allocation-free serving hot path (both
 // annotated functions and the transitive call-graph closure beneath
 // them), 32-bit atomic alignment, atomic/plain mixed field access,
-// lock-value hygiene, lock discipline on annotated fields, and
-// deterministic training/eval. cmd/osap-vet is the CLI front end;
+// lock-value hygiene, lock discipline on annotated fields,
+// deterministic training/eval, and no function without a caller. cmd/osap-vet is the CLI front end;
 // `make lint` runs it over the whole module and fails the build on any
 // finding.
 //
@@ -74,6 +74,7 @@ func All() []*Analyzer {
 		MutexCopy,
 		GuardedBy,
 		Nondeterminism,
+		DeadCode,
 	}
 }
 

@@ -10,19 +10,62 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
+// fixtures maps each fixture under testdata/src, in golden order, to
+// the analyzer whose findings and suppressions it pins. Every analyzer
+// in All() has one (TestEveryAnalyzerHasAFixture).
+var fixtures = []struct{ name, analyzer string }{
+	{"hotpath", "hotpath-alloc"},
+	{"hotclosure", "hotpath-closure"},
+	{"atomicalign", "atomic-align"},
+	{"atomicmixed", "atomic-mixed-access"},
+	{"mutexcopy", "mutex-copy"},
+	{"guardedby", "guardedby"},
+	{"nondet", "nondeterminism"},
+	{"deadcode", "deadcode"},
+}
+
+// loadFixture loads one fixture package. A fixture with its own go.mod
+// is a module and loads whole (./... from its directory), the only
+// load the deadcode analyzer reports on.
+func loadFixture(t *testing.T, name string) []*Package {
+	t.Helper()
+	dir := filepath.Join("testdata", "src", name)
+	var pkgs []*Package
+	var err error
+	if _, statErr := os.Stat(filepath.Join(dir, "go.mod")); statErr == nil {
+		pkgs, err = Load(dir, "./...")
+	} else {
+		pkgs, err = Load(".", "./"+filepath.ToSlash(dir))
+	}
+	if err != nil {
+		t.Fatalf("load fixture %s: %v", name, err)
+	}
+	return pkgs
+}
+
+// TestEveryAnalyzerHasAFixture fails when an analyzer ships without a
+// golden fixture.
+func TestEveryAnalyzerHasAFixture(t *testing.T) {
+	have := map[string]bool{}
+	for _, f := range fixtures {
+		have[f.analyzer] = true
+	}
+	for _, a := range All() {
+		if !have[a.Name] {
+			t.Errorf("analyzer %s has no fixture in testdata/src and no golden", a.Name)
+		}
+	}
+}
+
 // TestGolden runs the full analyzer suite over each fixture package
 // and compares the findings against testdata/<name>.golden. Every
 // fixture seeds true violations and at least one //osap:ignore, so a
 // matching golden proves both detection and suppression.
 func TestGolden(t *testing.T) {
-	fixtures := []string{"hotpath", "hotclosure", "atomicalign", "atomicmixed", "mutexcopy", "guardedby", "nondet"}
-	for _, name := range fixtures {
+	for _, f := range fixtures {
+		name := f.name
 		t.Run(name, func(t *testing.T) {
-			pkgs, err := Load(".", "./testdata/src/"+name)
-			if err != nil {
-				t.Fatalf("load fixture: %v", err)
-			}
-			diags := Run(pkgs, All())
+			diags := Run(loadFixture(t, name), All())
 
 			cwd, err := os.Getwd()
 			if err != nil {
@@ -63,20 +106,9 @@ func TestGolden(t *testing.T) {
 // each fixture must exercise at least one suppression (a finding that
 // would appear without directives but does not).
 func TestGoldenHasFindingsAndSuppressions(t *testing.T) {
-	cases := map[string]string{
-		"hotpath":     "hotpath-alloc",
-		"hotclosure":  "hotpath-closure",
-		"atomicalign": "atomic-align",
-		"atomicmixed": "atomic-mixed-access",
-		"mutexcopy":   "mutex-copy",
-		"guardedby":   "guardedby",
-		"nondet":      "nondeterminism",
-	}
-	for name, analyzer := range cases {
-		pkgs, err := Load(".", "./testdata/src/"+name)
-		if err != nil {
-			t.Fatalf("%s: load: %v", name, err)
-		}
+	for _, f := range fixtures {
+		name, analyzer := f.name, f.analyzer
+		pkgs := loadFixture(t, name)
 		withIgnores := Run(pkgs, All())
 		count := 0
 		for _, d := range withIgnores {
@@ -134,5 +166,24 @@ func TestMalformedIgnoreDirective(t *testing.T) {
 	}
 	if !foundSurviving {
 		t.Error("expected the malformed ignore NOT to suppress the real finding")
+	}
+}
+
+// TestDeadcodeNeedsWholeModule pins that deadcode stays silent on a
+// load that cannot see every caller: one package of the fixture module,
+// and one package of this module.
+func TestDeadcodeNeedsWholeModule(t *testing.T) {
+	for _, load := range []struct{ dir, pattern string }{
+		{filepath.Join("testdata", "src", "deadcode"), "./shapes"},
+		{filepath.Join("testdata", "src", "deadcode"), "."},
+		{filepath.Join("..", ".."), "./internal/core"},
+	} {
+		pkgs, err := Load(load.dir, load.pattern)
+		if err != nil {
+			t.Fatalf("load %s in %s: %v", load.pattern, load.dir, err)
+		}
+		if diags := Run(pkgs, []*Analyzer{DeadCode}); len(diags) != 0 {
+			t.Errorf("load %s in %s: deadcode reported %d findings, want none: %v", load.pattern, load.dir, len(diags), diags)
+		}
 	}
 }

@@ -29,6 +29,12 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	// module is the module path when Load was given ./... at the
+	// module root, so the packages are the whole module and every
+	// caller of every function is among them; "" otherwise. The
+	// deadcode analyzer runs only on such a load.
+	module string
 }
 
 // listPackage is the subset of `go list -json` output the loader needs.
@@ -40,7 +46,10 @@ type listPackage struct {
 	Export     string
 	Standard   bool
 	DepOnly    bool
-	Error      *struct {
+	Module     *struct {
+		Path string
+	}
+	Error *struct {
 		Err string
 	}
 }
@@ -53,12 +62,13 @@ type listPackage struct {
 // nothing beyond the standard library and the go toolchain itself.
 //
 // Test files (_test.go) are not loaded: the invariants osap-vet
-// enforces live in shipping code.
+// enforces live in shipping code. A load of exactly ./... from a
+// directory holding go.mod is a whole-module load (see deadcode.go).
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-deps", "-export", "-json=Dir,ImportPath,Name,GoFiles,Export,Standard,DepOnly,Error"}, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-json=Dir,ImportPath,Name,GoFiles,Export,Standard,DepOnly,Module,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -102,11 +112,16 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return os.Open(f)
 	})
 
+	_, statErr := os.Stat(filepath.Join(dir, "go.mod"))
+	wholeModule := len(patterns) == 1 && patterns[0] == "./..." && statErr == nil
 	var pkgs []*Package
 	for _, t := range targets {
 		pkg, err := typeCheck(fset, imp, t)
 		if err != nil {
 			return nil, err
+		}
+		if wholeModule && t.Module != nil {
+			pkg.module = t.Module.Path
 		}
 		pkgs = append(pkgs, pkg)
 	}

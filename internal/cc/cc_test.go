@@ -59,7 +59,7 @@ func TestUnderloadNoQueueing(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		env.Step(actHold)
 	}
-	mi := env.LastMI()
+	mi := env.last
 	if math.Abs(mi.RTTSec-0.05) > 1e-9 {
 		t.Errorf("underload RTT = %v, want base 0.05", mi.RTTSec)
 	}
@@ -78,7 +78,7 @@ func TestOverloadBuildsQueueThenLoss(t *testing.T) {
 	var sawQueue, sawLoss bool
 	for i := 0; i < 20; i++ {
 		_, _, done := env.Step(actDouble)
-		mi := env.LastMI()
+		mi := env.last
 		if mi.RTTSec > 0.05+1e-9 {
 			sawQueue = true
 		}
@@ -96,8 +96,8 @@ func TestOverloadBuildsQueueThenLoss(t *testing.T) {
 		t.Error("sustained overload never lost packets")
 	}
 	// Throughput is capacity-bound.
-	if env.LastMI().ThroughputMbps > 2+1e-6 {
-		t.Errorf("throughput %v exceeds capacity", env.LastMI().ThroughputMbps)
+	if env.last.ThroughputMbps > 2+1e-6 {
+		t.Errorf("throughput %v exceeds capacity", env.last.ThroughputMbps)
 	}
 }
 
@@ -107,12 +107,12 @@ func TestQueueDrainsAfterBackoff(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		env.Step(actDouble)
 	}
-	congested := env.LastMI().RTTSec
+	congested := env.last.RTTSec
 	for i := 0; i < 8; i++ {
 		env.Step(actHalve)
 	}
-	if env.LastMI().RTTSec >= congested {
-		t.Errorf("RTT did not drain: %v -> %v", congested, env.LastMI().RTTSec)
+	if env.last.RTTSec >= congested {
+		t.Errorf("RTT did not drain: %v -> %v", congested, env.last.RTTSec)
 	}
 }
 
@@ -138,13 +138,13 @@ func TestObservationDecode(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		obs, _, _ = env.Step(actDouble)
 	}
-	lat := LatencyRatioFromObs(obs, env.HistoryLen())
-	if math.Abs(lat-env.LastMI().RTTSec/0.05) > 1e-9 {
-		t.Errorf("latency ratio decode %v, want %v", lat, env.LastMI().RTTSec/0.05)
+	lat := LatencyRatioFromObs(obs, env.cfg.HistoryLen)
+	if math.Abs(lat-env.last.RTTSec/0.05) > 1e-9 {
+		t.Errorf("latency ratio decode %v, want %v", lat, env.last.RTTSec/0.05)
 	}
-	loss := LossRateFromObs(obs, env.HistoryLen())
-	if math.Abs(loss-env.LastMI().LossRate) > 1e-9 {
-		t.Errorf("loss decode %v, want %v", loss, env.LastMI().LossRate)
+	loss := LossRateFromObs(obs, env.cfg.HistoryLen)
+	if math.Abs(loss-env.last.LossRate) > 1e-9 {
+		t.Errorf("loss decode %v, want %v", loss, env.last.LossRate)
 	}
 }
 
@@ -165,7 +165,7 @@ func TestEnvPanics(t *testing.T) {
 
 func TestAIMDStabilizesNearCapacity(t *testing.T) {
 	env := testEnv(t, constTrace(4, 400))
-	aimd := NewAIMDPolicy(env.HistoryLen())
+	aimd := NewAIMDPolicy(env.cfg.HistoryLen)
 	traj := mdp.Rollout(env, aimd, stats.NewRNG(2), mdp.RolloutOptions{})
 	// Average the last half of the episode.
 	var thr, lat float64
@@ -175,8 +175,8 @@ func TestAIMDStabilizesNearCapacity(t *testing.T) {
 	for i, s := range traj.Steps {
 		env2.Step(s.Action)
 		if i >= traj.Len()/2 {
-			thr += env2.LastMI().ThroughputMbps
-			lat += env2.LastMI().RTTSec
+			thr += env2.last.ThroughputMbps
+			lat += env2.last.RTTSec
 			n++
 		}
 	}

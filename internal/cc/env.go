@@ -134,10 +134,6 @@ func (e *Env) NumActions() int { return len(RateFactors) }
 // ObsDim implements mdp.Env.
 func (e *Env) ObsDim() int { return numRows * e.cfg.HistoryLen }
 
-// HistoryLen returns the observation depth (for building matching
-// networks).
-func (e *Env) HistoryLen() int { return e.cfg.HistoryLen }
-
 // Reset implements mdp.Env.
 func (e *Env) Reset(rng *stats.RNG) []float64 {
 	e.tr = e.cfg.Traces[rng.Intn(len(e.cfg.Traces))]
@@ -237,9 +233,6 @@ func (e *Env) Step(action int) ([]float64, float64, bool) {
 	e.step++
 	return e.observation(), reward, e.step >= e.cfg.Steps
 }
-
-// LastMI returns details of the most recent monitor interval.
-func (e *Env) LastMI() MIResult { return e.last }
 
 func clamp(x, lo, hi float64) float64 { return math.Min(math.Max(x, lo), hi) }
 

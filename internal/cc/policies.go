@@ -48,16 +48,3 @@ func (p *AIMDPolicy) Probs(obs []float64) []float64 {
 		return mdp.OneHot(len(RateFactors), actHold)
 	}
 }
-
-// RandomPolicy selects rate factors uniformly — the naive baseline.
-type RandomPolicy struct{}
-
-// Probs implements mdp.Policy.
-func (RandomPolicy) Probs([]float64) []float64 {
-	out := make([]float64, len(RateFactors))
-	u := 1 / float64(len(RateFactors))
-	for i := range out {
-		out[i] = u
-	}
-	return out
-}

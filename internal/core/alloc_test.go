@@ -34,7 +34,7 @@ func TestTrimIndicesMatchesSortStable(t *testing.T) {
 		want := append([]int(nil), idx[:keep]...)
 		sort.Ints(want)
 
-		got := trimIndices(dists, discard)
+		got := trimIndicesInto(make([]int, 0, n), dists, discard)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: kept %v, want %v (dists=%v discard=%d)", trial, got, want, dists, discard)
 		}

@@ -262,7 +262,7 @@ func TestValueSignalNormalize(t *testing.T) {
 }
 
 func TestTrimIndices(t *testing.T) {
-	kept := trimIndices([]float64{0.1, 5, 0.2, 7, 0.15}, 2)
+	kept := trimIndicesInto(make([]int, 0, 5), []float64{0.1, 5, 0.2, 7, 0.15}, 2)
 	want := []int{0, 2, 4}
 	if len(kept) != 3 {
 		t.Fatalf("kept %v", kept)
@@ -273,7 +273,7 @@ func TestTrimIndices(t *testing.T) {
 		}
 	}
 	// Discarding everything still keeps one.
-	if k := trimIndices([]float64{1, 2}, 5); len(k) != 1 || k[0] != 0 {
+	if k := trimIndicesInto(make([]int, 0, 2), []float64{1, 2}, 5); len(k) != 1 || k[0] != 0 {
 		t.Fatalf("over-discard kept %v", k)
 	}
 }
@@ -422,18 +422,6 @@ func TestGuardResetRestoresLearned(t *testing.T) {
 	}
 	if g.Steps() != 1 || g.DefaultedSteps() != 0 {
 		t.Error("episode counters not reset")
-	}
-}
-
-func TestGuardRecordScores(t *testing.T) {
-	sig := &scriptedSignal{scores: []float64{0.5, 0.7}}
-	g, _ := NewGuard(fixedPolicy{1}, fixedPolicy{1}, sig, NewTrigger(StateTriggerConfig()))
-	g.RecordScores(true)
-	g.Probs(nil)
-	g.Probs(nil)
-	s := g.Scores()
-	if len(s) != 2 || s[0] != 0.5 || s[1] != 0.7 {
-		t.Errorf("scores = %v", s)
 	}
 }
 

@@ -22,17 +22,13 @@ type EnsembleConfig struct {
 // DefaultEnsembleConfig matches the paper: keep 3 of 5.
 func DefaultEnsembleConfig() EnsembleConfig { return EnsembleConfig{Discard: 2} }
 
-// trimIndices returns the indices of members kept after discarding the
-// `discard` members with the largest distance.
-func trimIndices(dists []float64, discard int) []int {
-	return trimIndicesInto(make([]int, 0, len(dists)), dists, discard)
-}
-
-// trimIndicesInto is trimIndices writing into a caller-owned index
-// buffer (sliced from idx[:0]; it must have capacity len(dists)), so
-// per-chunk signal evaluation stays off the heap. Stable insertion
-// sorts replace sort.SliceStable + sort.Ints — identical results, and
-// ensembles are tiny (n=5) so O(n²) is irrelevant.
+// trimIndicesInto returns the indices of members kept after discarding
+// the `discard` members with the largest distance, written into a
+// caller-owned index buffer (sliced from idx[:0]; it must have capacity
+// len(dists)), so per-chunk signal evaluation stays off the heap.
+// Stable insertion sorts replace sort.SliceStable + sort.Ints —
+// identical results, and ensembles are tiny (n=5) so O(n²) is
+// irrelevant.
 //
 //osap:hotpath
 func trimIndicesInto(idx []int, dists []float64, discard int) []int {

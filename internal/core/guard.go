@@ -22,8 +22,6 @@ type Guard struct {
 	// Episode bookkeeping.
 	steps     int
 	defaulted int
-	scores    []float64
-	record    bool
 }
 
 // NewGuard assembles a safety-enhanced policy. Any Triggerer works: the
@@ -35,10 +33,6 @@ func NewGuard(learned, def mdp.Policy, sig Signal, trig Triggerer) (*Guard, erro
 	}
 	return &Guard{Learned: learned, Default: def, Signal: sig, Trigger: trig}, nil
 }
-
-// RecordScores enables per-step score recording (for diagnostics and the
-// oodmonitor example).
-func (g *Guard) RecordScores(on bool) { g.record = on }
 
 // Decision describes one guarded decision step: which policy acted and
 // why. It is the per-step metadata a serving front end needs to report
@@ -80,10 +74,6 @@ func (d Decision) Policy() string {
 //osap:hotpath
 func (g *Guard) Decide(obs []float64) Decision {
 	score := g.Signal.Observe(obs) //osap:hotpath-stop production Signal implementations are annotated and alloc-tested
-	if g.record {
-		//osap:ignore hotpath-alloc diagnostics-only recording, off in serving (RecordScores)
-		g.scores = append(g.scores, score)
-	}
 	d := Decision{Score: score, Step: g.steps}
 	g.steps++
 	if math.IsNaN(score) || math.IsInf(score, 0) {
@@ -120,7 +110,6 @@ func (g *Guard) Reset() {
 	g.Trigger.Reset()
 	g.steps = 0
 	g.defaulted = 0
-	g.scores = g.scores[:0]
 }
 
 // Steps returns the number of decisions made this episode.
@@ -157,10 +146,6 @@ func (g *Guard) Readmissions() int {
 	}
 	return 0
 }
-
-// Scores returns the recorded per-step scores (empty unless RecordScores
-// was enabled).
-func (g *Guard) Scores() []float64 { return g.scores }
 
 // EpisodeResult summarizes one guarded episode.
 type EpisodeResult struct {

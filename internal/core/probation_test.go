@@ -21,25 +21,25 @@ func TestTriggerProbationReadmits(t *testing.T) {
 			t.Fatalf("step %d: Step = %v, want %v", i, got, want)
 		}
 	}
-	if !tr.Fired() || tr.FiredAt != 1 || !tr.Latched() {
-		t.Fatalf("after firing: Fired=%v FiredAt=%d Latched=%v", tr.Fired(), tr.FiredAt, tr.Latched())
+	if !tr.Fired() || tr.FiredAt != 1 || !tr.latched {
+		t.Fatalf("after firing: Fired=%v FiredAt=%d Latched=%v", tr.Fired(), tr.FiredAt, tr.latched)
 	}
 	// Steps 2,3 calm: still latched (hysteresis l'=3 not yet met).
 	for i := 2; i <= 3; i++ {
 		if !tr.Step(0) {
 			t.Fatalf("step %d: released before hysteresis was met", i)
 		}
-		if tr.CalmStreak() != i-1 {
-			t.Fatalf("step %d: CalmStreak = %d, want %d", i, tr.CalmStreak(), i-1)
+		if tr.calm != i-1 {
+			t.Fatalf("step %d: CalmStreak = %d, want %d", i, tr.calm, i-1)
 		}
 	}
 	// Step 4: third consecutive calm step → re-admitted, served learned.
 	if tr.Step(0) {
 		t.Fatalf("step 4: still defaulting after 3 calm steps")
 	}
-	if tr.Latched() || tr.Readmissions() != 1 || tr.ReadmittedAt != 4 {
+	if tr.latched || tr.Readmissions() != 1 || tr.ReadmittedAt != 4 {
 		t.Fatalf("after re-admission: Latched=%v Readmissions=%d ReadmittedAt=%d",
-			tr.Latched(), tr.Readmissions(), tr.ReadmittedAt)
+			tr.latched, tr.Readmissions(), tr.ReadmittedAt)
 	}
 	if !tr.Fired() || tr.FiredAt != 1 {
 		t.Fatalf("re-admission must not clear Fired/FiredAt: %v/%d", tr.Fired(), tr.FiredAt)
@@ -70,8 +70,8 @@ func TestTriggerProbationUncertainStepRestartsHysteresis(t *testing.T) {
 	tr.Step(0)
 	tr.Step(0)
 	tr.Step(1)
-	if tr.CalmStreak() != 0 {
-		t.Fatalf("CalmStreak = %d after uncertain step, want 0", tr.CalmStreak())
+	if tr.calm != 0 {
+		t.Fatalf("CalmStreak = %d after uncertain step, want 0", tr.calm)
 	}
 	// Needs 3 fresh calm steps now.
 	if !tr.Step(0) {
@@ -193,11 +193,11 @@ func TestTriggerProbationReset(t *testing.T) {
 	tr.Step(1)
 	tr.Step(0) // re-admit
 	tr.Step(1) // latch again
-	if tr.Readmissions() != 1 || !tr.Latched() {
-		t.Fatalf("setup: Readmissions=%d Latched=%v", tr.Readmissions(), tr.Latched())
+	if tr.Readmissions() != 1 || !tr.latched {
+		t.Fatalf("setup: Readmissions=%d Latched=%v", tr.Readmissions(), tr.latched)
 	}
 	tr.Reset()
-	if tr.Readmissions() != 0 || tr.Latched() || tr.Fired() || tr.CalmStreak() != 0 ||
+	if tr.Readmissions() != 0 || tr.latched || tr.Fired() || tr.calm != 0 ||
 		tr.FiredAt != -1 || tr.ReadmittedAt != -1 {
 		t.Fatalf("Reset left probation state behind: %+v", tr)
 	}

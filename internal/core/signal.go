@@ -159,9 +159,6 @@ func (f *StateFeaturizer) Observe(sample float64) []float64 {
 // Reset clears the windows (new episode).
 func (f *StateFeaturizer) Reset() { f.tracker.reset() }
 
-// Dim returns the feature dimension (2K).
-func (f *StateFeaturizer) Dim() int { return f.tracker.cfg.FeatureDim() }
-
 // BuildStateFeatures converts a throughput time series (e.g. the
 // measured per-chunk throughputs of training rollouts) into OC-SVM
 // training samples, using exactly the same windowing as the online

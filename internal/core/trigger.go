@@ -184,19 +184,8 @@ func (t *Trigger) Step(score float64) bool {
 // episode (monotone: re-admission does not clear it).
 func (t *Trigger) Fired() bool { return t.fired }
 
-// Latched reports whether the trigger currently holds the default
-// policy. For latched configs without probation this equals Fired;
-// under probation it clears on re-admission and sets again on
-// re-firing.
-func (t *Trigger) Latched() bool { return t.latched }
-
 // Readmissions returns how many times the latch released this episode.
 func (t *Trigger) Readmissions() int { return t.readmits }
-
-// CalmStreak returns the current count of consecutive confident steps
-// while latched — the probation hysteresis progress (0 unless latched
-// under an enabled probation config).
-func (t *Trigger) CalmStreak() int { return t.calm }
 
 // Reset starts a new episode.
 func (t *Trigger) Reset() {

@@ -106,9 +106,6 @@ func (t *EWMATrigger) Reset() {
 	t.firedAt = -1
 }
 
-// EWMA exposes the current average (for diagnostics).
-func (t *EWMATrigger) EWMA() float64 { return t.ewma }
-
 // CUSUMTriggerConfig parameterizes a one-sided CUSUM change detector
 // (Page 1954): the classical sequential test for "the mean of this
 // stream has shifted upward". The statistic S ← max(0, S + (x − μ₀ − κ))
@@ -204,6 +201,3 @@ func (t *CUSUMTrigger) Reset() {
 	t.fired = false
 	t.firedAt = -1
 }
-
-// Statistic exposes the current CUSUM value (for diagnostics).
-func (t *CUSUMTrigger) Statistic() float64 { return t.s }

@@ -63,7 +63,7 @@ func TestEWMATriggerResetAndUnlatched(t *testing.T) {
 		t.Error("unlatched EWMA stayed active")
 	}
 	tr.Reset()
-	if tr.Fired() || tr.FiredAtStep() != -1 || tr.EWMA() != 0 {
+	if tr.Fired() || tr.FiredAtStep() != -1 || tr.ewma != 0 {
 		t.Error("reset incomplete")
 	}
 }
@@ -112,8 +112,8 @@ func TestCUSUMStatisticResetsOnQuiet(t *testing.T) {
 	tr := NewCUSUMTrigger(cfg)
 	tr.Step(3) // S = 2.5
 	tr.Step(-5)
-	if tr.Statistic() != 0 {
-		t.Errorf("statistic = %v, want clamp to 0", tr.Statistic())
+	if tr.s != 0 {
+		t.Errorf("statistic = %v, want clamp to 0", tr.s)
 	}
 }
 

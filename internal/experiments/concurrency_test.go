@@ -136,7 +136,7 @@ func TestConcurrentGuardsIndependent(t *testing.T) {
 			t.Error(err)
 			return 0
 		}
-		env := l.newEnv(l.Config().EvalVideo, d.Test)
+		env := l.newEnv(l.cfg.EvalVideo, d.Test)
 		rng := stats.NewRNG(99)
 		return core.MeanQoE(core.EvaluateGuard(env, g, rng, 2))
 	}
@@ -180,59 +180,4 @@ func microConfig() Config {
 	cfg.OCSVMEpisodes = 2
 	cfg.SelectBestAgent = false
 	return cfg
-}
-
-// TestEvaluateAllWorkerCountInvariant runs the full 36-pair grid at a
-// micro budget with 1 worker and with 8, sharing trained artifacts via
-// InstallArtifacts, and requires bit-identical result maps: the worker
-// pool must not change what is computed, only when.
-func TestEvaluateAllWorkerCountInvariant(t *testing.T) {
-	seqCfg := microConfig()
-	seqCfg.EvalWorkers = 1
-	seq, err := NewLab(seqCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := seq.EvaluateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	parCfg := microConfig()
-	parCfg.EvalWorkers = 8
-	par, err := NewLab(parCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reuse the sequential lab's artifacts so the comparison isolates
-	// evaluation-grid concurrency (training determinism is covered by
-	// the rl package's own tests).
-	for _, ds := range datasetOrder() {
-		a, err := seq.Artifacts(ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := par.InstallArtifacts(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := par.EvaluateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(got) != len(want) {
-		t.Fatalf("parallel grid has %d pairs, sequential %d", len(got), len(want))
-	}
-	for key, wr := range want {
-		gr, ok := got[key]
-		if !ok {
-			t.Fatalf("pair %s missing from parallel grid", key)
-		}
-		for _, s := range Schemes() {
-			if gr[s] != wr[s] {
-				t.Errorf("pair %s scheme %s: parallel %v, sequential %v", key, s, gr[s], wr[s])
-			}
-		}
-	}
 }

@@ -54,11 +54,6 @@ type Config struct {
 	// EvalEpisodes is the number of test episodes per (train, test,
 	// scheme) measurement.
 	EvalEpisodes int
-	// EvalWorkers bounds EvaluateAll's concurrent pair evaluations
-	// (0 = GOMAXPROCS). Results are identical regardless: per-pair
-	// RNGs derive from the pair key, and the single-flight artifact
-	// cache trains each dataset exactly once.
-	EvalWorkers int
 	// OCSVMEpisodes is the number of training-trace rollouts used to
 	// collect U_S training features.
 	OCSVMEpisodes int

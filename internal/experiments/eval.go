@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
-
 	"osap/internal/abr"
 	"osap/internal/core"
 	"osap/internal/stats"
@@ -121,53 +117,4 @@ func PairList(inDistribution bool) [][2]string {
 // datasetOrder returns the canonical presentation order.
 func datasetOrder() []string {
 	return []string{"norway", "belgium", "gamma12", "gamma22", "logistic", "exponential"}
-}
-
-// EvaluateAll runs every pair in the grid (36 combinations), returning
-// results keyed "train→test". Pairs are evaluated by a worker pool of
-// cfg.EvalWorkers goroutines (0 = GOMAXPROCS); the single-flight
-// artifact cache guarantees each dataset still trains exactly once even
-// when several pairs need it simultaneously, and results are identical
-// to the sequential loop (each pair's RNGs are derived from its key,
-// not from evaluation order).
-func (l *Lab) EvaluateAll() (map[string]map[string]float64, error) {
-	names := datasetOrder()
-	pairs := make([][2]string, 0, len(names)*len(names))
-	for _, tr := range names {
-		for _, te := range names {
-			pairs = append(pairs, [2]string{tr, te})
-		}
-	}
-
-	workers := l.cfg.EvalWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-
-	results := make([]map[string]float64, len(pairs))
-	errs := make([]error, len(pairs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, p := range pairs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, tr, te string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = l.EvaluatePair(tr, te)
-		}(i, p[0], p[1])
-	}
-	wg.Wait()
-
-	out := make(map[string]map[string]float64, len(pairs))
-	for i, p := range pairs {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("experiments: pair %s→%s: %w", p[0], p[1], errs[i])
-		}
-		out[p[0]+"→"+p[1]] = results[i]
-	}
-	return out, nil
 }

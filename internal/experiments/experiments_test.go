@@ -129,10 +129,10 @@ func TestArtifactsPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Agents) != l.Config().EnsembleSize {
+	if len(a.Agents) != l.cfg.EnsembleSize {
 		t.Errorf("agents = %d", len(a.Agents))
 	}
-	if len(a.ValueNets) != l.Config().EnsembleSize {
+	if len(a.ValueNets) != l.cfg.EnsembleSize {
 		t.Errorf("value nets = %d", len(a.ValueNets))
 	}
 	if a.OCSVM == nil || a.OCSVM.NumSVs() == 0 {

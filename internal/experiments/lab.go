@@ -66,9 +66,6 @@ func NewLab(cfg Config) (*Lab, error) {
 	}, nil
 }
 
-// Config returns the lab configuration.
-func (l *Lab) Config() Config { return l.cfg }
-
 // Dataset returns a generated dataset by name.
 func (l *Lab) Dataset(name string) (*trace.Dataset, error) {
 	d, ok := l.datasets[name]

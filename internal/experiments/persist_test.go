@@ -537,8 +537,8 @@ func TestFullGridQuick(t *testing.T) {
 	}
 	for _, s := range ood4Schemes() {
 		cdf := f5.CDFs[s]
-		if cdf.N() != 30 {
-			t.Fatalf("figure 5 %s has %d samples", s, cdf.N())
+		if n := len(f4.Raw[s]); n != 30 {
+			t.Fatalf("figure 5 %s is built on %d samples", s, n)
 		}
 		if cdf.At(-1e9) != 0 || cdf.At(1e9) != 1 {
 			t.Fatalf("figure 5 %s CDF not normalized", s)

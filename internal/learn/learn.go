@@ -70,18 +70,6 @@ func (c *Counters) reject(v Verdict) { c.rejected[v].Add(1) }
 // Rejected returns the rejection tally for one verdict.
 func (c *Counters) Rejected(v Verdict) uint64 { return c.rejected[v].Load() }
 
-// RejectedTotal sums rejections across all verdicts (excluding
-// RejectedDemoted, which never reached the gate).
-func (c *Counters) RejectedTotal() uint64 {
-	var t uint64
-	for v := Verdict(0); v < numVerdicts; v++ {
-		if v != VerdictAdmit {
-			t += c.rejected[v].Load()
-		}
-	}
-	return t
-}
-
 // Config parameterizes a Learner.
 type Config struct {
 	// Artifacts is the frozen baseline the gate judges against: its

@@ -97,9 +97,13 @@ func TestGateLifecycleInDistribution(t *testing.T) {
 	if c.Checked.Load() != uint64(steps) {
 		t.Errorf("Checked=%d, want %d", c.Checked.Load(), steps)
 	}
-	if c.Checked.Load() != c.Admitted.Load()+c.RejectedTotal() {
+	var rejected uint64
+	for v := VerdictWarmup; v < numVerdicts; v++ {
+		rejected += c.Rejected(v)
+	}
+	if c.Checked.Load() != c.Admitted.Load()+rejected {
 		t.Errorf("conservation violated: checked=%d admitted=%d rejected=%d",
-			c.Checked.Load(), c.Admitted.Load(), c.RejectedTotal())
+			c.Checked.Load(), c.Admitted.Load(), rejected)
 	}
 	if c.RingDropped.Load() != 0 {
 		t.Errorf("ring dropped %d samples with an idle learner", c.RingDropped.Load())

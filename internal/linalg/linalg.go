@@ -1,15 +1,13 @@
 // Package linalg provides the small dense linear-algebra kernel used by
-// the neural-network package: contiguous row-major matrices, vector
-// arithmetic, and matrix-vector products. It deliberately implements only
+// the neural-network package: contiguous row-major matrices and vectors,
+// the batched product MatMulTBias, and the packed weights inference and
+// training run on. It deliberately implements only
 // what the actor-critic networks need, with bounds-checked constructors
 // and panics on shape mismatches (programmer errors, not runtime
 // conditions).
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Vector is a dense float64 vector.
 type Vector []float64
@@ -30,45 +28,6 @@ func (v Vector) Fill(x float64) {
 // Zero sets every element to 0.
 func (v Vector) Zero() { v.Fill(0) }
 
-// Dot returns the inner product of v and w. It panics on length mismatch.
-func (v Vector) Dot(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: Dot length mismatch %d vs %d", len(v), len(w)))
-	}
-	var s float64
-	for i, x := range v {
-		s += x * w[i]
-	}
-	return s
-}
-
-// AddScaled adds alpha*w to v in place (axpy). It panics on length
-// mismatch.
-func (v Vector) AddScaled(alpha float64, w Vector) {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: AddScaled length mismatch %d vs %d", len(v), len(w)))
-	}
-	for i := range v {
-		v[i] += alpha * w[i]
-	}
-}
-
-// Scale multiplies v by alpha in place.
-func (v Vector) Scale(alpha float64) {
-	for i := range v {
-		v[i] *= alpha
-	}
-}
-
-// Norm2 returns the Euclidean norm of v.
-func (v Vector) Norm2() float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Matrix is a dense row-major matrix.
 type Matrix struct {
 	Rows, Cols int
@@ -87,98 +46,5 @@ func NewMatrix(rows, cols int) *Matrix {
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
-// Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
-
 // Row returns a slice aliasing row i.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
-}
-
-// Zero sets every element to 0.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// MulVec computes dst = m · x. dst must have length m.Rows and x length
-// m.Cols; it panics otherwise. dst may not alias x.
-func (m *Matrix) MulVec(dst, x Vector) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("linalg: MulVec shape mismatch: %dx%d by %d into %d",
-			m.Rows, m.Cols, len(x), len(dst)))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, w := range row {
-			s += w * x[j]
-		}
-		dst[i] = s
-	}
-}
-
-// MulVecT computes dst = mᵀ · x (multiply by the transpose). dst must
-// have length m.Cols and x length m.Rows; it panics otherwise.
-func (m *Matrix) MulVecT(dst, x Vector) {
-	if len(x) != m.Rows || len(dst) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVecT shape mismatch: %dx%d^T by %d into %d",
-			m.Rows, m.Cols, len(x), len(dst)))
-	}
-	dst.Zero()
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, w := range row {
-			dst[j] += w * xi
-		}
-	}
-}
-
-// AddOuterScaled accumulates m += alpha · x·yᵀ, the rank-1 update used to
-// accumulate weight gradients. x must have length m.Rows and y length
-// m.Cols; it panics otherwise.
-func (m *Matrix) AddOuterScaled(alpha float64, x, y Vector) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic(fmt.Sprintf("linalg: AddOuterScaled shape mismatch: %dx%d vs %d,%d",
-			m.Rows, m.Cols, len(x), len(y)))
-	}
-	for i := 0; i < m.Rows; i++ {
-		axi := alpha * x[i]
-		if axi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, yj := range y {
-			row[j] += axi * yj
-		}
-	}
-}
-
-// AddScaled accumulates m += alpha·other element-wise. It panics on shape
-// mismatch.
-func (m *Matrix) AddScaled(alpha float64, other *Matrix) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("linalg: AddScaled shape mismatch")
-	}
-	for i, v := range other.Data {
-		m.Data[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element by alpha.
-func (m *Matrix) Scale(alpha float64) {
-	for i := range m.Data {
-		m.Data[i] *= alpha
-	}
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 { return Vector(m.Data).Norm2() }

@@ -177,28 +177,12 @@ func (e *Emulator) nextOpportunity(t float64) float64 {
 	}
 }
 
-// Now returns the virtual clock.
-func (e *Emulator) Now() float64 { return e.now }
-
-// AdvanceTo moves the virtual clock forward (no-op if t is in the past).
-func (e *Emulator) AdvanceTo(t float64) {
-	if t > e.now {
-		e.now = t
-	}
-}
-
 // AdvanceBy moves the virtual clock forward by dt seconds.
 func (e *Emulator) AdvanceBy(dt float64) {
 	if dt > 0 {
 		e.now += dt
 	}
 }
-
-// PacketsDelivered reports the total packets delivered so far.
-func (e *Emulator) PacketsDelivered() int { return e.pktsDelivered }
-
-// LastFetchStats reports packet-level timing of the most recent fetch.
-func (e *Emulator) LastFetchStats() FetchStats { return e.lastStats }
 
 // FetchBytes transfers size bytes over the emulated path, advancing the
 // virtual clock to the completion time, and returns the transfer

@@ -48,8 +48,8 @@ func TestFetchLinkLimitedExact(t *testing.T) {
 	if math.Abs(dur-0.99) > 1e-9 {
 		t.Errorf("duration = %v, want 0.99", dur)
 	}
-	if em.PacketsDelivered() != 100 {
-		t.Errorf("packets = %d, want 100", em.PacketsDelivered())
+	if em.pktsDelivered != 100 {
+		t.Errorf("packets = %d, want 100", em.pktsDelivered)
 	}
 }
 
@@ -135,13 +135,13 @@ func TestSlowStartConvergesToLinkLimited(t *testing.T) {
 func TestFetchAdvancesClockMonotonically(t *testing.T) {
 	cfg := LinkConfig{Trace: constTrace(1.2, 100), PropDelaySec: 0.04, SlowStart: true, InitialCwnd: 10, MaxCwnd: 100}
 	em := newEm(t, cfg, 0)
-	prev := em.Now()
+	prev := em.now
 	for i := 0; i < 5; i++ {
 		em.FetchBytes(30000)
-		if em.Now() <= prev {
+		if em.now <= prev {
 			t.Fatal("clock did not advance")
 		}
-		prev = em.Now()
+		prev = em.now
 	}
 }
 
@@ -154,8 +154,8 @@ func TestBackToBackFetchesConsumeDistinctOpportunities(t *testing.T) {
 	d += em1.FetchBytes(75000)
 	em2 := newEm(t, cfg, 0)
 	whole := em2.FetchBytes(150000)
-	if math.Abs(em1.Now()-em2.Now()) > 1e-9 {
-		t.Errorf("split fetches end at %v, whole at %v", em1.Now(), em2.Now())
+	if math.Abs(em1.now-em2.now) > 1e-9 {
+		t.Errorf("split fetches end at %v, whole at %v", em1.now, em2.now)
 	}
 	_ = d
 	_ = whole
@@ -164,19 +164,19 @@ func TestBackToBackFetchesConsumeDistinctOpportunities(t *testing.T) {
 func TestAdvanceToAndBy(t *testing.T) {
 	em := newEm(t, LinkConfig{Trace: constTrace(1, 10)}, 0)
 	em.AdvanceTo(5)
-	if em.Now() != 5 {
-		t.Errorf("Now = %v", em.Now())
+	if em.now != 5 {
+		t.Errorf("Now = %v", em.now)
 	}
 	em.AdvanceTo(3) // backwards: no-op
-	if em.Now() != 5 {
+	if em.now != 5 {
 		t.Error("AdvanceTo went backwards")
 	}
 	em.AdvanceBy(2.5)
-	if em.Now() != 7.5 {
-		t.Errorf("Now = %v", em.Now())
+	if em.now != 7.5 {
+		t.Errorf("Now = %v", em.now)
 	}
 	em.AdvanceBy(-1)
-	if em.Now() != 7.5 {
+	if em.now != 7.5 {
 		t.Error("AdvanceBy went backwards")
 	}
 }
@@ -220,7 +220,7 @@ func TestFetchStats(t *testing.T) {
 	cfg := LinkConfig{Trace: constTrace(1.2, 100), PropDelaySec: 0.04, SlowStart: false}
 	em := newEm(t, cfg, 0)
 	dur := em.FetchBytes(15000)
-	st := em.LastFetchStats()
+	st := em.lastStats
 	if st.Packets != 10 {
 		t.Errorf("packets = %d, want 10", st.Packets)
 	}
@@ -240,7 +240,7 @@ func TestFetchStatsSinglePacket(t *testing.T) {
 	cfg := LinkConfig{Trace: constTrace(1.2, 100), SlowStart: false}
 	em := newEm(t, cfg, 0)
 	em.FetchBytes(100)
-	st := em.LastFetchStats()
+	st := em.lastStats
 	if st.Packets != 1 || st.MeanGapSec != 0 {
 		t.Errorf("single packet stats = %+v", st)
 	}

@@ -161,9 +161,6 @@ func (e *Env) Step(action int) ([]float64, float64, bool) {
 // LastChunk returns details of the most recent chunk download.
 func (e *Env) LastChunk() abr.ChunkResult { return e.last }
 
-// BufferSec returns the playback buffer.
-func (e *Env) BufferSec() float64 { return e.bufferSec }
-
 func (e *Env) observation() []float64 {
 	return abr.BuildObservation(e.cfg.Video, e.lastLevel, e.bufferSec, e.chunk, e.thrHist, e.dlHist)
 }

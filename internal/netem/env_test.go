@@ -136,8 +136,8 @@ func TestEnvObservationCompatible(t *testing.T) {
 		t.Fatalf("obs dim %d", len(obs))
 	}
 	obs, _, _ = env.Step(1)
-	if got := abr.BufferSecFromObs(obs); math.Abs(got-env.BufferSec()) > 1e-9 {
-		t.Errorf("buffer decode %v, want %v", got, env.BufferSec())
+	if got := abr.BufferSecFromObs(obs); math.Abs(got-env.bufferSec) > 1e-9 {
+		t.Errorf("buffer decode %v, want %v", got, env.bufferSec)
 	}
 	if got := abr.LastThroughputMbps(obs); math.Abs(got-env.LastChunk().ThroughputMbps) > 1e-9 {
 		t.Errorf("throughput decode %v", got)
@@ -149,8 +149,8 @@ func TestEnvBufferCap(t *testing.T) {
 	env.Reset(stats.NewRNG(1))
 	for i := 0; i < 60; i++ {
 		_, _, done := env.Step(0)
-		if env.BufferSec() > 60+1e-9 {
-			t.Fatalf("buffer %v exceeds cap", env.BufferSec())
+		if env.bufferSec > 60+1e-9 {
+			t.Fatalf("buffer %v exceeds cap", env.bufferSec)
 		}
 		if done {
 			break

@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net"
@@ -95,15 +94,10 @@ type Server struct {
 	ln  net.Listener
 }
 
-// StartServer serves video on a loopback listener whose connections are
-// shaped to tr (pass nil for an unshaped server). Close the returned
-// Server when done.
-func StartServer(video *abr.Video, tr *trace.Trace) (*Server, error) {
-	return StartServerBurst(video, tr, 0)
-}
-
-// StartServerBurst is StartServer with an explicit per-connection burst
-// allowance in bytes (0 keeps the default).
+// StartServerBurst serves video on a loopback listener whose connections
+// are shaped to tr (pass nil for an unshaped server), with an explicit
+// per-connection burst allowance in bytes (0 keeps the default). Close
+// the returned Server when done.
 func StartServerBurst(video *abr.Video, tr *trace.Trace, burst int64) (*Server, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -121,19 +115,6 @@ func StartServerBurst(video *abr.Video, tr *trace.Trace, burst int64) (*Server, 
 // Close shuts the server down immediately, dropping any in-flight
 // transfers.
 func (s *Server) Close() error { return s.srv.Close() }
-
-// Shutdown stops the server gracefully: the listener closes right
-// away, in-flight chunk transfers are allowed to finish, and the call
-// returns once every connection is idle. If ctx expires first the
-// remaining connections are closed forcibly and ctx's error is
-// returned.
-func (s *Server) Shutdown(ctx context.Context) error {
-	err := s.srv.Shutdown(ctx)
-	if err != nil {
-		s.srv.Close() //nolint:errcheck // best-effort teardown after ctx expiry
-	}
-	return err
-}
 
 // FetchResult describes one HTTP chunk download.
 type FetchResult struct {

@@ -17,7 +17,7 @@ func testVideo() *abr.Video { return abr.SyntheticVideo(1, 8, 4) }
 
 func TestServerManifestAndChunk(t *testing.T) {
 	v := testVideo()
-	srv, err := StartServer(v, nil)
+	srv, err := StartServerBurst(v, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestServerManifestAndChunk(t *testing.T) {
 func TestShutdownWaitsForInFlight(t *testing.T) {
 	v := testVideo()
 	// Lowest level ≈ 150 kB; at 2 Mbps the transfer takes ~0.6 s.
-	srv, err := StartServer(v, constTrace(2.0, 120))
+	srv, err := StartServerBurst(v, constTrace(2.0, 120), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestShutdownWaitsForInFlight(t *testing.T) {
 func TestShutdownContextCancel(t *testing.T) {
 	v := testVideo()
 	// Highest level ≈ 2 MB at 1 Mbps: a transfer of many seconds.
-	srv, err := StartServer(v, constTrace(1.0, 120))
+	srv, err := StartServerBurst(v, constTrace(1.0, 120), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestShutdownContextCancel(t *testing.T) {
 // handler and shutdown paths for data races.
 func TestConcurrentFetchRace(t *testing.T) {
 	v := testVideo()
-	srv, err := StartServer(v, nil)
+	srv, err := StartServerBurst(v, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

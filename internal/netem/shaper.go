@@ -116,10 +116,6 @@ func (c *ThrottledConn) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// BytesSent reports the pacing budget consumed so far: bytes actually
-// written plus any idle-time budget forfeited by the burst rule.
-func (c *ThrottledConn) BytesSent() int64 { return c.sent }
-
 // ThrottledListener wraps a net.Listener so every accepted connection is
 // write-shaped to the trace (each connection gets its own pacing clock).
 type ThrottledListener struct {

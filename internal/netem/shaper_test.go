@@ -52,8 +52,8 @@ func TestThrottledConnPacing(t *testing.T) {
 	if maxSleep.Seconds() < want*0.9 || maxSleep.Seconds() > want*1.2 {
 		t.Errorf("max pacing target %.3fs, want ≈ %.2fs", maxSleep.Seconds(), want)
 	}
-	if tc.BytesSent() != int64(len(payload)) {
-		t.Errorf("BytesSent = %d", tc.BytesSent())
+	if tc.sent != int64(len(payload)) {
+		t.Errorf("BytesSent = %d", tc.sent)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestThrottledConnRealClockSmoke(t *testing.T) {
 
 func TestChunkServerServesExactSizes(t *testing.T) {
 	video := abr.SyntheticVideo(1, 4, 4)
-	srv, err := StartServer(video, nil) // unshaped
+	srv, err := StartServerBurst(video, nil, 0) // unshaped
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestChunkServerServesExactSizes(t *testing.T) {
 
 func TestChunkServerRejectsBadCoordinates(t *testing.T) {
 	video := abr.SyntheticVideo(1, 4, 4)
-	srv, err := StartServer(video, nil)
+	srv, err := StartServerBurst(video, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestChunkServerRejectsBadCoordinates(t *testing.T) {
 
 func TestChunkServerManifest(t *testing.T) {
 	video := abr.SyntheticVideo(1, 4, 4)
-	srv, err := StartServer(video, nil)
+	srv, err := StartServerBurst(video, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestThrottledServerShapesThroughput(t *testing.T) {
 		ChunkSec:     4,
 		SizesBytes:   [][]float64{{20 * 1024}, {20 * 1024}},
 	}
-	srv, err := StartServer(video, constTrace(0.8, 60))
+	srv, err := StartServerBurst(video, constTrace(0.8, 60), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,11 +51,3 @@ func HeInit(net *Network, rng *stats.RNG) {
 		return math.Sqrt(2 / float64(fanIn))
 	})
 }
-
-// XavierInit initializes weights from N(0, sqrt(2/(fanIn+fanOut))),
-// appropriate for tanh/linear networks.
-func XavierInit(net *Network, rng *stats.RNG) {
-	initWeights(net, rng, func(fanIn, fanOut int) float64 {
-		return math.Sqrt(2 / float64(fanIn+fanOut))
-	})
-}

@@ -15,7 +15,7 @@ type DenseLayer struct {
 }
 
 // Dense returns an uninitialized fully connected layer; apply an
-// initializer (HeInit, XavierInit) or deserialize weights before use.
+// initializer (HeInit) or deserialize weights before use.
 func Dense(in, out int) *DenseLayer {
 	if in <= 0 || out <= 0 {
 		panic(fmt.Sprintf("nn: Dense(%d,%d) invalid dims", in, out))
@@ -284,30 +284,5 @@ func (s *SoftmaxLayer) Backward(_, out, gradOut, gradIn linalg.Vector) {
 	}
 	for i, y := range out {
 		gradIn[i] = y * (gradOut[i] - dot)
-	}
-}
-
-// cloneLayer deep-copies a layer, including parameter values (gradients
-// reset to zero).
-func cloneLayer(l Layer) Layer {
-	switch v := l.(type) {
-	case *DenseLayer:
-		c := Dense(v.In, v.Out)
-		copy(c.Weight.W, v.Weight.W)
-		copy(c.Bias.W, v.Bias.W)
-		return c
-	case *Conv1DLayer:
-		c := Conv1D(v.Channels, v.Length, v.Filters, v.Kernel)
-		copy(c.Weight.W, v.Weight.W)
-		copy(c.Bias.W, v.Bias.W)
-		return c
-	case *ReLULayer:
-		return ReLU(v.Dim)
-	case *TanhLayer:
-		return Tanh(v.Dim)
-	case *SoftmaxLayer:
-		return Softmax(v.Dim)
-	default:
-		panic(fmt.Sprintf("nn: cloneLayer: unknown layer type %T", l))
 	}
 }

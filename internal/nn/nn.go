@@ -40,13 +40,6 @@ type Param struct {
 	G    []float64
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() {
-	for i := range p.G {
-		p.G[i] = 0
-	}
-}
-
 // Layer is one differentiable stage of a feed-forward network.
 type Layer interface {
 	// InDim and OutDim are the flattened input/output lengths.
@@ -119,46 +112,4 @@ func (n *Network) Params() []*Param {
 		ps = append(ps, l.Params()...)
 	}
 	return ps
-}
-
-// NumParams returns the total number of scalar parameters.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += len(p.W)
-	}
-	return total
-}
-
-// ZeroGrad clears every parameter gradient.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.ZeroGrad()
-	}
-}
-
-// Clone returns a deep copy of the network (weights copied, gradients
-// zeroed).
-func (n *Network) Clone() *Network {
-	layers := make([]Layer, len(n.layers))
-	for i, l := range n.layers {
-		layers[i] = cloneLayer(l)
-	}
-	return &Network{layers: layers}
-}
-
-// CopyWeightsFrom copies parameter values from src into n. The two
-// networks must have identical architectures; it panics otherwise.
-func (n *Network) CopyWeightsFrom(src *Network) {
-	dst := n.Params()
-	s := src.Params()
-	if len(dst) != len(s) {
-		panic("nn: CopyWeightsFrom architecture mismatch")
-	}
-	for i := range dst {
-		if len(dst[i].W) != len(s[i].W) {
-			panic("nn: CopyWeightsFrom tensor shape mismatch")
-		}
-		copy(dst[i].W, s[i].W)
-	}
 }

@@ -341,16 +341,13 @@ func TestHeInitStatistics(t *testing.T) {
 	net := NewNetwork(Dense(100, 200))
 	HeInit(net, rng)
 	w := net.Params()[0].W
-	var acc stats.Welford
-	for _, x := range w {
-		acc.Add(x)
-	}
+	mean, std := stats.Mean(w), stats.Std(w)
 	wantStd := math.Sqrt(2.0 / 100)
-	if math.Abs(acc.Mean()) > 0.01 {
-		t.Errorf("He init mean = %v, want ~0", acc.Mean())
+	if math.Abs(mean) > 0.01 {
+		t.Errorf("He init mean = %v, want ~0", mean)
 	}
-	if math.Abs(acc.Std()-wantStd) > 0.01 {
-		t.Errorf("He init std = %v, want %v", acc.Std(), wantStd)
+	if math.Abs(std-wantStd) > 0.01 {
+		t.Errorf("He init std = %v, want %v", std, wantStd)
 	}
 	for _, b := range net.Params()[1].W {
 		if b != 0 {

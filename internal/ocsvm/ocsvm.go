@@ -331,55 +331,6 @@ func Train(data [][]float64, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// projectCappedSimplex projects v in place onto
-// {x : 0 ≤ x_i ≤ c, Σx_i = 1} by bisecting on the shift τ in
-// Σ clamp(v_i − τ, 0, c) = 1.
-func projectCappedSimplex(v []float64, c float64) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range v {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	// τ ∈ [lo − c, hi]: at τ = hi sum is ≤ ... ensure bracketing.
-	lo -= c + 1
-	hi += 1
-	sum := func(tau float64) float64 {
-		var s float64
-		for _, x := range v {
-			y := x - tau
-			if y < 0 {
-				y = 0
-			} else if y > c {
-				y = c
-			}
-			s += y
-		}
-		return s
-	}
-	for it := 0; it < 100; it++ {
-		mid := (lo + hi) / 2
-		if sum(mid) > 1 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	tau := (lo + hi) / 2
-	for i, x := range v {
-		y := x - tau
-		if y < 0 {
-			y = 0
-		} else if y > c {
-			y = c
-		}
-		v[i] = y
-	}
-}
-
 // Decision returns f(x) = Σ α_i K(sv_i, x) − ρ. Positive values are
 // in-distribution. It panics on a dimension mismatch.
 //

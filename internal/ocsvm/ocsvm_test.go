@@ -227,31 +227,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestProjectCappedSimplex(t *testing.T) {
-	v := []float64{0.9, 0.5, -0.3, 0.1}
-	projectCappedSimplex(v, 0.6)
-	var sum float64
-	for _, x := range v {
-		if x < -1e-9 || x > 0.6+1e-9 {
-			t.Fatalf("projection out of box: %v", v)
-		}
-		sum += x
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Fatalf("projection sum %v, want 1", sum)
-	}
-}
-
-func TestProjectCappedSimplexAlreadyFeasible(t *testing.T) {
-	v := []float64{0.25, 0.25, 0.25, 0.25}
-	projectCappedSimplex(v, 0.5)
-	for _, x := range v {
-		if math.Abs(x-0.25) > 1e-6 {
-			t.Fatalf("feasible point moved: %v", v)
-		}
-	}
-}
-
 func TestAutoGammaPositive(t *testing.T) {
 	if g := autoGamma([][]float64{{1, 1}, {1, 1}}); g <= 0 || math.IsInf(g, 0) {
 		t.Errorf("degenerate autoGamma = %v", g)
@@ -270,11 +245,11 @@ func TestDetectsDistributionShift(t *testing.T) {
 		out := make([][]float64, n)
 		for i := range out {
 			// [mean, std] of 10 draws — the paper's feature.
-			var w stats.Welford
-			for k := 0; k < 10; k++ {
-				w.Add(s.Sample(rng))
+			draws := make([]float64, 10)
+			for k := range draws {
+				draws[k] = s.Sample(rng)
 			}
-			out[i] = []float64{w.Mean(), w.Std()}
+			out[i] = []float64{stats.Mean(draws), stats.Std(draws)}
 		}
 		return out
 	}

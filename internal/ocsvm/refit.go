@@ -23,21 +23,3 @@ func (m *Model) Refit(data [][]float64, cfg Config) (*Model, error) {
 	}
 	return Train(data, cfg)
 }
-
-// GridDisagreement returns the fraction of grid points on which the
-// two models' binary in/out decisions differ — the
-// poisoning-resistance acceptance metric: a refit trained through the
-// trust gate must stay within tolerance of the frozen baseline on a
-// held-out reference grid.
-func GridDisagreement(a, b *Model, grid [][]float64) float64 {
-	if len(grid) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range grid {
-		if a.Predict(x) != b.Predict(x) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(grid))
-}

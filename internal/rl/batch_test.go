@@ -196,7 +196,16 @@ func TestFrozenSessionsMatchStandalone(t *testing.T) {
 	// From here on the source networks drift; nothing above may notice.
 	frozenRef := make([]*ActorCritic, len(agents))
 	for i, a := range agents {
-		frozenRef[i] = a.Clone()
+		ref, err := NewActorCritic(a.Cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range [][2]*nn.Network{{ref.Actor, a.Actor}, {ref.Critic, a.Critic}} {
+			for j, p := range pair[0].Params() {
+				copy(p.W, pair[1].Params()[j].W)
+			}
+		}
+		frozenRef[i] = ref
 		for _, p := range a.Actor.Params() {
 			p.W[0] += 1
 		}

@@ -7,7 +7,6 @@ import (
 
 	"osap/internal/mdp"
 	"osap/internal/nn"
-	"osap/internal/stats"
 )
 
 // TrainEnsemble trains n agents in the same training environment where
@@ -98,16 +97,6 @@ func TrainValueEnsemble(factory EnvFactory, policy mdp.Policy, cfg ValueTrainCon
 	return nets, nil
 }
 
-// PolicyEnsemble adapts a set of agents to the []mdp.Policy slice the
-// uncertainty signals consume.
-func PolicyEnsemble(agents []*ActorCritic) []mdp.Policy {
-	ps := make([]mdp.Policy, len(agents))
-	for i, a := range agents {
-		ps[i] = a
-	}
-	return ps
-}
-
 // ValueEnsemble adapts a set of critic networks to []mdp.ValueFn.
 func ValueEnsemble(nets []*nn.Network) []mdp.ValueFn {
 	vs := make([]mdp.ValueFn, len(nets))
@@ -115,17 +104,4 @@ func ValueEnsemble(nets []*nn.Network) []mdp.ValueFn {
 		vs[i] = NetValueFn{Net: n}
 	}
 	return vs
-}
-
-// EvaluateAgent runs greedy episodes of the agent and returns total
-// rewards, the standard deployment-time measurement.
-func EvaluateAgent(factory EnvFactory, agent *ActorCritic, seed uint64, episodes int) []float64 {
-	env := factory()
-	rng := stats.NewRNG(seed)
-	out := make([]float64, episodes)
-	for i := range out {
-		traj := mdp.Rollout(env, GreedyPolicy{P: agent}, rng, mdp.RolloutOptions{})
-		out[i] = traj.TotalReward()
-	}
-	return out
 }

@@ -127,11 +127,6 @@ func (ac *ActorCritic) Probs(obs []float64) []float64 { return ac.Actor.Forward(
 // Value implements mdp.ValueFn.
 func (ac *ActorCritic) Value(obs []float64) float64 { return ac.Critic.Forward(obs)[0] }
 
-// Clone deep-copies the agent.
-func (ac *ActorCritic) Clone() *ActorCritic {
-	return &ActorCritic{Cfg: ac.Cfg, Actor: ac.Actor.Clone(), Critic: ac.Critic.Clone()}
-}
-
 // AgentJSON is the serialized form of an agent (architecture +
 // weights), a plain value that encodes and decodes in one pass.
 type AgentJSON struct {

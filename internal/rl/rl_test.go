@@ -387,14 +387,7 @@ func TestValueTrainErrors(t *testing.T) {
 func TestPolicyAndValueEnsembleAdapters(t *testing.T) {
 	a, _ := NewActorCritic(toyNetConfig(), 1)
 	b, _ := NewActorCritic(toyNetConfig(), 2)
-	ps := PolicyEnsemble([]*ActorCritic{a, b})
-	if len(ps) != 2 {
-		t.Fatal("bad policy ensemble length")
-	}
 	obs := make([]float64, 8)
-	if len(ps[0].Probs(obs)) != 3 {
-		t.Fatal("adapter broke Probs")
-	}
 	vs := ValueEnsemble([]*nn.Network{a.Critic, b.Critic})
 	if len(vs) != 2 {
 		t.Fatal("bad value ensemble length")

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -658,5 +660,74 @@ func TestBinaryDrainGoAway(t *testing.T) {
 	}
 	if s.Sessions() != 0 {
 		t.Fatalf("%d sessions survived drain", s.Sessions())
+	}
+}
+
+// TestCloseRacingBinaryStep deletes a session over HTTP while another
+// connection, the binary one, keeps stepping it. Every step is answered
+// with a Decision or CodeGone — none is dropped — once one step is Gone
+// every later one is, and osap_decisions_total counts exactly the
+// Decisions the client received.
+func TestCloseRacingBinaryStep(t *testing.T) {
+	s, addr := binaryTestServer(t)
+	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
+	c := dialBinary(t, addr)
+	defer c.nc.Close()
+	id := c.open(0, s.factory.Schemes()[0])
+	stream := obsStream(61, s.factory.ObsDim(), 16)
+
+	deleted := make(chan int, 1)
+	const batch = 16
+	cids, seqs := make([]uint32, batch), make([]uint32, batch)
+	var decisions, gone uint64
+	for round := 0; gone == 0; round++ {
+		if round == 10_000 {
+			t.Fatal("the session was never closed under the steps")
+		}
+		for i := range seqs {
+			seqs[i] = uint32(round*batch + i)
+		}
+		c.writeSteps(cids, seqs, stream)
+		if round == 0 {
+			go func() {
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/sessions/"+id, nil))
+				deleted <- rec.Code
+			}()
+		}
+		for i := 0; i < batch; i++ {
+			typ, payload, err := c.pc.ReadFrame()
+			if err != nil {
+				t.Fatalf("round %d step %d: %v (a step was dropped)", round, i, err)
+			}
+			switch typ {
+			case proto.TypeDecision:
+				d, err := proto.DecodeDecision(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gone > 0 {
+					t.Fatalf("round %d step %d: a Decision after the session was gone", round, i)
+				}
+				if d.Seq != seqs[i] {
+					t.Fatalf("round %d: decision seq %d, want %d", round, d.Seq, seqs[i])
+				}
+				decisions++
+			case proto.TypeError:
+				_, code, msg, _ := proto.DecodeError(payload)
+				if code != proto.CodeGone {
+					t.Fatalf("round %d step %d: %s, want a Decision or CodeGone", round, i, proto.ErrorString(code, msg))
+				}
+				gone++
+			default:
+				t.Fatalf("round %d step %d: frame type %d, want Decision or Error", round, i, typ)
+			}
+		}
+	}
+	if code := <-deleted; code != http.StatusNoContent {
+		t.Fatalf("DELETE answered %d, want 204", code)
+	}
+	if got := promCounter(t, s, "osap_decisions_total"); got != decisions {
+		t.Fatalf("osap_decisions_total = %d, client received %d Decisions (%d Gone)", got, decisions, gone)
 	}
 }

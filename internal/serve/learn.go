@@ -24,15 +24,17 @@ type learnRequest struct {
 	Action string `json:"action"` // refit
 }
 
+// handleLearn follows handleCreate's pattern: the body is read before
+// opGate, and the refit runs under the gate after a second draining
+// check, so Drain's barrier waits for it and no refit is counted or
+// published after the final snapshot.
 func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 	l := s.cfg.Learner
 	if l == nil {
 		s.writeError(w, http.StatusNotImplemented, "online learning is not enabled")
 		return
 	}
-	if s.draining.Load() {
-		s.metrics.DrainRejected.Add(1)
-		s.rejectBusy(w, http.StatusServiceUnavailable, "server is draining")
+	if s.refuseDraining(w) {
 		return
 	}
 	var req learnRequest
@@ -40,17 +42,21 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	switch req.Action {
-	case "refit":
-		prop, err := l.Refit()
-		if err != nil {
-			s.writeError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, prop)
-	default:
+	if req.Action != "refit" {
 		s.writeError(w, http.StatusBadRequest, "unknown action %q (want refit)", req.Action)
+		return
 	}
+	s.opGate.RLock()
+	defer s.opGate.RUnlock()
+	if s.refuseDraining(w) {
+		return
+	}
+	prop, err := l.Refit()
+	if err != nil {
+		s.writeError(w, http.StatusConflict, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, prop)
 }
 
 // writeLearnProm appends the online-learning counter families.

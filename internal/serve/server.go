@@ -117,8 +117,8 @@ type Server struct {
 	stepLatency *Histogram
 
 	draining atomic.Bool
-	// opGate tracks in-flight mutating handlers (create/step/reset) as
-	// readers; Drain takes the write side as a barrier after raising
+	// opGate tracks in-flight mutating handlers (create, step, reset,
+	// rollout transitions, learn refits) as readers; Drain takes the write side as a barrier after raising
 	// the draining flag, so "all pre-drain operations have finished" is
 	// a plain Lock/Unlock — unlike a WaitGroup, concurrent
 	// begin-op/barrier is well-defined.

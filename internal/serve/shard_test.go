@@ -354,7 +354,11 @@ func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
 		}
 		g.Learned = rl.GreedyPolicy{P: arts.Agents[0]}
 		if scheme == SchemeAEns {
-			g.Signal, err = core.NewPolicySignal(rl.PolicyEnsemble(arts.Agents), arts.Record.Trim())
+			members := make([]mdp.Policy, len(arts.Agents))
+			for i, agent := range arts.Agents {
+				members[i] = agent
+			}
+			g.Signal, err = core.NewPolicySignal(members, arts.Record.Trim())
 		} else {
 			g.Signal, err = core.NewValueSignal(rl.ValueEnsemble(arts.ValueNets), arts.Record.Trim())
 		}

@@ -18,6 +18,8 @@ import (
 // the cheap substrate for serve tests and load benchmarks where
 // decision quality is irrelevant. ensemble ≥ 2 enables all three
 // schemes. Nothing was calibrated: the record is AssumedRecord's.
+//
+//osap:ignore deadcode the untrained substrate of the serve, registry and cmd/osap-serve tests
 func SyntheticArtifacts(dataset string, ensemble int, seed uint64) (*experiments.Artifacts, error) {
 	if ensemble < 2 {
 		return nil, fmt.Errorf("serve: synthetic artifacts need ensemble ≥ 2, got %d", ensemble)

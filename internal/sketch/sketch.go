@@ -182,10 +182,6 @@ func (s *Sketch) compress() {
 	s.bn = 0
 }
 
-// Centroids returns the current number of centroids (buffered
-// observations excluded; diagnostic).
-func (s *Sketch) Centroids() int { return s.nc }
-
 // Quantile estimates the q-th (0..1) quantile by interpolating between
 // centroid centers, with the true min/max anchoring the extremes.
 // Returns NaN on an empty sketch. Compresses pending observations
@@ -242,15 +238,6 @@ func (s *Sketch) MergeInto(dst *Sketch) {
 	}
 	dst.n += s.n
 	dst.drop += s.drop
-}
-
-// Reset empties the sketch in place, keeping its buffers.
-func (s *Sketch) Reset() {
-	s.nc, s.bn = 0, 0
-	s.total = 0
-	s.n, s.drop = 0, 0
-	s.min = math.Inf(+1)
-	s.max = math.Inf(-1)
 }
 
 // sortPairs heap-sorts v ascending, swapping w in lockstep. Heapsort:

@@ -32,15 +32,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(len(xs))
 }
 
-// SampleVariance returns the unbiased sample variance of xs (dividing by
-// n-1), or 0 for slices with fewer than two elements.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return Variance(xs) * float64(len(xs)) / float64(len(xs)-1)
-}
-
 // Std returns the population standard deviation of xs.
 func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
@@ -132,12 +123,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of observations so far.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
 // Variance returns the running population variance.
 func (w *Welford) Variance() float64 {
 	if w.n < 2 {
@@ -145,12 +130,6 @@ func (w *Welford) Variance() float64 {
 	}
 	return w.m2 / float64(w.n)
 }
-
-// Std returns the running population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
-
-// Reset returns the accumulator to its zero state.
-func (w *Welford) Reset() { *w = Welford{} }
 
 // RollingWindow keeps the most recent Cap observations and reports their
 // mean/variance. It is the smoothing primitive behind the paper's
@@ -190,11 +169,6 @@ func (rw *RollingWindow) Len() int { return len(rw.buf) }
 
 // Full reports whether the window has reached capacity at least once.
 func (rw *RollingWindow) Full() bool { return rw.full }
-
-// Values returns the window contents ordered oldest to newest.
-func (rw *RollingWindow) Values() []float64 {
-	return rw.ValuesInto(make([]float64, 0, len(rw.buf)))
-}
 
 // ValuesInto fills dst — resliced to empty first, so any previous
 // contents are discarded — with the window contents ordered oldest to

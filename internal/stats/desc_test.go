@@ -77,7 +77,7 @@ func TestWelfordMatchesBatch(t *testing.T) {
 			xs[i] = rr.NormFloat64() * 10
 			w.Add(xs[i])
 		}
-		return almostEqual(w.Mean(), Mean(xs), 1e-9) &&
+		return almostEqual(w.mean, Mean(xs), 1e-9) &&
 			almostEqual(w.Variance(), Variance(xs), 1e-9)
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestRollingWindowEviction(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		rw.Add(float64(i))
 	}
-	vals := rw.Values()
+	vals := rw.ValuesInto(nil)
 	want := []float64{3, 4, 5}
 	if len(vals) != 3 {
 		t.Fatalf("len = %d, want 3", len(vals))
@@ -132,7 +132,7 @@ func TestRollingWindowPartial(t *testing.T) {
 	if rw.Len() != 2 || rw.Mean() != 3 {
 		t.Errorf("Len=%d Mean=%v, want 2, 3", rw.Len(), rw.Mean())
 	}
-	vals := rw.Values()
+	vals := rw.ValuesInto(nil)
 	if len(vals) != 2 || vals[0] != 2 || vals[1] != 4 {
 		t.Errorf("Values = %v", vals)
 	}

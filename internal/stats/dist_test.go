@@ -16,8 +16,8 @@ func checkMoments(t *testing.T, s Sampler, n int, tol float64) {
 	}
 	wantMean, wantVar := s.Mean(), s.Variance()
 	scale := math.Max(math.Abs(wantMean), 1)
-	if math.Abs(w.Mean()-wantMean) > tol*scale {
-		t.Errorf("%s: empirical mean %v, want %v", s, w.Mean(), wantMean)
+	if math.Abs(w.mean-wantMean) > tol*scale {
+		t.Errorf("%s: empirical mean %v, want %v", s, w.mean, wantMean)
 	}
 	vscale := math.Max(wantVar, 1)
 	if math.Abs(w.Variance()-wantVar) > 2*tol*vscale {

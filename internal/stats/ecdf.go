@@ -28,23 +28,3 @@ func (e *ECDF) At(x float64) float64 {
 	}
 	return float64(i) / float64(len(e.sorted))
 }
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Points returns the (x, F(x)) step points of the ECDF, one per distinct
-// sample value, suitable for plotting or tabulating.
-func (e *ECDF) Points() (xs, fs []float64) {
-	n := len(e.sorted)
-	for i := 0; i < n; i++ {
-		if i+1 < n && e.sorted[i+1] == e.sorted[i] {
-			continue
-		}
-		xs = append(xs, e.sorted[i])
-		fs = append(fs, float64(i+1)/float64(n))
-	}
-	return xs, fs
-}
-
-// Quantile returns the q-quantile of the underlying sample.
-func (e *ECDF) Quantile(q float64) float64 { return Quantile(e.sorted, q) }

@@ -26,7 +26,7 @@ func TestECDFDuplicates(t *testing.T) {
 
 func TestECDFEmpty(t *testing.T) {
 	e := NewECDF(nil)
-	if e.At(0) != 0 || e.N() != 0 {
+	if e.At(0) != 0 || len(e.sorted) != 0 {
 		t.Error("empty ECDF should be identically 0")
 	}
 }
@@ -67,7 +67,7 @@ func TestECDFPoints(t *testing.T) {
 func TestECDFQuantileRoundTrip(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
 	e := NewECDF(xs)
-	if q := e.Quantile(0.5); q != 30 {
+	if q := Quantile(e.sorted, 0.5); q != 30 {
 		t.Errorf("Quantile(0.5) = %v, want 30", q)
 	}
 }

@@ -24,31 +24,11 @@ func KLDivergence(p, q []float64) float64 {
 	return d
 }
 
-// Entropy returns the Shannon entropy of p in nats.
-func Entropy(p []float64) float64 {
-	var h float64
-	for _, pi := range p {
-		if pi > klEps {
-			h -= pi * math.Log(pi)
-		}
-	}
-	return h
-}
-
-// MeanDistribution returns the element-wise average of the given
+// MeanDistributionInto writes the element-wise average of the given
 // probability vectors — the ensemble-mean action distribution ā used by
-// the U_π uncertainty signal. It panics if dists is empty or lengths
-// differ.
-func MeanDistribution(dists [][]float64) []float64 {
-	if len(dists) == 0 {
-		panic("stats: MeanDistribution of empty set")
-	}
-	return MeanDistributionInto(make([]float64, len(dists[0])), dists)
-}
-
-// MeanDistributionInto is MeanDistribution writing into a caller-owned
-// buffer of length len(dists[0]), for allocation-free hot paths. It
-// returns mean.
+// the U_π uncertainty signal — into a caller-owned buffer of length
+// len(dists[0]), for allocation-free hot paths, and returns it. It
+// panics if dists is empty or lengths differ.
 func MeanDistributionInto(mean []float64, dists [][]float64) []float64 {
 	if len(dists) == 0 {
 		panic("stats: MeanDistribution of empty set")
@@ -73,24 +53,4 @@ func MeanDistributionInto(mean []float64, dists [][]float64) []float64 {
 		mean[i] *= inv
 	}
 	return mean
-}
-
-// Normalize scales xs in place so it sums to 1, returning xs. If the sum
-// is not positive it returns the uniform distribution instead.
-func Normalize(xs []float64) []float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	if sum <= 0 {
-		u := 1 / float64(len(xs))
-		for i := range xs {
-			xs[i] = u
-		}
-		return xs
-	}
-	for i := range xs {
-		xs[i] /= sum
-	}
-	return xs
 }

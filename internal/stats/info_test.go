@@ -75,7 +75,7 @@ func TestEntropyUniformIsMax(t *testing.T) {
 
 func TestMeanDistribution(t *testing.T) {
 	dists := [][]float64{{1, 0}, {0, 1}}
-	m := MeanDistribution(dists)
+	m := MeanDistributionInto(make([]float64, 2), dists)
 	if m[0] != 0.5 || m[1] != 0.5 {
 		t.Errorf("mean distribution = %v, want [0.5 0.5]", m)
 	}
@@ -83,8 +83,8 @@ func TestMeanDistribution(t *testing.T) {
 
 func TestMeanDistributionPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"empty":    func() { MeanDistribution(nil) },
-		"mismatch": func() { MeanDistribution([][]float64{{1}, {0.5, 0.5}}) },
+		"empty":    func() { MeanDistributionInto(nil, nil) },
+		"mismatch": func() { MeanDistributionInto(make([]float64, 1), [][]float64{{1}, {0.5, 0.5}}) },
 	} {
 		func() {
 			defer func() {

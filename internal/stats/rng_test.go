@@ -83,8 +83,8 @@ func TestFloat64MeanNearHalf(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		w.Add(r.Float64())
 	}
-	if math.Abs(w.Mean()-0.5) > 0.01 {
-		t.Fatalf("uniform mean = %v, want ~0.5", w.Mean())
+	if math.Abs(w.mean-0.5) > 0.01 {
+		t.Fatalf("uniform mean = %v, want ~0.5", w.mean)
 	}
 	if math.Abs(w.Variance()-1.0/12) > 0.005 {
 		t.Fatalf("uniform variance = %v, want ~1/12", w.Variance())
@@ -140,8 +140,8 @@ func TestNormFloat64Moments(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		w.Add(r.NormFloat64())
 	}
-	if math.Abs(w.Mean()) > 0.01 {
-		t.Fatalf("normal mean = %v, want ~0", w.Mean())
+	if math.Abs(w.mean) > 0.01 {
+		t.Fatalf("normal mean = %v, want ~0", w.mean)
 	}
 	if math.Abs(w.Variance()-1) > 0.02 {
 		t.Fatalf("normal variance = %v, want ~1", w.Variance())
@@ -158,7 +158,7 @@ func TestExpFloat64Moments(t *testing.T) {
 		}
 		w.Add(v)
 	}
-	if math.Abs(w.Mean()-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~1", w.Mean())
+	if math.Abs(w.mean-1) > 0.02 {
+		t.Fatalf("exponential mean = %v, want ~1", w.mean)
 	}
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"osap/internal/stats"
@@ -90,36 +89,4 @@ func (a Analysis) String() string {
 		a.Name, a.DurationSec, a.MeanMbps, a.StdMbps, a.CV,
 		a.P10, a.P50, a.P90, a.AutocorrLag1, 100*a.OutageFraction)
 	return b.String()
-}
-
-// Jitter returns a copy of t with multiplicative lognormal noise of the
-// given sigma applied per second — a trace transform for robustness
-// experiments.
-func (t *Trace) Jitter(rng *stats.RNG, sigma float64) *Trace {
-	out := &Trace{Name: t.Name + "+jitter", Mbps: make([]float64, len(t.Mbps))}
-	noise := stats.LogNormal{Mu: 0, Sigma: sigma}
-	for i, v := range t.Mbps {
-		out.Mbps[i] = v * noise.Sample(rng)
-	}
-	return out
-}
-
-// Speedup returns a copy of t resampled by the given time factor
-// (factor 2 plays the trace twice as fast, halving its duration;
-// factor 0.5 stretches it). Capacity values are taken by nearest
-// sampling. It panics on a non-positive factor.
-func (t *Trace) Speedup(factor float64) *Trace {
-	if factor <= 0 {
-		panic("trace: Speedup factor must be positive")
-	}
-	n := int(math.Max(1, math.Round(float64(len(t.Mbps))/factor)))
-	out := &Trace{Name: fmt.Sprintf("%s@x%g", t.Name, factor), Mbps: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		src := int(float64(i) * factor)
-		if src >= len(t.Mbps) {
-			src = len(t.Mbps) - 1
-		}
-		out.Mbps[i] = t.Mbps[src]
-	}
-	return out
 }

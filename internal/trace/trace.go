@@ -51,24 +51,6 @@ func (t *Trace) Mean() float64 { return stats.Mean(t.Mbps) }
 // Std returns the capacity standard deviation in Mbps.
 func (t *Trace) Std() float64 { return stats.Std(t.Mbps) }
 
-// Scale returns a copy with every sample multiplied by factor.
-func (t *Trace) Scale(factor float64) *Trace {
-	out := &Trace{Name: t.Name, Mbps: make([]float64, len(t.Mbps))}
-	for i, v := range t.Mbps {
-		out.Mbps[i] = v * factor
-	}
-	return out
-}
-
-// Clip returns a copy with every sample clamped into [lo, hi].
-func (t *Trace) Clip(lo, hi float64) *Trace {
-	out := &Trace{Name: t.Name, Mbps: make([]float64, len(t.Mbps))}
-	for i, v := range t.Mbps {
-		out.Mbps[i] = math.Min(math.Max(v, lo), hi)
-	}
-	return out
-}
-
 // WriteCooked writes the trace in "cooked" text form: one line per
 // second, "<t_seconds>\t<mbps>".
 func (t *Trace) WriteCooked(w io.Writer) error {
@@ -154,6 +136,8 @@ func (t *Trace) WriteMahiMahi(w io.Writer) error {
 // per-second Mbps series. durationSec > 0 forces the output length
 // (zero-filling trailing idle seconds); pass 0 to infer the duration from
 // the last timestamp.
+//
+//osap:ignore deadcode the reference reader cmd/tracegen's tests check its MahiMahi output with
 func ReadMahiMahi(r io.Reader, name string, durationSec int) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	var counts []int
