@@ -144,7 +144,7 @@ func SaveArtifacts(dir string, a *Artifacts) (string, error) {
 
 	path := filepath.Join(dir, a.Dataset+".json")
 	tmp := filepath.Join(dir, "."+a.Dataset+".json.tmp")
-	if err := writeSynced(tmp, data); err != nil {
+	if err := WriteSynced(tmp, data); err != nil {
 		return "", fmt.Errorf("experiments: write artifacts: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -154,9 +154,10 @@ func SaveArtifacts(dir string, a *Artifacts) (string, error) {
 	return path, nil
 }
 
-// writeSynced writes data to a new file at path and syncs it to disk,
-// removing the file if any step fails.
-func writeSynced(path string, data []byte) error {
+// WriteSynced writes data to a new file at path and syncs it to disk,
+// removing the file if any step fails. The artifact file and the
+// registry's MANIFEST are both written through it.
+func WriteSynced(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err

@@ -196,8 +196,8 @@ type Meta struct {
 }
 
 // WriteVersion publishes an artifact set as a new version: artifacts
-// and manifest are staged into a dot-prefixed temp directory, then
-// renamed into place in one atomic step, so concurrent readers (and
+// and manifest are staged into a dot-prefixed temp directory, synced
+// to disk with it, then renamed into place in one atomic step, so concurrent readers (and
 // the poll Watcher) never see a partial version. Publishing an
 // existing version name fails.
 func WriteVersion(root string, meta Meta, arts *experiments.Artifacts) (*Manifest, error) {
@@ -244,13 +244,34 @@ func WriteVersion(root string, meta Meta, arts *experiments.Artifacts) (*Manifes
 		os.RemoveAll(tmp) //nolint:errcheck // best-effort cleanup
 		return nil, err
 	}
-	if err := os.WriteFile(filepath.Join(tmp, ManifestName), enc, 0o644); err != nil {
+	if err := experiments.WriteSynced(filepath.Join(tmp, ManifestName), enc); err != nil {
 		os.RemoveAll(tmp) //nolint:errcheck // best-effort cleanup
 		return nil, fmt.Errorf("registry: write manifest: %w", err)
+	}
+	// The staging directory's entries are made durable before the rename
+	// publishes it: a crash after the rename then leaves the version
+	// with its artifact file and its manifest, never an empty manifest
+	// that hides the version while its name stays taken.
+	if err := syncDir(tmp); err != nil {
+		os.RemoveAll(tmp) //nolint:errcheck // best-effort cleanup
+		return nil, fmt.Errorf("registry: sync %s: %w", tmp, err)
 	}
 	if err := os.Rename(tmp, final); err != nil {
 		os.RemoveAll(tmp) //nolint:errcheck // best-effort cleanup
 		return nil, fmt.Errorf("registry: publish %s: %w", meta.Version, err)
 	}
 	return m, nil
+}
+
+// syncDir fsyncs a directory, making the entries created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

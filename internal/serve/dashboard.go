@@ -5,18 +5,19 @@ package serve
 //	GET  /dashboard      JSON: versions, canary state, drift quantiles
 //	POST /admin/rollout  {"action":"stage|promote|rollback", ...}
 //
-// plus the whole /metrics document (Server.writeProm): the registry's
-// own families, fleet totals summed over generations, osap_build_info,
-// per-version counters, rollout gauges and drift-score quantiles.
+// plus the counters table, the one read of the fleet that /dashboard,
+// /healthz and /metrics render (Server.view), and the whole /metrics
+// document (Server.writeProm).
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 
 	"osap/internal/buildinfo"
-	"osap/internal/experiments"
 	"osap/internal/sketch"
 )
 
@@ -45,73 +46,138 @@ func summarizeSketch(sk *sketch.Sketch) driftQuantiles {
 	return q
 }
 
-// dashboardVersion is one generation's row in the dashboard document.
-type dashboardVersion struct {
-	Version      string  `json:"version"`
-	Checksum     string  `json:"checksum,omitempty"`
-	Role         string  `json:"role"` // active | candidate | retired
-	Sessions     uint64  `json:"sessions_total"`
-	SessionsLive int64   `json:"sessions_live"`
-	Decisions    uint64  `json:"decisions_total"`
-	Fallbacks    uint64  `json:"fallbacks_total"`
-	Demotions    uint64  `json:"demotions_total"`
-	Degraded     uint64  `json:"degraded_steps_total"`
-	Recovered    uint64  `json:"recovered_total"`
-	Redemoted    uint64  `json:"redemoted_total"`
-	Latched      uint64  `json:"latched_total"`
-	FallbackRate float64 `json:"fallback_rate"`
-	// DemotionRate is permanent latches per session — the rate the
-	// rollout controller judges; probation-recovered excursions are
-	// excluded (DESIGN.md §13).
-	DemotionRate float64                   `json:"demotion_rate"`
-	LatencyP50Us float64                   `json:"latency_p50_us"`
-	LatencyP99Us float64                   `json:"latency_p99_us"`
-	Drift        map[string]driftQuantiles `json:"drift"`
-	Record       experiments.Record        `json:"record"` // what the version's guards are built from
+// Indices of the counters rows the dashboard's rates divide.
+const (
+	cSessions = iota
+	cDecisions
+	cFallbacks
+	cLatched
+)
+
+// counters declares every VersionStats counter once: fleet is its sum
+// over the generations on /metrics, key names that sum on /healthz and
+// the generation's own count on each /dashboard row, and the per-
+// version family on /metrics is osap_version_<key>. A step-outcome
+// counter reaches every surface by its row here.
+var counters = [...]struct {
+	fleet, key, help string
+	of               func(*VersionStats) *atomic.Uint64
+}{
+	cSessions: {"osap_sessions_created_total", "sessions_total", "Sessions admitted",
+		func(st *VersionStats) *atomic.Uint64 { return &st.Sessions }},
+	cDecisions: {"osap_decisions_total", "decisions_total", "Guarded decisions served",
+		func(st *VersionStats) *atomic.Uint64 { return &st.Decisions }},
+	cFallbacks: {"osap_decisions_fallback_total", "fallbacks_total", "Decisions acted by the default policy",
+		func(st *VersionStats) *atomic.Uint64 { return &st.Fallbacks }},
+	cLatched: {"osap_sessions_latched_total", "latched_total", "Demotions latched permanently (fault or cap spent)",
+		func(st *VersionStats) *atomic.Uint64 { return &st.Latched }},
+	{"osap_trigger_firings_total", "trigger_firings_total", "Sessions whose safety trigger fired",
+		func(st *VersionStats) *atomic.Uint64 { return &st.TriggerFirings }},
+	{"osap_demotions_total", "demotions_total", "Demotion events, first and repeat",
+		func(st *VersionStats) *atomic.Uint64 { return &st.Demotions }},
+	{"osap_sessions_demoted_total", "sessions_demoted_total", "Sessions demoted to the safe default policy",
+		func(st *VersionStats) *atomic.Uint64 { return &st.FirstDemotions }},
+	{"osap_step_panics_recovered_total", "panics_recovered_total", "Inference panics recovered during steps",
+		func(st *VersionStats) *atomic.Uint64 { return &st.Panics }},
+	{"osap_step_nonfinite_total", "nonfinite_total", "Steps whose guard produced a non-finite result",
+		func(st *VersionStats) *atomic.Uint64 { return &st.NonFinite }},
+	{"osap_decisions_degraded_total", "degraded_steps_total", "Decisions served by demoted sessions",
+		func(st *VersionStats) *atomic.Uint64 { return &st.Degraded }},
+	{"osap_sessions_recovered_total", "recovered_total", "Probation re-admissions of demoted sessions",
+		func(st *VersionStats) *atomic.Uint64 { return &st.Recovered }},
+	{"osap_sessions_redemoted_total", "redemoted_total", "Repeat demotions of previously demoted sessions",
+		func(st *VersionStats) *atomic.Uint64 { return &st.Redemoted }},
 }
 
-func (s *Server) versionRow(g *Generation, role string, live int) dashboardVersion {
-	st := g.stats
-	row := dashboardVersion{
-		Version:      g.version,
-		Checksum:     g.checksum,
-		Role:         role,
-		Sessions:     st.Sessions.Load(),
-		SessionsLive: int64(live),
-		Decisions:    st.Decisions.Load(),
-		Fallbacks:    st.Fallbacks.Load(),
-		Demotions:    st.Demotions.Load(),
-		Degraded:     st.Degraded.Load(),
-		Recovered:    st.Recovered.Load(),
-		Redemoted:    st.Redemoted.Load(),
-		Latched:      st.Latched.Load(),
-		LatencyP50Us: st.Latency.Quantile(0.50) * 1e6,
-		LatencyP99Us: st.Latency.Quantile(0.99) * 1e6,
-		Drift:        make(map[string]driftQuantiles, driftSignals),
-		Record:       g.factory.arts.Record,
+// fleetView is one read of the fleet, the only one /metrics (and the
+// drain snapshot), /dashboard and /healthz make: one walk of the
+// session table for the gauges, then one pass over the generations for
+// their counters, fleet sums, roles, latency and drift quantiles.
+type fleetView struct {
+	live, demoted, probation int
+	total                    [len(counters)]uint64
+	active                   *Generation
+	candidate                string // "" when none is staged
+	versions                 []versionView
+}
+
+// versionView is one generation's part of a fleetView.
+type versionView struct {
+	*Generation
+	role     string // active | candidate | retired
+	live     int
+	count    [len(counters)]uint64
+	p50, p99 float64                   // step latency, µs
+	drift    map[string]driftQuantiles // by signal name, its shards merged once
+}
+
+// view reads every live session's (generation, mode) under its lock,
+// after releasing the table shard's, as Sweep and Clear do; then the
+// generations. osap_sessions_live is the sum of the per-version live
+// counts, so the two cannot disagree.
+func (s *Server) view() *fleetView {
+	v := &fleetView{active: s.rollout.Active()}
+	cand := s.rollout.Candidate()
+	byGen := make(map[*Generation]int)
+	s.table.each(func(sess *Session) {
+		if mode, open := sess.liveMode(); open {
+			byGen[sess.gen]++
+			if mode != modeLive {
+				v.demoted++
+			}
+			if mode == modeProbation {
+				v.probation++
+			}
+		}
+	})
+	for _, g := range s.rollout.generations() {
+		gv := versionView{Generation: g, role: "retired", live: byGen[g],
+			p50: g.stats.Latency.Quantile(0.50) * 1e6, p99: g.stats.Latency.Quantile(0.99) * 1e6,
+			drift: make(map[string]driftQuantiles, driftSignals)}
+		switch g {
+		case v.active:
+			gv.role = "active"
+		case cand:
+			gv.role, v.candidate = "candidate", g.version
+		}
+		v.live += gv.live
+		for i, c := range counters {
+			gv.count[i] = c.of(g.stats).Load()
+			v.total[i] += gv.count[i]
+		}
+		for sig, name := range driftSignalNames {
+			gv.drift[name] = summarizeSketch(g.drift.Merged(sig))
+		}
+		v.versions = append(v.versions, gv)
 	}
-	if row.Decisions > 0 {
-		row.FallbackRate = float64(row.Fallbacks) / float64(row.Decisions)
+	return v
+}
+
+// row is one generation's entry in the dashboard's versions list.
+// demotion_rate is permanent latches per session — the rate the
+// rollout controller judges; probation-recovered excursions are
+// excluded (DESIGN.md §13). A rate's numerator is 0 whenever its
+// denominator is, so max(·, 1) makes an empty version's rates 0.
+func (gv *versionView) row() map[string]any {
+	c := &gv.count
+	row := map[string]any{
+		"version":        gv.version,
+		"role":           gv.role,
+		"sessions_live":  gv.live,
+		"fallback_rate":  float64(c[cFallbacks]) / float64(max(c[cDecisions], 1)),
+		"demotion_rate":  float64(c[cLatched]) / float64(max(c[cSessions], 1)),
+		"latency_p50_us": gv.p50,
+		"latency_p99_us": gv.p99,
+		"record":         gv.factory.arts.Record, // what the version's guards are built from
+		"drift":          gv.drift,
 	}
-	if row.Sessions > 0 {
-		row.DemotionRate = float64(row.Latched) / float64(row.Sessions)
+	if gv.checksum != "" {
+		row["checksum"] = gv.checksum
 	}
-	for sig := 0; sig < driftSignals; sig++ {
-		row.Drift[driftSignalNames[sig]] = summarizeSketch(g.drift.Merged(sig))
+	for i, c := range counters {
+		row[c.key] = gv.count[i]
 	}
 	return row
-}
-
-// roleOf labels a generation relative to the current rollout state.
-func (s *Server) roleOf(g *Generation) string {
-	switch g {
-	case s.rollout.Active():
-		return "active"
-	case s.rollout.Candidate():
-		return "candidate"
-	default:
-		return "retired"
-	}
 }
 
 func (s *Server) handleDashboard(w http.ResponseWriter, _ *http.Request) {
@@ -119,21 +185,20 @@ func (s *Server) handleDashboard(w http.ResponseWriter, _ *http.Request) {
 	// still promotes or rolls back when someone looks.
 	s.rollout.evaluate(s.cfg.Now())
 
-	gens := s.rollout.generations()
-	live := s.countLive()
-	rows := make([]dashboardVersion, 0, len(gens))
-	for _, g := range gens {
-		rows = append(rows, s.versionRow(g, s.roleOf(g), live.byGen[g]))
+	v := s.view()
+	rows := make([]map[string]any, len(v.versions))
+	for i := range v.versions {
+		rows[i] = v.versions[i].row()
 	}
 	doc := map[string]any{
 		"build_version": buildinfo.Version,
 		"dataset":       s.factory.Dataset(),
 		"draining":      s.draining.Load(),
-		"live_sessions": s.table.Len(),
+		"live_sessions": v.live,
 		"versions":      rows,
 		"rollout": map[string]any{
-			"active":          s.rollout.Active().Version(),
-			"candidate":       candidateVersion(s.rollout),
+			"active":          v.active.version,
+			"candidate":       v.candidate,
 			"canary_fraction": s.rollout.CanaryFraction(),
 			"promotions":      s.rollout.promotions.Load(),
 			"rollbacks":       s.rollout.rollbacks.Load(),
@@ -152,13 +217,6 @@ func (s *Server) handleDashboard(w http.ResponseWriter, _ *http.Request) {
 		doc["learn"] = l.Snapshot()
 	}
 	writeJSON(w, http.StatusOK, doc)
-}
-
-func candidateVersion(r *Rollout) string {
-	if cand := r.Candidate(); cand != nil {
-		return cand.Version()
-	}
-	return ""
 }
 
 // rolloutRequest is the POST /admin/rollout body.
@@ -219,14 +277,14 @@ func (s *Server) handleRollout(w http.ResponseWriter, r *http.Request) {
 			"canary_fraction": s.rollout.CanaryFraction(),
 		})
 	case "promote":
-		gen, err := s.rollout.Promote(orDefault(req.Reason, "manual promote"), false, now)
+		gen, err := s.rollout.Promote(cmp.Or(req.Reason, "manual promote"), false, now)
 		if err != nil {
 			s.writeError(w, http.StatusConflict, "%v", err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"promoted": gen.Version(), "active": gen.Version()})
 	case "rollback":
-		gen, err := s.rollout.Rollback(orDefault(req.Reason, "manual rollback"), false, now)
+		gen, err := s.rollout.Rollback(cmp.Or(req.Reason, "manual rollback"), false, now)
 		if err != nil {
 			s.writeError(w, http.StatusConflict, "%v", err)
 			return
@@ -238,13 +296,6 @@ func (s *Server) handleRollout(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.writeError(w, http.StatusBadRequest, "unknown action %q (want stage, promote or rollback)", req.Action)
 	}
-}
-
-func orDefault(s, def string) string {
-	if s != "" {
-		return s
-	}
-	return def
 }
 
 // loadGeneration loads and validates a named artifact version as a
@@ -284,95 +335,53 @@ func (s *Server) loadGeneration(version string) (*Generation, error) {
 }
 
 // writeProm renders the /metrics document, which is also the drain
-// snapshot: the registry's families with the gauges read from one table
-// walk, the fleet counters summed over generations, then the build,
-// rollout, per-version and drift families.
+// snapshot, from one view: the registry's families with the gauges,
+// then for each counters row its fleet sum, the build and rollout
+// families, each row's per-version family, and the drift families.
 func (s *Server) writeProm(w io.Writer) error {
-	gens := s.rollout.generations()
-	live := s.countLive()
-	err := s.metrics.WriteProm(w, s.table.Len(), live.demoted, live.probation)
-
-	tot := fleetTotals(gens)
-	for _, c := range [...]struct {
-		name, help string
-		v          uint64
-	}{
-		{"osap_sessions_created_total", "Sessions admitted.", tot.Sessions.Load()},
-		{"osap_decisions_fallback_total", "Decisions acted by the default policy.", tot.Fallbacks.Load()},
-		{"osap_trigger_firings_total", "Sessions whose safety trigger fired.", tot.TriggerFirings.Load()},
-		{"osap_sessions_demoted_total", "Sessions demoted to the safe default policy.", tot.FirstDemotions.Load()},
-		{"osap_step_panics_recovered_total", "Inference panics recovered during steps.", tot.Panics.Load()},
-		{"osap_step_nonfinite_total", "Steps whose guard produced a non-finite result.", tot.NonFinite.Load()},
-		{"osap_decisions_degraded_total", "Decisions served by demoted sessions.", tot.Degraded.Load()},
-		{"osap_sessions_recovered_total", "Probation re-admissions of demoted sessions.", tot.Recovered.Load()},
-		{"osap_sessions_redemoted_total", "Repeat demotions of previously demoted sessions.", tot.Redemoted.Load()},
-		{"osap_sessions_latched_total", "Demotions latched permanently (fault or cap spent).", tot.Latched.Load()},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.v)
+	v := s.view()
+	err := s.metrics.WriteProm(w, v.live, v.demoted, v.probation)
+	for i, c := range counters {
+		writeScalar(w, c.fleet, c.help+".", "counter", v.total[i])
 	}
 
-	act := s.rollout.Active()
-	fmt.Fprintf(w, "# HELP osap_build_info Build and active artifact identity (value is always 1).\n")
-	fmt.Fprintf(w, "# TYPE osap_build_info gauge\n")
+	promFamily(w, "osap_build_info", "Build and active artifact identity (value is always 1).", "gauge")
 	fmt.Fprintf(w, "osap_build_info{version=%q,artifact_version=%q,artifact_sha256=%q} 1\n",
-		buildinfo.Version, act.Version(), act.Checksum())
+		buildinfo.Version, v.active.version, v.active.checksum)
 
-	fmt.Fprintf(w, "# HELP osap_rollout_canary_fraction Fraction of new sessions routed to the candidate.\n")
-	fmt.Fprintf(w, "# TYPE osap_rollout_canary_fraction gauge\nosap_rollout_canary_fraction %s\n",
-		promFloat(s.rollout.CanaryFraction()))
-	fmt.Fprintf(w, "# HELP osap_rollout_promotions_total Candidate promotions (manual and automatic).\n")
-	fmt.Fprintf(w, "# TYPE osap_rollout_promotions_total counter\nosap_rollout_promotions_total %d\n",
+	promFamily(w, "osap_rollout_canary_fraction", "Fraction of new sessions routed to the candidate.", "gauge")
+	fmt.Fprintf(w, "osap_rollout_canary_fraction %s\n", promFloat(s.rollout.CanaryFraction()))
+	writeScalar(w, "osap_rollout_promotions_total", "Candidate promotions (manual and automatic).", "counter",
 		s.rollout.promotions.Load())
-	fmt.Fprintf(w, "# HELP osap_rollout_rollbacks_total Candidate rollbacks (manual and automatic).\n")
-	fmt.Fprintf(w, "# TYPE osap_rollout_rollbacks_total counter\nosap_rollout_rollbacks_total %d\n",
+	writeScalar(w, "osap_rollout_rollbacks_total", "Candidate rollbacks (manual and automatic).", "counter",
 		s.rollout.rollbacks.Load())
 
-	fmt.Fprintf(w, "# HELP osap_version_info Loaded artifact versions and their rollout role.\n")
-	fmt.Fprintf(w, "# TYPE osap_version_info gauge\n")
-	for _, g := range gens {
-		fmt.Fprintf(w, "osap_version_info{version=%q,sha256=%q,role=%q} 1\n",
-			g.Version(), g.Checksum(), s.roleOf(g))
+	promFamily(w, "osap_version_info", "Loaded artifact versions and their rollout role.", "gauge")
+	for _, gv := range v.versions {
+		fmt.Fprintf(w, "osap_version_info{version=%q,sha256=%q,role=%q} 1\n", gv.version, gv.checksum, gv.role)
 	}
-	family := func(name, help, typ string, val func(*Generation) uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, g := range gens {
-			fmt.Fprintf(w, "%s{version=%q} %d\n", name, g.Version(), val(g))
+	promFamily(w, "osap_version_sessions_live", "Live sessions pinned per artifact version.", "gauge")
+	for _, gv := range v.versions {
+		fmt.Fprintf(w, "osap_version_sessions_live{version=%q} %d\n", gv.version, gv.live)
+	}
+	for i, c := range counters {
+		promFamily(w, "osap_version_"+c.key, c.help+" per artifact version.", "counter")
+		for _, gv := range v.versions {
+			fmt.Fprintf(w, "osap_version_%s{version=%q} %d\n", c.key, gv.version, gv.count[i])
 		}
 	}
-	family("osap_version_sessions_total", "Sessions admitted per artifact version.", "counter",
-		func(g *Generation) uint64 { return g.stats.Sessions.Load() })
-	family("osap_version_sessions_live", "Live sessions pinned per artifact version.", "gauge",
-		func(g *Generation) uint64 { return uint64(live.byGen[g]) })
-	family("osap_version_decisions_total", "Decisions served per artifact version.", "counter",
-		func(g *Generation) uint64 { return g.stats.Decisions.Load() })
-	family("osap_version_fallbacks_total", "Default-policy decisions per artifact version.", "counter",
-		func(g *Generation) uint64 { return g.stats.Fallbacks.Load() })
-	family("osap_version_demotions_total", "Demotion events per artifact version.", "counter",
-		func(g *Generation) uint64 { return g.stats.Demotions.Load() })
-	family("osap_version_degraded_steps_total", "Degraded-mode steps per artifact version.", "counter",
-		func(g *Generation) uint64 { return g.stats.Degraded.Load() })
-	family("osap_version_recovered_total", "Probation re-admissions per artifact version.", "counter",
-		func(g *Generation) uint64 { return g.stats.Recovered.Load() })
-	family("osap_version_redemoted_total", "Repeat demotions per artifact version.", "counter",
-		func(g *Generation) uint64 { return g.stats.Redemoted.Load() })
-	family("osap_version_latched_total", "Permanently latched demotions per artifact version.", "counter",
-		func(g *Generation) uint64 { return g.stats.Latched.Load() })
 
-	fmt.Fprintf(w, "# HELP osap_drift_score Guard-score quantiles per version and signal (merged t-digest).\n")
-	fmt.Fprintf(w, "# TYPE osap_drift_score gauge\n")
-	fmt.Fprintf(w, "# HELP osap_drift_observations_total Guard scores folded into the drift sketches.\n")
-	fmt.Fprintf(w, "# TYPE osap_drift_observations_total counter\n")
-	for _, g := range gens {
-		for sig := 0; sig < driftSignals; sig++ {
-			sk := g.drift.Merged(sig)
-			fmt.Fprintf(w, "osap_drift_observations_total{version=%q,signal=%q} %d\n",
-				g.Version(), driftSignalNames[sig], sk.Count())
-			if sk.Count() == 0 {
-				continue
-			}
-			for _, q := range [...]float64{0.5, 0.9, 0.99} {
-				fmt.Fprintf(w, "osap_drift_score{version=%q,signal=%q,quantile=%q} %s\n",
-					g.Version(), driftSignalNames[sig], promFloat(q), promFloat(sk.Quantile(q)))
+	promFamily(w, "osap_drift_score", "Guard-score quantiles per version and signal (merged t-digest).", "gauge")
+	promFamily(w, "osap_drift_observations_total", "Guard scores folded into the drift sketches.", "counter")
+	for _, gv := range v.versions {
+		for _, name := range driftSignalNames {
+			q := gv.drift[name]
+			sel := fmt.Sprintf("version=%q,signal=%q", gv.version, name)
+			fmt.Fprintf(w, "osap_drift_observations_total{%s} %d\n", sel, q.Count)
+			if q.Count > 0 {
+				fmt.Fprintf(w, "osap_drift_score{%[1]s,quantile=\"0.5\"} %[2]s\n"+
+					"osap_drift_score{%[1]s,quantile=\"0.9\"} %[3]s\n"+
+					"osap_drift_score{%[1]s,quantile=\"0.99\"} %[4]s\n", sel, promFloat(q.P50), promFloat(q.P90), promFloat(q.P99))
 			}
 		}
 	}

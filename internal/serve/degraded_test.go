@@ -141,15 +141,16 @@ func TestDegradedModeHTTP(t *testing.T) {
 		t.Fatalf("healthz: status %d", resp.StatusCode)
 	}
 	var hz struct {
-		Status      string `json:"status"`
-		DemotedLive int64  `json:"demoted_live"`
-		Demotions   uint64 `json:"demotions_total"`
+		Status          string `json:"status"`
+		DemotedLive     int64  `json:"demoted_live"`
+		Demotions       uint64 `json:"demotions_total"`        // demotion events
+		SessionsDemoted uint64 `json:"sessions_demoted_total"` // first demotions
 	}
 	if err := json.Unmarshal(body, &hz); err != nil {
 		t.Fatal(err)
 	}
-	if hz.Status != "degraded" || hz.DemotedLive != 1 || hz.Demotions != 1 {
-		t.Fatalf("healthz = %+v, want degraded/1/1", hz)
+	if hz.Status != "degraded" || hz.DemotedLive != 1 || hz.Demotions != 1 || hz.SessionsDemoted != 1 {
+		t.Fatalf("healthz = %+v, want degraded/1/1/1", hz)
 	}
 
 	// /metrics carries the new series.
@@ -184,8 +185,8 @@ func TestDegradedModeHTTP(t *testing.T) {
 	if err := json.Unmarshal(body, &hz); err != nil {
 		t.Fatal(err)
 	}
-	if hz.Status != "ok" || hz.DemotedLive != 0 || hz.Demotions != 1 {
-		t.Fatalf("healthz after delete = %+v, want ok/0/1", hz)
+	if hz.Status != "ok" || hz.DemotedLive != 0 || hz.Demotions != 1 || hz.SessionsDemoted != 1 {
+		t.Fatalf("healthz after delete = %+v, want ok/0/1/1", hz)
 	}
 	_ = resp
 }

@@ -121,9 +121,10 @@ func family(samples map[string]uint64, name string) uint64 {
 	return sum
 }
 
-// TestFleetTotalsAcrossGenerations checks that the fleet counters are
-// the generations' sums and that the live gauges are what the sessions
-// themselves report. A candidate takes half of the new sessions; each
+// TestFleetTotalsAcrossGenerations checks that every counter in the
+// counters table reads the same on /metrics, /healthz and /dashboard,
+// as the generations' sum, and that the live gauges are what the
+// sessions themselves report. A candidate takes half of the new sessions; each
 // session follows one of six scripted uncertainty streams (clean,
 // probation recovery, re-demotion that spends the cap, fault, shadow-
 // step panic escalating a probation, ending in probation), so both
@@ -200,29 +201,46 @@ func TestFleetTotalsAcrossGenerations(t *testing.T) {
 
 	_, body := get(t, ts.URL+"/metrics")
 	m := parseProm(t, string(body))
+	var hz map[string]any
+	if _, body := get(t, ts.URL+"/healthz"); json.Unmarshal(body, &hz) != nil {
+		t.Fatalf("healthz is not JSON: %s", body)
+	}
+	var dash struct{ Versions []map[string]any }
+	if _, body := get(t, ts.URL+"/dashboard"); json.Unmarshal(body, &dash) != nil {
+		t.Fatalf("dashboard is not JSON: %s", body)
+	}
 
-	// Fleet counters are the sums of their per-version families.
-	for fleet, version := range map[string]string{
-		"osap_sessions_created_total":   "osap_version_sessions_total",
-		"osap_decisions_total":          "osap_version_decisions_total",
-		"osap_decisions_fallback_total": "osap_version_fallbacks_total",
-		"osap_decisions_degraded_total": "osap_version_degraded_steps_total",
-		"osap_sessions_recovered_total": "osap_version_recovered_total",
-		"osap_sessions_redemoted_total": "osap_version_redemoted_total",
-		"osap_sessions_latched_total":   "osap_version_latched_total",
-		"osap_sessions_live":            "osap_version_sessions_live",
-	} {
-		if got, want := m[fleet], family(m, version); got != want {
-			t.Errorf("%s = %d, want the sum of %s = %d", fleet, got, version, want)
+	// Every counter in the table reads the same on every surface: the
+	// fleet family is the sum of its per-version family, the /healthz
+	// key and the sum of the /dashboard rows' keys.
+	for _, c := range counters {
+		fleet := m[c.fleet]
+		if sum := family(m, "osap_version_"+c.key); fleet != sum {
+			t.Errorf("%s = %d, want the sum of osap_version_%s = %d", c.fleet, fleet, c.key, sum)
+		}
+		if got, ok := hz[c.key].(float64); !ok || uint64(got) != fleet {
+			t.Errorf("/healthz %s = %v, want %s = %d", c.key, hz[c.key], c.fleet, fleet)
+		}
+		var rows uint64
+		for _, row := range dash.Versions {
+			v, _ := row[c.key].(float64)
+			rows += uint64(v)
+		}
+		if rows != fleet {
+			t.Errorf("/dashboard rows sum %s to %d, want %s = %d", c.key, rows, c.fleet, fleet)
 		}
 	}
-	if got, want := m["osap_sessions_demoted_total"]+m["osap_sessions_redemoted_total"], family(m, "osap_version_demotions_total"); got != want {
-		t.Errorf("first demotions + re-demotions = %d, want the sum of osap_version_demotions_total = %d", got, want)
+	if got, want := m["osap_sessions_live"], family(m, "osap_version_sessions_live"); got != want {
+		t.Errorf("osap_sessions_live = %d, want the sum of osap_version_sessions_live = %d", got, want)
+	}
+	if got, want := m["osap_sessions_demoted_total"]+m["osap_sessions_redemoted_total"], m["osap_demotions_total"]; got != want {
+		t.Errorf("first demotions + re-demotions = %d, want osap_demotions_total = %d", got, want)
 	}
 	// And they are the scripted totals: 4 sessions per pattern.
 	for name, want := range map[string]uint64{
 		"osap_sessions_created_total":      sessions,
 		"osap_decisions_total":             sessions * steps,
+		"osap_demotions_total":             24,
 		"osap_sessions_demoted_total":      20,
 		"osap_sessions_recovered_total":    8,
 		"osap_sessions_redemoted_total":    4,

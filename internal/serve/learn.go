@@ -62,13 +62,10 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 // writeLearnProm appends the online-learning counter families.
 func (s *Server) writeLearnProm(w io.Writer) {
 	c := s.cfg.Learner.Counters()
-	counter := func(name, help string, val uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, val)
-	}
+	counter := func(name, help string, val uint64) { writeScalar(w, name, help, "counter", val) }
 	counter("osap_learn_gate_checked_total", "Serving steps judged by the trust gate.", c.Checked.Load())
 	counter("osap_learn_gate_admitted_total", "Steps admitted to the experience window.", c.Admitted.Load())
-	fmt.Fprintf(w, "# HELP osap_learn_gate_rejected_total Steps rejected by the trust gate, by reason.\n")
-	fmt.Fprintf(w, "# TYPE osap_learn_gate_rejected_total counter\n")
+	promFamily(w, "osap_learn_gate_rejected_total", "Steps rejected by the trust gate, by reason.", "counter")
 	for v := learn.Verdict(1); ; v++ {
 		name := v.String()
 		if name == "unknown" {
@@ -85,6 +82,5 @@ func (s *Server) writeLearnProm(w io.Writer) {
 	counter("osap_learn_refit_failures_total", "Refit attempts that failed (insufficient window, training or publish error).", c.RefitFailures.Load())
 	counter("osap_learn_proposed_total", "Refits published to the registry as proposed versions.", c.Proposed.Load())
 	snap := s.cfg.Learner.Snapshot()
-	fmt.Fprintf(w, "# HELP osap_learn_window_fill Feature vectors currently in the refit window.\n")
-	fmt.Fprintf(w, "# TYPE osap_learn_window_fill gauge\nosap_learn_window_fill %d\n", snap.WindowFill)
+	writeScalar(w, "osap_learn_window_fill", "Feature vectors currently in the refit window.", "gauge", uint64(snap.WindowFill))
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -103,14 +104,14 @@ func (h *Histogram) Quantile(q float64) float64 {
 // latency histograms. All fields are updated atomically; WriteProm
 // renders them in the Prometheus text exposition format (version
 // 0.0.4). The step-outcome counters live on each generation
-// (VersionStats); Server.writeProm renders their fleet sums beside
-// these.
+// (VersionStats, declared once in the counters table); Server.writeProm
+// renders their fleet sums beside these.
 type Metrics struct {
 	SessionsRejected atomic.Uint64 // admission-control 429s
 	SessionsEvicted  atomic.Uint64 // TTL sweeper
 	SessionsDeleted  atomic.Uint64 // explicit client DELETEs
 	SessionsDrained  atomic.Uint64 // closed by graceful shutdown
-	Decisions        atomic.Uint64 // steps served
+	Decisions        atomic.Uint64 // steps served; /metrics renders the generations' sum
 	DrainRejected    atomic.Uint64 // requests refused while draining
 
 	// Shard instrumentation (see shard.go). QueueLatency is the wait for
@@ -182,86 +183,82 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// promFamily writes a family's HELP and TYPE lines.
+func promFamily(w io.Writer, name, help, typ string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// writeScalar writes a family of one unlabelled sample.
+func writeScalar(w io.Writer, name, help, typ string, v uint64) {
+	promFamily(w, name, help, typ)
+	fmt.Fprintf(w, "%s %d\n", name, v)
+}
+
+// writeHist writes h's cumulative buckets, sum and count under name;
+// label, when not empty, is one label pair every sample carries.
+func writeHist(w io.Writer, name, label string, h *Histogram) {
+	sel, sep := "", ""
+	if label != "" {
+		sel, sep = "{"+label+"}", label+","
+	}
+	var cum uint64
+	for b := range h.counts {
+		cum += h.counts[b].Load()
+		le := math.Inf(+1)
+		if b < len(h.bounds) {
+			le = h.bounds[b]
+		}
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, sep, promFloat(le), cum)
+	}
+	fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n", name, sel, promFloat(h.Sum()), name, sel, cum)
+}
+
 // WriteProm renders the registry in Prometheus text exposition format.
 // liveSessions, demotedLive and probationLive are passed in because
 // they are read from the session table.
 func (m *Metrics) WriteProm(w io.Writer, liveSessions, demotedLive, probationLive int) error {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	fmt.Fprintf(w, "# HELP osap_sessions_live Currently live guard sessions.\n")
-	fmt.Fprintf(w, "# TYPE osap_sessions_live gauge\nosap_sessions_live %d\n", liveSessions)
-	fmt.Fprintf(w, "# HELP osap_sessions_demoted_live Live sessions serving in degraded mode.\n")
-	fmt.Fprintf(w, "# TYPE osap_sessions_demoted_live gauge\nosap_sessions_demoted_live %d\n", demotedLive)
-	fmt.Fprintf(w, "# HELP osap_sessions_probation_live Live demoted sessions still recoverable (shadow scoring).\n")
-	fmt.Fprintf(w, "# TYPE osap_sessions_probation_live gauge\nosap_sessions_probation_live %d\n", probationLive)
+	writeScalar(w, "osap_sessions_live", "Currently live guard sessions.", "gauge", uint64(liveSessions))
+	writeScalar(w, "osap_sessions_demoted_live", "Live sessions serving in degraded mode.", "gauge", uint64(demotedLive))
+	writeScalar(w, "osap_sessions_probation_live", "Live demoted sessions still recoverable (shadow scoring).", "gauge", uint64(probationLive))
 
-	counter("osap_sessions_rejected_total", "Sessions refused by admission control.", m.SessionsRejected.Load())
-	counter("osap_sessions_evicted_total", "Sessions evicted by the idle-TTL sweeper.", m.SessionsEvicted.Load())
-	counter("osap_sessions_deleted_total", "Sessions deleted by clients.", m.SessionsDeleted.Load())
-	counter("osap_sessions_drained_total", "Sessions closed by graceful shutdown.", m.SessionsDrained.Load())
-	counter("osap_decisions_total", "Guarded decisions served.", m.Decisions.Load())
-	counter("osap_drain_rejected_total", "Requests refused while draining.", m.DrainRejected.Load())
+	writeScalar(w, "osap_sessions_rejected_total", "Sessions refused by admission control.", "counter", m.SessionsRejected.Load())
+	writeScalar(w, "osap_sessions_evicted_total", "Sessions evicted by the idle-TTL sweeper.", "counter", m.SessionsEvicted.Load())
+	writeScalar(w, "osap_sessions_deleted_total", "Sessions deleted by clients.", "counter", m.SessionsDeleted.Load())
+	writeScalar(w, "osap_sessions_drained_total", "Sessions closed by graceful shutdown.", "counter", m.SessionsDrained.Load())
+	writeScalar(w, "osap_drain_rejected_total", "Requests refused while draining.", "counter", m.DrainRejected.Load())
 
-	counter("osap_binary_frames_total", "Binary-protocol frames served after the handshake.", m.BinaryFrames.Load())
-	counter("osap_binary_read_bursts_total", "Runs of binary frames served between two waits on the socket.", m.BinaryReadBursts.Load())
-	counter("osap_binary_flushes_total", "Binary connection write-buffer flushes.", m.BinaryFlushes.Load())
+	writeScalar(w, "osap_binary_frames_total", "Binary-protocol frames served after the handshake.", "counter", m.BinaryFrames.Load())
+	writeScalar(w, "osap_binary_read_bursts_total", "Runs of binary frames served between two waits on the socket.", "counter", m.BinaryReadBursts.Load())
+	writeScalar(w, "osap_binary_flushes_total", "Binary connection write-buffer flushes.", "counter", m.BinaryFlushes.Load())
 
-	counter("osap_http_step_body_bytes_total", "Request-body bytes read by the HTTP step endpoint.", m.HTTPStepBodyBytes.Load())
-	fmt.Fprintf(w, "# HELP osap_http_step_rejects_total HTTP step bodies refused with a 400, by reason.\n")
-	fmt.Fprintf(w, "# TYPE osap_http_step_rejects_total counter\n")
+	writeScalar(w, "osap_http_step_body_bytes_total", "Request-body bytes read by the HTTP step endpoint.", "counter", m.HTTPStepBodyBytes.Load())
+	promFamily(w, "osap_http_step_rejects_total", "HTTP step bodies refused with a 400, by reason.", "counter")
 	for i, reason := range httpStepRejectReasons {
 		fmt.Fprintf(w, "osap_http_step_rejects_total{reason=%q} %d\n", reason, m.HTTPStepRejects[i].Load())
 	}
 
-	hist := func(name, help string, h *Histogram) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		var cum uint64
-		for b := range h.counts {
-			cum += h.counts[b].Load()
-			le := math.Inf(+1)
-			if b < len(h.bounds) {
-				le = h.bounds[b]
-			}
-			fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, promFloat(le), cum)
-		}
-		fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", name, promFloat(h.Sum()), name, cum)
-	}
-	hist("osap_step_queue_seconds", "Step wait for its inference shard.", m.QueueLatency)
-	hist("osap_step_decision_seconds", "Step time from holding its shard to decided.", m.DecisionLatency)
-	hist("osap_batch_size", "Rows per inference call (1 per step).", m.BatchSize)
+	promFamily(w, "osap_step_queue_seconds", "Step wait for its inference shard.", "histogram")
+	writeHist(w, "osap_step_queue_seconds", "", m.QueueLatency)
+	promFamily(w, "osap_step_decision_seconds", "Step time from holding its shard to decided.", "histogram")
+	writeHist(w, "osap_step_decision_seconds", "", m.DecisionLatency)
+	promFamily(w, "osap_batch_size", "Rows per inference call (1 per step).", "histogram")
+	writeHist(w, "osap_batch_size", "", m.BatchSize)
 
-	// Stable endpoint order for deterministic output.
+	// Histograms are never removed, so a copy of the map taken under
+	// the lock is rendered after it, in stable endpoint order.
 	m.mu.Lock()
-	eps := make([]string, 0, len(m.latencies))
-	for ep := range m.latencies {
+	lat := maps.Clone(m.latencies)
+	m.mu.Unlock()
+	eps := make([]string, 0, len(lat))
+	for ep := range lat {
 		eps = append(eps, ep)
 	}
-	hists := make([]*Histogram, len(eps))
 	sort.Strings(eps)
-	for i, ep := range eps {
-		hists[i] = m.latencies[ep]
-	}
-	m.mu.Unlock()
-
 	if len(eps) > 0 {
-		fmt.Fprintf(w, "# HELP osap_request_duration_seconds Request latency by endpoint.\n")
-		fmt.Fprintf(w, "# TYPE osap_request_duration_seconds histogram\n")
+		promFamily(w, "osap_request_duration_seconds", "Request latency by endpoint.", "histogram")
 	}
-	for i, ep := range eps {
-		h := hists[i]
-		var cum uint64
-		for b := range h.counts {
-			cum += h.counts[b].Load()
-			le := math.Inf(+1)
-			if b < len(h.bounds) {
-				le = h.bounds[b]
-			}
-			fmt.Fprintf(w, "osap_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n",
-				ep, promFloat(le), cum)
-		}
-		fmt.Fprintf(w, "osap_request_duration_seconds_sum{endpoint=%q} %s\n", ep, promFloat(h.Sum()))
-		fmt.Fprintf(w, "osap_request_duration_seconds_count{endpoint=%q} %d\n", ep, cum)
+	for _, ep := range eps {
+		writeHist(w, "osap_request_duration_seconds", fmt.Sprintf("endpoint=%q", ep), lat[ep])
 	}
 	return nil
 }

@@ -2,11 +2,17 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"math"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"osap/internal/abr"
+	"osap/internal/learn"
 )
 
 func TestHistogramObserveAndQuantile(t *testing.T) {
@@ -138,8 +144,8 @@ func TestWritePromParsesAsPrometheusText(t *testing.T) {
 	if typed["osap_sessions_live"] != "gauge" {
 		t.Errorf("osap_sessions_live TYPE = %q, want gauge", typed["osap_sessions_live"])
 	}
-	if typed["osap_decisions_total"] != "counter" {
-		t.Errorf("osap_decisions_total TYPE = %q, want counter", typed["osap_decisions_total"])
+	if typed["osap_sessions_rejected_total"] != "counter" {
+		t.Errorf("osap_sessions_rejected_total TYPE = %q, want counter", typed["osap_sessions_rejected_total"])
 	}
 	if typed["osap_request_duration_seconds"] != "histogram" {
 		t.Errorf("latency TYPE = %q, want histogram", typed["osap_request_duration_seconds"])
@@ -189,5 +195,152 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 	if got, want := h.Sum(), 0.4; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Sum = %v, want %v", got, want)
+	}
+}
+
+// benchHistograms is what Metrics.WriteProm renders for the three
+// histogram families bench/run.go parses, after the observations in
+// TestWritePromBenchHistogramsPinned. The bench compares runs across
+// commits, so these bytes may not move.
+const benchHistograms = `# HELP osap_step_queue_seconds Step wait for its inference shard.
+# TYPE osap_step_queue_seconds histogram
+osap_step_queue_seconds_bucket{le="1e-05"} 1
+osap_step_queue_seconds_bucket{le="2.5e-05"} 1
+osap_step_queue_seconds_bucket{le="5e-05"} 3
+osap_step_queue_seconds_bucket{le="0.0001"} 3
+osap_step_queue_seconds_bucket{le="0.00025"} 4
+osap_step_queue_seconds_bucket{le="0.0005"} 4
+osap_step_queue_seconds_bucket{le="0.001"} 4
+osap_step_queue_seconds_bucket{le="0.0025"} 4
+osap_step_queue_seconds_bucket{le="0.005"} 4
+osap_step_queue_seconds_bucket{le="0.01"} 5
+osap_step_queue_seconds_bucket{le="0.025"} 5
+osap_step_queue_seconds_bucket{le="0.05"} 5
+osap_step_queue_seconds_bucket{le="0.1"} 5
+osap_step_queue_seconds_bucket{le="0.25"} 5
+osap_step_queue_seconds_bucket{le="0.5"} 5
+osap_step_queue_seconds_bucket{le="1"} 6
+osap_step_queue_seconds_bucket{le="+Inf"} 7
+osap_step_queue_seconds_sum 2.70727
+osap_step_queue_seconds_count 7
+# HELP osap_step_decision_seconds Step time from holding its shard to decided.
+# TYPE osap_step_decision_seconds histogram
+osap_step_decision_seconds_bucket{le="1e-05"} 1
+osap_step_decision_seconds_bucket{le="2.5e-05"} 3
+osap_step_decision_seconds_bucket{le="5e-05"} 3
+osap_step_decision_seconds_bucket{le="0.0001"} 4
+osap_step_decision_seconds_bucket{le="0.00025"} 4
+osap_step_decision_seconds_bucket{le="0.0005"} 4
+osap_step_decision_seconds_bucket{le="0.001"} 4
+osap_step_decision_seconds_bucket{le="0.0025"} 4
+osap_step_decision_seconds_bucket{le="0.005"} 5
+osap_step_decision_seconds_bucket{le="0.01"} 5
+osap_step_decision_seconds_bucket{le="0.025"} 5
+osap_step_decision_seconds_bucket{le="0.05"} 5
+osap_step_decision_seconds_bucket{le="0.1"} 5
+osap_step_decision_seconds_bucket{le="0.25"} 5
+osap_step_decision_seconds_bucket{le="0.5"} 6
+osap_step_decision_seconds_bucket{le="1"} 7
+osap_step_decision_seconds_bucket{le="+Inf"} 7
+osap_step_decision_seconds_sum 1.353635
+osap_step_decision_seconds_count 7
+# HELP osap_batch_size Rows per inference call (1 per step).
+# TYPE osap_batch_size histogram
+osap_batch_size_bucket{le="1"} 2
+osap_batch_size_bucket{le="2"} 2
+osap_batch_size_bucket{le="4"} 3
+osap_batch_size_bucket{le="8"} 3
+osap_batch_size_bucket{le="16"} 3
+osap_batch_size_bucket{le="32"} 3
+osap_batch_size_bucket{le="64"} 4
+osap_batch_size_bucket{le="128"} 4
+osap_batch_size_bucket{le="256"} 4
+osap_batch_size_bucket{le="512"} 4
+osap_batch_size_bucket{le="1024"} 4
+osap_batch_size_bucket{le="+Inf"} 5
+osap_batch_size_sum 2069
+osap_batch_size_count 5
+`
+
+// TestWritePromBenchHistogramsPinned feeds the step histograms a fixed
+// set of observations, one of them past every bound, and requires the
+// lines of the three families the bench reads, in order, to be exactly
+// benchHistograms.
+func TestWritePromBenchHistogramsPinned(t *testing.T) {
+	m := NewMetrics()
+	for _, v := range []float64{1e-5, 3e-5, 3e-5, 2e-4, 7e-3, 0.7, 2} {
+		m.QueueLatency.Observe(v)
+		m.DecisionLatency.Observe(v / 2)
+	}
+	for _, n := range []float64{1, 1, 3, 64, 2000} {
+		m.BatchSize.Observe(n)
+	}
+	m.Latency("step").Observe(1e-4) // the endpoint family shares the writer
+	var b strings.Builder
+	if err := m.WriteProm(&b, 3, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(b.String(), "\n") {
+		for _, fam := range []string{"osap_step_queue_seconds", "osap_step_decision_seconds", "osap_batch_size"} {
+			if strings.HasPrefix(line, "# HELP "+fam+" ") || strings.HasPrefix(line, "# TYPE "+fam+" ") ||
+				strings.HasPrefix(line, fam+"_") {
+				got.WriteString(line)
+			}
+		}
+	}
+	if got.String() != benchHistograms {
+		t.Fatalf("the bench's histogram families moved:\n%s\nwant:\n%s", got.String(), benchHistograms)
+	}
+}
+
+// TestEveryMetricFamilyDocumented scrapes a server with every optional
+// family switched on — a learner, a staged candidate, an endpoint
+// histogram — and requires each family it declares with a # TYPE line
+// to be named in README.md or DESIGN.md, so that a new counter cannot
+// ship undocumented.
+func TestEveryMetricFamilyDocumented(t *testing.T) {
+	arts, err := SyntheticArtifacts("synthetic", 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	learner, err := learn.New(learn.Config{Artifacts: arts, Extract: abr.LastThroughputMbps, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer learner.Stop() //nolint:errcheck // no log configured
+	srv, _ := testRolloutServer(t, GuardConfig{}, Config{Learner: learner})
+	v2, err := srv.loadGeneration("v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.rollout.Stage(v2, 0.5, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	var prom bytes.Buffer
+	if err := srv.writeProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	var docs []byte
+	for _, name := range []string{"README.md", "DESIGN.md"} {
+		b, err := os.ReadFile("../../" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, b...)
+	}
+	families := 0
+	for _, line := range strings.Split(prom.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" {
+			continue
+		}
+		families++
+		if !regexp.MustCompile(`\b` + f[2] + `\b`).Match(docs) {
+			t.Errorf("metric family %s is named in neither README.md nor DESIGN.md", f[2])
+		}
+	}
+	if families < 50 {
+		t.Fatalf("only %d families scraped; the server under test is missing some:\n%s", families, prom.String())
 	}
 }

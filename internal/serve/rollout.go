@@ -35,10 +35,10 @@ import (
 )
 
 // VersionStats are one generation's serving counters, updated lock-free
-// on the step path and read by the rollout controller, /dashboard and
-// /metrics. Every step outcome is counted here once, on the generation
-// of the session that stepped; the fleet-wide counters on /metrics and
-// /healthz are sums over the generations, which are never dropped.
+// on the step path and read by the rollout controller and Server.view,
+// through each counter's one row in the counters table. Every step
+// outcome is counted here once, on the generation of the session that
+// stepped; the generations are never dropped.
 type VersionStats struct {
 	Sessions       atomic.Uint64 // sessions admitted on this version
 	Decisions      atomic.Uint64 // steps served
@@ -53,28 +53,6 @@ type VersionStats struct {
 	Redemoted      atomic.Uint64 // repeat demotions after a first one
 	Latched        atomic.Uint64 // demotions that latched permanently
 	Latency        *Histogram    // server-side step latency
-}
-
-// fleetTotals sums every counter over gens: the fleet-wide value of
-// each, as /metrics and /healthz report it.
-func fleetTotals(gens []*Generation) *VersionStats {
-	t := &VersionStats{}
-	for _, g := range gens {
-		st := g.stats
-		t.Sessions.Add(st.Sessions.Load())
-		t.Decisions.Add(st.Decisions.Load())
-		t.Fallbacks.Add(st.Fallbacks.Load())
-		t.TriggerFirings.Add(st.TriggerFirings.Load())
-		t.Demotions.Add(st.Demotions.Load())
-		t.FirstDemotions.Add(st.FirstDemotions.Load())
-		t.Panics.Add(st.Panics.Load())
-		t.NonFinite.Add(st.NonFinite.Load())
-		t.Degraded.Add(st.Degraded.Load())
-		t.Recovered.Add(st.Recovered.Load())
-		t.Redemoted.Add(st.Redemoted.Load())
-		t.Latched.Add(st.Latched.Load())
-	}
-	return t
 }
 
 // Generation is one loaded artifact version inside the server: the

@@ -631,40 +631,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// liveCounts is one walk of the session table: the live sessions
-// serving in degraded mode, the recoverable subset on probation, and
-// how many sessions each generation pins.
-type liveCounts struct {
-	demoted, probation int
-	byGen              map[*Generation]int
-}
-
-// countLive reads every live session's (generation, mode) — the gauges
-// on /metrics, /healthz and /dashboard come from here, not from
-// counters kept beside the table.
-func (s *Server) countLive() liveCounts {
-	c := liveCounts{byGen: make(map[*Generation]int)}
-	s.table.each(func(sess *Session) {
-		mode, ok := sess.liveMode()
-		if !ok {
-			return
-		}
-		c.byGen[sess.gen]++
-		if mode != modeLive {
-			c.demoted++
-		}
-		if mode == modeProbation {
-			c.probation++
-		}
-	})
-	return c
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	v := s.view()
 	status := "ok"
 	code := http.StatusOK
-	live := s.countLive()
-	if live.demoted > 0 {
+	if v.demoted > 0 {
 		// Degraded is still HTTP 200: demoted sessions serve safe
 		// decisions, the fleet is impaired but not unavailable.
 		status = "degraded"
@@ -673,21 +644,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	tot := fleetTotals(s.rollout.generations())
 	doc := map[string]any{
-		"status":          status,
-		"dataset":         s.factory.Dataset(),
-		"schemes":         s.factory.Schemes(),
-		"live_sessions":   s.table.Len(),
-		"shards":          s.table.Shards(),
-		"demoted_live":    live.demoted,
-		"probation_live":  live.probation,
-		"demotions_total": tot.FirstDemotions.Load(),
-		"recovered_total": tot.Recovered.Load(),
-		"redemoted_total": tot.Redemoted.Load(),
-		"latched_total":   tot.Latched.Load(),
-		"active_version":  s.rollout.Active().Version(),
-		"candidate":       candidateVersion(s.rollout),
+		"status":         status,
+		"dataset":        s.factory.Dataset(),
+		"schemes":        s.factory.Schemes(),
+		"live_sessions":  v.live,
+		"shards":         s.table.Shards(),
+		"demoted_live":   v.demoted,
+		"probation_live": v.probation,
+		"active_version": v.active.version,
+		"candidate":      v.candidate,
+	}
+	for i, c := range counters {
+		doc[c.key] = v.total[i]
 	}
 	if l := s.cfg.Learner; l != nil {
 		doc["learn"] = l.Snapshot()
