@@ -2,7 +2,8 @@
 // regions (paired and deferred, read and write locks), an unlocked
 // access (finding), the *Locked method convention, a suppressed
 // constructor write, a directive naming a non-lock sibling (finding),
-// and a bare directive (malformed).
+// a bare directive (malformed), and a lock borrowed through a
+// *sync.Mutex sibling (clean held, finding unheld).
 package guardedby
 
 import "sync"
@@ -56,3 +57,23 @@ func leak(s *store, k string) int {
 // sizeLocked relies on the caller holding mu — the *Locked naming
 // convention whitelists it.
 func (s *store) sizeLocked() int { return len(s.m) }
+
+// borrower's lock is another value's: mu points at it, as a session's
+// points at its shard's.
+type borrower struct {
+	mu *sync.Mutex
+	//osap:guardedby mu
+	n int
+}
+
+// bump holds the pointed-to lock through the field: clean.
+func bump(b *borrower) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.n++
+}
+
+// peek reads without it: finding.
+func peek(b *borrower) int {
+	return b.n
+}

@@ -13,12 +13,6 @@ import (
 // would.
 const InjectedOverloadError = "chaos: injected overload"
 
-// Middleware wraps an http.Handler with the schedule's request-level
-// faults: every RejectEvery-th arriving request is rejected with an
-// injected 503 + Retry-After before it reaches the application, and
-// every DelayEvery-th is stalled by Delay first (a slow upstream).
-// Counting is by arrival order, so the injected totals are exact for a
-// given request sequence even though the interleaving is not.
 // FrameFaults returns the binary-transport twin of Middleware, shaped
 // for serve.Config.FrameFault: the same RejectEvery/DelayEvery
 // schedule applied per arriving protocol frame. A rejection is
@@ -43,6 +37,12 @@ func (s *Schedule) FrameFaults() func() (reject bool, delay time.Duration) {
 	}
 }
 
+// Middleware wraps an http.Handler with the schedule's request-level
+// faults: every RejectEvery-th arriving request is rejected with an
+// injected 503 + Retry-After before it reaches the application, and
+// every DelayEvery-th is stalled by Delay first (a slow upstream).
+// Counting is by arrival order, so the injected totals are exact for a
+// given request sequence even though the interleaving is not.
 func (s *Schedule) Middleware(next http.Handler) http.Handler {
 	var ctr atomic.Uint64
 	c := s.cfg

@@ -11,7 +11,8 @@ import (
 
 // TestHotHelpersZeroAlloc pins the //osap:hotpath contracts of the
 // small helpers the step path leans on: the session-table hash, the
-// canary router hash, the latency histogram, and the drift sketches.
+// canary router hash, the latency histogram, and a shard's drift
+// sketches.
 func TestHotHelpersZeroAlloc(t *testing.T) {
 	t.Run("fnv1a", func(t *testing.T) {
 		var h uint64
@@ -47,14 +48,21 @@ func TestHotHelpersZeroAlloc(t *testing.T) {
 		}
 	})
 	t.Run("drift-observe", func(t *testing.T) {
-		d := newDriftSet()
+		f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := newShards(f)
 		i := 0
 		allocs := testing.AllocsPerRun(1000, func() {
-			d.Observe(uint32(i), uint8(i%driftSignals), float64(i)*0.25)
+			sh := shards[i%len(shards)]
+			sh.mu.Lock()
+			sh.drift[i%driftSignals].Add(float64(i) * 0.25)
+			sh.mu.Unlock()
 			i++
 		})
 		if allocs != 0 {
-			t.Fatalf("DriftSet.Observe allocated %.1f times per run, want 0", allocs)
+			t.Fatalf("a shard's drift sketch Add allocated %.1f times per run, want 0", allocs)
 		}
 	})
 }

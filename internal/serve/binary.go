@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"net"
 	"time"
 
@@ -191,7 +190,7 @@ func (c *binConn) fault(payload []byte) bool {
 		if !ok {
 			cid = proto.CidConn
 		}
-		c.fail(cid, proto.CodeDraining, "injected overload")
+		c.pc.WriteError(cid, proto.CodeDraining, "injected overload") //nolint:errcheck // sticky in the write buffer; the flush reports it
 		return true
 	}
 	if delay > 0 {
@@ -200,10 +199,26 @@ func (c *binConn) fault(payload []byte) bool {
 	return false
 }
 
-// fail queues an Error frame; the connection stays usable.
-func (c *binConn) fail(cid uint32, code uint16, msg string) {
-	//osap:hotpath-stop Error frames are failure paths, not per-step traffic
-	c.pc.WriteError(cid, code, msg) //nolint:errcheck // sticky in the write buffer; the flush reports it
+// refuse answers a frame on cid that was not served, the binary
+// codec's status table: GoAway for a drain, else an Error frame, after
+// which the connection stays usable. detail is the reason for
+// statusInvalid.
+func (c *binConn) refuse(cid uint32, st status, detail string) {
+	code := proto.CodeBadRequest
+	switch st {
+	case statusDraining:
+		//osap:hotpath-stop refusals are failure paths, not per-step traffic
+		c.pc.WriteGoAway("draining") //nolint:errcheck // sticky in the write buffer; the flush reports it
+		return
+	case statusGone:
+		code, detail = proto.CodeGone, "session closed"
+	case statusUnknown:
+		detail = "no session on this channel"
+	case statusFull:
+		code, detail = proto.CodeTooMany, "session table full"
+	}
+	//osap:hotpath-stop refusals are failure paths, not per-step traffic
+	c.pc.WriteError(cid, code, detail) //nolint:errcheck // sticky in the write buffer; the flush reports it
 }
 
 // step is the binary step codec: Step frame in, Server.step, Decision
@@ -213,27 +228,22 @@ func (c *binConn) fail(cid uint32, code uint16, msg string) {
 func (c *binConn) step(payload []byte) {
 	cid, ok := proto.StepCid(payload)
 	if !ok {
-		c.fail(proto.CidConn, proto.CodeBadRequest, "bad step frame")
+		c.refuse(proto.CidConn, statusInvalid, "bad step frame")
 		return
 	}
 	sess := c.sessions[cid]
 	if sess == nil {
-		c.fail(cid, proto.CodeBadRequest, "no session on this channel")
+		c.refuse(cid, statusUnknown, "")
 		return
 	}
 	_, seq, err := proto.DecodeStep(payload, c.obs)
 	if err != nil {
-		c.fail(cid, proto.CodeBadRequest, "bad step frame")
+		c.refuse(cid, statusInvalid, "bad step frame")
 		return
 	}
 	res, st := c.s.step(sess, c.obs)
-	switch st {
-	case stepDraining:
-		//osap:hotpath-stop GoAway is a per-connection shutdown frame
-		c.pc.WriteGoAway("draining") //nolint:errcheck // sticky in the write buffer; the flush reports it
-		return
-	case stepGone:
-		c.fail(cid, proto.CodeGone, "session closed")
+	if st != statusOK {
+		c.refuse(cid, st, "")
 		return
 	}
 	d := proto.Decision{
@@ -269,19 +279,8 @@ func (c *binConn) control(t proto.Type, payload []byte) bool {
 		if sess == nil {
 			break
 		}
-		// Draining is re-checked under the gate, as for a step: a reset
-		// Drain did not wait for must not touch a session it closes.
-		s.opGate.RLock()
-		if s.draining.Load() {
-			s.opGate.RUnlock()
-			s.metrics.DrainRejected.Add(1)
-			c.pc.WriteGoAway("draining") //nolint:errcheck // sticky; the flush reports it
-			break
-		}
-		err := sess.Reset(s.cfg.Now())
-		s.opGate.RUnlock()
-		if err != nil {
-			c.fail(cid, proto.CodeGone, "session closed")
+		if st := s.reset(sess); st != statusOK {
+			c.refuse(cid, st, "")
 			break
 		}
 		c.pc.WriteSessionControl(proto.TypeOK, cid) //nolint:errcheck // sticky; the flush reports it
@@ -290,13 +289,11 @@ func (c *binConn) control(t proto.Type, payload []byte) bool {
 		if sess == nil {
 			break
 		}
-		if _, ok := s.table.Delete(sess.ID()); ok {
-			s.metrics.SessionsDeleted.Add(1)
-		}
+		s.close(sess.ID()) // a session evicted under its channel closes as well
 		delete(c.sessions, cid)
 		c.pc.WriteSessionControl(proto.TypeOK, cid) //nolint:errcheck // sticky; the flush reports it
 	default:
-		c.fail(proto.CidConn, proto.CodeBadRequest, "unexpected frame type")
+		c.refuse(proto.CidConn, statusInvalid, "unexpected frame type")
 		return false
 	}
 	return true
@@ -307,52 +304,42 @@ func (c *binConn) control(t proto.Type, payload []byte) bool {
 func (c *binConn) lookup(payload []byte, badFrame string) (uint32, *Session) {
 	cid, err := proto.DecodeCid(payload)
 	if err != nil {
-		c.fail(proto.CidConn, proto.CodeBadRequest, badFrame)
+		c.refuse(proto.CidConn, statusInvalid, badFrame)
 		return 0, nil
 	}
 	sess := c.sessions[cid]
 	if sess == nil {
-		c.fail(cid, proto.CodeBadRequest, "no session on this channel")
+		c.refuse(cid, statusUnknown, "")
 	}
 	return cid, sess
 }
 
-// open serves one Open frame: the binary analogue of handleCreate.
-// false ends the connection (drain).
+// open serves one Open frame: the binary codec of Server.open. Like
+// the HTTP codec it makes the door's lock-free check before it decodes
+// anything. false ends the connection (drain).
 func (c *binConn) open(payload []byte) bool {
-	s := c.s
-	s.opGate.RLock()
-	defer s.opGate.RUnlock()
-	if s.draining.Load() {
-		s.metrics.DrainRejected.Add(1)
-		c.pc.WriteGoAway("draining") //nolint:errcheck // the connection ends here
+	if c.s.refused() {
+		c.refuse(proto.CidConn, statusDraining, "")
 		return false
 	}
 	cid, scheme, err := proto.DecodeOpen(payload)
+	var sess *Session
+	st, why := statusInvalid, "bad open frame"
 	switch {
 	case err != nil:
-		c.fail(proto.CidConn, proto.CodeBadRequest, "bad open frame")
-		return true
+		cid = proto.CidConn
 	case cid == proto.CidConn:
-		c.fail(cid, proto.CodeBadRequest, "reserved channel id")
-		return true
+		why = "reserved channel id"
 	case c.sessions[cid] != nil:
-		c.fail(cid, proto.CodeBadRequest, "channel id already open")
-		return true
-	}
-	if scheme == "" {
-		scheme = SchemeND
-	}
-	sess, err := s.createSession(scheme)
-	switch {
-	case errors.Is(err, ErrTableFull):
-		s.metrics.SessionsRejected.Add(1)
-		c.fail(cid, proto.CodeTooMany, "session table full")
-	case err != nil:
-		c.fail(cid, proto.CodeBadRequest, err.Error())
+		why = "channel id already open"
 	default:
-		c.sessions[cid] = sess
-		c.pc.WriteOpened(cid, sess.ID()) //nolint:errcheck // sticky; the flush reports it
+		sess, st, why = c.s.open(scheme)
 	}
+	if st != statusOK {
+		c.refuse(cid, st, why)
+		return st != statusDraining
+	}
+	c.sessions[cid] = sess
+	c.pc.WriteOpened(cid, sess.ID()) //nolint:errcheck // sticky; the flush reports it
 	return true
 }

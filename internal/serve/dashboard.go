@@ -96,6 +96,7 @@ var counters = [...]struct {
 type fleetView struct {
 	live, demoted, probation int
 	total                    [len(counters)]uint64
+	step                     *Histogram // the step endpoint's latency: the generations' summed
 	active                   *Generation
 	candidate                string // "" when none is staged
 	versions                 []versionView
@@ -116,7 +117,7 @@ type versionView struct {
 // generations. osap_sessions_live is the sum of the per-version live
 // counts, so the two cannot disagree.
 func (s *Server) view() *fleetView {
-	v := &fleetView{active: s.rollout.Active()}
+	v := &fleetView{active: s.rollout.Active(), step: NewHistogram()}
 	cand := s.rollout.Candidate()
 	byGen := make(map[*Generation]int)
 	s.table.each(func(sess *Session) {
@@ -141,12 +142,13 @@ func (s *Server) view() *fleetView {
 			gv.role, v.candidate = "candidate", g.version
 		}
 		v.live += gv.live
+		v.step.merge(g.stats.Latency)
 		for i, c := range counters {
 			gv.count[i] = c.of(g.stats).Load()
 			v.total[i] += gv.count[i]
 		}
 		for sig, name := range driftSignalNames {
-			gv.drift[name] = summarizeSketch(g.drift.Merged(sig))
+			gv.drift[name] = summarizeSketch(g.drift(sig))
 		}
 		v.versions = append(v.versions, gv)
 	}
@@ -228,12 +230,12 @@ type rolloutRequest struct {
 }
 
 // handleRollout follows handleCreate's pattern: a stage loads and
-// builds its generation before it takes opGate — a slow LoadVersion
-// holds nothing Drain waits for — and every rollout transition runs
-// under the gate after a second draining check, so none lands after
-// Drain's final snapshot.
+// builds its generation outside the door — a slow LoadVersion holds
+// nothing Drain waits for — and every rollout transition runs inside
+// it (Server.enter), so none lands after Drain's final snapshot.
 func (s *Server) handleRollout(w http.ResponseWriter, r *http.Request) {
-	if s.refuseDraining(w) {
+	if s.refused() {
+		s.refuse(w, statusDraining, "")
 		return
 	}
 	var req rolloutRequest
@@ -257,46 +259,38 @@ func (s *Server) handleRollout(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.opGate.RLock()
-	defer s.opGate.RUnlock()
-	if s.refuseDraining(w) {
+	if !s.enter() {
+		s.refuse(w, statusDraining, "")
 		return
 	}
+	defer s.opGate.RUnlock()
 	now := s.cfg.Now()
+	var gen *Generation
+	var err error
 	switch req.Action {
 	case "stage":
-		gen, err := s.rollout.Stage(staged, req.Fraction, now)
-		if err != nil {
-			s.writeError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"staged":          gen.Version(),
-			"checksum":        gen.Checksum(),
-			"active":          s.rollout.Active().Version(),
-			"canary_fraction": s.rollout.CanaryFraction(),
-		})
+		gen, err = s.rollout.Stage(staged, req.Fraction, now)
 	case "promote":
-		gen, err := s.rollout.Promote(cmp.Or(req.Reason, "manual promote"), false, now)
-		if err != nil {
-			s.writeError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"promoted": gen.Version(), "active": gen.Version()})
+		gen, err = s.rollout.Promote(cmp.Or(req.Reason, "manual promote"), false, now)
 	case "rollback":
-		gen, err := s.rollout.Rollback(cmp.Or(req.Reason, "manual rollback"), false, now)
-		if err != nil {
-			s.writeError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"rolled_back": gen.Version(),
-			"active":      s.rollout.Active().Version(),
-		})
+		gen, err = s.rollout.Rollback(cmp.Or(req.Reason, "manual rollback"), false, now)
 	default:
 		s.writeError(w, http.StatusBadRequest, "unknown action %q (want stage, promote or rollback)", req.Action)
+		return
 	}
+	if err != nil {
+		s.writeError(w, http.StatusConflict, "%v", err)
+		return
+	}
+	reply := map[string]any{rolloutDone[req.Action]: gen.Version(), "active": s.rollout.Active().Version()}
+	if req.Action == "stage" {
+		reply["checksum"], reply["canary_fraction"] = gen.Checksum(), s.rollout.CanaryFraction()
+	}
+	writeJSON(w, http.StatusOK, reply)
 }
+
+// rolloutDone names each rollout action's reply key.
+var rolloutDone = map[string]string{"stage": "staged", "promote": "promoted", "rollback": "rolled_back"}
 
 // loadGeneration loads and validates a named artifact version as a
 // generation Rollout.Stage can install. Requires Config.LoadVersion
@@ -335,12 +329,17 @@ func (s *Server) loadGeneration(version string) (*Generation, error) {
 }
 
 // writeProm renders the /metrics document, which is also the drain
-// snapshot, from one view: the registry's families with the gauges,
-// then for each counters row its fleet sum, the build and rollout
-// families, each row's per-version family, and the drift families.
+// snapshot, from one view: the registry's families with the gauges and
+// the step endpoint's latency, then for each counters row its fleet
+// sum, the build and rollout families, each row's per-version family,
+// and the drift families.
 func (s *Server) writeProm(w io.Writer) error {
 	v := s.view()
 	err := s.metrics.WriteProm(w, v.live, v.demoted, v.probation)
+	// The registry's output ends with osap_request_duration_seconds,
+	// whose endpoints all sort before "step": the series below is the
+	// family's last, as if the registry held it.
+	writeHist(w, "osap_request_duration_seconds", `endpoint="step"`, v.step)
 	for i, c := range counters {
 		writeScalar(w, c.fleet, c.help+".", "counter", v.total[i])
 	}

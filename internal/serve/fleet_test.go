@@ -17,6 +17,7 @@ import (
 	"osap/internal/chaos"
 	"osap/internal/core"
 	"osap/internal/experiments"
+	"osap/internal/learn"
 	"osap/internal/serve/proto"
 )
 
@@ -30,63 +31,121 @@ func latchOnFirstStep(_ uint64, g *core.Guard) { script(g, nanAt(0)) }
 func checkUntouched(t *testing.T, sess *Session) {
 	t.Helper()
 	if info := sess.Snapshot(time.Now()); info.Steps != 1 || !info.Latched {
-		t.Fatalf("session after a refused reset = %+v, want 1 step and still latched", info)
+		t.Fatalf("session after a refused operation = %+v, want 1 step and still latched", info)
 	}
 	if _, open := sess.liveMode(); !open {
-		t.Fatal("a refused reset closed the session")
+		t.Fatal("a refused operation closed the session")
 	}
 }
 
-// TestResetRefusedWhileDraining: once Drain has raised its flag, a
-// reset is refused on either transport, like a step or a create, and
-// leaves the session alone. The flag is raised by hand so the session
-// is still in the table for the reset to find, as it is in the window
+// drainingFleet boots a server for the door's drain rows: a staged
+// candidate, a learner, and sessions that latch on their first step.
+// state renders what a refused operation must leave alone: the session
+// count, the rollout state and the learner's refits.
+func drainingFleet(t *testing.T) (srv *Server, state func() string) {
+	t.Helper()
+	arts, err := SyntheticArtifacts("synthetic", 3, 11) // testRolloutServer's boot set
+	if err != nil {
+		t.Fatal(err)
+	}
+	learner, err := learn.New(learn.Config{Artifacts: arts, Extract: abr.LastThroughputMbps, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { learner.Stop() }) //nolint:errcheck // no log configured
+	srv, _ = testRolloutServer(t, GuardConfig{}, Config{WrapGuard: latchOnFirstStep, Learner: learner})
+	gen, err := srv.loadGeneration("v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Rollout().Stage(gen, 0.5, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	return srv, func() string {
+		r, c := srv.Rollout(), learner.Counters()
+		return fmt.Sprintf("%d sessions, active %s, candidate %v, %d rollout events, %d refits, %d refit failures",
+			srv.Sessions(), r.Active().Version(), r.Candidate() != nil, len(r.Events()), c.Refits.Load(), c.RefitFailures.Load())
+	}
+}
+
+// TestResetRefusedWhileDraining: once Drain has raised its flag, every
+// operation that goes through the door is refused on either transport
+// — 503 + Retry-After, or GoAway — counted once in
+// osap_drain_rejected_total, and leaves the session, the rollout state
+// and the learner alone. The flag is raised by hand so the session is
+// still in the table for the operation to find, as it is in the window
 // before Drain's barrier and Clear.
 func TestResetRefusedWhileDraining(t *testing.T) {
 	obs := make([]float64, abr.ObsDim)
-	t.Run("http", func(t *testing.T) {
-		srv, ts := newTestServer(t, Config{WrapGuard: latchOnFirstStep})
-		cr := createSession(t, ts.URL, SchemeND)
-		if resp, body := postJSON(t, ts.URL+"/v1/sessions/"+cr.ID+"/step", map[string][]float64{"obs": obs}); resp.StatusCode != http.StatusOK {
-			t.Fatalf("step: status %d: %s", resp.StatusCode, body)
-		}
-		srv.draining.Store(true)
-		resp, _ := postJSON(t, ts.URL+"/v1/sessions/"+cr.ID+"/reset", nil)
-		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-			t.Fatalf("reset while draining: status %d, Retry-After %q; want 503 with a hint",
-				resp.StatusCode, resp.Header.Get("Retry-After"))
-		}
-		sess, _ := srv.table.Get(cr.ID)
+	refused := func(t *testing.T, srv *Server, sess *Session, state, before string) {
+		t.Helper()
 		checkUntouched(t, sess)
+		if state != before {
+			t.Fatalf("a refused operation moved the fleet: %s, was %s", state, before)
+		}
 		if got := promCounter(t, srv, "osap_drain_rejected_total"); got != 1 {
 			t.Fatalf("osap_drain_rejected_total = %d, want 1", got)
+		}
+	}
+	t.Run("http", func(t *testing.T) {
+		for _, tc := range []struct {
+			name, path string
+			body       any
+		}{
+			{"reset", "/v1/sessions/{id}/reset", nil},
+			{"create", "/v1/sessions", map[string]string{"scheme": SchemeND}},
+			{"step", "/v1/sessions/{id}/step", map[string][]float64{"obs": obs}},
+			{"promote", "/admin/rollout", map[string]string{"action": "promote"}},
+			{"rollback", "/admin/rollout", map[string]string{"action": "rollback"}},
+			{"refit", "/admin/learn", map[string]string{"action": "refit"}},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				srv, state := drainingFleet(t)
+				ts := httptest.NewServer(srv)
+				defer ts.Close()
+				cr := createSession(t, ts.URL, SchemeND)
+				if resp, body := postJSON(t, ts.URL+"/v1/sessions/"+cr.ID+"/step", map[string][]float64{"obs": obs}); resp.StatusCode != http.StatusOK {
+					t.Fatalf("step: status %d: %s", resp.StatusCode, body)
+				}
+				before := state()
+				srv.draining.Store(true)
+				resp, body := postJSON(t, ts.URL+strings.ReplaceAll(tc.path, "{id}", cr.ID), tc.body)
+				if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+					t.Fatalf("%s while draining: status %d, Retry-After %q (%s); want 503 with a hint",
+						tc.name, resp.StatusCode, resp.Header.Get("Retry-After"), body)
+				}
+				sess, _ := srv.table.Get(cr.ID)
+				refused(t, srv, sess, state(), before)
+			})
 		}
 	})
 	t.Run("binary", func(t *testing.T) {
-		f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := NewServer(f, Config{WrapGuard: latchOnFirstStep})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := pipeBinary(t, srv)
-		id := c.open(0, SchemeND)
-		if _, err := c.step(0, 0, obs); err != nil {
-			t.Fatal(err)
-		}
-		srv.draining.Store(true)
-		if err := c.pc.WriteSessionControl(proto.TypeReset, 0); err != nil {
-			t.Fatal(err)
-		}
-		if typ, _, err := c.pc.ReadFrame(); err != nil || typ != proto.TypeGoAway {
-			t.Fatalf("reset while draining answered with frame type %d (%v), want GoAway", typ, err)
-		}
-		sess, _ := srv.table.Get(id)
-		checkUntouched(t, sess)
-		if got := promCounter(t, srv, "osap_drain_rejected_total"); got != 1 {
-			t.Fatalf("osap_drain_rejected_total = %d, want 1", got)
+		for _, tc := range []struct {
+			name string
+			send func(c *binClient) error
+		}{
+			{"reset", func(c *binClient) error { return c.pc.WriteSessionControl(proto.TypeReset, 0) }},
+			{"open", func(c *binClient) error { return c.pc.WriteOpen(1, SchemeND) }},
+			{"step", func(c *binClient) error { return c.pc.WriteStep(0, 2, obs) }},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				srv, state := drainingFleet(t)
+				c := pipeBinary(t, srv)
+				id := c.open(0, SchemeND)
+				if _, err := c.step(0, 1, obs); err != nil {
+					t.Fatal(err)
+				}
+				before := state()
+				srv.draining.Store(true)
+				if err := tc.send(c); err != nil {
+					t.Fatal(err)
+				}
+				if typ, _, err := c.pc.ReadFrame(); err != nil || typ != proto.TypeGoAway {
+					t.Fatalf("%s while draining answered with frame type %d (%v), want GoAway", tc.name, typ, err)
+				}
+				sess, _ := srv.table.Get(id)
+				refused(t, srv, sess, state(), before)
+			})
 		}
 	})
 }

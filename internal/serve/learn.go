@@ -24,17 +24,18 @@ type learnRequest struct {
 	Action string `json:"action"` // refit
 }
 
-// handleLearn follows handleCreate's pattern: the body is read before
-// opGate, and the refit runs under the gate after a second draining
-// check, so Drain's barrier waits for it and no refit is counted or
-// published after the final snapshot.
+// handleLearn follows handleCreate's pattern: the body is read outside
+// the door, and the refit runs inside it (Server.enter), so Drain's
+// barrier waits for it and no refit is counted or published after the
+// final snapshot.
 func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 	l := s.cfg.Learner
 	if l == nil {
 		s.writeError(w, http.StatusNotImplemented, "online learning is not enabled")
 		return
 	}
-	if s.refuseDraining(w) {
+	if s.refused() {
+		s.refuse(w, statusDraining, "")
 		return
 	}
 	var req learnRequest
@@ -46,11 +47,11 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "unknown action %q (want refit)", req.Action)
 		return
 	}
-	s.opGate.RLock()
-	defer s.opGate.RUnlock()
-	if s.refuseDraining(w) {
+	if !s.enter() {
+		s.refuse(w, statusDraining, "")
 		return
 	}
+	defer s.opGate.RUnlock()
 	prop, err := l.Refit()
 	if err != nil {
 		s.writeError(w, http.StatusConflict, "%v", err)

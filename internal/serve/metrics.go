@@ -68,6 +68,16 @@ func (h *Histogram) Count() uint64 { return h.total.Load() }
 // Sum returns the sum of observed seconds.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
+// merge adds src's observations to h, a histogram over the same bounds
+// that nothing else writes yet (Server.view's fleet sum).
+func (h *Histogram) merge(src *Histogram) {
+	for i := range src.counts {
+		h.counts[i].Add(src.counts[i].Load())
+	}
+	h.total.Add(src.total.Load())
+	h.sum.Store(math.Float64bits(h.Sum() + src.Sum()))
+}
+
 // Quantile estimates a quantile (0..1) by linear interpolation within
 // the containing bucket — the same estimate Prometheus' histogram_quantile
 // computes server-side. Returns 0 on an empty histogram.
@@ -112,7 +122,7 @@ type Metrics struct {
 	SessionsDeleted  atomic.Uint64 // explicit client DELETEs
 	SessionsDrained  atomic.Uint64 // closed by graceful shutdown
 	Decisions        atomic.Uint64 // steps served; /metrics renders the generations' sum
-	DrainRejected    atomic.Uint64 // requests refused while draining
+	DrainRejected    atomic.Uint64 // operations refused while draining, counted by Server.refused alone
 
 	// Shard instrumentation (see shard.go). QueueLatency is the wait for
 	// the session's shard lock, DecisionLatency runs from holding it to

@@ -2,13 +2,14 @@ package serve
 
 // Canary rollout control plane (DESIGN.md §11). The server holds a set
 // of Generations — one per loaded artifact version, each with its own
-// GuardFactory, inference shards, per-version counters and drift sketches
-// — and a Rollout router that picks which generation a NEW session
-// binds at admission. Live sessions keep their pinned generation until
-// they end, so staging, promoting or rolling back a version never
-// perturbs an existing session's decision stream: the Neural-Simplex
-// move of switching toward a candidate controller only on fresh
-// traffic, with the incumbent always intact to fall back to.
+// GuardFactory, inference shards (which carry its drift sketches) and
+// per-version counters — and a Rollout router that picks which
+// generation a NEW session binds at admission. Live sessions keep
+// their pinned generation until they end, so staging, promoting or
+// rolling back a version never perturbs an existing session's decision
+// stream: the Neural-Simplex move of switching toward a candidate
+// controller only on fresh traffic, with the incumbent always intact
+// to fall back to.
 //
 // State machine (one candidate at a time):
 //
@@ -30,8 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"osap/internal/sketch"
 )
 
 // VersionStats are one generation's serving counters, updated lock-free
@@ -52,14 +51,14 @@ type VersionStats struct {
 	Recovered      atomic.Uint64 // probation re-admissions (DESIGN.md §13)
 	Redemoted      atomic.Uint64 // repeat demotions after a first one
 	Latched        atomic.Uint64 // demotions that latched permanently
-	Latency        *Histogram    // server-side step latency
+	Latency        *Histogram    // server-side step latency; the fleet's is the sum over generations
 }
 
 // Generation is one loaded artifact version inside the server: the
 // immutable artifacts behind a factory, the version's own shards (a
 // shard's scratch runs ONE artifact set's networks — a guard on another
-// version's shard would decide through that version's weights), and
-// its observability state.
+// version's shard would decide through that version's weights, and
+// the shards' drift sketches are the version's), and its counters.
 type Generation struct {
 	version  string
 	checksum string
@@ -67,7 +66,6 @@ type Generation struct {
 	shards   []*shard // none only for generations built without a factory (rollout tests)
 	assign   atomic.Uint64
 	stats    *VersionStats
-	drift    *DriftSet
 }
 
 func newGeneration(version, checksum string, f *GuardFactory) *Generation {
@@ -76,7 +74,6 @@ func newGeneration(version, checksum string, f *GuardFactory) *Generation {
 		checksum: checksum,
 		factory:  f,
 		stats:    &VersionStats{Latency: NewHistogram()},
-		drift:    newDriftSet(),
 	}
 	if f != nil {
 		g.shards = newShards(f)
@@ -362,26 +359,24 @@ func (r *Rollout) evaluate(now time.Time) {
 	// A lost race below (another goroutine already transitioned) just
 	// returns an error, which is discarded: the transition happened.
 	margin := r.cfg.RollbackMargin
+	transition, reason := r.rollbackLocked, ""
 	switch {
 	case candDem > actDem+margin:
-		r.mu.Lock()
-		_, _ = r.rollbackLocked(cand, fmt.Sprintf(
-			"demotion rate %.4f/session exceeds incumbent %.4f by more than %.4f (%d sessions, %d decisions)",
-			candDem, actDem, margin, cs, cd), true, now)
-		r.mu.Unlock()
+		reason = fmt.Sprintf("demotion rate %.4f/session exceeds incumbent %.4f by more than %.4f (%d sessions, %d decisions)",
+			candDem, actDem, margin, cs, cd)
 	case candFb > actFb+margin:
-		r.mu.Lock()
-		_, _ = r.rollbackLocked(cand, fmt.Sprintf(
-			"fallback rate %.4f/decision exceeds incumbent %.4f by more than %.4f (%d sessions, %d decisions)",
-			candFb, actFb, margin, cs, cd), true, now)
-		r.mu.Unlock()
+		reason = fmt.Sprintf("fallback rate %.4f/decision exceeds incumbent %.4f by more than %.4f (%d sessions, %d decisions)",
+			candFb, actFb, margin, cs, cd)
 	case cd >= uint64(r.cfg.PromoteAfter):
-		r.mu.Lock()
-		_, _ = r.promoteLocked(cand, fmt.Sprintf(
+		transition, reason = r.promoteLocked, fmt.Sprintf(
 			"healthy after %d decisions across %d sessions (demotion %.4f vs %.4f, fallback %.4f vs %.4f)",
-			cd, cs, candDem, actDem, candFb, actFb), true, now)
-		r.mu.Unlock()
+			cd, cs, candDem, actDem, candFb, actFb)
+	default:
+		return
 	}
+	r.mu.Lock()
+	_, _ = transition(cand, reason, true, now)
+	r.mu.Unlock()
 }
 
 // CanaryFraction returns the live canary fraction (0 when no candidate
@@ -391,83 +386,4 @@ func (r *Rollout) CanaryFraction() float64 {
 		return 0
 	}
 	return float64(r.fracBP.Load()) / 10000
-}
-
-// ---- fleet drift sketches ----
-
-// driftSignals is the number of tracked guard-score signals.
-const driftSignals = 3
-
-// driftSignalNames label the sketch families on /metrics and
-// /dashboard, indexed by the session's sigIdx.
-var driftSignalNames = [driftSignals]string{"state", "policy", "value"}
-
-// driftSignalIndex maps a session scheme to its signal family: the
-// paper's U_S / U_π / U_V.
-func driftSignalIndex(scheme string) uint8 {
-	switch scheme {
-	case SchemeAEns:
-		return 1
-	case SchemeVEns:
-		return 2
-	default:
-		return 0
-	}
-}
-
-// driftShardCount is the sketch shard count per generation (power of
-// two): enough that concurrent steps rarely contend on one mutex,
-// small enough that merging at scrape time stays trivial.
-const driftShardCount = 16
-
-// driftShard is one lock-striped slot: a mutex and one sketch per
-// signal, padded so neighboring shards don't share a cache line.
-type driftShard struct {
-	mu sync.Mutex
-	//osap:guardedby mu
-	sk [driftSignals]*sketch.Sketch
-	_  [64]byte
-}
-
-// DriftSet holds one generation's guard-score sketches, lock-striped
-// by session. Merging at scrape time walks shards in ascending index,
-// so two scrapes over the same history are bit-identical
-// (internal/sketch's determinism contract).
-type DriftSet struct {
-	shards [driftShardCount]driftShard
-}
-
-func newDriftSet() *DriftSet {
-	d := &DriftSet{}
-	for i := range d.shards {
-		for j := range d.shards[i].sk { //osap:ignore guardedby construction: the set is not shared yet
-			d.shards[i].sk[j] = sketch.New(sketch.DefaultCompression)
-		}
-	}
-	return d
-}
-
-// Observe records one guard score for a session pinned to shard (any
-// value; masked internally) under signal sig.
-//
-//osap:hotpath
-func (d *DriftSet) Observe(shard uint32, sig uint8, score float64) {
-	sh := &d.shards[shard&(driftShardCount-1)]
-	sh.mu.Lock()
-	sh.sk[sig].Add(score)
-	sh.mu.Unlock()
-}
-
-// Merged folds every shard's sketch for one signal into a fresh
-// sketch, in ascending shard order. The shard sketches are not
-// mutated beyond their own pending-buffer compression.
-func (d *DriftSet) Merged(sig int) *sketch.Sketch {
-	out := sketch.New(sketch.DefaultCompression)
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.Lock()
-		sh.sk[sig].MergeInto(out)
-		sh.mu.Unlock()
-	}
-	return out
 }

@@ -211,12 +211,24 @@ func TestRolloutAutoPromote(t *testing.T) {
 	}
 }
 
-func TestDriftSetMergeDeterministic(t *testing.T) {
-	d := newDriftSet()
-	for i := 0; i < 10_000; i++ {
-		d.Observe(uint32(i), uint8(i%driftSignals), float64(i%97)/97)
+// TestShardDriftMergeDeterministic: a generation's drift sketches live
+// on its shards, and two merges over one history are bit-identical.
+func TestShardDriftMergeDeterministic(t *testing.T) {
+	f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := d.Merged(0), d.Merged(0)
+	g := newGeneration("v", "", f)
+	add := func(i int, sig int, score float64) {
+		sh := g.shards[i%len(g.shards)]
+		sh.mu.Lock()
+		sh.drift[sig].Add(score)
+		sh.mu.Unlock()
+	}
+	for i := 0; i < 10_000; i++ {
+		add(i, i%driftSignals, float64(i%97)/97)
+	}
+	a, b := g.drift(0), g.drift(0)
 	if a.Count() != b.Count() {
 		t.Fatalf("merge counts differ: %d vs %d", a.Count(), b.Count())
 	}
@@ -226,9 +238,9 @@ func TestDriftSetMergeDeterministic(t *testing.T) {
 		}
 	}
 	// Non-finite scores are dropped, never folded.
-	d.Observe(1, 0, math.NaN())
-	d.Observe(2, 0, math.Inf(1))
-	m := d.Merged(0)
+	add(1, 0, math.NaN())
+	add(2, 0, math.Inf(1))
+	m := g.drift(0)
 	if m.Dropped() != 2 {
 		t.Fatalf("dropped = %d, want 2", m.Dropped())
 	}

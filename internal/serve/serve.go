@@ -14,8 +14,9 @@
 // per-shard RWMutex, FNV-1a hashed IDs) avoids a global lock; a
 // background sweeper evicts idle sessions after a TTL; admission
 // control caps live sessions (429 + Retry-After past the cap); and
-// graceful drain stops admissions, waits for in-flight steps, and
-// flushes a final metrics snapshot. Everything is stdlib-only.
+// graceful drain shuts the one door (Server.enter) every operation of
+// both codecs goes through, waits for those in flight, and flushes a
+// final metrics snapshot. Everything is stdlib-only.
 package serve
 
 import (

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -112,16 +113,14 @@ type Server struct {
 	metrics *Metrics
 	mux     *http.ServeMux
 	rollout *Rollout // versioned generations + canary router
-	// stepLatency is the "step" endpoint's histogram: Server.step feeds
-	// it, so a step is timed the same way on either transport.
-	stepLatency *Histogram
 
 	draining atomic.Bool
-	// opGate tracks in-flight mutating handlers (create, step, reset,
-	// rollout transitions, learn refits) as readers; Drain takes the write side as a barrier after raising
-	// the draining flag, so "all pre-drain operations have finished" is
-	// a plain Lock/Unlock — unlike a WaitGroup, concurrent
-	// begin-op/barrier is well-defined.
+	// opGate is the door's lock (Server.enter): every operation in
+	// flight through it — step, open, reset, a rollout transition, a
+	// learn refit — holds its read side; Drain takes the write side as a
+	// barrier after raising the draining flag, so "all pre-drain
+	// operations have finished" is a plain Lock/Unlock — unlike a
+	// WaitGroup, concurrent begin-op/barrier is well-defined.
 	opGate sync.RWMutex
 
 	// conns tracks live binary-protocol connections (ServeBinary) so
@@ -154,7 +153,6 @@ func NewServer(f *GuardFactory, cfg Config) (*Server, error) {
 		sweepDone: make(chan struct{}),
 		idSalt:    rand.Uint64() | 1,
 	}
-	s.stepLatency = s.metrics.Latency("step")
 	version := cfg.Version
 	if version == "" {
 		version = "unversioned"
@@ -162,7 +160,7 @@ func NewServer(f *GuardFactory, cfg Config) (*Server, error) {
 	s.rollout = newRollout(newGeneration(version, cfg.Checksum, f), cfg.Rollout)
 	s.mux.HandleFunc("POST /v1/sessions", s.timed("create", s.handleCreate))
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.timed("info", s.handleInfo))
-	s.mux.HandleFunc("POST /v1/sessions/{id}/step", s.handleStep) // timed by Server.step
+	s.mux.HandleFunc("POST /v1/sessions/{id}/step", s.handleStep) // timed per generation by Server.step
 	s.mux.HandleFunc("POST /v1/sessions/{id}/reset", s.timed("reset", s.handleReset))
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.timed("delete", s.handleDelete))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -298,70 +296,79 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) rejectBusy(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
-	s.writeError(w, code, "%s", msg)
-}
+// ---- the door and the operation layer ----
 
-// ---- handlers ----
-
-// refuseDraining answers 503 + Retry-After if the server is draining,
-// and says whether it did.
-func (s *Server) refuseDraining(w http.ResponseWriter) bool {
+// refused is the door's lock-free check: it reports and counts a drain.
+// The codecs make it before they read a body or look a session up;
+// enter makes it again under opGate.
+//
+//osap:hotpath
+func (s *Server) refused() bool {
 	if !s.draining.Load() {
 		return false
 	}
 	s.metrics.DrainRejected.Add(1)
-	s.rejectBusy(w, http.StatusServiceUnavailable, "server is draining")
 	return true
 }
 
-// handleCreate reads its body before it takes opGate, like handleStep:
-// a client that stalls mid-body holds nothing Drain waits for. The
-// draining check up front answers 503 without reading the body at all.
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	if s.refuseDraining(w) {
-		return
-	}
-	var req createRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil && err != io.EOF {
-		s.writeError(w, http.StatusBadRequest, "decode request: %v", err)
-		return
-	}
+// enter is the one door of every operation Drain waits for: step, open,
+// reset, and the rollout and learn admin actions. On true the caller
+// holds opGate's read side and releases it once the operation, counters
+// included, is done — never across socket I/O, so a stalled client
+// cannot hold Drain's barrier, and a drain past its barrier has seen
+// every operation it let through.
+//
+//osap:hotpath
+func (s *Server) enter() bool {
 	s.opGate.RLock()
-	defer s.opGate.RUnlock()
-	if s.refuseDraining(w) {
-		return
+	if s.refused() {
+		s.opGate.RUnlock()
+		return false
 	}
-	if req.Scheme == "" {
-		req.Scheme = SchemeND
-	}
-	sess, err := s.createSession(req.Scheme)
-	if err != nil {
-		if errors.Is(err, ErrTableFull) {
-			s.metrics.SessionsRejected.Add(1)
-			s.rejectBusy(w, http.StatusTooManyRequests, "session table full")
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, createResponse{
-		ID:         sess.ID(),
-		Scheme:     sess.Scheme(),
-		Dataset:    s.factory.Dataset(),
-		ObsDim:     s.factory.ObsDim(),
-		NumActions: s.factory.NumActions(),
-		Version:    sess.gen.Version(),
-	})
+	return true
 }
 
-// createSession builds, wraps and publishes one session — the shared
-// core of the HTTP and binary create paths. The session binds an
-// artifact generation and one of its shards here, at admission, and
-// keeps both for life: its guard is built on the shard's scratch from
-// the generation's record, under the probation pair the session
-// follows too, and the canary router only ever shifts NEW sessions. A returned
+// status is how an operation ended: the operations return the first
+// six, the HTTP step codec adds its own, and each codec maps the one
+// type to its wire in one table (Server.refuse, binConn.refuse).
+type status uint8
+
+const (
+	statusOK        status = iota
+	statusDraining         // the door refused: 503 + Retry-After / GoAway
+	statusGone             // the session was closed under the operation: 410 / CodeGone
+	statusUnknown          // no such session: 404 / "no session on this channel"
+	statusFull             // the session table is full: 429 + Retry-After / CodeTooMany
+	statusInvalid          // the request names what cannot be served (a bad scheme): 400 / CodeBadRequest
+	statusBadSyntax        // the step body is not JSON: 400
+	statusBadType          // the step body is JSON but not {"obs":[numbers]}: 400
+	statusBadDim           // obs has the wrong length: 400
+)
+
+// open admits a new session on scheme ("" → ND) through the door. why
+// is what was invalid when the status is statusInvalid.
+func (s *Server) open(scheme string) (sess *Session, st status, why string) {
+	if !s.enter() {
+		return nil, statusDraining, ""
+	}
+	defer s.opGate.RUnlock()
+	sess, err := s.createSession(cmp.Or(scheme, SchemeND))
+	switch {
+	case errors.Is(err, ErrTableFull):
+		s.metrics.SessionsRejected.Add(1)
+		return nil, statusFull, ""
+	case err != nil:
+		return nil, statusInvalid, err.Error()
+	}
+	return sess, statusOK, ""
+}
+
+// createSession builds, wraps and publishes one session — the body of
+// open. The session binds an artifact generation and one of its shards
+// here, at admission, and keeps both for life: its guard is built on
+// the shard's scratch from the generation's record, under the
+// probation pair the session follows too, its lock is the shard's, and
+// the canary router only ever shifts NEW sessions. A returned
 // ErrTableFull means admission control refused the session; any other
 // error is a bad scheme.
 func (s *Server) createSession(scheme string) (*Session, error) {
@@ -379,12 +386,12 @@ func (s *Server) createSession(scheme string) (*Session, error) {
 	sess := &Session{
 		id:         fmt.Sprintf("%x-%x", s.idSalt, idx),
 		scheme:     scheme,
+		mu:         &sh.mu,
 		guard:      guard,
 		shard:      sh,
 		readmitL:   f.probation.ReadmitL,
 		readmitCap: f.probation.ReadmitCap,
 		gen:        gen,
-		driftShard: uint32(idx),
 		sigIdx:     driftSignalIndex(scheme),
 	}
 	sess.lastUsed.Store(s.cfg.Now().UnixNano())
@@ -402,66 +409,69 @@ func (s *Server) createSession(scheme string) (*Session, error) {
 	return sess, nil
 }
 
-// stepStatus is how a step ended. Server.step returns one of the first
-// three; the rest are the HTTP codec's own refusals, kept in the same
-// type so that handleStep has one thing to map to a status code.
-type stepStatus uint8
+// reset starts a new episode on sess through the door.
+func (s *Server) reset(sess *Session) status {
+	if !s.enter() {
+		return statusDraining
+	}
+	defer s.opGate.RUnlock()
+	if sess.Reset(s.cfg.Now()) != nil {
+		return statusGone
+	}
+	return statusOK
+}
 
-const (
-	stepOK        stepStatus = iota
-	stepDraining             // the server is draining: 503 + Retry-After / GoAway
-	stepGone                 // the session was closed under the step: 410 / CodeGone
-	stepUnknown              // no such session: 404
-	stepBadSyntax            // the body is not JSON: 400
-	stepBadType              // the body is JSON but not {"obs":[numbers]}: 400
-	stepBadDim               // obs has the wrong length: 400
-)
+// close deletes session id. It does not go through the door: a close
+// while draining does what Drain is about to do anyway.
+func (s *Server) close(id string) status {
+	if _, ok := s.table.Delete(id); !ok {
+		return statusUnknown
+	}
+	s.metrics.SessionsDeleted.Add(1)
+	return statusOK
+}
 
 // step serves one validated observation on sess: everything a step is
-// apart from its wire format, for both front ends. It is the only place
-// a step takes opGate, and it takes it around the step alone — never
-// around socket I/O, so a stalled client cannot hold Drain's barrier.
-// The session steps under its shard's lock (shard.go); the wait for the
-// lock and the step under it are timed apart. The outcome is folded
-// into the counters before the gate is released, so a drain that has
-// passed its barrier sees every step it let through. The endpoint's
-// histogram and the generation's (which makes canary and incumbent
-// comparable) share one pair of clock readings.
+// but its wire format. Inside the door it takes one lock, the session's
+// (its shard's), under which the session steps and a live score joins
+// the shard's drift sketch. Only a served step is timed and counted:
+// the wait for the lock and the decision apart, and the whole on the
+// generation, whose sum is the step endpoint's (Server.view).
 //
 //osap:hotpath
-func (s *Server) step(sess *Session, obs []float64) (StepResult, stepStatus) {
+func (s *Server) step(sess *Session, obs []float64) (StepResult, status) {
 	start := time.Now()
-	s.opGate.RLock()
-	if s.draining.Load() {
-		s.opGate.RUnlock()
-		s.metrics.DrainRejected.Add(1)
-		return StepResult{}, stepDraining
+	if !s.enter() {
+		return StepResult{}, statusDraining
 	}
-	m := s.metrics
+	defer s.opGate.RUnlock()
 	sh := sess.shard
-	sh.mu.Lock()
+	sh.mu.Lock() // sess.mu is &sh.mu
 	held := time.Now()
-	m.QueueLatency.Observe(held.Sub(start).Seconds())
-	res, err := sess.step(obs, s.cfg.Now()) //osap:hotpath-stop clock seam: production Now is time.Now, non-allocating
-	m.DecisionLatency.Observe(time.Since(held).Seconds())
-	sh.mu.Unlock()
+	res, err := sess.stepLocked(obs, s.cfg.Now()) //osap:hotpath-stop clock seam: production Now is time.Now, non-allocating
 	if err != nil {
-		s.opGate.RUnlock()
-		return StepResult{}, stepGone
+		sh.mu.Unlock()
+		return StepResult{}, statusGone
 	}
+	decided := time.Now()
+	if !res.Demoted() {
+		// Degraded steps carry a synthetic zero score; the sketches
+		// track the live guard signal.
+		sh.drift[sess.sigIdx].Add(res.Decision.Score)
+	}
+	sh.mu.Unlock()
+	m := s.metrics
+	m.QueueLatency.Observe(held.Sub(start).Seconds())
+	m.DecisionLatency.Observe(decided.Sub(held).Seconds())
 	m.BatchSize.Observe(1)
 	s.recordStep(sess, res)
-	sec := time.Since(start).Seconds()
-	sess.gen.stats.Latency.Observe(sec)
-	s.stepLatency.Observe(sec)
-	s.opGate.RUnlock()
-	return res, stepOK
+	sess.gen.stats.Latency.Observe(time.Since(start).Seconds())
+	return res, statusOK
 }
 
 // recordStep counts one step outcome once, on the session's generation
-// (the fleet totals are sums over generations, taken at read time),
-// feeds the drift sketches, and gives the canary controller a periodic
-// pass.
+// (the fleet totals are sums over generations, taken at read time), and
+// gives the canary controller a periodic pass.
 //
 //osap:hotpath
 func (s *Server) recordStep(sess *Session, res StepResult) {
@@ -497,22 +507,94 @@ func (s *Server) recordStep(sess *Session, res StepResult) {
 	if res.Recovered() {
 		st.Recovered.Add(1)
 	}
+	if res.Demoted() {
+		st.Degraded.Add(1)
+	}
 	if l := s.cfg.Learner; l != nil && (res.From != modeLive || res.To != modeLive) {
 		// The gate judges clean live steps only. Demoted, probation and
 		// recovery steps are tallied here, which keeps the conservation
 		// law exact: decisions_total == gate_checked + rejected_demoted.
 		l.Counters().RejectedDemoted.Add(1)
 	}
-	if res.Demoted() {
-		// Degraded steps carry a synthetic zero score; keep them out of
-		// the drift sketches, which track the live guard signal.
-		st.Degraded.Add(1)
-	} else {
-		gen.drift.Observe(sess.driftShard, sess.sigIdx, res.Decision.Score)
-	}
 	if d&63 == 0 && s.rollout.candidate.Load() == gen {
 		s.rollout.evaluate(s.cfg.Now()) //osap:hotpath-stop rollout evaluation is amortized to every 64th decision and may transition rollout state; deliberately off the steady-state step path
 	}
+}
+
+// ---- the HTTP codec ----
+
+// refuse answers an operation the HTTP codec did not serve: the one
+// status table every handler shares. detail completes the message of a
+// status that carries one: the reason for statusInvalid, the obs count
+// for statusBadDim.
+func (s *Server) refuse(w http.ResponseWriter, st status, detail string) {
+	code, msg := http.StatusBadRequest, detail
+	switch st {
+	case statusDraining:
+		code, msg = http.StatusServiceUnavailable, "server is draining"
+	case statusGone:
+		code, msg = http.StatusGone, ErrSessionClosed.Error()
+	case statusUnknown:
+		code, msg = http.StatusNotFound, "unknown session"
+	case statusFull:
+		code, msg = http.StatusTooManyRequests, "session table full"
+	case statusBadSyntax:
+		s.metrics.HTTPStepRejects[rejectSyntax].Add(1)
+		msg = "decode request: body is not a JSON value"
+	case statusBadType:
+		s.metrics.HTTPStepRejects[rejectType].Add(1)
+		msg = `decode request: body is not {"obs":[numbers]}`
+	case statusBadDim:
+		s.metrics.HTTPStepRejects[rejectDim].Add(1)
+		msg = fmt.Sprintf("obs has %s values, want %d", detail, s.factory.ObsDim())
+	}
+	if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
+	}
+	writeJSON(w, code, errorResponse{Error: msg})
+}
+
+// session resolves a request's {id} after the door's lock-free check,
+// so that a draining server answers 503 where it would answer 404.
+//
+//osap:hotpath
+func (s *Server) session(r *http.Request) (*Session, status) {
+	if s.refused() {
+		return nil, statusDraining
+	}
+	sess, ok := s.table.Get(r.PathValue("id"))
+	if !ok {
+		return nil, statusUnknown
+	}
+	return sess, statusOK
+}
+
+// handleCreate reads its body outside the door, like handleStep: a
+// client that stalls mid-body holds nothing Drain waits for. The door's
+// lock-free check up front answers 503 without reading the body at all.
+func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
+	if s.refused() {
+		s.refuse(w, statusDraining, "")
+		return
+	}
+	var req createRequest
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil && err != io.EOF {
+		s.refuse(w, statusInvalid, "decode request: "+err.Error())
+		return
+	}
+	sess, st, why := s.open(req.Scheme)
+	if st != statusOK {
+		s.refuse(w, st, why)
+		return
+	}
+	writeJSON(w, http.StatusCreated, createResponse{
+		ID:         sess.ID(),
+		Scheme:     sess.Scheme(),
+		Dataset:    s.factory.Dataset(),
+		ObsDim:     s.factory.ObsDim(),
+		NumActions: s.factory.NumActions(),
+		Version:    sess.gen.Version(),
+	})
 }
 
 // handleStep is the HTTP step codec: JSON in, Server.step, JSON out, on
@@ -521,43 +603,37 @@ func (s *Server) recordStep(sess *Session, res StepResult) {
 //osap:hotpath
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	sc := stepScratchPool.Get().(*stepScratch)
-	if st := s.httpStep(w, r, sc); st != stepOK {
-		s.refuseStep(w, st, sc) //osap:hotpath-stop refusals are failure paths, not per-step traffic
+	if st := s.httpStep(w, r, sc); st != statusOK {
+		s.refuse(w, st, strconv.Itoa(sc.dec.n)) //osap:hotpath-stop refusals are failure paths, not per-step traffic
 	}
 	sc.release()
 }
 
 // httpStep serves one step request and writes its reply, or says why it
-// could not. The draining check up front takes no lock: it lets a
-// draining server answer 503 before it looks the session up (so before
-// a 404) and before it reads a body; Server.step checks again under the
-// gate.
+// could not. The session is resolved, and a drain refused, before the
+// body is read; Server.step checks for a drain again inside the door.
 //
 //osap:hotpath
-func (s *Server) httpStep(w http.ResponseWriter, r *http.Request, sc *stepScratch) stepStatus {
-	if s.draining.Load() {
-		s.metrics.DrainRejected.Add(1)
-		return stepDraining
-	}
-	sess, ok := s.table.Get(r.PathValue("id"))
-	if !ok {
-		return stepUnknown
+func (s *Server) httpStep(w http.ResponseWriter, r *http.Request, sc *stepScratch) status {
+	sess, st := s.session(r)
+	if st != statusOK {
+		return st
 	}
 	sc.readBody(r.Body)
 	s.metrics.HTTPStepBodyBytes.Add(uint64(len(sc.body)))
-	if st := sc.dec.decode(sc.body); st != stepOK {
+	if st := sc.dec.decode(sc.body); st != statusOK {
 		return st
 	}
 	obs := sc.dec.obs[:sc.dec.n]
 	if len(obs) != s.factory.ObsDim() {
-		return stepBadDim
+		return statusBadDim
 	}
 	res, st := s.step(sess, obs)
-	if st != stepOK {
+	if st != statusOK {
 		return st
 	}
 	writeStepReply(w, sc.encode(&res)) //osap:hotpath-stop the ResponseWriter is net/http's; TestHTTPStepZeroAlloc holds the handler's side
-	return stepOK
+	return statusOK
 }
 
 var jsonContentType = []string{"application/json"}
@@ -570,44 +646,15 @@ func writeStepReply(w http.ResponseWriter, body []byte) {
 	w.Write(body) //nolint:errcheck // client went away
 }
 
-// refuseStep answers a step that was not served: the status-code table
-// of the step endpoint.
-func (s *Server) refuseStep(w http.ResponseWriter, st stepStatus, sc *stepScratch) {
-	switch st {
-	case stepDraining:
-		s.rejectBusy(w, http.StatusServiceUnavailable, "server is draining")
-	case stepGone:
-		s.writeError(w, http.StatusGone, "%v", ErrSessionClosed)
-	case stepUnknown:
-		s.writeError(w, http.StatusNotFound, "unknown session")
-	case stepBadSyntax:
-		s.metrics.HTTPStepRejects[rejectSyntax].Add(1)
-		s.writeError(w, http.StatusBadRequest, "decode request: body is not a JSON value")
-	case stepBadType:
-		s.metrics.HTTPStepRejects[rejectType].Add(1)
-		s.writeError(w, http.StatusBadRequest, `decode request: body is not {"obs":[numbers]}`)
-	case stepBadDim:
-		s.metrics.HTTPStepRejects[rejectDim].Add(1)
-		s.writeError(w, http.StatusBadRequest, "obs has %d values, want %d", sc.dec.n, s.factory.ObsDim())
-	}
-}
-
-// handleReset re-checks draining under opGate, like every other
-// mutating handler: a reset that slips in after Drain raised the flag
-// must not touch a session Drain is about to close.
+// handleReset resolves its session outside the door, like handleStep;
+// Server.reset checks for a drain again inside it.
 func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
-	s.opGate.RLock()
-	defer s.opGate.RUnlock()
-	if s.refuseDraining(w) {
-		return
+	sess, st := s.session(r)
+	if st == statusOK {
+		st = s.reset(sess)
 	}
-	sess, ok := s.table.Get(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "unknown session")
-		return
-	}
-	if err := sess.Reset(s.cfg.Now()); err != nil {
-		s.writeError(w, http.StatusGone, "%v", err)
+	if st != statusOK {
+		s.refuse(w, st, "")
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -616,18 +663,17 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.table.Get(r.PathValue("id"))
 	if !ok {
-		s.writeError(w, http.StatusNotFound, "unknown session")
+		s.refuse(w, statusUnknown, "")
 		return
 	}
 	writeJSON(w, http.StatusOK, sess.Snapshot(s.cfg.Now()))
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.table.Delete(r.PathValue("id")); !ok {
-		s.writeError(w, http.StatusNotFound, "unknown session")
+	if st := s.close(r.PathValue("id")); st != statusOK {
+		s.refuse(w, st, "")
 		return
 	}
-	s.metrics.SessionsDeleted.Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -337,9 +337,10 @@ func TestDrainStopsAdmissionsAndFlushesSnapshot(t *testing.T) {
 }
 
 // TestStepOnClosedSessionIsNotObserved: a step holding a session that a
-// DELETE closed under it is answered stepGone and served nothing, so
-// neither osap_batch_size nor the decision counter may see it — the
-// "one observation per decision" invariant the load selftest asserts.
+// DELETE closed under it is answered statusGone and served nothing, so
+// neither osap_batch_size, the queue and decision histograms nor the
+// decision counter may see it — the "one observation per decision"
+// invariant the load selftest asserts.
 func TestStepOnClosedSessionIsNotObserved(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	sess, err := s.createSession(SchemeND)
@@ -347,20 +348,25 @@ func TestStepOnClosedSessionIsNotObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := make([]float64, abr.ObsDim)
-	if _, st := s.step(sess, obs); st != stepOK {
-		t.Fatalf("first step: status %d, want stepOK", st)
+	if _, st := s.step(sess, obs); st != statusOK {
+		t.Fatalf("first step: status %d, want statusOK", st)
 	}
 	if _, ok := s.table.Delete(sess.ID()); !ok {
 		t.Fatal("delete found no session")
 	}
 	m := s.Metrics()
 	batches, decisions := m.BatchSize.Count(), m.Decisions.Load()
-	if _, st := s.step(sess, obs); st != stepGone {
-		t.Fatalf("step on a deleted session: status %d, want stepGone", st)
+	queued, decided := m.QueueLatency.Count(), m.DecisionLatency.Count()
+	if _, st := s.step(sess, obs); st != statusGone {
+		t.Fatalf("step on a deleted session: status %d, want statusGone", st)
 	}
 	if m.BatchSize.Count() != batches || m.Decisions.Load() != decisions {
 		t.Fatalf("a refused step was observed: osap_batch_size count %d → %d, decisions %d → %d",
 			batches, m.BatchSize.Count(), decisions, m.Decisions.Load())
+	}
+	if m.QueueLatency.Count() != queued || m.DecisionLatency.Count() != decided {
+		t.Fatalf("a refused step was timed: osap_step_queue_seconds count %d → %d, osap_step_decision_seconds count %d → %d",
+			queued, m.QueueLatency.Count(), decided, m.DecisionLatency.Count())
 	}
 }
 

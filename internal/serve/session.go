@@ -19,21 +19,22 @@ var ErrSessionClosed = errors.New("serve: session closed")
 
 // Session is one client's live guard: a private core.Guard (its signal
 // and trigger state, and inference handles on its shard's scratch) plus
-// bookkeeping for eviction and metrics. A step holds the shard's lock,
-// then the session's mutex: the first keeps the shard's scratch to one
-// forward at a time, the second serializes the session against Reset,
-// Snapshot and close, matching the guard's single-goroutine contract.
+// bookkeeping for eviction and metrics. Its lock is its shard's
+// (shard.go): holding it keeps the shard's scratch to one forward at a
+// time and serializes the session's steps against Reset, Snapshot and
+// close, matching the guard's single-goroutine contract.
 type Session struct {
 	id     string
 	scheme string
 
-	mu     sync.Mutex
+	// mu is &shard.mu, set before the session is published to the table.
+	mu     *sync.Mutex
 	guard  *core.Guard
-	closed bool
-	steps  uint64
+	closed bool   //osap:guardedby mu
+	steps  uint64 //osap:guardedby mu
 	// fired suppresses FirstFiring: set by the trigger's first firing and
 	// by any demotion, cleared by Reset.
-	fired bool
+	fired bool //osap:guardedby mu
 
 	// mode is the session's place in the demotion state machine
 	// (DESIGN.md §13): which policy answers a step and whether the guard
@@ -58,17 +59,16 @@ type Session struct {
 	// the eviction sweeper.
 	lastUsed atomic.Int64
 
-	// shard is the lock and scratch this session's forwards run on,
-	// written once before the session is published to the table and
+	// shard is the lock, scratch and sketches this session's steps run
+	// on, written once before the session is published to the table and
 	// read-only afterwards (see shard.go).
 	shard *shard
 
 	// Generation binding, also written once pre-publication: the
 	// artifact version this session pinned at admission (nil only for
-	// sessions built outside a Server), plus its drift-sketch routing.
-	gen        *Generation
-	driftShard uint32
-	sigIdx     uint8
+	// sessions built outside a Server), plus its drift-sketch signal.
+	gen    *Generation
+	sigIdx uint8
 
 	// gate, when online learning is enabled, is the session's private
 	// trust gate (DESIGN.md §14): every clean serving step is
@@ -160,8 +160,8 @@ const (
 	modeLatchedFault
 )
 
-// step is the one step path; the caller holds the session's shard lock
-// (Server.step), and now stamps the idle clock.
+// stepLocked is the one step path; the caller holds mu (Server.step),
+// and now stamps the idle clock.
 //
 // The guard call is panic-contained: a panic anywhere in the inference
 // stack, or a non-finite uncertainty score escaping it, demotes the
@@ -171,9 +171,7 @@ const (
 // decision is ever dropped.
 //
 //osap:hotpath
-func (s *Session) step(obs []float64, now time.Time) (StepResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Session) stepLocked(obs []float64, now time.Time) (StepResult, error) {
 	if s.closed {
 		return StepResult{}, ErrSessionClosed
 	}

@@ -39,9 +39,9 @@ func batchTestServer(t *testing.T) *Server {
 func (s *Server) stepErr(sess *Session, obs []float64) (StepResult, error) {
 	res, st := s.step(sess, obs)
 	switch st {
-	case stepDraining:
+	case statusDraining:
 		return res, errors.New("server is draining")
-	case stepGone:
+	case statusGone:
 		return res, ErrSessionClosed
 	}
 	return res, nil
@@ -51,17 +51,18 @@ func (s *Server) stepErr(sess *Session, obs []float64) (StepResult, error) {
 // session outside any Server, with a shard of its own. The caller owns
 // ID uniqueness.
 func newSession(id, scheme string, g *core.Guard, now time.Time) *Session {
-	s := &Session{id: id, scheme: scheme, guard: g, shard: &shard{}}
+	sh := &shard{}
+	s := &Session{id: id, scheme: scheme, mu: &sh.mu, guard: g, shard: sh}
 	s.lastUsed.Store(now.UnixNano())
 	return s
 }
 
-// Step is Server.step's locking around Session.step, without a Server:
-// the sequential reference the served path is tested against.
+// Step is Server.step's locking around Session.stepLocked, without a
+// Server: the sequential reference the served path is tested against.
 func (s *Session) Step(obs []float64, now time.Time) (StepResult, error) {
-	s.shard.mu.Lock()
-	defer s.shard.mu.Unlock()
-	return s.step(obs, now)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stepLocked(obs, now)
 }
 
 // obsStream generates a deterministic per-session observation
@@ -234,7 +235,7 @@ func TestBatcherRaceHammer(t *testing.T) {
 			stream := obsStream(uint64(i), dim, 16)
 			for !stop.Load() {
 				for _, obs := range stream {
-					if _, st := s.step(sess, obs); st != stepOK {
+					if _, st := s.step(sess, obs); st != statusOK {
 						return // draining, or the session deleted or drained under us
 					}
 				}

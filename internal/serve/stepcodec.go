@@ -101,37 +101,37 @@ type stepDecoder struct {
 
 // decode parses the first JSON value of b the way json.Decoder.Decode
 // into a struct{ Obs []float64 `json:"obs"` } does and ignores what
-// follows it. It returns stepOK, stepBadSyntax (not a JSON value, or
-// one the body's end cut short: json.SyntaxError) or stepBadType (a
+// follows it. It returns statusOK, statusBadSyntax (not a JSON value, or
+// one the body's end cut short: json.SyntaxError) or statusBadType (a
 // JSON value, but not {"obs":[numbers]}: json.UnmarshalTypeError). A
 // syntax error anywhere in the value wins over a type error, as it
 // does there: the decoder scans the whole value first.
 //
 //osap:hotpath
-func (d *stepDecoder) decode(b []byte) stepStatus {
+func (d *stepDecoder) decode(b []byte) status {
 	d.obs, d.n, d.typeErr = d.obs[:0], 0, false
 	i := skipSpace(b, 0)
 	if i == len(b) {
-		return stepBadSyntax
+		return statusBadSyntax
 	}
 	if b[i] != '{' {
 		// Not an object, so not a step; null alone decodes to no values.
 		if _, ok := d.skipValue(b, i, 0); !ok {
-			return stepBadSyntax
+			return statusBadSyntax
 		}
 		if b[i] == 'n' {
-			return stepOK
+			return statusOK
 		}
-		return stepBadType
+		return statusBadType
 	}
 	i = skipSpace(b, i+1)
 	if i < len(b) && b[i] == '}' {
-		return stepOK
+		return statusOK
 	}
 	for {
 		end, val := scanKey(b, i)
 		if val < 0 {
-			return stepBadSyntax
+			return statusBadSyntax
 		}
 		key := b[i+1 : end-1]
 		i = val
@@ -142,24 +142,24 @@ func (d *stepDecoder) decode(b []byte) stepStatus {
 			i, ok = d.skipValue(b, i, 1)
 		}
 		if !ok {
-			return stepBadSyntax
+			return statusBadSyntax
 		}
 		i = skipSpace(b, i)
 		if i == len(b) {
-			return stepBadSyntax
+			return statusBadSyntax
 		}
 		if b[i] == '}' {
 			break
 		}
 		if b[i] != ',' {
-			return stepBadSyntax
+			return statusBadSyntax
 		}
 		i = skipSpace(b, i+1)
 	}
 	if d.typeErr {
-		return stepBadType
+		return statusBadType
 	}
-	return stepOK
+	return statusOK
 }
 
 // obsValue decodes the value of an "obs" member starting at b[i] and

@@ -48,17 +48,17 @@ type stepResponse struct {
 }
 
 // oracleDecode is the decode the endpoint used to do.
-func oracleDecode(body []byte) ([]float64, stepStatus) {
+func oracleDecode(body []byte) ([]float64, status) {
 	var req stepRequest
 	err := json.NewDecoder(io.LimitReader(bytes.NewReader(body), 1<<20)).Decode(&req)
 	var typeErr *json.UnmarshalTypeError
 	switch {
 	case err == nil:
-		return req.Obs, stepOK
+		return req.Obs, statusOK
 	case errors.As(err, &typeErr):
-		return nil, stepBadType
+		return nil, statusBadType
 	default:
-		return nil, stepBadSyntax
+		return nil, statusBadSyntax
 	}
 }
 
@@ -75,7 +75,7 @@ func checkAgainstOracle(t *testing.T, sc *stepScratch, body []byte) {
 	if got != wantStatus {
 		t.Fatalf("%q: decode status %d, encoding/json says %d", show, got, wantStatus)
 	}
-	if got != stepOK {
+	if got != statusOK {
 		return
 	}
 	obs := sc.dec.obs[:sc.dec.n]
@@ -193,7 +193,7 @@ func TestStepDecodeDeepBodyZeroAlloc(t *testing.T) {
 	sc := stepScratchPool.New().(*stepScratch)
 	body := bytes.Repeat([]byte("["), 1<<20)
 	allocs := testing.AllocsPerRun(3, func() {
-		if sc.dec.decode(body) != stepBadSyntax {
+		if sc.dec.decode(body) != statusBadSyntax {
 			t.Fatal("1 MiB of '[' decoded")
 		}
 	})
@@ -373,12 +373,14 @@ func TestStepTransportsAgree(t *testing.T) {
 	defer bc.nc.Close()
 
 	// What one step must move by exactly one, whichever codec brought
-	// it: decisions, the version's decisions, the "step" endpoint's and
-	// the generation's latency histograms, batches flushed.
+	// it: decisions, the version's decisions, the "step" endpoint's
+	// latency series as /metrics renders it and the generation's
+	// histogram, batches flushed.
 	type counts [5]uint64
 	read := func() counts {
 		gen := s.rollout.Active()
-		return counts{s.metrics.Decisions.Load(), gen.stats.Decisions.Load(), s.stepLatency.Count(),
+		return counts{s.metrics.Decisions.Load(), gen.stats.Decisions.Load(),
+			promCounter(t, s, `osap_request_duration_seconds_count{endpoint="step"}`),
 			gen.stats.Latency.Count(), s.metrics.BatchSize.Count()}
 	}
 	moved := func(after, before counts) counts {
