@@ -10,7 +10,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X osap/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build build-cross test verify vet lint fmt-check race fuzz-smoke figures-check models-check ci loc bench bench-e2e bench-compare chaos rollout-selftest learn-selftest
+.PHONY: all build build-cross test verify vet lint fmt-check race fuzz-smoke figures-check models-check ci loc footprint bench bench-e2e bench-compare chaos rollout-selftest learn-selftest
 
 all: build
 
@@ -97,6 +97,13 @@ loc:
 	@find . -name testdata -prune -o -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' -print \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
+# Heap the guard server retains per session, by scheme and for a
+# learning session, and per generation, with its artifact set and
+# without it — the memory ROADMAP.md tracks beside non-test LOC. The
+# footprint tests log the bytes; `make verify` is what gates them.
+footprint:
+	$(GO) test -count=1 -v -run '^Test(Session|Generation)Footprint$$' ./internal/serve
 
 # Full benchmark suite (figures, ablations, latency, and the set-up
 # layer: BenchmarkArtifactsTrain/Save/Load on the bench's recipe).

@@ -3,7 +3,6 @@ package main
 import (
 	"testing"
 
-	"osap/internal/experiments"
 	"osap/internal/registry"
 	"osap/internal/serve"
 	"osap/internal/trace"
@@ -24,12 +23,16 @@ func TestBootSyntheticVersionFromRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cfg serve.Config
-	_, factory, err := bootFromRegistry(&cfg, root, trace.DatasetGamma22, "", experiments.Probation{})
+	_, served, err := bootFromRegistry(&cfg, root, trace.DatasetGamma22, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := factory.Artifacts().Record.StateSignal().FeatureDim(), arts.OCSVM.Dim; got != want {
+	if got, want := served.Record.StateSignal().FeatureDim(), arts.OCSVM.Dim; got != want {
 		t.Errorf("served U_S feature dim %d, OC-SVM dim %d", got, want)
+	}
+	factory, err := serve.NewGuardFactory(served, serve.GuardConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, scheme := range factory.Schemes() {
 		if _, err := factory.NewGuard(scheme); err != nil {

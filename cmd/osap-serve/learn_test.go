@@ -23,6 +23,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"slices"
 	"sort"
@@ -34,6 +35,7 @@ import (
 	"osap/internal/experiments"
 	"osap/internal/learn"
 	"osap/internal/mdp"
+	"osap/internal/nn"
 	"osap/internal/ocsvm"
 	"osap/internal/registry"
 	"osap/internal/rl"
@@ -88,11 +90,11 @@ func calibrateArtifacts(t *testing.T, dataset string, seed uint64, video *abr.Vi
 		t.Fatal(err)
 	}
 	sc := frozen.NewScratch()
-	pol, _, err := experiments.Signal(arts, experiments.SchemeAEns, sc)
+	pol, _, err := experiments.Signal(&arts.Calibration, experiments.SchemeAEns, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	val, _, err := experiments.Signal(arts, experiments.SchemeVEns, sc)
+	val, _, err := experiments.Signal(&arts.Calibration, experiments.SchemeVEns, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +190,15 @@ func runLearn(t *testing.T, cfg serve.Config, dataset string, clients int, seed 
 func (r *learnRun) boot(t *testing.T, opts learn.Config) (*rolloutHarness, *learn.Learner, *registry.Registry) {
 	t.Helper()
 	cfg := r.cfg
-	reg, factory, err := bootFromRegistry(&cfg, r.root, r.dataset, opts.ParentVersion, experiments.Probation{})
+	reg, arts, err := bootFromRegistry(&cfg, r.root, r.dataset, opts.ParentVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	learner, err := buildLearner(factory, opts)
+	factory, err := serve.NewGuardFactory(arts, serve.GuardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	learner, err := buildLearner(arts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +335,9 @@ func (r *learnRun) phaseA(t *testing.T, logDir string) {
 		t.Errorf("phase A refit thresholds not positive: AlphaPi=%v AlphaV=%v",
 			refit.Artifacts.AlphaPi, refit.Artifacts.AlphaV)
 	}
+	// A refit moves the OC-SVM and the thresholds only: the proposal
+	// carries v1's networks, bit for bit.
+	sameNetworks(t, "phase A proposal", refit.Artifacts, r.base)
 
 	// Serving is untouched by the refit: probe B's post-refit half must
 	// be bit-identical to probe A's pre-refit decisions, and v1 stays
@@ -359,7 +368,7 @@ func (r *learnRun) phaseA(t *testing.T, logDir string) {
 	// A fresh default boot must pick the promoted v1, never the
 	// proposal.
 	var bootCfg serve.Config
-	if _, _, err := bootFromRegistry(&bootCfg, r.root, r.dataset, "", experiments.Probation{}); err != nil {
+	if _, _, err := bootFromRegistry(&bootCfg, r.root, r.dataset, ""); err != nil {
 		t.Fatal(err)
 	}
 	if bootCfg.Version != "v1" {
@@ -371,6 +380,37 @@ func (r *learnRun) phaseA(t *testing.T, logDir string) {
 	}
 	t.Logf("phase A: admitted %d of %d checked (%d state rejections), adversary %.1f vs honest %.1f per client, grid drift ok",
 		admitted, checked, c.Rejected(learn.VerdictState), advRate, honestRate)
+}
+
+// sameNetworks checks that got's actors, critics and value networks
+// equal want's, Float64bits for Float64bits.
+func sameNetworks(t *testing.T, label string, got, want *experiments.Artifacts) {
+	t.Helper()
+	nets := func(a *experiments.Artifacts) []*nn.Network {
+		var out []*nn.Network
+		for _, ac := range a.Agents {
+			out = append(out, ac.Actor, ac.Critic)
+		}
+		return append(out, a.ValueNets...)
+	}
+	g, w := nets(got), nets(want)
+	if len(g) != len(w) {
+		t.Errorf("%s: %d networks, want %d", label, len(g), len(w))
+		return
+	}
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := range w {
+		gp, wp := g[i].Params(), w[i].Params()
+		if len(gp) != len(wp) {
+			t.Errorf("%s: network %d has %d parameters, want %d", label, i, len(gp), len(wp))
+			continue
+		}
+		for j := range wp {
+			if !slices.EqualFunc(gp[j].W, wp[j].W, sameBits) {
+				t.Errorf("%s: network %d parameter %d (%s) differs from its parent's", label, i, j, wp[j].Name)
+			}
+		}
+	}
 }
 
 // phaseB is the cooperative-drift scenario: the gate must admit a

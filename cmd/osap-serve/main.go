@@ -108,37 +108,27 @@ func main() {
 	}
 }
 
-// loadFactory builds the guard factory: from a model directory when
-// given, otherwise by training quick-scale artifacts in process. Every
-// guard is built from the artifact's record under the probation knobs.
-func loadFactory(dataset, models string, probation experiments.Probation) (*serve.GuardFactory, error) {
-	var arts *experiments.Artifacts
+// loadArtifacts reads the served artifact set from a model directory
+// when given, otherwise trains quick-scale artifacts in process.
+func loadArtifacts(dataset, models string) (*experiments.Artifacts, error) {
 	if models != "" {
-		a, err := experiments.LoadArtifacts(filepath.Join(models, dataset+".json"))
-		if err != nil {
-			return nil, err
-		}
-		arts = a
-	} else {
-		fmt.Fprintf(os.Stderr, "no -models directory: training quick-scale artifacts for %s...\n", dataset)
-		lab, err := experiments.NewLab(experiments.QuickConfig())
-		if err != nil {
-			return nil, err
-		}
-		lab.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  "+s) }
-		if arts, err = lab.Artifacts(dataset); err != nil {
-			return nil, err
-		}
+		return experiments.LoadArtifacts(filepath.Join(models, dataset+".json"))
 	}
-	return serve.NewGuardFactory(arts, serve.GuardConfig{Probation: probation})
+	fmt.Fprintf(os.Stderr, "no -models directory: training quick-scale artifacts for %s...\n", dataset)
+	lab, err := experiments.NewLab(experiments.QuickConfig())
+	if err != nil {
+		return nil, err
+	}
+	lab.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  "+s) }
+	return lab.Artifacts(dataset)
 }
 
 // bootFromRegistry opens the registry, loads the named version (or the
 // newest promoted one when version is empty) and wires the
 // version-aware serve.Config hooks (LoadVersion for staging,
 // ListVersions and ListProposed for the dashboard) — the `-registry`
-// path.
-func bootFromRegistry(cfg *serve.Config, root, dataset, version string, probation experiments.Probation) (*registry.Registry, *serve.GuardFactory, error) {
+// path. It returns the loaded version's artifacts.
+func bootFromRegistry(cfg *serve.Config, root, dataset, version string) (*registry.Registry, *experiments.Artifacts, error) {
 	reg, err := registry.Open(root)
 	if err != nil {
 		return nil, nil, err
@@ -167,10 +157,6 @@ func bootFromRegistry(cfg *serve.Config, root, dataset, version string, probatio
 	if err != nil {
 		return nil, nil, err
 	}
-	factory, err := serve.NewGuardFactory(gen.Artifacts, serve.GuardConfig{Probation: probation})
-	if err != nil {
-		return nil, nil, err
-	}
 	cfg.Version = gen.Version
 	cfg.Checksum = gen.ArtifactSHA256
 	cfg.LoadVersion = func(version string) (*experiments.Artifacts, string, error) {
@@ -196,14 +182,16 @@ func bootFromRegistry(cfg *serve.Config, root, dataset, version string, probatio
 	}
 	fmt.Fprintf(os.Stderr, "registry %s: serving version %s (sha256 %.12s…) of %d available\n",
 		root, gen.Version, gen.ArtifactSHA256, len(versions))
-	return reg, factory, nil
+	return reg, gen.Artifacts, nil
 }
 
-// buildLearner constructs the Learner judged against the factory's
-// frozen artifacts, whose record builds the gate's signals as it builds
-// the serving guard's. cfg carries the log, refit and registry wiring.
-func buildLearner(factory *serve.GuardFactory, cfg learn.Config) (*learn.Learner, error) {
-	cfg.Artifacts = factory.Artifacts()
+// buildLearner constructs the Learner judged against the boot artifacts
+// arts, whose record builds the gate's signals as it builds the serving
+// guard's. The learner keeps arts (its refits write their networks) and
+// a packed copy of its own; the serving factory keeps only its packed
+// copy. cfg carries the log, refit and registry wiring.
+func buildLearner(arts *experiments.Artifacts, cfg learn.Config) (*learn.Learner, error) {
+	cfg.Artifacts = arts
 	cfg.Extract = abr.LastThroughputMbps
 	cfg.Logf = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -216,19 +204,23 @@ func buildLearner(factory *serve.GuardFactory, cfg learn.Config) (*learn.Learner
 
 func runServer(o *options) error {
 	cfg := o.cfg
-	var factory *serve.GuardFactory
+	var arts *experiments.Artifacts
 	var reg *registry.Registry
 	var err error
 	if o.registry != "" {
-		reg, factory, err = bootFromRegistry(&cfg, o.registry, o.dataset, "", o.probation)
+		reg, arts, err = bootFromRegistry(&cfg, o.registry, o.dataset, "")
 	} else {
-		factory, err = loadFactory(o.dataset, o.models, o.probation)
+		arts, err = loadArtifacts(o.dataset, o.models)
 	}
 	if err != nil {
 		return err
 	}
+	factory, err := serve.NewGuardFactory(arts, serve.GuardConfig{Probation: o.probation})
+	if err != nil {
+		return err
+	}
 	if o.learnLog != "" {
-		learner, err := buildLearner(factory, learn.Config{
+		learner, err := buildLearner(arts, learn.Config{
 			LogDir:        o.learnLog,
 			RefitEvery:    o.learnRefitEvery,
 			RegistryRoot:  o.registry,

@@ -56,7 +56,11 @@ func TestSelfTestSmallScale(t *testing.T) {
 		t.Skip("trains quick-scale artifacts")
 	}
 	clients, dataset := scaled(*flagClients, 40), scaled(*flagDataset, trace.DatasetGamma22)
-	factory, err := loadFactory(dataset, *flagModels, experiments.Probation{})
+	arts, err := loadArtifacts(dataset, *flagModels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := serve.NewGuardFactory(arts, serve.GuardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +148,7 @@ func selftestCell(t *testing.T, cfg serve.Config, factory *serve.GuardFactory, d
 }
 
 func TestLoadFactoryUnknownDataset(t *testing.T) {
-	if _, err := loadFactory("not-a-dataset", "", experiments.Probation{}); err == nil {
+	if _, err := loadArtifacts("not-a-dataset", ""); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }

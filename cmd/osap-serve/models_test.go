@@ -15,6 +15,7 @@ import (
 	"osap/internal/experiments"
 	"osap/internal/mdp"
 	"osap/internal/rl"
+	"osap/internal/serve"
 	"osap/internal/stats"
 	"osap/internal/trace"
 )
@@ -56,6 +57,21 @@ func savedMicroSet(t *testing.T) (*experiments.Lab, *experiments.Artifacts, stri
 		t.Fatal(err)
 	}
 	return lab, a, filepath.Dir(path)
+}
+
+// loadModels loads the Norway set a -models directory holds and builds
+// its guard factory, as osap-serve does.
+func loadModels(t *testing.T, dir string) (*experiments.Artifacts, *serve.GuardFactory) {
+	t.Helper()
+	arts, err := loadArtifacts(trace.DatasetNorway, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := serve.NewGuardFactory(arts, serve.GuardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arts, factory
 }
 
 // guardTape records observations of the buffer-based policy streaming
@@ -111,17 +127,14 @@ func sameDecisions(t *testing.T, scheme string, want, got *core.Guard, tape [][]
 // guard over it, for every scheme.
 func TestModelsServeTheLabsGuard(t *testing.T) {
 	lab, a, dir := savedMicroSet(t)
-	factory, err := loadFactory(trace.DatasetNorway, dir, experiments.Probation{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, factory := loadModels(t, dir)
 	frozen, err := rl.Freeze(a.Agents, a.ValueNets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tape := guardTape(t, lab)
 	for _, scheme := range factory.Schemes() {
-		want, err := experiments.NewGuard(a, scheme, frozen.NewScratch(), experiments.Probation{})
+		want, err := experiments.NewGuard(&a.Calibration, scheme, frozen.NewScratch(), experiments.Probation{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,12 +170,9 @@ func TestModelsServeV2File(t *testing.T) {
 	if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	factory, err := loadFactory(trace.DatasetNorway, dir, experiments.Probation{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !factory.Artifacts().Record.Assumed {
-		t.Errorf("v2 file loaded under %+v, want an assumed record", factory.Artifacts().Record)
+	loaded, factory := loadModels(t, dir)
+	if !loaded.Record.Assumed {
+		t.Errorf("v2 file loaded under %+v, want an assumed record", loaded.Record)
 	}
 	quick := experiments.QuickConfig()
 	parent := *a
@@ -174,7 +184,7 @@ func TestModelsServeV2File(t *testing.T) {
 	}
 	tape := guardTape(t, lab)
 	for _, scheme := range factory.Schemes() {
-		want, err := experiments.NewGuard(&parent, scheme, frozen.NewScratch(), experiments.Probation{})
+		want, err := experiments.NewGuard(&parent.Calibration, scheme, frozen.NewScratch(), experiments.Probation{})
 		if err != nil {
 			t.Fatal(err)
 		}

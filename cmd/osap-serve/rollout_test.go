@@ -88,7 +88,11 @@ func bootHarness(t *testing.T, base serve.Config, root, dataset, incumbent strin
 		MinSessions:    clients / 50,
 		PromoteAfter:   clients * rolloutSteps / 12,
 	}
-	_, factory, err := bootFromRegistry(&cfg, root, dataset, incumbent, experiments.Probation{})
+	_, arts, err := bootFromRegistry(&cfg, root, dataset, incumbent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := serve.NewGuardFactory(arts, serve.GuardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

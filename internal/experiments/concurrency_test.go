@@ -131,7 +131,7 @@ func TestConcurrentGuardsIndependent(t *testing.T) {
 	}
 
 	run := func(scheme string) float64 {
-		g, err := NewGuard(a, scheme, frozen.NewScratch(), Probation{})
+		g, err := NewGuard(&a.Calibration, scheme, frozen.NewScratch(), Probation{})
 		if err != nil {
 			t.Error(err)
 			return 0

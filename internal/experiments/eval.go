@@ -67,7 +67,7 @@ func (l *Lab) evaluatePair(key, trainDS, testDS string) (map[string]float64, err
 
 	// The three guarded schemes.
 	for _, name := range GuardSchemes() {
-		g, err := NewGuard(a, name, frozen.NewScratch(), Probation{})
+		g, err := NewGuard(&a.Calibration, name, frozen.NewScratch(), Probation{})
 		if err != nil {
 			return nil, err
 		}

@@ -182,7 +182,7 @@ func TestBuildGuardUnknownScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewGuard(a, SchemePensieve, frozen.NewScratch(), Probation{}); err == nil {
+	if _, err := NewGuard(&a.Calibration, SchemePensieve, frozen.NewScratch(), Probation{}); err == nil {
 		t.Error("non-guard scheme accepted")
 	}
 }

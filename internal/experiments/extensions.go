@@ -84,7 +84,7 @@ func (l *Lab) ExtensionDefaults(trainDS string) (*ExtensionDefaultsResult, error
 			seed := l.cfg.Seed ^ hashString(trainDS+"→"+te+"/def/"+defName)
 
 			// Guarded QoE.
-			g, err := NewGuard(a, SchemeND, frozen.NewScratch(), Probation{})
+			g, err := NewGuard(&a.Calibration, SchemeND, frozen.NewScratch(), Probation{})
 			if err != nil {
 				return nil, err
 			}

@@ -12,13 +12,23 @@ import (
 
 // Artifacts holds everything trained for one training distribution: the
 // agent ensemble (member 0 is the deployed Pensieve), the external
-// value-function ensemble, the OC-SVM novelty detector, the calibrated
-// U_π/U_V thresholds and the record of what they were calibrated under.
+// value-function ensemble, and the Calibration every guard over them is
+// built from.
 type Artifacts struct {
-	Dataset   string
 	Agents    []*rl.ActorCritic
 	ValueNets []*nn.Network
-	OCSVM     *ocsvm.Model
+	Calibration
+}
+
+// Calibration is the part of an artifact set that is not a network: the
+// OC-SVM novelty detector, the calibrated U_π/U_V thresholds and the
+// record of what they were calibrated under. A guard is built from it
+// and the networks' packed forms (rl.Frozen), so a server generation
+// keeps these two and drops the float64 networks once it has packed
+// them.
+type Calibration struct {
+	Dataset string
+	OCSVM   *ocsvm.Model
 	// NDValQoE is the ND-guarded system's mean QoE on the validation
 	// traces — the calibration target for the other two schemes (§2.5).
 	NDValQoE float64
@@ -30,17 +40,17 @@ type Artifacts struct {
 	Record Record
 }
 
-// withAlpha returns a shallow copy of a whose variance threshold for
-// scheme (A-ensemble: AlphaPi, otherwise AlphaV) is alpha: how α
-// calibration hands NewGuard a candidate.
-func (a *Artifacts) withAlpha(scheme string, alpha float64) *Artifacts {
-	c := *a
+// withAlpha returns a copy of c whose variance threshold for scheme
+// (A-ensemble: AlphaPi, otherwise AlphaV) is alpha: how α calibration
+// hands NewGuard a candidate.
+func (c *Calibration) withAlpha(scheme string, alpha float64) *Calibration {
+	d := *c
 	if scheme == SchemeAEns {
-		c.AlphaPi = alpha
+		d.AlphaPi = alpha
 	} else {
-		c.AlphaV = alpha
+		d.AlphaV = alpha
 	}
-	return &c
+	return &d
 }
 
 // Record is what an artifact set's thresholds were calibrated under —
@@ -127,47 +137,48 @@ func (r Record) Expect(ss core.StateSignalConfig, l int, trim core.EnsembleConfi
 // latch.
 type Probation struct{ ReadmitL, ReadmitCap int }
 
-// Signal returns scheme's signal over the forward scratch sc of a's
+// Signal returns scheme's signal over the forward scratch sc of a set's
 // packed networks, and the trigger its threshold belongs to, both as
-// a's record says. It is the one place a scheme picks its signal:
+// c's record says. It is the one place a scheme picks its signal:
 // NewGuard wraps it, and the learn trust gate and the learn selftest's
 // calibration read U_π and U_V from it bare.
-func Signal(a *Artifacts, scheme string, sc *rl.Scratch) (core.Signal, core.TriggerConfig, error) {
-	r := a.Record
+func Signal(c *Calibration, scheme string, sc *rl.Scratch) (core.Signal, core.TriggerConfig, error) {
+	r := c.Record
 	switch scheme {
 	case SchemeND:
 		tc := core.StateTriggerConfig()
 		tc.L = r.TriggerL
-		sig, err := core.NewStateSignal(a.OCSVM, abr.LastThroughputMbps, r.StateSignal())
+		sig, err := core.NewStateSignal(c.OCSVM, abr.LastThroughputMbps, r.StateSignal())
 		return sig, tc, err
 	case SchemeAEns:
 		sig, err := core.NewPolicySignal(sc.Policies(), r.Trim())
-		return sig, core.VarianceTriggerConfig(a.AlphaPi, r.TriggerL), err
+		return sig, core.VarianceTriggerConfig(c.AlphaPi, r.TriggerL), err
 	case SchemeVEns:
 		sig, err := core.NewValueSignal(sc.Values(), r.Trim())
-		return sig, core.VarianceTriggerConfig(a.AlphaV, r.TriggerL), err
+		return sig, core.VarianceTriggerConfig(c.AlphaV, r.TriggerL), err
 	}
 	return nil, core.TriggerConfig{}, fmt.Errorf("experiments: %q is not a guard scheme", scheme)
 }
 
-// NewGuard builds a scheme's guard over the artifacts a, with every
-// forward on the scratch sc of a's packed networks: the deployed agent
-// served greedily, the buffer-based policy as the safe default, and
-// Signal's signal and trigger under the probation policy p. The
-// figures, α calibration (a copy of a with a candidate AlphaPi or
-// AlphaV), the extensions (which may then swap Guard.Signal, Trigger or
-// Default) and every served session call it.
+// NewGuard builds a scheme's guard from the calibration c, with every
+// forward on the scratch sc of the set's packed networks: the deployed
+// agent served greedily, the buffer-based policy as the safe default,
+// and Signal's signal and trigger under the probation policy p. The
+// action count and the ensembles come from sc, so no float64 network
+// is needed. The figures, α calibration (a copy of c with a candidate
+// AlphaPi or AlphaV), the extensions (which may then swap Guard.Signal,
+// Trigger or Default) and every served session call it.
 //
 // Guards built on one scratch share its buffers and must not decide
 // concurrently; a guard built on a scratch of its own is
 // single-goroutine like any other.
-func NewGuard(a *Artifacts, scheme string, sc *rl.Scratch, p Probation) (*core.Guard, error) {
-	sig, tc, err := Signal(a, scheme, sc)
+func NewGuard(c *Calibration, scheme string, sc *rl.Scratch, p Probation) (*core.Guard, error) {
+	sig, tc, err := Signal(c, scheme, sc)
 	if err != nil {
 		return nil, err
 	}
 	tc.ReadmitL, tc.ReadmitCap = p.ReadmitL, p.ReadmitCap
-	levels := a.Agents[0].Actor.OutDim()
+	levels := sc.NumActions()
 	def := &bbDefault{bb: abr.NewBBPolicy(levels), onehot: make([]float64, levels)}
 	return core.NewGuard(sc.Greedy(), def, sig, core.NewTrigger(tc))
 }

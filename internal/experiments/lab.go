@@ -190,17 +190,15 @@ func (l *Lab) train(dataset string) (*Artifacts, *rl.Frozen, error) {
 	}
 
 	a := &Artifacts{
-		Dataset:   dataset,
-		Agents:    agents,
-		ValueNets: valueNets,
-		OCSVM:     model,
-		Record:    rec,
+		Agents:      agents,
+		ValueNets:   valueNets,
+		Calibration: Calibration{Dataset: dataset, OCSVM: model, Record: rec},
 	}
 
 	// 4. ND's validation QoE is the calibration target; 5. α for U_π and
 	// U_V is calibrated to match it in-distribution (§2.5), each
 	// candidate a copy of a carrying it.
-	valQoE := func(c *Artifacts, scheme string) (float64, error) {
+	valQoE := func(c *Calibration, scheme string) (float64, error) {
 		g, err := NewGuard(c, scheme, frozen.NewScratch(), Probation{})
 		if err != nil {
 			return 0, err
@@ -208,7 +206,7 @@ func (l *Lab) train(dataset string) (*Artifacts, *rl.Frozen, error) {
 		env := l.newEnv(l.cfg.EvalVideo, d.Val)
 		return core.MeanQoE(core.EvaluateGuard(env, g, stats.NewRNG(seed^0xCA11B), l.cfg.CalibEpisodes)), nil
 	}
-	if a.NDValQoE, err = valQoE(a, SchemeND); err != nil {
+	if a.NDValQoE, err = valQoE(&a.Calibration, SchemeND); err != nil {
 		return nil, nil, err
 	}
 	l.logf("[%s] ND validation QoE = %.2f (calibration target)", dataset, a.NDValQoE)

@@ -95,13 +95,15 @@ func (aj *artifactsJSON) build() (*Artifacts, error) {
 		return nil, fmt.Errorf("incomplete")
 	}
 	a := &Artifacts{
-		Dataset:   aj.Dataset,
 		Agents:    make([]*rl.ActorCritic, len(aj.Agents)),
 		ValueNets: make([]*nn.Network, len(aj.ValueNets)),
-		OCSVM:     aj.OCSVM,
-		NDValQoE:  aj.NDValQoE,
-		AlphaPi:   aj.AlphaPi,
-		AlphaV:    aj.AlphaV,
+		Calibration: Calibration{
+			Dataset:  aj.Dataset,
+			OCSVM:    aj.OCSVM,
+			NDValQoE: aj.NDValQoE,
+			AlphaPi:  aj.AlphaPi,
+			AlphaV:   aj.AlphaV,
+		},
 	}
 	var err error
 	for i, agj := range aj.Agents {

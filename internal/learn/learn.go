@@ -301,7 +301,7 @@ func New(cfg Config) (*Learner, error) {
 // networks, not the baseline — and private feature windows, all built
 // from the baseline's record.
 func (l *Learner) NewGate(sessionIdx uint64) (*Gate, error) {
-	base := l.cfg.Artifacts
+	base := &l.cfg.Artifacts.Calibration
 	feats, err := core.NewStateFeaturizer(base.Record.StateSignal())
 	if err != nil {
 		return nil, err

@@ -50,13 +50,15 @@ func learnArtifacts(t testing.TB, ensemble int, alphaPi, alphaV float64) *experi
 		t.Fatal(err)
 	}
 	return &experiments.Artifacts{
-		Dataset:   "learntest",
 		Agents:    agents,
 		ValueNets: valueNets,
-		OCSVM:     model,
-		AlphaPi:   alphaPi,
-		AlphaV:    alphaV,
-		Record:    experiments.Record{ThroughputWindow: 10, K: 5, TriggerL: 3, Discard: 2},
+		Calibration: experiments.Calibration{
+			Dataset: "learntest",
+			OCSVM:   model,
+			AlphaPi: alphaPi,
+			AlphaV:  alphaV,
+			Record:  experiments.Record{ThroughputWindow: 10, K: 5, TriggerL: 3, Discard: 2},
+		},
 	}
 }
 

@@ -27,9 +27,10 @@ import (
 // will not change again. It is immutable and holds no scratch, so one
 // PackedNetwork serves every goroutine that has a workspace of its
 // own: a server packs each network of a generation once, at load, and
-// every session and every shard of that generation shares the copy.
+// every session and every shard of that generation shares the copy. It
+// keeps no reference to the Network it was packed from, so once that
+// network is dropped the packed copy is the only one.
 type PackedNetwork struct {
-	src    *Network
 	stages []packedStage
 	inDim  int
 	outDim int
@@ -50,8 +51,8 @@ type packedStage struct {
 	positions int
 	// rowwise is any other layer, run one row at a time through its own
 	// Forward. The layers this catches (tanh, softmax, a ReLU with no
-	// layer before it) hold no weights, so sharing them with the source
-	// network is harmless.
+	// layer before it) hold no weights and no reference to the network,
+	// so sharing them with the source network is harmless.
 	rowwise Layer
 	relu    bool
 }
@@ -59,7 +60,7 @@ type packedStage struct {
 // Pack builds the packed form of n from the weights n has now. Later
 // changes to n's weights do not reach it.
 func Pack(n *Network) *PackedNetwork {
-	p := &PackedNetwork{src: n, inDim: n.InDim(), outDim: n.OutDim()}
+	p := &PackedNetwork{inDim: n.InDim(), outDim: n.OutDim()}
 	for _, l := range n.layers {
 		st := packedStage{in: l.InDim(), out: l.OutDim()}
 		switch v := l.(type) {
@@ -138,7 +139,11 @@ func (st *packedStage) forward(dst []float64, dstRow int, src []float64, srcRow,
 // one goroutine at a time; what Forward and ForwardRow return aliases
 // workspace memory and is valid only until the workspace's next use.
 type BatchWorkspace struct {
-	net      *PackedNetwork
+	net *PackedNetwork
+	// src is the network the one-call NewBatchWorkspace packed, which
+	// Network.ForwardBatchWS checks against; nil for a workspace made
+	// from a shared PackedNetwork.
+	src      *Network
 	maxBatch int
 	last     []float64 // maxBatch rows of net.outDim
 	body     []float64 // maxBatch rows of net.width
@@ -162,7 +167,9 @@ func (p *PackedNetwork) NewBatchWorkspace(maxBatch int) *BatchWorkspace {
 // caller with a single workspace. Callers with many (a server's
 // sessions and shards) Pack once and share the result.
 func NewBatchWorkspace(n *Network, maxBatch int) *BatchWorkspace {
-	return Pack(n).NewBatchWorkspace(maxBatch)
+	ws := Pack(n).NewBatchWorkspace(maxBatch)
+	ws.src = n
+	return ws
 }
 
 // Forward runs inference for in.Rows observations at once. The
@@ -215,7 +222,7 @@ func (ws *BatchWorkspace) forward(in []float64, rows int) []float64 {
 //
 //osap:hotpath
 func (n *Network) ForwardBatchWS(ws *BatchWorkspace, in *linalg.Matrix) *linalg.Matrix {
-	if ws.net.src != n {
+	if ws.src != n {
 		panic("nn: batch workspace was built from another network")
 	}
 	return ws.Forward(in)

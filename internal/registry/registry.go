@@ -197,9 +197,10 @@ type Meta struct {
 
 // WriteVersion publishes an artifact set as a new version: artifacts
 // and manifest are staged into a dot-prefixed temp directory, synced
-// to disk with it, then renamed into place in one atomic step, so concurrent readers (and
-// the poll Watcher) never see a partial version. Publishing an
-// existing version name fails.
+// to disk with it, then renamed into place in one atomic step, so
+// concurrent readers (and the poll Watcher) never see a partial
+// version; root is synced before it returns, so a version it returned
+// survives a crash. Publishing an existing version name fails.
 func WriteVersion(root string, meta Meta, arts *experiments.Artifacts) (*Manifest, error) {
 	if !ValidVersion(meta.Version) {
 		return nil, fmt.Errorf("registry: invalid version name %q", meta.Version)
@@ -259,6 +260,11 @@ func WriteVersion(root string, meta Meta, arts *experiments.Artifacts) (*Manifes
 	if err := os.Rename(tmp, final); err != nil {
 		os.RemoveAll(tmp) //nolint:errcheck // best-effort cleanup
 		return nil, fmt.Errorf("registry: publish %s: %w", meta.Version, err)
+	}
+	// The rename is an entry of root: only once root is synced does a
+	// crash keep the version its caller is about to report as published.
+	if err := syncDir(root); err != nil {
+		return nil, fmt.Errorf("registry: sync %s: %w", root, err)
 	}
 	return m, nil
 }

@@ -59,51 +59,53 @@ func (f *Frozen) ObsDim() int { return f.actors[0].InDim() }
 func (f *Frozen) NumActions() int { return f.actors[0].OutDim() }
 
 // Scratch is one-row forward scratch for every network of a Frozen:
-// one workspace per packed network. The deployed agent is member 0 of
-// the policy ensemble, so the greedy handle and U_π's member 0 run on
-// one workspace. Handles built over one Scratch must not run
-// concurrently; they alias its buffers, so a result is valid only until
-// the next forward on the same workspace.
+// one workspace per packed network, and the inference handles over
+// them, built once. The deployed agent is member 0 of the policy
+// ensemble, so the greedy handle and U_π's member 0 run on one
+// workspace. Every guard built on a Scratch shares its handles; they
+// must not run concurrently, and since they alias its buffers a result
+// is valid only until the next forward on the same workspace.
 type Scratch struct {
-	actors []*nn.BatchWorkspace
-	values []*nn.BatchWorkspace
+	actions  int
+	greedy   *GreedyInference
+	policies []mdp.Policy
+	values   []mdp.ValueFn
 }
 
-// NewScratch allocates one-row workspaces for all of f's networks.
+// NewScratch allocates one-row workspaces for all of f's networks and
+// the handles over them.
 func (f *Frozen) NewScratch() *Scratch {
 	sc := &Scratch{
-		actors: make([]*nn.BatchWorkspace, len(f.actors)),
-		values: make([]*nn.BatchWorkspace, len(f.values)),
+		actions:  f.NumActions(),
+		policies: make([]mdp.Policy, len(f.actors)),
+		values:   make([]mdp.ValueFn, len(f.values)),
 	}
 	for i, p := range f.actors {
-		sc.actors[i] = p.NewBatchWorkspace(1)
+		ws := p.NewBatchWorkspace(1)
+		if i == 0 {
+			sc.greedy = &GreedyInference{ws: ws}
+		}
+		sc.policies[i] = &PolicyInference{ws: ws}
 	}
 	for i, p := range f.values {
-		sc.values[i] = p.NewBatchWorkspace(1)
+		sc.values[i] = &ValueInference{ws: p.NewBatchWorkspace(1)}
 	}
 	return sc
 }
 
-// Greedy returns a greedy serving handle for the deployed agent.
-func (sc *Scratch) Greedy() *GreedyInference { return &GreedyInference{ws: sc.actors[0]} }
+// NumActions returns the deployed agent's action-space size.
+func (sc *Scratch) NumActions() int { return sc.actions }
 
-// Policies returns one handle per agent: the U_π ensemble.
-func (sc *Scratch) Policies() []mdp.Policy {
-	ps := make([]mdp.Policy, len(sc.actors))
-	for i, ws := range sc.actors {
-		ps[i] = &PolicyInference{ws: ws}
-	}
-	return ps
-}
+// Greedy returns the greedy serving handle for the deployed agent.
+func (sc *Scratch) Greedy() *GreedyInference { return sc.greedy }
 
-// Values returns one handle per value network: the U_V ensemble.
-func (sc *Scratch) Values() []mdp.ValueFn {
-	vs := make([]mdp.ValueFn, len(sc.values))
-	for i, ws := range sc.values {
-		vs[i] = &ValueInference{ws: ws}
-	}
-	return vs
-}
+// Policies returns one handle per agent, the U_π ensemble: the same
+// slice on every call, which callers must not modify.
+func (sc *Scratch) Policies() []mdp.Policy { return sc.policies }
+
+// Values returns one handle per value network, the U_V ensemble: the
+// same slice on every call, which callers must not modify.
+func (sc *Scratch) Values() []mdp.ValueFn { return sc.values }
 
 // PolicyInference is an allocation-free policy handle for one agent.
 // Probs returns a buffer of the handle's workspace, valid until its

@@ -170,7 +170,7 @@ func (gv *versionView) row() map[string]any {
 		"demotion_rate":  float64(c[cLatched]) / float64(max(c[cSessions], 1)),
 		"latency_p50_us": gv.p50,
 		"latency_p99_us": gv.p99,
-		"record":         gv.factory.arts.Record, // what the version's guards are built from
+		"record":         gv.factory.cal.Record, // what the version's guards are built from
 		"drift":          gv.drift,
 	}
 	if gv.checksum != "" {

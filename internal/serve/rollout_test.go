@@ -429,7 +429,7 @@ func TestStageVersionWithItsOwnRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := v2.factory.arts.Record; r.K != 10 || r.Discard != 2 {
+	if r := v2.factory.cal.Record; r.K != 10 || r.Discard != 2 {
 		t.Fatalf("candidate record %+v, want K 10 and discard 2", r)
 	}
 	if _, err := srv.rollout.Stage(v2, 1, time.Unix(0, 0)); err != nil {

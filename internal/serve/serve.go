@@ -47,20 +47,23 @@ type GuardConfig struct {
 	Trim        core.EnsembleConfig
 }
 
-// GuardFactory builds per-session guards from one shared, read-only set
-// of trained artifacts. The artifacts (networks, OC-SVM support
-// vectors, calibrated thresholds, record) are never mutated after
-// construction; the networks are packed for inference once, here, and
-// every guard and shard of the factory's generation reads that one
-// copy. Every guard has private signal and trigger state; its
+// GuardFactory builds per-session guards from one shared, read-only
+// artifact set. It keeps the set's calibration (OC-SVM support vectors,
+// calibrated thresholds, record) and the networks packed for inference
+// once, here — not the float64 networks: once the caller drops the
+// artifacts, the packed copy is the only copy of a trained weight the
+// factory's generation holds, and every guard and shard of it reads
+// that one copy. Every guard has private signal and trigger state; its
 // activation buffers are the scratch it is built on.
 type GuardFactory struct {
-	arts      *experiments.Artifacts
+	cal       experiments.Calibration
 	frozen    *rl.Frozen
+	schemes   []string
 	probation experiments.Probation
 }
 
-// NewGuardFactory checks the config against the artifacts' record.
+// NewGuardFactory checks the config against the artifacts' record and
+// packs the artifacts' networks; the factory keeps no reference to arts.
 func NewGuardFactory(arts *experiments.Artifacts, cfg GuardConfig) (*GuardFactory, error) {
 	if arts == nil || len(arts.Agents) == 0 {
 		return nil, fmt.Errorf("serve: artifacts with at least one agent are required")
@@ -72,7 +75,17 @@ func NewGuardFactory(arts *experiments.Artifacts, cfg GuardConfig) (*GuardFactor
 	if err != nil {
 		return nil, err
 	}
-	return &GuardFactory{arts: arts, frozen: frozen, probation: cfg.Probation}, nil
+	var schemes []string
+	if arts.OCSVM != nil {
+		schemes = append(schemes, SchemeND)
+	}
+	if len(arts.Agents) >= 2 {
+		schemes = append(schemes, SchemeAEns)
+	}
+	if len(arts.ValueNets) >= 2 {
+		schemes = append(schemes, SchemeVEns)
+	}
+	return &GuardFactory{cal: arts.Calibration, frozen: frozen, schemes: schemes, probation: cfg.Probation}, nil
 }
 
 // ObsDim returns the observation length the deployed agent expects.
@@ -82,32 +95,16 @@ func (f *GuardFactory) ObsDim() int { return f.frozen.ObsDim() }
 func (f *GuardFactory) NumActions() int { return f.frozen.NumActions() }
 
 // Dataset names the training distribution behind the artifacts.
-func (f *GuardFactory) Dataset() string { return f.arts.Dataset }
-
-// Artifacts exposes the factory's (read-only) artifact set — the
-// frozen baseline an online learner judges against.
-func (f *GuardFactory) Artifacts() *experiments.Artifacts { return f.arts }
+func (f *GuardFactory) Dataset() string { return f.cal.Dataset }
 
 // Schemes lists the guard schemes this factory can build, given which
-// artifacts are present.
-func (f *GuardFactory) Schemes() []string {
-	var out []string
-	if f.arts.OCSVM != nil {
-		out = append(out, SchemeND)
-	}
-	if len(f.arts.Agents) >= 2 {
-		out = append(out, SchemeAEns)
-	}
-	if len(f.arts.ValueNets) >= 2 {
-		out = append(out, SchemeVEns)
-	}
-	return out
-}
+// artifacts were present.
+func (f *GuardFactory) Schemes() []string { return append([]string(nil), f.schemes...) }
 
 // NewGuard assembles a fresh, standalone guard — experiments.NewGuard
-// over the factory's artifacts and probation policy — on forward
+// over the factory's calibration and probation policy — on forward
 // scratch of its own. The returned guard is single-goroutine; never
 // share it across sessions.
 func (f *GuardFactory) NewGuard(scheme string) (*core.Guard, error) {
-	return experiments.NewGuard(f.arts, scheme, f.frozen.NewScratch(), f.probation)
+	return experiments.NewGuard(&f.cal, scheme, f.frozen.NewScratch(), f.probation)
 }

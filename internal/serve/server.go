@@ -376,7 +376,7 @@ func (s *Server) createSession(scheme string) (*Session, error) {
 	gen := s.rollout.pick(idx - 1)
 	sh := gen.assignShard()
 	f := gen.factory
-	guard, err := experiments.NewGuard(f.arts, scheme, sh.scratch, f.probation)
+	guard, err := experiments.NewGuard(&f.cal, scheme, sh.scratch, f.probation)
 	if err != nil {
 		return nil, err
 	}

@@ -471,7 +471,7 @@ func TestGuardFactoryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := fw.Artifacts().Record.K; k != 10 {
+	if k := fw.cal.Record.K; k != 10 {
 		t.Errorf("assumed K = %d, want 10 from a %d-dim OC-SVM", k, wide.OCSVM.Dim)
 	}
 	if _, err := fw.NewGuard(SchemeND); err != nil {

@@ -16,6 +16,7 @@ import (
 	"osap/internal/core"
 	"osap/internal/learn"
 	"osap/internal/mdp"
+	"osap/internal/nn"
 	"osap/internal/rl"
 	"osap/internal/stats"
 )
@@ -448,6 +449,14 @@ func TestForwardFaultLeavesShardClean(t *testing.T) {
 	}
 }
 
+// liveHeap collects and returns the bytes of live heap objects.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
 // TestSessionFootprint: the heap a server retains per session, by
 // scheme, once the session has stepped through Server.step — at least
 // once on the learned policy, the forward an ND session used to build
@@ -459,17 +468,12 @@ func TestForwardFaultLeavesShardClean(t *testing.T) {
 func TestSessionFootprint(t *testing.T) {
 	s := batchTestServer(t)
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
-	heap := func() int64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
+
 	const n, steps, max = 512, 3, 1536 // max: bytes per session
 	obs := obsStream(41, s.factory.ObsDim(), steps+1)
 	retained := func(s *Server, scheme, kind string) ([]*Session, int64) {
 		sessions := make([]*Session, n)
-		before := heap()
+		before := liveHeap()
 		for i := range sessions {
 			sess, err := s.createSession(scheme)
 			if err != nil {
@@ -488,11 +492,11 @@ func TestSessionFootprint(t *testing.T) {
 			}
 			sessions[i] = sess
 		}
-		per := (heap() - before) / n
+		per := (liveHeap() - before) / n
 		t.Logf("%s%s: %d B retained per session", kind, scheme, per)
 		return sessions, per
 	}
-	learner, err := learn.New(learn.Config{Artifacts: s.factory.Artifacts(), Extract: abr.LastThroughputMbps, FlushInterval: time.Hour})
+	learner, err := learn.New(learn.Config{Artifacts: sharedArtifacts(t), Extract: abr.LastThroughputMbps, FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,6 +533,92 @@ func TestSessionFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkSameResult(t, scheme, i, got, want)
+		}
+	}
+}
+
+// TestGenerationFootprint: a serving generation holds no float64
+// network. A server over a 5-member set keeps only the packed copies its
+// guards read, so once the caller drops the set every one of its
+// networks is collected, and the sessions opened before still decide
+// bit for bit as guards built while the set was alive. It logs the heap
+// the generation retains with the set and without it.
+func TestGenerationFootprint(t *testing.T) {
+	base := liveHeap()
+	arts, err := SyntheticArtifacts("generation", 5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var freed atomic.Int64
+	nets := make(map[*nn.Network]bool)
+	for _, ac := range arts.Agents {
+		nets[ac.Actor], nets[ac.Critic] = true, true
+	}
+	for _, vn := range arts.ValueNets {
+		nets[vn] = true
+	}
+	for net := range nets {
+		runtime.SetFinalizer(net, func(*nn.Network) { freed.Add(1) })
+	}
+	want := int64(len(nets))
+	nets = nil
+
+	f, err := NewGuardFactory(arts, GuardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(f, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
+	const steps = 6
+	obs := obsStream(43, f.ObsDim(), steps)
+	schemes := f.Schemes()
+	sessions := make([]*Session, len(schemes))
+	refs := make([][]StepResult, len(schemes))
+	for k, scheme := range schemes {
+		g, err := f.NewGuard(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newSession("ref", scheme, g, time.Now())
+		for _, o := range obs {
+			r, err := ref.Step(o, time.Now())
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs[k] = append(refs[k], r)
+		}
+		if sessions[k], err = s.createSession(scheme); err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range obs[:steps/2] {
+			got, err := s.stepErr(sessions[k], o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSameResult(t, scheme, i, got, refs[k][i])
+		}
+	}
+	t.Logf("generation of a 5-member set: %d B retained with the artifact set", liveHeap()-base)
+	runtime.KeepAlive(arts)
+	for deadline := time.Now().Add(5 * time.Second); freed.Load() < want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d networks collected: the generation still holds the rest", freed.Load(), want)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("generation of a 5-member set: %d B retained without it", liveHeap()-base)
+
+	for k, scheme := range schemes {
+		for i := steps / 2; i < steps; i++ {
+			got, err := s.stepErr(sessions[k], obs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSameResult(t, scheme, i, got, refs[k][i])
 		}
 	}
 }

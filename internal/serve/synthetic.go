@@ -56,12 +56,9 @@ func SyntheticArtifacts(dataset string, ensemble int, seed uint64) (*experiments
 	}
 
 	a := &experiments.Artifacts{
-		Dataset:   dataset,
-		Agents:    agents,
-		ValueNets: valueNets,
-		OCSVM:     model,
-		AlphaPi:   0.05,
-		AlphaV:    0.05,
+		Agents:      agents,
+		ValueNets:   valueNets,
+		Calibration: experiments.Calibration{Dataset: dataset, OCSVM: model, AlphaPi: 0.05, AlphaV: 0.05},
 	}
 	a.Record = experiments.AssumedRecord(a)
 	return a, nil
