@@ -92,11 +92,17 @@ ci: verify vet lint fmt-check race figures-check models-check chaos rollout-self
 
 # Non-test lines of Go and assembly per package and in total — the size
 # ROADMAP.md tracks. Counts every line of each .go and .s file that is
-# not a _test.go file and not under a testdata/ directory.
+# not a _test.go file and not under a testdata/ directory, then the
+# lines of those .go files carrying an //osap:hotpath-stop or an
+# //osap:ignore directive.
 loc:
 	@find . -name testdata -prune -o -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' -print \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+	@for d in hotpath-stop ignore; do \
+		printf '%7d //osap:%s lines\n' "$$(find . -name testdata -prune -o -type f -name '*.go' ! -name '*_test.go' -print \
+			| xargs grep -h "//osap:$$d" | wc -l)" "$$d"; \
+	done
 
 # Heap the guard server retains per session, by scheme and for a
 # learning session, and per generation, with its artifact set and

@@ -476,7 +476,7 @@ func BenchmarkAblationWindowK(b *testing.B) {
 				ood := 0
 				n := 400
 				for _, v := range series(test, n) {
-					if sig.Observe([]float64{v}) > 0.5 {
+					if sig.Observe([]float64{v}) > 0 {
 						ood++
 					}
 				}

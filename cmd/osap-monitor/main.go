@@ -141,7 +141,7 @@ func run(fitPath string, window, k int, nu float64, l int, quiet bool, stream io
 		i := samples
 		samples++
 		score := signal.Observe([]float64{v})
-		if score > 0.5 {
+		if score > tc.Threshold {
 			oodCount++
 			if !quiet {
 				fmt.Fprintf(out, "step %d: OOD (value %g)\n", i, v)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"osap"
 	"osap/internal/stats"
 )
 
@@ -66,6 +67,36 @@ func TestMonitorAlertsOnShift(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "ALERT") {
 		t.Error("no ALERT line printed")
+	}
+
+	// The OOD count is the number of stream windows the OC-SVM does not
+	// classify in-distribution (Decision < 0), whatever their margin.
+	f, err := os.Open(fit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	calib, err := readSamples(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := osap.StateSignalConfig{ThroughputWindow: 10, K: 5}
+	model, err := osap.TrainOCSVM(osap.BuildStateFeatures(calib, cfg), osap.OCSVMConfig{Nu: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := readSamples(strings.NewReader(streamOf(t, shifted, 100, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	novel := 0
+	for _, feat := range osap.BuildStateFeatures(series, cfg) {
+		if model.Decision(feat) < 0 {
+			novel++
+		}
+	}
+	if want := fmt.Sprintf("processed 100 samples: %d OOD windows,", novel); !strings.Contains(out.String(), want) {
+		t.Errorf("want %q in the report:\n%s", want, out.String())
 	}
 }
 

@@ -73,7 +73,8 @@ func TestLearnSmallScale(t *testing.T) {
 // (decision quality is irrelevant) with an OC-SVM trained on the
 // traffic the selftest itself will generate — a rollout of the served
 // greedy policy over the same trace pool — and U_π/U_V thresholds set
-// generously above the observed ensemble-disagreement quantiles, every
+// generously above the quantiles of their triggers' statistic (the
+// K-window variance the guard and the gate threshold), every
 // signal windowed and trimmed as the synthetic set's record says. By
 // construction honest fleet traffic is in-distribution, so any gate
 // rejection beyond the nu-fraction boundary noise is caused by the
@@ -90,14 +91,15 @@ func calibrateArtifacts(t *testing.T, dataset string, seed uint64, video *abr.Vi
 		t.Fatal(err)
 	}
 	sc := frozen.NewScratch()
-	pol, _, err := experiments.Signal(&arts.Calibration, experiments.SchemeAEns, sc)
+	pol, polTC, err := experiments.Signal(&arts.Calibration, experiments.SchemeAEns, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	val, _, err := experiments.Signal(&arts.Calibration, experiments.SchemeVEns, sc)
+	val, valTC, err := experiments.Signal(&arts.Calibration, experiments.SchemeVEns, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	polTrig, valTrig := core.NewTrigger(polTC), core.NewTrigger(valTC)
 	env, err := abr.NewEnv(abr.DefaultEnvConfig(video, traces))
 	if err != nil {
 		t.Fatal(err)
@@ -106,13 +108,15 @@ func calibrateArtifacts(t *testing.T, dataset string, seed uint64, video *abr.Vi
 	rng := stats.NewRNG(seed ^ 0xCA11B)
 	const calibSteps = 4000
 	thrs := make([]float64, 0, calibSteps)
-	polScores := make([]float64, 0, calibSteps)
-	valScores := make([]float64, 0, calibSteps)
+	polStats := make([]float64, 0, calibSteps)
+	valStats := make([]float64, 0, calibSteps)
 	obs := env.Reset(rng)
 	for i := 0; i < calibSteps; i++ {
 		thrs = append(thrs, abr.LastThroughputMbps(obs))
-		polScores = append(polScores, pol.Observe(obs))
-		valScores = append(valScores, val.Observe(obs))
+		polTrig.Step(pol.Observe(obs))
+		valTrig.Step(val.Observe(obs))
+		polStats = append(polStats, polTrig.Statistic())
+		valStats = append(valStats, valTrig.Statistic())
 		action := mdp.ArgmaxAction(greedy.Probs(obs))
 		next, _, done := env.Step(action)
 		if done {
@@ -135,16 +139,17 @@ func calibrateArtifacts(t *testing.T, dataset string, seed uint64, video *abr.Vi
 		t.Fatal(err)
 	}
 	arts.OCSVM = model
-	arts.AlphaPi = calibAlpha(polScores)
-	arts.AlphaV = calibAlpha(valScores)
+	arts.AlphaPi = calibAlpha(polStats)
+	arts.AlphaV = calibAlpha(valStats)
+	t.Logf("baseline α_π %.6g, α_V %.6g", arts.AlphaPi, arts.AlphaV)
 	return arts, feats[len(feats)-256:]
 }
 
-// calibAlpha sets a gate threshold to twice the q0.99 of the observed
-// honest scores: generous enough that honest ensemble disagreement
-// never rejects, tight enough that the signal stays live.
-func calibAlpha(scores []float64) float64 {
-	sorted := append([]float64(nil), scores...)
+// calibAlpha sets a gate threshold to twice the q0.99 of the trigger
+// statistic on honest traffic: generous enough that honest ensemble
+// disagreement never rejects, tight enough that the signal stays live.
+func calibAlpha(stat []float64) float64 {
+	sorted := append([]float64(nil), stat...)
 	sort.Float64s(sorted)
 	a := 2 * sorted[int(0.99*float64(len(sorted)-1))]
 	if !(a > 0) {
@@ -471,7 +476,7 @@ func gridDisagreement(a, b *ocsvm.Model, grid [][]float64) float64 {
 	}
 	n := 0
 	for _, x := range grid {
-		if a.Predict(x) != b.Predict(x) {
+		if (a.Decision(x) >= 0) != (b.Decision(x) >= 0) {
 			n++
 		}
 	}

@@ -44,7 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"osap/internal/abr"
 	"osap/internal/buildinfo"
 	"osap/internal/experiments"
 	"osap/internal/learn"
@@ -192,7 +191,6 @@ func bootFromRegistry(cfg *serve.Config, root, dataset, version string) (*regist
 // copy. cfg carries the log, refit and registry wiring.
 func buildLearner(arts *experiments.Artifacts, cfg learn.Config) (*learn.Learner, error) {
 	cfg.Artifacts = arts
-	cfg.Extract = abr.LastThroughputMbps
 	cfg.Logf = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}

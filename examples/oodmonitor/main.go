@@ -74,7 +74,7 @@ func run() error {
 		oodCount := 0
 		for i := 0; i < ph.n; i++ {
 			score := signal.Observe([]float64{ph.dist.Sample(rng)})
-			if score > 0.5 {
+			if score > tcfg.Threshold {
 				oodCount++
 			}
 			if trigger.Step(score) && firedAt < 0 {

@@ -84,7 +84,7 @@ func TestStateSignalInDistributionQuiet(t *testing.T) {
 	ood := 0
 	n := 500
 	for i := 0; i < n; i++ {
-		if sig.Observe([]float64{g.Sample(rng)}) > 0.5 {
+		if sig.Observe([]float64{g.Sample(rng)}) > 0 {
 			ood++
 		}
 	}
@@ -106,7 +106,7 @@ func TestStateSignalDetectsShift(t *testing.T) {
 	ood := 0
 	n := 300
 	for i := 0; i < n; i++ {
-		if sig.Observe([]float64{d.Sample(rng)}) > 0.5 {
+		if sig.Observe([]float64{d.Sample(rng)}) > 0 {
 			ood++
 		}
 	}
@@ -129,6 +129,47 @@ func TestStateSignalResetClearsHistory(t *testing.T) {
 	// After reset, windows refill: the first observations report 0.
 	if s := sig.Observe([]float64{1.5}); s != 0 {
 		t.Errorf("post-reset warmup score = %v, want 0", s)
+	}
+}
+
+// TestStateSignalScoreIsMargin: U_S scores the OC-SVM margin of the
+// features it reports, so "score > 0" is exactly "Decision < 0",
+// and it scores 0 with no features while the windows fill.
+func TestStateSignalScoreIsMargin(t *testing.T) {
+	cfg := DefaultStateSignalConfig()
+	model := trainThroughputModel(t, stats.Gamma{Shape: 2, Scale: 2}, cfg)
+	sig, err := NewStateSignal(model, extractFirst, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(9)
+	novel := 0
+	for i := 0; i < 300; i++ {
+		v := stats.Gamma{Shape: 2, Scale: 2}.Sample(rng)
+		if i >= 150 {
+			v += 6
+		}
+		score := sig.Observe([]float64{v})
+		feat := sig.Features()
+		if feat == nil {
+			if score != 0 || i > cfg.K {
+				t.Fatalf("step %d: no features with score %v", i, score)
+			}
+			continue
+		}
+		if score != -model.Decision(feat) || (score > 0) != (model.Decision(feat) < 0) {
+			t.Fatalf("step %d: score %v is not the margin of Decision %v", i, score, model.Decision(feat))
+		}
+		if score > 0 {
+			novel++
+		}
+	}
+	if novel == 0 {
+		t.Error("no positive margin after a +6 shift")
+	}
+	sig.Reset()
+	if sig.Features() != nil {
+		t.Error("Reset kept the last feature vector")
 	}
 }
 
@@ -286,6 +327,9 @@ func TestBinaryTriggerNeedsConsecutive(t *testing.T) {
 		if got := tr.Step(s); got != want[i] {
 			t.Fatalf("step %d: defaulted=%v, want %v", i, got, want[i])
 		}
+		if tr.Statistic() != s {
+			t.Fatalf("step %d: Statistic %v, want the raw score %v", i, tr.Statistic(), s)
+		}
 	}
 	if tr.FiredAt != 5 {
 		t.Errorf("FiredAt = %d, want 5", tr.FiredAt)
@@ -325,9 +369,15 @@ func TestVarianceTriggerWarmup(t *testing.T) {
 		if tr.Step(s) {
 			t.Fatalf("fired during warmup at step %d", i)
 		}
+		if tr.Statistic() != 0 {
+			t.Fatalf("warmup step %d: Statistic %v, want 0", i, tr.Statistic())
+		}
 	}
 	if !tr.Step(0) {
 		t.Error("did not fire once window full with high variance")
+	}
+	if want := stats.Variance([]float64{0, 10, 0, 10, 0}); math.Abs(tr.Statistic()-want) > 1e-12 {
+		t.Errorf("Statistic %v, want the window's variance %v", tr.Statistic(), want)
 	}
 }
 
@@ -358,8 +408,15 @@ func TestTriggerConfigValidation(t *testing.T) {
 	if err := (TriggerConfig{L: 0}).Validate(); err == nil {
 		t.Error("L=0 accepted")
 	}
-	if err := (TriggerConfig{UseVariance: true, K: 1, L: 1}).Validate(); err == nil {
-		t.Error("variance K=1 accepted")
+	for _, k := range []int{1, -1} {
+		if err := (TriggerConfig{K: k, L: 1}).Validate(); err == nil {
+			t.Errorf("K=%d accepted", k)
+		}
+	}
+	for _, k := range []int{0, 2} {
+		if err := (TriggerConfig{K: k, L: 1}).Validate(); err != nil {
+			t.Errorf("K=%d refused: %v", k, err)
+		}
 	}
 }
 

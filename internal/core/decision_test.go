@@ -5,7 +5,7 @@ import (
 )
 
 // decisionGuard builds a guard over distinguishable learned/default
-// policies and the U_S-shaped trigger (score > 0.5 for L consecutive
+// policies and a raw-score trigger (score > 0.5 for L consecutive
 // steps, latched).
 func decisionGuard(t *testing.T, scores []float64, l int, latched bool) *Guard {
 	t.Helper()

@@ -43,7 +43,8 @@ type Decision struct {
 	// decision; callers that retain it must copy.
 	Probs []float64
 	// Score is the raw uncertainty score the signal produced for this
-	// observation (0/1 for U_S, a continuous disagreement for U_π/U_V).
+	// observation (the OC-SVM margin for U_S, a continuous disagreement
+	// for U_π/U_V).
 	Score float64
 	// UsedDefault reports whether the default policy produced Probs.
 	UsedDefault bool

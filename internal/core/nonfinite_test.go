@@ -24,7 +24,7 @@ func TestDecideNonFiniteScoreActsSafe(t *testing.T) {
 		scores := []float64{0, 0, bad, 0, 5}
 		g, err := NewGuard(fixedPolicy{1, 0}, fixedPolicy{0, 1},
 			&scriptedSignal{scores: scores},
-			NewTrigger(TriggerConfig{UseVariance: true, K: 3, Threshold: 1, L: 1, Latched: true}))
+			NewTrigger(TriggerConfig{K: 3, Threshold: 1, L: 1, Latched: true}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,25 +46,33 @@ func TestDecideNonFiniteScoreActsSafe(t *testing.T) {
 	}
 }
 
-// TestStateSignalFiniteUnderNaNObservations documents that U_S cannot
-// emit a non-finite score: classification yields 0/1 even when the
-// observed throughput is NaN (the OC-SVM decision value goes NaN, the
-// comparison is simply false). The guard-level defense above is for
-// the ensemble signals, which do propagate poison.
-func TestStateSignalFiniteUnderNaNObservations(t *testing.T) {
+// TestStateSignalNaNObservationsScoreNonFinite: U_S reports the
+// OC-SVM margin, so a NaN throughput scores NaN as soon as the windows
+// yield a feature vector, and the guard defaults on that very step
+// through the non-finite path (never the trigger). While the windows
+// fill there is no feature vector and the score is 0.
+func TestStateSignalNaNObservationsScoreNonFinite(t *testing.T) {
 	cfg := DefaultStateSignalConfig()
 	model := trainThroughputModel(t, stats.Gamma{Shape: 2, Scale: 2}, cfg)
 	sig, err := NewStateSignal(model, extractFirst, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, err := NewGuard(fixedPolicy{1, 0}, fixedPolicy{0, 1}, sig, NewTrigger(StateTriggerConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3*cfg.ThroughputWindow; i++ {
-		s := sig.Observe([]float64{math.NaN()})
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			t.Fatalf("step %d: U_S produced non-finite score %v", i, s)
+		d := g.Decide([]float64{math.NaN()})
+		if sig.Features() == nil {
+			if d.Score != 0 || d.UsedDefault {
+				t.Fatalf("warmup step %d: score %v, defaulted %v", i, d.Score, d.UsedDefault)
+			}
+			continue
 		}
-		if s != 0 && s != 1 {
-			t.Fatalf("step %d: U_S score %v outside {0, 1}", i, s)
+		if !math.IsNaN(d.Score) || !d.UsedDefault || d.Fired {
+			t.Fatalf("step %d: score %v defaulted %v fired %v, want NaN, the default, no firing",
+				i, d.Score, d.UsedDefault, d.Fired)
 		}
 	}
 }

@@ -22,8 +22,9 @@ import (
 // state machines and not safe for concurrent use.
 type Signal interface {
 	// Observe ingests the step's observation and returns the raw
-	// uncertainty score: for U_S a binary 0/1 (1 = out-of-distribution),
-	// for U_π and U_V a continuous non-negative disagreement.
+	// uncertainty score: for U_S the OC-SVM margin (positive =
+	// out-of-distribution), for U_π and U_V a continuous non-negative
+	// disagreement.
 	Observe(obs []float64) float64
 	// Reset clears per-episode state.
 	Reset()
@@ -65,42 +66,47 @@ func (c StateSignalConfig) Validate() error {
 	return nil
 }
 
-// featureTracker turns a stream of scalar throughput samples into the
-// paper's windowed [mean, std] features. It is shared between the online
-// StateSignal and offline training-feature extraction so that train and
-// test features are computed identically.
-type featureTracker struct {
-	cfg    StateSignalConfig
+// StateFeaturizer turns a stream of scalar throughput samples into the
+// paper's windowed [mean, std] features. It is the one feature
+// extraction behind U_S: StateSignal streams through one, and
+// BuildStateFeatures runs one offline, so train and test features are
+// computed identically. Single-goroutine, like every per-session
+// component.
+type StateFeaturizer struct {
 	thrWin *stats.RollingWindow
 	means  *stats.RollingWindow
 	stds   *stats.RollingWindow
-	// Reused per-add buffers; the slice returned by add aliases feat
-	// and is only valid until the next add.
+	// Reused per-Observe buffers; the slice Observe returns aliases
+	// feat and is only valid until the next Observe.
 	msBuf []float64
 	ssBuf []float64
 	feat  []float64
 }
 
-func newFeatureTracker(cfg StateSignalConfig) *featureTracker {
-	return &featureTracker{
-		cfg:    cfg,
+// NewStateFeaturizer validates the windowing config and returns an
+// empty featurizer.
+func NewStateFeaturizer(cfg StateSignalConfig) (*StateFeaturizer, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return &StateFeaturizer{
 		thrWin: stats.NewRollingWindow(cfg.ThroughputWindow),
 		means:  stats.NewRollingWindow(cfg.K),
 		stds:   stats.NewRollingWindow(cfg.K),
 		msBuf:  make([]float64, 0, cfg.K),
 		ssBuf:  make([]float64, 0, cfg.K),
 		feat:   make([]float64, 0, 2*cfg.K),
-	}
+	}, nil
 }
 
-// add ingests one throughput sample and returns the current feature
-// vector [mean_1, std_1, …, mean_K, std_K] (oldest pair first), or nil
-// while the windows are still filling. The returned slice is a buffer
-// owned by the tracker, valid until the next add; callers that retain
-// it must copy (BuildStateFeatures does).
+// Observe ingests one throughput sample and returns the current
+// feature vector [mean_1, std_1, …, mean_K, std_K] (oldest pair
+// first), or nil while the windows are still filling. The returned
+// slice is a buffer owned by the featurizer, valid until the next
+// Observe; callers that retain it must copy (BuildStateFeatures does).
 //
 //osap:hotpath
-func (f *featureTracker) add(sample float64) []float64 {
+func (f *StateFeaturizer) Observe(sample float64) []float64 {
 	f.thrWin.Add(sample)
 	if f.thrWin.Len() < 2 {
 		return nil
@@ -119,55 +125,25 @@ func (f *featureTracker) add(sample float64) []float64 {
 	return feat
 }
 
-func (f *featureTracker) reset() {
+// Reset clears the windows (new episode).
+func (f *StateFeaturizer) Reset() {
 	f.thrWin.Reset()
 	f.means.Reset()
 	f.stds.Reset()
 }
 
-// StateFeaturizer exposes the windowed [mean, std] feature extraction
-// behind U_S as a streaming component. Callers that need the feature
-// vector itself — the online-learning trust gate, which both classifies
-// the vector and, when admitted, appends it to the experience log —
-// feed throughput samples one at a time and receive exactly the
-// 2K-dimensional vectors BuildStateFeatures would produce offline.
-// Single-goroutine, like every per-session component.
-type StateFeaturizer struct {
-	tracker *featureTracker
-}
-
-// NewStateFeaturizer validates the windowing config and returns an
-// empty featurizer.
-func NewStateFeaturizer(cfg StateSignalConfig) (*StateFeaturizer, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &StateFeaturizer{tracker: newFeatureTracker(cfg)}, nil
-}
-
-// Observe ingests one throughput sample and returns the current
-// feature vector [mean_1, std_1, …, mean_K, std_K], or nil while the
-// windows are still filling. The returned slice is a buffer owned by
-// the featurizer, valid until the next Observe; callers that retain it
-// must copy.
-//
-//osap:hotpath
-func (f *StateFeaturizer) Observe(sample float64) []float64 {
-	return f.tracker.add(sample)
-}
-
-// Reset clears the windows (new episode).
-func (f *StateFeaturizer) Reset() { f.tracker.reset() }
-
 // BuildStateFeatures converts a throughput time series (e.g. the
 // measured per-chunk throughputs of training rollouts) into OC-SVM
 // training samples, using exactly the same windowing as the online
-// signal.
+// signal. An invalid config yields no samples.
 func BuildStateFeatures(throughputs []float64, cfg StateSignalConfig) [][]float64 {
-	ft := newFeatureTracker(cfg)
+	f, err := NewStateFeaturizer(cfg)
+	if err != nil {
+		return nil
+	}
 	var out [][]float64
 	for _, thr := range throughputs {
-		if feat := ft.add(thr); feat != nil {
+		if feat := f.Observe(thr); feat != nil {
 			out = append(out, append([]float64(nil), feat...))
 		}
 	}
@@ -181,8 +157,8 @@ func BuildStateFeatures(throughputs []float64, cfg StateSignalConfig) [][]float6
 type StateSignal struct {
 	Model   *ocsvm.Model
 	Extract func(obs []float64) float64
-	cfg     StateSignalConfig
-	tracker *featureTracker
+	feats   *StateFeaturizer
+	last    []float64 // the feature vector the last Observe scored; nil while filling
 }
 
 // NewStateSignal builds the U_S signal from a trained OC-SVM model.
@@ -193,33 +169,41 @@ func NewStateSignal(model *ocsvm.Model, extract func([]float64) float64, cfg Sta
 	if extract == nil {
 		return nil, fmt.Errorf("core: StateSignal requires an extractor")
 	}
-	if err := cfg.Validate(); err != nil {
+	feats, err := NewStateFeaturizer(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if model.Dim != cfg.FeatureDim() {
 		return nil, fmt.Errorf("core: OC-SVM dim %d != feature dim %d", model.Dim, cfg.FeatureDim())
 	}
-	return &StateSignal{Model: model, Extract: extract, cfg: cfg, tracker: newFeatureTracker(cfg)}, nil
+	return &StateSignal{Model: model, Extract: extract, feats: feats}, nil
 }
 
-// Observe implements Signal: 1 if the windowed state features are
-// classified out-of-distribution, else 0. While the windows are filling
-// it reports 0 (no evidence of novelty yet).
+// Observe implements Signal: the OC-SVM margin −Decision of the
+// windowed state features, positive exactly when they are classified
+// out-of-distribution (Decision < 0), which the threshold 0 of
+// StateTriggerConfig tests. Non-finite features score non-finite. While the windows are filling it reports
+// 0 (no evidence of novelty yet).
 //
 //osap:hotpath
 func (s *StateSignal) Observe(obs []float64) float64 {
-	feat := s.tracker.add(s.Extract(obs)) //osap:hotpath-stop Extract is a pure accessor (abr.LastThroughputMbps): one index read
-	if feat == nil {
+	s.last = s.feats.Observe(s.Extract(obs)) //osap:hotpath-stop Extract is a pure accessor (abr.LastThroughputMbps): one index read
+	if s.last == nil {
 		return 0
 	}
-	if s.Model.Predict(feat) {
-		return 0
-	}
-	return 1
+	return -s.Model.Decision(s.last)
 }
 
+// Features returns the feature vector the last Observe scored, or nil
+// while the windows are filling. It aliases the featurizer's buffer:
+// valid until the next Observe; callers that retain it must copy.
+func (s *StateSignal) Features() []float64 { return s.last }
+
 // Reset implements Signal.
-func (s *StateSignal) Reset() { s.tracker.reset() }
+func (s *StateSignal) Reset() {
+	s.feats.Reset()
+	s.last = nil
+}
 
 // Name implements Signal.
 func (s *StateSignal) Name() string { return "ND" }

@@ -11,15 +11,14 @@ import (
 // (§2.5): smoothing over sequences of data points, and requiring L
 // consecutive uncertain steps.
 type TriggerConfig struct {
-	// UseVariance selects the continuous-signal rule used for U_π and
-	// U_V: the variance of the score across the last K steps must
-	// exceed Threshold. When false (the U_S rule), a step is uncertain
-	// when the raw score exceeds Threshold directly (scores are 0/1, so
-	// Threshold 0.5 means "classified OOD").
-	UseVariance bool
-	// K is the smoothing window for the variance rule (paper: 5).
+	// K selects the statistic a step compares with Threshold. K ≥ 2 is
+	// the continuous-signal rule of U_π and U_V: the variance of the
+	// score across the last K steps (paper: 5). K = 0 is the U_S rule:
+	// the raw score itself (the OC-SVM margin, so Threshold 0 means
+	// "classified OOD"). Validate refuses any other K.
 	K int
-	// Threshold is α, the uncertainty bar.
+	// Threshold is α, the uncertainty bar: a step is uncertain when
+	// its statistic exceeds it.
 	Threshold float64
 	// L is the number of consecutive uncertain steps before defaulting
 	// (paper: 3).
@@ -52,16 +51,16 @@ func (c TriggerConfig) Probation() bool {
 }
 
 // StateTriggerConfig returns the paper's U_S trigger: default after
-// L=3 consecutive OOD classifications.
+// L=3 consecutive OOD classifications (a positive margin).
 func StateTriggerConfig() TriggerConfig {
-	return TriggerConfig{UseVariance: false, Threshold: 0.5, L: 3, Latched: true}
+	return TriggerConfig{Threshold: 0, L: 3, Latched: true}
 }
 
 // VarianceTriggerConfig returns the paper's U_π/U_V trigger shape:
 // variance over the last K=5 scores exceeding α for L consecutive steps.
 // α is set by calibration (Calibrate).
 func VarianceTriggerConfig(alpha float64, l int) TriggerConfig {
-	return TriggerConfig{UseVariance: true, K: 5, Threshold: alpha, L: l, Latched: true}
+	return TriggerConfig{K: 5, Threshold: alpha, L: l, Latched: true}
 }
 
 // Validate checks the configuration.
@@ -69,8 +68,8 @@ func (c TriggerConfig) Validate() error {
 	if c.L < 1 {
 		return fmt.Errorf("core: trigger L %d < 1", c.L)
 	}
-	if c.UseVariance && c.K < 2 {
-		return fmt.Errorf("core: variance trigger needs K ≥ 2, got %d", c.K)
+	if c.K != 0 && c.K < 2 {
+		return fmt.Errorf("core: trigger K %d: want 0 (raw score) or ≥ 2 (variance window)", c.K)
 	}
 	if c.ReadmitL < 0 {
 		return fmt.Errorf("core: trigger ReadmitL %d < 0", c.ReadmitL)
@@ -84,7 +83,8 @@ func (c TriggerConfig) Validate() error {
 // Trigger is the per-episode state machine applying a TriggerConfig.
 type Trigger struct {
 	cfg     TriggerConfig
-	win     *stats.RollingWindow
+	win     *stats.RollingWindow // the variance window (K ≥ 2), else nil
+	stat    float64              // what the last Step compared with Threshold
 	streak  int
 	fired   bool
 	latched bool // currently holding the default policy (latched configs)
@@ -107,7 +107,7 @@ func NewTrigger(cfg TriggerConfig) *Trigger {
 		panic(err)
 	}
 	t := &Trigger{cfg: cfg, FiredAt: -1, ReadmittedAt: -1}
-	if cfg.UseVariance {
+	if cfg.K > 0 {
 		t.win = stats.NewRollingWindow(cfg.K)
 	}
 	return t
@@ -126,13 +126,16 @@ func NewTrigger(cfg TriggerConfig) *Trigger {
 //
 //osap:hotpath
 func (t *Trigger) Step(score float64) bool {
-	uncertain := false
-	if t.cfg.UseVariance {
+	t.stat = score
+	full := true
+	if t.win != nil {
 		t.win.Add(score)
-		uncertain = t.win.Full() && t.win.Variance() > t.cfg.Threshold
-	} else {
-		uncertain = score > t.cfg.Threshold
+		t.stat, full = 0, t.win.Full()
+		if full {
+			t.stat = t.win.Variance()
+		}
 	}
+	uncertain := full && t.stat > t.cfg.Threshold
 	if t.latched {
 		// Holding the default policy. Under probation, count confident
 		// steps toward re-admission; an uncertain step restarts the
@@ -180,6 +183,11 @@ func (t *Trigger) Step(score float64) bool {
 	return active
 }
 
+// Statistic returns the value the last Step compared with Threshold:
+// the raw score, or the variance of the last K scores (0 while that
+// window fills, when Step compares nothing).
+func (t *Trigger) Statistic() float64 { return t.stat }
+
 // Fired reports whether the trigger has fired at least once this
 // episode (monotone: re-admission does not clear it).
 func (t *Trigger) Fired() bool { return t.fired }
@@ -189,6 +197,7 @@ func (t *Trigger) Readmissions() int { return t.readmits }
 
 // Reset starts a new episode.
 func (t *Trigger) Reset() {
+	t.stat = 0
 	t.streak = 0
 	t.fired = false
 	t.latched = false

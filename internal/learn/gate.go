@@ -1,8 +1,9 @@
 package learn
 
 import (
+	"math"
+
 	"osap/internal/core"
-	"osap/internal/ocsvm"
 )
 
 // Verdict classifies one step's admissibility to the experience
@@ -18,13 +19,15 @@ const (
 	// no feature vector to judge yet.
 	VerdictWarmup
 	// VerdictState: U_S — the frozen baseline OC-SVM classifies the
-	// windowed state features out-of-distribution.
+	// windowed state features out-of-distribution (a positive margin),
+	// or the margin is non-finite.
 	VerdictState
-	// VerdictPolicy: U_π — agent-ensemble disagreement exceeds the
-	// frozen AlphaPi threshold (or is non-finite).
+	// VerdictPolicy: U_π — the variance of the agent-ensemble
+	// disagreement over the guard's K-window exceeds the frozen AlphaPi
+	// threshold (or the score is non-finite).
 	VerdictPolicy
-	// VerdictValue: U_V — value-ensemble disagreement exceeds the
-	// frozen AlphaV threshold (or is non-finite).
+	// VerdictValue: U_V — the same for the value-ensemble disagreement
+	// and AlphaV.
 	VerdictValue
 	// VerdictRate: the step is trusted but the session has exhausted
 	// its admission budget for now (anti-dominance rate limit).
@@ -54,12 +57,14 @@ func (v Verdict) String() string {
 }
 
 // Gate is the per-session trust gate: it re-evaluates every clean
-// serving step against the FROZEN boot-time baseline — U_S on the
-// baseline OC-SVM, U_π/U_V on the baseline ensembles and thresholds —
-// independent of whatever generation happens to be serving the
-// session. Judging against the frozen boundary is the poisoning
-// ratchet: admitted samples already lie inside it, so no sequence of
-// admitted steps can walk a refit far from where the baseline started.
+// serving step against the FROZEN boot-time baseline, independent of
+// whatever generation happens to be serving the session. Its signals
+// and triggers are those a served guard over the baseline builds
+// (experiments.Signal), each trigger with L = 1 and no latch, so a step
+// is uncertain when the statistic the guard thresholds exceeds its α.
+// Judging against the frozen boundary is the poisoning ratchet:
+// admitted samples already lie inside it, so no sequence of admitted
+// steps can walk a refit far from where the baseline started.
 //
 // A Gate lives inside one serve.Session and is only touched under that
 // session's lock; like the serving guard it owns private inference
@@ -68,13 +73,12 @@ type Gate struct {
 	learner *Learner
 	sessIdx uint64
 
-	feats   *core.StateFeaturizer
-	model   *ocsvm.Model
-	pol     *core.PolicySignal
-	val     *core.ValueSignal
-	extract func(obs []float64) float64
-	alphaPi float64
-	alphaV  float64
+	state     *core.StateSignal
+	pol       *core.PolicySignal
+	val       *core.ValueSignal
+	stateTrig *core.Trigger
+	polTrig   *core.Trigger
+	valTrig   *core.Trigger
 
 	// Deterministic anti-dominance rate limit, a leaky bucket in step
 	// counts (no clock): a step is admitted only while
@@ -88,56 +92,60 @@ type Gate struct {
 }
 
 // Check classifies one clean serving step. On VerdictAdmit the feature
-// vector and both disagreement scores have already been handed to the
-// learner (or dropped-and-counted if the ring was full). Zero-alloc:
-// it runs inside the session lock on the serving hot path.
-//
-// The signal comparisons are written negated (`!(x <= α)`) so a NaN
-// score — which compares false to everything — rejects rather than
-// admits: a poisoned observation that drives an ensemble non-finite
-// must not slip into the window.
+// vector and both disagreement statistics have already been handed to
+// the learner (or dropped-and-counted if the ring was full). Every
+// signal observes every step, so the variance windows stay contiguous
+// whatever the verdict; the verdicts are tried in order warmup, state,
+// policy, value, rate. Zero-alloc: it runs inside the session lock on
+// the serving hot path.
 //
 //osap:hotpath
 func (g *Gate) Check(obs []float64) Verdict {
 	c := &g.learner.counters
 	c.Checked.Add(1)
 	g.steps++
-	feat := g.feats.Observe(g.extract(obs)) //osap:hotpath-stop extract is a pure accessor (abr.LastThroughputMbps): one index read
-	if feat == nil {
-		c.reject(VerdictWarmup)
-		return VerdictWarmup
-	}
-	if !(g.model.Decision(feat) >= 0) {
-		c.reject(VerdictState)
-		return VerdictState
-	}
-	polScore := g.pol.Observe(obs)
-	if !(polScore <= g.alphaPi) {
-		c.reject(VerdictPolicy)
-		return VerdictPolicy
-	}
-	valScore := g.val.Observe(obs)
-	if !(valScore <= g.alphaV) {
-		c.reject(VerdictValue)
-		return VerdictValue
-	}
-	if g.admitted >= g.steps/g.rateEvery+g.rateBurst {
-		c.reject(VerdictRate)
-		return VerdictRate
+	novel := uncertain(g.stateTrig, g.state.Observe(obs))
+	polOut := uncertain(g.polTrig, g.pol.Observe(obs))
+	valOut := uncertain(g.valTrig, g.val.Observe(obs))
+	switch {
+	case g.state.Features() == nil:
+		return c.reject(VerdictWarmup)
+	case novel:
+		return c.reject(VerdictState)
+	case polOut:
+		return c.reject(VerdictPolicy)
+	case valOut:
+		return c.reject(VerdictValue)
+	case g.admitted >= g.steps/g.rateEvery+g.rateBurst:
+		return c.reject(VerdictRate)
 	}
 	g.admitted++
 	c.Admitted.Add(1)
-	if !g.learner.ring.offer(g.sessIdx, g.steps-1, feat, polScore, valScore) {
+	if !g.learner.ring.offer(g.sessIdx, g.steps-1, g.state.Features(), g.polTrig.Statistic(), g.valTrig.Statistic()) {
 		c.RingDropped.Add(1)
 	}
 	return VerdictAdmit
+}
+
+// uncertain reports whether score makes this step uncertain under t. A
+// non-finite score is uncertain and, as in core.Guard.Decide, stays out
+// of t's variance window: a poisoned observation that drives a signal
+// non-finite must neither slip into the experience window nor poison
+// the next K steps' statistic.
+//
+//osap:hotpath
+func uncertain(t *core.Trigger, score float64) bool {
+	return math.IsNaN(score) || math.IsInf(score, 0) || t.Step(score)
 }
 
 // Reset clears per-episode feature windows (mirrors the serving
 // guard's episode reset). The rate-limit budget is per-session, not
 // per-episode, so a client cannot refill it by resetting.
 func (g *Gate) Reset() {
-	g.feats.Reset()
+	g.state.Reset()
 	g.pol.Reset()
 	g.val.Reset()
+	g.stateTrig.Reset()
+	g.polTrig.Reset()
+	g.valTrig.Reset()
 }

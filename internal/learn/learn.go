@@ -65,7 +65,10 @@ type Counters struct {
 }
 
 //osap:hotpath
-func (c *Counters) reject(v Verdict) { c.rejected[v].Add(1) }
+func (c *Counters) reject(v Verdict) Verdict {
+	c.rejected[v].Add(1)
+	return v
+}
 
 // Rejected returns the rejection tally for one verdict.
 func (c *Counters) Rejected(v Verdict) uint64 { return c.rejected[v].Load() }
@@ -81,8 +84,9 @@ type Config struct {
 	// settings (experiments.Record.Expect).
 	SignalConfig core.StateSignalConfig
 	Trim         core.EnsembleConfig
-	// Extract pulls the throughput sample out of an observation
-	// (abr.LastThroughputMbps for the ABR case study). Required.
+	// Extract is not read: the gate's U_S reads the throughput sample
+	// as every served guard does, through experiments.Signal. It stays
+	// so that callers which still set it keep compiling.
 	Extract func(obs []float64) float64
 
 	// RateEvery/RateBurst parameterize the per-session admission rate
@@ -116,11 +120,11 @@ type Config struct {
 	// defaults to 0.05. Seed makes refits deterministic: refit k uses
 	// Seed mixed with k.
 	OCSVM ocsvm.Config
-	// AlphaQuantile is the admitted-traffic score quantile the U_π/U_V
-	// thresholds are recalibrated to (default 0.95). Recalibration
-	// only happens once MinCalibSamples (default 64) admitted scores
-	// have been sketched; below that the baseline thresholds carry
-	// over.
+	// AlphaQuantile is the quantile of admitted steps' U_π/U_V
+	// statistic (the K-window variance the guard thresholds) that the
+	// thresholds are recalibrated to (default 0.95), once
+	// MinCalibSamples (default 64) of them have been sketched; below
+	// that the baseline thresholds carry over.
 	AlphaQuantile   float64
 	MinCalibSamples int
 
@@ -205,7 +209,6 @@ type Learner struct {
 	cfg      Config
 	counters Counters
 	ring     *ring
-	base     *ocsvm.Model
 	// frozen is the boot baseline's networks packed for inference,
 	// once; every session's gate reads this copy.
 	frozen *rl.Frozen
@@ -244,9 +247,6 @@ func New(cfg Config) (*Learner, error) {
 		return nil, fmt.Errorf("learn: the trust gate needs all three signals: ≥2 agents and ≥2 value nets (have %d, %d)",
 			len(cfg.Artifacts.Agents), len(cfg.Artifacts.ValueNets))
 	}
-	if cfg.Extract == nil {
-		return nil, fmt.Errorf("learn: Extract is required")
-	}
 	if err := cfg.Artifacts.Record.Expect(cfg.SignalConfig, 0, cfg.Trim); err != nil {
 		return nil, err
 	}
@@ -267,7 +267,6 @@ func New(cfg Config) (*Learner, error) {
 	l := &Learner{
 		cfg:       cfg,
 		ring:      newRing(dim, cfg.RingSize),
-		base:      cfg.Artifacts.OCSVM,
 		frozen:    frozen,
 		window:    newWindow(dim, cfg.WindowSize),
 		polSketch: sketch.New(100),
@@ -298,33 +297,29 @@ func New(cfg Config) (*Learner, error) {
 // NewGate builds the trust gate for one session. Each gate gets
 // forward scratch of its own over the learner's one packed copy of the
 // baseline networks — a serving shard's scratch runs its generation's
-// networks, not the baseline — and private feature windows, all built
-// from the baseline's record.
+// networks, not the baseline — and the baseline's signals and
+// triggers, each trigger with L = 1 and no latch.
 func (l *Learner) NewGate(sessionIdx uint64) (*Gate, error) {
-	base := &l.cfg.Artifacts.Calibration
-	feats, err := core.NewStateFeaturizer(base.Record.StateSignal())
-	if err != nil {
-		return nil, err
-	}
 	sc := l.frozen.NewScratch()
-	pol, _, err := experiments.Signal(base, experiments.SchemeAEns, sc)
-	if err != nil {
-		return nil, err
-	}
-	val, _, err := experiments.Signal(base, experiments.SchemeVEns, sc)
-	if err != nil {
-		return nil, err
+	var sigs [3]core.Signal
+	var trigs [3]*core.Trigger
+	for i, scheme := range [...]string{experiments.SchemeND, experiments.SchemeAEns, experiments.SchemeVEns} {
+		sig, tc, err := experiments.Signal(&l.cfg.Artifacts.Calibration, scheme, sc)
+		if err != nil {
+			return nil, err
+		}
+		tc.L, tc.Latched = 1, false
+		sigs[i], trigs[i] = sig, core.NewTrigger(tc)
 	}
 	return &Gate{
 		learner:   l,
 		sessIdx:   sessionIdx,
-		feats:     feats,
-		model:     l.base,
-		pol:       pol.(*core.PolicySignal), // the concrete signals keep Check statically checked
-		val:       val.(*core.ValueSignal),
-		extract:   l.cfg.Extract,
-		alphaPi:   base.AlphaPi,
-		alphaV:    base.AlphaV,
+		state:     sigs[0].(*core.StateSignal), // concrete types keep Check statically checked
+		pol:       sigs[1].(*core.PolicySignal),
+		val:       sigs[2].(*core.ValueSignal),
+		stateTrig: trigs[0],
+		polTrig:   trigs[1],
+		valTrig:   trigs[2],
 		rateEvery: uint64(l.cfg.RateEvery),
 		rateBurst: uint64(l.cfg.RateBurst),
 	}, nil
@@ -400,7 +395,7 @@ func (l *Learner) refitLocked() (*Proposal, error) {
 	// successive refits are distinct but each is reproducible from
 	// (Config.OCSVM.Seed, seq).
 	ocfg.Seed = l.cfg.OCSVM.Seed ^ (l.refitSeq+1)*0x9E3779B97F4A7C15
-	model, err := l.base.Refit(snap, ocfg)
+	model, err := l.cfg.Artifacts.OCSVM.Refit(snap, ocfg)
 	if err != nil {
 		l.counters.RefitFailures.Add(1)
 		return nil, err

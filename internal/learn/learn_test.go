@@ -2,6 +2,7 @@ package learn
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -186,8 +187,8 @@ func TestGateRejectsNonFiniteThroughput(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for i := 0; i < 20; i++ {
 			obs[thrSlot] = bad / 10
-			if v := g.Check(obs); v == VerdictAdmit {
-				t.Fatalf("admitted a step with %v throughput", bad)
+			if v := g.Check(obs); v != VerdictState {
+				t.Fatalf("a step with %v throughput: verdict %v, want VerdictState", bad, v)
 			}
 		}
 	}
@@ -480,4 +481,138 @@ func newTestLearner(t testing.TB, arts *experiments.Artifacts, mut func(*Config)
 		t.Fatal(err)
 	}
 	return l
+}
+
+// inDistTraffic is n observations of the stationary 3±0.5 Mbps series
+// the test substrate's OC-SVM was trained on.
+func inDistTraffic(seed uint64, n int) [][]float64 {
+	rng := stats.NewRNG(seed)
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = make([]float64, abr.ObsDim)
+		out[i][thrSlot] = (3 + 0.5*rng.NormFloat64()) / 10
+	}
+	return out
+}
+
+// guardStatistics replays traffic through scheme's signal and trigger
+// exactly as a served guard over c builds them (experiments.Signal),
+// and returns the trigger's statistic on every step after its variance
+// window has filled, with the threshold it is compared with.
+func guardStatistics(t *testing.T, arts *experiments.Artifacts, c *experiments.Calibration, scheme string, traffic [][]float64) ([]float64, float64) {
+	t.Helper()
+	frozen, err := rl.Freeze(arts.Agents, arts.ValueNets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, tc, err := experiments.Signal(c, scheme, frozen.NewScratch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := core.NewTrigger(tc)
+	var out []float64
+	for i, obs := range traffic {
+		tr.Step(sig.Observe(obs))
+		if i >= tc.K-1 {
+			out = append(out, tr.Statistic())
+		}
+	}
+	return out, tc.Threshold
+}
+
+// binomialCDF is P(X ≤ k) for X ~ Binomial(n, p).
+func binomialCDF(k, n int, p float64) float64 {
+	var sum float64
+	for i := 0; i <= k; i++ {
+		lc, _ := math.Lgamma(float64(n + 1))
+		li, _ := math.Lgamma(float64(i + 1))
+		lr, _ := math.Lgamma(float64(n - i + 1))
+		sum += math.Exp(lc - li - lr + float64(i)*math.Log(p) + float64(n-i)*math.Log1p(-p))
+	}
+	return sum
+}
+
+// checkShare fails unless p lies in the 99% Clopper–Pearson interval of
+// k successes in n trials: neither binomial tail at p is below 0.005.
+func checkShare(t *testing.T, what string, k, n int, p float64) {
+	t.Helper()
+	lower := 1.0
+	if k > 0 {
+		lower = 1 - binomialCDF(k-1, n, p)
+	}
+	t.Logf("%s: %d of %d", what, k, n)
+	if upper := binomialCDF(k, n, p); lower < 0.005 || upper < 0.005 {
+		t.Errorf("%s: %d of %d (%.4f); %.3f is outside the 99%% Clopper–Pearson interval", what, k, n, float64(k)/float64(n), p)
+	}
+}
+
+// TestRefitThresholdsInGuardUnits: a refit's α_π and α_V are the
+// AlphaQuantile of the statistic the next version's guard thresholds,
+// so on the traffic the gate admitted that guard's statistic exceeds
+// α on 1 − AlphaQuantile of steps.
+func TestRefitThresholdsInGuardUnits(t *testing.T) {
+	arts := learnArtifacts(t, 5, 1e9, 1e9)
+	l := newTestLearner(t, arts, func(c *Config) {
+		c.RateEvery = 1
+		c.RateBurst = 1 << 20
+		c.MinRefitSamples = 64
+	})
+	defer l.Stop() //nolint:errcheck
+	g, err := l.NewGate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic := inDistTraffic(11, 2000)
+	for _, obs := range traffic {
+		g.Check(obs)
+	}
+	prop, err := l.Refit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := arts.Calibration
+	next.AlphaPi, next.AlphaV, next.Record = prop.AlphaPi, prop.AlphaV, prop.Record
+	for _, scheme := range []string{experiments.SchemeAEns, experiments.SchemeVEns} {
+		stat, alpha := guardStatistics(t, arts, &next, scheme, traffic)
+		over := 0
+		for _, s := range stat {
+			if s > alpha {
+				over++
+			}
+		}
+		checkShare(t, scheme+" steps over the refit's α", over, len(stat), 1-l.cfg.AlphaQuantile)
+	}
+}
+
+// TestGateThresholdInGuardUnits: with α_π at the q95 of the guard's own
+// U_π statistic on in-distribution traffic, the gate admits that
+// traffic and rejects about 5% of the steps U_S passes as
+// policy_disagree — the gate thresholds the statistic the guard does.
+func TestGateThresholdInGuardUnits(t *testing.T) {
+	arts := learnArtifacts(t, 5, 1e9, 1e9)
+	traffic := inDistTraffic(12, 2000)
+	stat, _ := guardStatistics(t, arts, &arts.Calibration, experiments.SchemeAEns, traffic)
+	sorted := append([]float64(nil), stat...)
+	slices.Sort(sorted)
+	arts.AlphaPi = sorted[int(0.95*float64(len(sorted)-1))]
+
+	l := newTestLearner(t, arts, func(c *Config) {
+		c.RateEvery = 1
+		c.RateBurst = 1 << 20
+	})
+	defer l.Stop() //nolint:errcheck
+	g, err := l.NewGate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, obs := range traffic {
+		g.Check(obs)
+	}
+	c := l.Counters()
+	policy := int(c.Rejected(VerdictPolicy))
+	passed := int(c.Admitted.Load()) + policy + int(c.Rejected(VerdictValue)) + int(c.Rejected(VerdictRate))
+	if c.Admitted.Load() == 0 {
+		t.Fatalf("admitted nothing; %d of %d state-passing steps rejected as policy_disagree", policy, passed)
+	}
+	checkShare(t, "state-passing steps rejected as policy_disagree", policy, passed, 0.05)
 }

@@ -30,7 +30,7 @@ type ring struct {
 }
 
 // sample is the learner-side (cold) representation of one admitted
-// step.
+// step; Pol and Val are its U_π and U_V trigger statistics.
 type sample struct {
 	Session uint64
 	Step    uint64

@@ -331,8 +331,8 @@ func Train(data [][]float64, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Decision returns f(x) = Σ α_i K(sv_i, x) − ρ. Positive values are
-// in-distribution. It panics on a dimension mismatch.
+// Decision returns f(x) = Σ α_i K(sv_i, x) − ρ; x is classified
+// in-distribution when f(x) ≥ 0. It panics on a dimension mismatch.
 //
 // The RBF distance uses the cached-norm expansion
 // ‖x−sv‖² = ‖x‖² + ‖sv‖² − 2⟨x,sv⟩ (clamped at 0 against rounding), so
@@ -362,9 +362,6 @@ func (m *Model) Decision(x []float64) float64 {
 	}
 	return s - m.Rho
 }
-
-// Predict reports whether x is classified as in-distribution (+1).
-func (m *Model) Predict(x []float64) bool { return m.Decision(x) >= 0 }
 
 // NumSVs returns the number of retained support vectors.
 func (m *Model) NumSVs() int { return len(m.SVs) }

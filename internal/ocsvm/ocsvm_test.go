@@ -32,7 +32,7 @@ func TestInliersAccepted(t *testing.T) {
 	fresh := gaussianCloud(rng, 300, 2, 0, 1)
 	accepted := 0
 	for _, x := range fresh {
-		if m.Predict(x) {
+		if m.Decision(x) >= 0 {
 			accepted++
 		}
 	}
@@ -52,7 +52,7 @@ func TestOutliersRejected(t *testing.T) {
 	far := gaussianCloud(rng, 200, 2, 10, 1)
 	rejected := 0
 	for _, x := range far {
-		if !m.Predict(x) {
+		if m.Decision(x) < 0 {
 			rejected++
 		}
 	}
@@ -74,7 +74,7 @@ func TestNuControlsTrainingOutlierFraction(t *testing.T) {
 		}
 		out := 0
 		for _, x := range train {
-			if !m.Predict(x) {
+			if m.Decision(x) < 0 {
 				out++
 			}
 		}
@@ -99,7 +99,7 @@ func TestHigherNuRejectsMore(t *testing.T) {
 		}
 		out := 0
 		for _, x := range train {
-			if !m.Predict(x) {
+			if m.Decision(x) < 0 {
 				out++
 			}
 		}
@@ -150,10 +150,10 @@ func TestSubsamplingCapsModelSize(t *testing.T) {
 		t.Errorf("model has %d SVs, cap was 200", m.NumSVs())
 	}
 	// Still works as a detector.
-	if !m.Predict([]float64{0, 0}) {
+	if m.Decision([]float64{0, 0}) < 0 {
 		t.Error("center rejected after subsampling")
 	}
-	if m.Predict([]float64{15, 15}) {
+	if m.Decision([]float64{15, 15}) >= 0 {
 		t.Error("far outlier accepted after subsampling")
 	}
 }
@@ -262,12 +262,12 @@ func TestDetectsDistributionShift(t *testing.T) {
 	inTest := feat(stats.Gamma{Shape: 2, Scale: 2}, 200)
 	outTest := feat(stats.Exponential{Scale: 1}, 200)
 	for _, x := range inTest {
-		if m.Predict(x) {
+		if m.Decision(x) >= 0 {
 			inRate++
 		}
 	}
 	for _, x := range outTest {
-		if !m.Predict(x) {
+		if m.Decision(x) < 0 {
 			outRate++
 		}
 	}

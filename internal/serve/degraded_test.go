@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -13,6 +15,8 @@ import (
 	"osap/internal/abr"
 	"osap/internal/chaos"
 	"osap/internal/core"
+	"osap/internal/experiments"
+	"osap/internal/serve/proto"
 )
 
 // faultedSession builds a session whose inference stack is scripted to
@@ -301,5 +305,60 @@ func TestTableChurnRacingSweeper(t *testing.T) {
 		if _, open := sess.liveMode(); open {
 			t.Fatalf("session %s still open after Clear — it leaked", sess.id)
 		}
+	}
+}
+
+// TestNonFiniteThroughputDemotesND: U_S scores the OC-SVM margin, so
+// a NaN, infinite or overflowing throughput reaching a served ND
+// session over the binary transport scores non-finite and demotes the
+// session on that very step, counted once as a non-finite step; the
+// session lands on probation or latches as its probation policy says.
+func TestNonFiniteThroughputDemotesND(t *testing.T) {
+	const thrSlot = 3*abr.HistoryLen - 1 // the slot abr.LastThroughputMbps reads
+	for _, pc := range []struct {
+		name      string
+		probation experiments.Probation
+	}{
+		{"latched", experiments.Probation{}},
+		{"probation", experiments.Probation{ReadmitL: 4, ReadmitCap: 1}},
+	} {
+		t.Run(pc.name, func(t *testing.T) {
+			f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{Probation: pc.probation})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewServer(f, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
+			c := pipeBinary(t, s)
+			for i, bad := range []float64{math.NaN(), math.Inf(1), 1e200} {
+				cid := uint32(i)
+				sess, ok := s.table.Get(c.open(cid, SchemeND))
+				if !ok {
+					t.Fatal("opened session not in the table")
+				}
+				stream := obsStream(uint64(60+i), f.ObsDim(), 13)
+				stream[12][thrSlot] = bad
+				before := promCounter(t, s, "osap_step_nonfinite_total")
+				for seq, obs := range stream {
+					d, err := c.step(cid, uint32(seq), obs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if demoted := d.Flags&proto.FlagDemoted != 0; demoted != (seq == 12) {
+						t.Fatalf("throughput %v step %d: demoted %v", bad, seq, demoted)
+					}
+				}
+				if got := promCounter(t, s, "osap_step_nonfinite_total"); got != before+1 {
+					t.Errorf("throughput %v: osap_step_nonfinite_total %d → %d, want one more", bad, before, got)
+				}
+				info := sess.Snapshot(time.Now())
+				if info.Probation != (pc.probation.ReadmitL > 0) || info.Latched == info.Probation {
+					t.Errorf("throughput %v: snapshot %+v, want the %s mode", bad, info, pc.name)
+				}
+			}
+		})
 	}
 }

@@ -417,7 +417,7 @@ func (p nanPolicy) Probs([]float64) []float64 { return p.probs }
 // (DESIGN.md §13) on a scripted signal: for each input it checks the
 // transition (From, To) the one transition function recorded, the
 // flags the transition does not determine, and whether the guard was
-// run at all. The ND trigger (three consecutive scores above 0.5,
+// run at all. The ND trigger (three consecutive positive scores,
 // latched) supplies the "trigger demands the default" inputs. Every
 // session carries a trust gate, so "gate checked on clean live steps
 // only" is part of each row. A reset row asserts the mode alone.

@@ -59,7 +59,8 @@ type (
 type (
 	// Signal quantifies per-step decision uncertainty.
 	Signal = core.Signal
-	// StateSignal is U_S: state novelty detection.
+	// StateSignal is U_S: state novelty detection, scoring the OC-SVM
+	// margin (positive = out-of-distribution).
 	StateSignal = core.StateSignal
 	// StateSignalConfig windows the state features.
 	StateSignalConfig = core.StateSignalConfig
@@ -81,7 +82,8 @@ type (
 	// strategies (future-work extensions).
 	EWMATrigger  = core.EWMATrigger
 	CUSUMTrigger = core.CUSUMTrigger
-	// TriggerConfig parameterizes a Trigger.
+	// TriggerConfig parameterizes a Trigger: K = 0 thresholds the raw
+	// score, K ≥ 2 the variance of the last K (Trigger.Statistic).
 	TriggerConfig = core.TriggerConfig
 	// Guard is the safety-wrapped policy.
 	Guard = core.Guard
@@ -114,7 +116,7 @@ func NewGuard(learned, def Policy, sig Signal, trig Triggerer) (*Guard, error) {
 func NewTrigger(cfg TriggerConfig) *Trigger { return core.NewTrigger(cfg) }
 
 // StateTriggerConfig is the paper's U_S trigger: default after three
-// consecutive out-of-distribution classifications.
+// consecutive out-of-distribution classifications (positive margins).
 func StateTriggerConfig() TriggerConfig { return core.StateTriggerConfig() }
 
 // VarianceTriggerConfig is the paper's U_π/U_V trigger shape: the
