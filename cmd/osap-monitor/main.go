@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -58,24 +59,34 @@ func main() {
 	}
 }
 
-// readSamples parses one float per line.
-func readSamples(r io.Reader) ([]float64, error) {
+// eachSample calls fn with the sample on every line of r, skipping
+// blank lines and #-comments. A line that is not a finite number is an
+// error naming the line: NaN and ±Inf parse, but no window holding
+// one is a state the OC-SVM can score.
+func eachSample(r io.Reader, fn func(v float64)) error {
 	sc := bufio.NewScanner(r)
-	var out []float64
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		v, err := strconv.ParseFloat(line, 64)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("%q is not a finite number", line)
 		}
-		out = append(out, v)
+		if err != nil {
+			return fmt.Errorf("line %d: %w", lineNo, err)
+		}
+		fn(v)
 	}
-	return out, sc.Err()
+	return sc.Err()
+}
+
+// readSamples parses one float per line.
+func readSamples(r io.Reader) ([]float64, error) {
+	var out []float64
+	err := eachSample(r, func(v float64) { out = append(out, v) })
+	return out, err
 }
 
 func run(fitPath string, window, k int, nu float64, l int, quiet bool, stream io.Reader, out io.Writer) (bool, error) {
@@ -126,18 +137,8 @@ func run(fitPath string, window, k int, nu float64, l int, quiet bool, stream io
 	// Process the stream one line at a time as it arrives — never
 	// buffer the whole input — so reports appear while the producer is
 	// still running.
-	sc := bufio.NewScanner(stream)
-	samples, oodCount, lineNo := 0, 0, 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		v, err := strconv.ParseFloat(line, 64)
-		if err != nil {
-			return trigger.Fired(), fmt.Errorf("read stream: line %d: %w", lineNo, err)
-		}
+	samples, oodCount := 0, 0
+	err = eachSample(stream, func(v float64) {
 		i := samples
 		samples++
 		score := signal.Observe([]float64{v})
@@ -148,12 +149,12 @@ func run(fitPath string, window, k int, nu float64, l int, quiet bool, stream io
 				flush()
 			}
 		}
-		if trigger.Step(score) && trigger.FiredAtStep() == i {
+		if trigger.Step(score) && trigger.FiredAt == i {
 			fmt.Fprintf(out, "ALERT: distribution change at stream position %d\n", i)
 			flush()
 		}
-	}
-	if err := sc.Err(); err != nil {
+	})
+	if err != nil {
 		return trigger.Fired(), fmt.Errorf("read stream: %w", err)
 	}
 	fmt.Fprintf(out, "processed %d samples: %d OOD windows, alert=%v\n",

@@ -217,4 +217,23 @@ func TestMonitorErrors(t *testing.T) {
 	if _, err := run(good, 1, 5, 0.05, 3, true, strings.NewReader(""), &out); err == nil {
 		t.Error("invalid window accepted")
 	}
+
+	// A non-finite sample parses but is refused like garbage, with its
+	// line number, in the calibration file and in the stream alike.
+	calib, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nanFit := filepath.Join(t.TempDir(), "nan.txt")
+	if err := os.WriteFile(nanFit, append(calib, "NaN\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	nanLine := fmt.Sprintf("line %d:", strings.Count(string(calib), "\n")+1)
+	if _, err := run(nanFit, 10, 5, 0.05, 3, true, strings.NewReader(""), &out); err == nil || !strings.Contains(err.Error(), nanLine) {
+		t.Errorf("NaN calibration sample: err %v, want one naming %q", err, nanLine)
+	}
+	stream := streamOf(t, stats.Uniform{Low: 0, High: 1}, 100, 2) + "+Inf\n"
+	if _, err := run(good, 10, 5, 0.05, 3, true, strings.NewReader(stream), &out); err == nil || !strings.Contains(err.Error(), "line 101:") {
+		t.Errorf("+Inf stream sample: err %v, want one naming line 101", err)
+	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"osap/internal/stats"
 )
 
 // CalibrationResult reports the threshold chosen by Calibrate and the
@@ -74,4 +76,24 @@ func Calibrate(eval func(alpha float64) float64, targetQoE, lo, hi float64, iter
 		AchievedQoE: achieved,
 		Evaluations: evals,
 	}, nil
+}
+
+// CalibrateCUSUM derives a CUSUM trigger (L = 1) from in-distribution
+// scores: μ₀ = mean, κ = half a standard deviation, H = hSigmas
+// standard deviations (a standard parameterization).
+func CalibrateCUSUM(inDistScores []float64, hSigmas float64, latched bool) TriggerConfig {
+	mu := stats.Mean(inDistScores)
+	sigma := stats.Std(inDistScores)
+	if sigma < 1e-9 {
+		sigma = math.Max(1e-9, math.Abs(mu)*0.1+1e-9)
+	}
+	if hSigmas <= 0 {
+		hSigmas = 5
+	}
+	return TriggerConfig{
+		Threshold: hSigmas * sigma,
+		L:         1,
+		Latched:   latched,
+		Running:   &Running{CUSUM: true, Ref: mu, Slack: sigma / 2},
+	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"osap/internal/mdp"
 	"osap/internal/stats"
@@ -17,17 +16,17 @@ type Guard struct {
 	Learned mdp.Policy
 	Default mdp.Policy
 	Signal  Signal
-	Trigger Triggerer
+	Trigger *Trigger
 
 	// Episode bookkeeping.
 	steps     int
 	defaulted int
 }
 
-// NewGuard assembles a safety-enhanced policy. Any Triggerer works: the
-// paper's consecutive/windowed-variance Trigger, or the EWMA/CUSUM
-// alternatives.
-func NewGuard(learned, def mdp.Policy, sig Signal, trig Triggerer) (*Guard, error) {
+// NewGuard assembles a safety-enhanced policy. The trigger thresholds
+// any of its statistics: the paper's raw score or windowed variance, or
+// an EWMA or CUSUM (TriggerConfig.Running).
+func NewGuard(learned, def mdp.Policy, sig Signal, trig *Trigger) (*Guard, error) {
 	if learned == nil || def == nil || sig == nil || trig == nil {
 		return nil, fmt.Errorf("core: NewGuard requires learned, default, signal and trigger")
 	}
@@ -69,32 +68,24 @@ func (d Decision) Policy() string {
 // Decide evaluates the signal on the current observation, advances the
 // trigger, delegates to the appropriate policy — the learned one is
 // evaluated only on a step it acts on — and reports the full per-step
-// outcome. It is the metadata-carrying form of Probs, and the one
-// decision function: offline evaluation and every served step call it.
+// outcome. A non-finite score acts with the default policy and stays
+// out of the trigger's statistic (Trigger.Step). It is the
+// metadata-carrying form of Probs, and the one decision function:
+// offline evaluation and every served step call it.
 //
 //osap:hotpath
 func (g *Guard) Decide(obs []float64) Decision {
 	score := g.Signal.Observe(obs) //osap:hotpath-stop production Signal implementations are annotated and alloc-tested
 	d := Decision{Score: score, Step: g.steps}
 	g.steps++
-	if math.IsNaN(score) || math.IsInf(score, 0) {
-		// A non-finite score is maximal uncertainty: act with the default
-		// policy, but keep it out of the trigger — one NaN fed to the
-		// variance window would poison the estimate for the next K steps.
-		g.defaulted++
-		d.UsedDefault = true
-		d.Fired = g.Trigger.Fired()    //osap:hotpath-stop core.Trigger is annotated; the interface is a test seam
-		d.Probs = g.Default.Probs(obs) //osap:hotpath-stop the fallback policy (experiments bbDefault over abr BB) is annotated
-		return d
-	}
-	if g.Trigger.Step(score) { //osap:hotpath-stop core.Trigger is annotated; the interface is a test seam
+	if g.Trigger.Step(score) {
 		g.defaulted++
 		d.UsedDefault = true
 		d.Probs = g.Default.Probs(obs) //osap:hotpath-stop the fallback policy (experiments bbDefault over abr BB) is annotated
 	} else {
 		d.Probs = g.Learned.Probs(obs) //osap:hotpath-stop learned members are annotated rl inference sessions
 	}
-	d.Fired = g.Trigger.Fired() //osap:hotpath-stop core.Trigger is annotated; the interface is a test seam
+	d.Fired = g.Trigger.Fired()
 	return d
 }
 
@@ -130,23 +121,11 @@ func (g *Guard) DefaultedFraction() float64 {
 }
 
 // SwitchStep returns the step at which the guard first defaulted, or -1.
-func (g *Guard) SwitchStep() int { return g.Trigger.FiredAtStep() }
-
-// Readmitter is the optional Triggerer extension for probation-capable
-// triggers (DESIGN.md §13): the number of times the latch released
-// this episode.
-type Readmitter interface {
-	Readmissions() int
-}
+func (g *Guard) SwitchStep() int { return g.Trigger.FiredAt }
 
 // Readmissions returns how many times the trigger re-admitted the
-// learned policy this episode, or 0 for triggers without probation.
-func (g *Guard) Readmissions() int {
-	if r, ok := g.Trigger.(Readmitter); ok {
-		return r.Readmissions()
-	}
-	return 0
-}
+// learned policy this episode (DESIGN.md §13; 0 without probation).
+func (g *Guard) Readmissions() int { return g.Trigger.Readmissions() }
 
 // EpisodeResult summarizes one guarded episode.
 type EpisodeResult struct {

@@ -49,8 +49,8 @@ func TestDecideNonFiniteScoreActsSafe(t *testing.T) {
 // TestStateSignalNaNObservationsScoreNonFinite: U_S reports the
 // OC-SVM margin, so a NaN throughput scores NaN as soon as the windows
 // yield a feature vector, and the guard defaults on that very step
-// through the non-finite path (never the trigger). While the windows
-// fill there is no feature vector and the score is 0.
+// through the trigger's non-finite skip, never firing. While the
+// windows fill there is no feature vector and the score is 0.
 func TestStateSignalNaNObservationsScoreNonFinite(t *testing.T) {
 	cfg := DefaultStateSignalConfig()
 	model := trainThroughputModel(t, stats.Gamma{Shape: 2, Scale: 2}, cfg)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"osap/internal/stats"
 )
@@ -15,10 +16,12 @@ type TriggerConfig struct {
 	// the continuous-signal rule of U_π and U_V: the variance of the
 	// score across the last K steps (paper: 5). K = 0 is the U_S rule:
 	// the raw score itself (the OC-SVM margin, so Threshold 0 means
-	// "classified OOD"). Validate refuses any other K.
+	// "classified OOD"). Validate refuses any other K. With Running
+	// set, K ≥ 0 is instead the warmup: the steps before the running
+	// statistic is first compared.
 	K int
 	// Threshold is α, the uncertainty bar: a step is uncertain when
-	// its statistic exceeds it.
+	// its statistic exceeds it (for CUSUM, the decision bar H).
 	Threshold float64
 	// L is the number of consecutive uncertain steps before defaulting
 	// (paper: 3).
@@ -41,6 +44,27 @@ type TriggerConfig struct {
 	// latches for good. 0 means no re-admissions (paper behavior even
 	// when ReadmitL > 0); negative means unlimited.
 	ReadmitCap int
+	// Running replaces the windowed statistic with a running one, an
+	// EWMA or a CUSUM: the alternative thresholding strategies the
+	// paper leaves to future work (§5). nil is the paper's rule.
+	Running *Running
+}
+
+// Running parameterizes a running statistic S, updated by every
+// finite score x.
+type Running struct {
+	// CUSUM selects Page's one-sided CUSUM, S ← max(0, S + x − Ref −
+	// Slack), from S = 0: it accumulates evidence of scores above the
+	// in-distribution level Ref plus the per-step allowance Slack, so
+	// it catches slow drifts the l-consecutive rule can miss. Otherwise
+	// S is the EWMA w·x + (1−w)·S seeded by the first score, which
+	// responds to sustained level shifts rather than to dispersion.
+	CUSUM bool
+	// Weight in (0,1] is the EWMA's weight w of the newest score.
+	Weight float64
+	// Ref (μ₀) and Slack (κ ≥ 0) are the CUSUM's reference level and
+	// allowance.
+	Ref, Slack float64
 }
 
 // Probation reports whether the configuration enables re-admission of
@@ -68,8 +92,17 @@ func (c TriggerConfig) Validate() error {
 	if c.L < 1 {
 		return fmt.Errorf("core: trigger L %d < 1", c.L)
 	}
-	if c.K != 0 && c.K < 2 {
+	switch r := c.Running; {
+	case r == nil && c.K != 0 && c.K < 2:
 		return fmt.Errorf("core: trigger K %d: want 0 (raw score) or ≥ 2 (variance window)", c.K)
+	case r != nil && c.K < 0:
+		return fmt.Errorf("core: trigger warmup K %d negative", c.K)
+	case r != nil && r.CUSUM && !(r.Slack >= 0):
+		return fmt.Errorf("core: CUSUM slack %v negative", r.Slack)
+	case r != nil && r.CUSUM && !(c.Threshold > 0):
+		return fmt.Errorf("core: CUSUM decision bar %v must be positive", c.Threshold)
+	case r != nil && !r.CUSUM && !(r.Weight > 0 && r.Weight <= 1):
+		return fmt.Errorf("core: EWMA weight %v outside (0,1]", r.Weight)
 	}
 	if c.ReadmitL < 0 {
 		return fmt.Errorf("core: trigger ReadmitL %d < 0", c.ReadmitL)
@@ -83,8 +116,8 @@ func (c TriggerConfig) Validate() error {
 // Trigger is the per-episode state machine applying a TriggerConfig.
 type Trigger struct {
 	cfg     TriggerConfig
-	win     *stats.RollingWindow // the variance window (K ≥ 2), else nil
-	stat    float64              // what the last Step compared with Threshold
+	win     *stats.RollingWindow // the variance window (K ≥ 2, no Running), else nil
+	stat    float64              // the statistic after the last finite Step
 	streak  int
 	fired   bool
 	latched bool // currently holding the default policy (latched configs)
@@ -107,7 +140,7 @@ func NewTrigger(cfg TriggerConfig) *Trigger {
 		panic(err)
 	}
 	t := &Trigger{cfg: cfg, FiredAt: -1, ReadmittedAt: -1}
-	if cfg.K > 0 {
+	if cfg.K > 0 && cfg.Running == nil {
 		t.win = stats.NewRollingWindow(cfg.K)
 	}
 	return t
@@ -115,6 +148,11 @@ func NewTrigger(cfg TriggerConfig) *Trigger {
 
 // Step ingests one uncertainty score and reports whether the system
 // should use the default policy for this step.
+//
+// A non-finite score is maximal uncertainty: Step returns true and
+// changes no state, so the score never reaches the statistic, the
+// streak or FiredAt — one NaN in the variance window would poison the
+// estimate for the next K steps.
 //
 // With a latched config the latch is final for the episode (the
 // paper's §2.5 behavior) unless probation is enabled (Probation):
@@ -126,14 +164,29 @@ func NewTrigger(cfg TriggerConfig) *Trigger {
 //
 //osap:hotpath
 func (t *Trigger) Step(score float64) bool {
-	t.stat = score
+	if math.IsNaN(score) || math.IsInf(score, 0) {
+		return true
+	}
 	full := true
-	if t.win != nil {
+	switch r := t.cfg.Running; {
+	case r != nil:
+		switch {
+		case r.CUSUM:
+			t.stat = math.Max(0, t.stat+score-r.Ref-r.Slack)
+		case t.steps == 0:
+			t.stat = score
+		default:
+			t.stat = r.Weight*score + (1-r.Weight)*t.stat
+		}
+		full = t.steps >= t.cfg.K
+	case t.win != nil:
 		t.win.Add(score)
 		t.stat, full = 0, t.win.Full()
 		if full {
 			t.stat = t.win.Variance()
 		}
+	default:
+		t.stat = score
 	}
 	uncertain := full && t.stat > t.cfg.Threshold
 	if t.latched {
@@ -183,9 +236,10 @@ func (t *Trigger) Step(score float64) bool {
 	return active
 }
 
-// Statistic returns the value the last Step compared with Threshold:
-// the raw score, or the variance of the last K scores (0 while that
-// window fills, when Step compares nothing).
+// Statistic returns the value the last finite Step compared with
+// Threshold: the raw score, the variance of the last K scores (0 while
+// that window fills, when Step compares nothing), or the EWMA or CUSUM
+// (its running value, also during the warmup).
 func (t *Trigger) Statistic() float64 { return t.stat }
 
 // Fired reports whether the trigger has fired at least once this

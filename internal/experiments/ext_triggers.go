@@ -11,8 +11,9 @@ import (
 )
 
 // TriggerStrategyNames lists the thresholding strategies compared by
-// ExtensionTriggers: the paper's windowed-variance + l-consecutive rule,
-// an EWMA level test, and a CUSUM change detector.
+// ExtensionTriggers, each a statistic of the one core.Trigger: the
+// paper's windowed variance with an l-streak, an EWMA level test, and
+// a CUSUM change detector.
 func TriggerStrategyNames() []string { return []string{"Variance", "EWMA", "CUSUM"} }
 
 // ExtensionTriggersResult compares thresholding strategies on the U_V
@@ -59,7 +60,8 @@ func (l *Lab) ExtensionTriggers(trainDS string) (*ExtensionTriggersResult, error
 	seed := l.cfg.Seed ^ hashString(trainDS) ^ 0x7716
 
 	// Every strategy's guard is the V-ensemble guard; Variance is the
-	// paper's trigger with α = param, the others replace it.
+	// paper's trigger with α = param, the others swap in a trigger over
+	// a running statistic.
 	newGuard := func(alpha float64) (*core.Guard, error) {
 		return NewGuard(a.withAlpha(SchemeVEns, alpha), SchemeVEns, frozen.NewScratch(), Probation{})
 	}
@@ -78,8 +80,8 @@ func (l *Lab) ExtensionTriggers(trainDS string) (*ExtensionTriggersResult, error
 		"EWMA": func(threshold float64) (*core.Guard, error) {
 			g, err := newGuard(threshold)
 			if err == nil {
-				g.Trigger = core.NewEWMATrigger(core.EWMATriggerConfig{
-					Alpha: 0.2, Threshold: threshold, Warmup: 5, Latched: true,
+				g.Trigger = core.NewTrigger(core.TriggerConfig{
+					K: 5, Threshold: threshold, L: 1, Latched: true, Running: &core.Running{Weight: 0.2},
 				})
 			}
 			return g, err
@@ -87,7 +89,7 @@ func (l *Lab) ExtensionTriggers(trainDS string) (*ExtensionTriggersResult, error
 		"CUSUM": func(hSigmas float64) (*core.Guard, error) {
 			g, err := newGuard(hSigmas)
 			if err == nil {
-				g.Trigger = core.NewCUSUMTrigger(core.CalibrateCUSUM(inScores, hSigmas, true))
+				g.Trigger = core.NewTrigger(core.CalibrateCUSUM(inScores, hSigmas, true))
 			}
 			return g, err
 		},

@@ -1,10 +1,6 @@
 package learn
 
-import (
-	"math"
-
-	"osap/internal/core"
-)
+import "osap/internal/core"
 
 // Verdict classifies one step's admissibility to the experience
 // window.
@@ -95,7 +91,8 @@ type Gate struct {
 // vector and both disagreement statistics have already been handed to
 // the learner (or dropped-and-counted if the ring was full). Every
 // signal observes every step, so the variance windows stay contiguous
-// whatever the verdict; the verdicts are tried in order warmup, state,
+// whatever the verdict, and a non-finite score is uncertain without
+// entering its window (core.Trigger.Step); the verdicts are tried in order warmup, state,
 // policy, value, rate. Zero-alloc: it runs inside the session lock on
 // the serving hot path.
 //
@@ -104,9 +101,9 @@ func (g *Gate) Check(obs []float64) Verdict {
 	c := &g.learner.counters
 	c.Checked.Add(1)
 	g.steps++
-	novel := uncertain(g.stateTrig, g.state.Observe(obs))
-	polOut := uncertain(g.polTrig, g.pol.Observe(obs))
-	valOut := uncertain(g.valTrig, g.val.Observe(obs))
+	novel := g.stateTrig.Step(g.state.Observe(obs))
+	polOut := g.polTrig.Step(g.pol.Observe(obs))
+	valOut := g.valTrig.Step(g.val.Observe(obs))
 	switch {
 	case g.state.Features() == nil:
 		return c.reject(VerdictWarmup)
@@ -125,17 +122,6 @@ func (g *Gate) Check(obs []float64) Verdict {
 		c.RingDropped.Add(1)
 	}
 	return VerdictAdmit
-}
-
-// uncertain reports whether score makes this step uncertain under t. A
-// non-finite score is uncertain and, as in core.Guard.Decide, stays out
-// of t's variance window: a poisoned observation that drives a signal
-// non-finite must neither slip into the experience window nor poison
-// the next K steps' statistic.
-//
-//osap:hotpath
-func uncertain(t *core.Trigger, score float64) bool {
-	return math.IsNaN(score) || math.IsInf(score, 0) || t.Step(score)
 }
 
 // Reset clears per-episode feature windows (mirrors the serving

@@ -73,18 +73,18 @@ type (
 	// FuncSignal adapts a scoring function (e.g. an RND error) to
 	// Signal.
 	FuncSignal = core.FuncSignal
-	// Trigger converts scores into the defaulting decision with the
-	// paper's windowed-variance + l-consecutive rule.
+	// Trigger converts scores into the defaulting decision: a statistic
+	// over α for L consecutive steps, then a latch (optionally with
+	// probation). A non-finite score defaults its step and stays out
+	// of the statistic.
 	Trigger = core.Trigger
-	// Triggerer is the interface all trigger strategies implement.
-	Triggerer = core.Triggerer
-	// EWMATrigger and CUSUMTrigger are alternative thresholding
-	// strategies (future-work extensions).
-	EWMATrigger  = core.EWMATrigger
-	CUSUMTrigger = core.CUSUMTrigger
-	// TriggerConfig parameterizes a Trigger: K = 0 thresholds the raw
-	// score, K ≥ 2 the variance of the last K (Trigger.Statistic).
+	// TriggerConfig parameterizes a Trigger's statistic
+	// (Trigger.Statistic): K = 0 thresholds the raw score, K ≥ 2 the
+	// variance of the last K, and Running an EWMA or a CUSUM, the
+	// alternative thresholding strategies (future-work extensions).
 	TriggerConfig = core.TriggerConfig
+	// Running parameterizes the EWMA or CUSUM of TriggerConfig.Running.
+	Running = core.Running
 	// Guard is the safety-wrapped policy.
 	Guard = core.Guard
 	// Decision is the per-step outcome reported by Guard.Decide: the
@@ -107,8 +107,9 @@ type (
 func NewRNG(seed uint64) *RNG { return stats.NewRNG(seed) }
 
 // NewGuard assembles a safety-enhanced policy from a learned policy, a
-// safe default, an uncertainty signal and a trigger.
-func NewGuard(learned, def Policy, sig Signal, trig Triggerer) (*Guard, error) {
+// safe default, an uncertainty signal and a trigger over any of its
+// statistics.
+func NewGuard(learned, def Policy, sig Signal, trig *Trigger) (*Guard, error) {
 	return core.NewGuard(learned, def, sig, trig)
 }
 
@@ -185,16 +186,8 @@ func Rollout(env Env, policy Policy, rng *RNG, maxSteps int) *Trajectory {
 	return mdp.Rollout(env, policy, rng, mdp.RolloutOptions{MaxSteps: maxSteps})
 }
 
-// NewEWMATrigger builds an exponentially-weighted-moving-average
-// trigger, an alternative thresholding strategy (future-work extension).
-func NewEWMATrigger(cfg core.EWMATriggerConfig) *EWMATrigger { return core.NewEWMATrigger(cfg) }
-
-// NewCUSUMTrigger builds a CUSUM change-detection trigger, an
-// alternative thresholding strategy (future-work extension).
-func NewCUSUMTrigger(cfg core.CUSUMTriggerConfig) *CUSUMTrigger { return core.NewCUSUMTrigger(cfg) }
-
-// CalibrateCUSUM derives a CUSUM configuration from in-distribution
-// scores.
-func CalibrateCUSUM(inDistScores []float64, hSigmas float64, latched bool) core.CUSUMTriggerConfig {
+// CalibrateCUSUM derives a CUSUM trigger configuration from
+// in-distribution scores.
+func CalibrateCUSUM(inDistScores []float64, hSigmas float64, latched bool) TriggerConfig {
 	return core.CalibrateCUSUM(inDistScores, hSigmas, latched)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"osap"
-	"osap/internal/core"
 	"osap/internal/stats"
 )
 
@@ -166,7 +165,7 @@ func TestFacadeVarianceTrigger(t *testing.T) {
 
 func TestFacadeAlternativeTriggers(t *testing.T) {
 	// EWMA through the facade.
-	ew := osap.NewEWMATrigger(core.EWMATriggerConfig{Alpha: 0.5, Threshold: 1, Latched: true})
+	ew := osap.NewTrigger(osap.TriggerConfig{Threshold: 1, L: 1, Latched: true, Running: &osap.Running{Weight: 0.5}})
 	fired := false
 	for i := 0; i < 10; i++ {
 		if ew.Step(3) {
@@ -179,7 +178,7 @@ func TestFacadeAlternativeTriggers(t *testing.T) {
 
 	// CUSUM via calibration through the facade.
 	cfg := osap.CalibrateCUSUM([]float64{1, 1.1, 0.9, 1.05}, 4, true)
-	cu := osap.NewCUSUMTrigger(cfg)
+	cu := osap.NewTrigger(cfg)
 	for i := 0; i < 100; i++ {
 		cu.Step(2.5)
 	}
@@ -187,14 +186,12 @@ func TestFacadeAlternativeTriggers(t *testing.T) {
 		t.Error("facade CUSUM trigger never fired on a sustained shift")
 	}
 
-	// Both satisfy the Triggerer interface the Guard consumes.
-	var _ osap.Triggerer = ew
-	var _ osap.Triggerer = cu
+	// A guard takes a trigger over any statistic.
 	g, err := osap.NewGuard(
 		osap.PolicyFunc(func([]float64) []float64 { return []float64{1} }),
 		osap.PolicyFunc(func([]float64) []float64 { return []float64{1} }),
 		osap.FuncSignal{F: func([]float64) float64 { return 0 }},
-		osap.NewCUSUMTrigger(cfg),
+		osap.NewTrigger(cfg),
 	)
 	if err != nil {
 		t.Fatal(err)
