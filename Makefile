@@ -58,7 +58,8 @@ race:
 
 # Every fuzz target in the tree, 10 s each: FuzzStepRequest (the HTTP
 # step decoder against encoding/json), FuzzFrame, FuzzExperienceLog,
-# FuzzManifest, FuzzArtifactPayload, FuzzReadCooked, FuzzReadMahiMahi.
+# FuzzManifest, FuzzArtifactPayload, FuzzReadCooked, FuzzReadMahiMahi,
+# FuzzTriggerStatistic, FuzzEnvStep (abr.Env over both links).
 # A target is found by its declaration, so a new one is run without
 # being listed here.
 fuzz-smoke:

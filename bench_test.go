@@ -563,10 +563,12 @@ func BenchmarkEmulatorAgreement(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pktCfg := netem.DefaultEnvConfig(video, []*trace.Trace{tr})
+		pktCfg := abr.DefaultEnvConfig(video, []*trace.Trace{tr})
 		pktCfg.RandomStart = false
-		pktCfg.Link.SlowStart = false
-		pkt, err := netem.NewEnv(pktCfg)
+		lc := netem.DefaultLinkConfig(nil)
+		lc.SlowStart = false
+		pktCfg.Link = netem.PacketLink(lc)
+		pkt, err := abr.NewEnv(pktCfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 // Command abrsim runs a single ABR streaming session in the chunk-level
-// simulator (or the packet-level emulator) and prints a per-chunk log —
-// useful for eyeballing policy behavior on a given network distribution.
+// environment, over Pensieve's analytic link or the packet-level
+// emulator, and prints a per-chunk log — useful for eyeballing policy
+// behavior on a given network distribution.
 //
 // Usage:
 //
@@ -23,7 +24,7 @@ import (
 func main() {
 	dataset := flag.String("dataset", "norway", "network distribution")
 	policy := flag.String("policy", "bb", "policy: bb, random, rate or bola")
-	backend := flag.String("backend", "sim", "environment backend: sim (chunk-level) or packet (emulated)")
+	backend := flag.String("backend", "sim", "download link: sim (analytic) or packet (emulated)")
 	seed := flag.Uint64("seed", 1, "episode seed")
 	chunks := flag.Int("video-chunks", 48, "video length in chunks")
 	version := flag.Bool("version", false, "print version and exit")
@@ -41,6 +42,9 @@ func main() {
 }
 
 func run(dataset, policyName, backend string, seed uint64, chunks int) error {
+	if chunks < 1 {
+		return fmt.Errorf("-video-chunks %d: want at least 1", chunks)
+	}
 	gen, err := trace.GeneratorFor(dataset)
 	if err != nil {
 		return err
@@ -63,28 +67,17 @@ func run(dataset, policyName, backend string, seed uint64, chunks int) error {
 		return fmt.Errorf("unknown -policy %q (want bb, random, rate or bola)", policyName)
 	}
 
-	type chunkEnv interface {
-		mdp.Env
-		LastChunk() abr.ChunkResult
-	}
-	var env chunkEnv
+	cfg := abr.DefaultEnvConfig(video, []*trace.Trace{tr})
 	switch backend {
-	case "sim":
-		cfg := abr.DefaultEnvConfig(video, []*trace.Trace{tr})
-		e, err := abr.NewEnv(cfg)
-		if err != nil {
-			return err
-		}
-		env = e
+	case "sim": // the analytic link: cfg.Link stays nil
 	case "packet":
-		cfg := netem.DefaultEnvConfig(video, []*trace.Trace{tr})
-		e, err := netem.NewEnv(cfg)
-		if err != nil {
-			return err
-		}
-		env = e
+		cfg.Link = netem.PacketLink(netem.DefaultLinkConfig(nil))
 	default:
 		return fmt.Errorf("unknown -backend %q (want sim or packet)", backend)
+	}
+	env, err := abr.NewEnv(cfg)
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("dataset=%s policy=%s backend=%s trace-mean=%.2f Mbps\n", dataset, policyName, backend, tr.Mean())

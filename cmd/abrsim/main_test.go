@@ -26,4 +26,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run("norway", "bb", "nope", 1, 4); err == nil {
 		t.Error("unknown backend accepted")
 	}
+	for _, chunks := range []int{0, -3} {
+		if err := run("norway", "bb", "sim", 1, chunks); err == nil {
+			t.Errorf("-video-chunks %d accepted", chunks)
+		}
+	}
 }

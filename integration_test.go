@@ -43,11 +43,12 @@ func TestGuardOverPacketEmulator(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	packetEnv := func(gen trace.Generator) *netem.Env {
+	packetEnv := func(gen trace.Generator) *abr.Env {
 		rng := stats.NewRNG(7)
 		traces := []*trace.Trace{gen.Generate(rng, 300), gen.Generate(rng, 300)}
-		ec := netem.DefaultEnvConfig(cfg.EvalVideo, traces)
-		env, err := netem.NewEnv(ec)
+		ec := abr.DefaultEnvConfig(cfg.EvalVideo, traces)
+		ec.Link = netem.PacketLink(netem.DefaultLinkConfig(nil))
+		env, err := abr.NewEnv(ec)
 		if err != nil {
 			t.Fatal(err)
 		}

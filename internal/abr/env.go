@@ -17,19 +17,33 @@ type EnvConfig struct {
 	Traces []*trace.Trace
 	// QoE is the reward metric; zero value is replaced by DefaultQoE.
 	QoE QoEConfig
-	// RTTSec is the per-chunk request round-trip latency. The paper
-	// emulates an 80 ms RTT between client and server.
+	// RTTSec is the per-chunk request round-trip latency of the
+	// analytic link. The paper emulates an 80 ms RTT between client and
+	// server.
 	RTTSec float64
 	// BufferCapSec caps the playback buffer; when full, the client
 	// idles instead of prefetching (Pensieve uses 60 s).
 	BufferCapSec float64
-	// PayloadEfficiency discounts raw link capacity for protocol
-	// overhead (Pensieve uses 0.95).
+	// PayloadEfficiency discounts the analytic link's raw capacity for
+	// protocol overhead (Pensieve uses 0.95).
 	PayloadEfficiency float64
 	// RandomStart begins each episode at a random offset into the
 	// chosen trace (as Pensieve's simulator does). When false episodes
 	// start at t=0 — useful for reproducible single-trace tests.
 	RandomStart bool
+	// Link builds the download model for one episode over tr, starting
+	// startSec into it. Nil is Pensieve's analytic model: the trace
+	// capacity integrated at PayloadEfficiency plus RTTSec per chunk.
+	// netem.PacketLink is the MahiMahi-style packet emulator.
+	Link func(tr *trace.Trace, startSec float64) (Link, error)
+}
+
+// Link is a download model with a clock: FetchBytes transfers size
+// bytes and returns how long that took, AdvanceBy lets dt seconds pass
+// with nothing in flight.
+type Link interface {
+	FetchBytes(size float64) float64
+	AdvanceBy(dt float64)
 }
 
 // DefaultEnvConfig returns the paper's environment parameters for the
@@ -67,16 +81,16 @@ type ChunkResult struct {
 }
 
 // Env is the chunk-level ABR streaming environment: the Go equivalent of
-// Pensieve's trace-driven simulator. Observations use Pensieve's 6×8
-// encoding; actions select the next chunk's ladder level; rewards are
-// per-chunk QoE. It implements mdp.Env.
+// Pensieve's trace-driven simulator, or, with a packet Link, of its
+// MahiMahi emulation. Observations use Pensieve's 6×8 encoding; actions
+// select the next chunk's ladder level; rewards are per-chunk QoE. It
+// implements mdp.Env.
 type Env struct {
 	cfg EnvConfig
 
 	// Per-episode state.
-	rng        *stats.RNG
-	trace      *trace.Trace
-	traceTime  float64 // seconds into the (wrapping) trace
+	analytic   analyticLink // the link when cfg.Link is nil
+	link       Link         // nil before the first Reset
 	bufferSec  float64
 	chunk      int
 	lastLevel  int // -1 before the first chunk
@@ -85,12 +99,11 @@ type Env struct {
 	lastResult ChunkResult
 }
 
-// NewEnv validates cfg and returns a fresh environment.
+// NewEnv validates cfg and returns a fresh environment. With a Link it
+// builds one link per trace, so a trace the link cannot deliver fails
+// here rather than at Reset.
 func NewEnv(cfg EnvConfig) (*Env, error) {
-	if cfg.Video == nil {
-		return nil, fmt.Errorf("abr: EnvConfig.Video is required")
-	}
-	if err := cfg.Video.Validate(); err != nil {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
 	if len(cfg.Traces) == 0 {
@@ -100,17 +113,35 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		if len(tr.Mbps) == 0 {
 			return nil, fmt.Errorf("abr: trace %q is empty", tr.Name)
 		}
+		if cfg.Link != nil {
+			if _, err := cfg.Link(tr, 0); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return &Env{cfg: cfg}, nil
+}
+
+// check validates everything but the trace pool and fills in the
+// default QoE. NaN fails every comparison, so each bound is written to
+// refuse it.
+func (cfg *EnvConfig) check() error {
+	if cfg.Video == nil {
+		return fmt.Errorf("abr: EnvConfig.Video is required")
+	}
+	if err := cfg.Video.Validate(); err != nil {
+		return err
 	}
 	if cfg.QoE == (QoEConfig{}) {
 		cfg.QoE = DefaultQoE()
 	}
-	if cfg.PayloadEfficiency <= 0 || cfg.PayloadEfficiency > 1 {
-		return nil, fmt.Errorf("abr: PayloadEfficiency %v outside (0,1]", cfg.PayloadEfficiency)
+	if !(cfg.PayloadEfficiency > 0 && cfg.PayloadEfficiency <= 1) {
+		return fmt.Errorf("abr: PayloadEfficiency %v outside (0,1]", cfg.PayloadEfficiency)
 	}
-	if cfg.RTTSec < 0 || cfg.BufferCapSec <= 0 {
-		return nil, fmt.Errorf("abr: invalid RTT %v or buffer cap %v", cfg.RTTSec, cfg.BufferCapSec)
+	if !(cfg.RTTSec >= 0) || math.IsInf(cfg.RTTSec, 1) || !(cfg.BufferCapSec > 0) || math.IsInf(cfg.BufferCapSec, 1) {
+		return fmt.Errorf("abr: invalid RTT %v or buffer cap %v", cfg.RTTSec, cfg.BufferCapSec)
 	}
-	return &Env{cfg: cfg}, nil
+	return nil
 }
 
 // NumActions implements mdp.Env.
@@ -119,14 +150,23 @@ func (e *Env) NumActions() int { return e.cfg.Video.NumLevels() }
 // ObsDim implements mdp.Env.
 func (e *Env) ObsDim() int { return ObsDim }
 
-// Reset implements mdp.Env.
+// Reset implements mdp.Env: it draws the trace, then the start offset.
 func (e *Env) Reset(rng *stats.RNG) []float64 {
-	e.rng = rng
-	e.trace = e.cfg.Traces[rng.Intn(len(e.cfg.Traces))]
+	tr := e.cfg.Traces[rng.Intn(len(e.cfg.Traces))]
+	start := 0.0
 	if e.cfg.RandomStart {
-		e.traceTime = rng.Float64() * e.trace.Duration()
+		start = rng.Float64() * tr.Duration()
+	}
+	if e.cfg.Link == nil {
+		e.analytic = analyticLink{tr: tr, t: start, rtt: e.cfg.RTTSec, eff: e.cfg.PayloadEfficiency}
+		e.link = &e.analytic
 	} else {
-		e.traceTime = 0
+		l, err := e.cfg.Link(tr, start)
+		if err != nil {
+			// NewEnv built a link over every trace; reaching here is a bug.
+			panic(err)
+		}
+		e.link = l
 	}
 	e.bufferSec = 0
 	e.chunk = 0
@@ -145,7 +185,7 @@ func (e *Env) Step(action int) ([]float64, float64, bool) {
 	if action < 0 || action >= v.NumLevels() {
 		panic(fmt.Sprintf("abr: action %d out of range [0,%d)", action, v.NumLevels()))
 	}
-	if e.trace == nil {
+	if e.link == nil {
 		panic("abr: Step before Reset")
 	}
 	if e.chunk >= v.NumChunks() {
@@ -153,17 +193,14 @@ func (e *Env) Step(action int) ([]float64, float64, bool) {
 	}
 
 	size := v.SizesBytes[e.chunk][action]
-	dl := e.downloadSeconds(size) + e.cfg.RTTSec
-	e.traceTime += e.cfg.RTTSec
-
-	rebuf := math.Max(0, dl-e.bufferSec)
-	e.bufferSec = math.Max(e.bufferSec-dl, 0) + v.ChunkSec
+	dl := e.link.FetchBytes(size)
+	var rebuf float64
+	rebuf, e.bufferSec = playout(e.bufferSec, dl, v.ChunkSec)
 
 	// If the buffer exceeds its cap, the client idles (no download in
 	// flight) while playback drains it back to the cap.
 	if e.bufferSec > e.cfg.BufferCapSec {
-		idle := e.bufferSec - e.cfg.BufferCapSec
-		e.traceTime += idle
+		e.link.AdvanceBy(e.bufferSec - e.cfg.BufferCapSec)
 		e.bufferSec = e.cfg.BufferCapSec
 	}
 
@@ -195,25 +232,33 @@ func (e *Env) Step(action int) ([]float64, float64, bool) {
 	return e.observation(), qoe, done
 }
 
-// downloadSeconds integrates the (piecewise-constant) trace capacity from
-// the current trace time until size bytes have been transferred,
-// advancing the trace clock.
-func (e *Env) downloadSeconds(size float64) float64 {
-	dl, t := DownloadTime(e.trace, e.traceTime, size, e.cfg.PayloadEfficiency)
-	e.traceTime = t
-	return dl
+// playout is the client buffer over one chunk download of dl seconds
+// starting with buf seconds buffered: playback stalls for whatever of
+// the download the buffer does not cover, then the chunk is appended.
+func playout(buf, dl, chunkSec float64) (rebuf, next float64) {
+	return math.Max(0, dl-buf), math.Max(buf-dl, 0) + chunkSec
 }
 
-// DownloadTime integrates the trace capacity starting at trace time
-// start until size bytes are transferred, returning the transfer
-// duration and the new trace time. It is shared by the environment and
-// the offline oracle planner.
-func DownloadTime(tr *trace.Trace, start, size, payloadEff float64) (dl, end float64) {
+// analyticLink is Pensieve's download model: the trace capacity,
+// discounted by eff, integrated from trace time t, plus rtt per
+// request.
+type analyticLink struct {
+	tr  *trace.Trace
+	t   float64 // seconds into the (wrapping) trace
+	rtt float64
+	eff float64
+}
+
+// FetchBytes implements Link: it integrates the piecewise-constant
+// trace capacity from the link's clock until size bytes are through,
+// then adds the request's round trip.
+func (l *analyticLink) FetchBytes(size float64) float64 {
+	start := l.t
 	remaining := size
 	t := start
 	for remaining > 0 {
-		mbps := math.Max(tr.BandwidthAt(t), minSimMbps)
-		bytesPerSec := mbps * 1e6 / 8 * payloadEff
+		mbps := math.Max(l.tr.BandwidthAt(t), minSimMbps)
+		bytesPerSec := mbps * 1e6 / 8 * l.eff
 		slotEnd := math.Floor(t) + 1
 		dt := slotEnd - t
 		capBytes := bytesPerSec * dt
@@ -225,8 +270,12 @@ func DownloadTime(tr *trace.Trace, start, size, payloadEff float64) (dl, end flo
 			t = slotEnd
 		}
 	}
-	return t - start, t
+	l.t = t + l.rtt
+	return t - start + l.rtt
 }
+
+// AdvanceBy implements Link.
+func (l *analyticLink) AdvanceBy(dt float64) { l.t += dt }
 
 // LastChunk returns details of the most recent chunk download.
 func (e *Env) LastChunk() ChunkResult { return e.lastResult }

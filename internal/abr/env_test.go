@@ -69,6 +69,30 @@ func TestNewEnvValidation(t *testing.T) {
 	}
 }
 
+// TestNewEnvRefusesNonFinite: NaN fails every comparison, so a bound
+// written as `x < 0` lets it through; each case must fail NewEnv itself
+// (no rollout: a NaN or infinite parameter used to panic or never
+// apply mid-episode).
+func TestNewEnvRefusesNonFinite(t *testing.T) {
+	tr := constTrace(1, 10)
+	cases := map[string]func(*EnvConfig){
+		"NaN payload":     func(c *EnvConfig) { c.PayloadEfficiency = math.NaN() },
+		"+Inf payload":    func(c *EnvConfig) { c.PayloadEfficiency = math.Inf(1) },
+		"NaN RTT":         func(c *EnvConfig) { c.RTTSec = math.NaN() },
+		"+Inf RTT":        func(c *EnvConfig) { c.RTTSec = math.Inf(1) },
+		"-Inf RTT":        func(c *EnvConfig) { c.RTTSec = math.Inf(-1) },
+		"NaN buffer cap":  func(c *EnvConfig) { c.BufferCapSec = math.NaN() },
+		"+Inf buffer cap": func(c *EnvConfig) { c.BufferCapSec = math.Inf(1) },
+	}
+	for name, mutate := range cases {
+		cfg := DefaultEnvConfig(flatVideo(8), []*trace.Trace{tr})
+		mutate(&cfg)
+		if _, err := NewEnv(cfg); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func TestDownloadTimeExact(t *testing.T) {
 	// 300 kbps chunk (150000 B) over a constant 1 Mbps link with payload
 	// efficiency 1 and zero RTT: exactly 1.2 s.

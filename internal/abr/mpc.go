@@ -13,8 +13,9 @@ import (
 // ABR literature and is included for the paper's future-work comparison
 // of alternative default policies.
 //
-// MPCPolicy is stateful across an episode (it tracks its own prediction
-// errors); call Reset between episodes. It implements mdp.Policy.
+// MPCPolicy is stateful: it tracks its own prediction errors, and has
+// no per-episode reset, so the error tracker carries from one episode
+// into the next (a known debt, ROADMAP.md). It implements mdp.Policy.
 type MPCPolicy struct {
 	// Video supplies chunk sizes for lookahead.
 	Video *Video
@@ -115,8 +116,8 @@ func (m *MPCPolicy) Decide(obs []float64) int {
 		ci := chunk + depth
 		for l := 0; l < v.NumLevels(); l++ {
 			dl := v.SizesBytes[ci][l] * 8 / 1e6 / pred // seconds
-			rebuf := math.Max(0, dl-buf)
-			nbuf := math.Max(buf-dl, 0) + v.ChunkSec
+			// The lookahead applies no buffer cap.
+			rebuf, nbuf := playout(buf, dl, v.ChunkSec)
 			q := m.QoE.ChunkQoE(v.BitrateMbps(l), prevMbps, rebuf)
 			f := first
 			if depth == 0 {

@@ -104,11 +104,16 @@ func TestMPCHorizonClampsNearEnd(t *testing.T) {
 func TestOracleValidation(t *testing.T) {
 	v := flatVideo(4)
 	tr := constTrace(2, 100)
-	if _, err := OfflineOptimalQoE(OracleConfig{}, tr, 0); err == nil {
+	if _, err := OfflineOptimalQoE(DefaultEnvConfig(nil, nil), 0, tr, 0); err == nil {
 		t.Error("missing video accepted")
 	}
-	if _, err := OfflineOptimalQoE(OracleConfig{Video: v}, &trace.Trace{}, 0); err == nil {
+	if _, err := OfflineOptimalQoE(DefaultEnvConfig(v, nil), 0, &trace.Trace{}, 0); err == nil {
 		t.Error("empty trace accepted")
+	}
+	linked := DefaultEnvConfig(v, nil)
+	linked.Link = func(*trace.Trace, float64) (Link, error) { return &analyticLink{}, nil }
+	if _, err := OfflineOptimalQoE(linked, 0, tr, 0); err == nil {
+		t.Error("config with a Link accepted")
 	}
 }
 
@@ -116,20 +121,20 @@ func TestOracleExactOnTinyInstance(t *testing.T) {
 	// 2 chunks, constant link: brute-force all 36 plans and compare.
 	v := flatVideo(2)
 	tr := constTrace(2, 100)
-	cfg := OracleConfig{Video: v, QoE: DefaultQoE(), PayloadEfficiency: 1, BufferCapSec: 60, Beam: 4096}
+	cfg := EnvConfig{Video: v, QoE: DefaultQoE(), PayloadEfficiency: 1, BufferCapSec: 60}
 
 	brute := math.Inf(-1)
 	for a := 0; a < v.NumLevels(); a++ {
 		for b := 0; b < v.NumLevels(); b++ {
-			s := oracleState{lastLevel: -1}
-			s = advance(cfg, tr, s, 0, a)
-			s = advance(cfg, tr, s, 1, b)
+			s := oracleState{link: analyticLink{tr: tr, eff: 1}, lastLevel: -1}
+			s = advance(&cfg, s, 0, a)
+			s = advance(&cfg, s, 1, b)
 			if s.qoe > brute {
 				brute = s.qoe
 			}
 		}
 	}
-	got, err := OfflineOptimalQoE(cfg, tr, 0)
+	got, err := OfflineOptimalQoE(cfg, 4096, tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +159,7 @@ func TestOracleUpperBoundsOnlinePolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracleQoE, err := OfflineOptimalQoE(OracleConfigFromEnv(envCfg, 512), tr, 0)
+	oracleQoE, err := OfflineOptimalQoE(envCfg, 512, tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,15 +179,13 @@ func TestOracleMonotoneInBeam(t *testing.T) {
 	v := flatVideo(16)
 	gen, _ := trace.GeneratorFor(trace.DatasetGamma22)
 	tr := gen.Generate(stats.NewRNG(2), 300)
-	cfg := OracleConfig{Video: v, QoE: DefaultQoE(), PayloadEfficiency: 1, BufferCapSec: 60}
+	cfg := EnvConfig{Video: v, QoE: DefaultQoE(), PayloadEfficiency: 1, BufferCapSec: 60}
 
-	cfg.Beam = 8
-	small, err := OfflineOptimalQoE(cfg, tr, 0)
+	small, err := OfflineOptimalQoE(cfg, 8, tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Beam = 512
-	large, err := OfflineOptimalQoE(cfg, tr, 0)
+	large, err := OfflineOptimalQoE(cfg, 512, tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

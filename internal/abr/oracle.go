@@ -8,86 +8,53 @@ import (
 	"osap/internal/trace"
 )
 
-// OracleConfig parameterizes the offline planner.
-type OracleConfig struct {
-	// Video, QoE, RTTSec, BufferCapSec and PayloadEfficiency mirror the
-	// environment parameters the plan will be scored under.
-	Video             *Video
-	QoE               QoEConfig
-	RTTSec            float64
-	BufferCapSec      float64
-	PayloadEfficiency float64
-	// Beam bounds the number of states retained per chunk (0 = 256).
-	// Larger beams are closer to the true optimum.
-	Beam int
-}
-
-// OracleConfigFromEnv copies the planning-relevant parameters from an
-// environment configuration.
-func OracleConfigFromEnv(cfg EnvConfig, beam int) OracleConfig {
-	return OracleConfig{
-		Video:             cfg.Video,
-		QoE:               cfg.QoE,
-		RTTSec:            cfg.RTTSec,
-		BufferCapSec:      cfg.BufferCapSec,
-		PayloadEfficiency: cfg.PayloadEfficiency,
-		Beam:              beam,
-	}
-}
-
 // oracleState is one node of the beam: the session state after
 // downloading `chunk` chunks.
 type oracleState struct {
-	traceTime float64
+	link      analyticLink
 	bufferSec float64
 	lastLevel int
 	qoe       float64
 }
 
-// OfflineOptimalQoE computes a near-optimal QoE for streaming the whole
-// video over the given trace starting at startOffset, with full
-// knowledge of future throughput — the upper bound no online algorithm
-// can beat. It runs a beam search over (buffer, trace-time, last-level)
-// states, deduplicating states that agree on last level and quantized
-// buffer/trace-time and keeping the best-QoE representative; with the
-// default beam this is within a fraction of a percent of exhaustive
-// dynamic programming at a tiny cost.
-func OfflineOptimalQoE(cfg OracleConfig, tr *trace.Trace, startOffset float64) (float64, error) {
-	if cfg.Video == nil {
-		return 0, fmt.Errorf("abr: OracleConfig.Video is required")
-	}
-	if err := cfg.Video.Validate(); err != nil {
+// OfflineOptimalQoE computes a near-optimal QoE for streaming cfg's
+// video over tr starting startOffset into it, on cfg's analytic link,
+// with full knowledge of future throughput — the upper bound no online
+// algorithm can beat. It runs a beam search over (buffer, trace-time,
+// last-level) states, deduplicating states that agree on last level and
+// quantized buffer/trace-time and keeping the best-QoE representative;
+// beam bounds the states kept per chunk (0 = 256), and with the default
+// this is within a fraction of a percent of exhaustive dynamic
+// programming at a tiny cost. cfg.Traces is ignored; a cfg with a Link
+// is refused.
+func OfflineOptimalQoE(cfg EnvConfig, beam int, tr *trace.Trace, startOffset float64) (float64, error) {
+	if err := cfg.check(); err != nil {
 		return 0, err
+	}
+	if cfg.Link != nil {
+		return 0, fmt.Errorf("abr: the oracle plans on the analytic link only")
 	}
 	if len(tr.Mbps) == 0 {
 		return 0, fmt.Errorf("abr: oracle needs a non-empty trace")
 	}
-	if cfg.QoE == (QoEConfig{}) {
-		cfg.QoE = DefaultQoE()
-	}
-	if cfg.Beam <= 0 {
-		cfg.Beam = 256
-	}
-	if cfg.PayloadEfficiency <= 0 {
-		cfg.PayloadEfficiency = 1
-	}
-	if cfg.BufferCapSec <= 0 {
-		cfg.BufferCapSec = 60
+	if beam <= 0 {
+		beam = 256
 	}
 
 	v := cfg.Video
-	states := []oracleState{{traceTime: startOffset, bufferSec: 0, lastLevel: -1}}
+	link := analyticLink{tr: tr, t: startOffset, rtt: cfg.RTTSec, eff: cfg.PayloadEfficiency}
+	states := []oracleState{{link: link, lastLevel: -1}}
 	next := make(map[[3]int64]oracleState)
 
 	for chunk := 0; chunk < v.NumChunks(); chunk++ {
 		clear(next)
 		for _, s := range states {
 			for l := 0; l < v.NumLevels(); l++ {
-				ns := advance(cfg, tr, s, chunk, l)
+				ns := advance(&cfg, s, chunk, l)
 				key := [3]int64{
 					int64(l),
-					int64(ns.bufferSec * 10),          // 0.1 s buffer buckets
-					int64(ns.traceTime*4) % (1 << 40), // 0.25 s time buckets
+					int64(ns.bufferSec * 10),       // 0.1 s buffer buckets
+					int64(ns.link.t*4) % (1 << 40), // 0.25 s time buckets
 				}
 				if prev, ok := next[key]; !ok || ns.qoe > prev.qoe {
 					next[key] = ns
@@ -98,7 +65,7 @@ func OfflineOptimalQoE(cfg OracleConfig, tr *trace.Trace, startOffset float64) (
 		for _, s := range next {
 			states = append(states, s)
 		}
-		// Keep the Beam best by QoE (ties by larger buffer, which
+		// Keep the beam best by QoE (ties by larger buffer, which
 		// dominates for the future).
 		sort.Slice(states, func(i, j int) bool {
 			if states[i].qoe != states[j].qoe {
@@ -106,8 +73,8 @@ func OfflineOptimalQoE(cfg OracleConfig, tr *trace.Trace, startOffset float64) (
 			}
 			return states[i].bufferSec > states[j].bufferSec
 		})
-		if len(states) > cfg.Beam {
-			states = states[:cfg.Beam]
+		if len(states) > beam {
+			states = states[:beam]
 		}
 	}
 
@@ -120,18 +87,14 @@ func OfflineOptimalQoE(cfg OracleConfig, tr *trace.Trace, startOffset float64) (
 	return best, nil
 }
 
-// advance simulates downloading chunk at level l from state s.
-func advance(cfg OracleConfig, tr *trace.Trace, s oracleState, chunk, l int) oracleState {
+// advance simulates downloading chunk at level l from state s, as
+// Env.Step would.
+func advance(cfg *EnvConfig, s oracleState, chunk, l int) oracleState {
 	v := cfg.Video
-	size := v.SizesBytes[chunk][l]
-	dl, t := DownloadTime(tr, s.traceTime, size, cfg.PayloadEfficiency)
-	dl += cfg.RTTSec
-	t += cfg.RTTSec
-
-	rebuf := math.Max(0, dl-s.bufferSec)
-	buf := math.Max(s.bufferSec-dl, 0) + v.ChunkSec
+	dl := s.link.FetchBytes(v.SizesBytes[chunk][l])
+	rebuf, buf := playout(s.bufferSec, dl, v.ChunkSec)
 	if buf > cfg.BufferCapSec {
-		t += buf - cfg.BufferCapSec
+		s.link.AdvanceBy(buf - cfg.BufferCapSec)
 		buf = cfg.BufferCapSec
 	}
 	prev := -1.0
@@ -139,7 +102,7 @@ func advance(cfg OracleConfig, tr *trace.Trace, s oracleState, chunk, l int) ora
 		prev = v.BitrateMbps(s.lastLevel)
 	}
 	return oracleState{
-		traceTime: t,
+		link:      s.link,
 		bufferSec: buf,
 		lastLevel: l,
 		qoe:       s.qoe + cfg.QoE.ChunkQoE(v.BitrateMbps(l), prev, rebuf),

@@ -2,9 +2,11 @@
 // streaming (§3). It provides the video model (an EnvivioDash3 stand-in:
 // 48 chunks of ~4 s in six bitrates, concatenated five times for
 // evaluation), the linear QoE metric, a chunk-level trace-driven
-// streaming environment equivalent to Pensieve's simulator, Pensieve's
-// 6×8 observation encoding, and the Buffer-Based, Random and Rate-Based
-// baseline policies.
+// streaming environment equivalent to Pensieve's simulator (its download
+// model a Link: Pensieve's analytic one, or netem's packet emulator),
+// Pensieve's 6×8 observation encoding, the Buffer-Based, Random,
+// Rate-Based, BOLA and RobustMPC baseline policies, and an offline
+// oracle.
 package abr
 
 import (

@@ -44,7 +44,6 @@ func (l *Lab) OracleHeadroom(trainDS string, traceSamples int) (*OracleHeadroomR
 	}
 
 	envCfg := abr.DefaultEnvConfig(l.cfg.EvalVideo, nil)
-	oracleCfg := abr.OracleConfigFromEnv(envCfg, 256)
 
 	for _, te := range datasetOrder() {
 		res.Tests = append(res.Tests, te)
@@ -61,7 +60,7 @@ func (l *Lab) OracleHeadroom(trainDS string, traceSamples int) (*OracleHeadroomR
 		for i := 0; i < n; i++ {
 			tr := d.Test[i]
 			offset := rng.Float64() * tr.Duration()
-			q, err := abr.OfflineOptimalQoE(oracleCfg, tr, offset)
+			q, err := abr.OfflineOptimalQoE(envCfg, 256, tr, offset)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: oracle on %s/%d: %w", te, i, err)
 			}

@@ -4,9 +4,9 @@
 //     trace-driven bottleneck link at packet granularity — MTU-sized
 //     delivery opportunities derived from the trace exactly as MahiMahi
 //     schedules them, propagation delay on both paths, and a simple
-//     ack-clocked transport with slow start. Env wraps it into a full
-//     packet-level ABR environment that is observation-compatible with
-//     the chunk-level simulator in internal/abr.
+//     ack-clocked transport with slow start. PacketLink makes it a link
+//     of abr.Env, so the packet-level ABR environment is the chunk-level
+//     one with a different download model.
 //
 //   - Real-socket building blocks (ThrottledConn, ChunkServer) that
 //     shape actual TCP connections to a trace in wall-clock time, used
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"osap/internal/abr"
 	"osap/internal/trace"
 )
 
@@ -54,6 +55,21 @@ func DefaultLinkConfig(tr *trace.Trace) LinkConfig {
 	}
 }
 
+// PacketLink returns an abr.EnvConfig.Link that downloads each episode's
+// chunks through a fresh Emulator on cfg over the episode's trace
+// (cfg.Trace is ignored).
+func PacketLink(cfg LinkConfig) func(tr *trace.Trace, startSec float64) (abr.Link, error) {
+	return func(tr *trace.Trace, startSec float64) (abr.Link, error) {
+		lc := cfg
+		lc.Trace = tr
+		em, err := NewEmulator(lc, startSec)
+		if err != nil {
+			return nil, err
+		}
+		return em, nil
+	}
+}
+
 // FetchStats describes the packet-level timing of one FetchBytes call.
 type FetchStats struct {
 	// Packets is the number of MTU packets transferred.
@@ -88,8 +104,11 @@ func NewEmulator(cfg LinkConfig, startSec float64) (*Emulator, error) {
 	if cfg.Trace == nil || len(cfg.Trace.Mbps) == 0 {
 		return nil, fmt.Errorf("netem: LinkConfig.Trace is required and non-empty")
 	}
-	if cfg.PropDelaySec < 0 {
-		return nil, fmt.Errorf("netem: negative propagation delay %v", cfg.PropDelaySec)
+	if !(cfg.PropDelaySec >= 0) || math.IsInf(cfg.PropDelaySec, 1) {
+		return nil, fmt.Errorf("netem: propagation delay %v is not a finite non-negative number", cfg.PropDelaySec)
+	}
+	if math.IsNaN(startSec) || math.IsInf(startSec, 0) {
+		return nil, fmt.Errorf("netem: start time %v is not finite", startSec)
 	}
 	if cfg.InitialCwnd <= 0 {
 		cfg.InitialCwnd = 10

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"osap/internal/abr"
 	"osap/internal/trace"
 )
 
@@ -36,6 +37,40 @@ func TestNewEmulatorValidation(t *testing.T) {
 	}
 	if _, err := NewEmulator(LinkConfig{Trace: constTrace(1, 5), InitialCwnd: 50, MaxCwnd: 10}, 0); err == nil {
 		t.Error("MaxCwnd < InitialCwnd accepted")
+	}
+}
+
+// TestNewEmulatorRefusesNonFinite: a NaN propagation delay used to pass
+// and stall the first episode forever, so each case must fail the
+// constructor, directly and through abr.NewEnv's packet link; nothing
+// is fetched.
+func TestNewEmulatorRefusesNonFinite(t *testing.T) {
+	cases := []struct {
+		name  string
+		delay float64
+		start float64
+	}{
+		{"NaN delay", math.NaN(), 0},
+		{"+Inf delay", math.Inf(1), 0},
+		{"-Inf delay", math.Inf(-1), 0},
+		{"NaN start", 0.04, math.NaN()},
+		{"+Inf start", 0.04, math.Inf(1)},
+		{"-Inf start", 0.04, math.Inf(-1)},
+	}
+	for _, c := range cases {
+		cfg := DefaultLinkConfig(constTrace(2, 10))
+		cfg.PropDelaySec = c.delay
+		if _, err := NewEmulator(cfg, c.start); err == nil {
+			t.Errorf("%s: NewEmulator accepted", c.name)
+		}
+		if c.start != 0 {
+			continue
+		}
+		env := abr.DefaultEnvConfig(abr.SyntheticVideo(1, 8, 4), []*trace.Trace{cfg.Trace})
+		env.Link = PacketLink(cfg)
+		if _, err := abr.NewEnv(env); err == nil {
+			t.Errorf("%s: abr.NewEnv accepted the packet link", c.name)
+		}
 	}
 }
 

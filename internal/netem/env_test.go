@@ -1,7 +1,10 @@
 package netem
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"osap/internal/abr"
@@ -29,12 +32,20 @@ func flatVideo(chunks int) *abr.Video {
 	return v
 }
 
-func packetEnv(t *testing.T, video *abr.Video, tr *trace.Trace, slowStart bool) *Env {
+// packetConfig is the paper's environment over the emulated path.
+func packetConfig(video *abr.Video, traces []*trace.Trace, slowStart bool) abr.EnvConfig {
+	cfg := abr.DefaultEnvConfig(video, traces)
+	lc := DefaultLinkConfig(nil)
+	lc.SlowStart = slowStart
+	cfg.Link = PacketLink(lc)
+	return cfg
+}
+
+func packetEnv(t *testing.T, video *abr.Video, tr *trace.Trace, slowStart bool) *abr.Env {
 	t.Helper()
-	cfg := DefaultEnvConfig(video, []*trace.Trace{tr})
+	cfg := packetConfig(video, []*trace.Trace{tr}, slowStart)
 	cfg.RandomStart = false
-	cfg.Link.SlowStart = slowStart
-	env, err := NewEnv(cfg)
+	env, err := abr.NewEnv(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +55,18 @@ func packetEnv(t *testing.T, video *abr.Video, tr *trace.Trace, slowStart bool) 
 func TestNewEnvValidation(t *testing.T) {
 	v := flatVideo(4)
 	tr := constTrace(2, 50)
-	if _, err := NewEnv(EnvConfig{Traces: []*trace.Trace{tr}, BufferCapSec: 60}); err == nil {
+	if _, err := abr.NewEnv(packetConfig(nil, []*trace.Trace{tr}, true)); err == nil {
 		t.Error("missing video accepted")
 	}
-	if _, err := NewEnv(EnvConfig{Video: v, BufferCapSec: 60}); err == nil {
+	if _, err := abr.NewEnv(packetConfig(v, nil, true)); err == nil {
 		t.Error("missing traces accepted")
 	}
-	if _, err := NewEnv(EnvConfig{Video: v, Traces: []*trace.Trace{constTrace(0, 5)}, BufferCapSec: 60}); err == nil {
+	if _, err := abr.NewEnv(packetConfig(v, []*trace.Trace{constTrace(0, 5)}, true)); err == nil {
 		t.Error("undeliverable trace accepted")
 	}
-	cfg := DefaultEnvConfig(v, []*trace.Trace{tr})
+	cfg := packetConfig(v, []*trace.Trace{tr}, true)
 	cfg.BufferCapSec = 0
-	if _, err := NewEnv(cfg); err == nil {
+	if _, err := abr.NewEnv(cfg); err == nil {
 		t.Error("zero buffer cap accepted")
 	}
 }
@@ -136,8 +147,8 @@ func TestEnvObservationCompatible(t *testing.T) {
 		t.Fatalf("obs dim %d", len(obs))
 	}
 	obs, _, _ = env.Step(1)
-	if got := abr.BufferSecFromObs(obs); math.Abs(got-env.bufferSec) > 1e-9 {
-		t.Errorf("buffer decode %v, want %v", got, env.bufferSec)
+	if got := abr.BufferSecFromObs(obs); math.Abs(got-env.LastChunk().BufferSec) > 1e-9 {
+		t.Errorf("buffer decode %v, want %v", got, env.LastChunk().BufferSec)
 	}
 	if got := abr.LastThroughputMbps(obs); math.Abs(got-env.LastChunk().ThroughputMbps) > 1e-9 {
 		t.Errorf("throughput decode %v", got)
@@ -149,8 +160,8 @@ func TestEnvBufferCap(t *testing.T) {
 	env.Reset(stats.NewRNG(1))
 	for i := 0; i < 60; i++ {
 		_, _, done := env.Step(0)
-		if env.bufferSec > 60+1e-9 {
-			t.Fatalf("buffer %v exceeds cap", env.bufferSec)
+		if env.LastChunk().BufferSec > 60+1e-9 {
+			t.Fatalf("buffer %v exceeds cap", env.LastChunk().BufferSec)
 		}
 		if done {
 			break
@@ -186,4 +197,156 @@ func TestEnvSlowStartHurtsQoE(t *testing.T) {
 	if qoe(true) > qoe(false)+1e-9 {
 		t.Errorf("slow start improved QoE: %v > %v", qoe(true), qoe(false))
 	}
+}
+
+// TestPacketEnvPinned pins the packet link bit for bit on amd64: one
+// FNV digest of the Float64bits of every observation entry, reward and
+// ChunkResult field over four random-start episodes on Norway, Belgium
+// and Exponential traces, per policy and slow-start setting. A change
+// that moves any packet-level number by one bit fails here.
+func TestPacketEnvPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests pinned on amd64")
+	}
+	video := abr.SyntheticVideo(3, 12, 4)
+	rng := stats.NewRNG(11)
+	var traces []*trace.Trace
+	for _, ds := range []string{trace.DatasetNorway, trace.DatasetBelgium, trace.DatasetExponential} {
+		gen, err := trace.GeneratorFor(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, gen.Generate(rng, 120))
+	}
+	want := map[string]uint64{
+		"bb/link-limited":  0x58ed0cc5187997e7,
+		"bb/slowstart":     0xb14c7651b5a686a6,
+		"mpc/link-limited": 0x368d6eb9df59090c,
+		"mpc/slowstart":    0xab2d3dada0b9eef8,
+	}
+	for _, ss := range []bool{false, true} {
+		for _, pol := range []string{"bb", "mpc"} {
+			env, err := abr.NewEnv(packetConfig(video, traces, ss))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bb := abr.NewBBPolicy(video.NumLevels())
+			mpc := abr.NewMPCPolicy(video, abr.DefaultQoE())
+			decide := func(obs []float64) int { return bb.Level(abr.BufferSecFromObs(obs)) }
+			if pol == "mpc" {
+				decide = mpc.Decide
+			}
+			h := fnv.New64a()
+			var b [8]byte
+			put := func(xs ...float64) {
+				for _, x := range xs {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+					h.Write(b[:])
+				}
+			}
+			erng := stats.NewRNG(5)
+			for ep := 0; ep < 4; ep++ {
+				obs := env.Reset(erng)
+				put(obs...)
+				for done := false; !done; {
+					var r float64
+					obs, r, done = env.Step(decide(obs))
+					c := env.LastChunk()
+					put(obs...)
+					put(r, float64(c.ChunkIndex), float64(c.Level), c.BitrateMbps, c.SizeBytes,
+						c.DownloadSec, c.ThroughputMbps, c.RebufferSec, c.BufferSec, c.QoE)
+				}
+			}
+			name := pol + "/link-limited"
+			if ss {
+				name = pol + "/slowstart"
+			}
+			if got := h.Sum64(); got != want[name] {
+				t.Errorf("%s: digest %#x, pinned %#x", name, got, want[name])
+			}
+		}
+	}
+}
+
+// FuzzEnvStep steps abr.Env over the analytic link and the packet link
+// (slow start on or off) on a random trace — zero-capacity slots
+// allowed, at least one slot the emulator can deliver in — with random
+// chunk sizes under ~0.5 MB, a random buffer cap and random actions,
+// and checks every step: a finite positive download, no negative
+// stall, a buffer in (0, cap], a finite QoE and an episode of exactly
+// NumChunks steps.
+func FuzzEnvStep(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 40, 0, 7, 1, 5, 9, 200, 100, 3, 30, 1, 2, 3, 4, 5})
+	f.Add([]byte{15, 4, 8, 12, 0, 255, 1, 2, 3, 0, 0, 11, 2, 255, 255, 255, 255, 60, 0, 5, 4, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		tr := &trace.Trace{Name: "fuzz", Mbps: make([]float64, 1+int(next()%16))}
+		for i := range tr.Mbps {
+			if b := next(); b%4 != 0 {
+				tr.Mbps[i] = float64(b) / 16
+			}
+		}
+		if i := int(next()) % len(tr.Mbps); tr.Mbps[i] < 0.5 {
+			tr.Mbps[i] = 0.5
+		}
+		video := &abr.Video{
+			Name:         "fuzz",
+			BitratesKbps: append([]float64(nil), abr.DefaultBitratesKbps...),
+			ChunkSec:     float64(1 + next()%8),
+			SizesBytes:   make([][]float64, 1+int(next()%12)),
+		}
+		actions := make([]int, video.NumChunks())
+		for c := range video.SizesBytes {
+			row := make([]float64, video.NumLevels())
+			for l := range row {
+				row[l] = 1 + 8*float64(next())*float64(next())
+			}
+			video.SizesBytes[c] = row
+			actions[c] = int(next()) % video.NumLevels()
+		}
+		capSec := float64(1 + next()%64)
+		lc := DefaultLinkConfig(nil)
+		lc.SlowStart = next()%2 == 1
+		seed := uint64(next())
+
+		for _, packet := range []bool{false, true} {
+			cfg := abr.DefaultEnvConfig(video, []*trace.Trace{tr})
+			cfg.BufferCapSec = capSec
+			if packet {
+				cfg.Link = PacketLink(lc)
+			}
+			env, err := abr.NewEnv(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env.Reset(stats.NewRNG(seed))
+			for i, a := range actions {
+				_, _, done := env.Step(a)
+				c := env.LastChunk()
+				if !(c.DownloadSec > 0) || math.IsInf(c.DownloadSec, 0) {
+					t.Fatalf("packet %v chunk %d: download %v", packet, i, c.DownloadSec)
+				}
+				if !(c.RebufferSec >= 0) {
+					t.Fatalf("packet %v chunk %d: rebuffer %v", packet, i, c.RebufferSec)
+				}
+				if !(c.BufferSec > 0 && c.BufferSec <= capSec) {
+					t.Fatalf("packet %v chunk %d: buffer %v outside (0, %v]", packet, i, c.BufferSec, capSec)
+				}
+				if math.IsNaN(c.QoE) || math.IsInf(c.QoE, 0) {
+					t.Fatalf("packet %v chunk %d: QoE %v", packet, i, c.QoE)
+				}
+				if done != (i == len(actions)-1) {
+					t.Fatalf("packet %v chunk %d of %d: done %v", packet, i, len(actions), done)
+				}
+			}
+		}
+	})
 }
