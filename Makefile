@@ -1,6 +1,6 @@
 # Developer entry points. `make ci` is the full gate: tier-1 verify
-# (build + all tests), vet, formatting, the osap-vet static analyzers
-# (DESIGN.md §8), the race-detector sweep, the figures' run-to-run
+# (build + all tests), go vet and the osap-vet static analyzers
+# (DESIGN.md §8), formatting, the race-detector sweep, the figures' run-to-run
 # identity, the train → file → serve round trip, and the chaos (both
 # fault scripts), rollout and learn selftests — the same steps CI runs.
 
@@ -21,8 +21,8 @@ test:
 	$(GO) test ./...
 
 # The assembly kernels are amd64-only; every other architecture runs
-# the portable loops, and 32-bit ones also test the atomic-alignment
-# layout. Building for one of each keeps both compiling.
+# the portable loops, and 32-bit ones lay 64-bit fields out on 4-byte
+# boundaries. Building for one of each keeps both compiling.
 build-cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=386 $(GO) build ./...
@@ -33,11 +33,11 @@ verify: build build-cross test
 vet:
 	$(GO) vet ./...
 
-# Static analysis gate: the stock go vet suite plus the eight
-# project-specific analyzers — zero-alloc hot paths and their
-# call-graph closure, 32-bit atomic alignment, atomic mixed access,
-# lock-copy hygiene, //osap:guardedby lock discipline, determinism,
-# and no function without a caller (DESIGN.md §8, §12). Fixture
+# Static analysis gate: the stock go vet suite (its copylocks check is
+# the lock-copy rule) plus the six project-specific analyzers —
+# zero-alloc hot paths and their call-graph closure, typed atomics
+# only, //osap:guardedby lock discipline, determinism, and no function
+# without a caller (DESIGN.md §8, §12). Fixture
 # packages under testdata/ are excluded by ./... expansion; deadcode
 # needs the whole module, so lint always runs ./... at the root.
 lint:
@@ -97,7 +97,7 @@ models-check:
 	$(GO) run $(LDFLAGS) ./cmd/osap-train -scale quick -dataset gamma22 -out "$$dir" && \
 	$(GO) test -count=1 -v -run '^TestSelfTestSmallScale$$' ./cmd/osap-serve -args -models "$$dir" -dataset gamma22
 
-ci: verify vet lint fmt-check race figures-check models-check chaos rollout-selftest learn-selftest
+ci: verify lint fmt-check race figures-check models-check chaos rollout-selftest learn-selftest
 
 # Non-test lines of Go and assembly per package and in total — the size
 # ROADMAP.md tracks. Counts every line of each .go and .s file that is

@@ -107,6 +107,11 @@ func run(fitPath string, window, k int, nu float64, l int, quiet bool, stream io
 	if err := sigCfg.Validate(); err != nil {
 		return false, err
 	}
+	tc := osap.StateTriggerConfig()
+	tc.L = l
+	if err := tc.Validate(); err != nil {
+		return false, err
+	}
 	feats := osap.BuildStateFeatures(calib, sigCfg)
 	if len(feats) < 10 {
 		return false, fmt.Errorf("calibration series too short: %d samples yield %d features (need ≥ 10)",
@@ -130,8 +135,6 @@ func run(fitPath string, window, k int, nu float64, l int, quiet bool, stream io
 	if err != nil {
 		return false, err
 	}
-	tc := osap.StateTriggerConfig()
-	tc.L = l
 	trigger := osap.NewTrigger(tc)
 
 	// Process the stream one line at a time as it arrives — never

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -216,6 +217,16 @@ func TestMonitorErrors(t *testing.T) {
 	}
 	if _, err := run(good, 1, 5, 0.05, 3, true, strings.NewReader(""), &out); err == nil {
 		t.Error("invalid window accepted")
+	}
+	// A bad -l or -nu is a usage error (exit 1), never a panic or a
+	// late failure.
+	for _, l := range []int{0, -2} {
+		if _, err := run(good, 10, 5, 0.05, l, true, strings.NewReader(""), &out); err == nil {
+			t.Errorf("-l %d accepted", l)
+		}
+	}
+	if _, err := run(good, 10, 5, math.NaN(), 3, true, strings.NewReader(""), &out); err == nil || !strings.Contains(err.Error(), "nu NaN") {
+		t.Errorf("-nu NaN: err %v, want one naming nu NaN", err)
 	}
 
 	// A non-finite sample parses but is refused like garbage, with its

@@ -1,11 +1,11 @@
 // Command osap-vet runs the project-specific static analyzers of
 // internal/analysis over the module: the zero-allocation hot-path
-// check and its call-graph closure, 32-bit atomic alignment, atomic
-// mixed-access, lock-copy hygiene, //osap:guardedby lock discipline,
-// the determinism rules for the training/eval packages, and deadcode
-// (no function without a caller), which reports only when the load is
-// the whole module: ./... from the module root, the default. It is the
-// `make lint` gate — any finding fails the build.
+// check and its call-graph closure, typed atomics only, //osap:guardedby
+// lock discipline, the determinism rules for the training/eval
+// packages, and deadcode (no function without a caller), which reports
+// only when the load is the whole module: ./... from the module root,
+// the default. It is the `make lint` gate, after go vet (whose
+// copylocks check is the lock-copy rule) — any finding fails the build.
 //
 // Usage:
 //

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -19,6 +20,17 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	if code != 0 {
 		t.Fatalf("osap-vet ./... found violations:\n%s", b.String())
+	}
+}
+
+// TestRepoCopiesNoLocks runs go vet's copylocks check, the lock-copy
+// rule of `make lint`, over the whole module: no value holding a sync
+// lock or a typed atomic may be copied.
+func TestRepoCopiesNoLocks(t *testing.T) {
+	cmd := exec.Command("go", "vet", "-copylocks", "./...")
+	cmd.Dir = "../.."
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet -copylocks ./...: %v\n%s", err, out)
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package analysis is osap's project-specific static-analysis
 // framework: a stdlib-only (go/ast, go/parser, go/types, go/token)
 // mini-vet that locks in the invariants the benchmarks and race sweeps
-// only spot-check — the allocation-free serving hot path (both
-// annotated functions and the transitive call-graph closure beneath
-// them), 32-bit atomic alignment, atomic/plain mixed field access,
-// lock-value hygiene, lock discipline on annotated fields,
-// deterministic training/eval, and no function without a caller. cmd/osap-vet is the CLI front end;
-// `make lint` runs it over the whole module and fails the build on any
-// finding.
+// only spot-check and go vet does not — the allocation-free serving
+// hot path (both annotated functions and the transitive call-graph
+// closure beneath them), typed atomics only, lock discipline on
+// annotated fields, deterministic training/eval, and no function
+// without a caller. Lock copies are go vet's (copylocks).
+// cmd/osap-vet is the CLI front end; `make lint` runs go vet and then
+// it over the whole module and fails the build on any finding.
 //
 // Five source directives drive the analyzers:
 //
@@ -48,20 +48,17 @@ import (
 	"sort"
 )
 
-// Analyzer is one named check. Per-package analyzers set Run and are
-// invoked once per package; whole-program analyzers set RunProgram and
-// are invoked once with every package loaded (they see cross-package
-// call edges and field accesses). Exactly one of the two is non-nil.
+// Analyzer is one named check, run once over the whole program: it
+// sees every loaded package, cross-package call edges and field
+// accesses included.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and //osap:ignore
 	// directives (kebab-case, e.g. "hotpath-alloc").
 	Name string
 	// Doc is a one-line description for `osap-vet -list`.
 	Doc string
-	// Run inspects pass.Pkg and reports findings via pass.Reportf.
+	// Run inspects pass.Prog and reports findings via pass.Reportf.
 	Run func(pass *Pass)
-	// RunProgram inspects pass.Prog (all loaded packages at once).
-	RunProgram func(pass *ProgramPass)
 }
 
 // All returns the full analyzer suite in stable order.
@@ -69,9 +66,7 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		HotpathAlloc,
 		HotpathClosure,
-		AtomicAlign,
-		AtomicMixed,
-		MutexCopy,
+		AtomicTyped,
 		GuardedBy,
 		Nondeterminism,
 		DeadCode,
@@ -112,29 +107,9 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 }
 
-// Pass carries one per-package analyzer's view of one package.
-type Pass struct {
-	Analyzer *Analyzer
-	Pkg      *Package
-
-	diags *[]Diagnostic
-}
-
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Pkg.Fset.Position(pos)
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Program is the whole-program view handed to RunProgram analyzers:
-// every loaded package sharing one token.FileSet, the merged directive
-// index, and the lazily built call graph.
+// Program is the view every analyzer runs over: every loaded package
+// sharing one token.FileSet, the merged directive index, and the
+// lazily built call graph.
 type Program struct {
 	Pkgs []*Package
 	// Fset is the file set shared by every package (Load guarantees
@@ -166,8 +141,8 @@ func (p *Program) CallGraph() *CallGraph {
 	return p.graph
 }
 
-// ProgramPass carries one whole-program analyzer's view.
-type ProgramPass struct {
+// Pass carries one analyzer's view of the program.
+type Pass struct {
 	Analyzer *Analyzer
 	Prog     *Program
 
@@ -176,7 +151,7 @@ type ProgramPass struct {
 
 // Reportf records a diagnostic at pos (the shared file set makes any
 // position in any loaded package addressable).
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Prog.Fset.Position(pos)
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
@@ -187,8 +162,7 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Run executes the analyzers over every package — per-package
-// analyzers on each package, whole-program analyzers once — applies
+// Run executes each analyzer once over the program, applies
 // //osap:ignore suppressions from the merged directive index, and
 // returns the surviving diagnostics sorted by file, line and column.
 // Malformed directives surface as diagnostics from the pseudo-analyzer
@@ -198,19 +172,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	out := append([]Diagnostic(nil), prog.dirs.malformed...)
 
 	var raw []Diagnostic
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &raw})
-		}
-	}
 	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		a.RunProgram(&ProgramPass{Analyzer: a, Prog: prog, diags: &raw})
+		a.Run(&Pass{Analyzer: a, Prog: prog, diags: &raw})
 	}
 	for _, d := range raw {
 		if prog.dirs.suppressed(d) {

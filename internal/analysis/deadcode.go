@@ -32,12 +32,12 @@ import (
 // caller in view, so it runs only on a whole-module load (./... at the
 // module root) and is silent on a narrower one.
 var DeadCode = &Analyzer{
-	Name:       "deadcode",
-	Doc:        "every function and method must be reachable from a main, an init, the module's API or an interface the code uses",
-	RunProgram: runDeadCode,
+	Name: "deadcode",
+	Doc:  "every function and method must be reachable from a main, an init, the module's API or an interface the code uses",
+	Run:  runDeadCode,
 }
 
-func runDeadCode(pass *ProgramPass) {
+func runDeadCode(pass *Pass) {
 	pkgs := pass.Prog.Pkgs
 	if len(pkgs) == 0 {
 		return

@@ -3,6 +3,7 @@ package analysis
 import (
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,9 +17,8 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 var fixtures = []struct{ name, analyzer string }{
 	{"hotpath", "hotpath-alloc"},
 	{"hotclosure", "hotpath-closure"},
-	{"atomicalign", "atomic-align"},
-	{"atomicmixed", "atomic-mixed-access"},
-	{"mutexcopy", "mutex-copy"},
+	{"atomicalign", "atomic-typed"},
+	{"atomicmixed", "atomic-typed"},
 	{"guardedby", "guardedby"},
 	{"nondet", "nondeterminism"},
 	{"deadcode", "deadcode"},
@@ -127,19 +127,35 @@ func TestGoldenHasFindingsAndSuppressions(t *testing.T) {
 				continue
 			}
 			var diags []Diagnostic
-			if a.Run != nil {
-				for _, pkg := range pkgs {
-					a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &diags})
-				}
-			}
-			if a.RunProgram != nil {
-				a.RunProgram(&ProgramPass{Analyzer: a, Prog: NewProgram(pkgs), diags: &diags})
-			}
+			a.Run(&Pass{Analyzer: a, Prog: NewProgram(pkgs), diags: &diags})
 			raw += len(diags)
 		}
 		if raw <= count {
 			t.Errorf("%s: expected at least one suppressed %s finding (raw %d, surviving %d)", name, analyzer, raw, count)
 		}
+	}
+}
+
+// TestGoVetCopiesLocks pins go vet's copylocks check, the lint gate's
+// lock-copy rule, on the mutexcopy fixture: a range copy, a copy
+// through a dereference, a by-value parameter and a by-value receiver,
+// each reported at its position, and nothing for a fresh value
+// returned by value.
+func TestGoVetCopiesLocks(t *testing.T) {
+	out, err := exec.Command("go", "vet", "-copylocks", "./testdata/src/mutexcopy").CombinedOutput()
+	if err == nil {
+		t.Fatalf("go vet -copylocks passed the mutexcopy fixture:\n%s", out)
+	}
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if _, rest, ok := strings.Cut(line, "mutexcopy.go:"); ok {
+			pos := strings.SplitN(rest, ":", 3)
+			got = append(got, pos[0]+":"+pos[1])
+		}
+	}
+	want := []string{"19:9", "39:11", "44:13", "47:9", "52:15"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("go vet -copylocks reported %v, want %v\n%s", got, want, out)
 	}
 }
 

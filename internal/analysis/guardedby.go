@@ -30,9 +30,9 @@ import (
 // initialization before the value is shared is the intended use of
 // //osap:ignore guardedby <reason>.
 var GuardedBy = &Analyzer{
-	Name:       "guardedby",
-	Doc:        "fields annotated //osap:guardedby <mu> may only be accessed with the named lock held",
-	RunProgram: runGuardedBy,
+	Name: "guardedby",
+	Doc:  "fields annotated //osap:guardedby <mu> may only be accessed with the named lock held",
+	Run:  runGuardedBy,
 }
 
 // guardedField is one annotated field.
@@ -41,7 +41,7 @@ type guardedField struct {
 	owner string // "pkgPath.Type" key of the declaring struct
 }
 
-func runGuardedBy(pass *ProgramPass) {
+func runGuardedBy(pass *Pass) {
 	guarded := collectGuardedFields(pass)
 	if len(guarded) == 0 {
 		return
@@ -57,7 +57,7 @@ func runGuardedBy(pass *ProgramPass) {
 // //osap:guardedby field annotations, validates that the named mutex
 // is a sibling lock field, and returns the field-key → annotation
 // index.
-func collectGuardedFields(pass *ProgramPass) map[string]guardedField {
+func collectGuardedFields(pass *Pass) map[string]guardedField {
 	out := map[string]guardedField{}
 	for _, pkg := range pass.Prog.Pkgs {
 		for _, file := range pkg.Files {
@@ -153,7 +153,7 @@ type lockRegion struct {
 }
 
 // checkGuardedAccesses verifies every guarded-field access in fd.
-func checkGuardedAccesses(pass *ProgramPass, pkg *Package, fd *ast.FuncDecl, guarded map[string]guardedField) {
+func checkGuardedAccesses(pass *Pass, pkg *Package, fd *ast.FuncDecl, guarded map[string]guardedField) {
 	info := pkg.Info
 	var regions []lockRegion
 	var accesses []*ast.SelectorExpr
@@ -340,4 +340,58 @@ func exprPath(e ast.Expr) string {
 		return ""
 	}
 	return ""
+}
+
+// fieldKey names a struct-field selection stably across package views:
+// "pkgPath.Type.field" derived from the receiver's named type ("" if
+// the selection is not a field access on a named struct). Export-data
+// object identities differ per importing package, so string keys are
+// the cross-package join point.
+func fieldKey(pkg *Package, sel *ast.SelectorExpr) string {
+	s := pkg.Info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal {
+		return ""
+	}
+	t := s.Recv()
+	// The field may be promoted: walk the embedding path so the key
+	// names the struct that declares the field.
+	idx := s.Index()
+	for _, i := range idx[:len(idx)-1] {
+		st, ok := derefStruct(t)
+		if !ok {
+			return ""
+		}
+		t = st.Field(i).Type()
+	}
+	for {
+		ptr, ok := t.Underlying().(*types.Pointer)
+		if !ok {
+			break
+		}
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return ""
+	}
+	obj := named.Obj()
+	path := ""
+	if obj.Pkg() != nil {
+		path = obj.Pkg().Path() + "."
+	}
+	return path + obj.Name() + "." + s.Obj().Name()
+}
+
+// derefStruct unwraps pointers and names down to a struct type.
+func derefStruct(t types.Type) (*types.Struct, bool) {
+	for {
+		switch u := t.Underlying().(type) {
+		case *types.Pointer:
+			t = u.Elem()
+		case *types.Struct:
+			return u, true
+		default:
+			return nil, false
+		}
+	}
 }

@@ -36,12 +36,12 @@ import (
 // Residual findings are suppressible with //osap:ignore
 // hotpath-closure <reason>.
 var HotpathClosure = &Analyzer{
-	Name:       "hotpath-closure",
-	Doc:        "the zero-allocation ban extends to every function reachable from an //osap:hotpath root",
-	RunProgram: runHotpathClosure,
+	Name: "hotpath-closure",
+	Doc:  "the zero-allocation ban extends to every function reachable from an //osap:hotpath root",
+	Run:  runHotpathClosure,
 }
 
-func runHotpathClosure(pass *ProgramPass) {
+func runHotpathClosure(pass *Pass) {
 	prog := pass.Prog
 	cg := prog.CallGraph()
 

@@ -30,17 +30,18 @@ var HotpathAlloc = &Analyzer{
 }
 
 func runHotpathAlloc(pass *Pass) {
-	pass.Pkg.funcDecls(func(_ *ast.File, fd *ast.FuncDecl) {
-		if isHotpath(fd) {
-			checkHotpathBody(pass.Pkg, fd, pass.Reportf)
-		}
-	})
+	for _, pkg := range pass.Prog.Pkgs {
+		pkg.funcDecls(func(_ *ast.File, fd *ast.FuncDecl) {
+			if isHotpath(fd) {
+				checkHotpathBody(pkg, fd, pass.Reportf)
+			}
+		})
+	}
 }
 
-// reporter abstracts Pass.Reportf/ProgramPass.Reportf so the body
-// check serves both the direct hotpath-alloc analyzer and the
-// hotpath-closure analyzer (which wraps the reporter to append the
-// call chain that reached the function).
+// reporter is Pass.Reportf, or the hotpath-closure analyzer's wrapper
+// of it that appends the call chain that reached the function, so the
+// body check serves both analyzers.
 type reporter func(pos token.Pos, format string, args ...any)
 
 // span is a half-open source range used for containment tests.

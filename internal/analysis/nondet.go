@@ -54,28 +54,29 @@ var seededConstructors = map[string]bool{
 }
 
 func runNondeterminism(pass *Pass) {
-	if !deterministicPkgs[pass.Pkg.Path] && !isDeterministicPackage(pass.Pkg) {
-		return
-	}
-	info := pass.Pkg.Info
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.CallExpr:
-				checkNondetCall(pass, x)
-			case *ast.RangeStmt:
-				if t := info.TypeOf(x.X); t != nil {
-					if _, isMap := t.Underlying().(*types.Map); isMap {
-						checkMapRange(pass, x)
+	for _, pkg := range pass.Prog.Pkgs {
+		if !deterministicPkgs[pkg.Path] && !isDeterministicPackage(pkg) {
+			continue
+		}
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CallExpr:
+					checkNondetCall(pass, pkg, x)
+				case *ast.RangeStmt:
+					if t := pkg.Info.TypeOf(x.X); t != nil {
+						if _, isMap := t.Underlying().(*types.Map); isMap {
+							checkMapRange(pass, pkg, x)
+						}
 					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 }
 
-func checkNondetCall(pass *Pass, call *ast.CallExpr) {
+func checkNondetCall(pass *Pass, pkg *Package, call *ast.CallExpr) {
 	fun, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -84,7 +85,7 @@ func checkNondetCall(pass *Pass, call *ast.CallExpr) {
 	if !ok {
 		return
 	}
-	pn, ok := pass.Pkg.Info.ObjectOf(pkgID).(*types.PkgName)
+	pn, ok := pkg.Info.ObjectOf(pkgID).(*types.PkgName)
 	if !ok {
 		return
 	}
@@ -104,8 +105,8 @@ func checkNondetCall(pass *Pass, call *ast.CallExpr) {
 // effects: appending to a slice declared outside the loop,
 // formatting/printing, or drawing from a *stats.RNG declared outside
 // the loop.
-func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
-	info := pass.Pkg.Info
+func checkMapRange(pass *Pass, pkg *Package, rng *ast.RangeStmt) {
+	info := pkg.Info
 	// outerRNG reports whether e names a *stats.RNG declared outside the
 	// range: one generator shared by every iteration hands its draws out
 	// in map order.

@@ -1,5 +1,6 @@
-// Package atomicalign seeds 32-bit atomic-alignment violations for the
-// golden-file test.
+// Package atomicalign seeds the 32-bit alignment hazard of the
+// function-style sync/atomic API. atomic-typed refuses every such call,
+// whatever the layout; only the typed wrappers are clean.
 package atomicalign
 
 import "sync/atomic"
@@ -18,7 +19,8 @@ func use(x *misaligned) {
 	x.ready = true
 }
 
-// aligned keeps the atomic field first: clean.
+// aligned keeps the atomic field first: safe on 32-bit, refused all
+// the same.
 type aligned struct {
 	n     int64
 	ready bool
@@ -41,8 +43,17 @@ func usePassive(p *passive) { p.n++ }
 // suppressed demonstrates //osap:ignore on a known-bad layout.
 type suppressed struct {
 	pad bool
-	//osap:ignore atomic-align fixture demonstrates suppression
 	cnt int64
 }
 
+//osap:ignore atomic-typed fixture demonstrates suppression
 func bump(s *suppressed) { atomic.AddInt64(&s.cnt, 1) }
+
+// typed puts a typed atomic behind a bool: the wrapper carries its own
+// alignment, so it is clean.
+type typed struct {
+	ready bool
+	n     atomic.Int64
+}
+
+func useTyped(t *typed) int64 { return t.n.Add(1) }

@@ -1,20 +1,24 @@
-// Package atomicmixed seeds the all-or-nothing atomicity analyzer: a
-// field with atomic writers and plain readers/writers (two findings),
-// a justified constructor-style plain write (suppressed), and a
-// plain-only field (clean).
+// Package atomicmixed seeds the mixed-access hazard of the
+// function-style sync/atomic API: a field updated atomically in one
+// place and read and written plainly in others. atomic-typed refuses
+// the atomic calls (one finding, one suppressed) and atomic.Value; a
+// typed atomic, whose value no plain access can reach, is clean.
 package atomicmixed
 
 import "sync/atomic"
 
 type counter struct {
-	hits  int64 // accessed via sync/atomic — must be atomic everywhere
-	plain int64 // never touched atomically: plain access is fine
+	hits  int64        // accessed via sync/atomic: refused
+	plain int64        // never touched atomically: plain access is fine
+	typed atomic.Int64 // the typed API: clean
+	last  atomic.Value // refused: use atomic.Pointer[T]
 }
 
-// bump is the atomic writer that taints hits program-wide.
+// bump is the atomic writer of hits.
 func bump(c *counter) {
 	atomic.AddInt64(&c.hits, 1)
 	c.plain++
+	c.typed.Add(1)
 }
 
 // peek races with bump: a plain read of an atomically-written field.
@@ -27,9 +31,9 @@ func stomp(c *counter) {
 	c.hits = 0
 }
 
-// reset shows the sanctioned escape hatch for pre-sharing writes.
+// reset demonstrates //osap:ignore on a function-style call.
 func reset(c *counter) {
-	//osap:ignore atomic-mixed-access caller guarantees exclusive access during reset
-	c.hits = 0
+	//osap:ignore atomic-typed fixture demonstrates suppression
+	atomic.StoreInt64(&c.hits, 0)
 	c.plain = 0
 }

@@ -28,10 +28,11 @@ type CalibrationResult struct {
 // when its trigger threshold is set to the given α. Because a larger α
 // means fewer defaults (performance closer to the raw learned policy,
 // which dominates in-distribution), eval is assumed monotonically
-// non-decreasing in α; Calibrate first brackets targetQoE on a geometric
-// grid over [lo, hi] and then bisects. It returns the smallest bracketed
-// α whose QoE reaches targetQoE, or the best endpoint, named in Bound,
-// if the target is out of range.
+// non-decreasing in α. Calibrate evaluates lo, then hi, and then
+// bisects log α iters times (12 when iters < 1). It returns the
+// smallest α it found whose QoE reaches targetQoE, or the endpoint,
+// named in Bound, when the target is out of range: lo when lo already
+// reaches it, hi when even hi does not.
 func Calibrate(eval func(alpha float64) float64, targetQoE, lo, hi float64, iters int) (CalibrationResult, error) {
 	if lo <= 0 || hi <= lo {
 		return CalibrationResult{}, fmt.Errorf("core: calibration range [%v, %v] invalid (need 0 < lo < hi)", lo, hi)

@@ -178,6 +178,9 @@ func NewGuard(c *Calibration, scheme string, sc *rl.Scratch, p Probation) (*core
 		return nil, err
 	}
 	tc.ReadmitL, tc.ReadmitCap = p.ReadmitL, p.ReadmitCap
+	if err := tc.Validate(); err != nil {
+		return nil, err
+	}
 	levels := sc.NumActions()
 	def := &bbDefault{bb: abr.NewBBPolicy(levels), onehot: make([]float64, levels)}
 	return core.NewGuard(sc.Greedy(), def, sig, core.NewTrigger(tc))

@@ -95,19 +95,15 @@ type Config struct {
 	RateEvery int
 	RateBurst int
 
-	// WindowSize bounds the refit training window (default 4096).
 	// MinRefitSamples is the smallest window a refit will train on
-	// (default 128). RefitEvery, when > 0, triggers an automatic refit
-	// every RefitEvery admitted samples; 0 means manual refits only
-	// (POST /admin/learn).
-	WindowSize      int
+	// (default 128; the window holds windowSize). RefitEvery, when > 0,
+	// triggers an automatic refit every RefitEvery admitted samples; 0
+	// means manual refits only (POST /admin/learn).
 	MinRefitSamples int
 	RefitEvery      int
 
-	// RingSize is the gate→learner handoff capacity (default 8192,
-	// rounded up to a power of two). FlushInterval is the learner
-	// goroutine's drain period (default 25ms).
-	RingSize      int
+	// FlushInterval is the learner goroutine's drain period of the
+	// gate→learner ring (default 25ms).
 	FlushInterval time.Duration
 
 	// LogDir, when non-empty, enables the durable experience log; ""
@@ -123,10 +119,9 @@ type Config struct {
 	// AlphaQuantile is the quantile of admitted steps' U_π/U_V
 	// statistic (the K-window variance the guard thresholds) that the
 	// thresholds are recalibrated to (default 0.95), once
-	// MinCalibSamples (default 64) of them have been sketched; below
-	// that the baseline thresholds carry over.
-	AlphaQuantile   float64
-	MinCalibSamples int
+	// minCalibSamples of them have been sketched; below that the
+	// baseline thresholds carry over.
+	AlphaQuantile float64
 
 	// RegistryRoot, when non-empty, publishes each successful refit as
 	// a proposed version. ParentVersion is recorded as the proposal's
@@ -144,6 +139,15 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// The learner's fixed sizes: the refit training window, the
+// gate→learner handoff ring (rounded up to a power of two), and the
+// sketched statistics a threshold recalibration needs.
+const (
+	windowSize      = 4096
+	ringSize        = 8192
+	minCalibSamples = 64
+)
+
 func (c Config) withDefaults() Config {
 	if c.RateEvery <= 0 {
 		c.RateEvery = 4
@@ -151,23 +155,14 @@ func (c Config) withDefaults() Config {
 	if c.RateBurst <= 0 {
 		c.RateBurst = 8
 	}
-	if c.WindowSize <= 0 {
-		c.WindowSize = 4096
-	}
 	if c.MinRefitSamples <= 0 {
 		c.MinRefitSamples = 128
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 8192
 	}
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = 25 * time.Millisecond
 	}
 	if c.AlphaQuantile <= 0 || c.AlphaQuantile >= 1 {
 		c.AlphaQuantile = 0.95
-	}
-	if c.MinCalibSamples <= 0 {
-		c.MinCalibSamples = 64
 	}
 	if c.ProposalPrefix == "" {
 		if c.ParentVersion != "" {
@@ -266,9 +261,9 @@ func New(cfg Config) (*Learner, error) {
 	dim := cfg.Artifacts.OCSVM.Dim
 	l := &Learner{
 		cfg:       cfg,
-		ring:      newRing(dim, cfg.RingSize),
+		ring:      newRing(dim, ringSize),
 		frozen:    frozen,
-		window:    newWindow(dim, cfg.WindowSize),
+		window:    newWindow(dim, windowSize),
 		polSketch: sketch.New(100),
 		valSketch: sketch.New(100),
 		stop:      make(chan struct{}),
@@ -403,7 +398,7 @@ func (l *Learner) refitLocked() (*Proposal, error) {
 	rec := l.cfg.Artifacts.Record // a recalibrated threshold records its own rule
 	alphaPi, alphaV := l.cfg.Artifacts.AlphaPi, l.cfg.Artifacts.AlphaV
 	requantile := func(sk *sketch.Sketch, alpha *float64, prov *experiments.Provenance) {
-		if n := int(sk.Count()); n >= l.cfg.MinCalibSamples {
+		if n := int(sk.Count()); n >= minCalibSamples {
 			if a := sk.Quantile(l.cfg.AlphaQuantile); a > 0 {
 				*alpha = a
 				*prov = experiments.Provenance{Rule: experiments.RuleQuantile, Target: l.cfg.AlphaQuantile, Evals: n}

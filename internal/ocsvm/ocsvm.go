@@ -138,7 +138,7 @@ func Train(data [][]float64, cfg Config) (*Model, error) {
 			return nil, fmt.Errorf("ocsvm: sample %d has dim %d, want %d", i, len(x), dim)
 		}
 	}
-	if cfg.Nu <= 0 || cfg.Nu > 1 {
+	if !(cfg.Nu > 0 && cfg.Nu <= 1) {
 		return nil, fmt.Errorf("ocsvm: nu %v outside (0,1]", cfg.Nu)
 	}
 	if cfg.Iters <= 0 {

@@ -3,6 +3,7 @@ package ocsvm
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"osap/internal/stats"
@@ -174,6 +175,11 @@ func TestTrainErrors(t *testing.T) {
 		if _, err := Train(c.data, c.cfg); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+	// NaN fails every comparison: it is refused by the nu check, not
+	// later by a solve that finds no support vectors.
+	if _, err := Train(good, Config{Nu: math.NaN()}); err == nil || !strings.Contains(err.Error(), "nu NaN") {
+		t.Errorf("nu NaN: err %v, want one naming nu NaN", err)
 	}
 }
 

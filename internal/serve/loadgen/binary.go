@@ -19,12 +19,12 @@ const (
 	ProtocolBinary = "binary"
 )
 
-// DefaultSessionsPerConn is how many synthetic viewers share one
-// multiplexed binary connection when Config.SessionsPerConn is zero.
-// 512 keeps a 1000-client fleet on two connections — wide enough that
-// nearly every step and decision frame rides a shared syscall, which
-// is where the binary transport's throughput headroom comes from.
-const DefaultSessionsPerConn = 512
+// sessionsPerConn is how many synthetic viewers share one multiplexed
+// binary connection. 512 keeps a 1000-client fleet on two connections
+// — wide enough that nearly every step and decision frame rides a
+// shared syscall, which is where the binary transport's throughput
+// headroom comes from.
+const sessionsPerConn = 512
 
 var errDraining = errors.New("loadgen: server draining")
 

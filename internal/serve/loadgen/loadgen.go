@@ -40,9 +40,6 @@ type Config struct {
 	// Addr is the host:port of the server's binary listener; required
 	// when Protocol is ProtocolBinary (BaseURL is then unused).
 	Addr string
-	// SessionsPerConn is how many sessions share one multiplexed
-	// binary connection (0 → DefaultSessionsPerConn; HTTP ignores it).
-	SessionsPerConn int
 	// Clients is the number of concurrent sessions to hold open.
 	Clients int
 	// StepsPerClient bounds each client's decisions (0 = run until the
@@ -56,9 +53,6 @@ type Config struct {
 	Traces []*trace.Trace
 	// Seed derives the per-client RNGs.
 	Seed uint64
-	// Transport overrides the HTTP transport (nil → a transport sized
-	// for Clients concurrent loopback connections).
-	Transport http.RoundTripper
 	// Backoff, when non-nil, retries 429/503 responses that are not
 	// drain signals with jittered exponential backoff, honoring the
 	// server's Retry-After hint. Nil keeps the legacy fail-fast
@@ -508,37 +502,28 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Video == nil || len(cfg.Traces) == 0 {
 		return nil, fmt.Errorf("loadgen: Video and Traces are required")
 	}
-	rt := cfg.Transport
-	if rt == nil {
-		tr := &http.Transport{
-			MaxIdleConns:        cfg.Clients + 16,
-			MaxIdleConnsPerHost: cfg.Clients + 16,
-			IdleConnTimeout:     30 * time.Second,
-		}
-		// A connection the transport dialed but never sent a request on
-		// holds the server's http.Server.Shutdown for 5 s; close them all
-		// once the run is over.
-		defer tr.CloseIdleConnections()
-		rt = tr
+	// A transport sized for Clients concurrent loopback connections.
+	tr := &http.Transport{
+		MaxIdleConns:        cfg.Clients + 16,
+		MaxIdleConnsPerHost: cfg.Clients + 16,
+		IdleConnTimeout:     30 * time.Second,
 	}
-	httpClient := &http.Client{Transport: rt, Timeout: 30 * time.Second}
+	// A connection the transport dialed but never sent a request on
+	// holds the server's http.Server.Shutdown for 5 s; close them all
+	// once the run is over.
+	defer tr.CloseIdleConnections()
+	httpClient := &http.Client{Transport: tr, Timeout: 30 * time.Second}
 	schemes := cfg.Schemes
 	if len(schemes) == 0 {
 		schemes = []string{"ND"}
 	}
 
 	// Binary transport: sessions share multiplexed connections in
-	// groups of SessionsPerConn; group i/k rides mux[i/k] on slot i%k.
+	// groups of sessionsPerConn; group i/k rides mux[i/k] on slot i%k.
 	var muxes []*binMux
 	perConn := 0
 	if cfg.Protocol == ProtocolBinary {
-		perConn = cfg.SessionsPerConn
-		if perConn <= 0 {
-			perConn = DefaultSessionsPerConn
-		}
-		if perConn > cfg.Clients {
-			perConn = cfg.Clients
-		}
+		perConn = min(sessionsPerConn, cfg.Clients)
 		muxes = make([]*binMux, (cfg.Clients+perConn-1)/perConn)
 		for i := range muxes {
 			slots := perConn

@@ -114,10 +114,11 @@ type RolloutConfig struct {
 }
 
 func (c RolloutConfig) withDefaults() RolloutConfig {
-	if c.CanaryFraction <= 0 || c.CanaryFraction > 1 {
+	// NewServer refused any other value outside the fields' ranges.
+	if c.CanaryFraction == 0 {
 		c.CanaryFraction = 0.10
 	}
-	if c.RollbackMargin <= 0 {
+	if c.RollbackMargin == 0 {
 		c.RollbackMargin = 0.05
 	}
 	if c.MinSamples <= 0 {

@@ -63,13 +63,17 @@ type GuardFactory struct {
 }
 
 // NewGuardFactory checks the config against the artifacts' record and
-// packs the artifacts' networks; the factory keeps no reference to arts.
+// the probation pair, and packs the artifacts' networks; the factory
+// keeps no reference to arts.
 func NewGuardFactory(arts *experiments.Artifacts, cfg GuardConfig) (*GuardFactory, error) {
 	if arts == nil || len(arts.Agents) == 0 {
 		return nil, fmt.Errorf("serve: artifacts with at least one agent are required")
 	}
 	if err := arts.Record.Expect(cfg.StateSignal, cfg.TriggerL, cfg.Trim); err != nil {
 		return nil, err
+	}
+	if l := cfg.Probation.ReadmitL; l < 0 {
+		return nil, fmt.Errorf("serve: probation ReadmitL %d < 0", l)
 	}
 	frozen, err := rl.Freeze(arts.Agents, arts.ValueNets)
 	if err != nil {

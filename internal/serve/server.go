@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -95,6 +96,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate refuses the settings withDefaults would keep and the server
+// would then misuse: a negative TTL evicts fresh sessions, a NaN canary
+// fraction routes every new session to the candidate, and a NaN margin
+// never rolls a candidate back. 0 keeps meaning "the default".
+func (c Config) validate() error {
+	if c.SessionTTL < 0 {
+		return fmt.Errorf("serve: SessionTTL %v < 0", c.SessionTTL)
+	}
+	if f := c.Rollout.CanaryFraction; !(f >= 0 && f <= 1) {
+		return fmt.Errorf("serve: Rollout.CanaryFraction %v outside [0, 1]", f)
+	}
+	if m := c.Rollout.RollbackMargin; !(m >= 0 && m <= math.MaxFloat64) {
+		return fmt.Errorf("serve: Rollout.RollbackMargin %v is not a finite value ≥ 0", m)
+	}
+	return nil
+}
+
 // Server is the multi-session guard server: an http.Handler hosting
 // the JSON API plus /healthz and /metrics, a sharded session table
 // with TTL eviction, and a drain protocol for graceful shutdown.
@@ -140,6 +158,9 @@ type Server struct {
 func NewServer(f *GuardFactory, cfg Config) (*Server, error) {
 	if f == nil {
 		return nil, fmt.Errorf("serve: NewServer requires a GuardFactory")
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -455,6 +457,16 @@ func TestGuardFactoryValidation(t *testing.T) {
 	if _, err := f.NewGuard("nope"); err == nil {
 		t.Error("unknown scheme accepted")
 	}
+	// A negative probation ReadmitL is refused when the factory is
+	// built, and a guard built with it directly is an error, not a
+	// panic on the session's open.
+	neg := experiments.Probation{ReadmitL: -1}
+	if _, err := NewGuardFactory(arts, GuardConfig{Probation: neg}); err == nil {
+		t.Error("probation ReadmitL -1 accepted")
+	}
+	if _, err := experiments.NewGuard(&f.cal, SchemeND, f.frozen.NewScratch(), neg); err == nil || !strings.Contains(err.Error(), "ReadmitL -1") {
+		t.Errorf("experiments.NewGuard with ReadmitL -1: err %v, want one naming ReadmitL -1", err)
+	}
 	// A calibration knob is a check against the record: its own value
 	// passes, any other is refused naming both.
 	if _, err := NewGuardFactory(arts, GuardConfig{TriggerL: 3, Trim: core.EnsembleConfig{Discard: 1}}); err != nil {
@@ -476,6 +488,38 @@ func TestGuardFactoryValidation(t *testing.T) {
 	}
 	if _, err := fw.NewGuard(SchemeND); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNewServerValidation: a setting withDefaults would keep and the
+// server would misuse is refused; 0 is the default and passes.
+func TestNewServerValidation(t *testing.T) {
+	f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"defaults", Config{}, true},
+		{"in range", Config{SessionTTL: time.Second, Rollout: RolloutConfig{CanaryFraction: 1, RollbackMargin: 0.2}}, true},
+		{"negative TTL", Config{SessionTTL: -time.Second}, false},
+		{"NaN canary fraction", Config{Rollout: RolloutConfig{CanaryFraction: math.NaN()}}, false},
+		{"negative canary fraction", Config{Rollout: RolloutConfig{CanaryFraction: -0.1}}, false},
+		{"canary fraction above 1", Config{Rollout: RolloutConfig{CanaryFraction: 1.5}}, false},
+		{"NaN rollback margin", Config{Rollout: RolloutConfig{RollbackMargin: math.NaN()}}, false},
+		{"negative rollback margin", Config{Rollout: RolloutConfig{RollbackMargin: -0.05}}, false},
+		{"infinite rollback margin", Config{Rollout: RolloutConfig{RollbackMargin: math.Inf(1)}}, false},
+	} {
+		s, err := NewServer(f, c.cfg)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err %v, want ok=%v", c.name, err, c.ok)
+		}
+		if s != nil {
+			s.Drain(context.Background(), io.Discard) //nolint:errcheck
+		}
 	}
 }
 
