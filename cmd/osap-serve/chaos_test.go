@@ -44,7 +44,7 @@ func TestChaosSmallScale(t *testing.T) {
 	} {
 		for _, transport := range []string{loadgen.ProtocolHTTP, loadgen.ProtocolBinary} {
 			t.Run(tc.name+"-"+transport, func(t *testing.T) {
-				cfg := serve.Config{MaxSessions: 100, Shards: 16, SessionTTL: time.Minute}
+				cfg := serve.Config{MaxSessions: 100, SessionTTL: time.Minute}
 				runChaos(t, cfg, tc.script, transport, tc.readmitL, tc.readmitCap)
 			})
 		}

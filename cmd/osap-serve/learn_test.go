@@ -63,7 +63,7 @@ func TestLearnSmallScale(t *testing.T) {
 	}
 	for _, dataset := range datasets(trace.DatasetNorway, trace.DatasetGamma22) {
 		t.Run(dataset, func(t *testing.T) {
-			cfg := serve.Config{MaxSessions: 200, Shards: 16, SessionTTL: time.Minute}
+			cfg := serve.Config{MaxSessions: 200, SessionTTL: time.Minute}
 			runLearn(t, cfg, dataset, scaled(*flagClients, 50), scaled(*flagSeed, 20200713))
 		})
 	}

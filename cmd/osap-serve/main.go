@@ -82,7 +82,6 @@ func newOptions(fs *flag.FlagSet) *options {
 	fs.Float64Var(&o.cfg.Rollout.RollbackMargin, "rollback-margin", 0, "excess candidate demotion/fallback rate that triggers auto-rollback (0 = default 0.05)")
 	fs.StringVar(&o.dataset, "dataset", trace.DatasetNorway, "training distribution to serve")
 	fs.IntVar(&o.cfg.MaxSessions, "max-sessions", 10000, "admission-control cap on live sessions (0 = unlimited)")
-	fs.IntVar(&o.cfg.Shards, "shards", 64, "session-table shard count (rounded up to a power of two)")
 	fs.DurationVar(&o.cfg.SessionTTL, "session-ttl", 5*time.Minute, "evict sessions idle longer than this")
 	fs.StringVar(&o.learnLog, "learn-log", "", "experience-log directory; non-empty enables gated online learning")
 	fs.IntVar(&o.learnRefitEvery, "learn-refit-every", 0, "auto-refit after this many gate-admitted samples (0 = manual POST /admin/learn only)")

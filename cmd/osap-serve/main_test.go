@@ -25,7 +25,7 @@ func TestServingFlagsOnly(t *testing.T) {
 	want := []string{
 		"addr", "binary-addr", "canary-fraction", "dataset", "learn-log", "learn-refit-every",
 		"max-sessions", "models", "readmit-cap", "readmit-l", "registry", "registry-poll",
-		"rollback-margin", "session-ttl", "shards", "version",
+		"rollback-margin", "session-ttl", "version",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("flags %v, want %v", got, want)
@@ -64,7 +64,7 @@ func TestSelfTestSmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := serve.Config{MaxSessions: 200, Shards: 16, SessionTTL: time.Minute}
+	cfg := serve.Config{MaxSessions: 200, SessionTTL: time.Minute}
 	procs := []int{1}
 	if all := runtime.NumCPU(); all > 1 {
 		procs = append(procs, all)

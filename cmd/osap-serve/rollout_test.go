@@ -59,7 +59,7 @@ func TestRolloutSmallScale(t *testing.T) {
 		t.Run(dataset, func(t *testing.T) {
 			// Both waves' sessions stay open until their TTL, so the
 			// cap is the serving default rather than one fleet's worth.
-			cfg := serve.Config{MaxSessions: 10000, Shards: 16, SessionTTL: time.Minute}
+			cfg := serve.Config{MaxSessions: 10000, SessionTTL: time.Minute}
 			runRollout(t, cfg, dataset, scaled(*flagClients, 100), scaled(*flagSeed, 20200713))
 		})
 	}

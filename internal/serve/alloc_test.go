@@ -10,22 +10,9 @@ import (
 )
 
 // TestHotHelpersZeroAlloc pins the //osap:hotpath contracts of the
-// small helpers the step path leans on: the session-table hash, the
-// canary router hash, the latency histogram, and a shard's drift
-// sketches.
+// small helpers the step path leans on: the canary router hash, the
+// latency histogram, and a shard's drift sketches.
 func TestHotHelpersZeroAlloc(t *testing.T) {
-	t.Run("fnv1a", func(t *testing.T) {
-		var h uint64
-		allocs := testing.AllocsPerRun(1000, func() {
-			h = fnv1a("session-abcdef-0123456789")
-		})
-		if allocs != 0 {
-			t.Fatalf("fnv1a allocated %.1f times per run, want 0", allocs)
-		}
-		if h == 0 {
-			t.Fatal("fnv1a returned 0")
-		}
-	})
 	t.Run("mix64", func(t *testing.T) {
 		var h uint64
 		allocs := testing.AllocsPerRun(1000, func() {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,30 +51,59 @@ func BenchmarkStepHandler(b *testing.B) {
 	}
 }
 
-// BenchmarkTableGet measures session lookup contention across shard
-// counts under parallel load.
-func BenchmarkTableGet(b *testing.B) {
-	for _, shards := range []int{1, 64} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			tb := NewTable(shards, 0)
-			const n = 1024
-			ids := make([]string, n)
-			for i := range ids {
-				ids[i] = fmt.Sprintf("s-%d", i)
-				if err := tb.Put(newSession(ids[i], SchemeND, nil, time.Now())); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, ok := tb.Get(ids[i&(n-1)]); !ok {
-						b.Fail()
-					}
-					i++
-				}
-			})
-		})
+// benchTable builds a table holding n sessions and returns their IDs.
+func benchTable(b *testing.B, n int) (*Table, []string) {
+	tb := NewTable(0)
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("s-%d", i)
+		if err := tb.Put(newSession(ids[i], SchemeND, nil, time.Now())); err != nil {
+			b.Fatal(err)
+		}
 	}
+	return tb, ids
+}
+
+// BenchmarkTableGet measures session lookup, the table's part of an
+// HTTP step, under parallel load on a table of 1024 sessions.
+func BenchmarkTableGet(b *testing.B) {
+	const n = 1024
+	tb, ids := benchTable(b, n)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if _, ok := tb.Get(ids[i&(n-1)]); !ok {
+				b.Fail()
+			}
+			i++
+		}
+	})
+}
+
+// BenchmarkTablePutDelete measures open/close traffic on the table: one
+// Put and one Delete, two holds of the write lock, per iteration, under
+// parallel load on a table of 1024 sessions. Each goroutine cycles 64
+// sessions of its own.
+func BenchmarkTablePutDelete(b *testing.B) {
+	tb, _ := benchTable(b, 1024)
+	var worker atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		w := worker.Add(1)
+		var ring [64]*Session
+		for i := range ring {
+			ring[i] = newSession(fmt.Sprintf("w%d-%d", w, i), SchemeND, nil, time.Now())
+		}
+		i := 0
+		for pb.Next() {
+			s := ring[i&(len(ring)-1)]
+			if err := tb.Put(s); err != nil {
+				b.Error(err)
+				return
+			}
+			tb.Delete(s.id)
+			i++
+		}
+	})
 }

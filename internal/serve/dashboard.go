@@ -113,7 +113,7 @@ type versionView struct {
 }
 
 // view reads every live session's (generation, mode) under its lock,
-// after releasing the table shard's, as Sweep and Clear do; then the
+// after releasing the table's, as Sweep and Clear do; then the
 // generations. osap_sessions_live is the sum of the per-version live
 // counts, so the two cannot disagree.
 func (s *Server) view() *fleetView {
@@ -247,6 +247,10 @@ func (s *Server) handleRollout(w http.ResponseWriter, r *http.Request) {
 	if req.Action == "stage" {
 		if req.Version == "" {
 			s.writeError(w, http.StatusBadRequest, "stage requires a version")
+			return
+		}
+		if err := checkFraction("fraction", req.Fraction); err != nil {
+			s.writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		var err error

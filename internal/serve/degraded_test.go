@@ -233,7 +233,7 @@ func TestTableChurnRacingSweeper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := NewTable(8, 0)
+	tb := NewTable(0)
 	var mu sync.Mutex
 	var created []*Session
 

@@ -113,6 +113,14 @@ type RolloutConfig struct {
 	PromoteAfter int
 }
 
+// checkFraction refuses a canary fraction outside [0, 1] or NaN.
+func checkFraction(what string, f float64) error {
+	if f >= 0 && f <= 1 {
+		return nil
+	}
+	return fmt.Errorf("serve: %s %v outside [0, 1]", what, f)
+}
+
 func (c RolloutConfig) withDefaults() RolloutConfig {
 	// NewServer refused any other value outside the fields' ranges.
 	if c.CanaryFraction == 0 {
@@ -253,13 +261,16 @@ func (r *Rollout) Events() []RolloutEvent {
 	return append([]RolloutEvent(nil), r.events...)
 }
 
-// Stage installs gen as the canary candidate, routing fraction
-// (0 → cfg.CanaryFraction) of new sessions to it. Re-staging a version
-// seen before reuses its Generation — stats, shards and any sessions
-// still pinned to it continue — and the returned *Generation is the
-// one actually staged, so a caller that built gen fresh can release
-// its copy when a cached one won.
+// Stage installs gen as the canary candidate, routing fraction (0 →
+// cfg.CanaryFraction; outside [0, 1] is an error) of new sessions to
+// it. Re-staging a version seen before reuses its Generation — stats,
+// shards and any sessions still pinned to it continue — and the
+// returned *Generation is the one actually staged, so a caller that
+// built gen fresh can release its copy when a cached one won.
 func (r *Rollout) Stage(gen *Generation, fraction float64, now time.Time) (*Generation, error) {
+	if err := checkFraction("canary fraction", fraction); err != nil {
+		return nil, err
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if act := r.active.Load(); act != nil && act.version == gen.version {
@@ -277,13 +288,10 @@ func (r *Rollout) Stage(gen *Generation, fraction float64, now time.Time) (*Gene
 		r.all = append(r.all, gen)
 		r.byVersion[gen.version] = gen
 	}
-	if fraction <= 0 || fraction > 1 {
+	if fraction == 0 {
 		fraction = r.cfg.CanaryFraction
 	}
 	bp := uint64(fraction*10000 + 0.5)
-	if bp > 10000 {
-		bp = 10000
-	}
 	r.fracBP.Store(bp)
 	r.candidate.Store(gen)
 	r.eventLocked("staged", gen.version, fmt.Sprintf("canary fraction %.4f", float64(bp)/10000), false, now)

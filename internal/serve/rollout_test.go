@@ -246,6 +246,45 @@ func TestShardDriftMergeDeterministic(t *testing.T) {
 	}
 }
 
+// TestServerStageFraction: a stage fraction outside [0, 1] is a 400
+// that names the value and stages nothing; 0, or no fraction, stages
+// at the configured default.
+func TestServerStageFraction(t *testing.T) {
+	srv, _ := testRolloutServer(t, GuardConfig{}, Config{})
+	for _, tc := range []struct {
+		body     string
+		code     int
+		fraction float64 // the canary fraction after the request
+	}{
+		{`{"action":"stage","version":"v2","fraction":1.5}`, http.StatusBadRequest, 0},
+		{`{"action":"stage","version":"v2","fraction":-0.5}`, http.StatusBadRequest, 0},
+		{`{"action":"stage","version":"v2","fraction":0}`, http.StatusOK, 0.10},
+		{`{"action":"stage","version":"v2"}`, http.StatusOK, 0.10},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/rollout", strings.NewReader(tc.body)))
+		if rec.Code != tc.code {
+			t.Fatalf("%s: status %d (%s), want %d", tc.body, rec.Code, rec.Body, tc.code)
+		}
+		if got := srv.Rollout().CanaryFraction(); got != tc.fraction {
+			t.Fatalf("%s: canary fraction %v, want %v", tc.body, got, tc.fraction)
+		}
+		if tc.code == http.StatusBadRequest {
+			var e errorResponse
+			if err := json.NewDecoder(rec.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+			if v := tc.body[strings.LastIndex(tc.body, ":")+1 : len(tc.body)-1]; !strings.Contains(e.Error, v) {
+				t.Fatalf("%s: error %q does not name %s", tc.body, e.Error, v)
+			}
+			continue
+		}
+		if _, err := srv.Rollout().Rollback("test", false, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestServerStagePromoteHTTP(t *testing.T) {
 	srv, _ := testRolloutServer(t, GuardConfig{}, Config{})
 	ts := httptest.NewServer(srv)

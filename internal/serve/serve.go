@@ -10,8 +10,8 @@
 // is one Guard.Decide under its shard's lock, and the server as a whole
 // scales across cores.
 //
-// Scaling machinery: a sharded session table (power-of-two shards,
-// per-shard RWMutex, FNV-1a hashed IDs) avoids a global lock; a
+// Scaling machinery: a session table (one map under one RWMutex, which
+// a binary step never touches) finds a request's session; a
 // background sweeper evicts idle sessions after a TTL; admission
 // control caps live sessions (429 + Retry-After past the cap); and
 // graceful drain shuts the one door (Server.enter) every operation of

@@ -26,9 +26,6 @@ type Config struct {
 	// MaxSessions caps live sessions (≤ 0 = unlimited). Past the cap,
 	// session creation returns 429 with a Retry-After hint.
 	MaxSessions int
-	// Shards is the session-table shard count, rounded up to a power
-	// of two (0 → 64).
-	Shards int
 	// SessionTTL evicts sessions idle longer than this (0 → 5 min). The
 	// background sweeper runs every TTL/4, at most every 30s.
 	SessionTTL time.Duration
@@ -84,9 +81,6 @@ type Config struct {
 const retryAfter = time.Second
 
 func (c Config) withDefaults() Config {
-	if c.Shards == 0 {
-		c.Shards = 64
-	}
 	if c.SessionTTL == 0 {
 		c.SessionTTL = 5 * time.Minute
 	}
@@ -104,8 +98,8 @@ func (c Config) validate() error {
 	if c.SessionTTL < 0 {
 		return fmt.Errorf("serve: SessionTTL %v < 0", c.SessionTTL)
 	}
-	if f := c.Rollout.CanaryFraction; !(f >= 0 && f <= 1) {
-		return fmt.Errorf("serve: Rollout.CanaryFraction %v outside [0, 1]", f)
+	if err := checkFraction("Rollout.CanaryFraction", c.Rollout.CanaryFraction); err != nil {
+		return err
 	}
 	if m := c.Rollout.RollbackMargin; !(m >= 0 && m <= math.MaxFloat64) {
 		return fmt.Errorf("serve: Rollout.RollbackMargin %v is not a finite value ≥ 0", m)
@@ -114,8 +108,8 @@ func (c Config) validate() error {
 }
 
 // Server is the multi-session guard server: an http.Handler hosting
-// the JSON API plus /healthz and /metrics, a sharded session table
-// with TTL eviction, and a drain protocol for graceful shutdown.
+// the JSON API plus /healthz and /metrics, a session table with TTL
+// eviction, and a drain protocol for graceful shutdown.
 //
 //	POST   /v1/sessions            {"scheme":"ND"}        → 201 session
 //	GET    /v1/sessions/{id}       session snapshot
@@ -166,7 +160,7 @@ func NewServer(f *GuardFactory, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		factory:   f,
-		table:     NewTable(cfg.Shards, cfg.MaxSessions),
+		table:     NewTable(cfg.MaxSessions),
 		metrics:   NewMetrics(),
 		mux:       http.NewServeMux(),
 		conns:     make(map[net.Conn]struct{}),
@@ -716,7 +710,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"dataset":        s.factory.Dataset(),
 		"schemes":        s.factory.Schemes(),
 		"live_sessions":  v.live,
-		"shards":         s.table.Shards(),
 		"demoted_live":   v.demoted,
 		"probation_live": v.probation,
 		"active_version": v.active.version,

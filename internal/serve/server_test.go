@@ -378,7 +378,7 @@ func TestStepOnClosedSessionIsNotObserved(t *testing.T) {
 func TestConcurrentSessionsRace(t *testing.T) {
 	// A 20 ms TTL sweeps every 5 ms, so sessions are evicted under the
 	// traffic as well as deleted.
-	s, ts := newTestServer(t, Config{MaxSessions: 64, Shards: 8, SessionTTL: 20 * time.Millisecond})
+	s, ts := newTestServer(t, Config{MaxSessions: 64, SessionTTL: 20 * time.Millisecond})
 	s.StartSweeper()
 	obs := make([]float64, abr.ObsDim)
 	schemes := []string{SchemeND, SchemeAEns, SchemeVEns}

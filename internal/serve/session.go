@@ -55,8 +55,8 @@ type Session struct {
 	readmitL   int
 	readmitCap int // 0 = never re-admit, < 0 = unlimited
 
-	// lastUsed is the UnixNano of the latest touch, read lock-free by
-	// the eviction sweeper.
+	// lastUsed is the UnixNano of the latest touch, stamped under mu
+	// and read lock-free by closeIfIdle before it takes mu.
 	lastUsed atomic.Int64
 
 	// shard is the lock, scratch and sketches this session's steps run
@@ -341,6 +341,22 @@ func (s *Session) close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
+}
+
+// closeIfIdle closes the session if it has been idle since before
+// cutoff, judged under mu, the lock a step stamps lastUsed under, and
+// reports whether it did. A fresh stamp answers without the lock.
+func (s *Session) closeIfIdle(cutoff time.Time) bool {
+	if !s.idleSince().Before(cutoff) {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || !s.idleSince().Before(cutoff) {
+		return false
+	}
+	s.closed = true
+	return true
 }
 
 // liveMode reads the session's mode for the server's gauges; ok is

@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,19 +14,9 @@ func tableSession(id string, at time.Time) *Session {
 	return newSession(id, SchemeND, nil, at)
 }
 
-func TestTableShardCountRoundsUp(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {64, 64}, {65, 128},
-	} {
-		if got := NewTable(tc.in, 0).Shards(); got != tc.want {
-			t.Errorf("NewTable(%d).Shards() = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestTableAdmissionCap(t *testing.T) {
 	now := time.Now()
-	tb := NewTable(4, 3)
+	tb := NewTable(3)
 	for i := 0; i < 3; i++ {
 		if err := tb.Put(tableSession(fmt.Sprintf("s%d", i), now)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
@@ -50,7 +42,7 @@ func TestTableAdmissionCap(t *testing.T) {
 
 func TestTableDuplicateID(t *testing.T) {
 	now := time.Now()
-	tb := NewTable(4, 0)
+	tb := NewTable(0)
 	if err := tb.Put(tableSession("dup", now)); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +56,7 @@ func TestTableDuplicateID(t *testing.T) {
 
 func TestTableSweepEvictsOnlyIdle(t *testing.T) {
 	base := time.Now()
-	tb := NewTable(8, 0)
+	tb := NewTable(0)
 	stale := tableSession("stale", base.Add(-time.Hour))
 	fresh := tableSession("fresh", base)
 	if err := tb.Put(stale); err != nil {
@@ -88,11 +80,59 @@ func TestTableSweepEvictsOnlyIdle(t *testing.T) {
 	}
 }
 
+// TestTableSweepSparesSteppedSession holds a session's lock as a step
+// does, lets a sweep find the session stale and wait on that lock, and
+// stamps the session fresh before letting go, as the step does. The
+// sweep decides under the session's lock, so it sees the fresh stamp:
+// the session is neither closed nor removed.
+func TestTableSweepSparesSteppedSession(t *testing.T) {
+	base := time.Now()
+	tb := NewTable(0)
+	s := tableSession("s", base.Add(-time.Hour))
+	if err := tb.Put(s); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	swept := make(chan int)
+	go func() { swept <- tb.Sweep(base.Add(-time.Minute)) }()
+	for start := time.Now(); !sweepWaitsOnMutex(); time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			s.mu.Unlock()
+			t.Fatal("the sweep never waited on the session's lock")
+		}
+	}
+	s.lastUsed.Store(base.UnixNano())
+	s.mu.Unlock()
+	n := <-swept
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if n != 0 || closed {
+		t.Fatalf("sweep evicted %d, session closed=%v", n, closed)
+	}
+	if _, ok := tb.Get("s"); !ok {
+		t.Fatal("the stepped session left the table")
+	}
+}
+
+// sweepWaitsOnMutex reports whether a goroutine inside Table.Sweep is
+// waiting for a mutex.
+func sweepWaitsOnMutex() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "serve.(*Table).Sweep") && strings.Contains(g, "sync.(*Mutex).lockSlow") {
+			return true
+		}
+	}
+	return false
+}
+
 // TestTableConcurrentAccess drives puts, gets, deletes and sweeps from
 // many goroutines; run under -race this is the table's memory-safety
 // proof.
 func TestTableConcurrentAccess(t *testing.T) {
-	tb := NewTable(8, 256)
+	tb := NewTable(256)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
