@@ -103,7 +103,9 @@ ci: verify lint fmt-check race figures-check models-check chaos rollout-selftest
 # ROADMAP.md tracks. Counts every line of each .go and .s file that is
 # not a _test.go file and not under a testdata/ directory, then the
 # lines of those .go files carrying an //osap:hotpath-stop or an
-# //osap:ignore directive.
+# //osap:ignore directive, then per package the settable options: the
+# exported fields of exported *Config structs in the same files (a
+# field line `A, B int` counts two).
 loc:
 	@find . -name testdata -prune -o -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' -print \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
@@ -112,6 +114,12 @@ loc:
 		printf '%7d //osap:%s lines\n' "$$(find . -name testdata -prune -o -type f -name '*.go' ! -name '*_test.go' -print \
 			| xargs grep -h "//osap:$$d" | wc -l)" "$$d"; \
 	done
+	@find . -name testdata -prune -o -type f -name '*.go' ! -name '*_test.go' -print \
+		| xargs awk 'FNR == 1 { cfg = 0 } \
+			/^type ([A-Z][A-Za-z0-9_]*)?Config struct \{/ { cfg = 1; d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d] += 0; next } \
+			cfg && /^}/ { cfg = 0; next } \
+			cfg && /^\t[A-Z]/ { f = $$0; c = 1; while (sub(/^\t?[A-Z][A-Za-z0-9_]*, /, "", f)) c++; n[d] += c; t += c } \
+			END { for (d in n) printf "%7d %s Config fields\n", n[d], d; printf "%7d Config fields in total\n", t }' | sort -k2
 
 # Heap the guard server retains per session, by scheme and for a
 # learning session, and per generation, with its artifact set and

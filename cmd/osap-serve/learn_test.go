@@ -422,11 +422,13 @@ func sameNetworks(t *testing.T, label string, got, want *experiments.Artifacts) 
 // slowly, honestly drifting fleet, seed its window from a bootstrap
 // log, and publish a recalibrated proposal.
 func (r *learnRun) phaseB(t *testing.T, logDir string) {
-	boot, err := learn.ExportBootstrap(logDir, r.grid, learn.LogConfig{})
+	boot, err := learn.ExportBootstrap(logDir, r.grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, learner, _ := r.boot(t, learn.Config{LogDir: logDir, RegistryRoot: r.root, ParentVersion: "v1", ProposalPrefix: "coop"})
+	// Phase A's proposal holds v1-refit-001, so this learner numbers
+	// its refit after it.
+	h, learner, _ := r.boot(t, learn.Config{LogDir: logDir, RegistryRoot: r.root, ParentVersion: "v1"})
 	defer learner.Stop() //nolint:errcheck // selftest exit path
 	t.Logf("phase B: cooperative fleet drifting ×%g/step, %d bootstrap records", learnCoopDrift, boot)
 	c := learner.Counters()
@@ -447,8 +449,8 @@ func (r *learnRun) phaseB(t *testing.T, logDir string) {
 	}
 
 	prop := adminRefit(t, h)
-	if !prop.Published || prop.Version != "coop-refit-001" {
-		t.Errorf("phase B proposal %+v, want published coop-refit-001", prop)
+	if !prop.Published || prop.Version != "v1-refit-002" {
+		t.Errorf("phase B proposal %+v, want published v1-refit-002", prop)
 	}
 	if prop.Samples < int(c.Admitted.Load()/2) && prop.Samples < 4096 {
 		t.Errorf("phase B refit trained on %d samples of %d admitted", prop.Samples, c.Admitted.Load())

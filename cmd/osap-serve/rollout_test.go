@@ -416,8 +416,7 @@ func (r *rolloutRun) phaseBC(t *testing.T) {
 	// The wave runs the agent-ensemble scheme: its uncertainty score is
 	// computed from the (poisoned) actor distributions themselves, so
 	// the overflow surfaces as a non-finite score on the very first
-	// step. (Under ND the score comes from the OC-SVM and a poisoned
-	// actor hides behind the finite argmax one-hot.)
+	// step.
 	res := h.wave(t, r.clients, r.seed+2, serve.SchemeAEns, r.video, r.traces)
 	checkCount(t, "phase B steps dropped", res.StepsDropped, 0)
 	checkCount(t, "phase B steps served (degraded sessions still answer every step)", res.StepsOK, int64(r.clients)*rolloutSteps)

@@ -126,7 +126,7 @@ func run(dataset, scale, out, registryDir, artifactVersion, parent, notes, learn
 		if err != nil {
 			return err
 		}
-		n, err := learn.ExportBootstrap(learnLog, feats, learn.LogConfig{})
+		n, err := learn.ExportBootstrap(learnLog, feats)
 		if err != nil {
 			return err
 		}

@@ -34,7 +34,7 @@ func TestRunExportsLearnBootstrap(t *testing.T) {
 	if err := run("gamma22", "quick", dir, "", "", "", "", learnDir, false); err != nil {
 		t.Fatal(err)
 	}
-	l, recs, err := learn.OpenLog(learnDir, learn.LogConfig{})
+	l, recs, err := learn.OpenLog(learnDir)
 	if err != nil {
 		t.Fatal(err)
 	}

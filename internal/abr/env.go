@@ -15,8 +15,6 @@ type EnvConfig struct {
 	// Traces is the pool of network traces; Reset picks one uniformly
 	// (required, non-empty).
 	Traces []*trace.Trace
-	// QoE is the reward metric; zero value is replaced by DefaultQoE.
-	QoE QoEConfig
 	// RTTSec is the per-chunk request round-trip latency of the
 	// analytic link. The paper emulates an 80 ms RTT between client and
 	// server.
@@ -52,7 +50,6 @@ func DefaultEnvConfig(video *Video, traces []*trace.Trace) EnvConfig {
 	return EnvConfig{
 		Video:             video,
 		Traces:            traces,
-		QoE:               DefaultQoE(),
 		RTTSec:            0.08,
 		BufferCapSec:      60,
 		PayloadEfficiency: 0.95,
@@ -122,18 +119,14 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	return &Env{cfg: cfg}, nil
 }
 
-// check validates everything but the trace pool and fills in the
-// default QoE. NaN fails every comparison, so each bound is written to
-// refuse it.
+// check validates everything but the trace pool. NaN fails every
+// comparison, so each bound is written to refuse it.
 func (cfg *EnvConfig) check() error {
 	if cfg.Video == nil {
 		return fmt.Errorf("abr: EnvConfig.Video is required")
 	}
 	if err := cfg.Video.Validate(); err != nil {
 		return err
-	}
-	if cfg.QoE == (QoEConfig{}) {
-		cfg.QoE = DefaultQoE()
 	}
 	if !(cfg.PayloadEfficiency > 0 && cfg.PayloadEfficiency <= 1) {
 		return fmt.Errorf("abr: PayloadEfficiency %v outside (0,1]", cfg.PayloadEfficiency)
@@ -212,7 +205,7 @@ func (e *Env) Step(action int) ([]float64, float64, bool) {
 	if e.lastLevel >= 0 {
 		prevMbps = v.BitrateMbps(e.lastLevel)
 	}
-	qoe := e.cfg.QoE.ChunkQoE(v.BitrateMbps(action), prevMbps, rebuf)
+	qoe := ChunkQoE(v.BitrateMbps(action), prevMbps, rebuf)
 
 	e.lastResult = ChunkResult{
 		ChunkIndex:     e.chunk,

@@ -19,8 +19,6 @@ import (
 type MPCPolicy struct {
 	// Video supplies chunk sizes for lookahead.
 	Video *Video
-	// QoE is the objective being optimized.
-	QoE QoEConfig
 	// Horizon is the lookahead depth in chunks (Yin et al. use 5).
 	Horizon int
 	// Robust enables the RobustMPC error discounting.
@@ -32,8 +30,8 @@ type MPCPolicy struct {
 }
 
 // NewMPCPolicy returns a RobustMPC with the paper-standard horizon of 5.
-func NewMPCPolicy(video *Video, qoe QoEConfig) *MPCPolicy {
-	return &MPCPolicy{Video: video, QoE: qoe, Horizon: 5, Robust: true}
+func NewMPCPolicy(video *Video) *MPCPolicy {
+	return &MPCPolicy{Video: video, Horizon: 5, Robust: true}
 }
 
 // predictThroughput returns the discounted harmonic-mean prediction in
@@ -118,7 +116,7 @@ func (m *MPCPolicy) Decide(obs []float64) int {
 			dl := v.SizesBytes[ci][l] * 8 / 1e6 / pred // seconds
 			// The lookahead applies no buffer cap.
 			rebuf, nbuf := playout(buf, dl, v.ChunkSec)
-			q := m.QoE.ChunkQoE(v.BitrateMbps(l), prevMbps, rebuf)
+			q := ChunkQoE(v.BitrateMbps(l), prevMbps, rebuf)
 			f := first
 			if depth == 0 {
 				f = l

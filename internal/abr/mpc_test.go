@@ -11,7 +11,7 @@ import (
 
 func TestMPCPicksSustainableBitrate(t *testing.T) {
 	v := flatVideo(48)
-	mpc := NewMPCPolicy(v, DefaultQoE())
+	mpc := NewMPCPolicy(v)
 	mpc.Robust = false // pure harmonic-mean prediction for determinism
 
 	// Moderate buffer, steady 2 Mbps history: overdrafting above
@@ -30,7 +30,7 @@ func TestMPCPicksSustainableBitrate(t *testing.T) {
 
 func TestMPCConservativeWhenBufferLow(t *testing.T) {
 	v := flatVideo(48)
-	mpc := NewMPCPolicy(v, DefaultQoE())
+	mpc := NewMPCPolicy(v)
 	mpc.Robust = false
 
 	rich := obsWithThroughput(2.0)
@@ -48,7 +48,7 @@ func TestMPCConservativeWhenBufferLow(t *testing.T) {
 
 func TestMPCEmptyHistoryPicksLowest(t *testing.T) {
 	v := flatVideo(48)
-	mpc := NewMPCPolicy(v, DefaultQoE())
+	mpc := NewMPCPolicy(v)
 	probs := mpc.Probs(make([]float64, ObsDim))
 	if probs[0] != 1 {
 		t.Errorf("MPC with no history = %v, want lowest level", probs)
@@ -57,12 +57,12 @@ func TestMPCEmptyHistoryPicksLowest(t *testing.T) {
 
 func TestMPCRobustDiscountsAfterError(t *testing.T) {
 	v := flatVideo(48)
-	mpc := NewMPCPolicy(v, DefaultQoE())
+	mpc := NewMPCPolicy(v)
 	// Prime a prediction at 4 Mbps, then reveal reality at 1 Mbps: the
 	// next prediction must be discounted below the plain harmonic mean.
 	mpc.predictThroughput(obsWithThroughput(4.0))
 	discounted := mpc.predictThroughput(obsWithThroughput(1.0))
-	plain := (&MPCPolicy{Video: v, QoE: DefaultQoE(), Horizon: 5}).predictThroughput(obsWithThroughput(1.0))
+	plain := (&MPCPolicy{Video: v, Horizon: 5}).predictThroughput(obsWithThroughput(1.0))
 	if discounted >= plain {
 		t.Errorf("robust prediction %v not discounted below plain %v", discounted, plain)
 	}
@@ -80,7 +80,7 @@ func TestMPCBeatsRandomOnRealTraces(t *testing.T) {
 		env := testEnv(t, v, traces[0], 0.08)
 		return stats.Mean(EvaluatePolicy(env, p, stats.NewRNG(5), 8))
 	}
-	mpc := NewMPCPolicy(v, DefaultQoE())
+	mpc := NewMPCPolicy(v)
 	mpcQoE := run(mpc)
 	rndQoE := run(RandomPolicy{Levels: v.NumLevels()})
 	if mpcQoE <= rndQoE {
@@ -90,7 +90,7 @@ func TestMPCBeatsRandomOnRealTraces(t *testing.T) {
 
 func TestMPCHorizonClampsNearEnd(t *testing.T) {
 	v := flatVideo(3)
-	mpc := NewMPCPolicy(v, DefaultQoE())
+	mpc := NewMPCPolicy(v)
 	obs := obsWithThroughput(2.0)
 	// Remaining fraction ≈ 1/3 → chunk index 2 (the last chunk).
 	for ti := 0; ti < HistoryLen; ti++ {
@@ -121,7 +121,7 @@ func TestOracleExactOnTinyInstance(t *testing.T) {
 	// 2 chunks, constant link: brute-force all 36 plans and compare.
 	v := flatVideo(2)
 	tr := constTrace(2, 100)
-	cfg := EnvConfig{Video: v, QoE: DefaultQoE(), PayloadEfficiency: 1, BufferCapSec: 60}
+	cfg := EnvConfig{Video: v, PayloadEfficiency: 1, BufferCapSec: 60}
 
 	brute := math.Inf(-1)
 	for a := 0; a < v.NumLevels(); a++ {
@@ -165,7 +165,7 @@ func TestOracleUpperBoundsOnlinePolicies(t *testing.T) {
 	}
 	for _, p := range []mdp.Policy{
 		NewBBPolicy(v.NumLevels()),
-		NewMPCPolicy(v, DefaultQoE()),
+		NewMPCPolicy(v),
 		NewRateBasedPolicy(v.BitratesKbps),
 	} {
 		online := mdp.Rollout(env, p, stats.NewRNG(1), mdp.RolloutOptions{}).TotalReward()
@@ -179,7 +179,7 @@ func TestOracleMonotoneInBeam(t *testing.T) {
 	v := flatVideo(16)
 	gen, _ := trace.GeneratorFor(trace.DatasetGamma22)
 	tr := gen.Generate(stats.NewRNG(2), 300)
-	cfg := EnvConfig{Video: v, QoE: DefaultQoE(), PayloadEfficiency: 1, BufferCapSec: 60}
+	cfg := EnvConfig{Video: v, PayloadEfficiency: 1, BufferCapSec: 60}
 
 	small, err := OfflineOptimalQoE(cfg, 8, tr, 0)
 	if err != nil {

@@ -105,6 +105,6 @@ func advance(cfg *EnvConfig, s oracleState, chunk, l int) oracleState {
 		link:      s.link,
 		bufferSec: buf,
 		lastLevel: l,
-		qoe:       s.qoe + cfg.QoE.ChunkQoE(v.BitrateMbps(l), prev, rebuf),
+		qoe:       s.qoe + ChunkQoE(v.BitrateMbps(l), prev, rebuf),
 	}
 }

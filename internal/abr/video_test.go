@@ -106,22 +106,21 @@ func TestValidateCatchesBadVideos(t *testing.T) {
 }
 
 func TestQoEKnownValues(t *testing.T) {
-	q := DefaultQoE()
 	// No rebuffer, no switch.
-	if got := q.ChunkQoE(4.3, 4.3, 0); got != 4.3 {
+	if got := ChunkQoE(4.3, 4.3, 0); got != 4.3 {
 		t.Errorf("steady QoE = %v, want 4.3", got)
 	}
 	// First chunk: no smoothness penalty.
-	if got := q.ChunkQoE(1.2, -1, 0); got != 1.2 {
+	if got := ChunkQoE(1.2, -1, 0); got != 1.2 {
 		t.Errorf("first-chunk QoE = %v, want 1.2", got)
 	}
 	// Rebuffering penalty μ=4.3 per second.
-	if got := q.ChunkQoE(0.3, 0.3, 2); math.Abs(got-(0.3-8.6)) > 1e-12 {
+	if got := ChunkQoE(0.3, 0.3, 2); math.Abs(got-(0.3-8.6)) > 1e-12 {
 		t.Errorf("rebuffer QoE = %v, want %v", got, 0.3-8.6)
 	}
 	// Switching penalty is symmetric.
-	up := q.ChunkQoE(2.85, 1.2, 0)
-	down := q.ChunkQoE(1.2, 2.85, 0)
+	up := ChunkQoE(2.85, 1.2, 0)
+	down := ChunkQoE(1.2, 2.85, 0)
 	if math.Abs((2.85-1.65)-up) > 1e-12 {
 		t.Errorf("upswitch QoE = %v", up)
 	}

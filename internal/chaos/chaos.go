@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"osap/internal/core"
+	"osap/internal/stats"
 )
 
 // Kind enumerates the injectable per-session inference faults.
@@ -293,19 +294,6 @@ func (s *Schedule) cycleFaults(idx uint64) []Fault {
 	return nil
 }
 
-// splitmix64 is the finalizer of the SplitMix64 generator — a cheap,
-// well-distributed bijection used to derive every schedule decision
-// statelessly.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // Independent decision streams, so e.g. "is this session faulted" and
 // "which kind" are uncorrelated draws.
 const (
@@ -320,7 +308,7 @@ const (
 )
 
 func (s *Schedule) draw(salt, idx uint64) uint64 {
-	return splitmix64(splitmix64(idx+1) ^ s.cfg.Seed ^ salt)
+	return stats.Mix64(stats.Mix64(idx+1) ^ s.cfg.Seed ^ salt)
 }
 
 func oneIn(n int, draw uint64) bool {

@@ -3,6 +3,8 @@ package chaos
 import (
 	"fmt"
 	"os"
+
+	"osap/internal/stats"
 )
 
 // CorruptFile flips one deterministically chosen bit of the file at
@@ -18,7 +20,7 @@ func CorruptFile(path string, seed uint64) (byteOff int, bit uint, err error) {
 	if len(data) == 0 {
 		return 0, 0, fmt.Errorf("chaos: corrupt %s: file is empty", path)
 	}
-	pos := splitmix64(seed) % uint64(len(data)*8)
+	pos := stats.Mix64(seed) % uint64(len(data)*8)
 	byteOff = int(pos / 8)
 	bit = uint(pos % 8)
 	data[byteOff] ^= 1 << bit

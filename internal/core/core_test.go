@@ -292,16 +292,6 @@ func TestValueSignalTrimming(t *testing.T) {
 	}
 }
 
-func TestValueSignalNormalize(t *testing.T) {
-	members := []mdp.ValueFn{fixedValue(100), fixedValue(110), fixedValue(90)}
-	raw, _ := NewValueSignal(members, EnsembleConfig{Discard: 0})
-	norm, _ := NewValueSignal(members, EnsembleConfig{Discard: 0})
-	norm.Normalize = true
-	if norm.Observe(nil) >= raw.Observe(nil) {
-		t.Error("normalized uncertainty should be smaller at large value scales")
-	}
-}
-
 func TestTrimIndices(t *testing.T) {
 	kept := trimIndicesInto(make([]int, 0, 5), []float64{0.1, 5, 0.2, 7, 0.15}, 2)
 	want := []int{0, 2, 4}

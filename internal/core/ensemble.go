@@ -141,10 +141,6 @@ func (p *PolicySignal) Name() string { return "A-ensemble" }
 type ValueSignal struct {
 	Members []mdp.ValueFn
 	Cfg     EnsembleConfig
-	// Normalize divides the disagreement by (1 + |mean value|), making
-	// thresholds comparable across reward scales. Disabled by default
-	// (the paper thresholds raw distances).
-	Normalize bool
 
 	// Scratch buffers reused across Observe calls (one ValueSignal
 	// instance per goroutine, as with PolicySignal).
@@ -196,9 +192,6 @@ func (v *ValueSignal) Observe(obs []float64) float64 {
 	var u float64
 	for _, x := range surv {
 		u += math.Abs(x - mean)
-	}
-	if v.Normalize {
-		u /= 1 + math.Abs(mean)
 	}
 	return u
 }

@@ -34,7 +34,7 @@ func (l *Lab) defaultPolicy(name string) (mdp.Policy, error) {
 	case "BOLA":
 		return abr.NewBolaPolicy(v.BitratesKbps, v.ChunkSec, 60), nil
 	case "MPC":
-		return abr.NewMPCPolicy(v, abr.DefaultQoE()), nil
+		return abr.NewMPCPolicy(v), nil
 	default:
 		return nil, fmt.Errorf("experiments: unknown default policy %q", name)
 	}

@@ -18,7 +18,11 @@
 package learn
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,47 +93,26 @@ type Config struct {
 	// so that callers which still set it keep compiling.
 	Extract func(obs []float64) float64
 
-	// RateEvery/RateBurst parameterize the per-session admission rate
-	// limit: at most one admission per RateEvery checked steps at
-	// steady state, with an initial burst of RateBurst. Defaults 4, 8.
-	RateEvery int
-	RateBurst int
-
-	// MinRefitSamples is the smallest window a refit will train on
-	// (default 128; the window holds windowSize). RefitEvery, when > 0,
-	// triggers an automatic refit every RefitEvery admitted samples; 0
-	// means manual refits only (POST /admin/learn).
-	MinRefitSamples int
-	RefitEvery      int
+	// RefitEvery, when > 0, triggers an automatic refit every
+	// RefitEvery admitted samples; 0 means manual refits only (POST
+	// /admin/learn).
+	RefitEvery int
 
 	// FlushInterval is the learner goroutine's drain period of the
 	// gate→learner ring (default 25ms).
 	FlushInterval time.Duration
 
 	// LogDir, when non-empty, enables the durable experience log; ""
-	// keeps the window in memory only. Log tunes the segment format.
+	// keeps the window in memory only.
 	LogDir string
-	Log    LogConfig
-
-	// OCSVM is the refit training config. Gamma ≤ 0 pins the
-	// baseline's kernel width (decision-scale stability); Nu ≤ 0
-	// defaults to 0.05. Seed makes refits deterministic: refit k uses
-	// Seed mixed with k.
-	OCSVM ocsvm.Config
-	// AlphaQuantile is the quantile of admitted steps' U_π/U_V
-	// statistic (the K-window variance the guard thresholds) that the
-	// thresholds are recalibrated to (default 0.95), once
-	// minCalibSamples of them have been sketched; below that the
-	// baseline thresholds carry over.
-	AlphaQuantile float64
 
 	// RegistryRoot, when non-empty, publishes each successful refit as
 	// a proposed version. ParentVersion is recorded as the proposal's
-	// lineage parent; ProposalPrefix names proposals
-	// "<prefix>-refit-NNN" (default: ParentVersion, or "online").
-	RegistryRoot   string
-	ParentVersion  string
-	ProposalPrefix string
+	// lineage parent and names proposals "<ParentVersion>-refit-NNN"
+	// ("online-refit-NNN" without one), numbered on from the highest
+	// NNN the registry already holds.
+	RegistryRoot  string
+	ParentVersion string
 	// Now is the clock seam used ONLY for manifest timestamps (the
 	// nondeterminism analyzer bans time.Now in this package — refit
 	// math never sees a clock). Required when RegistryRoot is set.
@@ -139,40 +122,27 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// The learner's fixed sizes: the refit training window, the
-// gate→learner handoff ring (rounded up to a power of two), and the
-// sketched statistics a threshold recalibration needs.
+// The learner's fixed settings.
 const (
-	windowSize      = 4096
-	ringSize        = 8192
+	// windowSize is the refit training window; ringSize the
+	// gate→learner handoff ring (rounded up to a power of two).
+	windowSize = 4096
+	ringSize   = 8192
+	// A gate admits at most one step per rateEvery checked steps at
+	// steady state, after an initial burst of rateBurst.
+	rateEvery = 4
+	rateBurst = 8
+	// minRefitSamples is the smallest window a refit trains on.
+	minRefitSamples = 128
+	// refitNu is the refit OC-SVM's ν, the baseline's.
+	refitNu = 0.05
+	// A refit recalibrates α_π and α_V to the alphaQuantile of admitted
+	// steps' U_π/U_V statistic (the K-window variance the guard
+	// thresholds) once minCalibSamples of them have been sketched;
+	// below that the baseline thresholds carry over.
+	alphaQuantile   = 0.95
 	minCalibSamples = 64
 )
-
-func (c Config) withDefaults() Config {
-	if c.RateEvery <= 0 {
-		c.RateEvery = 4
-	}
-	if c.RateBurst <= 0 {
-		c.RateBurst = 8
-	}
-	if c.MinRefitSamples <= 0 {
-		c.MinRefitSamples = 128
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 25 * time.Millisecond
-	}
-	if c.AlphaQuantile <= 0 || c.AlphaQuantile >= 1 {
-		c.AlphaQuantile = 0.95
-	}
-	if c.ProposalPrefix == "" {
-		if c.ParentVersion != "" {
-			c.ProposalPrefix = c.ParentVersion
-		} else {
-			c.ProposalPrefix = "online"
-		}
-	}
-	return c
-}
 
 // Proposal describes one successful refit.
 type Proposal struct {
@@ -252,10 +222,19 @@ func New(cfg Config) (*Learner, error) {
 	if cfg.RegistryRoot != "" && cfg.Now == nil {
 		return nil, fmt.Errorf("learn: Now clock seam is required when publishing proposals")
 	}
-	cfg = cfg.withDefaults()
+	if cfg.FlushInterval <= 0 {
+		cfg.FlushInterval = 25 * time.Millisecond
+	}
 	frozen, err := rl.Freeze(cfg.Artifacts.Agents, cfg.Artifacts.ValueNets)
 	if err != nil {
 		return nil, err
+	}
+
+	var lastSeq uint64
+	if cfg.RegistryRoot != "" {
+		if lastSeq, err = lastRefit(cfg.RegistryRoot, proposalPrefix(cfg.ParentVersion)); err != nil {
+			return nil, err
+		}
 	}
 
 	dim := cfg.Artifacts.OCSVM.Dim
@@ -266,11 +245,12 @@ func New(cfg Config) (*Learner, error) {
 		window:    newWindow(dim, windowSize),
 		polSketch: sketch.New(100),
 		valSketch: sketch.New(100),
+		refitSeq:  lastSeq,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
 	if cfg.LogDir != "" {
-		log, recs, err := OpenLog(cfg.LogDir, cfg.Log)
+		log, recs, err := OpenLog(cfg.LogDir)
 		if err != nil {
 			return nil, err
 		}
@@ -315,8 +295,8 @@ func (l *Learner) NewGate(sessionIdx uint64) (*Gate, error) {
 		stateTrig: trigs[0],
 		polTrig:   trigs[1],
 		valTrig:   trigs[2],
-		rateEvery: uint64(l.cfg.RateEvery),
-		rateBurst: uint64(l.cfg.RateBurst),
+		rateEvery: rateEvery,
+		rateBurst: rateBurst,
 	}, nil
 }
 
@@ -378,19 +358,14 @@ func (l *Learner) Refit() (*Proposal, error) {
 
 func (l *Learner) refitLocked() (*Proposal, error) {
 	snap := l.window.snapshot()
-	if len(snap) < l.cfg.MinRefitSamples {
+	if len(snap) < minRefitSamples {
 		l.counters.RefitFailures.Add(1)
-		return nil, fmt.Errorf("learn: window has %d samples, need ≥ %d", len(snap), l.cfg.MinRefitSamples)
+		return nil, fmt.Errorf("learn: window has %d samples, need ≥ %d", len(snap), minRefitSamples)
 	}
-	ocfg := l.cfg.OCSVM
-	if ocfg.Nu <= 0 {
-		ocfg.Nu = 0.05
-	}
-	// Mix the refit sequence number into the subsampling seed so
-	// successive refits are distinct but each is reproducible from
-	// (Config.OCSVM.Seed, seq).
-	ocfg.Seed = l.cfg.OCSVM.Seed ^ (l.refitSeq+1)*0x9E3779B97F4A7C15
-	model, err := l.cfg.Artifacts.OCSVM.Refit(snap, ocfg)
+	// The refit keeps the baseline's kernel width (Model.Refit), and
+	// the refit sequence number seeds its subsampling, so successive
+	// refits are distinct but each is reproducible.
+	model, err := l.cfg.Artifacts.OCSVM.Refit(snap, ocsvm.Config{Nu: refitNu, Seed: (l.refitSeq + 1) * 0x9E3779B97F4A7C15})
 	if err != nil {
 		l.counters.RefitFailures.Add(1)
 		return nil, err
@@ -399,9 +374,9 @@ func (l *Learner) refitLocked() (*Proposal, error) {
 	alphaPi, alphaV := l.cfg.Artifacts.AlphaPi, l.cfg.Artifacts.AlphaV
 	requantile := func(sk *sketch.Sketch, alpha *float64, prov *experiments.Provenance) {
 		if n := int(sk.Count()); n >= minCalibSamples {
-			if a := sk.Quantile(l.cfg.AlphaQuantile); a > 0 {
+			if a := sk.Quantile(alphaQuantile); a > 0 {
 				*alpha = a
-				*prov = experiments.Provenance{Rule: experiments.RuleQuantile, Target: l.cfg.AlphaQuantile, Evals: n}
+				*prov = experiments.Provenance{Rule: experiments.RuleQuantile, Target: alphaQuantile, Evals: n}
 			}
 		}
 	}
@@ -450,7 +425,7 @@ func (l *Learner) publishLocked(model *ocsvm.Model, prop *Proposal) error {
 	arts.AlphaPi = prop.AlphaPi
 	arts.AlphaV = prop.AlphaV
 	arts.Record = prop.Record
-	version := fmt.Sprintf("%s-refit-%03d", l.cfg.ProposalPrefix, l.refitSeq)
+	version := fmt.Sprintf("%s-refit-%03d", proposalPrefix(l.cfg.ParentVersion), l.refitSeq)
 	meta := registry.Meta{
 		Version:   version,
 		Parent:    l.cfg.ParentVersion,
@@ -465,6 +440,41 @@ func (l *Learner) publishLocked(model *ocsvm.Model, prop *Proposal) error {
 	prop.Published = true
 	l.counters.Proposed.Add(1)
 	return nil
+}
+
+// proposalPrefix names a parent's proposals "<prefix>-refit-NNN".
+func proposalPrefix(parent string) string {
+	if parent == "" {
+		return "online"
+	}
+	return parent
+}
+
+// lastRefit returns the highest NNN among the registry's published
+// "<prefix>-refit-NNN" versions, 0 when there is none or no registry
+// yet, so that a learner over a registry that already holds its
+// parent's refits numbers its own after them.
+func lastRefit(root, prefix string) (uint64, error) {
+	reg, err := registry.Open(root)
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	versions, err := reg.Versions()
+	if err != nil {
+		return 0, err
+	}
+	var last uint64
+	for _, v := range versions {
+		if n, ok := strings.CutPrefix(v, prefix+"-refit-"); ok {
+			if k, err := strconv.ParseUint(n, 10, 64); err == nil && k > last {
+				last = k
+			}
+		}
+	}
+	return last, nil
 }
 
 // Snapshot is a point-in-time JSON-friendly view for /healthz and

@@ -65,10 +65,7 @@ func learnArtifacts(t testing.TB, ensemble int, alphaPi, alphaV float64) *experi
 
 func TestGateLifecycleInDistribution(t *testing.T) {
 	arts := learnArtifacts(t, 4, 1e9, 1e9)
-	l := newTestLearner(t, arts, func(c *Config) {
-		c.RateEvery = 4
-		c.RateBurst = 2
-	})
+	l := newTestLearner(t, arts, nil)
 	defer l.Stop() //nolint:errcheck
 	g, err := l.NewGate(1)
 	if err != nil {
@@ -91,10 +88,10 @@ func TestGateLifecycleInDistribution(t *testing.T) {
 		t.Error("no admissions on in-distribution traffic")
 	}
 	if counts[VerdictRate] == 0 {
-		t.Error("rate limiter never engaged at RateEvery=4 RateBurst=2 over 200 steps")
+		t.Errorf("rate limiter never engaged at rateEvery=%d rateBurst=%d over %d steps", rateEvery, rateBurst, steps)
 	}
 	c := l.Counters()
-	if got, max := c.Admitted.Load(), uint64(steps/4+2); got > max {
+	if got, max := c.Admitted.Load(), uint64(steps/rateEvery+rateBurst); got > max {
 		t.Errorf("admitted %d steps, rate limit allows at most %d", got, max)
 	}
 	if c.Checked.Load() != uint64(steps) {
@@ -125,15 +122,9 @@ func TestGateLifecycleInDistribution(t *testing.T) {
 
 func TestGateRejectsDistributionShift(t *testing.T) {
 	arts := learnArtifacts(t, 4, 1e9, 1e9)
-	l := newTestLearner(t, arts, func(c *Config) {
-		c.RateEvery = 1
-		c.RateBurst = 1 << 20
-	})
+	l := newTestLearner(t, arts, nil)
 	defer l.Stop() //nolint:errcheck
-	g, err := l.NewGate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := unlimitedGate(t, l)
 
 	rng := stats.NewRNG(2)
 	obs := make([]float64, abr.ObsDim)
@@ -167,15 +158,9 @@ func TestGateRejectsDistributionShift(t *testing.T) {
 
 func TestGateRejectsNonFiniteThroughput(t *testing.T) {
 	arts := learnArtifacts(t, 4, 1e9, 1e9)
-	l := newTestLearner(t, arts, func(c *Config) {
-		c.RateEvery = 1
-		c.RateBurst = 1 << 20
-	})
+	l := newTestLearner(t, arts, nil)
 	defer l.Stop() //nolint:errcheck
-	g, err := l.NewGate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := unlimitedGate(t, l)
 
 	rng := stats.NewRNG(3)
 	obs := make([]float64, abr.ObsDim)
@@ -242,15 +227,8 @@ func TestGatePolicyAndValueVeto(t *testing.T) {
 func TestLearnerPersistsAndBootstrapsLog(t *testing.T) {
 	arts := learnArtifacts(t, 4, 1e9, 1e9)
 	dir := t.TempDir()
-	l := newTestLearner(t, arts, func(c *Config) {
-		c.RateEvery = 1
-		c.RateBurst = 1 << 20
-		c.LogDir = dir
-	})
-	g, err := l.NewGate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newTestLearner(t, arts, func(c *Config) { c.LogDir = dir })
+	g := unlimitedGate(t, l)
 	rng := stats.NewRNG(5)
 	obs := make([]float64, abr.ObsDim)
 	for i := 0; i < 150; i++ {
@@ -290,14 +268,10 @@ func TestRefitDeterministicFromSameLog(t *testing.T) {
 	feats := core.BuildStateFeatures(series, core.DefaultStateSignalConfig())
 
 	refit := func(dir string) *Proposal {
-		if _, err := ExportBootstrap(dir, feats, LogConfig{}); err != nil {
+		if _, err := ExportBootstrap(dir, feats); err != nil {
 			t.Fatal(err)
 		}
-		l := newTestLearner(t, arts, func(c *Config) {
-			c.LogDir = dir
-			c.MinRefitSamples = 64
-			c.OCSVM = ocsvm.Config{Nu: 0.05, Seed: 42}
-		})
+		l := newTestLearner(t, arts, func(c *Config) { c.LogDir = dir })
 		defer l.Stop() //nolint:errcheck
 		prop, err := l.Refit()
 		if err != nil {
@@ -328,14 +302,13 @@ func TestRefitPublishesProposedVersion(t *testing.T) {
 		series[i] = 3 + 0.5*rng.NormFloat64()
 	}
 	feats := core.BuildStateFeatures(series, core.DefaultStateSignalConfig())
-	if _, err := ExportBootstrap(logDir, feats, LogConfig{}); err != nil {
+	if _, err := ExportBootstrap(logDir, feats); err != nil {
 		t.Fatal(err)
 	}
 
 	fixed := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	l := newTestLearner(t, arts, func(c *Config) {
 		c.LogDir = logDir
-		c.MinRefitSamples = 64
 		c.RegistryRoot = root
 		c.ParentVersion = "v7"
 		c.Now = func() time.Time { return fixed }
@@ -390,6 +363,26 @@ func TestRefitPublishesProposedVersion(t *testing.T) {
 	if prop2.Version != "v7-refit-002" {
 		t.Fatalf("second proposal is %q, want v7-refit-002", prop2.Version)
 	}
+
+	// A learner restarted over the same registry and parent numbers on
+	// instead of colliding with -001.
+	if err := l.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := newTestLearner(t, arts, func(c *Config) {
+		c.LogDir = logDir
+		c.RegistryRoot = root
+		c.ParentVersion = "v7"
+		c.Now = func() time.Time { return fixed }
+	})
+	defer l2.Stop() //nolint:errcheck
+	prop3, err := l2.Refit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prop3.Version != "v7-refit-003" {
+		t.Fatalf("restarted learner proposed %q, want v7-refit-003", prop3.Version)
+	}
 }
 
 func TestRefitRequiresMinimumWindow(t *testing.T) {
@@ -406,16 +399,9 @@ func TestRefitRequiresMinimumWindow(t *testing.T) {
 
 func TestRefitRecalibratesThresholds(t *testing.T) {
 	arts := learnArtifacts(t, 5, 1e9, 1e9)
-	l := newTestLearner(t, arts, func(c *Config) {
-		c.RateEvery = 1
-		c.RateBurst = 1 << 20
-		c.MinRefitSamples = 64
-	})
+	l := newTestLearner(t, arts, nil)
 	defer l.Stop() //nolint:errcheck
-	g, err := l.NewGate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := unlimitedGate(t, l)
 	rng := stats.NewRNG(8)
 	obs := make([]float64, abr.ObsDim)
 	for i := 0; i < 200; i++ {
@@ -483,6 +469,18 @@ func newTestLearner(t testing.TB, arts *experiments.Artifacts, mut func(*Config)
 	return l
 }
 
+// unlimitedGate is session 1's gate with the rate limit lifted, so
+// every step the three signals pass is admitted.
+func unlimitedGate(t testing.TB, l *Learner) *Gate {
+	t.Helper()
+	g, err := l.NewGate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.rateEvery, g.rateBurst = 1, 1<<20
+	return g
+}
+
 // inDistTraffic is n observations of the stationary 3±0.5 Mbps series
 // the test substrate's OC-SVM was trained on.
 func inDistTraffic(seed uint64, n int) [][]float64 {
@@ -547,21 +545,14 @@ func checkShare(t *testing.T, what string, k, n int, p float64) {
 }
 
 // TestRefitThresholdsInGuardUnits: a refit's α_π and α_V are the
-// AlphaQuantile of the statistic the next version's guard thresholds,
+// alphaQuantile of the statistic the next version's guard thresholds,
 // so on the traffic the gate admitted that guard's statistic exceeds
-// α on 1 − AlphaQuantile of steps.
+// α on 1 − alphaQuantile of steps.
 func TestRefitThresholdsInGuardUnits(t *testing.T) {
 	arts := learnArtifacts(t, 5, 1e9, 1e9)
-	l := newTestLearner(t, arts, func(c *Config) {
-		c.RateEvery = 1
-		c.RateBurst = 1 << 20
-		c.MinRefitSamples = 64
-	})
+	l := newTestLearner(t, arts, nil)
 	defer l.Stop() //nolint:errcheck
-	g, err := l.NewGate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := unlimitedGate(t, l)
 	traffic := inDistTraffic(11, 2000)
 	for _, obs := range traffic {
 		g.Check(obs)
@@ -580,7 +571,7 @@ func TestRefitThresholdsInGuardUnits(t *testing.T) {
 				over++
 			}
 		}
-		checkShare(t, scheme+" steps over the refit's α", over, len(stat), 1-l.cfg.AlphaQuantile)
+		checkShare(t, scheme+" steps over the refit's α", over, len(stat), 1-alphaQuantile)
 	}
 }
 
@@ -596,15 +587,9 @@ func TestGateThresholdInGuardUnits(t *testing.T) {
 	slices.Sort(sorted)
 	arts.AlphaPi = sorted[int(0.95*float64(len(sorted)-1))]
 
-	l := newTestLearner(t, arts, func(c *Config) {
-		c.RateEvery = 1
-		c.RateBurst = 1 << 20
-	})
+	l := newTestLearner(t, arts, nil)
 	defer l.Stop() //nolint:errcheck
-	g, err := l.NewGate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := unlimitedGate(t, l)
 	for _, obs := range traffic {
 		g.Check(obs)
 	}

@@ -22,7 +22,7 @@ import (
 //	payload  := version(u8=1) session(u64 LE) step(u64 LE)
 //	            dim(u16 LE) dim × float64 bits (u64 LE)
 //
-// Segments rotate at SegmentBytes and are fsynced when sealed, so at
+// Segments rotate at segmentBytes and are fsynced when sealed, so at
 // most the unsealed tail of the newest segment is at risk on a crash.
 // Replay walks segments in name order, stops at the first record that
 // fails framing or checksum validation, truncates a torn tail in
@@ -32,6 +32,9 @@ import (
 const (
 	// segMagic begins every segment file.
 	segMagic = "OSAPXP01"
+	// segmentBytes is the rotation threshold: a segment is sealed
+	// (fsynced and closed) once its size reaches it.
+	segmentBytes = 1 << 20
 	// MaxRecordLen bounds a record payload; an oversized length prefix
 	// is treated as corruption, not an allocation request.
 	MaxRecordLen = 1 << 20
@@ -51,25 +54,10 @@ type Record struct {
 	Feat    []float64
 }
 
-// LogConfig parameterizes the experience log.
-type LogConfig struct {
-	// SegmentBytes is the rotation threshold; a segment is sealed
-	// (fsynced and closed) once its size reaches it. 0 → 1 MiB.
-	SegmentBytes int
-}
-
-func (c LogConfig) withDefaults() LogConfig {
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = 1 << 20
-	}
-	return c
-}
-
 // Log is the writer handle. Not safe for concurrent use; the learner
 // goroutine owns it.
 type Log struct {
 	dir     string
-	cfg     LogConfig
 	f       *os.File
 	seq     uint64 // sequence number of the open segment
 	written int    // bytes written to the open segment
@@ -185,8 +173,7 @@ func parseSegmentName(name string) (uint64, bool) {
 // would contribute is gone, which is safe: the learner just re-fills).
 // A fresh segment is always opened for writing, so recovery never
 // appends into a possibly damaged file.
-func OpenLog(dir string, cfg LogConfig) (*Log, []Record, error) {
-	cfg = cfg.withDefaults()
+func OpenLog(dir string) (*Log, []Record, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("learn: open log: %w", err)
 	}
@@ -226,7 +213,7 @@ func OpenLog(dir string, cfg LogConfig) (*Log, []Record, error) {
 			break
 		}
 	}
-	l := &Log{dir: dir, cfg: cfg, seq: maxSeq}
+	l := &Log{dir: dir, seq: maxSeq}
 	if err := l.openSegment(); err != nil {
 		return nil, nil, err
 	}
@@ -249,7 +236,7 @@ func (l *Log) openSegment() error {
 }
 
 // Append writes one record, rotating to a new segment when the
-// current one reaches SegmentBytes. The sealed segment is fsynced.
+// current one reaches segmentBytes. The sealed segment is fsynced.
 func (l *Log) Append(rec Record) error {
 	if len(rec.Feat) == 0 || 8*len(rec.Feat) > MaxRecordLen-recOverhead {
 		return fmt.Errorf("learn: record dim %d out of range", len(rec.Feat))
@@ -259,7 +246,7 @@ func (l *Log) Append(rec Record) error {
 		return fmt.Errorf("learn: append: %w", err)
 	}
 	l.written += len(l.buf)
-	if l.written >= l.cfg.SegmentBytes {
+	if l.written >= segmentBytes {
 		if err := l.seal(); err != nil {
 			return err
 		}
@@ -298,8 +285,8 @@ func (l *Log) Close() error { return l.seal() }
 // the initial window (session 0, steps 0..n-1) — how `osap-train
 // -learn-log` seeds an online learner with the exact feature matrix
 // the published OC-SVM was trained on. Returns the record count.
-func ExportBootstrap(dir string, feats [][]float64, cfg LogConfig) (int, error) {
-	l, _, err := OpenLog(dir, cfg)
+func ExportBootstrap(dir string, feats [][]float64) (int, error) {
+	l, _, err := OpenLog(dir)
 	if err != nil {
 		return 0, err
 	}

@@ -22,6 +22,11 @@ func testRecords(n, dim int) []Record {
 	return recs
 }
 
+// bigDim is a feature width whose records (≈ 32 KiB framed) fill a
+// segment in 32 appends, so a test rotates without a megabyte per
+// record.
+const bigDim = 4096
+
 // encodeSegment frames recs into an in-memory segment image.
 func encodeSegment(recs []Record) []byte {
 	buf := []byte(segMagic)
@@ -65,28 +70,28 @@ func TestEncodeReplayRoundTrip(t *testing.T) {
 
 func TestLogRotationAndRecovery(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments force several rotations.
-	l, recovered, err := OpenLog(dir, LogConfig{SegmentBytes: 256})
+	l, recovered, err := OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recovered) != 0 {
 		t.Fatalf("fresh log recovered %d records, want 0", len(recovered))
 	}
-	recs := testRecords(40, 10)
+	// 100 wide records append past segmentBytes three times.
+	recs := testRecords(100, bigDim)
 	for _, r := range recs {
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if l.Sealed() == 0 {
-		t.Fatal("no segment rotations despite 40 records at SegmentBytes=256")
+	if l.Sealed() < 3 {
+		t.Fatalf("%d segment rotations over %d bytes of records, want 3", l.Sealed(), 100*(recOverhead+8*bigDim))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	l2, recovered, err := OpenLog(dir, LogConfig{SegmentBytes: 256})
+	l2, recovered, err := OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +108,7 @@ func TestLogRotationAndRecovery(t *testing.T) {
 
 func TestOpenLogTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenLog(dir, LogConfig{})
+	l, _, err := OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +137,7 @@ func TestOpenLogTruncatesTornTail(t *testing.T) {
 		t.Fatal("torn segment replayed clean")
 	}
 
-	l2, recovered, err := OpenLog(dir, LogConfig{})
+	l2, recovered, err := OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +238,11 @@ func fixPayloadCRC(seg []byte, off int) {
 
 func TestCorruptionInOlderSegmentEndsPrefix(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenLog(dir, LogConfig{SegmentBytes: 200})
+	l, _, err := OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range testRecords(30, 10) {
+	for _, r := range testRecords(80, bigDim) {
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +272,7 @@ func TestCorruptionInOlderSegmentEndsPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, recovered, err := OpenLog(dir, LogConfig{SegmentBytes: 200})
+	l2, recovered, err := OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +291,7 @@ func TestCorruptionInOlderSegmentEndsPrefix(t *testing.T) {
 
 func TestAppendRejectsOutOfRangeDim(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenLog(dir, LogConfig{})
+	l, _, err := OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,14 +307,14 @@ func TestAppendRejectsOutOfRangeDim(t *testing.T) {
 func TestExportBootstrapRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	feats := [][]float64{{1, 2}, {3, 4}, {5, 6}}
-	n, err := ExportBootstrap(dir, feats, LogConfig{})
+	n, err := ExportBootstrap(dir, feats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(feats) {
 		t.Fatalf("exported %d records, want %d", n, len(feats))
 	}
-	l, recovered, err := OpenLog(dir, LogConfig{})
+	l, recovered, err := OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +380,7 @@ func FuzzExperienceLog(f *testing.F) {
 		if err := os.WriteFile(seg, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, recovered, err := OpenLog(dir, LogConfig{})
+		l, recovered, err := OpenLog(dir)
 		if err != nil {
 			t.Fatalf("OpenLog on fuzzed segment: %v", err)
 		}

@@ -231,7 +231,7 @@ func TestPacketEnvPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			bb := abr.NewBBPolicy(video.NumLevels())
-			mpc := abr.NewMPCPolicy(video, abr.DefaultQoE())
+			mpc := abr.NewMPCPolicy(video)
 			decide := func(obs []float64) int { return bb.Level(abr.BufferSecFromObs(obs)) }
 			if pol == "mpc" {
 				decide = mpc.Decide

@@ -40,20 +40,20 @@ type Config struct {
 	// Gamma <= 0 selects 1/(d·Var(X)) automatically (the "scale"
 	// heuristic).
 	Gamma float64
-	// Iters bounds the SMO sweeps: up to Iters·n pair updates (0 = 400).
-	Iters int
-	// Tol is the KKT-violation convergence tolerance (0 = 1e-7).
-	Tol float64
 	// MaxSamples caps the training-set size; larger inputs are
 	// subsampled deterministically with Seed (0 = 1000).
 	MaxSamples int
 	// Seed drives subsampling.
 	Seed uint64
-	// Workers bounds the goroutines building the O(n²) kernel matrix
-	// (0 = GOMAXPROCS). The trained model is bit-identical regardless
-	// of the worker count.
-	Workers int
 }
+
+// The solver's fixed settings: SMO runs up to smoIters·n pair updates
+// and stops once the most-violating pair's gradient gap is below
+// smoTol (the KKT-violation tolerance).
+const (
+	smoIters = 400
+	smoTol   = 1e-7
+)
 
 // DefaultConfig returns the paper-style configuration (ν = 0.05).
 func DefaultConfig() Config {
@@ -141,12 +141,6 @@ func Train(data [][]float64, cfg Config) (*Model, error) {
 	if !(cfg.Nu > 0 && cfg.Nu <= 1) {
 		return nil, fmt.Errorf("ocsvm: nu %v outside (0,1]", cfg.Nu)
 	}
-	if cfg.Iters <= 0 {
-		cfg.Iters = 400
-	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-7
-	}
 	if cfg.MaxSamples <= 0 {
 		cfg.MaxSamples = 1000
 	}
@@ -169,8 +163,8 @@ func Train(data [][]float64, cfg Config) (*Model, error) {
 		gamma = autoGamma(data)
 	}
 
-	// Kernel matrix. Rows of the lower triangle are computed by a
-	// bounded worker pool; interleaved assignment (worker w takes rows
+	// Kernel matrix. Rows of the lower triangle are computed by
+	// GOMAXPROCS workers; interleaved assignment (worker w takes rows
 	// w, w+W, …) balances the triangular row costs. Workers write
 	// disjoint rows and every entry uses the same rbf() evaluation as
 	// the sequential loop, so the matrix — and hence the model — is
@@ -179,13 +173,7 @@ func Train(data [][]float64, cfg Config) (*Model, error) {
 	for i := range K {
 		K[i] = make([]float64, n)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	// Both cells of a symmetric pair are written by the worker that
 	// owns row i (i ≥ j), so every matrix element has exactly one
 	// writer and no post-pass mirror is needed.
@@ -240,12 +228,7 @@ func Train(data [][]float64, cfg Config) (*Model, error) {
 	// index (α < C with the smallest gradient). This preserves both
 	// constraints exactly and decreases ½αᵀKα monotonically.
 	const boundTol = 1e-12
-	maxIter := cfg.Iters * n
-	tol := cfg.Tol
-	if tol < 1e-9 {
-		tol = 1e-9
-	}
-	for it := 0; it < maxIter; it++ {
+	for it := 0; it < smoIters*n; it++ {
 		up, low := -1, -1
 		for i := 0; i < n; i++ {
 			if alpha[i] < C-boundTol && (up < 0 || grad[i] < grad[up]) {
@@ -255,7 +238,7 @@ func Train(data [][]float64, cfg Config) (*Model, error) {
 				low = i
 			}
 		}
-		if up < 0 || low < 0 || grad[low]-grad[up] < tol {
+		if up < 0 || low < 0 || grad[low]-grad[up] < smoTol {
 			break
 		}
 		eta := K[up][up] + K[low][low] - 2*K[up][low]

@@ -3,6 +3,7 @@ package ocsvm
 import (
 	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 
 	"osap/internal/stats"
@@ -38,17 +39,17 @@ func TestDecisionMatchesNaiveKernel(t *testing.T) {
 }
 
 // TestTrainWorkerCountInvariant checks the parallel kernel construction
-// produces bit-identical models for any worker count.
+// produces bit-identical models for any worker count: the pool is
+// GOMAXPROCS wide, so the test varies GOMAXPROCS.
 func TestTrainWorkerCountInvariant(t *testing.T) {
 	rng := stats.NewRNG(22)
 	train := gaussianCloud(rng, 200, 3, 0, 1)
-	cfg := DefaultConfig()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	var models []*Model
 	for _, w := range []int{1, 2, 3, 8} {
-		c := cfg
-		c.Workers = w
-		m, err := Train(train, c)
+		runtime.GOMAXPROCS(w)
+		m, err := Train(train, DefaultConfig())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

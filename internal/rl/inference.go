@@ -19,6 +19,7 @@ import (
 
 	"osap/internal/mdp"
 	"osap/internal/nn"
+	"osap/internal/stats"
 )
 
 // Frozen is the packed, read-only inference form of one artifact set:
@@ -137,9 +138,11 @@ func (v *ValueInference) Value(obs []float64) float64 {
 	return v.ws.ForwardRow(obs)[0]
 }
 
-// GreedyInference is the allocation-free counterpart of GreedyPolicy: a
+// GreedyInference is the serving counterpart of GreedyPolicy: a
 // one-hot on the agent's argmax action, written over the forward's
-// output in the handle's workspace.
+// output in the handle's workspace, without allocating. Unlike
+// GreedyPolicy it passes a non-finite forward through, so the guard
+// that serves it can demote a broken actor.
 type GreedyInference struct {
 	ws *nn.BatchWorkspace
 }
@@ -151,11 +154,17 @@ func NewGreedyInference(ac *ActorCritic) *GreedyInference {
 }
 
 // Probs implements mdp.Policy: a one-hot on the agent's argmax, valid
-// until the next forward on the handle's workspace.
+// until the next forward on the handle's workspace. A forward with a
+// non-finite entry is returned as it is, so the caller sees a broken
+// actor instead of the one-hot its argmax would make (the argmax of an
+// all-NaN distribution is action 0).
 //
 //osap:hotpath
 func (g *GreedyInference) Probs(obs []float64) []float64 {
 	probs := g.ws.ForwardRow(obs)
+	if !stats.AllFinite(probs) {
+		return probs
+	}
 	a := mdp.ArgmaxAction(probs)
 	for i := range probs {
 		probs[i] = 0

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"math"
 	"testing"
 
 	"osap/internal/nn"
@@ -83,6 +84,25 @@ func TestGreedyInferenceMatchesGreedyPolicy(t *testing.T) {
 				t.Fatalf("trial %d: GreedyInference.Probs[%d] = %v, want %v", trial, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestGreedyInferencePassesNonFinite: an actor whose weights overflow
+// its first dense product yields a non-finite forward, and Probs
+// returns it as it is, not as the one-hot on its argmax.
+func TestGreedyInferencePassesNonFinite(t *testing.T) {
+	ac, err := NewActorCritic(toyNetConfig(), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ac.Actor.Params() {
+		for i := range p.W {
+			p.W[i] = math.MaxFloat64
+		}
+	}
+	probs := NewGreedyInference(ac).Probs(infTestObs(ac.Actor.InDim(), 80))
+	if stats.AllFinite(probs) {
+		t.Fatalf("GreedyInference.Probs of an overflowing actor = %v, want it non-finite", probs)
 	}
 }
 

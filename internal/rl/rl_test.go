@@ -401,7 +401,6 @@ func TestRNDTrainsAndDetectsNovelty(t *testing.T) {
 	rng := stats.NewRNG(61)
 	cfg := DefaultRNDConfig()
 	cfg.Net = toyNetConfig()
-	cfg.EmbedDim = 8
 	cfg.Passes = 30
 	// Training observations: cue-style one-hot pairs.
 	var train [][]float64

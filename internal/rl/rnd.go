@@ -19,10 +19,8 @@ import (
 // explored here as a future-work extension.
 type RNDConfig struct {
 	// Net shapes both networks' trunk (the output head is replaced by
-	// EmbedDim).
+	// an embedDim-wide one).
 	Net NetConfig
-	// EmbedDim is the embedding size (default 16).
-	EmbedDim int
 	// LR, Passes and BatchSize drive predictor training.
 	LR        float64
 	Passes    int
@@ -36,13 +34,15 @@ type RNDConfig struct {
 func DefaultRNDConfig() RNDConfig {
 	return RNDConfig{
 		Net:       DefaultNetConfig(),
-		EmbedDim:  16,
 		LR:        1e-3,
 		Passes:    10,
 		BatchSize: 64,
 		Seed:      1,
 	}
 }
+
+// embedDim is the width of the embedding both networks emit.
+const embedDim = 16
 
 // RND is a trained distillation pair. It is immutable after training and
 // safe for concurrent Error calls.
@@ -55,7 +55,7 @@ type RND struct {
 }
 
 // buildEmbedNet constructs an embedding network with the trunk of cfg.Net
-// and an EmbedDim output head.
+// and an embedDim output head.
 func buildEmbedNet(cfg RNDConfig, rng *stats.RNG) *nn.Network {
 	n := cfg.Net
 	convOut := n.ConvFilters * (n.HistoryLen - n.ConvKernel + 1)
@@ -64,7 +64,7 @@ func buildEmbedNet(cfg RNDConfig, rng *stats.RNG) *nn.Network {
 		nn.ReLU(convOut),
 		nn.Dense(convOut, n.Hidden),
 		nn.ReLU(n.Hidden),
-		nn.Dense(n.Hidden, cfg.EmbedDim),
+		nn.Dense(n.Hidden, embedDim),
 	)
 	nn.HeInit(net, rng)
 	return net
@@ -79,9 +79,6 @@ func TrainRND(observations [][]float64, cfg RNDConfig) (*RND, error) {
 	}
 	if len(observations) == 0 {
 		return nil, fmt.Errorf("rl: TrainRND needs observations")
-	}
-	if cfg.EmbedDim <= 0 {
-		cfg.EmbedDim = 16
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
@@ -110,18 +107,18 @@ func TrainRND(observations [][]float64, cfg RNDConfig) (*RND, error) {
 	}
 
 	// Precompute target embeddings (the target is frozen).
-	embeds := linalg.NewMatrix(len(observations), cfg.EmbedDim)
+	embeds := linalg.NewMatrix(len(observations), embedDim)
 	frozen := nn.Pack(target).NewBatchWorkspace(cfg.BatchSize)
 	for start := 0; start < len(observations); start += cfg.BatchSize {
 		end := min(start+cfg.BatchSize, len(observations))
-		copy(embeds.Data[start*cfg.EmbedDim:], frozen.Forward(rows(start, end)).Data)
+		copy(embeds.Data[start*embedDim:], frozen.Forward(rows(start, end)).Data)
 	}
 
 	opt := nn.NewAdam(cfg.LR, 0, 0, 0)
 	shuffle := stats.NewRNG(cfg.Seed ^ 0x5f1e)
 	ws := nn.NewTrainWorkspace(pred)
 	in := linalg.NewMatrix(cfg.BatchSize, obsDim)
-	grad := linalg.NewMatrix(cfg.BatchSize, cfg.EmbedDim)
+	grad := linalg.NewMatrix(cfg.BatchSize, embedDim)
 	for pass := 0; pass < cfg.Passes; pass++ {
 		order := shuffle.Perm(len(observations))
 		for start := 0; start < len(order); start += cfg.BatchSize {

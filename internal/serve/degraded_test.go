@@ -362,3 +362,51 @@ func TestNonFiniteThroughputDemotesND(t *testing.T) {
 		})
 	}
 }
+
+// TestNonFiniteObservationDemotes: a NaN or +Inf in an observation slot
+// no signal reads as throughput can leave every score and distribution
+// finite (the forwards' ReLU maps NaN to +0), and the step must still
+// demote the session: a binary Step frame carrying one is answered by
+// the default policy, counted in osap_step_nonfinite_total, and the
+// session is latched from then on.
+func TestNonFiniteObservationDemotes(t *testing.T) {
+	f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(f, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
+	c := pipeBinary(t, s)
+	cid := uint32(0)
+	for _, scheme := range []string{SchemeND, SchemeAEns, SchemeVEns} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			cid++
+			sess, ok := s.table.Get(c.open(cid, scheme))
+			if !ok {
+				t.Fatal("opened session not in the table")
+			}
+			stream := obsStream(uint64(70+cid), f.ObsDim(), 6)
+			stream[1][0] = bad
+			before := promCounter(t, s, "osap_step_nonfinite_total")
+			for seq, obs := range stream {
+				d, err := c.step(cid, uint32(seq), obs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if demoted := d.Flags&proto.FlagDemoted != 0; demoted != (seq >= 1) {
+					t.Errorf("%s, obs[0] = %v at step 1: step %d demoted %v", scheme, bad, seq, demoted)
+					break
+				}
+			}
+			if got := promCounter(t, s, "osap_step_nonfinite_total"); got != before+1 {
+				t.Errorf("%s, obs[0] = %v: osap_step_nonfinite_total %d → %d, want one more", scheme, bad, before, got)
+			}
+			if info := sess.Snapshot(time.Now()); !info.Latched || !strings.Contains(info.DemoteReason, "non-finite observation") {
+				t.Errorf("%s, obs[0] = %v: snapshot %+v, want latched for a non-finite observation", scheme, bad, info)
+			}
+		}
+	}
+}

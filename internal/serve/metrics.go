@@ -12,10 +12,11 @@ import (
 )
 
 // latencyBuckets are the fixed histogram bounds in seconds (upper
-// inclusive, Prometheus convention), spanning 10 µs to 1 s — the
-// plausible range for an in-process guard decision plus JSON framing.
+// inclusive, Prometheus convention), spanning 1 µs to 1 s: from a
+// step's decision, which takes a few microseconds, to an HTTP request
+// with its JSON framing.
 var latencyBuckets = []float64{
-	1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
+	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 5e-1, 1,
 }
 

@@ -38,6 +38,26 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	}
 }
 
+// TestHistogramResolvesAStep: a step's decision takes a few
+// microseconds, so sub-10 µs observations must land in buckets of their
+// own rather than all in the first.
+func TestHistogramResolvesAStep(t *testing.T) {
+	bucket := func(sec float64) int {
+		h := NewHistogram()
+		h.Observe(sec)
+		for i := range h.counts {
+			if h.counts[i].Load() == 1 {
+				return i
+			}
+		}
+		t.Fatalf("observation %v landed in no bucket", sec)
+		return -1
+	}
+	if a, b := bucket(0.5e-6), bucket(3e-6); a == b {
+		t.Errorf("0.5 µs and 3 µs both landed in bucket %d", a)
+	}
+}
+
 func TestHistogramOverflowGoesToInf(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(30) // beyond the last 1 s bound
@@ -204,6 +224,9 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 // commits, so these bytes may not move.
 const benchHistograms = `# HELP osap_step_queue_seconds Step wait for its inference shard.
 # TYPE osap_step_queue_seconds histogram
+osap_step_queue_seconds_bucket{le="1e-06"} 0
+osap_step_queue_seconds_bucket{le="2.5e-06"} 0
+osap_step_queue_seconds_bucket{le="5e-06"} 0
 osap_step_queue_seconds_bucket{le="1e-05"} 1
 osap_step_queue_seconds_bucket{le="2.5e-05"} 1
 osap_step_queue_seconds_bucket{le="5e-05"} 3
@@ -225,6 +248,9 @@ osap_step_queue_seconds_sum 2.70727
 osap_step_queue_seconds_count 7
 # HELP osap_step_decision_seconds Step time from holding its shard to decided.
 # TYPE osap_step_decision_seconds histogram
+osap_step_decision_seconds_bucket{le="1e-06"} 0
+osap_step_decision_seconds_bucket{le="2.5e-06"} 0
+osap_step_decision_seconds_bucket{le="5e-06"} 1
 osap_step_decision_seconds_bucket{le="1e-05"} 1
 osap_step_decision_seconds_bucket{le="2.5e-05"} 3
 osap_step_decision_seconds_bucket{le="5e-05"} 3

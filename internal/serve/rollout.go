@@ -31,6 +31,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"osap/internal/stats"
 )
 
 // VersionStats are one generation's serving counters, updated lock-free
@@ -190,29 +192,16 @@ func newRollout(base *Generation, cfg RolloutConfig) *Rollout {
 	return r
 }
 
-// mix64 is the splitmix64 finalizer: session index → uniform 64-bit
-// hash, so canary assignment is deterministic in arrival order but
-// uncorrelated with it.
-//
-//osap:hotpath
-func mix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // pick routes one new session by its 0-based admission index: the
 // candidate gets its configured fraction of NEW sessions, everyone
-// else binds the active generation.
+// else binds the active generation. The index is hashed (stats.Mix64),
+// so canary assignment is deterministic in arrival order but
+// uncorrelated with it.
 //
 //osap:hotpath
 func (r *Rollout) pick(idx uint64) *Generation {
 	if cand := r.candidate.Load(); cand != nil {
-		if mix64(idx)%10000 < r.fracBP.Load() {
+		if stats.Mix64(idx)%10000 < r.fracBP.Load() {
 			return cand
 		}
 	}

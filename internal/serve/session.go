@@ -11,6 +11,7 @@ import (
 	"osap/internal/core"
 	"osap/internal/learn"
 	"osap/internal/mdp"
+	"osap/internal/stats"
 )
 
 // ErrSessionClosed is returned by a step on a session that has
@@ -205,13 +206,13 @@ func (s *Session) settleLocked(obs []float64, d core.Decision, pv any) StepResul
 	case pv != nil:
 		after = modeLatchedFault
 	case before == modeLive:
-		if !finiteDecision(&d) {
+		if !finiteStep(obs, &d) {
 			after = modeProbation
 			if s.readmitL <= 0 || s.readmitCap == 0 || (s.readmitCap > 0 && s.readmits >= s.readmitCap) {
 				after = modeLatchedScore
 			}
 		}
-	case finiteDecision(&d) && !d.UsedDefault:
+	case finiteStep(obs, &d) && !d.UsedDefault:
 		// Confident shadow step: finite, and the trigger not demanding
 		// the default. The step that completes the streak is served live.
 		s.calm++
@@ -252,7 +253,7 @@ func (s *Session) settleLocked(obs []float64, d core.Decision, pv any) StepResul
 		s.fired = true
 		s.calm = 0
 		//osap:ignore hotpath-alloc demotion slow path, runs at most a few (readmit-cap) times per session
-		s.demoteReason = fmt.Sprintf("step %d: panic=%v score=%g", s.steps, pv, d.Score)
+		s.demoteReason = fmt.Sprintf("step %d: panic=%v score=%g%s", s.steps, pv, d.Score, nonFiniteInput(obs, &d))
 	case pv != nil:
 		//osap:ignore hotpath-alloc latch escalation slow path, runs at most once per session
 		s.demoteReason = fmt.Sprintf("%s; shadow step %d: panic=%v", s.demoteReason, s.steps, pv)
@@ -275,19 +276,26 @@ func (s *Session) decide(obs []float64) (d core.Decision, panicked any) {
 	return s.guard.Decide(obs), nil
 }
 
-// finiteDecision reports whether the decision is safe to serve: a
-// finite score and finite probabilities. Checked before Probs is
-// cleared, since a NaN in the distribution makes the argmax arbitrary.
-func finiteDecision(d *core.Decision) bool {
-	if math.IsNaN(d.Score) || math.IsInf(d.Score, 0) {
-		return false
+// finiteStep reports whether the step is safe to serve: a finite
+// observation, score and distribution (DESIGN.md §13). The observation
+// is checked because it can leave every score finite: the forwards'
+// ReLU maps NaN to +0. Checked before Probs is cleared, since a NaN in
+// the distribution makes the argmax arbitrary.
+func finiteStep(obs []float64, d *core.Decision) bool {
+	return !math.IsNaN(d.Score) && !math.IsInf(d.Score, 0) && stats.AllFinite(obs) && stats.AllFinite(d.Probs)
+}
+
+// nonFiniteInput names, for a demotion's reason, the non-finite
+// observation or distribution behind it ("" when there is neither; a
+// non-finite score is in the reason already).
+func nonFiniteInput(obs []float64, d *core.Decision) string {
+	switch {
+	case !stats.AllFinite(obs):
+		return " cause=non-finite observation"
+	case !stats.AllFinite(d.Probs):
+		return " cause=non-finite distribution"
 	}
-	for _, p := range d.Probs {
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			return false
-		}
-	}
-	return true
+	return ""
 }
 
 // serveSafeLocked answers one step purely from the safe default

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -308,9 +309,13 @@ func BenchmarkBatchedStep(b *testing.B) {
 // TestPoisonedArtifactDemotesOnTheSameStep: a MaxFloat64-poisoned
 // artifact (chaos.PoisonNetworks) overflows in the first dense product
 // and the session must demote on the step where the non-finite score
-// surfaces — the same step whether the forwards run through the packed
-// kernel (a server session, on its shard) or through the layers' own
-// Forward (a guard assembled here from the allocating policies).
+// or distribution surfaces — the same step whether the forwards run
+// through the packed kernel (a server session, on its shard) or
+// through the layers' own Forward (a guard assembled here from the
+// allocating policies). Under ND the score comes from the OC-SVM and
+// stays finite; the actor's distribution is what demotes, so the
+// reference guard serves the actor's own distribution, which
+// GreedyInference passes through when it is non-finite.
 func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
 	arts, err := SyntheticArtifacts("poisoned", 3, 11)
 	if err != nil {
@@ -341,12 +346,15 @@ func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
 		}
 		return -1
 	}
-	for _, scheme := range []string{SchemeAEns, SchemeVEns} {
+	for _, scheme := range []string{SchemeND, SchemeAEns, SchemeVEns} {
 		sess, err := s.createSession(scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
 		packed := firstDemotion(func(obs []float64) (StepResult, error) { return s.stepErr(sess, obs) })
+		if reason := sess.Snapshot(time.Now()).DemoteReason; scheme == SchemeND && !strings.Contains(reason, "non-finite distribution") {
+			t.Errorf("ND demote reason %q, want it to name the non-finite distribution", reason)
+		}
 
 		// The factory's guard, its learned policy and signal swapped for
 		// the layers' own Forward.
@@ -354,14 +362,15 @@ func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.Learned = rl.GreedyPolicy{P: arts.Agents[0]}
-		if scheme == SchemeAEns {
+		g.Learned = arts.Agents[0]
+		switch scheme {
+		case SchemeAEns:
 			members := make([]mdp.Policy, len(arts.Agents))
 			for i, agent := range arts.Agents {
 				members[i] = agent
 			}
 			g.Signal, err = core.NewPolicySignal(members, arts.Record.Trim())
-		} else {
+		case SchemeVEns:
 			g.Signal, err = core.NewValueSignal(rl.ValueEnsemble(arts.ValueNets), arts.Record.Trim())
 		}
 		if err != nil {

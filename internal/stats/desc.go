@@ -35,6 +35,18 @@ func Variance(xs []float64) float64 {
 // Std returns the population standard deviation of xs.
 func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
+// AllFinite reports whether no element of xs is NaN or ±Inf.
+//
+//osap:hotpath
+func AllFinite(xs []float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Min returns the minimum of xs, or +Inf for an empty slice.
 func Min(xs []float64) float64 {
 	m := math.Inf(1)

@@ -18,15 +18,26 @@ type RNG struct {
 	s [4]uint64
 }
 
+// Mix64 is the SplitMix64 generator's output function at state x — a
+// cheap, well-distributed bijection of 64-bit words. The canary router
+// hashes session indices with it and the fault schedules derive every
+// decision from it, statelessly.
+//
+//osap:hotpath
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // splitmix64 advances the given state and returns the next output. It is
 // used to expand a single 64-bit seed into the 256-bit xoshiro state and
 // to derive fork seeds.
 func splitmix64(state *uint64) uint64 {
+	z := Mix64(*state)
 	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }
 
 // NewRNG returns a generator seeded deterministically from seed.

@@ -162,3 +162,19 @@ func TestExpFloat64Moments(t *testing.T) {
 		t.Fatalf("exponential mean = %v, want ~1", w.mean)
 	}
 }
+
+// TestMix64KnownAnswers pins Mix64 to the published SplitMix64 stream
+// from seed 0 (Mix64 of the k-th state is its (k+1)-th output), which
+// the canary router, the fault schedules and NewRNG's seeding all read.
+func TestMix64KnownAnswers(t *testing.T) {
+	want := []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f}
+	var state uint64
+	for i, w := range want {
+		if got := Mix64(state); got != w {
+			t.Errorf("Mix64 at state %d·γ = %#x, want %#x", i, got, w)
+		}
+		if got := splitmix64(&state); got != w {
+			t.Errorf("splitmix64 output %d = %#x, want %#x", i, got, w)
+		}
+	}
+}
