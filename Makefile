@@ -10,7 +10,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X osap/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build build-cross test verify vet lint fmt-check race fuzz-smoke figures-check models-check ci loc footprint bench bench-e2e bench-compare chaos rollout-selftest learn-selftest
+.PHONY: all build build-cross test verify vet lint fmt-check race fuzz-smoke figures-check models-check ci loc footprint bench bench-e2e bench-compare bench-pairs chaos rollout-selftest learn-selftest
 
 all: build
 
@@ -22,10 +22,14 @@ test:
 
 # The assembly kernels are amd64-only; every other architecture runs
 # the portable loops, and 32-bit ones lay 64-bit fields out on 4-byte
-# boundaries. Building for one of each keeps both compiling.
+# boundaries. Building for one of each keeps both compiling. The binary
+# transport's raw socket I/O is Linux-only, so a darwin build keeps its
+# net.Conn fallback compiling; bench/ stays out of it (getrusage and
+# sched_setaffinity make it Linux-only).
 build-cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=386 $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build . ./cmd/... ./internal/...
 
 # Tier-1 verify (ROADMAP.md).
 verify: build build-cross test
@@ -143,6 +147,16 @@ bench-e2e:
 
 bench-compare:
 	$(GO) run ./bench -compare $(A) $(B)
+
+# The before/after protocol of a claim on the benchmark (ROADMAP.md
+# fact 1): N pairs of runs of workload W on seed SEED, the bench built
+# from BASE against the one built from the working tree, in alternating
+# order, each from its own checkout; prints each pair's gated metrics,
+# the medians, the median pair ratio and the pairs each side won.
+#   make bench-pairs BASE=HEAD W=nd_steady SEED=41 N=10
+N ?= 10
+bench-pairs:
+	GO=$(GO) sh scripts/bench-pairs.sh "$(BASE)" "$(W)" "$(SEED)" "$(N)"
 
 # The selftests are cmd/osap-serve's tests, small scale by default
 # (`go test ./cmd/osap-serve`); these targets run them at full scale

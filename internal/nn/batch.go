@@ -148,6 +148,7 @@ type BatchWorkspace struct {
 	last     []float64 // maxBatch rows of net.outDim
 	body     []float64 // maxBatch rows of net.width
 	out      linalg.Matrix
+	forwards uint64
 }
 
 // NewBatchWorkspace allocates activation buffers for up to maxBatch
@@ -187,6 +188,11 @@ func (ws *BatchWorkspace) Forward(in *linalg.Matrix) *linalg.Matrix {
 	return &ws.out
 }
 
+// Forwards returns how many forwards ws has run, whatever their rows.
+//
+//osap:ignore deadcode rl.Scratch.Forwards sums it for the guard tests of internal/experiments
+func (ws *BatchWorkspace) Forwards() uint64 { return ws.forwards }
+
 // ForwardRow is Forward for a single observation: a batch of one.
 //
 //osap:hotpath
@@ -202,6 +208,7 @@ func (ws *BatchWorkspace) forward(in []float64, rows int) []float64 {
 	if rows <= 0 || rows > ws.maxBatch {
 		panic(fmt.Sprintf("nn: batch %d outside workspace capacity %d", rows, ws.maxBatch))
 	}
+	ws.forwards++
 	p := ws.net
 	src, srcRow := in[:rows*p.inDim], p.inDim
 	for i := range p.stages {

@@ -15,6 +15,7 @@ package rl
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"osap/internal/mdp"
@@ -63,9 +64,12 @@ func (f *Frozen) NumActions() int { return f.actors[0].OutDim() }
 // one workspace per packed network, and the inference handles over
 // them, built once. The deployed agent is member 0 of the policy
 // ensemble, so the greedy handle and U_π's member 0 run on one
-// workspace. Every guard built on a Scratch shares its handles; they
-// must not run concurrently, and since they alias its buffers a result
-// is valid only until the next forward on the same workspace.
+// workspace, and a greedy decision on the observation U_π has just
+// scored reads member 0's forward instead of repeating it: an
+// A-ensemble step runs one forward per member and no more. Every guard
+// built on a Scratch shares its handles; they must not run
+// concurrently, and since they alias its buffers a result is valid
+// only until the next forward on the same workspace.
 type Scratch struct {
 	actions  int
 	greedy   *GreedyInference
@@ -81,12 +85,9 @@ func (f *Frozen) NewScratch() *Scratch {
 		policies: make([]mdp.Policy, len(f.actors)),
 		values:   make([]mdp.ValueFn, len(f.values)),
 	}
-	for i, p := range f.actors {
-		ws := p.NewBatchWorkspace(1)
-		if i == 0 {
-			sc.greedy = &GreedyInference{ws: ws}
-		}
-		sc.policies[i] = &PolicyInference{ws: ws}
+	sc.policies[0], sc.greedy = newGreedyInference(f.actors[0])
+	for i, p := range f.actors[1:] {
+		sc.policies[i+1] = &PolicyInference{ws: p.NewBatchWorkspace(1)}
 	}
 	for i, p := range f.values {
 		sc.values[i] = &ValueInference{ws: p.NewBatchWorkspace(1)}
@@ -108,12 +109,30 @@ func (sc *Scratch) Policies() []mdp.Policy { return sc.policies }
 // same slice on every call, which callers must not modify.
 func (sc *Scratch) Values() []mdp.ValueFn { return sc.values }
 
+// Forwards returns how many forwards the scratch's workspaces have run.
+//
+//osap:ignore deadcode the guard tests of internal/experiments count an A-ensemble step's forwards with it
+func (sc *Scratch) Forwards() uint64 {
+	var n uint64
+	for _, p := range sc.policies {
+		n += p.(*PolicyInference).ws.Forwards()
+	}
+	for _, v := range sc.values {
+		n += v.(*ValueInference).ws.Forwards()
+	}
+	return n
+}
+
 // PolicyInference is an allocation-free policy handle for one agent.
 // Probs returns a buffer of the handle's workspace, valid until its
-// next forward; callers that retain the distribution must copy it
-// (mdp.Rollout does).
+// next forward, which callers must not modify; callers that retain the
+// distribution must copy it (mdp.Rollout does).
 type PolicyInference struct {
 	ws *nn.BatchWorkspace
+	// in is a copy of the last forward's input and out that forward's
+	// output, kept only on a handle a GreedyInference reads (in is nil
+	// on the others).
+	in, out []float64
 }
 
 // Probs implements mdp.Policy without heap allocation. The result is
@@ -121,7 +140,29 @@ type PolicyInference struct {
 //
 //osap:hotpath
 func (p *PolicyInference) Probs(obs []float64) []float64 {
-	return p.ws.ForwardRow(obs)
+	out := p.ws.ForwardRow(obs)
+	if p.in != nil {
+		copy(p.in, obs)
+		p.out = out
+	}
+	return out
+}
+
+// last is Probs(obs) read from the last forward when that forward's
+// input was obs, bit for bit: the workspace's output is a function of
+// its input alone, and nothing writes it between forwards.
+//
+//osap:hotpath
+func (p *PolicyInference) last(obs []float64) []float64 {
+	if p.out == nil || len(obs) != len(p.in) {
+		return p.Probs(obs)
+	}
+	for i, x := range obs {
+		if math.Float64bits(x) != math.Float64bits(p.in[i]) {
+			return p.Probs(obs)
+		}
+	}
+	return p.out
 }
 
 // ValueInference is an allocation-free value-function handle for one
@@ -139,38 +180,49 @@ func (v *ValueInference) Value(obs []float64) float64 {
 }
 
 // GreedyInference is the serving counterpart of GreedyPolicy: a
-// one-hot on the agent's argmax action, written over the forward's
-// output in the handle's workspace, without allocating. Unlike
+// one-hot on the agent's argmax action, without allocating. It reads
+// the agent's policy handle, and on the observation that handle has
+// just run — the U_π ensemble's member 0 in an A-ensemble step — it
+// takes that forward's distribution instead of running its own. Unlike
 // GreedyPolicy it passes a non-finite forward through, so the guard
 // that serves it can demote a broken actor.
 type GreedyInference struct {
-	ws *nn.BatchWorkspace
+	agent  *PolicyInference
+	onehot []float64
 }
 
 // NewGreedyInference builds a greedy serving handle for an agent, on a
 // workspace of its own.
 func NewGreedyInference(ac *ActorCritic) *GreedyInference {
-	return &GreedyInference{ws: nn.Pack(ac.Actor).NewBatchWorkspace(1)}
+	_, g := newGreedyInference(nn.Pack(ac.Actor))
+	return g
+}
+
+// newGreedyInference builds an agent's policy handle on a workspace of
+// its own, which keeps its last forward for the greedy handle returned
+// with it.
+func newGreedyInference(p *nn.PackedNetwork) (*PolicyInference, *GreedyInference) {
+	agent := &PolicyInference{ws: p.NewBatchWorkspace(1), in: make([]float64, p.InDim())}
+	return agent, &GreedyInference{agent: agent, onehot: make([]float64, p.OutDim())}
 }
 
 // Probs implements mdp.Policy: a one-hot on the agent's argmax, valid
-// until the next forward on the handle's workspace. A forward with a
-// non-finite entry is returned as it is, so the caller sees a broken
-// actor instead of the one-hot its argmax would make (the argmax of an
-// all-NaN distribution is action 0).
+// until the next call. A forward with a non-finite entry is returned as
+// it is, valid until the next forward on the agent's workspace, so the
+// caller sees a broken actor instead of the one-hot its argmax would
+// make (the argmax of an all-NaN distribution is action 0).
 //
 //osap:hotpath
 func (g *GreedyInference) Probs(obs []float64) []float64 {
-	probs := g.ws.ForwardRow(obs)
+	probs := g.agent.last(obs)
 	if !stats.AllFinite(probs) {
 		return probs
 	}
-	a := mdp.ArgmaxAction(probs)
-	for i := range probs {
-		probs[i] = 0
+	for i := range g.onehot {
+		g.onehot[i] = 0
 	}
-	probs[a] = 1
-	return probs
+	g.onehot[mdp.ArgmaxAction(probs)] = 1
+	return g.onehot
 }
 
 // SharedPolicy is a packed copy of an agent's actor that any number of

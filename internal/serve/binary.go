@@ -105,7 +105,7 @@ type binConn struct {
 func (s *Server) serveConn(nc net.Conn) {
 	defer nc.Close() //nolint:errcheck // what there was to send has been flushed
 	dim := s.factory.ObsDim()
-	pc := proto.NewConnSize(nc, binReadFrames*proto.StepFrameSize(dim))
+	pc := proto.NewConnSize(newRawIO(nc), binReadFrames*proto.StepFrameSize(dim))
 	if !s.trackConn(nc) {
 		pc.WriteGoAway("draining") //nolint:errcheck // best-effort farewell
 		return

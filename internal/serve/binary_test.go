@@ -486,7 +486,23 @@ func TestBinaryBurstOneFlush(t *testing.T) {
 func TestBinaryStepZeroAlloc(t *testing.T) {
 	s := batchTestServer(t)
 	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
-	c := pipeBinary(t, s)
+	binaryStepZeroAlloc(t, s, pipeBinary(t, s))
+}
+
+// TestBinaryStepZeroAllocTCP is TestBinaryStepZeroAlloc over a loopback
+// TCP connection, whose server side reads and writes its socket with
+// raw system calls on Linux (rawio_linux.go) where net.Pipe takes the
+// net.Conn fallback.
+func TestBinaryStepZeroAllocTCP(t *testing.T) {
+	s, addr := binaryTestServer(t)
+	defer s.Drain(context.Background(), io.Discard) //nolint:errcheck
+	c := dialBinary(t, addr)
+	defer c.nc.Close()
+	binaryStepZeroAlloc(t, s, c)
+}
+
+func binaryStepZeroAlloc(t *testing.T, s *Server, c *binClient) {
+	t.Helper()
 	obs := obsStream(9, s.factory.ObsDim(), 1)[0]
 	for cid, scheme := range []string{SchemeND, SchemeAEns} {
 		c.open(uint32(cid), scheme)

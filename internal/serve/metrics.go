@@ -12,11 +12,12 @@ import (
 )
 
 // latencyBuckets are the fixed histogram bounds in seconds (upper
-// inclusive, Prometheus convention), spanning 1 µs to 1 s: from a
-// step's decision, which takes a few microseconds, to an HTTP request
-// with its JSON framing.
+// inclusive, Prometheus convention), spanning 100 ns to 1 s: from a
+// step's wait for its shard, which takes well under a microsecond, and
+// its decision, which takes a few, to an HTTP request with its JSON
+// framing.
 var latencyBuckets = []float64{
-	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
+	1e-7, 2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 5e-1, 1,
 }
 

@@ -56,6 +56,10 @@ func TestHistogramResolvesAStep(t *testing.T) {
 	if a, b := bucket(0.5e-6), bucket(3e-6); a == b {
 		t.Errorf("0.5 µs and 3 µs both landed in bucket %d", a)
 	}
+	// The wait for a shard is a few hundred nanoseconds.
+	if a, b := bucket(0.2e-6), bucket(0.7e-6); a == b {
+		t.Errorf("0.2 µs and 0.7 µs both landed in bucket %d", a)
+	}
 }
 
 func TestHistogramOverflowGoesToInf(t *testing.T) {
@@ -224,6 +228,9 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 // commits, so these bytes may not move.
 const benchHistograms = `# HELP osap_step_queue_seconds Step wait for its inference shard.
 # TYPE osap_step_queue_seconds histogram
+osap_step_queue_seconds_bucket{le="1e-07"} 0
+osap_step_queue_seconds_bucket{le="2.5e-07"} 0
+osap_step_queue_seconds_bucket{le="5e-07"} 0
 osap_step_queue_seconds_bucket{le="1e-06"} 0
 osap_step_queue_seconds_bucket{le="2.5e-06"} 0
 osap_step_queue_seconds_bucket{le="5e-06"} 0
@@ -248,6 +255,9 @@ osap_step_queue_seconds_sum 2.70727
 osap_step_queue_seconds_count 7
 # HELP osap_step_decision_seconds Step time from holding its shard to decided.
 # TYPE osap_step_decision_seconds histogram
+osap_step_decision_seconds_bucket{le="1e-07"} 0
+osap_step_decision_seconds_bucket{le="2.5e-07"} 0
+osap_step_decision_seconds_bucket{le="5e-07"} 0
 osap_step_decision_seconds_bucket{le="1e-06"} 0
 osap_step_decision_seconds_bucket{le="2.5e-06"} 0
 osap_step_decision_seconds_bucket{le="5e-06"} 1
