@@ -22,13 +22,16 @@ test:
 
 # The assembly kernels are amd64-only; every other architecture runs
 # the portable loops, and 32-bit ones lay 64-bit fields out on 4-byte
-# boundaries. Building for one of each keeps both compiling. The binary
-# transport's raw socket I/O is Linux-only, so a darwin build keeps its
-# net.Conn fallback compiling; bench/ stays out of it (getrusage and
-# sched_setaffinity make it Linux-only).
+# boundaries. Building for one of each keeps both compiling, and vetting
+# for each type-checks the test files (the runnable examples among them)
+# there too. The binary transport's raw socket I/O is Linux-only, so a
+# darwin build keeps its net.Conn fallback compiling; bench/ stays out
+# of it (getrusage and sched_setaffinity make it Linux-only).
 build-cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=386 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
 	GOOS=darwin GOARCH=arm64 $(GO) build . ./cmd/... ./internal/...
 
 # Tier-1 verify (ROADMAP.md).

@@ -1,48 +1,6 @@
 package linalg
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-
-	"osap/internal/stats"
-)
-
-func TestVectorDot(t *testing.T) {
-	v := Vector{1, 2, 3}
-	w := Vector{4, 5, 6}
-	if d := v.Dot(w); d != 32 {
-		t.Errorf("Dot = %v, want 32", d)
-	}
-}
-
-func TestVectorDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Vector{1}.Dot(Vector{1, 2})
-}
-
-func TestAddScaled(t *testing.T) {
-	v := Vector{1, 2}
-	v.AddScaled(2, Vector{10, 20})
-	if v[0] != 21 || v[1] != 42 {
-		t.Errorf("AddScaled = %v", v)
-	}
-}
-
-func TestVectorScaleAndNorm(t *testing.T) {
-	v := Vector{3, 4}
-	if n := v.Norm2(); n != 5 {
-		t.Errorf("Norm2 = %v, want 5", n)
-	}
-	v.Scale(2)
-	if v[0] != 6 || v[1] != 8 {
-		t.Errorf("Scale = %v", v)
-	}
-}
+import "testing"
 
 func TestVectorCloneIndependent(t *testing.T) {
 	v := Vector{1, 2}
@@ -55,12 +13,12 @@ func TestVectorCloneIndependent(t *testing.T) {
 
 func TestMatrixAtSet(t *testing.T) {
 	m := NewMatrix(2, 3)
-	m.Set(1, 2, 7)
+	m.Data[5] = 7
 	if m.At(1, 2) != 7 {
-		t.Error("At/Set roundtrip failed")
+		t.Error("At does not read row-major layout")
 	}
-	if m.Data[5] != 7 {
-		t.Error("row-major layout violated")
+	if m.Row(1)[2] != 7 {
+		t.Error("Row does not alias row-major layout")
 	}
 }
 
@@ -71,125 +29,4 @@ func TestNewMatrixPanicsOnBadShape(t *testing.T) {
 		}
 	}()
 	NewMatrix(0, 3)
-}
-
-func TestMulVecKnown(t *testing.T) {
-	m := NewMatrix(2, 3)
-	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	dst := NewVector(2)
-	m.MulVec(dst, Vector{1, 1, 1})
-	if dst[0] != 6 || dst[1] != 15 {
-		t.Errorf("MulVec = %v, want [6 15]", dst)
-	}
-}
-
-func TestMulVecTKnown(t *testing.T) {
-	m := NewMatrix(2, 3)
-	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	dst := NewVector(3)
-	m.MulVecT(dst, Vector{1, 2})
-	want := Vector{9, 12, 15}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("MulVecT = %v, want %v", dst, want)
-		}
-	}
-}
-
-// Property: <Mᵀy, x> == <y, Mx> (adjoint identity) for random matrices.
-func TestTransposeAdjointProperty(t *testing.T) {
-	r := stats.NewRNG(99)
-	if err := quick.Check(func(seed uint32) bool {
-		rr := stats.NewRNG(uint64(seed))
-		rows, cols := 1+rr.Intn(8), 1+rr.Intn(8)
-		m := NewMatrix(rows, cols)
-		for i := range m.Data {
-			m.Data[i] = rr.NormFloat64()
-		}
-		x := NewVector(cols)
-		y := NewVector(rows)
-		for i := range x {
-			x[i] = rr.NormFloat64()
-		}
-		for i := range y {
-			y[i] = rr.NormFloat64()
-		}
-		mx := NewVector(rows)
-		m.MulVec(mx, x)
-		mty := NewVector(cols)
-		m.MulVecT(mty, y)
-		lhs := mty.Dot(x)
-		rhs := y.Dot(mx)
-		return math.Abs(lhs-rhs) < 1e-9*(1+math.Abs(lhs))
-	}, &quick.Config{MaxCount: 50, Rand: nil}); err != nil {
-		t.Fatal(err)
-	}
-	_ = r
-}
-
-func TestAddOuterScaled(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.AddOuterScaled(2, Vector{1, 2}, Vector{3, 4})
-	want := []float64{6, 8, 12, 16}
-	for i := range want {
-		if m.Data[i] != want[i] {
-			t.Errorf("AddOuterScaled = %v, want %v", m.Data, want)
-		}
-	}
-}
-
-func TestMatrixAddScaledAndScale(t *testing.T) {
-	a := NewMatrix(1, 2)
-	b := NewMatrix(1, 2)
-	copy(a.Data, []float64{1, 2})
-	copy(b.Data, []float64{10, 20})
-	a.AddScaled(0.5, b)
-	if a.Data[0] != 6 || a.Data[1] != 12 {
-		t.Errorf("AddScaled = %v", a.Data)
-	}
-	a.Scale(2)
-	if a.Data[0] != 12 || a.Data[1] != 24 {
-		t.Errorf("Scale = %v", a.Data)
-	}
-}
-
-func TestMatrixCloneAndZero(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Set(0, 0, 5)
-	c := m.Clone()
-	m.Zero()
-	if c.At(0, 0) != 5 {
-		t.Error("Clone shares storage with original")
-	}
-	if m.At(0, 0) != 0 {
-		t.Error("Zero did not clear")
-	}
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	m := NewMatrix(1, 2)
-	copy(m.Data, []float64{3, 4})
-	if n := m.FrobeniusNorm(); n != 5 {
-		t.Errorf("FrobeniusNorm = %v, want 5", n)
-	}
-}
-
-func TestMulVecShapePanics(t *testing.T) {
-	m := NewMatrix(2, 3)
-	for name, fn := range map[string]func(){
-		"MulVec dst":      func() { m.MulVec(NewVector(3), NewVector(3)) },
-		"MulVec x":        func() { m.MulVec(NewVector(2), NewVector(2)) },
-		"MulVecT":         func() { m.MulVecT(NewVector(2), NewVector(2)) },
-		"AddOuterScaled":  func() { m.AddOuterScaled(1, NewVector(3), NewVector(3)) },
-		"Matrix AddScale": func() { m.AddScaled(1, NewMatrix(3, 2)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
 }

@@ -53,7 +53,7 @@ func TestApplyMatchesMatMulTBias(t *testing.T) {
 			got := NewMatrix(rows, n)
 			p.Apply(got.Data, n, 1, a.Data, k, rows)
 			sameBits(t, "dispatch", got.Data, want.Data)
-			got.Zero()
+			Vector(got.Data).Zero()
 			p.applyPortable(got.Data, n, 1, a.Data, k, rows)
 			sameBits(t, "portable", got.Data, want.Data)
 		}

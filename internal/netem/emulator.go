@@ -1,16 +1,10 @@
-// Package netem is a MahiMahi-style network emulator. It has two halves:
-//
-//   - A discrete-event, virtual-time emulator (Emulator) that models a
-//     trace-driven bottleneck link at packet granularity — MTU-sized
-//     delivery opportunities derived from the trace exactly as MahiMahi
-//     schedules them, propagation delay on both paths, and a simple
-//     ack-clocked transport with slow start. PacketLink makes it a link
-//     of abr.Env, so the packet-level ABR environment is the chunk-level
-//     one with a different download model.
-//
-//   - Real-socket building blocks (ThrottledConn, ChunkServer) that
-//     shape actual TCP connections to a trace in wall-clock time, used
-//     by the live-streaming example.
+// Package netem is a MahiMahi-style network emulator: a discrete-event,
+// virtual-time emulator (Emulator) that models a trace-driven bottleneck
+// link at packet granularity — MTU-sized delivery opportunities derived
+// from the trace exactly as MahiMahi schedules them, propagation delay on
+// both paths, and a simple ack-clocked transport with slow start.
+// PacketLink makes it a link of abr.Env, so the packet-level ABR
+// environment is the chunk-level one with a different download model.
 package netem
 
 import (

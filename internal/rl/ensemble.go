@@ -96,12 +96,3 @@ func TrainValueEnsemble(factory EnvFactory, policy mdp.Policy, cfg ValueTrainCon
 	}
 	return nets, nil
 }
-
-// ValueEnsemble adapts a set of critic networks to []mdp.ValueFn.
-func ValueEnsemble(nets []*nn.Network) []mdp.ValueFn {
-	vs := make([]mdp.ValueFn, len(nets))
-	for i, n := range nets {
-		vs[i] = NetValueFn{Net: n}
-	}
-	return vs
-}

@@ -172,7 +172,7 @@ type ValueInference struct {
 }
 
 // Value implements mdp.ValueFn without heap allocation. The result is
-// bit-identical to NetValueFn.Value.
+// bit-identical to the critic's own Network.Forward.
 //
 //osap:hotpath
 func (v *ValueInference) Value(obs []float64) float64 {

@@ -2,12 +2,14 @@ package rl
 
 import (
 	"osap/internal/mdp"
+	"osap/internal/nn"
 	"osap/internal/stats"
 )
 
-// EvaluateAgent is called by no shipping code — the experiments package
-// evaluates agents through guards — and only this package's tests use
-// it, so it lives in a test file.
+// The helpers below are called by no shipping code — the experiments
+// package evaluates agents through guards, and the server scores value
+// ensembles through ValueInference handles — and only this package's
+// tests use them, so they live in a test file.
 
 // EvaluateAgent runs greedy episodes of the agent and returns total
 // rewards, the standard deployment-time measurement.
@@ -20,4 +22,19 @@ func EvaluateAgent(factory EnvFactory, agent *ActorCritic, seed uint64, episodes
 		out[i] = traj.TotalReward()
 	}
 	return out
+}
+
+// NetValueFn adapts a critic network to mdp.ValueFn.
+type NetValueFn struct{ Net *nn.Network }
+
+// Value implements mdp.ValueFn.
+func (n NetValueFn) Value(obs []float64) float64 { return n.Net.Forward(obs)[0] }
+
+// ValueEnsemble adapts a set of critic networks to []mdp.ValueFn.
+func ValueEnsemble(nets []*nn.Network) []mdp.ValueFn {
+	vs := make([]mdp.ValueFn, len(nets))
+	for i, n := range nets {
+		vs[i] = NetValueFn{Net: n}
+	}
+	return vs
 }

@@ -157,9 +157,3 @@ func TrainValueOnDataset(ds []valueSample, cfg ValueTrainConfig) (*nn.Network, e
 	}
 	return net, nil
 }
-
-// NetValueFn adapts a critic network to mdp.ValueFn.
-type NetValueFn struct{ Net *nn.Network }
-
-// Value implements mdp.ValueFn.
-func (n NetValueFn) Value(obs []float64) float64 { return n.Net.Forward(obs)[0] }

@@ -18,7 +18,6 @@ import (
 	"osap/internal/learn"
 	"osap/internal/mdp"
 	"osap/internal/nn"
-	"osap/internal/rl"
 	"osap/internal/stats"
 )
 
@@ -371,7 +370,11 @@ func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
 			}
 			g.Signal, err = core.NewPolicySignal(members, arts.Record.Trim())
 		case SchemeVEns:
-			g.Signal, err = core.NewValueSignal(rl.ValueEnsemble(arts.ValueNets), arts.Record.Trim())
+			members := make([]mdp.ValueFn, len(arts.ValueNets))
+			for i, net := range arts.ValueNets {
+				members[i] = criticValue{net}
+			}
+			g.Signal, err = core.NewValueSignal(members, arts.Record.Trim())
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -384,6 +387,12 @@ func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
 		}
 	}
 }
+
+// criticValue is a critic network's own Forward as an mdp.ValueFn, the
+// reference the packed value handles are checked against.
+type criticValue struct{ net *nn.Network }
+
+func (c criticValue) Value(obs []float64) float64 { return c.net.Forward(obs)[0] }
 
 // poisonSignal is a forward fault: it runs the wrapped signal and the
 // learned policy on an observation of NaNs — garbage through every

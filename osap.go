@@ -30,7 +30,8 @@
 // actor-critic and its trainer, the chunk-level streaming simulator, the
 // packet-level network emulator, the trace generators, and the full
 // figure-regeneration harness) live under internal/; the binaries in
-// cmd/ and the programs in examples/ drive them.
+// cmd/ drive them, and the package's runnable examples (go test -run
+// Example -v .) walk through the API.
 package osap
 
 import (
