@@ -23,7 +23,7 @@ func TestBootSyntheticVersionFromRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cfg serve.Config
-	_, served, err := bootFromRegistry(&cfg, root, trace.DatasetGamma22, "")
+	served, err := bootFromRegistry(&cfg, root, trace.DatasetGamma22, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,7 +195,11 @@ func runLearn(t *testing.T, cfg serve.Config, dataset string, clients int, seed 
 func (r *learnRun) boot(t *testing.T, opts learn.Config) (*rolloutHarness, *learn.Learner, *registry.Registry) {
 	t.Helper()
 	cfg := r.cfg
-	reg, arts, err := bootFromRegistry(&cfg, r.root, r.dataset, opts.ParentVersion)
+	arts, err := bootFromRegistry(&cfg, r.root, r.dataset, opts.ParentVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := registry.Open(r.root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +377,7 @@ func (r *learnRun) phaseA(t *testing.T, logDir string) {
 	// A fresh default boot must pick the promoted v1, never the
 	// proposal.
 	var bootCfg serve.Config
-	if _, _, err := bootFromRegistry(&bootCfg, r.root, r.dataset, ""); err != nil {
+	if _, err := bootFromRegistry(&bootCfg, r.root, r.dataset, ""); err != nil {
 		t.Fatal(err)
 	}
 	if bootCfg.Version != "v1" {

@@ -57,7 +57,6 @@ type options struct {
 	addr, binAddr   string
 	models          string
 	registry        string
-	registryPoll    time.Duration
 	dataset         string
 	learnLog        string
 	learnRefitEvery int
@@ -77,7 +76,6 @@ func newOptions(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.binAddr, "binary-addr", "", "binary-protocol listen address (empty = HTTP only)")
 	fs.StringVar(&o.models, "models", "", "directory of pre-trained artifacts (osap-train output)")
 	fs.StringVar(&o.registry, "registry", "", "versioned artifact registry root (osap-train -registry output); overrides -models")
-	fs.DurationVar(&o.registryPoll, "registry-poll", 5*time.Second, "registry poll interval for new versions (0 disables polling; SIGHUP still rescans)")
 	fs.Float64Var(&o.cfg.Rollout.CanaryFraction, "canary-fraction", 0, "fraction of new sessions routed to a staged candidate (0 = default 0.10)")
 	fs.Float64Var(&o.cfg.Rollout.RollbackMargin, "rollback-margin", 0, "excess candidate demotion/fallback rate that triggers auto-rollback (0 = default 0.05)")
 	fs.StringVar(&o.dataset, "dataset", trace.DatasetNorway, "training distribution to serve")
@@ -125,18 +123,20 @@ func loadArtifacts(dataset, models string) (*experiments.Artifacts, error) {
 // newest promoted one when version is empty) and wires the
 // version-aware serve.Config hooks (LoadVersion for staging,
 // ListVersions and ListProposed for the dashboard) — the `-registry`
-// path. It returns the loaded version's artifacts.
-func bootFromRegistry(cfg *serve.Config, root, dataset, version string) (*registry.Registry, *experiments.Artifacts, error) {
+// path. It returns the loaded version's artifacts. The registry is read
+// when asked — /dashboard lists its versions on every request, and POST
+// /admin/rollout loads the one it stages — so nothing polls it.
+func bootFromRegistry(cfg *serve.Config, root, dataset, version string) (*experiments.Artifacts, error) {
 	reg, err := registry.Open(root)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	versions, err := reg.Versions()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(versions) == 0 {
-		return nil, nil, fmt.Errorf("registry %s has no versions (publish one with osap-train -registry)", root)
+		return nil, fmt.Errorf("registry %s has no versions (publish one with osap-train -registry)", root)
 	}
 	if version == "" {
 		// Default to the newest PROMOTED version: online-refit proposals
@@ -144,16 +144,16 @@ func bootFromRegistry(cfg *serve.Config, root, dataset, version string) (*regist
 		// staging via POST /admin/rollout is their only path to serving.
 		promoted, _, err := reg.Partition()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if len(promoted) == 0 {
-			return nil, nil, fmt.Errorf("registry %s holds only proposed versions; promote one before serving", root)
+			return nil, fmt.Errorf("registry %s holds only proposed versions; promote one before serving", root)
 		}
 		version = promoted[len(promoted)-1]
 	}
 	gen, err := reg.Load(version, dataset)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cfg.Version = gen.Version
 	cfg.Checksum = gen.ArtifactSHA256
@@ -180,7 +180,7 @@ func bootFromRegistry(cfg *serve.Config, root, dataset, version string) (*regist
 	}
 	fmt.Fprintf(os.Stderr, "registry %s: serving version %s (sha256 %.12s…) of %d available\n",
 		root, gen.Version, gen.ArtifactSHA256, len(versions))
-	return reg, gen.Artifacts, nil
+	return gen.Artifacts, nil
 }
 
 // buildLearner constructs the Learner judged against the boot artifacts
@@ -202,10 +202,9 @@ func buildLearner(arts *experiments.Artifacts, cfg learn.Config) (*learn.Learner
 func runServer(o *options) error {
 	cfg := o.cfg
 	var arts *experiments.Artifacts
-	var reg *registry.Registry
 	var err error
 	if o.registry != "" {
-		reg, arts, err = bootFromRegistry(&cfg, o.registry, o.dataset, "")
+		arts, err = bootFromRegistry(&cfg, o.registry, o.dataset, "")
 	} else {
 		arts, err = loadArtifacts(o.dataset, o.models)
 	}
@@ -236,25 +235,6 @@ func runServer(o *options) error {
 	}
 	srv.StartSweeper()
 
-	// Registry deployments watch the root for rename-published versions
-	// (poll + SIGHUP kick); single-file deployments have nothing to
-	// watch and keep their historical signal handling untouched.
-	var watcher *registry.Watcher
-	sighup := make(chan os.Signal, 1)
-	if reg != nil {
-		watcher, err = registry.NewWatcher(reg, o.registryPoll, func(added, all, proposed []string) {
-			fmt.Fprintf(os.Stderr, "registry: new versions %v published (available: %v); stage via POST /admin/rollout\n", added, all)
-			if len(proposed) > 0 {
-				fmt.Fprintf(os.Stderr, "registry: %d proposed version(s) awaiting promotion: %v\n", len(proposed), proposed)
-			}
-		})
-		if err != nil {
-			return err
-		}
-		defer watcher.Stop()
-		signal.Notify(sighup, syscall.SIGHUP)
-	}
-
 	httpSrv := &http.Server{Addr: o.addr, Handler: srv}
 	errc := make(chan error, 2)
 	go func() {
@@ -278,26 +258,16 @@ func runServer(o *options) error {
 	fmt.Fprintf(os.Stderr, "osap-serve %s: serving %s artifacts on %s (schemes %v)\n",
 		buildinfo.Version, factory.Dataset(), o.addr, factory.Schemes())
 
+	// SIGHUP means nothing here; Go's default for it is to exit, which
+	// would end the server without a drain.
+	signal.Ignore(syscall.SIGHUP)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-wait:
-	for {
-		select {
-		case err := <-errc:
-			return err
-		case <-sighup:
-			watcher.Rescan()
-			ro := srv.Rollout()
-			cand := "(none)"
-			if c := ro.Candidate(); c != nil {
-				cand = c.Version()
-			}
-			fmt.Fprintf(os.Stderr, "SIGHUP: registry rescan kicked; active=%s candidate=%s available=%v\n",
-				ro.Active().Version(), cand, cfg.ListVersions())
-		case s := <-sig:
-			fmt.Fprintf(os.Stderr, "received %s: draining...\n", s)
-			break wait
-		}
+	select {
+	case err := <-errc:
+		return err
+	case s := <-sig:
+		fmt.Fprintf(os.Stderr, "received %s: draining...\n", s)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

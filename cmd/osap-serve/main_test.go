@@ -24,7 +24,7 @@ func TestServingFlagsOnly(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
 		"addr", "binary-addr", "canary-fraction", "dataset", "learn-log", "learn-refit-every",
-		"max-sessions", "models", "readmit-cap", "readmit-l", "registry", "registry-poll",
+		"max-sessions", "models", "readmit-cap", "readmit-l", "registry",
 		"rollback-margin", "session-ttl", "version",
 	}
 	if !slices.Equal(got, want) {

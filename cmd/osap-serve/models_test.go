@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"osap/internal/abr"
@@ -21,8 +22,8 @@ import (
 )
 
 // microRecipe is the quick lab cut to a micro budget and calibrated
-// under knobs neither the quick lab nor the rule for a set without a
-// record would pick: 3 members with none discarded, and l = 2.
+// under knobs neither the quick lab nor AssumedRecord would pick: 3
+// members with none discarded, and l = 2.
 func microRecipe() experiments.Config {
 	cfg := experiments.QuickConfig()
 	cfg.Registry.TracesPer = 6
@@ -147,12 +148,16 @@ func TestModelsServeTheLabsGuard(t *testing.T) {
 }
 
 // TestModelsServeV2File: a v2 file — the payload without a record —
-// loads under the assumed record and serves as the server always served
-// one, under the quick lab's knobs: l = 3, 1 of 3 members discarded,
-// and the U_S window of its OC-SVM.
+// serves nothing: osap-serve's load refuses it, naming its format.
 func TestModelsServeV2File(t *testing.T) {
-	lab, a, dir := savedMicroSet(t)
-	path := filepath.Join(dir, a.Dataset+".json")
+	a, err := serve.SyntheticArtifacts(trace.DatasetNorway, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := experiments.SaveArtifacts(t.TempDir(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -170,28 +175,7 @@ func TestModelsServeV2File(t *testing.T) {
 	if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, factory := loadModels(t, dir)
-	if !loaded.Record.Assumed {
-		t.Errorf("v2 file loaded under %+v, want an assumed record", loaded.Record)
-	}
-	quick := experiments.QuickConfig()
-	parent := *a
-	parent.Record = experiments.Record{ThroughputWindow: quick.ThroughputWindow, K: a.OCSVM.Dim / 2,
-		TriggerL: quick.TriggerL, Discard: quick.Trim.Discard}
-	frozen, err := rl.Freeze(a.Agents, a.ValueNets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tape := guardTape(t, lab)
-	for _, scheme := range factory.Schemes() {
-		want, err := experiments.NewGuard(&parent.Calibration, scheme, frozen.NewScratch(), experiments.Probation{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := factory.NewGuard(scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameDecisions(t, scheme, want, got, tape)
+	if _, err := loadArtifacts(trace.DatasetNorway, filepath.Dir(path)); err == nil || !strings.Contains(err.Error(), `format "osap-artifacts/v2"`) {
+		t.Fatalf("v2 file: load error %v, want a refusal naming its format", err)
 	}
 }

@@ -88,7 +88,7 @@ func bootHarness(t *testing.T, base serve.Config, root, dataset, incumbent strin
 		MinSessions:    clients / 50,
 		PromoteAfter:   clients * rolloutSteps / 12,
 	}
-	_, arts, err := bootFromRegistry(&cfg, root, dataset, incumbent)
+	arts, err := bootFromRegistry(&cfg, root, dataset, incumbent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func (r *rolloutRun) phaseBC(t *testing.T) {
 		chaos.PoisonNetworks(arts.ValueNets...)
 	})
 	h := bootHarness(t, r.cfg, r.root, r.dataset, "v2", r.clients)
-	incumbent := h.srv.Rollout().Active().Version()
+	incumbent := h.dashboard(t).Rollout.Active
 	t.Logf("phase B: poisoned canary at 50%% against incumbent %s", incumbent)
 
 	if status, body := postJSON(t, h.baseURL+"/admin/rollout",

@@ -20,10 +20,16 @@ import (
 //     no loaded package imports (test-support packages, whose only
 //     importers are _test.go files);
 //   - package-level blank vars (`var _ = …`), whose initializers run;
+//   - what each function a deadcode ignore directive keeps uses, so
+//     that a callee only it reaches needs no directive of its own;
 //   - each method of a live type that satisfies an interface type the
-//     loaded code mentions, since a call through the interface reaches
-//     it, and the String/Error/marshaler methods the standard library
-//     finds by type assertion.
+//     loaded code mentions, when a call through the interface can
+//     reach it: for an interface the module declares, only if some
+//     non-test code calls that method on an interface value; for one
+//     the standard library declares, always, since library code the
+//     load does not see makes the call. The String/Error/marshaler
+//     methods the standard library finds by type assertion are live
+//     too.
 //
 // It reports functions and methods only: a dead const, var or type
 // costs no code path. A reference from a _test.go file does not make a
@@ -73,12 +79,14 @@ func runDeadCode(pass *Pass) {
 					key := objectKey(fn)
 					d.refs[key] = append(d.refs[key], usedObjects(pkg.Info, loaded, decl)...) // several inits share a key
 					funcs = append(funcs, fn)
-					name := decl.Name.Name
+					name, pos := decl.Name.Name, pass.Prog.Fset.Position(fn.Pos())
 					switch {
 					case decl.Recv == nil && (name == "init" || name == "main" && pkg.Name == "main"):
 						d.mark(key)
 					case api && fn.Exported() && (decl.Recv == nil || receiverExported(fn)):
 						d.mark(key)
+					case pass.Prog.dirs.suppressed(Diagnostic{Analyzer: pass.Analyzer.Name, File: pos.Filename, Line: pos.Line}):
+						d.markAll(d.refs[key]) // kept on purpose, so what it uses is kept
 					}
 				case *ast.GenDecl:
 					for _, spec := range decl.Specs {
@@ -114,7 +122,7 @@ func runDeadCode(pass *Pass) {
 	// Follow references to a fixed point: a live type's methods that an
 	// interface the code mentions asks for are reachable through a call
 	// on that interface, and what they use is live in turn.
-	ifaces := mentionedInterfaces(pkgs)
+	ifaces, called := mentionedInterfaces(pkgs), interfaceCalls(pkgs)
 	matched := map[string]bool{}
 	for progressed := true; progressed; {
 		d.drain()
@@ -132,8 +140,10 @@ func runDeadCode(pass *Pass) {
 				}
 			}
 			for _, iface := range ifaces {
-				for _, sel := range implements(ms, iface) {
-					d.mark(objectKey(sel.Obj()))
+				for i, sel := range implements(ms, iface) {
+					if m := iface.Method(i); m.Pkg() == nil || !loaded[m.Pkg().Path()] || called[objectKey(m)] {
+						d.mark(objectKey(sel.Obj()))
+					}
 				}
 			}
 		}
@@ -270,6 +280,21 @@ func receiverExported(fn *types.Func) bool {
 	}
 	named, ok := recv.(*types.Named)
 	return ok && named.Obj().Exported()
+}
+
+// interfaceCalls returns the keys of the interface methods that the
+// loaded code calls, or takes as a method value or expression, on an
+// interface value (a type parameter's counts: its constraint is one).
+func interfaceCalls(pkgs []*Package) map[string]bool {
+	called := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, sel := range pkg.Info.Selections {
+			if sel.Kind() != types.FieldVal && types.IsInterface(sel.Recv()) {
+				called[objectKey(sel.Obj())] = true
+			}
+		}
+	}
+	return called
 }
 
 // mentionedInterfaces collects the non-empty interface types that the

@@ -30,4 +30,8 @@ func onlyFromDead() int { return deadCaller() }
 func deadCaller() int { return onlyFromDead() }
 
 //osap:ignore deadcode kept on purpose: the fixture's suppressed case
-func suppressed() int { return 3 }
+func suppressed() int { return keptBySuppressed() }
+
+// keptBySuppressed has no caller but suppressed, which the directive
+// keeps, and so it is kept too.
+func keptBySuppressed() int { return 3 }

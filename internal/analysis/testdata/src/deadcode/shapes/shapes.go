@@ -2,6 +2,8 @@
 // its exported functions are not roots: they live only if called.
 package shapes
 
+import "sort"
+
 // Shape is the interface the loaded code mentions.
 type Shape interface{ Area() float64 }
 
@@ -12,6 +14,28 @@ func (s square) Area() float64 { return s.side * s.side }
 
 // Perimeter satisfies no interface the code mentions and has no caller.
 func (s square) Perimeter() float64 { return 4 * s.side }
+
+// Namer is an interface of the module that no code calls Name through.
+type Namer interface{ Name() string }
+
+var _ Namer = square{}
+
+// Name satisfies Namer, but no call through a Namer reaches it.
+func (s square) Name() string { return "square" }
+
+// bySide is sorted by the standard library, which calls Len, Less and
+// Swap through sort.Interface from code the load does not see.
+type bySide []square
+
+func (b bySide) Len() int           { return len(b) }
+func (b bySide) Less(i, j int) bool { return b[i].side < b[j].side }
+func (b bySide) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
+
+// Sorted returns squares ordered by side.
+func Sorted(squares []square) []square {
+	sort.Sort(bySide(squares))
+	return squares
+}
 
 type circle struct{ r float64 }
 
@@ -30,7 +54,10 @@ func newCircle() Shape {
 
 // All builds one shape of each kind.
 func All() []Shape {
-	out := []Shape{square{2}}
+	var out []Shape
+	for _, sq := range Sorted([]square{{3}, {2}}) {
+		out = append(out, sq)
+	}
 	for _, m := range makers {
 		out = append(out, m())
 	}

@@ -144,6 +144,9 @@ func (c Config) Validate() error {
 	if c.TriggerL < 1 {
 		return fmt.Errorf("experiments: TriggerL %d < 1", c.TriggerL)
 	}
+	if err := c.Value.Validate(); err != nil {
+		return err
+	}
 	return c.Train.Validate()
 }
 

@@ -48,6 +48,16 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("nil video accepted")
 	}
+	bad = QuickConfig()
+	bad.Value.Passes = 0
+	if err := bad.Validate(); err == nil {
+		t.Error("zero value passes accepted")
+	}
+	bad = QuickConfig()
+	bad.Train.Gamma = math.NaN()
+	if err := bad.Validate(); err == nil {
+		t.Error("NaN gamma accepted")
+	}
 }
 
 func TestStateCfgSelection(t *testing.T) {

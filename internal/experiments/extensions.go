@@ -154,7 +154,7 @@ func (l *Lab) rndArtifacts(trainDS string) (*rl.RND, error) {
 	obs := rl.CollectObservations(
 		l.envFactory(l.cfg.TrainVideo, d.Train),
 		rl.GreedyPolicy{P: a.Agents[0]},
-		l.cfg.OCSVMEpisodes, 0, seed)
+		l.cfg.OCSVMEpisodes, seed)
 	cfg := rl.DefaultRNDConfig()
 	cfg.Net = l.cfg.Train.Net
 	cfg.Seed = seed

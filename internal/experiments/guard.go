@@ -93,10 +93,10 @@ func (r Record) StateSignal() core.StateSignalConfig {
 // Trim is the record's ensemble trim.
 func (r Record) Trim() core.EnsembleConfig { return core.EnsembleConfig{Discard: r.Discard} }
 
-// AssumedRecord is the one rule for a set that carries no record (a v2
-// file, serve.SyntheticArtifacts): the paper's l and throughput window,
-// K read off the OC-SVM, and (n−1)/2 of n members discarded — the trim
-// of every config in the tree (3→1, 5→2, 2→0).
+// AssumedRecord is the record of a set nothing calibrated
+// (serve.SyntheticArtifacts): the paper's l and throughput window, K
+// read off the OC-SVM, and (n−1)/2 of n members discarded — the trim of
+// every config in the tree (3→1, 5→2, 2→0).
 func AssumedRecord(a *Artifacts) Record {
 	r := Record{ThroughputWindow: 10, TriggerL: 3, Discard: (len(a.Agents) - 1) / 2, Assumed: true}
 	if a.OCSVM != nil {

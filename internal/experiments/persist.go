@@ -28,13 +28,12 @@ type artifactsJSON struct {
 	NDValQoE  float64          `json:"nd_val_qoe"`
 	AlphaPi   float64          `json:"alpha_pi"`
 	AlphaV    float64          `json:"alpha_v"`
-	// Record is absent only from a v2 (or older) payload.
-	Record *Record `json:"record,omitempty"`
+	Record    Record           `json:"record"`
 }
 
 // artifactsFormat names the checksummed envelope; bump on layout
-// changes. v3 added the record; a v2 file loads under AssumedRecord.
-const artifactsFormat, artifactsFormatV2 = "osap-artifacts/v3", "osap-artifacts/v2"
+// changes. v3 added the record; no other format loads.
+const artifactsFormat = "osap-artifacts/v3"
 
 // artifactsEnvelope wraps the artifact payload with an integrity
 // checksum. Artifacts is kept as raw bytes so the SHA-256 is computed
@@ -58,7 +57,7 @@ func encodeArtifacts(a *Artifacts) ([]byte, error) {
 		NDValQoE:  a.NDValQoE,
 		AlphaPi:   a.AlphaPi,
 		AlphaV:    a.AlphaV,
-		Record:    &a.Record,
+		Record:    a.Record,
 	}
 	var err error
 	for i, ag := range a.Agents {
@@ -78,18 +77,9 @@ func encodeArtifacts(a *Artifacts) ([]byte, error) {
 	return payload, nil
 }
 
-// decodeArtifacts parses an artifact payload. Every network's shape and
-// the record are checked, so a payload that parses but describes an
+// build makes the artifacts aj describes. Every network's shape and the
+// record are checked, so a payload that parses but describes an
 // impossible layer or record is an error, not a panic.
-func decodeArtifacts(payload []byte) (*Artifacts, error) {
-	var aj artifactsJSON
-	if err := json.Unmarshal(payload, &aj); err != nil {
-		return nil, err
-	}
-	return aj.build()
-}
-
-// build makes the artifacts aj describes.
 func (aj *artifactsJSON) build() (*Artifacts, error) {
 	if len(aj.Agents) == 0 || aj.OCSVM == nil {
 		return nil, fmt.Errorf("incomplete")
@@ -103,6 +93,7 @@ func (aj *artifactsJSON) build() (*Artifacts, error) {
 			NDValQoE: aj.NDValQoE,
 			AlphaPi:  aj.AlphaPi,
 			AlphaV:   aj.AlphaV,
+			Record:   aj.Record,
 		},
 	}
 	var err error
@@ -115,10 +106,6 @@ func (aj *artifactsJSON) build() (*Artifacts, error) {
 		if a.ValueNets[i], err = nj.Network(); err != nil {
 			return nil, fmt.Errorf("value net %d: %w", i, err)
 		}
-	}
-	a.Record = AssumedRecord(a)
-	if aj.Record != nil {
-		a.Record = *aj.Record
 	}
 	if err := a.Record.check(a); err != nil {
 		return nil, fmt.Errorf("record: %w", err)
@@ -179,9 +166,10 @@ func WriteSynced(path string, data []byte) error {
 
 // LoadArtifacts reads artifacts saved by SaveArtifacts, verifying the
 // envelope checksum: a corrupted or truncated file fails fast here,
-// before any bad weight can reach a serving guard. Legacy files (bare
-// payload, no envelope) and v2 files load under AssumedRecord with a
-// warning on stderr — refusing them would strand every trained model.
+// before any bad weight can reach a serving guard. A file in any other
+// format — a v2 file, whose payload has no record, or a bare payload
+// from before checksums — is refused: its thresholds hold only under
+// knobs it does not name.
 func LoadArtifacts(path string) (*Artifacts, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -192,17 +180,13 @@ func LoadArtifacts(path string) (*Artifacts, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: decode artifacts %s (truncated or not JSON): %w", path, err)
 	}
-	if env.Artifacts == nil {
-		fmt.Fprintf(os.Stderr, "experiments: artifacts %s predate checksumming; integrity not verified\n", path)
-		a, err := decodeArtifacts(data)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: decode artifacts %s: %w", path, err)
+	if env.Format != artifactsFormat {
+		format := fmt.Sprintf("format %q", env.Format)
+		if env.Format == "" {
+			format = "a bare payload with no format"
 		}
-		return a, nil
-	}
-	if env.Format != artifactsFormat && env.Format != artifactsFormatV2 {
-		return nil, fmt.Errorf("experiments: artifacts %s: unknown format %q, want %q",
-			path, env.Format, artifactsFormat)
+		return nil, fmt.Errorf("experiments: artifacts %s are %s, not %s: re-save them with osap-train",
+			path, format, artifactsFormat)
 	}
 	sum := sha256.Sum256(env.Artifacts)
 	if got := hex.EncodeToString(sum[:]); got != env.SHA256 {
@@ -211,13 +195,6 @@ func LoadArtifacts(path string) (*Artifacts, error) {
 	}
 	if payloadErr != nil {
 		return nil, fmt.Errorf("experiments: decode artifacts %s: %w", path, payloadErr)
-	}
-	if (aj.Record == nil) != (env.Format == artifactsFormatV2) {
-		return nil, fmt.Errorf("experiments: artifacts %s: format %s does not match the payload (record present: %t)",
-			path, env.Format, aj.Record != nil)
-	}
-	if aj.Record == nil {
-		fmt.Fprintf(os.Stderr, "experiments: artifacts %s predate the guard record (%s); loading them under an assumed one\n", path, env.Format)
 	}
 	a, err := aj.build()
 	if err != nil {
@@ -230,8 +207,7 @@ func LoadArtifacts(path string) (*Artifacts, error) {
 // as it passes — the file is scanned once for its extent and once to
 // decode, not once more to validate and again to copy the payload out.
 // The returned envelope's Artifacts are the payload's bytes as they lie
-// in data, for the checksum; nil when data has no "artifacts" key,
-// which is a legacy bare payload. A payload that is well-formed JSON
+// in data, for the checksum. A payload that is well-formed JSON
 // but does not decode (a weight that is not a number) comes back as
 // payloadErr, so the caller reports a checksum mismatch first, as it
 // would for any other corruption.

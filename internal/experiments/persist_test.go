@@ -179,6 +179,30 @@ func TestLoadArtifactsTruncated(t *testing.T) {
 	}
 }
 
+// envelope wraps payload in a checksummed envelope of the given format.
+func envelope(format string, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return []byte(`{"format":"` + format + `","sha256":"` + hex.EncodeToString(sum[:]) + `","artifacts":` + string(payload) + `}`)
+}
+
+// loadRefused writes data over path and checks that LoadArtifacts
+// refuses it, naming what it is and how to replace it.
+func loadRefused(t *testing.T, path string, data []byte, named string) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadArtifacts(path)
+	if err == nil {
+		t.Fatalf("%s loaded", named)
+	}
+	if !strings.Contains(err.Error(), named) || !strings.Contains(err.Error(), "re-save them with osap-train") {
+		t.Errorf("refusal does not name %s or say how to replace it: %v", named, err)
+	}
+}
+
+// TestLoadArtifactsLegacyNoChecksum: a bare payload, as files were
+// written before the checksummed envelope, is refused.
 func TestLoadArtifactsLegacyNoChecksum(t *testing.T) {
 	path := saveQuickArtifacts(t)
 	data, err := os.ReadFile(path)
@@ -191,27 +215,15 @@ func TestLoadArtifactsLegacyNoChecksum(t *testing.T) {
 	if err := json.Unmarshal(data, &env); err != nil {
 		t.Fatal(err)
 	}
-	// A pre-envelope file is the bare payload: it must load (with a
-	// warning), not fail — refusing it would strand trained models.
-	if err := os.WriteFile(path, env.Artifacts, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	a, err := LoadArtifacts(path)
-	if err != nil {
-		t.Fatalf("legacy artifacts rejected: %v", err)
-	}
-	if a.Dataset != "gamma22" || len(a.Agents) == 0 {
-		t.Fatal("legacy artifacts loaded incompletely")
-	}
+	loadRefused(t, path, env.Artifacts, "a bare payload")
 }
 
 // TestSaveArtifactsPinnedBytes pins the artifact file byte for byte:
 // training runs on the packed kernels and the codec is one pass, and
 // neither may move a bit of what a quick-scale run writes. The digest
-// was re-recorded once, when the record joined the payload (v3);
-// TestLoadArtifactsV2 shows the same set without it is the v2 file of
-// before, bit for bit. Bits are per platform (DESIGN §10), so both are
-// checked where they were recorded: amd64.
+// was re-recorded once, when the record joined the payload (v3). Bits
+// are per platform (DESIGN §10), so it is checked where it was
+// recorded: amd64.
 func TestSaveArtifactsPinnedBytes(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("artifact bits are pinned on amd64")
@@ -227,64 +239,25 @@ func TestSaveArtifactsPinnedBytes(t *testing.T) {
 	}
 }
 
-// writeV2 writes a as an osap-artifacts/v2 file: the payload without
-// its record, in the envelope that format had.
-func writeV2(t *testing.T, a *Artifacts) string {
-	t.Helper()
-	payload, err := encodeArtifacts(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := bytes.LastIndex(payload, []byte(`,"record":`))
-	payload = append(payload[:cut:cut], '}')
-	sum := sha256.Sum256(payload)
-	path := filepath.Join(t.TempDir(), a.Dataset+".json")
-	file := `{"format":"osap-artifacts/v2","sha256":"` + hex.EncodeToString(sum[:]) + `","artifacts":` + string(payload) + `}`
-	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestLoadArtifactsV2: the quick set written without its record in the
-// v2 envelope is the file v2 wrote — training moved no bit when the
-// record arrived — and it loads under the assumed record, whose knobs
-// are the ones its thresholds were calibrated under.
+// TestLoadArtifactsV2: an osap-artifacts/v2 file — the payload without
+// its record — is refused with its format named, and so is a v2
+// envelope around a payload that has one.
 func TestLoadArtifactsV2(t *testing.T) {
-	a, err := quickLab(t).Artifacts("gamma22")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := writeV2(t, a)
+	path := saveQuickArtifacts(t)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const v2 = "4e4abc571012c4f317e1b82bf05258f1c50b525e4e7431da1b3ae6de1a795646"
-	if sum := sha256.Sum256(data); runtime.GOARCH == "amd64" && hex.EncodeToString(sum[:]) != v2 {
-		t.Errorf("quick gamma22 artifacts without the record sha256 %x, want the v2 file's %s", sum, v2)
+	var env struct {
+		Artifacts json.RawMessage `json:"artifacts"`
 	}
-	back, err := LoadArtifacts(path)
-	if err != nil {
+	if err := json.Unmarshal(data, &env); err != nil {
 		t.Fatal(err)
 	}
-	want := a.Record
-	want.Assumed, want.AlphaPi, want.AlphaV = true, Provenance{}, Provenance{}
-	if back.Record != want {
-		t.Errorf("v2 file loaded under %+v, want %+v", back.Record, want)
-	}
-	// A record and a format that disagree do not load.
-	v3 := saveQuickArtifacts(t)
-	raw, err := os.ReadFile(v3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v3, bytes.Replace(raw, []byte("osap-artifacts/v3"), []byte("osap-artifacts/v2"), 1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadArtifacts(v3); err == nil {
-		t.Error("a v2 envelope around a payload with a record loaded")
-	}
+	cut := bytes.LastIndex(env.Artifacts, []byte(`,"record":`))
+	named := `format "osap-artifacts/v2"`
+	loadRefused(t, path, envelope("osap-artifacts/v2", append(env.Artifacts[:cut:cut], '}')), named)
+	loadRefused(t, path, envelope("osap-artifacts/v2", env.Artifacts), named)
 }
 
 // badRecords are records no artifact set of the template payload below
@@ -297,24 +270,29 @@ var badRecords = map[string]string{
 	"discard < 0":   `{"throughput_window":10,"k":1,"trigger_l":3,"discard":-1}`,
 	"l < 1":         `{"throughput_window":10,"k":1,"trigger_l":0,"discard":0}`,
 	"not an object": `[1]`,
+	"no record":     "",
 }
 
+// goodRecord is a record the template payload's guards can be built
+// under.
+const goodRecord = `{"throughput_window":10,"k":1,"trigger_l":3,"discard":0}`
+
 // TestLoadArtifactsBadRecord: a checksum-valid v3 file whose record
-// disagrees with its payload is an error.
+// is missing or disagrees with its payload is an error.
 func TestLoadArtifactsBadRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.json")
 	for name, rec := range badRecords {
-		payload := payloadWithRecord(goodLayer, rec)
-		sum := sha256.Sum256(payload)
-		file := `{"format":"osap-artifacts/v3","sha256":"` + hex.EncodeToString(sum[:]) + `","artifacts":` + string(payload) + `}`
-		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+		if err := os.WriteFile(path, envelope(artifactsFormat, payloadWithRecord(goodLayer, rec)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadArtifacts(path); err == nil {
 			t.Errorf("%s: loaded without error", name)
 		}
 	}
-	if _, err := decodeArtifacts(payloadWithRecord(goodLayer, `{"throughput_window":10,"k":1,"trigger_l":3,"discard":0}`)); err != nil {
+	if err := os.WriteFile(path, envelope(artifactsFormat, payloadWithRecord(goodLayer, goodRecord)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadArtifacts(path); err != nil {
 		t.Fatalf("template record rejected: %v", err)
 	}
 }
@@ -379,9 +357,9 @@ var badLayerPayloads = map[string]string{
 // goodLayer is a layer the template payload's actor can have.
 const goodLayer = `{"kind":"dense","in":1,"out":1,"weight":[2],"bias":[0]}`
 
-// payloadWithActorLayer is a minimal v2 payload whose one agent's actor
-// is the given layer.
-func payloadWithActorLayer(layer string) []byte { return payloadWithRecord(layer, "") }
+// payloadWithActorLayer is a minimal payload, with a good record, whose
+// one agent's actor is the given layer.
+func payloadWithActorLayer(layer string) []byte { return payloadWithRecord(layer, goodRecord) }
 
 // payloadWithRecord is payloadWithActorLayer carrying the given record
 // ("" for none).
@@ -401,11 +379,8 @@ func payloadWithRecord(layer, record string) []byte {
 func TestLoadArtifactsBadLayerDims(t *testing.T) {
 	dir := t.TempDir()
 	for name, layer := range badLayerPayloads {
-		payload := payloadWithActorLayer(layer)
-		sum := sha256.Sum256(payload)
-		file := `{"format":"osap-artifacts/v2","sha256":"` + hex.EncodeToString(sum[:]) + `","artifacts":` + string(payload) + `}`
 		path := filepath.Join(dir, "bad.json")
-		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+		if err := os.WriteFile(path, envelope(artifactsFormat, payloadWithActorLayer(layer)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadArtifacts(path); err == nil {

@@ -189,8 +189,6 @@ func (ws *BatchWorkspace) Forward(in *linalg.Matrix) *linalg.Matrix {
 }
 
 // Forwards returns how many forwards ws has run, whatever their rows.
-//
-//osap:ignore deadcode rl.Scratch.Forwards sums it for the guard tests of internal/experiments
 func (ws *BatchWorkspace) Forwards() uint64 { return ws.forwards }
 
 // ForwardRow is Forward for a single observation: a batch of one.

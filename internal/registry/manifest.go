@@ -1,13 +1,12 @@
 // Package registry is the versioned artifact store behind hot-reload
 // and canary rollout (DESIGN.md §11). Each version is a directory
 // `<root>/<version>/` holding a manifest.json plus the checksummed
-// osap-artifacts/v3 file(s) it names (v2 files still load); the
-// manifest records per-file SHA-256s and lineage (parent version), so a
-// registry is a content-verified, append-only history of trained
-// artifact sets.
+// osap-artifacts/v3 file(s) it names; the manifest records per-file
+// SHA-256s and lineage (parent version), so a registry is a
+// content-verified, append-only history of trained artifact sets.
 //
 // Publication is atomic: WriteVersion stages into a dot-prefixed temp
-// directory and renames it into place, so a Watcher polling the root
+// directory and renames it into place, so a reader listing the root
 // never observes a half-written version. The package itself never
 // reads the wall clock — CreatedAt stamps are supplied by callers —
 // and is listed in osap-vet's nondeterminism analyzer.

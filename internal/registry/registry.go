@@ -198,9 +198,9 @@ type Meta struct {
 // WriteVersion publishes an artifact set as a new version: artifacts
 // and manifest are staged into a dot-prefixed temp directory, synced
 // to disk with it, then renamed into place in one atomic step, so
-// concurrent readers (and the poll Watcher) never see a partial
-// version; root is synced before it returns, so a version it returned
-// survives a crash. Publishing an existing version name fails.
+// concurrent readers never see a partial version; root is synced
+// before it returns, so a version it returned survives a crash.
+// Publishing an existing version name fails.
 func WriteVersion(root string, meta Meta, arts *experiments.Artifacts) (*Manifest, error) {
 	if !ValidVersion(meta.Version) {
 		return nil, fmt.Errorf("registry: invalid version name %q", meta.Version)

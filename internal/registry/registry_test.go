@@ -3,8 +3,8 @@ package registry_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
-	"time"
 
 	"osap/internal/chaos"
 	"osap/internal/experiments"
@@ -159,146 +159,41 @@ func TestVersionsSkipsJunk(t *testing.T) {
 	}
 }
 
-func TestWatcherSeesNewVersions(t *testing.T) {
-	root := t.TempDir()
-	arts := testArtifacts(t)
-	if _, err := registry.WriteVersion(root, registry.Meta{Version: "v1"}, arts); err != nil {
-		t.Fatalf("WriteVersion: %v", err)
-	}
-	reg, err := registry.Open(root)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	type event struct{ added, all, proposed []string }
-	events := make(chan event, 4)
-	// Long poll interval: the test drives scans via Rescan only.
-	w, err := registry.NewWatcher(reg, time.Hour, func(added, all, proposed []string) {
-		events <- event{added, all, proposed}
-	})
-	if err != nil {
-		t.Fatalf("NewWatcher: %v", err)
-	}
-	defer w.Stop()
-
-	// Known versions at start never fire.
-	w.Rescan()
-	select {
-	case ev := <-events:
-		t.Fatalf("spurious event for pre-existing versions: %+v", ev)
-	case <-time.After(100 * time.Millisecond):
-	}
-
-	if _, err := registry.WriteVersion(root, registry.Meta{Version: "v2", Parent: "v1"}, arts); err != nil {
-		t.Fatalf("WriteVersion v2: %v", err)
-	}
-	w.Rescan()
-	select {
-	case ev := <-events:
-		if len(ev.added) != 1 || ev.added[0] != "v2" || len(ev.all) != 2 {
-			t.Fatalf("event = %+v, want added [v2] of [v1 v2]", ev)
-		}
-		if len(ev.proposed) != 0 {
-			t.Fatalf("event lists proposed %v, want none", ev.proposed)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watcher missed published version")
-	}
-
-	// A proposed version (an online-learning refit) fires too, but is
-	// classified separately from the promoted lineage.
-	if _, err := registry.WriteVersion(root, registry.Meta{Version: "v2-refit-001", Parent: "v2", Proposed: true}, arts); err != nil {
-		t.Fatalf("WriteVersion proposal: %v", err)
-	}
-	w.Rescan()
-	select {
-	case ev := <-events:
-		if len(ev.added) != 1 || ev.added[0] != "v2-refit-001" {
-			t.Fatalf("event = %+v, want added [v2-refit-001]", ev)
-		}
-		if len(ev.proposed) != 1 || ev.proposed[0] != "v2-refit-001" {
-			t.Fatalf("event classified proposed %v, want [v2-refit-001]", ev.proposed)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watcher missed proposed version")
-	}
-
-	// The same version never fires twice.
-	w.Rescan()
-	select {
-	case ev := <-events:
-		t.Fatalf("duplicate event: %+v", ev)
-	case <-time.After(100 * time.Millisecond):
-	}
-}
-
-func TestWatcherZeroIntervalDisablesPolling(t *testing.T) {
-	root := t.TempDir()
-	arts := testArtifacts(t)
-	if _, err := registry.WriteVersion(root, registry.Meta{Version: "v1"}, arts); err != nil {
-		t.Fatalf("WriteVersion: %v", err)
-	}
-	reg, err := registry.Open(root)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	type event struct{ added, all, proposed []string }
-	events := make(chan event, 4)
-	w, err := registry.NewWatcher(reg, 0, func(added, all, proposed []string) {
-		events <- event{added, all, proposed}
-	})
-	if err != nil {
-		t.Fatalf("NewWatcher: %v", err)
-	}
-	defer w.Stop()
-
-	// With polling disabled, publishing a version fires nothing on its
-	// own — no timer exists to notice it.
-	if _, err := registry.WriteVersion(root, registry.Meta{Version: "v2", Parent: "v1"}, arts); err != nil {
-		t.Fatalf("WriteVersion v2: %v", err)
-	}
-	select {
-	case ev := <-events:
-		t.Fatalf("event without a rescan despite interval 0: %+v", ev)
-	case <-time.After(150 * time.Millisecond):
-	}
-
-	// An explicit rescan (the SIGHUP path) still sees it.
-	w.Rescan()
-	select {
-	case ev := <-events:
-		if len(ev.added) != 1 || ev.added[0] != "v2" {
-			t.Fatalf("event = %+v, want added [v2]", ev)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("rescan missed published version with polling disabled")
-	}
-}
-
+// TestPartitionSplitsProposedFromPromoted: every call reads the root,
+// so a version published after Open is in the next Partition, on the
+// side its manifest names; a version whose manifest does not validate
+// is on neither.
 func TestPartitionSplitsProposedFromPromoted(t *testing.T) {
 	root := t.TempDir()
 	arts := testArtifacts(t)
-	for _, m := range []registry.Meta{
-		{Version: "v1"},
-		{Version: "v2", Parent: "v1"},
-		{Version: "v2-refit-001", Parent: "v2", Proposed: true},
-	} {
-		if _, err := registry.WriteVersion(root, m, arts); err != nil {
-			t.Fatalf("WriteVersion %s: %v", m.Version, err)
-		}
-	}
 	reg, err := registry.Open(root)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	promoted, proposed, err := reg.Partition()
-	if err != nil {
-		t.Fatalf("Partition: %v", err)
+	for _, step := range []struct {
+		meta               registry.Meta
+		promoted, proposed []string
+	}{
+		{registry.Meta{Version: "v1"}, []string{"v1"}, nil},
+		{registry.Meta{Version: "v2", Parent: "v1"}, []string{"v1", "v2"}, nil},
+		{registry.Meta{Version: "v2-refit-001", Parent: "v2", Proposed: true}, []string{"v1", "v2"}, []string{"v2-refit-001"}},
+	} {
+		if _, err := registry.WriteVersion(root, step.meta, arts); err != nil {
+			t.Fatalf("WriteVersion %s: %v", step.meta.Version, err)
+		}
+		promoted, proposed, err := reg.Partition()
+		if err != nil {
+			t.Fatalf("Partition: %v", err)
+		}
+		if !slices.Equal(promoted, step.promoted) || !slices.Equal(proposed, step.proposed) {
+			t.Fatalf("after %s: Partition = %v, %v; want %v, %v", step.meta.Version, promoted, proposed, step.promoted, step.proposed)
+		}
 	}
-	if len(promoted) != 2 || promoted[0] != "v1" || promoted[1] != "v2" {
-		t.Fatalf("promoted = %v, want [v1 v2]", promoted)
+	if err := os.WriteFile(filepath.Join(root, "v2", registry.ManifestName), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if len(proposed) != 1 || proposed[0] != "v2-refit-001" {
-		t.Fatalf("proposed = %v, want [v2-refit-001]", proposed)
+	if promoted, _, err := reg.Partition(); err != nil || !slices.Equal(promoted, []string{"v1"}) {
+		t.Fatalf("with v2's manifest broken: promoted = %v, %v; want [v1]", promoted, err)
 	}
 
 	// The Proposed flag must survive the manifest round trip.

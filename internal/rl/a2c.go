@@ -25,8 +25,6 @@ type TrainConfig struct {
 	// RolloutsPerEpoch is the number of episodes gathered per round
 	// (Pensieve uses 16 parallel agents).
 	RolloutsPerEpoch int
-	// MaxStepsPerEpisode truncates episodes (0 = play to completion).
-	MaxStepsPerEpisode int
 	// LRActor and LRCritic are Adam learning rates (Pensieve: 1e-4 and
 	// 1e-3).
 	LRActor  float64
@@ -65,19 +63,20 @@ func DefaultTrainConfig() TrainConfig {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Every comparison is written so
+// that NaN fails it.
 func (c TrainConfig) Validate() error {
 	if err := c.Net.Validate(); err != nil {
 		return err
 	}
-	if c.Gamma <= 0 || c.Gamma > 1 {
+	if !(c.Gamma > 0 && c.Gamma <= 1) {
 		return fmt.Errorf("rl: gamma %v outside (0,1]", c.Gamma)
 	}
 	if c.Epochs <= 0 || c.RolloutsPerEpoch <= 0 {
 		return fmt.Errorf("rl: epochs %d / rollouts %d must be positive", c.Epochs, c.RolloutsPerEpoch)
 	}
-	if c.LRActor <= 0 || c.LRCritic <= 0 {
-		return fmt.Errorf("rl: learning rates must be positive")
+	if !(c.LRActor > 0 && c.LRCritic > 0) {
+		return fmt.Errorf("rl: learning rates %v / %v must be positive", c.LRActor, c.LRCritic)
 	}
 	return nil
 }
@@ -155,9 +154,7 @@ func Train(factory EnvFactory, cfg TrainConfig) (*ActorCritic, *TrainStats, erro
 			go func(i int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				trajs[i] = mdp.Rollout(envs[i], &PolicyInference{ws: actor.NewBatchWorkspace(1)}, rngs[i], mdp.RolloutOptions{
-					MaxSteps: cfg.MaxStepsPerEpisode,
-				})
+				trajs[i] = mdp.Rollout(envs[i], &PolicyInference{ws: actor.NewBatchWorkspace(1)}, rngs[i], mdp.RolloutOptions{})
 			}(i)
 		}
 		wg.Wait()
@@ -171,42 +168,29 @@ func Train(factory EnvFactory, cfg TrainConfig) (*ActorCritic, *TrainStats, erro
 
 // update applies one A2C gradient step from the gathered trajectories
 // and returns the mean episode reward and mean policy entropy. Each
-// network takes one batched forward and one batched backward; the
-// critic's forward also values the final observation of every
-// truncated episode, for its bootstrap.
+// network takes one batched forward and one batched backward. Every
+// episode is played to its end, so no return bootstraps.
 func update(agent *ActorCritic, trajs []*mdp.Trajectory, cfg TrainConfig, beta float64,
 	actorOpt, criticOpt nn.Optimizer, actorWS, criticWS *nn.TrainWorkspace) (meanReward, meanEntropy float64) {
 
-	truncated := func(traj *mdp.Trajectory) bool {
-		return cfg.MaxStepsPerEpisode > 0 && traj.Len() >= cfg.MaxStepsPerEpisode
-	}
-	totalSteps, boots := 0, 0
+	totalSteps := 0
 	for _, traj := range trajs {
 		meanReward += traj.TotalReward()
 		totalSteps += traj.Len()
-		if truncated(traj) {
-			boots++
-		}
 	}
 	if totalSteps == 0 {
 		return 0, 0
 	}
 
-	// Rows: every step's observation in order, then the final
-	// observations to bootstrap from.
-	obsDim := cfg.Net.ObsDim()
-	obs := linalg.NewMatrix(totalSteps+boots, obsDim)
+	// Rows: every step's observation in order.
+	obs := linalg.NewMatrix(totalSteps, cfg.Net.ObsDim())
 	actions := make([]int, totalSteps)
-	row, boot := 0, totalSteps
+	row := 0
 	for _, traj := range trajs {
 		for _, step := range traj.Steps {
 			copy(obs.Row(row), step.Obs)
 			actions[row] = step.Action
 			row++
-		}
-		if truncated(traj) {
-			copy(obs.Row(boot), traj.FinalObs)
-			boot++
 		}
 	}
 	values := criticWS.Forward(obs)
@@ -214,14 +198,9 @@ func update(agent *ActorCritic, trajs []*mdp.Trajectory, cfg TrainConfig, beta f
 	// Returns and advantages for the whole batch, so advantages can be
 	// standardized before the policy update.
 	rets, advs := make([]float64, totalSteps), make([]float64, totalSteps)
-	row, boot = 0, totalSteps
+	row = 0
 	for _, traj := range trajs {
-		bootstrap := 0.0
-		if truncated(traj) {
-			bootstrap = values.At(boot, 0)
-			boot++
-		}
-		for _, ret := range traj.DiscountedReturns(cfg.Gamma, bootstrap) {
+		for _, ret := range traj.DiscountedReturns(cfg.Gamma, 0) {
 			rets[row], advs[row] = ret, ret-values.At(row, 0)
 			row++
 		}
@@ -246,7 +225,7 @@ func update(agent *ActorCritic, trajs []*mdp.Trajectory, cfg TrainConfig, beta f
 
 	// Actor: L = -log π(a|s)·A − β·H(π(·|s)). Gradient w.r.t. the
 	// softmax output p: −A·1{i=a}/p_a + β(ln p_i + 1).
-	probs := actorWS.Forward(&linalg.Matrix{Rows: totalSteps, Cols: obsDim, Data: obs.Data[:totalSteps*obsDim]})
+	probs := actorWS.Forward(obs)
 	actorGrad := linalg.NewMatrix(totalSteps, probs.Cols)
 	var entropySum float64
 	for r, a := range actions {

@@ -139,6 +139,9 @@ func TestTrainConfigValidation(t *testing.T) {
 		func(c *TrainConfig) { c.RolloutsPerEpoch = 0 },
 		func(c *TrainConfig) { c.LRActor = 0 },
 		func(c *TrainConfig) { c.Net.ConvKernel = 100 },
+		func(c *TrainConfig) { c.Gamma = math.NaN() },
+		func(c *TrainConfig) { c.LRActor = math.NaN() },
+		func(c *TrainConfig) { c.LRCritic = math.NaN() },
 	}
 	for i, mutate := range bad {
 		cfg := toyTrainConfig()
@@ -149,6 +152,35 @@ func TestTrainConfigValidation(t *testing.T) {
 	}
 	if err := DefaultTrainConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
+	}
+}
+
+func TestValueTrainConfigValidation(t *testing.T) {
+	for name, mutate := range map[string]func(*ValueTrainConfig){
+		"zero episodes": func(c *ValueTrainConfig) { c.Episodes = 0 },
+		"zero passes":   func(c *ValueTrainConfig) { c.Passes = 0 },
+		"gamma 0":       func(c *ValueTrainConfig) { c.Gamma = 0 },
+		"gamma > 1":     func(c *ValueTrainConfig) { c.Gamma = 1.5 },
+		"gamma NaN":     func(c *ValueTrainConfig) { c.Gamma = math.NaN() },
+		"LR 0":          func(c *ValueTrainConfig) { c.LR = 0 },
+		"LR NaN":        func(c *ValueTrainConfig) { c.LR = math.NaN() },
+		"bad net":       func(c *ValueTrainConfig) { c.Net.ConvKernel = 100 },
+	} {
+		cfg := DefaultValueTrainConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: expected validation error", name)
+		}
+	}
+	if err := DefaultValueTrainConfig().Validate(); err != nil {
+		t.Errorf("default config invalid: %v", err)
+	}
+	// A zero budget is an error, not an untrained critic.
+	cfg := DefaultValueTrainConfig()
+	cfg.Net = toyNetConfig()
+	cfg.Passes = 0
+	if _, err := TrainValueOnDataset([]valueSample{{obs: make([]float64, 8)}}, cfg); err == nil {
+		t.Error("zero passes trained a critic")
 	}
 }
 
@@ -477,7 +509,7 @@ func TestRNDDeterministic(t *testing.T) {
 
 func TestCollectObservations(t *testing.T) {
 	policy := mdp.PolicyFunc(func([]float64) []float64 { return []float64{1, 0, 0} })
-	obs := CollectObservations(toyFactory, policy, 3, 0, 1)
+	obs := CollectObservations(toyFactory, policy, 3, 1)
 	if len(obs) != 30 {
 		t.Fatalf("collected %d observations, want 30", len(obs))
 	}

@@ -181,12 +181,12 @@ func (r *RND) Error(obs []float64) float64 {
 
 // CollectObservations gathers the observations visited by a policy over
 // the given number of episodes — the RND training set.
-func CollectObservations(factory EnvFactory, policy mdp.Policy, episodes int, maxSteps int, seed uint64) [][]float64 {
+func CollectObservations(factory EnvFactory, policy mdp.Policy, episodes int, seed uint64) [][]float64 {
 	rng := stats.NewRNG(seed ^ 0x0b5)
 	var out [][]float64
 	for ep := 0; ep < episodes; ep++ {
 		env := factory()
-		traj := mdp.Rollout(env, policy, rng.Fork(), mdp.RolloutOptions{MaxSteps: maxSteps})
+		traj := mdp.Rollout(env, policy, rng.Fork(), mdp.RolloutOptions{})
 		for _, s := range traj.Steps {
 			out = append(out, s.Obs)
 		}

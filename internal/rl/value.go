@@ -24,8 +24,6 @@ type ValueTrainConfig struct {
 	// Episodes is the number of rollouts of the frozen policy used as
 	// the regression dataset.
 	Episodes int
-	// MaxStepsPerEpisode truncates rollouts (0 = play out).
-	MaxStepsPerEpisode int
 	// Passes is the number of SGD passes over the collected dataset.
 	Passes int
 	// LR is the Adam learning rate.
@@ -55,6 +53,24 @@ func DefaultValueTrainConfig() ValueTrainConfig {
 	}
 }
 
+// Validate checks the configuration. Every comparison is written so
+// that NaN fails it.
+func (c ValueTrainConfig) Validate() error {
+	if err := c.Net.Validate(); err != nil {
+		return err
+	}
+	if c.Episodes < 1 || c.Passes < 1 {
+		return fmt.Errorf("rl: value training needs at least one episode and one pass, got %d / %d", c.Episodes, c.Passes)
+	}
+	if !(c.Gamma > 0 && c.Gamma <= 1) {
+		return fmt.Errorf("rl: value gamma %v outside (0,1]", c.Gamma)
+	}
+	if !(c.LR > 0) {
+		return fmt.Errorf("rl: value learning rate %v must be positive", c.LR)
+	}
+	return nil
+}
+
 // valueSample is one (observation, return) regression pair.
 type valueSample struct {
 	obs []float64
@@ -64,8 +80,8 @@ type valueSample struct {
 // CollectValueDataset rolls out the frozen policy and returns (obs, G_t)
 // pairs. The same dataset can train every member of a value ensemble.
 func CollectValueDataset(factory EnvFactory, policy mdp.Policy, cfg ValueTrainConfig) ([]valueSample, error) {
-	if cfg.Episodes <= 0 {
-		return nil, fmt.Errorf("rl: value dataset needs at least one episode")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -86,9 +102,7 @@ func CollectValueDataset(factory EnvFactory, policy mdp.Policy, cfg ValueTrainCo
 			defer wg.Done()
 			defer func() { <-sem }()
 			env := factory()
-			trajs[i] = mdp.Rollout(env, policy, rngs[i], mdp.RolloutOptions{
-				MaxSteps: cfg.MaxStepsPerEpisode,
-			})
+			trajs[i] = mdp.Rollout(env, policy, rngs[i], mdp.RolloutOptions{})
 		}(i)
 	}
 	wg.Wait()
@@ -106,7 +120,7 @@ func CollectValueDataset(factory EnvFactory, policy mdp.Policy, cfg ValueTrainCo
 // TrainValueOnDataset fits a fresh critic network (initialized from
 // cfg.InitSeed) to a pre-collected dataset.
 func TrainValueOnDataset(ds []valueSample, cfg ValueTrainConfig) (*nn.Network, error) {
-	if err := cfg.Net.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(ds) == 0 {

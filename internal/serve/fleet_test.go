@@ -58,11 +58,11 @@ func drainingFleet(t *testing.T) (srv *Server, state func() string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Rollout().Stage(gen, 0.5, time.Now()); err != nil {
+	if _, err := srv.rollout.Stage(gen, 0.5, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	return srv, func() string {
-		r, c := srv.Rollout(), learner.Counters()
+		r, c := srv.rollout, learner.Counters()
 		return fmt.Sprintf("%d sessions, active %s, candidate %v, %d rollout events, %d refits, %d refit failures",
 			srv.Sessions(), r.Active().Version(), r.Candidate() != nil, len(r.Events()), c.Refits.Load(), c.RefitFailures.Load())
 	}

@@ -266,7 +266,7 @@ func TestServerStageFraction(t *testing.T) {
 		if rec.Code != tc.code {
 			t.Fatalf("%s: status %d (%s), want %d", tc.body, rec.Code, rec.Body, tc.code)
 		}
-		if got := srv.Rollout().CanaryFraction(); got != tc.fraction {
+		if got := srv.rollout.CanaryFraction(); got != tc.fraction {
 			t.Fatalf("%s: canary fraction %v, want %v", tc.body, got, tc.fraction)
 		}
 		if tc.code == http.StatusBadRequest {
@@ -279,7 +279,7 @@ func TestServerStageFraction(t *testing.T) {
 			}
 			continue
 		}
-		if _, err := srv.Rollout().Rollback("test", false, time.Now()); err != nil {
+		if _, err := srv.rollout.Rollback("test", false, time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,7 +369,7 @@ func TestServerStagePromoteHTTP(t *testing.T) {
 		t.Fatalf("promote status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	if got := srv.Rollout().Active().Version(); got != "v2" {
+	if got := srv.rollout.Active().Version(); got != "v2" {
 		t.Fatalf("active after promote %q, want v2", got)
 	}
 
@@ -441,7 +441,7 @@ func TestStageRacingDrain(t *testing.T) {
 	if r.status != http.StatusServiceUnavailable || r.retry == "" {
 		t.Fatalf("stage released after the drain: status %d, Retry-After %q; want 503 with a hint", r.status, r.retry)
 	}
-	if c := srv.Rollout().Candidate(); c != nil {
+	if c := srv.rollout.Candidate(); c != nil {
 		t.Fatalf("candidate %s staged after the drain", c.Version())
 	}
 	if !strings.Contains(snap.String(), "\nosap_rollout_canary_fraction 0\n") {

@@ -186,9 +186,6 @@ func NewServer(f *GuardFactory, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Rollout exposes the canary controller (tests and cmd wiring).
-func (s *Server) Rollout() *Rollout { return s.rollout }
-
 // Metrics exposes the server's metrics registry (for tests and the
 // final drain snapshot).
 func (s *Server) Metrics() *Metrics { return s.metrics }

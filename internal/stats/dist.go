@@ -11,12 +11,6 @@ import (
 type Sampler interface {
 	// Sample draws one variate.
 	Sample(r *RNG) float64
-	// Mean returns the distribution's expected value.
-	Mean() float64
-	// Variance returns the distribution's variance.
-	Variance() float64
-	// String names the distribution with its parameters.
-	String() string
 }
 
 // Uniform is the continuous uniform distribution on [Low, High). Only
@@ -28,12 +22,6 @@ type Uniform struct {
 
 // Sample implements Sampler.
 func (u Uniform) Sample(r *RNG) float64 { return u.Low + (u.High-u.Low)*r.Float64() } //osap:ignore deadcode test sampler for core and osap-monitor tests
-
-// Mean implements Sampler.
-func (u Uniform) Mean() float64 { return (u.Low + u.High) / 2 } //osap:ignore deadcode test sampler for core and osap-monitor tests
-
-// Variance implements Sampler.
-func (u Uniform) Variance() float64 { d := u.High - u.Low; return d * d / 12 } //osap:ignore deadcode test sampler for core and osap-monitor tests
 
 func (u Uniform) String() string { return fmt.Sprintf("Uniform(%g,%g)", u.Low, u.High) } //osap:ignore deadcode test sampler for core and osap-monitor tests
 
@@ -47,12 +35,6 @@ type Normal struct {
 // Sample implements Sampler.
 func (n Normal) Sample(r *RNG) float64 { return n.Mu + n.Sigma*r.NormFloat64() } //osap:ignore deadcode test sampler for core, trace and osap-monitor tests
 
-// Mean implements Sampler.
-func (n Normal) Mean() float64 { return n.Mu } //osap:ignore deadcode test sampler for core, trace and osap-monitor tests
-
-// Variance implements Sampler.
-func (n Normal) Variance() float64 { return n.Sigma * n.Sigma } //osap:ignore deadcode test sampler for core, trace and osap-monitor tests
-
 func (n Normal) String() string { return fmt.Sprintf("Normal(%g,%g)", n.Mu, n.Sigma) } //osap:ignore deadcode test sampler for core, trace and osap-monitor tests
 
 // Exponential is the exponential distribution parameterized by Scale
@@ -63,12 +45,6 @@ type Exponential struct {
 
 // Sample implements Sampler.
 func (e Exponential) Sample(r *RNG) float64 { return e.Scale * r.ExpFloat64() }
-
-// Mean implements Sampler.
-func (e Exponential) Mean() float64 { return e.Scale }
-
-// Variance implements Sampler.
-func (e Exponential) Variance() float64 { return e.Scale * e.Scale }
 
 func (e Exponential) String() string { return fmt.Sprintf("Exponential(%g)", e.Scale) }
 
@@ -112,12 +88,6 @@ func (g Gamma) Sample(r *RNG) float64 {
 	}
 }
 
-// Mean implements Sampler.
-func (g Gamma) Mean() float64 { return g.Shape * g.Scale }
-
-// Variance implements Sampler.
-func (g Gamma) Variance() float64 { return g.Shape * g.Scale * g.Scale }
-
 func (g Gamma) String() string { return fmt.Sprintf("Gamma(%g,%g)", g.Shape, g.Scale) }
 
 // Logistic is the logistic distribution with location Mu and scale S,
@@ -135,12 +105,6 @@ func (l Logistic) Sample(r *RNG) float64 {
 	return l.Mu + l.S*math.Log(u/(1-u))
 }
 
-// Mean implements Sampler.
-func (l Logistic) Mean() float64 { return l.Mu }
-
-// Variance implements Sampler.
-func (l Logistic) Variance() float64 { return l.S * l.S * math.Pi * math.Pi / 3 }
-
 func (l Logistic) String() string { return fmt.Sprintf("Logistic(%g,%g)", l.Mu, l.S) }
 
 // LogNormal is the log-normal distribution: exp(Normal(Mu, Sigma)).
@@ -150,14 +114,5 @@ type LogNormal struct {
 
 // Sample implements Sampler.
 func (l LogNormal) Sample(r *RNG) float64 { return math.Exp(l.Mu + l.Sigma*r.NormFloat64()) }
-
-// Mean implements Sampler.
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// Variance implements Sampler.
-func (l LogNormal) Variance() float64 {
-	s2 := l.Sigma * l.Sigma
-	return (math.Exp(s2) - 1) * math.Exp(2*l.Mu+s2)
-}
 
 func (l LogNormal) String() string { return fmt.Sprintf("LogNormal(%g,%g)", l.Mu, l.Sigma) }

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // The functions below are called by no shipping code; only this
 // package's unit tests use them, so they live in a test file and the
@@ -61,34 +58,4 @@ func Normalize(xs []float64) []float64 {
 		xs[i] /= sum
 	}
 	return xs
-}
-
-// Truncated clamps another sampler's output into [Low, High] by
-// resampling (up to a bounded number of attempts, then clamping).
-type Truncated struct {
-	Base      Sampler
-	Low, High float64
-}
-
-// Sample implements Sampler.
-func (t Truncated) Sample(r *RNG) float64 {
-	for i := 0; i < 64; i++ {
-		v := t.Base.Sample(r)
-		if v >= t.Low && v <= t.High {
-			return v
-		}
-	}
-	v := t.Base.Sample(r)
-	return math.Min(math.Max(v, t.Low), t.High)
-}
-
-// Mean implements Sampler. It reports the base distribution's mean, which
-// is an approximation; truncation shifts it slightly.
-func (t Truncated) Mean() float64 { return t.Base.Mean() }
-
-// Variance implements Sampler (base approximation, see Mean).
-func (t Truncated) Variance() float64 { return t.Base.Variance() }
-
-func (t Truncated) String() string {
-	return fmt.Sprintf("Truncated(%s,[%g,%g])", t.Base, t.Low, t.High)
 }
