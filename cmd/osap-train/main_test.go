@@ -8,6 +8,7 @@ import (
 	"osap/internal/experiments"
 	"osap/internal/learn"
 	"osap/internal/registry"
+	"osap/internal/wal"
 )
 
 func TestRunTrainsAndPersists(t *testing.T) {
@@ -34,7 +35,14 @@ func TestRunExportsLearnBootstrap(t *testing.T) {
 	if err := run("gamma22", "quick", dir, "", "", "", "", learnDir, false); err != nil {
 		t.Fatal(err)
 	}
-	l, recs, err := learn.OpenLog(learnDir)
+	var recs []learn.Record
+	l, err := wal.Open(learnDir, func(p []byte) bool {
+		rec, ok := learn.DecodeRecord(p, nil)
+		if ok {
+			recs = append(recs, rec)
+		}
+		return ok
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

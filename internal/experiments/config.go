@@ -26,9 +26,12 @@ import (
 type Config struct {
 	// Registry sizes the generated datasets.
 	Registry trace.RegistryConfig
-	// Train is the per-agent A2C budget.
+	// Train is the per-agent A2C budget. Its seed, and those of Value
+	// and OCSVM, must be 0: the lab derives them from Seed and the
+	// dataset.
 	Train rl.TrainConfig
-	// Value is the per-member value-function training budget.
+	// Value is the per-member value-function training budget; its Net
+	// and Gamma must be Train's.
 	Value rl.ValueTrainConfig
 	// OCSVM configures the U_S novelty detector.
 	OCSVM ocsvm.Config
@@ -78,9 +81,11 @@ func PaperConfig() Config {
 	train := rl.DefaultTrainConfig()
 	train.Epochs = 500
 	train.LRActor = 2e-4
+	train.Seed = 0
 	value := rl.DefaultValueTrainConfig()
 	value.Episodes = 32
 	value.Passes = 30
+	value.Seed, value.InitSeed = 0, 0
 	base := abr.SyntheticVideo(0xE14100, 48, 4)
 	return Config{
 		Registry:         trace.DefaultRegistryConfig(),
@@ -144,10 +149,23 @@ func (c Config) Validate() error {
 	if c.TriggerL < 1 {
 		return fmt.Errorf("experiments: TriggerL %d < 1", c.TriggerL)
 	}
+	if err := c.Train.Validate(); err != nil {
+		return err
+	}
 	if err := c.Value.Validate(); err != nil {
 		return err
 	}
-	return c.Train.Validate()
+	if c.Value.Net != c.Train.Net || c.Value.Gamma != c.Train.Gamma {
+		return fmt.Errorf("experiments: Value.Net %+v and Value.Gamma %v must be Train's, %+v and %v",
+			c.Value.Net, c.Value.Gamma, c.Train.Net, c.Train.Gamma)
+	}
+	for i, v := range [...]uint64{c.Train.Seed, c.Value.Seed, c.Value.InitSeed, c.OCSVM.Seed} {
+		if v != 0 {
+			name := [...]string{"Train.Seed", "Value.Seed", "Value.InitSeed", "OCSVM.Seed"}[i]
+			return fmt.Errorf("experiments: %s is %d, want 0: the lab derives it from Config.Seed and the dataset", name, v)
+		}
+	}
+	return nil
 }
 
 // guardRecord is the record the lab calibrates a dataset's thresholds

@@ -33,30 +33,28 @@ func TestConfigValidation(t *testing.T) {
 	if err := PaperConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := QuickConfig()
-	bad.EnsembleSize = 1
-	if err := bad.Validate(); err == nil {
-		t.Error("ensemble of 1 accepted")
-	}
-	bad = QuickConfig()
-	bad.Trim.Discard = 99
-	if err := bad.Validate(); err == nil {
-		t.Error("discard > ensemble accepted")
-	}
-	bad = QuickConfig()
-	bad.TrainVideo = nil
-	if err := bad.Validate(); err == nil {
-		t.Error("nil video accepted")
-	}
-	bad = QuickConfig()
-	bad.Value.Passes = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero value passes accepted")
-	}
-	bad = QuickConfig()
-	bad.Train.Gamma = math.NaN()
-	if err := bad.Validate(); err == nil {
-		t.Error("NaN gamma accepted")
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		want string // a substring of the error
+	}{
+		{"ensemble of 1", func(c *Config) { c.EnsembleSize = 1 }, "ensemble size"},
+		{"discard > ensemble", func(c *Config) { c.Trim.Discard = 99 }, "discard"},
+		{"nil video", func(c *Config) { c.TrainVideo = nil }, "TrainVideo"},
+		{"zero value passes", func(c *Config) { c.Value.Passes = 0 }, "pass"},
+		{"NaN gamma", func(c *Config) { c.Train.Gamma = math.NaN() }, "gamma"},
+		{"value net differs", func(c *Config) { c.Value.Net.Hidden++ }, "Value.Net"},
+		{"value gamma differs", func(c *Config) { c.Value.Gamma = 0.9 }, "Value.Gamma"},
+		{"train seed", func(c *Config) { c.Train.Seed = 1 }, "Train.Seed"},
+		{"value seed", func(c *Config) { c.Value.Seed = 1 }, "Value.Seed"},
+		{"value init seed", func(c *Config) { c.Value.InitSeed = 1 }, "Value.InitSeed"},
+		{"ocsvm seed", func(c *Config) { c.OCSVM.Seed = 1 }, "OCSVM.Seed"},
+	} {
+		bad := QuickConfig()
+		tc.mut(&bad)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -162,8 +162,6 @@ func (l *Lab) train(dataset string) (*Artifacts, *rl.Frozen, error) {
 	// they take a policy those can share.
 	l.logf("[%s] training %d-member value ensemble", dataset, l.cfg.EnsembleSize)
 	valueCfg := l.cfg.Value
-	valueCfg.Net = l.cfg.Train.Net
-	valueCfg.Gamma = l.cfg.Train.Gamma
 	valueCfg.Seed = seed ^ 0xBEEF
 	valueCfg.InitSeed = seed ^ 0xFACE
 	valueNets, err := rl.TrainValueEnsemble(factory, rl.NewSharedPolicy(agents[0]), valueCfg, l.cfg.EnsembleSize)

@@ -89,7 +89,7 @@ type Gate struct {
 
 // Check classifies one clean serving step. On VerdictAdmit the feature
 // vector and both disagreement statistics have already been handed to
-// the learner (or dropped-and-counted if the ring was full). Every
+// the learner (or dropped-and-counted if the handoff was full). Every
 // signal observes every step, so the variance windows stay contiguous
 // whatever the verdict, and a non-finite score is uncertain without
 // entering its window (core.Trigger.Step); the verdicts are tried in order warmup, state,
@@ -118,7 +118,7 @@ func (g *Gate) Check(obs []float64) Verdict {
 	}
 	g.admitted++
 	c.Admitted.Add(1)
-	if !g.learner.ring.offer(g.sessIdx, g.steps-1, g.state.Features(), g.polTrig.Statistic(), g.valTrig.Statistic()) {
+	if !g.learner.handoff.offer(g.sessIdx, g.steps-1, g.state.Features(), g.polTrig.Statistic(), g.valTrig.Statistic()) {
 		c.RingDropped.Add(1)
 	}
 	return VerdictAdmit

@@ -5,13 +5,13 @@
 // agree it is in-distribution, the session is not demoted or on
 // probation, and the step survives a per-session rate limit. Admitted
 // feature vectors are persisted to an append-only, CRC-checksummed,
-// segment-rotated experience log and folded into a bounded training
-// window; on demand (or every RefitEvery admissions) the OC-SVM is
-// refit and the U_π/U_V thresholds recalibrated off the hot path, and
-// the result is published to the artifact registry as a PROPOSED
-// version. Proposals are never swapped in automatically: the canary
-// rollout machinery (DESIGN.md §11) is the only promotion path, so
-// serving artifacts stay bit-identical until an operator stages the
+// segment-rotated experience log (internal/wal) and folded into a
+// bounded training window; on demand (or every RefitEvery admissions)
+// the OC-SVM is refit and the U_π/U_V thresholds recalibrated off the
+// hot path, and the result is published to the artifact registry as a
+// PROPOSED version. Proposals are never swapped in automatically: the
+// canary rollout machinery (DESIGN.md §11) is the only promotion path,
+// so serving artifacts stay bit-identical until an operator stages the
 // proposal.
 //
 //osap:deterministic
@@ -52,8 +52,8 @@ type Counters struct {
 	// by the server, not the gate, so the conservation law
 	// decisions == Checked + RejectedDemoted holds exactly.
 	RejectedDemoted atomic.Uint64
-	// RingDropped counts admitted samples dropped because the handoff
-	// ring was full (the step still served normally).
+	// RingDropped counts admitted samples dropped because the handoff's
+	// filling batch was full (the step still served normally).
 	RingDropped atomic.Uint64
 	// LogRecords counts records appended to the experience log this
 	// run; LogSegments counts segments sealed; BootstrapRecords counts
@@ -99,7 +99,7 @@ type Config struct {
 	RefitEvery int
 
 	// FlushInterval is the learner goroutine's drain period of the
-	// gate→learner ring (default 25ms).
+	// gate→learner handoff (default 25ms).
 	FlushInterval time.Duration
 
 	// LogDir, when non-empty, enables the durable experience log; ""
@@ -124,10 +124,10 @@ type Config struct {
 
 // The learner's fixed settings.
 const (
-	// windowSize is the refit training window; ringSize the
-	// gate→learner handoff ring (rounded up to a power of two).
+	// windowSize is the refit training window; batchSize the capacity
+	// of each of the gate→learner handoff's two batches.
 	windowSize = 4096
-	ringSize   = 8192
+	batchSize  = 4096
 	// A gate admits at most one step per rateEvery checked steps at
 	// steady state, after an initial burst of rateBurst.
 	rateEvery = 4
@@ -166,21 +166,21 @@ type Proposal struct {
 }
 
 // Learner owns the experience window and the refit lifecycle. The hot
-// side (Gate.Check) touches only atomics and the handoff ring; the
+// side (Gate.Check) touches only atomics and the handoff; the
 // cold side — log appends, window maintenance, threshold sketches,
 // refits, registry publishes — runs on a single background goroutine
 // plus explicit Refit calls, all serialized by mu.
 type Learner struct {
 	cfg      Config
 	counters Counters
-	ring     *ring
+	handoff  handoff
 	// frozen is the boot baseline's networks packed for inference,
 	// once; every session's gate reads this copy.
 	frozen *rl.Frozen
 
 	mu sync.Mutex
 	//osap:guardedby mu
-	log *Log
+	log *experienceLog
 	//osap:guardedby mu
 	window *window
 	//osap:guardedby mu
@@ -193,8 +193,6 @@ type Learner struct {
 	refitSeq uint64
 	//osap:guardedby mu
 	lastProposal *Proposal
-	//osap:guardedby mu
-	scratch []sample
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -240,7 +238,7 @@ func New(cfg Config) (*Learner, error) {
 	dim := cfg.Artifacts.OCSVM.Dim
 	l := &Learner{
 		cfg:       cfg,
-		ring:      newRing(dim, ringSize),
+		handoff:   handoff{fill: newBatch(dim, batchSize), spare: newBatch(dim, batchSize)},
 		frozen:    frozen,
 		window:    newWindow(dim, windowSize),
 		polSketch: sketch.New(100),
@@ -250,20 +248,19 @@ func New(cfg Config) (*Learner, error) {
 		done:      make(chan struct{}),
 	}
 	if cfg.LogDir != "" {
-		log, recs, err := OpenLog(cfg.LogDir)
+		// The window keeps the newest records; one of another
+		// dimension (a config change) is skipped.
+		l.mu.Lock()
+		l.log, err = openLog(cfg.LogDir, func(rec Record) {
+			if len(rec.Feat) == dim {
+				l.window.add(rec.Feat)
+				l.counters.BootstrapRecords.Add(1)
+			}
+		})
+		l.mu.Unlock()
 		if err != nil {
 			return nil, err
 		}
-		l.mu.Lock()
-		l.log = log
-		for _, rec := range recs {
-			if len(rec.Feat) != dim {
-				continue // foreign-dimension record (config change); skip
-			}
-			l.window.add(rec.Feat)
-			l.counters.BootstrapRecords.Add(1)
-		}
-		l.mu.Unlock()
 	}
 	go l.loop()
 	return l, nil
@@ -317,8 +314,7 @@ func (l *Learner) loop() {
 		case <-ticker.C:
 			l.mu.Lock()
 			l.drainLocked()
-			auto := l.cfg.RefitEvery > 0 && l.sinceRefit >= l.cfg.RefitEvery
-			if auto {
+			if l.cfg.RefitEvery > 0 && l.sinceRefit >= l.cfg.RefitEvery {
 				l.refitLocked()
 			}
 			l.mu.Unlock()
@@ -326,21 +322,23 @@ func (l *Learner) loop() {
 	}
 }
 
-// drainLocked folds every ring sample into the log, window and
-// threshold sketches. Callers hold l.mu.
+// drainLocked takes the handoff's filled batch and folds each sample,
+// in place, into the log, window and threshold sketches. Callers hold
+// l.mu.
 func (l *Learner) drainLocked() {
-	l.scratch = l.ring.drainInto(l.scratch[:0])
-	for _, s := range l.scratch {
+	b := l.handoff.take()
+	for i := range b.n {
+		feat := b.feat[i*b.dim : (i+1)*b.dim]
 		if l.log != nil {
 			sealedBefore := l.log.Sealed()
-			if err := l.log.Append(Record{Session: s.Session, Step: s.Step, Feat: s.Feat}); err == nil {
+			if err := l.log.append(Record{Session: b.sess[i], Step: b.step[i], Feat: feat}); err == nil {
 				l.counters.LogRecords.Add(1)
 				l.counters.LogSegments.Add(l.log.Sealed() - sealedBefore)
 			}
 		}
-		l.window.add(s.Feat)
-		l.polSketch.Add(s.Pol)
-		l.valSketch.Add(s.Val)
+		l.window.add(feat)
+		l.polSketch.Add(b.pol[i])
+		l.valSketch.Add(b.val[i])
 		l.sinceRefit++
 	}
 }
@@ -507,10 +505,7 @@ func (l *Learner) Snapshot() Snapshot {
 		}
 	}
 	l.mu.Lock()
-	fill := l.window.n
-	size := l.window.size
-	total := l.window.total
-	last := l.lastProposal
+	fill, size, total, last := l.window.n, l.window.size, l.window.total, l.lastProposal
 	l.mu.Unlock()
 	return Snapshot{
 		GateChecked:     c.Checked.Load(),

@@ -3,6 +3,7 @@ package learn
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -600,4 +601,115 @@ func TestGateThresholdInGuardUnits(t *testing.T) {
 		t.Fatalf("admitted nothing; %d of %d state-passing steps rejected as policy_disagree", policy, passed)
 	}
 	checkShare(t, "state-passing steps rejected as policy_disagree", policy, passed, 0.05)
+}
+
+// TestHandoffOverflowDrops: with no drain in between, admissions past
+// one batch's capacity are dropped and counted, and the log and the
+// window then hold exactly the admitted samples that were not, in
+// order.
+func TestHandoffOverflowDrops(t *testing.T) {
+	arts := learnArtifacts(t, 4, 1e9, 1e9)
+	dir := t.TempDir()
+	l := newTestLearner(t, arts, func(c *Config) { c.LogDir = dir })
+	g := unlimitedGate(t, l)
+	var kept []Record
+	for _, obs := range inDistTraffic(13, 3*batchSize) {
+		if g.Check(obs) == VerdictAdmit && len(kept) < batchSize {
+			kept = append(kept, Record{Session: 1, Step: g.steps - 1, Feat: slices.Clone(g.state.Features())})
+		}
+	}
+	c := l.Counters()
+	admitted := c.Admitted.Load()
+	if admitted <= batchSize {
+		t.Fatalf("admitted %d samples, want more than one batch of %d", admitted, batchSize)
+	}
+	if got := c.RingDropped.Load(); got != admitted-batchSize {
+		t.Errorf("dropped %d of %d admitted samples, want %d", got, admitted, admitted-batchSize)
+	}
+	if err := l.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.LogRecords.Load(); got != batchSize {
+		t.Errorf("logged %d records, want %d", got, batchSize)
+	}
+	x, logged := readLog(t, dir)
+	defer x.Close() //nolint:errcheck
+	sameRecords(t, logged, kept)
+	l.mu.Lock()
+	window := l.window.snapshot()
+	l.mu.Unlock()
+	if len(window) != len(kept) {
+		t.Fatalf("window holds %d samples, want %d", len(window), len(kept))
+	}
+	for i, f := range window {
+		if !slices.EqualFunc(f, kept[i].Feat, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("window slot %d is not admitted sample %d", i, i)
+		}
+	}
+}
+
+// TestDrainZeroAlloc: taking a batch and folding its samples into the
+// log, the window and the sketches allocates nothing per sample.
+func TestDrainZeroAlloc(t *testing.T) {
+	arts := learnArtifacts(t, 2, 1e9, 1e9)
+	l := newTestLearner(t, arts, func(c *Config) { c.LogDir = t.TempDir() })
+	defer l.Stop() //nolint:errcheck
+	feat := make([]float64, arts.OCSVM.Dim)
+	const n = 1000
+	fill := func() {
+		for i := range n {
+			feat[0] = float64(i)
+			if !l.handoff.offer(1, uint64(i), feat, 0.5, 0.25) {
+				t.Fatal("handoff full")
+			}
+		}
+	}
+	logged := l.Counters().LogRecords.Load()
+	allocs := testing.AllocsPerRun(3, func() {
+		fill()
+		l.mu.Lock()
+		l.drainLocked()
+		l.mu.Unlock()
+	})
+	if allocs != 0 {
+		t.Errorf("offering and draining %d samples with a log open allocates %.1f times, want 0", n, allocs)
+	}
+	if got := l.Counters().LogRecords.Load() - logged; got != 4*n {
+		t.Errorf("logged %d records, want %d: the drain went unmeasured", got, 4*n)
+	}
+}
+
+// TestHandoffConcurrentGates: gates on several goroutines offer while
+// the learner drains every millisecond; every admitted sample is then
+// either logged and windowed or counted as dropped. Run it under -race.
+func TestHandoffConcurrentGates(t *testing.T) {
+	arts := learnArtifacts(t, 4, 1e9, 1e9)
+	l := newTestLearner(t, arts, func(c *Config) {
+		c.LogDir = t.TempDir()
+		c.FlushInterval = time.Millisecond
+	})
+	var wg sync.WaitGroup
+	for s := range 4 {
+		g, err := l.NewGate(uint64(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.rateEvery, g.rateBurst = 1, 1<<20
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, obs := range inDistTraffic(uint64(20+s), 1500) {
+				g.Check(obs)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := l.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	c := l.Counters()
+	kept := c.Admitted.Load() - c.RingDropped.Load()
+	if c.Admitted.Load() == 0 || c.LogRecords.Load() != kept || l.Snapshot().WindowTotal != kept {
+		t.Errorf("admitted %d, dropped %d, logged %d, windowed %d", c.Admitted.Load(), c.RingDropped.Load(), c.LogRecords.Load(), l.Snapshot().WindowTotal)
+	}
 }

@@ -125,13 +125,11 @@ func (tr *Trajectory) TotalReward() float64 {
 func (tr *Trajectory) Len() int { return len(tr.Steps) }
 
 // DiscountedReturns computes the per-step discounted return
-// G_t = Σ_{k≥t} γ^{k-t} r_k, optionally bootstrapping the value of the
-// final state (for truncated episodes). If the episode terminated
-// naturally, pass bootstrap = 0.
-func (tr *Trajectory) DiscountedReturns(gamma, bootstrap float64) []float64 {
+// G_t = Σ_{k≥t} γ^{k-t} r_k of an episode that ended at its last step.
+func (tr *Trajectory) DiscountedReturns(gamma float64) []float64 {
 	n := len(tr.Steps)
 	returns := make([]float64, n)
-	g := bootstrap
+	var g float64
 	for t := n - 1; t >= 0; t-- {
 		g = tr.Steps[t].Reward + gamma*g
 		returns[t] = g

@@ -98,7 +98,7 @@ func TestDiscountedReturns(t *testing.T) {
 	traj := &Trajectory{Steps: []Transition{
 		{Reward: 1}, {Reward: 2}, {Reward: 3},
 	}}
-	got := traj.DiscountedReturns(0.5, 0)
+	got := traj.DiscountedReturns(0.5)
 	want := []float64{1 + 0.5*(2+0.5*3), 2 + 0.5*3, 3}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
@@ -107,19 +107,9 @@ func TestDiscountedReturns(t *testing.T) {
 	}
 }
 
-func TestDiscountedReturnsBootstrap(t *testing.T) {
-	traj := &Trajectory{Steps: []Transition{{Reward: 1}, {Reward: 1}}}
-	got := traj.DiscountedReturns(0.9, 10)
-	want1 := 1 + 0.9*10.0
-	want0 := 1 + 0.9*want1
-	if math.Abs(got[1]-want1) > 1e-12 || math.Abs(got[0]-want0) > 1e-12 {
-		t.Fatalf("bootstrapped returns = %v, want [%v %v]", got, want0, want1)
-	}
-}
-
 func TestDiscountedReturnsGammaOne(t *testing.T) {
 	traj := &Trajectory{Steps: []Transition{{Reward: 1}, {Reward: 2}, {Reward: 3}}}
-	got := traj.DiscountedReturns(1, 0)
+	got := traj.DiscountedReturns(1)
 	if got[0] != 6 || got[1] != 5 || got[2] != 3 {
 		t.Fatalf("undiscounted returns = %v", got)
 	}

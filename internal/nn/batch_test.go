@@ -244,7 +244,7 @@ func TestPackIsASnapshot(t *testing.T) {
 			t.Error("ForwardBatchWS accepted a workspace built from another network")
 		}
 	}()
-	net.Clone().ForwardBatchWS(bws, in)
+	NewNetwork(net.Layers()...).ForwardBatchWS(bws, in)
 }
 
 // TestPackedNetworkShared: one packed network, a workspace per

@@ -32,8 +32,19 @@ func TestNetworkDims(t *testing.T) {
 		t.Errorf("OutDim = %d, want 4", net.OutDim())
 	}
 	// conv: 3*2*4+3 = 27; dense1: 15*10+10 = 160; dense2: 10*4+4 = 44.
-	if got := net.NumParams(); got != 27+160+44 {
-		t.Errorf("NumParams = %d, want %d", got, 27+160+44)
+	got := 0
+	for _, p := range net.Params() {
+		got += len(p.W)
+	}
+	if got != 27+160+44 {
+		t.Errorf("%d parameters, want %d", got, 27+160+44)
+	}
+}
+
+// zeroGrads clears every parameter gradient of net.
+func zeroGrads(net *Network) {
+	for _, p := range net.Params() {
+		clear(p.G)
 	}
 }
 
@@ -143,7 +154,7 @@ func TestGradCheck(t *testing.T) {
 		Dense(6, 4),
 		Softmax(4),
 	)
-	XavierInit(net, rng)
+	HeInit(net, rng)
 
 	in := make(linalg.Vector, 16)
 	for i := range in {
@@ -152,7 +163,7 @@ func TestGradCheck(t *testing.T) {
 	coef := linalg.Vector{0.7, -1.3, 0.4, 2.1}
 
 	tape := net.ForwardTape(in)
-	net.ZeroGrad()
+	zeroGrads(net)
 	gradIn := net.BackwardTape(tape, coef.Clone())
 
 	// Check a sample of parameter gradients in every parametric layer.
@@ -197,7 +208,7 @@ func TestGradCheckReLU(t *testing.T) {
 	coef := linalg.Vector{1, -1}
 
 	tape := net.ForwardTape(in)
-	net.ZeroGrad()
+	zeroGrads(net)
 	net.BackwardTape(tape, coef.Clone())
 
 	for li, p := range net.Params() {
@@ -213,12 +224,12 @@ func TestGradCheckReLU(t *testing.T) {
 func TestGradAccumulation(t *testing.T) {
 	rng := stats.NewRNG(8)
 	net := NewNetwork(Dense(3, 2))
-	XavierInit(net, rng)
+	HeInit(net, rng)
 	in := linalg.Vector{1, 2, 3}
 	g := linalg.Vector{1, 1}
 
 	tape := net.ForwardTape(in)
-	net.ZeroGrad()
+	zeroGrads(net)
 	net.BackwardTape(tape, g.Clone())
 	first := append([]float64(nil), net.Params()[0].G...)
 	net.BackwardTape(tape, g.Clone())
@@ -226,55 +237,6 @@ func TestGradAccumulation(t *testing.T) {
 	for i := range first {
 		if math.Abs(second[i]-2*first[i]) > 1e-12 {
 			t.Fatal("gradients do not accumulate additively")
-		}
-	}
-	net.ZeroGrad()
-	for _, v := range net.Params()[0].G {
-		if v != 0 {
-			t.Fatal("ZeroGrad did not clear")
-		}
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	rng := stats.NewRNG(9)
-	net := testNet(rng)
-	clone := net.Clone()
-	in := make(linalg.Vector, 16)
-	for i := range in {
-		in[i] = rng.NormFloat64()
-	}
-	a := net.Forward(in)
-	b := clone.Forward(in)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("clone forward differs")
-		}
-	}
-	// Mutate the clone; original must not change.
-	clone.Params()[0].W[0] += 100
-	a2 := net.Forward(in)
-	for i := range a {
-		if a[i] != a2[i] {
-			t.Fatal("clone shares weights with original")
-		}
-	}
-}
-
-func TestCopyWeightsFrom(t *testing.T) {
-	rng := stats.NewRNG(10)
-	a := testNet(rng)
-	b := testNet(rng) // different init (rng advanced)
-	in := make(linalg.Vector, 16)
-	in[0] = 1
-	if outA, outB := a.Forward(in), b.Forward(in); outA[0] == outB[0] {
-		t.Skip("unlucky identical init")
-	}
-	b.CopyWeightsFrom(a)
-	outA, outB := a.Forward(in), b.Forward(in)
-	for i := range outA {
-		if outA[i] != outB[i] {
-			t.Fatal("CopyWeightsFrom did not copy")
 		}
 	}
 }

@@ -14,7 +14,7 @@ func trainQuadratic(t *testing.T, opt Optimizer, steps int) float64 {
 	t.Helper()
 	rng := stats.NewRNG(100)
 	net := NewNetwork(Dense(3, 8), Tanh(8), Dense(8, 2))
-	XavierInit(net, rng)
+	HeInit(net, rng)
 	in := linalg.Vector{0.3, -0.7, 1.1}
 	target := linalg.Vector{0.5, -0.25}
 
@@ -29,7 +29,7 @@ func trainQuadratic(t *testing.T, opt Optimizer, steps int) float64 {
 			grad[i] = 2 * d
 			loss += d * d
 		}
-		net.ZeroGrad()
+		zeroGrads(net)
 		net.BackwardTape(tape, grad)
 		opt.Step(net.Params())
 	}
@@ -98,7 +98,7 @@ func TestOptimizerDeterminism(t *testing.T) {
 		in := linalg.Vector{1, -1}
 		for s := 0; s < 50; s++ {
 			tape := net.ForwardTape(in)
-			net.ZeroGrad()
+			zeroGrads(net)
 			net.BackwardTape(tape, linalg.Vector{tape.Output()[0] - 0.5})
 			opt.Step(net.Params())
 		}

@@ -64,11 +64,11 @@ func randomTrainNet(rng *stats.RNG) *Network {
 	return net
 }
 
-// tapeGrads is the reference: ZeroGrad, then a per-row ForwardTape and
+// tapeGrads is the reference: zeroGrads, then a per-row ForwardTape and
 // BackwardTape for the first rows rows of in, in order. It returns the
 // outputs and a copy of every G.
 func tapeGrads(net *Network, in, gradOut *linalg.Matrix, rows int) ([]linalg.Vector, [][]float64) {
-	net.ZeroGrad()
+	zeroGrads(net)
 	outs := make([]linalg.Vector, rows)
 	for r := 0; r < rows; r++ {
 		tape := net.ForwardTape(in.Row(r))

@@ -60,8 +60,8 @@ func TestBackwardWSMatchesBackward(t *testing.T) {
 		in := wsTestInput(netA.InDim(), uint64(200+trial))
 		gradOut := wsTestInput(netA.OutDim(), uint64(300+trial))
 
-		netA.ZeroGrad()
-		netB.ZeroGrad()
+		zeroGrads(netA)
+		zeroGrads(netB)
 
 		tapeA := netA.ForwardTape(in)
 		gA := netA.BackwardTape(tapeA, gradOut)

@@ -200,7 +200,7 @@ func update(agent *ActorCritic, trajs []*mdp.Trajectory, cfg TrainConfig, beta f
 	rets, advs := make([]float64, totalSteps), make([]float64, totalSteps)
 	row = 0
 	for _, traj := range trajs {
-		for _, ret := range traj.DiscountedReturns(cfg.Gamma, 0) {
+		for _, ret := range traj.DiscountedReturns(cfg.Gamma) {
 			rets[row], advs[row] = ret, ret-values.At(row, 0)
 			row++
 		}

@@ -109,7 +109,7 @@ func CollectValueDataset(factory EnvFactory, policy mdp.Policy, cfg ValueTrainCo
 
 	var ds []valueSample
 	for _, traj := range trajs {
-		returns := traj.DiscountedReturns(cfg.Gamma, 0)
+		returns := traj.DiscountedReturns(cfg.Gamma)
 		for t, step := range traj.Steps {
 			ds = append(ds, valueSample{obs: step.Obs, ret: returns[t]})
 		}
