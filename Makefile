@@ -10,7 +10,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X osap/internal/buildinfo.Version=$(VERSION)"
 
-.PHONY: all build build-cross test verify vet lint fmt-check race fuzz-smoke figures-check models-check ci loc footprint bench bench-e2e bench-compare bench-pairs chaos rollout-selftest learn-selftest
+.PHONY: all build build-cross test verify vet lint fmt-check race fuzz-smoke figures-check results-check models-check ci loc footprint bench bench-e2e bench-compare bench-pairs chaos rollout-selftest learn-selftest
 
 all: build
 
@@ -95,6 +95,16 @@ figures-check:
 		echo "figures-check: sha256 $$sum, pinned $$(cat $(FIGURES_SHA256)) in $(FIGURES_SHA256)"; exit 1; \
 	fi && \
 	echo "figures-check: 3 runs byte-identical, sha256 $$sum"
+
+# The recorded paper-scale run (results/README.md): rebuilds
+# results/paper-scale-figures.txt and compares it byte for byte with the
+# committed copy. About 90 s on two vCPUs, so it stays out of `make ci`.
+results-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/osap-repro" ./cmd/osap-repro && \
+	"$$dir/osap-repro" -scale paper -fig all > "$$dir/paper.txt" && \
+	cmp "$$dir/paper.txt" results/paper-scale-figures.txt && \
+	echo "results-check: results/paper-scale-figures.txt reproduced byte for byte"
 
 # The train → file → serve round trip through the binaries: osap-train
 # writes a quick gamma22 artifact file, and the load selftest

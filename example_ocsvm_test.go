@@ -115,8 +115,8 @@ func Example_quickstart() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		vanilla := stats.Mean(abr.EvaluatePolicy(env, learned, osap.NewRNG(7), 10))
-		bb := stats.Mean(abr.EvaluatePolicy(env, abr.NewBBPolicy(video.NumLevels()), osap.NewRNG(7), 10))
+		vanilla := meanQoE(env, learned, osap.NewRNG(7), 10)
+		bb := meanQoE(env, abr.NewBBPolicy(video.NumLevels()), osap.NewRNG(7), 10)
 		results := osap.EvaluateGuard(env, guard, osap.NewRNG(7), 10)
 		guarded := osap.MeanQoE(results)
 
@@ -146,6 +146,15 @@ func Example_quickstart() {
 	//   vanilla Pensieve QoE:  -2469.3
 	//   BB heuristic QoE:          5.9
 	//   guarded Pensieve QoE:   -222.8 (defaulted in 10/10 episodes)
+}
+
+// meanQoE plays episodes of policy on env and averages their total QoE.
+func meanQoE(env osap.Env, policy osap.Policy, rng *osap.RNG, episodes int) float64 {
+	var sum float64
+	for i := 0; i < episodes; i++ {
+		sum += osap.Rollout(env, policy, rng, 0).TotalReward()
+	}
+	return sum / float64(episodes)
 }
 
 func genTraces(gen trace.Generator, rng *stats.RNG, n int) []*trace.Trace {

@@ -86,6 +86,8 @@ type Env struct {
 	cfg EnvConfig
 
 	// Per-episode state.
+	trace      *trace.Trace // drawn by Reset
+	start      float64      // offset into trace, drawn by Reset
 	analytic   analyticLink // the link when cfg.Link is nil
 	link       Link         // nil before the first Reset
 	bufferSec  float64
@@ -150,6 +152,7 @@ func (e *Env) Reset(rng *stats.RNG) []float64 {
 	if e.cfg.RandomStart {
 		start = rng.Float64() * tr.Duration()
 	}
+	e.trace, e.start = tr, start
 	if e.cfg.Link == nil {
 		e.analytic = analyticLink{tr: tr, t: start, rtt: e.cfg.RTTSec, eff: e.cfg.PayloadEfficiency}
 		e.link = &e.analytic
@@ -169,6 +172,10 @@ func (e *Env) Reset(rng *stats.RNG) []float64 {
 	e.lastResult = ChunkResult{}
 	return e.observation()
 }
+
+// Episode reports the trace and start offset (seconds) the last Reset
+// drew; the trace is nil before the first Reset.
+func (e *Env) Episode() (*trace.Trace, float64) { return e.trace, e.start }
 
 // Step implements mdp.Env: downloads the next chunk at the chosen ladder
 // level and returns the new observation, the chunk's QoE as reward, and

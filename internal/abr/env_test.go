@@ -331,7 +331,7 @@ func TestHigherBandwidthHigherQoE(t *testing.T) {
 	score := func(mbps float64) float64 {
 		env := testEnv(t, flatVideo(48), constTrace(mbps, 1000), 0.08)
 		rng := stats.NewRNG(1)
-		return stats.Mean(EvaluatePolicy(env, NewBBPolicy(6), rng, 5))
+		return meanQoE(env, NewBBPolicy(6), rng, 5)
 	}
 	lo, hi := score(1), score(5)
 	if hi <= lo {

@@ -78,7 +78,7 @@ func TestMPCBeatsRandomOnRealTraces(t *testing.T) {
 	traces := []*trace.Trace{gen.Generate(rng, 600), gen.Generate(rng, 600)}
 	run := func(p mdp.Policy) float64 {
 		env := testEnv(t, v, traces[0], 0.08)
-		return stats.Mean(EvaluatePolicy(env, p, stats.NewRNG(5), 8))
+		return meanQoE(env, p, stats.NewRNG(5), 8)
 	}
 	mpc := NewMPCPolicy(v)
 	mpcQoE := run(mpc)

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"osap/internal/mdp"
-	"osap/internal/stats"
 )
 
 // BBPolicy is the Buffer-Based ABR heuristic of Huang et al. (SIGCOMM
@@ -141,16 +140,4 @@ func (b *BolaPolicy) Level(bufferSec float64) int {
 // Probs implements mdp.Policy.
 func (b *BolaPolicy) Probs(obs []float64) []float64 {
 	return mdp.OneHot(len(b.BitratesKbps), b.Level(BufferSecFromObs(obs)))
-}
-
-// EvaluatePolicy runs a policy for episodes episodes on env and returns
-// the total QoE of each episode. It is the basic measurement primitive
-// used by the experiment harness.
-func EvaluatePolicy(env *Env, policy mdp.Policy, rng *stats.RNG, episodes int) []float64 {
-	scores := make([]float64, episodes)
-	for i := range scores {
-		traj := mdp.Rollout(env, policy, rng, mdp.RolloutOptions{})
-		scores[i] = traj.TotalReward()
-	}
-	return scores
 }

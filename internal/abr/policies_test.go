@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"osap/internal/mdp"
 	"osap/internal/stats"
 )
 
@@ -152,12 +153,13 @@ func TestBolaMonotoneInBuffer(t *testing.T) {
 	}
 }
 
-func TestEvaluatePolicyCount(t *testing.T) {
-	env := testEnv(t, flatVideo(5), constTrace(2, 100), 0)
-	scores := EvaluatePolicy(env, NewBBPolicy(6), stats.NewRNG(1), 7)
-	if len(scores) != 7 {
-		t.Fatalf("got %d scores, want 7", len(scores))
+// meanQoE plays episodes of policy on env and averages their total QoE.
+func meanQoE(env *Env, policy mdp.Policy, rng *stats.RNG, episodes int) float64 {
+	var sum float64
+	for i := 0; i < episodes; i++ {
+		sum += mdp.Rollout(env, policy, rng, mdp.RolloutOptions{}).TotalReward()
 	}
+	return sum / float64(episodes)
 }
 
 func TestBBBeatsRandomOnSteadyLink(t *testing.T) {
@@ -165,7 +167,7 @@ func TestBBBeatsRandomOnSteadyLink(t *testing.T) {
 		Probs([]float64) []float64
 	}) float64 {
 		env := testEnv(t, flatVideo(48), constTrace(3, 1000), 0.08)
-		return stats.Mean(EvaluatePolicy(env, p, stats.NewRNG(11), 10))
+		return meanQoE(env, p, stats.NewRNG(11), 10)
 	}
 	bb := run(NewBBPolicy(6))
 	rnd := run(RandomPolicy{Levels: 6})

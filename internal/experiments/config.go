@@ -194,9 +194,6 @@ func Schemes() []string {
 	return []string{SchemePensieve, SchemeND, SchemeAEns, SchemeVEns, SchemeBB, SchemeRandom}
 }
 
-// GuardSchemes returns the three safety-assurance schemes.
-func GuardSchemes() []string { return []string{SchemeND, SchemeAEns, SchemeVEns} }
-
 // hashString derives a deterministic 64-bit seed component from a string
 // (FNV-1a).
 func hashString(s string) uint64 {

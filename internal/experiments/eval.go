@@ -2,41 +2,15 @@ package experiments
 
 import (
 	"osap/internal/abr"
-	"osap/internal/core"
-	"osap/internal/stats"
+	"osap/internal/mdp"
 )
 
 // EvaluatePair measures the mean QoE of every scheme with artifacts
-// trained on trainDS, streaming over testDS's test traces. Results are
-// cached per pair, single-flight: concurrent callers of the same pair
-// share one evaluation.
+// trained on trainDS, streaming over testDS's test traces: each is a
+// mean over the scheme's entry in the episode table, which is played on
+// first request. Every policy, guard and RNG is built fresh for its
+// entry, so concurrent pairs share nothing but the immutable artifacts.
 func (l *Lab) EvaluatePair(trainDS, testDS string) (map[string]float64, error) {
-	key := trainDS + "→" + testDS
-	l.mu.Lock()
-	e, ok := l.pairs[key]
-	if !ok {
-		e = &pairEntry{}
-		l.pairs[key] = e
-	}
-	l.mu.Unlock()
-
-	e.once.Do(func() {
-		e.r, e.err = l.evaluatePair(key, trainDS, testDS)
-		if e.err != nil {
-			l.mu.Lock()
-			if l.pairs[key] == e {
-				delete(l.pairs, key)
-			}
-			l.mu.Unlock()
-		}
-	})
-	return e.r, e.err
-}
-
-// evaluatePair runs the actual per-pair measurement. Every policy,
-// guard, env and RNG is constructed fresh here, so concurrent pairs
-// share nothing but the (immutable) artifacts.
-func (l *Lab) evaluatePair(key, trainDS, testDS string) (map[string]float64, error) {
 	a, frozen, err := l.trained(trainDS)
 	if err != nil {
 		return nil, err
@@ -45,40 +19,33 @@ func (l *Lab) evaluatePair(key, trainDS, testDS string) (map[string]float64, err
 	if err != nil {
 		return nil, err
 	}
-
-	seed := l.cfg.Seed ^ hashString(key)
-	episodes := l.cfg.EvalEpisodes
-	out := make(map[string]float64, len(Schemes()))
-
-	// Baselines and vanilla Pensieve share the plain-policy path.
+	seed := l.cfg.Seed ^ hashString(trainDS+"→"+testDS)
 	levels := l.cfg.EvalVideo.NumLevels()
-	plain := map[string]interface {
-		Probs([]float64) []float64
-	}{
-		SchemePensieve: frozen.NewScratch().Greedy(),
-		SchemeBB:       abr.NewBBPolicy(levels),
-		SchemeRandom:   abr.RandomPolicy{Levels: levels},
-	}
-	for name, policy := range plain {
-		env := l.newEnv(l.cfg.EvalVideo, d.Test)
-		rng := stats.NewRNG(seed ^ hashString(name))
-		out[name] = stats.Mean(abr.EvaluatePolicy(env, policy, rng, episodes))
-	}
-
-	// The three guarded schemes.
-	for _, name := range GuardSchemes() {
-		g, err := NewGuard(&a.Calibration, name, frozen.NewScratch(), Probation{})
+	out := make(map[string]float64, len(Schemes()))
+	for _, name := range Schemes() {
+		eps, err := l.episodes(episodeKey{trainDS, testDS, name}, func() ([]episode, error) {
+			var p mdp.Policy
+			switch name {
+			case SchemePensieve:
+				p = frozen.NewScratch().Greedy()
+			case SchemeBB:
+				p = abr.NewBBPolicy(levels)
+			case SchemeRandom:
+				p = abr.RandomPolicy{Levels: levels}
+			default:
+				g, err := NewGuard(&a.Calibration, name, frozen.NewScratch(), Probation{})
+				if err != nil {
+					return nil, err
+				}
+				p = g
+			}
+			return l.play(d.Test, p, seed^hashString(name), l.cfg.EvalEpisodes), nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		env := l.newEnv(l.cfg.EvalVideo, d.Test)
-		rng := stats.NewRNG(seed ^ hashString(name))
-		out[name] = core.MeanQoE(core.EvaluateGuard(env, g, rng, episodes))
+		out[name] = meanOf(eps).QoE
 	}
-
-	l.logf("[%s] evaluated: Pensieve=%.1f ND=%.1f A=%.1f V=%.1f BB=%.1f Rand=%.1f",
-		key, out[SchemePensieve], out[SchemeND], out[SchemeAEns], out[SchemeVEns],
-		out[SchemeBB], out[SchemeRandom])
 	return out, nil
 }
 

@@ -47,10 +47,7 @@ func (l *Lab) OracleHeadroom(trainDS string, traceSamples int) (*OracleHeadroomR
 
 	for _, te := range datasetOrder() {
 		res.Tests = append(res.Tests, te)
-		d, err := l.Dataset(te)
-		if err != nil {
-			return nil, err
-		}
+		d := l.datasets[te]
 		rng := stats.NewRNG(l.cfg.Seed ^ hashString(te) ^ 0x0AC1E)
 		var sum float64
 		n := traceSamples

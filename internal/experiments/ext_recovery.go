@@ -83,17 +83,12 @@ func (l *Lab) ExtensionRecovery(trainDS string) (*ExtensionRecoveryResult, error
 		build := func(alpha float64) (*core.Guard, error) {
 			return NewGuard(a.withAlpha(SchemeVEns, alpha), SchemeVEns, frozen.NewScratch(), Probation{v.ReadmitL, v.ReadmitCap})
 		}
-		res.Params[v.Name], err = l.calibratedOOD(a, seed^1, "/recov/"+v.Name, build, func(te string, q float64, eps []core.EpisodeResult) {
-			var d, r float64
-			for _, ep := range eps {
-				d += ep.DefaultedFraction
-				r += float64(ep.Readmissions)
-			}
-			n := float64(len(eps))
-			norm[te], defaulted[te], readmits[te] = q, d/n, r/n
-		})
-		if err != nil {
+		var rows map[string]episodeMeans
+		if res.Params[v.Name], rows, err = l.calibratedOOD(a, seed^1, "/recov/"+v.Name, build); err != nil {
 			return nil, fmt.Errorf("experiments: calibrate recovery variant %q: %w", v.Name, err)
+		}
+		for te, m := range rows {
+			norm[te], defaulted[te], readmits[te] = m.Norm, m.Defaulted, m.Readmits
 		}
 	}
 	return res, nil

@@ -53,10 +53,7 @@ func (l *Lab) ExtensionTriggers(trainDS string) (*ExtensionTriggersResult, error
 	if err != nil {
 		return nil, err
 	}
-	d, err := l.Dataset(trainDS)
-	if err != nil {
-		return nil, err
-	}
+	d := l.datasets[trainDS]
 	seed := l.cfg.Seed ^ hashString(trainDS) ^ 0x7716
 
 	// Every strategy's guard is the V-ensemble guard; Variance is the
@@ -102,12 +99,13 @@ func (l *Lab) ExtensionTriggers(trainDS string) (*ExtensionTriggersResult, error
 		Tests:        oodTests(trainDS),
 	}
 	for _, strategy := range TriggerStrategyNames() {
-		norm := map[string]float64{}
-		res.Norm[strategy] = norm
-		res.Params[strategy], err = l.calibratedOOD(a, seed^1, "/trig/"+strategy, builders[strategy],
-			func(te string, q float64, _ []core.EpisodeResult) { norm[te] = q })
-		if err != nil {
+		var rows map[string]episodeMeans
+		if res.Params[strategy], rows, err = l.calibratedOOD(a, seed^1, "/trig/"+strategy, builders[strategy]); err != nil {
 			return nil, fmt.Errorf("experiments: calibrate %s trigger: %w", strategy, err)
+		}
+		res.Norm[strategy] = map[string]float64{}
+		for te, m := range rows {
+			res.Norm[strategy][te] = m.Norm
 		}
 	}
 	return res, nil

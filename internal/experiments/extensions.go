@@ -8,7 +8,6 @@ import (
 	"osap/internal/core"
 	"osap/internal/mdp"
 	"osap/internal/rl"
-	"osap/internal/stats"
 )
 
 // This file implements the paper's future-work directions (§5) as
@@ -65,6 +64,7 @@ func (l *Lab) ExtensionDefaults(trainDS string) (*ExtensionDefaultsResult, error
 		RawDefault:   map[string]map[string]float64{},
 		Tests:        oodTests(trainDS),
 	}
+	n := l.cfg.EvalEpisodes
 	for _, defName := range DefaultPolicyNames() {
 		res.Norm[defName] = map[string]float64{}
 		res.RawDefault[defName] = map[string]float64{}
@@ -73,32 +73,31 @@ func (l *Lab) ExtensionDefaults(trainDS string) (*ExtensionDefaultsResult, error
 			if err != nil {
 				return nil, err
 			}
-			d, err := l.Dataset(te)
+			tag := "/def/" + defName
+			// One entry holds the guarded episodes, then the bare default's
+			// for reference. Both runs share one default policy instance,
+			// in that order, and MPC's error tracker (lastErr) carries
+			// across all of them: it is not reset per episode (a ROADMAP
+			// debt), so the two runs are filled together.
+			eps, err := l.episodes(episodeKey{trainDS, te, tag}, func() ([]episode, error) {
+				d := l.datasets[te]
+				def, err := l.defaultPolicy(defName)
+				if err != nil {
+					return nil, err
+				}
+				g, err := NewGuard(&a.Calibration, SchemeND, frozen.NewScratch(), Probation{})
+				if err != nil {
+					return nil, err
+				}
+				g.Default = def
+				seed := l.cfg.Seed ^ hashString(trainDS+"→"+te+tag)
+				return append(l.play(d.Test, g, seed, n), l.play(d.Test, def, seed^1, n)...), nil
+			})
 			if err != nil {
 				return nil, err
 			}
-			def, err := l.defaultPolicy(defName)
-			if err != nil {
-				return nil, err
-			}
-			seed := l.cfg.Seed ^ hashString(trainDS+"→"+te+"/def/"+defName)
-
-			// Guarded QoE.
-			g, err := NewGuard(&a.Calibration, SchemeND, frozen.NewScratch(), Probation{})
-			if err != nil {
-				return nil, err
-			}
-			g.Default = def
-			env := l.newEnv(l.cfg.EvalVideo, d.Test)
-			guarded := core.MeanQoE(core.EvaluateGuard(env, g, stats.NewRNG(seed), l.cfg.EvalEpisodes))
-			res.Norm[defName][te] = Normalize(guarded, base[SchemeRandom], base[SchemeBB])
-
-			// The bare default policy for reference (MPC is stateful —
-			// fresh instance per evaluation, reset per episode via the
-			// policy's own state being re-derived from observations).
-			rawEnv := l.newEnv(l.cfg.EvalVideo, d.Test)
-			raw := stats.Mean(abr.EvaluatePolicy(rawEnv, def, stats.NewRNG(seed^1), l.cfg.EvalEpisodes))
-			res.RawDefault[defName][te] = Normalize(raw, base[SchemeRandom], base[SchemeBB])
+			res.Norm[defName][te] = Normalize(meanOf(eps[:n]).QoE, base[SchemeRandom], base[SchemeBB])
+			res.RawDefault[defName][te] = Normalize(meanOf(eps[n:]).QoE, base[SchemeRandom], base[SchemeBB])
 		}
 	}
 	return res, nil
@@ -132,43 +131,22 @@ func (r *ExtensionDefaultsResult) Render() string {
 // training dataset, fitted on the observations the deployed agent visits
 // on its training traces.
 func (l *Lab) rndArtifacts(trainDS string) (*rl.RND, error) {
-	l.mu.Lock()
-	if l.rnd == nil {
-		l.rnd = map[string]*rl.RND{}
-	}
-	if r, ok := l.rnd[trainDS]; ok {
-		l.mu.Unlock()
-		return r, nil
-	}
-	l.mu.Unlock()
-
-	a, err := l.Artifacts(trainDS)
-	if err != nil {
-		return nil, err
-	}
-	d, err := l.Dataset(trainDS)
-	if err != nil {
-		return nil, err
-	}
-	seed := l.cfg.Seed ^ hashString(trainDS) ^ 0x12d
-	obs := rl.CollectObservations(
-		l.envFactory(l.cfg.TrainVideo, d.Train),
-		rl.GreedyPolicy{P: a.Agents[0]},
-		l.cfg.OCSVMEpisodes, seed)
-	cfg := rl.DefaultRNDConfig()
-	cfg.Net = l.cfg.Train.Net
-	cfg.Seed = seed
-	r, err := rl.TrainRND(obs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if prev, ok := l.rnd[trainDS]; ok {
-		return prev, nil
-	}
-	l.rnd[trainDS] = r
-	return r, nil
+	return cached(l, l.rnd, trainDS, func() (*rl.RND, error) {
+		a, err := l.Artifacts(trainDS)
+		if err != nil {
+			return nil, err
+		}
+		d := l.datasets[trainDS]
+		seed := l.cfg.Seed ^ hashString(trainDS) ^ 0x12d
+		obs := rl.CollectObservations(
+			l.envFactory(l.cfg.TrainVideo, d.Train),
+			rl.GreedyPolicy{P: a.Agents[0]},
+			l.cfg.OCSVMEpisodes, seed)
+		cfg := rl.DefaultRNDConfig()
+		cfg.Net = l.cfg.Train.Net
+		cfg.Seed = seed
+		return rl.TrainRND(obs, cfg)
+	})
 }
 
 // ExtensionSignalsResult compares the paper's ND (OC-SVM) signal against
@@ -213,9 +191,8 @@ func (l *Lab) ExtensionSignals(trainDS string) (*ExtensionSignalsResult, error) 
 		Norm:         map[string]map[string]float64{"ND": {}, "RND": {}, "Pensieve": {}},
 		Tests:        oodTests(trainDS),
 	}
-	res.AlphaRND, err = l.calibratedOOD(a, seed, "/rnd", buildRNDGuard,
-		func(te string, q float64, _ []core.EpisodeResult) { res.Norm["RND"][te] = q })
-	if err != nil {
+	var rows map[string]episodeMeans
+	if res.AlphaRND, rows, err = l.calibratedOOD(a, seed, "/rnd", buildRNDGuard); err != nil {
 		return nil, err
 	}
 	for _, te := range res.Tests {
@@ -223,6 +200,7 @@ func (l *Lab) ExtensionSignals(trainDS string) (*ExtensionSignalsResult, error) 
 		if err != nil {
 			return nil, err
 		}
+		res.Norm["RND"][te] = rows[te].Norm
 		res.Norm["ND"][te] = NormalizedScore(base, SchemeND)
 		res.Norm["Pensieve"][te] = NormalizedScore(base, SchemePensieve)
 	}
@@ -232,44 +210,43 @@ func (l *Lab) ExtensionSignals(trainDS string) (*ExtensionSignalsResult, error) 
 // calibratedOOD measures a guard family as every extension does:
 // build's parameter is calibrated to ND's in-distribution QoE on the
 // validation traces of a's dataset (the paper's fair-comparison rule,
-// §2.5; calibration RNG calibSeed), then the calibrated guard runs on
-// every OOD test set under the RNG the pair and tag name, and each gets
-// the test set, the guard's normalized score and its episodes.
-func (l *Lab) calibratedOOD(a *Artifacts, calibSeed uint64, tag string, build func(param float64) (*core.Guard, error),
-	each func(te string, norm float64, eps []core.EpisodeResult)) (float64, error) {
-	d, err := l.Dataset(a.Dataset)
-	if err != nil {
-		return 0, err
-	}
+// §2.5; calibration RNG calibSeed), then the calibrated guard plays
+// every OOD test set under the RNG the pair and variant name, into the
+// episode table under variant. It returns the calibrated parameter and,
+// per test set, the means of its entry, normalized on the pair's scale.
+func (l *Lab) calibratedOOD(a *Artifacts, calibSeed uint64, variant string, build func(param float64) (*core.Guard, error)) (float64, map[string]episodeMeans, error) {
+	d := l.datasets[a.Dataset]
 	calib, err := core.Calibrate(func(param float64) float64 {
 		g, err := build(param)
 		if err != nil {
 			panic(err)
 		}
-		env := l.newEnv(l.cfg.EvalVideo, d.Val)
-		return core.MeanQoE(core.EvaluateGuard(env, g, stats.NewRNG(calibSeed), l.cfg.CalibEpisodes))
+		return meanOf(l.play(d.Val, g, calibSeed, l.cfg.CalibEpisodes)).QoE
 	}, a.NDValQoE, 1e-6, 1e4, l.cfg.CalibIters)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
+	rows := map[string]episodeMeans{}
 	for _, te := range oodTests(a.Dataset) {
 		base, err := l.EvaluatePair(a.Dataset, te)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
-		dt, err := l.Dataset(te)
+		eps, err := l.episodes(episodeKey{a.Dataset, te, variant}, func() ([]episode, error) {
+			g, err := build(calib.Threshold)
+			if err != nil {
+				return nil, err
+			}
+			return l.play(l.datasets[te].Test, g, l.cfg.Seed^hashString(a.Dataset+"→"+te+variant), l.cfg.EvalEpisodes), nil
+		})
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
-		g, err := build(calib.Threshold)
-		if err != nil {
-			return 0, err
-		}
-		env := l.newEnv(l.cfg.EvalVideo, dt.Test)
-		eps := core.EvaluateGuard(env, g, stats.NewRNG(l.cfg.Seed^hashString(a.Dataset+"→"+te+tag)), l.cfg.EvalEpisodes)
-		each(te, Normalize(core.MeanQoE(eps), base[SchemeRandom], base[SchemeBB]), eps)
+		m := meanOf(eps)
+		m.Norm = Normalize(m.QoE, base[SchemeRandom], base[SchemeBB])
+		rows[te] = m
 	}
-	return calib.Threshold, nil
+	return calib.Threshold, rows, nil
 }
 
 // oodTests lists the test datasets out of trainDS's distribution.
@@ -285,20 +262,7 @@ func oodTests(trainDS string) []string {
 
 // Render formats the extension as a text table.
 func (r *ExtensionSignalsResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Extension: OC-SVM (ND) vs random-network-distillation signal (train = %s, alpha_RND = %.3g)\n",
-		r.TrainDataset, r.AlphaRND)
-	fmt.Fprintf(&b, "%-12s", "signal\\test")
-	for _, te := range r.Tests {
-		fmt.Fprintf(&b, "%12s", te)
-	}
-	b.WriteByte('\n')
-	for _, s := range []string{"Pensieve", "ND", "RND"} {
-		fmt.Fprintf(&b, "%-12s", s)
-		for _, te := range r.Tests {
-			fmt.Fprintf(&b, "%12.2f", r.Norm[s][te])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return grid(fmt.Sprintf("Extension: OC-SVM (ND) vs random-network-distillation signal (train = %s, alpha_RND = %.3g)\n",
+		r.TrainDataset, r.AlphaRND), "signal\\test", r.Tests, []string{"Pensieve", "ND", "RND"},
+		func(s, te string) float64 { return r.Norm[s][te] })
 }

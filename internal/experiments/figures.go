@@ -32,18 +32,25 @@ func (l *Lab) Figure1() (*Figure1Result, error) {
 
 // Render formats the figure as a text table.
 func (f *Figure1Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 1: in-distribution QoE (train = test)\n")
 	schemes := []string{SchemePensieve, SchemeND, SchemeAEns, SchemeVEns, SchemeBB}
-	fmt.Fprintf(&b, "%-12s", "dataset")
-	for _, s := range schemes {
-		fmt.Fprintf(&b, "%12s", s)
+	return grid("Figure 1: in-distribution QoE (train = test)\n", "dataset", schemes, f.Order,
+		func(d, s string) float64 { return f.Rows[d][s] })
+}
+
+// grid renders a titled table: a header of the column names, then one
+// row per name with value(row, column) in each column.
+func grid(title, corner string, cols, rows []string, value func(row, col string) float64) string {
+	var b strings.Builder
+	b.WriteString(title)
+	fmt.Fprintf(&b, "%-12s", corner)
+	for _, c := range cols {
+		fmt.Fprintf(&b, "%12s", c)
 	}
 	b.WriteByte('\n')
-	for _, d := range f.Order {
-		fmt.Fprintf(&b, "%-12s", d)
-		for _, s := range schemes {
-			fmt.Fprintf(&b, "%12.2f", f.Rows[d][s])
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-12s", r)
+		for _, c := range cols {
+			fmt.Fprintf(&b, "%12.2f", value(r, c))
 		}
 		b.WriteByte('\n')
 	}
@@ -75,22 +82,9 @@ func (l *Lab) Figure2(trainDS string) (*Figure2Result, error) {
 
 // Render formats the figure as a text table.
 func (f *Figure2Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 2: Pensieve trained on %s, raw QoE across test datasets\n", f.TrainDataset)
-	schemes := []string{SchemePensieve, SchemeBB, SchemeRandom}
-	fmt.Fprintf(&b, "%-12s", "test")
-	for _, s := range schemes {
-		fmt.Fprintf(&b, "%12s", s)
-	}
-	b.WriteByte('\n')
-	for _, d := range f.Order {
-		fmt.Fprintf(&b, "%-12s", d)
-		for _, s := range schemes {
-			fmt.Fprintf(&b, "%12.2f", f.Rows[d][s])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return grid(fmt.Sprintf("Figure 2: Pensieve trained on %s, raw QoE across test datasets\n", f.TrainDataset),
+		"test", []string{SchemePensieve, SchemeBB, SchemeRandom}, f.Order,
+		func(d, s string) float64 { return f.Rows[d][s] })
 }
 
 // Figure3Result reproduces Figure 3: Pensieve's normalized score
@@ -119,21 +113,8 @@ func (l *Lab) Figure3() (*Figure3Result, error) {
 
 // Render formats the figure as a train×test matrix.
 func (f *Figure3Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 3: Pensieve normalized score (0 = Random, 1 = BB); rows = train, cols = test\n")
-	fmt.Fprintf(&b, "%-12s", "train\\test")
-	for _, te := range f.Order {
-		fmt.Fprintf(&b, "%12s", te)
-	}
-	b.WriteByte('\n')
-	for _, tr := range f.Order {
-		fmt.Fprintf(&b, "%-12s", tr)
-		for _, te := range f.Order {
-			fmt.Fprintf(&b, "%12.2f", f.Score[tr][te])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return grid("Figure 3: Pensieve normalized score (0 = Random, 1 = BB); rows = train, cols = test\n",
+		"train\\test", f.Order, f.Order, func(tr, te string) float64 { return f.Score[tr][te] })
 }
 
 // Figure4Result reproduces Figure 4: max/min/mean/median normalized

@@ -14,37 +14,58 @@ import (
 	"osap/internal/trace"
 )
 
-// artifactEntry is a single-flight cache slot: the first goroutine to
-// claim a dataset trains it inside once; concurrent callers block on
-// once.Do and observe the same result. frozen is a's networks packed
-// once; every offline guard over a runs on a Scratch of it.
-type artifactEntry struct {
-	once   sync.Once
-	a      *Artifacts
-	frozen *rl.Frozen
-	err    error
-}
-
-// pairEntry is the single-flight slot for one "train→test" evaluation.
-type pairEntry struct {
+// flight is a single-flight cache slot: the first request for its key
+// fills it once and concurrent requests wait on once for that result.
+type flight[V any] struct {
 	once sync.Once
-	r    map[string]float64
+	v    V
 	err  error
 }
 
-// Lab owns the datasets and a cache of per-dataset artifacts and
-// per-pair evaluations. Training is performed lazily on first use, and
-// both caches are single-flight: concurrent EvaluatePair calls that
-// need the same dataset's artifacts wait for one training run instead
-// of duplicating it. Lab is safe for concurrent use.
+// cached returns the value of m's slot for k, filling it on the first
+// request. A failure is not kept: waiters on the slot see the error, but
+// a later request retries.
+func cached[K comparable, V any](l *Lab, m map[K]*flight[V], k K, fill func() (V, error)) (V, error) {
+	l.mu.Lock()
+	f, ok := m[k]
+	if !ok {
+		f = &flight[V]{}
+		m[k] = f
+	}
+	l.mu.Unlock()
+
+	f.once.Do(func() {
+		if f.v, f.err = fill(); f.err != nil {
+			l.mu.Lock()
+			if m[k] == f {
+				delete(m, k)
+			}
+			l.mu.Unlock()
+		}
+	})
+	return f.v, f.err
+}
+
+// trainedSet is one dataset's artifacts and their networks packed once;
+// every offline guard over the set runs on a Scratch of frozen.
+type trainedSet struct {
+	a      *Artifacts
+	frozen *rl.Frozen
+}
+
+// Lab owns the datasets and three single-flight caches: the artifacts
+// per dataset, the signal extension's RND models, and the episode table
+// every figure and extension table is reduced from. Each entry is
+// computed on first use, and concurrent requests for it wait for that
+// one run instead of duplicating it. Lab is safe for concurrent use.
 type Lab struct {
 	cfg      Config
-	datasets map[string]*trace.Dataset
+	datasets map[string]*trace.Dataset // every trace.DatasetNames name
 
 	mu        sync.Mutex
-	artifacts map[string]*artifactEntry
-	pairs     map[string]*pairEntry // "train→test" → scheme → mean QoE
-	rnd       map[string]*rl.RND    // extension: RND novelty models
+	artifacts map[string]*flight[trainedSet]
+	table     map[episodeKey]*flight[[]episode]
+	rnd       map[string]*flight[*rl.RND] // extension: RND novelty models
 	// Progress, if non-nil, receives human-readable progress lines.
 	Progress func(string)
 }
@@ -61,8 +82,9 @@ func NewLab(cfg Config) (*Lab, error) {
 	return &Lab{
 		cfg:       cfg,
 		datasets:  ds,
-		artifacts: make(map[string]*artifactEntry),
-		pairs:     make(map[string]*pairEntry),
+		artifacts: make(map[string]*flight[trainedSet]),
+		table:     make(map[episodeKey]*flight[[]episode]),
+		rnd:       make(map[string]*flight[*rl.RND]),
 	}, nil
 }
 
@@ -83,22 +105,14 @@ func (l *Lab) logf(format string, args ...any) {
 
 // envFactory builds environment factories over a trace pool.
 func (l *Lab) envFactory(video *abr.Video, traces []*trace.Trace) rl.EnvFactory {
-	return func() mdp.Env {
-		cfg := abr.DefaultEnvConfig(video, traces)
-		env, err := abr.NewEnv(cfg)
-		if err != nil {
-			panic(err) // config validated at Lab construction
-		}
-		return env
-	}
+	return func() mdp.Env { return l.newEnv(video, traces) }
 }
 
-// newEnv builds a single evaluation environment.
+// newEnv builds an environment over a trace pool.
 func (l *Lab) newEnv(video *abr.Video, traces []*trace.Trace) *abr.Env {
-	cfg := abr.DefaultEnvConfig(video, traces)
-	env, err := abr.NewEnv(cfg)
+	env, err := abr.NewEnv(abr.DefaultEnvConfig(video, traces))
 	if err != nil {
-		panic(err)
+		panic(err) // config validated at Lab construction
 	}
 	return env
 }
@@ -113,27 +127,11 @@ func (l *Lab) Artifacts(dataset string) (*Artifacts, error) {
 
 // trained is Artifacts with the artifacts' packed networks.
 func (l *Lab) trained(dataset string) (*Artifacts, *rl.Frozen, error) {
-	l.mu.Lock()
-	e, ok := l.artifacts[dataset]
-	if !ok {
-		e = &artifactEntry{}
-		l.artifacts[dataset] = e
-	}
-	l.mu.Unlock()
-
-	e.once.Do(func() {
-		e.a, e.frozen, e.err = l.train(dataset)
-		if e.err != nil {
-			// Don't pin the failure: waiters on this entry see the
-			// error, but a fresh call may retry training.
-			l.mu.Lock()
-			if l.artifacts[dataset] == e {
-				delete(l.artifacts, dataset)
-			}
-			l.mu.Unlock()
-		}
+	t, err := cached(l, l.artifacts, dataset, func() (trainedSet, error) {
+		a, frozen, err := l.train(dataset)
+		return trainedSet{a, frozen}, err
 	})
-	return e.a, e.frozen, e.err
+	return t.a, t.frozen, err
 }
 
 // train runs the full per-dataset pipeline.
@@ -201,8 +199,7 @@ func (l *Lab) train(dataset string) (*Artifacts, *rl.Frozen, error) {
 		if err != nil {
 			return 0, err
 		}
-		env := l.newEnv(l.cfg.EvalVideo, d.Val)
-		return core.MeanQoE(core.EvaluateGuard(env, g, stats.NewRNG(seed^0xCA11B), l.cfg.CalibEpisodes)), nil
+		return meanOf(l.play(d.Val, g, seed^0xCA11B, l.cfg.CalibEpisodes)).QoE, nil
 	}
 	if a.NDValQoE, err = valQoE(&a.Calibration, SchemeND); err != nil {
 		return nil, nil, err
@@ -236,9 +233,7 @@ func (l *Lab) train(dataset string) (*Artifacts, *rl.Frozen, error) {
 func (l *Lab) selectBestAgent(agents []*rl.ActorCritic, d *trace.Dataset, seed uint64) {
 	best, bestQoE := 0, math.Inf(-1)
 	for i, a := range agents {
-		env := l.newEnv(l.cfg.EvalVideo, d.Val)
-		rng := stats.NewRNG(seed ^ 0xBE57)
-		qoe := stats.Mean(abr.EvaluatePolicy(env, rl.NewGreedyInference(a), rng, l.cfg.CalibEpisodes))
+		qoe := meanOf(l.play(d.Val, rl.NewGreedyInference(a), seed^0xBE57, l.cfg.CalibEpisodes)).QoE
 		if qoe > bestQoE {
 			best, bestQoE = i, qoe
 		}

@@ -266,10 +266,10 @@ func (l *Lab) InstallArtifacts(a *Artifacts) error {
 	if err != nil {
 		return err
 	}
-	e := &artifactEntry{a: a, frozen: frozen}
-	e.once.Do(func() {}) // mark completed so callers never train
+	f := &flight[trainedSet]{v: trainedSet{a, frozen}}
+	f.once.Do(func() {}) // mark completed so callers never train
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.artifacts[a.Dataset] = e
+	l.artifacts[a.Dataset] = f
 	return nil
 }

@@ -75,7 +75,7 @@ func (s *Server) writeLearnProm(w io.Writer) {
 		fmt.Fprintf(w, "osap_learn_gate_rejected_total{reason=%q} %d\n", name, c.Rejected(v))
 	}
 	fmt.Fprintf(w, "osap_learn_gate_rejected_total{reason=\"demoted\"} %d\n", c.RejectedDemoted.Load())
-	counter("osap_learn_ring_dropped_total", "Admitted samples dropped because the handoff ring was full.", c.RingDropped.Load())
+	counter("osap_learn_ring_dropped_total", "Admitted samples dropped because the handoff's filling batch was full.", c.RingDropped.Load())
 	counter("osap_learn_log_records_total", "Records appended to the experience log this run.", c.LogRecords.Load())
 	counter("osap_learn_log_segments_sealed_total", "Experience-log segments sealed (fsynced and rotated).", c.LogSegments.Load())
 	counter("osap_learn_bootstrap_records_total", "Records replayed from the experience log at startup.", c.BootstrapRecords.Load())

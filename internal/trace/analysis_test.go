@@ -80,47 +80,3 @@ func TestDatasetsAutocorrelationOrdering(t *testing.T) {
 		t.Errorf("iid dataset autocorr = %v, want ~0", acIID)
 	}
 }
-
-func TestJitterPreservesMeanRoughly(t *testing.T) {
-	rng := stats.NewRNG(4)
-	tr := constTraceT(2, 20000)
-	j := tr.Jitter(rng, 0.2)
-	if math.Abs(j.Mean()/tr.Mean()-math.Exp(0.02)) > 0.05 {
-		t.Errorf("jittered mean ratio = %v", j.Mean()/tr.Mean())
-	}
-	if Analyze(j).StdMbps <= Analyze(tr).StdMbps {
-		t.Error("jitter did not increase variance")
-	}
-}
-
-func constTraceT(mbps float64, secs int) *Trace {
-	tr := &Trace{Name: "c"}
-	for i := 0; i < secs; i++ {
-		tr.Mbps = append(tr.Mbps, mbps)
-	}
-	return tr
-}
-
-func TestSpeedup(t *testing.T) {
-	tr := &Trace{Name: "s", Mbps: []float64{1, 2, 3, 4, 5, 6}}
-	fast := tr.Speedup(2)
-	if len(fast.Mbps) != 3 {
-		t.Fatalf("speedup x2 length = %d", len(fast.Mbps))
-	}
-	if fast.Mbps[0] != 1 || fast.Mbps[1] != 3 || fast.Mbps[2] != 5 {
-		t.Errorf("speedup samples = %v", fast.Mbps)
-	}
-	slow := tr.Speedup(0.5)
-	if len(slow.Mbps) != 12 {
-		t.Fatalf("speedup x0.5 length = %d", len(slow.Mbps))
-	}
-}
-
-func TestSpeedupPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	(&Trace{Mbps: []float64{1}}).Speedup(0)
-}

@@ -30,21 +30,6 @@ func TestBandwidthAtEmptyPanics(t *testing.T) {
 	(&Trace{}).BandwidthAt(0)
 }
 
-func TestScaleAndClip(t *testing.T) {
-	tr := &Trace{Mbps: []float64{1, 2, 3}}
-	s := tr.Scale(2)
-	if s.Mbps[2] != 6 || tr.Mbps[2] != 3 {
-		t.Error("Scale wrong or mutated original")
-	}
-	c := tr.Clip(1.5, 2.5)
-	want := []float64{1.5, 2, 2.5}
-	for i := range want {
-		if c.Mbps[i] != want[i] {
-			t.Errorf("Clip = %v, want %v", c.Mbps, want)
-		}
-	}
-}
-
 func TestCookedRoundTrip(t *testing.T) {
 	tr := &Trace{Name: "x", Mbps: []float64{1.5, 0, 3.25}}
 	var buf bytes.Buffer
