@@ -64,9 +64,10 @@ race:
 	$(GO) test -race . ./cmd/... ./internal/...
 
 # Every fuzz target in the tree, 10 s each: FuzzStepRequest (the HTTP
-# step decoder against encoding/json), FuzzFrame, FuzzExperienceLog
-# (internal/learn: internal/wal's replay and recovery under the record
-# codec), FuzzManifest, FuzzArtifactPayload, FuzzReadCooked, FuzzReadMahiMahi,
+# step decoder against encoding/json), FuzzHTTPHead (the owned
+# connection's step-head parser against http.ReadRequest), FuzzFrame,
+# FuzzExperienceLog (internal/learn: internal/wal's replay and
+# recovery under the record codec), FuzzManifest, FuzzArtifactPayload, FuzzReadCooked, FuzzReadMahiMahi,
 # FuzzTriggerStatistic, FuzzEnvStep (abr.Env over both links).
 # A target is found by its declaration, so a new one is run without
 # being listed here.

@@ -262,7 +262,10 @@ func New(cfg Config) (*Learner, error) {
 			return nil, err
 		}
 	}
-	go l.loop()
+	// The ticker is made here, not by the goroutine: a goroutine the
+	// scheduler starts late would allocate it in whatever its first
+	// time slice lands on (a caller's allocation-free window).
+	go l.loop(time.NewTicker(l.cfg.FlushInterval))
 	return l, nil
 }
 
@@ -300,9 +303,8 @@ func (l *Learner) NewGate(sessionIdx uint64) (*Gate, error) {
 // Counters exposes the learner's counters (read via atomic loads).
 func (l *Learner) Counters() *Counters { return &l.counters }
 
-func (l *Learner) loop() {
+func (l *Learner) loop(ticker *time.Ticker) {
 	defer close(l.done)
-	ticker := time.NewTicker(l.cfg.FlushInterval)
 	defer ticker.Stop()
 	for {
 		select {

@@ -54,6 +54,17 @@ func (t *Table) Get(id string) (*Session, bool) {
 	return s, ok
 }
 
+// getBytes is Get for an id still in a read buffer: indexing the map
+// with string(id) converts without allocating.
+//
+//osap:hotpath
+func (t *Table) getBytes(id []byte) (*Session, bool) {
+	t.mu.RLock()
+	s, ok := t.m[string(id)]
+	t.mu.RUnlock()
+	return s, ok
+}
+
 // Delete removes and closes a session, returning it if it existed.
 func (t *Table) Delete(id string) (*Session, bool) {
 	t.mu.Lock()
