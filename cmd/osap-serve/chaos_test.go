@@ -72,10 +72,12 @@ func TestChaosSmallScale(t *testing.T) {
 // serving fabric, not model quality, and must boot in milliseconds.
 //
 // With transport "binary" the step traffic rides the persistent binary
-// protocol instead of HTTP: request-level faults are injected per
-// frame through the server's FrameFault seam, while the health and
-// metrics scrapes — and their injected faults — stay on the HTTP
-// listener.
+// protocol instead of HTTP, while the health and metrics scrapes stay
+// on the HTTP listener. Request-level faults are injected by the
+// server's RequestFault seam, per binary frame and per HTTP request
+// alike: a middleware around the server would leave its connections to
+// net/http, and the HTTP cells are to run on the connections the
+// server owns.
 func runChaos(t *testing.T, cfg serve.Config, script, transport string, readmitL, readmitCap int) {
 	clients, steps, seed := scaled(*flagClients, 60), scaled(*flagSteps, 24), scaled(*flagSeed, 7)
 	dataset := scaled(*flagDataset, trace.DatasetGamma22)
@@ -99,11 +101,9 @@ func runChaos(t *testing.T, cfg serve.Config, script, transport string, readmitL
 		t.Fatal(err)
 	}
 	cfg.WrapGuard = sched.WrapGuard
+	cfg.RequestFault = sched.RequestFaults()
 	binary := transport == loadgen.ProtocolBinary
-	if binary {
-		cfg.FrameFault = sched.FrameFaults()
-	}
-	h := bootLoopback(t, factory, cfg, clients, binary, sched.Middleware)
+	h := bootLoopback(t, factory, cfg, clients, binary)
 
 	ex := sched.Expected(clients)
 	t.Logf("%s: %d clients × %d steps against %s (seed %d, l′=%d cap=%d): expecting %d steps, %d demotions (%d repeat), %d recoveries, %d permanent latches",

@@ -65,10 +65,8 @@ type harness struct {
 
 // bootLoopback builds a server from factory and cfg — its session cap
 // raised to admit `sessions` if it is lower — and serves it on loopback
-// listeners. wrap, if set, is HTTP middleware around the server (the
-// chaos fault injector).
-func bootLoopback(t *testing.T, factory *serve.GuardFactory, cfg serve.Config, sessions int, binary bool,
-	wrap func(http.Handler) http.Handler) *harness {
+// listeners.
+func bootLoopback(t *testing.T, factory *serve.GuardFactory, cfg serve.Config, sessions int, binary bool) *harness {
 	t.Helper()
 	if cfg.MaxSessions > 0 && cfg.MaxSessions < sessions {
 		cfg.MaxSessions = sessions
@@ -82,11 +80,7 @@ func bootLoopback(t *testing.T, factory *serve.GuardFactory, cfg serve.Config, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	var handler http.Handler = srv
-	if wrap != nil {
-		handler = wrap(srv)
-	}
-	h := &harness{srv: srv, httpSrv: &http.Server{Handler: handler}, baseURL: "http://" + ln.Addr().String()}
+	h := &harness{srv: srv, httpSrv: &http.Server{Handler: srv}, baseURL: "http://" + ln.Addr().String()}
 	go h.httpSrv.Serve(ln) //nolint:errcheck // Serve returns on Shutdown
 	if binary {
 		if h.binLn, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
@@ -137,8 +131,8 @@ func (h *harness) drain() error {
 }
 
 // scrape GETs one of the server's own endpoints ("/healthz"), retrying
-// rejections the chaos middleware itself injects (it wraps every
-// endpoint, including the ones we assert on).
+// rejections the chaos fault seam itself injects (it faults every
+// request, including the ones we assert on).
 func (h *harness) scrape(path string) (string, error) {
 	url := h.baseURL + path
 	var lastStatus int

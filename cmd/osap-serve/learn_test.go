@@ -212,7 +212,7 @@ func (r *learnRun) boot(t *testing.T, opts learn.Config) (*rolloutHarness, *lear
 		t.Fatal(err)
 	}
 	cfg.Learner = learner
-	h := bootLoopback(t, factory, cfg, r.clients+probeSessions, false, nil)
+	h := bootLoopback(t, factory, cfg, r.clients+probeSessions, false)
 	return &rolloutHarness{harness: h, scores: make(map[string][]float64)}, learner, reg
 }
 

@@ -80,7 +80,7 @@ func TestSelfTestSmallScale(t *testing.T) {
 }
 
 func selftestCell(t *testing.T, cfg serve.Config, factory *serve.GuardFactory, dataset string, clients int, binary bool) {
-	h := bootLoopback(t, factory, cfg, clients, binary, nil)
+	h := bootLoopback(t, factory, cfg, clients, binary)
 	srv := h.srv
 	lgCfg := h.target(loadgen.Config{
 		Clients: clients,

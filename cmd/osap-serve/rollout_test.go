@@ -96,7 +96,7 @@ func bootHarness(t *testing.T, base serve.Config, root, dataset, incumbent strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := bootLoopback(t, factory, cfg, clients+probeSessions, false, nil)
+	h := bootLoopback(t, factory, cfg, clients+probeSessions, false)
 	return &rolloutHarness{harness: h, scores: make(map[string][]float64)}
 }
 

@@ -21,8 +21,9 @@
 // Production builds pay zero cost: the serving stack never imports
 // this package. Injection happens behind small seams — the
 // serve.Config.WrapGuard hook (one nil check at session creation), the
-// serve.Config.FrameFault hook and an optional http.Handler middleware
-// — all absent from production wiring.
+// serve.Config.RequestFault hook (one nil check per request) and an
+// optional http.Handler middleware — all absent from production
+// wiring.
 package chaos
 
 import (

@@ -13,13 +13,14 @@ import (
 // would.
 const InjectedOverloadError = "chaos: injected overload"
 
-// FrameFaults returns the binary-transport twin of Middleware, shaped
-// for serve.Config.FrameFault: the same RejectEvery/DelayEvery
-// schedule applied per arriving protocol frame. A rejection is
-// answered by the server with a retryable error frame (never a drain);
-// a delay stalls the frame before it is served. Returns nil when the
-// schedule injects no request-level faults.
-func (s *Schedule) FrameFaults() func() (reject bool, delay time.Duration) {
+// RequestFaults returns the server-side twin of Middleware, shaped for
+// serve.Config.RequestFault: the same RejectEvery/DelayEvery schedule
+// applied per arriving request, a binary-protocol frame or an HTTP
+// request alike. A rejection is answered by the server with a
+// retryable 503 or Error frame (never a drain); a delay stalls the
+// request before it is served. Returns nil when the schedule injects
+// no request-level faults.
+func (s *Schedule) RequestFaults() func() (reject bool, delay time.Duration) {
 	var ctr atomic.Uint64
 	c := s.cfg
 	if c.RejectEvery == 0 && c.DelayEvery == 0 {
@@ -38,7 +39,8 @@ func (s *Schedule) FrameFaults() func() (reject bool, delay time.Duration) {
 }
 
 // Middleware wraps an http.Handler with the schedule's request-level
-// faults: every RejectEvery-th arriving request is rejected with an
+// faults (a serve.Server wrapped in it leaves its connections to
+// net/http; RequestFaults injects the same faults from inside): every RejectEvery-th arriving request is rejected with an
 // injected 503 + Retry-After before it reaches the application, and
 // every DelayEvery-th is stalled by Delay first (a slow upstream).
 // Counting is by arrival order, so the injected totals are exact for a

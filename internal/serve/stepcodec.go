@@ -60,29 +60,15 @@ func (sc *stepScratch) release() {
 	stepScratchPool.Put(sc)
 }
 
-// readBody reads up to maxStepBody bytes of the request body. A read
-// error ends the body where it struck, as it did under json.Decoder: a
-// value that was complete by then still decodes, a cut one is a syntax
-// error.
+// readBody reads up to maxStepBody bytes of the request body
+// (readBody). A read error ends the body where it struck, as it did
+// under json.Decoder: a value that was complete by then still decodes,
+// a cut one is a syntax error.
 //
 //osap:hotpath
 func (sc *stepScratch) readBody(body io.Reader) {
-	b := sc.body[:0]
-	for len(b) < maxStepBody {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		lim := cap(b)
-		if lim > maxStepBody {
-			lim = maxStepBody
-		}
-		n, err := body.Read(b[len(b):lim]) //osap:hotpath-stop the request body is net/http's reader; TestHTTPStepZeroAlloc holds the handler's side
-		b = b[:len(b)+n]
-		if err != nil {
-			break
-		}
-	}
-	sc.body = b
+	b, _ := readBody(sc.body, body)
+	sc.body = b[:min(len(b), maxStepBody)]
 }
 
 // stepDecoder parses one step request. The result is obs[:n].
