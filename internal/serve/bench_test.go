@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -46,6 +47,60 @@ func BenchmarkStepHandler(b *testing.B) {
 				if w.Code != http.StatusOK {
 					b.Fatalf("step: status %d: %s", w.Code, w.Body)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkOwnedHTTPStep measures one keep-alive step round trip on a
+// connection the server owns, over loopback TCP: the client's write,
+// the server's read, head parse, decode, guarded decision, encode and
+// write, and the client's read of the reply. It is the owned fast path
+// that BenchmarkStepHandler's recorder cannot reach; client and server
+// share the machine's cores.
+func BenchmarkOwnedHTTPStep(b *testing.B) {
+	for _, scheme := range []string{SchemeND, SchemeAEns} {
+		b.Run(scheme, func(b *testing.B) {
+			s := batchTestServer(b)
+			ts := httptest.NewServer(s)
+			defer ts.Close()
+			sess, err := s.createSession(scheme)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nc, err := net.Dial("tcp", ts.Listener.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer nc.Close()
+			req := rawStepRequest(sess.ID(), benchBody(b))
+			buf := make([]byte, 4096)
+			step := func() {
+				if _, err := nc.Write(req); err != nil {
+					b.Fatal(err)
+				}
+				for n := 0; ; {
+					m, err := nc.Read(buf[n:])
+					if err != nil {
+						b.Fatal(err)
+					}
+					n += m
+					if whole := replyLen(buf[:n]); whole > 0 && whole <= n {
+						if !bytes.HasPrefix(buf, []byte("HTTP/1.1 200 ")) {
+							b.Fatalf("reply %q", buf[:n])
+						}
+						return
+					}
+				}
+			}
+			step() // takes the connection over
+			if s.metrics.HTTPTakeovers.Load() != 1 {
+				b.Fatal("the first step did not take the connection over")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
 			}
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -64,6 +65,15 @@ func (c *rawConn) exchange(method, raw string) []reply {
 	if _, err := c.nc.Write([]byte(raw)); err != nil {
 		c.t.Fatal(err)
 	}
+	return c.read(method, raw)
+}
+
+// read reads the replies to one request up to the final one; raw names
+// the request in a failure, as does a reply that does not come.
+func (c *rawConn) read(method, raw string) []reply {
+	c.t.Helper()
+	c.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	defer c.nc.SetReadDeadline(time.Time{})
 	var out []reply
 	for {
 		resp, err := http.ReadResponse(c.br, &http.Request{Method: method})
@@ -125,21 +135,28 @@ func (r reply) shape() string {
 // through net/http — status line, header fields (Date aside), body,
 // and whether the connection closes after it. Two servers with the same
 // artifacts, clock and id salt take the same request sequence, one
-// through net/http's own connection handling and one on owned
-// connections; every request on the owned side follows a request that
-// took its connection over, but for those that open a connection after
-// a drain.
+// through net/http's own connection handling and one as its
+// http.Server's Handler. On the second every connection opens with a
+// step that takes it over, so each request arrives on a connection the
+// server owns — a step is served there, anything else is handed back
+// to net/http — but for those that open a connection after a drain.
 func TestOwnedConformance(t *testing.T) {
 	fixed := time.Date(2020, 7, 13, 12, 0, 0, 0, time.UTC)
-	cfg := Config{MaxSessions: 3, Now: func() time.Time { return fixed }}
+	cfg := Config{MaxSessions: 4, Now: func() time.Time { return fixed }}
 	owned, ts := newTestServer(t, cfg)
 	oracle, _ := newTestServer(t, cfg)
 	oracle.idSalt = owned.idSalt
 	sides := []*rawConn{dialRaw(t, oracleServer(t, oracle)), dialRaw(t, ts.Listener.Addr().String())}
 	servers := []*Server{oracle, owned}
+	for _, s := range servers {
+		if _, err := s.createSession(SchemeND); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	id := fmt.Sprintf("%x-%x", owned.idSalt, 1)
-	id2 := fmt.Sprintf("%x-%x", owned.idSalt, 2)
+	warmID := fmt.Sprintf("%x-%x", owned.idSalt, 1)
+	id := fmt.Sprintf("%x-%x", owned.idSalt, 2)
+	id2 := fmt.Sprintf("%x-%x", owned.idSalt, 3)
 	good := string(benchBody(t))
 	req := func(method, path, body string, fields ...string) string {
 		var b strings.Builder
@@ -156,15 +173,18 @@ func TestOwnedConformance(t *testing.T) {
 	chunked := func(path, body string) string {
 		return fmt.Sprintf("POST %s HTTP/1.1\r\nHost: osap\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n", path, len(body), body)
 	}
-	const warm = "GET /healthz HTTP/1.1\r\nHost: osap\r\n\r\n"
+	// warm takes a connection over: a step on a session of its own.
+	warm := req("POST", "/v1/sessions/"+warmID+"/step", good)
 	step := "/v1/sessions/" + id + "/step"
+	for _, c := range sides {
+		c.exchange("POST", warm)
+	}
 
 	for _, tc := range []struct {
 		name, method, raw string
 		volatile          bool            // compare the reply's shape only
-		differs           bool            // by design: check only the owned status
 		before            func(s *Server) // run on both servers first
-		draining          bool            // the servers are draining
+		draining          bool            // the servers are draining and the owned side closes
 		wantStatus        int             // of the final reply
 	}{
 		{name: "create", method: "POST", raw: req("POST", "/v1/sessions", `{"scheme":"ND"}`), wantStatus: 201},
@@ -214,17 +234,17 @@ func TestOwnedConformance(t *testing.T) {
 		{name: "malformed request line", method: "GET", raw: "GARBAGE\r\n\r\n", wantStatus: 400},
 		{name: "no Host", method: "GET", raw: "GET /healthz HTTP/1.1\r\n\r\n", wantStatus: 400},
 		{name: "bad header value", method: "GET", raw: "GET /healthz HTTP/1.1\r\nHost: osap\r\nX: a\x01b\r\n\r\n", wantStatus: 400},
-		// net/http answers 501; an owned connection does not tell this
-		// error of http.ReadRequest's from the others.
-		{name: "unknown transfer coding", method: "POST", raw: "POST " + step + " HTTP/1.1\r\nHost: osap\r\nTransfer-Encoding: gzip\r\n\r\n", differs: true, wantStatus: 400},
+		{name: "unknown transfer coding", method: "POST", raw: "POST " + step + " HTTP/1.1\r\nHost: osap\r\nTransfer-Encoding: gzip\r\n\r\n", wantStatus: 501},
 		{name: "draining: step, kept connection", method: "POST", raw: req("POST", step, good), draining: true, wantStatus: 503,
 			before: func(s *Server) {
 				if err := s.Drain(context.Background(), nil); err != nil {
 					t.Fatal(err)
 				}
 			}},
-		{name: "draining: create", method: "POST", raw: req("POST", "/v1/sessions", `{}`), draining: true, wantStatus: 503},
-		{name: "draining: healthz", method: "GET", raw: req("GET", "/healthz", ""), draining: true, wantStatus: 503},
+		// The rest the server does not own: net/http keeps the
+		// connection alive on both sides.
+		{name: "draining: create", method: "POST", raw: req("POST", "/v1/sessions", `{}`), wantStatus: 503},
+		{name: "draining: healthz", method: "GET", raw: req("GET", "/healthz", ""), wantStatus: 503},
 	} {
 		var got [2][]reply
 		for i, c := range sides {
@@ -236,21 +256,14 @@ func TestOwnedConformance(t *testing.T) {
 		if last := got[1][len(got[1])-1]; last.resp.StatusCode != tc.wantStatus {
 			t.Errorf("%s: owned status %d, want %d\n%s", tc.name, last.resp.StatusCode, tc.wantStatus, last)
 		}
-		if tc.differs {
-			for _, c := range sides {
-				c.redial()
-				c.exchange("GET", warm)
-			}
-			continue
-		}
 		if len(got[0]) != len(got[1]) {
 			t.Errorf("%s: %d replies through net/http, %d owned", tc.name, len(got[0]), len(got[1]))
 			continue
 		}
 		if tc.draining {
 			// A drained net/http server still keeps connections alive
-			// until its own Shutdown; a drained Server says it closes,
-			// and does.
+			// until its own Shutdown; a drained Server's step reply says
+			// it closes, and it does.
 			last := got[1][len(got[1])-1]
 			if !last.resp.Close || !sides[1].atEOF() {
 				t.Errorf("%s: a drained server's reply does not close the connection", tc.name)
@@ -277,33 +290,194 @@ func TestOwnedConformance(t *testing.T) {
 					t.Errorf("%s: side %d did not close the connection after the reply", tc.name, i)
 				}
 				c.redial()
-				c.exchange("GET", warm)
+				c.exchange("POST", warm)
 			}
 		}
 		if testing.Verbose() {
 			t.Logf("%s:\n%s", tc.name, got[1][len(got[1])-1].shape())
 		}
 	}
+	if oracle.metrics.HTTPTakeovers.Load() != 0 || owned.metrics.HTTPTakeovers.Load() == 0 || owned.metrics.HTTPHandbacks.Load() == 0 {
+		t.Errorf("takeovers/handbacks: %d/%d through net/http, %d/%d owned; want none, and some of each",
+			oracle.metrics.HTTPTakeovers.Load(), oracle.metrics.HTTPHandbacks.Load(),
+			owned.metrics.HTTPTakeovers.Load(), owned.metrics.HTTPHandbacks.Load())
+	}
 }
 
-// ownedPipe serves one end of an in-memory pipe as an owned
-// connection and returns the other: net.Pipe has no buffer, so one
-// server write is one client read.
+// TestOwnedHandback: on one keep-alive connection to an http.Server
+// whose Handler is the Server, a step takes the connection over, a
+// request that is not one goes back to net/http with the bytes read
+// past it, and the next step takes it over again. Sent once in
+// sequence and once pipelined in one write, the replies arrive in order
+// and read as net/http alone writes them (Date aside, /metrics by
+// shape), and the takeover and handback counters move by exactly what
+// the sequence holds. A handback once Shutdown has begun closes the
+// socket, and no goroutine is left serving it.
+func TestOwnedHandback(t *testing.T) {
+	fixed := time.Date(2020, 7, 13, 12, 0, 0, 0, time.UTC)
+	cfg := Config{Now: func() time.Time { return fixed }}
+	owned, ts := newTestServer(t, cfg)
+	oracle, _ := newTestServer(t, cfg)
+	oracle.idSalt = owned.idSalt
+	var id string
+	for _, s := range []*Server{oracle, owned} {
+		sess, err := s.createSession(SchemeAEns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id = sess.ID()
+	}
+	addrs := []string{oracleServer(t, oracle), ts.Listener.Addr().String()}
+	body := benchBody(t)
+	step := string(rawStepRequest(id, body))
+	seq := []struct {
+		method, raw string
+		volatile    bool
+	}{
+		{"POST", step, false},
+		{"POST", "POST /v1/sessions/" + id + "/reset HTTP/1.1\r\nHost: osap\r\nContent-Length: 0\r\n\r\n", false},
+		{"POST", step, false},
+		{"GET", "GET /metrics HTTP/1.1\r\nHost: osap\r\n\r\n", true},
+		{"POST", fmt.Sprintf("POST /v1/sessions/%s/step HTTP/1.1\r\nHost: osap\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n", id, len(body), body), false},
+		{"HEAD", "HEAD /healthz HTTP/1.1\r\nHost: osap\r\n\r\n", false},
+		{"POST", step, false},
+		{"POST", string(rawStepRequest(id, body, "Connection: close")), false},
+	}
+	// Four steps take the connection over (the first, and each after a
+	// handback), three other requests hand it back, the last step
+	// closes it.
+	const takeovers, handbacks = 4, 3
+
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+			counters := func(s *Server) [2]uint64 {
+				return [2]uint64{promCounter(t, s, "osap_http_takeovers_total"), promCounter(t, s, "osap_http_handbacks_total")}
+			}
+			before := counters(owned)
+			var got [2][]reply
+			for side, addr := range addrs {
+				c := dialRaw(t, addr)
+				if pipelined {
+					var all string
+					for _, r := range seq {
+						all += r.raw
+					}
+					if _, err := c.nc.Write([]byte(all)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, r := range seq {
+					if pipelined {
+						got[side] = append(got[side], c.read(r.method, r.raw)...)
+					} else {
+						got[side] = append(got[side], c.exchange(r.method, r.raw)...)
+					}
+				}
+				if !c.atEOF() {
+					t.Errorf("side %d: the connection outlived the Connection: close step", side)
+				}
+			}
+			if len(got[0]) != len(seq) || len(got[1]) != len(seq) {
+				t.Fatalf("%d requests: %d replies through net/http, %d owned", len(seq), len(got[0]), len(got[1]))
+			}
+			for k, r := range seq {
+				want, have := got[0][k].String(), got[1][k].String()
+				if r.volatile {
+					want, have = got[0][k].shape(), got[1][k].shape()
+				}
+				if want != have {
+					t.Errorf("request %d: through net/http\n%s\n\nowned\n%s", k, want, have)
+				}
+			}
+			if after := counters(owned); after != [2]uint64{before[0] + takeovers, before[1] + handbacks} {
+				t.Errorf("takeovers, handbacks %v → %v, want +%d +%d", before, after, takeovers, handbacks)
+			}
+			if n := counters(oracle); n != [2]uint64{} {
+				t.Errorf("takeovers, handbacks %v through net/http alone", n)
+			}
+		})
+	}
+
+	t.Run("after Shutdown", func(t *testing.T) {
+		shutting := make(chan struct{})
+		var calls atomic.Int64
+		s, _ := newTestServer(t, Config{RequestFault: func() (bool, time.Duration) {
+			if calls.Add(1) == 2 { // the second step, on the owned connection
+				<-shutting
+			}
+			return false, 0
+		}})
+		sess, err := s.createSession(SchemeND)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := &http.Server{Handler: s}
+		hs.RegisterOnShutdown(func() { close(shutting) })
+		go hs.Serve(ln) //nolint:errcheck // returns on Shutdown
+		c := dialRaw(t, ln.Addr().String())
+		step := string(rawStepRequest(sess.ID(), body))
+		const healthz = "GET /healthz HTTP/1.1\r\nHost: osap\r\n\r\n"
+		if _, err := c.nc.Write([]byte(step + step + healthz)); err != nil {
+			t.Fatal(err)
+		}
+		for calls.Load() < 2 {
+			time.Sleep(time.Millisecond)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := hs.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if r := c.read("POST", step)[0]; r.resp.StatusCode != http.StatusOK {
+				t.Fatalf("step %d: %s", i, r)
+			}
+		}
+		if !c.atEOF() {
+			t.Fatal("a handback after Shutdown began left the connection open")
+		}
+		if got := promCounter(t, s, "osap_http_handbacks_total"); got != 1 {
+			t.Fatalf("%d handbacks, want 1", got)
+		}
+		stacks := make([]byte, 1<<20)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			all := stacks[:runtime.Stack(stacks, true)]
+			if !bytes.Contains(all, []byte("(*Server).takeOver(")) && !bytes.Contains(all, []byte("net/http.(*conn).serve(")) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("a goroutine still serves the connection:\n%s", all)
+			}
+		}
+	})
+}
+
+// ownedPipe serves one end of an in-memory pipe through an http.Server
+// whose Handler is s, has a step on a session of its own take it over,
+// and returns the other end: net.Pipe has no buffer, so one server
+// write is one client read.
 func ownedPipe(t *testing.T, s *Server) net.Conn {
 	t.Helper()
+	sess, err := s.createSession(SchemeND)
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv, cli := net.Pipe()
-	c := newHTTPConn(s)
-	c.attach(srv, nil)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer srv.Close()
-		c.run()
-	}()
-	t.Cleanup(func() {
-		cli.Close()
-		<-done
-	})
+	t.Cleanup(func() { cli.Close() })
+	go (&http.Server{Handler: s}).Serve(&oneConnListener{nc: srv, addr: srv.LocalAddr()}) //nolint:errcheck // returns at the second Accept
+	takeovers := s.metrics.HTTPTakeovers.Load()
+	go cli.Write(rawStepRequest(sess.ID(), benchBody(t))) //nolint:errcheck // the read below fails if it does
+	resp, err := http.ReadResponse(bufio.NewReader(cli), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || s.metrics.HTTPTakeovers.Load() != takeovers+1 {
+		t.Fatalf("the first step: status %d, and it did not take the pipe over", resp.StatusCode)
+	}
 	return cli
 }
 
@@ -367,7 +541,6 @@ func TestOwnedPipelineInOrder(t *testing.T) {
 		ts := httptest.NewServer(s)
 		defer ts.Close()
 		c := dialRaw(t, ts.Listener.Addr().String())
-		c.exchange("GET", "GET /healthz HTTP/1.1\r\nHost: osap\r\n\r\n")
 		sess, _ := s.table.Get(ids[0])
 		first := int(sess.Snapshot(time.Now()).Steps)
 		type want struct {
@@ -559,31 +732,47 @@ func TestCloseRacingOwnedStep(t *testing.T) {
 
 // TestOwnedConnOnDrainAndShutdown: a drain leaves an idle owned
 // connection open, as net/http leaves its own keep-alive connections;
-// its next request is answered 503 + Retry-After + Connection: close,
-// and then the client reads EOF. An owned connection still idle when
-// its http.Server's Shutdown begins ends then.
+// its next step is answered 503 + Retry-After + Connection: close, and
+// then the client reads EOF. An owned connection still idle when its
+// http.Server's Shutdown begins ends then, and one that Shutdown finds
+// half way through a step — taken over again after a handback, so on
+// the socket itself and not the handback's wrapper — answers it 503.
 func TestOwnedConnOnDrainAndShutdown(t *testing.T) {
 	s := batchTestServer(t)
+	sess, err := s.createSession(SchemeND)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	hs := &http.Server{Handler: s}
 	go hs.Serve(ln) //nolint:errcheck // returns on Shutdown
-	const healthz = "GET /healthz HTTP/1.1\r\nHost: osap\r\n\r\n"
-	kept, idle := dialRaw(t, ln.Addr().String()), dialRaw(t, ln.Addr().String())
-	kept.exchange("GET", healthz)
-	idle.exchange("GET", healthz)
+	step := string(rawStepRequest(sess.ID(), benchBody(t)))
+	kept, idle, cut := dialRaw(t, ln.Addr().String()), dialRaw(t, ln.Addr().String()), dialRaw(t, ln.Addr().String())
+	kept.exchange("POST", step)
+	idle.exchange("POST", step)
+	cut.exchange("POST", step)
+	cut.exchange("GET", "GET /healthz HTTP/1.1\r\nHost: osap\r\n\r\n")
+	cut.exchange("POST", step)
+	if got := s.metrics.HTTPTakeovers.Load(); got != 4 {
+		t.Fatalf("%d takeovers, want 4", got)
+	}
 
 	if err := s.Drain(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	r := kept.exchange("POST", "POST /v1/sessions HTTP/1.1\r\nHost: osap\r\nContent-Length: 2\r\n\r\n{}")[0]
+	r := kept.exchange("POST", step)[0]
 	if r.resp.StatusCode != http.StatusServiceUnavailable || r.resp.Header.Get("Retry-After") == "" || !r.resp.Close {
-		t.Fatalf("a request on an owned connection after the drain:\n%s\nwant 503, Retry-After, Connection: close", r)
+		t.Fatalf("a step on an owned connection after the drain:\n%s\nwant 503, Retry-After, Connection: close", r)
 	}
 	if !kept.atEOF() {
 		t.Fatal("the connection outlived its drained reply")
+	}
+
+	if _, err := cut.nc.Write([]byte(step[:len(step)-10])); err != nil {
+		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -594,13 +783,48 @@ func TestOwnedConnOnDrainAndShutdown(t *testing.T) {
 	if !idle.atEOF() {
 		t.Fatal("an idle owned connection outlived its http.Server's Shutdown")
 	}
+	r = cut.read("POST", step)[0]
+	if r.resp.StatusCode != http.StatusServiceUnavailable || r.resp.Header.Get("Retry-After") == "" || !r.resp.Close || !cut.atEOF() {
+		t.Fatalf("a step Shutdown cut short on a drained server:\n%s\nwant 503, Retry-After, Connection: close", r)
+	}
+}
+
+// TestOwnedConnOutlivesTimeouts: the deadlines an http.Server's
+// ReadTimeout and WriteTimeout put on a connection do not reach it
+// while the server owns it (Hijack clears them): an owned connection
+// idle past both still steps.
+func TestOwnedConnOutlivesTimeouts(t *testing.T) {
+	s := batchTestServer(t)
+	sess, err := s.createSession(SchemeND)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 50 * time.Millisecond
+	hs := &http.Server{Handler: s, ReadTimeout: timeout, WriteTimeout: timeout}
+	go hs.Serve(ln) //nolint:errcheck // returns on Close
+	defer hs.Close()
+	c := dialRaw(t, ln.Addr().String())
+	step := string(rawStepRequest(sess.ID(), benchBody(t)))
+	c.exchange("POST", step)
+	time.Sleep(3 * timeout)
+	if r := c.exchange("POST", step)[0]; r.resp.StatusCode != http.StatusOK {
+		t.Fatalf("a step after the server's timeouts: %s", r)
+	}
 }
 
 // TestWrappedServerLeavesConnections: a handler that wraps the Server
-// sees every request of a keep-alive connection, because the Server
+// sees every step of a keep-alive connection, because the Server
 // takes a connection over only as its http.Server's own Handler.
 func TestWrappedServerLeavesConnections(t *testing.T) {
 	s := batchTestServer(t)
+	sess, err := s.createSession(SchemeND)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var seen atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seen.Add(1)
@@ -608,20 +832,21 @@ func TestWrappedServerLeavesConnections(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := dialRaw(t, ts.Listener.Addr().String())
+	step := string(rawStepRequest(sess.ID(), benchBody(t)))
 	const n = 5
 	for i := 0; i < n; i++ {
-		if r := c.exchange("GET", "GET /healthz HTTP/1.1\r\nHost: osap\r\n\r\n")[0]; r.resp.StatusCode != http.StatusOK {
+		if r := c.exchange("POST", step)[0]; r.resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: %s", i, r)
 		}
 	}
-	if got := seen.Load(); got != n {
-		t.Fatalf("the wrapper saw %d of %d requests on one connection", got, n)
+	if got := seen.Load(); got != n || s.metrics.HTTPTakeovers.Load() != 0 {
+		t.Fatalf("the wrapper saw %d of %d steps on one connection; %d taken over", got, n, s.metrics.HTTPTakeovers.Load())
 	}
 }
 
-// TestRequestFaultOnOwnedConn: Config.RequestFault runs before every
-// request of an owned connection, on the step path and the general
-// path alike, and its rejection is a retryable 503 — Retry-After, no
+// TestRequestFaultOnOwnedConn: Config.RequestFault runs once before
+// every request of a connection the server takes over, on its own
+// steps and on the requests it hands back alike, and its rejection is a retryable 503 — Retry-After, no
 // "draining" — after which the connection serves on.
 func TestRequestFaultOnOwnedConn(t *testing.T) {
 	var calls atomic.Int64

@@ -1,12 +1,14 @@
 package serve
 
+import "strings"
+
 // The fast path's parser of a step request head: POST
 // /v1/sessions/{id}/step HTTP/1.1, one Host, one Content-Length, at
 // most one Connection (close or keep-alive), no Transfer-Encoding, no
 // Expect, every line ended by CRLF. It reads the head in place and
 // allocates nothing. Whatever it cannot vouch for it declines, and the
-// general path's http.ReadRequest reads it instead; FuzzHTTPHead holds
-// what it accepts to what http.ReadRequest makes of the same bytes.
+// connection goes back to net/http, which reads it instead; FuzzHTTPHead
+// holds what it accepts to net/http's own reading of the same bytes.
 
 // What parseStepHead found.
 const (
@@ -161,6 +163,22 @@ func expect(b []byte, i int, lit string) (int, int) {
 // are: no escape, no dot, no separator to clean.
 func isIDByte(c byte) bool {
 	return '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '-' || c == '_'
+}
+
+// isTokenByte admits the bytes of a header field name (an RFC 7230
+// token), as net/http's server requires.
+func isTokenByte(c byte) bool {
+	return c < 0x80 && c > ' ' && c != 0x7f && !strings.ContainsRune(`"(),/:;<=>?@[\]{}`, rune(c))
+}
+
+// isFieldByte admits a header field value's bytes: no control byte
+// but a tab.
+func isFieldByte(c byte) bool { return c >= ' ' && c != 0x7f || c == '\t' }
+
+// isHostByte admits the bytes net/http accepts in a Host field.
+func isHostByte(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' ||
+		strings.IndexByte("!$%&'()*+,-.:;=[]_~", c) >= 0
 }
 
 // foldEq reports whether b equals the lower-case ASCII s, ignoring case.

@@ -150,6 +150,13 @@ type Metrics struct {
 	HTTPStepBodyBytes atomic.Uint64
 	HTTPStepRejects   [len(httpStepRejectReasons)]atomic.Uint64
 
+	// Owned HTTP connections (see httpconn.go): steps that took their
+	// connection over from net/http, and requests that handed one back.
+	// Handbacks per takeover is the share of a connection's traffic
+	// that is not steps.
+	HTTPTakeovers atomic.Uint64
+	HTTPHandbacks atomic.Uint64
+
 	mu        sync.Mutex
 	latencies map[string]*Histogram
 }
@@ -244,6 +251,8 @@ func (m *Metrics) WriteProm(w io.Writer, liveSessions, demotedLive, probationLiv
 	writeScalar(w, "osap_binary_flushes_total", "Binary connection write-buffer flushes.", "counter", m.BinaryFlushes.Load())
 
 	writeScalar(w, "osap_http_step_body_bytes_total", "Request-body bytes read by the HTTP step endpoint.", "counter", m.HTTPStepBodyBytes.Load())
+	writeScalar(w, "osap_http_takeovers_total", "HTTP connections a step request took over from net/http.", "counter", m.HTTPTakeovers.Load())
+	writeScalar(w, "osap_http_handbacks_total", "Owned HTTP connections handed back to net/http at a request that is not a step.", "counter", m.HTTPHandbacks.Load())
 	promFamily(w, "osap_http_step_rejects_total", "HTTP step bodies refused with a 400, by reason.", "counter")
 	for i, reason := range httpStepRejectReasons {
 		fmt.Fprintf(w, "osap_http_step_rejects_total{reason=%q} %d\n", reason, m.HTTPStepRejects[i].Load())

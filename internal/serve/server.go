@@ -78,8 +78,8 @@ type Config struct {
 	Learner *learn.Learner
 }
 
-// retryAfter is the Retry-After hint on 429/503.
-const retryAfter = time.Second
+// retryAfterSecs is the Retry-After hint on 429/503, in seconds.
+const retryAfterSecs = "1"
 
 func (c Config) withDefaults() Config {
 	if c.SessionTTL == 0 {
@@ -228,29 +228,20 @@ func (s *Server) StartSweeper() {
 	})
 }
 
-// ServeHTTP implements http.Handler. When the Server is an
-// http.Server's own Handler, a request on an HTTP/1.x connection takes
-// the connection over: the server answers it and every later request
-// on that connection itself, on this goroutine, with the binary
-// transport's raw socket calls (httpconn.go). http.Server's timeouts
-// no longer reach such a connection; its Shutdown still ends it. A
-// Server wrapped in another handler (a middleware) leaves every
-// connection to net/http, so the wrapper sees every request; so does a
-// request whose ResponseWriter cannot be hijacked
-// (httptest.ResponseRecorder) or that closes its connection anyway.
+// ServeHTTP implements http.Handler: the injected-fault seam
+// (Config.RequestFault), then the routes. When the Server is an
+// http.Server's own Handler, a step request on an HTTP/1.1 keep-alive
+// connection takes the connection over: the server answers it and the
+// steps after it itself, on this goroutine, with the binary
+// transport's raw socket calls, and hands the connection back to the
+// http.Server at the first request that is not a step (httpconn.go).
+// http.Server's timeouts do not reach a connection while it is owned;
+// its Shutdown still ends it. A Server wrapped in another handler (a
+// middleware) leaves every connection to net/http, so the wrapper sees
+// every request; so does a request whose ResponseWriter cannot be
+// hijacked (httptest.ResponseRecorder) or that closes its connection
+// anyway.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if hj, ok := w.(http.Hijacker); ok && r.ProtoMajor == 1 && !r.Close {
-		if front, _ := r.Context().Value(http.ServerContextKey).(*http.Server); front != nil && front.Handler == http.Handler(s) {
-			s.takeOver(w, hj, r, front)
-			return
-		}
-	}
-	s.route(w, r)
-}
-
-// route serves one HTTP request through the routes, after the
-// injected-fault seam (Config.RequestFault).
-func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.RequestFault != nil && s.fault() {
 		s.refuse(w, statusOverload, "")
 		return
@@ -599,12 +590,13 @@ func (s *Server) recordStep(sess *Session, res StepResult) {
 
 // ---- the HTTP codec ----
 
-// refuse answers an operation the HTTP codec did not serve: the one
-// status table every handler shares. detail completes the message of a
-// status that carries one: the reason for statusInvalid, the obs count
-// for statusBadDim.
-func (s *Server) refuse(w http.ResponseWriter, st status, detail string) {
-	code, msg := http.StatusBadRequest, detail
+// refusal is the one status table every HTTP handler shares, and the
+// owned connection's too: the code and message of the reply to an
+// operation the HTTP codec did not serve. detail completes the message
+// of a status that carries one: the reason for statusInvalid, the obs
+// count for statusBadDim. A refused step body is counted here.
+func (s *Server) refusal(st status, detail string) (code int, msg string) {
+	code, msg = http.StatusBadRequest, detail
 	switch st {
 	case statusDraining:
 		code, msg = http.StatusServiceUnavailable, "server is draining"
@@ -626,8 +618,19 @@ func (s *Server) refuse(w http.ResponseWriter, st status, detail string) {
 		s.metrics.HTTPStepRejects[rejectDim].Add(1)
 		msg = fmt.Sprintf("obs has %s values, want %d", detail, s.factory.ObsDim())
 	}
-	if code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
+	return code, msg
+}
+
+// retryable reports whether a refusal's reply carries Retry-After.
+func retryable(code int) bool {
+	return code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests
+}
+
+// refuse writes the reply of Server.refusal's table.
+func (s *Server) refuse(w http.ResponseWriter, st status, detail string) {
+	code, msg := s.refusal(st, detail)
+	if retryable(code) {
+		w.Header().Set("Retry-After", retryAfterSecs)
 	}
 	writeJSON(w, code, errorResponse{Error: msg})
 }
@@ -691,33 +694,38 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStep is the HTTP step codec: JSON in, Server.step, JSON out, on
-// pooled scratch (stepcodec.go).
+// pooled scratch (stepcodec.go). A step that can take its connection
+// over does (Server.front, Server.takeOver).
 //
 //osap:hotpath
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
-	sc := stepScratchPool.Get().(*stepScratch)
-	if st := s.httpStep(w, r, sc); st != statusOK {
-		s.refuse(w, st, strconv.Itoa(sc.dec.n)) //osap:hotpath-stop refusals are failure paths, not per-step traffic
-	}
-	sc.release()
-}
-
-// httpStep serves one step request and writes its reply, or says why it
-// could not. The session is resolved, and a drain refused, before the
-// body is read; Server.step checks for a drain again inside the door.
-//
-//osap:hotpath
-func (s *Server) httpStep(w http.ResponseWriter, r *http.Request, sc *stepScratch) status {
 	sess, st := s.session(r)
 	if st != statusOK {
-		return st
+		s.refuse(w, st, "") //osap:hotpath-stop refusals are failure paths, not per-step traffic
+		return
 	}
+	if front := s.front(w, r); front != nil {
+		s.takeOver(w, r, sess, front) //osap:hotpath-stop once per connection: the step that takes it over
+		return
+	}
+	s.stepReply(w, r, sess)
+}
+
+// stepReply serves one step request on sess through net/http and
+// writes its reply, or its refusal. The session was resolved, and a
+// drain refused, before the body is read; Server.step checks for a
+// drain again inside the door.
+//
+//osap:hotpath
+func (s *Server) stepReply(w http.ResponseWriter, r *http.Request, sess *Session) {
+	sc := stepScratchPool.Get().(*stepScratch)
 	sc.readBody(r.Body)
 	if st := s.stepJSON(sess, sc.body, sc); st != statusOK {
-		return st
+		s.refuse(w, st, strconv.Itoa(sc.dec.n)) //osap:hotpath-stop refusals are failure paths, not per-step traffic
+	} else {
+		writeStepReply(w, sc.out) //osap:hotpath-stop the ResponseWriter is net/http's; TestHTTPStepZeroAlloc holds the handler's side
 	}
-	writeStepReply(w, sc.out) //osap:hotpath-stop the ResponseWriter is net/http's; TestHTTPStepZeroAlloc holds the handler's side
-	return statusOK
+	sc.release()
 }
 
 // stepJSON is the HTTP step codec after the session is found, whichever

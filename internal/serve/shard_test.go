@@ -22,7 +22,7 @@ import (
 )
 
 // batchTestServer builds a server over the shared synthetic artifacts.
-func batchTestServer(t *testing.T) *Server {
+func batchTestServer(t testing.TB) *Server {
 	t.Helper()
 	f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})
 	if err != nil {

@@ -550,19 +550,20 @@ func TestStepStatusTable(t *testing.T) {
 // drain finishes at once, and the request, when its body does arrive,
 // is told the server is draining — whether it is the first request on
 // its connection (net/http reads the body the server asked for) or a
-// later one on a connection the server owns, which the drain leaves
-// open.
+// later one on a connection a step took over, which the drain leaves
+// open: a step there is read by the owned connection, a create goes
+// back to net/http.
 func TestDrainNotHostageToStalledBody(t *testing.T) {
 	for _, tc := range []struct {
 		name, path string
 		body       []byte
-		owned      bool   // a request before it took the connection over
+		owned      bool   // a step before it took the connection over
 		reading    string // a frame on the handler's stack while it waits for the rest of the body
 	}{
 		{"step", "/v1/sessions/{id}/step", benchBody(t), false, "serve.readBody("},
-		{"create", "/v1/sessions", []byte(`{"scheme":"` + SchemeAEns + `"}`), false, "serve.readBody("},
+		{"create", "/v1/sessions", []byte(`{"scheme":"` + SchemeAEns + `"}`), false, "(*Server).handleCreate("},
 		{"step on an owned connection", "/v1/sessions/{id}/step", benchBody(t), true, "(*httpConn).run("},
-		{"create on an owned connection", "/v1/sessions", []byte(`{"scheme":"` + SchemeAEns + `"}`), true, "(*httpConn).general("},
+		{"create on an owned connection", "/v1/sessions", []byte(`{"scheme":"` + SchemeAEns + `"}`), true, "(*Server).handleCreate("},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ts := newTestServer(t, Config{})
@@ -574,7 +575,7 @@ func TestDrainNotHostageToStalledBody(t *testing.T) {
 			defer nc.Close()
 			br := bufio.NewReader(nc)
 			if tc.owned {
-				if _, err := nc.Write([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
+				if _, err := nc.Write(rawStepRequest(cr.ID, benchBody(t))); err != nil {
 					t.Fatal(err)
 				}
 				resp, err := http.ReadResponse(br, nil)
