@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -16,7 +15,9 @@ import (
 
 // BenchmarkStepHandler measures one guarded decision through the full
 // HTTP handler stack (mux, JSON decode, guard, JSON encode) without
-// socket overhead — the per-request cost floor of osap-serve.
+// socket overhead — the per-request cost floor of osap-serve. The body
+// is benchBody's, numbers of 16–17 digits as a client's encoder writes
+// them: an all-zeros body would decode each number from one byte.
 func BenchmarkStepHandler(b *testing.B) {
 	for _, scheme := range []string{SchemeND, SchemeAEns, SchemeVEns} {
 		b.Run(scheme, func(b *testing.B) {
@@ -36,7 +37,7 @@ func BenchmarkStepHandler(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			body, _ := json.Marshal(map[string][]float64{"obs": make([]float64, abr.ObsDim)})
+			body := benchBody(b)
 			url := "/v1/sessions/" + sess.ID() + "/step"
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -49,6 +50,21 @@ func BenchmarkStepHandler(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkStepDecode measures the step decoder alone on benchBody: an
+// observation of abr.ObsDim numbers in the 16–17 significant digits of
+// a shortest-form float encoder.
+func BenchmarkStepDecode(b *testing.B) {
+	body := benchBody(b)
+	var d stepDecoder
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if d.decode(body) != statusOK || d.n != abr.ObsDim {
+			b.Fatal("benchBody did not decode")
+		}
 	}
 }
 

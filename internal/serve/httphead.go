@@ -167,9 +167,16 @@ func isIDByte(c byte) bool {
 
 // isTokenByte admits the bytes of a header field name (an RFC 7230
 // token), as net/http's server requires.
-func isTokenByte(c byte) bool {
-	return c < 0x80 && c > ' ' && c != 0x7f && !strings.ContainsRune(`"(),/:;<=>?@[\]{}`, rune(c))
-}
+func isTokenByte(c byte) bool { return tokenBytes[c] }
+
+// tokenBytes holds isTokenByte's answer for every byte, worked out once
+// so that a header name costs one load per byte.
+var tokenBytes = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c < 0x80 && c > ' ' && c != 0x7f && !strings.ContainsRune(`"(),/:;<=>?@[\]{}`, rune(c))
+	}
+	return t
+}()
 
 // isFieldByte admits a header field value's bytes: no control byte
 // but a tab.

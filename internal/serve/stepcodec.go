@@ -16,7 +16,10 @@ package serve
 // every input (stepcodec_test.go).
 
 import (
+	"encoding/binary"
 	"io"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -180,17 +183,23 @@ func (d *stepDecoder) obsValue(b []byte, i int) (int, bool) {
 		}
 		switch c := b[i]; {
 		case c == '-' || isDigit(c):
-			end := scanNumber(b, i)
+			end, m, frac := scanNumber(b, i)
 			if end < 0 {
 				return 0, false
 			}
-			// The grammar is checked first: ParseFloat alone takes "+1",
-			// ".5", "0x1p-2", "NaN". What it still refuses is out of range.
-			f, err := strconv.ParseFloat(string(b[i:end]), 64)
-			if err != nil {
-				d.typeErr = true
-			} else {
+			if frac >= 0 {
+				f := decimalFloat(m, frac)
+				if c == '-' {
+					f = -f
+				}
 				d.obs[k] = f
+			} else if f, err := strconv.ParseFloat(string(b[i:end]), 64); err == nil {
+				// The grammar is checked first: ParseFloat alone takes
+				// "+1", ".5", "0x1p-2", "NaN". What it still refuses is
+				// out of range.
+				d.obs[k] = f
+			} else {
+				d.typeErr = true
 			}
 			i = end
 		default:
@@ -262,7 +271,7 @@ func (d *stepDecoder) skipValue(b []byte, i, depth int) (int, bool) {
 		case c == '"':
 			i = scanString(b, i)
 		case c == '-' || isDigit(c):
-			i = scanNumber(b, i)
+			i, _, _ = scanNumber(b, i)
 		case c == 't':
 			i = scanLiteral(b, i, "true")
 		case c == 'f':
@@ -370,28 +379,39 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 // exponent — and returns the index past it, or -1. The number ends at
 // the first byte that cannot continue it; whether that byte may follow
 // a value is the caller's to check.
-func scanNumber(b []byte, i int) int {
+//
+// In the same pass it reads the number's magnitude as m / 10^k, m its
+// digits without the point and k the count of digits after it. When
+// the number has no exponent part and at most 19 digits that count —
+// the integer part's unless it is 0, and every fraction digit —
+// decimalFloat(m, k) is its value; otherwise k is -1 and m is not to be
+// read.
+func scanNumber(b []byte, i int) (end int, m uint64, k int) {
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
 	if i == len(b) || !isDigit(b[i]) {
-		return -1
+		return -1, 0, 0
 	}
+	// 19 digits always fit a uint64; more wrap m, and the count sends
+	// the number to ParseFloat.
+	sig := 0
 	if b[i] == '0' {
 		i++
 	} else {
-		for i < len(b) && isDigit(b[i]) {
-			i++
-		}
+		from := i
+		i, m = scanDigits(b, i, 0)
+		sig = i - from
 	}
 	if i < len(b) && b[i] == '.' {
-		i++
-		if i == len(b) || !isDigit(b[i]) {
-			return -1
+		from := i + 1
+		if i, m = scanDigits(b, from, m); i == from {
+			return -1, 0, 0
 		}
-		for i < len(b) && isDigit(b[i]) {
-			i++
-		}
+		k = i - from
+	}
+	if sig+k > 19 {
+		k = -1
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
@@ -399,13 +419,88 @@ func scanNumber(b []byte, i int) int {
 			i++
 		}
 		if i == len(b) || !isDigit(b[i]) {
-			return -1
+			return -1, 0, 0
 		}
 		for i < len(b) && isDigit(b[i]) {
 			i++
 		}
+		k = -1
 	}
-	return i
+	return i, m, k
+}
+
+// scanDigits reads the digit string starting at b[i] onto m, as
+// 10^len·m + its value, and returns the index past it. It takes eight
+// digits at a time where the body has them: a client's floats carry 16
+// or 17 digits each.
+func scanDigits(b []byte, i int, m uint64) (int, uint64) {
+	for len(b)-i >= 8 {
+		v := binary.LittleEndian.Uint64(b[i:])
+		// Eight ASCII digits: each byte's high nibble is 3, and adding 6
+		// keeps it 3.
+		if v&0xF0F0F0F0F0F0F0F0|(v+0x0606060606060606)&0xF0F0F0F0F0F0F0F0>>4 != 0x3333333333333333 {
+			break
+		}
+		// Pairs, then fours, then all eight: the first digit is the low
+		// byte, the most significant.
+		v = (v & 0x0F0F0F0F0F0F0F0F) * (10<<8 + 1) >> 8
+		v = (v & 0x00FF00FF00FF00FF) * (100<<16 + 1) >> 16
+		v = (v & 0x0000FFFF0000FFFF) * (10000<<32 + 1) >> 32
+		m = 100000000*m + v
+		i += 8
+	}
+	for i < len(b) && isDigit(b[i]) {
+		m = 10*m + uint64(b[i]-'0')
+		i++
+	}
+	return i, m
+}
+
+// pow10 and pow10u hold 10^k for k ≤ 19, every one exact in both.
+var (
+	pow10 = [20]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+		1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+	pow10u = [20]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+		1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+)
+
+// decimalFloat returns m / 10^k rounded to the nearest float64, ties to
+// even — what strconv.ParseFloat returns for the decimal — for m < 10^19
+// and 0 ≤ k ≤ 19 (scanNumber's exact case).
+//
+// Up to 2^53 both m and 10^k are float64s, so one division rounds once:
+// strconv's own exact path. Above it, m·2^s is divided by 10^k in
+// integers, s chosen so that the quotient q has 63 or 64 bits; q's top
+// 53 bits are the significand, and the bits below them with the
+// remainder decide the rounding. The value lies between 2^53/10^19 and
+// 10^19, so the result is a normal number.
+func decimalFloat(m uint64, k int) float64 {
+	if m <= 1<<53 {
+		return float64(int64(m)) / pow10[k]
+	}
+	div := pow10u[k]
+	// m·2^s < 2^(63+len(div)) ≤ div·2^64: the quotient fits 64 bits, and
+	// it is at least 2^(len(m)-1+s-len(div)) = 2^62.
+	s := 63 + bits.Len64(div) - bits.Len64(m)
+	var hi, lo uint64
+	if s >= 64 {
+		hi = m << (s - 64)
+	} else {
+		hi, lo = m>>(64-s), m<<s
+	}
+	q, rem := bits.Div64(hi, lo, div)
+	drop := bits.Len64(q) - 53 // 10 or 11
+	mant, low, half := q>>drop, q&(1<<drop-1), uint64(1)<<(drop-1)
+	if low > half || low == half && (rem != 0 || mant&1 == 1) {
+		mant++
+	}
+	// The value is mant·2^(drop-s), mant in [2^52, 2^53] after rounding.
+	e := 52 + drop - s
+	if mant == 1<<53 {
+		mant >>= 1
+		e++
+	}
+	return math.Float64frombits(uint64(e+1023)<<52 | mant&(1<<52-1))
 }
 
 func scanLiteral(b []byte, i int, lit string) int {

@@ -9,10 +9,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -131,8 +133,170 @@ func stepRequestCorpus(t testing.TB) [][]byte {
 		bytes.Repeat([]byte("["), 1<<20),
 		append(overCap, []byte("0]}")...),
 		append(append([]byte(`{"obs":[1]}`), bytes.Repeat([]byte(" "), 1<<20)...), 'x'),
+		// Halfway between two float64s: ties go to the even significand.
+		[]byte(`{"obs":[9007199254740993,9007199254740995,-9007199254740993]}`),
+		[]byte(`{"obs":[4503599627370496.5,4503599627370497.5,4503599627370496.51,0.30000000000000004]}`),
 	}
 	return corpus
+}
+
+// stepNumberEdges are the numbers TestStepNumberMatchesParseFloat names:
+// ties, decimals a hair above a tie (where only the remainder of the
+// division rounds up), the 19-digit limit of the decoder's own
+// conversion, signed zeros and the smallest fractions it converts
+// itself.
+var stepNumberEdges = []string{
+	"9007199254740993", "9007199254740995", "9007199254740992", "9007199254740994", "-9007199254740993",
+	"4503599627370496.5", "4503599627370497.5", "4503599627370496.51", "4503599627370496.49",
+	"0.30000000000000004", "0.1", "0.2", "0.3", "1.7976931348623157",
+	"1234567890123456789", "12345678901234567890", "9999999999999999999", "99999999999999999999",
+	"0.1234567890123456789", "0.12345678901234567891", "123456789.0123456789", "1234567890.123456789",
+	"18446744073709551615", "18446744073709551616",
+	"0", "-0", "0.0", "-0.0", "-0.0000000000000000000", "0.00000000000000000000",
+	"0.4319656596841454921", "10981631610.79824543", "387.2395186846770514", "3855991.540524690645",
+	"0.0000000000000000001", "0.00000000000000000001", "0.0000000000000000009", "0.0000000000000000010",
+	"-0.0000000000000000001", "0.9999999999999999999", "0.99999999999999999999",
+	"1e-19", "1E-19", "1e+2", "1e999", "-1e999", "1e-999", "5e-324", "2.2250738585072014e-308",
+}
+
+// TestStepNumberMatchesParseFloat: every number the decoder converts
+// itself is the float64 strconv.ParseFloat returns, bit for bit — over
+// shortest and fixed-precision forms of random float64s, random
+// decimals of 1–21 significant digits with leading and trailing zeros,
+// 19-digit decimals beside a tie, and the named edges.
+func TestStepNumberMatchesParseFloat(t *testing.T) {
+	var (
+		sc    = stepScratchPool.New().(*stepScratch)
+		nums  []string
+		body  []byte
+		count int
+	)
+	flush := func() {
+		body = append(body[:0], `{"obs":[`...)
+		for i, n := range nums {
+			if i > 0 {
+				body = append(body, ',')
+			}
+			body = append(body, n...)
+		}
+		body = append(body, "]}"...)
+		got := sc.dec.decode(body)
+		for i, n := range nums {
+			want, err := strconv.ParseFloat(n, 64)
+			if err != nil {
+				if got != statusBadType {
+					t.Fatalf("%s: ParseFloat says %v, decode status %d", n, err, got)
+				}
+				continue
+			}
+			if got != statusOK {
+				t.Fatalf("%s: decode status %d, ParseFloat says %v", n, got, want)
+			}
+			if math.Float64bits(sc.dec.obs[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: decoded %v (%#x), ParseFloat says %v (%#x)",
+					n, sc.dec.obs[i], math.Float64bits(sc.dec.obs[i]), want, math.Float64bits(want))
+			}
+		}
+		count += len(nums)
+		nums = nums[:0]
+	}
+	add := func(n string) {
+		if nums = append(nums, n); len(nums) == 64 {
+			flush()
+		}
+	}
+	// Out-of-range numbers are type errors that fail the whole body, so
+	// each edge goes alone.
+	for _, n := range stepNumberEdges {
+		add(n)
+		flush()
+	}
+
+	rng := stats.NewRNG(55)
+	rounds := 50000
+	if testing.Short() {
+		rounds = 5000
+	}
+	for r := 0; r < rounds; r++ {
+		// A float64 of any bit pattern, then one whose magnitude is near
+		// 1, where most of the decoder's own conversions land.
+		var f float64
+		if r%2 == 0 {
+			f = math.Float64frombits(rng.Uint64())
+		} else {
+			f = math.Ldexp(float64(rng.Uint64()>>11), -53+rng.Intn(141)-70)
+			if rng.Intn(2) == 0 {
+				f = -f
+			}
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			continue
+		}
+		add(strconv.FormatFloat(f, 'g', -1, 64))
+		if r%8 == 0 || math.Abs(f) < 1e25 && math.Abs(f) > 1e-25 {
+			for prec := -1; prec <= 19; prec++ {
+				add(strconv.FormatFloat(f, 'f', prec, 64))
+			}
+		}
+
+		// A decimal of 1–21 significant digits, the point anywhere from
+		// five leading zeros before them to five trailing zeros after.
+		nd := 1 + rng.Intn(21)
+		digits := make([]byte, 0, 32)
+		digits = append(digits, byte('1'+rng.Intn(9)))
+		for len(digits) < nd {
+			digits = append(digits, byte('0'+rng.Intn(10)))
+		}
+		var num []byte
+		if rng.Intn(2) == 0 {
+			num = append(num, '-')
+		}
+		switch point := rng.Intn(nd+11) - 5; {
+		case point <= 0:
+			num = append(num, "0."...)
+			num = append(num, strings.Repeat("0", -point)...)
+			num = append(num, digits...)
+		case point >= nd:
+			num = append(num, digits...)
+			num = append(num, strings.Repeat("0", point-nd)...)
+			if rng.Intn(2) == 0 {
+				num = append(num, ".0"...)
+			}
+		default:
+			num = append(num, digits[:point]...)
+			num = append(num, '.')
+			num = append(num, digits[point:]...)
+			num = append(num, strings.Repeat("0", rng.Intn(4))...)
+		}
+		add(string(num))
+	}
+
+	// The 19-digit decimals on either side of a point halfway between
+	// two float64s: h = (2·mant+1)/2^p, whose digits are (2·mant+1)·5^p.
+	for r := 0; r < rounds/10; r++ {
+		p := 1 + rng.Intn(54)
+		h := new(big.Int).Exp(big.NewInt(5), big.NewInt(int64(p)), nil)
+		h.Mul(h, new(big.Int).SetUint64(2*(1<<52|rng.Uint64()>>12)+1))
+		digits := h.String()
+		intLen := len(digits) - p
+		if len(digits) <= 19 || intLen < 1 {
+			continue
+		}
+		below, _ := new(big.Int).SetString(digits[:19], 10)
+		above := new(big.Int).Add(below, big.NewInt(1))
+		for _, d := range []string{below.String(), above.String()} {
+			if len(d) != 19 {
+				continue
+			}
+			if intLen >= 19 {
+				add(d + strings.Repeat("0", intLen-19))
+			} else {
+				add(d[:intLen] + "." + d[intLen:])
+			}
+		}
+	}
+	flush()
+	t.Logf("%d numbers decoded as ParseFloat reads them", count)
 }
 
 // FuzzStepRequest: on arbitrary bytes the codec's decoder and

@@ -91,14 +91,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestSampleVariance(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	want := 4.0 * 8 / 7
-	if v := SampleVariance(xs); !almostEqual(v, want, 1e-12) {
-		t.Errorf("SampleVariance = %v, want %v", v, want)
-	}
-}
-
 func TestRollingWindowEviction(t *testing.T) {
 	rw := NewRollingWindow(3)
 	for i := 1; i <= 5; i++ {

@@ -49,21 +49,6 @@ func TestECDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestECDFPoints(t *testing.T) {
-	e := NewECDF([]float64{3, 1, 1, 2})
-	xs, fs := e.Points()
-	wantX := []float64{1, 2, 3}
-	wantF := []float64{0.5, 0.75, 1}
-	if len(xs) != 3 {
-		t.Fatalf("Points xs = %v", xs)
-	}
-	for i := range wantX {
-		if xs[i] != wantX[i] || fs[i] != wantF[i] {
-			t.Fatalf("Points = %v/%v, want %v/%v", xs, fs, wantX, wantF)
-		}
-	}
-}
-
 func TestECDFQuantileRoundTrip(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
 	e := NewECDF(xs)

@@ -20,12 +20,17 @@ func TestKLNonNegativeProperty(t *testing.T) {
 		n := 2 + r.Intn(8)
 		p := make([]float64, n)
 		q := make([]float64, n)
+		var sp, sq float64
 		for i := range p {
 			p[i] = ra.Float64() + 1e-6
 			q[i] = rb.Float64() + 1e-6
+			sp += p[i]
+			sq += q[i]
 		}
-		Normalize(p)
-		Normalize(q)
+		for i := range p {
+			p[i] /= sp
+			q[i] /= sq
+		}
 		return KLDivergence(p, q) >= -1e-9
 	}, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -62,17 +67,6 @@ func TestKLPanicsOnLengthMismatch(t *testing.T) {
 	KLDivergence([]float64{1}, []float64{0.5, 0.5})
 }
 
-func TestEntropyUniformIsMax(t *testing.T) {
-	u := []float64{0.25, 0.25, 0.25, 0.25}
-	if h := Entropy(u); !almostEqual(h, math.Log(4), 1e-12) {
-		t.Errorf("entropy(uniform) = %v, want ln 4", h)
-	}
-	d := []float64{1, 0, 0, 0}
-	if h := Entropy(d); !almostEqual(h, 0, 1e-9) {
-		t.Errorf("entropy(deterministic) = %v, want 0", h)
-	}
-}
-
 func TestMeanDistribution(t *testing.T) {
 	dists := [][]float64{{1, 0}, {0, 1}}
 	m := MeanDistributionInto(make([]float64, 2), dists)
@@ -94,24 +88,5 @@ func TestMeanDistributionPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	xs := Normalize([]float64{2, 2, 4})
-	want := []float64{0.25, 0.25, 0.5}
-	for i := range want {
-		if !almostEqual(xs[i], want[i], 1e-12) {
-			t.Fatalf("Normalize = %v, want %v", xs, want)
-		}
-	}
-}
-
-func TestNormalizeDegenerate(t *testing.T) {
-	xs := Normalize([]float64{0, 0, 0})
-	for _, x := range xs {
-		if !almostEqual(x, 1.0/3, 1e-12) {
-			t.Fatalf("degenerate Normalize = %v, want uniform", xs)
-		}
 	}
 }
