@@ -1,8 +1,8 @@
 # Developer entry points. `make ci` is the full gate: tier-1 verify
 # (build + all tests), go vet and the osap-vet static analyzers
 # (DESIGN.md §8), formatting, the race-detector sweep, the figures' run-to-run
-# identity, the train → file → serve round trip, and the chaos (both
-# fault scripts), rollout and learn selftests — the same steps CI runs.
+# identity, the served set rebuilt byte for byte and served, and the chaos
+# (both fault scripts), rollout and learn selftests — the same steps CI runs.
 
 GO ?= go
 
@@ -107,14 +107,25 @@ results-check:
 	cmp "$$dir/paper.txt" results/paper-scale-figures.txt && \
 	echo "results-check: results/paper-scale-figures.txt reproduced byte for byte"
 
-# The train → file → serve round trip through the binaries: osap-train
-# writes a quick gamma22 artifact file, and the load selftest
-# (TestSelfTestSmallScale) serves it under the record inside it through
-# its transport × procs matrix (~5 s).
+# The served set: cmd/osap-serve/testdata/norway.json, the paper-scale
+# Norway artifacts the load selftest (TestSelfTestSmallScale) serves.
+# osap-train rebuilds it (~15 s on two vCPUs) and the rebuild must equal
+# the committed file byte for byte. Artifact bits are per platform
+# (DESIGN.md §10), so the bytes are compared on amd64, where the file was
+# written, as TestSaveArtifactsPinnedBytes does; elsewhere the rebuild
+# only has to succeed. Then the load selftest serves the committed file
+# through its transport × procs matrix and logs ND's fallback share on
+# Norway and on Belgium viewers (~3 s).
+SERVED_SET := cmd/osap-serve/testdata/norway.json
 models-check:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) run $(LDFLAGS) ./cmd/osap-train -scale quick -dataset gamma22 -out "$$dir" && \
-	$(GO) test -count=1 -v -run '^TestSelfTestSmallScale$$' ./cmd/osap-serve -args -models "$$dir" -dataset gamma22
+	$(GO) run $(LDFLAGS) ./cmd/osap-train -scale paper -dataset norway -out "$$dir" && \
+	sum=$$(sha256sum < "$$dir/norway.json" | cut -d' ' -f1) && \
+	if [ "$$($(GO) env GOARCH)" = amd64 ] && ! cmp -s "$$dir/norway.json" $(SERVED_SET); then \
+		echo "models-check: osap-train wrote sha256 $$sum, $(SERVED_SET) differs"; exit 1; \
+	fi && \
+	echo "models-check: osap-train rebuilt $(SERVED_SET), sha256 $$sum" && \
+	$(GO) test -count=1 -v -run '^TestSelfTestSmallScale$$' ./cmd/osap-serve
 
 ci: verify lint fmt-check race figures-check models-check chaos rollout-selftest learn-selftest
 

@@ -7,10 +7,14 @@
 //
 // Usage:
 //
-//	osap-repro [-fig all|1|2|3|4|5] [-scale paper|quick] [-models dir] [-v]
+//	osap-repro [-fig all|1|2|3|4|5|ext] [-scale paper|quick] [-models dir] [-v]
+//	osap-repro -pair gamma22,exponential [-scale paper|quick] [-models dir] [-v]
 //
 // With -models, artifacts previously produced by osap-train are loaded
-// instead of retrained (missing datasets are trained on demand).
+// instead of retrained (missing datasets are trained on demand). -pair
+// evaluates one (train, test) dataset pair instead of the figures: the
+// QoE of vanilla Pensieve, the three safety-enhanced variants, BB and
+// Random on the test distribution, raw and normalized.
 package main
 
 import (
@@ -18,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"osap/internal/buildinfo"
@@ -27,6 +32,7 @@ import (
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: all, 1, 2, 3, 4, 5 or ext (future-work extensions)")
+	pair := flag.String("pair", "", "evaluate one train,test dataset pair instead of the figures")
 	scale := flag.String("scale", "paper", "run scale: paper or quick")
 	models := flag.String("models", "", "directory of pre-trained artifacts (from osap-train)")
 	save := flag.String("save", "", "directory to persist trained artifacts into after the run")
@@ -39,13 +45,13 @@ func main() {
 		return
 	}
 
-	if err := run(*fig, *scale, *models, *save, *verbose); err != nil {
+	if err := run(*fig, *pair, *scale, *models, *save, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "osap-repro:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig, scale, models, save string, verbose bool) error {
+func run(fig, pair, scale, models, save string, verbose bool) error {
 	var cfg experiments.Config
 	switch scale {
 	case "paper":
@@ -81,90 +87,13 @@ func run(fig, scale, models, save string, verbose bool) error {
 		}
 	}
 
-	wanted := map[string]bool{}
-	if fig == "all" {
-		for _, f := range []string{"1", "2", "3", "4", "5", "ext"} {
-			wanted[f] = true
-		}
+	if pair != "" {
+		err = printPair(lab, pair)
 	} else {
-		known := map[string]bool{"1": true, "2": true, "3": true, "4": true, "5": true, "ext": true}
-		for _, f := range strings.Split(fig, ",") {
-			f = strings.TrimSpace(f)
-			if !known[f] {
-				return fmt.Errorf("unknown figure %q (want 1-5, ext or all)", f)
-			}
-			wanted[f] = true
-		}
+		err = printFigures(lab, fig)
 	}
-
-	if wanted["1"] {
-		f, err := lab.Figure1()
-		if err != nil {
-			return err
-		}
-		fmt.Println(f.Render())
-	}
-	if wanted["2"] {
-		for _, tr := range []string{"belgium", "gamma22"} {
-			f, err := lab.Figure2(tr)
-			if err != nil {
-				return err
-			}
-			fmt.Println(f.Render())
-		}
-	}
-	if wanted["3"] {
-		f, err := lab.Figure3()
-		if err != nil {
-			return err
-		}
-		fmt.Println(f.Render())
-	}
-	if wanted["4"] {
-		f, err := lab.Figure4()
-		if err != nil {
-			return err
-		}
-		fmt.Println(f.Render())
-	}
-	if wanted["5"] {
-		f, err := lab.Figure5()
-		if err != nil {
-			return err
-		}
-		fmt.Println(f.Render())
-	}
-	if wanted["ext"] {
-		for _, tr := range []string{"belgium", "gamma22"} {
-			d, err := lab.ExtensionDefaults(tr)
-			if err != nil {
-				return err
-			}
-			fmt.Println(d.Render())
-			s, err := lab.ExtensionSignals(tr)
-			if err != nil {
-				return err
-			}
-			fmt.Println(s.Render())
-			tg, err := lab.ExtensionTriggers(tr)
-			if err != nil {
-				return err
-			}
-			fmt.Println(tg.Render())
-			rc, err := lab.ExtensionRecovery(tr)
-			if err != nil {
-				return err
-			}
-			fmt.Println(rc.Render())
-			oh, err := lab.OracleHeadroom(tr, 4)
-			if err != nil {
-				return err
-			}
-			fmt.Println(oh.Render())
-		}
-	}
-	if len(wanted) == 0 {
-		return fmt.Errorf("no figures selected (-fig %q)", fig)
+	if err != nil {
+		return err
 	}
 	if save != "" {
 		for _, name := range trace.DatasetNames() {
@@ -178,6 +107,101 @@ func run(fig, scale, models, save string, verbose bool) error {
 			}
 			if verbose {
 				fmt.Fprintln(os.Stderr, "saved", path)
+			}
+		}
+	}
+	return nil
+}
+
+// printPair evaluates one "train,test" dataset pair and prints each
+// scheme's raw and normalized QoE.
+func printPair(lab *experiments.Lab, pair string) error {
+	trainDS, testDS, _ := strings.Cut(pair, ",")
+	if trainDS == "" || testDS == "" {
+		return fmt.Errorf("-pair %q: want train,test (datasets: %v)", pair, trace.DatasetNames())
+	}
+	r, err := lab.EvaluatePair(trainDS, testDS)
+	if err != nil {
+		return err
+	}
+	rel := "OOD"
+	if trainDS == testDS {
+		rel = "in-distribution"
+	}
+	fmt.Printf("train=%s test=%s (%s)\n", trainDS, testDS, rel)
+	fmt.Printf("%-12s%12s%12s\n", "scheme", "QoE", "normalized")
+	for _, s := range experiments.Schemes() {
+		fmt.Printf("%-12s%12.2f%12.2f\n", s, r[s], experiments.NormalizedScore(r, s))
+	}
+	return nil
+}
+
+// printFigures regenerates the figures fig names ("all" or a comma
+// list) and prints each as a text table.
+func printFigures(lab *experiments.Lab, fig string) error {
+	figs := []string{"1", "2", "3", "4", "5", "ext"}
+	if fig == "all" {
+		fig = strings.Join(figs, ",")
+	}
+	wanted := map[string]bool{}
+	for _, f := range strings.Split(fig, ",") {
+		f = strings.TrimSpace(f)
+		if !slices.Contains(figs, f) {
+			return fmt.Errorf("unknown figure %q (want 1-5, ext or all)", f)
+		}
+		wanted[f] = true
+	}
+	// show prints a table, or passes on the error that built none.
+	show := func(t interface{ Render() string }, err error) error {
+		if err == nil {
+			fmt.Println(t.Render())
+		}
+		return err
+	}
+	featured := []string{"belgium", "gamma22"}
+	if wanted["1"] {
+		if err := show(lab.Figure1()); err != nil {
+			return err
+		}
+	}
+	if wanted["2"] {
+		for _, tr := range featured {
+			if err := show(lab.Figure2(tr)); err != nil {
+				return err
+			}
+		}
+	}
+	if wanted["3"] {
+		if err := show(lab.Figure3()); err != nil {
+			return err
+		}
+	}
+	if wanted["4"] {
+		if err := show(lab.Figure4()); err != nil {
+			return err
+		}
+	}
+	if wanted["5"] {
+		if err := show(lab.Figure5()); err != nil {
+			return err
+		}
+	}
+	if wanted["ext"] {
+		for _, tr := range featured {
+			if err := show(lab.ExtensionDefaults(tr)); err != nil {
+				return err
+			}
+			if err := show(lab.ExtensionSignals(tr)); err != nil {
+				return err
+			}
+			if err := show(lab.ExtensionTriggers(tr)); err != nil {
+				return err
+			}
+			if err := show(lab.ExtensionRecovery(tr)); err != nil {
+				return err
+			}
+			if err := show(lab.OracleHeadroom(tr, 4)); err != nil {
+				return err
 			}
 		}
 	}

@@ -11,7 +11,7 @@ import (
 func TestRunSingleFigureQuick(t *testing.T) {
 	// Figure 2 only needs artifacts for its two featured training
 	// datasets, keeping the quick-scale smoke test fast.
-	if err := run("2", "quick", "", "", false); err != nil {
+	if err := run("2", "", "quick", "", "", false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -30,7 +30,7 @@ func TestRunWithPretrainedModels(t *testing.T) {
 	if _, err := experiments.SaveArtifacts(dir, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("2", "quick", dir, "", false); err != nil {
+	if err := run("2", "", "quick", dir, "", false); err != nil {
 		t.Fatal(err)
 	}
 	// A corrupt artifact file must surface as an error.
@@ -38,17 +38,40 @@ func TestRunWithPretrainedModels(t *testing.T) {
 	if err := writeFile(filepath.Join(bad, "gamma22.json"), "{"); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("2", "quick", bad, "", false); err == nil {
+	if err := run("2", "", "quick", bad, "", false); err == nil {
 		t.Error("corrupt artifacts accepted")
 	}
 }
 
+func TestRunEvaluatesPair(t *testing.T) {
+	if err := run("", "gamma22,exponential", "quick", "", "", false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRunInDistribution(t *testing.T) {
+	if err := run("", "gamma12,gamma12", "quick", "", "", false); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
-	if err := run("1", "gigantic", "", "", false); err == nil {
+	if err := run("1", "", "gigantic", "", "", false); err == nil {
 		t.Error("unknown scale accepted")
 	}
-	if err := run("7", "quick", "", "", false); err == nil {
+	if err := run("7", "", "quick", "", "", false); err == nil {
 		t.Error("unknown figure accepted")
+	}
+}
+
+func TestRunPairErrors(t *testing.T) {
+	for _, pair := range []string{",norway", "norway,", "norway", "nope,norway"} {
+		if err := run("", pair, "quick", "", "", false); err == nil {
+			t.Errorf("-pair %q accepted", pair)
+		}
+	}
+	if err := run("", "norway,norway", "huge", "", "", false); err == nil {
+		t.Error("-pair with an unknown scale accepted")
 	}
 }
 

@@ -52,8 +52,8 @@ func TestChaosSmallScale(t *testing.T) {
 }
 
 // runChaos plays one fault script against a loopback server with the
-// schedule wired into every injection seam — the guard hook, and the
-// HTTP middleware or the binary frame hook — drives the synthetic
+// schedule wired into both injection seams — the guard hook and the
+// request-fault hook — drives the synthetic
 // viewers through the schedule's step budget, and asserts the run's
 // safety contract exactly, every expected value taken from the
 // schedule's replay of the session state machine

@@ -23,14 +23,14 @@ import (
 // The selftests run at a CI-friendly small scale by default. These
 // flags scale them up — `go test ./cmd/osap-serve -run TestChaosSmallScale
 // -args -clients 1000` and the like, which is what `make chaos`, `make
-// rollout-selftest`, `make learn-selftest` and `make models-check` run.
-// A zero value keeps each test's own small-scale setting.
+// rollout-selftest` and `make learn-selftest` run. A zero value keeps
+// each test's own small-scale setting; the load selftest always serves
+// the committed Norway set, whatever -dataset says.
 var (
 	flagClients = flag.Int("clients", 0, "concurrent synthetic viewers per fleet (0 = the test's own)")
-	flagDataset = flag.String("dataset", "", "served dataset (empty = the test's own)")
+	flagDataset = flag.String("dataset", "", "chaos, rollout and learn: served dataset (empty = the test's own)")
 	flagSeed    = flag.Uint64("seed", 0, "fault-schedule, fleet and trace seed (0 = the test's own)")
 	flagSteps   = flag.Int("steps", 0, "chaos: decisions per client (0 = the test's own)")
-	flagModels  = flag.String("models", "", "load selftest: directory of pre-trained artifacts (empty = train quick-scale artifacts in process)")
 )
 
 // scaled is the flag's value when it was set, otherwise the test's own.

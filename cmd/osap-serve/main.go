@@ -6,12 +6,12 @@
 // (internal/serve/proto), with every session's forwards run on the
 // scratch of one of a few shared inference shards.
 //
-// Serving a pre-trained model directory (written by osap-train):
+// It serves trained artifacts only, from a model directory or a
+// versioned registry that osap-train wrote; one of -models and
+// -registry is required:
 //
+//	osap-train -scale paper -dataset norway -out ./models
 //	osap-serve -models ./models -dataset norway -addr :8080 -binary-addr :8081
-//
-// With no -models directory the server trains quick-scale artifacts at
-// startup (useful for demos; takes a few seconds).
 //
 // API (JSON): POST /v1/sessions {"scheme":"ND"|"A-ensemble"|"V-ensemble"},
 // POST /v1/sessions/{id}/step {"obs":[...]}, POST /v1/sessions/{id}/reset,
@@ -74,7 +74,7 @@ func newOptions(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
 	fs.StringVar(&o.binAddr, "binary-addr", "", "binary-protocol listen address (empty = HTTP only)")
-	fs.StringVar(&o.models, "models", "", "directory of pre-trained artifacts (osap-train output)")
+	fs.StringVar(&o.models, "models", "", "directory of pre-trained artifacts (osap-train -out output); this or -registry is required")
 	fs.StringVar(&o.registry, "registry", "", "versioned artifact registry root (osap-train -registry output); overrides -models")
 	fs.Float64Var(&o.cfg.Rollout.CanaryFraction, "canary-fraction", 0, "fraction of new sessions routed to a staged candidate (0 = default 0.10)")
 	fs.Float64Var(&o.cfg.Rollout.RollbackMargin, "rollback-margin", 0, "excess candidate demotion/fallback rate that triggers auto-rollback (0 = default 0.05)")
@@ -104,19 +104,10 @@ func main() {
 	}
 }
 
-// loadArtifacts reads the served artifact set from a model directory
-// when given, otherwise trains quick-scale artifacts in process.
+// loadArtifacts reads dataset's artifact set from a model directory
+// written by osap-train.
 func loadArtifacts(dataset, models string) (*experiments.Artifacts, error) {
-	if models != "" {
-		return experiments.LoadArtifacts(filepath.Join(models, dataset+".json"))
-	}
-	fmt.Fprintf(os.Stderr, "no -models directory: training quick-scale artifacts for %s...\n", dataset)
-	lab, err := experiments.NewLab(experiments.QuickConfig())
-	if err != nil {
-		return nil, err
-	}
-	lab.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  "+s) }
-	return lab.Artifacts(dataset)
+	return experiments.LoadArtifacts(filepath.Join(models, dataset+".json"))
 }
 
 // bootFromRegistry opens the registry, loads the named version (or the
@@ -203,10 +194,13 @@ func runServer(o *options) error {
 	cfg := o.cfg
 	var arts *experiments.Artifacts
 	var err error
-	if o.registry != "" {
+	switch {
+	case o.registry != "":
 		arts, err = bootFromRegistry(&cfg, o.registry, o.dataset, "")
-	} else {
+	case o.models != "":
 		arts, err = loadArtifacts(o.dataset, o.models)
+	default:
+		err = errors.New("no artifacts to serve: pass -models DIR (osap-train -out) or -registry DIR (osap-train -registry)")
 	}
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,15 +49,16 @@ const (
 // no in-flight step was dropped, the server's decision count equals the
 // clients' acknowledgements, and osap_batch_size counted every decision
 // exactly once. It measures nothing: numbers come from `make bench-e2e`
-// (bench/README.md). By default it trains quick-scale gamma22 artifacts
-// and runs 40 clients; `make models-check` serves an osap-train file
-// through it with -models.
+// (bench/README.md). It serves the committed paper-scale Norway set,
+// testdata/norway.json (`make models-check` rebuilds it with osap-train
+// and compares the bytes), to 40 clients, and logs ND's fallback share
+// on Norway and on Belgium viewers.
 func TestSelfTestSmallScale(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains quick-scale artifacts")
+		t.Skip("drives a loopback viewer fleet")
 	}
-	clients, dataset := scaled(*flagClients, 40), scaled(*flagDataset, trace.DatasetGamma22)
-	arts, err := loadArtifacts(dataset, *flagModels)
+	clients := scaled(*flagClients, 40)
+	arts, err := loadArtifacts(trace.DatasetNorway, "testdata")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,23 +75,30 @@ func TestSelfTestSmallScale(t *testing.T) {
 		for _, transport := range []string{loadgen.ProtocolHTTP, loadgen.ProtocolBinary} {
 			t.Run(fmt.Sprintf("%s-%dprocs", transport, p), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
-				selftestCell(t, cfg, factory, dataset, clients, transport == loadgen.ProtocolBinary)
+				selftestCell(t, cfg, factory, clients, transport == loadgen.ProtocolBinary)
 			})
 		}
 	}
+	t.Run("nd-fallback", func(t *testing.T) {
+		for _, viewers := range []string{trace.DatasetNorway, trace.DatasetBelgium} {
+			ndFallbackShare(t, cfg, factory, viewers)
+		}
+	})
 }
 
-func selftestCell(t *testing.T, cfg serve.Config, factory *serve.GuardFactory, dataset string, clients int, binary bool) {
+// selftestVideo is what the synthetic viewers stream: the paper-scale
+// evaluation video, as the served set was trained and calibrated for.
+var selftestVideo = experiments.PaperConfig().EvalVideo
+
+func selftestCell(t *testing.T, cfg serve.Config, factory *serve.GuardFactory, clients int, binary bool) {
 	h := bootLoopback(t, factory, cfg, clients, binary)
 	srv := h.srv
 	lgCfg := h.target(loadgen.Config{
 		Clients: clients,
 		Schemes: factory.Schemes(),
-		// The synthetic viewers stream the quick-scale evaluation video
-		// over the served dataset's generator.
-		Video:  experiments.QuickConfig().EvalVideo,
-		Traces: tracePool(t, dataset, 20200713),
-		Seed:   1,
+		Video:   selftestVideo,
+		Traces:  tracePool(t, trace.DatasetNorway, 20200713),
+		Seed:    1,
 	})
 	t.Logf("%d clients over %s", clients, h.stepTarget())
 
@@ -147,8 +156,47 @@ func selftestCell(t *testing.T, cfg serve.Config, factory *serve.GuardFactory, d
 		promValue(t, h.final, "osap_sessions_latched_total"))
 }
 
-func TestLoadFactoryUnknownDataset(t *testing.T) {
-	if _, err := loadArtifacts("not-a-dataset", ""); err == nil {
-		t.Fatal("unknown dataset accepted")
+// ndFallbackShare plays one episode of the video per ND viewer over
+// traces of the viewers' dataset against the served Norway set, and
+// logs the share of steps the default policy served. It is reported,
+// not gated: a share near 1 on Norway viewers means the guard defaults
+// where the learned policy is worth keeping.
+func ndFallbackShare(t *testing.T, cfg serve.Config, factory *serve.GuardFactory, viewers string) {
+	const clients = 16
+	h := bootLoopback(t, factory, cfg, clients, true)
+	res, err := loadgen.Run(context.Background(), h.target(loadgen.Config{
+		Clients:        clients,
+		StepsPerClient: selftestVideo.NumChunks(),
+		Schemes:        []string{experiments.SchemeND},
+		Video:          selftestVideo,
+		Traces:         tracePool(t, viewers, 20200713),
+		Seed:           1,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.drain(); err != nil {
+		t.Fatal(err)
+	}
+	checkCount(t, viewers+" steps served", res.StepsOK, int64(clients*selftestVideo.NumChunks()))
+	t.Logf("ND fallback share on %s viewers: %.3f (%d of %d steps)",
+		viewers, float64(res.Fallbacks)/float64(res.StepsOK), res.Fallbacks, res.StepsOK)
+}
+
+// TestLoadArtifactsMissingFile: a -models directory without the
+// dataset's file is an error, never a reason to train.
+func TestLoadArtifactsMissingFile(t *testing.T) {
+	if _, err := loadArtifacts(trace.DatasetNorway, t.TempDir()); err == nil {
+		t.Fatal("missing artifact file accepted")
+	}
+}
+
+// TestRunServerNeedsArtifacts: with neither -models nor -registry the
+// server refuses to start, naming both.
+func TestRunServerNeedsArtifacts(t *testing.T) {
+	o := newOptions(flag.NewFlagSet("osap-serve", flag.ContinueOnError))
+	err := runServer(o)
+	if err == nil || !strings.Contains(err.Error(), "-models") || !strings.Contains(err.Error(), "-registry") {
+		t.Fatalf("runServer without artifacts: err = %v, want one naming -models and -registry", err)
 	}
 }

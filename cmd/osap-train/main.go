@@ -1,7 +1,7 @@
 // Command osap-train trains the per-dataset artifacts — the Pensieve
 // agent ensemble, the value-function ensemble, the OC-SVM novelty
 // detector and the calibrated defaulting thresholds — and persists them
-// as JSON for later use by osap-eval and osap-repro.
+// as JSON for later use by osap-repro and osap-serve.
 //
 // Usage:
 //

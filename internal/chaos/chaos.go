@@ -21,9 +21,8 @@
 // Production builds pay zero cost: the serving stack never imports
 // this package. Injection happens behind small seams — the
 // serve.Config.WrapGuard hook (one nil check at session creation), the
-// serve.Config.RequestFault hook (one nil check per request) and an
-// optional http.Handler middleware — all absent from production
-// wiring.
+// serve.Config.RequestFault hook (one nil check per request) — both
+// absent from production wiring.
 package chaos
 
 import (
@@ -122,10 +121,10 @@ type Config struct {
 	SpikeStepEvery    int
 	SpikeDelay        time.Duration
 
-	// RejectEvery makes the HTTP middleware (or the binary frame hook)
-	// reject 1 in N requests with an injected 503 + Retry-After
-	// (overload); DelayEvery makes it stall 1 in N requests by Delay
-	// before forwarding.
+	// RejectEvery makes RequestFaults reject 1 in N requests (the
+	// server answers an injected 503 + Retry-After or Error frame:
+	// overload); DelayEvery makes it stall 1 in N requests by Delay
+	// before they are served.
 	RejectEvery int
 	DelayEvery  int
 	Delay       time.Duration

@@ -2,10 +2,7 @@ package chaos
 
 import (
 	"bytes"
-	"io"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -232,36 +229,25 @@ func TestWrapSignalSpikes(t *testing.T) {
 	}
 }
 
-func TestMiddlewareRejectsAndForwards(t *testing.T) {
-	sched := testSchedule(t, Config{Seed: 1, RejectEvery: 3})
-	served := 0
-	h := sched.Middleware(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		served++
-		w.WriteHeader(http.StatusOK)
-	}))
-	rejected := 0
-	for i := 0; i < 9; i++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/x", nil))
-		if rec.Code == http.StatusServiceUnavailable {
-			rejected++
-			if rec.Header().Get("Retry-After") == "" {
-				t.Fatal("injected 503 missing Retry-After")
-			}
-			body, _ := io.ReadAll(rec.Body)
-			if !bytes.Contains(body, []byte(InjectedOverloadError)) {
-				t.Fatalf("injected 503 body = %s", body)
-			}
+func TestRequestFaultsRejectsAndDelays(t *testing.T) {
+	sched := testSchedule(t, Config{Seed: 1, RejectEvery: 3, DelayEvery: 4, Delay: time.Millisecond})
+	fault := sched.RequestFaults()
+	var rejected, delayed []int
+	for n := 1; n <= 12; n++ {
+		reject, delay := fault()
+		if reject {
+			rejected = append(rejected, n)
+		}
+		if delay > 0 {
+			delayed = append(delayed, n)
 		}
 	}
-	if rejected != 3 || served != 6 {
-		t.Fatalf("rejected %d served %d of 9, want 3/6", rejected, served)
+	// A request due both a rejection and a delay is only rejected.
+	if !reflect.DeepEqual(rejected, []int{3, 6, 9, 12}) || !reflect.DeepEqual(delayed, []int{4, 8}) {
+		t.Fatalf("rejected %v delayed %v of 12, want [3 6 9 12] and [4 8]", rejected, delayed)
 	}
-	// A no-fault schedule must not interpose at all.
-	plain := testSchedule(t, Config{Seed: 1})
-	inner := http.NewServeMux()
-	if got := plain.Middleware(inner); got != http.Handler(inner) {
-		t.Fatal("no-fault middleware wrapped the handler")
+	if testSchedule(t, Config{Seed: 1}).RequestFaults() != nil {
+		t.Fatal("a schedule without request faults returned a fault function")
 	}
 }
 

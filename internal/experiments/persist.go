@@ -257,7 +257,7 @@ func readEnvelope(data []byte, aj *artifactsJSON) (env artifactsEnvelope, payloa
 }
 
 // InstallArtifacts places pre-trained artifacts into the lab cache (e.g.
-// loaded from disk by cmd/osap-eval), bypassing training.
+// loaded from disk by osap-repro -models), bypassing training.
 func (l *Lab) InstallArtifacts(a *Artifacts) error {
 	if _, err := l.Dataset(a.Dataset); err != nil {
 		return err

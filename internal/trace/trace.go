@@ -109,6 +109,10 @@ const (
 	mtuBytes    = 1500
 	mtuBits     = mtuBytes * 8
 	msPerSecond = 1000
+	// maxMahiMahiSec bounds the trace ReadMahiMahi builds, one day: its
+	// per-second counts grow to the last timestamp, so one huge line
+	// would otherwise ask for that many ints.
+	maxMahiMahiSec = 24 * 60 * 60
 )
 
 // WriteMahiMahi converts the trace to MahiMahi's packet-delivery format:
@@ -135,7 +139,7 @@ func (t *Trace) WriteMahiMahi(w io.Writer) error {
 // ReadMahiMahi parses a MahiMahi packet-delivery trace back into a
 // per-second Mbps series. durationSec > 0 forces the output length
 // (zero-filling trailing idle seconds); pass 0 to infer the duration from
-// the last timestamp.
+// the last timestamp. A timestamp past one day is refused.
 //
 //osap:ignore deadcode the reference reader cmd/tracegen's tests check its MahiMahi output with
 func ReadMahiMahi(r io.Reader, name string, durationSec int) (*Trace, error) {
@@ -155,6 +159,9 @@ func ReadMahiMahi(r io.Reader, name string, durationSec int) (*Trace, error) {
 		}
 		if ts < last {
 			return nil, fmt.Errorf("trace: mahimahi line %d: timestamps not monotone", lineNo)
+		}
+		if ts > maxMahiMahiSec*msPerSecond {
+			return nil, fmt.Errorf("trace: mahimahi line %d: timestamp %d ms is past the %d s limit", lineNo, ts, maxMahiMahiSec)
 		}
 		last = ts
 		sec := (ts - 1) / msPerSecond

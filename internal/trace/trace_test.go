@@ -121,6 +121,19 @@ func TestReadMahiMahiErrors(t *testing.T) {
 	if _, err := ReadMahiMahi(strings.NewReader(""), "x", 0); err == nil {
 		t.Error("empty: expected error")
 	}
+	// Past one day: refused before the per-second counts grow to it. The
+	// bound is checked first and fatally, so a reader without it never
+	// reaches the line that would exhaust memory.
+	if _, err := ReadMahiMahi(strings.NewReader("86400000\n"), "x", 0); err != nil {
+		t.Errorf("timestamp at one day: %v", err)
+	}
+	if _, err := ReadMahiMahi(strings.NewReader("86400001\n"), "x", 0); err == nil {
+		t.Fatal("timestamp 1 ms past one day accepted")
+	}
+	_, err := ReadMahiMahi(strings.NewReader("1\n99999999999999\n"), "x", 0)
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("timestamp past one day: err = %v, want an error naming line 2", err)
+	}
 }
 
 func TestIIDGeneratorMatchesDistribution(t *testing.T) {
