@@ -108,7 +108,9 @@ results-check:
 	echo "results-check: results/paper-scale-figures.txt reproduced byte for byte"
 
 # The served set: cmd/osap-serve/testdata/norway.json, the paper-scale
-# Norway artifacts the load selftest (TestSelfTestSmallScale) serves.
+# Norway artifacts the load selftest (TestSelfTestSmallScale) serves and
+# the artifact fixture of the serve, registry, loadgen and
+# cmd/osap-serve tests, which read it at this path.
 # osap-train rebuilds it (~15 s on two vCPUs) and the rebuild must equal
 # the committed file byte for byte. Artifact bits are per platform
 # (DESIGN.md §10), so the bytes are compared on amd64, where the file was

@@ -68,8 +68,11 @@ func TestChaosSmallScale(t *testing.T) {
 //     report the replay's demotions, recoveries, latches and causes,
 //   - the fleet drains cleanly to zero.
 //
-// Chaos runs always use synthetic artifacts: the harness tests the
-// serving fabric, not model quality, and must boot in milliseconds.
+// The schedule alone demotes: a faulted session's scores are pinned to
+// its plan, and a clean session's finite networks never demote it, so
+// the totals do not depend on the networks. The run serves the
+// committed set on Norway, its default dataset, and a quick lab's build
+// on any other.
 //
 // With transport "binary" the step traffic rides the persistent binary
 // protocol instead of HTTP, while the health and metrics scrapes stay
@@ -80,7 +83,7 @@ func TestChaosSmallScale(t *testing.T) {
 // server owns.
 func runChaos(t *testing.T, cfg serve.Config, script, transport string, readmitL, readmitCap int) {
 	clients, steps, seed := scaled(*flagClients, 60), scaled(*flagSteps, 24), scaled(*flagSeed, 7)
-	dataset := scaled(*flagDataset, trace.DatasetGamma22)
+	dataset := scaled(*flagDataset, trace.DatasetNorway)
 	var sched *chaos.Schedule
 	var err error
 	if script == scriptRecovery {
@@ -92,11 +95,7 @@ func runChaos(t *testing.T, cfg serve.Config, script, transport string, readmitL
 		t.Fatal(err)
 	}
 	sc := sched.Config()
-	arts, err := serve.SyntheticArtifacts(dataset, 3, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	factory, err := serve.NewGuardFactory(arts, serve.GuardConfig{Probation: experiments.Probation{ReadmitL: sc.ReadmitL, ReadmitCap: sc.ReadmitCap}})
+	factory, err := serve.NewGuardFactory(servedArtifactsFor(t, dataset, seed), serve.GuardConfig{Probation: experiments.Probation{ReadmitL: sc.ReadmitL, ReadmitCap: sc.ReadmitCap}})
 	if err != nil {
 		t.Fatal(err)
 	}

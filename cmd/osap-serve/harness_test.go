@@ -10,9 +10,11 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"osap/internal/experiments"
 	"osap/internal/learn"
 	"osap/internal/serve"
 	"osap/internal/serve/loadgen"
@@ -25,13 +27,64 @@ import (
 // -args -clients 1000` and the like, which is what `make chaos`, `make
 // rollout-selftest` and `make learn-selftest` run. A zero value keeps
 // each test's own small-scale setting; the load selftest always serves
-// the committed Norway set, whatever -dataset says.
+// the committed Norway set, whatever -dataset says, and the chaos and
+// learn selftests serve it on Norway (servedArtifactsFor).
 var (
 	flagClients = flag.Int("clients", 0, "concurrent synthetic viewers per fleet (0 = the test's own)")
 	flagDataset = flag.String("dataset", "", "chaos, rollout and learn: served dataset (empty = the test's own)")
 	flagSeed    = flag.Uint64("seed", 0, "fault-schedule, fleet and trace seed (0 = the test's own)")
 	flagSteps   = flag.Int("steps", 0, "chaos: decisions per client (0 = the test's own)")
 )
+
+var (
+	servedOnce sync.Once
+	served     *experiments.Artifacts
+	servedErr  error
+)
+
+// servedArtifacts is the committed paper-scale Norway set,
+// testdata/norway.json (`make models-check` rebuilds it with osap-train
+// and compares the bytes), loaded as osap-serve -models loads it, once
+// per test binary. The tests only read it.
+func servedArtifacts(t *testing.T) *experiments.Artifacts {
+	t.Helper()
+	servedOnce.Do(func() { served, servedErr = loadArtifacts(trace.DatasetNorway, "testdata") })
+	if servedErr != nil {
+		t.Fatal(servedErr)
+	}
+	return served
+}
+
+// quickArtifacts trains dataset's set with the quick lab under seed,
+// its config first edited by edit when that is set: a build of its own,
+// its thresholds calibrated as osap-train calibrates them.
+func quickArtifacts(t *testing.T, dataset string, seed uint64, edit func(*experiments.Config)) *experiments.Artifacts {
+	t.Helper()
+	cfg := experiments.QuickConfig()
+	cfg.Seed = seed
+	if edit != nil {
+		edit(&cfg)
+	}
+	lab, err := experiments.NewLab(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := lab.Artifacts(dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// servedArtifactsFor is the set a selftest serves on dataset: the
+// committed set on Norway, the quick lab's under seed on any other.
+func servedArtifactsFor(t *testing.T, dataset string, seed uint64) *experiments.Artifacts {
+	t.Helper()
+	if dataset == trace.DatasetNorway {
+		return servedArtifacts(t)
+	}
+	return quickArtifacts(t, dataset, seed, nil)
+}
 
 // scaled is the flag's value when it was set, otherwise the test's own.
 func scaled[T comparable](flagValue, own T) T {

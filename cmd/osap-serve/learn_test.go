@@ -69,23 +69,21 @@ func TestLearnSmallScale(t *testing.T) {
 	}
 }
 
-// calibrateArtifacts builds the selftest baseline: synthetic networks
-// (decision quality is irrelevant) with an OC-SVM trained on the
-// traffic the selftest itself will generate — a rollout of the served
-// greedy policy over the same trace pool — and U_π/U_V thresholds set
-// generously above the quantiles of their triggers' statistic (the
-// K-window variance the guard and the gate threshold), every
-// signal windowed and trimmed as the synthetic set's record says. By
+// calibrateArtifacts builds the selftest baseline: the networks of the
+// set served on dataset (servedArtifactsFor) with an OC-SVM trained on
+// the traffic the selftest itself will generate — a rollout of the
+// served greedy policy over the same trace pool — and U_π/U_V
+// thresholds set generously above the quantiles of their triggers'
+// statistic (the K-window variance the guard and the gate threshold),
+// every signal windowed and trimmed as the set's record says. By
 // construction honest fleet traffic is in-distribution, so any gate
 // rejection beyond the nu-fraction boundary noise is caused by the
 // drift the phases inject. Also returns a held-out reference grid of
 // observed feature vectors for the boundary-stability assertion.
 func calibrateArtifacts(t *testing.T, dataset string, seed uint64, video *abr.Video, traces []*trace.Trace) (*experiments.Artifacts, [][]float64) {
 	t.Helper()
-	arts, err := serve.SyntheticArtifacts(dataset, 3, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := *servedArtifactsFor(t, dataset, seed) // a copy: its OC-SVM and thresholds are replaced below
+	arts := &base
 	frozen, err := rl.Freeze(arts.Agents, arts.ValueNets)
 	if err != nil {
 		t.Fatal(err)
@@ -141,6 +139,9 @@ func calibrateArtifacts(t *testing.T, dataset string, seed uint64, video *abr.Vi
 	arts.OCSVM = model
 	arts.AlphaPi = calibAlpha(polStats)
 	arts.AlphaV = calibAlpha(valStats)
+	// Twice a quantile is no rule a Provenance names, so the record keeps
+	// its window, l and trim and leaves both thresholds' provenance unknown.
+	arts.Record.AlphaPi, arts.Record.AlphaV = experiments.Provenance{}, experiments.Provenance{}
 	t.Logf("baseline α_π %.6g, α_V %.6g", arts.AlphaPi, arts.AlphaV)
 	return arts, feats[len(feats)-256:]
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"osap/internal/abr"
 	"osap/internal/experiments"
 	"osap/internal/serve"
 	"osap/internal/serve/loadgen"
@@ -58,11 +59,7 @@ func TestSelfTestSmallScale(t *testing.T) {
 		t.Skip("drives a loopback viewer fleet")
 	}
 	clients := scaled(*flagClients, 40)
-	arts, err := loadArtifacts(trace.DatasetNorway, "testdata")
-	if err != nil {
-		t.Fatal(err)
-	}
-	factory, err := serve.NewGuardFactory(arts, serve.GuardConfig{})
+	factory, err := serve.NewGuardFactory(servedArtifacts(t), serve.GuardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +78,8 @@ func TestSelfTestSmallScale(t *testing.T) {
 	}
 	t.Run("nd-fallback", func(t *testing.T) {
 		for _, viewers := range []string{trace.DatasetNorway, trace.DatasetBelgium} {
-			ndFallbackShare(t, cfg, factory, viewers)
+			share := ndFallbackShare(t, cfg, factory, selftestVideo, tracePool(t, viewers, 20200713))
+			t.Logf("ND fallback share on %s viewers: %.3f", viewers, share)
 		}
 	})
 }
@@ -156,20 +154,20 @@ func selftestCell(t *testing.T, cfg serve.Config, factory *serve.GuardFactory, c
 		promValue(t, h.final, "osap_sessions_latched_total"))
 }
 
-// ndFallbackShare plays one episode of the video per ND viewer over
-// traces of the viewers' dataset against the served Norway set, and
-// logs the share of steps the default policy served. It is reported,
-// not gated: a share near 1 on Norway viewers means the guard defaults
-// where the learned policy is worth keeping.
-func ndFallbackShare(t *testing.T, cfg serve.Config, factory *serve.GuardFactory, viewers string) {
+// ndFallbackShare plays one episode of video per ND viewer, 16 viewers
+// over traces, against factory's set, and returns the share of steps
+// the default policy served. The load selftest reports it, not gates
+// it: a share near 1 on Norway viewers means the guard defaults where
+// the learned policy is worth keeping.
+func ndFallbackShare(t *testing.T, cfg serve.Config, factory *serve.GuardFactory, video *abr.Video, traces []*trace.Trace) float64 {
 	const clients = 16
 	h := bootLoopback(t, factory, cfg, clients, true)
 	res, err := loadgen.Run(context.Background(), h.target(loadgen.Config{
 		Clients:        clients,
-		StepsPerClient: selftestVideo.NumChunks(),
+		StepsPerClient: video.NumChunks(),
 		Schemes:        []string{experiments.SchemeND},
-		Video:          selftestVideo,
-		Traces:         tracePool(t, viewers, 20200713),
+		Video:          video,
+		Traces:         traces,
 		Seed:           1,
 	}))
 	if err != nil {
@@ -178,9 +176,8 @@ func ndFallbackShare(t *testing.T, cfg serve.Config, factory *serve.GuardFactory
 	if err := h.drain(); err != nil {
 		t.Fatal(err)
 	}
-	checkCount(t, viewers+" steps served", res.StepsOK, int64(clients*selftestVideo.NumChunks()))
-	t.Logf("ND fallback share on %s viewers: %.3f (%d of %d steps)",
-		viewers, float64(res.Fallbacks)/float64(res.StepsOK), res.Fallbacks, res.StepsOK)
+	checkCount(t, "ND viewer steps served", res.StepsOK, int64(clients*video.NumChunks()))
+	return float64(res.Fallbacks) / float64(res.StepsOK)
 }
 
 // TestLoadArtifactsMissingFile: a -models directory without the

@@ -22,7 +22,7 @@ import (
 )
 
 // microRecipe is the quick lab cut to a micro budget and calibrated
-// under knobs neither the quick lab nor AssumedRecord would pick: 3
+// under knobs neither the quick lab nor the served set's record has: 3
 // members with none discarded, and l = 2.
 func microRecipe() experiments.Config {
 	cfg := experiments.QuickConfig()
@@ -150,11 +150,7 @@ func TestModelsServeTheLabsGuard(t *testing.T) {
 // TestModelsServeV2File: a v2 file — the payload without a record —
 // serves nothing: osap-serve's load refuses it, naming its format.
 func TestModelsServeV2File(t *testing.T) {
-	a, err := serve.SyntheticArtifacts(trace.DatasetNorway, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := experiments.SaveArtifacts(t.TempDir(), a)
+	path, err := experiments.SaveArtifacts(t.TempDir(), servedArtifacts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,5 +173,26 @@ func TestModelsServeV2File(t *testing.T) {
 	}
 	if _, err := loadArtifacts(trace.DatasetNorway, filepath.Dir(path)); err == nil || !strings.Contains(err.Error(), `format "osap-artifacts/v2"`) {
 		t.Fatalf("v2 file: load error %v, want a refusal naming its format", err)
+	}
+}
+
+// TestServedSetCalibrated: the committed set's thresholds were matched
+// to ND's QoE, neither pinned at an end of core.Calibrate's range, under
+// the record every serving test builds its guards from: K 5, l 3, and 2
+// of 5 members discarded, beside 5 value nets.
+func TestServedSetCalibrated(t *testing.T) {
+	a := servedArtifacts(t)
+	r := a.Record
+	for _, p := range []struct {
+		name string
+		prov experiments.Provenance
+	}{{"α_π", r.AlphaPi}, {"α_V", r.AlphaV}} {
+		if p.prov.Rule != experiments.RuleQoEMatched || p.prov.Bound != "" {
+			t.Errorf("%s provenance %+v, want rule %q at no bound", p.name, p.prov, experiments.RuleQoEMatched)
+		}
+	}
+	if r.K != 5 || r.TriggerL != 3 || r.Discard != 2 || len(a.Agents) != 5 || len(a.ValueNets) != 5 {
+		t.Errorf("record %+v over %d agents and %d value nets, want K 5, l 3, discard 2 over 5 and 5",
+			r, len(a.Agents), len(a.ValueNets))
 	}
 }

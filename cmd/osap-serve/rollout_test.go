@@ -278,23 +278,45 @@ type rolloutRun struct {
 	seed    uint64
 	video   *abr.Video
 	traces  []*trace.Trace
-	seq     uint64 // versions published so far
+	seq     uint64 // versions trained so far
 }
 
-// publish writes a synthetic version into the registry. Each version
-// draws from a distinct seed so versions genuinely differ (the hot-swap
-// assertions would be vacuous otherwise); mutate, if set, edits the
-// artifacts before they are written.
-func (r *rolloutRun) publish(t *testing.T, version, parent, notes string, mutate func(*experiments.Artifacts)) {
+// build trains the run's next version: a quick lab build of its
+// dataset. Each version is trained under a distinct seed so versions
+// genuinely differ (the hot-swap assertions would be vacuous
+// otherwise).
+func (r *rolloutRun) build(t *testing.T) *experiments.Artifacts {
 	t.Helper()
 	r.seq++
-	arts, err := serve.SyntheticArtifacts(r.dataset, 3, r.seed+r.seq)
-	if err != nil {
-		t.Fatal(err)
+	return quickArtifacts(t, r.dataset, r.seed+r.seq, nil)
+}
+
+// healthyPair builds the incumbent and the healthy candidate. Two quick
+// builds can fall back on one fleet's traffic at rates 0.3 apart, past
+// the controller's 0.05 rollback margin, so of two builds the candidate
+// is the one whose ND guard defaults on fewer of the run's viewer
+// steps: a healthy canary is no worse than the version it replaces.
+func (r *rolloutRun) healthyPair(t *testing.T) (incumbent, candidate *experiments.Artifacts) {
+	t.Helper()
+	a, b := r.build(t), r.build(t)
+	share := func(arts *experiments.Artifacts) float64 {
+		factory, err := serve.NewGuardFactory(arts, serve.GuardConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ndFallbackShare(t, r.cfg, factory, r.video, r.traces)
 	}
-	if mutate != nil {
-		mutate(arts)
+	sa, sb := share(a), share(b)
+	t.Logf("ND fallback share of the two builds on the run's viewers: %.3f and %.3f", sa, sb)
+	if sa < sb {
+		return b, a
 	}
+	return a, b
+}
+
+// publish writes arts into the registry as version.
+func (r *rolloutRun) publish(t *testing.T, version, parent, notes string, arts *experiments.Artifacts) {
+	t.Helper()
 	if _, err := registry.WriteVersion(r.root, registry.Meta{
 		Version:   version,
 		Parent:    parent,
@@ -308,14 +330,15 @@ func (r *rolloutRun) publish(t *testing.T, version, parent, notes string, mutate
 func runRollout(t *testing.T, cfg serve.Config, dataset string, clients int, seed uint64) {
 	r := &rolloutRun{cfg: cfg, root: t.TempDir(), dataset: dataset, clients: clients, seed: seed,
 		video: abr.SyntheticVideo(seed, 24, 4), traces: tracePool(t, dataset, seed)}
-	r.publish(t, "v1", "", "rollout selftest incumbent", nil)
-	r.phaseA(t)
+	incumbent, candidate := r.healthyPair(t)
+	r.publish(t, "v1", "", "rollout selftest incumbent", incumbent)
+	r.phaseA(t, candidate)
 	r.phaseBC(t)
 }
 
 // phaseA is the healthy-canary scenario: stage → canary share →
 // auto-promote → pinned-session bit-exactness → drift accuracy.
-func (r *rolloutRun) phaseA(t *testing.T) {
+func (r *rolloutRun) phaseA(t *testing.T, candidate *experiments.Artifacts) {
 	h := bootHarness(t, r.cfg, r.root, r.dataset, "v1", r.clients)
 	t.Logf("phase A: healthy canary, %d clients × %d steps per wave on %s", r.clients, rolloutSteps, h.baseURL)
 
@@ -334,7 +357,7 @@ func (r *rolloutRun) phaseA(t *testing.T) {
 	checkCount(t, "phase A wave 1 steps dropped", res1.StepsDropped, 0)
 
 	// Publish v2 mid-run and stage it at a 10% canary.
-	r.publish(t, "v2", "v1", "rollout selftest candidate", nil)
+	r.publish(t, "v2", "v1", "rollout selftest candidate", candidate)
 	if status, body := postJSON(t, h.baseURL+"/admin/rollout",
 		map[string]any{"action": "stage", "version": "v2", "fraction": 0.10}); status != http.StatusOK {
 		t.Errorf("stage v2: status %d: %s", status, body)
@@ -399,12 +422,12 @@ func (r *rolloutRun) phaseBC(t *testing.T) {
 	// vbad is shaped like a healthy artifact and passes checksum
 	// verification — the badness is in the (finite, JSON-encodable)
 	// weights, which overflow at inference and demote every session.
-	r.publish(t, "vbad", "v2", "rollout selftest poisoned candidate", func(arts *experiments.Artifacts) {
-		for _, ag := range arts.Agents {
-			chaos.PoisonNetworks(ag.Actor, ag.Critic)
-		}
-		chaos.PoisonNetworks(arts.ValueNets...)
-	})
+	bad := r.build(t)
+	for _, ag := range bad.Agents {
+		chaos.PoisonNetworks(ag.Actor, ag.Critic)
+	}
+	chaos.PoisonNetworks(bad.ValueNets...)
+	r.publish(t, "vbad", "v2", "rollout selftest poisoned candidate", bad)
 	h := bootHarness(t, r.cfg, r.root, r.dataset, "v2", r.clients)
 	incumbent := h.dashboard(t).Rollout.Active
 	t.Logf("phase B: poisoned canary at 50%% against incumbent %s", incumbent)
@@ -456,7 +479,7 @@ func (r *rolloutRun) phaseBC(t *testing.T) {
 
 	// Phase C: a corrupt version must be refused at stage time while
 	// the server keeps serving.
-	r.publish(t, "vcorrupt", "", "rollout selftest corrupt candidate", nil)
+	r.publish(t, "vcorrupt", "", "rollout selftest corrupt candidate", r.build(t))
 	if _, _, err := chaos.CorruptFile(soleArtifactPath(t, r.root, "vcorrupt"), 3); err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,7 @@ type Record struct {
 	ThroughputWindow int        `json:"throughput_window"`
 	K                int        `json:"k"` // the OC-SVM's dimension is 2K
 	TriggerL         int        `json:"trigger_l"`
-	Discard          int        `json:"discard"`           // members trimmed before U_π/U_V
-	Assumed          bool       `json:"assumed,omitempty"` // written by AssumedRecord, not by a calibration
+	Discard          int        `json:"discard"` // members trimmed before U_π/U_V
 	AlphaPi          Provenance `json:"alpha_pi"`
 	AlphaV           Provenance `json:"alpha_v"`
 }
@@ -92,18 +91,6 @@ func (r Record) StateSignal() core.StateSignalConfig {
 
 // Trim is the record's ensemble trim.
 func (r Record) Trim() core.EnsembleConfig { return core.EnsembleConfig{Discard: r.Discard} }
-
-// AssumedRecord is the record of a set nothing calibrated
-// (serve.SyntheticArtifacts): the paper's l and throughput window, K
-// read off the OC-SVM, and (n−1)/2 of n members discarded — the trim of
-// every config in the tree (3→1, 5→2, 2→0).
-func AssumedRecord(a *Artifacts) Record {
-	r := Record{ThroughputWindow: 10, TriggerL: 3, Discard: (len(a.Agents) - 1) / 2, Assumed: true}
-	if a.OCSVM != nil {
-		r.K = a.OCSVM.Dim / 2
-	}
-	return r
-}
 
 // check reports a record a's guards cannot be built under; decoding
 // runs it, so such a file does not load.

@@ -4,21 +4,29 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 
 	"osap/internal/chaos"
 	"osap/internal/experiments"
 	"osap/internal/registry"
-	"osap/internal/serve"
 )
 
+var (
+	servedOnce sync.Once
+	served     *experiments.Artifacts
+	servedErr  error
+)
+
+// testArtifacts loads the committed paper-scale Norway set osap-serve
+// serves, once per test binary; the tests only read it.
 func testArtifacts(t *testing.T) *experiments.Artifacts {
 	t.Helper()
-	arts, err := serve.SyntheticArtifacts("synthetic", 2, 7)
-	if err != nil {
-		t.Fatalf("synthetic artifacts: %v", err)
+	servedOnce.Do(func() { served, servedErr = experiments.LoadArtifacts("../../cmd/osap-serve/testdata/norway.json") })
+	if servedErr != nil {
+		t.Fatal(servedErr)
 	}
-	return arts
+	return served
 }
 
 func TestWriteLoadRoundTrip(t *testing.T) {

@@ -50,7 +50,7 @@ func TestPolicyInferenceMatchesProbs(t *testing.T) {
 }
 
 // TestValueInferenceMatchesValue checks the workspace-backed value
-// handle is bit-identical to NetValueFn.
+// handle is bit-identical to the critic's own Forward.
 func TestValueInferenceMatchesValue(t *testing.T) {
 	ac, err := NewActorCritic(toyNetConfig(), 9)
 	if err != nil {
@@ -59,7 +59,7 @@ func TestValueInferenceMatchesValue(t *testing.T) {
 	vi := packAlone(t, ac, ac.Critic).Values()[0]
 	for trial := 0; trial < 5; trial++ {
 		obs := infTestObs(ac.Critic.InDim(), uint64(50+trial))
-		want := NetValueFn{Net: ac.Critic}.Value(obs)
+		want := ac.Critic.Forward(obs)[0]
 		if got := vi.Value(obs); got != want {
 			t.Fatalf("trial %d: ValueInference.Value = %v, want %v", trial, got, want)
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"osap/internal/mdp"
-	"osap/internal/nn"
 	"osap/internal/stats"
 )
 
@@ -87,7 +86,11 @@ func TestTrainLearnsCueTask(t *testing.T) {
 		t.Errorf("no learning: early %.2f late %.2f (max 10)", early, late)
 	}
 	// Greedy agent should be near-perfect.
-	scores := EvaluateAgent(toyFactory, agent, 7, 20)
+	env, rng := toyFactory(), stats.NewRNG(7)
+	scores := make([]float64, 20)
+	for i := range scores {
+		scores[i] = mdp.Rollout(env, GreedyPolicy{P: agent}, rng, mdp.RolloutOptions{}).TotalReward()
+	}
 	if m := stats.Mean(scores); m < 8.5 {
 		t.Errorf("greedy mean reward %.2f, want > 8.5/10", m)
 	}
@@ -352,7 +355,7 @@ func TestValueFunctionLearnsReturns(t *testing.T) {
 	// (1-γ^5)/(1-γ) ≈ 4.1. Just check prediction is positive & in range.
 	obs := make([]float64, 8)
 	obs[0], obs[4] = 1, 1
-	v := NetValueFn{Net: net}.Value(obs)
+	v := net.Forward(obs)[0]
 	if v < 1 || v > 10.5 {
 		t.Errorf("trained value %v outside plausible range [1, 10.5]", v)
 	}
@@ -413,19 +416,6 @@ func TestValueTrainErrors(t *testing.T) {
 	}
 	if _, err := TrainValueEnsemble(toyFactory, policy, DefaultValueTrainConfig(), 0); err == nil {
 		t.Error("zero ensemble: expected error")
-	}
-}
-
-func TestPolicyAndValueEnsembleAdapters(t *testing.T) {
-	a, _ := NewActorCritic(toyNetConfig(), 1)
-	b, _ := NewActorCritic(toyNetConfig(), 2)
-	obs := make([]float64, 8)
-	vs := ValueEnsemble([]*nn.Network{a.Critic, b.Critic})
-	if len(vs) != 2 {
-		t.Fatal("bad value ensemble length")
-	}
-	if vs[0].Value(obs) != a.Value(obs) {
-		t.Fatal("value adapter output differs from critic")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"osap/internal/abr"
 	"osap/internal/learn"
 	"osap/internal/stats"
+	"osap/internal/trace"
 )
 
 // TestHotHelpersZeroAlloc pins the //osap:hotpath contracts of the
@@ -59,15 +60,13 @@ func TestHotHelpersZeroAlloc(t *testing.T) {
 // which copy the feature vector into the handoff ring — allocates
 // nothing. The learner's flush interval is an hour so its background
 // goroutine stays quiescent during measurement (AllocsPerRun counts
-// process-wide mallocs), and the artifacts' alphas are relaxed so the
-// untrained ensembles' disagreement never vetoes: admission is decided
-// by U_S alone, on samples drawn from the OC-SVM's own training
-// distribution.
+// process-wide mallocs), and the alphas of a copy of the served set are
+// relaxed so ensemble disagreement never vetoes: admission is decided
+// by U_S alone, on a Norway trace's throughput, the distribution the
+// set's OC-SVM was fit on.
 func TestGateStepZeroAlloc(t *testing.T) {
-	arts, err := SyntheticArtifacts("gatealloc", 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	relaxed := *sharedArtifacts(t)
+	arts := &relaxed
 	arts.AlphaPi, arts.AlphaV = 1e9, 1e9
 	f, err := NewGuardFactory(arts, GuardConfig{})
 	if err != nil {
@@ -92,14 +91,9 @@ func TestGateStepZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Throughput samples from the OC-SVM's training distribution
-	// (3±0.5 Mbps), precomputed so the step loop only writes one obs
-	// slot.
-	rng := stats.NewRNG(42)
-	samples := make([]float64, 4096)
-	for i := range samples {
-		samples[i] = 3 + 0.5*rng.NormFloat64()
-	}
+	// Throughput samples from the OC-SVM's training distribution,
+	// precomputed so the step loop only writes one obs slot.
+	samples := trace.Norway3G().Generate(stats.NewRNG(42), 4096).Mbps
 	const thrIdx = 3*abr.HistoryLen - 1 // throughput row (2), newest slot
 	obs := make([]float64, abr.ObsDim)
 	now := time.Now()

@@ -21,11 +21,7 @@ import (
 func BenchmarkStepHandler(b *testing.B) {
 	for _, scheme := range []string{SchemeND, SchemeAEns, SchemeVEns} {
 		b.Run(scheme, func(b *testing.B) {
-			arts, err := SyntheticArtifacts("bench", 5, 3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			f, err := NewGuardFactory(arts, GuardConfig{})
+			f, err := NewGuardFactory(sharedArtifacts(b), GuardConfig{})
 			if err != nil {
 				b.Fatal(err)
 			}

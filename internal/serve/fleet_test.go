@@ -44,11 +44,7 @@ func checkUntouched(t *testing.T, sess *Session) {
 // count, the rollout state and the learner's refits.
 func drainingFleet(t *testing.T) (srv *Server, state func() string) {
 	t.Helper()
-	arts, err := SyntheticArtifacts("synthetic", 3, 11) // testRolloutServer's boot set
-	if err != nil {
-		t.Fatal(err)
-	}
-	learner, err := learn.New(learn.Config{Artifacts: arts, Extract: abr.LastThroughputMbps, FlushInterval: time.Hour})
+	learner, err := learn.New(learn.Config{Artifacts: sharedArtifacts(t), Extract: abr.LastThroughputMbps, FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,7 @@ func (b *stallBody) Read(p []byte) (int, error) {
 // first draining check and stalls in its body until the snapshot is
 // written: it must be refused under the gate, not run after Drain.
 func TestLearnRefitRacingDrain(t *testing.T) {
-	arts, err := SyntheticArtifacts("synthetic", 3, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
+	arts := sharedArtifacts(t)
 	f, err := NewGuardFactory(arts, GuardConfig{})
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,12 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"osap/internal/abr"
+	"osap/internal/experiments"
 	"osap/internal/serve"
 	"osap/internal/serve/loadgen"
 	"osap/internal/stats"
@@ -26,13 +28,26 @@ func testTraces(t *testing.T, n int) []*trace.Trace {
 	return out
 }
 
+var (
+	servedOnce sync.Once
+	served     *experiments.Artifacts
+	servedErr  error
+)
+
+// servedArtifacts loads the committed paper-scale Norway set osap-serve
+// serves, once per test binary.
+func servedArtifacts(t *testing.T) *experiments.Artifacts {
+	t.Helper()
+	servedOnce.Do(func() { served, servedErr = experiments.LoadArtifacts("../../../cmd/osap-serve/testdata/norway.json") })
+	if servedErr != nil {
+		t.Fatal(servedErr)
+	}
+	return served
+}
+
 func startServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	arts, err := serve.SyntheticArtifacts("loadgen-test", 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := serve.NewGuardFactory(arts, serve.GuardConfig{})
+	f, err := serve.NewGuardFactory(servedArtifacts(t), serve.GuardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -336,11 +336,7 @@ func TestWritePromBenchHistogramsPinned(t *testing.T) {
 // to be named in README.md or DESIGN.md, so that a new counter cannot
 // ship undocumented.
 func TestEveryMetricFamilyDocumented(t *testing.T) {
-	arts, err := SyntheticArtifacts("synthetic", 3, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	learner, err := learn.New(learn.Config{Artifacts: arts, Extract: abr.LastThroughputMbps, FlushInterval: time.Hour})
+	learner, err := learn.New(learn.Config{Artifacts: sharedArtifacts(t), Extract: abr.LastThroughputMbps, FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,12 @@ import (
 	"osap/internal/abr"
 	"osap/internal/chaos"
 	"osap/internal/core"
+	"osap/internal/experiments"
 	"osap/internal/learn"
 	"osap/internal/mdp"
 	"osap/internal/rl"
 	"osap/internal/stats"
+	"osap/internal/trace"
 )
 
 // script pins g's uncertainty stream with the chaos fault wrapper the
@@ -253,7 +255,7 @@ func TestRecoveredSessionEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	const steps, faultAt, readmitL = 20, 6, 4
-	obsSeq := probeObs(t, steps, f.ObsDim())
+	obsSeq := viewerTape(t, steps)
 
 	// Reference: a fresh, unwrapped guard over the full sequence.
 	gB, err := f.NewGuard(SchemeAEns)
@@ -267,7 +269,7 @@ func TestRecoveredSessionEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ref[i].Decision.UsedDefault {
-			t.Fatalf("reference step %d defaulted — pick calmer observations", i)
+			t.Fatalf("reference step %d defaulted on in-distribution traffic", i)
 		}
 	}
 
@@ -307,21 +309,29 @@ func TestRecoveredSessionEquivalence(t *testing.T) {
 	}
 }
 
-// probeObs builds a deterministic observation sequence in the guard's
-// normalized input range; the reference pass asserts the U_π guard
-// never defaults on it.
-func probeObs(t *testing.T, steps, dim int) [][]float64 {
+// viewerTape records the observations of the buffer-based policy
+// streaming the paper-scale evaluation video over a Norway trace: the
+// in-distribution traffic the served set was calibrated on. The
+// reference pass asserts the U_π guard never defaults on it.
+func viewerTape(t *testing.T, steps int) [][]float64 {
 	t.Helper()
+	video := experiments.PaperConfig().EvalVideo
 	rng := stats.NewRNG(1)
-	seq := make([][]float64, steps)
-	for i := range seq {
-		obs := make([]float64, dim)
-		for j := range obs {
-			obs[j] = rng.Float64()
-		}
-		seq[i] = obs
+	env, err := abr.NewEnv(abr.DefaultEnvConfig(video, []*trace.Trace{trace.Norway3G().Generate(rng, 200)}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return seq
+	bb := abr.NewBBPolicy(video.NumLevels())
+	tape := make([][]float64, 0, steps)
+	obs := env.Reset(rng)
+	for len(tape) < steps {
+		tape = append(tape, append([]float64(nil), obs...))
+		next, _, done := env.Step(mdp.ArgmaxAction(bb.Probs(obs)))
+		if obs = next; done {
+			obs = env.Reset(rng)
+		}
+	}
+	return tape
 }
 
 // TestShadowStepZeroAlloc pins the probation shadow path — demoted but

@@ -14,16 +14,14 @@ import (
 	"osap/internal/experiments"
 )
 
-// testRolloutServer boots a server from synthetic v1 artifacts with a
-// LoadVersion hook that serves a healthy differently-seeded build for
-// any requested version (poisoned-candidate behavior is exercised by
-// the cmd/osap-serve rollout selftest, which owns chaos tooling).
+// testRolloutServer boots a server as v1 over the served set, with a
+// LoadVersion hook that serves candidateArtifacts, a healthy build of
+// its own seed, for any requested version (poisoned-candidate behavior
+// is exercised by the cmd/osap-serve rollout selftest, which owns chaos
+// tooling).
 func testRolloutServer(t *testing.T, gcfg GuardConfig, cfg Config) (*Server, *experiments.Artifacts) {
 	t.Helper()
-	arts, err := SyntheticArtifacts("synthetic", 3, 11)
-	if err != nil {
-		t.Fatalf("synthetic artifacts: %v", err)
-	}
+	arts := sharedArtifacts(t)
 	f, err := NewGuardFactory(arts, gcfg)
 	if err != nil {
 		t.Fatalf("factory: %v", err)
@@ -31,11 +29,8 @@ func testRolloutServer(t *testing.T, gcfg GuardConfig, cfg Config) (*Server, *ex
 	cfg.Version = "v1"
 	if cfg.LoadVersion == nil {
 		cfg.LoadVersion = func(version string) (*experiments.Artifacts, string, error) {
-			a2, err := SyntheticArtifacts("synthetic", 3, 12)
-			if err != nil {
-				return nil, "", err
-			}
-			return a2, "feedc0de", nil
+			a, err := loadCandidate()
+			return a, "feedc0de", err
 		}
 	}
 	srv, err := NewServer(f, cfg)
@@ -351,11 +346,12 @@ func TestServerStagePromoteHTTP(t *testing.T) {
 	if dash.Rollout.Active != "v1" || dash.Rollout.Candidate != "v2" || len(dash.Versions) != 2 {
 		t.Fatalf("dashboard state: %+v", dash)
 	}
-	// Each version shows the record its guards are built from: a
-	// synthetic set's, assumed, 3 members trimmed by 1.
+	// Each version shows the record its guards are built from: v1 the
+	// served set's, v2 the candidate's, each as its calibration wrote it.
+	records := map[string]experiments.Record{"v1": sharedArtifacts(t).Record, "v2": candidateArtifacts(t).Record}
 	for _, v := range dash.Versions {
-		if r := v.Record; r == nil || !r.Assumed || r.Discard != 1 || r.K != 5 || r.TriggerL != 3 {
-			t.Errorf("dashboard %s record %+v, want the assumed K 5, l 3, discard 1", v.Version, r)
+		if r := v.Record; r == nil || *r != records[v.Version] || r.AlphaPi.Rule != experiments.RuleQoEMatched {
+			t.Errorf("dashboard %s record %+v, want the calibrated %+v", v.Version, r, records[v.Version])
 		}
 	}
 
@@ -407,7 +403,7 @@ func TestStageRacingDrain(t *testing.T) {
 	srv, _ := testRolloutServer(t, GuardConfig{}, Config{LoadVersion: func(string) (*experiments.Artifacts, string, error) {
 		close(entered)
 		<-release
-		a, err := SyntheticArtifacts("synthetic", 3, 12)
+		a, err := loadCandidate()
 		return a, "feedc0de", err
 	}})
 	ts := httptest.NewServer(srv)
@@ -453,23 +449,20 @@ func TestStageRacingDrain(t *testing.T) {
 }
 
 // TestStageVersionWithItsOwnRecord: a staged version's guards are
-// built from its own record, not the boot version's — a 5-member,
-// K = 10 candidate stages beside a 3-member, K = 5 active version, and
+// built from its own record, not the boot version's — a 3-member,
+// K = 10 candidate stages beside a 5-member, K = 5 active version, and
 // its sessions step with its window and trim.
 func TestStageVersionWithItsOwnRecord(t *testing.T) {
-	srv, _ := testRolloutServer(t, GuardConfig{}, Config{LoadVersion: func(string) (*experiments.Artifacts, string, error) {
-		a, err := SyntheticArtifacts("synthetic", 5, 12)
-		if err != nil {
-			return nil, "", err
-		}
-		return withWindow(t, a, 10), "feedc0de", nil
-	}})
+	srv, _ := testRolloutServer(t, GuardConfig{}, Config{})
 	v2, err := srv.loadGeneration("v2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := v2.factory.cal.Record; r.K != 10 || r.Discard != 2 {
-		t.Fatalf("candidate record %+v, want K 10 and discard 2", r)
+	if r := v2.factory.cal.Record; r.K != 10 || r.Discard != 1 || len(candidateArtifacts(t).Agents) != 3 {
+		t.Fatalf("candidate record %+v over %d members, want K 10 and discard 1 over 3", r, len(candidateArtifacts(t).Agents))
+	}
+	if r := srv.factory.cal.Record; r.K != 5 || r.Discard != 2 {
+		t.Fatalf("active record %+v, want K 5 and discard 2", r)
 	}
 	if _, err := srv.rollout.Stage(v2, 1, time.Unix(0, 0)); err != nil {
 		t.Fatal(err)
@@ -491,11 +484,7 @@ func TestStageVersionWithItsOwnRecord(t *testing.T) {
 }
 
 func TestStageWithoutRegistry(t *testing.T) {
-	arts, err := SyntheticArtifacts("synthetic", 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewGuardFactory(arts, GuardConfig{})
+	f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

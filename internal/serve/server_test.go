@@ -16,29 +16,64 @@ import (
 	"osap/internal/abr"
 	"osap/internal/core"
 	"osap/internal/experiments"
-	"osap/internal/ocsvm"
+	"osap/internal/trace"
 )
+
+// servedSet is the committed paper-scale Norway set osap-serve serves
+// (`make models-check` rebuilds it): every test's artifact fixture.
+const servedSet = "../../cmd/osap-serve/testdata/norway.json"
 
 var (
 	testArtsOnce sync.Once
 	testArts     *experiments.Artifacts
+	testArtsErr  error
+
+	candidateOnce sync.Once
+	candidate     *experiments.Artifacts
+	candidateErr  error
 )
 
-// sharedArtifacts builds one synthetic artifact set per test binary;
-// artifacts are read-only so every server can share them.
+// sharedArtifacts loads the served set once per test binary; artifacts
+// are read-only so every server can share them. A test that edits its
+// set, or must own every network of it, loads its own copy.
 func sharedArtifacts(t testing.TB) *experiments.Artifacts {
 	t.Helper()
-	testArtsOnce.Do(func() {
-		a, err := SyntheticArtifacts("testdist", 3, 7)
-		if err != nil {
-			t.Fatalf("synthetic artifacts: %v", err)
-		}
-		testArts = a
-	})
-	if testArts == nil {
-		t.Fatal("artifact construction failed earlier")
+	testArtsOnce.Do(func() { testArts, testArtsErr = experiments.LoadArtifacts(servedSet) })
+	if testArtsErr != nil {
+		t.Fatal(testArtsErr)
 	}
 	return testArts
+}
+
+// candidateArtifacts is a second Norway build, trained once per test
+// binary by the quick lab under a seed of its own and calibrated under
+// a U_S window of k = 10: 3 members trimmed by 1 and a 20-dim OC-SVM,
+// beside the served set's 5 members trimmed by 2 and k = 5. It is the
+// version testRolloutServer stages.
+func candidateArtifacts(t testing.TB) *experiments.Artifacts {
+	t.Helper()
+	a, err := loadCandidate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// loadCandidate is candidateArtifacts for a LoadVersion hook, which
+// reports its error instead of failing the test.
+func loadCandidate() (*experiments.Artifacts, error) {
+	candidateOnce.Do(func() {
+		cfg := experiments.QuickConfig()
+		cfg.Seed = 12
+		cfg.StateKEmpirical = cfg.StateKSynthetic
+		lab, err := experiments.NewLab(cfg)
+		if err != nil {
+			candidateErr = err
+			return
+		}
+		candidate, candidateErr = lab.Artifacts(trace.DatasetNorway)
+	})
+	return candidate, candidateErr
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -469,22 +504,22 @@ func TestGuardFactoryValidation(t *testing.T) {
 	}
 	// A calibration knob is a check against the record: its own value
 	// passes, any other is refused naming both.
-	if _, err := NewGuardFactory(arts, GuardConfig{TriggerL: 3, Trim: core.EnsembleConfig{Discard: 1}}); err != nil {
+	if _, err := NewGuardFactory(arts, GuardConfig{TriggerL: 3, Trim: core.EnsembleConfig{Discard: 2}}); err != nil {
 		t.Errorf("the record's own knobs refused: %v", err)
 	}
 	bad := GuardConfig{StateSignal: core.StateSignalConfig{ThroughputWindow: 10, K: 20}}
 	if _, err := NewGuardFactory(arts, bad); err == nil || !strings.Contains(err.Error(), "K 20") || !strings.Contains(err.Error(), "under 5") {
 		t.Errorf("a window other than the record's: err %v, want one naming K 20 and 5", err)
 	}
-	// A set with no record windows U_S as its OC-SVM was fit: a k = 10
-	// model (the quick-scale synthetic datasets') serves ND.
-	wide := withWindow(t, arts, 10)
+	// A set calibrated under another window serves ND under its own: a
+	// k = 10 build (the quick lab's synthetic-dataset window).
+	wide := candidateArtifacts(t)
 	fw, err := NewGuardFactory(wide, GuardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := fw.cal.Record.K; k != 10 {
-		t.Errorf("assumed K = %d, want 10 from a %d-dim OC-SVM", k, wide.OCSVM.Dim)
+	if k := fw.cal.Record.K; k != 10 || wide.OCSVM.Dim != 20 {
+		t.Errorf("record K = %d beside a %d-dim OC-SVM, want 10 and 20", k, wide.OCSVM.Dim)
 	}
 	if _, err := fw.NewGuard(SchemeND); err != nil {
 		t.Error(err)
@@ -523,25 +558,7 @@ func TestNewServerValidation(t *testing.T) {
 	}
 }
 
-// withWindow is a copy of arts whose OC-SVM was fit on U_S features of
-// window k, under the record a set with no record of its own gets.
-func withWindow(t *testing.T, arts *experiments.Artifacts, k int) *experiments.Artifacts {
-	t.Helper()
-	series := make([]float64, 200)
-	for i := range series {
-		series[i] = 3 + float64(i%7)/10
-	}
-	model, err := ocsvm.Train(core.BuildStateFeatures(series, core.StateSignalConfig{ThroughputWindow: 10, K: k}), ocsvm.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide := *arts
-	wide.OCSVM = model
-	wide.Record = experiments.AssumedRecord(&wide)
-	return &wide
-}
-
-// TestSyntheticEnsembleScores: a 3-member synthetic set keeps 2 members
+// TestSyntheticEnsembleScores: the served set keeps 3 of its 5 members
 // under its record, so its A-ensemble guard scores disagreement instead
 // of the constant 0 one surviving member gives.
 func TestSyntheticEnsembleScores(t *testing.T) {
@@ -558,5 +575,5 @@ func TestSyntheticEnsembleScores(t *testing.T) {
 			return
 		}
 	}
-	t.Fatal("a 3-member A-ensemble scored 0 on every step of the tape")
+	t.Fatal("a 5-member A-ensemble scored 0 on every step of the tape")
 }

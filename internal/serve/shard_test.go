@@ -15,13 +15,14 @@ import (
 	"osap/internal/abr"
 	"osap/internal/chaos"
 	"osap/internal/core"
+	"osap/internal/experiments"
 	"osap/internal/learn"
 	"osap/internal/mdp"
 	"osap/internal/nn"
 	"osap/internal/stats"
 )
 
-// batchTestServer builds a server over the shared synthetic artifacts.
+// batchTestServer builds a server over the shared served set.
 func batchTestServer(t testing.TB) *Server {
 	t.Helper()
 	f, err := NewGuardFactory(sharedArtifacts(t), GuardConfig{})
@@ -115,7 +116,7 @@ func TestBatchedMatchesSequential(t *testing.T) {
 
 	schemes := s.factory.Schemes()
 	if len(schemes) != 3 {
-		t.Fatalf("want all 3 schemes from synthetic artifacts, got %v", schemes)
+		t.Fatalf("want all 3 schemes from the served set, got %v", schemes)
 	}
 	const perScheme, steps = 4, 60
 	dim := s.factory.ObsDim()
@@ -316,13 +317,14 @@ func BenchmarkBatchedStep(b *testing.B) {
 // reference guard serves the actor's own distribution, which
 // GreedyInference passes through when it is non-finite.
 func TestPoisonedArtifactDemotesOnTheSameStep(t *testing.T) {
-	arts, err := SyntheticArtifacts("poisoned", 3, 11)
+	arts, err := experiments.LoadArtifacts(servedSet) // a copy of its own: the poison edits it
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ag := range arts.Agents {
-		chaos.PoisonNetworks(ag.Actor, ag.Critic) // the value ensemble is these critics
+		chaos.PoisonNetworks(ag.Actor, ag.Critic)
 	}
+	chaos.PoisonNetworks(arts.ValueNets...)
 	f, err := NewGuardFactory(arts, GuardConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -556,14 +558,14 @@ func TestSessionFootprint(t *testing.T) {
 }
 
 // TestGenerationFootprint: a serving generation holds no float64
-// network. A server over a 5-member set keeps only the packed copies its
-// guards read, so once the caller drops the set every one of its
-// networks is collected, and the sessions opened before still decide
-// bit for bit as guards built while the set was alive. It logs the heap
-// the generation retains with the set and without it.
+// network. A server over the 5-member served set keeps only the packed
+// copies its guards read, so once the caller drops the set every one of
+// its networks is collected, and the sessions opened before still
+// decide bit for bit as guards built while the set was alive. It logs
+// the heap the generation retains with the set and without it.
 func TestGenerationFootprint(t *testing.T) {
 	base := liveHeap()
-	arts, err := SyntheticArtifacts("generation", 5, 11)
+	arts, err := experiments.LoadArtifacts(servedSet) // not sharedArtifacts: this test must own every network
 	if err != nil {
 		t.Fatal(err)
 	}

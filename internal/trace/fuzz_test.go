@@ -53,6 +53,7 @@ func FuzzReadMahiMahi(f *testing.F) {
 	f.Add("abc\n", 0)
 	f.Add("", 3)
 	f.Add("-7\n", 0)
+	f.Add("-1\n0\n", 0)
 	f.Add("99999999999999\n", 0)
 	f.Fuzz(func(t *testing.T, input string, duration int) {
 		if duration < 0 || duration > 10000 {

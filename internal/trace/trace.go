@@ -139,14 +139,15 @@ func (t *Trace) WriteMahiMahi(w io.Writer) error {
 // ReadMahiMahi parses a MahiMahi packet-delivery trace back into a
 // per-second Mbps series. durationSec > 0 forces the output length
 // (zero-filling trailing idle seconds); pass 0 to infer the duration from
-// the last timestamp. A timestamp past one day is refused.
+// the last timestamp. Timestamps are 1-based, so one below 1 ms is
+// refused, as is one past one day.
 //
 //osap:ignore deadcode the reference reader cmd/tracegen's tests check its MahiMahi output with
 func ReadMahiMahi(r io.Reader, name string, durationSec int) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	var counts []int
 	lineNo := 0
-	last := -1
+	last := 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -156,6 +157,9 @@ func ReadMahiMahi(r io.Reader, name string, durationSec int) (*Trace, error) {
 		ts, err := strconv.Atoi(line)
 		if err != nil {
 			return nil, fmt.Errorf("trace: mahimahi line %d: %w", lineNo, err)
+		}
+		if ts < 1 {
+			return nil, fmt.Errorf("trace: mahimahi line %d: timestamp %d ms is below 1 ms", lineNo, ts)
 		}
 		if ts < last {
 			return nil, fmt.Errorf("trace: mahimahi line %d: timestamps not monotone", lineNo)

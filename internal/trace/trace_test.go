@@ -121,6 +121,20 @@ func TestReadMahiMahiErrors(t *testing.T) {
 	if _, err := ReadMahiMahi(strings.NewReader(""), "x", 0); err == nil {
 		t.Error("empty: expected error")
 	}
+	// Timestamps are 1-based: one below 1 ms is refused, naming its line
+	// and value, before the monotonicity check could take it for a packet.
+	for _, c := range []struct{ in, line, ts string }{
+		{"0\n", "line 1", "timestamp 0 ms"},
+		{"-1\n", "line 1", "timestamp -1 ms"},
+		{"-5\n", "line 1", "timestamp -5 ms"},
+		{"-1\n0\n", "line 1", "timestamp -1 ms"},
+		{"1\n2\n0\n", "line 3", "timestamp 0 ms"},
+	} {
+		_, err := ReadMahiMahi(strings.NewReader(c.in), "x", 0)
+		if err == nil || !strings.Contains(err.Error(), c.line) || !strings.Contains(err.Error(), c.ts) {
+			t.Errorf("%q: err = %v, want one naming %s and %s", c.in, err, c.line, c.ts)
+		}
+	}
 	// Past one day: refused before the per-second counts grow to it. The
 	// bound is checked first and fatally, so a reader without it never
 	// reaches the line that would exhaust memory.
