@@ -109,7 +109,7 @@ results-check:
 
 # The served set: cmd/osap-serve/testdata/norway.json, the paper-scale
 # Norway artifacts the load selftest (TestSelfTestSmallScale) serves and
-# the artifact fixture of the serve, registry, loadgen and
+# the artifact fixture of the serve, registry, loadgen, learn and
 # cmd/osap-serve tests, which read it at this path.
 # osap-train rebuilds it (~15 s on two vCPUs) and the rebuild must equal
 # the committed file byte for byte. Artifact bits are per platform
@@ -198,9 +198,10 @@ bench-pairs:
 # Both assert no crash, no dropped step, every session's demoted flag
 # at every step against the schedule's replay of the session state
 # machine, the replay's exact totals on /metrics, /healthz and
-# /dashboard, and a clean drain. Overload is injected by HTTP
-# middleware on one transport and per frame on the other; the totals
-# are the same.
+# /dashboard, and a clean drain. Overload is injected by the server's
+# one request-fault seam (chaos.Schedule.RequestFaults), per HTTP
+# request on one transport and per frame on the other; the totals are
+# the same.
 chaos:
 	$(GO) test -race -count=1 -v -run '^TestChaosSmallScale$$/^(chaos|recovery)-(http|binary)$$' ./cmd/osap-serve \
 		-args -clients 1000 -steps 48 -seed 20200713 -dataset norway

@@ -1,8 +1,10 @@
 package main
 
 // The learn selftest: an end-to-end proof of gated selective online
-// learning (DESIGN.md §14). It calibrates a baseline on its own honest
-// traffic, publishes it as v1, and drives two scripted phases:
+// learning (DESIGN.md §14). It publishes the set served on the dataset
+// as v1 — its OC-SVM and calibrated thresholds, a threshold its QoE
+// search left at a bound replaced by the learner's refit rule — and
+// drives two scripted phases:
 //
 //	A. poisoning resistance — a 25% adversarial fleet misreports
 //	   throughput drifting 0.1% per step while the honest majority
@@ -26,7 +28,6 @@ import (
 	"math"
 	"net/http"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -51,6 +52,7 @@ const (
 	learnAdvDrift  = 1.001 // adversary: +0.1% misreported throughput per step
 	learnCoopDrift = 1.0003
 	learnGridTol   = 0.10 // max refit-vs-baseline disagreement on the reference grid
+	learnQuantile  = 0.95 // a learn refit's threshold quantile (internal/learn's alphaQuantile)
 )
 
 // TestLearnSmallScale runs the learn selftest (both phases, every
@@ -69,20 +71,20 @@ func TestLearnSmallScale(t *testing.T) {
 	}
 }
 
-// calibrateArtifacts builds the selftest baseline: the networks of the
-// set served on dataset (servedArtifactsFor) with an OC-SVM trained on
-// the traffic the selftest itself will generate — a rollout of the
-// served greedy policy over the same trace pool — and U_π/U_V
-// thresholds set generously above the quantiles of their triggers'
-// statistic (the K-window variance the guard and the gate threshold),
-// every signal windowed and trimmed as the set's record says. By
-// construction honest fleet traffic is in-distribution, so any gate
-// rejection beyond the nu-fraction boundary noise is caused by the
-// drift the phases inject. Also returns a held-out reference grid of
-// observed feature vectors for the boundary-stability assertion.
+// calibrateArtifacts builds the selftest baseline: a copy of the set
+// served on dataset (servedArtifactsFor), its OC-SVM and thresholds
+// kept. A threshold whose record names a search bound (the QoE target
+// lay out of the search's reach, so α sits at an end of its range and
+// may close or open the gate outright) is replaced as a learn refit
+// sets one: the learnQuantile of its trigger's statistic (the K-window
+// variance the guard and the gate threshold) over a rollout of the
+// served greedy policy on the selftest's own video and trace pool,
+// every signal windowed and trimmed as the set's record says. Also
+// returns a held-out reference grid of that rollout's feature vectors
+// for the boundary-stability assertion.
 func calibrateArtifacts(t *testing.T, dataset string, seed uint64, video *abr.Video, traces []*trace.Trace) (*experiments.Artifacts, [][]float64) {
 	t.Helper()
-	base := *servedArtifactsFor(t, dataset, seed) // a copy: its OC-SVM and thresholds are replaced below
+	base := *servedArtifactsFor(t, dataset, seed) // a copy: a bound threshold is replaced below
 	arts := &base
 	frozen, err := rl.Freeze(arts.Agents, arts.ValueNets)
 	if err != nil {
@@ -120,7 +122,7 @@ func calibrateArtifacts(t *testing.T, dataset string, seed uint64, video *abr.Vi
 		if done {
 			// Fleet clients never reset their server sessions across
 			// episodes, so the featurizer streams across the boundary
-			// too — keep calibration identical.
+			// too — keep the rollout identical.
 			obs = env.Reset(rng)
 		} else {
 			obs = next
@@ -128,35 +130,27 @@ func calibrateArtifacts(t *testing.T, dataset string, seed uint64, video *abr.Vi
 	}
 	feats := core.BuildStateFeatures(thrs, arts.Record.StateSignal())
 	if len(feats) < 512 {
-		t.Fatalf("calibration yielded only %d features", len(feats))
+		t.Fatalf("the rollout yielded only %d features", len(feats))
 	}
-	ocfg := ocsvm.DefaultConfig()
-	ocfg.Seed = seed
-	model, err := ocsvm.Train(feats, ocfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, th := range []struct {
+		name  string
+		alpha *float64
+		prov  *experiments.Provenance
+		stat  []float64
+	}{
+		{"α_π", &arts.AlphaPi, &arts.Record.AlphaPi, polStats},
+		{"α_V", &arts.AlphaV, &arts.Record.AlphaV, valStats},
+	} {
+		if th.prov.Bound != "" {
+			sorted := slices.Clone(th.stat)
+			slices.Sort(sorted)
+			t.Logf("%s %.6g at the search's %s bound: replaced by the q%g of %d honest statistics", th.name, *th.alpha, th.prov.Bound, learnQuantile, len(sorted))
+			*th.alpha = sorted[int(learnQuantile*float64(len(sorted)-1))]
+			*th.prov = experiments.Provenance{Rule: experiments.RuleQuantile, Target: learnQuantile, Evals: len(sorted)}
+		}
+		t.Logf("baseline %s %.6g (%+v)", th.name, *th.alpha, *th.prov)
 	}
-	arts.OCSVM = model
-	arts.AlphaPi = calibAlpha(polStats)
-	arts.AlphaV = calibAlpha(valStats)
-	// Twice a quantile is no rule a Provenance names, so the record keeps
-	// its window, l and trim and leaves both thresholds' provenance unknown.
-	arts.Record.AlphaPi, arts.Record.AlphaV = experiments.Provenance{}, experiments.Provenance{}
-	t.Logf("baseline α_π %.6g, α_V %.6g", arts.AlphaPi, arts.AlphaV)
 	return arts, feats[len(feats)-256:]
-}
-
-// calibAlpha sets a gate threshold to twice the q0.99 of the trigger
-// statistic on honest traffic: generous enough that honest ensemble
-// disagreement never rejects, tight enough that the signal stays live.
-func calibAlpha(stat []float64) float64 {
-	sorted := append([]float64(nil), stat...)
-	sort.Float64s(sorted)
-	a := 2 * sorted[int(0.99*float64(len(sorted)-1))]
-	if !(a > 0) {
-		a = 0.05
-	}
-	return a
 }
 
 // learnRun is one learn selftest's registry, calibrated baseline and
@@ -177,12 +171,12 @@ func runLearn(t *testing.T, cfg serve.Config, dataset string, clients int, seed 
 	tmp := t.TempDir()
 	r := &learnRun{cfg: cfg, root: tmp + "/registry", dataset: dataset, clients: clients, seed: seed,
 		video: abr.SyntheticVideo(seed, 24, 4), traces: tracePool(t, dataset, seed)}
-	t.Logf("calibrating baseline on honest %s traffic...", dataset)
+	t.Logf("building the baseline from the set served on %s...", dataset)
 	r.base, r.grid = calibrateArtifacts(t, dataset, seed, r.video, r.traces)
 	if _, err := registry.WriteVersion(r.root, registry.Meta{
 		Version:   "v1",
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
-		Notes:     "learn selftest calibrated baseline",
+		Notes:     "learn selftest baseline",
 	}, r.base); err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +193,11 @@ func (r *learnRun) boot(t *testing.T, opts learn.Config) (*rolloutHarness, *lear
 	arts, err := bootFromRegistry(&cfg, r.root, r.dataset, opts.ParentVersion)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if math.Float64bits(arts.AlphaPi) != math.Float64bits(r.base.AlphaPi) ||
+		math.Float64bits(arts.AlphaV) != math.Float64bits(r.base.AlphaV) || arts.Record != r.base.Record {
+		t.Fatalf("booted α_π %v, α_V %v under %+v; the baseline published %v, %v under %+v",
+			arts.AlphaPi, arts.AlphaV, arts.Record, r.base.AlphaPi, r.base.AlphaV, r.base.Record)
 	}
 	reg, err := registry.Open(r.root)
 	if err != nil {

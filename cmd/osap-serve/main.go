@@ -17,8 +17,9 @@
 // POST /v1/sessions/{id}/step {"obs":[...]}, POST /v1/sessions/{id}/reset,
 // DELETE /v1/sessions/{id}, GET /healthz, GET /metrics (Prometheus text).
 // The binary listener speaks the framed protocol documented in
-// internal/serve/proto (and DESIGN.md §10): one connection per
-// session, Hello/Welcome handshake, Step/Decision frames.
+// internal/serve/proto (and DESIGN.md §10): a Hello/Welcome handshake,
+// then Open/Step/Decision frames of any number of sessions on one
+// connection, each session told apart by its channel id.
 //
 // SIGINT/SIGTERM triggers graceful drain: admissions stop (503 /
 // GoAway), in-flight steps finish, binary connections are told to go
@@ -76,7 +77,6 @@ func newOptions(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.binAddr, "binary-addr", "", "binary-protocol listen address (empty = HTTP only)")
 	fs.StringVar(&o.models, "models", "", "directory of pre-trained artifacts (osap-train -out output); this or -registry is required")
 	fs.StringVar(&o.registry, "registry", "", "versioned artifact registry root (osap-train -registry output); overrides -models")
-	fs.Float64Var(&o.cfg.Rollout.CanaryFraction, "canary-fraction", 0, "fraction of new sessions routed to a staged candidate (0 = default 0.10)")
 	fs.Float64Var(&o.cfg.Rollout.RollbackMargin, "rollback-margin", 0, "excess candidate demotion/fallback rate that triggers auto-rollback (0 = default 0.05)")
 	fs.StringVar(&o.dataset, "dataset", trace.DatasetNorway, "training distribution to serve")
 	fs.IntVar(&o.cfg.MaxSessions, "max-sessions", 10000, "admission-control cap on live sessions (0 = unlimited)")

@@ -25,7 +25,7 @@ func TestServingFlagsOnly(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"addr", "binary-addr", "canary-fraction", "dataset", "learn-log", "learn-refit-every",
+		"addr", "binary-addr", "dataset", "learn-log", "learn-refit-every",
 		"max-sessions", "models", "readmit-cap", "readmit-l", "registry",
 		"rollback-margin", "session-ttl", "version",
 	}

@@ -82,7 +82,6 @@ func bootHarness(t *testing.T, base serve.Config, root, dataset, incumbent strin
 	t.Helper()
 	cfg := base
 	cfg.Rollout = serve.RolloutConfig{
-		CanaryFraction: 0.10,
 		RollbackMargin: 0.05,
 		MinSamples:     clients / 2,
 		MinSessions:    clients / 50,

@@ -90,7 +90,7 @@ type Config struct {
 	Trim         core.EnsembleConfig
 	// Extract is not read: the gate's U_S reads the throughput sample
 	// as every served guard does, through experiments.Signal. It stays
-	// so that callers which still set it keep compiling.
+	// only because the bench's ladder (bench/ladder.go) still sets it.
 	Extract func(obs []float64) float64
 
 	// RefitEvery, when > 0, triggers an automatic refit every

@@ -10,75 +10,88 @@ import (
 	"osap/internal/abr"
 	"osap/internal/core"
 	"osap/internal/experiments"
-	"osap/internal/nn"
-	"osap/internal/ocsvm"
+	"osap/internal/mdp"
 	"osap/internal/registry"
 	"osap/internal/rl"
 	"osap/internal/stats"
+	"osap/internal/trace"
 )
 
 // thrSlot is the newest throughput-history slot in an ABR observation
-// (row 2, last position); the gate's Extract reads Mbps from it.
+// (row 2, last position), the sample the gate's U_S reads.
 const thrSlot = 3*abr.HistoryLen - 1
 
-// learnArtifacts builds a baseline artifact set on an OC-SVM trained
-// from a stationary 3±0.5 Mbps series, with freshly initialized
-// (untrained) ensembles — inference cost and disagreement behavior are
-// realistic, decision quality is irrelevant here — recorded under the
-// paper's knobs (discard 2 of however many members).
-func learnArtifacts(t testing.TB, ensemble int, alphaPi, alphaV float64) *experiments.Artifacts {
+// servedSet is the committed paper-scale Norway set osap-serve serves
+// (`make models-check` rebuilds it): the baseline every gate here
+// judges against.
+const servedSet = "../../cmd/osap-serve/testdata/norway.json"
+
+var (
+	servedOnce sync.Once
+	served     *experiments.Artifacts
+	servedErr  error
+)
+
+// sharedArtifacts loads the served set once per test binary. Tests
+// only read it; one that needs other thresholds edits a copy of its
+// own (a := *sharedArtifacts(t)).
+func sharedArtifacts(t testing.TB) *experiments.Artifacts {
 	t.Helper()
-	netCfg := rl.DefaultNetConfig()
-	agents := make([]*rl.ActorCritic, ensemble)
-	for i := range agents {
-		ac, err := rl.NewActorCritic(netCfg, 0x51ED+uint64(i)*0x9E37)
-		if err != nil {
-			t.Fatal(err)
-		}
-		agents[i] = ac
+	servedOnce.Do(func() { served, servedErr = experiments.LoadArtifacts(servedSet) })
+	if servedErr != nil {
+		t.Fatal(servedErr)
 	}
-	valueNets := make([]*nn.Network, ensemble)
-	for i, a := range agents {
-		valueNets[i] = a.Critic
-	}
-	rng := stats.NewRNG(0xFEED)
-	series := make([]float64, 400)
-	for i := range series {
-		series[i] = 3 + 0.5*rng.NormFloat64()
-	}
-	feats := core.BuildStateFeatures(series, core.DefaultStateSignalConfig())
-	model, err := ocsvm.Train(feats, ocsvm.DefaultConfig())
+	return served
+}
+
+// viewerTape records n observations of the buffer-based policy
+// streaming the paper-scale evaluation video over a Norway trace drawn
+// under seed: the in-distribution traffic the served set was
+// calibrated on. Episodes follow one another on the tape, as a fleet
+// client streams them into one session.
+func viewerTape(t testing.TB, seed uint64, n int) [][]float64 {
+	t.Helper()
+	video := experiments.PaperConfig().EvalVideo
+	rng := stats.NewRNG(seed)
+	env, err := abr.NewEnv(abr.DefaultEnvConfig(video, []*trace.Trace{trace.Norway3G().Generate(rng, 200)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &experiments.Artifacts{
-		Agents:    agents,
-		ValueNets: valueNets,
-		Calibration: experiments.Calibration{
-			Dataset: "learntest",
-			OCSVM:   model,
-			AlphaPi: alphaPi,
-			AlphaV:  alphaV,
-			Record:  experiments.Record{ThroughputWindow: 10, K: 5, TriggerL: 3, Discard: 2},
-		},
+	bb := abr.NewBBPolicy(video.NumLevels())
+	tape := make([][]float64, 0, n)
+	obs := env.Reset(rng)
+	for len(tape) < n {
+		tape = append(tape, slices.Clone(obs))
+		next, _, done := env.Step(mdp.ArgmaxAction(bb.Probs(obs)))
+		if obs = next; done {
+			obs = env.Reset(rng)
+		}
 	}
+	return tape
+}
+
+// tapeFeatures is the U_S feature vectors of a tape's throughput
+// samples, windowed as the set's record says: what a gate admitting
+// every step would log.
+func tapeFeatures(arts *experiments.Artifacts, tape [][]float64) [][]float64 {
+	thr := make([]float64, len(tape))
+	for i, obs := range tape {
+		thr[i] = abr.LastThroughputMbps(obs)
+	}
+	return core.BuildStateFeatures(thr, arts.Record.StateSignal())
 }
 
 func TestGateLifecycleInDistribution(t *testing.T) {
-	arts := learnArtifacts(t, 4, 1e9, 1e9)
-	l := newTestLearner(t, arts, nil)
+	l := newTestLearner(t, sharedArtifacts(t), nil)
 	defer l.Stop() //nolint:errcheck
 	g, err := l.NewGate(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rng := stats.NewRNG(1)
-	obs := make([]float64, abr.ObsDim)
 	counts := make(map[Verdict]int)
 	const steps = 200
-	for i := 0; i < steps; i++ {
-		obs[thrSlot] = (3 + 0.5*rng.NormFloat64()) / 10
+	for _, obs := range viewerTape(t, 1, steps) {
 		counts[g.Check(obs)]++
 	}
 
@@ -122,34 +135,28 @@ func TestGateLifecycleInDistribution(t *testing.T) {
 }
 
 func TestGateRejectsDistributionShift(t *testing.T) {
-	arts := learnArtifacts(t, 4, 1e9, 1e9)
+	arts := sharedArtifacts(t)
 	l := newTestLearner(t, arts, nil)
 	defer l.Stop() //nolint:errcheck
 	g := unlimitedGate(t, l)
 
-	rng := stats.NewRNG(2)
-	obs := make([]float64, abr.ObsDim)
-	for i := 0; i < 60; i++ {
-		obs[thrSlot] = (3 + 0.5*rng.NormFloat64()) / 10
+	// A 10× throughput shift: once the feature window has fully turned
+	// over (ThroughputWindow + K steps), every step must be rejected as
+	// out-of-distribution — this is the poisoning ratchet.
+	const warm = 60
+	turnover := arts.Record.ThroughputWindow + arts.Record.K
+	tape := viewerTape(t, 2, warm+turnover+40)
+	for _, obs := range tape[:warm] {
 		g.Check(obs)
 	}
 	if l.Counters().Admitted.Load() == 0 {
 		t.Fatal("no admissions during the honest warm phase")
 	}
-
-	// A 10× throughput shift: once the feature window has fully turned
-	// over (ThroughputWindow + K steps), every step must be rejected as
-	// out-of-distribution — this is the poisoning ratchet.
-	sig := core.DefaultStateSignalConfig()
-	turnover := sig.ThroughputWindow + sig.K
-	for i := 0; i < turnover; i++ {
-		obs[thrSlot] = (30 + 0.5*rng.NormFloat64()) / 10
-		g.Check(obs)
-	}
-	for i := 0; i < 40; i++ {
-		obs[thrSlot] = (30 + 0.5*rng.NormFloat64()) / 10
-		if v := g.Check(obs); v != VerdictState {
-			t.Fatalf("shifted step %d: verdict %v, want VerdictState", i, v)
+	for i, obs := range tape[warm:] {
+		obs = slices.Clone(obs)
+		abr.ScaleThroughputHistory(obs, 10)
+		if v := g.Check(obs); i >= turnover && v != VerdictState {
+			t.Fatalf("shifted step %d: verdict %v, want VerdictState", i-turnover, v)
 		}
 	}
 	if l.Counters().Rejected(VerdictState) == 0 {
@@ -157,22 +164,50 @@ func TestGateRejectsDistributionShift(t *testing.T) {
 	}
 }
 
+// TestGateRefusesDrift: a viewer whose reported throughput drifts
+// 0.1% per step, compounded as loadgen's adversary reports it, is
+// refused more often as state_ood and admitted less often than its
+// honest twin on the same tape, with no rate limit to level the two.
+func TestGateRefusesDrift(t *testing.T) {
+	l := newTestLearner(t, sharedArtifacts(t), nil)
+	defer l.Stop() //nolint:errcheck
+	const drift = 1.001
+	for seed := uint64(1); seed <= 4; seed++ {
+		honest, drifting := unlimitedGate(t, l), unlimitedGate(t, l)
+		var hv, dv [numVerdicts]int
+		factor := 1.0
+		for _, obs := range viewerTape(t, seed, 320) {
+			hv[honest.Check(obs)]++
+			factor *= drift
+			obs = slices.Clone(obs)
+			abr.ScaleThroughputHistory(obs, factor)
+			dv[drifting.Check(obs)]++
+		}
+		t.Logf("seed %d: state_ood %d honest vs %d drifting, admitted %d vs %d",
+			seed, hv[VerdictState], dv[VerdictState], hv[VerdictAdmit], dv[VerdictAdmit])
+		if dv[VerdictState] <= hv[VerdictState] {
+			t.Errorf("seed %d: the drifting viewer drew %d state_ood rejections, its honest twin %d", seed, dv[VerdictState], hv[VerdictState])
+		}
+		if dv[VerdictAdmit] >= hv[VerdictAdmit] {
+			t.Errorf("seed %d: the drifting viewer was admitted %d times, its honest twin %d", seed, dv[VerdictAdmit], hv[VerdictAdmit])
+		}
+	}
+}
+
 func TestGateRejectsNonFiniteThroughput(t *testing.T) {
-	arts := learnArtifacts(t, 4, 1e9, 1e9)
-	l := newTestLearner(t, arts, nil)
+	l := newTestLearner(t, sharedArtifacts(t), nil)
 	defer l.Stop() //nolint:errcheck
 	g := unlimitedGate(t, l)
 
-	rng := stats.NewRNG(3)
-	obs := make([]float64, abr.ObsDim)
-	for i := 0; i < 60; i++ {
-		obs[thrSlot] = (3 + 0.5*rng.NormFloat64()) / 10
+	tape := viewerTape(t, 3, 60)
+	for _, obs := range tape {
 		g.Check(obs)
 	}
 	before := l.Counters().Admitted.Load()
+	obs := slices.Clone(tape[len(tape)-1])
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for i := 0; i < 20; i++ {
-			obs[thrSlot] = bad / 10
+			obs[thrSlot] = bad
 			if v := g.Check(obs); v != VerdictState {
 				t.Fatalf("a step with %v throughput: verdict %v, want VerdictState", bad, v)
 			}
@@ -186,7 +221,8 @@ func TestGateRejectsNonFiniteThroughput(t *testing.T) {
 func TestGatePolicyAndValueVeto(t *testing.T) {
 	// With an impossibly tight AlphaPi, every post-warmup in-distribution
 	// step must be vetoed by U_π before U_V or the rate limit are even
-	// consulted — and symmetrically for AlphaV.
+	// consulted — and symmetrically for AlphaV, with AlphaPi opened so
+	// that U_π passes every step. Each case edits a copy of the set.
 	cases := []struct {
 		name             string
 		alphaPi, alphaV  float64
@@ -198,17 +234,15 @@ func TestGatePolicyAndValueVeto(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			arts := learnArtifacts(t, 5, tc.alphaPi, tc.alphaV)
-			l := newTestLearner(t, arts, nil)
+			arts := *sharedArtifacts(t)
+			arts.AlphaPi, arts.AlphaV = tc.alphaPi, tc.alphaV
+			l := newTestLearner(t, &arts, nil)
 			defer l.Stop() //nolint:errcheck
 			g, err := l.NewGate(1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := stats.NewRNG(4)
-			obs := make([]float64, abr.ObsDim)
-			for i := 0; i < 120; i++ {
-				obs[thrSlot] = (3 + 0.5*rng.NormFloat64()) / 10
+			for _, obs := range viewerTape(t, 4, 120) {
 				g.Check(obs)
 			}
 			c := l.Counters()
@@ -226,14 +260,11 @@ func TestGatePolicyAndValueVeto(t *testing.T) {
 }
 
 func TestLearnerPersistsAndBootstrapsLog(t *testing.T) {
-	arts := learnArtifacts(t, 4, 1e9, 1e9)
+	arts := sharedArtifacts(t)
 	dir := t.TempDir()
 	l := newTestLearner(t, arts, func(c *Config) { c.LogDir = dir })
 	g := unlimitedGate(t, l)
-	rng := stats.NewRNG(5)
-	obs := make([]float64, abr.ObsDim)
-	for i := 0; i < 150; i++ {
-		obs[thrSlot] = (3 + 0.5*rng.NormFloat64()) / 10
+	for _, obs := range viewerTape(t, 5, 150) {
 		g.Check(obs)
 	}
 	admitted := l.Counters().Admitted.Load()
@@ -260,13 +291,8 @@ func TestLearnerPersistsAndBootstrapsLog(t *testing.T) {
 }
 
 func TestRefitDeterministicFromSameLog(t *testing.T) {
-	arts := learnArtifacts(t, 4, 1e9, 1e9)
-	rng := stats.NewRNG(6)
-	series := make([]float64, 300)
-	for i := range series {
-		series[i] = 3 + 0.5*rng.NormFloat64()
-	}
-	feats := core.BuildStateFeatures(series, core.DefaultStateSignalConfig())
+	arts := sharedArtifacts(t)
+	feats := tapeFeatures(arts, viewerTape(t, 6, 300))
 
 	refit := func(dir string) *Proposal {
 		if _, err := ExportBootstrap(dir, feats); err != nil {
@@ -294,15 +320,10 @@ func TestRefitDeterministicFromSameLog(t *testing.T) {
 }
 
 func TestRefitPublishesProposedVersion(t *testing.T) {
-	arts := learnArtifacts(t, 4, 1e9, 1e9)
+	arts := sharedArtifacts(t)
 	root := t.TempDir()
 	logDir := t.TempDir()
-	rng := stats.NewRNG(7)
-	series := make([]float64, 300)
-	for i := range series {
-		series[i] = 3 + 0.5*rng.NormFloat64()
-	}
-	feats := core.BuildStateFeatures(series, core.DefaultStateSignalConfig())
+	feats := tapeFeatures(arts, viewerTape(t, 7, 300))
 	if _, err := ExportBootstrap(logDir, feats); err != nil {
 		t.Fatal(err)
 	}
@@ -387,8 +408,7 @@ func TestRefitPublishesProposedVersion(t *testing.T) {
 }
 
 func TestRefitRequiresMinimumWindow(t *testing.T) {
-	arts := learnArtifacts(t, 4, 1e9, 1e9)
-	l := newTestLearner(t, arts, nil)
+	l := newTestLearner(t, sharedArtifacts(t), nil)
 	defer l.Stop() //nolint:errcheck
 	if _, err := l.Refit(); err == nil {
 		t.Fatal("refit succeeded on an empty window")
@@ -399,28 +419,25 @@ func TestRefitRequiresMinimumWindow(t *testing.T) {
 }
 
 func TestRefitRecalibratesThresholds(t *testing.T) {
-	arts := learnArtifacts(t, 5, 1e9, 1e9)
+	arts := sharedArtifacts(t)
 	l := newTestLearner(t, arts, nil)
 	defer l.Stop() //nolint:errcheck
 	g := unlimitedGate(t, l)
-	rng := stats.NewRNG(8)
-	obs := make([]float64, abr.ObsDim)
-	for i := 0; i < 200; i++ {
-		obs[thrSlot] = (3 + 0.5*rng.NormFloat64()) / 10
+	for _, obs := range viewerTape(t, 8, 200) {
 		g.Check(obs)
 	}
 	prop, err := l.Refit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The admitted traffic's disagreement scores are tiny compared to
-	// the 1e9 placeholder thresholds: recalibration must tighten both
-	// to the observed quantile, and never to a non-positive value.
-	if !(prop.AlphaPi > 0) || prop.AlphaPi >= 1e9 {
-		t.Errorf("AlphaPi not recalibrated: %v", prop.AlphaPi)
+	// Every admitted step's statistic is at most the baseline's α:
+	// recalibration to their quantile must tighten both thresholds,
+	// and never to a non-positive value.
+	if !(prop.AlphaPi > 0) || prop.AlphaPi > arts.AlphaPi {
+		t.Errorf("AlphaPi not recalibrated: %v (baseline %v)", prop.AlphaPi, arts.AlphaPi)
 	}
-	if !(prop.AlphaV > 0) || prop.AlphaV >= 1e9 {
-		t.Errorf("AlphaV not recalibrated: %v", prop.AlphaV)
+	if !(prop.AlphaV > 0) || prop.AlphaV > arts.AlphaV {
+		t.Errorf("AlphaV not recalibrated: %v (baseline %v)", prop.AlphaV, arts.AlphaV)
 	}
 	// Each recalibrated threshold records its own rule, not the
 	// baseline's; the knobs it holds under are the baseline's.
@@ -437,12 +454,12 @@ func TestRefitRecalibratesThresholds(t *testing.T) {
 // TestLearnerPinsTheRecord: the gate's calibration knobs are the
 // baseline's record; a config asking for others is refused.
 func TestLearnerPinsTheRecord(t *testing.T) {
-	arts := learnArtifacts(t, 4, 1e9, 1e9)
+	arts := sharedArtifacts(t)
 	for _, cfg := range []Config{
 		{SignalConfig: core.StateSignalConfig{ThroughputWindow: 10, K: 10}},
 		{Trim: core.EnsembleConfig{Discard: 1}},
 	} {
-		cfg.Artifacts, cfg.Extract = arts, abr.LastThroughputMbps
+		cfg.Artifacts = arts
 		if l, err := New(cfg); err == nil {
 			l.Stop() //nolint:errcheck
 			t.Errorf("%+v %+v accepted against the record %+v", cfg.SignalConfig, cfg.Trim, arts.Record)
@@ -457,7 +474,6 @@ func newTestLearner(t testing.TB, arts *experiments.Artifacts, mut func(*Config)
 	t.Helper()
 	cfg := Config{
 		Artifacts:     arts,
-		Extract:       abr.LastThroughputMbps,
 		FlushInterval: time.Hour,
 	}
 	if mut != nil {
@@ -480,18 +496,6 @@ func unlimitedGate(t testing.TB, l *Learner) *Gate {
 	}
 	g.rateEvery, g.rateBurst = 1, 1<<20
 	return g
-}
-
-// inDistTraffic is n observations of the stationary 3±0.5 Mbps series
-// the test substrate's OC-SVM was trained on.
-func inDistTraffic(seed uint64, n int) [][]float64 {
-	rng := stats.NewRNG(seed)
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, abr.ObsDim)
-		out[i][thrSlot] = (3 + 0.5*rng.NormFloat64()) / 10
-	}
-	return out
 }
 
 // guardStatistics replays traffic through scheme's signal and trigger
@@ -550,13 +554,14 @@ func checkShare(t *testing.T, what string, k, n int, p float64) {
 // so on the traffic the gate admitted that guard's statistic exceeds
 // α on 1 − alphaQuantile of steps.
 func TestRefitThresholdsInGuardUnits(t *testing.T) {
-	arts := learnArtifacts(t, 5, 1e9, 1e9)
+	arts := sharedArtifacts(t)
 	l := newTestLearner(t, arts, nil)
 	defer l.Stop() //nolint:errcheck
 	g := unlimitedGate(t, l)
-	traffic := inDistTraffic(11, 2000)
-	for _, obs := range traffic {
-		g.Check(obs)
+	traffic := viewerTape(t, 11, 2000)
+	admitted := make([]bool, len(traffic))
+	for i, obs := range traffic {
+		admitted[i] = g.Check(obs) == VerdictAdmit
 	}
 	prop, err := l.Refit()
 	if err != nil {
@@ -566,13 +571,19 @@ func TestRefitThresholdsInGuardUnits(t *testing.T) {
 	next.AlphaPi, next.AlphaV, next.Record = prop.AlphaPi, prop.AlphaV, prop.Record
 	for _, scheme := range []string{experiments.SchemeAEns, experiments.SchemeVEns} {
 		stat, alpha := guardStatistics(t, arts, &next, scheme, traffic)
-		over := 0
-		for _, s := range stat {
-			if s > alpha {
-				over++
+		// stat begins at the step the variance window fills, before
+		// the gate's first admission.
+		first := len(traffic) - len(stat)
+		over, n := 0, 0
+		for i, s := range stat {
+			if admitted[first+i] {
+				n++
+				if s > alpha {
+					over++
+				}
 			}
 		}
-		checkShare(t, scheme+" steps over the refit's α", over, len(stat), 1-alphaQuantile)
+		checkShare(t, scheme+" admitted steps over the refit's α", over, n, 1-alphaQuantile)
 	}
 }
 
@@ -581,14 +592,14 @@ func TestRefitThresholdsInGuardUnits(t *testing.T) {
 // traffic and rejects about 5% of the steps U_S passes as
 // policy_disagree — the gate thresholds the statistic the guard does.
 func TestGateThresholdInGuardUnits(t *testing.T) {
-	arts := learnArtifacts(t, 5, 1e9, 1e9)
-	traffic := inDistTraffic(12, 2000)
-	stat, _ := guardStatistics(t, arts, &arts.Calibration, experiments.SchemeAEns, traffic)
+	arts := *sharedArtifacts(t)
+	traffic := viewerTape(t, 12, 2000)
+	stat, _ := guardStatistics(t, &arts, &arts.Calibration, experiments.SchemeAEns, traffic)
 	sorted := append([]float64(nil), stat...)
 	slices.Sort(sorted)
 	arts.AlphaPi = sorted[int(0.95*float64(len(sorted)-1))]
 
-	l := newTestLearner(t, arts, nil)
+	l := newTestLearner(t, &arts, nil)
 	defer l.Stop() //nolint:errcheck
 	g := unlimitedGate(t, l)
 	for _, obs := range traffic {
@@ -608,12 +619,11 @@ func TestGateThresholdInGuardUnits(t *testing.T) {
 // window then hold exactly the admitted samples that were not, in
 // order.
 func TestHandoffOverflowDrops(t *testing.T) {
-	arts := learnArtifacts(t, 4, 1e9, 1e9)
 	dir := t.TempDir()
-	l := newTestLearner(t, arts, func(c *Config) { c.LogDir = dir })
+	l := newTestLearner(t, sharedArtifacts(t), func(c *Config) { c.LogDir = dir })
 	g := unlimitedGate(t, l)
 	var kept []Record
-	for _, obs := range inDistTraffic(13, 3*batchSize) {
+	for _, obs := range viewerTape(t, 13, 3*batchSize) {
 		if g.Check(obs) == VerdictAdmit && len(kept) < batchSize {
 			kept = append(kept, Record{Session: 1, Step: g.steps - 1, Feat: slices.Clone(g.state.Features())})
 		}
@@ -651,7 +661,7 @@ func TestHandoffOverflowDrops(t *testing.T) {
 // TestDrainZeroAlloc: taking a batch and folding its samples into the
 // log, the window and the sketches allocates nothing per sample.
 func TestDrainZeroAlloc(t *testing.T) {
-	arts := learnArtifacts(t, 2, 1e9, 1e9)
+	arts := sharedArtifacts(t)
 	l := newTestLearner(t, arts, func(c *Config) { c.LogDir = t.TempDir() })
 	defer l.Stop() //nolint:errcheck
 	feat := make([]float64, arts.OCSVM.Dim)
@@ -683,8 +693,7 @@ func TestDrainZeroAlloc(t *testing.T) {
 // the learner drains every millisecond; every admitted sample is then
 // either logged and windowed or counted as dropped. Run it under -race.
 func TestHandoffConcurrentGates(t *testing.T) {
-	arts := learnArtifacts(t, 4, 1e9, 1e9)
-	l := newTestLearner(t, arts, func(c *Config) {
+	l := newTestLearner(t, sharedArtifacts(t), func(c *Config) {
 		c.LogDir = t.TempDir()
 		c.FlushInterval = time.Millisecond
 	})
@@ -695,10 +704,11 @@ func TestHandoffConcurrentGates(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.rateEvery, g.rateBurst = 1, 1<<20
+		tape := viewerTape(t, uint64(20+s), 1500)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, obs := range inDistTraffic(uint64(20+s), 1500) {
+			for _, obs := range tape {
 				g.Check(obs)
 			}
 		}()

@@ -399,7 +399,7 @@ func recordsPerSegment(dim int) int {
 // counts every record as bootstrapped and keeps the newest windowSize
 // of them, in order.
 func TestReplayKeepsNewestWindow(t *testing.T) {
-	arts := learnArtifacts(t, 2, 1e9, 1e9)
+	arts := sharedArtifacts(t)
 	dim := arts.OCSVM.Dim
 	n := 3*recordsPerSegment(dim) + windowSize
 	dir := t.TempDir()
@@ -440,7 +440,7 @@ func mallocs(f func()) uint64 {
 // few times more per extra segment than one over a single segment, not
 // once per extra record.
 func TestReplayAllocsPerSegment(t *testing.T) {
-	arts := learnArtifacts(t, 2, 1e9, 1e9)
+	arts := sharedArtifacts(t)
 	dim := arts.OCSVM.Dim
 	per := recordsPerSegment(dim)
 	replay := func(dir string) uint64 {

@@ -74,7 +74,6 @@ func TestGateStepZeroAlloc(t *testing.T) {
 	}
 	learner, err := learn.New(learn.Config{
 		Artifacts:     arts,
-		Extract:       abr.LastThroughputMbps,
 		FlushInterval: time.Hour,
 	})
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"osap/internal/abr"
 	"osap/internal/learn"
 )
 
@@ -44,7 +43,7 @@ func TestLearnRefitRacingDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	learner, err := learn.New(learn.Config{Artifacts: arts, Extract: abr.LastThroughputMbps, FlushInterval: time.Hour})
+	learner, err := learn.New(learn.Config{Artifacts: arts, FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"osap/internal/abr"
 	"osap/internal/learn"
 )
 
@@ -336,7 +335,7 @@ func TestWritePromBenchHistogramsPinned(t *testing.T) {
 // to be named in README.md or DESIGN.md, so that a new counter cannot
 // ship undocumented.
 func TestEveryMetricFamilyDocumented(t *testing.T) {
-	learner, err := learn.New(learn.Config{Artifacts: sharedArtifacts(t), Extract: abr.LastThroughputMbps, FlushInterval: time.Hour})
+	learner, err := learn.New(learn.Config{Artifacts: sharedArtifacts(t), FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -439,7 +439,6 @@ func TestSessionModeTable(t *testing.T) {
 	}
 	learner, err := learn.New(learn.Config{
 		Artifacts:     arts,
-		Extract:       abr.LastThroughputMbps,
 		FlushInterval: time.Hour,
 	})
 	if err != nil {

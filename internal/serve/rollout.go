@@ -95,12 +95,13 @@ func (g *Generation) Version() string { return g.version }
 // a bare artifact file with no registry).
 func (g *Generation) Checksum() string { return g.checksum }
 
+// defaultCanaryFraction is the share of new sessions routed to a
+// staged candidate when the stage request names none.
+const defaultCanaryFraction = 0.10
+
 // RolloutConfig tunes the canary controller. The zero value selects
 // the defaults noted per field.
 type RolloutConfig struct {
-	// CanaryFraction is the default fraction of new sessions routed to
-	// a staged candidate when the stage request names none (0 → 0.10).
-	CanaryFraction float64
 	// RollbackMargin is how much worse (absolute rate) the candidate
 	// may run before auto-rollback (0 → 0.05).
 	RollbackMargin float64
@@ -125,9 +126,6 @@ func checkFraction(what string, f float64) error {
 
 func (c RolloutConfig) withDefaults() RolloutConfig {
 	// NewServer refused any other value outside the fields' ranges.
-	if c.CanaryFraction == 0 {
-		c.CanaryFraction = 0.10
-	}
 	if c.RollbackMargin == 0 {
 		c.RollbackMargin = 0.05
 	}
@@ -251,7 +249,7 @@ func (r *Rollout) Events() []RolloutEvent {
 }
 
 // Stage installs gen as the canary candidate, routing fraction (0 →
-// cfg.CanaryFraction; outside [0, 1] is an error) of new sessions to
+// defaultCanaryFraction; outside [0, 1] is an error) of new sessions to
 // it. Re-staging a version seen before reuses its Generation — stats,
 // shards and any sessions still pinned to it continue — and the
 // returned *Generation is the one actually staged, so a caller that
@@ -278,7 +276,7 @@ func (r *Rollout) Stage(gen *Generation, fraction float64, now time.Time) (*Gene
 		r.byVersion[gen.version] = gen
 	}
 	if fraction == 0 {
-		fraction = r.cfg.CanaryFraction
+		fraction = defaultCanaryFraction
 	}
 	bp := uint64(fraction*10000 + 0.5)
 	r.fracBP.Store(bp)

@@ -243,7 +243,7 @@ func TestShardDriftMergeDeterministic(t *testing.T) {
 
 // TestServerStageFraction: a stage fraction outside [0, 1] is a 400
 // that names the value and stages nothing; 0, or no fraction, stages
-// at the configured default.
+// at the default 0.10.
 func TestServerStageFraction(t *testing.T) {
 	srv, _ := testRolloutServer(t, GuardConfig{}, Config{})
 	for _, tc := range []struct {

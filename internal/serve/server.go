@@ -92,15 +92,11 @@ func (c Config) withDefaults() Config {
 }
 
 // validate refuses the settings withDefaults would keep and the server
-// would then misuse: a negative TTL evicts fresh sessions, a NaN canary
-// fraction routes every new session to the candidate, and a NaN margin
-// never rolls a candidate back. 0 keeps meaning "the default".
+// would then misuse: a negative TTL evicts fresh sessions, and a NaN
+// margin never rolls a candidate back. 0 keeps meaning "the default".
 func (c Config) validate() error {
 	if c.SessionTTL < 0 {
 		return fmt.Errorf("serve: SessionTTL %v < 0", c.SessionTTL)
-	}
-	if err := checkFraction("Rollout.CanaryFraction", c.Rollout.CanaryFraction); err != nil {
-		return err
 	}
 	if m := c.Rollout.RollbackMargin; !(m >= 0 && m <= math.MaxFloat64) {
 		return fmt.Errorf("serve: Rollout.RollbackMargin %v is not a finite value ≥ 0", m)

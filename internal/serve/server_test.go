@@ -539,11 +539,8 @@ func TestNewServerValidation(t *testing.T) {
 		ok   bool
 	}{
 		{"defaults", Config{}, true},
-		{"in range", Config{SessionTTL: time.Second, Rollout: RolloutConfig{CanaryFraction: 1, RollbackMargin: 0.2}}, true},
+		{"in range", Config{SessionTTL: time.Second, Rollout: RolloutConfig{RollbackMargin: 0.2}}, true},
 		{"negative TTL", Config{SessionTTL: -time.Second}, false},
-		{"NaN canary fraction", Config{Rollout: RolloutConfig{CanaryFraction: math.NaN()}}, false},
-		{"negative canary fraction", Config{Rollout: RolloutConfig{CanaryFraction: -0.1}}, false},
-		{"canary fraction above 1", Config{Rollout: RolloutConfig{CanaryFraction: 1.5}}, false},
 		{"NaN rollback margin", Config{Rollout: RolloutConfig{RollbackMargin: math.NaN()}}, false},
 		{"negative rollback margin", Config{Rollout: RolloutConfig{RollbackMargin: -0.05}}, false},
 		{"infinite rollback margin", Config{Rollout: RolloutConfig{RollbackMargin: math.Inf(1)}}, false},

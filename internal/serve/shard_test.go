@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"osap/internal/abr"
 	"osap/internal/chaos"
 	"osap/internal/core"
 	"osap/internal/experiments"
@@ -516,7 +515,7 @@ func TestSessionFootprint(t *testing.T) {
 		t.Logf("%s%s: %d B retained per session", kind, scheme, per)
 		return sessions, per
 	}
-	learner, err := learn.New(learn.Config{Artifacts: sharedArtifacts(t), Extract: abr.LastThroughputMbps, FlushInterval: time.Hour})
+	learner, err := learn.New(learn.Config{Artifacts: sharedArtifacts(t), FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

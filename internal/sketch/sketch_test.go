@@ -189,20 +189,6 @@ func TestEmptyAndTiny(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	s := New(0)
-	for i := 0; i < 1000; i++ {
-		s.Add(float64(i))
-	}
-	s.Reset()
-	if s.Count() != 0 || s.Centroids() != 0 {
-		t.Fatalf("Reset left count=%d centroids=%d", s.Count(), s.Centroids())
-	}
-	if !math.IsNaN(s.Quantile(0.5)) {
-		t.Fatalf("reset sketch should be empty")
-	}
-}
-
 // TestAddZeroAlloc locks the //osap:hotpath contract: steady-state
 // Add (including its amortized compressions) allocates nothing.
 func TestAddZeroAlloc(t *testing.T) {
