@@ -85,17 +85,16 @@ func runChaos(t *testing.T, cfg serve.Config, script, transport string, readmitL
 	clients, steps, seed := scaled(*flagClients, 60), scaled(*flagSteps, 24), scaled(*flagSeed, 7)
 	dataset := scaled(*flagDataset, trace.DatasetNorway)
 	var sched *chaos.Schedule
-	var err error
 	if script == scriptRecovery {
-		sched, err = chaos.RecoveryScript(seed, steps, readmitL, readmitCap)
+		var err error
+		if sched, err = chaos.RecoveryScript(seed, steps, readmitL, readmitCap); err != nil {
+			t.Fatal(err)
+		}
 	} else {
-		sched, err = chaos.ServeScript(seed, steps, readmitL, readmitCap)
+		sched = chaos.ServeScript(seed, steps, readmitL, readmitCap)
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := sched.Config()
-	factory, err := serve.NewGuardFactory(servedArtifactsFor(t, dataset, seed), serve.GuardConfig{Probation: experiments.Probation{ReadmitL: sc.ReadmitL, ReadmitCap: sc.ReadmitCap}})
+	steps = sched.Steps() // the script raises a budget below its minimum
+	factory, err := serve.NewGuardFactory(servedArtifactsFor(t, dataset, seed), serve.GuardConfig{Probation: experiments.Probation{ReadmitL: readmitL, ReadmitCap: readmitCap}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,17 +105,17 @@ func runChaos(t *testing.T, cfg serve.Config, script, transport string, readmitL
 
 	ex := sched.Expected(clients)
 	t.Logf("%s: %d clients × %d steps against %s (seed %d, l′=%d cap=%d): expecting %d steps, %d demotions (%d repeat), %d recoveries, %d permanent latches",
-		script, clients, sc.Steps, h.stepTarget(), seed, sc.ReadmitL, sc.ReadmitCap,
+		script, clients, steps, h.stepTarget(), seed, readmitL, readmitCap,
 		ex.Steps, ex.Demotions, ex.Redemotions, ex.Recoveries, ex.Latched)
 
 	lgCfg := h.target(loadgen.Config{
 		Clients:        clients,
-		StepsPerClient: sc.Steps,
+		StepsPerClient: steps,
 		Schemes:        factory.Schemes(),
 		Video:          abr.SyntheticVideo(seed, 24, 4),
 		Traces:         tracePool(t, dataset, seed),
 		Seed:           seed,
-		Backoff:        &loadgen.Backoff{Retries: 8},
+		Retry:          true,
 		ClientDelay:    func(i int) time.Duration { return sched.ClientPlan(i).SlowDelay },
 		AbortStep:      func(i int) int { return sched.ClientPlan(i).AbortStep },
 		ExpectDemoted:  sched.DemotedAt,
@@ -138,7 +137,7 @@ func runChaos(t *testing.T, cfg serve.Config, script, transport string, readmitL
 	checkCount(t, "client-observed recoveries", res.Recoveries, int64(ex.Recoveries))
 	checkCount(t, "client-observed re-demotions", res.Redemotions, int64(ex.Redemotions))
 	checkCount(t, "client sessions ending demoted", res.SessionsEndDemoted, int64(ex.EndDemoted))
-	if sc.AbortEvery == 0 {
+	if script == scriptRecovery { // no client aborts
 		checkCount(t, "client-observed degraded steps", res.StepsDemoted, ex.DemotedSteps)
 	}
 

@@ -227,7 +227,7 @@ func (r *learnRun) wave(t *testing.T, h *rolloutHarness, seed uint64, drift func
 		Video:          r.video,
 		Traces:         r.traces,
 		Seed:           seed,
-		Backoff:        &loadgen.Backoff{Retries: 8},
+		Retry:          true,
 		Adversary:      drift,
 	}))
 	if err != nil {

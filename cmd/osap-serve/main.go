@@ -37,6 +37,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -108,6 +109,27 @@ func main() {
 // written by osap-train.
 func loadArtifacts(dataset, models string) (*experiments.Artifacts, error) {
 	return experiments.LoadArtifacts(filepath.Join(models, dataset+".json"))
+}
+
+// warnBoundThresholds writes one line to w for each α of arts whose
+// record names a bound of core.Calibrate's search: ND's QoE target lay
+// out of the search's reach, so α sits at an end of its range, where
+// its guard may default on every step (lo) or on none (hi). The set is
+// served all the same.
+func warnBoundThresholds(w io.Writer, arts *experiments.Artifacts) {
+	for _, th := range []struct {
+		name  string
+		alpha float64
+		prov  experiments.Provenance
+	}{
+		{"alpha_pi", arts.AlphaPi, arts.Record.AlphaPi},
+		{"alpha_v", arts.AlphaV, arts.Record.AlphaV},
+	} {
+		if th.prov.Bound != "" {
+			fmt.Fprintf(w, "warning: %s %.6g (rule %s) sits at the %s bound of its search (evaluations: %d)\n",
+				th.name, th.alpha, th.prov.Rule, th.prov.Bound, th.prov.Evals)
+		}
+	}
 }
 
 // bootFromRegistry opens the registry, loads the named version (or the
@@ -205,6 +227,7 @@ func runServer(o *options) error {
 	if err != nil {
 		return err
 	}
+	warnBoundThresholds(os.Stderr, arts)
 	factory, err := serve.NewGuardFactory(arts, serve.GuardConfig{Probation: o.probation})
 	if err != nil {
 		return err

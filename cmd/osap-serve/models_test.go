@@ -196,3 +196,27 @@ func TestServedSetCalibrated(t *testing.T) {
 			r, len(a.Agents), len(a.ValueNets))
 	}
 }
+
+// TestWarnBoundThresholds: osap-serve names, at boot, each α its record
+// pins at a bound of core.Calibrate's search — none on the committed
+// set, both at lo on the quick gamma22 build the learn selftest serves,
+// whose BB beats ND in distribution.
+func TestWarnBoundThresholds(t *testing.T) {
+	var buf bytes.Buffer
+	warnBoundThresholds(&buf, servedArtifacts(t))
+	if buf.Len() != 0 {
+		t.Errorf("committed set warned:\n%s", buf.String())
+	}
+	warnBoundThresholds(&buf, servedArtifactsFor(t, trace.DatasetGamma22, 20200713))
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("quick gamma22 build: %d lines, want one per α:\n%s", len(lines), buf.String())
+	}
+	for i, name := range []string{"alpha_pi", "alpha_v"} {
+		for _, want := range []string{name, "rule " + experiments.RuleQoEMatched, "the lo bound", "evaluations: 1"} {
+			if !strings.Contains(lines[i], want) {
+				t.Errorf("line %q does not name %q", lines[i], want)
+			}
+		}
+	}
+}

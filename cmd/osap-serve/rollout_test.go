@@ -111,7 +111,7 @@ func (h *rolloutHarness) wave(t *testing.T, clients int, seed uint64, scheme str
 		Video:          video,
 		Traces:         traces,
 		Seed:           seed,
-		Backoff:        &loadgen.Backoff{Retries: 8},
+		Retry:          true,
 		ScoreSink: func(version string, scores []float64) {
 			h.scores[version] = append(h.scores[version], scores...)
 		},

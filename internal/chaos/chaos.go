@@ -11,7 +11,7 @@
 //
 // One Schedule drives both selftests; ServeScript and RecoveryScript
 // are its two constructors. Every decision is a pure function of the
-// schedule's config and an index — seeded draws by stateless hashing,
+// schedule's seed, budget and probation knobs and an index — seeded draws by stateless hashing,
 // or a fixed pattern cycle — so two runs inject exactly the same
 // faults, and one replay of the session state machine (DESIGN.md §13)
 // over each session's plan yields every expected value in closed form:
@@ -94,133 +94,85 @@ type ClientPlan struct {
 	AbortStep int
 }
 
-// Config parameterizes a Schedule. All "Every" knobs are 1-in-N rates
-// (0 disables that fault class); step bounds are inclusive.
-type Config struct {
-	// Seed derives every seeded draw.
-	Seed uint64
-	// Steps is each client's decision budget: the length of every
+// ServeScript's rates and sizes. Every rate is 1 in N; its step bounds
+// follow from the budget (Schedule.faultStepMax, Schedule.abortStepMin).
+const (
+	// faultEvery sessions suffer one inference fault (kind cycled among
+	// panic/NaN/Inf) at a step in [faultStepMin, faultStepMax].
+	faultEvery   = 8
+	faultStepMin = 2
+	// spikeSessionEvery sessions sleep spikeDelay on every
+	// spikeStepEvery-th step.
+	spikeSessionEvery = 5
+	spikeStepEvery    = 8
+	spikeDelay        = 2 * time.Millisecond
+	// rejectEvery requests are rejected (the server answers an injected
+	// 503 + Retry-After or Error frame: overload), and delayEvery are
+	// stalled by requestDelay before they are served.
+	rejectEvery  = 53
+	delayEvery   = 47
+	requestDelay = 3 * time.Millisecond
+	// slowClientEvery clients pause slowClientDelay before every
+	// request, and abortEvery clients abandon their session at a step
+	// in [abortStepMin, steps].
+	slowClientEvery = 7
+	slowClientDelay = time.Millisecond
+	abortEvery      = 9
+)
+
+// Schedule is an immutable fault schedule, built by ServeScript or
+// RecoveryScript. Safe for concurrent use: every lookup is a pure
+// function of (schedule, index).
+type Schedule struct {
+	// seed derives every seeded draw.
+	seed uint64
+	// steps is each client's decision budget: the length of every
 	// replay, and the step at which a client that never aborts stops.
-	Steps int
-	// ReadmitL and ReadmitCap are the server's probation knobs
-	// (serve.Config): the replay models the session state machine under
-	// them, so the server must run with the same values.
-	ReadmitL   int
-	ReadmitCap int
-
-	// FaultEvery gives 1 in N sessions one inference fault (kind cycled
-	// among panic/NaN/Inf) at a step drawn uniformly from
-	// [FaultStepMin, FaultStepMax].
-	FaultEvery   int
-	FaultStepMin int
-	FaultStepMax int
-
-	// SpikeSessionEvery gives 1 in N sessions recurring latency spikes
-	// of SpikeDelay on every SpikeStepEvery-th step.
-	SpikeSessionEvery int
-	SpikeStepEvery    int
-	SpikeDelay        time.Duration
-
-	// RejectEvery makes RequestFaults reject 1 in N requests (the
-	// server answers an injected 503 + Retry-After or Error frame:
-	// overload); DelayEvery makes it stall 1 in N requests by Delay
-	// before they are served.
-	RejectEvery int
-	DelayEvery  int
-	Delay       time.Duration
-
-	// SlowClientEvery marks 1 in N clients slow (SlowClientDelay pause
-	// before every request); AbortEvery makes 1 in N clients abandon
-	// their session after a step drawn from [AbortStepMin, Steps].
-	SlowClientEvery int
-	SlowClientDelay time.Duration
-	AbortEvery      int
-	AbortStepMin    int
+	steps int
+	// readmitL and readmitCap are the server's probation knobs
+	// (experiments.Probation): the replay models the session state
+	// machine under them, so the server must run with the same values.
+	readmitL, readmitCap int
+	// cycle plays RecoveryScript's six-pattern cycle: no seeded faults,
+	// spikes, client faults or request faults.
+	cycle bool
 }
 
+// Steps is the schedule's decision budget per client, after its
+// constructor raised it to the script's minimum.
+func (s *Schedule) Steps() int { return s.steps }
+
 // settle is how many steps after a non-finite fault its last
-// transition lands: ReadmitL when probation can re-admit, 0 when every
+// transition lands: readmitL when probation can re-admit, 0 when every
 // demotion latches on the fault's own step.
-func (c Config) settle() int {
-	if c.ReadmitL > 0 && c.ReadmitCap != 0 {
-		return c.ReadmitL
+func (s *Schedule) settle() int {
+	if s.readmitL > 0 && s.readmitCap != 0 {
+		return s.readmitL
 	}
 	return 0
 }
 
-// Validate checks rate/bound consistency. Beyond well-formedness it
-// enforces the invariant every exact total rests on: each transition a
-// seeded fault schedules — the demotion, and under probation the
-// re-admission ReadmitL steps later — lands before any client can
-// abort, so whichever client draws a session sees all of it.
-func (c Config) Validate() error {
-	if c.FaultEvery < 0 || c.SpikeSessionEvery < 0 || c.RejectEvery < 0 ||
-		c.DelayEvery < 0 || c.SlowClientEvery < 0 || c.AbortEvery < 0 {
-		return fmt.Errorf("chaos: negative 1-in-N rate")
-	}
-	if c.Steps < 0 {
-		return fmt.Errorf("chaos: negative step budget %d", c.Steps)
-	}
-	if c.FaultEvery > 0 {
-		if c.FaultStepMin < 0 || c.FaultStepMax < c.FaultStepMin {
-			return fmt.Errorf("chaos: fault step range [%d, %d] invalid", c.FaultStepMin, c.FaultStepMax)
-		}
-	}
-	if c.SpikeSessionEvery > 0 && c.SpikeStepEvery < 1 {
-		return fmt.Errorf("chaos: SpikeStepEvery %d < 1", c.SpikeStepEvery)
-	}
-	if c.AbortEvery > 0 {
-		if c.AbortStepMin < 1 || c.Steps < c.AbortStepMin {
-			return fmt.Errorf("chaos: abort step range [%d, %d] invalid", c.AbortStepMin, c.Steps)
-		}
-		if c.FaultEvery > 0 && c.FaultStepMax+c.settle() >= c.AbortStepMin {
-			return fmt.Errorf("chaos: faults settle by step %d but clients may abort at %d; faults must settle first",
-				c.FaultStepMax+c.settle(), c.AbortStepMin)
-		}
-	}
-	return nil
-}
-
-// Schedule is a validated, immutable fault schedule. Safe for
-// concurrent use: every lookup is a pure function of (config, index).
-type Schedule struct {
-	cfg Config
-	// cycle replaces the seeded fault draws with RecoveryScript's
-	// six-pattern cycle.
-	cycle bool
-}
-
-// NewSchedule validates cfg and wraps it.
-func NewSchedule(cfg Config) (*Schedule, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Schedule{cfg: cfg}, nil
-}
-
-// Config returns the schedule's configuration.
-func (s *Schedule) Config() Config { return s.cfg }
+// faultStepMax and abortStepMin bound ServeScript's draws: every
+// transition a seeded fault schedules — the demotion, and under
+// probation the re-admission readmitL steps later — lands by step
+// steps/2, and no client aborts before steps/2 + 1, so whichever client
+// draws a session sees all of it.
+func (s *Schedule) faultStepMax() int { return s.steps/2 - s.settle() }
+func (s *Schedule) abortStepMin() int { return s.steps/2 + 1 }
 
 // ServeScript is the schedule behind the chaos selftest: 1 in 8
 // sessions suffers one inference fault in the first half of its life,
 // 1 in 5 gets periodic latency spikes, roughly 2% of requests are
 // rejected with an injected 503 and 2% are delayed, 1 in 7 clients is
 // slow, and 1 in 9 abandons its session in the second half of the run.
-// Fault steps stay below AbortStepMin − ReadmitL, so every demotion and
+// Fault steps stay below abortStepMin − readmitL, so every demotion and
 // every re-admission lands before any abort; with probation off that
-// is the whole first half.
-func ServeScript(seed uint64, steps, readmitL, readmitCap int) (*Schedule, error) {
-	c := Config{Seed: seed, ReadmitL: readmitL, ReadmitCap: readmitCap}
-	if min := 2 * (c.settle() + 4); steps < min {
-		steps = min
-	}
-	c.Steps = steps
-	c.FaultEvery, c.FaultStepMin, c.FaultStepMax = 8, 2, steps/2-c.settle()
-	c.SpikeSessionEvery, c.SpikeStepEvery, c.SpikeDelay = 5, 8, 2*time.Millisecond
-	c.RejectEvery, c.DelayEvery, c.Delay = 53, 47, 3*time.Millisecond
-	c.SlowClientEvery, c.SlowClientDelay = 7, time.Millisecond
-	c.AbortEvery, c.AbortStepMin = 9, steps/2+1
-	return NewSchedule(c)
+// is the whole first half. The budget is raised to 2·(settle + 4), so
+// the fault range holds at least three steps.
+func ServeScript(seed uint64, steps, readmitL, readmitCap int) *Schedule {
+	s := &Schedule{seed: seed, readmitL: readmitL, readmitCap: readmitCap}
+	s.steps = max(steps, 2*(s.settle()+4))
+	return s
 }
 
 // recoveryFaultBase is the step of the first fault in RecoveryScript's
@@ -264,24 +216,18 @@ func RecoveryScript(seed uint64, steps, readmitL, readmitCap int) (*Schedule, er
 	if min := chainEnd + 4; steps < min {
 		steps = min
 	}
-	s, err := NewSchedule(Config{Seed: seed, Steps: steps, ReadmitL: readmitL, ReadmitCap: readmitCap})
-	if err != nil {
-		return nil, err
-	}
-	s.cycle = true
-	return s, nil
+	return &Schedule{seed: seed, steps: steps, readmitL: readmitL, readmitCap: readmitCap, cycle: true}, nil
 }
 
 // cycleFaults returns RecoveryScript's faults for the idx-th session.
 func (s *Schedule) cycleFaults(idx uint64) []Fault {
-	c := s.cfg
 	switch idx % recoveryPatterns {
 	case patRecover:
 		return []Fault{{recoveryFaultBase, NaNScore}}
 	case patExhaust:
-		f := make([]Fault, c.ReadmitCap+1)
+		f := make([]Fault, s.readmitCap+1)
 		for i := range f {
-			f[i] = Fault{recoveryFaultBase + i*(c.ReadmitL+recoveryFaultGap), NaNScore}
+			f[i] = Fault{recoveryFaultBase + i*(s.readmitL+recoveryFaultGap), NaNScore}
 		}
 		return f
 	case patPanic:
@@ -289,7 +235,7 @@ func (s *Schedule) cycleFaults(idx uint64) []Fault {
 	case patRecoverIn:
 		return []Fault{{recoveryFaultBase, InfScore}}
 	case patTail:
-		return []Fault{{c.Steps - 2, NaNScore}}
+		return []Fault{{s.steps - 2, NaNScore}}
 	}
 	return nil
 }
@@ -308,47 +254,48 @@ const (
 )
 
 func (s *Schedule) draw(salt, idx uint64) uint64 {
-	return stats.Mix64(stats.Mix64(idx+1) ^ s.cfg.Seed ^ salt)
+	return stats.Mix64(stats.Mix64(idx+1) ^ s.seed ^ salt)
 }
 
-func oneIn(n int, draw uint64) bool {
-	return n > 0 && draw%uint64(n) == 0
-}
+func oneIn(n, draw uint64) bool { return draw%n == 0 }
 
 // SessionPlan returns the faults injected into the idx-th created
 // session (0-based creation order).
 func (s *Schedule) SessionPlan(idx uint64) SessionPlan {
-	c := s.cfg
 	var p SessionPlan
 	if s.cycle {
 		p.Faults = s.cycleFaults(idx)
-	} else if oneIn(c.FaultEvery, s.draw(saltFault, idx)) {
+		return p
+	}
+	if oneIn(faultEvery, s.draw(saltFault, idx)) {
 		kinds := [3]Kind{PanicObserve, NaNScore, InfScore}
-		span := uint64(c.FaultStepMax - c.FaultStepMin + 1)
+		span := uint64(s.faultStepMax() - faultStepMin + 1)
 		p.Faults = []Fault{{
-			Step: c.FaultStepMin + int(s.draw(saltStep, idx)%span),
+			Step: faultStepMin + int(s.draw(saltStep, idx)%span),
 			Kind: kinds[s.draw(saltKind, idx)%3],
 		}}
 	}
-	if oneIn(c.SpikeSessionEvery, s.draw(saltSpike, idx)) {
-		p.SpikeEvery = c.SpikeStepEvery
-		p.SpikePhase = int(s.draw(saltPhase, idx) % uint64(c.SpikeStepEvery))
-		p.SpikeDelay = c.SpikeDelay
+	if oneIn(spikeSessionEvery, s.draw(saltSpike, idx)) {
+		p.SpikeEvery = spikeStepEvery
+		p.SpikePhase = int(s.draw(saltPhase, idx) % spikeStepEvery)
+		p.SpikeDelay = spikeDelay
 	}
 	return p
 }
 
 // ClientPlan returns the misbehavior assigned to loadgen client i.
 func (s *Schedule) ClientPlan(i int) ClientPlan {
-	c := s.cfg
-	idx := uint64(i)
 	var p ClientPlan
-	if oneIn(c.SlowClientEvery, s.draw(saltSlow, idx)) {
-		p.SlowDelay = c.SlowClientDelay
+	if s.cycle {
+		return p
 	}
-	if oneIn(c.AbortEvery, s.draw(saltAbort, idx)) {
-		span := uint64(c.Steps - c.AbortStepMin + 1)
-		p.AbortStep = c.AbortStepMin + int(s.draw(saltAbortStep, idx)%span)
+	idx := uint64(i)
+	if oneIn(slowClientEvery, s.draw(saltSlow, idx)) {
+		p.SlowDelay = slowClientDelay
+	}
+	if oneIn(abortEvery, s.draw(saltAbort, idx)) {
+		span := uint64(s.steps - s.abortStepMin() + 1)
+		p.AbortStep = s.abortStepMin() + int(s.draw(saltAbortStep, idx)%span)
 	}
 	return p
 }

@@ -17,27 +17,9 @@ func (c constSignal) Observe([]float64) float64 { return c.v }
 func (c constSignal) Reset()                    {}
 func (c constSignal) Name() string              { return "const" }
 
-func testSchedule(t *testing.T, cfg Config) *Schedule {
-	t.Helper()
-	s, err := NewSchedule(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func serveScript(t *testing.T, seed uint64, steps, readmitL, readmitCap int) *Schedule {
-	t.Helper()
-	s, err := ServeScript(seed, steps, readmitL, readmitCap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 func TestScheduleDeterminism(t *testing.T) {
-	a := serveScript(t, 42, 48, 0, 0)
-	b := serveScript(t, 42, 48, 0, 0)
+	a := ServeScript(42, 48, 0, 0)
+	b := ServeScript(42, 48, 0, 0)
 	for i := 0; i < 500; i++ {
 		if !reflect.DeepEqual(a.SessionPlan(uint64(i)), b.SessionPlan(uint64(i))) {
 			t.Fatalf("session plan %d differs between identical schedules", i)
@@ -47,7 +29,7 @@ func TestScheduleDeterminism(t *testing.T) {
 		}
 	}
 	// A different seed must produce a different schedule.
-	c := serveScript(t, 43, 48, 0, 0)
+	c := ServeScript(43, 48, 0, 0)
 	same := 0
 	for i := 0; i < 500; i++ {
 		if reflect.DeepEqual(a.SessionPlan(uint64(i)), c.SessionPlan(uint64(i))) {
@@ -60,8 +42,11 @@ func TestScheduleDeterminism(t *testing.T) {
 }
 
 func TestScheduleBoundsAndCounts(t *testing.T) {
-	s := serveScript(t, 7, 48, 0, 0)
-	cfg := s.Config()
+	s := ServeScript(7, 48, 0, 0)
+	// Probation off: faults fill the first half, aborts the second.
+	if lo, hi, abort := faultStepMin, s.faultStepMax(), s.abortStepMin(); lo != 2 || hi != 24 || abort != 25 {
+		t.Fatalf("fault steps [%d, %d], aborts from %d; want [2, 24] and 25", lo, hi, abort)
+	}
 	const n = 1000
 	faulted := 0
 	for i := 0; i < n; i++ {
@@ -71,13 +56,13 @@ func TestScheduleBoundsAndCounts(t *testing.T) {
 		}
 		for _, f := range p.Faults {
 			faulted++
-			if f.Kind == None || f.Step < cfg.FaultStepMin || f.Step > cfg.FaultStepMax {
-				t.Fatalf("fault %+v outside [%d, %d]", f, cfg.FaultStepMin, cfg.FaultStepMax)
+			if f.Kind == None || f.Step < faultStepMin || f.Step > s.faultStepMax() {
+				t.Fatalf("fault %+v outside [%d, %d]", f, faultStepMin, s.faultStepMax())
 			}
 		}
 		cp := s.ClientPlan(i)
-		if cp.AbortStep != 0 && (cp.AbortStep < cfg.AbortStepMin || cp.AbortStep > cfg.Steps) {
-			t.Fatalf("abort step %d outside [%d, %d]", cp.AbortStep, cfg.AbortStepMin, cfg.Steps)
+		if cp.AbortStep != 0 && (cp.AbortStep < s.abortStepMin() || cp.AbortStep > s.Steps()) {
+			t.Fatalf("abort step %d outside [%d, %d]", cp.AbortStep, s.abortStepMin(), s.Steps())
 		}
 	}
 	// With probation off every fault demotes its session once, for good.
@@ -90,7 +75,7 @@ func TestScheduleBoundsAndCounts(t *testing.T) {
 	}
 	// ~1 in 8 sessions faulted; allow wide slack around the rate.
 	if faulted < n/16 || faulted > n/4 {
-		t.Fatalf("faulted %d of %d sessions, want roughly 1 in %d", faulted, n, cfg.FaultEvery)
+		t.Fatalf("faulted %d of %d sessions, want roughly 1 in %d", faulted, n, faultEvery)
 	}
 	var manual int64
 	for i := 0; i < n; i++ {
@@ -112,11 +97,11 @@ func TestScheduleBoundsAndCounts(t *testing.T) {
 // after its fault, and only the panics end demoted.
 func TestServeScriptUnderProbation(t *testing.T) {
 	const n = 1000
-	off := serveScript(t, 7, 48, 0, 0)
-	on := serveScript(t, 7, 48, 4, 2)
-	cfg := on.Config()
-	if cfg.FaultStepMax+cfg.ReadmitL >= cfg.AbortStepMin {
-		t.Fatalf("fault steps reach %d, recoveries %d steps later, aborts from %d", cfg.FaultStepMax, cfg.ReadmitL, cfg.AbortStepMin)
+	off := ServeScript(7, 48, 0, 0)
+	on := ServeScript(7, 48, 4, 2)
+	// Under l′ = 4 the fault range shrinks by l′; aborts stay at 25.
+	if hi, abort := on.faultStepMax(), on.abortStepMin(); hi != 20 || abort != 25 {
+		t.Fatalf("fault steps reach %d, recoveries 4 steps later, aborts from %d; want 20 and 25", hi, abort)
 	}
 	exOff, exOn := off.Expected(n), on.Expected(n)
 	if exOn.FirstDemotions != exOff.FirstDemotions || exOn.Panics != exOff.Panics || exOn.NonFinite != exOff.NonFinite {
@@ -131,40 +116,34 @@ func TestServeScriptUnderProbation(t *testing.T) {
 			continue
 		}
 		f := p.Faults[0].Step
-		for step := 0; step < cfg.Steps; step++ {
-			if got, want := on.DemotedAt(i, step), step >= f && step < f+cfg.ReadmitL; got != want {
+		for step := 0; step < on.Steps(); step++ {
+			if got, want := on.DemotedAt(i, step), step >= f && step < f+4; got != want {
 				t.Fatalf("session %d (fault at %d): DemotedAt(%d) = %v, want %v", i, f, step, got, want)
 			}
 		}
 	}
 }
 
+// TestConfigValidate: ServeScript's bounds hold the invariant every
+// exact total rests on, whatever its arguments — each transition a
+// seeded fault schedules (the demotion, and under probation the
+// re-admission l′ steps later) lands before any client can abort, and
+// both ranges are non-empty.
 func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{FaultEvery: 2, FaultStepMin: 5, FaultStepMax: 3},
-		{SpikeSessionEvery: 2},
-		{Steps: 4, AbortEvery: 2, AbortStepMin: 0},
-		{Steps: 4, AbortEvery: 2, AbortStepMin: 5},
-		// Faults may fire after aborts begin: the exactness invariant breaks.
-		{Steps: 12, FaultEvery: 2, FaultStepMin: 1, FaultStepMax: 10, AbortEvery: 3, AbortStepMin: 8},
-		// The faults land first, but their re-admissions may not.
-		{Steps: 12, ReadmitL: 4, ReadmitCap: 1, FaultEvery: 2, FaultStepMin: 1, FaultStepMax: 5, AbortEvery: 3, AbortStepMin: 8},
-		{RejectEvery: -1},
-		{Steps: -1},
-	}
-	for i, cfg := range bad {
-		if _, err := NewSchedule(cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
-		}
-	}
-	// With the re-admission budget at 0 nothing recovers, so only the
-	// demotion itself must precede the aborts.
-	if _, err := NewSchedule(Config{Steps: 12, ReadmitL: 4, FaultEvery: 2, FaultStepMin: 1, FaultStepMax: 5, AbortEvery: 3, AbortStepMin: 8}); err != nil {
-		t.Errorf("cap-0 config rejected: %v", err)
-	}
-	for _, l := range []int{0, 4, 30} {
-		if _, err := ServeScript(1, 48, l, 2); err != nil {
-			t.Errorf("ServeScript under l′ = %d rejected: %v", l, err)
+	for steps := 0; steps <= 96; steps++ {
+		for _, l := range []int{0, 1, 2, 4, 8, 30} {
+			for _, cap := range []int{-1, 0, 1, 2} {
+				s := ServeScript(1, steps, l, cap)
+				settle := 0
+				if l > 0 && cap != 0 {
+					settle = l
+				}
+				lo, hi, abort := faultStepMin, s.faultStepMax(), s.abortStepMin()
+				if s.Steps() < steps || lo > hi || hi+settle >= abort || abort > s.Steps() {
+					t.Fatalf("ServeScript(steps %d, l′ %d, cap %d): budget %d, faults [%d, %d] settle by %d, aborts from %d",
+						steps, l, cap, s.Steps(), lo, hi, hi+settle, abort)
+				}
+			}
 		}
 	}
 }
@@ -230,24 +209,29 @@ func TestWrapSignalSpikes(t *testing.T) {
 }
 
 func TestRequestFaultsRejectsAndDelays(t *testing.T) {
-	sched := testSchedule(t, Config{Seed: 1, RejectEvery: 3, DelayEvery: 4, Delay: time.Millisecond})
-	fault := sched.RequestFaults()
-	var rejected, delayed []int
-	for n := 1; n <= 12; n++ {
+	fault := ServeScript(1, 48, 0, 0).RequestFaults()
+	rejected, delayed := 0, 0
+	for n := 1; n <= rejectEvery*delayEvery; n++ {
 		reject, delay := fault()
-		if reject {
-			rejected = append(rejected, n)
-		}
-		if delay > 0 {
-			delayed = append(delayed, n)
+		switch {
+		case reject && delay != 0:
+			t.Fatalf("request %d rejected and delayed %v", n, delay)
+		case reject:
+			rejected++
+		case delay == requestDelay:
+			delayed++
+		case delay != 0:
+			t.Fatalf("request %d delayed %v, want %v", n, delay, requestDelay)
 		}
 	}
-	// A request due both a rejection and a delay is only rejected.
-	if !reflect.DeepEqual(rejected, []int{3, 6, 9, 12}) || !reflect.DeepEqual(delayed, []int{4, 8}) {
-		t.Fatalf("rejected %v delayed %v of 12, want [3 6 9 12] and [4 8]", rejected, delayed)
+	// The last request is due both a rejection and a delay; it is only
+	// rejected.
+	if rejected != delayEvery || delayed != rejectEvery-1 {
+		t.Fatalf("rejected %d and delayed %d of %d, want %d and %d",
+			rejected, delayed, rejectEvery*delayEvery, delayEvery, rejectEvery-1)
 	}
-	if testSchedule(t, Config{Seed: 1}).RequestFaults() != nil {
-		t.Fatal("a schedule without request faults returned a fault function")
+	if s, err := RecoveryScript(1, 48, 4, 2); err != nil || s.RequestFaults() != nil {
+		t.Fatalf("the recovery script returned a request fault function (err %v)", err)
 	}
 }
 

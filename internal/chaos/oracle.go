@@ -63,12 +63,12 @@ type sessionOutcome struct {
 // plan — is no longer consulted. visit, when non-nil, receives every
 // step's demoted flag in order: the exact flag the server must report
 // for that (session, step).
-func (c Config) replay(faults []Fault, visit func(step int, demoted bool)) sessionOutcome {
-	l, budget := c.ReadmitL, c.ReadmitCap
+func (s *Schedule) replay(faults []Fault, visit func(step int, demoted bool)) sessionOutcome {
+	l, budget := s.readmitL, s.readmitCap
 	var o sessionOutcome
 	mode := replayLive
 	calm, readmits, next := 0, 0, 0
-	for step := 0; step < c.Steps; step++ {
+	for step := 0; step < s.steps; step++ {
 		kind := None
 		if mode != replayLatched && next < len(faults) && step >= faults[next].Step {
 			kind = faults[next].Kind
@@ -130,7 +130,7 @@ func (c Config) replay(faults []Fault, visit func(step int, demoted bool)) sessi
 // (loadgen.Config.ExpectDemoted) that checks every flag of a run.
 func (s *Schedule) DemotedAt(idx uint64, step int) bool {
 	var flag bool
-	s.cfg.replay(s.SessionPlan(idx).Faults, func(st int, d bool) {
+	s.replay(s.SessionPlan(idx).Faults, func(st int, d bool) {
 		if st == step {
 			flag = d
 		}
@@ -141,17 +141,19 @@ func (s *Schedule) DemotedAt(idx uint64, step int) bool {
 // Expected returns the closed-form outcome of a clean run of n clients,
 // each drawing one of the first n created sessions. Every total but
 // DemotedSteps is independent of which client drew which session:
-// Validate puts every scheduled transition before the first abort.
+// ServeScript's bounds put every scheduled transition before the first
+// abort (faultStepMax + settle is steps/2, abortStepMin steps/2 + 1),
+// and RecoveryScript has no aborts.
 func (s *Schedule) Expected(n int) Expectation {
 	var ex Expectation
 	for i := 0; i < n; i++ {
-		steps := s.cfg.Steps
+		steps := s.steps
 		if a := s.ClientPlan(i).AbortStep; a > 0 && a < steps {
 			steps = a
 		}
 		ex.Steps += int64(steps)
 
-		o := s.cfg.replay(s.SessionPlan(uint64(i)).Faults, nil)
+		o := s.replay(s.SessionPlan(uint64(i)).Faults, nil)
 		if o.demotions > 0 {
 			ex.FirstDemotions++
 		}

@@ -16,8 +16,8 @@ func testRecoveryScript(t *testing.T) *Schedule {
 
 // flags replays one session and returns its full demoted-flag vector.
 func flags(s *Schedule, idx uint64) []bool {
-	out := make([]bool, s.Config().Steps)
-	s.cfg.replay(s.SessionPlan(idx).Faults, func(step int, d bool) { out[step] = d })
+	out := make([]bool, s.Steps())
+	s.replay(s.SessionPlan(idx).Faults, func(step int, d bool) { out[step] = d })
 	return out
 }
 
@@ -92,7 +92,8 @@ func TestRecoveryExpectedTotals(t *testing.T) {
 func TestReplayEscalationsAndStreaks(t *testing.T) {
 	replayOf := func(l, cap int, faults ...Fault) ([]bool, sessionOutcome) {
 		out := make([]bool, 16)
-		o := Config{Steps: 16, ReadmitL: l, ReadmitCap: cap}.replay(faults, func(step int, d bool) { out[step] = d })
+		s := &Schedule{steps: 16, readmitL: l, readmitCap: cap}
+		o := s.replay(faults, func(step int, d bool) { out[step] = d })
 		return out, o
 	}
 	// NaN@2 then panic@3: one demotion, escalated to a latch.
@@ -144,7 +145,7 @@ func TestRecoveryConfigValidate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RecoveryScript(8, 4, 2): %v", err)
 	}
-	if got := s.Config().Steps; got != 26 {
+	if got := s.Steps(); got != 26 {
 		t.Errorf("RecoveryScript(8, 4, 2) budget = %d, want 26", got)
 	}
 }
@@ -165,7 +166,7 @@ func TestRecoverySignalScript(t *testing.T) {
 		for _, f := range plan.Faults {
 			want[f.Step] = f.Kind
 		}
-		for step := 0; step < s.Config().Steps; step++ {
+		for step := 0; step < s.Steps(); step++ {
 			if want[step] == PanicObserve {
 				// A panic latches the session: it stops observing here.
 				func() {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -388,15 +389,27 @@ func TestLoadArtifactsBadLayerDims(t *testing.T) {
 		}
 	}
 	// The template itself, with a real layer, loads.
-	if _, err := decodeArtifacts(payloadWithActorLayer(goodLayer)); err != nil {
+	path := filepath.Join(dir, "good.json")
+	if err := os.WriteFile(path, envelope(artifactsFormat, payloadWithActorLayer(goodLayer)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadArtifacts(path); err != nil {
 		t.Fatalf("template payload rejected: %v", err)
 	}
 }
 
 // FuzzArtifactPayload: the payload decoder never panics — not on a bad
 // layer, not on a bad record — and whatever it accepts re-encodes to
-// bytes that decode and re-encode to themselves.
+// bytes that decode and re-encode to themselves. A payload is decoded
+// as LoadArtifacts decodes it once the envelope's checksum holds.
 func FuzzArtifactPayload(f *testing.F) {
+	decode := func(payload []byte) (*Artifacts, error) {
+		var aj artifactsJSON
+		if _, payloadErr, err := readEnvelope(envelope(artifactsFormat, payload), &aj); err != nil || payloadErr != nil {
+			return nil, errors.Join(err, payloadErr)
+		}
+		return aj.build()
+	}
 	a, err := quickLab(f).Artifacts("gamma22")
 	if err != nil {
 		f.Fatal(err)
@@ -413,7 +426,7 @@ func FuzzArtifactPayload(f *testing.F) {
 		f.Add(payloadWithRecord(goodLayer, rec))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		a, err := decodeArtifacts(payload)
+		a, err := decode(payload)
 		if err != nil {
 			return
 		}
@@ -421,7 +434,7 @@ func FuzzArtifactPayload(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded artifacts do not encode: %v", err)
 		}
-		back, err := decodeArtifacts(once)
+		back, err := decode(once)
 		if err != nil {
 			t.Fatalf("re-encoded payload does not decode: %v", err)
 		}

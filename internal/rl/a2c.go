@@ -35,10 +35,6 @@ type TrainConfig struct {
 	EntropyFinal float64
 	// GradClip bounds the global gradient norm (0 disables).
 	GradClip float64
-	// NormalizeAdv standardizes advantages (zero mean, unit variance)
-	// across each update batch, which stabilizes policy gradients when
-	// QoE rewards span orders of magnitude across traces.
-	NormalizeAdv bool
 	// Seed drives initialization and rollout randomness.
 	Seed uint64
 	// Workers is the number of rollout goroutines (0 = GOMAXPROCS).
@@ -58,7 +54,6 @@ func DefaultTrainConfig() TrainConfig {
 		EntropyInit:      0.5,
 		EntropyFinal:     0.02,
 		GradClip:         5,
-		NormalizeAdv:     true,
 		Seed:             1,
 	}
 }
@@ -195,8 +190,10 @@ func update(agent *ActorCritic, trajs []*mdp.Trajectory, cfg TrainConfig, beta f
 	}
 	values := criticWS.Forward(obs)
 
-	// Returns and advantages for the whole batch, so advantages can be
-	// standardized before the policy update.
+	// Returns and advantages for the whole batch. Advantages are
+	// standardized (zero mean, unit variance) across the batch before
+	// the policy update, which stabilizes policy gradients when QoE
+	// rewards span orders of magnitude across traces.
 	rets, advs := make([]float64, totalSteps), make([]float64, totalSteps)
 	row = 0
 	for _, traj := range trajs {
@@ -205,15 +202,13 @@ func update(agent *ActorCritic, trajs []*mdp.Trajectory, cfg TrainConfig, beta f
 			row++
 		}
 	}
-	if cfg.NormalizeAdv {
-		mean := stats.Mean(advs)
-		std := stats.Std(advs)
-		if std < 1e-8 {
-			std = 1
-		}
-		for i := range advs {
-			advs[i] = (advs[i] - mean) / std
-		}
+	mean := stats.Mean(advs)
+	std := stats.Std(advs)
+	if std < 1e-8 {
+		std = 1
+	}
+	for i := range advs {
+		advs[i] = (advs[i] - mean) / std
 	}
 
 	// Critic: L = (V - G)².

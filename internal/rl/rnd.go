@@ -21,10 +21,9 @@ type RNDConfig struct {
 	// Net shapes both networks' trunk (the output head is replaced by
 	// an embedDim-wide one).
 	Net NetConfig
-	// LR, Passes and BatchSize drive predictor training.
-	LR        float64
-	Passes    int
-	BatchSize int
+	// Passes is the number of predictor-training passes over the
+	// observations.
+	Passes int
 	// Seed drives the target initialization, predictor initialization
 	// and shuffling.
 	Seed uint64
@@ -33,16 +32,19 @@ type RNDConfig struct {
 // DefaultRNDConfig returns the harness defaults.
 func DefaultRNDConfig() RNDConfig {
 	return RNDConfig{
-		Net:       DefaultNetConfig(),
-		LR:        1e-3,
-		Passes:    10,
-		BatchSize: 64,
-		Seed:      1,
+		Net:    DefaultNetConfig(),
+		Passes: 10,
+		Seed:   1,
 	}
 }
 
-// embedDim is the width of the embedding both networks emit.
-const embedDim = 16
+// embedDim is the width of the embedding both networks emit; rndLR and
+// rndBatchSize are the predictor's Adam learning rate and batch.
+const (
+	embedDim     = 16
+	rndLR        = 1e-3
+	rndBatchSize = 64
+)
 
 // RND is a trained distillation pair. It is immutable after training and
 // safe for concurrent Error calls.
@@ -80,9 +82,6 @@ func TrainRND(observations [][]float64, cfg RNDConfig) (*RND, error) {
 	if len(observations) == 0 {
 		return nil, fmt.Errorf("rl: TrainRND needs observations")
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 64
-	}
 	if cfg.Passes <= 0 {
 		cfg.Passes = 10
 	}
@@ -108,21 +107,21 @@ func TrainRND(observations [][]float64, cfg RNDConfig) (*RND, error) {
 
 	// Precompute target embeddings (the target is frozen).
 	embeds := linalg.NewMatrix(len(observations), embedDim)
-	frozen := nn.Pack(target).NewBatchWorkspace(cfg.BatchSize)
-	for start := 0; start < len(observations); start += cfg.BatchSize {
-		end := min(start+cfg.BatchSize, len(observations))
+	frozen := nn.Pack(target).NewBatchWorkspace(rndBatchSize)
+	for start := 0; start < len(observations); start += rndBatchSize {
+		end := min(start+rndBatchSize, len(observations))
 		copy(embeds.Data[start*embedDim:], frozen.Forward(rows(start, end)).Data)
 	}
 
-	opt := nn.NewAdam(cfg.LR, 0, 0, 0)
+	opt := nn.NewAdam(rndLR, 0, 0, 0)
 	shuffle := stats.NewRNG(cfg.Seed ^ 0x5f1e)
 	ws := nn.NewTrainWorkspace(pred)
-	in := linalg.NewMatrix(cfg.BatchSize, obsDim)
-	grad := linalg.NewMatrix(cfg.BatchSize, embedDim)
+	in := linalg.NewMatrix(rndBatchSize, obsDim)
+	grad := linalg.NewMatrix(rndBatchSize, embedDim)
 	for pass := 0; pass < cfg.Passes; pass++ {
 		order := shuffle.Perm(len(observations))
-		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := min(start+cfg.BatchSize, len(order))
+		for start := 0; start < len(order); start += rndBatchSize {
+			end := min(start+rndBatchSize, len(order))
 			batch := order[start:end]
 			in.Rows, grad.Rows = len(batch), len(batch)
 			for r, idx := range batch {
@@ -148,9 +147,9 @@ func TrainRND(observations [][]float64, cfg RNDConfig) (*RND, error) {
 	rnd := &RND{Target: target, Predictor: pred, Scale: 1}
 	// Calibrate Scale to the mean post-training error.
 	var sum float64
-	trained := nn.Pack(pred).NewBatchWorkspace(cfg.BatchSize)
-	for start := 0; start < len(observations); start += cfg.BatchSize {
-		end := min(start+cfg.BatchSize, len(observations))
+	trained := nn.Pack(pred).NewBatchWorkspace(rndBatchSize)
+	for start := 0; start < len(observations); start += rndBatchSize {
+		end := min(start+rndBatchSize, len(observations))
 		out := trained.Forward(rows(start, end))
 		for r := 0; r < out.Rows; r++ {
 			sum += sqDist(out.Row(r), embeds.Row(start+r))

@@ -28,28 +28,26 @@ type ValueTrainConfig struct {
 	Passes int
 	// LR is the Adam learning rate.
 	LR float64
-	// BatchSize groups steps per gradient update.
-	BatchSize int
 	// Seed drives rollout and shuffling randomness; the value network's
 	// initialization uses InitSeed so that ensemble members share data
 	// but differ in initialization, exactly the paper's setup.
 	Seed     uint64
 	InitSeed uint64
-	// Workers bounds rollout parallelism (0 = GOMAXPROCS).
-	Workers int
 }
+
+// valueBatchSize is the number of steps per value-regression update.
+const valueBatchSize = 64
 
 // DefaultValueTrainConfig returns the harness defaults.
 func DefaultValueTrainConfig() ValueTrainConfig {
 	return ValueTrainConfig{
-		Net:       DefaultNetConfig(),
-		Gamma:     0.99,
-		Episodes:  24,
-		Passes:    8,
-		LR:        1e-3,
-		BatchSize: 64,
-		Seed:      1,
-		InitSeed:  1,
+		Net:      DefaultNetConfig(),
+		Gamma:    0.99,
+		Episodes: 24,
+		Passes:   8,
+		LR:       1e-3,
+		Seed:     1,
+		InitSeed: 1,
 	}
 }
 
@@ -83,10 +81,6 @@ func CollectValueDataset(factory EnvFactory, policy mdp.Policy, cfg ValueTrainCo
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	seedRNG := stats.NewRNG(cfg.Seed ^ 0x7A1)
 	rngs := make([]*stats.RNG, cfg.Episodes)
 	for i := range rngs {
@@ -94,7 +88,7 @@ func CollectValueDataset(factory EnvFactory, policy mdp.Policy, cfg ValueTrainCo
 	}
 	trajs := make([]*mdp.Trajectory, cfg.Episodes)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i := 0; i < cfg.Episodes; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
@@ -126,9 +120,6 @@ func TrainValueOnDataset(ds []valueSample, cfg ValueTrainConfig) (*nn.Network, e
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("rl: empty value dataset")
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 64
-	}
 	obsDim := cfg.Net.ObsDim()
 	for i, s := range ds {
 		if len(s.obs) != obsDim {
@@ -140,13 +131,13 @@ func TrainValueOnDataset(ds []valueSample, cfg ValueTrainConfig) (*nn.Network, e
 	shuffleRNG := stats.NewRNG(cfg.Seed ^ 0x5ff1e)
 
 	ws := nn.NewTrainWorkspace(net)
-	in := linalg.NewMatrix(cfg.BatchSize, obsDim)
-	gradOut := linalg.NewMatrix(cfg.BatchSize, 1)
+	in := linalg.NewMatrix(valueBatchSize, obsDim)
+	gradOut := linalg.NewMatrix(valueBatchSize, 1)
 
 	for pass := 0; pass < cfg.Passes; pass++ {
 		order := shuffleRNG.Perm(len(ds))
-		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
+		for start := 0; start < len(order); start += valueBatchSize {
+			end := start + valueBatchSize
 			if end > len(order) {
 				end = len(order)
 			}

@@ -307,7 +307,7 @@ func (c *client) classifyMuxDeath(ctx context.Context) {
 }
 
 // createBinary opens this session's channel on the shared mux,
-// retrying injected-overload rejections per the backoff config — the
+// retrying injected-overload rejections under Config.Retry — the
 // binary analogue of the HTTP create path. The returned status reuses
 // HTTP codes so Run's classification is transport-agnostic.
 func (c *client) createBinary(ctx context.Context) (int, error) {
@@ -335,7 +335,7 @@ func (c *client) createBinary(ctx context.Context) (int, error) {
 		case proto.TypeError:
 			retryable := rep.code == proto.CodeTooMany ||
 				(rep.code == proto.CodeDraining && !strings.Contains(rep.msg, "draining"))
-			if retryable && c.cfg.Backoff != nil && attempt < c.cfg.Backoff.maxRetries() {
+			if retryable && c.cfg.Retry && attempt < maxRetries {
 				c.retries++
 				time.Sleep(c.backoffDelay(attempt, 0))
 				continue
@@ -386,7 +386,7 @@ func (c *client) stepBinary(ctx context.Context) bool {
 			// like its HTTP twin; real drains and closed sessions stop
 			// the client gracefully.
 			if rep.code == proto.CodeDraining && !strings.Contains(rep.msg, "draining") &&
-				c.cfg.Backoff != nil && attempt < c.cfg.Backoff.maxRetries() {
+				c.cfg.Retry && attempt < maxRetries {
 				c.retries++
 				c.seq-- // the rejected step was never served
 				time.Sleep(c.backoffDelay(attempt, 0))

@@ -53,11 +53,11 @@ type Config struct {
 	Traces []*trace.Trace
 	// Seed derives the per-client RNGs.
 	Seed uint64
-	// Backoff, when non-nil, retries 429/503 responses that are not
-	// drain signals with jittered exponential backoff, honoring the
-	// server's Retry-After hint. Nil keeps the legacy fail-fast
-	// behavior.
-	Backoff *Backoff
+	// Retry retries 429/503 responses that are not drain signals with
+	// jittered exponential backoff (retryBase, retryMax, maxRetries),
+	// honoring the server's Retry-After hint. False fails fast: the
+	// first rejection is the request's answer.
+	Retry bool
 	// ClientDelay, when non-nil, returns an artificial pause inserted
 	// before each of client i's requests (the chaos slow-client hook).
 	ClientDelay func(i int) time.Duration
@@ -90,21 +90,14 @@ type Config struct {
 	Adversary func(i int) float64
 }
 
-// Backoff shapes the retry schedule for rejected requests: attempt n
-// waits jitter(min(Base<<n, Max)), floored by the server's Retry-After
-// hint, for at most Retries attempts beyond the first.
-type Backoff struct {
-	Base    time.Duration // first retry delay (0 → 10ms)
-	Max     time.Duration // delay cap (0 → 1s)
-	Retries int           // retries per request (0 → 4)
-}
-
-func (b *Backoff) maxRetries() int {
-	if b.Retries > 0 {
-		return b.Retries
-	}
-	return 4
-}
+// The retry schedule for rejected requests under Config.Retry: attempt
+// n waits jitter(min(retryBase<<n, retryMax)), floored by the server's
+// Retry-After hint, for at most maxRetries attempts beyond the first.
+const (
+	retryBase  = 10 * time.Millisecond
+	retryMax   = time.Second
+	maxRetries = 8
+)
 
 // Result aggregates a load run. A step is "dropped" only when a
 // request failed for a reason other than the server's explicit drain
@@ -272,20 +265,10 @@ func retryHint(resp *http.Response) (floor time.Duration, draining bool) {
 }
 
 // backoffDelay is the jittered exponential schedule: attempt n waits
-// uniform[0.5, 1.5) × min(Base<<n, Max), never below the server's
-// Retry-After floor.
+// uniform[0.5, 1.5) × min(retryBase<<n, retryMax), never below the
+// server's Retry-After floor.
 func (c *client) backoffDelay(attempt int, floor time.Duration) time.Duration {
-	base, max := c.cfg.Backoff.Base, c.cfg.Backoff.Max
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	if max <= 0 {
-		max = time.Second
-	}
-	d := base << uint(attempt)
-	if d <= 0 || d > max {
-		d = max
-	}
+	d := min(retryBase<<attempt, retryMax) // attempt < maxRetries: no overflow
 	d = time.Duration(float64(d) * (0.5 + c.rng.Float64()))
 	if d < floor {
 		d = floor
@@ -293,10 +276,10 @@ func (c *client) backoffDelay(attempt int, floor time.Duration) time.Duration {
 	return d
 }
 
-// do sends one POST, retrying 429/503 rejections per the backoff
-// config. Drain 503s are never retried. When retries are exhausted the
-// final rejection is returned (body already consumed) for the caller's
-// usual classification.
+// do sends one POST, retrying 429/503 rejections under Config.Retry.
+// Drain 503s are never retried. When retries are exhausted the final
+// rejection is returned (body already consumed) for the caller's usual
+// classification.
 func (c *client) do(ctx context.Context, url string, body []byte) (*http.Response, time.Duration, error) {
 	for attempt := 0; ; attempt++ {
 		if c.delay > 0 {
@@ -309,12 +292,12 @@ func (c *client) do(ctx context.Context, url string, body []byte) (*http.Respons
 		start := time.Now()
 		resp, err := c.http.Do(req)
 		lat := time.Since(start)
-		if c.cfg.Backoff == nil || err != nil || ctx.Err() != nil ||
+		if !c.cfg.Retry || err != nil || ctx.Err() != nil ||
 			(resp.StatusCode != http.StatusTooManyRequests && resp.StatusCode != http.StatusServiceUnavailable) {
 			return resp, lat, err
 		}
 		floor, draining := retryHint(resp)
-		if draining || attempt >= c.cfg.Backoff.maxRetries() {
+		if draining || attempt >= maxRetries {
 			return resp, lat, err
 		}
 		c.retries++
